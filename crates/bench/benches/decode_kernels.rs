@@ -7,8 +7,7 @@ use recoil::prelude::*;
 use recoil::rans::fast::{decode_span, decode_span_careful};
 
 /// The scalar fast loop vs the careful `LaneDecoder::step` reference on
-/// the same whole stream — the microbenchmark behind the
-/// `fast_over_careful` column of `BENCH_decode.json`.
+/// the same whole stream.
 fn bench_fast_vs_reference(c: &mut Criterion) {
     let data = recoil::data::text_like_bytes(2_000_000, 5.1, 99);
     let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
@@ -46,7 +45,6 @@ fn bench_kernels(c: &mut Criterion) {
         let mut enc = InterleavedEncoder::new(&model, 32);
         enc.encode_all(&data, &mut NullSink);
         let stream = enc.finish();
-        let simd_model = SimdModel::from_provider(&model);
 
         let mut group = c.benchmark_group(format!("single_thread_decode_n{n}"));
         group.throughput(Throughput::Bytes(data.len() as u64));
@@ -58,7 +56,7 @@ fn bench_kernels(c: &mut Criterion) {
                 |b, &kernel| {
                     let mut out = vec![0u8; data.len()];
                     b.iter(|| {
-                        decode_interleaved_simd(kernel, &stream, &simd_model, &mut out).unwrap();
+                        decode_interleaved_simd(kernel, &stream, &model, &mut out).unwrap();
                         std::hint::black_box(&out);
                     });
                 },

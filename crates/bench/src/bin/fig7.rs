@@ -116,7 +116,7 @@ fn byte_dataset_fig7(
                     metadata: &v.recoil_large.metadata,
                     model: &v.model,
                 };
-                gpu_backend.decode_u8(&req, &mut out).unwrap();
+                req.decode_into(gpu_backend.as_ref(), &mut out).unwrap();
             });
             for (cfg_name, val, p) in [
                 ("multians", g_mult, paper[0]),
@@ -145,8 +145,8 @@ fn byte_dataset_fig7(
                 let kernel = *kernel;
                 let pbase = if kernel == Kernel::Avx512 { 3 } else { 6 };
                 let c_single = measure_gbps(cfg.runs, bytes, || {
-                    let m = SimdModel::from_provider(&v.model);
-                    decode_interleaved_simd(kernel, &v.recoil_large.stream, &m, &mut out).unwrap();
+                    decode_interleaved_simd(kernel, &v.recoil_large.stream, &v.model, &mut out)
+                        .unwrap();
                 });
                 let c_conv = measure_gbps(cfg.runs, bytes, || {
                     decode_conventional_simd(
@@ -164,7 +164,7 @@ fn byte_dataset_fig7(
                         metadata: &v.recoil_small,
                         model: &v.model,
                     };
-                    cpu_backend.decode_u8(&req, &mut out).unwrap();
+                    req.decode_into(cpu_backend.as_ref(), &mut out).unwrap();
                 });
                 for (cfg_name, val, p) in [
                     ("single", c_single, paper[pbase]),

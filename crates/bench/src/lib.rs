@@ -8,6 +8,9 @@
 //! | `fig7` | Figure 7 — decode throughput, CPU kernels + GPU-sim |
 //! | `ablation` | our extra studies: heuristic quality, metadata scaling |
 //!
+//! Performance is measured by the delivery ladder (`src/bin/ladder/`, run by
+//! `BENCHMARK.json`), not by these binaries.
+//!
 //! Results are printed as aligned tables with the paper's reference values
 //! side by side and also appended as JSON under `results/`.
 

@@ -2,10 +2,9 @@
 
 use crate::container::ConventionalContainer;
 use crate::encode::OffsetProvider;
-use parking_lot::Mutex;
 use recoil_models::{ModelProvider, Symbol};
-use recoil_parallel::ThreadPool;
-use recoil_rans::{decode_interleaved_into, RansError};
+use recoil_parallel::{for_each_disjoint, ThreadPool};
+use recoil_rans::{decode_interleaved_into, EncodedStream, RansError};
 
 /// Decodes all partitions, optionally on a pool, into a fresh buffer.
 pub fn decode_conventional<S: Symbol, P: ModelProvider>(
@@ -25,6 +24,21 @@ pub fn decode_conventional_into<S: Symbol, P: ModelProvider>(
     pool: Option<&ThreadPool>,
     out: &mut [S],
 ) -> Result<(), RansError> {
+    decode_partitions(container, pool, out, |chunk, base, seg| {
+        decode_interleaved_into(chunk, &OffsetProvider::new(provider, base), seg)
+    })
+}
+
+/// The partition fan-out shared by the scalar and SIMD baselines: runs
+/// `decode_chunk(chunk, first_symbol_position, chunk_output)` for every
+/// partition, each on its own disjoint region of `out`, optionally on a
+/// pool.
+pub fn decode_partitions<S: Symbol>(
+    container: &ConventionalContainer,
+    pool: Option<&ThreadPool>,
+    out: &mut [S],
+    decode_chunk: impl Fn(&EncodedStream, u64, &mut [S]) -> Result<(), RansError> + Sync,
+) -> Result<(), RansError> {
     if out.len() as u64 != container.num_symbols() {
         return Err(RansError::MalformedStream(format!(
             "output buffer holds {} symbols, container has {}",
@@ -33,36 +47,9 @@ pub fn decode_conventional_into<S: Symbol, P: ModelProvider>(
         )));
     }
     let bounds = container.symbol_bounds();
-    let tasks = container.chunks.len();
-
-    let mut segments: Vec<Mutex<&mut [S]>> = Vec::with_capacity(tasks);
-    let mut rest = out;
-    for m in 0..tasks {
-        let (seg, tail) = rest.split_at_mut((bounds[m + 1] - bounds[m]) as usize);
-        segments.push(Mutex::new(seg));
-        rest = tail;
-    }
-
-    let first_error: Mutex<Option<RansError>> = Mutex::new(None);
-    let run_task = |m: usize| {
-        let local = OffsetProvider::new(provider, bounds[m]);
-        let mut seg = segments[m].lock();
-        if let Err(e) = decode_interleaved_into(&container.chunks[m], &local, &mut seg) {
-            let mut slot = first_error.lock();
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-        }
-    };
-
-    match pool {
-        Some(pool) if tasks > 1 => pool.run(tasks, run_task),
-        _ => (0..tasks).for_each(run_task),
-    }
-    match first_error.into_inner() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    for_each_disjoint(pool, out, &bounds, |m, seg| {
+        decode_chunk(&container.chunks[m], bounds[m], seg)
+    })
 }
 
 #[cfg(test)]

@@ -18,5 +18,5 @@ mod decode;
 mod encode;
 
 pub use container::ConventionalContainer;
-pub use decode::{decode_conventional, decode_conventional_into};
+pub use decode::{decode_conventional, decode_conventional_into, decode_partitions};
 pub use encode::{encode_conventional, OffsetProvider};

@@ -2,10 +2,8 @@
 //! pluggable decode backends.
 //!
 //! The paper's whole point is that **one** encoded bitstream serves every
-//! decoder capability; this module makes the API match. Instead of the
-//! positional free functions of the seed code
-//! (`encode_with_splits(data, provider, 32, 64)` and four divergent
-//! `decode_*` entry points), callers configure a reusable [`Codec`] once:
+//! decoder capability; this module makes the API match: callers configure
+//! a reusable [`Codec`] once,
 //!
 //! ```
 //! use recoil_core::codec::{Codec, PooledBackend};
@@ -26,19 +24,22 @@
 //! Decoding goes through the object-safe [`DecodeBackend`] trait:
 //! [`ScalarBackend`] and [`PooledBackend`] live here; the SIMD crate adds
 //! `Avx2Backend`, `Avx512Backend`, and a runtime-dispatching `AutoBackend`.
+//! All of them are the one segment engine ([`crate::decode_segments`]) with
+//! a different span kernel and thread pool plugged in, and a backend method
+//! always takes a segment range; the whole-stream contract (exact output
+//! length, all segments) is added once, in [`DecodeRequest::decode_into`].
 //! Every error on this surface is a typed [`RecoilError`] — configuration
 //! mistakes are rejected at [`CodecBuilder::build`], not deep inside a
 //! decode loop.
 
-use crate::container::RecoilContainer;
-use crate::decoder::{decode_into_impl, decode_segments_impl};
-use crate::encoder::{encode_container, encode_container_pooled};
+use crate::container::{encode_container, RecoilContainer};
+use crate::decoder::decode_segments;
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
 use crate::planner::{Heuristic, PlannerConfig};
 use recoil_models::{CdfTable, ModelProvider, StaticModelProvider, Symbol, MAX_QUANT_BITS};
 use recoil_parallel::ThreadPool;
-use recoil_rans::EncodedStream;
+use recoil_rans::{decode_span_with_stats, EncodedStream};
 use std::ops::Range;
 
 /// Validated encoder configuration: everything the encode side of a
@@ -134,13 +135,47 @@ pub struct DecodeRequest<'a> {
     pub model: &'a StaticModelProvider,
 }
 
+impl DecodeRequest<'_> {
+    /// Decodes the whole stream through `backend` into `out`, which must
+    /// hold exactly `stream.num_symbols` symbols.
+    ///
+    /// This is the one place the whole-stream contract lives: the backend
+    /// must be available, the buffer length exact, and every metadata
+    /// segment is requested. [`Codec`] and the server/net clients all decode
+    /// through it, so every backend reports the same errors.
+    pub fn decode_into<S: CodecSymbol>(
+        &self,
+        backend: &dyn DecodeBackend,
+        out: &mut [S],
+    ) -> Result<(), RecoilError> {
+        if !backend.is_available() {
+            return Err(RecoilError::BackendUnavailable {
+                backend: backend.name(),
+            });
+        }
+        self.stream.check_output_len(out.len())?;
+        S::run_backend(backend, self, 0..self.metadata.num_segments(), out)
+    }
+}
+
 /// An object-safe decode strategy.
 ///
-/// Implementations decide *how* the three-phase decode runs (serial, thread
+/// Implementations decide *how* the segment engine runs (serial, thread
 /// pool, AVX2/AVX-512 kernels, runtime dispatch); the bitstream and metadata
 /// are identical across all of them — that is the paper's decoder-adaptive
 /// scalability. Backends must produce bit-exact output; equivalence tests
 /// in `tests/` enforce it.
+///
+/// Every decode method takes a contiguous range of metadata segments and
+/// writes each segment's **absolutely indexed** region of `out`
+/// (`bounds[m]..bounds[m+1]`), leaving the rest untouched. `out` must cover
+/// at least the requested segments' symbols; it may be shorter than the
+/// full stream. The stream's `words` may be an incomplete prefix, as long
+/// as it covers every word the requested segments read (interior segment
+/// `m` needs `splits[m].offset + 1` words; the final segment needs the
+/// complete stream) — see [`crate::validate_segment_decode`] for the exact
+/// contract. Output must be bit-identical to the matching region of a full
+/// decode. For a whole-stream decode use [`DecodeRequest::decode_into`].
 pub trait DecodeBackend: Send + Sync {
     /// Stable, lowercase backend name (used in errors and logs).
     fn name(&self) -> &'static str;
@@ -152,80 +187,44 @@ pub trait DecodeBackend: Send + Sync {
         true
     }
 
-    /// Decodes a byte stream into `out` (which must hold exactly
-    /// `stream.num_symbols` symbols).
-    fn decode_u8(&self, req: &DecodeRequest<'_>, out: &mut [u8]) -> Result<(), RecoilError>;
+    /// Decodes `segments` of a byte stream.
+    fn decode_u8(
+        &self,
+        req: &DecodeRequest<'_>,
+        segments: Range<u64>,
+        out: &mut [u8],
+    ) -> Result<(), RecoilError>;
 
-    /// Decodes a 16-bit-symbol stream into `out`.
-    fn decode_u16(&self, req: &DecodeRequest<'_>, out: &mut [u16]) -> Result<(), RecoilError>;
+    /// Decodes `segments` of a 16-bit-symbol stream.
+    fn decode_u16(
+        &self,
+        req: &DecodeRequest<'_>,
+        segments: Range<u64>,
+        out: &mut [u16],
+    ) -> Result<(), RecoilError>;
 
-    /// Decodes a stream whose model varies per symbol position (the
-    /// hyperprior/latents path). Backends without an adaptive fast path
-    /// fall back to the scalar three-phase decoder.
+    /// Decodes `segments` of a stream whose model varies per symbol
+    /// position (the hyperprior/latents path). Per-symbol model indirection
+    /// defeats flat gathers, so every backend runs the scalar span kernel
+    /// here — on its own thread pool, if it has one.
     fn decode_adaptive(
         &self,
         stream: &EncodedStream,
         metadata: &RecoilMetadata,
         provider: &dyn ModelProvider,
+        segments: Range<u64>,
         out: &mut [u16],
     ) -> Result<(), RecoilError>;
-
-    /// Decodes only the metadata segments in `segments` (a contiguous
-    /// range), writing each segment's **absolutely indexed** region of
-    /// `out` (`bounds[m]..bounds[m+1]`) and leaving the rest untouched.
-    /// `out` must cover at least the requested segments' symbols; it may
-    /// be shorter than the full stream.
-    ///
-    /// This is the streaming building block: `req.stream.words` may be an
-    /// incomplete prefix of the declared stream, as long as it covers every
-    /// word the requested segments read (interior segment `m` needs
-    /// `splits[m].offset + 1` words; the final segment needs the complete
-    /// stream). See [`crate::validate_segment_decode`] for the exact
-    /// contract. Output must be bit-identical to the matching region of a
-    /// full decode.
-    fn decode_u8_segments(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u8],
-    ) -> Result<(), RecoilError> {
-        decode_segments_pooled(req.stream, req.metadata, req.model, None, segments, out)
-    }
-
-    /// [`DecodeBackend::decode_u8_segments`] for 16-bit-symbol streams.
-    fn decode_u16_segments(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        decode_segments_pooled(req.stream, req.metadata, req.model, None, segments, out)
-    }
 }
 
-/// Building block for [`DecodeBackend`] implementations: the scalar (or
-/// thread-pooled) three-phase decode over any model provider.
+/// The segment engine with the scalar span kernel
+/// (`recoil_rans::decode_span_with_stats`) plugged in: what the scalar and
+/// pooled backends run, and what every backend runs for adaptive models.
 ///
 /// Generic over the provider on purpose: backends that hold a concrete
 /// [`StaticModelProvider`] get a monomorphized decode loop whose LUT
 /// lookup inlines into the fast loop (`recoil_rans::fast`), while the
 /// adaptive path can still pass `&dyn ModelProvider`.
-pub fn decode_pooled<S: Symbol, P: ModelProvider + ?Sized>(
-    stream: &EncodedStream,
-    metadata: &RecoilMetadata,
-    provider: &P,
-    pool: Option<&ThreadPool>,
-    out: &mut [S],
-) -> Result<(), RecoilError> {
-    decode_into_impl(stream, metadata, provider, pool, out).map_err(RecoilError::from)
-}
-
-/// Building block for [`DecodeBackend::decode_u8_segments`] /
-/// [`DecodeBackend::decode_u16_segments`] implementations: the scalar (or
-/// thread-pooled) three-phase decode of a contiguous segment range, with
-/// `stream.words` allowed to be a prefix covering those segments. Generic
-/// over the provider for the same devirtualization reason as
-/// [`decode_pooled`].
 pub fn decode_segments_pooled<S: Symbol, P: ModelProvider + ?Sized>(
     stream: &EncodedStream,
     metadata: &RecoilMetadata,
@@ -234,7 +233,33 @@ pub fn decode_segments_pooled<S: Symbol, P: ModelProvider + ?Sized>(
     segments: Range<u64>,
     out: &mut [S],
 ) -> Result<(), RecoilError> {
-    decode_segments_impl(stream, metadata, provider, pool, segments, out).map_err(RecoilError::from)
+    decode_segments(
+        stream,
+        metadata,
+        provider,
+        pool,
+        segments,
+        out,
+        |words, cursor, states, lo, seg| {
+            decode_span_with_stats(provider, words, cursor, states, lo, seg)
+        },
+    )
+    .map_err(RecoilError::from)
+}
+
+/// Whole-stream [`decode_segments_pooled`] for callers that hold a stream,
+/// metadata and an arbitrary model provider rather than an [`Encoded`]:
+/// `out` must hold exactly `stream.num_symbols` symbols.
+pub fn decode_pooled<S: Symbol, P: ModelProvider + ?Sized>(
+    stream: &EncodedStream,
+    metadata: &RecoilMetadata,
+    provider: &P,
+    pool: Option<&ThreadPool>,
+    out: &mut [S],
+) -> Result<(), RecoilError> {
+    stream.check_output_len(out.len())?;
+    let all = 0..metadata.num_segments();
+    decode_segments_pooled(stream, metadata, provider, pool, all, out)
 }
 
 /// Serial reference backend: always available, no threads, no SIMD.
@@ -246,12 +271,22 @@ impl DecodeBackend for ScalarBackend {
         "scalar"
     }
 
-    fn decode_u8(&self, req: &DecodeRequest<'_>, out: &mut [u8]) -> Result<(), RecoilError> {
-        decode_pooled(req.stream, req.metadata, req.model, None, out)
+    fn decode_u8(
+        &self,
+        req: &DecodeRequest<'_>,
+        segments: Range<u64>,
+        out: &mut [u8],
+    ) -> Result<(), RecoilError> {
+        decode_segments_pooled(req.stream, req.metadata, req.model, None, segments, out)
     }
 
-    fn decode_u16(&self, req: &DecodeRequest<'_>, out: &mut [u16]) -> Result<(), RecoilError> {
-        decode_pooled(req.stream, req.metadata, req.model, None, out)
+    fn decode_u16(
+        &self,
+        req: &DecodeRequest<'_>,
+        segments: Range<u64>,
+        out: &mut [u16],
+    ) -> Result<(), RecoilError> {
+        decode_segments_pooled(req.stream, req.metadata, req.model, None, segments, out)
     }
 
     fn decode_adaptive(
@@ -259,9 +294,10 @@ impl DecodeBackend for ScalarBackend {
         stream: &EncodedStream,
         metadata: &RecoilMetadata,
         provider: &dyn ModelProvider,
+        segments: Range<u64>,
         out: &mut [u16],
     ) -> Result<(), RecoilError> {
-        decode_pooled(stream, metadata, provider, None, out)
+        decode_segments_pooled(stream, metadata, provider, None, segments, out)
     }
 }
 
@@ -303,12 +339,24 @@ impl DecodeBackend for PooledBackend {
         "pooled"
     }
 
-    fn decode_u8(&self, req: &DecodeRequest<'_>, out: &mut [u8]) -> Result<(), RecoilError> {
-        decode_pooled(req.stream, req.metadata, req.model, Some(&self.pool), out)
+    fn decode_u8(
+        &self,
+        req: &DecodeRequest<'_>,
+        segments: Range<u64>,
+        out: &mut [u8],
+    ) -> Result<(), RecoilError> {
+        let pool = Some(&self.pool);
+        decode_segments_pooled(req.stream, req.metadata, req.model, pool, segments, out)
     }
 
-    fn decode_u16(&self, req: &DecodeRequest<'_>, out: &mut [u16]) -> Result<(), RecoilError> {
-        decode_pooled(req.stream, req.metadata, req.model, Some(&self.pool), out)
+    fn decode_u16(
+        &self,
+        req: &DecodeRequest<'_>,
+        segments: Range<u64>,
+        out: &mut [u16],
+    ) -> Result<(), RecoilError> {
+        let pool = Some(&self.pool);
+        decode_segments_pooled(req.stream, req.metadata, req.model, pool, segments, out)
     }
 
     fn decode_adaptive(
@@ -316,41 +364,10 @@ impl DecodeBackend for PooledBackend {
         stream: &EncodedStream,
         metadata: &RecoilMetadata,
         provider: &dyn ModelProvider,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        decode_pooled(stream, metadata, provider, Some(&self.pool), out)
-    }
-
-    fn decode_u8_segments(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u8],
-    ) -> Result<(), RecoilError> {
-        decode_segments_pooled(
-            req.stream,
-            req.metadata,
-            req.model,
-            Some(&self.pool),
-            segments,
-            out,
-        )
-    }
-
-    fn decode_u16_segments(
-        &self,
-        req: &DecodeRequest<'_>,
         segments: Range<u64>,
         out: &mut [u16],
     ) -> Result<(), RecoilError> {
-        decode_segments_pooled(
-            req.stream,
-            req.metadata,
-            req.model,
-            Some(&self.pool),
-            segments,
-            out,
-        )
+        decode_segments_pooled(stream, metadata, provider, Some(&self.pool), segments, out)
     }
 }
 
@@ -364,16 +381,9 @@ mod sealed {
 /// [`DecodeBackend`] (the backend trait is object-safe, so dispatch by
 /// symbol width happens here instead of via generic trait methods).
 pub trait CodecSymbol: Symbol + sealed::Sealed {
-    /// Routes `req` to the width-matching backend entry point.
-    fn run_backend(
-        backend: &dyn DecodeBackend,
-        req: &DecodeRequest<'_>,
-        out: &mut [Self],
-    ) -> Result<(), RecoilError>;
-
     /// Routes a segment-range decode to the width-matching backend entry
-    /// point (the streaming path).
-    fn run_backend_segments(
+    /// point.
+    fn run_backend(
         backend: &dyn DecodeBackend,
         req: &DecodeRequest<'_>,
         segments: Range<u64>,
@@ -385,18 +395,10 @@ impl CodecSymbol for u8 {
     fn run_backend(
         backend: &dyn DecodeBackend,
         req: &DecodeRequest<'_>,
-        out: &mut [Self],
-    ) -> Result<(), RecoilError> {
-        backend.decode_u8(req, out)
-    }
-
-    fn run_backend_segments(
-        backend: &dyn DecodeBackend,
-        req: &DecodeRequest<'_>,
         segments: Range<u64>,
         out: &mut [Self],
     ) -> Result<(), RecoilError> {
-        backend.decode_u8_segments(req, segments, out)
+        backend.decode_u8(req, segments, out)
     }
 }
 
@@ -404,18 +406,10 @@ impl CodecSymbol for u16 {
     fn run_backend(
         backend: &dyn DecodeBackend,
         req: &DecodeRequest<'_>,
-        out: &mut [Self],
-    ) -> Result<(), RecoilError> {
-        backend.decode_u16(req, out)
-    }
-
-    fn run_backend_segments(
-        backend: &dyn DecodeBackend,
-        req: &DecodeRequest<'_>,
         segments: Range<u64>,
         out: &mut [Self],
     ) -> Result<(), RecoilError> {
-        backend.decode_u16_segments(req, segments, out)
+        backend.decode_u16(req, segments, out)
     }
 }
 
@@ -612,39 +606,10 @@ impl Codec {
         })
     }
 
-    /// [`Codec::encode`], with the encode pass parallelized over `pool`.
-    /// The output is byte-identical to the serial encode — the pool changes
-    /// wall-clock time, never bytes (see `crate::encoder`).
-    pub fn encode_pooled(&self, data: &[u8], pool: &ThreadPool) -> Result<Encoded, RecoilError> {
-        let model = self.build_model_u8(data)?;
-        let container = self.encode_with_provider_pooled(data, &model, pool)?;
-        Ok(Encoded {
-            container,
-            model,
-            symbol_bits: 8,
-        })
-    }
-
     /// Encodes 16-bit symbols; the model's alphabet covers `0..=max(data)`.
     pub fn encode_u16(&self, data: &[u16]) -> Result<Encoded, RecoilError> {
         let model = self.build_model_u16(data)?;
         let container = self.encode_with_provider(data, &model)?;
-        Ok(Encoded {
-            container,
-            model,
-            symbol_bits: 16,
-        })
-    }
-
-    /// [`Codec::encode_u16`] parallelized over `pool`; bytes are identical
-    /// to the serial encode.
-    pub fn encode_u16_pooled(
-        &self,
-        data: &[u16],
-        pool: &ThreadPool,
-    ) -> Result<Encoded, RecoilError> {
-        let model = self.build_model_u16(data)?;
-        let container = self.encode_with_provider_pooled(data, &model, pool)?;
         Ok(Encoded {
             container,
             model,
@@ -688,25 +653,6 @@ impl Codec {
             provider,
             self.config.ways,
             self.config.planner_config(),
-        )
-        .map_err(RecoilError::from)
-    }
-
-    /// [`Codec::encode_with_provider`] with the encode pass parallelized
-    /// over `pool` (segment-parallel; output bytes identical to serial).
-    pub fn encode_with_provider_pooled<S: Symbol, P: ModelProvider>(
-        &self,
-        data: &[S],
-        provider: &P,
-        pool: &ThreadPool,
-    ) -> Result<RecoilContainer, RecoilError> {
-        self.check_provider(provider)?;
-        encode_container_pooled(
-            data,
-            provider,
-            self.config.ways,
-            self.config.planner_config(),
-            pool,
         )
         .map_err(RecoilError::from)
     }
@@ -769,17 +715,12 @@ impl Codec {
                 ),
             ));
         }
-        if !backend.is_available() {
-            return Err(RecoilError::BackendUnavailable {
-                backend: backend.name(),
-            });
-        }
         let req = DecodeRequest {
             stream: &encoded.container.stream,
             metadata: &encoded.container.metadata,
             model: &encoded.model,
         };
-        S::run_backend(backend, &req, out)
+        req.decode_into(backend, out)
     }
 
     /// Decodes an adaptively modelled stream (per-position models) through
@@ -791,8 +732,9 @@ impl Codec {
         provider: &dyn ModelProvider,
     ) -> Result<Vec<u16>, RecoilError> {
         let mut out = vec![0u16; stream.num_symbols as usize];
+        let all = 0..metadata.num_segments();
         self.backend
-            .decode_adaptive(stream, metadata, provider, &mut out)?;
+            .decode_adaptive(stream, metadata, provider, all, &mut out)?;
         Ok(out)
     }
 }
@@ -946,36 +888,5 @@ mod tests {
             }
             other => panic!("expected UnsupportedSymbol, got {other:?}"),
         }
-        // The pooled path reports the same typed error.
-        let pool = recoil_parallel::ThreadPool::new(3);
-        assert!(matches!(
-            codec.encode_with_provider_pooled(&data, &model, &pool),
-            Err(RecoilError::UnsupportedSymbol { sym: 200, .. })
-        ));
-    }
-
-    #[test]
-    fn pooled_encode_is_byte_identical_to_serial() {
-        let data = sample(200_000, 5);
-        let codec = Codec::builder().max_segments(24).build().unwrap();
-        let serial = codec.encode(&data).unwrap();
-        let pool = recoil_parallel::ThreadPool::new(3);
-        let pooled = codec.encode_pooled(&data, &pool).unwrap();
-        assert_eq!(pooled.container.stream, serial.container.stream);
-        assert_eq!(pooled.container.metadata, serial.container.metadata);
-        let back: Vec<u8> = codec.decode(&pooled).unwrap();
-        assert_eq!(back, data);
-    }
-
-    #[test]
-    fn matches_legacy_free_function_bytes() {
-        #![allow(deprecated)]
-        let data = sample(200_000, 3);
-        let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
-        let legacy = crate::container::encode_with_splits(&data, &model, 32, 24);
-        let codec = Codec::builder().max_segments(24).build().unwrap();
-        let new = codec.encode(&data).unwrap();
-        assert_eq!(new.container.stream, legacy.stream);
-        assert_eq!(new.container.metadata, legacy.metadata);
     }
 }

@@ -1,10 +1,11 @@
 //! One-call encode API and the stream+metadata container.
 
 use crate::metadata::RecoilMetadata;
-use crate::planner::PlannerConfig;
+use crate::planner::{PlannerConfig, SplitPlanner};
 use crate::wire::metadata_to_bytes;
 use recoil_models::{ModelProvider, Symbol};
-use recoil_rans::EncodedStream;
+use recoil_rans::params::INITIAL_STATE;
+use recoil_rans::{encode_span, EncodedStream, RansError};
 
 /// An encoded bitstream together with its (independent) Recoil metadata.
 ///
@@ -37,43 +38,43 @@ impl RecoilContainer {
     }
 }
 
-/// Encodes `data` with `ways` interleaved lanes while planning split
-/// metadata for `segments` parallel decoders.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `recoil_core::codec::Codec::builder()` — e.g. \
-            `Codec::builder().ways(32).max_segments(64).build()?.encode_with_provider(data, provider)`"
-)]
-pub fn encode_with_splits<S: Symbol, P: ModelProvider>(
+/// The one encode path behind every `Codec::encode*`: one pass of the
+/// branchless span engine (`recoil_rans::encode_span`) over the whole input
+/// with the split planner listening to its renorm events. Byte-identical to
+/// the retained per-symbol reference encoder.
+pub(crate) fn encode_container<S: Symbol, P: ModelProvider>(
     data: &[S],
     provider: &P,
     ways: u32,
-    segments: u64,
-) -> RecoilContainer {
-    // The pre-codec signature is infallible; symbols outside the model's
-    // support used to die on a divide-by-zero in release builds, so the
-    // typed error surfacing as a panic message here is strictly an upgrade.
-    crate::encoder::encode_container(data, provider, ways, PlannerConfig::with_segments(segments))
-        .expect("symbol outside the model's support")
+    planner_config: PlannerConfig,
+) -> Result<RecoilContainer, RansError> {
+    let mut planner = SplitPlanner::new(ways, data.len() as u64, planner_config);
+    let mut states = vec![INITIAL_STATE; ways as usize];
+    let mut words = Vec::new();
+    encode_span(provider, data, 0, &mut states, &mut words, 0, &mut planner)?;
+    let metadata = planner.finish(words.len() as u64, provider.quant_bits());
+    let stream = EncodedStream {
+        words,
+        final_states: states,
+        num_symbols: data.len() as u64,
+        ways,
+    };
+    Ok(RecoilContainer { stream, metadata })
 }
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shims must keep working; tests exercise them
-
-    use super::*;
-    use crate::decoder::decode_recoil;
-    use recoil_models::{CdfTable, StaticModelProvider};
+    use crate::codec::Codec;
 
     #[test]
     fn one_call_encode_decodes_back() {
         let data: Vec<u8> = (0..150_000u32)
             .map(|i| (i.wrapping_mul(2654435761) >> 22) as u8)
             .collect();
-        let p = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
-        let c = encode_with_splits(&data, &p, 32, 16);
-        assert_eq!(c.metadata.num_segments(), 16);
-        let got: Vec<u8> = decode_recoil(&c.stream, &c.metadata, &p, None).unwrap();
+        let codec = Codec::builder().max_segments(16).build().unwrap();
+        let enc = codec.encode(&data).unwrap();
+        assert_eq!(enc.container.metadata.num_segments(), 16);
+        let got: Vec<u8> = codec.decode(&enc).unwrap();
         assert_eq!(got, data);
     }
 
@@ -82,9 +83,12 @@ mod tests {
         let data: Vec<u8> = (0..400_000u32)
             .map(|i| (i.wrapping_mul(747796405) >> 21) as u8)
             .collect();
-        let p = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
-        let small = encode_with_splits(&data, &p, 32, 8);
-        let large = encode_with_splits(&data, &p, 32, 128);
+        let encode = |segments| {
+            let codec = Codec::builder().max_segments(segments).build().unwrap();
+            codec.encode(&data).unwrap().container
+        };
+        let small = encode(8);
+        let large = encode(128);
         assert_eq!(
             small.stream_bytes(),
             large.stream_bytes(),

@@ -18,83 +18,25 @@
 //! Phases 2 and 3 need no code boundary: together they decode positions
 //! `Q_{m-1} .. Q_m` — exactly thread `m`'s disjoint output range, which is
 //! why the output buffer can be handed out as non-overlapping sub-slices.
+//!
+//! [`decode_segments`] is the one driver for all of it. What varies between
+//! decoders is only the **span kernel** that runs phases 2–3 — the scalar
+//! fast loop (`recoil_rans::decode_span_with_stats`) or the SIMD crate's
+//! AVX2/AVX-512 group loop — and whether a thread pool is attached, so
+//! "scalar", "pooled", "SIMD" and "streaming over a word prefix" are
+//! arguments to this function, not separate drivers.
 
 use crate::metadata::{RecoilMetadata, SplitPoint};
-use parking_lot::Mutex;
 use recoil_bitio::BackwardWordReader;
 use recoil_models::{ModelProvider, Symbol};
-use recoil_parallel::ThreadPool;
+use recoil_parallel::{for_each_disjoint, ThreadPool};
 use recoil_rans::params::LOWER_BOUND;
-use recoil_rans::{
-    decode_span_with_stats, decode_transform, renorm_read, EncodedStream, RansError,
-};
+use recoil_rans::{decode_transform, renorm_read, EncodedStream, RansError, SpanStats};
 use std::ops::Range;
 
 /// Number of parallel decode tasks this metadata yields.
 pub fn decode_split_count(meta: &RecoilMetadata) -> usize {
     meta.splits.len() + 1
-}
-
-/// Decodes a Recoil stream, optionally on a thread pool.
-///
-/// With `pool = None` the tasks run serially on the caller — same results,
-/// useful for tests and for decoders without parallel capacity (the whole
-/// point of decoder-adaptive scalability is that such decoders receive
-/// metadata with fewer splits, not a different bitstream).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `recoil_core::codec::Codec::decode` with a `ScalarBackend`/`PooledBackend`, \
-            or `codec::decode_pooled` when implementing a backend"
-)]
-pub fn decode_recoil<S: Symbol, P: ModelProvider>(
-    stream: &EncodedStream,
-    meta: &RecoilMetadata,
-    provider: &P,
-    pool: Option<&ThreadPool>,
-) -> Result<Vec<S>, RansError> {
-    let mut out = vec![S::from_u16(0); stream.num_symbols as usize];
-    decode_into_impl(stream, meta, provider, pool, &mut out)?;
-    Ok(out)
-}
-
-/// Decodes a Recoil stream into a caller-provided buffer.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `recoil_core::codec::Codec::decode_into` with a `ScalarBackend`/`PooledBackend`, \
-            or `codec::decode_pooled` when implementing a backend"
-)]
-pub fn decode_recoil_into<S: Symbol, P: ModelProvider>(
-    stream: &EncodedStream,
-    meta: &RecoilMetadata,
-    provider: &P,
-    pool: Option<&ThreadPool>,
-    out: &mut [S],
-) -> Result<(), RansError> {
-    decode_into_impl(stream, meta, provider, pool, out)
-}
-
-/// The three-phase decode engine behind both the [`crate::codec`] backends
-/// and the deprecated free functions.
-pub(crate) fn decode_into_impl<S: Symbol, P: ModelProvider + ?Sized>(
-    stream: &EncodedStream,
-    meta: &RecoilMetadata,
-    provider: &P,
-    pool: Option<&ThreadPool>,
-    out: &mut [S],
-) -> Result<(), RansError> {
-    // The classic whole-stream API keeps its exact-length contract (the
-    // segment-range engine only requires coverage); its remaining checks
-    // are subsumed by `validate_segment_decode` over the full range, which
-    // pins `words.len()` to exactly `num_words` once the final segment is
-    // included.
-    if out.len() as u64 != stream.num_symbols {
-        return Err(RansError::MalformedStream(format!(
-            "output buffer holds {} symbols, stream has {}",
-            out.len(),
-            stream.num_symbols
-        )));
-    }
-    decode_segments_impl(stream, meta, provider, pool, 0..meta.num_segments(), out)
 }
 
 /// Checks the invariants of a segment-range decode where `stream.words` may
@@ -173,134 +115,87 @@ pub fn validate_segment_decode(
     Ok(())
 }
 
-/// The segment-range decode engine: runs the three phases for every task in
-/// `segments`, writing each task's disjoint region of the full-stream
-/// output buffer. `stream.words` may be a prefix (see
-/// [`validate_segment_decode`]).
-pub(crate) fn decode_segments_impl<S: Symbol, P: ModelProvider + ?Sized>(
+/// The segment decode engine: for every metadata segment in `segments`,
+/// recover the lane states (scalar Synchronization Phase, or the
+/// transmitted final states for the last segment), run `kernel` over the
+/// segment's positions, and write that task's disjoint region of `out`
+/// (indexed absolutely: segment `m` owns `bounds[m]..bounds[m+1]`).
+/// `stream.words` may be a prefix — see [`validate_segment_decode`], which
+/// runs first, so every backend rejects the same inputs with the same
+/// errors.
+///
+/// `kernel(words, cursor, states, lo, out)` decodes positions
+/// `lo .. lo + out.len()` downward from the backward word `cursor`
+/// (`None` = exhausted), advancing `states`, and returns the cursor it
+/// stopped at plus how the span decoded. It must be bit-identical to
+/// `recoil_rans::decode_span_careful`. With a `pool` the segments run
+/// concurrently; the first error wins.
+pub fn decode_segments<S, P, K>(
     stream: &EncodedStream,
     meta: &RecoilMetadata,
     provider: &P,
     pool: Option<&ThreadPool>,
     segments: Range<u64>,
     out: &mut [S],
-) -> Result<(), RansError> {
+    kernel: K,
+) -> Result<(), RansError>
+where
+    S: Symbol,
+    P: ModelProvider + ?Sized,
+    K: Fn(
+            &[u16],
+            Option<u64>,
+            &mut [u32],
+            u64,
+            &mut [S],
+        ) -> Result<(Option<u64>, SpanStats), RansError>
+        + Sync,
+{
     validate_segment_decode(stream, meta, &segments, out.len())?;
     let (a, b) = (segments.start as usize, segments.end as usize);
-    let tasks = b - a;
-    if tasks == 0 {
-        return Ok(());
-    }
     let bounds = meta.segment_bounds();
-
-    // Hand each task its disjoint output segment.
-    let mut slices: Vec<Mutex<&mut [S]>> = Vec::with_capacity(tasks);
-    let mut rest = &mut out[bounds[a] as usize..bounds[b] as usize];
-    for t in 0..tasks {
-        let len = (bounds[a + t + 1] - bounds[a + t]) as usize;
-        let (seg, tail) = rest.split_at_mut(len);
-        slices.push(Mutex::new(seg));
-        rest = tail;
-    }
-
-    let first_error: Mutex<Option<RansError>> = Mutex::new(None);
-    let run_task = |t: usize| {
-        let m = a + t;
-        let mut seg = slices[t].lock();
-        if let Err(e) = decode_task(m, stream, meta, provider, bounds[m], &mut seg) {
-            let mut slot = first_error.lock();
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-        }
-    };
-
-    match pool {
-        Some(pool) if tasks > 1 => pool.run(tasks, run_task),
-        _ => (0..tasks).for_each(run_task),
-    }
-
-    match first_error.into_inner() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
-/// Runs the three phases of one decode task.
-///
-/// `seg` receives positions `lo .. lo + seg.len()` where `lo = bounds[m]`.
-fn decode_task<S: Symbol, P: ModelProvider + ?Sized>(
-    m: usize,
-    stream: &EncodedStream,
-    meta: &RecoilMetadata,
-    provider: &P,
-    lo: u64,
-    seg: &mut [S],
-) -> Result<(), RansError> {
-    let ways = meta.ways as u64;
-    let n = provider.quant_bits();
-    let mask = (1u32 << n) - 1;
     let words = &stream.words;
+    for_each_disjoint(pool, out, &bounds[a..=b], |t, seg| {
+        let m = a + t;
+        let (mut states, cursor) = match meta.splits.get(m) {
+            Some(split) => sync_phase(split, words, provider, meta.ways)?,
+            // The last task starts from the exact, explicitly transmitted
+            // final states; no synchronization is needed.
+            None => (stream.final_states.clone(), stream.end_cursor()),
+        };
+        // Decoding Phase + Cross-Boundary Phase: positions bounds[m] ..
+        // bounds[m+1], stopping at the previous split's sync completion
+        // point.
+        let (_, stats) = kernel(words, cursor, &mut states, bounds[m], seg)?;
 
-    let (mut states, reader) = if m < meta.splits.len() {
-        sync_phase(&meta.splits[m], words, provider, n, mask, ways)?
-    } else {
-        // The last task starts from the exact, explicitly transmitted final
-        // states; no synchronization is needed.
-        (
-            stream.final_states.clone(),
-            BackwardWordReader::from_end(words),
-        )
-    };
-
-    // Decoding Phase + Cross-Boundary Phase: positions lo .. lo+len, writing
-    // real output, stopping at the previous split's sync completion point —
-    // run through the fast-loop/careful-tail engine (`recoil_rans::fast`).
-    let (_, stats) =
-        decode_span_with_stats(provider, words, reader.offset(), &mut states, lo, seg)?;
-
-    // Fold the span's engine stats into the process-global decode metrics
-    // when some Telemetry handle armed them — one enabled-check per *span*
-    // (a whole task), so the disabled cost is a single relaxed load.
-    let metrics = recoil_telemetry::decode_metrics();
-    if metrics.enabled() {
-        metrics.spans.bump();
-        metrics.fast_groups.add(stats.fast_groups);
-        metrics.fast_symbols.add(stats.fast_symbols);
-        metrics.careful_symbols.add(stats.careful_symbols);
-        metrics.words_consumed.add(stats.words_consumed);
-    }
-    Ok(())
+        // Fold the span's stats into the process-global decode metrics when
+        // some Telemetry handle armed them — one enabled-check per *span*
+        // (a whole task), so the disabled cost is a single relaxed load.
+        let metrics = recoil_telemetry::decode_metrics();
+        if metrics.enabled() {
+            metrics.spans.bump();
+            metrics.fast_groups.add(stats.fast_groups);
+            metrics.fast_symbols.add(stats.fast_symbols);
+            metrics.careful_symbols.add(stats.careful_symbols);
+            metrics.words_consumed.add(stats.words_consumed);
+        }
+        Ok(())
+    })
 }
 
-/// Public entry to the Synchronization Phase for external decode drivers
-/// (the SIMD crate runs sync scalar, then hands the recovered states and
-/// read offset to its vector kernels).
-///
-/// Returns the fully synchronized lane states and the next backward read
-/// offset (`None` when the stream head was reached).
-pub fn sync_split_states<P: ModelProvider + ?Sized>(
+/// Synchronization Phase (§4.1.1): recover full decoder states from the
+/// split's 16-bit metadata states, discarding the side-effect symbols.
+/// Returns the synchronized lane states and the next backward read cursor
+/// (`None` when the stream head was reached).
+fn sync_phase<P: ModelProvider + ?Sized>(
     split: &SplitPoint,
     words: &[u16],
     provider: &P,
     ways: u32,
 ) -> Result<(Vec<u32>, Option<u64>), RansError> {
+    let ways = ways as u64;
     let n = provider.quant_bits();
     let mask = (1u32 << n) - 1;
-    let (states, reader) = sync_phase(split, words, provider, n, mask, ways as u64)?;
-    Ok((states, reader.offset()))
-}
-
-/// Synchronization Phase (§4.1.1): recover full decoder states from the
-/// split's 16-bit metadata states, discarding the side-effect symbols.
-fn sync_phase<'w, P: ModelProvider + ?Sized>(
-    split: &crate::metadata::SplitPoint,
-    words: &'w [u16],
-    provider: &P,
-    n: u32,
-    mask: u32,
-    ways: u64,
-) -> Result<(Vec<u32>, BackwardWordReader<'w>), RansError> {
     let p = split.split_pos();
     let q = split.sync_start();
     let mut reader = BackwardWordReader::new(words, split.offset);
@@ -337,15 +232,15 @@ fn sync_phase<'w, P: ModelProvider + ?Sized>(
         ready.iter().all(|&r| r),
         "sync ended with uninitialized lanes"
     );
-    Ok((states, reader))
+    Ok((states, reader.offset()))
 }
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shims must keep working; tests exercise them
-
     use super::*;
+    use crate::codec::decode_pooled;
     use crate::planner::{plan_from_events, PlannerConfig};
+    use crate::RecoilError;
     use recoil_models::{CdfTable, StaticModelProvider};
     use recoil_rans::{decode_interleaved, InterleavedEncoder, VecSink};
 
@@ -377,13 +272,25 @@ mod tests {
         (stream, meta, p)
     }
 
+    /// Whole-stream decode through the engine's scalar composition.
+    fn decode_all<S: Symbol, P: ModelProvider>(
+        stream: &EncodedStream,
+        meta: &RecoilMetadata,
+        provider: &P,
+        pool: Option<&ThreadPool>,
+    ) -> Result<Vec<S>, RecoilError> {
+        let mut out = vec![S::from_u16(0); stream.num_symbols as usize];
+        decode_pooled(stream, meta, provider, pool, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn recoil_decode_matches_serial_decode() {
         let data = sample(200_000, 1);
         let (stream, meta, p) = setup(&data, 11, 32, 16);
         assert_eq!(meta.num_segments(), 16);
         let serial: Vec<u8> = decode_interleaved(&stream, &p).unwrap();
-        let recoil: Vec<u8> = decode_recoil(&stream, &meta, &p, None).unwrap();
+        let recoil: Vec<u8> = decode_all(&stream, &meta, &p, None).unwrap();
         assert_eq!(serial, data);
         assert_eq!(recoil, data);
     }
@@ -393,7 +300,7 @@ mod tests {
         let data = sample(300_000, 2);
         let (stream, meta, p) = setup(&data, 11, 32, 64);
         let pool = ThreadPool::new(7);
-        let got: Vec<u8> = decode_recoil(&stream, &meta, &p, Some(&pool)).unwrap();
+        let got: Vec<u8> = decode_all(&stream, &meta, &p, Some(&pool)).unwrap();
         assert_eq!(got, data);
     }
 
@@ -402,7 +309,7 @@ mod tests {
         let data = sample(50_000, 3);
         let (stream, meta, p) = setup(&data, 11, 32, 1);
         assert!(meta.splits.is_empty());
-        let got: Vec<u8> = decode_recoil(&stream, &meta, &p, None).unwrap();
+        let got: Vec<u8> = decode_all(&stream, &meta, &p, None).unwrap();
         assert_eq!(got, data);
     }
 
@@ -412,7 +319,7 @@ mod tests {
             for segments in [2u64, 3, 8] {
                 let data = sample(60_000, ways + segments as u32);
                 let (stream, meta, p) = setup(&data, 10, ways, segments);
-                let got: Vec<u8> = decode_recoil(&stream, &meta, &p, None).unwrap();
+                let got: Vec<u8> = decode_all(&stream, &meta, &p, None).unwrap();
                 assert_eq!(got, data, "ways={ways} segments={segments}");
             }
         }
@@ -424,7 +331,7 @@ mod tests {
         let (stream, meta, p) = setup(&data, 11, 32, 512);
         assert!(meta.num_segments() > 400, "got {}", meta.num_segments());
         let pool = ThreadPool::new(7);
-        let got: Vec<u8> = decode_recoil(&stream, &meta, &p, Some(&pool)).unwrap();
+        let got: Vec<u8> = decode_all(&stream, &meta, &p, Some(&pool)).unwrap();
         assert_eq!(got, data);
     }
 
@@ -445,7 +352,7 @@ mod tests {
             16,
             PlannerConfig::with_segments(16),
         );
-        let got: Vec<u16> = decode_recoil(&stream, &meta, &p, None).unwrap();
+        let got: Vec<u16> = decode_all(&stream, &meta, &p, None).unwrap();
         assert_eq!(got, data);
     }
 
@@ -481,7 +388,7 @@ mod tests {
             PlannerConfig::with_segments(8),
         );
         assert!(meta.num_segments() >= 2);
-        let got: Vec<u16> = decode_recoil(&stream, &meta, &p, None).unwrap();
+        let got: Vec<u16> = decode_all(&stream, &meta, &p, None).unwrap();
         assert_eq!(got, data);
     }
 
@@ -490,7 +397,7 @@ mod tests {
         let data = sample(100_000, 5);
         let (stream, mut meta, p) = setup(&data, 11, 32, 8);
         meta.num_symbols += 1;
-        assert!(decode_recoil::<u8, _>(&stream, &meta, &p, None).is_err());
+        assert!(decode_all::<u8, _>(&stream, &meta, &p, None).is_err());
     }
 
     #[test]
@@ -498,6 +405,6 @@ mod tests {
         let data = sample(10_000, 6);
         let (stream, meta, p) = setup(&data, 11, 32, 4);
         let mut out = vec![0u8; 9_999];
-        assert!(decode_recoil_into(&stream, &meta, &p, None, &mut out).is_err());
+        assert!(decode_pooled(&stream, &meta, &p, None, &mut out).is_err());
     }
 }

@@ -234,16 +234,25 @@ pub fn container_from_bytes(
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shims must keep working; tests exercise them
-
     use super::*;
-    use crate::container::encode_with_splits;
-    use crate::decoder::decode_recoil;
+    use crate::codec::{decode_pooled, Codec};
+    use recoil_models::ModelProvider;
 
     fn sample(len: usize) -> Vec<u8> {
         (0..len as u32)
             .map(|i| (i.wrapping_mul(2654435761) >> 23) as u8)
             .collect()
+    }
+
+    /// 32-way container planned for `segments` decoders under `model`.
+    fn encode(data: &[u8], model: &StaticModelProvider, segments: u64) -> RecoilContainer {
+        Codec::builder()
+            .quant_bits(model.quant_bits())
+            .max_segments(segments)
+            .build()
+            .unwrap()
+            .encode_with_provider(data, model)
+            .unwrap()
     }
 
     /// Recomputes the v2 CRC footer after a test deliberately corrupts the
@@ -258,12 +267,13 @@ mod tests {
     fn file_round_trip_and_decode() {
         let data = sample(120_000);
         let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
-        let container = encode_with_splits(&data, &model, 32, 24);
+        let container = encode(&data, &model, 24);
         let bytes = container_to_bytes(&container, model.table());
         let (back, model2) = container_from_bytes(&bytes).unwrap();
         assert_eq!(back.stream, container.stream);
         assert_eq!(back.metadata, container.metadata);
-        let decoded: Vec<u8> = decode_recoil(&back.stream, &back.metadata, &model2, None).unwrap();
+        let mut decoded = vec![0u8; data.len()];
+        decode_pooled(&back.stream, &back.metadata, &model2, None, &mut decoded).unwrap();
         assert_eq!(decoded, data);
     }
 
@@ -271,7 +281,7 @@ mod tests {
     fn n16_frequencies_fit_u16() {
         let data = sample(50_000);
         let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 16));
-        let container = encode_with_splits(&data, &model, 32, 8);
+        let container = encode(&data, &model, 8);
         let bytes = container_to_bytes(&container, model.table());
         let (_, model2) = container_from_bytes(&bytes).unwrap();
         assert_eq!(model2.table(), model.table());
@@ -281,7 +291,7 @@ mod tests {
     fn hostile_symbol_count_rejected_without_allocation() {
         let data = sample(10_000);
         let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
-        let container = encode_with_splits(&data, &model, 32, 4);
+        let container = encode(&data, &model, 4);
         let mut bytes = container_to_bytes(&container, model.table());
         // num_symbols lives at offset 12..20 of the header.
         bytes[12..20].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
@@ -297,7 +307,7 @@ mod tests {
     fn truncations_error_cleanly() {
         let data = sample(5_000);
         let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 10));
-        let container = encode_with_splits(&data, &model, 32, 4);
+        let container = encode(&data, &model, 4);
         let bytes = container_to_bytes(&container, model.table());
         for cut in [0, 3, 7, 20, bytes.len() / 2, bytes.len() - 1] {
             assert!(container_from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
@@ -308,7 +318,7 @@ mod tests {
     fn corrupt_magic_and_model_rejected() {
         let data = sample(5_000);
         let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 10));
-        let container = encode_with_splits(&data, &model, 32, 4);
+        let container = encode(&data, &model, 4);
         let mut bytes = container_to_bytes(&container, model.table());
         bytes[0] ^= 1;
         assert!(container_from_bytes(&bytes).is_err());
@@ -328,7 +338,7 @@ mod tests {
     fn legacy_version1_files_still_parse() {
         let data = sample(20_000);
         let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
-        let container = encode_with_splits(&data, &model, 32, 8);
+        let container = encode(&data, &model, 8);
         let mut bytes = container_to_bytes(&container, model.table());
         // A v1 file is the same layout minus the footer, tagged version 1.
         bytes.truncate(bytes.len() - 4);

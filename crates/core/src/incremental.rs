@@ -277,7 +277,7 @@ impl IncrementalDecoder {
             metadata: &self.metadata,
             model: &self.model,
         };
-        S::run_backend_segments(backend, &req, self.decoded..ready, out)?;
+        S::run_backend(backend, &req, self.decoded..ready, out)?;
         let range =
             self.bounds[self.decoded as usize] as usize..self.bounds[ready as usize] as usize;
         self.decoded = ready;

@@ -37,7 +37,6 @@ mod combine;
 mod container;
 mod crc;
 mod decoder;
-mod encoder;
 mod error;
 mod file;
 mod incremental;
@@ -52,8 +51,7 @@ pub use codec::{
 pub use combine::{combine_splits, try_combine_splits};
 pub use container::RecoilContainer;
 pub use crc::{crc32, update_crc32};
-pub use decoder::{decode_split_count, sync_split_states, validate_segment_decode};
-pub use encoder::PARALLEL_MIN_SYMBOLS;
+pub use decoder::{decode_segments, decode_split_count, validate_segment_decode};
 pub use error::RecoilError;
 pub use file::{container_from_bytes, container_to_bytes};
 pub use incremental::IncrementalDecoder;
@@ -63,8 +61,3 @@ pub use planner::{
     PlannerConfig, SplitPlanner,
 };
 pub use wire::{metadata_from_bytes, metadata_to_bytes};
-
-#[allow(deprecated)]
-pub use container::encode_with_splits;
-#[allow(deprecated)]
-pub use decoder::{decode_recoil, decode_recoil_into};

@@ -42,8 +42,8 @@
 //! accept-RST, delayed and torn writes) and client-side via the
 //! [`ChaosProxy`] — a faulty TCP relay that can kill, stall, or shred a
 //! stream at exact byte counts. The same plans drive the chaos test
-//! suite and `bench net --chaos`, so failover cost is a number in
-//! BENCH_net.json, not an anecdote.
+//! suite and the ladder's `fabric_failover` workload, so failover cost is
+//! a tracked number, not an anecdote.
 
 #![forbid(unsafe_code)]
 

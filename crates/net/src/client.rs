@@ -135,18 +135,13 @@ impl RemoteContent {
 
     /// Decodes through an explicit backend.
     pub fn decode_with(&self, backend: &dyn DecodeBackend) -> Result<Vec<u8>, RecoilError> {
-        if !backend.is_available() {
-            return Err(RecoilError::BackendUnavailable {
-                backend: backend.name(),
-            });
-        }
         let mut out = vec![0u8; self.stream.num_symbols as usize];
         let req = DecodeRequest {
             stream: &self.stream,
             metadata: &self.metadata,
             model: &self.model,
         };
-        backend.decode_u8(&req, &mut out)?;
+        req.decode_into(backend, &mut out)?;
         Ok(out)
     }
 }

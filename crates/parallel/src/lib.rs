@@ -1,4 +1,5 @@
-//! A small persistent thread pool with scoped jobs.
+//! A small persistent thread pool with scoped jobs, and the one thread
+//! split every decoder shares ([`for_each_disjoint`]).
 //!
 //! Recoil decoding is embarrassingly parallel across splits (each split
 //! thread owns disjoint output and only shares the read-only bitstream), but
@@ -18,6 +19,58 @@
 mod pool;
 
 pub use pool::ThreadPool;
+
+use parking_lot::Mutex;
+
+/// The thread split every segment/partition decoder shares: runs
+/// `f(t, &mut out[bounds[t]..bounds[t + 1]])` for each of the
+/// `bounds.len() - 1` tasks and returns the first error any of them hit.
+///
+/// `bounds` must be ascending and end within `out` (it is the caller's
+/// validated segment table, so a violation panics like any bad slice
+/// index). Because consecutive bounds delimit non-overlapping regions, each
+/// task gets a real `&mut` sub-slice — tasks can write concurrently with no
+/// unsafe code and nothing to merge afterwards.
+///
+/// With `pool = None` (or a single task) the tasks run in order on the
+/// caller and stop at the first error; on a pool every task runs and the
+/// error recorded first wins. Either way an `Err` means `out` is
+/// unspecified.
+pub fn for_each_disjoint<T, E, F>(
+    pool: Option<&ThreadPool>,
+    out: &mut [T],
+    bounds: &[u64],
+    f: F,
+) -> Result<(), E>
+where
+    T: Send,
+    E: Send,
+    F: Fn(usize, &mut [T]) -> Result<(), E> + Sync,
+{
+    let tasks = bounds.len().saturating_sub(1);
+    if tasks == 0 {
+        return Ok(());
+    }
+    let mut rest = &mut out[bounds[0] as usize..bounds[tasks] as usize];
+    let mut take = |t: usize| {
+        let (seg, tail) =
+            std::mem::take(&mut rest).split_at_mut((bounds[t + 1] - bounds[t]) as usize);
+        rest = tail;
+        seg
+    };
+    let Some(pool) = pool.filter(|_| tasks > 1) else {
+        return (0..tasks).try_for_each(|t| f(t, take(t)));
+    };
+    let slices: Vec<Mutex<&mut [T]>> = (0..tasks).map(|t| Mutex::new(take(t))).collect();
+    let first_error: Mutex<Option<E>> = Mutex::new(None);
+    pool.run(tasks, |t| {
+        // Uncontended: task `t` is the only one that ever locks slot `t`.
+        if let Err(e) = f(t, &mut slices[t].lock()) {
+            first_error.lock().get_or_insert(e);
+        }
+    });
+    first_error.into_inner().map_or(Ok(()), Err)
+}
 
 /// Runs `f(0..tasks)` on a freshly scoped set of `threads` OS threads using
 /// dynamic index claiming — the no-pool fallback, also used to cross-check
@@ -71,5 +124,86 @@ mod tests {
     #[test]
     fn scoped_for_zero_tasks() {
         scoped_parallel_for(4, 0, |_| panic!("must not run"));
+    }
+
+    /// Both ways of running `for_each_disjoint`: inline and on a pool.
+    fn with_and_without_pool(check: impl Fn(Option<&ThreadPool>)) {
+        check(None);
+        check(Some(&ThreadPool::new(3)));
+    }
+
+    #[test]
+    fn disjoint_tasks_own_exactly_their_bounds() {
+        // Includes zero-length segments at the front, middle and back, and
+        // a region that starts past the beginning of `out`.
+        let bounds = [2u64, 2, 5, 5, 5, 9, 9];
+        with_and_without_pool(|pool| {
+            let mut out = [0u8; 11];
+            let res: Result<(), ()> = for_each_disjoint(pool, &mut out, &bounds, |t, seg| {
+                assert_eq!(seg.len() as u64, bounds[t + 1] - bounds[t], "task {t}");
+                seg.fill(t as u8 + 1);
+                Ok(())
+            });
+            assert_eq!(res, Ok(()));
+            assert_eq!(out, [0, 0, 2, 2, 2, 5, 5, 5, 5, 0, 0]);
+        });
+    }
+
+    #[test]
+    fn disjoint_empty_ranges_run_nothing() {
+        with_and_without_pool(|pool| {
+            let mut out = [7u8; 4];
+            for bounds in [&[][..], &[3]] {
+                let res: Result<(), ()> =
+                    for_each_disjoint(pool, &mut out, bounds, |_, _| panic!("must not run"));
+                assert_eq!(res, Ok(()));
+            }
+            assert_eq!(out, [7; 4]);
+        });
+    }
+
+    #[test]
+    fn disjoint_error_in_one_task_is_returned_and_slices_stay_disjoint() {
+        let bounds: Vec<u64> = (0..=16).map(|t| t * 3).collect();
+        for failing in [0usize, 7, 15] {
+            with_and_without_pool(|pool| {
+                let mut out = vec![0u8; 48];
+                let res = for_each_disjoint(pool, &mut out, &bounds, |t, seg| {
+                    if t == failing {
+                        return Err(t);
+                    }
+                    seg.fill(t as u8 + 1);
+                    Ok(())
+                });
+                assert_eq!(res, Err(failing));
+                // A task that ran wrote its own region and nothing else;
+                // inline, tasks after the failing one never run.
+                for (i, &cell) in out.iter().enumerate() {
+                    let t = i / 3;
+                    let ran = t != failing && (pool.is_some() || t < failing);
+                    assert_eq!(cell, if ran { t as u8 + 1 } else { 0 }, "cell {i}");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn disjoint_one_of_several_errors_wins() {
+        let bounds: Vec<u64> = (0..=8).collect();
+        with_and_without_pool(|pool| {
+            let mut out = [0u8; 8];
+            let res = for_each_disjoint(pool, &mut out, &bounds, |t, _| {
+                if t % 2 == 1 {
+                    Err(t)
+                } else {
+                    Ok(())
+                }
+            });
+            let e = res.unwrap_err();
+            assert!(e % 2 == 1, "got {e}");
+            if pool.is_none() {
+                assert_eq!(e, 1, "inline stops at the first failing task");
+            }
+        });
     }
 }

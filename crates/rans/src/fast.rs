@@ -98,9 +98,9 @@ impl SpanStats {
 /// cursor `next_read` (`None` = exhausted). Returns the cursor after the
 /// span so callers can chain spans.
 ///
-/// This is the engine behind [`crate::decode_interleaved_into`], the
-/// three-phase segment decoder in `recoil-core`, and (with its own aligned
-/// specialization) the SIMD crate's scalar groups. Output, lane states and
+/// This is the engine behind [`crate::decode_interleaved_into`], the scalar
+/// span kernel of the segment decoder in `recoil-core`, and the fallback of
+/// the SIMD crate's vector kernel at stream and segment edges. Output, lane states and
 /// the returned cursor are bit-identical to [`decode_span_careful`]; the
 /// differential suites enforce it.
 ///
@@ -235,8 +235,7 @@ pub fn decode_span_with_stats<S: Symbol, P: ModelProvider + ?Sized>(
 ///
 /// [`decode_span`] must be bit-identical to this function (same output,
 /// same final `states`, same returned cursor, same errors); it is kept
-/// public as the tail path, as the reference for differential tests, and
-/// as the baseline column of `BENCH_decode.json`.
+/// public as the tail path and as the reference for differential tests.
 pub fn decode_span_careful<S: Symbol, P: ModelProvider + ?Sized>(
     provider: &P,
     words: &[u16],

@@ -26,10 +26,7 @@
 //! [`NullSink`]) event drain per group. The sub-group remainder goes through
 //! [`encode_span_careful`] — the original per-symbol loop, which stays both
 //! the **careful tail** and the **bit-exactness reference** the fast loop is
-//! tested against. [`scan_span`] is the same inner loop compiled without
-//! word storage: it evolves lane states and streams renorm events (the split
-//! planner's food) while only *counting* words — the cheap first pass of the
-//! segment-parallel encoder in `recoil-core`.
+//! tested against.
 //!
 //! Unlike decoding, encoding has no underflow hazard — the output stream
 //! grows as needed — so the fast loop covers every whole group and only the
@@ -64,8 +61,7 @@ pub use crate::fast::GROUP;
 ///
 /// `word_base` is the global offset of the next word `out` receives — event
 /// offsets are `word_base + k` for the `k`-th word of this span, so chained
-/// spans (and the segment-parallel encoder) produce globally consistent
-/// event streams. Events are delivered in write order, as
+/// spans produce globally consistent event streams. Events are delivered in write order, as
 /// [`RenormSink::on_renorm`] requires, batched once per group.
 ///
 /// Output words, final lane states, and the event sequence are bit-identical
@@ -83,62 +79,6 @@ pub use crate::fast::GROUP;
 ///
 /// If `states` is empty — a caller bug, not a data error.
 pub fn encode_span<S: Symbol, P: ModelProvider + ?Sized>(
-    provider: &P,
-    data: &[S],
-    lo: u64,
-    states: &mut [u32],
-    out: &mut Vec<u16>,
-    word_base: u64,
-    sink: &mut impl RenormSink,
-) -> Result<u64, RansError> {
-    span_impl::<true, S, P>(provider, data, lo, states, out, word_base, sink)
-}
-
-/// The state-scan variant of [`encode_span`]: identical lane-state
-/// evolution, identical renorm events, but no word storage — only the word
-/// *count* is returned. This is the cheap planning pass of the
-/// segment-parallel encoder: it feeds the split planner and captures
-/// boundary lane states without materializing the bitstream twice.
-pub fn scan_span<S: Symbol, P: ModelProvider + ?Sized>(
-    provider: &P,
-    data: &[S],
-    lo: u64,
-    states: &mut [u32],
-    word_base: u64,
-    sink: &mut impl RenormSink,
-) -> Result<u64, RansError> {
-    let mut unused = Vec::new();
-    let written =
-        span_impl::<false, S, P>(provider, data, lo, states, &mut unused, word_base, sink)?;
-    debug_assert!(unused.is_empty(), "scan must not materialize words");
-    Ok(written)
-}
-
-/// The retained careful reference loop: one bounds-checked, branchy encode
-/// step per symbol with `pos % ways` lane selection — exactly the
-/// [`crate::InterleavedEncoder::encode`] arithmetic, span-shaped.
-///
-/// [`encode_span`] must be bit-identical to this function (same words, same
-/// final `states`, same events, same errors); it is kept public as the tail
-/// path, as the reference for differential tests, and as the baseline
-/// column of `BENCH_encode.json`.
-pub fn encode_span_careful<S: Symbol, P: ModelProvider + ?Sized>(
-    provider: &P,
-    data: &[S],
-    lo: u64,
-    states: &mut [u32],
-    out: &mut Vec<u16>,
-    word_base: u64,
-    sink: &mut impl RenormSink,
-) -> Result<u64, RansError> {
-    careful_impl::<true, S, P>(provider, data, lo, states, out, word_base, sink)
-}
-
-/// Shared engine. `COLLECT` selects whether words are materialized
-/// (`encode_span`) or merely counted (`scan_span`); it is a const generic so
-/// the scan monomorphization carries no dead stores.
-#[inline(always)]
-fn span_impl<const COLLECT: bool, S: Symbol, P: ModelProvider + ?Sized>(
     provider: &P,
     data: &[S],
     lo: u64,
@@ -185,9 +125,7 @@ fn span_impl<const COLLECT: bool, S: Symbol, P: ModelProvider + ?Sized>(
             // store: at most one increment per symbol of the GROUP-symbol
             // chunk, and stores precede the increment) that makes the index
             // provably in bounds — no bounds check, no `unsafe`.
-            if COLLECT {
-                words_buf[wcur & (GROUP - 1)] = x as u16;
-            }
+            words_buf[wcur & (GROUP - 1)] = x as u16;
             ev_pos[wcur & (GROUP - 1)] = pos;
             ev_state[wcur & (GROUP - 1)] = (x >> RENORM_BITS) as u16;
             // Both arms are side-effect free: LLVM lowers this to cmov.
@@ -221,9 +159,7 @@ fn span_impl<const COLLECT: bool, S: Symbol, P: ModelProvider + ?Sized>(
             unreachable!("a zero frequency was observed in this group");
         }
 
-        if COLLECT {
-            out.extend_from_slice(&words_buf[..wcur]);
-        }
+        out.extend_from_slice(&words_buf[..wcur]);
         // Event drain, in write order. For `NullSink` this loop (and the
         // event scratch feeding it) compiles away.
         for k in 0..wcur {
@@ -240,7 +176,7 @@ fn span_impl<const COLLECT: bool, S: Symbol, P: ModelProvider + ?Sized>(
 
     // Careful tail: the sub-group remainder re-derives the lane by modulo;
     // the states and word count hand over exactly.
-    written += careful_impl::<COLLECT, S, P>(
+    written += encode_span_careful(
         provider,
         groups.remainder(),
         pos,
@@ -252,8 +188,14 @@ fn span_impl<const COLLECT: bool, S: Symbol, P: ModelProvider + ?Sized>(
     Ok(written)
 }
 
-/// Per-symbol reference/tail loop, `COLLECT`-gated like [`span_impl`].
-fn careful_impl<const COLLECT: bool, S: Symbol, P: ModelProvider + ?Sized>(
+/// The retained careful reference loop: one bounds-checked, branchy encode
+/// step per symbol with `pos % ways` lane selection — exactly the
+/// [`crate::InterleavedEncoder::encode`] arithmetic, span-shaped.
+///
+/// [`encode_span`] must be bit-identical to this function (same words, same
+/// final `states`, same events, same errors); it is kept public as the tail
+/// path and as the reference for differential tests.
+pub fn encode_span_careful<S: Symbol, P: ModelProvider + ?Sized>(
     provider: &P,
     data: &[S],
     lo: u64,
@@ -278,9 +220,7 @@ fn careful_impl<const COLLECT: bool, S: Symbol, P: ModelProvider + ?Sized>(
         }
         let mut x = states[lane];
         if (x as u64) >= params::renorm_threshold(f, n) {
-            if COLLECT {
-                out.push(x as u16);
-            }
+            out.push(x as u16);
             x >>= RENORM_BITS;
             debug_assert!(x < params::LOWER_BOUND, "one-step renorm violated");
             sink.on_renorm(RenormEvent {
@@ -354,32 +294,7 @@ mod tests {
         }
     }
 
-    /// `scan_span` sees the exact same state evolution, events, and word
-    /// count as `encode_span` — without producing words.
-    #[test]
-    fn scan_matches_encode_evolution() {
-        for (len, ways) in [(40_000usize, 32u32), (100, 4), (31, 32), (65, 1)] {
-            let data = sample(len, 11);
-            let p = provider(&data, 11);
-
-            let mut enc_states = vec![INITIAL_STATE; ways as usize];
-            let mut words = Vec::new();
-            let mut enc_sink = VecSink::new();
-            let enc_written =
-                encode_span(&p, &data, 0, &mut enc_states, &mut words, 0, &mut enc_sink).unwrap();
-
-            let mut scan_states = vec![INITIAL_STATE; ways as usize];
-            let mut scan_sink = VecSink::new();
-            let scan_written =
-                scan_span(&p, &data, 0, &mut scan_states, 0, &mut scan_sink).unwrap();
-
-            assert_eq!(enc_written, scan_written, "len={len} ways={ways}");
-            assert_eq!(enc_states, scan_states, "len={len} ways={ways}");
-            assert_eq!(enc_sink.events, scan_sink.events, "len={len} ways={ways}");
-        }
-    }
-
-    /// Chained spans (the segment-parallel encoder's usage) equal one full
+    /// Chained spans (`InterleavedEncoder::encode_all_fast`'s usage) equal one full
     /// span for arbitrary cut points: words concatenate, events continue
     /// with consistent offsets, states hand over.
     #[test]
@@ -446,8 +361,8 @@ mod tests {
     }
 
     /// Zero-frequency symbols are a typed error at the same position from
-    /// the fast loop, the careful loop, and the scan — in both the
-    /// branchless group and the careful tail.
+    /// the fast loop and the careful loop — in both the branchless group and
+    /// the careful tail.
     #[test]
     fn zero_frequency_is_typed_and_position_exact() {
         // Model built without byte 200 anywhere.
@@ -474,14 +389,8 @@ mod tests {
             let mut words = Vec::new();
             assert_eq!(
                 encode_span_careful(&p, &poisoned, 0, &mut states, &mut words, 0, &mut NullSink),
-                Err(expect.clone()),
-                "careful, poison at {poison_at}"
-            );
-            let mut states = vec![INITIAL_STATE; 32];
-            assert_eq!(
-                scan_span(&p, &poisoned, 0, &mut states, 0, &mut NullSink),
                 Err(expect),
-                "scan, poison at {poison_at}"
+                "careful, poison at {poison_at}"
             );
         }
     }

@@ -142,13 +142,7 @@ pub fn decode_interleaved_into<S: Symbol, P: ModelProvider>(
     out: &mut [S],
 ) -> Result<(), RansError> {
     stream.validate()?;
-    if out.len() as u64 != stream.num_symbols {
-        return Err(RansError::MalformedStream(format!(
-            "output buffer holds {} symbols, stream has {}",
-            out.len(),
-            stream.num_symbols
-        )));
-    }
+    stream.check_output_len(out.len())?;
     let mut states = stream.final_states.clone();
     crate::fast::decode_span(
         provider,

@@ -47,7 +47,7 @@ pub use error::RansError;
 pub use fast::{
     decode_span, decode_span_careful, decode_span_with_stats, SpanStats, GROUP as FAST_GROUP,
 };
-pub use fast_encode::{encode_span, encode_span_careful, scan_span};
+pub use fast_encode::{encode_span, encode_span_careful};
 pub use interleaved::{decode_interleaved, decode_interleaved_into, InterleavedEncoder};
 pub use single::{decode_single, SingleEncoder};
 pub use sink::{NullSink, RenormEvent, RenormSink, VecSink, NO_SYMBOL};

@@ -47,6 +47,19 @@ impl EncodedStream {
     /// u16 reserved.
     pub const HEADER_BYTES: u64 = 8 + 4 + 1 + 1 + 2;
 
+    /// The whole-stream decode contract: the output buffer holds exactly
+    /// `num_symbols` entries. Every whole-stream entry point reports a
+    /// mismatch through this one message.
+    pub fn check_output_len(&self, out_len: usize) -> Result<(), crate::RansError> {
+        if out_len as u64 != self.num_symbols {
+            return Err(crate::RansError::MalformedStream(format!(
+                "output buffer holds {out_len} symbols, stream has {}",
+                self.num_symbols
+            )));
+        }
+        Ok(())
+    }
+
     /// Validates the basic invariants shared by every decoder.
     pub fn validate(&self) -> Result<(), crate::RansError> {
         if self.ways == 0 {

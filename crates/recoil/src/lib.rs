@@ -63,12 +63,16 @@
 //!
 //! ## Backend selection semantics
 //!
-//! | Backend | Behaviour |
-//! |---|---|
-//! | [`ScalarBackend`] | portable serial reference; always available |
-//! | [`PooledBackend`] | one task per metadata segment on a persistent thread pool |
-//! | [`Avx2Backend`] / [`Avx512Backend`] | explicit vector kernels; decoding errors with [`RecoilError::BackendUnavailable`] on hosts without the CPU feature |
-//! | [`AutoBackend`] | runtime dispatch **AVX-512 → AVX2 → scalar**; never unavailable, falls back to scalar for non-32-way streams |
+//! Every backend is the same segment engine (`core::decode_segments`:
+//! validate → synchronize → span kernel → disjoint output slice) with a
+//! span kernel and an optional thread pool plugged in:
+//!
+//! | Backend | Span kernel | Threads | Behaviour |
+//! |---|---|---|---|
+//! | [`ScalarBackend`] | scalar fast loop | caller | portable serial reference; always available |
+//! | [`PooledBackend`] | scalar fast loop | pool | one task per metadata segment on a persistent thread pool |
+//! | [`Avx2Backend`] / [`Avx512Backend`] | that vector kernel | caller or pool | decoding errors with [`RecoilError::BackendUnavailable`] on hosts without the CPU feature |
+//! | [`AutoBackend`] | best of **AVX-512 → AVX2 → scalar** | caller or pool | never unavailable, falls back to scalar for non-32-way streams |
 //!
 //! Invalid configurations (`ways = 0`, `quant_bits > 16`,
 //! `max_segments = 0`) are rejected at [`Codec::builder`]'s `build()` with
@@ -79,12 +83,12 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`rans`] | single & W-way interleaved rANS codec (Table 3 parameters) |
-//! | [`core`] | `Codec` facade, split planner, metadata wire format, combining, 3-phase decoder |
+//! | [`core`] | `Codec` facade, split planner, metadata wire format, combining, the segment decode engine |
 //! | [`models`] | histograms, quantization, decode LUTs, hyperprior models |
-//! | [`simd`] | AVX2 / AVX-512 kernels + drivers, SIMD decode backends |
+//! | [`simd`] | AVX2 / AVX-512 span kernels, SIMD decode backends |
 //! | [`conventional`] | baseline (B): partitioning-symbols codec |
 //! | [`tans`] | baseline (C): tANS + multians self-sync parallel decoder |
-//! | [`parallel`] | persistent thread pool (also the "GPU-sim" substrate) |
+//! | [`parallel`] | persistent thread pool (also the "GPU-sim" substrate), the disjoint-slice thread split |
 //! | [`data`] | Table 4 dataset generators |
 //! | [`server`] | encode-once / combine-per-request content delivery |
 //! | [`net`] | framed TCP transport: `NetServer` / pooling `NetClient` |
@@ -140,11 +144,4 @@ pub mod prelude {
         Kernel, SimdModel,
     };
     pub use recoil_tans::{decode_multians, decode_tans_serial, encode_tans, TansTable};
-
-    // Deprecated shims, still exported so existing call sites keep
-    // compiling (each use warns and points at the `Codec` replacement).
-    #[allow(deprecated)]
-    pub use recoil_core::{decode_recoil, decode_recoil_into, encode_with_splits};
-    #[allow(deprecated)]
-    pub use recoil_simd::decode_recoil_simd;
 }

@@ -61,11 +61,6 @@ impl Client {
         transmission: &Transmission,
         model: &StaticModelProvider,
     ) -> Result<Vec<u8>, RecoilError> {
-        if !self.backend.is_available() {
-            return Err(RecoilError::BackendUnavailable {
-                backend: self.backend.name(),
-            });
-        }
         let metadata = metadata_from_bytes(transmission.metadata_bytes())?;
         let mut out = vec![0u8; stream.num_symbols as usize];
         let req = DecodeRequest {
@@ -73,7 +68,7 @@ impl Client {
             metadata: &metadata,
             model,
         };
-        self.backend.decode_u8(&req, &mut out)?;
+        req.decode_into(self.backend.as_ref(), &mut out)?;
         Ok(out)
     }
 }

@@ -157,10 +157,9 @@ pub struct ContentServer {
     shards: Vec<RwLock<HashMap<String, Arc<StoredContent>>>>,
     /// Names with a publish currently encoding. Claimed before the encode
     /// starts, so a racing duplicate publish fails fast instead of running
-    /// the whole (expensive, pooled) encode and losing at the store insert.
+    /// the whole (expensive) encode and losing at the store insert.
     publishing: Mutex<HashSet<String>>,
-    /// Persistent pool for [`ContentServer::request_batch`] and the
-    /// segment-parallel encode behind [`ContentServer::publish`].
+    /// Persistent pool for [`ContentServer::request_batch`].
     pool: ThreadPool,
     stats: StatsCounters,
     tier_cache_capacity: usize,
@@ -256,9 +255,7 @@ impl ContentServer {
     }
 
     /// Encodes `data` once under `config` (lane width, split budget,
-    /// quantization) and publishes it as `name`. The encode itself is
-    /// segment-parallel over the server's pool when the input is large
-    /// enough; the stored bytes are identical to a serial encode either way.
+    /// quantization) and publishes it as `name`.
     ///
     /// Encoding happens outside any store lock — a slow publish never stalls
     /// requests, not even for other names on the same shard.
@@ -292,7 +289,7 @@ impl ContentServer {
         };
         let codec = Codec::from_config(config.clone())?;
         let t0 = Instant::now();
-        let encoded = codec.encode_pooled(data, &self.pool)?;
+        let encoded = codec.encode(data)?;
         if let Some(t) = self.tel() {
             t.hists
                 .encode_ns

@@ -1,6 +1,12 @@
 //! SIMD [`DecodeBackend`] implementations plugging the AVX2/AVX-512 kernels
 //! into the `recoil_core::codec` facade.
 //!
+//! There is one decode body, `decode_static`: it picks a [`Kernel`] for
+//! the stream and hands the matching span kernel to the segment engine
+//! (`recoil_core::decode_segments`), which owns validation, the scalar
+//! Synchronization Phase, the thread split and telemetry. The three public
+//! backends differ only in how the kernel is picked.
+//!
 //! ## Backend selection semantics
 //!
 //! * [`Avx2Backend`] / [`Avx512Backend`] run their kernel or fail: decoding
@@ -11,85 +17,115 @@
 //! * [`AutoBackend`] dispatches at decode time in the order
 //!   **AVX-512 → AVX2 → scalar**: the best kernel the CPU supports wins,
 //!   and when neither vector extension is present it degrades to the
-//!   scalar three-phase decoder rather than erroring — one binary serves
-//!   every host.
+//!   scalar span kernel rather than erroring — one binary serves every
+//!   host.
 //! * The vector kernels are built for the paper's 32-way interleave and
 //!   static models. For non-32-way streams [`AutoBackend`] falls back to
-//!   the scalar path, while the explicit AVX backends report the stream as
-//!   malformed (matching the seed `decode_recoil_simd` behavior). Adaptive
-//!   (per-position-model) decodes always take the scalar/pooled path —
-//!   per-symbol model indirection defeats flat gathers.
+//!   the scalar kernel, while the explicit AVX backends report the stream
+//!   as malformed. Adaptive (per-position-model) decodes always take the
+//!   scalar kernel — per-symbol model indirection defeats flat gathers.
 //!
 //! All backends optionally carry a [`ThreadPool`], in which case decode
 //! tasks (one per metadata segment) are distributed across it; the kernels
 //! then run *inside* each task.
 
-use crate::driver::{run_recoil_simd, run_recoil_simd_segments};
+use crate::driver::{decode_segment, require_32_ways};
 use crate::kernel::Kernel;
-use recoil_core::codec::{decode_pooled, decode_segments_pooled, DecodeBackend, DecodeRequest};
-use recoil_core::{RecoilError, RecoilMetadata};
+use recoil_core::codec::{decode_segments_pooled, DecodeBackend, DecodeRequest};
+use recoil_core::{decode_segments, RecoilError, RecoilMetadata};
 use recoil_models::{ModelProvider, Symbol};
 use recoil_parallel::ThreadPool;
 use recoil_rans::EncodedStream;
 use std::ops::Range;
 
-fn run_fixed<S: Symbol>(
-    kernel: Kernel,
-    name: &'static str,
-    pool: Option<&ThreadPool>,
-    req: &DecodeRequest<'_>,
-    out: &mut [S],
-) -> Result<(), RecoilError> {
-    if !kernel.is_available() {
-        return Err(RecoilError::BackendUnavailable { backend: name });
-    }
-    run_recoil_simd(kernel, req.stream, req.metadata, req.model, pool, out)
-        .map_err(RecoilError::from)
+/// How a backend picks its kernel.
+#[derive(Clone, Copy)]
+enum Select {
+    /// This kernel or an error.
+    Fixed(Kernel),
+    /// The best kernel the host and the stream allow.
+    Auto,
 }
 
-fn run_fixed_segments<S: Symbol>(
-    kernel: Kernel,
+impl Select {
+    fn is_available(self) -> bool {
+        match self {
+            Select::Fixed(kernel) => kernel.is_available(),
+            Select::Auto => true,
+        }
+    }
+
+    /// The kernel a `ways`-way stream decodes with.
+    fn kernel(self, name: &'static str, ways: u32) -> Result<Kernel, RecoilError> {
+        match self {
+            Select::Auto => Ok(auto_kernel(ways)),
+            Select::Fixed(kernel) if !kernel.is_available() => {
+                Err(RecoilError::BackendUnavailable { backend: name })
+            }
+            Select::Fixed(kernel) => {
+                require_32_ways(ways)?;
+                Ok(kernel)
+            }
+        }
+    }
+}
+
+/// The best kernel this host has for a `ways`-way stream.
+fn auto_kernel(ways: u32) -> Kernel {
+    if ways == crate::SIMD_WAYS {
+        Kernel::best()
+    } else {
+        Kernel::Scalar
+    }
+}
+
+/// The 32 lane states, aligned so a vector load never straddles a line.
+#[repr(align(64))]
+struct Lanes([u32; 32]);
+
+/// The decode body of every SIMD backend.
+fn decode_static<S: Symbol>(
+    select: Select,
     name: &'static str,
     pool: Option<&ThreadPool>,
     req: &DecodeRequest<'_>,
     segments: Range<u64>,
     out: &mut [S],
 ) -> Result<(), RecoilError> {
-    if !kernel.is_available() {
-        return Err(RecoilError::BackendUnavailable { backend: name });
+    let (stream, model) = (req.stream, req.model);
+    match select.kernel(name, stream.ways)? {
+        Kernel::Scalar => decode_segments_pooled(stream, req.metadata, model, pool, segments, out),
+        kernel => decode_segments(
+            stream,
+            req.metadata,
+            model,
+            pool,
+            segments,
+            out,
+            |words, cursor, states, lo, seg| {
+                // The kernels load and store the lane states as whole
+                // vectors every group: run them on a cache-line-aligned
+                // copy, not wherever the engine's heap `Vec` landed. (A
+                // vector kernel is only ever selected for 32-way streams.)
+                let mut lanes = Lanes([0; 32]);
+                lanes.0.copy_from_slice(states);
+                decode_segment(kernel, model, words, cursor, &mut lanes.0, lo, seg)
+            },
+        )
+        .map_err(RecoilError::from),
     }
-    run_recoil_simd_segments(
-        kernel,
-        req.stream,
-        req.metadata,
-        req.model,
-        pool,
-        segments,
-        out,
-    )
-    .map_err(RecoilError::from)
 }
 
-/// AVX2 kernel backend (8 lanes × 4 unroll, paper implementation (2)).
-#[derive(Default)]
-pub struct Avx2Backend {
-    pool: Option<ThreadPool>,
-}
+/// Defines one SIMD backend: its constructors and its [`DecodeBackend`]
+/// impl, which is [`decode_static`] with the backend's [`Select`].
+macro_rules! simd_backend {
+    ($(#[$doc:meta])* $ty:ident, $name:literal, $select:expr) => {
+        $(#[$doc])*
+        #[derive(Default)]
+        pub struct $ty {
+            pool: Option<ThreadPool>,
+        }
 
-/// AVX-512 kernel backend (16 lanes × 2 unroll, paper implementation (3)).
-#[derive(Default)]
-pub struct Avx512Backend {
-    pool: Option<ThreadPool>,
-}
-
-/// Runtime-dispatch backend: AVX-512 → AVX2 → scalar, never unavailable.
-#[derive(Default)]
-pub struct AutoBackend {
-    pool: Option<ThreadPool>,
-}
-
-macro_rules! pool_constructors {
-    ($ty:ident) => {
         impl $ty {
             /// Single-threaded backend (kernels still vectorize within the
             /// calling thread).
@@ -109,232 +145,72 @@ macro_rules! pool_constructors {
                 Self { pool: Some(pool) }
             }
         }
+
+        impl DecodeBackend for $ty {
+            fn name(&self) -> &'static str {
+                $name
+            }
+
+            fn is_available(&self) -> bool {
+                $select.is_available()
+            }
+
+            fn decode_u8(
+                &self,
+                req: &DecodeRequest<'_>,
+                segments: Range<u64>,
+                out: &mut [u8],
+            ) -> Result<(), RecoilError> {
+                decode_static($select, $name, self.pool.as_ref(), req, segments, out)
+            }
+
+            fn decode_u16(
+                &self,
+                req: &DecodeRequest<'_>,
+                segments: Range<u64>,
+                out: &mut [u16],
+            ) -> Result<(), RecoilError> {
+                decode_static($select, $name, self.pool.as_ref(), req, segments, out)
+            }
+
+            fn decode_adaptive(
+                &self,
+                stream: &EncodedStream,
+                metadata: &RecoilMetadata,
+                provider: &dyn ModelProvider,
+                segments: Range<u64>,
+                out: &mut [u16],
+            ) -> Result<(), RecoilError> {
+                let pool = self.pool.as_ref();
+                decode_segments_pooled(stream, metadata, provider, pool, segments, out)
+            }
+        }
     };
 }
 
-pool_constructors!(Avx2Backend);
-pool_constructors!(Avx512Backend);
-pool_constructors!(AutoBackend);
-
-impl DecodeBackend for Avx2Backend {
-    fn name(&self) -> &'static str {
-        "avx2"
-    }
-
-    fn is_available(&self) -> bool {
-        Kernel::Avx2.is_available()
-    }
-
-    fn decode_u8(&self, req: &DecodeRequest<'_>, out: &mut [u8]) -> Result<(), RecoilError> {
-        run_fixed(Kernel::Avx2, self.name(), self.pool.as_ref(), req, out)
-    }
-
-    fn decode_u16(&self, req: &DecodeRequest<'_>, out: &mut [u16]) -> Result<(), RecoilError> {
-        run_fixed(Kernel::Avx2, self.name(), self.pool.as_ref(), req, out)
-    }
-
-    fn decode_adaptive(
-        &self,
-        stream: &EncodedStream,
-        metadata: &RecoilMetadata,
-        provider: &dyn ModelProvider,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        decode_pooled(stream, metadata, provider, self.pool.as_ref(), out)
-    }
-
-    fn decode_u8_segments(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u8],
-    ) -> Result<(), RecoilError> {
-        run_fixed_segments(
-            Kernel::Avx2,
-            self.name(),
-            self.pool.as_ref(),
-            req,
-            segments,
-            out,
-        )
-    }
-
-    fn decode_u16_segments(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        run_fixed_segments(
-            Kernel::Avx2,
-            self.name(),
-            self.pool.as_ref(),
-            req,
-            segments,
-            out,
-        )
-    }
-}
-
-impl DecodeBackend for Avx512Backend {
-    fn name(&self) -> &'static str {
-        "avx512"
-    }
-
-    fn is_available(&self) -> bool {
-        Kernel::Avx512.is_available()
-    }
-
-    fn decode_u8(&self, req: &DecodeRequest<'_>, out: &mut [u8]) -> Result<(), RecoilError> {
-        run_fixed(Kernel::Avx512, self.name(), self.pool.as_ref(), req, out)
-    }
-
-    fn decode_u16(&self, req: &DecodeRequest<'_>, out: &mut [u16]) -> Result<(), RecoilError> {
-        run_fixed(Kernel::Avx512, self.name(), self.pool.as_ref(), req, out)
-    }
-
-    fn decode_adaptive(
-        &self,
-        stream: &EncodedStream,
-        metadata: &RecoilMetadata,
-        provider: &dyn ModelProvider,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        decode_pooled(stream, metadata, provider, self.pool.as_ref(), out)
-    }
-
-    fn decode_u8_segments(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u8],
-    ) -> Result<(), RecoilError> {
-        run_fixed_segments(
-            Kernel::Avx512,
-            self.name(),
-            self.pool.as_ref(),
-            req,
-            segments,
-            out,
-        )
-    }
-
-    fn decode_u16_segments(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        run_fixed_segments(
-            Kernel::Avx512,
-            self.name(),
-            self.pool.as_ref(),
-            req,
-            segments,
-            out,
-        )
-    }
-}
+simd_backend!(
+    /// AVX2 kernel backend (8 lanes × 4 unroll, paper implementation (2)).
+    Avx2Backend,
+    "avx2",
+    Select::Fixed(Kernel::Avx2)
+);
+simd_backend!(
+    /// AVX-512 kernel backend (16 lanes × 2 unroll, paper implementation (3)).
+    Avx512Backend,
+    "avx512",
+    Select::Fixed(Kernel::Avx512)
+);
+simd_backend!(
+    /// Runtime-dispatch backend: AVX-512 → AVX2 → scalar, never unavailable.
+    AutoBackend,
+    "auto",
+    Select::Auto
+);
 
 impl AutoBackend {
     /// The kernel a decode will use for a `ways`-way stream on this host.
     pub fn selected_kernel(&self, ways: u32) -> Kernel {
-        if ways == crate::SIMD_WAYS {
-            Kernel::best()
-        } else {
-            Kernel::Scalar
-        }
-    }
-
-    fn run_auto<S: Symbol>(
-        &self,
-        req: &DecodeRequest<'_>,
-        out: &mut [S],
-    ) -> Result<(), RecoilError> {
-        match self.selected_kernel(req.stream.ways) {
-            Kernel::Scalar => {
-                decode_pooled(req.stream, req.metadata, req.model, self.pool.as_ref(), out)
-            }
-            kernel => run_recoil_simd(
-                kernel,
-                req.stream,
-                req.metadata,
-                req.model,
-                self.pool.as_ref(),
-                out,
-            )
-            .map_err(RecoilError::from),
-        }
-    }
-
-    fn run_auto_segments<S: Symbol>(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [S],
-    ) -> Result<(), RecoilError> {
-        match self.selected_kernel(req.stream.ways) {
-            Kernel::Scalar => decode_segments_pooled(
-                req.stream,
-                req.metadata,
-                req.model,
-                self.pool.as_ref(),
-                segments,
-                out,
-            ),
-            kernel => run_recoil_simd_segments(
-                kernel,
-                req.stream,
-                req.metadata,
-                req.model,
-                self.pool.as_ref(),
-                segments,
-                out,
-            )
-            .map_err(RecoilError::from),
-        }
-    }
-}
-
-impl DecodeBackend for AutoBackend {
-    fn name(&self) -> &'static str {
-        "auto"
-    }
-
-    fn decode_u8(&self, req: &DecodeRequest<'_>, out: &mut [u8]) -> Result<(), RecoilError> {
-        self.run_auto(req, out)
-    }
-
-    fn decode_u16(&self, req: &DecodeRequest<'_>, out: &mut [u16]) -> Result<(), RecoilError> {
-        self.run_auto(req, out)
-    }
-
-    fn decode_adaptive(
-        &self,
-        stream: &EncodedStream,
-        metadata: &RecoilMetadata,
-        provider: &dyn ModelProvider,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        decode_pooled(stream, metadata, provider, self.pool.as_ref(), out)
-    }
-
-    fn decode_u8_segments(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u8],
-    ) -> Result<(), RecoilError> {
-        self.run_auto_segments(req, segments, out)
-    }
-
-    fn decode_u16_segments(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        self.run_auto_segments(req, segments, out)
+        auto_kernel(ways)
     }
 }
 
@@ -430,8 +306,15 @@ mod tests {
             &Avx2Backend::new(),
         ] {
             let mut out = vec![0u16; data.len()];
+            let all = 0..container.metadata.num_segments();
             backend
-                .decode_adaptive(&container.stream, &container.metadata, &provider, &mut out)
+                .decode_adaptive(
+                    &container.stream,
+                    &container.metadata,
+                    &provider,
+                    all,
+                    &mut out,
+                )
                 .unwrap();
             assert_eq!(out, data, "backend {}", backend.name());
         }

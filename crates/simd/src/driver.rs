@@ -1,22 +1,25 @@
-//! Segment/stream/parallel decode drivers on top of the group kernels.
+//! The vector span kernel and the whole-stream / conventional compositions
+//! built on it.
 //!
 //! The vector kernels run only on aligned 32-symbol groups away from the
-//! stream head (memory guards); everything else — group-unaligned segment
-//! edges, the last few words of the stream — falls back to scalar steps
-//! with identical semantics. SIMD drivers support static models (the
-//! adaptive hyperprior path stays on the scalar trait-based decoder, as the
-//! per-position model indirection defeats flat gathers).
+//! stream edges (memory guards); everything else — group-unaligned segment
+//! edges, the first and last few words of the stream — falls back to the
+//! scalar span engine (`recoil_rans::decode_span_with_stats`), which is
+//! bit-identical by construction. SIMD decoding supports static models (the
+//! adaptive hyperprior path stays on the scalar engine, as the per-position
+//! model indirection defeats flat gathers).
+//!
+//! There is no segment driver here: [`decode_segment`] is a *span kernel*
+//! handed to `recoil_core::decode_segments` (see [`crate::backend`]), and
+//! the conventional baseline hands it to
+//! `recoil_conventional::decode_partitions`.
 
 use crate::kernel::Kernel;
 use crate::model::SimdModel;
-use crate::scalar::{scalar_group, scalar_step};
-use parking_lot::Mutex;
-use recoil_conventional::ConventionalContainer;
-use recoil_core::{sync_split_states, validate_segment_decode, RecoilMetadata};
-use recoil_models::{StaticModelProvider, Symbol};
+use recoil_conventional::{decode_partitions, ConventionalContainer};
+use recoil_models::{ModelProvider, StaticModelProvider, Symbol};
 use recoil_parallel::ThreadPool;
-use recoil_rans::{EncodedStream, RansError};
-use std::ops::Range;
+use recoil_rans::{decode_span_with_stats, EncodedStream, RansError, SpanStats};
 
 /// Words that must remain below the cursor for a vector group (underread
 /// guard: four sub-registers consume at most 32 words).
@@ -25,97 +28,129 @@ const MIN_WORDS_BELOW: isize = 64;
 /// renorm load touches 16 u16 past the base).
 const OVERREAD_WORDS: isize = 16;
 
-/// Decodes positions `lo .. lo + out.len()` (descending) of a 32-way
-/// interleaved stream, starting from `states` and backward word cursor
-/// `next_read`. Returns the cursor after the segment.
+/// The vector span kernel: decodes positions `lo .. lo + out.len()`
+/// (descending) of a 32-way interleaved stream, starting from `states` and
+/// backward word cursor `next_read`. Returns the cursor after the span and
+/// how it decoded (vector groups count as fast groups).
 ///
-/// This is the building block shared by the single-thread, Recoil and
-/// Conventional drivers; `lo` need not be group-aligned.
+/// `lo` need not be group-aligned, and `words` may be a prefix of the
+/// stream: the guards keep every vector load inside it. A `kernel` this
+/// host cannot run (and [`Kernel::Scalar`]) decodes the whole span through
+/// the scalar engine.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused))]
 pub fn decode_segment<S: Symbol>(
     kernel: Kernel,
-    model: &SimdModel<'_>,
+    provider: &StaticModelProvider,
     words: &[u16],
     next_read: Option<u64>,
     states: &mut [u32; 32],
     lo: u64,
     out: &mut [S],
-) -> Result<Option<u64>, RansError> {
-    let n = model.quant_bits();
+) -> Result<(Option<u64>, SpanStats), RansError> {
+    let model = SimdModel::from_provider(provider);
+    let n = provider.quant_bits();
     let mask = (1u32 << n) - 1;
-    let mut p: isize = match next_read {
-        Some(o) => {
-            debug_assert!((o as usize) < words.len());
-            o as isize
-        }
-        None => -1,
+    let vector = kernel != Kernel::Scalar && kernel.is_available();
+    // The loop state stays in plain locals: bundled into a struct it spilled
+    // to the stack every group, which cost `AutoBackend` 18% on the ladder.
+    // Backward word cursor: index of the next unread word, -1 once exhausted.
+    let entry_p = next_read.map_or(-1, |o| o as isize);
+    let mut p = entry_p;
+    // Positions `lo .. pos` are still to decode.
+    let mut pos = lo + out.len() as u64;
+    let mut stats = SpanStats::default();
+
+    // Decodes positions `to .. pos` through the scalar span engine and
+    // returns the cursor it stopped at.
+    let scalar_down_to = |p: isize,
+                          states: &mut [u32; 32],
+                          out: &mut [S],
+                          pos: u64,
+                          to: u64,
+                          stats: &mut SpanStats|
+     -> Result<isize, RansError> {
+        let (cursor, span) = decode_span_with_stats(
+            provider,
+            words,
+            (p >= 0).then_some(p as u64),
+            states,
+            to,
+            &mut out[(to - lo) as usize..(pos - lo) as usize],
+        )?;
+        stats.merge(&span);
+        Ok(cursor.map_or(-1, |o| o as isize))
     };
-    let hi = lo + out.len() as u64;
-    let mut pos = hi;
 
     // Scalar head down to a group boundary.
-    while pos > lo && !pos.is_multiple_of(32) {
-        pos -= 1;
-        let sym = scalar_step(model, words, &mut p, states, pos, n, mask)?;
-        out[(pos - lo) as usize] = S::from_u16(sym);
+    if vector && !pos.is_multiple_of(32) {
+        let to = lo.max(pos - pos % 32);
+        p = scalar_down_to(p, states, out, pos, to, &mut stats)?;
+        pos = to;
     }
 
-    // Vector main loop over full groups.
+    // Full groups while enough words remain below the cursor. Within a few
+    // words of the stream end only the overread guard fails; it reopens as
+    // the cursor moves down, so those groups go scalar one at a time.
+    let mut vector_groups = 0u64;
     let mut buf = [0u16; 32];
-    while pos >= lo + 32 {
+    while vector && pos >= lo + 32 && p >= MIN_WORDS_BELOW {
         let base = pos - 32;
-        let vector_ok = !matches!(kernel, Kernel::Scalar)
-            && p >= MIN_WORDS_BELOW
-            && p + OVERREAD_WORDS <= words.len() as isize;
-        if vector_ok {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: feature availability is encoded in `kernel` (checked
-            // at construction); the cursor guards above keep every load in
-            // bounds.
-            unsafe {
-                match kernel {
-                    Kernel::Avx2 => crate::avx2::group_avx2(
-                        model,
-                        words.as_ptr(),
-                        &mut p,
-                        states,
-                        n,
-                        mask,
-                        &mut buf,
-                    ),
-                    Kernel::Avx512 => crate::avx512::group_avx512(
-                        model,
-                        words.as_ptr(),
-                        &mut p,
-                        states,
-                        n,
-                        mask,
-                        &mut buf,
-                    ),
-                    Kernel::Scalar => unreachable!(),
-                }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            scalar_group(model, words, &mut p, states, base, n, mask, &mut buf)?;
-        } else {
-            scalar_group(model, words, &mut p, states, base, n, mask, &mut buf)?;
+        if p + OVERREAD_WORDS > words.len() as isize {
+            p = scalar_down_to(p, states, out, pos, base, &mut stats)?;
+            pos = base;
+            continue;
         }
-        let seg = &mut out[(base - lo) as usize..][..32];
-        for (o, &s) in seg.iter_mut().zip(buf.iter()) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `vector` holds only if `kernel.is_available()` reported
+        // the CPU feature above; the loop guard gives `p >= 64` and the
+        // check just above gives `p + 16 <= words.len()`, so every load
+        // the group issues is inside `words`.
+        unsafe {
+            match kernel {
+                Kernel::Avx2 => crate::avx2::group_avx2(
+                    &model,
+                    words.as_ptr(),
+                    &mut p,
+                    states,
+                    n,
+                    mask,
+                    &mut buf,
+                ),
+                Kernel::Avx512 => crate::avx512::group_avx512(
+                    &model,
+                    words.as_ptr(),
+                    &mut p,
+                    states,
+                    n,
+                    mask,
+                    &mut buf,
+                ),
+                Kernel::Scalar => unreachable!("`vector` excludes the scalar kernel"),
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        unreachable!("no vector kernel is available off x86_64");
+        let group = &mut out[(base - lo) as usize..][..32];
+        for (o, &s) in group.iter_mut().zip(buf.iter()) {
             *o = S::from_u16(s);
         }
         pos = base;
+        vector_groups += 1;
     }
 
-    // Scalar tail below the last full group.
-    while pos > lo {
-        pos -= 1;
-        let sym = scalar_step(model, words, &mut p, states, pos, n, mask)?;
-        out[(pos - lo) as usize] = S::from_u16(sym);
-    }
-    Ok(if p < 0 { None } else { Some(p as u64) })
+    // Scalar tail: the sub-group remainder, or everything left once the
+    // words run low (the cursor only moves down, so the vector loop could
+    // not resume).
+    p = scalar_down_to(p, states, out, pos, lo, &mut stats)?;
+
+    stats.fast_groups += vector_groups;
+    stats.fast_symbols += vector_groups * 32;
+    // The vector groups moved the cursor too: count words off its delta.
+    stats.words_consumed = (entry_p - p) as u64;
+    Ok(((p >= 0).then_some(p as u64), stats))
 }
 
-fn require_32_ways(ways: u32) -> Result<(), RansError> {
+pub(crate) fn require_32_ways(ways: u32) -> Result<(), RansError> {
     if ways != 32 {
         return Err(RansError::MalformedStream(format!(
             "SIMD kernels require the 32-way interleave, stream has {ways}"
@@ -124,144 +159,21 @@ fn require_32_ways(ways: u32) -> Result<(), RansError> {
     Ok(())
 }
 
-fn states_array(states: &[u32]) -> [u32; 32] {
-    let mut a = [0u32; 32];
-    a.copy_from_slice(states);
-    a
-}
-
 /// Baseline (A) with SIMD: single-thread full-stream decode.
 pub fn decode_interleaved_simd<S: Symbol>(
     kernel: Kernel,
     stream: &EncodedStream,
-    model: &SimdModel<'_>,
+    provider: &StaticModelProvider,
     out: &mut [S],
 ) -> Result<(), RansError> {
     stream.validate()?;
     require_32_ways(stream.ways)?;
-    if out.len() as u64 != stream.num_symbols {
-        return Err(RansError::MalformedStream("output length mismatch".into()));
-    }
-    let mut states = states_array(&stream.final_states);
-    let next = (!stream.words.is_empty()).then(|| stream.words.len() as u64 - 1);
-    decode_segment(kernel, model, &stream.words, next, &mut states, 0, out)?;
+    stream.check_output_len(out.len())?;
+    let mut states = [0u32; 32];
+    states.copy_from_slice(&stream.final_states);
+    let cursor = stream.end_cursor();
+    decode_segment(kernel, provider, &stream.words, cursor, &mut states, 0, out)?;
     Ok(())
-}
-
-/// Recoil parallel decode with SIMD kernels: scalar three-phase sync per
-/// split, vector Decoding/Cross-Boundary phases.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `recoil_core::codec::Codec::decode` with an `Avx2Backend`, `Avx512Backend`, \
-            or `AutoBackend` from `recoil_simd`"
-)]
-pub fn decode_recoil_simd<S: Symbol>(
-    kernel: Kernel,
-    stream: &EncodedStream,
-    meta: &RecoilMetadata,
-    provider: &StaticModelProvider,
-    pool: Option<&ThreadPool>,
-    out: &mut [S],
-) -> Result<(), RansError> {
-    run_recoil_simd(kernel, stream, meta, provider, pool, out)
-}
-
-/// The SIMD Recoil decode engine behind both [`crate::backend`] and the
-/// deprecated [`decode_recoil_simd`] shim.
-pub(crate) fn run_recoil_simd<S: Symbol>(
-    kernel: Kernel,
-    stream: &EncodedStream,
-    meta: &RecoilMetadata,
-    provider: &StaticModelProvider,
-    pool: Option<&ThreadPool>,
-    out: &mut [S],
-) -> Result<(), RansError> {
-    // Whole-stream contract: exact output length, like the scalar engine
-    // (the segment-range engine below only requires coverage).
-    if out.len() as u64 != stream.num_symbols {
-        return Err(RansError::MalformedStream("output length mismatch".into()));
-    }
-    run_recoil_simd_segments(
-        kernel,
-        stream,
-        meta,
-        provider,
-        pool,
-        0..meta.num_segments(),
-        out,
-    )
-}
-
-/// Segment-range variant of [`run_recoil_simd`]: decodes only the metadata
-/// segments in `segments` into their region of the full-stream output
-/// buffer. `stream.words` may be an incomplete prefix covering those
-/// segments (the streaming path); the memory guards in [`decode_segment`]
-/// keep vector loads inside the resident prefix, falling back to scalar
-/// steps near its edge with bit-identical results.
-pub(crate) fn run_recoil_simd_segments<S: Symbol>(
-    kernel: Kernel,
-    stream: &EncodedStream,
-    meta: &RecoilMetadata,
-    provider: &StaticModelProvider,
-    pool: Option<&ThreadPool>,
-    segments: Range<u64>,
-    out: &mut [S],
-) -> Result<(), RansError> {
-    validate_segment_decode(stream, meta, &segments, out.len())?;
-    require_32_ways(stream.ways)?;
-    let (a, b) = (segments.start as usize, segments.end as usize);
-    let tasks = b - a;
-    if tasks == 0 {
-        return Ok(());
-    }
-    let model = SimdModel::from_provider(provider);
-    let bounds = meta.segment_bounds();
-
-    let mut slices: Vec<Mutex<&mut [S]>> = Vec::with_capacity(tasks);
-    let mut rest = &mut out[bounds[a] as usize..bounds[b] as usize];
-    for t in 0..tasks {
-        let (seg, tail) = rest.split_at_mut((bounds[a + t + 1] - bounds[a + t]) as usize);
-        slices.push(Mutex::new(seg));
-        rest = tail;
-    }
-    let first_error: Mutex<Option<RansError>> = Mutex::new(None);
-    let run_task = |t: usize| {
-        let m = a + t;
-        let task = || -> Result<(), RansError> {
-            let (states_vec, next) = if m < meta.splits.len() {
-                sync_split_states(&meta.splits[m], &stream.words, provider, 32)?
-            } else {
-                let next = (!stream.words.is_empty()).then(|| stream.words.len() as u64 - 1);
-                (stream.final_states.clone(), next)
-            };
-            let mut states = states_array(&states_vec);
-            let mut seg = slices[t].lock();
-            decode_segment(
-                kernel,
-                &model,
-                &stream.words,
-                next,
-                &mut states,
-                bounds[m],
-                &mut seg,
-            )?;
-            Ok(())
-        };
-        if let Err(e) = task() {
-            let mut slot = first_error.lock();
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-        }
-    };
-    match pool {
-        Some(pool) if tasks > 1 => pool.run(tasks, run_task),
-        _ => (0..tasks).for_each(run_task),
-    }
-    match first_error.into_inner() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
 }
 
 /// Baseline (B) with SIMD: per-partition vector decode (static models only —
@@ -275,55 +187,17 @@ pub fn decode_conventional_simd<S: Symbol>(
     out: &mut [S],
 ) -> Result<(), RansError> {
     require_32_ways(container.ways)?;
-    if out.len() as u64 != container.num_symbols() {
-        return Err(RansError::MalformedStream("output length mismatch".into()));
-    }
-    let model = SimdModel::from_provider(provider);
-    let bounds = container.symbol_bounds();
-    let tasks = container.chunks.len();
-
-    let mut segments: Vec<Mutex<&mut [S]>> = Vec::with_capacity(tasks);
-    let mut rest = out;
-    for m in 0..tasks {
-        let (seg, tail) = rest.split_at_mut((bounds[m + 1] - bounds[m]) as usize);
-        segments.push(Mutex::new(seg));
-        rest = tail;
-    }
-    let first_error: Mutex<Option<RansError>> = Mutex::new(None);
-    let run_task = |m: usize| {
-        let chunk = &container.chunks[m];
-        let task = || -> Result<(), RansError> {
-            chunk.validate()?;
-            let mut states = states_array(&chunk.final_states);
-            let next = (!chunk.words.is_empty()).then(|| chunk.words.len() as u64 - 1);
-            let mut seg = segments[m].lock();
-            decode_segment(kernel, &model, &chunk.words, next, &mut states, 0, &mut seg)?;
-            Ok(())
-        };
-        if let Err(e) = task() {
-            let mut slot = first_error.lock();
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-        }
-    };
-    match pool {
-        Some(pool) if tasks > 1 => pool.run(tasks, run_task),
-        _ => (0..tasks).for_each(run_task),
-    }
-    match first_error.into_inner() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    decode_partitions(container, pool, out, |chunk, _base, seg| {
+        decode_interleaved_simd(kernel, chunk, provider, seg)
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shims must keep working; tests exercise them
-
     use super::*;
-    use recoil_core::encode_with_splits;
-    use recoil_models::CdfTable;
+    use crate::backend::{AutoBackend, Avx2Backend, Avx512Backend};
+    use recoil_core::codec::{Codec, DecodeBackend, ScalarBackend};
+    use recoil_models::{CdfTable, DecodeTables};
     use recoil_rans::{decode_interleaved, InterleavedEncoder, NullSink};
 
     fn sample(len: usize, seed: u32, spread: u32) -> Vec<u8> {
@@ -345,10 +219,9 @@ mod tests {
         let (stream, p) = encode(&data, 11);
         let reference: Vec<u8> = decode_interleaved(&stream, &p).unwrap();
         assert_eq!(reference, data);
-        let model = SimdModel::from_provider(&p);
         for kernel in Kernel::all_available() {
             let mut out = vec![0u8; data.len()];
-            decode_interleaved_simd(kernel, &stream, &model, &mut out).unwrap();
+            decode_interleaved_simd(kernel, &stream, &p, &mut out).unwrap();
             assert_eq!(out, data, "kernel {kernel:?}");
         }
     }
@@ -357,11 +230,10 @@ mod tests {
     fn all_kernels_match_reference_wide_n16() {
         let data = sample(90_001, 1, 22);
         let (stream, p) = encode(&data, 16);
-        let model = SimdModel::from_provider(&p);
-        assert!(matches!(model, SimdModel::Wide { .. }));
+        assert!(matches!(p.decode_tables(), DecodeTables::Wide(_)));
         for kernel in Kernel::all_available() {
             let mut out = vec![0u8; data.len()];
-            decode_interleaved_simd(kernel, &stream, &model, &mut out).unwrap();
+            decode_interleaved_simd(kernel, &stream, &p, &mut out).unwrap();
             assert_eq!(out, data, "kernel {kernel:?}");
         }
     }
@@ -374,10 +246,9 @@ mod tests {
         let mut enc = InterleavedEncoder::new(&p, 32);
         enc.encode_all(&data, &mut NullSink);
         let stream = enc.finish();
-        let model = SimdModel::from_provider(&p);
         for kernel in Kernel::all_available() {
             let mut out = vec![0u16; data.len()];
-            decode_interleaved_simd(kernel, &stream, &model, &mut out).unwrap();
+            decode_interleaved_simd(kernel, &stream, &p, &mut out).unwrap();
             assert_eq!(out, data, "kernel {kernel:?}");
         }
     }
@@ -385,13 +256,17 @@ mod tests {
     #[test]
     fn recoil_simd_matches_scalar_recoil() {
         let data = sample(300_000, 3, 23);
-        let p = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
-        let c = encode_with_splits(&data, &p, 32, 16);
-        let pool = ThreadPool::new(7);
-        for kernel in Kernel::all_available() {
-            let mut out = vec![0u8; data.len()];
-            decode_recoil_simd(kernel, &c.stream, &c.metadata, &p, Some(&pool), &mut out).unwrap();
-            assert_eq!(out, data, "kernel {kernel:?}");
+        let codec = Codec::builder().max_segments(16).build().unwrap();
+        let enc = codec.encode(&data).unwrap();
+        let backends: [Box<dyn DecodeBackend>; 4] = [
+            Box::new(ScalarBackend),
+            Box::new(Avx2Backend::with_threads(8)),
+            Box::new(Avx512Backend::with_threads(8)),
+            Box::new(AutoBackend::with_threads(8)),
+        ];
+        for backend in backends.iter().filter(|b| b.is_available()) {
+            let out: Vec<u8> = codec.decode_with(backend.as_ref(), &enc).unwrap();
+            assert_eq!(out, data, "backend {}", backend.name());
         }
     }
 
@@ -412,10 +287,9 @@ mod tests {
         for len in [1usize, 31, 32, 33, 63, 65, 100] {
             let data = sample(len, 5, 24);
             let (stream, p) = encode(&data, 10);
-            let model = SimdModel::from_provider(&p);
             for kernel in Kernel::all_available() {
                 let mut out = vec![0u8; len];
-                decode_interleaved_simd(kernel, &stream, &model, &mut out).unwrap();
+                decode_interleaved_simd(kernel, &stream, &p, &mut out).unwrap();
                 assert_eq!(out, data, "kernel {kernel:?} len {len}");
             }
         }
@@ -428,9 +302,8 @@ mod tests {
         let mut enc = InterleavedEncoder::new(&p, 8);
         enc.encode_all(&data, &mut NullSink);
         let stream = enc.finish();
-        let model = SimdModel::from_provider(&p);
         let mut out = vec![0u8; 1000];
-        assert!(decode_interleaved_simd(Kernel::Scalar, &stream, &model, &mut out).is_err());
+        assert!(decode_interleaved_simd(Kernel::Scalar, &stream, &p, &mut out).is_err());
     }
 }
 
@@ -452,19 +325,18 @@ mod segment_tests {
         let mut enc = InterleavedEncoder::new(&p, 32);
         enc.encode_all(&data, &mut NullSink);
         let stream = enc.finish();
-        let model = SimdModel::from_provider(&p);
         for kernel in Kernel::all_available() {
             for cut in [1usize, 31, 32, 4097, 50_000, 99_999] {
                 let mut full = vec![0u8; data.len()];
-                decode_interleaved_simd(kernel, &stream, &model, &mut full).unwrap();
+                decode_interleaved_simd(kernel, &stream, &p, &mut full).unwrap();
 
                 let mut states = [0u32; 32];
                 states.copy_from_slice(&stream.final_states);
                 let next = Some(stream.words.len() as u64 - 1);
                 let mut hi_part = vec![0u8; data.len() - cut];
-                let next = decode_segment(
+                let (next, hi_stats) = decode_segment(
                     kernel,
-                    &model,
+                    &p,
                     &stream.words,
                     next,
                     &mut states,
@@ -473,9 +345,9 @@ mod segment_tests {
                 )
                 .unwrap();
                 let mut lo_part = vec![0u8; cut];
-                decode_segment(
+                let (end, lo_stats) = decode_segment(
                     kernel,
-                    &model,
+                    &p,
                     &stream.words,
                     next,
                     &mut states,
@@ -483,6 +355,12 @@ mod segment_tests {
                     &mut lo_part,
                 )
                 .unwrap();
+                // The stats account for every symbol and every word.
+                assert_eq!(hi_stats.symbols() + lo_stats.symbols(), data.len() as u64);
+                assert_eq!(
+                    hi_stats.words_consumed + lo_stats.words_consumed,
+                    stream.words.len() as u64 - end.map_or(0, |o| o + 1)
+                );
                 assert_eq!(
                     &lo_part[..],
                     &full[..cut],

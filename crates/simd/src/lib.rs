@@ -19,8 +19,9 @@
 //!
 //! All kernels are bit-exact mirrors of the scalar decoder — property tests
 //! in this crate and `tests/` enforce equality on arbitrary streams — and
-//! they plug into the Recoil three-phase decoder and the Conventional
-//! baseline through the decode drivers.
+//! they plug into the Recoil segment engine (`recoil_core::decode_segments`)
+//! and the Conventional baseline as a span kernel ([`decode_segment`]),
+//! falling back to the scalar span engine at stream and segment edges.
 
 // Audited unsafe crate: every unsafe operation sits in an explicit block.
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -33,15 +34,11 @@ pub mod backend;
 mod driver;
 mod kernel;
 mod model;
-mod scalar;
 
 pub use backend::{AutoBackend, Avx2Backend, Avx512Backend};
 pub use driver::{decode_conventional_simd, decode_interleaved_simd, decode_segment};
 pub use kernel::Kernel;
 pub use model::SimdModel;
-
-#[allow(deprecated)]
-pub use driver::decode_recoil_simd;
 
 /// The interleave width all SIMD kernels are built for.
 pub const SIMD_WAYS: u32 = 32;

@@ -173,7 +173,7 @@ pub struct PipelineHistograms {
 #[derive(Debug, Default)]
 pub struct DecodeMetrics {
     enabled: AtomicBool,
-    /// Spans decoded (one per `decode_span` call).
+    /// Spans decoded (one per decode task, i.e. per metadata segment).
     pub spans: Counter,
     /// Full GROUP-sized fast-loop iterations.
     pub fast_groups: Counter,
@@ -181,7 +181,7 @@ pub struct DecodeMetrics {
     pub fast_symbols: Counter,
     /// Symbols decoded by the careful bounds-checked tail.
     pub careful_symbols: Counter,
-    /// Compressed u32 words consumed across all spans.
+    /// Compressed u16 words consumed across all spans.
     pub words_consumed: Counter,
 }
 

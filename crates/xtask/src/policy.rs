@@ -18,7 +18,6 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/simd/src/avx2.rs",
     "crates/simd/src/avx512.rs",
     "crates/simd/src/driver.rs",
-    "crates/simd/src/scalar.rs",
 ];
 
 /// Crates (by directory name under `crates/`) that contain `unsafe` and

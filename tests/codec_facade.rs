@@ -121,6 +121,54 @@ fn mismatched_buffer_is_an_error_not_a_panic() {
     let encoded = codec.encode(&data).unwrap();
     let mut short = vec![0u8; data.len() - 1];
     assert!(codec.decode_into(&encoded, &mut short).is_err());
+    // One whole-stream check in the facade: every backend names both sizes,
+    // in the same words, for short and long buffers alike.
+    for len in [data.len() - 1, data.len() + 1] {
+        let expected = format!(
+            "decode failed: malformed stream: output buffer holds {len} symbols, stream has {}",
+            data.len()
+        );
+        let mut wrong = vec![0u8; len];
+        for backend in all_backends().iter().filter(|b| b.is_available()) {
+            let err = codec
+                .decode_with_into(backend.as_ref(), &encoded, &mut wrong)
+                .unwrap_err();
+            assert_eq!(err.to_string(), expected, "{}", backend.name());
+        }
+    }
+}
+
+/// Decode telemetry is recorded in the segment engine, so it moves on every
+/// backend — including the SIMD ones, which used to leave it at zero. The
+/// metrics are process-global and other tests decode concurrently, hence
+/// `>=` on the deltas.
+#[test]
+fn decode_metrics_move_on_every_backend() {
+    let metrics = recoil::telemetry::decode_metrics();
+    metrics.enable();
+    let codec = Codec::builder().max_segments(16).build().unwrap();
+    let data = text_like_bytes(200_000, 5.0, 47);
+    let encoded = codec.encode(&data).unwrap();
+    let segments = encoded.container.metadata.num_segments();
+    // Every word is consumed by exactly one segment's span.
+    let words = encoded.container.stream.words.len() as u64;
+    for backend in all_backends().iter().filter(|b| b.is_available()) {
+        let before = (
+            metrics.spans.get(),
+            metrics.words_consumed.get(),
+            metrics.fast_symbols.get() + metrics.careful_symbols.get(),
+        );
+        let got: Vec<u8> = codec.decode_with(backend.as_ref(), &encoded).unwrap();
+        assert_eq!(got, data, "{}", backend.name());
+        let name = backend.name();
+        assert!(metrics.spans.get() - before.0 >= segments, "{name} spans");
+        assert!(
+            metrics.words_consumed.get() - before.1 >= words,
+            "{name} words"
+        );
+        let symbols = metrics.fast_symbols.get() + metrics.careful_symbols.get();
+        assert!(symbols - before.2 >= data.len() as u64, "{name} symbols");
+    }
 }
 
 #[test]

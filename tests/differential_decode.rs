@@ -317,10 +317,28 @@ fn pooled_and_scalar_segment_ranges_agree_mid_stream() {
     };
     let bounds = meta.segment_bounds();
     let cut = bounds[half as usize] as usize;
+    let mut short_stream = prefix_stream.clone();
+    short_stream.words.truncate(need - 1);
+    let short_req = DecodeRequest {
+        stream: &short_stream,
+        ..req
+    };
+    // (request, range) pairs every backend must reject with a typed error —
+    // the same one, since they share one validator: the final segment on a
+    // prefix, a prefix one word short, a reversed range, a range past the
+    // last segment.
+    #[allow(clippy::reversed_empty_ranges)]
+    let rejected = [
+        (&req, 0..nseg),
+        (&short_req, 0..half),
+        (&req, 3..1),
+        (&req, 0..nseg + 1),
+    ];
+    let mut expected: Vec<String> = Vec::new();
     for (name, backend) in &backends() {
         let mut out = vec![0u8; data.len()];
         backend
-            .decode_u8_segments(&req, 0..half, &mut out)
+            .decode_u8(&req, 0..half, &mut out)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(&out[..cut], &data[..cut], "prefix decode {name}");
         assert!(
@@ -328,11 +346,31 @@ fn pooled_and_scalar_segment_ranges_agree_mid_stream() {
             "{name} wrote past range"
         );
 
-        // Asking for the final segment against a prefix must error, not
-        // misdecode.
+        // An empty range the prefix covers is valid and writes nothing.
+        let mut untouched = vec![0xAAu8; data.len()];
+        for at in [0, half] {
+            backend
+                .decode_u8(&req, at..at, &mut untouched)
+                .unwrap_or_else(|e| panic!("{name} empty range at {at}: {e}"));
+        }
         assert!(
-            backend.decode_u8_segments(&req, 0..nseg, &mut out).is_err(),
-            "{name} must reject a final-segment decode on a prefix"
+            untouched.iter().all(|&b| b == 0xAA),
+            "{name} wrote on an empty range"
         );
+
+        let errors: Vec<String> = rejected
+            .iter()
+            .map(
+                |(r, range)| match backend.decode_u8(r, range.clone(), &mut out) {
+                    Err(RecoilError::Decode(e)) => e.to_string(),
+                    other => panic!("{name} {range:?}: expected a decode error, got {other:?}"),
+                },
+            )
+            .collect();
+        if expected.is_empty() {
+            expected = errors;
+        } else {
+            assert_eq!(errors, expected, "{name} disagrees on error text");
+        }
     }
 }

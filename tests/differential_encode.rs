@@ -1,11 +1,10 @@
 //! Cross-engine differential encode harness — the encode-side sibling of
 //! `differential_decode.rs`.
 //!
-//! Three encoders must produce **byte-identical containers** for every
+//! Two encoders must produce **byte-identical containers** for every
 //! input: the retained per-symbol careful encoder
-//! (`InterleavedEncoder::encode_all`), the branchless fast engine behind
-//! `Codec::encode*` (`recoil_rans::fast_encode`), and the segment-parallel
-//! pooled encode (`Codec::encode_*_pooled`). One seeded corpus covers
+//! (`InterleavedEncoder::encode_all`) and the branchless fast engine behind
+//! `Codec::encode*` (`recoil_rans::fast_encode`). One seeded corpus covers
 //! empty and one-symbol inputs, heavily skewed streams, alphabets from
 //! binary to the full byte range, lane counts 1 and 32, and planner
 //! segment budgets 1/2/7/64 — and every container must round-trip through
@@ -39,8 +38,8 @@ fn corpus_entry(len: usize, alphabet: u16, seed: u64) -> Vec<u8> {
 
 /// The reference encode: the careful per-symbol encoder driving the split
 /// planner, exactly as the codec did before the fast engine existed.
-fn careful_container(
-    data: &[u8],
+fn careful_container<S: Symbol>(
+    data: &[S],
     model: &StaticModelProvider,
     ways: u32,
     planner_config: PlannerConfig,
@@ -75,10 +74,9 @@ fn backends(ways: u32) -> Vec<(&'static str, Box<dyn DecodeBackend>)> {
 }
 
 #[test]
-fn fast_and_pooled_encodes_match_careful_serial_everywhere() {
+fn fast_encode_matches_careful_serial_everywhere() {
     // (len, alphabet, quant_bits): empty, 1-symbol, sub-lane-width, a
-    // binary (heavily skewed) stream, odd sizes, and bulk entries big
-    // enough that the pooled path actually fans out (>= 64k symbols).
+    // binary (heavily skewed) stream, odd sizes, and bulk entries.
     let shapes: [(usize, u16, u32); 8] = [
         (0, 2, 11),
         (1, 2, 8),
@@ -90,7 +88,6 @@ fn fast_and_pooled_encodes_match_careful_serial_everywhere() {
         (150_000, 256, 11),
     ];
     let segment_budgets: [u64; 4] = [1, 2, 7, 64];
-    let pool = ThreadPool::new(3);
     let mut seed = 0xE4C0_DE5E_u64;
 
     for &(len, alphabet, quant_bits) in &shapes {
@@ -123,18 +120,9 @@ fn fast_and_pooled_encodes_match_careful_serial_everywhere() {
                 assert_eq!(fast.stream, reference.stream, "fast stream: {ctx}");
                 assert_eq!(fast.metadata, reference.metadata, "fast metadata: {ctx}");
 
-                let pooled = codec
-                    .encode_with_provider_pooled(&data, &model, &pool)
-                    .unwrap();
-                assert_eq!(pooled.stream, reference.stream, "pooled stream: {ctx}");
-                assert_eq!(
-                    pooled.metadata, reference.metadata,
-                    "pooled metadata: {ctx}"
-                );
-
-                // Every decode backend reads the (shared) bytes back.
+                // Every decode backend reads the bytes back.
                 let enc = Encoded {
-                    container: pooled,
+                    container: fast,
                     model: model.clone(),
                     symbol_bits: 8,
                 };
@@ -148,7 +136,7 @@ fn fast_and_pooled_encodes_match_careful_serial_everywhere() {
 }
 
 #[test]
-fn u16_fast_and_pooled_encodes_agree_and_round_trip() {
+fn u16_fast_encode_matches_careful_and_round_trips() {
     let mut seed = 0x16E4_C0DE_u64;
     let raw = corpus_entry(120_000, 256, next_u64(&mut seed));
     let data: Vec<u16> = raw.iter().map(|&b| (b as u16) << 2).collect();
@@ -157,39 +145,12 @@ fn u16_fast_and_pooled_encodes_agree_and_round_trip() {
         .max_segments(16)
         .build()
         .unwrap();
-    let serial = codec.encode_u16(&data).unwrap();
-    let pool = ThreadPool::new(3);
-    let pooled = codec.encode_u16_pooled(&data, &pool).unwrap();
-    assert_eq!(pooled.container.stream, serial.container.stream);
-    assert_eq!(pooled.container.metadata, serial.container.metadata);
+    let fast = codec.encode_u16(&data).unwrap();
+    let reference = careful_container(&data, &fast.model, 32, codec.config().planner_config());
+    assert_eq!(fast.container.stream, reference.stream);
+    assert_eq!(fast.container.metadata, reference.metadata);
     for (name, backend) in &backends(32) {
-        let got: Vec<u16> = codec.decode_with(backend.as_ref(), &pooled).unwrap();
+        let got: Vec<u16> = codec.decode_with(backend.as_ref(), &fast).unwrap();
         assert_eq!(got, data, "u16 round-trip {name}");
     }
-}
-
-#[test]
-fn byte_facade_pooled_encode_matches_serial() {
-    // The `Codec::encode` / `Codec::encode_pooled` pair (model built from
-    // the data) rather than the explicit-provider path.
-    let mut seed = 0xFACADE_u64;
-    let data = corpus_entry(200_000, 200, next_u64(&mut seed));
-    let codec = Codec::builder().max_segments(64).build().unwrap();
-    let serial = codec.encode(&data).unwrap();
-    let pool = ThreadPool::new(3);
-    let pooled = codec.encode_pooled(&data, &pool).unwrap();
-    assert_eq!(pooled.container.stream, serial.container.stream);
-    assert_eq!(pooled.container.metadata, serial.container.metadata);
-    // And a combined-down tier of the pooled container still decodes.
-    let meta = try_combine_splits(&pooled.container.metadata, 4).unwrap();
-    let shrunk = Encoded {
-        container: RecoilContainer {
-            stream: pooled.container.stream.clone(),
-            metadata: meta,
-        },
-        model: pooled.model.clone(),
-        symbol_bits: 8,
-    };
-    let got: Vec<u8> = codec.decode(&shrunk).unwrap();
-    assert_eq!(got, data);
 }

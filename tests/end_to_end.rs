@@ -180,10 +180,10 @@ fn mutual_compatibility_one_bitstream_every_decoder() {
     let serial: Vec<u8> = decode_interleaved(&encoded.container.stream, &encoded.model).unwrap();
     let recoil_scalar: Vec<u8> = codec.decode_with(&PooledBackend::new(8), &encoded).unwrap();
     assert_eq!(serial, recoil_scalar);
-    let m = SimdModel::from_provider(&encoded.model);
     for kernel in Kernel::all_available() {
         let mut out = vec![0u8; data.len()];
-        decode_interleaved_simd(kernel, &encoded.container.stream, &m, &mut out).unwrap();
+        decode_interleaved_simd(kernel, &encoded.container.stream, &encoded.model, &mut out)
+            .unwrap();
         assert_eq!(out, serial, "single-thread {kernel:?}");
     }
     for backend in [

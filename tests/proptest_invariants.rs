@@ -161,10 +161,9 @@ fn simd_kernels_bit_exact() {
         let n = rng.pick(&[11u32, 16]);
         let (stream, _, p) = encode_with_events(&data, n, 32);
         let serial: Vec<u8> = decode_interleaved(&stream, &p).unwrap();
-        let m = SimdModel::from_provider(&p);
         for kernel in Kernel::all_available() {
             let mut out = vec![0u8; data.len()];
-            decode_interleaved_simd(kernel, &stream, &m, &mut out).unwrap();
+            decode_interleaved_simd(kernel, &stream, &p, &mut out).unwrap();
             assert_eq!(&out, &serial, "seed {seed} kernel {kernel:?}");
         }
     }
