@@ -26,7 +26,7 @@ use crate::metadata::RecoilMetadata;
 use crate::wire::{metadata_from_bytes, metadata_to_bytes};
 use crate::RecoilContainer;
 use recoil_models::{CdfTable, StaticModelProvider};
-use recoil_rans::EncodedStream;
+use recoil_rans::{append_words_le, extend_words_from_le, EncodedStream};
 
 const MAGIC: &[u8; 4] = b"RCLF";
 /// Current format: CRC-32 footer after the metadata section.
@@ -103,9 +103,7 @@ pub fn container_to_bytes(container: &RecoilContainer, model: &CdfTable) -> Vec<
     for &st in &stream.final_states {
         put_u32(&mut out, st);
     }
-    for &w in &stream.words {
-        put_u16(&mut out, w);
-    }
+    append_words_le(&mut out, &stream.words);
     let meta = metadata_to_bytes(&container.metadata);
     debug_assert!(u32::try_from(meta.len()).is_ok());
     // xtask: allow(wire-cast): encode path — metadata is built in-process and is tiny.
@@ -201,14 +199,9 @@ pub fn container_from_bytes(
             .checked_mul(2)
             .ok_or_else(|| RecoilError::wire("word count overflows"))?,
     )?;
-    let words: Vec<u16> = word_bytes
-        .chunks_exact(2)
-        .map(|b| {
-            let mut w = [0u8; 2];
-            w.copy_from_slice(b);
-            u16::from_le_bytes(w)
-        })
-        .collect();
+    let mut words = Vec::new();
+    let dangling = extend_words_from_le(&mut words, None, word_bytes);
+    debug_assert!(dangling.is_none(), "an even byte count was taken");
 
     let meta_len = usize::try_from(c.u32()?)
         .map_err(|_| RecoilError::wire("metadata length exceeds the address space"))?;

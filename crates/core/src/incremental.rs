@@ -21,9 +21,7 @@
 //!
 //! // Stream the bitstream bytes in arbitrary slices.
 //! let mut bytes = Vec::new();
-//! for w in &enc.container.stream.words {
-//!     bytes.extend_from_slice(&w.to_le_bytes());
-//! }
+//! recoil_rans::append_words_le(&mut bytes, &enc.container.stream.words);
 //! let mut incr = IncrementalDecoder::new(
 //!     enc.container.metadata.clone(),
 //!     enc.container.stream.final_states.clone(),
@@ -44,7 +42,7 @@ use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
 use crate::planner::ChunkPlan;
 use recoil_models::{ModelProvider, StaticModelProvider};
-use recoil_rans::{EncodedStream, RansError};
+use recoil_rans::{extend_words_from_le, EncodedStream, RansError};
 use std::ops::Range;
 
 /// Words reserved up front; beyond this the buffer grows only as real
@@ -216,7 +214,7 @@ impl IncrementalDecoder {
     /// Appends arriving bitstream bytes (any length, including odd slices;
     /// the dangling byte is held until its partner arrives). Bytes beyond
     /// the declared stream size are rejected with [`RecoilError::Decode`].
-    pub fn push_bytes(&mut self, mut bytes: &[u8]) -> Result<(), RecoilError> {
+    pub fn push_bytes(&mut self, bytes: &[u8]) -> Result<(), RecoilError> {
         if self.bytes_received() + bytes.len() as u64 > self.bytes_expected() {
             return Err(RecoilError::Decode(RansError::MalformedStream(format!(
                 "stream overrun: {} bytes pushed into a {}-byte bitstream",
@@ -224,25 +222,7 @@ impl IncrementalDecoder {
                 self.bytes_expected()
             ))));
         }
-        if let Some(lo) = self.carry.take() {
-            match bytes.split_first() {
-                Some((&hi, rest)) => {
-                    self.stream.words.push(u16::from_le_bytes([lo, hi]));
-                    bytes = rest;
-                }
-                None => {
-                    self.carry = Some(lo);
-                    return Ok(());
-                }
-            }
-        }
-        let mut pairs = bytes.chunks_exact(2);
-        for pair in &mut pairs {
-            self.stream
-                .words
-                .push(u16::from_le_bytes([pair[0], pair[1]]));
-        }
-        self.carry = pairs.remainder().first().copied();
+        self.carry = extend_words_from_le(&mut self.stream.words, self.carry, bytes);
         Ok(())
     }
 
@@ -308,10 +288,8 @@ mod tests {
     }
 
     fn stream_bytes(enc: &Encoded) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(enc.container.stream.words.len() * 2);
-        for w in &enc.container.stream.words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
+        let mut bytes = Vec::new();
+        recoil_rans::append_words_le(&mut bytes, &enc.container.stream.words);
         bytes
     }
 
@@ -329,11 +307,31 @@ mod tests {
         let data = sample(120_000, 1);
         let enc = encode(&data, 16);
         let bytes = stream_bytes(&enc);
-        for piece in [1usize, 3, 997, 8192, bytes.len().max(1)] {
+        // Each pattern is a cycle of slice lengths. `[1, 65_535]` parks the
+        // carry byte in front of every bulk copy and leaves a fresh one
+        // behind it; `[2]` and `[65_536]` never carry.
+        let whole = [bytes.len().max(1)];
+        let patterns: [&[usize]; 8] = [
+            &[1],
+            &[2],
+            &[3],
+            &[997],
+            &[8192],
+            &[65_536],
+            &[1, 65_535],
+            &whole,
+        ];
+        for pattern in patterns {
             let mut incr = incr_for(&enc, &enc.container.metadata);
             let mut out = vec![0u8; data.len()];
             let mut covered = 0usize;
-            for chunk in bytes.chunks(piece) {
+            let mut rest = &bytes[..];
+            for &piece in pattern.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (chunk, tail) = rest.split_at(piece.min(rest.len()));
+                rest = tail;
                 incr.push_bytes(chunk).unwrap();
                 let r = incr
                     .decode_ready_segments(&ScalarBackend, &mut out)
@@ -341,10 +339,10 @@ mod tests {
                 assert_eq!(r.start, covered, "ranges are contiguous");
                 covered = r.end;
                 // Already-decoded symbols are final and correct.
-                assert_eq!(&out[..covered], &data[..covered], "piece {piece}");
+                assert_eq!(&out[..covered], &data[..covered], "pieces {pattern:?}");
             }
             assert!(incr.is_complete() && incr.is_finished());
-            assert_eq!(out, data, "piece {piece}");
+            assert_eq!(out, data, "pieces {pattern:?}");
         }
     }
 
@@ -556,6 +554,37 @@ mod tests {
             IncrementalDecoder::new(prefix, states, model),
             Err(RecoilError::Decode(_))
         ));
+    }
+
+    #[test]
+    fn word_store_grows_with_received_bytes_not_the_declared_size() {
+        // The streaming client promises its memory follows bytes actually
+        // sent. A header may declare a stream of any size; the word store
+        // must stay within a small multiple of what has been pushed.
+        let enc = encode(&sample(10_000, 11), 4);
+        let declared = RecoilMetadata {
+            num_words: u64::MAX / 32,
+            splits: vec![],
+            ..enc.container.metadata.clone()
+        };
+        let mut incr = incr_for(&enc, &declared);
+        assert!(incr.stream.words.capacity() <= MAX_RESERVED_WORDS);
+        // Well past the up-front reservation, in odd slices so the carry
+        // path grows the store too.
+        let piece = vec![0x5Au8; 65_535];
+        let mut pushed = 0usize;
+        while pushed < 6 * MAX_RESERVED_WORDS {
+            incr.push_bytes(&piece).unwrap();
+            pushed += piece.len();
+            assert_eq!(incr.bytes_received(), pushed as u64);
+        }
+        let words = pushed / 2;
+        assert_eq!(incr.stream.words.len(), words);
+        assert!(
+            incr.stream.words.capacity() <= 4 * words,
+            "capacity {} for {words} received words",
+            incr.stream.words.capacity()
+        );
     }
 
     #[test]

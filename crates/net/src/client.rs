@@ -17,7 +17,7 @@ use recoil_core::{
     metadata_from_bytes, update_crc32, IncrementalDecoder, RecoilError, RecoilMetadata,
 };
 use recoil_models::{CdfTable, StaticModelProvider};
-use recoil_rans::EncodedStream;
+use recoil_rans::{extend_words_from_le, EncodedStream};
 use recoil_simd::AutoBackend;
 use recoil_telemetry::{Stage, Telemetry, TelemetryLevel};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -580,20 +580,23 @@ impl NetClient {
         // The reservation is capped: `word_bytes` is attacker-controlled,
         // so growth beyond 1 MiB only happens as real chunk bytes arrive
         // (each bounded by the frame cap and the declared total).
-        let mut word_le = Vec::with_capacity((header.word_bytes as usize).min(1 << 20));
+        let mut words = Vec::with_capacity((header.word_bytes as usize / 2).min(1 << 19));
+        // A chunk body may end mid-word; its last byte waits here.
+        let mut carry = None;
+        let mut received = 0u64;
         let mut crc_state = 0xFFFF_FFFFu32;
         for seq in 0..header.chunk_count {
             let body = self.await_chunk(conn, seq)?;
-            if word_le.len() + body.len() > header.word_bytes as usize {
+            received += body.len() as u64;
+            if received > header.word_bytes {
                 return Err(bad("chunked payload overruns declared size".into()));
             }
             crc_state = update_crc32(crc_state, &body);
-            word_le.extend_from_slice(&body);
+            carry = extend_words_from_le(&mut words, carry, &body);
         }
-        if word_le.len() != header.word_bytes as usize {
+        if received != header.word_bytes {
             return Err(bad(format!(
-                "chunked payload short: {} of {} bytes",
-                word_le.len(),
+                "chunked payload short: {received} of {} bytes",
                 header.word_bytes
             )));
         }
@@ -602,10 +605,7 @@ impl NetClient {
         }
 
         let stream = EncodedStream {
-            words: word_le
-                .chunks_exact(2)
-                .map(|b| u16::from_le_bytes(b.try_into().expect("2")))
-                .collect(),
+            words,
             final_states: header.final_states.clone(),
             num_symbols: header.num_symbols,
             ways: header.ways,
@@ -629,8 +629,7 @@ impl NetClient {
     }
 
     /// Reads one CHUNK frame, checks its sequence number, and returns the
-    /// body with the 4-byte sequence prefix stripped (zero-copy tail
-    /// split).
+    /// body with the 4-byte sequence prefix stripped in place.
     fn await_chunk(&self, conn: &mut TcpStream, seq: u32) -> Result<Vec<u8>, OpError> {
         await_chunk_on(conn, self.config.response_timeout, seq)
     }
@@ -979,7 +978,9 @@ fn await_chunk_on(
             "chunk sequence mismatch: expected {seq}, got {got_seq}"
         )));
     }
-    Ok(payload.split_off(4))
+    // In place: the frame's own buffer, shifted down over the prefix.
+    payload.drain(..4);
+    Ok(payload)
 }
 
 /// Validates a TRANSMIT header before any chunk bytes arrive and returns

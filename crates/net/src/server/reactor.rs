@@ -62,6 +62,7 @@ use crate::proto::{self, Hello, PublishOk, PublishRequest, StatsReply, Telemetry
 use parking_lot::{Condvar, Mutex};
 use recoil_core::{plan_chunks_into, ChunkPlan, EncoderConfig, RecoilError};
 use recoil_parallel::ThreadPool;
+use recoil_rans::append_words_le;
 use recoil_reactor::{DeadlineQueue, Event, Interest, Poller, Slab, SlabStats, Token, WakePipe};
 use recoil_server::{ContentServer, StoredContent, Transmission};
 use recoil_telemetry::{Stage, Telemetry};
@@ -491,9 +492,10 @@ fn fill_chunks(conn: &mut Conn) {
         let chunk = &plan.chunks[*next_chunk];
         let at = begin_frame(write_buf, FrameType::Chunk);
         write_buf.extend_from_slice(&(*next_chunk as u32).to_le_bytes());
-        for &w in &words[chunk.words.start as usize..chunk.words.end as usize] {
-            write_buf.extend_from_slice(&w.to_le_bytes());
-        }
+        append_words_le(
+            write_buf,
+            &words[chunk.words.start as usize..chunk.words.end as usize],
+        );
         end_frame(write_buf, at).expect("chunk frames are pre-clamped to the frame cap");
         *next_chunk += 1;
     }

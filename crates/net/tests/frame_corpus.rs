@@ -20,7 +20,8 @@ use recoil_core::codec::EncoderConfig;
 use recoil_core::RecoilError;
 use recoil_net::raw::{read_frame, write_frame, ReadOutcome};
 use recoil_net::{
-    FrameType, Hello, NetClient, NetConfig, NetServer, NetServerHandle, MAX_FRAME_LEN,
+    FrameType, Hello, NetClient, NetClientConfig, NetConfig, NetServer, NetServerHandle,
+    MAX_FRAME_LEN,
 };
 use recoil_server::ContentServer;
 use std::io::{Read, Write};
@@ -291,57 +292,103 @@ fn finish_hostile(addr: SocketAddr, handle: std::thread::JoinHandle<()>) {
     handle.join().unwrap();
 }
 
-/// Flips the last byte of the last non-empty CHUNK body in a captured
-/// frame sequence (never a frame header or sequence number).
-fn flip_last_chunk_body_byte(raw: &mut [u8]) {
+/// Byte ranges of the non-empty CHUNK bodies in a captured frame sequence
+/// (past each frame header and 4-byte sequence number).
+fn chunk_bodies(raw: &[u8]) -> Vec<std::ops::Range<usize>> {
     let mut at = 0usize;
-    let mut target = None;
+    let mut bodies = Vec::new();
     while at + 5 <= raw.len() {
         let ty = raw[at];
         let len = u32::from_le_bytes(raw[at + 1..at + 5].try_into().unwrap()) as usize;
         let end = at + 5 + len;
         if ty == FrameType::Chunk as u8 && len > 4 {
-            target = Some(end - 1);
+            bodies.push(at + 9..end);
         }
         at = end;
     }
-    raw[target.expect("a chunk with a body")] ^= 0x40;
+    bodies
 }
 
 #[test]
 fn crc_corrupted_chunk_stream_is_a_typed_error_on_both_paths() {
     let data = sample(120_000, 2);
     let good = capture_transmission("movie", &data, 8 * 1024);
-    let mut evil = good.clone();
-    flip_last_chunk_body_byte(&mut evil);
-    assert_ne!(good, evil);
+    let bodies = chunk_bodies(&good);
+    assert!(bodies.len() > 1, "several chunks with a body");
+    let payload: Vec<u8> = bodies
+        .iter()
+        .flat_map(|b| &good[b.clone()])
+        .copied()
+        .collect();
 
-    for streaming in [false, true] {
-        let (addr, handle) = hostile_server(evil.clone(), 4);
-        let client = NetClient::connect(addr).unwrap();
-        let got = if streaming {
-            client
-                .fetch_and_decode_streaming("movie", 16)
-                .map(|s| s.data)
-        } else {
-            client.fetch_and_decode("movie", 16)
-        };
-        match got {
-            // The reassembled-payload CRC catches the flip…
-            Err(RecoilError::Net { detail }) => {
-                assert!(
-                    detail.contains("checksum"),
-                    "streaming={streaming}: {detail}"
-                )
+    // The last byte of the last chunk, and the first body byte of the first
+    // chunk — the one adjacent to the sequence prefix the client strips.
+    // Each as (offset in the capture, offset in the reassembled payload).
+    let last = (bodies[bodies.len() - 1].end - 1, payload.len() - 1);
+    let first = (bodies[0].start, 0);
+    for (flip_at, payload_at) in [last, first] {
+        let mut evil = good.clone();
+        evil[flip_at] ^= 0x40;
+
+        for streaming in [false, true] {
+            let (addr, handle) = hostile_server(evil.clone(), 4);
+            let client = NetClient::connect(addr).unwrap();
+            let got = if streaming {
+                client
+                    .fetch_and_decode_streaming("movie", 16)
+                    .map(|s| s.data)
+            } else {
+                client.fetch_and_decode("movie", 16)
+            };
+            match got {
+                // The reassembled-payload CRC catches the flip…
+                Err(RecoilError::Net { detail }) => {
+                    assert!(
+                        detail.contains("checksum"),
+                        "streaming={streaming}: {detail}"
+                    )
+                }
+                // …unless (streaming only) the already-dispatched decode of the
+                // corrupt segment trips a typed decode error first. Both are
+                // clean typed failures; silence or wrong bytes would be the bug.
+                Err(RecoilError::Decode(_)) if streaming => {}
+                other => panic!("streaming={streaming}: expected CRC failure, got {other:?}"),
             }
-            // …unless (streaming only) the already-dispatched decode of the
-            // corrupt segment trips a typed decode error first. Both are
-            // clean typed failures; silence or wrong bytes would be the bug.
-            Err(RecoilError::Decode(_)) if streaming => {}
-            other => panic!("streaming={streaming}: expected CRC failure, got {other:?}"),
+            drop(client);
+            finish_hostile(addr, handle);
         }
-        drop(client);
-        finish_hostile(addr, handle);
+
+        // `FetchSession` hands bodies to its caller, who owns the CRC (the
+        // fabric router): the bodies must be the wire bytes exactly — flip
+        // included, nothing of the prefix left in or of the body cut off —
+        // and so must fail the header's checksum.
+        for (script, flipped) in [(&good, None), (&evil, Some(payload_at))] {
+            let (addr, handle) = hostile_server(script.clone(), 4);
+            // No probe connection: the replay server takes one connection
+            // at a time, and the session dials its own.
+            let client = NetClient::connect_lazy(addr, NetClientConfig::default()).unwrap();
+            let mut session = client.start_fetch("movie", 16, 0).unwrap();
+            let mut got = Vec::new();
+            while session.remaining_chunks() > 0 {
+                got.extend_from_slice(&session.next_chunk().unwrap());
+            }
+            let crc = recoil_core::crc32(&got);
+            match flipped {
+                None => {
+                    assert_eq!(got, payload);
+                    assert_eq!(crc, session.header.payload_crc);
+                }
+                Some(at) => {
+                    let differing: Vec<usize> = (0..payload.len())
+                        .filter(|&i| got[i] != payload[i])
+                        .collect();
+                    assert_eq!(differing, [at]);
+                    assert_ne!(crc, session.header.payload_crc);
+                }
+            }
+            drop((session, client));
+            finish_hostile(addr, handle);
+        }
     }
 }
 

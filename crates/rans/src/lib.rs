@@ -52,4 +52,4 @@ pub use interleaved::{decode_interleaved, decode_interleaved_into, InterleavedEn
 pub use single::{decode_single, SingleEncoder};
 pub use sink::{NullSink, RenormEvent, RenormSink, VecSink, NO_SYMBOL};
 pub use step::{decode_transform, renorm_read, LaneDecoder};
-pub use stream::EncodedStream;
+pub use stream::{append_words_le, extend_words_from_le, EncodedStream};

@@ -83,6 +83,51 @@ impl EncodedStream {
     }
 }
 
+/// Appends the wire image of `words` to `dst`: each word as two
+/// little-endian bytes, in stream order.
+///
+/// Every byte format that carries the bitstream (chunk frames, the
+/// container file, the payload CRC) uses this image, and
+/// [`extend_words_from_le`] is its inverse — the byte order is decided
+/// here and nowhere else. The loop has no per-word capacity check, so on a
+/// little-endian target it compiles to a block copy.
+pub fn append_words_le(dst: &mut Vec<u8>, words: &[u16]) {
+    let start = dst.len();
+    dst.resize(start + words.len() * 2, 0);
+    for (pair, w) in dst[start..].chunks_exact_mut(2).zip(words) {
+        pair.copy_from_slice(&w.to_le_bytes());
+    }
+}
+
+/// Extends `words` from little-endian wire bytes (the inverse of
+/// [`append_words_le`]) and returns the dangling last byte when the input
+/// ends mid-word.
+///
+/// `carry` is that dangling byte from the previous call, if any: it is the
+/// low half of the first word here. A receiver fed arbitrary slices
+/// threads the return value back in; a caller holding a whole even-length
+/// image passes `None` and gets `None`. `words` grows by the words
+/// actually converted (amortized, like `Vec::extend`), never from a
+/// declared total.
+#[must_use = "an odd-length input leaves its last byte to the caller"]
+pub fn extend_words_from_le(
+    words: &mut Vec<u16>,
+    carry: Option<u8>,
+    mut bytes: &[u8],
+) -> Option<u8> {
+    if let Some(lo) = carry {
+        let Some((&hi, rest)) = bytes.split_first() else {
+            return carry;
+        };
+        words.push(u16::from_le_bytes([lo, hi]));
+        bytes = rest;
+    }
+    let pairs = bytes.chunks_exact(2);
+    let dangling = pairs.remainder().first().copied();
+    words.extend(pairs.map(|pair| u16::from_le_bytes([pair[0], pair[1]])));
+    dangling
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,5 +167,79 @@ mod tests {
         s.final_states[1] = 5; // below L
         assert!(s.validate().is_err());
         assert!(stream(2, 2).validate().is_ok());
+    }
+
+    fn ramp(n: usize) -> Vec<u16> {
+        (0..n)
+            .map(|i| (i as u16).wrapping_mul(0x9E37) ^ 0x0102)
+            .collect()
+    }
+
+    #[test]
+    fn wire_image_round_trips_at_block_copy_edges() {
+        for n in [0usize, 1, 2, 31, 32, 33, 65_537] {
+            let words = ramp(n);
+            let mut bytes = Vec::new();
+            append_words_le(&mut bytes, &words);
+            assert_eq!(bytes.len(), n * 2);
+            // The image is little-endian whatever the host is.
+            for (pair, w) in bytes.chunks_exact(2).zip(&words) {
+                assert_eq!(pair, w.to_le_bytes());
+            }
+            let mut back = Vec::new();
+            assert_eq!(extend_words_from_le(&mut back, None, &bytes), None);
+            assert_eq!(back, words, "{n} words");
+        }
+    }
+
+    #[test]
+    fn appending_preserves_the_destination() {
+        let words = ramp(33);
+        let mut bytes = vec![0xAA, 0xBB, 0xCC];
+        append_words_le(&mut bytes, &words);
+        assert_eq!(&bytes[..3], [0xAA, 0xBB, 0xCC]);
+        let mut back = vec![7u16, 8];
+        assert_eq!(extend_words_from_le(&mut back, None, &bytes[3..]), None);
+        assert_eq!(&back[..2], [7, 8]);
+        assert_eq!(&back[2..], words);
+    }
+
+    #[test]
+    fn odd_byte_counts_leave_the_trailing_byte_to_the_caller() {
+        let words = ramp(40);
+        let mut bytes = Vec::new();
+        append_words_le(&mut bytes, &words);
+
+        // One odd slice: every whole word converts, the last byte comes back.
+        let mut got = Vec::new();
+        let carry = extend_words_from_le(&mut got, None, &bytes[..41]);
+        assert_eq!(carry, Some(bytes[40]));
+        assert_eq!(got, words[..20]);
+        // Handed back in, it is the low half of the next word.
+        assert_eq!(extend_words_from_le(&mut got, carry, &bytes[41..]), None);
+        assert_eq!(got, words);
+
+        // A carry meeting an empty slice is still owed; meeting one byte it
+        // completes a word and nothing dangles.
+        let mut got = Vec::new();
+        assert_eq!(
+            extend_words_from_le(&mut got, Some(bytes[0]), &[]),
+            Some(bytes[0])
+        );
+        assert!(got.is_empty());
+        assert_eq!(
+            extend_words_from_le(&mut got, Some(bytes[0]), &bytes[1..2]),
+            None
+        );
+        assert_eq!(got, words[..1]);
+
+        // Any cut sequence reassembles the same words.
+        for piece in [1usize, 3, 7, 64] {
+            let (mut got, mut carry) = (Vec::new(), None);
+            for slice in bytes.chunks(piece) {
+                carry = extend_words_from_le(&mut got, carry, slice);
+            }
+            assert_eq!((got, carry), (words.clone(), None), "piece {piece}");
+        }
     }
 }

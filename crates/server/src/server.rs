@@ -10,7 +10,7 @@ use recoil_core::{
 };
 use recoil_models::StaticModelProvider;
 use recoil_parallel::ThreadPool;
-use recoil_rans::EncodedStream;
+use recoil_rans::{append_words_le, EncodedStream};
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -55,13 +55,15 @@ impl StoredContent {
     /// transport request's critical path.
     pub fn payload_crc32(&self) -> u32 {
         *self.payload_crc.get_or_init(|| {
+            // A cache-resident scratch image, so the stream is read from
+            // memory once rather than staged whole and read again.
+            const SCRATCH_WORDS: usize = 2048;
             let mut state = 0xFFFF_FFFFu32;
-            let mut scratch = [0u8; 4096];
-            for block in self.stream.words.chunks(scratch.len() / 2) {
-                for (bytes, &w) in scratch.chunks_exact_mut(2).zip(block) {
-                    bytes.copy_from_slice(&w.to_le_bytes());
-                }
-                state = update_crc32(state, &scratch[..block.len() * 2]);
+            let mut scratch = Vec::with_capacity(SCRATCH_WORDS * 2);
+            for block in self.stream.words.chunks(SCRATCH_WORDS) {
+                scratch.clear();
+                append_words_le(&mut scratch, block);
+                state = update_crc32(state, &scratch);
             }
             state ^ 0xFFFF_FFFF
         })
@@ -939,18 +941,30 @@ mod tests {
 
     #[test]
     fn payload_crc_is_memoized_and_matches_streaming() {
-        let data = sample(70_000);
         let server = small_server();
-        let item = server.publish("x", &data, &config(8)).unwrap();
-        // Reference: one streaming pass over every word's LE bytes.
-        let mut state = 0xFFFF_FFFFu32;
-        for &w in &item.stream.words {
-            state = recoil_core::update_crc32(state, &w.to_le_bytes());
+        let mut word_counts = Vec::new();
+        for (i, len) in [70_000usize, 12_345, 0].into_iter().enumerate() {
+            let item = server
+                .publish(&format!("x{i}"), &sample(len), &config(8))
+                .unwrap();
+            word_counts.push(item.stream.words.len());
+            // Reference: one streaming pass over every word's LE bytes.
+            let mut state = 0xFFFF_FFFFu32;
+            for &w in &item.stream.words {
+                state = recoil_core::update_crc32(state, &w.to_le_bytes());
+            }
+            let expect = state ^ 0xFFFF_FFFF;
+            assert_eq!(item.payload_crc32(), expect, "{len} bytes");
+            // Memoized: the second call returns the same value.
+            assert_eq!(item.payload_crc32(), expect);
         }
-        let expect = state ^ 0xFFFF_FFFF;
-        assert_eq!(item.payload_crc32(), expect);
-        // Memoized: the second call returns the same value.
-        assert_eq!(item.payload_crc32(), expect);
+        // The inputs cover a scratch-sized multiple-block stream, a word
+        // count that ends inside a 16-byte CRC block, and no words at all
+        // (the CRC of nothing is 0).
+        assert!(word_counts[0] > 4096);
+        assert!(word_counts.iter().any(|n| n % 8 != 0), "{word_counts:?}");
+        assert_eq!(word_counts[2], 0);
+        assert_eq!(server.get("x2").unwrap().payload_crc32(), 0);
     }
 
     #[test]
