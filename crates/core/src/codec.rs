@@ -148,11 +148,7 @@ impl DecodeRequest<'_> {
         backend: &dyn DecodeBackend,
         out: &mut [S],
     ) -> Result<(), RecoilError> {
-        if !backend.is_available() {
-            return Err(RecoilError::BackendUnavailable {
-                backend: backend.name(),
-            });
-        }
+        ensure_available(backend)?;
         self.stream.check_output_len(out.len())?;
         S::run_backend(backend, self, 0..self.metadata.num_segments(), out)
     }
@@ -215,6 +211,17 @@ pub trait DecodeBackend: Send + Sync {
         segments: Range<u64>,
         out: &mut [u16],
     ) -> Result<(), RecoilError>;
+}
+
+/// [`DecodeBackend::is_available`] as a typed result, for call sites that
+/// refuse an unavailable backend up front.
+pub fn ensure_available(backend: &dyn DecodeBackend) -> Result<(), RecoilError> {
+    if backend.is_available() {
+        return Ok(());
+    }
+    Err(RecoilError::BackendUnavailable {
+        backend: backend.name(),
+    })
 }
 
 /// The segment engine with the scalar span kernel
@@ -507,11 +514,7 @@ impl CodecBuilder {
     pub fn build(self) -> Result<Codec, RecoilError> {
         self.config.validate()?;
         let backend = self.backend.unwrap_or_else(|| Box::new(ScalarBackend));
-        if !backend.is_available() {
-            return Err(RecoilError::BackendUnavailable {
-                backend: backend.name(),
-            });
-        }
+        ensure_available(backend.as_ref())?;
         Ok(Codec {
             config: self.config,
             backend,

@@ -20,6 +20,7 @@
 //! interpreting any field, so corrupt files fail as [`RecoilError::Wire`]
 //! instead of decoding garbage. Version 1 files (no footer) still parse.
 
+use crate::bounds::{checked_cdf_table, symbols_fit};
 use crate::crc::crc32;
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
@@ -144,9 +145,6 @@ pub fn container_from_bytes(
     };
     let mut c = Cursor { bytes, at: 5 };
     let n = u32::from(c.u8()?);
-    if !(1..=16).contains(&n) {
-        return Err(RecoilError::wire(format!("bad quantization level {n}")));
-    }
     let ways = u32::from(c.u16()?);
     let alphabet = usize::try_from(c.u32()?)
         .map_err(|_| RecoilError::wire("alphabet size exceeds the address space"))?;
@@ -157,15 +155,8 @@ pub fn container_from_bytes(
     let num_words = usize::try_from(c.u64()?)
         .map_err(|_| RecoilError::wire("word count exceeds the address space"))?;
 
-    // Information-capacity sanity bound: every encoded symbol multiplies a
-    // lane state by at least 2^n / (2^n - 1), and all of that growth must
-    // fit in the renorm words plus the 16 bits of per-lane state headroom
-    // (states start at 2^16 and end below 2^32). A header whose symbol
-    // count exceeds this is hostile or corrupt — rejecting it here keeps
-    // the decode-side output allocation proportional to the file size.
-    let min_bits_per_symbol = ((1u64 << n) as f64).log2() - ((1u64 << n) as f64 - 1.0).log2();
-    let capacity_bits = 16.0 * (num_words as f64 + ways as f64);
-    if num_symbols as f64 * min_bits_per_symbol > capacity_bits * 1.001 + 64.0 {
+    // Reject an impossible symbol count before anything is sized from it.
+    if !symbols_fit(n, ways, num_symbols, num_words as u64) {
         return Err(RecoilError::wire(format!(
             "symbol count {num_symbols} impossible for {num_words} words over {ways} lanes"
         )));
@@ -176,16 +167,7 @@ pub fn container_from_bytes(
     for _ in 0..alphabet {
         freqs.push(u32::from(c.u16()?));
     }
-    let sum: u64 = freqs.iter().map(|&f| f as u64).sum();
-    if sum != 1 << n {
-        return Err(RecoilError::wire(format!(
-            "model frequencies sum to {sum}, expected 2^{n}"
-        )));
-    }
-    if freqs.iter().any(|&f| (f as u64) >= (1u64 << n)) {
-        return Err(RecoilError::wire("model frequency reaches 2^n".to_string()));
-    }
-    let table = CdfTable::from_freqs(freqs, n);
+    let table = checked_cdf_table(freqs, n).map_err(RecoilError::wire)?;
 
     let lanes = usize::try_from(ways)
         .map_err(|_| RecoilError::wire("lane count exceeds the address space"))?;

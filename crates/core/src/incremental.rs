@@ -37,7 +37,8 @@
 //! assert_eq!(out, data);
 //! ```
 
-use crate::codec::{CodecSymbol, DecodeBackend, DecodeRequest};
+use crate::bounds::symbols_fit;
+use crate::codec::{ensure_available, CodecSymbol, DecodeBackend, DecodeRequest};
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
 use crate::planner::ChunkPlan;
@@ -92,25 +93,19 @@ impl IncrementalDecoder {
             ))));
         }
         // Information-capacity bound, per readiness prefix: the symbols a
-        // word prefix is claimed to carry must fit in its bits (plus the
-        // per-lane state slack). Without this, hostile metadata could mark
-        // a near-empty prefix as a giant ready segment and drive the
-        // receiver's output allocation from a handful of received bytes —
-        // the streaming analogue of the transmit-header capacity check.
-        let n = metadata.quant_bits;
-        let min_bits = ((1u64 << n) as f64).log2() - ((1u64 << n) as f64 - 1.0).log2();
-        let slack_bits = 48.0 * metadata.ways as f64 + 64.0;
-        let fits = |symbols: u64, words: u64| {
-            symbols as f64 * min_bits <= (16.0 * words as f64 + slack_bits) * 1.001
-        };
-        if !fits(metadata.num_symbols, metadata.num_words) {
+        // word prefix is claimed to carry must fit in its bits. Without
+        // this, hostile metadata could mark a near-empty prefix as a giant
+        // ready segment and drive the receiver's output allocation from a
+        // handful of received bytes.
+        let (n, ways) = (metadata.quant_bits, metadata.ways);
+        if !symbols_fit(n, ways, metadata.num_symbols, metadata.num_words) {
             return Err(RecoilError::Decode(RansError::MalformedMetadata(format!(
                 "symbol count {} impossible for {} bitstream words",
                 metadata.num_symbols, metadata.num_words
             ))));
         }
         for (k, s) in metadata.splits.iter().enumerate() {
-            if !fits(s.sync_start(), s.offset + 1) {
+            if !symbols_fit(n, ways, s.sync_start(), s.offset + 1) {
                 return Err(RecoilError::Decode(RansError::MalformedMetadata(format!(
                     "split {k}: {} symbols claimed decodable from a {}-word prefix",
                     s.sync_start(),
@@ -165,6 +160,12 @@ impl IncrementalDecoder {
     /// Bitstream bytes received so far.
     pub fn bytes_received(&self) -> u64 {
         self.stream.words.len() as u64 * 2 + self.carry.is_some() as u64
+    }
+
+    /// Payload size of the stream as received so far, counted the way
+    /// [`EncodedStream::payload_bytes`] counts a whole one.
+    pub fn payload_bytes(&self) -> u64 {
+        self.stream.payload_bytes()
     }
 
     /// True once the complete bitstream has arrived.
@@ -242,11 +243,7 @@ impl IncrementalDecoder {
         backend: &dyn DecodeBackend,
         out: &mut [S],
     ) -> Result<Range<usize>, RecoilError> {
-        if !backend.is_available() {
-            return Err(RecoilError::BackendUnavailable {
-                backend: backend.name(),
-            });
-        }
+        ensure_available(backend)?;
         let ready = self.ready_segments();
         if ready <= self.decoded {
             let at = self.bounds[self.decoded as usize] as usize;

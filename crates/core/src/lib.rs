@@ -32,6 +32,7 @@
 // Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
 #![forbid(unsafe_code)]
 
+mod bounds;
 pub mod codec;
 mod combine;
 mod container;
@@ -44,6 +45,7 @@ mod metadata;
 mod planner;
 mod wire;
 
+pub use bounds::{checked_cdf_table, symbols_fit};
 pub use codec::{
     Codec, CodecBuilder, CodecSymbol, DecodeBackend, DecodeRequest, Encoded, EncoderConfig,
     PooledBackend, ScalarBackend,

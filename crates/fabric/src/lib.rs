@@ -23,17 +23,19 @@
 //!
 //! ## Failover
 //!
-//! [`FabricRouter::fetch`] streams chunks from the best holder into an
-//! [`recoil_core::IncrementalDecoder`], decoding segments as they become
-//! resident. If the node dies mid-stream (connection severed, frame torn)
-//! the router marks it unhealthy, picks the next holder, and re-issues
-//! the fetch as a RESUME at the exact word offset it already holds —
-//! already-decoded segments are never re-sent or re-decoded, and the
-//! final bytes are verified (whole-stream CRC-32 cross-checked against
-//! every node's TRANSMIT header) to be identical to an undisturbed
-//! fetch. Recoil's split metadata is why this is nearly free: segment
-//! readiness is a strict prefix of the word stream, so "how many words I
-//! have" is the complete resume state.
+//! [`FabricRouter::fetch`] opens one [`recoil_net::FetchSession`] on the
+//! best holder and drives it through the streaming decode pipeline a
+//! direct client uses. If the node dies mid-stream (connection severed,
+//! frame torn) the router marks it unhealthy, picks the next holder, and
+//! resumes *the same session* there
+//! ([`recoil_net::FetchSession::resume_on`]: RESUME at the exact word
+//! offset already held) — decoded segments are never re-sent. The
+//! session, not the router, owns the payload check (whole-stream CRC-32,
+//! every node's TRANSMIT header agreeing with the first), so a failed-over
+//! fetch is byte-identical to an undisturbed one or a typed error.
+//! Recoil's split metadata is why this is nearly free: segment readiness
+//! is a strict prefix of the word stream, so "how many words I have" is
+//! the complete resume state.
 //!
 //! ## Chaos
 //!

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use recoil_core::codec::DecodeBackend;
-use recoil_core::{update_crc32, EncoderConfig, IncrementalDecoder, RecoilError};
+use recoil_core::codec::{ensure_available, DecodeBackend};
+use recoil_core::{EncoderConfig, RecoilError};
 use recoil_net::{splitmix64, NetClient, NetClientConfig, PublishOk, StatsReply};
 use recoil_simd::AutoBackend;
 use recoil_telemetry::{Telemetry, TelemetryLevel};
@@ -69,6 +69,18 @@ pub struct FetchAttempt {
     pub chunk_bytes: u64,
     /// False when the node died mid-stream and the fetch moved on.
     pub completed: bool,
+}
+
+impl FetchAttempt {
+    /// `node` delivered the stream's `words`.
+    fn of(node: usize, words: std::ops::Range<u64>, completed: bool) -> Self {
+        Self {
+            node,
+            from_word: words.start,
+            chunk_bytes: (words.end - words.start) * 2,
+            completed,
+        }
+    }
 }
 
 /// A completed (possibly failed-over) fabric fetch.
@@ -293,12 +305,14 @@ impl FabricRouter {
         Err(last_err)
     }
 
-    /// Fetches and decodes `name` at `parallel_segments`, streaming
-    /// chunks into an incremental decoder and failing over mid-stream if
-    /// the serving node dies: the next holder gets a RESUME at the exact
-    /// word offset received so far, already-decoded segments are never
-    /// re-sent, and the result is verified byte-identical (whole-stream
-    /// CRC) to an undisturbed fetch.
+    /// Fetches and decodes `name` at `parallel_segments`: one
+    /// [`recoil_net::FetchSession`], opened on the best holder and driven
+    /// through the streaming decode pipeline. If the serving node dies
+    /// mid-stream the *same session* is resumed on the next holder at the
+    /// exact word offset it already holds — decoded segments are never
+    /// re-sent — and the session's payload check (whole-stream CRC, every
+    /// node's header agreeing with the first) makes the result
+    /// byte-identical to an undisturbed fetch, or a typed error.
     pub fn fetch(&self, name: &str, parallel_segments: u64) -> Result<FabricFetch, RecoilError> {
         let n = self.fetches.fetch_add(1, Ordering::Relaxed) + 1;
         *self.hits.lock().entry(name.to_string()).or_insert(0) += 1;
@@ -308,7 +322,20 @@ impl FabricRouter {
         self.fetch_inner(name, parallel_segments)
     }
 
+    /// The attempt of a node that could not start (or resume) a stream.
+    /// Transport-level failures mark it down; typed refusals (NotFound,
+    /// Busy) leave health alone.
+    fn declined(&self, node: usize, from_word: u64, err: &RecoilError) -> FetchAttempt {
+        if matches!(err, RecoilError::Net { .. }) {
+            self.mark_health(node, false);
+        }
+        FetchAttempt::of(node, from_word..from_word, false)
+    }
+
     fn fetch_inner(&self, name: &str, parallel_segments: u64) -> Result<FabricFetch, RecoilError> {
+        let backend = self.backend.as_ref();
+        // Nothing any node sends could be decoded: refuse before asking.
+        ensure_available(backend)?;
         // Serving order: holders first (primary, then replicas), then —
         // as a last resort — every other node, in case content moved
         // under a topology the router did not see. Healthy nodes go
@@ -320,156 +347,69 @@ impl FabricRouter {
             }
         }
         order.sort_by_key(|&i| !self.nodes[i].healthy.load(Ordering::Relaxed));
+        let mut untried = order.into_iter();
 
         let start = Instant::now();
         let mut attempts: Vec<FetchAttempt> = Vec::new();
-        let mut failovers = 0u32;
-        let mut incr: Option<IncrementalDecoder> = None;
-        let mut out: Vec<u8> = Vec::new();
-        let mut first_segment_nanos = 0u64;
-        let mut crc_state = 0xFFFF_FFFFu32;
-        let mut words_received = 0u64;
-        // Whole-stream (word_bytes, payload_crc, segments) from the first
-        // TRANSMIT header; every later node must agree or it is serving
-        // different content and resume would splice two streams.
-        let mut expected: Option<(u64, u32, u64)> = None;
         let mut last_err = RecoilError::net(format!("no fabric node could serve `{name}`"));
-
-        for &node in &order {
-            let from_word = words_received;
-            let mut session =
-                match self.nodes[node]
-                    .client
-                    .start_fetch(name, parallel_segments, from_word)
-                {
-                    Ok(session) => session,
-                    Err(err) => {
-                        // Could not even start a stream here. Transport-level
-                        // failures mark the node down; typed refusals
-                        // (NotFound, Busy) leave health alone.
-                        if matches!(err, RecoilError::Net { .. }) {
-                            self.mark_health(node, false);
-                        }
-                        attempts.push(FetchAttempt {
-                            node,
-                            from_word,
-                            chunk_bytes: 0,
-                            completed: false,
-                        });
-                        last_err = err;
-                        continue;
-                    }
-                };
-            match expected {
-                None => {
-                    expected = Some((
-                        session.header.word_bytes,
-                        session.header.payload_crc,
-                        session.header.segments,
-                    ));
-                    incr = Some(IncrementalDecoder::new(
-                        session.metadata.clone(),
-                        session.header.final_states.clone(),
-                        session.model.clone(),
-                    )?);
-                }
-                Some((word_bytes, payload_crc, _)) => {
-                    if session.header.word_bytes != word_bytes
-                        || session.header.payload_crc != payload_crc
-                    {
-                        return Err(RecoilError::net(format!(
-                            "node {node} serves different content for `{name}` \
-                             (stream geometry or CRC disagrees with the original header); \
-                             refusing to splice streams"
-                        )));
-                    }
-                }
-            }
-            let decoder = match incr.as_mut() {
-                Some(decoder) => decoder,
-                None => return Err(RecoilError::net("decoder missing after first header")),
+        let (mut serving, session) = loop {
+            let Some(node) = untried.next() else {
+                return Err(last_err);
             };
-
-            let mut node_bytes = 0u64;
-            let mut died = false;
-            while session.remaining_chunks() > 0 {
-                match session.next_chunk() {
-                    Ok(body) => {
-                        // Chunk bodies are whole u16 words by
-                        // construction, so the resume offset below is
-                        // always word-aligned.
-                        crc_state = update_crc32(crc_state, &body);
-                        node_bytes += body.len() as u64;
-                        words_received += body.len() as u64 / 2;
-                        decoder.push_bytes(&body)?;
-                        let ready = decoder.ready_symbols();
-                        if ready > out.len() {
-                            out.resize(ready, 0);
-                        }
-                        let before = decoder.decoded_segments();
-                        decoder.decode_ready_segments(self.backend.as_ref(), &mut out)?;
-                        if decoder.decoded_segments() > before && first_segment_nanos == 0 {
-                            first_segment_nanos = start.elapsed().as_nanos() as u64;
-                        }
-                    }
-                    Err(err) => {
-                        died = true;
-                        last_err = err;
-                        break;
-                    }
+            match self.nodes[node]
+                .client
+                .start_fetch(name, parallel_segments, 0)
+            {
+                Ok(session) => break (node, session),
+                Err(err) => {
+                    attempts.push(self.declined(node, 0, &err));
+                    last_err = err;
                 }
             }
-            attempts.push(FetchAttempt {
-                node,
-                from_word,
-                chunk_bytes: node_bytes,
-                completed: !died,
-            });
-            if died {
+        };
+
+        let total_words = session.metadata.num_words;
+        let mut from_word = 0;
+        let mut failovers = 0u32;
+        let streamed = session.decode_streaming(
+            backend,
+            &self.telemetry,
+            start,
+            |session, mut last_err| {
                 // Mid-stream death: the failover the fabric exists for.
-                self.mark_health(node, false);
+                let held = session.words_received();
+                attempts.push(FetchAttempt::of(serving, from_word..held, false));
+                from_word = held;
+                self.mark_health(serving, false);
                 failovers += 1;
                 if self.telemetry.counters_enabled() {
                     self.telemetry.counters.failovers.bump();
                 }
-                continue;
-            }
-            self.mark_health(node, true);
-
-            let (word_bytes, payload_crc, segments) = match expected {
-                Some(e) => e,
-                None => return Err(RecoilError::net("stream finished without a header")),
-            };
-            if words_received * 2 != word_bytes {
-                return Err(RecoilError::net(format!(
-                    "fabric fetch of `{name}` ended short: {} of {word_bytes} bitstream bytes",
-                    words_received * 2
-                )));
-            }
-            if crc_state ^ 0xFFFF_FFFF != payload_crc {
-                return Err(RecoilError::net(format!(
-                    "bitstream payload checksum mismatch reassembling `{name}` across nodes"
-                )));
-            }
-            if !decoder.is_finished() {
-                return Err(RecoilError::net(format!(
-                    "stream of `{name}` complete but only {} of {} segments decoded",
-                    decoder.decoded_segments(),
-                    decoder.num_segments()
-                )));
-            }
-            out.truncate(decoder.ready_symbols());
-            let total_nanos = start.elapsed().as_nanos() as u64;
-            return Ok(FabricFetch {
-                data: out,
-                segments,
-                attempts,
-                failovers,
-                first_segment_nanos,
-                total_nanos,
-            });
-        }
-        Err(last_err)
+                for node in untried.by_ref() {
+                    match session.resume_on(&self.nodes[node].client) {
+                        Ok(()) => {
+                            serving = node;
+                            return Ok(());
+                        }
+                        Err(err) => {
+                            attempts.push(self.declined(node, held, &err));
+                            last_err = err;
+                        }
+                    }
+                }
+                Err(last_err)
+            },
+        )?;
+        self.mark_health(serving, true);
+        attempts.push(FetchAttempt::of(serving, from_word..total_words, true));
+        Ok(FabricFetch {
+            data: streamed.data,
+            segments: streamed.segments,
+            attempts,
+            failovers,
+            first_segment_nanos: streamed.first_segment_nanos,
+            total_nanos: streamed.total_nanos,
+        })
     }
 
     /// One promotion pass: every name the router has seen at least

@@ -3,8 +3,10 @@
 
 use recoil_core::{EncoderConfig, RecoilError};
 use recoil_fabric::{Fabric, FabricRouter, RouterConfig};
-use recoil_net::{NetClient, NetClientConfig, NetConfig};
+use recoil_net::{FaultPlan, NetClient, NetClientConfig, NetConfig, NetServer};
+use recoil_server::ContentServer;
 use recoil_telemetry::TelemetryLevel;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn sample(len: usize, seed: u32) -> Vec<u8> {
@@ -252,4 +254,66 @@ fn router_telemetry_counts_failovers_and_retries() {
     assert!(router.node_stats(holder).is_err());
     assert!(router.telemetry().counters.retries.get() >= 1);
     fabric.shutdown();
+}
+
+/// A router fetch runs the same pipeline as the direct client's streaming
+/// fetch, so it feeds the same three latency histograms — on a clean fetch
+/// and on one that failed over mid-stream — and the numbers it reports in
+/// [`recoil_fabric::FabricFetch`] are the ones it recorded.
+#[test]
+fn router_fetches_record_the_streaming_histograms() {
+    let bind = |fault_plan| {
+        let config = NetConfig {
+            fault_plan,
+            ..node_config()
+        };
+        NetServer::bind(Arc::new(ContentServer::new()), "127.0.0.1:0", config).unwrap()
+    };
+    // Node 0 severs every connection 40 000 response bytes in — mid-stream
+    // for this item; node 1 is clean. Both hold byte-identical copies.
+    let (killer, clean) = (bind(Some(FaultPlan::kill_at(40_000))), bind(None));
+    let router = FabricRouter::connect(&[killer.addr(), clean.addr()], router_config()).unwrap();
+    let data = sample(120_000, 17);
+    let name_on = |node: usize| {
+        let name = (0..256)
+            .map(|k| format!("timed-{k}"))
+            .find(|n| router.primary(n) == node)
+            .expect("some name lands on each node");
+        for handle in [&killer, &clean] {
+            let publisher = NetClient::connect(handle.addr()).unwrap();
+            publisher.publish(&name, &data, &enc(8)).unwrap();
+        }
+        name
+    };
+
+    let hists = &router.telemetry().hists;
+    let totals = || {
+        [
+            hists.stream_first_segment_ns.snapshot(),
+            hists.stream_transfer_ns.snapshot(),
+            hists.stream_total_ns.snapshot(),
+        ]
+        .map(|h| (h.count, h.sum))
+    };
+    for (node, failovers) in [(1, 0), (0, 1)] {
+        let name = name_on(node);
+        let before = totals();
+        let fetched = router.fetch(&name, 8).unwrap();
+        assert_eq!(fetched.data, data);
+        assert_eq!(fetched.failovers, failovers);
+        let moved: Vec<(u64, u64)> = totals()
+            .iter()
+            .zip(before)
+            .map(|(after, before)| (after.0 - before.0, after.1 - before.1))
+            .collect();
+        let [first, transfer, total] = moved[..] else {
+            unreachable!("three histograms")
+        };
+        assert_eq!(first, (1, fetched.first_segment_nanos), "node {node}");
+        assert_eq!(total, (1, fetched.total_nanos), "node {node}");
+        assert_eq!(transfer.0, 1, "node {node}");
+        assert!(first.1 <= total.1 && transfer.1 <= total.1, "{moved:?}");
+    }
+    killer.shutdown();
+    clean.shutdown();
 }

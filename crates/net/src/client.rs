@@ -1,36 +1,47 @@
-//! The pooling TCP client: remote publish / request / stats, and a
-//! one-call remote fetch-and-decode through the [`DecodeBackend`]
-//! machinery.
+//! The pooling TCP client (remote publish / request / stats under a retry
+//! policy) and [`FetchSession`], the one chunked fetch every decode path —
+//! buffered, streaming, failed over — is a composition of.
 
 use crate::fault::splitmix64;
 use crate::frame::{
     decode_error, io_err, read_frame, write_frame, FrameType, ReadOutcome, CAP_CHUNKED, CAP_RESUME,
     CAP_TELEMETRY, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
+use crate::integrity::{validate_transmit_header, PayloadCheck};
 use crate::proto::{
     encode_publish, ContentRequest, Hello, PublishOk, ResumeRequest, StatsReply, TelemetryReply,
     TransmitHeader,
 };
 use parking_lot::Mutex;
-use recoil_core::codec::{DecodeBackend, DecodeRequest, EncoderConfig};
-use recoil_core::{
-    metadata_from_bytes, update_crc32, IncrementalDecoder, RecoilError, RecoilMetadata,
-};
-use recoil_models::{CdfTable, StaticModelProvider};
+use recoil_core::codec::{ensure_available, DecodeBackend, DecodeRequest, EncoderConfig};
+use recoil_core::{IncrementalDecoder, RecoilError, RecoilMetadata};
+use recoil_models::StaticModelProvider;
 use recoil_rans::{extend_words_from_le, EncodedStream};
 use recoil_simd::AutoBackend;
 use recoil_telemetry::{Stage, Telemetry, TelemetryLevel};
+use std::borrow::BorrowMut;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+/// Idle connections kept for reuse; overflow is closed on check-in.
+const MAX_POOL: usize = 4;
+/// In-flight budget of the streaming pipeline: received-but-not-yet-decoded
+/// chunks buffered before the receive loop blocks (backpressure), so memory
+/// beyond the output and the word store stays at `budget × chunk size`.
+const STREAMING_INFLIGHT_CHUNKS: usize = 4;
+/// Retry backoff growth cap.
+const RETRY_MAX_BACKOFF: Duration = Duration::from_millis(250);
+/// Seed of the backoff jitter sequence (splitmix64): schedules replay.
+const RETRY_JITTER_SEED: u64 = 0x005E_EDCA_B1E5;
+/// Words [`NetClient::request`] reserves up front; beyond this the store
+/// grows only with real chunk bytes, whatever `word_bytes` claims.
+const MAX_RESERVED_WORDS: usize = 1 << 19;
+
 /// Construction knobs for [`NetClient`].
 #[derive(Debug, Clone)]
 pub struct NetClientConfig {
-    /// Idle connections kept for reuse (checkout prefers these; overflow
-    /// connections are simply closed on check-in).
-    pub max_pool: usize,
     /// Socket read timeout per attempt (idle poll granularity).
     pub read_timeout: Duration,
     /// Total time to wait for a response to one request — covers the
@@ -38,12 +49,6 @@ pub struct NetClientConfig {
     pub response_timeout: Duration,
     /// Socket write timeout.
     pub write_timeout: Duration,
-    /// Bounded in-flight budget of the streaming decode pipeline: how many
-    /// received-but-not-yet-decoded chunks
-    /// [`NetClient::fetch_and_decode_streaming`] buffers before the network
-    /// receive loop blocks (backpressure). Memory beyond the output buffer
-    /// and the word store stays constant at roughly `budget × chunk size`.
-    pub streaming_inflight_chunks: usize,
     /// Client-side observability. Defaults to `Counters` (unlike the
     /// server): the client records only a handful of histogram samples per
     /// *call*, not per hot-loop iteration, so the cost is negligible and
@@ -56,30 +61,21 @@ pub struct NetClientConfig {
     /// pooled connection additionally gets one immediate free redial that
     /// costs no budget.
     pub retry_budget: u32,
-    /// First retry backoff; each further retry doubles it (capped by
-    /// [`NetClientConfig::retry_max_backoff`]) and jitters the result by
-    /// ±50% to decorrelate clients hitting the same overloaded server.
+    /// First retry backoff; each further retry doubles it (capped at
+    /// 250 ms) and jitters the result by ±50% to decorrelate clients
+    /// hitting the same overloaded server.
     pub retry_base_backoff: Duration,
-    /// Backoff growth cap.
-    pub retry_max_backoff: Duration,
-    /// Seed for the deterministic backoff jitter sequence (splitmix64), so
-    /// tests replay identical schedules.
-    pub retry_jitter_seed: u64,
 }
 
 impl Default for NetClientConfig {
     fn default() -> Self {
         Self {
-            max_pool: 4,
             read_timeout: Duration::from_millis(250),
             response_timeout: Duration::from_secs(60),
             write_timeout: Duration::from_secs(10),
-            streaming_inflight_chunks: 4,
             telemetry: TelemetryLevel::Counters,
             retry_budget: 2,
             retry_base_backoff: Duration::from_millis(10),
-            retry_max_backoff: Duration::from_millis(250),
-            retry_jitter_seed: 0x005E_EDCA_B1E5,
         }
     }
 }
@@ -191,8 +187,8 @@ pub struct NetClient {
     /// Capability bits the server granted in the most recent HELLO
     /// exchange; gates [`NetClient::remote_telemetry`].
     server_caps: AtomicU32,
-    /// Backoff-jitter sequence state (seeded from the config; one
-    /// splitmix64 draw per retry keeps schedules deterministic per seed).
+    /// Backoff-jitter sequence state (one splitmix64 draw per retry keeps
+    /// schedules deterministic).
     jitter_state: AtomicU64,
 }
 
@@ -230,7 +226,6 @@ impl NetClient {
             .next()
             .ok_or_else(|| RecoilError::net("address resolved to nothing"))?;
         let telemetry = Arc::new(Telemetry::new(config.telemetry));
-        let jitter_state = AtomicU64::new(config.retry_jitter_seed);
         Ok(Self {
             addr,
             config,
@@ -240,7 +235,7 @@ impl NetClient {
             )),
             telemetry,
             server_caps: AtomicU32::new(0),
-            jitter_state,
+            jitter_state: AtomicU64::new(RETRY_JITTER_SEED),
         })
     }
 
@@ -272,21 +267,17 @@ impl NetClient {
 
     /// Dials and HELLO-negotiates a fresh connection.
     fn dial(&self) -> Result<TcpStream, RecoilError> {
-        let conn = TcpStream::connect(self.addr).map_err(|e| io_err("connect", e))?;
+        let mut conn = TcpStream::connect(self.addr).map_err(|e| io_err("connect", e))?;
         let _ = conn.set_nodelay(true);
         conn.set_read_timeout(Some(self.config.read_timeout))
             .map_err(|e| io_err("set_read_timeout", e))?;
         conn.set_write_timeout(Some(self.config.write_timeout))
             .map_err(|e| io_err("set_write_timeout", e))?;
-        let mut conn = conn;
-        write_frame(&mut conn, FrameType::Hello, &Hello::ours().encode())?;
-        let (ty, payload) = self.await_frame(&mut conn).map_err(OpError::into_inner)?;
-        if ty != FrameType::Hello {
-            return Err(RecoilError::net(format!(
-                "expected HELLO reply, got {ty:?}"
-            )));
-        }
-        let hello = Hello::decode(&payload)?;
+        let ours = Hello::ours().encode();
+        let reply = self
+            .exchange(&mut conn, FrameType::Hello, &ours, FrameType::Hello)
+            .map_err(OpError::into_inner)?;
+        let hello = Hello::decode(&reply)?;
         if hello.version != PROTOCOL_VERSION {
             return Err(RecoilError::net(format!(
                 "server speaks protocol version {}, this client speaks {PROTOCOL_VERSION}",
@@ -323,14 +314,9 @@ impl NetClient {
             ));
         }
         self.with_conn(true, |client, conn| {
-            write_frame(conn, FrameType::Telemetry, &[]).map_err(OpError::Transport)?;
-            let (ty, payload) = client.await_frame(conn)?;
-            if ty != FrameType::TelemetryReply {
-                return Err(OpError::Transport(RecoilError::net(format!(
-                    "expected TELEMETRY_REPLY, got {ty:?}"
-                ))));
-            }
-            TelemetryReply::decode(&payload).map_err(OpError::Transport)
+            let reply =
+                client.exchange(conn, FrameType::Telemetry, &[], FrameType::TelemetryReply)?;
+            TelemetryReply::decode(&reply).map_err(OpError::Transport)
         })
     }
 
@@ -343,7 +329,7 @@ impl NetClient {
 
     fn checkin(&self, conn: TcpStream) {
         let mut pool = self.pool.lock();
-        if pool.len() < self.config.max_pool {
+        if pool.len() < MAX_POOL {
             pool.push(conn);
         }
     }
@@ -432,7 +418,7 @@ impl NetClient {
             .config
             .retry_base_backoff
             .saturating_mul(1u32 << retry.min(16))
-            .min(self.config.retry_max_backoff);
+            .min(RETRY_MAX_BACKOFF);
         let draw = splitmix64(self.jitter_state.fetch_add(1, Ordering::Relaxed));
         let jittered = exp.mul_f64(0.5 + draw as f64 / (u64::MAX as f64));
         match retry_after_ms {
@@ -441,12 +427,23 @@ impl NetClient {
         }
     }
 
-    /// Blocks until a non-idle frame arrives (bounded by
-    /// `response_timeout`); `Error` frames come back as
-    /// [`OpError::Remote`] carrying the decoded [`RecoilError`], anything
-    /// that breaks the transport as [`OpError::Transport`].
-    fn await_frame(&self, conn: &mut TcpStream) -> Result<(FrameType, Vec<u8>), OpError> {
-        await_frame_on(conn, self.config.response_timeout)
+    /// Sends one frame and returns the payload of the reply, which must be
+    /// an `expect` frame.
+    fn exchange(
+        &self,
+        conn: &mut TcpStream,
+        ty: FrameType,
+        payload: &[u8],
+        expect: FrameType,
+    ) -> Result<Vec<u8>, OpError> {
+        write_frame(conn, ty, payload).map_err(OpError::Transport)?;
+        let (got, reply) = await_frame_on(conn, self.config.response_timeout)?;
+        if got != expect {
+            return Err(OpError::Transport(RecoilError::net(format!(
+                "expected {expect:?}, got {got:?}"
+            ))));
+        }
+        Ok(reply)
     }
 
     /// Rejects names the u16 length prefix cannot carry, before any bytes
@@ -492,13 +489,8 @@ impl NetClient {
             ));
         }
         self.with_conn(false, move |client, conn| {
-            write_frame(conn, FrameType::Publish, &payload).map_err(OpError::Transport)?;
-            let (ty, reply) = client.await_frame(conn)?;
-            if ty != FrameType::PublishOk {
-                return Err(OpError::Transport(RecoilError::net(format!(
-                    "expected PUBLISH_OK, got {ty:?}"
-                ))));
-            }
+            let reply =
+                client.exchange(conn, FrameType::Publish, &payload, FrameType::PublishOk)?;
             PublishOk::decode(&reply).map_err(OpError::Transport)
         })
     }
@@ -511,20 +503,13 @@ impl NetClient {
         parallel_segments: u64,
     ) -> Result<RemoteContent, RecoilError> {
         Self::check_name(name)?;
-        let msg = ContentRequest {
-            name: name.to_string(),
-            parallel_segments,
-        };
-        self.with_conn(true, move |client, conn| {
-            write_frame(conn, FrameType::Request, &msg.encode()).map_err(OpError::Transport)?;
-            let (ty, payload) = client.await_frame(conn)?;
-            if ty != FrameType::Transmit {
-                return Err(OpError::Transport(RecoilError::net(format!(
-                    "expected TRANSMIT, got {ty:?}"
-                ))));
-            }
-            let header = TransmitHeader::decode(&payload).map_err(OpError::Transport)?;
-            client.receive_content(conn, header)
+        self.with_conn(true, |client, conn| {
+            client
+                .open(conn, name, parallel_segments)?
+                .into_content()
+                // Past the header every failure leaves unread chunks on
+                // the wire: the connection is desynchronized.
+                .map_err(OpError::Transport)
         })
     }
 
@@ -542,299 +527,76 @@ impl NetClient {
     /// Remote serving counters.
     pub fn stats(&self) -> Result<StatsReply, RecoilError> {
         self.with_conn(true, |client, conn| {
-            write_frame(conn, FrameType::Stats, &[]).map_err(OpError::Transport)?;
-            let (ty, payload) = client.await_frame(conn)?;
-            if ty != FrameType::StatsReply {
-                return Err(OpError::Transport(RecoilError::net(format!(
-                    "expected STATS_REPLY, got {ty:?}"
-                ))));
-            }
-            StatsReply::decode(&payload).map_err(OpError::Transport)
+            let reply = client.exchange(conn, FrameType::Stats, &[], FrameType::StatsReply)?;
+            StatsReply::decode(&reply).map_err(OpError::Transport)
         })
-    }
-
-    /// Drains the chunked word payload and rebuilds validated decode
-    /// inputs. Any failure here is a transport error: frames were consumed
-    /// or corrupt, so the connection is not reusable.
-    fn receive_content(
-        &self,
-        conn: &mut TcpStream,
-        header: TransmitHeader,
-    ) -> Result<RemoteContent, OpError> {
-        self.receive_content_inner(conn, header)
-            .map_err(|e| match e {
-                // A mid-stream ERROR frame still means desynchronized
-                // framing for this op (some chunks may remain unread).
-                OpError::Remote(e) | OpError::Transport(e) => OpError::Transport(e),
-            })
-    }
-
-    fn receive_content_inner(
-        &self,
-        conn: &mut TcpStream,
-        header: TransmitHeader,
-    ) -> Result<RemoteContent, OpError> {
-        let bad = |msg: String| OpError::Transport(RecoilError::net(msg));
-        let (model, metadata) = validate_transmit_header(&header).map_err(OpError::Transport)?;
-
-        // The reservation is capped: `word_bytes` is attacker-controlled,
-        // so growth beyond 1 MiB only happens as real chunk bytes arrive
-        // (each bounded by the frame cap and the declared total).
-        let mut words = Vec::with_capacity((header.word_bytes as usize / 2).min(1 << 19));
-        // A chunk body may end mid-word; its last byte waits here.
-        let mut carry = None;
-        let mut received = 0u64;
-        let mut crc_state = 0xFFFF_FFFFu32;
-        for seq in 0..header.chunk_count {
-            let body = self.await_chunk(conn, seq)?;
-            received += body.len() as u64;
-            if received > header.word_bytes {
-                return Err(bad("chunked payload overruns declared size".into()));
-            }
-            crc_state = update_crc32(crc_state, &body);
-            carry = extend_words_from_le(&mut words, carry, &body);
-        }
-        if received != header.word_bytes {
-            return Err(bad(format!(
-                "chunked payload short: {received} of {} bytes",
-                header.word_bytes
-            )));
-        }
-        if crc_state ^ 0xFFFF_FFFF != header.payload_crc {
-            return Err(bad("bitstream payload checksum mismatch".into()));
-        }
-
-        let stream = EncodedStream {
-            words,
-            final_states: header.final_states.clone(),
-            num_symbols: header.num_symbols,
-            ways: header.ways,
-        };
-        stream
-            .validate()
-            .map_err(|e| bad(format!("received stream is inconsistent: {e}")))?;
-        metadata
-            .validate_against(&stream)
-            .map_err(|e| bad(format!("received metadata is inconsistent: {e}")))?;
-
-        Ok(RemoteContent {
-            stream,
-            metadata,
-            metadata_bytes: header.metadata,
-            model,
-            segments: header.segments,
-            cache_hit: header.cache_hit,
-            combine_nanos: header.combine_nanos,
-        })
-    }
-
-    /// Reads one CHUNK frame, checks its sequence number, and returns the
-    /// body with the 4-byte sequence prefix stripped in place.
-    fn await_chunk(&self, conn: &mut TcpStream, seq: u32) -> Result<Vec<u8>, OpError> {
-        await_chunk_on(conn, self.config.response_timeout, seq)
     }
 
     /// One call from name to decoded bytes with the network transfer and
-    /// the decode **overlapped**: chunks feed an [`IncrementalDecoder`] as
-    /// they arrive, and every segment that becomes resident is dispatched
-    /// to the configured backend (whose thread pool, if any, decodes the
-    /// batch in parallel) while later chunks are still on the wire.
-    ///
-    /// The pipeline is two stages under a bounded in-flight budget
-    /// ([`NetClientConfig::streaming_inflight_chunks`]): the calling thread
-    /// receives and CRC-checks chunks, a scoped decoder thread drains them.
-    /// When the decoder falls behind, the receive loop blocks on the full
-    /// channel — backpressure, not unbounded buffering. The result is
-    /// byte-identical to [`NetClient::fetch_and_decode`]; the streaming CRC
-    /// over the reassembled payload is still verified, and the call fails
-    /// (discarding output) if it mismatches.
+    /// the decode **overlapped**: one [`FetchSession`] on a pooled
+    /// connection, driven through [`FetchSession::decode_streaming`] with
+    /// the configured backend, under this client's retry policy. The
+    /// result is byte-identical to [`NetClient::fetch_and_decode`]. An
+    /// unavailable backend is refused before anything is sent — no retry
+    /// could change it.
     pub fn fetch_and_decode_streaming(
         &self,
         name: &str,
         parallel_segments: u64,
     ) -> Result<StreamedFetch, RecoilError> {
         Self::check_name(name)?;
-        let msg = ContentRequest {
-            name: name.to_string(),
-            parallel_segments,
-        };
-        self.with_conn(true, move |client, conn| {
+        let backend = self.backend.as_ref();
+        ensure_available(backend)?;
+        self.with_conn(true, |client, conn| {
             let t0 = Instant::now();
-            write_frame(conn, FrameType::Request, &msg.encode()).map_err(OpError::Transport)?;
-            let (ty, payload) = client.await_frame(conn)?;
-            if ty != FrameType::Transmit {
-                return Err(OpError::Transport(RecoilError::net(format!(
-                    "expected TRANSMIT, got {ty:?}"
-                ))));
-            }
-            let header = TransmitHeader::decode(&payload).map_err(OpError::Transport)?;
             client
-                .receive_streaming(conn, header, t0)
-                .map_err(|e| match e {
-                    // Mid-stream failures leave unread chunks on the wire:
-                    // the connection is desynchronized either way.
-                    OpError::Remote(e) | OpError::Transport(e) => OpError::Transport(e),
-                })
+                .open(conn, name, parallel_segments)?
+                .decode_streaming(backend, &client.telemetry, t0, |_, err| Err(err))
+                // Mid-stream failures leave unread chunks on the wire.
+                .map_err(OpError::Transport)
         })
     }
 
-    /// The streaming receive/decode pipeline behind
-    /// [`NetClient::fetch_and_decode_streaming`].
-    fn receive_streaming(
+    /// Requests `name` on `conn` (owned, or borrowed from the pool) and
+    /// opens the session its TRANSMIT header describes.
+    fn open<C: BorrowMut<TcpStream>>(
         &self,
-        conn: &mut TcpStream,
-        header: TransmitHeader,
-        t0: Instant,
-    ) -> Result<StreamedFetch, OpError> {
-        let bad = |msg: String| OpError::Transport(RecoilError::net(msg));
+        mut conn: C,
+        name: &str,
+        parallel_segments: u64,
+    ) -> Result<FetchSession<C>, OpError> {
+        let request = ContentRequest {
+            name: name.to_string(),
+            parallel_segments,
+        };
+        let body = request.encode();
+        let reply = self.exchange(
+            conn.borrow_mut(),
+            FrameType::Request,
+            &body,
+            FrameType::Transmit,
+        )?;
+        let header = TransmitHeader::decode(&reply).map_err(OpError::Transport)?;
         let (model, metadata) = validate_transmit_header(&header).map_err(OpError::Transport)?;
-        // Same accounting as `RemoteContent::total_bytes` /
-        // `EncodedStream::payload_bytes`: words + final states + fixed
-        // stream header, plus the metadata blob.
-        let total_bytes = header.word_bytes
-            + header.final_states.len() as u64 * 4
-            + EncodedStream::HEADER_BYTES
-            + header.metadata.len() as u64;
-        let incr = IncrementalDecoder::new(metadata, header.final_states.clone(), model)
-            .map_err(OpError::Transport)?;
-        let backend = self.backend.as_ref();
-        if !backend.is_available() {
-            return Err(OpError::Transport(RecoilError::BackendUnavailable {
-                backend: backend.name(),
-            }));
-        }
-
-        /// How the receive loop ended when it did not fail outright.
-        enum RecvEnd {
-            /// Every chunk arrived and the payload CRC verified.
-            Complete { transfer_nanos: u64 },
-            /// The decoder hung up mid-transfer (its error is authoritative).
-            DecoderClosed,
-        }
-
-        let budget = self.config.streaming_inflight_chunks.max(1);
-        let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(budget);
-        let (recv_result, decode_result) = std::thread::scope(|s| {
-            let decoder = s.spawn(move || -> Result<(Vec<u8>, u64, u64), RecoilError> {
-                let mut incr = incr;
-                // Grown with readiness, never from the declared header: a
-                // hostile server must actually send bytes to make this
-                // allocation happen (the buffered path's invariant).
-                let mut out: Vec<u8> = Vec::new();
-                let mut first: Option<u64> = None;
-                let mut batches = 0u64;
-                let mut drain =
-                    |incr: &mut IncrementalDecoder, out: &mut Vec<u8>| -> Result<(), RecoilError> {
-                        let need = incr.ready_symbols();
-                        if need > out.len() {
-                            out.resize(need, 0);
-                        }
-                        let before = incr.decoded_segments();
-                        incr.decode_ready_segments(backend, out)?;
-                        if incr.decoded_segments() > before {
-                            batches += 1;
-                            if first.is_none() {
-                                first = Some(t0.elapsed().as_nanos() as u64);
-                            }
-                        }
-                        Ok(())
-                    };
-                while let Ok(body) = rx.recv() {
-                    incr.push_bytes(&body)?;
-                    drain(&mut incr, &mut out)?;
-                }
-                // Sender dropped: the transfer finished (possibly with zero
-                // chunks for an empty stream) or the receive loop failed.
-                drain(&mut incr, &mut out)?;
-                if !incr.is_finished() {
-                    return Err(RecoilError::net(
-                        "bitstream transfer ended before every segment arrived",
-                    ));
-                }
-                Ok((
-                    out,
-                    first.unwrap_or_else(|| t0.elapsed().as_nanos() as u64),
-                    batches,
-                ))
-            });
-
-            let recv = (|| -> Result<RecvEnd, OpError> {
-                let mut crc_state = 0xFFFF_FFFFu32;
-                let mut received = 0u64;
-                for seq in 0..header.chunk_count {
-                    let body = self.await_chunk(conn, seq)?;
-                    received += body.len() as u64;
-                    if received > header.word_bytes {
-                        return Err(bad("chunked payload overruns declared size".into()));
-                    }
-                    crc_state = update_crc32(crc_state, &body);
-                    if tx.send(body).is_err() {
-                        return Ok(RecvEnd::DecoderClosed);
-                    }
-                }
-                if received != header.word_bytes {
-                    return Err(bad(format!(
-                        "chunked payload short: {received} of {} bytes",
-                        header.word_bytes
-                    )));
-                }
-                if crc_state ^ 0xFFFF_FFFF != header.payload_crc {
-                    return Err(bad("bitstream payload checksum mismatch".into()));
-                }
-                Ok(RecvEnd::Complete {
-                    transfer_nanos: t0.elapsed().as_nanos() as u64,
-                })
-            })();
-            drop(tx); // unblock the decoder's recv loop
-            let decode = decoder
-                .join()
-                .unwrap_or_else(|_| Err(RecoilError::net("streaming decoder thread panicked")));
-            (recv, decode)
-        });
-
-        match (recv_result, decode_result) {
-            // A real transport failure outranks the decoder's secondary
-            // "transfer ended early" complaint.
-            (Err(e), _) => Err(e),
-            // The receive loop stopped because the decoder hit an error;
-            // that error is the root cause.
-            (Ok(RecvEnd::DecoderClosed), Err(e)) => Err(OpError::Transport(e)),
-            (Ok(RecvEnd::DecoderClosed), Ok(_)) => {
-                Err(bad("decoder hung up without reporting an error".into()))
-            }
-            (Ok(RecvEnd::Complete { .. }), Err(e)) => Err(OpError::Transport(e)),
-            (Ok(RecvEnd::Complete { transfer_nanos }), Ok((data, first, batches))) => {
-                let total_nanos = t0.elapsed().as_nanos() as u64;
-                if self.telemetry.counters_enabled() {
-                    let h = &self.telemetry.hists;
-                    h.stream_first_segment_ns.record(first);
-                    h.stream_transfer_ns.record(transfer_nanos);
-                    h.stream_total_ns.record(total_nanos);
-                    self.telemetry.trace(Stage::StreamFirstSegment, 0, first);
-                }
-                Ok(StreamedFetch {
-                    data,
-                    segments: header.segments,
-                    cache_hit: header.cache_hit,
-                    combine_nanos: header.combine_nanos,
-                    total_bytes,
-                    chunk_count: header.chunk_count,
-                    decode_batches: batches,
-                    first_segment_nanos: first,
-                    transfer_nanos,
-                    total_nanos,
-                })
-            }
-        }
+        let check = PayloadCheck::begin(&header).map_err(OpError::Transport)?;
+        Ok(FetchSession {
+            conn,
+            response_timeout: self.config.response_timeout,
+            request,
+            header,
+            model,
+            metadata,
+            check,
+        })
     }
 
     /// Opens a **dedicated** (never pooled) connection and starts a
-    /// chunked fetch of `name`, resuming after the first `from_word`
-    /// complete words when non-zero (requires the server to have
-    /// negotiated [`CAP_RESUME`]). No retry policy applies: the caller
-    /// owns failure handling — this is the primitive the fabric router
-    /// builds mid-stream failover on, so a died session must surface
-    /// immediately with its partial state still in the caller's hands.
+    /// chunked fetch of `name`. No retry policy applies: the caller owns
+    /// failure handling — this is the primitive the fabric router builds
+    /// mid-stream failover on, so a died connection must surface
+    /// immediately, with the session still in the caller's hands for
+    /// [`FetchSession::resume_on`]. `from_word` must be zero: a session
+    /// checks the *whole* stream's CRC, so it cannot be born mid-stream.
     pub fn start_fetch(
         &self,
         name: &str,
@@ -842,94 +604,274 @@ impl NetClient {
         from_word: u64,
     ) -> Result<FetchSession, RecoilError> {
         Self::check_name(name)?;
-        let mut conn = self.dial()?;
-        if from_word > 0 && self.server_caps.load(Ordering::Relaxed) & CAP_RESUME == 0 {
-            return Err(RecoilError::net(
-                "server did not negotiate the resume capability",
+        if from_word != 0 {
+            return Err(RecoilError::config(
+                "from_word",
+                "a fetch session verifies the whole stream and cannot start mid-stream; \
+                 continue the original session with FetchSession::resume_on",
             ));
         }
-        let (ty, body) = if from_word > 0 {
-            let msg = ResumeRequest {
-                name: name.to_string(),
-                parallel_segments,
-                from_word,
-            };
-            (FrameType::Resume, msg.encode())
-        } else {
-            let msg = ContentRequest {
-                name: name.to_string(),
-                parallel_segments,
-            };
-            (FrameType::Request, msg.encode())
-        };
-        write_frame(&mut conn, ty, &body)?;
-        let (rty, payload) = self.await_frame(&mut conn).map_err(OpError::into_inner)?;
-        if rty != FrameType::Transmit {
-            return Err(RecoilError::net(format!("expected TRANSMIT, got {rty:?}")));
-        }
-        let header = TransmitHeader::decode(&payload)?;
-        let (model, metadata) = validate_transmit_header(&header)?;
-        Ok(FetchSession {
-            conn,
-            response_timeout: self.config.response_timeout,
-            header,
-            model,
-            metadata,
-            next_seq: 0,
-        })
+        self.open(self.dial()?, name, parallel_segments)
+            .map_err(OpError::into_inner)
     }
 }
 
-/// A low-level chunked fetch in progress on its own dedicated connection —
-/// the building block failover is driven with. [`NetClient::start_fetch`]
-/// sends REQUEST (or RESUME for `from_word > 0`) and validates the
-/// TRANSMIT header; the caller then pulls chunk bodies one at a time and
-/// feeds them wherever it likes (typically an
-/// [`IncrementalDecoder`](recoil_core::IncrementalDecoder)), keeping
-/// enough state — words received so far — to resume on another node if
-/// this connection dies mid-stream.
-pub struct FetchSession {
-    conn: TcpStream,
+/// One chunked transfer, from its first TRANSMIT header to the verified
+/// end of the stream — over as many connections as that takes.
+///
+/// The session owns the transfer's payload check (`integrity.rs`), so no
+/// way of draining it can skip one: [`FetchSession::remaining_chunks`]
+/// reaches zero only on a verified stream, and the call that would take
+/// it there returns the typed error instead. When the connection dies,
+/// [`FetchSession::resume_on`] continues **the same session** on another
+/// node: all it needs is the word offset it already holds. `C` is how the
+/// connection is held — owned when dedicated, borrowed from the pool
+/// inside [`NetClient::request`] / [`NetClient::fetch_and_decode_streaming`].
+pub struct FetchSession<C = TcpStream> {
+    conn: C,
     response_timeout: Duration,
-    /// The validated TRANSMIT header. On a resumed serve it still carries
-    /// **whole-stream** geometry and payload CRC (for cross-checking
-    /// against the pre-failure header); only `chunk_count` is trimmed to
-    /// the remaining words.
+    request: ContentRequest,
+    /// The validated TRANSMIT header the transfer began with.
     pub header: TransmitHeader,
     /// The static model rebuilt from the transmitted frequencies.
     pub model: StaticModelProvider,
     /// Parsed shrunk metadata for the requested capacity.
     pub metadata: RecoilMetadata,
-    next_seq: u32,
+    check: PayloadCheck,
 }
 
 impl FetchSession {
-    /// CHUNK frames this session has not received yet.
-    pub fn remaining_chunks(&self) -> u32 {
-        self.header.chunk_count - self.next_seq
-    }
-
-    /// Receives the next CHUNK body (sequence-checked, 4-byte prefix
-    /// stripped). Call until [`FetchSession::remaining_chunks`] is zero.
-    pub fn next_chunk(&mut self) -> Result<Vec<u8>, RecoilError> {
-        let body = await_chunk_on(&mut self.conn, self.response_timeout, self.next_seq)
+    /// Continues this transfer on `client`'s node after the current
+    /// connection died: dials a dedicated connection, sends RESUME at
+    /// [`FetchSession::words_received`], and accepts the node only if its
+    /// header declares the same stream (size and CRC) the first one did.
+    /// On an error the session is unchanged, so the next node can be tried.
+    pub fn resume_on(&mut self, client: &NetClient) -> Result<(), RecoilError> {
+        let mut conn = client.dial()?;
+        if client.server_caps.load(Ordering::Relaxed) & CAP_RESUME == 0 {
+            return Err(RecoilError::net(
+                "server did not negotiate the resume capability",
+            ));
+        }
+        let resume = ResumeRequest {
+            name: self.request.name.clone(),
+            parallel_segments: self.request.parallel_segments,
+            from_word: self.words_received(),
+        };
+        let reply = client
+            .exchange(
+                &mut conn,
+                FrameType::Resume,
+                &resume.encode(),
+                FrameType::Transmit,
+            )
             .map_err(OpError::into_inner)?;
-        self.next_seq += 1;
-        Ok(body)
+        let header = TransmitHeader::decode(&reply)?;
+        self.check.resume(&header)?;
+        self.conn = conn;
+        self.response_timeout = client.config.response_timeout;
+        Ok(())
     }
 }
 
-impl std::fmt::Debug for FetchSession {
+impl<C: BorrowMut<TcpStream>> FetchSession<C> {
+    /// CHUNK frames the current connection still owes. Zero means the
+    /// transfer is complete and verified.
+    pub fn remaining_chunks(&self) -> u32 {
+        self.check.remaining_chunks()
+    }
+
+    /// Complete bitstream words received and accepted so far, over every
+    /// connection: the offset a RESUME continues from.
+    pub fn words_received(&self) -> u64 {
+        self.check.words_received()
+    }
+
+    /// Receives the next CHUNK body (4-byte sequence prefix stripped),
+    /// checked against the transfer so far; the body that completes the
+    /// stream is returned only if the whole stream verifies. Call until
+    /// [`FetchSession::remaining_chunks`] is zero.
+    pub fn next_chunk(&mut self) -> Result<Vec<u8>, RecoilError> {
+        let payload = self.recv_chunk()?;
+        self.check.accept(payload)
+    }
+
+    /// Reads the next CHUNK frame off the wire. This fails with the
+    /// *connection*, never with the stream: nothing has been accepted yet.
+    fn recv_chunk(&mut self) -> Result<Vec<u8>, RecoilError> {
+        match await_frame_on(self.conn.borrow_mut(), self.response_timeout) {
+            Ok((FrameType::Chunk, payload)) => Ok(payload),
+            Ok((ty, _)) => Err(RecoilError::net(format!("expected CHUNK, got {ty:?}"))),
+            Err(e) => Err(e.into_inner()),
+        }
+    }
+
+    /// Drains the session into a word store and rebuilds validated decode
+    /// inputs: the buffered fetch.
+    fn into_content(mut self) -> Result<RemoteContent, RecoilError> {
+        let reserve = usize::try_from(self.header.word_bytes / 2).unwrap_or(usize::MAX);
+        let mut words = Vec::with_capacity(reserve.min(MAX_RESERVED_WORDS));
+        // A chunk body may end mid-word; its last byte waits here.
+        let mut carry = None;
+        while self.remaining_chunks() > 0 {
+            carry = extend_words_from_le(&mut words, carry, &self.next_chunk()?);
+        }
+        let header = self.header;
+        let stream = EncodedStream {
+            words,
+            final_states: header.final_states,
+            num_symbols: header.num_symbols,
+            ways: header.ways,
+        };
+        stream
+            .validate()
+            .map_err(|e| RecoilError::net(format!("received stream is inconsistent: {e}")))?;
+        self.metadata
+            .validate_against(&stream)
+            .map_err(|e| RecoilError::net(format!("received metadata is inconsistent: {e}")))?;
+        Ok(RemoteContent {
+            stream,
+            metadata: self.metadata,
+            metadata_bytes: header.metadata,
+            model: self.model,
+            segments: header.segments,
+            cache_hit: header.cache_hit,
+            combine_nanos: header.combine_nanos,
+        })
+    }
+
+    /// Drives the session to the end of the stream with the transfer and
+    /// the decode **overlapped** — the one place an
+    /// [`IncrementalDecoder`] is fed from the network.
+    ///
+    /// Two stages under a bounded in-flight budget: the calling thread
+    /// receives chunks and runs the payload check, a scoped decoder thread
+    /// dispatches every segment that became resident to `backend` (whose
+    /// thread pool, if any, decodes the batch in parallel) while later
+    /// chunks are still on the wire. A decoder that falls behind blocks the
+    /// receive loop on the full channel: backpressure, not buffering.
+    ///
+    /// `recover` is called when the *connection* fails mid-stream: return
+    /// `Ok` after [`FetchSession::resume_on`] moved the session to another
+    /// node and the pipeline carries on, or the error to give up. A stream
+    /// that fails the payload check is never recoverable. Latencies count
+    /// from `t0` (the caller's request start) and land in `telemetry`'s
+    /// `stream_*_ns` histograms on success.
+    pub fn decode_streaming(
+        mut self,
+        backend: &dyn DecodeBackend,
+        telemetry: &Telemetry,
+        t0: Instant,
+        mut recover: impl FnMut(&mut Self, RecoilError) -> Result<(), RecoilError>,
+    ) -> Result<StreamedFetch, RecoilError> {
+        let since = move || t0.elapsed().as_nanos() as u64;
+        let mut incr = IncrementalDecoder::new(
+            self.metadata.clone(),
+            self.header.final_states.clone(),
+            self.model.clone(),
+        )?;
+        let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(STREAMING_INFLIGHT_CHUNKS);
+        let (received, decoded) = std::thread::scope(|s| {
+            let decoder = s.spawn(move || -> Result<(Vec<u8>, u64, u64, u64), RecoilError> {
+                // Grown with readiness, never from the declared header: a
+                // hostile server must actually send bytes to make this
+                // allocation happen (the buffered path's invariant).
+                let mut out: Vec<u8> = Vec::new();
+                let mut first: Option<u64> = None;
+                let mut batches = 0u64;
+                loop {
+                    let need = incr.ready_symbols();
+                    if need > out.len() {
+                        out.resize(need, 0);
+                    }
+                    let before = incr.decoded_segments();
+                    incr.decode_ready_segments(backend, &mut out)?;
+                    if incr.decoded_segments() > before {
+                        batches += 1;
+                        first.get_or_insert_with(since);
+                    }
+                    // Sender dropped: the transfer finished (possibly with
+                    // zero chunks for an empty stream) or the receive loop
+                    // failed.
+                    let Ok(body) = rx.recv() else { break };
+                    incr.push_bytes(&body)?;
+                }
+                if !incr.is_finished() {
+                    return Err(RecoilError::net(
+                        "bitstream transfer ended before every segment arrived",
+                    ));
+                }
+                let first = first.unwrap_or_else(since);
+                Ok((out, first, batches, incr.payload_bytes()))
+            });
+
+            // `None`: the decoder hung up mid-transfer.
+            let received = (|| -> Result<Option<u64>, RecoilError> {
+                while self.remaining_chunks() > 0 {
+                    let payload = match self.recv_chunk() {
+                        Ok(payload) => payload,
+                        Err(err) => {
+                            recover(&mut self, err)?;
+                            continue;
+                        }
+                    };
+                    if tx.send(self.check.accept(payload)?).is_err() {
+                        return Ok(None);
+                    }
+                }
+                Ok(Some(since()))
+            })();
+            drop(tx); // unblock the decoder's recv loop
+            let decoded = decoder
+                .join()
+                .unwrap_or_else(|_| Err(RecoilError::net("streaming decoder thread panicked")));
+            (received, decoded)
+        });
+
+        // Precedence: a real transport or integrity failure outranks the
+        // decoder's secondary "transfer ended early" complaint; if the
+        // receive loop stopped because the decoder failed, that error is
+        // the root cause.
+        let received = received?;
+        let (data, first_segment_nanos, decode_batches, payload_bytes) = decoded?;
+        let transfer_nanos = received
+            .ok_or_else(|| RecoilError::net("decoder hung up without reporting an error"))?;
+        let total_nanos = since();
+        if telemetry.counters_enabled() {
+            let h = &telemetry.hists;
+            h.stream_first_segment_ns.record(first_segment_nanos);
+            h.stream_transfer_ns.record(transfer_nanos);
+            h.stream_total_ns.record(total_nanos);
+            telemetry.trace(Stage::StreamFirstSegment, 0, first_segment_nanos);
+        }
+        Ok(StreamedFetch {
+            data,
+            segments: self.header.segments,
+            cache_hit: self.header.cache_hit,
+            combine_nanos: self.header.combine_nanos,
+            total_bytes: payload_bytes + self.header.metadata.len() as u64,
+            chunk_count: self.header.chunk_count,
+            decode_batches,
+            first_segment_nanos,
+            transfer_nanos,
+            total_nanos,
+        })
+    }
+}
+
+impl<C> std::fmt::Debug for FetchSession<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FetchSession")
-            .field("chunks", &self.header.chunk_count)
-            .field("next_seq", &self.next_seq)
+            .field("name", &self.request.name)
+            .field("check", &self.check)
             .finish()
     }
 }
 
-/// The free-function core of [`NetClient::await_frame`], shared with
-/// [`FetchSession`] (which outlives the client call that opened it).
+/// Blocks until a non-idle frame arrives (bounded by `response_timeout`);
+/// `Error` frames come back as [`OpError::Remote`] carrying the decoded
+/// [`RecoilError`], anything that breaks the transport as
+/// [`OpError::Transport`].
 fn await_frame_on(
     conn: &mut TcpStream,
     response_timeout: Duration,
@@ -955,98 +897,6 @@ fn await_frame_on(
             }
         }
     }
-}
-
-/// The free-function core of [`NetClient::await_chunk`], shared with
-/// [`FetchSession`].
-fn await_chunk_on(
-    conn: &mut TcpStream,
-    response_timeout: Duration,
-    seq: u32,
-) -> Result<Vec<u8>, OpError> {
-    let bad = |msg: String| OpError::Transport(RecoilError::net(msg));
-    let (ty, mut payload) = await_frame_on(conn, response_timeout)?;
-    if ty != FrameType::Chunk {
-        return Err(bad(format!("expected CHUNK, got {ty:?}")));
-    }
-    if payload.len() < 4 {
-        return Err(bad("chunk frame too short".into()));
-    }
-    let got_seq = u32::from_le_bytes(payload[..4].try_into().expect("4"));
-    if got_seq != seq {
-        return Err(bad(format!(
-            "chunk sequence mismatch: expected {seq}, got {got_seq}"
-        )));
-    }
-    // In place: the frame's own buffer, shifted down over the prefix.
-    payload.drain(..4);
-    Ok(payload)
-}
-
-/// Validates a TRANSMIT header before any chunk bytes arrive and returns
-/// the rebuilt model plus the parsed shrunk metadata — the shared front
-/// half of the buffered and streaming receive paths, public so callers
-/// driving [`FetchSession`]-level resume (the fabric router) can
-/// cross-check a replica's header against the original.
-///
-/// The checks mirror the container file parser: an information-capacity
-/// bound so a hostile header cannot drive the decode-side allocation, the
-/// quantizer invariants on the transmitted frequencies, the metadata's own
-/// CRC footer, and the metadata's geometry against the header's.
-pub fn validate_transmit_header(
-    header: &TransmitHeader,
-) -> Result<(StaticModelProvider, RecoilMetadata), RecoilError> {
-    let bad = |msg: String| RecoilError::net(msg);
-    if !header.word_bytes.is_multiple_of(2) {
-        return Err(bad("odd bitstream byte count".into()));
-    }
-    let n = header.quant_bits;
-    if n == 0 || n > 16 {
-        return Err(bad(format!("bad quantization level {n}")));
-    }
-    let min_bits = ((1u64 << n) as f64).log2() - ((1u64 << n) as f64 - 1.0).log2();
-    let capacity_bits = 8.0 * header.word_bytes as f64 + 16.0 * header.ways as f64;
-    if header.num_symbols as f64 * min_bits > capacity_bits * 1.001 + 64.0 {
-        return Err(bad(format!(
-            "symbol count {} impossible for {} bitstream bytes",
-            header.num_symbols, header.word_bytes
-        )));
-    }
-
-    // Model reconstruction with the container parser's invariants.
-    let freqs: Vec<u32> = header.freqs.iter().map(|&f| f as u32).collect();
-    if freqs.is_empty() {
-        return Err(bad("empty model frequency table".into()));
-    }
-    let sum: u64 = freqs.iter().map(|&f| f as u64).sum();
-    if sum != 1 << n {
-        return Err(bad(format!(
-            "model frequencies sum to {sum}, expected 2^{n}"
-        )));
-    }
-    if freqs.iter().any(|&f| (f as u64) >= (1u64 << n)) {
-        return Err(bad("model frequency reaches 2^n".into()));
-    }
-    let model = StaticModelProvider::new(CdfTable::from_freqs(freqs, n));
-
-    // Metadata bytes carry their own CRC footer; this parses + checks.
-    let metadata = metadata_from_bytes(&header.metadata)?;
-    if metadata.ways != header.ways
-        || metadata.num_symbols != header.num_symbols
-        || metadata.num_words * 2 != header.word_bytes
-    {
-        return Err(bad(format!(
-            "metadata (W={}, N={}, B={}) does not match the transmit header \
-             (W={}, N={}, B={})",
-            metadata.ways,
-            metadata.num_symbols,
-            metadata.num_words,
-            header.ways,
-            header.num_symbols,
-            header.word_bytes / 2
-        )));
-    }
-    Ok((model, metadata))
 }
 
 impl std::fmt::Debug for NetClient {

@@ -1,0 +1,420 @@
+//! The payload integrity rule: what a receiver must check before it may
+//! call a chunked transfer complete.
+//!
+//! A TRANSMIT header declares the word stream (`word_bytes`, whole-stream
+//! `payload_crc`) and how many CHUNK frames carry it on this connection;
+//! the rule is that those frames arrive in sequence, never carry more than
+//! was declared, end exactly at the declared size, and reassemble to the
+//! declared CRC-32 — and that when a transfer continues on another node
+//! (RESUME at the word offset already held), the new node's header
+//! declares the same stream, or the two are not spliced.
+//!
+//! [`PayloadCheck`] is that rule and nothing else: no socket, no clock, no
+//! decoder. CHUNK payloads and TRANSMIT headers go in; verified bodies and
+//! the resume offset come out. [`crate::FetchSession`] owns one for the
+//! life of a transfer, across every connection it uses, so every fetch —
+//! buffered, streaming, or failed over — passes the same check.
+
+use crate::proto::TransmitHeader;
+use recoil_core::{
+    checked_cdf_table, metadata_from_bytes, symbols_fit, update_crc32, RecoilError, RecoilMetadata,
+};
+use recoil_models::StaticModelProvider;
+
+/// Running state of the integrity rule for one transfer.
+#[derive(Debug)]
+pub(crate) struct PayloadCheck {
+    word_bytes: u64,
+    payload_crc: u32,
+    /// Bitstream bytes accepted so far, over every connection.
+    received: u64,
+    crc_state: u32,
+    /// CHUNK frames the current connection's header announced / delivered.
+    chunk_count: u32,
+    next_seq: u32,
+}
+
+impl PayloadCheck {
+    /// Starts the rule from a transfer's first header. A stream that
+    /// arrives in zero chunks is verified here, on the spot.
+    pub(crate) fn begin(header: &TransmitHeader) -> Result<Self, RecoilError> {
+        let check = Self {
+            word_bytes: header.word_bytes,
+            payload_crc: header.payload_crc,
+            received: 0,
+            crc_state: 0xFFFF_FFFF,
+            chunk_count: header.chunk_count,
+            next_seq: 0,
+        };
+        check.verify_if_drained()?;
+        Ok(check)
+    }
+
+    /// Continues the transfer under another node's header, whose chunk
+    /// plan covers the words past [`PayloadCheck::words_received`] and
+    /// which must declare the stream the first one did: a node that
+    /// disagrees serves different content, and would splice two streams.
+    pub(crate) fn resume(&mut self, header: &TransmitHeader) -> Result<(), RecoilError> {
+        if header.word_bytes != self.word_bytes || header.payload_crc != self.payload_crc {
+            return Err(RecoilError::net(
+                "resumed node serves different content (stream size or CRC disagrees \
+                 with the original header); refusing to splice streams",
+            ));
+        }
+        self.chunk_count = header.chunk_count;
+        self.next_seq = 0;
+        self.verify_if_drained()
+    }
+
+    /// Takes one CHUNK frame payload (`[seq: u32 LE][body]`) and returns
+    /// the body with the prefix stripped in place. A frame out of sequence
+    /// or over the declared size is rejected with the state untouched; the
+    /// frame that drains the chunk plan also has to close the stream.
+    pub(crate) fn accept(&mut self, mut payload: Vec<u8>) -> Result<Vec<u8>, RecoilError> {
+        let Some(seq) = payload.first_chunk::<4>().map(|b| u32::from_le_bytes(*b)) else {
+            return Err(RecoilError::net("chunk frame too short"));
+        };
+        if self.next_seq >= self.chunk_count || seq != self.next_seq {
+            return Err(RecoilError::net(format!(
+                "chunk sequence mismatch: expected {} of {}, got {seq}",
+                self.next_seq, self.chunk_count
+            )));
+        }
+        // In place: the frame's own buffer, shifted down over the prefix.
+        payload.drain(..4);
+        let received = self.received + payload.len() as u64;
+        if received > self.word_bytes {
+            return Err(RecoilError::net("chunked payload overruns declared size"));
+        }
+        self.received = received;
+        self.crc_state = update_crc32(self.crc_state, &payload);
+        self.next_seq += 1;
+        self.verify_if_drained()?;
+        Ok(payload)
+    }
+
+    /// Once the current chunk plan is exhausted the stream must be whole.
+    fn verify_if_drained(&self) -> Result<(), RecoilError> {
+        if self.next_seq < self.chunk_count {
+            return Ok(());
+        }
+        if self.received != self.word_bytes {
+            return Err(RecoilError::net(format!(
+                "chunked payload short: {} of {} bytes",
+                self.received, self.word_bytes
+            )));
+        }
+        if self.crc_state ^ 0xFFFF_FFFF != self.payload_crc {
+            return Err(RecoilError::net("bitstream payload checksum mismatch"));
+        }
+        Ok(())
+    }
+
+    /// CHUNK frames the current connection still owes. Zero means complete
+    /// **and verified**: the call that takes it to zero returns the
+    /// verification error instead.
+    pub(crate) fn remaining_chunks(&self) -> u32 {
+        self.chunk_count - self.next_seq
+    }
+
+    /// Complete words held so far: the RESUME offset.
+    pub(crate) fn words_received(&self) -> u64 {
+        self.received / 2
+    }
+}
+
+/// Validates a TRANSMIT header before any chunk bytes arrive and returns
+/// the rebuilt model plus the parsed shrunk metadata.
+///
+/// The checks are the container file parser's: the information-capacity
+/// bound ([`recoil_core::symbols_fit`]) so a hostile header cannot drive
+/// the decode-side allocation, the quantizer invariants on the transmitted
+/// frequencies ([`recoil_core::checked_cdf_table`]), the metadata's own CRC
+/// footer, and the metadata's geometry against the header's.
+pub fn validate_transmit_header(
+    header: &TransmitHeader,
+) -> Result<(StaticModelProvider, RecoilMetadata), RecoilError> {
+    if !header.word_bytes.is_multiple_of(2) {
+        return Err(RecoilError::net("odd bitstream byte count"));
+    }
+    let num_words = header.word_bytes / 2;
+    let (n, ways, symbols) = (header.quant_bits, header.ways, header.num_symbols);
+    if !symbols_fit(n, ways, symbols, num_words) {
+        return Err(RecoilError::net(format!(
+            "symbol count {symbols} impossible for {} bitstream bytes",
+            header.word_bytes
+        )));
+    }
+    let freqs = header.freqs.iter().map(|&f| u32::from(f)).collect();
+    let table = checked_cdf_table(freqs, n).map_err(RecoilError::net)?;
+
+    // Metadata bytes carry their own CRC footer; this parses + checks.
+    let metadata = metadata_from_bytes(&header.metadata)?;
+    if (metadata.ways, metadata.num_symbols, metadata.num_words) != (ways, symbols, num_words) {
+        return Err(RecoilError::net(format!(
+            "metadata (W={}, N={}, B={}) does not match the transmit header \
+             (W={ways}, N={symbols}, B={num_words})",
+            metadata.ways, metadata.num_symbols, metadata.num_words,
+        )));
+    }
+    Ok((StaticModelProvider::new(table), metadata))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use recoil_core::codec::Codec;
+    use recoil_core::{crc32, metadata_to_bytes, plan_chunks};
+    use recoil_rans::{append_words_le, extend_words_from_le};
+
+    /// A real encode cut the way the server cuts it: the TRANSMIT header
+    /// and the CHUNK bodies of an 8-segment, ~1 KiB-chunk transmission.
+    struct Cut {
+        header: TransmitHeader,
+        bodies: Vec<Vec<u8>>,
+        words: Vec<u16>,
+    }
+
+    fn cut() -> Cut {
+        let data: Vec<u8> = (0..40_000u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 23) as u8)
+            .collect();
+        let enc = Codec::builder()
+            .max_segments(8)
+            .build()
+            .unwrap()
+            .encode(&data)
+            .unwrap();
+        let stream = &enc.container.stream;
+        let bodies: Vec<Vec<u8>> = plan_chunks(&enc.container.metadata, 1024)
+            .chunks
+            .iter()
+            .map(|c| {
+                let mut body = Vec::new();
+                append_words_le(
+                    &mut body,
+                    &stream.words[c.words.start as usize..c.words.end as usize],
+                );
+                body
+            })
+            .collect();
+        assert!(bodies.len() >= 8, "{} chunks", bodies.len());
+        let table = enc.model.table();
+        let header = TransmitHeader {
+            segments: enc.container.metadata.num_segments(),
+            cache_hit: false,
+            combine_nanos: 0,
+            metadata: metadata_to_bytes(&enc.container.metadata),
+            quant_bits: table.quant_bits(),
+            freqs: (0..table.alphabet_size())
+                .map(|s| table.freq(s) as u16)
+                .collect(),
+            ways: stream.ways,
+            num_symbols: stream.num_symbols,
+            final_states: stream.final_states.clone(),
+            word_bytes: stream.words.len() as u64 * 2,
+            payload_crc: crc32(&bodies.concat()),
+            chunk_count: bodies.len() as u32,
+        };
+        validate_transmit_header(&header).unwrap();
+        Cut {
+            header,
+            bodies,
+            words: stream.words.clone(),
+        }
+    }
+
+    fn frame(seq: u32, body: &[u8]) -> Vec<u8> {
+        let mut payload = seq.to_le_bytes().to_vec();
+        payload.extend_from_slice(body);
+        payload
+    }
+
+    /// Feeds `bodies` as frames 0.. of the current plan, collecting words.
+    fn feed(
+        check: &mut PayloadCheck,
+        bodies: &[Vec<u8>],
+        words: &mut Vec<u16>,
+        carry: &mut Option<u8>,
+    ) -> Result<(), RecoilError> {
+        for (seq, body) in bodies.iter().enumerate() {
+            let body = check.accept(frame(seq as u32, body))?;
+            *carry = extend_words_from_le(words, *carry, &body);
+        }
+        Ok(())
+    }
+
+    fn detail(err: RecoilError) -> String {
+        match err {
+            RecoilError::Net { detail } => detail,
+            other => panic!("expected a typed Net error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn resume_at_every_chunk_boundary_reaches_the_same_verified_words() {
+        let cut = cut();
+        for at in 0..=cut.bodies.len() {
+            let (mut words, mut carry) = (Vec::new(), None);
+            let mut check = PayloadCheck::begin(&cut.header).unwrap();
+            // The first "node" dies after `at` chunks…
+            feed(&mut check, &cut.bodies[..at], &mut words, &mut carry).unwrap();
+            if at < cut.bodies.len() {
+                assert!(check.remaining_chunks() > 0, "cut {at}: not complete yet");
+                // …and the second serves the rest, renumbered from zero.
+                assert_eq!(check.words_received(), words.len() as u64);
+                let resumed = TransmitHeader {
+                    chunk_count: (cut.bodies.len() - at) as u32,
+                    ..cut.header.clone()
+                };
+                check.resume(&resumed).unwrap();
+                feed(&mut check, &cut.bodies[at..], &mut words, &mut carry).unwrap();
+            }
+            assert_eq!(check.remaining_chunks(), 0, "cut {at}");
+            assert_eq!((words, carry), (cut.words.clone(), None), "cut {at}");
+        }
+    }
+
+    #[test]
+    fn a_resume_with_nothing_left_still_verifies() {
+        let cut = cut();
+        let mut check = PayloadCheck::begin(&cut.header).unwrap();
+        let last = cut.bodies.len() - 1;
+        let (mut words, mut carry) = (Vec::new(), None);
+        feed(&mut check, &cut.bodies[..last], &mut words, &mut carry).unwrap();
+        // A node that claims there is nothing left to send is caught short.
+        let empty = TransmitHeader {
+            chunk_count: 0,
+            ..cut.header.clone()
+        };
+        assert!(detail(check.resume(&empty).unwrap_err()).contains("short"));
+        // And an empty stream is verified by `begin` itself.
+        let none = TransmitHeader {
+            word_bytes: 0,
+            payload_crc: 0,
+            chunk_count: 0,
+            ..cut.header.clone()
+        };
+        assert_eq!(PayloadCheck::begin(&none).unwrap().remaining_chunks(), 0);
+        let bad_crc = TransmitHeader {
+            payload_crc: 1,
+            ..none
+        };
+        assert!(detail(PayloadCheck::begin(&bad_crc).unwrap_err()).contains("checksum"));
+    }
+
+    #[test]
+    fn sequence_and_size_violations_are_typed_errors() {
+        let cut = cut();
+        let n = cut.bodies.len();
+        let (mut words, mut carry) = (Vec::new(), None);
+
+        // A skipped sequence number — and the state is untouched by it.
+        let mut check = PayloadCheck::begin(&cut.header).unwrap();
+        let err = check.accept(frame(1, &cut.bodies[1])).unwrap_err();
+        assert!(detail(err).contains("sequence"));
+        assert!(detail(check.accept(vec![0, 0]).unwrap_err()).contains("too short"));
+        feed(&mut check, &cut.bodies, &mut words, &mut carry).unwrap();
+        assert_eq!(words, cut.words);
+        // Nothing is accepted past the announced plan.
+        let err = check.accept(frame(n as u32, &[])).unwrap_err();
+        assert!(detail(err).contains("sequence"));
+
+        // One byte over: the last body grew.
+        let mut check = PayloadCheck::begin(&cut.header).unwrap();
+        feed(&mut check, &cut.bodies[..n - 1], &mut words, &mut carry).unwrap();
+        let mut over = cut.bodies[n - 1].clone();
+        over.push(0);
+        let err = check.accept(frame(n as u32 - 1, &over)).unwrap_err();
+        assert!(detail(err).contains("overruns"));
+
+        // One byte short: the last body shrank.
+        let mut check = PayloadCheck::begin(&cut.header).unwrap();
+        feed(&mut check, &cut.bodies[..n - 1], &mut words, &mut carry).unwrap();
+        let short = &cut.bodies[n - 1][..cut.bodies[n - 1].len() - 1];
+        let err = check.accept(frame(n as u32 - 1, short)).unwrap_err();
+        assert!(detail(err).contains("short"));
+    }
+
+    #[test]
+    fn a_flipped_bit_in_the_first_or_last_body_fails_the_checksum() {
+        let cut = cut();
+        let n = cut.bodies.len();
+        for (which, byte) in [(0, 0), (n - 1, cut.bodies[n - 1].len() - 1)] {
+            let mut bodies = cut.bodies.clone();
+            bodies[which][byte] ^= 0x40;
+            let mut check = PayloadCheck::begin(&cut.header).unwrap();
+            let (mut words, mut carry) = (Vec::new(), None);
+            // Every frame but the last is accepted; the last one closes
+            // the stream and carries the verdict.
+            feed(&mut check, &bodies[..n - 1], &mut words, &mut carry).unwrap();
+            let err = check
+                .accept(frame(n as u32 - 1, &bodies[n - 1]))
+                .unwrap_err();
+            assert!(detail(err).contains("checksum"), "body {which}");
+        }
+    }
+
+    #[test]
+    fn odd_length_bodies_reassemble_through_the_carry() {
+        let cut = cut();
+        let payload = cut.bodies.concat();
+        // Same bytes, cut mid-word twice.
+        let bodies = vec![
+            payload[..101].to_vec(),
+            payload[101..158].to_vec(),
+            payload[158..].to_vec(),
+        ];
+        let header = TransmitHeader {
+            chunk_count: 3,
+            ..cut.header.clone()
+        };
+        let mut check = PayloadCheck::begin(&header).unwrap();
+        let (mut words, mut carry) = (Vec::new(), None);
+        feed(&mut check, &bodies, &mut words, &mut carry).unwrap();
+        assert_eq!((words, carry), (cut.words.clone(), None));
+
+        // A resume from mid-word re-sends the split word's first byte
+        // (offsets are whole words): the checksum catches the splice.
+        let mut check = PayloadCheck::begin(&header).unwrap();
+        check.accept(frame(0, &bodies[0])).unwrap();
+        assert_eq!(check.words_received(), 50);
+        let resumed = TransmitHeader {
+            chunk_count: 1,
+            ..header.clone()
+        };
+        check.resume(&resumed).unwrap();
+        let err = check.accept(frame(0, &payload[100..])).unwrap_err();
+        assert!(detail(err).contains("overruns"));
+    }
+
+    #[test]
+    fn a_second_header_that_disagrees_is_refused() {
+        let cut = cut();
+        let mut check = PayloadCheck::begin(&cut.header).unwrap();
+        check.accept(frame(0, &cut.bodies[0])).unwrap();
+        let held = check.words_received();
+        for evil in [
+            TransmitHeader {
+                word_bytes: cut.header.word_bytes + 2,
+                ..cut.header.clone()
+            },
+            TransmitHeader {
+                payload_crc: cut.header.payload_crc ^ 1,
+                ..cut.header.clone()
+            },
+        ] {
+            assert!(detail(check.resume(&evil).unwrap_err()).contains("refusing to splice"));
+        }
+        // The refusal cost nothing: the transfer continues on a node that
+        // agrees.
+        let agreeing = TransmitHeader {
+            chunk_count: cut.header.chunk_count - 1,
+            ..cut.header.clone()
+        };
+        check.resume(&agreeing).unwrap();
+        let (mut words, mut carry) = (Vec::new(), None);
+        feed(&mut check, &cut.bodies[1..], &mut words, &mut carry).unwrap();
+        assert_eq!(held + words.len() as u64, cut.words.len() as u64);
+    }
+}

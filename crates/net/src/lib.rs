@@ -51,34 +51,44 @@
 //! makes this cheap: segment *m* is decodable once `splits[m].offset + 1`
 //! words arrived, so readiness is a strict prefix of the word stream and a
 //! byte offset *is* a resume point — no per-segment state to rebuild, no
-//! interleaved stream to unpick. The fabric crate's failover path uses
-//! this to continue a fetch on a replica mid-stream, byte-identical to an
-//! undisturbed fetch, without re-sending segments the client already
-//! decoded.
+//! interleaved stream to unpick. On the client this is
+//! [`FetchSession::resume_on`]: the same session — same payload check, same
+//! decoder — continues on another node, which is accepted only if its
+//! header declares the stream the first one did. The fabric crate's
+//! failover path is that call.
 //!
 //! ## Fault injection
 //!
 //! [`NetConfig::fault_plan`] arms a deterministic [`FaultPlan`] on a
 //! server: reset every accept, delay or tear each write syscall, or sever
 //! connections at a fixed response-byte offset (a mid-stream crash). Plans
-//! are plain data with seeded constructors, so the chaos suite and
-//! `bench net --chaos` replay the same failures on every run.
+//! are plain data with seeded constructors, so the chaos suite and the
+//! ladder's `fabric_failover` workload replay the same failures on every
+//! run.
 //!
 //! ## Streaming pipelined decode
 //!
 //! Chunk boundaries are not arbitrary: the server cuts the bitstream with
 //! the **split-aligned chunk plan** ([`recoil_core::plan_chunks`]) for the
 //! served metadata tier, so each chunk completes whole decode segments.
-//! [`NetClient::fetch_and_decode_streaming`] exploits that: arriving chunks
-//! feed a [`recoil_core::IncrementalDecoder`] and every newly resident
-//! segment is decoded — through the client's configured backend and its
-//! thread pool — while later chunks are still on the wire. A bounded
-//! in-flight chunk budget ([`NetClientConfig::streaming_inflight_chunks`])
-//! gives backpressure instead of unbounded buffering; the streaming CRC
-//! check is preserved, and the decoded bytes are guaranteed byte-identical
-//! to the buffered [`NetClient::fetch_and_decode`] path. The returned
+//! [`FetchSession::decode_streaming`] exploits that: arriving chunks feed
+//! a [`recoil_core::IncrementalDecoder`] and every newly resident segment
+//! is decoded — through the given backend and its thread pool — while
+//! later chunks are still on the wire, under a bounded in-flight chunk
+//! budget (backpressure instead of unbounded buffering). It is the one
+//! place the network drives a decoder:
+//! [`NetClient::fetch_and_decode_streaming`] runs it on a pooled
+//! connection under the retry policy, the fabric router with a failover
+//! hook. The decoded bytes are byte-identical to the buffered
+//! [`NetClient::fetch_and_decode`] path, and the returned
 //! [`StreamedFetch`] reports time-to-first-segment, transfer, and total
 //! latency so callers can see how much decode time the transfer hid.
+//!
+//! Every fetch is one [`FetchSession`], which owns the *payload integrity
+//! rule* (`integrity.rs`: chunk sequence, byte accounting, overrun/short,
+//! whole-stream CRC-32, a resumed node's header agreeing with the first)
+//! as a socket-free, clock-free state machine; every public way to drain
+//! a session goes through it, so no transfer can complete unverified.
 //!
 //! ## Server concurrency model
 //!
@@ -162,18 +172,17 @@
 mod client;
 mod fault;
 mod frame;
+mod integrity;
 mod proto;
 mod server;
 
-pub use client::{
-    validate_transmit_header, FetchSession, NetClient, NetClientConfig, RemoteContent,
-    StreamedFetch,
-};
+pub use client::{FetchSession, NetClient, NetClientConfig, RemoteContent, StreamedFetch};
 pub use fault::{splitmix64, FaultPlan};
 pub use frame::{
     FrameType, CAP_CHUNKED, CAP_RESUME, CAP_TELEMETRY, HELLO_MAGIC, MAX_FRAME_LEN,
     PROTOCOL_VERSION, SUPPORTED_CAPS,
 };
+pub use integrity::validate_transmit_header;
 pub use proto::{
     ContentRequest, Hello, PublishOk, PublishRequest, ResumeRequest, StatsReply, TelemetryReply,
     TransmitHeader,

@@ -358,33 +358,46 @@ fn crc_corrupted_chunk_stream_is_a_typed_error_on_both_paths() {
             finish_hostile(addr, handle);
         }
 
-        // `FetchSession` hands bodies to its caller, who owns the CRC (the
-        // fabric router): the bodies must be the wire bytes exactly — flip
-        // included, nothing of the prefix left in or of the body cut off —
-        // and so must fail the header's checksum.
-        for (script, flipped) in [(&good, None), (&evil, Some(payload_at))] {
+        // `FetchSession` owns the payload check: the bodies it hands out
+        // are the wire bytes exactly — nothing of the prefix left in or of
+        // the body cut off — and on the flipped capture the body that would
+        // complete the stream is withheld for the checksum error instead.
+        for (script, flipped) in [(&good, false), (&evil, true)] {
             let (addr, handle) = hostile_server(script.clone(), 4);
             // No probe connection: the replay server takes one connection
             // at a time, and the session dials its own.
             let client = NetClient::connect_lazy(addr, NetClientConfig::default()).unwrap();
             let mut session = client.start_fetch("movie", 16, 0).unwrap();
             let mut got = Vec::new();
+            let mut failure = None;
             while session.remaining_chunks() > 0 {
-                got.extend_from_slice(&session.next_chunk().unwrap());
+                match session.next_chunk() {
+                    Ok(body) => got.extend_from_slice(&body),
+                    Err(e) => {
+                        failure = Some(e);
+                        break;
+                    }
+                }
             }
-            let crc = recoil_core::crc32(&got);
-            match flipped {
-                None => {
-                    assert_eq!(got, payload);
-                    assert_eq!(crc, session.header.payload_crc);
+            if flipped {
+                match failure {
+                    Some(RecoilError::Net { detail }) => {
+                        assert!(detail.contains("checksum"), "{detail}")
+                    }
+                    other => panic!("expected the session's checksum error, got {other:?}"),
                 }
-                Some(at) => {
-                    let differing: Vec<usize> = (0..payload.len())
-                        .filter(|&i| got[i] != payload[i])
-                        .collect();
-                    assert_eq!(differing, [at]);
-                    assert_ne!(crc, session.header.payload_crc);
-                }
+                // Everything before the withheld last body was delivered.
+                let delivered = payload.len() - bodies[bodies.len() - 1].len();
+                assert_eq!(got.len(), delivered);
+                let differing: Vec<usize> =
+                    (0..delivered).filter(|&i| got[i] != payload[i]).collect();
+                // …flip included, when it sat in a delivered body.
+                let expect = Some(payload_at).filter(|&at| at < delivered);
+                assert_eq!(differing, Vec::from_iter(expect));
+            } else {
+                assert!(failure.is_none(), "{failure:?}");
+                assert_eq!(got, payload);
+                assert_eq!(recoil_core::crc32(&got), session.header.payload_crc);
             }
             drop((session, client));
             finish_hostile(addr, handle);

@@ -1,12 +1,15 @@
 //! Loopback integration tests for the framed TCP transport: real sockets,
 //! real threads, byte-identical decodes.
 
-use recoil_core::codec::{EncoderConfig, ScalarBackend};
-use recoil_core::RecoilError;
+use recoil_core::codec::{DecodeBackend, DecodeRequest, EncoderConfig, ScalarBackend};
+use recoil_core::{RecoilError, RecoilMetadata};
+use recoil_models::ModelProvider;
 use recoil_net::raw::{read_frame, write_frame, ReadOutcome};
 use recoil_net::{FrameType, Hello, NetClient, NetConfig, NetServer, NetServerHandle};
+use recoil_rans::EncodedStream;
 use recoil_server::ContentServer;
 use std::net::TcpStream;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -492,5 +495,89 @@ fn pooled_connection_survives_and_is_reused() {
     }
     // One probe connection, reused serially: the pool never grows past it.
     assert_eq!(client.pooled_connections(), 1);
+    server.shutdown();
+}
+
+/// A backend that cannot run on this host (what an explicit AVX-512
+/// backend is on a machine without it).
+struct Unavailable;
+
+impl DecodeBackend for Unavailable {
+    fn name(&self) -> &'static str {
+        "unavailable-stub"
+    }
+    fn is_available(&self) -> bool {
+        false
+    }
+    fn decode_u8(
+        &self,
+        _: &DecodeRequest<'_>,
+        _: Range<u64>,
+        _: &mut [u8],
+    ) -> Result<(), RecoilError> {
+        unreachable!("an unavailable backend is never dispatched to")
+    }
+    fn decode_u16(
+        &self,
+        _: &DecodeRequest<'_>,
+        _: Range<u64>,
+        _: &mut [u16],
+    ) -> Result<(), RecoilError> {
+        unreachable!("an unavailable backend is never dispatched to")
+    }
+    fn decode_adaptive(
+        &self,
+        _: &EncodedStream,
+        _: &RecoilMetadata,
+        _: &dyn ModelProvider,
+        _: Range<u64>,
+        _: &mut [u16],
+    ) -> Result<(), RecoilError> {
+        unreachable!("an unavailable backend is never dispatched to")
+    }
+}
+
+/// Regression test: the streaming fetch used to discover an unavailable
+/// backend *after* the REQUEST was on the wire and report it as a transport
+/// failure, so the retry policy re-sent the request (free redial + the whole
+/// budget, with backoff sleeps) for an error no retry can fix.
+#[test]
+fn unavailable_backend_is_refused_before_anything_is_sent() {
+    let server = start_server(small_net_config());
+    let client = NetClient::connect(server.addr())
+        .unwrap()
+        .with_backend(Unavailable);
+    client
+        .publish("movie", &sample(50_000, 9), &config(8))
+        .unwrap();
+    let requests_before = client.stats().unwrap().stats.requests;
+
+    match client.fetch_and_decode_streaming("movie", 8) {
+        Err(RecoilError::BackendUnavailable { backend }) => assert_eq!(backend, "unavailable-stub"),
+        other => panic!("expected BackendUnavailable, got {other:?}"),
+    }
+    assert_eq!(client.telemetry().counters.retries.get(), 0);
+    assert_eq!(client.stats().unwrap().stats.requests, requests_before);
+    server.shutdown();
+}
+
+/// A session verifies the whole stream's CRC, so the public `start_fetch`
+/// refuses a non-zero word offset (typed, before dialling) and points at
+/// `FetchSession::resume_on`, which continues a session that saw the prefix.
+#[test]
+fn a_fetch_session_cannot_start_mid_stream() {
+    let server = start_server(small_net_config());
+    let client = NetClient::connect(server.addr()).unwrap();
+    client
+        .publish("movie", &sample(50_000, 4), &config(8))
+        .unwrap();
+    match client.start_fetch("movie", 8, 1) {
+        Err(RecoilError::InvalidConfig { field, detail }) => {
+            assert_eq!(field, "from_word");
+            assert!(detail.contains("resume_on"), "{detail}");
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    assert_eq!(client.stats().unwrap().stats.requests, 0);
     server.shutdown();
 }

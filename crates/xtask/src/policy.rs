@@ -33,6 +33,7 @@ pub const WIRE_FILES: &[&str] = &[
     "crates/core/src/file.rs",
     "crates/core/src/wire.rs",
     "crates/net/src/frame.rs",
+    "crates/net/src/integrity.rs",
     "crates/net/src/proto.rs",
 ];
 

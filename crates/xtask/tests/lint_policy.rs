@@ -96,6 +96,21 @@ fn length_driven_with_capacity_in_wire_code_is_flagged() {
     );
 }
 
+/// The payload integrity rule's file faces network bytes: the chunk-prefix
+/// parse it replaced (`payload[..4].try_into().expect("4")`) trips two
+/// wire rules there.
+#[test]
+fn the_integrity_rule_file_is_wire_facing() {
+    let report = check_fixture("wire_integrity");
+    let got: Vec<(&str, usize, &str)> = report
+        .findings
+        .iter()
+        .map(|f| (f.file.as_str(), f.line, f.rule))
+        .collect();
+    let file = "crates/net/src/integrity.rs";
+    assert_eq!(got, [(file, 2, "wire-index"), (file, 2, "wire-unwrap")]);
+}
+
 #[test]
 fn allow_marker_suppresses_and_records_the_reason() {
     let report = check_fixture("suppression");
