@@ -1,6 +1,6 @@
-//! Criterion microbenchmarks of the Recoil pipeline pieces: encode+plan,
-//! metadata wire codec, split combining, and parallel decode vs the
-//! conventional baseline.
+//! Criterion microbenchmarks of the Recoil pipeline pieces: encode+plan
+//! and parallel decode vs the conventional baseline. (The metadata wire
+//! codec and split combining have their own bench, `metadata_plane`.)
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use recoil::conventional::encode_conventional;
@@ -13,7 +13,6 @@ fn bench_pipeline(c: &mut Criterion) {
     let codec = Codec::builder().max_segments(256).build().unwrap();
     let container = codec.encode_with_provider(&data, &model).unwrap();
     let conv = encode_conventional(&data, &model, 32, 256);
-    let meta_bytes = metadata_to_bytes(&container.metadata);
     let pool = ThreadPool::with_default_parallelism();
 
     let mut group = c.benchmark_group("pipeline");
@@ -51,18 +50,6 @@ fn bench_pipeline(c: &mut Criterion) {
                 .unwrap();
             std::hint::black_box(&out);
         });
-    });
-    group.finish();
-
-    let mut group = c.benchmark_group("metadata");
-    group.bench_function("serialize_256_splits", |b| {
-        b.iter(|| std::hint::black_box(metadata_to_bytes(&container.metadata)));
-    });
-    group.bench_function("parse_256_splits", |b| {
-        b.iter(|| std::hint::black_box(metadata_from_bytes(&meta_bytes).unwrap()));
-    });
-    group.bench_function("combine_256_to_16", |b| {
-        b.iter(|| std::hint::black_box(combine_splits(&container.metadata, 16)));
     });
     group.finish();
 }

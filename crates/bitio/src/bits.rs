@@ -8,10 +8,19 @@
 //! reader branch-light.
 
 /// LSB-first bit writer backed by a byte vector.
+///
+/// Bits collect in a 64-bit accumulator and reach the vector eight bytes at
+/// a time, so a `write` is a shift, an OR and (every 64 bits) one
+/// `extend_from_slice` — whatever the field width or the alignment it
+/// lands on. [`BitWriter::with_capacity`] sizes the vector once for
+/// callers that know their output length.
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
+    /// Whole flushed accumulators, 8 bytes each.
     bytes: Vec<u8>,
-    /// Bits already used in the last byte (0..8); 0 means byte-aligned.
+    /// Pending bits, first-written in bit 0.
+    acc: u64,
+    /// Bits pending in `acc` (0..64).
     used: u32,
 }
 
@@ -21,27 +30,37 @@ impl BitWriter {
         Self::default()
     }
 
+    /// Creates an empty writer whose [`BitWriter::into_bytes`] result can
+    /// hold `bytes` bytes without reallocating (the writer itself never
+    /// writes past the final length, so an exact count suffices).
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            bytes: Vec::with_capacity(bytes),
+            acc: 0,
+            used: 0,
+        }
+    }
+
     /// Writes the low `n` bits of `v` (`n <= 64`).
+    #[inline]
     pub fn write(&mut self, v: u64, n: u32) {
         debug_assert!(n <= 64);
         debug_assert!(
             n == 64 || v < (1u64 << n),
             "value {v} does not fit in {n} bits"
         );
-        let mut v = if n == 64 { v } else { v & ((1u64 << n) - 1) };
-        let mut left = n;
-        while left > 0 {
-            if self.used == 0 {
-                self.bytes.push(0);
-            }
-            let room = 8 - self.used;
-            let take = room.min(left);
-            let last = self.bytes.last_mut().expect("just ensured non-empty");
-            *last |= ((v & ((1u64 << take) - 1)) as u8) << self.used;
-            v >>= take;
-            self.used = (self.used + take) % 8;
-            left -= take;
+        let v = if n == 64 { v } else { v & ((1u64 << n) - 1) };
+        self.acc |= v << self.used;
+        let total = self.used + n;
+        if total < 64 {
+            self.used = total;
+            return;
         }
+        self.bytes.extend_from_slice(&self.acc.to_le_bytes());
+        // The high bits of `v` that did not fit; none when `acc` was empty.
+        let fitted = 64 - self.used;
+        self.acc = if fitted == 64 { 0 } else { v >> fitted };
+        self.used = total - 64;
     }
 
     /// Writes a single bit.
@@ -52,22 +71,15 @@ impl BitWriter {
 
     /// Total bits written so far.
     pub fn bit_len(&self) -> u64 {
-        let full = self.bytes.len() as u64 * 8;
-        if self.used == 0 {
-            full
-        } else {
-            full - (8 - self.used as u64)
-        }
+        self.bytes.len() as u64 * 8 + u64::from(self.used)
     }
 
     /// Finish and return the packed bytes (final partial byte zero-padded).
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        let tail = self.used.div_ceil(8) as usize;
         self.bytes
-    }
-
-    /// Borrow the packed bytes written so far.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
+            .extend_from_slice(&self.acc.to_le_bytes()[..tail]);
+        self.bytes
     }
 }
 
@@ -99,6 +111,31 @@ impl<'a> BitReader<'a> {
             // `n == 0` must yield 0 (shift-by-64 is UB-adjacent otherwise).
             let mask = (1u64 << n).wrapping_sub(1);
             return Some(if n == 0 { 0 } else { (word >> off) & mask });
+        }
+        self.read_wide(n)
+    }
+
+    /// Fields of 58..=64 bits (the metadata parser's four-states-at-once
+    /// reads): the same load plus the ninth byte for the bits the sub-byte
+    /// offset pushed out of it.
+    #[inline]
+    fn read_wide(&mut self, n: u32) -> Option<u64> {
+        let byte = (self.pos / 8) as usize;
+        if n > 57 && byte + 9 <= self.bytes.len() {
+            let word = u64::from_le_bytes(self.bytes[byte..byte + 8].try_into().expect("8 bytes"));
+            let off = (self.pos % 8) as u32;
+            self.pos += n as u64;
+            let high = u64::from(self.bytes[byte + 8]);
+            let bits = if off == 0 {
+                word
+            } else {
+                (word >> off) | (high << (64 - off))
+            };
+            return Some(if n == 64 {
+                bits
+            } else {
+                bits & ((1u64 << n) - 1)
+            });
         }
         self.read_slow(n)
     }
@@ -155,6 +192,115 @@ impl<'a> BitReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The byte-at-a-time writer [`BitWriter`] replaced, kept as the
+    /// reference for what the packed bytes must be.
+    #[derive(Default)]
+    struct ByteAtATimeWriter {
+        bytes: Vec<u8>,
+        /// Bits already used in the last byte (0..8); 0 means byte-aligned.
+        used: u32,
+    }
+
+    impl ByteAtATimeWriter {
+        fn write(&mut self, v: u64, n: u32) {
+            let mut v = if n == 64 { v } else { v & ((1u64 << n) - 1) };
+            let mut left = n;
+            while left > 0 {
+                if self.used == 0 {
+                    self.bytes.push(0);
+                }
+                let room = 8 - self.used;
+                let take = room.min(left);
+                let last = self.bytes.last_mut().expect("just ensured non-empty");
+                *last |= ((v & ((1u64 << take) - 1)) as u8) << self.used;
+                v >>= take;
+                self.used = (self.used + take) % 8;
+                left -= take;
+            }
+        }
+
+        fn bit_len(&self) -> u64 {
+            self.bytes.len() as u64 * 8 - u64::from((8 - self.used) % 8)
+        }
+    }
+
+    /// xorshift64* — enough to vary values and widths reproducibly.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state >> 12;
+        *state ^= *state << 25;
+        *state ^= *state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn fit(v: u64, n: u32) -> u64 {
+        if n == 64 {
+            v
+        } else {
+            v & ((1u64 << n) - 1)
+        }
+    }
+
+    #[test]
+    fn accumulator_writer_matches_the_byte_at_a_time_reference() {
+        // Every starting alignment within an accumulator, then a seeded mix
+        // that is dense in the edge widths.
+        const EDGES: [u32; 5] = [0, 1, 57, 63, 64];
+        for start in 0..64u32 {
+            for seed in 1..=8u64 {
+                let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(start);
+                let mut fields = vec![(fit(next(&mut rng), start), start)];
+                for i in 0..96 {
+                    let r = next(&mut rng);
+                    let n = if i % 3 == 0 {
+                        EDGES[(r % 5) as usize]
+                    } else {
+                        (r % 65) as u32
+                    };
+                    fields.push((fit(next(&mut rng), n), n));
+                }
+                let mut new = BitWriter::with_capacity(if seed % 2 == 0 { 1024 } else { 0 });
+                let mut old = ByteAtATimeWriter::default();
+                for &(v, n) in &fields {
+                    new.write(v, n);
+                    old.write(v, n);
+                    assert_eq!(new.bit_len(), old.bit_len(), "start {start} seed {seed}");
+                }
+                let bits = new.bit_len();
+                let bytes = new.into_bytes();
+                assert_eq!(bytes, old.bytes, "start {start} seed {seed}");
+                assert_eq!(bytes.len() as u64, bits.div_ceil(8));
+                if !bits.is_multiple_of(8) {
+                    let pad = bytes[bytes.len() - 1] >> (bits % 8);
+                    assert_eq!(pad, 0, "tail of the last byte is zero-padded");
+                }
+                let mut r = BitReader::new(&bytes);
+                for &(v, n) in &fields {
+                    assert_eq!(r.read(n), Some(v), "start {start} seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_reads_at_every_alignment() {
+        for off in 0..8u32 {
+            for n in 58..=64u32 {
+                let v = fit(0xFEDC_BA98_7654_3210 ^ u64::from(n), n);
+                let mut w = BitWriter::new();
+                w.write(0, off);
+                w.write(v, n);
+                w.write(0x5A, 8); // a ninth byte, so the wide path is taken
+                w.write(u64::MAX, 64);
+                let bytes = w.into_bytes();
+                let mut r = BitReader::new(&bytes);
+                assert_eq!(r.read(off), Some(0));
+                assert_eq!(r.read(n), Some(v), "offset {off} width {n}");
+                assert_eq!(r.read(8), Some(0x5A));
+                assert_eq!(r.read(64), Some(u64::MAX));
+            }
+        }
+    }
 
     #[test]
     fn round_trip_mixed_widths() {

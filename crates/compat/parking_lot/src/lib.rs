@@ -1,7 +1,7 @@
 //! Offline stand-in for the `parking_lot` crate.
 //!
 //! The build environment has no registry access, so this shim implements the
-//! small API subset the workspace uses — `Mutex::{new, lock, into_inner}`,
+//! small API subset the workspace uses — `Mutex::{new, lock, try_lock, into_inner}`,
 //! `RwLock::{new, read, write, into_inner}` and
 //! `Condvar::{new, wait, notify_all, notify_one}` — on top of `std::sync`.
 //! Semantics match parking_lot where it matters here: `lock()`/`read()`/
@@ -47,6 +47,16 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         let guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         MutexGuard { guard: Some(guard) }
+    }
+
+    /// Acquires the lock if it is free right now, without blocking.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        let guard = match self.inner.try_lock() {
+            Ok(guard) => guard,
+            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(std::sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard { guard: Some(guard) })
     }
 }
 

@@ -7,6 +7,12 @@
 //! we keep the split point nearest each fraction `i/M` of the original
 //! segmentation — the paper's "every other ceil(N/M)" selection, robust to
 //! non-divisible counts.
+//!
+//! Cost model: a combine is a *selection*. Split points share their lane
+//! arrays by reference count and carry what those arrays were measured for
+//! when built, so the result costs one `Vec` of `M - 1` split handles and
+//! `M - 1` refcount bumps, and validating it compares the kept splits'
+//! recorded facts — no lane of the stored metadata is copied or read.
 
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
@@ -16,14 +22,14 @@ use crate::metadata::RecoilMetadata;
 ///
 /// Dropping entries only merges neighbouring segments, so all decoder
 /// invariants are preserved; requesting more segments than available returns
-/// the metadata unchanged. This is the entry point for request-reachable
+/// the metadata unchanged. Every kept [`crate::SplitPoint`] shares its lane
+/// array with `meta`'s. This is the entry point for request-reachable
 /// paths (the content server calls it with client-supplied capacities):
 ///
 /// * `segments == 0` is reported as [`RecoilError::InvalidConfig`];
-/// * the combined metadata is re-validated **in every build profile** (the
-///   panicking wrapper only `debug_assert!`ed it), so corrupt input
-///   metadata surfaces as [`RecoilError::Decode`] rather than as undefined
-///   decoder behaviour downstream.
+/// * the combined metadata is re-validated **in every build profile**, so
+///   corrupt input metadata surfaces as [`RecoilError::Decode`] rather than
+///   as undefined decoder behaviour downstream.
 pub fn try_combine_splits(
     meta: &RecoilMetadata,
     segments: u64,
@@ -34,29 +40,29 @@ pub fn try_combine_splits(
             "cannot combine splits down to zero segments",
         ));
     }
-    let available = meta.num_segments();
-    if segments >= available {
-        let same = meta.clone();
-        same.validate()?;
-        return Ok(same);
-    }
     let k = meta.splits.len() as u64;
-    let mut keep = Vec::with_capacity((segments - 1) as usize);
-    let mut last: Option<u64> = None;
-    for i in 1..segments {
-        // Original cut index nearest the i/segments fraction: cut j sits
-        // after original segment j, so cut indices run 0..K.
-        let j = (i * (k + 1)) / segments;
-        let j = j.clamp(1, k) - 1;
-        if last != Some(j) {
-            keep.push(j as usize);
-            last = Some(j);
+    let splits = if segments > k {
+        meta.splits.clone()
+    } else {
+        let mut kept = Vec::with_capacity((segments - 1) as usize);
+        let mut last: Option<u64> = None;
+        for i in 1..segments {
+            // Original cut index nearest the i/segments fraction: cut j sits
+            // after original segment j, so cut indices run 0..K.
+            let j = ((i * (k + 1)) / segments).clamp(1, k) - 1;
+            if last != Some(j) {
+                kept.push(meta.splits[j as usize].clone());
+                last = Some(j);
+            }
         }
-    }
-    let splits = keep.iter().map(|&j| meta.splits[j].clone()).collect();
+        kept
+    };
     let combined = RecoilMetadata {
+        ways: meta.ways,
+        quant_bits: meta.quant_bits,
+        num_symbols: meta.num_symbols,
+        num_words: meta.num_words,
         splits,
-        ..meta.clone()
     };
     combined.validate()?;
     Ok(combined)
@@ -196,7 +202,10 @@ mod tests {
         // The panicking wrapper only debug_assert!ed validity; the fallible
         // path must reject corrupt input in every build profile.
         let mut meta = synthetic_meta(15, 4);
-        meta.splits[3].lanes[0].pos = 1; // sync start crosses earlier splits
+        // Lane 0 of split 3 records a position lane 1 owns, far too early.
+        let mut lanes = meta.splits[3].lanes.to_vec();
+        lanes[0].pos = 1;
+        meta.splits[3].lanes = lanes.into();
         assert!(matches!(
             try_combine_splits(&meta, 8),
             Err(RecoilError::Decode(_))

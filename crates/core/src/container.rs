@@ -2,7 +2,7 @@
 
 use crate::metadata::RecoilMetadata;
 use crate::planner::{PlannerConfig, SplitPlanner};
-use crate::wire::metadata_to_bytes;
+use crate::wire::metadata_wire_len;
 use recoil_models::{ModelProvider, Symbol};
 use recoil_rans::params::INITIAL_STATE;
 use recoil_rans::{encode_span, EncodedStream, RansError};
@@ -29,7 +29,7 @@ impl RecoilContainer {
     /// Serialized metadata size in bytes — the Recoil overhead the size
     /// tables report relative to variation (a).
     pub fn metadata_bytes(&self) -> u64 {
-        metadata_to_bytes(&self.metadata).len() as u64
+        metadata_wire_len(&self.metadata) as u64
     }
 
     /// Total transfer size: payload + metadata.

@@ -529,13 +529,15 @@ mod tests {
         // A prefix attack: structurally valid metadata whose first split
         // claims ~2^40 symbols become ready after a 1-word prefix. Without
         // the per-split bound, a streaming receiver would size its output
-        // from two received bytes.
+        // from two received bytes. (The declared stream is sized so the
+        // split sits within the wire format's 2^32 of its expected offset
+        // and group: only such metadata can arrive in a header.)
         let huge_pos = (1u64 << 40) * ways as u64;
         let prefix = RecoilMetadata {
             ways,
             quant_bits: 11,
-            num_symbols: huge_pos + ways as u64 + 2,
-            num_words: u64::MAX / 32,
+            num_symbols: 2 * huge_pos,
+            num_words: 1 << 32,
             splits: vec![SplitPoint {
                 offset: 0,
                 lanes: (0..ways as u64)

@@ -57,9 +57,9 @@ pub use decoder::{decode_segments, decode_split_count, validate_segment_decode};
 pub use error::RecoilError;
 pub use file::{container_from_bytes, container_to_bytes};
 pub use incremental::IncrementalDecoder;
-pub use metadata::{LaneInit, RecoilMetadata, SplitPoint};
+pub use metadata::{LaneInit, RecoilMetadata, SplitLanes, SplitPoint};
 pub use planner::{
     plan_chunks, plan_chunks_into, plan_from_events, ChunkPlan, Heuristic, PlannedChunk,
     PlannerConfig, SplitPlanner,
 };
-pub use wire::{metadata_from_bytes, metadata_to_bytes};
+pub use wire::{metadata_from_bytes, metadata_to_bytes, metadata_wire_len};

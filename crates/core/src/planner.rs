@@ -12,9 +12,15 @@
 //! (`b >= n`), events arrive in strictly increasing symbol position, so a
 //! bounded ring of recent events suffices — no full event log is kept even
 //! for gigabyte streams.
+//!
+//! Scoring a candidate needs only how far its backward scan reaches (the
+//! smallest and largest lane position), so candidates are scored from scans
+//! that track just that in reused scratch; lanes are gathered for the
+//! winner of each target alone, appended to the one allocation all the
+//! planned [`SplitPoint`]s share.
 
 use crate::error::RecoilError;
-use crate::metadata::{LaneInit, RecoilMetadata, SplitPoint};
+use crate::metadata::{pack_splits, Extent, LaneInit, RecoilMetadata, GROUP_DIFF_BITS};
 use recoil_rans::{RansError, RenormEvent, RenormSink, NO_SYMBOL};
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -83,7 +89,16 @@ pub struct SplitPlanner {
     prev_p: i64,
     /// Next workload target position.
     next_target: u64,
-    chosen: Vec<SplitPoint>,
+    /// Offset and measured extent of each committed split, in order.
+    chosen: Vec<(u64, Extent)>,
+    /// The committed splits' lanes, `ways` each, back to back.
+    chosen_lanes: Vec<LaneInit>,
+    /// Backward-scan scratch: the scan (by number) that last met each lane,
+    /// so starting a scan is a counter bump rather than a clear.
+    met_in_scan: Vec<u64>,
+    scans: u64,
+    /// Buffer the winning candidate's lanes are gathered in.
+    lane_buf: Vec<LaneInit>,
 }
 
 impl SplitPlanner {
@@ -105,6 +120,10 @@ impl SplitPlanner {
             prev_p: -1,
             next_target: target,
             chosen: Vec::new(),
+            chosen_lanes: Vec::new(),
+            met_in_scan: vec![0; ways as usize],
+            scans: 0,
+            lane_buf: vec![LaneInit { state: 0, pos: 0 }; ways as usize],
         }
     }
 
@@ -115,7 +134,7 @@ impl SplitPlanner {
 
     /// Ring indices whose event position lies within `[lo, hi]`, thinned to
     /// at most `max_candidates` entries.
-    fn candidates_in(&self, lo: u64, hi: u64) -> Vec<usize> {
+    fn candidates_in(&self, lo: u64, hi: u64) -> impl Iterator<Item = usize> {
         // Events are position-sorted; binary search the boundaries.
         let start = self
             .ring
@@ -123,74 +142,89 @@ impl SplitPlanner {
         let end = self
             .ring
             .partition_point(|e| e.pos == NO_SYMBOL || e.pos <= hi);
-        if start >= end {
-            return Vec::new();
-        }
-        let span = end - start;
-        if span <= self.max_candidates {
-            (start..end).collect()
+        let span = end.saturating_sub(start);
+        // All of them, or evenly thinned, always keeping first and last.
+        let picks = if span <= self.max_candidates {
+            span
         } else {
-            // Evenly thin, always keeping first and last.
-            let mc = self.max_candidates.max(2);
-            (0..mc).map(|k| start + k * (span - 1) / (mc - 1)).collect()
-        }
+            self.max_candidates.max(2)
+        };
+        (0..picks).map(move |k| start + k * (span - 1) / (picks - 1).max(1))
     }
 
-    /// Backward scan from ring index `idx` (paper §4.1, Figure 6): collect
-    /// each lane's most recent renorm event at-or-before the candidate.
-    fn backward_scan(&self, idx: usize) -> Option<SplitPoint> {
-        let w = self.ways as usize;
-        let mut lanes: Vec<Option<LaneInit>> = vec![None; w];
-        let mut found = 0usize;
-        let mut i = idx;
-        loop {
-            let e = &self.ring[i];
-            let slot = &mut lanes[e.lane as usize];
-            if slot.is_none() {
+    /// Backward scan from ring index `idx` (paper §4.1, Figure 6): `visit`
+    /// sees each lane's most recent renorm event at-or-before the
+    /// candidate. Returns false when some lane has none.
+    fn scan_back(&mut self, idx: usize, mut visit: impl FnMut(&RenormEvent)) -> bool {
+        self.scans += 1;
+        let mut missing = self.ways;
+        for e in self.ring.range(..=idx).rev() {
+            let met = &mut self.met_in_scan[e.lane as usize];
+            if *met != self.scans {
                 if e.pos == NO_SYMBOL {
-                    return None; // lane state predates its first symbol
+                    return false; // lane state predates its first symbol
                 }
-                *slot = Some(LaneInit {
-                    state: e.state,
-                    pos: e.pos,
-                });
-                found += 1;
-                if found == w {
-                    break;
+                *met = self.scans;
+                visit(e);
+                missing -= 1;
+                if missing == 0 {
+                    return true;
                 }
             }
-            if i == 0 {
-                return None; // ring exhausted before all lanes were found
-            }
-            i -= 1;
         }
-        let lanes: Vec<LaneInit> = lanes.into_iter().map(|l| l.expect("all found")).collect();
-        let sp = SplitPoint {
-            offset: self.ring[idx].offset,
-            lanes,
-        };
-        // Invariants the decoder depends on.
-        if sp.sync_start() as i64 <= self.prev_p {
-            return None;
-        }
-        if sp.split_pos() + 1 >= self.num_symbols {
-            return None;
-        }
-        Some(sp)
+        false // ring exhausted before all lanes were found
+    }
+
+    /// The candidate's extent (`lo` its sync start, `hi` its split
+    /// position) — all that scoring needs — or `None` when splitting there
+    /// would break an invariant the decoder or the wire format depends on.
+    fn extent(&mut self, idx: usize) -> Option<Extent> {
+        // (Ownership is the encoder's to keep — an event's lane is its
+        // position's — and is checked for the winner, in `commit`.)
+        let mut extent = Extent::EMPTY;
+        let complete = self.scan_back(idx, |e| extent.include(e.pos));
+        let Extent { lo: q, hi: p, .. } = extent;
+        let ways = u64::from(self.ways);
+        let viable = complete
+            && q as i64 > self.prev_p
+            && p + 1 < self.num_symbols
+            // §4.3 stores each lane's distance below the split's group in
+            // at most 16 bits; a scan reaching further back is not a split
+            // the metadata could carry.
+            && (p / ways - q / ways) >> GROUP_DIFF_BITS == 0;
+        viable.then_some(extent)
     }
 
     /// Definition 4.1: `H(t, t_s) = |t - T| + |t - t_s - T|` (or the naive
-    /// `|t - T|` under [`Heuristic::NearestOnly`]).
-    fn score(&self, sp: &SplitPoint) -> u64 {
-        let t = (sp.split_pos() as i64 - self.prev_p) as u64;
+    /// `|t - T|` under [`Heuristic::NearestOnly`]) for a candidate whose
+    /// scan spans `q ..= p`, `t_s = p - q + 1`.
+    fn score(&self, Extent { lo: q, hi: p, .. }: Extent) -> u64 {
+        let t = p as i64 - self.prev_p;
         let target = self.target as i64;
         match self.heuristic {
             Heuristic::SyncAware => {
-                let ts = sp.sync_len();
-                (t as i64 - target).unsigned_abs() + (t as i64 - ts as i64 - target).unsigned_abs()
+                let ts = (p - q + 1) as i64;
+                (t - target).unsigned_abs() + (t - ts - target).unsigned_abs()
             }
-            Heuristic::NearestOnly => (t as i64 - target).unsigned_abs(),
+            Heuristic::NearestOnly => (t - target).unsigned_abs(),
         }
+    }
+
+    /// Commits the split at ring index `idx`, whose scan measured `extent`:
+    /// gathers its lanes and records them with the split's offset.
+    fn commit(&mut self, idx: usize, mut extent: Extent) {
+        let mut lanes = std::mem::take(&mut self.lane_buf);
+        let ways = u64::from(self.ways);
+        self.scan_back(idx, |e| {
+            extent.owned &= e.pos % ways == u64::from(e.lane);
+            lanes[e.lane as usize] = LaneInit {
+                state: e.state,
+                pos: e.pos,
+            };
+        });
+        self.chosen.push((self.ring[idx].offset, extent));
+        self.chosen_lanes.extend_from_slice(&lanes);
+        self.lane_buf = lanes;
     }
 
     /// Scores candidates around the current target and commits the best.
@@ -205,15 +239,21 @@ impl SplitPlanner {
         loop {
             let lo = self.next_target.saturating_sub(half);
             let hi = (self.next_target + half).min(hi_cap);
-            let best = self
-                .candidates_in(lo, hi)
-                .into_iter()
-                .filter_map(|idx| self.backward_scan(idx))
-                .min_by_key(|sp| (self.score(sp), sp.sync_len()));
-            if let Some(sp) = best {
-                self.prev_p = sp.split_pos() as i64;
-                self.next_target = sp.split_pos() + self.target;
-                self.chosen.push(sp);
+            // Lowest (score, sync length), the earliest candidate on ties.
+            let mut best: Option<((u64, u64), usize, Extent)> = None;
+            for idx in self.candidates_in(lo, hi) {
+                let Some(extent) = self.extent(idx) else {
+                    continue;
+                };
+                let key = (self.score(extent), extent.hi - extent.lo + 1);
+                if best.is_none_or(|(best_key, ..)| key < best_key) {
+                    best = Some((key, idx, extent));
+                }
+            }
+            if let Some((_, idx, extent)) = best {
+                self.commit(idx, extent);
+                self.prev_p = extent.hi as i64;
+                self.next_target = extent.hi + self.target;
                 return true;
             }
             if half >= self.target {
@@ -241,7 +281,11 @@ impl SplitPlanner {
             quant_bits,
             num_symbols: self.num_symbols,
             num_words,
-            splits: std::mem::take(&mut self.chosen),
+            splits: pack_splits(
+                std::mem::take(&mut self.chosen_lanes).into(),
+                self.ways as usize,
+                std::mem::take(&mut self.chosen).into_iter(),
+            ),
         };
         debug_assert!(meta.validate().is_ok(), "planner produced invalid metadata");
         meta
@@ -659,5 +703,54 @@ mod tests {
             PlannerConfig::with_segments(16),
         );
         assert_eq!(streamed, offline);
+    }
+
+    #[test]
+    fn candidates_the_wire_format_cannot_carry_are_skipped() {
+        // Two lanes; lane 1 renormalizes every 100th of its symbols, lane 0
+        // only at positions 0 and 399 000. Around the first target (200 000)
+        // every backward scan reaches back to lane 0's position 0: 100 000
+        // symbol groups, more than the format's 16-bit group differences.
+        // Such a split used to be planned, declared valid, and serialized
+        // to bytes that parse back to different positions.
+        let mut events = vec![RenormEvent {
+            lane: 0,
+            pos: 0,
+            state: 1,
+            offset: 0,
+        }];
+        for pos in (201..600_000u64).step_by(200) {
+            if pos == 399_001 {
+                events.push(RenormEvent {
+                    lane: 0,
+                    pos: 399_000,
+                    state: 2,
+                    offset: events.len() as u64,
+                });
+            }
+            events.push(RenormEvent {
+                lane: 1,
+                pos,
+                state: 3,
+                offset: events.len() as u64,
+            });
+        }
+        let meta = plan_from_events(
+            &events,
+            2,
+            600_000,
+            events.len() as u64,
+            11,
+            PlannerConfig::with_segments(3),
+        );
+        // The widened search settles for a far-from-target candidate that
+        // the format can carry; the second target plans normally.
+        meta.validate().unwrap();
+        assert_eq!(meta.splits.len(), 2);
+        let groups_spanned = |s: &crate::SplitPoint| s.split_pos() / 2 - s.sync_start() / 2;
+        assert!(groups_spanned(&meta.splits[0]) < 1 << GROUP_DIFF_BITS);
+        assert_eq!(meta.splits[1].sync_start(), 399_000);
+        let bytes = crate::metadata_to_bytes(&meta);
+        assert_eq!(crate::metadata_from_bytes(&bytes).unwrap(), meta);
     }
 }

@@ -22,94 +22,269 @@
 //! else, so corrupt frames are rejected as [`RecoilError::Wire`] instead of
 //! reconstructing garbage split points. Version 1 bytes (no footer) still
 //! parse.
+//!
+//! Cost model: both directions run at what the tier's size implies. The
+//! serializer first fixes every series width from what each split's lanes
+//! were measured for when built — no lane is read, one small scratch vector
+//! is filled, and [`metadata_wire_len`] is that step alone — then allocates
+//! the output once at its exact length and makes its one pass over the
+//! lanes: states four to a 64-bit field, group differences as many as fit.
+//! The parser reads the same way, straight into the one allocation all the
+//! returned splits share, measuring each split as it goes. Neither
+//! allocates per split or divides per lane: positions and groups are
+//! related through [`LaneGroups`].
 
 use crate::crc::crc32;
 use crate::error::RecoilError;
-use crate::metadata::{LaneInit, RecoilMetadata, SplitPoint};
+use crate::metadata::{
+    bits_for, pack_splits, Expected, Extent, LaneGroups, LaneInit, RecoilMetadata, GROUP_DIFF_BITS,
+    SERIES_DIFF_BITS,
+};
 use recoil_bitio::{BitReader, BitWriter};
+use std::sync::Arc;
 
 const MAGIC: u64 = 0x5243_4C31; // "RCL1"
 /// Current format: CRC-32 footer after the bit-packed body.
 const VERSION: u64 = 2;
 /// First format: identical body, no integrity footer.
 const LEGACY_VERSION: u64 = 1;
+/// Magic, version, ways, quantization level, symbols, words, split count.
+const HEADER_BITS: u64 = 32 + 8 + 16 + 8 + 64 + 64 + 32;
+/// Width-field sizes of the signed (offset, anchor) and unsigned (group
+/// difference) series: each stores `width - 1`.
+const SIGNED_WIDTH_FIELD: u32 = 5;
+const UNSIGNED_WIDTH_FIELD: u32 = 4;
+const FOOTER_BYTES: usize = 4;
+// The width fields hold exactly the widths `RecoilMetadata::validate` admits.
+const _: () = assert!(SERIES_DIFF_BITS == 1 << SIGNED_WIDTH_FIELD);
+const _: () = assert!(GROUP_DIFF_BITS == 1 << UNSIGNED_WIDTH_FIELD);
 
-/// Bits needed for unsigned `v`, counting zero as one bit.
-fn bits_for(v: u64) -> u32 {
-    (64 - v.leading_zeros()).max(1)
+#[cold]
+fn unrepresentable(split: usize) -> ! {
+    panic!("metadata split {split} is not representable in the wire format; validate() it")
 }
 
-/// Writes an unsigned series: `width-1` in `len_bits`, then values.
-fn write_unsigned_series(w: &mut BitWriter, vals: &[u64], len_bits: u32) {
-    let width = vals.iter().map(|&v| bits_for(v)).max().unwrap_or(1);
-    debug_assert!(
-        width <= (1 << len_bits),
-        "series width {width} overflows field"
-    );
-    w.write((width - 1) as u64, len_bits);
-    for &v in vals {
-        w.write(v, width);
+/// One split's part of a [`Layout`].
+struct SplitLayout {
+    offset_diff: i64,
+    anchor_diff: i64,
+    anchor: u64,
+    /// Width of this split's group-difference series.
+    diff_bits: u32,
+}
+
+/// Everything about a metadata's serialized form that must be known before
+/// its first byte is written: the series widths and the total length.
+struct Layout {
+    splits: Vec<SplitLayout>,
+    /// Magnitude widths of the offset and anchor series.
+    offset_bits: u32,
+    anchor_bits: u32,
+    body_bits: u64,
+}
+
+impl Layout {
+    /// # Panics
+    ///
+    /// If the format cannot represent `meta` — which
+    /// [`RecoilMetadata::validate`] rejects, so callers holding validated
+    /// metadata never see it. Writing a masked width and a correct CRC over
+    /// wrong bytes, as a `debug_assert!` here once allowed, is the one
+    /// thing a serializer must not do.
+    fn of(meta: &RecoilMetadata) -> Self {
+        assert!(
+            meta.quant_bits <= u32::from(u8::MAX) && u32::try_from(meta.splits.len()).is_ok(),
+            "metadata header field exceeds its wire width; validate() it"
+        );
+        let groups = LaneGroups::new(meta.ways);
+        let ways = u64::from(meta.ways);
+        let expected = Expected::new(
+            meta.ways,
+            meta.num_symbols,
+            meta.num_words,
+            meta.splits.len(),
+        );
+        let (mut offsets, mut anchors) = (0u64, 0u64);
+        let mut body_bits = HEADER_BITS;
+        let splits: Vec<SplitLayout> = meta
+            .splits
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let Some(shape) = groups.shape(&s.lanes) else {
+                    unrepresentable(i)
+                };
+                let Some((offset_diff, anchor_diff)) = expected.diffs(i, s.offset, shape.anchor)
+                else {
+                    unrepresentable(i)
+                };
+                offsets |= offset_diff.unsigned_abs();
+                anchors |= anchor_diff.unsigned_abs();
+                body_bits +=
+                    ways * (16 + u64::from(shape.diff_bits)) + u64::from(UNSIGNED_WIDTH_FIELD);
+                SplitLayout {
+                    offset_diff,
+                    anchor_diff,
+                    anchor: shape.anchor,
+                    diff_bits: shape.diff_bits,
+                }
+            })
+            .collect();
+        let (offset_bits, anchor_bits) = (bits_for(offsets), bits_for(anchors));
+        if !splits.is_empty() {
+            // Two signed series: width field, then magnitude + sign each.
+            body_bits += 2 * u64::from(SIGNED_WIDTH_FIELD)
+                + splits.len() as u64 * u64::from(offset_bits + anchor_bits + 2);
+        }
+        Self {
+            splits,
+            offset_bits,
+            anchor_bits,
+            body_bits,
+        }
+    }
+
+    /// Serialized length in bytes at the current version (footer included).
+    fn wire_len(&self) -> usize {
+        usize::try_from(self.body_bits.div_ceil(8)).map_or(usize::MAX, |body| body + FOOTER_BYTES)
     }
 }
 
-fn read_unsigned_series(
-    r: &mut BitReader<'_>,
-    count: usize,
-    len_bits: u32,
-) -> Result<Vec<u64>, RecoilError> {
-    let width_field = r
-        .read(len_bits)
+/// Exact length of [`metadata_to_bytes`]`(meta)` without producing it: the
+/// width scan alone.
+///
+/// # Panics
+///
+/// If `meta` fails [`RecoilMetadata::validate`]'s wire-format bounds.
+pub fn metadata_wire_len(meta: &RecoilMetadata) -> usize {
+    Layout::of(meta).wire_len()
+}
+
+/// Writes a signed series: `width-1` in 5 bits, then `magnitude, sign` per
+/// value (one `width + 1`-bit field: the sign lands above the magnitude).
+fn write_signed_series(w: &mut BitWriter, vals: impl Iterator<Item = i64>, width: u32) {
+    w.write(u64::from(width - 1), SIGNED_WIDTH_FIELD);
+    for v in vals {
+        w.write(v.unsigned_abs() | u64::from(v < 0) << width, width + 1);
+    }
+}
+
+fn read_width(r: &mut BitReader<'_>, field_bits: u32) -> Result<u32, RecoilError> {
+    let field = r
+        .read(field_bits)
         .ok_or_else(|| RecoilError::wire("truncated series header"))?;
-    // xtask: allow(wire-cast): a `len_bits`-wide read (at most 5 bits) always fits u32.
-    let width = width_field as u32 + 1;
+    // xtask: allow(wire-cast): a `field_bits`-wide read (at most 5 bits) always fits u32.
+    Ok(field as u32 + 1)
+}
+
+fn read_signed_series(r: &mut BitReader<'_>, count: usize) -> Result<Vec<i64>, RecoilError> {
+    let width = read_width(r, SIGNED_WIDTH_FIELD)?;
     (0..count)
         .map(|_| {
-            r.read(width)
-                .ok_or_else(|| RecoilError::wire("truncated series"))
+            let field = r
+                .read(width + 1)
+                .ok_or_else(|| RecoilError::wire("truncated series"))?;
+            let mag = (field & ((1u64 << width) - 1)) as i64;
+            Ok(if field >> width == 1 { -mag } else { mag })
         })
         .collect()
 }
 
-/// Writes a signed series: `width-1` in `len_bits`, then `magnitude, sign`.
-fn write_signed_series(w: &mut BitWriter, vals: &[i64], len_bits: u32) {
-    let width = vals
-        .iter()
-        .map(|&v| bits_for(v.unsigned_abs()))
-        .max()
-        .unwrap_or(1);
-    debug_assert!(width <= (1 << len_bits));
-    w.write((width - 1) as u64, len_bits);
-    for &v in vals {
-        w.write(v.unsigned_abs(), width);
-        w.write((v < 0) as u64, 1);
+/// Writes a split's raw states, four to a 64-bit field.
+fn write_states(w: &mut BitWriter, lanes: &[LaneInit]) {
+    for chunk in lanes.chunks(4) {
+        if let [a, b, c, d] = chunk {
+            let packed = u64::from(a.state)
+                | u64::from(b.state) << 16
+                | u64::from(c.state) << 32
+                | u64::from(d.state) << 48;
+            w.write(packed, 64);
+        } else {
+            for li in chunk {
+                w.write(u64::from(li.state), 16);
+            }
+        }
     }
 }
 
-fn read_signed_series(
+/// The four 16-bit states packed LSB-first in `field`.
+fn unpack_states(field: u64) -> [u16; 4] {
+    let [a0, a1, b0, b1, c0, c1, d0, d1] = field.to_le_bytes();
+    [[a0, a1], [b0, b1], [c0, c1], [d0, d1]].map(u16::from_le_bytes)
+}
+
+/// Reads one split's raw states into `lanes` (one entry per lane).
+fn read_states(r: &mut BitReader<'_>, lanes: &mut [LaneInit]) -> Result<(), RecoilError> {
+    let truncated = || RecoilError::wire("truncated states");
+    let mut quads = lanes.chunks_exact_mut(4);
+    for quad in &mut quads {
+        let field = r.read(64).ok_or_else(truncated)?;
+        for (li, state) in quad.iter_mut().zip(unpack_states(field)) {
+            li.state = state;
+        }
+    }
+    for li in quads.into_remainder() {
+        [li.state, ..] = unpack_states(r.read(16).ok_or_else(truncated)?);
+    }
+    Ok(())
+}
+
+/// Reads one split's group-difference series and reconstructs each lane's
+/// position below `anchor` into `lanes` (all of the split's, at least one,
+/// in lane order);
+/// returns the positions' extent, measured as they are produced.
+///
+/// The anchor group's last slot must fit in 64 bits; every lane then sits a
+/// whole number of groups below its own slot there — a position it owns by
+/// construction — so the per-lane arithmetic needs no checks of its own
+/// beyond the one on the widest difference after the loop: a difference
+/// within the anchor cannot wrap.
+fn read_positions(
     r: &mut BitReader<'_>,
-    count: usize,
-    len_bits: u32,
-) -> Result<Vec<i64>, RecoilError> {
-    let width_field = r
-        .read(len_bits)
-        .ok_or_else(|| RecoilError::wire("truncated series header"))?;
-    // xtask: allow(wire-cast): a `len_bits`-wide read (at most 5 bits) always fits u32.
-    let width = width_field as u32 + 1;
-    (0..count)
-        .map(|_| {
-            let mag = r
-                .read(width)
-                .ok_or_else(|| RecoilError::wire("truncated series"))?;
-            let neg = r
-                .read(1)
-                .ok_or_else(|| RecoilError::wire("truncated series"))?;
-            Ok(if neg == 1 { -(mag as i64) } else { mag as i64 })
-        })
-        .collect()
+    lanes: &mut [LaneInit],
+    anchor: u64,
+) -> Result<Extent, RecoilError> {
+    let bad = |msg: &str| RecoilError::wire(msg);
+    let ways = lanes.len() as u64;
+    let width = read_width(r, UNSIGNED_WIDTH_FIELD)?;
+    let start = anchor
+        .checked_mul(ways)
+        .filter(|start| start.checked_add(ways - 1).is_some())
+        .ok_or_else(|| bad("lane position exceeds 64 bits"))?;
+    // As many differences to a read as its fast path takes (at most 57
+    // bits, so the count conversions cannot fail).
+    let per_read = usize::try_from(57 / width).unwrap_or(1);
+    let mask = (1u64 << width) - 1;
+    let mut widest = 0u64;
+    let mut extent = Extent::EMPTY;
+    // The position lane `l` would record in the anchor group.
+    let mut slot = start;
+    for chunk in lanes.chunks_mut(per_read) {
+        let count = u32::try_from(chunk.len()).unwrap_or(1);
+        let mut packed = r
+            .read(count * width)
+            .ok_or_else(|| bad("truncated series"))?;
+        for li in chunk {
+            let diff = packed & mask;
+            packed >>= width;
+            widest = widest.max(diff);
+            li.pos = slot.wrapping_sub(diff * ways);
+            slot = slot.wrapping_add(1);
+            extent.include(li.pos);
+        }
+    }
+    if widest > anchor {
+        return Err(bad("group difference exceeds anchor"));
+    }
+    Ok(extent)
 }
 
 /// Serializes metadata to its compact byte form (current version, with the
 /// CRC-32 integrity footer).
+///
+/// # Panics
+///
+/// If `meta` fails [`RecoilMetadata::validate`]'s wire-format bounds.
 pub fn metadata_to_bytes(meta: &RecoilMetadata) -> Vec<u8> {
     metadata_to_bytes_versioned(meta, VERSION)
 }
@@ -118,50 +293,53 @@ pub fn metadata_to_bytes(meta: &RecoilMetadata) -> Vec<u8> {
 /// so tests can prove old bytes still parse.
 fn metadata_to_bytes_versioned(meta: &RecoilMetadata, version: u64) -> Vec<u8> {
     debug_assert!(meta.validate().is_ok());
-    let mut w = BitWriter::new();
+    let layout = Layout::of(meta);
+    // xtask: allow(wire-capacity): sized from in-memory metadata by the width scan, not from wire input.
+    let mut w = BitWriter::with_capacity(layout.wire_len());
     w.write(MAGIC, 32);
     w.write(version, 8);
-    w.write(meta.ways as u64, 16);
-    w.write(meta.quant_bits as u64, 8);
+    w.write(u64::from(meta.ways), 16);
+    w.write(u64::from(meta.quant_bits), 8);
     w.write(meta.num_symbols, 64);
     w.write(meta.num_words, 64);
     w.write(meta.splits.len() as u64, 32);
 
-    let k = meta.splits.len() as u64;
-    if k > 0 {
-        let ways = meta.ways as u64;
-        let segments = k + 1;
-        let expect_off = meta.num_words.div_ceil(segments);
-        let groups = meta.num_symbols.div_ceil(ways);
-        let expect_grp = groups.div_ceil(segments);
+    if !layout.splits.is_empty() {
+        let groups = LaneGroups::new(meta.ways);
+        // Series 1 and 2: offset and anchor differences across all splits.
+        let offsets = layout.splits.iter().map(|l| l.offset_diff);
+        write_signed_series(&mut w, offsets, layout.offset_bits);
+        let anchors = layout.splits.iter().map(|l| l.anchor_diff);
+        write_signed_series(&mut w, anchors, layout.anchor_bits);
 
-        // Series 1: bitstream-offset differences across all splits.
-        let off_diffs: Vec<i64> = meta
-            .splits
-            .iter()
-            .enumerate()
-            .map(|(i, s)| s.offset as i64 - ((i as u64 + 1) * expect_off) as i64)
-            .collect();
-        write_signed_series(&mut w, &off_diffs, 5);
-
-        // Series 2: anchor (max group ID) differences across all splits.
-        let anchors: Vec<u64> = meta.splits.iter().map(|s| s.split_pos() / ways).collect();
-        let anchor_diffs: Vec<i64> = anchors
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| a as i64 - ((i as u64 + 1) * expect_grp) as i64)
-            .collect();
-        write_signed_series(&mut w, &anchor_diffs, 5);
-
-        // Per split: raw states, then the per-lane group differences.
-        for (s, &anchor) in meta.splits.iter().zip(&anchors) {
-            for li in &s.lanes {
-                w.write(li.state as u64, 16);
+        // Per split: raw states, then the per-lane group differences, as
+        // many to a write as fit in 64 bits.
+        for (s, l) in meta.splits.iter().zip(&layout.splits) {
+            write_states(&mut w, &s.lanes);
+            let width = l.diff_bits;
+            w.write(u64::from(width - 1), UNSIGNED_WIDTH_FIELD);
+            let start = groups.group_start(l.anchor);
+            // (At most 64 values to a write, so the count conversions
+            // cannot fail.)
+            let per_write = usize::try_from(64 / width).unwrap_or(1);
+            let mut lane = 0u64;
+            for chunk in s.lanes.chunks(per_write) {
+                // Each difference enters at the top and shifts down as the
+                // next arrives, so the first ends up lowest. (Accumulating
+                // by a growing shift instead gets auto-vectorized two wide,
+                // which is slower than this scalar chain.)
+                let mut packed = 0u64;
+                for li in chunk {
+                    packed =
+                        packed >> width | groups.diff_below(start, lane, li.pos) << (64 - width);
+                    lane += 1;
+                }
+                let bits = width * u32::try_from(chunk.len()).unwrap_or(1);
+                w.write(packed >> (64 - bits), bits);
             }
-            let diffs: Vec<u64> = s.lanes.iter().map(|li| anchor - li.pos / ways).collect();
-            write_unsigned_series(&mut w, &diffs, 4);
         }
     }
+    debug_assert_eq!(w.bit_len(), layout.body_bits);
     let mut bytes = w.into_bytes();
     if version >= VERSION {
         let footer = crc32(&bytes);
@@ -182,8 +360,9 @@ pub fn metadata_from_bytes(bytes: &[u8]) -> Result<RecoilMetadata, RecoilError> 
         Some(VERSION) => {
             // Verify the integrity footer before interpreting anything: a
             // corrupt frame must never reconstruct garbage split points.
-            let (body, footer) = bytes.split_at(bytes.len() - 4);
-            let footer: [u8; 4] = footer.try_into().map_err(|_| bad("truncated footer"))?;
+            let (body, footer) = bytes.split_at(bytes.len() - FOOTER_BYTES);
+            let footer: [u8; FOOTER_BYTES] =
+                footer.try_into().map_err(|_| bad("truncated footer"))?;
             let expected = u32::from_le_bytes(footer);
             if crc32(body) != expected {
                 return Err(bad("metadata checksum mismatch"));
@@ -210,57 +389,47 @@ pub fn metadata_from_bytes(bytes: &[u8]) -> Result<RecoilMetadata, RecoilError> 
     if k as u64 > num_symbols {
         return Err(bad("more splits than symbols"));
     }
-    // Every split stores at least 16 bits of raw per-lane state, so a body
-    // of `body.len()` bytes cannot hold more than `body.len() / 2` splits.
-    // A hostile header claiming billions of splits is rejected here instead
-    // of sizing an allocation from an attacker-chosen count.
-    if k > body.len() / 2 {
-        return Err(bad("split count exceeds the input size"));
-    }
+    // Every split stores 16 bits of raw state per lane, so a body of
+    // `body.len()` bytes cannot hold more than `body.len() / 2` lanes in
+    // all. A hostile header claiming billions of splits is rejected here
+    // instead of sizing an allocation from an attacker-chosen count — and
+    // what is allocated below (16 bytes a lane) stays within 8x the input.
+    let ways_n = usize::try_from(ways).map_err(|_| bad("lane count exceeds the address space"))?;
+    let total_lanes = k
+        .checked_mul(ways_n)
+        .filter(|&lanes| lanes <= body.len() / 2)
+        .ok_or_else(|| bad("split count exceeds the input size"))?;
 
-    // xtask: allow(wire-capacity): `k` is bounded by the physical input length above.
-    let mut splits = Vec::with_capacity(k);
+    let mut splits = Vec::new();
     if k > 0 {
-        let waysu = u64::from(ways);
-        let ways_n =
-            usize::try_from(ways).map_err(|_| bad("lane count exceeds the address space"))?;
-        let segments = k as u64 + 1;
-        let expect_off = num_words.div_ceil(segments);
-        let groups = num_symbols.div_ceil(waysu);
-        let expect_grp = groups.div_ceil(segments);
-
-        let off_diffs = read_signed_series(&mut r, k, 5)?;
-        let anchor_diffs = read_signed_series(&mut r, k, 5)?;
-        for (i, (&off_diff, &anchor_diff)) in off_diffs.iter().zip(&anchor_diffs).enumerate() {
-            let offset = ((i as u64 + 1) * expect_off) as i64 + off_diff;
-            let anchor = ((i as u64 + 1) * expect_grp) as i64 + anchor_diff;
-            if offset < 0 || anchor < 0 {
-                return Err(bad("negative reconstructed offset or anchor"));
-            }
-            let (offset, anchor) = (offset as u64, anchor as u64);
-            // xtask: allow(wire-capacity): `ways` was read as 16 bits, so this caps at 128 KiB.
-            let mut states = Vec::with_capacity(ways_n);
-            for _ in 0..ways {
-                // xtask: allow(wire-cast): a 16-bit read always fits u16.
-                states.push(r.read(16).ok_or_else(|| bad("truncated states"))? as u16);
-            }
-            let diffs = read_unsigned_series(&mut r, ways_n, 4)?;
-            let lanes: Vec<LaneInit> = diffs
-                .iter()
-                .zip(&states)
-                .enumerate()
-                .map(|(lane, (&diff, &state))| {
-                    let group = anchor
-                        .checked_sub(diff)
-                        .ok_or_else(|| bad("group difference exceeds anchor"))?;
-                    Ok(LaneInit {
-                        state,
-                        pos: group * waysu + lane as u64,
-                    })
+        let expected = Expected::new(ways, num_symbols, num_words, k);
+        let off_diffs = read_signed_series(&mut r, k)?;
+        let anchor_diffs = read_signed_series(&mut r, k)?;
+        // Every split's lanes, back to back, read straight into the one
+        // allocation the parsed splits will share.
+        let blank = LaneInit { state: 0, pos: 0 };
+        let mut all: Arc<[LaneInit]> = std::iter::repeat_n(blank, total_lanes).collect();
+        // xtask: allow(wire-capacity): `k` is bounded by the physical input length above.
+        let mut measured = Vec::with_capacity(k);
+        let series = off_diffs.iter().zip(&anchor_diffs).enumerate();
+        // (`make_mut` on the sole owner hands out the slice; nothing is cloned.)
+        for ((i, (&off_diff, &anchor_diff)), lanes) in
+            series.zip(Arc::make_mut(&mut all).chunks_exact_mut(ways_n))
+        {
+            let (offset, anchor) = expected
+                .at(i)
+                .and_then(|(offset, anchor)| {
+                    Some((
+                        offset.checked_add_signed(off_diff)?,
+                        anchor.checked_add_signed(anchor_diff)?,
+                    ))
                 })
-                .collect::<Result<_, RecoilError>>()?;
-            splits.push(SplitPoint { offset, lanes });
+                .ok_or_else(|| bad("negative reconstructed offset or anchor"))?;
+            read_states(&mut r, lanes)?;
+            let extent = read_positions(&mut r, lanes, anchor)?;
+            measured.push((offset, extent));
         }
+        splits = pack_splits(all, ways_n, measured.into_iter());
     }
 
     let meta = RecoilMetadata {
@@ -278,6 +447,8 @@ pub fn metadata_from_bytes(bytes: &[u8]) -> Result<RecoilMetadata, RecoilError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metadata::tests::spanning_meta;
+    use crate::metadata::SplitPoint;
 
     fn meta_with(splits: Vec<SplitPoint>, ways: u32, n: u64, b: u64) -> RecoilMetadata {
         RecoilMetadata {
@@ -311,7 +482,8 @@ mod tests {
                     state: 0x0D04,
                     pos: 15,
                 },
-            ],
+            ]
+            .into(),
         };
         meta_with(vec![split], 4, 20, 9)
     }
@@ -328,16 +500,22 @@ mod tests {
     fn paper_worked_example_group_difference_series() {
         // Table 2's "Differences" row is -1, 0, -1, 0 stored sign-dropped in
         // 1-bit values after a 4-bit zero width field: 0000 | 1 0 1 0.
-        let mut w = BitWriter::new();
-        write_unsigned_series(&mut w, &[1, 0, 1, 0], 4);
-        assert_eq!(w.bit_len(), 4 + 4);
-        let bytes = w.into_bytes();
+        let bytes = metadata_to_bytes(&figure6_meta());
         let mut r = BitReader::new(&bytes);
+        for field in [32, 8, 16, 8, 64, 64, 32] {
+            r.read(field).unwrap();
+        }
+        for _ in 0..2 {
+            let width = read_width(&mut r, SIGNED_WIDTH_FIELD).unwrap();
+            r.read(width + 1).unwrap(); // the one split's magnitude and sign
+        }
+        assert_eq!(r.read(64), Some(0x0D04_0C03_0B02_0A01)); // raw states
         assert_eq!(r.read(4), Some(0)); // width - 1 = 0 → 1-bit values
         assert_eq!(r.read(1), Some(1));
         assert_eq!(r.read(1), Some(0));
         assert_eq!(r.read(1), Some(1));
         assert_eq!(r.read(1), Some(0));
+        assert_eq!(r.bit_pos().div_ceil(8) as usize + FOOTER_BYTES, bytes.len());
     }
 
     #[test]
@@ -473,5 +651,93 @@ mod tests {
         assert_eq!(bits_for(1), 1);
         assert_eq!(bits_for(2), 2);
         assert_eq!(bits_for(u16::MAX as u64), 16);
+    }
+
+    #[test]
+    fn reconstructed_positions_are_measured_as_they_are_built() {
+        // The parser vouches to `pack_splits` for each split's extent — its
+        // lanes owned by construction — and only debug builds re-measure
+        // there. Pin the claim in every profile, on bodies no serializer
+        // writes: differences above the anchor, anchors around the largest
+        // whose group fits 64 bits, lane counts that are not powers of two.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let (mut accepted, mut refused) = (0, 0);
+        for ways in [1u64, 3, 4, 5, 32, 33, 1000] {
+            let top = u64::MAX / ways;
+            for anchor in [
+                0,
+                1,
+                7,
+                1 << 16,
+                top - 1,
+                top,
+                top.saturating_add(1),
+                u64::MAX,
+            ] {
+                for width in 1..=GROUP_DIFF_BITS {
+                    for case in 0..6 {
+                        let diffs: Vec<u64> = (0..ways)
+                            .map(|_| match case {
+                                0 => 0,
+                                1 => (1 << width) - 1,
+                                2 => next() % 2,
+                                _ => next() % (1 << width),
+                            })
+                            .collect();
+                        let mut w = BitWriter::new();
+                        w.write(u64::from(width - 1), UNSIGNED_WIDTH_FIELD);
+                        for &diff in &diffs {
+                            w.write(diff, width);
+                        }
+                        let body = w.into_bytes();
+                        let mut lanes = vec![LaneInit { state: 0, pos: 0 }; diffs.len()];
+                        let fits = anchor
+                            .checked_mul(ways)
+                            .is_some_and(|start| start.checked_add(ways - 1).is_some());
+                        let within = diffs.iter().all(|&diff| diff <= anchor);
+                        match read_positions(&mut BitReader::new(&body), &mut lanes, anchor) {
+                            Ok(extent) => {
+                                assert!(fits && within, "ways {ways} anchor {anchor}: accepted");
+                                assert_eq!(extent, Extent::of(&lanes));
+                                assert!(extent.owned);
+                                for ((lane, li), diff) in (0u64..).zip(&lanes).zip(&diffs) {
+                                    assert_eq!(li.pos, (anchor - diff) * ways + lane);
+                                }
+                                accepted += 1;
+                            }
+                            Err(err) => {
+                                assert!(!(fits && within), "ways {ways} anchor {anchor}: {err}");
+                                refused += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(accepted > 1000 && refused > 1000, "{accepted} / {refused}");
+    }
+
+    #[test]
+    fn widest_representable_split_round_trips() {
+        let meta = spanning_meta((1 << GROUP_DIFF_BITS) - 1);
+        let bytes = metadata_to_bytes(&meta);
+        assert_eq!(bytes.len(), metadata_wire_len(&meta));
+        assert_eq!(metadata_from_bytes(&bytes).unwrap(), meta);
+    }
+
+    #[test]
+    #[should_panic(expected = "not representable")]
+    fn unrepresentable_split_is_refused_not_mis_serialized() {
+        // At 2^16 groups the difference width no longer fits its 4-bit
+        // field. This used to serialize (in release) with the width masked
+        // to 1, a correct CRC over the wrong bytes, and parse back to
+        // different positions.
+        let _ = Layout::of(&spanning_meta(1 << GROUP_DIFF_BITS));
     }
 }

@@ -1,10 +1,15 @@
 //! Per-content LRU cache of shrunk metadata tiers.
 //!
-//! The server's real-time combine (§3.3) is lightweight but not free: it
-//! clones the kept split points and re-serializes the wire bytes on every
-//! request. Client capacities are heavily clustered in practice (a handful
-//! of device classes), so each published item carries a small LRU cache of
-//! the tiers it has actually served.
+//! The server's real-time combine (§3.3) is lightweight but not free: a
+//! miss selects the kept split points — sharing their lane arrays with the
+//! stored metadata by reference count, copying none — validates the
+//! selection, and serializes its wire bytes. That is a constant number of
+//! allocations whatever the width (the split list, the serializer's width
+//! scratch, the wire bytes, the tier itself) and time proportional to the
+//! tier's size. Client capacities are heavily clustered in practice (a
+//! handful of device classes), so each published item carries a small LRU
+//! cache of the tiers it has actually served; evicting one is a refcount
+//! decrement per kept split, done after the cache lock is released.
 //!
 //! The cache key is the **post-clamp** segment count — the tier actually
 //! served, not the capacity the client asked for. A request for 10 000
@@ -22,26 +27,40 @@ use std::sync::Arc;
 pub struct ShrunkTier {
     /// The tier's segment count (post-clamp: `min(requested, available)`).
     pub segments: u64,
-    /// Combined metadata (parsed form, for in-process clients).
+    /// Combined metadata (parsed form, for in-process clients); its split
+    /// points share their lane arrays with the published item's.
     pub metadata: RecoilMetadata,
     /// Serialized metadata, what goes on the wire.
     pub metadata_bytes: Vec<u8>,
 }
 
-/// A small LRU (most-recently-served first) of [`ShrunkTier`]s.
+/// What a [`TierCache`] keys its entries by.
+pub(crate) trait Tier {
+    /// The tier's post-clamp segment count.
+    fn segments(&self) -> u64;
+}
+
+impl Tier for ShrunkTier {
+    fn segments(&self) -> u64 {
+        self.segments
+    }
+}
+
+/// A small LRU (most-recently-served first) of [`Tier`]s (the server's are
+/// [`ShrunkTier`]s) keyed by their segment count.
 ///
 /// Capacities are tiny (default 8) and entries are `Arc`-shared, so the
 /// inner structure is a plain vector under a mutex: lookup is a short scan,
 /// promotion a rotate — cheaper than any linked-list bookkeeping at this
 /// size, and the lock is held only for the scan, never during a combine.
 #[derive(Debug)]
-pub(crate) struct TierCache {
+pub(crate) struct TierCache<T> {
     capacity: usize,
     /// `(segments, tier)` pairs, most recently used first.
-    tiers: Mutex<Vec<(u64, Arc<ShrunkTier>)>>,
+    tiers: Mutex<Vec<(u64, Arc<T>)>>,
 }
 
-impl TierCache {
+impl<T: Tier> TierCache<T> {
     /// Cache holding at most `capacity` tiers (minimum 1).
     pub fn new(capacity: usize) -> Self {
         Self {
@@ -51,7 +70,7 @@ impl TierCache {
     }
 
     /// Looks up `segments`, promoting the entry to most-recently-used.
-    pub fn get(&self, segments: u64) -> Option<Arc<ShrunkTier>> {
+    pub fn get(&self, segments: u64) -> Option<Arc<T>> {
         let mut tiers = self.tiers.lock();
         let idx = tiers.iter().position(|(t, _)| *t == segments)?;
         // Promote: rotate the hit to the front, preserving relative order
@@ -61,23 +80,34 @@ impl TierCache {
     }
 
     /// Inserts `tier` as most-recently-used, evicting the least recently
-    /// used entry when full, and bumps `stats.cache_evictions` accordingly.
+    /// used entry when full (and bumping `stats.cache_evictions`).
     ///
     /// Two threads can miss the same tier concurrently and both compute it
     /// (combining happens outside the cache lock on purpose); whichever
     /// insert lands second adopts the already-cached entry, so every caller
     /// ends up sharing one allocation. Returns the entry to serve.
-    pub fn insert(&self, tier: Arc<ShrunkTier>, stats: &StatsCounters) -> Arc<ShrunkTier> {
-        let mut tiers = self.tiers.lock();
-        if let Some(idx) = tiers.iter().position(|(t, _)| t == &tier.segments) {
-            tiers[..=idx].rotate_right(1);
-            return Arc::clone(&tiers[0].1);
-        }
-        if tiers.len() == self.capacity {
-            tiers.pop();
-            bump(&stats.cache_evictions);
-        }
-        tiers.insert(0, (tier.segments, Arc::clone(&tier)));
+    ///
+    /// The evicted entry leaves the critical section alive and is dropped
+    /// here after the unlock: tearing a wide tier down (a refcount decrement
+    /// per split, two frees) must not stall the item's cache hits.
+    pub fn insert(&self, tier: Arc<T>, stats: &StatsCounters) -> Arc<T> {
+        let segments = tier.segments();
+        let evicted = {
+            let mut tiers = self.tiers.lock();
+            if let Some(idx) = tiers.iter().position(|(t, _)| *t == segments) {
+                tiers[..=idx].rotate_right(1);
+                return Arc::clone(&tiers[0].1);
+            }
+            let evicted = if tiers.len() == self.capacity {
+                bump(&stats.cache_evictions);
+                tiers.pop()
+            } else {
+                None
+            };
+            tiers.insert(0, (segments, Arc::clone(&tier)));
+            evicted
+        };
+        drop(evicted);
         tier
     }
 
@@ -91,29 +121,28 @@ impl TierCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Weak;
 
-    fn tier(segments: u64) -> Arc<ShrunkTier> {
-        Arc::new(ShrunkTier {
-            segments,
-            metadata: RecoilMetadata {
-                ways: 1,
-                quant_bits: 11,
-                num_symbols: 10,
-                num_words: 10,
-                splits: vec![],
-            },
-            metadata_bytes: vec![0; segments as usize],
-        })
+    /// The smallest tier: nothing but its key.
+    impl Tier for u64 {
+        fn segments(&self) -> u64 {
+            *self
+        }
+    }
+
+    fn insert(cache: &TierCache<u64>, segments: u64, stats: &StatsCounters) -> Arc<u64> {
+        cache.insert(Arc::new(segments), stats)
     }
 
     #[test]
     fn lru_evicts_least_recently_served() {
         let stats = StatsCounters::default();
         let cache = TierCache::new(2);
-        cache.insert(tier(1), &stats);
-        cache.insert(tier(2), &stats);
+        insert(&cache, 1, &stats);
+        insert(&cache, 2, &stats);
         assert!(cache.get(1).is_some()); // 1 is now MRU
-        cache.insert(tier(3), &stats); // evicts 2
+        insert(&cache, 3, &stats); // evicts 2
         assert!(cache.get(2).is_none());
         assert!(cache.get(1).is_some());
         assert!(cache.get(3).is_some());
@@ -125,8 +154,8 @@ mod tests {
     fn racing_inserts_converge_on_one_entry() {
         let stats = StatsCounters::default();
         let cache = TierCache::new(4);
-        let first = cache.insert(tier(7), &stats);
-        let second = cache.insert(tier(7), &stats);
+        let first = insert(&cache, 7, &stats);
+        let second = insert(&cache, 7, &stats);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.len(), 1);
         assert_eq!(stats.snapshot().cache_evictions, 0);
@@ -136,10 +165,55 @@ mod tests {
     fn zero_capacity_clamps_to_one() {
         let stats = StatsCounters::default();
         let cache = TierCache::new(0);
-        cache.insert(tier(1), &stats);
+        insert(&cache, 1, &stats);
         assert!(cache.get(1).is_some());
-        cache.insert(tier(2), &stats);
+        insert(&cache, 2, &stats);
         assert!(cache.get(1).is_none());
         assert!(cache.get(2).is_some());
+    }
+
+    /// A tier that, when dropped, notes whether its cache's lock was free.
+    struct LockProbe {
+        segments: u64,
+        cache: Weak<TierCache<LockProbe>>,
+        dropped_unlocked: Arc<AtomicU32>,
+    }
+
+    impl Tier for LockProbe {
+        fn segments(&self) -> u64 {
+            self.segments
+        }
+    }
+
+    impl Drop for LockProbe {
+        fn drop(&mut self) {
+            // (`None` only for the entry the cache itself drops last.)
+            if let Some(cache) = self.cache.upgrade() {
+                if cache.tiers.try_lock().is_some() {
+                    self.dropped_unlocked.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_evicted_tier_is_dropped_after_the_lock_is_released() {
+        let stats = StatsCounters::default();
+        let cache = Arc::new(TierCache::new(1));
+        let dropped_unlocked = Arc::new(AtomicU32::new(0));
+        for segments in 1..=3 {
+            let probe = LockProbe {
+                segments,
+                cache: Arc::downgrade(&cache),
+                dropped_unlocked: Arc::clone(&dropped_unlocked),
+            };
+            cache.insert(Arc::new(probe), &stats);
+        }
+        assert_eq!(stats.snapshot().cache_evictions, 2);
+        assert_eq!(
+            dropped_unlocked.load(Ordering::Relaxed),
+            2,
+            "an eviction tore its tier down inside the cache lock"
+        );
     }
 }

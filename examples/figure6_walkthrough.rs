@@ -66,21 +66,21 @@ fn main() {
     // Table 2, our stream's edition.
     println!("\nCodec metadata (cf. Table 2):");
     print!("{:>20}", "Intermediate States");
-    for li in &split.lanes {
+    for li in split.lanes.iter() {
         print!(" | {:#8x}", li.state);
     }
     print!("\n{:>20}", "Symbol Indices");
-    for li in &split.lanes {
+    for li in split.lanes.iter() {
         print!(" | {:>8}", li.pos + 1);
     }
     print!("\n{:>20}", "Symbol Group IDs");
-    for li in &split.lanes {
+    for li in split.lanes.iter() {
         print!(" | {:>8}", li.pos / 4 + 1);
     }
     let anchor = split.lanes.iter().map(|l| l.pos / 4).max().unwrap();
     print!("\n{:>20} | {:>8}", "Max (Anchor)", anchor + 1);
     print!("\n{:>20}", "Differences");
-    for li in &split.lanes {
+    for li in split.lanes.iter() {
         print!(" | {:>8}", (li.pos / 4) as i64 - anchor as i64);
     }
     println!();
