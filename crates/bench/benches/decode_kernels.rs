@@ -1,10 +1,16 @@
 //! Criterion microbenchmarks: single-thread decode kernels
-//! (scalar vs AVX2 vs AVX-512, packed vs wide LUT layouts), plus the
-//! scalar fast-loop engine against the retained careful reference loop.
+//! (scalar vs AVX2 vs AVX-512, packed vs wide LUT layouts), the sweep that
+//! chose each vector kernel's interleave depth, plus the scalar fast-loop
+//! engine against the retained careful reference loop.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{
+    criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
+};
+use recoil::core::{decode_segments, SpanKernel};
 use recoil::prelude::*;
 use recoil::rans::fast::{decode_span, decode_span_careful};
+use recoil::rans::{Span, SpanStats};
+use recoil::simd::decode_spans_at_depth;
 
 /// The scalar fast loop vs the careful `LaneDecoder::step` reference on
 /// the same whole stream.
@@ -66,5 +72,86 @@ fn bench_kernels(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_kernels, bench_fast_vs_reference);
+/// The vector span kernel at interleave depth `K` as the segment engine's
+/// kernel: what a backend would run if its kernel's depth were `K`.
+struct AtDepth<'a, const K: usize> {
+    kernel: Kernel,
+    model: &'a StaticModelProvider,
+}
+
+impl<const K: usize> SpanKernel<u8> for AtDepth<'_, K> {
+    fn depth(&self) -> usize {
+        K
+    }
+
+    fn decode_batch(&self, spans: &mut [Span<'_, u8>]) -> Result<SpanStats, RansError> {
+        decode_spans_at_depth::<K, u8>(self.kernel, self.model, spans)
+    }
+}
+
+fn bench_depth<const K: usize>(
+    group: &mut BenchmarkGroup<'_>,
+    kernel: Kernel,
+    enc: &Encoded,
+    out: &mut [u8],
+) {
+    let (stream, meta) = (&enc.container.stream, &enc.container.metadata);
+    let at_depth = AtDepth::<K> {
+        kernel,
+        model: &enc.model,
+    };
+    group.bench_function(
+        BenchmarkId::new(format!("{kernel:?}"), format!("K{K}")),
+        |b| {
+            b.iter(|| {
+                let all = 0..meta.num_segments();
+                decode_segments(stream, meta, &enc.model, None, all, out, &at_depth).unwrap();
+                std::hint::black_box(&out);
+            });
+        },
+    );
+}
+
+/// The interleave-depth sweep behind `Kernel::interleave_depth`: one thread
+/// decoding 1, 4 and 64 segments with K = 1, 2, 4, 6, 8 spans in flight,
+/// per ISA, packed (n = 11) and wide (n = 16) tables. At one segment every
+/// depth runs the K = 1 loop; past the chosen depth the loop's lane states
+/// no longer fit the register file (check the generated loop for spills
+/// before raising a constant).
+fn bench_interleave_depth(c: &mut Criterion) {
+    let data = recoil::data::text_like_bytes(2_000_000, 5.1, 99);
+    let mut out = vec![0u8; data.len()];
+    for (tables, n) in [("packed", 11u32), ("wide", 16)] {
+        for segments in [1u64, 4, 64] {
+            let codec = Codec::builder()
+                .quant_bits(n)
+                .max_segments(segments)
+                .build()
+                .unwrap();
+            let enc = codec.encode(&data).unwrap();
+            let mut group = c.benchmark_group(format!("interleave_depth_{tables}_{segments}seg"));
+            group.throughput(Throughput::Bytes(data.len() as u64));
+            group.sample_size(10);
+            for kernel in [Kernel::Avx2, Kernel::Avx512] {
+                if !kernel.is_available() {
+                    continue;
+                }
+                bench_depth::<1>(&mut group, kernel, &enc, &mut out);
+                bench_depth::<2>(&mut group, kernel, &enc, &mut out);
+                bench_depth::<4>(&mut group, kernel, &enc, &mut out);
+                bench_depth::<6>(&mut group, kernel, &enc, &mut out);
+                bench_depth::<8>(&mut group, kernel, &enc, &mut out);
+            }
+            group.finish();
+            assert_eq!(out, data);
+        }
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_kernels,
+    bench_interleave_depth,
+    bench_fast_vs_reference
+);
 criterion_main!(benches);

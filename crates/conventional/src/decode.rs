@@ -1,10 +1,11 @@
-//! Parallel decode of partitioned streams: one task per chunk.
+//! Parallel decode of partitioned streams: one task per batch of chunks
+//! (a batch is one chunk unless the kernel interleaves several).
 
 use crate::container::ConventionalContainer;
 use crate::encode::OffsetProvider;
 use recoil_models::{ModelProvider, Symbol};
-use recoil_parallel::{for_each_disjoint, ThreadPool};
-use recoil_rans::{decode_interleaved_into, EncodedStream, RansError};
+use recoil_parallel::{batch_bounds, for_each_disjoint, ThreadPool};
+use recoil_rans::{RansError, Span};
 
 /// Decodes all partitions, optionally on a pool, into a fresh buffer.
 pub fn decode_conventional<S: Symbol, P: ModelProvider>(
@@ -24,20 +25,30 @@ pub fn decode_conventional_into<S: Symbol, P: ModelProvider>(
     pool: Option<&ThreadPool>,
     out: &mut [S],
 ) -> Result<(), RansError> {
-    decode_partitions(container, pool, out, |chunk, base, seg| {
-        decode_interleaved_into(chunk, &OffsetProvider::new(provider, base), seg)
+    // The scalar span engine decodes one span at a time: depth 1.
+    decode_partitions(container, pool, out, 1, |mut base, spans| {
+        for span in spans {
+            let len = span.out.len();
+            span.advance_scalar(&OffsetProvider::new(provider, base), len)?;
+            base += len as u64;
+        }
+        Ok(())
     })
 }
 
-/// The partition fan-out shared by the scalar and SIMD baselines: runs
-/// `decode_chunk(chunk, first_symbol_position, chunk_output)` for every
-/// partition, each on its own disjoint region of `out`, optionally on a
-/// pool.
+/// The partition fan-out shared by the scalar and SIMD baselines — the
+/// same batches the Recoil segment engine hands its kernels, so the two
+/// layouts are compared like for like: each task is a batch of
+/// `min(depth, ceil(partitions / threads))` adjacent partitions, one
+/// whole-stream [`Span`] each (positions restart at zero in every
+/// partition), and runs `decode_batch(first_symbol_position, spans)` over
+/// the batch's disjoint region of `out`, optionally on a pool.
 pub fn decode_partitions<S: Symbol>(
     container: &ConventionalContainer,
     pool: Option<&ThreadPool>,
     out: &mut [S],
-    decode_chunk: impl Fn(&EncodedStream, u64, &mut [S]) -> Result<(), RansError> + Sync,
+    depth: usize,
+    decode_batch: impl Fn(u64, &mut [Span<'_, S>]) -> Result<(), RansError> + Sync,
 ) -> Result<(), RansError> {
     if out.len() as u64 != container.num_symbols() {
         return Err(RansError::MalformedStream(format!(
@@ -47,8 +58,17 @@ pub fn decode_partitions<S: Symbol>(
         )));
     }
     let bounds = container.symbol_bounds();
-    for_each_disjoint(pool, out, &bounds, |m, seg| {
-        decode_chunk(&container.chunks[m], bounds[m], seg)
+    let (batch, batches) = batch_bounds(pool, &bounds, depth);
+    for_each_disjoint(pool, out, &batches, |t, mut region| {
+        let first = t * batch;
+        let mut spans = Vec::with_capacity(batch);
+        for chunk in container.chunks.iter().skip(first).take(batch) {
+            chunk.validate()?;
+            let (seg, rest) = region.split_at_mut(chunk.num_symbols as usize);
+            region = rest;
+            spans.push(chunk.tail_span(0, seg));
+        }
+        decode_batch(bounds[first], &mut spans)
     })
 }
 

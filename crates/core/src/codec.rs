@@ -33,13 +33,13 @@
 //! decode loop.
 
 use crate::container::{encode_container, RecoilContainer};
-use crate::decoder::decode_segments;
+use crate::decoder::{decode_segments, ScalarKernel};
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
 use crate::planner::{Heuristic, PlannerConfig};
 use recoil_models::{CdfTable, ModelProvider, StaticModelProvider, Symbol, MAX_QUANT_BITS};
 use recoil_parallel::ThreadPool;
-use recoil_rans::{decode_span_with_stats, EncodedStream};
+use recoil_rans::EncodedStream;
 use std::ops::Range;
 
 /// Validated encoder configuration: everything the encode side of a
@@ -224,8 +224,8 @@ pub fn ensure_available(backend: &dyn DecodeBackend) -> Result<(), RecoilError> 
     })
 }
 
-/// The segment engine with the scalar span kernel
-/// (`recoil_rans::decode_span_with_stats`) plugged in: what the scalar and
+/// The segment engine with the scalar span kernel ([`ScalarKernel`])
+/// plugged in: what the scalar and
 /// pooled backends run, and what every backend runs for adaptive models.
 ///
 /// Generic over the provider on purpose: backends that hold a concrete
@@ -240,18 +240,9 @@ pub fn decode_segments_pooled<S: Symbol, P: ModelProvider + ?Sized>(
     segments: Range<u64>,
     out: &mut [S],
 ) -> Result<(), RecoilError> {
-    decode_segments(
-        stream,
-        metadata,
-        provider,
-        pool,
-        segments,
-        out,
-        |words, cursor, states, lo, seg| {
-            decode_span_with_stats(provider, words, cursor, states, lo, seg)
-        },
-    )
-    .map_err(RecoilError::from)
+    let kernel = ScalarKernel(provider);
+    decode_segments(stream, metadata, provider, pool, segments, out, &kernel)
+        .map_err(RecoilError::from)
 }
 
 /// Whole-stream [`decode_segments_pooled`] for callers that hold a stream,

@@ -20,18 +20,25 @@
 //! why the output buffer can be handed out as non-overlapping sub-slices.
 //!
 //! [`decode_segments`] is the one driver for all of it. What varies between
-//! decoders is only the **span kernel** that runs phases 2–3 — the scalar
-//! fast loop (`recoil_rans::decode_span_with_stats`) or the SIMD crate's
-//! AVX2/AVX-512 group loop — and whether a thread pool is attached, so
-//! "scalar", "pooled", "SIMD" and "streaming over a word prefix" are
-//! arguments to this function, not separate drivers.
+//! decoders is only the [`SpanKernel`] that runs phases 2–3 — the scalar
+//! fast loop ([`ScalarKernel`]) or the SIMD crate's AVX2/AVX-512 span loops
+//! — and whether a thread pool is attached, so "scalar", "pooled", "SIMD"
+//! and "streaming over a word prefix" are arguments to this function, not
+//! separate drivers.
+//!
+//! Splits are independent entry points into one bitstream, and that is
+//! worth as much *inside* a thread as across threads: a kernel that can
+//! decode `K` spans interleaved (its [`SpanKernel::depth`]) is handed
+//! batches of up to `K` adjacent segments, so a decoder's capability is
+//! `threads × K` splits, not `threads`.
 
 use crate::metadata::{RecoilMetadata, SplitPoint};
 use recoil_bitio::BackwardWordReader;
 use recoil_models::{ModelProvider, Symbol};
-use recoil_parallel::{for_each_disjoint, ThreadPool};
-use recoil_rans::params::LOWER_BOUND;
-use recoil_rans::{decode_transform, renorm_read, EncodedStream, RansError, SpanStats};
+use recoil_parallel::{batch_bounds, for_each_disjoint, ThreadPool};
+use recoil_rans::{
+    decode_transform, renorm_read, EncodedStream, LaneStates, RansError, Span, SpanStats,
+};
 use std::ops::Range;
 
 /// Number of parallel decode tasks this metadata yields.
@@ -115,21 +122,52 @@ pub fn validate_segment_decode(
     Ok(())
 }
 
+/// What the segment engine runs over the positions of each segment
+/// (Decoding + Cross-Boundary Phases): the one thing decoders differ in.
+pub trait SpanKernel<S: Symbol>: Sync {
+    /// How many independent spans one [`Self::decode_batch`] call decodes
+    /// interleaved — the engine hands out batches of up to this many
+    /// adjacent segments. 1 for a kernel that decodes spans one by one.
+    fn depth(&self) -> usize;
+
+    /// Decodes every span of the batch to completion (each `out` empty,
+    /// `cursor` and `states` where its decode stopped) and returns how the
+    /// batch decoded, summed. Must be bit-identical, span by span, to
+    /// `recoil_rans::decode_span_careful`, for any batch length.
+    fn decode_batch(&self, spans: &mut [Span<'_, S>]) -> Result<SpanStats, RansError>;
+}
+
+/// The scalar span kernel: `recoil_rans::decode_span_with_stats` over each
+/// span in turn. Its fast loop already carries `ways` independent chains,
+/// so its depth is 1.
+pub struct ScalarKernel<'a, P: ?Sized>(pub &'a P);
+
+impl<S: Symbol, P: ModelProvider + ?Sized> SpanKernel<S> for ScalarKernel<'_, P> {
+    fn depth(&self) -> usize {
+        1
+    }
+
+    fn decode_batch(&self, spans: &mut [Span<'_, S>]) -> Result<SpanStats, RansError> {
+        let mut stats = SpanStats::default();
+        for span in spans {
+            stats.merge(&span.advance_scalar(self.0, span.out.len())?);
+        }
+        Ok(stats)
+    }
+}
+
 /// The segment decode engine: for every metadata segment in `segments`,
 /// recover the lane states (scalar Synchronization Phase, or the
 /// transmitted final states for the last segment), run `kernel` over the
-/// segment's positions, and write that task's disjoint region of `out`
+/// segment's positions, and write that segment's disjoint region of `out`
 /// (indexed absolutely: segment `m` owns `bounds[m]..bounds[m+1]`).
 /// `stream.words` may be a prefix — see [`validate_segment_decode`], which
 /// runs first, so every backend rejects the same inputs with the same
 /// errors.
 ///
-/// `kernel(words, cursor, states, lo, out)` decodes positions
-/// `lo .. lo + out.len()` downward from the backward word `cursor`
-/// (`None` = exhausted), advancing `states`, and returns the cursor it
-/// stopped at plus how the span decoded. It must be bit-identical to
-/// `recoil_rans::decode_span_careful`. With a `pool` the segments run
-/// concurrently; the first error wins.
+/// Each task is a batch of `min(kernel.depth(), ceil(segments / threads))`
+/// adjacent segments, handed to the kernel as one `&mut [Span]`. With a
+/// `pool` the batches run concurrently; the first error wins.
 pub fn decode_segments<S, P, K>(
     stream: &EncodedStream,
     meta: &RecoilMetadata,
@@ -137,43 +175,41 @@ pub fn decode_segments<S, P, K>(
     pool: Option<&ThreadPool>,
     segments: Range<u64>,
     out: &mut [S],
-    kernel: K,
+    kernel: &K,
 ) -> Result<(), RansError>
 where
     S: Symbol,
     P: ModelProvider + ?Sized,
-    K: Fn(
-            &[u16],
-            Option<u64>,
-            &mut [u32],
-            u64,
-            &mut [S],
-        ) -> Result<(Option<u64>, SpanStats), RansError>
-        + Sync,
+    K: SpanKernel<S> + ?Sized,
 {
     validate_segment_decode(stream, meta, &segments, out.len())?;
     let (a, b) = (segments.start as usize, segments.end as usize);
     let bounds = meta.segment_bounds();
-    let words = &stream.words;
-    for_each_disjoint(pool, out, &bounds[a..=b], |t, seg| {
-        let m = a + t;
-        let (mut states, cursor) = match meta.splits.get(m) {
-            Some(split) => sync_phase(split, words, provider, meta.ways)?,
-            // The last task starts from the exact, explicitly transmitted
-            // final states; no synchronization is needed.
-            None => (stream.final_states.clone(), stream.end_cursor()),
-        };
-        // Decoding Phase + Cross-Boundary Phase: positions bounds[m] ..
-        // bounds[m+1], stopping at the previous split's sync completion
-        // point.
-        let (_, stats) = kernel(words, cursor, &mut states, bounds[m], seg)?;
+    let (batch, batches) = batch_bounds(pool, &bounds[a..=b], kernel.depth());
+    for_each_disjoint(pool, out, &batches, |t, mut region| {
+        let first = a + t * batch;
+        let mut spans = Vec::with_capacity(batch);
+        for m in first..(first + batch).min(b) {
+            let (seg, rest) = region.split_at_mut((bounds[m + 1] - bounds[m]) as usize);
+            region = rest;
+            spans.push(match meta.splits.get(m) {
+                Some(split) => sync_phase(split, &stream.words, provider, bounds[m], seg)?,
+                // The last segment starts from the exact, explicitly
+                // transmitted final states; no synchronization is needed.
+                None => stream.tail_span(bounds[m], seg),
+            });
+        }
+        // Decoding Phase + Cross-Boundary Phase: each span's positions
+        // bounds[m] .. bounds[m+1], stopping at the previous split's sync
+        // completion point.
+        let stats = kernel.decode_batch(&mut spans)?;
 
-        // Fold the span's stats into the process-global decode metrics when
-        // some Telemetry handle armed them — one enabled-check per *span*
-        // (a whole task), so the disabled cost is a single relaxed load.
+        // Fold the batch's stats into the process-global decode metrics
+        // when some Telemetry handle armed them — one enabled-check per
+        // *batch*, so the disabled cost is a single relaxed load.
         let metrics = recoil_telemetry::decode_metrics();
         if metrics.enabled() {
-            metrics.spans.bump();
+            metrics.spans.add(spans.len() as u64);
             metrics.fast_groups.add(stats.fast_groups);
             metrics.fast_symbols.add(stats.fast_symbols);
             metrics.careful_symbols.add(stats.careful_symbols);
@@ -185,54 +221,52 @@ where
 
 /// Synchronization Phase (§4.1.1): recover full decoder states from the
 /// split's 16-bit metadata states, discarding the side-effect symbols.
-/// Returns the synchronized lane states and the next backward read cursor
-/// (`None` when the stream head was reached).
-fn sync_phase<P: ModelProvider + ?Sized>(
+/// Returns the span the segment below the split decodes: the synchronized
+/// lane states and the next backward read cursor (`None` when the stream
+/// head was reached), over positions `lo .. lo + out.len()`.
+fn sync_phase<'a, S, P: ModelProvider + ?Sized>(
     split: &SplitPoint,
-    words: &[u16],
+    words: &'a [u16],
     provider: &P,
-    ways: u32,
-) -> Result<(Vec<u32>, Option<u64>), RansError> {
-    let ways = ways as u64;
+    lo: u64,
+    out: &'a mut [S],
+) -> Result<Span<'a, S>, RansError> {
+    let ways = split.lanes.len() as u64;
     let n = provider.quant_bits();
     let mask = (1u32 << n) - 1;
-    let p = split.split_pos();
     let q = split.sync_start();
     let mut reader = BackwardWordReader::new(words, split.offset);
-    let mut states = vec![0u32; ways as usize];
-    let mut ready = vec![false; ways as usize];
+    let mut states = LaneStates::zeroed(ways as usize);
 
-    let mut pos = p;
-    loop {
+    for pos in (q..=split.split_pos()).rev() {
         let lane = (pos % ways) as usize;
-        if ready[lane] {
-            let x = renorm_read(states[lane], &mut reader, pos)?;
-            let (nx, _discard) = decode_transform(x, pos, provider, n, mask);
-            states[lane] = nx;
-        } else if split.lanes[lane].pos == pos {
+        let init = split.lanes[lane];
+        // A lane's positions descend from the one it is initialized at, so
+        // it is live exactly below that position. Slots of lanes not yet
+        // initialized are skipped entirely: absent decoders neither
+        // transform nor read, keeping the read offset correct (§4.1.1).
+        if pos > init.pos {
+            continue;
+        }
+        let x = if pos == init.pos {
             // Initialize this lane immediately before its first read: the
             // metadata state is < L, so renorm_read pulls exactly the word
             // its encoder-side renormalization emitted here.
-            let x0 = split.lanes[lane].state as u32;
-            debug_assert!(x0 < LOWER_BOUND);
-            let x = renorm_read(x0, &mut reader, pos)?;
-            let (nx, _discard) = decode_transform(x, pos, provider, n, mask);
-            states[lane] = nx;
-            ready[lane] = true;
-        }
-        // Slots of not-yet-initialized lanes are skipped entirely: absent
-        // decoders neither transform nor read, keeping the read offset
-        // correct (§4.1.1).
-        if pos == q {
-            break;
-        }
-        pos -= 1;
+            init.state as u32
+        } else {
+            states[lane]
+        };
+        let x = renorm_read(x, &mut reader, pos)?;
+        let (nx, _discard) = decode_transform(x, pos, provider, n, mask);
+        states[lane] = nx;
     }
-    debug_assert!(
-        ready.iter().all(|&r| r),
-        "sync ended with uninitialized lanes"
-    );
-    Ok((states, reader.offset()))
+    Ok(Span {
+        words,
+        cursor: reader.offset(),
+        states,
+        lo,
+        out,
+    })
 }
 
 #[cfg(test)]

@@ -53,7 +53,9 @@ pub use codec::{
 pub use combine::{combine_splits, try_combine_splits};
 pub use container::RecoilContainer;
 pub use crc::{crc32, update_crc32};
-pub use decoder::{decode_segments, decode_split_count, validate_segment_decode};
+pub use decoder::{
+    decode_segments, decode_split_count, validate_segment_decode, ScalarKernel, SpanKernel,
+};
 pub use error::RecoilError;
 pub use file::{container_from_bytes, container_to_bytes};
 pub use incremental::IncrementalDecoder;

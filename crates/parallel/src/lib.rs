@@ -72,6 +72,23 @@ where
     first_error.into_inner().map_or(Ok(()), Err)
 }
 
+/// Groups the `bounds.len() - 1` tasks of a [`for_each_disjoint`] table
+/// into batches of adjacent tasks for a kernel that can work on `depth` of
+/// them at once: as deep as the kernel goes, but never so deep that one of
+/// the pool's threads is left without a batch. Returns the batch size and
+/// the batch table (every `batch`-th bound plus the last) — batch `t` of
+/// that table covers tasks `t * batch .. min((t + 1) * batch, tasks)`.
+pub fn batch_bounds(pool: Option<&ThreadPool>, bounds: &[u64], depth: usize) -> (usize, Vec<u64>) {
+    let tasks = bounds.len().saturating_sub(1);
+    let threads = pool.map_or(1, ThreadPool::threads);
+    let batch = depth.min(tasks.div_ceil(threads)).max(1);
+    let mut table: Vec<u64> = bounds.iter().copied().step_by(batch).collect();
+    if !tasks.is_multiple_of(batch) {
+        table.push(bounds[tasks]);
+    }
+    (batch, table)
+}
+
 /// Runs `f(0..tasks)` on a freshly scoped set of `threads` OS threads using
 /// dynamic index claiming — the no-pool fallback, also used to cross-check
 /// the pool in tests.
@@ -185,6 +202,27 @@ mod tests {
                 }
             });
         }
+    }
+
+    #[test]
+    fn batches_fill_the_kernel_but_leave_no_thread_idle() {
+        let bounds: Vec<u64> = (0..=10).map(|t| t * 5).collect();
+        let pool = ThreadPool::new(2);
+        for (pool, depth, batch, table) in [
+            (None, 1, 1, bounds.clone()),
+            (None, 4, 4, vec![0, 20, 40, 50]),
+            (None, 5, 5, vec![0, 25, 50]),
+            (None, 64, 10, vec![0, 50]),
+            // Three threads, ten tasks: at most four each.
+            (Some(&pool), 8, 4, vec![0, 20, 40, 50]),
+            (Some(&pool), 2, 2, vec![0, 10, 20, 30, 40, 50]),
+            (None, 0, 1, bounds.clone()),
+        ] {
+            assert_eq!(batch_bounds(pool, &bounds, depth), (batch, table));
+        }
+        // No tasks: nothing to batch, and the table still runs nothing.
+        assert_eq!(batch_bounds(None, &[7], 4), (1, vec![7]));
+        assert_eq!(batch_bounds(None, &[], 4), (1, vec![]));
     }
 
     #[test]

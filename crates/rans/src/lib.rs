@@ -40,6 +40,7 @@ mod interleaved;
 pub mod params;
 mod single;
 mod sink;
+mod span;
 mod step;
 mod stream;
 
@@ -51,5 +52,6 @@ pub use fast_encode::{encode_span, encode_span_careful};
 pub use interleaved::{decode_interleaved, decode_interleaved_into, InterleavedEncoder};
 pub use single::{decode_single, SingleEncoder};
 pub use sink::{NullSink, RenormEvent, RenormSink, VecSink, NO_SYMBOL};
+pub use span::{LaneStates, Span};
 pub use step::{decode_transform, renorm_read, LaneDecoder};
 pub use stream::{append_words_le, extend_words_from_le, EncodedStream};

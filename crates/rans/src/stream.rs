@@ -1,6 +1,7 @@
 //! The encoded-stream container shared by all decoders.
 
 use crate::params;
+use crate::span::{LaneStates, Span};
 
 /// Output of an interleaved rANS encode: the forward-written u16 word
 /// stream, the final lane states, and the symbol count.
@@ -34,6 +35,19 @@ impl EncodedStream {
     #[inline]
     pub fn end_cursor(&self) -> Option<u64> {
         (!self.words.is_empty()).then(|| self.words.len() as u64 - 1)
+    }
+
+    /// The span that decodes from the stream's tail: the transmitted final
+    /// states and the end cursor, for positions `lo .. lo + out.len()`
+    /// (`lo = 0` and a full-length `out` make it the whole stream).
+    pub fn tail_span<'a, S>(&'a self, lo: u64, out: &'a mut [S]) -> Span<'a, S> {
+        Span {
+            words: &self.words,
+            cursor: self.end_cursor(),
+            states: LaneStates::from(&self.final_states[..]),
+            lo,
+            out,
+        }
     }
 
     /// Payload bytes as counted in the paper's size tables: words plus the

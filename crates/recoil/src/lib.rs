@@ -65,7 +65,11 @@
 //!
 //! Every backend is the same segment engine (`core::decode_segments`:
 //! validate → synchronize → span kernel → disjoint output slice) with a
-//! span kernel and an optional thread pool plugged in:
+//! span kernel and an optional thread pool plugged in. A kernel is handed
+//! batches of up to `K` adjacent segments (its interleave depth: 4 for
+//! AVX-512, 2 for AVX2, 1 for the scalar loop) and decodes them
+//! interleaved in one thread, so a decoder's capability is `threads × K`
+//! splits — request a tier at least that wide:
 //!
 //! | Backend | Span kernel | Threads | Behaviour |
 //! |---|---|---|---|

@@ -1,7 +1,8 @@
-//! AVX2 kernel: 8 lanes per register, unrolled ×4 for the 32-way interleave
-//! (paper §4.4, implementation (2)).
+//! AVX2 span loop: 8 lanes per register, four registers per span (paper
+//! §4.4, implementation (2)), `K` spans interleaved.
 
-use crate::model::SimdModel;
+use crate::driver::{popcount16, signed_cursor, SpanLoop, MIN_WORDS_BELOW, OVERREAD_WORDS};
+use recoil_rans::Span;
 use std::arch::x86_64::*;
 
 /// Per-mask `vpermd` indices distributing `k = popcount(mask)` loaded words
@@ -28,81 +29,143 @@ const fn build_perm() -> [[i32; 8]; 256] {
     t
 }
 
-/// Decodes one aligned 32-symbol group.
-///
-/// # Safety
-/// Caller must ensure AVX2 is available, `*p >= 63`, and
-/// `*p + 8 <= words_len` (see the driver's guard logic), with `words`
-/// pointing at a stream of at least `words_len` u16 words.
-#[target_feature(enable = "avx2")]
-pub unsafe fn group_avx2(
-    model: &SimdModel<'_>,
-    words: *const u16,
-    p: &mut isize,
-    states: &mut [u32; 32],
-    n: u32,
-    mask: u32,
-    out: &mut [u16; 32],
-) {
-    // SAFETY: the caller upholds the `# Safety` contract above — AVX2 is
-    // available and the cursor guards hold — so every pointer below stays
-    // in bounds: `sp`/`out` address the caller's fixed arrays and each
-    // renormalization load reads `words[base .. base+8]` inside the stream.
-    unsafe {
+/// The AVX2 span loop.
+pub(crate) struct Avx2;
+
+impl SpanLoop for Avx2 {
+    /// The one AVX2 decode loop (see [`SpanLoop::span_loop`]).
+    ///
+    /// A span is four registers here, so it already carries four chains
+    /// (coupled only through the cursor); a second span is what the sixteen
+    /// `ymm` registers leave room for.
+    ///
+    /// # Safety
+    /// As [`SpanLoop::span_loop`], and AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    unsafe fn span_loop<const K: usize, const WIDE: bool, S>(
+        t0: *const i32,
+        t1: *const i32,
+        n: u32,
+        spans: &mut [Span<'_, S>; K],
+    ) -> usize {
         let zero = _mm256_setzero_si256();
-        let maskv = _mm256_set1_epi32(mask as i32);
-        let ncount = _mm_cvtsi32_si128(n as i32);
-        let sp = states.as_mut_ptr();
+        let maskv = _mm256_set1_epi32(((1u32 << n) - 1) as i32);
+        let nv = _mm256_set1_epi32(n as i32);
 
-        // Registers in descending lane order so the shared backward cursor is
-        // consumed exactly as the scalar decoder would.
-        for r in (0..4usize).rev() {
-            let mut x = _mm256_loadu_si256(sp.add(r * 8) as *const __m256i);
-
-            // Renormalization: lanes with x < 2^16 (i.e. high half zero).
-            let small = _mm256_cmpeq_epi32(_mm256_srli_epi32::<16>(x), zero);
-            let m = (_mm256_movemask_ps(_mm256_castsi256_ps(small)) & 0xFF) as usize;
-            if m != 0 {
-                let k = m.count_ones() as isize;
-                let base = *p - k + 1;
-                let w128 = _mm_loadu_si128(words.add(base as usize) as *const __m128i);
-                let w = _mm256_cvtepu16_epi32(w128);
-                let perm = _mm256_loadu_si256(PERM[m].as_ptr() as *const __m256i);
-                let wperm = _mm256_permutevar8x32_epi32(w, perm);
-                let renormed = _mm256_or_si256(_mm256_slli_epi32::<16>(x), wperm);
-                x = _mm256_blendv_epi8(x, renormed, small);
-                *p -= k;
+        let common = spans.iter().map(|s| s.out.len() / 32).min().unwrap_or(0);
+        let words: [*const u16; K] = std::array::from_fn(|i| spans[i].words.as_ptr());
+        // A group may run while `MIN_WORDS_BELOW <= p <= top`.
+        let top: [isize; K] =
+            std::array::from_fn(|i| spans[i].words.len() as isize - OVERREAD_WORDS);
+        let mut p: [isize; K] = std::array::from_fn(|i| signed_cursor(spans[i].cursor));
+        // One past the top of each span's output; a group steps it down.
+        let mut out: [*mut S; K] = std::array::from_fn(|i| spans[i].out.as_mut_ptr_range().end);
+        let mut x = [[zero; 4]; K];
+        for i in 0..K {
+            let sp = spans[i].states.as_ptr();
+            for (r, xr) in x[i].iter_mut().enumerate() {
+                // SAFETY: the caller guarantees 32 lane states per span.
+                *xr = unsafe { _mm256_loadu_si256(sp.add(r * 8).cast()) };
             }
-
-            // Transform (Eq. 2).
-            let slot = _mm256_and_si256(x, maskv);
-            let (f, c, sym) = match *model {
-                SimdModel::Packed { lut, .. } => {
-                    let e = _mm256_i32gather_epi32::<4>(lut.as_ptr() as *const i32, slot);
-                    let field = _mm256_set1_epi32(0xFFF);
-                    (
-                        _mm256_and_si256(_mm256_srli_epi32::<12>(e), field),
-                        _mm256_and_si256(e, field),
-                        _mm256_srli_epi32::<24>(e),
-                    )
-                }
-                SimdModel::Wide { inv, ff, .. } => {
-                    let half = _mm256_set1_epi32(0xFFFF);
-                    let g1 = _mm256_i32gather_epi32::<2>(inv.as_ptr() as *const i32, slot);
-                    let sym = _mm256_and_si256(g1, half);
-                    let e = _mm256_i32gather_epi32::<4>(ff.as_ptr() as *const i32, sym);
-                    (_mm256_srli_epi32::<16>(e), _mm256_and_si256(e, half), sym)
-                }
-            };
-            let xsh = _mm256_srl_epi32(x, ncount);
-            x = _mm256_add_epi32(_mm256_mullo_epi32(f, xsh), _mm256_sub_epi32(slot, c));
-            _mm256_storeu_si256(sp.add(r * 8) as *mut __m256i, x);
-
-            // Narrow the 8 u32 symbols to u16 and store.
-            let lo = _mm256_castsi256_si128(sym);
-            let hi = _mm256_extracti128_si256::<1>(sym);
-            let pk = _mm_packus_epi32(lo, hi);
-            _mm_storeu_si128(out.as_mut_ptr().add(r * 8) as *mut __m128i, pk);
         }
+
+        let mut done = 0;
+        while done < common {
+            // Negative iff some cursor is outside its guarded region. One
+            // branch for the whole batch: with an exit per comparison LLVM
+            // kept most lane states on the stack.
+            let mut outside = 0;
+            for i in 0..K {
+                outside |= (p[i] - MIN_WORDS_BELOW) | (top[i] - p[i]);
+            }
+            if outside < 0 {
+                break;
+            }
+            for i in 0..K {
+                let mut sym = [zero; 4];
+                // Registers in descending lane order, so the span's backward
+                // cursor is consumed exactly as the scalar decoder would.
+                for r in (0..4usize).rev() {
+                    let mut xr = x[i][r];
+
+                    // Renormalization, branchless: the lanes below `L` (high
+                    // half zero) take the `k` words under the cursor, ascending.
+                    let small = _mm256_cmpeq_epi32(_mm256_srli_epi32::<16>(xr), zero);
+                    let m = _mm256_movemask_ps(_mm256_castsi256_ps(small)) as u8;
+                    let k = popcount16(m as u16);
+                    // SAFETY: the guards held at group entry and the group has
+                    // consumed at most 24 words since, so `p - k + 1 >= 33`;
+                    // and `p <= len - OVERREAD_WORDS` keeps the 8-word load at
+                    // `p - k + 1 <= p + 1` inside the span's words.
+                    let w = unsafe { _mm_loadu_si128(words[i].offset(p[i] - k + 1).cast()) };
+                    // SAFETY: `PERM[m]` is eight `i32`s.
+                    let perm = unsafe { _mm256_loadu_si256(PERM[m as usize].as_ptr().cast()) };
+                    let wperm = _mm256_permutevar8x32_epi32(_mm256_cvtepu16_epi32(w), perm);
+                    let renormed = _mm256_or_si256(_mm256_slli_epi32::<16>(xr), wperm);
+                    xr = _mm256_blendv_epi8(xr, renormed, small);
+                    p[i] -= k;
+
+                    // Transform (Eq. 2).
+                    let slot = _mm256_and_si256(xr, maskv);
+                    // SAFETY: `slot < 2^n` indexes the model's tables (the
+                    // wide `inv` carries a padding entry for the 32-bit
+                    // gather), and `inv`'s symbols index `ff`.
+                    let (f, c, s) = unsafe {
+                        if WIDE {
+                            let half = _mm256_set1_epi32(0xFFFF);
+                            let s = _mm256_and_si256(_mm256_i32gather_epi32::<2>(t0, slot), half);
+                            let e = _mm256_i32gather_epi32::<4>(t1, s);
+                            (_mm256_srli_epi32::<16>(e), _mm256_and_si256(e, half), s)
+                        } else {
+                            let field = _mm256_set1_epi32(0xFFF);
+                            let e = _mm256_i32gather_epi32::<4>(t0, slot);
+                            (
+                                _mm256_and_si256(_mm256_srli_epi32::<12>(e), field),
+                                _mm256_and_si256(e, field),
+                                _mm256_srli_epi32::<24>(e),
+                            )
+                        }
+                    };
+                    let xsh = _mm256_srlv_epi32(xr, nv);
+                    x[i][r] =
+                        _mm256_add_epi32(_mm256_mullo_epi32(f, xsh), _mm256_sub_epi32(slot, c));
+                    sym[r] = s;
+                }
+
+                // Narrow the group's 32 symbols straight into the output
+                // slice. The packs interleave 128-bit halves; one permute puts
+                // the symbols back in lane order.
+                // SAFETY: `done < common` leaves the span 32 symbols below
+                // `out[i]`, and `S` is `u8` or `u16` by the caller's contract.
+                unsafe {
+                    out[i] = out[i].sub(32);
+                    let lo = _mm256_packus_epi32(sym[0], sym[1]);
+                    let hi = _mm256_packus_epi32(sym[2], sym[3]);
+                    if size_of::<S>() == 1 {
+                        let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+                        let bytes = _mm256_packus_epi16(lo, hi);
+                        let bytes = _mm256_permutevar8x32_epi32(bytes, order);
+                        _mm256_storeu_si256(out[i].cast(), bytes);
+                    } else {
+                        let lo = _mm256_permute4x64_epi64::<0b11_01_10_00>(lo);
+                        let hi = _mm256_permute4x64_epi64::<0b11_01_10_00>(hi);
+                        _mm256_storeu_si256(out[i].cast(), lo);
+                        _mm256_storeu_si256(out[i].add(16).cast(), hi);
+                    }
+                }
+            }
+            done += 1;
+        }
+
+        for i in 0..K {
+            let sp = spans[i].states.as_mut_ptr();
+            for (r, xr) in x[i].iter().enumerate() {
+                // SAFETY: 32 lane states per span, as at the loads above.
+                unsafe { _mm256_storeu_si256(sp.add(r * 8).cast(), *xr) };
+            }
+            spans[i].cursor = (p[i] >= 0).then_some(p[i] as u64);
+            spans[i].take_top(done * 32);
+        }
+        done
     }
 }

@@ -4,8 +4,8 @@
 //! There is one decode body, `decode_static`: it picks a [`Kernel`] for
 //! the stream and hands the matching span kernel to the segment engine
 //! (`recoil_core::decode_segments`), which owns validation, the scalar
-//! Synchronization Phase, the thread split and telemetry. The three public
-//! backends differ only in how the kernel is picked.
+//! Synchronization Phase, the batching, the thread split and telemetry.
+//! The three public backends differ only in how the kernel is picked.
 //!
 //! ## Backend selection semantics
 //!
@@ -26,16 +26,17 @@
 //!   scalar kernel — per-symbol model indirection defeats flat gathers.
 //!
 //! All backends optionally carry a [`ThreadPool`], in which case decode
-//! tasks (one per metadata segment) are distributed across it; the kernels
-//! then run *inside* each task.
+//! tasks — batches of up to [`Kernel::interleave_depth`] adjacent segments,
+//! fewer when that would leave a thread idle — are distributed across it;
+//! the kernels then run *inside* each task, the batch's spans interleaved.
 
-use crate::driver::{decode_segment, require_32_ways};
+use crate::driver::{decode_spans, require_32_ways};
 use crate::kernel::Kernel;
 use recoil_core::codec::{decode_segments_pooled, DecodeBackend, DecodeRequest};
-use recoil_core::{decode_segments, RecoilError, RecoilMetadata};
-use recoil_models::{ModelProvider, Symbol};
+use recoil_core::{decode_segments, RecoilError, RecoilMetadata, SpanKernel};
+use recoil_models::{ModelProvider, StaticModelProvider, Symbol};
 use recoil_parallel::ThreadPool;
-use recoil_rans::EncodedStream;
+use recoil_rans::{EncodedStream, RansError, Span, SpanStats};
 use std::ops::Range;
 
 /// How a backend picks its kernel.
@@ -79,9 +80,21 @@ fn auto_kernel(ways: u32) -> Kernel {
     }
 }
 
-/// The 32 lane states, aligned so a vector load never straddles a line.
-#[repr(align(64))]
-struct Lanes([u32; 32]);
+/// [`decode_spans`] as the segment engine's kernel.
+struct VectorKernel<'a> {
+    kernel: Kernel,
+    model: &'a StaticModelProvider,
+}
+
+impl<S: Symbol> SpanKernel<S> for VectorKernel<'_> {
+    fn depth(&self) -> usize {
+        self.kernel.interleave_depth()
+    }
+
+    fn decode_batch(&self, spans: &mut [Span<'_, S>]) -> Result<SpanStats, RansError> {
+        decode_spans(self.kernel, self.model, spans)
+    }
+}
 
 /// The decode body of every SIMD backend.
 fn decode_static<S: Symbol>(
@@ -93,27 +106,12 @@ fn decode_static<S: Symbol>(
     out: &mut [S],
 ) -> Result<(), RecoilError> {
     let (stream, model) = (req.stream, req.model);
-    match select.kernel(name, stream.ways)? {
-        Kernel::Scalar => decode_segments_pooled(stream, req.metadata, model, pool, segments, out),
-        kernel => decode_segments(
-            stream,
-            req.metadata,
-            model,
-            pool,
-            segments,
-            out,
-            |words, cursor, states, lo, seg| {
-                // The kernels load and store the lane states as whole
-                // vectors every group: run them on a cache-line-aligned
-                // copy, not wherever the engine's heap `Vec` landed. (A
-                // vector kernel is only ever selected for 32-way streams.)
-                let mut lanes = Lanes([0; 32]);
-                lanes.0.copy_from_slice(states);
-                decode_segment(kernel, model, words, cursor, &mut lanes.0, lo, seg)
-            },
-        )
-        .map_err(RecoilError::from),
-    }
+    let kernel = VectorKernel {
+        kernel: select.kernel(name, stream.ways)?,
+        model,
+    };
+    decode_segments(stream, req.metadata, model, pool, segments, out, &kernel)
+        .map_err(RecoilError::from)
 }
 
 /// Defines one SIMD backend: its constructors and its [`DecodeBackend`]
@@ -189,13 +187,13 @@ macro_rules! simd_backend {
 }
 
 simd_backend!(
-    /// AVX2 kernel backend (8 lanes × 4 unroll, paper implementation (2)).
+    /// AVX2 kernel backend (8 lanes × 4 registers, paper implementation (2)).
     Avx2Backend,
     "avx2",
     Select::Fixed(Kernel::Avx2)
 );
 simd_backend!(
-    /// AVX-512 kernel backend (16 lanes × 2 unroll, paper implementation (3)).
+    /// AVX-512 kernel backend (16 lanes × 2 registers, paper implementation (3)).
     Avx512Backend,
     "avx512",
     Select::Fixed(Kernel::Avx512)

@@ -1,153 +1,228 @@
 //! The vector span kernel and the whole-stream / conventional compositions
 //! built on it.
 //!
-//! The vector kernels run only on aligned 32-symbol groups away from the
-//! stream edges (memory guards); everything else — group-unaligned segment
+//! The vector loops run only on aligned 32-symbol groups away from the
+//! stream edges (memory guards); everything else — group-unaligned span
 //! edges, the first and last few words of the stream — falls back to the
-//! scalar span engine (`recoil_rans::decode_span_with_stats`), which is
+//! scalar span engine (`recoil_rans::Span::advance_scalar`), which is
 //! bit-identical by construction. SIMD decoding supports static models (the
 //! adaptive hyperprior path stays on the scalar engine, as the per-position
 //! model indirection defeats flat gathers).
 //!
-//! There is no segment driver here: [`decode_segment`] is a *span kernel*
+//! There is no segment driver here: [`decode_spans`] is a *span kernel*
 //! handed to `recoil_core::decode_segments` (see [`crate::backend`]), and
 //! the conventional baseline hands it to
-//! `recoil_conventional::decode_partitions`.
+//! `recoil_conventional::decode_partitions`. Both give it batches of up to
+//! [`Kernel::interleave_depth`] spans, which it decodes interleaved.
 
-use crate::kernel::Kernel;
+// Off x86_64 there is no vector loop and what only they use is dead.
+#![cfg_attr(not(target_arch = "x86_64"), allow(dead_code, unused_imports))]
+
+use crate::kernel::{Kernel, AVX2_DEPTH, AVX512_DEPTH};
 use crate::model::SimdModel;
 use recoil_conventional::{decode_partitions, ConventionalContainer};
-use recoil_models::{ModelProvider, StaticModelProvider, Symbol};
+use recoil_models::{StaticModelProvider, Symbol};
 use recoil_parallel::ThreadPool;
-use recoil_rans::{decode_span_with_stats, EncodedStream, RansError, SpanStats};
+use recoil_rans::{EncodedStream, RansError, Span, SpanStats};
+use std::any::TypeId;
 
 /// Words that must remain below the cursor for a vector group (underread
-/// guard: four sub-registers consume at most 32 words).
-const MIN_WORDS_BELOW: isize = 64;
-/// Words that must remain above the cursor (overread guard: the widest
-/// renorm load touches 16 u16 past the base).
-const OVERREAD_WORDS: isize = 16;
+/// guard: a group consumes at most 32 words).
+pub(crate) const MIN_WORDS_BELOW: isize = 64;
+/// Words that must remain from the cursor up (overread guard: the widest
+/// renorm load is 16 words, starting as high as one past the cursor).
+pub(crate) const OVERREAD_WORDS: isize = 17;
 
-/// The vector span kernel: decodes positions `lo .. lo + out.len()`
-/// (descending) of a 32-way interleaved stream, starting from `states` and
-/// backward word cursor `next_read`. Returns the cursor after the span and
-/// how it decoded (vector groups count as fast groups).
-///
-/// `lo` need not be group-aligned, and `words` may be a prefix of the
-/// stream: the guards keep every vector load inside it. A `kernel` this
-/// host cannot run (and [`Kernel::Scalar`]) decodes the whole span through
-/// the scalar engine.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused))]
-pub fn decode_segment<S: Symbol>(
-    kernel: Kernel,
-    provider: &StaticModelProvider,
-    words: &[u16],
-    next_read: Option<u64>,
-    states: &mut [u32; 32],
-    lo: u64,
-    out: &mut [S],
-) -> Result<(Option<u64>, SpanStats), RansError> {
-    let model = SimdModel::from_provider(provider);
-    let n = provider.quant_bits();
-    let mask = (1u32 << n) - 1;
-    let vector = kernel != Kernel::Scalar && kernel.is_available();
-    // The loop state stays in plain locals: bundled into a struct it spilled
-    // to the stack every group, which cost `AutoBackend` 18% on the ladder.
-    // Backward word cursor: index of the next unread word, -1 once exhausted.
-    let entry_p = next_read.map_or(-1, |o| o as isize);
-    let mut p = entry_p;
-    // Positions `lo .. pos` are still to decode.
-    let mut pos = lo + out.len() as u64;
-    let mut stats = SpanStats::default();
+/// `Option` cursor as the loops keep it: -1 once exhausted — and for a
+/// cursor no slice could hold, which keeps the guard arithmetic free of
+/// overflow and fails the guards, so the scalar engine's cursor assertion
+/// gets to report the caller's bug.
+pub(crate) fn signed_cursor(cursor: Option<u64>) -> isize {
+    cursor.map_or(-1, |o| isize::try_from(o).unwrap_or(-1))
+}
 
-    // Decodes positions `to .. pos` through the scalar span engine and
-    // returns the cursor it stopped at.
-    let scalar_down_to = |p: isize,
-                          states: &mut [u32; 32],
-                          out: &mut [S],
-                          pos: u64,
-                          to: u64,
-                          stats: &mut SpanStats|
-     -> Result<isize, RansError> {
-        let (cursor, span) = decode_span_with_stats(
-            provider,
-            words,
-            (p >= 0).then_some(p as u64),
-            states,
-            to,
-            &mut out[(to - lo) as usize..(pos - lo) as usize],
-        )?;
-        stats.merge(&span);
-        Ok(cursor.map_or(-1, |o| o as isize))
+/// Set bits of a renormalization mask, by table: the kernels may assume no
+/// CPU feature beyond their vector extension, and without `popcnt` a
+/// `count_ones` is a dozen dependent operations on every cursor update.
+#[inline(always)]
+pub(crate) fn popcount16(m: u16) -> isize {
+    static BITS: [u8; 256] = {
+        let mut t = [0u8; 256];
+        let mut i = 1;
+        while i < 256 {
+            t[i] = t[i / 2] + (i & 1) as u8;
+            i += 1;
+        }
+        t
     };
+    let m = m as usize;
+    BITS[m & 0xFF] as isize + BITS[m >> 8] as isize
+}
 
-    // Scalar head down to a group boundary.
-    if vector && !pos.is_multiple_of(32) {
-        let to = lo.max(pos - pos % 32);
-        p = scalar_down_to(p, states, out, pos, to, &mut stats)?;
-        pos = to;
-    }
+/// One ISA's decode loop, instantiated by [`decode_groups`] at the kernel's
+/// interleave depth and at 1.
+#[cfg(target_arch = "x86_64")]
+pub(crate) trait SpanLoop {
+    /// Takes whole 32-symbol groups off the top of `K` spans in lockstep —
+    /// lane states, cursors and output pointers in registers throughout —
+    /// until the shortest span has none left or some span's cursor leaves
+    /// the guarded region (`MIN_WORDS_BELOW <= cursor <= len -
+    /// OVERREAD_WORDS`, checked every group). Returns the groups decoded
+    /// per span and leaves every span consumed that far.
+    ///
+    /// # Safety
+    /// The ISA must be available, `S` must be `u8` or `u16`, every span
+    /// must carry exactly 32 lane states and, if it has a whole group
+    /// left, end on a multiple of 32 (`(lo + out.len()) % 32 == 0`), and
+    /// `t0`/`t1` must be the packed LUT and null (`WIDE = false`) or the
+    /// wide `inv` and `ff` tables (`WIDE = true`) of a model with
+    /// quantization level `n`.
+    unsafe fn span_loop<const K: usize, const WIDE: bool, S>(
+        t0: *const i32,
+        t1: *const i32,
+        n: u32,
+        spans: &mut [Span<'_, S>; K],
+    ) -> usize;
+}
 
-    // Full groups while enough words remain below the cursor. Within a few
-    // words of the stream end only the overread guard fails; it reopens as
-    // the cursor moves down, so those groups go scalar one at a time.
-    let mut vector_groups = 0u64;
-    let mut buf = [0u16; 32];
-    while vector && pos >= lo + 32 && p >= MIN_WORDS_BELOW {
-        let base = pos - 32;
-        if p + OVERREAD_WORDS > words.len() as isize {
-            p = scalar_down_to(p, states, out, pos, base, &mut stats)?;
-            pos = base;
+/// Decodes whole groups off the top of every span: chunks of `K` spans
+/// jointly, then each span on its own through the `K = 1` instantiation of
+/// the same loop (the spans of a batch shorter than `K`, and the groups a
+/// span has beyond its chunk's common count). Returns the total number of
+/// groups decoded.
+///
+/// # Safety
+/// As [`SpanLoop::span_loop`], except that the tables come from `model`.
+#[cfg(target_arch = "x86_64")]
+unsafe fn decode_groups<L: SpanLoop, const K: usize, S>(
+    model: &SimdModel<'_>,
+    spans: &mut [Span<'_, S>],
+) -> u64 {
+    // The model match is hoisted out of the loops into `WIDE`.
+    let (t0, t1, n, wide) = match *model {
+        SimdModel::Packed { lut, n } => (lut.as_ptr().cast(), std::ptr::null(), n, false),
+        SimdModel::Wide { inv, ff, n } => (inv.as_ptr().cast(), ff.as_ptr().cast(), n, true),
+    };
+    let mut groups = 0;
+    for chunk in spans.chunks_mut(K) {
+        if let Ok(batch) = <&mut [Span<'_, S>; K]>::try_from(&mut *chunk) {
+            // SAFETY: the caller's contract, and `wide` names the variant
+            // the table pointers came from.
+            groups += K * unsafe {
+                match wide {
+                    false => L::span_loop::<K, false, S>(t0, t1, n, batch),
+                    true => L::span_loop::<K, true, S>(t0, t1, n, batch),
+                }
+            };
+        }
+        if K == 1 {
             continue;
         }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `vector` holds only if `kernel.is_available()` reported
-        // the CPU feature above; the loop guard gives `p >= 64` and the
-        // check just above gives `p + 16 <= words.len()`, so every load
-        // the group issues is inside `words`.
-        unsafe {
-            match kernel {
-                Kernel::Avx2 => crate::avx2::group_avx2(
-                    &model,
-                    words.as_ptr(),
-                    &mut p,
-                    states,
-                    n,
-                    mask,
-                    &mut buf,
-                ),
-                Kernel::Avx512 => crate::avx512::group_avx512(
-                    &model,
-                    words.as_ptr(),
-                    &mut p,
-                    states,
-                    n,
-                    mask,
-                    &mut buf,
-                ),
-                Kernel::Scalar => unreachable!("`vector` excludes the scalar kernel"),
-            }
+        for span in chunk {
+            let single = std::array::from_mut(span);
+            // SAFETY: as above.
+            groups += unsafe {
+                match wide {
+                    false => L::span_loop::<1, false, S>(t0, t1, n, single),
+                    true => L::span_loop::<1, true, S>(t0, t1, n, single),
+                }
+            };
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        unreachable!("no vector kernel is available off x86_64");
-        let group = &mut out[(base - lo) as usize..][..32];
-        for (o, &s) in group.iter_mut().zip(buf.iter()) {
-            *o = S::from_u16(s);
-        }
-        pos = base;
-        vector_groups += 1;
     }
+    groups as u64
+}
 
-    // Scalar tail: the sub-group remainder, or everything left once the
-    // words run low (the cursor only moves down, so the vector loop could
-    // not resume).
-    p = scalar_down_to(p, states, out, pos, lo, &mut stats)?;
+/// The vector span kernel: decodes every span of the batch to completion
+/// — chunks of [`Kernel::interleave_depth`] spans interleaved, leftovers
+/// one at a time through the same loop — and returns how the batch
+/// decoded, summed (vector groups count as fast groups).
+///
+/// Spans need not be group-aligned, and their words may be a prefix of
+/// the stream: the guards keep every vector load inside them. A `kernel`
+/// this host cannot run (and [`Kernel::Scalar`]), symbols other than
+/// `u8`/`u16` and spans that are not 32-way decode through the scalar
+/// engine.
+pub fn decode_spans<S: Symbol>(
+    kernel: Kernel,
+    provider: &StaticModelProvider,
+    spans: &mut [Span<'_, S>],
+) -> Result<SpanStats, RansError> {
+    match kernel {
+        Kernel::Scalar => decode_spans_at_depth::<1, S>(kernel, provider, spans),
+        Kernel::Avx2 => decode_spans_at_depth::<AVX2_DEPTH, S>(kernel, provider, spans),
+        Kernel::Avx512 => decode_spans_at_depth::<AVX512_DEPTH, S>(kernel, provider, spans),
+    }
+}
 
-    stats.fast_groups += vector_groups;
-    stats.fast_symbols += vector_groups * 32;
-    // The vector groups moved the cursor too: count words off its delta.
-    stats.words_consumed = (entry_p - p) as u64;
-    Ok(((p >= 0).then_some(p as u64), stats))
+/// [`decode_spans`] at an explicit interleave depth `K`. Decoders use the
+/// per-kernel constant; this entry exists for the depth sweep in
+/// `benches/decode_kernels.rs` that chose it.
+#[doc(hidden)]
+pub fn decode_spans_at_depth<const K: usize, S: Symbol>(
+    kernel: Kernel,
+    provider: &StaticModelProvider,
+    spans: &mut [Span<'_, S>],
+) -> Result<SpanStats, RansError> {
+    let mut stats = SpanStats::default();
+    #[cfg(target_arch = "x86_64")]
+    if kernel != Kernel::Scalar
+        && kernel.is_available()
+        && [TypeId::of::<u8>(), TypeId::of::<u16>()].contains(&TypeId::of::<S>())
+        && spans.iter().all(|s| s.states.len() == 32)
+    {
+        let model = SimdModel::from_provider(provider);
+        for span in spans.iter_mut() {
+            lead_in(provider, span, &mut stats)?;
+        }
+        let unread = |spans: &[Span<'_, S>]| -> u64 {
+            spans.iter().map(|s| s.cursor.map_or(0, |o| o + 1)).sum()
+        };
+        let before = unread(spans);
+        // SAFETY: `kernel.is_available()` reported the CPU feature; `S` is
+        // `u8` or `u16`; every span has 32 lane states and `lead_in` left
+        // it ending on a group boundary or shorter than a group.
+        let groups = unsafe {
+            match kernel {
+                Kernel::Avx2 => decode_groups::<crate::avx2::Avx2, K, S>(&model, spans),
+                Kernel::Avx512 => decode_groups::<crate::avx512::Avx512, K, S>(&model, spans),
+                Kernel::Scalar => unreachable!("excluded above"),
+            }
+        };
+        stats.fast_groups += groups;
+        stats.fast_symbols += groups * 32;
+        // The vector groups moved the cursors: count words off the delta.
+        stats.words_consumed += before - unread(spans);
+    }
+    // Scalar tails: the sub-group remainders, and everything left once a
+    // span's words ran low (a cursor only moves down, so its vector loop
+    // could not resume).
+    for span in spans {
+        stats.merge(&span.advance_scalar(provider, span.out.len())?);
+    }
+    Ok(stats)
+}
+
+/// The scalar steps that bring a span to where a vector loop can take
+/// over: down to a group boundary, and — for a span whose cursor starts
+/// within [`OVERREAD_WORDS`] of the end of its words, as the final segment
+/// and a streaming decoder's newest always do — on through whole groups
+/// until the overread guard opens, so one such span cannot hold its whole
+/// batch out of the joint loop.
+#[cfg(target_arch = "x86_64")]
+fn lead_in<S: Symbol>(
+    provider: &StaticModelProvider,
+    span: &mut Span<'_, S>,
+    stats: &mut SpanStats,
+) -> Result<(), RansError> {
+    let head = (span.end() % 32).min(span.out.len() as u64) as usize;
+    stats.merge(&span.advance_scalar(provider, head)?);
+    while span.out.len() >= 32 && {
+        let p = signed_cursor(span.cursor);
+        p >= MIN_WORDS_BELOW && p > span.words.len() as isize - OVERREAD_WORDS
+    } {
+        stats.merge(&span.advance_scalar(provider, 32)?);
+    }
+    Ok(())
 }
 
 pub(crate) fn require_32_ways(ways: u32) -> Result<(), RansError> {
@@ -169,16 +244,14 @@ pub fn decode_interleaved_simd<S: Symbol>(
     stream.validate()?;
     require_32_ways(stream.ways)?;
     stream.check_output_len(out.len())?;
-    let mut states = [0u32; 32];
-    states.copy_from_slice(&stream.final_states);
-    let cursor = stream.end_cursor();
-    decode_segment(kernel, provider, &stream.words, cursor, &mut states, 0, out)?;
+    decode_spans(kernel, provider, &mut [stream.tail_span(0, out)])?;
     Ok(())
 }
 
-/// Baseline (B) with SIMD: per-partition vector decode (static models only —
-/// a chunk's positions restart at zero, which only a position-independent
-/// model tolerates).
+/// Baseline (B) with SIMD: per-partition vector decode, in the same
+/// batches the Recoil segment engine gets (static models only — a chunk's
+/// positions restart at zero, which only a position-independent model
+/// tolerates).
 pub fn decode_conventional_simd<S: Symbol>(
     kernel: Kernel,
     container: &ConventionalContainer,
@@ -187,8 +260,12 @@ pub fn decode_conventional_simd<S: Symbol>(
     out: &mut [S],
 ) -> Result<(), RansError> {
     require_32_ways(container.ways)?;
-    decode_partitions(container, pool, out, |chunk, _base, seg| {
-        decode_interleaved_simd(kernel, chunk, provider, seg)
+    for chunk in &container.chunks {
+        require_32_ways(chunk.ways)?;
+    }
+    let depth = kernel.interleave_depth();
+    decode_partitions(container, pool, out, depth, |_base, spans| {
+        decode_spans(kernel, provider, spans).map(drop)
     })
 }
 
@@ -313,9 +390,9 @@ mod segment_tests {
     use recoil_models::CdfTable;
     use recoil_rans::{InterleavedEncoder, NullSink};
 
-    /// `decode_segment` returns the read cursor so callers can chain
-    /// segments: two chained calls must equal one full-stream call for any
-    /// (unaligned) split position and any kernel.
+    /// A finished span hands over its cursor and states so callers can
+    /// chain spans: two chained calls must equal one full-stream call for
+    /// any (unaligned) split position and any kernel.
     #[test]
     fn chained_segments_equal_full_decode() {
         let data: Vec<u8> = (0..100_000u32)
@@ -330,31 +407,20 @@ mod segment_tests {
                 let mut full = vec![0u8; data.len()];
                 decode_interleaved_simd(kernel, &stream, &p, &mut full).unwrap();
 
-                let mut states = [0u32; 32];
-                states.copy_from_slice(&stream.final_states);
-                let next = Some(stream.words.len() as u64 - 1);
                 let mut hi_part = vec![0u8; data.len() - cut];
-                let (next, hi_stats) = decode_segment(
-                    kernel,
-                    &p,
-                    &stream.words,
-                    next,
-                    &mut states,
-                    cut as u64,
-                    &mut hi_part,
-                )
-                .unwrap();
+                let mut hi = [stream.tail_span(cut as u64, &mut hi_part)];
+                let hi_stats = decode_spans(kernel, &p, &mut hi).unwrap();
+                let [hi] = hi;
                 let mut lo_part = vec![0u8; cut];
-                let (end, lo_stats) = decode_segment(
-                    kernel,
-                    &p,
-                    &stream.words,
-                    next,
-                    &mut states,
-                    0,
-                    &mut lo_part,
-                )
-                .unwrap();
+                let mut lo = [Span {
+                    words: &stream.words,
+                    cursor: hi.cursor,
+                    states: hi.states,
+                    lo: 0,
+                    out: &mut lo_part,
+                }];
+                let lo_stats = decode_spans(kernel, &p, &mut lo).unwrap();
+                let end = lo[0].cursor;
                 // The stats account for every symbol and every word.
                 assert_eq!(hi_stats.symbols() + lo_stats.symbols(), data.len() as u64);
                 assert_eq!(

@@ -1,14 +1,25 @@
 //! Kernel selection with runtime CPU-feature detection.
 
+/// Spans the AVX2 loop decodes interleaved: a span is four `ymm` registers
+/// there — four chains already — and a second is what sixteen leave room
+/// for. Chosen, like [`AVX512_DEPTH`], by the depth sweep in
+/// `crates/bench/benches/decode_kernels.rs`.
+pub(crate) const AVX2_DEPTH: usize = 2;
+/// Spans the AVX-512 loop decodes interleaved: a 32-way span is only two
+/// `zmm` registers, each a serial chain of about 60 cycles a group.
+pub(crate) const AVX512_DEPTH: usize = 4;
+
 /// Which decode kernel to run. The paper's implementations (2)–(4) map to
 /// `Avx2`, `Avx512`, and (via the thread pool at 2176 splits) the GPU-sim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// Portable scalar reference (paper implementation (1)).
     Scalar,
-    /// 8 lanes × 4 unroll (paper implementation (2)).
+    /// 8 lanes × 4 registers per span (paper implementation (2)), 2 spans
+    /// interleaved.
     Avx2,
-    /// 16 lanes × 2 unroll (paper implementation (3)).
+    /// 16 lanes × 2 registers per span (paper implementation (3)), 4 spans
+    /// interleaved.
     Avx512,
 }
 
@@ -23,6 +34,19 @@ impl Kernel {
             Kernel::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
+        }
+    }
+
+    /// The interleave depth `K`: how many independent spans (Recoil
+    /// segments, conventional partitions) the kernel decodes interleaved in
+    /// one thread, and so how many the engines batch per task. A thread
+    /// reaches the kernel's full rate only on a batch of `K`.
+    pub const fn interleave_depth(self) -> usize {
+        match self {
+            // The scalar fast loop carries 32 independent chains already.
+            Kernel::Scalar => 1,
+            Kernel::Avx2 => AVX2_DEPTH,
+            Kernel::Avx512 => AVX512_DEPTH,
         }
     }
 

@@ -10,18 +10,42 @@
 //! *descending* lane order:
 //!
 //! 1. **Renormalization**: compare-under-`L` mask; the underflowing lanes
-//!    pull consecutive u16 words off the shared backward cursor (highest
-//!    lane reads first). AVX2 distributes the loaded words with a
-//!    per-mask `vpermd` permutation table; AVX-512 uses `vpexpandd`.
+//!    pull consecutive u16 words off the span's backward cursor (highest
+//!    lane reads first), branchlessly. AVX2 distributes the loaded words
+//!    with a per-mask `vpermd` permutation table; AVX-512 uses `vpexpandd`.
 //! 2. **Transform** (Eq. 2): slot mask, one `vpgatherdd` into the packed
 //!    LUT (8-bit symbols, `n <= 12`) or two gathers into the wide LUT
-//!    (everything else), then `x = f * (x >> n) + slot - F`.
+//!    (everything else), then `x = f * (x >> n) + slot - F`; the symbols
+//!    are narrowed straight into the output slice.
+//!
+//! ## Batches: splits are instruction-level parallelism too
+//!
+//! That per-group sequence is one serial chain per register — compare →
+//! popcount → word load → expand → gather → multiply, about 60 cycles —
+//! and a 32-way stream is only two `zmm` (four `ymm`) registers wide, so a
+//! thread decoding one span leaves the pipeline mostly empty: the rung is
+//! latency-bound, not work-bound. The answer is Giesen's ("Interleaved
+//! entropy coders"): interleave *more independent coders* — and
+//! independent coders are exactly what Recoil's splits (and the
+//! conventional layout's partitions) are. So the engines hand a kernel a
+//! **batch** of up to `K` adjacent spans ([`Kernel::interleave_depth`]: 4
+//! for AVX-512, 2 for AVX2, 1 for the scalar loop, which already carries
+//! 32 chains), and there is one span loop per ISA, generic over the number
+//! of spans in flight: lane states, cursors and output pointers stay in
+//! registers for the whole run, each span's cursor guards are checked
+//! every group, the joint loop runs the batch's common group count and
+//! each span finishes through the `K = 1` instantiation of the same loop.
+//! A decoder's capability is therefore `threads × K` splits: a
+//! single-thread client reaches the kernel's full rate only on a tier of
+//! at least `K` segments (at one or two it decodes at the `K = 1` rate,
+//! roughly half).
 //!
 //! All kernels are bit-exact mirrors of the scalar decoder — property tests
-//! in this crate and `tests/` enforce equality on arbitrary streams — and
-//! they plug into the Recoil segment engine (`recoil_core::decode_segments`)
-//! and the Conventional baseline as a span kernel ([`decode_segment`]),
-//! falling back to the scalar span engine at stream and segment edges.
+//! in this crate and `tests/` enforce equality on arbitrary streams, batch
+//! by batch — and they plug into the Recoil segment engine
+//! (`recoil_core::decode_segments`) and the Conventional baseline as a span
+//! kernel ([`decode_spans`]), falling back to the scalar span engine at
+//! stream and span edges.
 
 // Audited unsafe crate: every unsafe operation sits in an explicit block.
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -36,7 +60,9 @@ mod kernel;
 mod model;
 
 pub use backend::{AutoBackend, Avx2Backend, Avx512Backend};
-pub use driver::{decode_conventional_simd, decode_interleaved_simd, decode_segment};
+pub use driver::{
+    decode_conventional_simd, decode_interleaved_simd, decode_spans, decode_spans_at_depth,
+};
 pub use kernel::Kernel;
 pub use model::SimdModel;
 

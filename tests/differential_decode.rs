@@ -41,13 +41,18 @@ fn backends() -> Vec<(&'static str, Box<dyn DecodeBackend>)> {
         ("pooled", Box::new(PooledBackend::new(4))),
         ("auto", Box::new(AutoBackend::with_threads(2))),
     ];
+    // The vector kernels unpooled (every batch is a full interleave depth
+    // until the range runs out) and pooled (batches shrink so that no
+    // thread idles).
     let avx2 = Avx2Backend::new();
     if avx2.is_available() {
         b.push(("avx2", Box::new(avx2)));
+        b.push(("avx2 x3", Box::new(Avx2Backend::with_threads(3))));
     }
     let avx512 = Avx512Backend::new();
     if avx512.is_available() {
         b.push(("avx512", Box::new(avx512)));
+        b.push(("avx512 x3", Box::new(Avx512Backend::with_threads(3))));
     }
     b
 }
@@ -294,6 +299,44 @@ fn sixteen_bit_streams_are_differentially_identical() {
     }
 }
 
+/// Every segment range `a..b` of an 11-segment stream — lengths that are
+/// and are not a multiple of any kernel's interleave depth, single
+/// segments, ranges with and without the first and the final segment — on
+/// every backend: the range's region is decoded and nothing else is
+/// written.
+#[test]
+fn every_segment_range_decodes_its_region_and_nothing_else() {
+    let mut seed = 0xBA7C_4ED5_u64;
+    let data = corpus_entry(90_000, 256, next_u64(&mut seed));
+    let codec = Codec::builder().max_segments(11).build().unwrap();
+    let enc = codec.encode(&data).unwrap();
+    let meta = &enc.container.metadata;
+    let nseg = meta.num_segments();
+    assert_eq!(nseg, 11);
+    let bounds = meta.segment_bounds();
+    let req = DecodeRequest {
+        stream: &enc.container.stream,
+        metadata: meta,
+        model: &enc.model,
+    };
+    for (name, backend) in &backends() {
+        for a in 0..=nseg {
+            for b in a..=nseg {
+                let mut out = vec![0xA5u8; data.len()];
+                backend
+                    .decode_u8(&req, a..b, &mut out)
+                    .unwrap_or_else(|e| panic!("{name} {a}..{b}: {e}"));
+                let (lo, hi) = (bounds[a as usize] as usize, bounds[b as usize] as usize);
+                assert_eq!(&out[lo..hi], &data[lo..hi], "{name} {a}..{b}");
+                assert!(
+                    out[..lo].iter().chain(&out[hi..]).all(|&s| s == 0xA5),
+                    "{name} {a}..{b} wrote outside its region"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn pooled_and_scalar_segment_ranges_agree_mid_stream() {
     // The segment-range entry point itself, against a word *prefix*: decode
@@ -324,15 +367,20 @@ fn pooled_and_scalar_segment_ranges_agree_mid_stream() {
         ..req
     };
     // (request, range) pairs every backend must reject with a typed error —
-    // the same one, since they share one validator: the final segment on a
-    // prefix, a prefix one word short, a reversed range, a range past the
-    // last segment.
+    // the same one, since they share one validator, which runs before any
+    // batch arithmetic on the range: the final segment on a prefix, a
+    // prefix one word short, reversed ranges (by one, and by as much as a
+    // `u64` allows), ranges past the last segment.
     #[allow(clippy::reversed_empty_ranges)]
     let rejected = [
         (&req, 0..nseg),
         (&short_req, 0..half),
         (&req, 3..1),
+        (&req, u64::MAX..0),
+        (&req, nseg..nseg - 1),
         (&req, 0..nseg + 1),
+        (&req, 0..u64::MAX),
+        (&req, u64::MAX - 1..u64::MAX),
     ];
     let mut expected: Vec<String> = Vec::new();
     for (name, backend) in &backends() {
