@@ -14,7 +14,7 @@ fn bench_baselines(c: &mut Criterion) {
     let single_stream = single.finish();
 
     let mut inter = InterleavedEncoder::new(&model, 32);
-    inter.encode_all(&data, &mut NullSink);
+    inter.encode_all_fast(&data, &mut NullSink).unwrap();
     let inter_stream = inter.finish();
 
     let table = TansTable::from_cdf(&CdfTable::of_bytes(&data, 11));

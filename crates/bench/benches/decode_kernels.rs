@@ -18,7 +18,7 @@ fn bench_fast_vs_reference(c: &mut Criterion) {
     let data = recoil::data::text_like_bytes(2_000_000, 5.1, 99);
     let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
     let mut enc = InterleavedEncoder::new(&model, 32);
-    enc.encode_all(&data, &mut NullSink);
+    enc.encode_all_fast(&data, &mut NullSink).unwrap();
     let stream = enc.finish();
     let next = stream.end_cursor();
 
@@ -49,7 +49,7 @@ fn bench_kernels(c: &mut Criterion) {
     for n in [11u32, 16] {
         let model = StaticModelProvider::new(CdfTable::of_bytes(&data, n));
         let mut enc = InterleavedEncoder::new(&model, 32);
-        enc.encode_all(&data, &mut NullSink);
+        enc.encode_all_fast(&data, &mut NullSink).unwrap();
         let stream = enc.finish();
 
         let mut group = c.benchmark_group(format!("single_thread_decode_n{n}"));

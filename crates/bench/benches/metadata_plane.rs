@@ -38,7 +38,7 @@ fn bench_metadata_plane(c: &mut Criterion) {
     let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
     let mut enc = InterleavedEncoder::new(&model, 32);
     let mut events = recoil::rans::VecSink::new();
-    enc.encode_all(&data, &mut events);
+    enc.encode_all_fast(&data, &mut events).unwrap();
     let words = enc.finish().words.len() as u64;
     group.sample_size(50);
     for segments in SEGMENTS {

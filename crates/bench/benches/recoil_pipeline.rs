@@ -25,7 +25,7 @@ fn bench_pipeline(c: &mut Criterion) {
     group.bench_function("encode_plain_interleaved", |b| {
         b.iter(|| {
             let mut enc = InterleavedEncoder::new(&model, 32);
-            enc.encode_all(&data, &mut NullSink);
+            enc.encode_all_fast(&data, &mut NullSink).unwrap();
             std::hint::black_box(enc.finish())
         });
     });

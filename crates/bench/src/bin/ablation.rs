@@ -1,4 +1,4 @@
-//! Ablation studies beyond the paper's tables (DESIGN.md §4, "Ablations"):
+//! Ablation studies beyond the paper's tables:
 //!
 //! 1. **Heuristic**: Definition 4.1's sync-aware scoring vs. naive
 //!    nearest-to-target splitting — sync-section length and workload
@@ -10,15 +10,16 @@
 
 use recoil::core::{plan_from_events, Heuristic, PlannerConfig};
 use recoil::prelude::*;
-use recoil_bench::report::{print_table, Reporter};
+use recoil_bench::report::print_table;
 use recoil_bench::BenchConfig;
 use std::time::Instant;
 
-fn heuristic_study(data: &[u8], reporter: &mut Reporter) {
+fn heuristic_study(data: &[u8]) {
     let model = StaticModelProvider::new(CdfTable::of_bytes(data, 11));
     let mut enc = InterleavedEncoder::new(&model, 32);
     let mut sink = VecSink::new();
-    enc.encode_all(data, &mut sink);
+    enc.encode_all_fast(data, &mut sink)
+        .expect("the model was built from this data");
     let stream = enc.finish();
 
     let mut rows = Vec::new();
@@ -44,14 +45,6 @@ fn heuristic_study(data: &[u8], reporter: &mut Reporter) {
             let spans: Vec<u64> = bounds.windows(2).map(|w| w[1] - w[0]).collect();
             let target = stream.num_symbols as f64 / segments as f64;
             let worst = spans.iter().max().copied().unwrap_or(0) as f64 / target;
-            reporter.push(
-                "ablation-heuristic",
-                name,
-                &segments.to_string(),
-                avg_sync,
-                "sync symbols",
-                None,
-            );
             rows.push(vec![
                 name.into(),
                 segments.to_string(),
@@ -74,7 +67,7 @@ fn heuristic_study(data: &[u8], reporter: &mut Reporter) {
     );
 }
 
-fn metadata_scaling(data: &[u8], reporter: &mut Reporter) {
+fn metadata_scaling(data: &[u8]) {
     let model = StaticModelProvider::new(CdfTable::of_bytes(data, 11));
     let mut rows = Vec::new();
     for segments in [16u64, 64, 256, 1024, 2176, 4096] {
@@ -83,14 +76,6 @@ fn metadata_scaling(data: &[u8], reporter: &mut Reporter) {
         let meta_bytes = c.metadata_bytes();
         let per_split = meta_bytes as f64 / (c.metadata.num_segments() - 1).max(1) as f64;
         let pct = 100.0 * meta_bytes as f64 / c.stream_bytes() as f64;
-        reporter.push(
-            "ablation-metadata",
-            "rand_100",
-            &segments.to_string(),
-            per_split,
-            "B/split",
-            None,
-        );
         rows.push(vec![
             segments.to_string(),
             c.metadata.num_segments().to_string(),
@@ -113,7 +98,7 @@ fn metadata_scaling(data: &[u8], reporter: &mut Reporter) {
     println!("paper §5.2 ballpark: ≈76 B/split at W=32 (64 B of raw u16 states + diffs)");
 }
 
-fn combine_cost(data: &[u8], reporter: &mut Reporter) {
+fn combine_cost(data: &[u8]) {
     let model = StaticModelProvider::new(CdfTable::of_bytes(data, 11));
     let codec = Codec::builder().max_segments(2176).build().unwrap();
     let c = codec.encode_with_provider(data, &model).unwrap();
@@ -133,14 +118,6 @@ fn combine_cost(data: &[u8], reporter: &mut Reporter) {
             std::hint::black_box(metadata_to_bytes(&m));
         }
         let with_ser = t0.elapsed().as_secs_f64() / runs as f64;
-        reporter.push(
-            "ablation-combine",
-            "rand_100",
-            &target.to_string(),
-            with_ser * 1e6,
-            "us",
-            None,
-        );
         rows.push(vec![
             target.to_string(),
             format!("{:.1} µs", each * 1e6),
@@ -156,15 +133,13 @@ fn combine_cost(data: &[u8], reporter: &mut Reporter) {
 
 fn main() {
     let _cfg = BenchConfig::from_args();
-    let mut reporter = Reporter::new();
     let text = recoil::data::Dataset::by_name("enwik9")
         .unwrap()
         .generate_bytes(10_000_000);
-    heuristic_study(&text, &mut reporter);
+    heuristic_study(&text);
     let rand = recoil::data::Dataset::by_name("rand_100")
         .unwrap()
         .generate_bytes(10_000_000);
-    metadata_scaling(&rand, &mut reporter);
-    combine_cost(&rand, &mut reporter);
-    reporter.flush("ablation");
+    metadata_scaling(&rand);
+    combine_cost(&rand);
 }

@@ -7,7 +7,7 @@
 
 use recoil::conventional::encode_conventional;
 use recoil::prelude::*;
-use recoil_bench::report::{print_table, Reporter};
+use recoil_bench::report::print_table;
 
 fn main() {
     let enwik9 = recoil::data::Dataset::by_name("enwik9").unwrap();
@@ -18,7 +18,6 @@ fn main() {
     let sweep = [1usize, 2, 4, 16, 64, 256, 1024, 2176, 4096];
     let paper: &[(usize, f64)] = &[(1, 0.00), (16, 0.02), (2176, 3.20)];
 
-    let mut reporter = Reporter::new();
     let mut rows = Vec::new();
     let mut base = 0u64;
     for &parts in &sweep {
@@ -29,14 +28,6 @@ fn main() {
         }
         let pct = 100.0 * (bytes as f64 - base as f64) / base as f64;
         let paper_pct = paper.iter().find(|(p, _)| *p == parts).map(|&(_, v)| v);
-        reporter.push(
-            "fig3",
-            "enwik9[0..10MB]",
-            &parts.to_string(),
-            pct,
-            "%",
-            paper_pct,
-        );
         rows.push(vec![
             parts.to_string(),
             format!("{:.3} MB", bytes as f64 / 1e6),
@@ -52,5 +43,4 @@ fn main() {
     println!("\nshape check: overhead grows ~linearly in N; the 2176-partition");
     println!("variation intended for GPUs visibly inflates the file, the CPU-sized");
     println!("16-partition one does not — the inflexibility Recoil removes.");
-    reporter.flush("fig3");
 }

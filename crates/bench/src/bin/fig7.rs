@@ -5,8 +5,7 @@
 //! on 16 threads. GPU experiments (paper: RTX 2080 Ti, CUDA): multians
 //! decodes (f), Conventional (b) and Recoil (c) at 2176-way parallelism —
 //! here run as a thread-pool "GPU-sim" over the identical per-split code
-//! path (substitution notes in DESIGN.md; absolute GB/s is hardware,
-//! relative shape is the claim).
+//! path (absolute GB/s is hardware, relative shape is the claim).
 //!
 //! ```sh
 //! cargo run -p recoil-bench --release --bin fig7
@@ -16,7 +15,7 @@
 use recoil::core::codec::{decode_pooled, DecodeRequest};
 use recoil::data::ALL_DATASETS;
 use recoil::prelude::*;
-use recoil_bench::report::{print_table, Reporter};
+use recoil_bench::report::print_table;
 use recoil_bench::variations::{ByteVariations, LARGE};
 use recoil_bench::{measure_gbps, BenchConfig};
 use std::sync::Arc;
@@ -71,12 +70,7 @@ fn fmt(v: f64, paper: f64) -> String {
     }
 }
 
-fn byte_dataset_fig7(
-    cfg: &BenchConfig,
-    reporter: &mut Reporter,
-    cpu_pool: &ThreadPool,
-    gpu_pool: &ThreadPool,
-) {
+fn byte_dataset_fig7(cfg: &BenchConfig, cpu_pool: &ThreadPool, gpu_pool: &ThreadPool) {
     let gpu_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     let gpu_backend = backend_for(Kernel::best(), gpu_threads);
     let kernels: Vec<Kernel> = [Kernel::Avx512, Kernel::Avx2]
@@ -118,20 +112,6 @@ fn byte_dataset_fig7(
                 };
                 req.decode_into(gpu_backend.as_ref(), &mut out).unwrap();
             });
-            for (cfg_name, val, p) in [
-                ("multians", g_mult, paper[0]),
-                ("conv", g_conv, paper[1]),
-                ("recoil", g_rec, paper[2]),
-            ] {
-                reporter.push(
-                    &format!("fig7-gpu-n{n}"),
-                    d.name,
-                    cfg_name,
-                    val,
-                    "GB/s",
-                    (!p.is_nan()).then_some(p),
-                );
-            }
             gpu_rows.push(vec![
                 d.name.into(),
                 fmt(g_mult, paper[0]),
@@ -141,7 +121,7 @@ fn byte_dataset_fig7(
 
             // --- CPU: Single-Thread (a), Conventional (d), Recoil (e). ---
             let mut row = vec![d.name.to_string()];
-            for (ki, (kernel, cpu_backend)) in cpu_backends.iter().enumerate() {
+            for (kernel, cpu_backend) in &cpu_backends {
                 let kernel = *kernel;
                 let pbase = if kernel == Kernel::Avx512 { 3 } else { 6 };
                 let c_single = measure_gbps(cfg.runs, bytes, || {
@@ -166,21 +146,6 @@ fn byte_dataset_fig7(
                     };
                     req.decode_into(cpu_backend.as_ref(), &mut out).unwrap();
                 });
-                for (cfg_name, val, p) in [
-                    ("single", c_single, paper[pbase]),
-                    ("conv", c_conv, paper[pbase + 1]),
-                    ("recoil", c_rec, paper[pbase + 2]),
-                ] {
-                    reporter.push(
-                        &format!("fig7-cpu-{kernel:?}-n{n}").to_lowercase(),
-                        d.name,
-                        cfg_name,
-                        val,
-                        "GB/s",
-                        (!p.is_nan()).then_some(p),
-                    );
-                }
-                let _ = ki;
                 row.push(fmt(c_single, paper[pbase]));
                 row.push(fmt(c_conv, paper[pbase + 1]));
                 row.push(fmt(c_rec, paper[pbase + 2]));
@@ -211,12 +176,7 @@ fn byte_dataset_fig7(
     }
 }
 
-fn latent_fig7(
-    cfg: &BenchConfig,
-    reporter: &mut Reporter,
-    cpu_pool: &ThreadPool,
-    gpu_pool: &ThreadPool,
-) {
+fn latent_fig7(cfg: &BenchConfig, cpu_pool: &ThreadPool, gpu_pool: &ThreadPool) {
     // Adaptive models have no flat-LUT SIMD path (per-position indirection);
     // both CPU and GPU-sim rows run the scalar trait-based decoder — the
     // paper's adaptive rows are likewise its slowest (§5.3).
@@ -281,21 +241,6 @@ fn latent_fig7(
             )
             .unwrap();
         });
-        for (exp, cfg_name, val, p) in [
-            ("fig7-gpu-n16", "conv", g_conv, paper[1]),
-            ("fig7-gpu-n16", "recoil", g_rec, paper[2]),
-            ("fig7-cpu-adaptive-n16", "conv", c_conv, paper[4]),
-            ("fig7-cpu-adaptive-n16", "recoil", c_rec, paper[5]),
-        ] {
-            reporter.push(
-                exp,
-                d.name,
-                cfg_name,
-                val,
-                "GB/s",
-                (!p.is_nan()).then_some(p),
-            );
-        }
         rows.push(vec![
             d.name.into(),
             fmt(g_conv, paper[1]),
@@ -325,13 +270,11 @@ fn main() {
         cfg.runs,
         Kernel::all_available()
     );
-    let mut reporter = Reporter::new();
     // One pool per hardware configuration for the whole run, shared by both
     // experiment families: the measurements time decoding, never pool
     // construction or thread churn.
     let cpu_pool = ThreadPool::new(cfg.threads.saturating_sub(1));
     let gpu_pool = ThreadPool::with_default_parallelism();
-    byte_dataset_fig7(&cfg, &mut reporter, &cpu_pool, &gpu_pool);
-    latent_fig7(&cfg, &mut reporter, &cpu_pool, &gpu_pool);
-    reporter.flush("fig7");
+    byte_dataset_fig7(&cfg, &cpu_pool, &gpu_pool);
+    latent_fig7(&cfg, &cpu_pool, &gpu_pool);
 }

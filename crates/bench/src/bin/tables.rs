@@ -8,7 +8,7 @@
 
 use recoil::data::ALL_DATASETS;
 use recoil::prelude::*;
-use recoil_bench::report::{fmt_delta, print_table, Reporter};
+use recoil_bench::report::{fmt_delta, print_table};
 use recoil_bench::variations::{ByteVariations, LARGE, SMALL};
 use recoil_bench::BenchConfig;
 use std::sync::Arc;
@@ -58,7 +58,7 @@ fn paper_pct(dataset: &str, n: u32, variation: &str) -> Option<f64> {
         .filter(|v| !v.is_nan())
 }
 
-fn byte_dataset_tables(cfg: &BenchConfig, reporter: &mut Reporter) {
+fn byte_dataset_tables(cfg: &BenchConfig) {
     for &n in &[11u32, 16] {
         let mut t4_rows = Vec::new();
         let mut delta_rows = Vec::new();
@@ -81,14 +81,6 @@ fn byte_dataset_tables(cfg: &BenchConfig, reporter: &mut Reporter) {
                 d.paper.baseline_n16_kb as f64
             } * 1000.0
                 * scale;
-            reporter.push(
-                "table4",
-                d.name,
-                &format!("(a) n={n}"),
-                a as f64,
-                "bytes",
-                Some(paper_a),
-            );
             t4_rows.push(vec![
                 d.name.to_string(),
                 format!("{:.0} KB", bytes as f64 / 1e3),
@@ -102,16 +94,7 @@ fn byte_dataset_tables(cfg: &BenchConfig, reporter: &mut Reporter) {
             for (label, total) in v.sizes() {
                 let code = &label[..3];
                 let delta = total as i64 - a as i64;
-                let pct = 100.0 * delta as f64 / a as f64;
                 let paper = paper_pct(d.name, n, code);
-                reporter.push(
-                    &format!("table{}", if n == 11 { 5 } else { 6 }),
-                    d.name,
-                    code,
-                    pct,
-                    "%",
-                    paper,
-                );
                 row.push(format!(
                     "{} [paper {}]",
                     fmt_delta(delta, a),
@@ -143,7 +126,7 @@ fn byte_dataset_tables(cfg: &BenchConfig, reporter: &mut Reporter) {
     }
 }
 
-fn latent_tables(cfg: &BenchConfig, reporter: &mut Reporter) {
+fn latent_tables(cfg: &BenchConfig) {
     eprintln!("[building n=16 Gaussian scale bank]");
     let bank = Arc::new(GaussianScaleBank::default_latent_bank());
     let mut rows = Vec::new();
@@ -168,14 +151,6 @@ fn latent_tables(cfg: &BenchConfig, reporter: &mut Reporter) {
         let a = recoil_large.stream_bytes();
         let paper_a =
             d.paper.baseline_n16_kb as f64 * 1000.0 * (bytes as f64 / d.full_bytes() as f64);
-        reporter.push(
-            "table4",
-            d.name,
-            "(a) n=16",
-            a as f64,
-            "bytes",
-            Some(paper_a),
-        );
 
         let deltas = [
             ("(b)", conv_large.payload_bytes() as i64 - a as i64),
@@ -188,9 +163,7 @@ fn latent_tables(cfg: &BenchConfig, reporter: &mut Reporter) {
             format!("{:.0}/{:.0} KB", a as f64 / 1e3, paper_a / 1e3),
         ];
         for (code, delta) in deltas {
-            let pct = 100.0 * delta as f64 / a as f64;
             let paper = paper_pct(d.name, 16, code);
-            reporter.push("table6", d.name, code, pct, "%", paper);
             row.push(format!(
                 "{} [paper {}]",
                 fmt_delta(delta, a),
@@ -215,13 +188,13 @@ fn latent_tables(cfg: &BenchConfig, reporter: &mut Reporter) {
 
 fn main() {
     let cfg = BenchConfig::from_args();
-    let mut reporter = Reporter::new();
-    byte_dataset_tables(&cfg, &mut reporter);
-    latent_tables(&cfg, &mut reporter);
+    byte_dataset_tables(&cfg);
+    latent_tables(&cfg);
 
     // §5.2 headline: the max overhead reduction from serving Recoil Small
     // instead of Conventional Large is checked on rand_500 at n=16.
     println!("\nheadline (§5.2): serve (e) instead of (b) for a 16-way client on rand_500/n=16;");
-    println!("the paper reports a -23.41% overhead reduction (ours in results/tables.json).");
-    reporter.flush("tables");
+    println!(
+        "the paper reports a -23.41% overhead reduction (ours: Table 6, rand_500, (b) vs (e))."
+    );
 }

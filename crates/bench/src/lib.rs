@@ -12,7 +12,7 @@
 //! `BENCHMARK.json`), not by these binaries.
 //!
 //! Results are printed as aligned tables with the paper's reference values
-//! side by side and also appended as JSON under `results/`.
+//! side by side.
 
 // Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
 #![forbid(unsafe_code)]

@@ -36,6 +36,10 @@ impl<P: ModelProvider> ModelProvider for OffsetProvider<'_, P> {
 
 /// Splits `data` into `partitions` near-equal contiguous sub-sequences and
 /// encodes each with an independent `ways`-way interleaved coder group.
+///
+/// # Panics
+///
+/// If the model gives a symbol of `data` no probability mass.
 pub fn encode_conventional<S: Symbol, P: ModelProvider>(
     data: &[S],
     provider: &P,
@@ -51,7 +55,8 @@ pub fn encode_conventional<S: Symbol, P: ModelProvider>(
         let end = (n as u64 * (p as u64 + 1) / partitions as u64) as usize;
         let local = OffsetProvider::new(provider, start as u64);
         let mut enc = InterleavedEncoder::new(&local, ways);
-        enc.encode_all(&data[start..end], &mut NullSink);
+        enc.encode_all_fast(&data[start..end], &mut NullSink)
+            .expect("the model must cover every symbol of the data it encodes");
         chunks.push(enc.finish());
         start = end;
     }

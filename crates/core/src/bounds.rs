@@ -1,9 +1,15 @@
-//! The two checks every parser of a hostile stream header runs before it
-//! sizes anything from the declared geometry — shared by the container
-//! file reader, the net client's TRANSMIT validation and the incremental
+//! The checks every parser of a hostile stream header runs before it sizes
+//! anything from the declared geometry — shared by the container file
+//! reader, the net client's TRANSMIT validation and the incremental
 //! decoder, so a header is judged by one rule everywhere.
 
 use recoil_models::CdfTable;
+
+/// Most bitstream words a receiver reserves up front from a *declared* word
+/// count (1 MiB); beyond this a word store grows only as real bytes arrive,
+/// so a hostile header cannot drive the allocation. Shared by the
+/// incremental decoder and the net client's buffered fetch.
+pub const MAX_RESERVED_WORDS: usize = 1 << 19;
 
 /// Information-capacity bound: can `num_symbols` symbols have been coded
 /// into `num_words` 16-bit words over `ways` lanes at level `quant_bits`?

@@ -37,7 +37,10 @@ use crate::decoder::{decode_segments, ScalarKernel};
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
 use crate::planner::{Heuristic, PlannerConfig};
-use recoil_models::{CdfTable, ModelProvider, StaticModelProvider, Symbol, MAX_QUANT_BITS};
+use recoil_models::{
+    quantize_counts, CdfTable, Histogram, ModelProvider, StaticModelProvider, Symbol,
+    MAX_QUANT_BITS,
+};
 use recoil_parallel::ThreadPool;
 use recoil_rans::EncodedStream;
 use std::ops::Range;
@@ -59,19 +62,15 @@ pub struct EncoderConfig {
     pub quant_bits: u32,
     /// Split-candidate scoring strategy (Definition 4.1 by default).
     pub heuristic: Heuristic,
-    /// Split candidates scored per workload target (planner knob).
-    pub max_candidates: usize,
 }
 
 impl Default for EncoderConfig {
     fn default() -> Self {
-        let planner = PlannerConfig::with_segments(64);
         Self {
             ways: 32,
             max_segments: 64,
             quant_bits: 11,
-            heuristic: planner.heuristic,
-            max_candidates: planner.max_candidates,
+            heuristic: Heuristic::default(),
         }
     }
 }
@@ -106,21 +105,15 @@ impl EncoderConfig {
                 ),
             ));
         }
-        if self.max_candidates == 0 {
-            return Err(RecoilError::config(
-                "max_candidates",
-                "planner must score at least one candidate per target",
-            ));
-        }
         Ok(())
     }
 
     /// The planner configuration this encoder config induces.
     pub fn planner_config(&self) -> PlannerConfig {
-        let mut cfg = PlannerConfig::with_segments(self.max_segments);
-        cfg.heuristic = self.heuristic;
-        cfg.max_candidates = self.max_candidates;
-        cfg
+        PlannerConfig {
+            segments: self.max_segments,
+            heuristic: self.heuristic,
+        }
     }
 }
 
@@ -478,12 +471,6 @@ impl CodecBuilder {
         self
     }
 
-    /// Sets how many split candidates the planner scores per target.
-    pub fn max_candidates(mut self, max_candidates: usize) -> Self {
-        self.config.max_candidates = max_candidates;
-        self
-    }
-
     /// Replaces the whole encoder configuration at once.
     pub fn encoder_config(mut self, config: EncoderConfig) -> Self {
         self.config = config;
@@ -546,52 +533,48 @@ impl Codec {
         self.backend.as_ref()
     }
 
-    /// Builds the order-0 byte model [`Codec::encode`] uses, rejecting
-    /// alphabets whose support cannot fit in `2^quant_bits`.
-    fn build_model_u8(&self, data: &[u8]) -> Result<StaticModelProvider, RecoilError> {
-        let table = if data.is_empty() {
+    /// Builds the order-0 model over symbols `0..alphabet` that
+    /// [`Codec::encode`] and [`Codec::encode_u16`] use, in one pass over the
+    /// payload: the support is read off the histogram quantization needs
+    /// anyway. Every occurring symbol needs a nonzero quantized frequency,
+    /// so a support that cannot fit in `2^quant_bits` is a typed error here
+    /// instead of the quantizer's assert.
+    fn build_model<S: Symbol>(
+        &self,
+        data: &[S],
+        alphabet: usize,
+    ) -> Result<StaticModelProvider, RecoilError> {
+        let n = self.config.quant_bits;
+        let freqs = if data.is_empty() {
             // A zero-symbol payload still needs a well-formed model for the
             // container; an even two-symbol split satisfies every quantizer
             // invariant at any level n >= 1.
-            CdfTable::from_freqs(
-                vec![1 << (self.config.quant_bits - 1); 2],
-                self.config.quant_bits,
-            )
+            vec![1 << (n - 1); 2]
         } else {
-            let mut seen = [false; 256];
-            for &b in data {
-                seen[b as usize] = true;
-            }
-            self.check_support(seen.iter().filter(|&&s| s).count())?;
-            CdfTable::of_bytes(data, self.config.quant_bits)
-        };
-        Ok(StaticModelProvider::new(table))
-    }
-
-    /// Order-0 model for 16-bit symbols; the alphabet covers `0..=max(data)`.
-    fn build_model_u16(&self, data: &[u16]) -> Result<StaticModelProvider, RecoilError> {
-        let table = if data.is_empty() {
-            CdfTable::from_freqs(
-                vec![1 << (self.config.quant_bits - 1); 2],
-                self.config.quant_bits,
-            )
-        } else {
-            let alphabet = *data.iter().max().expect("non-empty") as usize + 1;
-            let mut seen = vec![false; alphabet];
+            let mut hist = Histogram::new(alphabet);
             for &s in data {
-                seen[s as usize] = true;
+                hist.add(usize::from(s.to_u16()));
             }
-            self.check_support(seen.iter().filter(|&&s| s).count())?;
-            CdfTable::of_u16(data, alphabet, self.config.quant_bits)
+            let support = hist.counts().iter().filter(|&&c| c > 0).count();
+            if support as u64 > 1u64 << n {
+                return Err(RecoilError::config(
+                    "quant_bits",
+                    format!(
+                        "data has {support} distinct symbols but only 2^{n} frequency slots; \
+                         raise quant_bits"
+                    ),
+                ));
+            }
+            quantize_counts(hist.counts(), n)
         };
-        Ok(StaticModelProvider::new(table))
+        Ok(StaticModelProvider::new(CdfTable::from_freqs(freqs, n)))
     }
 
     /// Encodes bytes: builds an order-0 static model at the configured
     /// quantization level, encodes one interleaved bitstream, and plans
     /// split metadata for up to `max_segments` parallel decoders.
     pub fn encode(&self, data: &[u8]) -> Result<Encoded, RecoilError> {
-        let model = self.build_model_u8(data)?;
+        let model = self.build_model(data, 256)?;
         let container = self.encode_with_provider(data, &model)?;
         Ok(Encoded {
             container,
@@ -602,30 +585,14 @@ impl Codec {
 
     /// Encodes 16-bit symbols; the model's alphabet covers `0..=max(data)`.
     pub fn encode_u16(&self, data: &[u16]) -> Result<Encoded, RecoilError> {
-        let model = self.build_model_u16(data)?;
+        let alphabet = data.iter().max().map_or(0, |&max| usize::from(max) + 1);
+        let model = self.build_model(data, alphabet)?;
         let container = self.encode_with_provider(data, &model)?;
         Ok(Encoded {
             container,
             model,
             symbol_bits: 16,
         })
-    }
-
-    /// Every occurring symbol needs a nonzero quantized frequency, so the
-    /// distinct-symbol count must fit in `2^quant_bits` — reported as a
-    /// typed error instead of tripping the quantizer's assert.
-    fn check_support(&self, support: usize) -> Result<(), RecoilError> {
-        if support as u64 > 1u64 << self.config.quant_bits {
-            return Err(RecoilError::config(
-                "quant_bits",
-                format!(
-                    "data has {support} distinct symbols but only 2^{} frequency slots; \
-                     raise quant_bits",
-                    self.config.quant_bits
-                ),
-            ));
-        }
-        Ok(())
     }
 
     /// Encodes against a caller-supplied model (the adaptive/hyperprior

@@ -293,7 +293,7 @@ mod tests {
         let p = StaticModelProvider::new(CdfTable::of_bytes(data, n));
         let mut enc = InterleavedEncoder::new(&p, ways);
         let mut sink = VecSink::new();
-        enc.encode_all(data, &mut sink);
+        enc.encode_all_fast(data, &mut sink).unwrap();
         let stream = enc.finish();
         let meta = plan_from_events(
             &sink.events,
@@ -376,7 +376,7 @@ mod tests {
         let p = StaticModelProvider::new(CdfTable::of_u16(&data, 1 << 12, 16));
         let mut enc = InterleavedEncoder::new(&p, 32);
         let mut sink = VecSink::new();
-        enc.encode_all(&data, &mut sink);
+        enc.encode_all_fast(&data, &mut sink).unwrap();
         let stream = enc.finish();
         let meta = plan_from_events(
             &sink.events,
@@ -411,7 +411,7 @@ mod tests {
             .collect();
         let mut enc = InterleavedEncoder::new(&p, 32);
         let mut sink = VecSink::new();
-        enc.encode_all(&data, &mut sink);
+        enc.encode_all_fast(&data, &mut sink).unwrap();
         let stream = enc.finish();
         let meta = plan_from_events(
             &sink.events,

@@ -37,7 +37,7 @@
 //! assert_eq!(out, data);
 //! ```
 
-use crate::bounds::symbols_fit;
+use crate::bounds::{symbols_fit, MAX_RESERVED_WORDS};
 use crate::codec::{ensure_available, CodecSymbol, DecodeBackend, DecodeRequest};
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
@@ -45,10 +45,6 @@ use crate::planner::ChunkPlan;
 use recoil_models::{ModelProvider, StaticModelProvider};
 use recoil_rans::{extend_words_from_le, EncodedStream, RansError};
 use std::ops::Range;
-
-/// Words reserved up front; beyond this the buffer grows only as real
-/// bytes arrive, so a hostile `num_words` cannot drive the allocation.
-const MAX_RESERVED_WORDS: usize = 1 << 19;
 
 /// Streaming segment decoder over split metadata (see the module docs).
 ///

@@ -45,7 +45,7 @@ mod metadata;
 mod planner;
 mod wire;
 
-pub use bounds::{checked_cdf_table, symbols_fit};
+pub use bounds::{checked_cdf_table, symbols_fit, MAX_RESERVED_WORDS};
 pub use codec::{
     Codec, CodecBuilder, CodecSymbol, DecodeBackend, DecodeRequest, Encoded, EncoderConfig,
     PooledBackend, ScalarBackend,

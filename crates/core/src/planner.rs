@@ -37,31 +37,32 @@ pub enum Heuristic {
     NearestOnly,
 }
 
-/// Tuning knobs for the planner.
+/// Renorm events kept for candidate search and backward scans; bounds
+/// planner memory whatever the stream length. Never set to anything else
+/// while it was a config field.
+const RING_CAPACITY: usize = 1 << 16;
+
+/// Split candidates scored per workload target. 24 keeps planning under
+/// ~15% of encode time at 2176 splits while matching the workload balance
+/// of denser search (the ablation harness compared them). A constant, not
+/// a config field: it is not in the PUBLISH message, so no remote
+/// publisher could ever have set it.
+const MAX_CANDIDATES: usize = 24;
+
+/// What a caller chooses about the plan.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
     /// Desired number of parallel segments `M` (the paper's split count).
     pub segments: u64,
-    /// Events kept for backward scans; bounds planner memory.
-    pub ring_capacity: usize,
-    /// Max candidates scored per target.
-    pub max_candidates: usize,
     /// Scoring strategy.
     pub heuristic: Heuristic,
 }
 
 impl PlannerConfig {
-    /// Config for `segments` parallel segments with defaults otherwise.
-    ///
-    /// 24 scored candidates per target keeps planning under ~15% of encode
-    /// time at 2176 splits while matching the balance of denser search
-    /// (the ablation harness compares); raise `max_candidates` to trade
-    /// encode time for marginally tighter workload balance.
+    /// Config for `segments` parallel segments with the paper's heuristic.
     pub fn with_segments(segments: u64) -> Self {
         Self {
             segments,
-            ring_capacity: 1 << 16,
-            max_candidates: 24,
             heuristic: Heuristic::SyncAware,
         }
     }
@@ -82,8 +83,6 @@ pub struct SplitPlanner {
     target: u64,
     max_interior: u64,
     ring: VecDeque<RenormEvent>,
-    ring_capacity: usize,
-    max_candidates: usize,
     heuristic: Heuristic,
     /// Position of the last committed split (`-1` before the first).
     prev_p: i64,
@@ -113,9 +112,7 @@ impl SplitPlanner {
             num_symbols,
             target,
             max_interior: segments - 1,
-            ring: VecDeque::with_capacity(config.ring_capacity.min(1 << 20)),
-            ring_capacity: config.ring_capacity,
-            max_candidates: config.max_candidates.max(1),
+            ring: VecDeque::with_capacity(RING_CAPACITY),
             heuristic: config.heuristic,
             prev_p: -1,
             next_target: target,
@@ -133,7 +130,7 @@ impl SplitPlanner {
     }
 
     /// Ring indices whose event position lies within `[lo, hi]`, thinned to
-    /// at most `max_candidates` entries.
+    /// at most [`MAX_CANDIDATES`] entries.
     fn candidates_in(&self, lo: u64, hi: u64) -> impl Iterator<Item = usize> {
         // Events are position-sorted; binary search the boundaries.
         let start = self
@@ -144,11 +141,7 @@ impl SplitPlanner {
             .partition_point(|e| e.pos == NO_SYMBOL || e.pos <= hi);
         let span = end.saturating_sub(start);
         // All of them, or evenly thinned, always keeping first and last.
-        let picks = if span <= self.max_candidates {
-            span
-        } else {
-            self.max_candidates.max(2)
-        };
+        let picks = span.min(MAX_CANDIDATES);
         (0..picks).map(move |k| start + k * (span - 1) / (picks - 1).max(1))
     }
 
@@ -300,7 +293,7 @@ impl SplitPlanner {
 impl RenormSink for SplitPlanner {
     #[inline]
     fn on_renorm(&mut self, e: RenormEvent) {
-        if self.ring.len() == self.ring_capacity {
+        if self.ring.len() == RING_CAPACITY {
             self.ring.pop_front();
         }
         self.ring.push_back(e);
@@ -522,7 +515,7 @@ mod tests {
         let p = StaticModelProvider::new(CdfTable::of_bytes(data, n));
         let mut enc = InterleavedEncoder::new(&p, ways);
         let mut sink = VecSink::new();
-        enc.encode_all(data, &mut sink);
+        enc.encode_all_fast(data, &mut sink).unwrap();
         (enc.finish(), sink.events)
     }
 
@@ -692,7 +685,7 @@ mod tests {
         let mut enc = InterleavedEncoder::new(&p, 32);
         let mut planner =
             SplitPlanner::new(32, data.len() as u64, PlannerConfig::with_segments(16));
-        enc.encode_all(&data, &mut planner);
+        enc.encode_all_fast(&data, &mut planner).unwrap();
         let streamed = planner.finish(stream.words.len() as u64, 11);
         let offline = plan_from_events(
             &events,

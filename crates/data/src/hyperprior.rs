@@ -118,7 +118,7 @@ mod tests {
         use recoil_rans::{decode_interleaved, InterleavedEncoder, NullSink};
         let ds = latent_dataset(small_bank(), 30_000, 4.0, 11);
         let mut enc = InterleavedEncoder::new(&ds.provider, 32);
-        enc.encode_all(&ds.symbols, &mut NullSink);
+        enc.encode_all_fast(&ds.symbols, &mut NullSink).unwrap();
         let stream = enc.finish();
         let back: Vec<u16> = decode_interleaved(&stream, &ds.provider).unwrap();
         assert_eq!(back, ds.symbols);

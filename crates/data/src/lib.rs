@@ -3,10 +3,10 @@
 //! The environment has no network access, so the text corpora (dickens,
 //! webster, enwik8/9) are replaced by seeded synthetic generators whose
 //! order-0 statistics are tuned to the paper's measured compressibility —
-//! which is all a static-model entropy coder can see (substitution notes in
-//! `DESIGN.md`). The `rand_*` datasets are generated exactly as described
-//! ("random exponentially distributed bytes"), and the div2k image latents
-//! are modelled as hyperprior-style Gaussian mixtures over 16-bit symbols.
+//! which is all a static-model entropy coder can see. The `rand_*` datasets
+//! are generated exactly as described ("random exponentially distributed
+//! bytes"), and the div2k image latents are modelled as hyperprior-style
+//! Gaussian mixtures over 16-bit symbols.
 
 // Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
 #![forbid(unsafe_code)]

@@ -4,11 +4,14 @@
 
 use recoil_core::{EncoderConfig, RecoilError};
 use recoil_fabric::{ChaosProxy, FabricRouter, ProxyFault, RouterConfig};
+use recoil_net::raw::{read_frame, write_frame, ReadOutcome};
 use recoil_net::{
-    FaultPlan, Hello, NetClient, NetClientConfig, NetConfig, NetServer, NetServerHandle,
+    ContentRequest, FaultPlan, FrameType, Hello, NetClient, NetClientConfig, NetConfig, NetServer,
+    NetServerHandle, TransmitHeader,
 };
 use recoil_server::ContentServer;
 use recoil_telemetry::TelemetryLevel;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -78,21 +81,32 @@ impl Geometry {
         let server = start(None);
         let client = NetClient::connect(server.addr()).unwrap();
         client.publish("probe", data, &enc()).unwrap();
-        let mut session = client.start_fetch("probe", SEGMENTS, 0).unwrap();
-        let hello_len = Hello::ours().encode().len() as u64;
-        let transmit_len = session.header.encode().len() as u64;
-        let word_bytes = session.header.word_bytes;
-        let mut bodies = Vec::new();
-        while session.remaining_chunks() > 0 {
-            bodies.push(session.next_chunk().unwrap().len() as u64);
-        }
-        assert_eq!(bodies.iter().sum::<u64>(), word_bytes);
+        // A raw fetch: every response frame's size is read off the wire.
+        let mut conn = TcpStream::connect(server.addr()).unwrap();
+        let mut send = |ty, payload: &[u8]| write_frame(&mut conn, ty, payload).unwrap();
+        send(FrameType::Hello, &Hello::ours().encode());
+        let request = ContentRequest {
+            name: "probe".to_string(),
+            parallel_segments: SEGMENTS,
+        };
+        send(FrameType::Request, &request.encode());
+        let mut next = |want| match read_frame(&mut conn).unwrap() {
+            ReadOutcome::Frame(ty, payload) if ty == want => payload,
+            other => panic!("expected {want:?}, got {other:?}"),
+        };
+        let hello_len = next(FrameType::Hello).len() as u64;
+        let transmit = next(FrameType::Transmit);
+        let header = TransmitHeader::decode(&transmit).unwrap();
+        let bodies: Vec<u64> = (0..header.chunk_count)
+            .map(|_| next(FrameType::Chunk).len() as u64 - CHUNK_SEQ)
+            .collect();
+        assert_eq!(bodies.iter().sum::<u64>(), header.word_bytes);
         assert!(bodies.len() >= 4, "sweep needs several chunks");
         server.shutdown();
         Self {
-            prefix: (FRAME_HDR + hello_len) + (FRAME_HDR + transmit_len),
+            prefix: (FRAME_HDR + hello_len) + (FRAME_HDR + transmit.len() as u64),
             bodies,
-            word_bytes,
+            word_bytes: header.word_bytes,
         }
     }
 

@@ -88,32 +88,12 @@ fn hot_content_promotes_and_survives_a_node_kill() {
     assert_eq!(router.holders("cold").len(), 1);
     let replica = router.holders("hot")[1];
     assert_ne!(replica, primary);
-    let replica_names: Vec<String> = fabric
-        .node(replica)
-        .unwrap()
-        .content()
-        .hit_counts()
-        .into_iter()
-        .map(|(name, _)| name)
-        .collect();
+    let replica_store = fabric.node(replica).unwrap().content();
     assert!(
-        replica_names.contains(&"hot".to_string()),
-        "{replica_names:?}"
+        replica_store.get("hot").is_some(),
+        "promotion copied the item"
     );
     assert_eq!(router.telemetry().counters.replica_promotions.get(), 1);
-
-    // The server kept per-name popularity too (drives nothing yet on the
-    // node side, but the counters must agree with demand).
-    let served_hits = fabric
-        .node(primary)
-        .unwrap()
-        .content()
-        .hit_counts()
-        .into_iter()
-        .find(|(name, _)| name == "hot")
-        .map(|(_, hits)| hits)
-        .unwrap_or(0);
-    assert!(served_hits >= 3, "primary saw {served_hits} hits");
 
     // Kill the primary: the fetch fails over to the promoted replica and
     // the decoded bytes are identical to the pre-kill fetches.

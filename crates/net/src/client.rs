@@ -9,12 +9,12 @@ use crate::frame::{
 };
 use crate::integrity::{validate_transmit_header, PayloadCheck};
 use crate::proto::{
-    encode_publish, ContentRequest, Hello, PublishOk, ResumeRequest, StatsReply, TelemetryReply,
+    ContentRequest, Hello, PublishOk, PublishRequest, ResumeRequest, StatsReply, TelemetryReply,
     TransmitHeader,
 };
 use parking_lot::Mutex;
 use recoil_core::codec::{ensure_available, DecodeBackend, DecodeRequest, EncoderConfig};
-use recoil_core::{IncrementalDecoder, RecoilError, RecoilMetadata};
+use recoil_core::{IncrementalDecoder, RecoilError, RecoilMetadata, MAX_RESERVED_WORDS};
 use recoil_models::StaticModelProvider;
 use recoil_rans::{extend_words_from_le, EncodedStream};
 use recoil_simd::AutoBackend;
@@ -35,9 +35,6 @@ const STREAMING_INFLIGHT_CHUNKS: usize = 4;
 const RETRY_MAX_BACKOFF: Duration = Duration::from_millis(250);
 /// Seed of the backoff jitter sequence (splitmix64): schedules replay.
 const RETRY_JITTER_SEED: u64 = 0x005E_EDCA_B1E5;
-/// Words [`NetClient::request`] reserves up front; beyond this the store
-/// grows only with real chunk bytes, whatever `word_bytes` claims.
-const MAX_RESERVED_WORDS: usize = 1 << 19;
 
 /// Construction knobs for [`NetClient`].
 #[derive(Debug, Clone)]
@@ -472,13 +469,14 @@ impl NetClient {
     ) -> Result<PublishOk, RecoilError> {
         Self::check_name(name)?;
         // One payload buffer, encoded straight from the borrowed slices.
-        let payload = encode_publish(
+        let payload = PublishRequest {
             name,
-            config.ways,
-            config.max_segments,
-            config.quant_bits,
+            ways: config.ways,
+            max_segments: config.max_segments,
+            quant_bits: config.quant_bits,
             data,
-        );
+        }
+        .encode();
         if payload.len() as u64 > MAX_FRAME_LEN as u64 {
             return Err(RecoilError::config(
                 "data",
@@ -654,7 +652,7 @@ impl FetchSession {
             ));
         }
         let resume = ResumeRequest {
-            name: self.request.name.clone(),
+            name: self.request.name.as_str(),
             parallel_segments: self.request.parallel_segments,
             from_word: self.words_received(),
         };
@@ -709,6 +707,8 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
     /// Drains the session into a word store and rebuilds validated decode
     /// inputs: the buffered fetch.
     fn into_content(mut self) -> Result<RemoteContent, RecoilError> {
+        // Beyond the cap the store grows only with real chunk bytes,
+        // whatever `word_bytes` claims.
         let reserve = usize::try_from(self.header.word_bytes / 2).unwrap_or(usize::MAX);
         let mut words = Vec::with_capacity(reserve.min(MAX_RESERVED_WORDS));
         // A chunk body may end mid-word; its last byte waits here.

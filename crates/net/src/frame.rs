@@ -13,10 +13,10 @@
 use recoil_core::RecoilError;
 use std::io::{ErrorKind, Read, Write};
 
-/// Protocol version spoken by this build; [`Hello`] frames negotiate it.
+/// Protocol version spoken by this build; [`crate::Hello`] frames negotiate it.
 pub const PROTOCOL_VERSION: u16 = 1;
 
-/// Magic opening every [`Hello`] payload: `"RNET"`.
+/// Magic opening every [`crate::Hello`] payload: `"RNET"`.
 pub const HELLO_MAGIC: u32 = 0x524E_4554;
 
 /// Capability bit: the peer streams large bitstreams as [`FrameType::Chunk`]
@@ -40,6 +40,9 @@ pub const SUPPORTED_CAPS: u32 = CAP_CHUNKED | CAP_TELEMETRY | CAP_RESUME;
 /// Hard ceiling on one frame's payload (64 MiB): bigger payloads must be
 /// chunked. Checked before allocating.
 pub const MAX_FRAME_LEN: u32 = 1 << 26;
+
+/// Bytes of the `[type: u8][len: u32 LE]` header in front of every payload.
+pub(crate) const FRAME_HEADER_LEN: usize = 5;
 
 /// How many consecutive read timeouts mid-frame count as a stalled peer.
 const MID_FRAME_TIMEOUT_RETRIES: u32 = 120;
@@ -158,14 +161,42 @@ fn read_exact_patient(r: &mut impl Read, buf: &mut [u8]) -> Result<(), RecoilErr
     Ok(())
 }
 
+/// The frame-header rule, said once for the blocking reader below and the
+/// reactor's buffer parser: the type byte must be a known [`FrameType`] and
+/// the length must not exceed [`MAX_FRAME_LEN`]. `header` is however much of
+/// the header has arrived; each field is judged as soon as it is complete
+/// (so a garbage type byte fails before a length is waited for), and
+/// `Ok(None)` means the rule holds so far but more header bytes are needed.
+/// On `Ok(Some((ty, len)))` the caller may allocate `len` payload bytes.
+pub(crate) fn parse_header(header: &[u8]) -> Result<Option<(FrameType, usize)>, RecoilError> {
+    let Some(&ty) = header.first() else {
+        return Ok(None);
+    };
+    let ty = FrameType::from_u8(ty)?;
+    let Some(&[l0, l1, l2, l3]) = header.get(1..FRAME_HEADER_LEN) else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    if len > MAX_FRAME_LEN {
+        return Err(RecoilError::net(format!(
+            "oversized frame: {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"
+        )));
+    }
+    let len = usize::try_from(len)
+        .map_err(|_| RecoilError::net("frame length exceeds the address space"))?;
+    Ok(Some((ty, len)))
+}
+
 /// Reads one frame, distinguishing idle timeouts and clean EOF from data.
 ///
-/// The type byte and length are validated before the payload allocation:
-/// unknown types and oversized lengths fail without reading further.
+/// The header is validated by `parse_header` before the payload
+/// allocation: unknown types and oversized lengths fail without reading
+/// further.
 pub fn read_frame(r: &mut impl Read) -> Result<ReadOutcome, RecoilError> {
-    let mut ty = [0u8; 1];
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    let (ty, len) = header.split_at_mut(1);
     loop {
-        match r.read(&mut ty) {
+        match r.read(ty) {
             Ok(0) => return Ok(ReadOutcome::Eof),
             Ok(_) => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -173,19 +204,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<ReadOutcome, RecoilError> {
             Err(e) => return Err(io_err("frame header read", e)),
         }
     }
-    let [ty_byte] = ty;
-    let ty = FrameType::from_u8(ty_byte)?;
-    let mut len = [0u8; 4];
-    read_exact_patient(r, &mut len)?;
-    let len = u32::from_le_bytes(len);
-    if len > MAX_FRAME_LEN {
-        return Err(RecoilError::net(format!(
-            "oversized frame: {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"
-        )));
-    }
-    // The cap check above bounds this allocation to MAX_FRAME_LEN.
-    let len = usize::try_from(len)
-        .map_err(|_| RecoilError::net("frame length exceeds the address space"))?;
+    // The type byte is judged before the length is waited for.
+    parse_header(ty)?;
+    read_exact_patient(r, len)?;
+    let (ty, len) =
+        parse_header(&header)?.ok_or_else(|| RecoilError::net("incomplete frame header"))?;
     let mut payload = vec![0u8; len];
     read_exact_patient(r, &mut payload)?;
     Ok(ReadOutcome::Frame(ty, payload))

@@ -17,20 +17,25 @@
 //! with a HELLO exchange (version + capability negotiation), then carries
 //! any number of requests:
 //!
-//! | Frame | Dir | Payload |
-//! |---|---|---|
-//! | `HELLO` (0x01) | both | magic, protocol version, capability bits |
-//! | `PUBLISH` (0x02) | C→S | name, encoder knobs, raw data to encode |
-//! | `PUBLISH_OK` (0x03) | S→C | planned segments, bitstream bytes |
-//! | `REQUEST` (0x04) | C→S | name, client's `parallel_segments` |
-//! | `TRANSMIT` (0x05) | S→C | shrunk metadata, model, stream geometry, payload CRC-32, chunk count |
-//! | `CHUNK` (0x06) | S→C | sequence number + one bitstream slice |
-//! | `STATS` (0x07) | C→S | *(empty)* |
-//! | `STATS_REPLY` (0x08) | S→C | counter snapshot + item count |
-//! | `TELEMETRY` (0x09) | C→S | *(empty)*; requires the negotiated `CAP_TELEMETRY` bit |
-//! | `TELEMETRY_REPLY` (0x0A) | S→C | full telemetry snapshot (counters, gauges, stage histograms) + drained stage-trace events |
-//! | `RESUME` (0x0B) | C→S | name, `parallel_segments`, `from_word`; requires the negotiated `CAP_RESUME` bit |
-//! | `ERROR` (0x0E) | both | error code + detail, maps onto [`RecoilError`] |
+//! | Frame | Dir | Payload | Encoder → decoder |
+//! |---|---|---|---|
+//! | `HELLO` (0x01) | both | magic, protocol version, capability bits | [`Hello::encode`] → [`Hello::decode`] |
+//! | `PUBLISH` (0x02) | C→S | name, encoder knobs, raw data to encode | [`PublishRequest::encode`] → [`PublishRequest::decode`] (both borrowed views) |
+//! | `PUBLISH_OK` (0x03) | S→C | planned segments, bitstream bytes | [`PublishOk::encode`] → [`PublishOk::decode`] |
+//! | `REQUEST` (0x04) | C→S | name, client's `parallel_segments` | [`ContentRequest::encode`] → `ContentRequest::<&str>::decode` |
+//! | `TRANSMIT` (0x05) | S→C | shrunk metadata, model, stream geometry, payload CRC-32, chunk count | `proto::write_transmit_header` (in place, from the stored item) → [`TransmitHeader::decode`] |
+//! | `CHUNK` (0x06) | S→C | sequence number + one bitstream slice | the reactor's `fill_chunks` → `integrity.rs` (`PayloadCheck::accept`) |
+//! | `STATS` (0x07) | C→S | *(empty)* | — |
+//! | `STATS_REPLY` (0x08) | S→C | twelve `u64`s: the store's six counters, the transport's five facts, the item count | [`StatsReply::encode`] → [`StatsReply::decode`] |
+//! | `TELEMETRY` (0x09) | C→S | *(empty)*; requires the negotiated `CAP_TELEMETRY` bit | — |
+//! | `TELEMETRY_REPLY` (0x0A) | S→C | named counters, gauges and stage histograms (every `STATS_REPLY` value among them) + drained stage-trace events | [`TelemetryReply::encode`] → [`TelemetryReply::decode`] |
+//! | `RESUME` (0x0B) | C→S | name, `parallel_segments`, `from_word`; requires the negotiated `CAP_RESUME` bit | [`ResumeRequest::encode`] → `ResumeRequest::<&str>::decode` |
+//! | `ERROR` (0x0E) | both | error code + detail, maps onto [`RecoilError`] | `encode_error` → `decode_error` |
+//!
+//! Each message has that one encoder and that one decoder, and production
+//! runs both, on opposite ends; the frame-header rule (known type byte,
+//! 64 MiB cap) is one function, `frame::parse_header`, under both the
+//! blocking reader and the reactor's buffer parser.
 //!
 //! Large bitstreams are **chunked**: `TRANSMIT` carries everything except
 //! the words, which follow as ordered `CHUNK` frames; the client verifies a
@@ -121,11 +126,24 @@
 //! Cache-hit requests resolve through [`ContentServer::fetch_cached`]
 //! without leaving the loop; misses go through [`ContentServer::fetch`],
 //! the atomic name→(transmission, content) lookup, on a worker. The
-//! server's `bytes_served` / `active_connections` /
-//! `rejected_connections` / `evicted_connections` counters and the
-//! `queue_depth` / `open_slots` gauges surface through the `STATS` frame.
-//! The original thread-per-connection backend completed its deprecation
+//! original thread-per-connection backend completed its deprecation
 //! cycle and has been removed.
+//!
+//! ## One stats plane
+//!
+//! Every operational fact has one home. The store counts requests, tier
+//! hits/misses/evictions, bytes served and publishes
+//! ([`ContentServer::stats`] — exact with no transport at all). The
+//! transport owns its five facts, each one atomic written at one site in
+//! the reactor: active connections and open slots (mirrored off the slab
+//! on accept/close), rejected connections (at the over-cap accept), the
+//! dispatch-queue depth (under the job lock) and evicted connections (the
+//! telemetry handle's `evictions` counter — evicting is a cold path, so it
+//! counts at every level; nothing per-request records ungated). `STATS`,
+//! `TELEMETRY` and [`NetServerHandle::telemetry`] are all assembled from
+//! those atomics plus `content.stats()` at reply time, so the frames
+//! cannot disagree, `TELEMETRY` ⊇ `STATS`, and two servers bound over one
+//! `Arc<ContentServer>` each report their own transport.
 //!
 //! ## Observability
 //!
@@ -136,9 +154,19 @@
 //! the wire can hold the instruments: servers expose theirs through the
 //! `TELEMETRY` frame ([`NetClient::remote_telemetry`]) when both ends
 //! negotiated [`CAP_TELEMETRY`], and clients keep their own handle
-//! ([`NetClient::telemetry`]) recording streaming-fetch latencies. Both
-//! gauges published over STATS and TELEMETRY are written at one point in
-//! the event loop, so the two frames always agree.
+//! ([`NetClient::telemetry`]) recording streaming-fetch latencies.
+//!
+//! Who records which instrument: the reactor loop records `frames_read`,
+//! `bytes_read`, `inline_serves`, `write_flushes`, `bytes_written`,
+//! `busy_rejections`, `evictions`, `inline_serve_ns`, `write_flush_ns` and
+//! — for the inline hits it samples — `tier_hit_segments`; `push_job`
+//! records `dispatched_jobs`; a dispatch worker records
+//! `dispatch_wait_ns`, `encode_ns` (it times the store's `publish`) and,
+//! from the [`Transmission`](recoil_server::Transmission) the store hands
+//! back, `tier_miss_segments` + `combine_ns` (or a hit, when a racing
+//! request cached the tier first). The store records nothing: it has no
+//! handle. Clients record `retries` and the `stream_*_ns` breakdown; the
+//! fabric router `failovers`, `replica_promotions` and `healthy_nodes`.
 //!
 //! ## Client
 //!
@@ -162,6 +190,8 @@
 //! [`ContentServer`]: recoil_server::ContentServer
 //! [`ContentServer::fetch`]: recoil_server::ContentServer::fetch
 //! [`ContentServer::fetch_cached`]: recoil_server::ContentServer::fetch_cached
+//! [`ContentServer::stats`]: recoil_server::ContentServer::stats
+//! [`RecoilError::Busy`]: recoil_core::RecoilError::Busy
 //! [`RecoilError`]: recoil_core::RecoilError
 //! [`RecoilError::Net`]: recoil_core::RecoilError::Net
 //! [`DecodeBackend`]: recoil_core::codec::DecodeBackend

@@ -1,8 +1,12 @@
 //! Typed payloads for each frame in the protocol.
 //!
-//! Every message has a symmetric `encode` / `decode` pair over the
-//! [`PayloadWriter`] / [`PayloadReader`] cursors; `decode` consumes the
-//! whole payload (trailing bytes are protocol violations).
+//! Every message has exactly one encoder and one decoder over the
+//! [`PayloadWriter`] / [`PayloadReader`] cursors, and production runs both,
+//! on opposite ends of the connection (the crate docs' wire table names
+//! each pair). `decode` consumes the whole payload — trailing bytes are
+//! protocol violations. Messages a client sends carry their name (and a
+//! PUBLISH its data) as borrowed views on the decode side: the server
+//! looks a name up and encodes a body straight out of its read buffer.
 
 use crate::frame::{PayloadReader, PayloadWriter, HELLO_MAGIC, PROTOCOL_VERSION, SUPPORTED_CAPS};
 use recoil_core::RecoilError;
@@ -56,52 +60,38 @@ impl Hello {
 }
 
 /// Client → server: encode `data` under `name` with the given knobs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PublishRequest {
-    pub name: String,
+///
+/// A borrowed view on both ends: the body can be tens of MiB, so the client
+/// encodes it from the caller's slice into the one payload buffer and the
+/// server decodes it in place in the read buffer it lent to the worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PublishRequest<'a> {
+    pub name: &'a str,
     pub ways: u32,
     pub max_segments: u64,
     pub quant_bits: u32,
-    pub data: Vec<u8>,
+    pub data: &'a [u8],
 }
 
-/// Encodes a publish payload straight from borrowed parts — one buffer,
-/// no intermediate copy of `data` (it can be tens of MiB).
-pub fn encode_publish(
-    name: &str,
-    ways: u32,
-    max_segments: u64,
-    quant_bits: u32,
-    data: &[u8],
-) -> Vec<u8> {
-    let mut w = PayloadWriter::preallocated(data.len() + name.len() + 32);
-    w.name(name);
-    w.u32(ways);
-    w.u64(max_segments);
-    w.u32(quant_bits);
-    w.bytes(data);
-    w.0
-}
-
-impl PublishRequest {
+impl<'a> PublishRequest<'a> {
     pub fn encode(&self) -> Vec<u8> {
-        encode_publish(
-            &self.name,
-            self.ways,
-            self.max_segments,
-            self.quant_bits,
-            &self.data,
-        )
+        let mut w = PayloadWriter::preallocated(self.data.len() + self.name.len() + 32);
+        w.name(self.name);
+        w.u32(self.ways);
+        w.u64(self.max_segments);
+        w.u32(self.quant_bits);
+        w.bytes(self.data);
+        w.0
     }
 
-    pub fn decode(payload: &[u8]) -> Result<Self, RecoilError> {
+    pub fn decode(payload: &'a [u8]) -> Result<Self, RecoilError> {
         let mut r = PayloadReader::new(payload);
         let msg = Self {
-            name: r.name()?,
+            name: r.name_str()?,
             ways: r.u32()?,
             max_segments: r.u64()?,
             quant_bits: r.u32()?,
-            data: r.bytes()?.to_vec(),
+            data: r.bytes()?,
         };
         r.finish()?;
         Ok(msg)
@@ -137,26 +127,32 @@ impl PublishOk {
 }
 
 /// Client → server: serve `name` for a decoder with this much parallelism.
+///
+/// Generic over how the name is held: a client owns it (`String`, the
+/// default), the server decodes a view into its read buffer (`&str`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ContentRequest {
-    pub name: String,
+pub struct ContentRequest<N = String> {
+    pub name: N,
     /// The client's parallel capacity, straight from the paper's request
     /// header (§3.3).
     pub parallel_segments: u64,
 }
 
-impl ContentRequest {
+impl<N: AsRef<str>> ContentRequest<N> {
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::preallocated(self.name.len() + 10);
-        w.name(&self.name);
+        let name = self.name.as_ref();
+        let mut w = PayloadWriter::preallocated(name.len() + 10);
+        w.name(name);
         w.u64(self.parallel_segments);
         w.0
     }
+}
 
-    pub fn decode(payload: &[u8]) -> Result<Self, RecoilError> {
+impl<'a> ContentRequest<&'a str> {
+    pub fn decode(payload: &'a [u8]) -> Result<Self, RecoilError> {
         let mut r = PayloadReader::new(payload);
         let msg = Self {
-            name: r.name()?,
+            name: r.name_str()?,
             parallel_segments: r.u64()?,
         };
         r.finish()?;
@@ -171,10 +167,11 @@ impl ContentRequest {
 /// node died). The server answers with a fresh [`TransmitHeader`] — the
 /// client cross-checks geometry and CRCs against the original — followed
 /// by chunks covering **only** words `from_word..`, so no byte feeding an
-/// already-decoded segment crosses the wire twice.
+/// already-decoded segment crosses the wire twice. Generic over the name
+/// like [`ContentRequest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResumeRequest {
-    pub name: String,
+pub struct ResumeRequest<N = String> {
+    pub name: N,
     /// The client's parallel capacity — must match the original request so
     /// the replica serves the identical metadata tier.
     pub parallel_segments: u64,
@@ -183,19 +180,22 @@ pub struct ResumeRequest {
     pub from_word: u64,
 }
 
-impl ResumeRequest {
+impl<N: AsRef<str>> ResumeRequest<N> {
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::preallocated(self.name.len() + 18);
-        w.name(&self.name);
+        let name = self.name.as_ref();
+        let mut w = PayloadWriter::preallocated(name.len() + 18);
+        w.name(name);
         w.u64(self.parallel_segments);
         w.u64(self.from_word);
         w.0
     }
+}
 
-    pub fn decode(payload: &[u8]) -> Result<Self, RecoilError> {
+impl<'a> ResumeRequest<&'a str> {
+    pub fn decode(payload: &'a [u8]) -> Result<Self, RecoilError> {
         let mut r = PayloadReader::new(payload);
         let msg = Self {
-            name: r.name()?,
+            name: r.name_str()?,
             parallel_segments: r.u64()?,
             from_word: r.u64()?,
         };
@@ -210,6 +210,10 @@ impl ResumeRequest {
 /// The words' little-endian byte image is protected by `payload_crc`
 /// (CRC-32), checked client-side after reassembly; metadata bytes carry
 /// their own CRC footer from the core wire format.
+///
+/// This owned struct is the message's **decode side** only: the server
+/// writes a TRANSMIT payload with `write_transmit_header`, straight from
+/// the stored content into the connection's write buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransmitHeader {
     /// Post-clamp segment count actually served.
@@ -239,35 +243,6 @@ pub struct TransmitHeader {
 }
 
 impl TransmitHeader {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::preallocated(
-            64 + self.metadata.len() + self.freqs.len() * 2 + self.final_states.len() * 4,
-        );
-        w.u64(self.segments);
-        w.u8(u8::from(self.cache_hit));
-        w.u64(self.combine_nanos);
-        w.bytes(&self.metadata);
-        w.u32(self.quant_bits);
-        debug_assert!(
-            self.freqs.len() <= 1 << 16,
-            "alphabet exceeds the model cap"
-        );
-        // xtask: allow(wire-cast): encode path — the quantized alphabet is capped at 2^16 symbols.
-        w.u32(self.freqs.len() as u32);
-        for &f in &self.freqs {
-            w.u16(f);
-        }
-        w.u32(self.ways);
-        w.u64(self.num_symbols);
-        for &s in &self.final_states {
-            w.u32(s);
-        }
-        w.u64(self.word_bytes);
-        w.u32(self.payload_crc);
-        w.u32(self.chunk_count);
-        w.0
-    }
-
     pub fn decode(payload: &[u8]) -> Result<Self, RecoilError> {
         let mut r = PayloadReader::new(payload);
         let segments = r.u64()?;
@@ -541,11 +516,11 @@ impl TelemetryReply {
 }
 
 /// Encodes the TRANSMIT payload for `(transmission, item)` straight into
-/// `w` — byte-for-byte the image [`TransmitHeader::encode`] produces, but
-/// built from the stored content without the owned struct (no metadata
-/// copy, no freqs or final-states clones), for the reactor's per-request
-/// hot path. The payload CRC is the item's memoized whole-stream CRC-32,
-/// valid because chunk plans tile the word stream exactly.
+/// `w` — the image [`TransmitHeader::decode`] parses, built from the stored
+/// content without an owned struct (no metadata copy, no freqs or
+/// final-states clones), on the reactor's per-request hot path. The
+/// payload CRC is the item's memoized whole-stream CRC-32, valid because
+/// chunk plans tile the word stream exactly.
 pub(crate) fn write_transmit_header(
     w: &mut PayloadWriter,
     transmission: &Transmission,
@@ -579,18 +554,41 @@ pub(crate) fn write_transmit_header(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recoil_core::EncoderConfig;
+    use recoil_server::ContentServer;
+    use std::sync::Arc;
 
+    /// A served tier and its TRANSMIT payload as the reactor writes it.
+    fn served_transmit(chunk_count: u32) -> (Transmission, Arc<StoredContent>, Vec<u8>) {
+        let data: Vec<u8> = (0..30_000u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 25) as u8)
+            .collect();
+        let config = EncoderConfig {
+            max_segments: 16,
+            ..EncoderConfig::default()
+        };
+        let server = ContentServer::new();
+        server.publish("movie", &data, &config).unwrap();
+        let (transmission, item) = server.fetch("movie", 4).unwrap();
+        let mut w = PayloadWriter::new();
+        write_transmit_header(&mut w, &transmission, &item, chunk_count);
+        (transmission, item, w.0)
+    }
+
+    /// Every message through its one production encoder and its one
+    /// production decoder.
     #[test]
     fn every_message_round_trips() {
         let hello = Hello::ours();
         assert_eq!(Hello::decode(&hello.encode()).unwrap(), hello);
 
+        let data: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
         let publish = PublishRequest {
-            name: "movie".into(),
+            name: "movie",
             ways: 32,
             max_segments: 256,
             quant_bits: 11,
-            data: (0..1000u32).map(|i| i as u8).collect(),
+            data: &data,
         };
         assert_eq!(PublishRequest::decode(&publish.encode()).unwrap(), publish);
 
@@ -600,14 +598,21 @@ mod tests {
         };
         assert_eq!(PublishOk::decode(&ok.encode()).unwrap(), ok);
 
+        // Encoded from the owned form a client holds, decoded as the view
+        // the server reads.
         let req = ContentRequest {
-            name: "movie".into(),
+            name: "movie".to_string(),
             parallel_segments: 16,
         };
-        assert_eq!(ContentRequest::decode(&req.encode()).unwrap(), req);
+        let view = ContentRequest {
+            name: "movie",
+            parallel_segments: 16,
+        };
+        assert_eq!(ContentRequest::decode(&req.encode()).unwrap(), view);
+        assert_eq!(view.encode(), req.encode());
 
         let resume = ResumeRequest {
-            name: "movie".into(),
+            name: "movie",
             parallel_segments: 16,
             from_word: 123_456,
         };
@@ -615,24 +620,29 @@ mod tests {
         let mut trailing = resume.encode();
         trailing.push(0);
         assert!(ResumeRequest::decode(&trailing).is_err());
+        // REQUEST and RESUME do not parse as each other.
+        assert!(ContentRequest::decode(&resume.encode()).is_err());
+        assert!(ResumeRequest::decode(&req.encode()).is_err());
 
-        let transmit = TransmitHeader {
-            segments: 16,
-            cache_hit: true,
-            combine_nanos: 12_345,
-            metadata: vec![1, 2, 3, 4],
-            quant_bits: 11,
-            freqs: (0..256u32).map(|i| i as u16).collect(),
-            ways: 32,
-            num_symbols: 1_000_000,
-            final_states: (0..32u32).map(|i| 65_536 + i).collect(),
-            word_bytes: 400_000,
-            payload_crc: 0xDEAD_BEEF,
-            chunk_count: 2,
-        };
+        let (transmission, item, payload) = served_transmit(7);
+        let table = item.model.table();
+        let transmit = TransmitHeader::decode(&payload).unwrap();
         assert_eq!(
-            TransmitHeader::decode(&transmit.encode()).unwrap(),
-            transmit
+            transmit,
+            TransmitHeader {
+                segments: 4,
+                cache_hit: false,
+                combine_nanos: transmission.combine_nanos as u64,
+                metadata: transmission.metadata_bytes().to_vec(),
+                quant_bits: table.quant_bits(),
+                freqs: table.freqs().iter().map(|&f| f as u16).collect(),
+                ways: item.stream.ways,
+                num_symbols: 30_000,
+                final_states: item.stream.final_states.clone(),
+                word_bytes: item.stream.words.len() as u64 * 2,
+                payload_crc: item.payload_crc32(),
+                chunk_count: 7,
+            }
         );
 
         let stats = StatsReply {
@@ -726,25 +736,26 @@ mod tests {
         let mut long = Hello::ours().encode();
         long.push(0);
         assert!(Hello::decode(&long).is_err());
+        // A name that is not UTF-8 is refused by the borrowed decoders too.
+        let mut req = ContentRequest {
+            name: "movie",
+            parallel_segments: 1,
+        }
+        .encode();
+        req[2] = 0xFF;
+        assert!(ContentRequest::decode(&req).is_err());
         // Hostile lane count would otherwise drive a huge allocation.
-        let transmit = TransmitHeader {
-            segments: 1,
-            cache_hit: false,
-            combine_nanos: 0,
-            metadata: vec![],
-            quant_bits: 11,
-            freqs: vec![],
-            ways: 1,
-            num_symbols: 0,
-            final_states: vec![65_536],
-            word_bytes: 0,
-            payload_crc: 0,
-            chunk_count: 0,
-        };
-        let mut bytes = transmit.encode();
+        let (transmission, item, mut bytes) = served_transmit(0);
         // `ways` sits right after segments(8) + hit(1) + nanos(8) +
-        // metadata(4) + quant(4) + alphabet count(4) = offset 29.
-        bytes[29..33].copy_from_slice(&0u32.to_le_bytes());
+        // metadata(4 + len) + quant(4) + alphabet(4 + 2 per symbol).
+        let at = 8
+            + 1
+            + 8
+            + (4 + transmission.metadata_bytes().len())
+            + 4
+            + (4 + 2 * item.model.table().alphabet_size());
+        assert_eq!(bytes[at..at + 4], item.stream.ways.to_le_bytes());
+        bytes[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
         assert!(TransmitHeader::decode(&bytes).is_err());
     }
 }

@@ -20,7 +20,7 @@ use crate::frame::{io_err, MAX_FRAME_LEN};
 use recoil_core::RecoilError;
 use recoil_reactor::SlabStats;
 use recoil_server::ContentServer;
-use recoil_telemetry::{Telemetry, TelemetryLevel};
+use recoil_telemetry::{TelemetryLevel, TelemetrySnapshot};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
@@ -148,17 +148,18 @@ impl NetServerHandle {
         self.backend.slab_stats()
     }
 
-    /// The server's telemetry handle — the same instruments the TELEMETRY
-    /// wire frame snapshots, for in-process consumers (benches, tests,
-    /// `examples/telemetry_dump.rs`).
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
+    /// The snapshot a TELEMETRY frame would carry right now — this
+    /// server's instruments plus everything STATS reports, assembled at the
+    /// same point the wire replies are — for in-process consumers (benches,
+    /// tests). Unlike the frame it leaves the trace ring undrained.
+    pub fn telemetry(&self) -> TelemetrySnapshot {
         self.backend.telemetry()
     }
 
     /// Stops accepting, lets in-flight requests finish, and joins every
     /// server thread. Idempotent (also runs on drop).
     pub fn shutdown(mut self) {
-        self.backend.shutdown_impl();
+        self.backend.stop(false);
     }
 
     /// Kills the node **abruptly**: the listener closes and every open
@@ -168,13 +169,13 @@ impl NetServerHandle {
     /// failover trigger the fabric's chaos tests exercise; for orderly
     /// teardown use [`NetServerHandle::shutdown`].
     pub fn kill(mut self) {
-        self.backend.kill_impl();
+        self.backend.stop(true);
     }
 }
 
 impl Drop for NetServerHandle {
     fn drop(&mut self) {
-        self.backend.shutdown_impl();
+        self.backend.stop(false);
     }
 }
 

@@ -54,25 +54,28 @@
 
 use super::NetConfig;
 use crate::frame::{
-    append_frame, begin_frame, encode_error, end_frame, io_err, FrameType, PayloadReader,
-    PayloadWriter, CAP_CHUNKED, CAP_RESUME, CAP_TELEMETRY, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    append_frame, begin_frame, encode_error, end_frame, io_err, parse_header, FrameType,
+    PayloadWriter, CAP_CHUNKED, CAP_RESUME, CAP_TELEMETRY, FRAME_HEADER_LEN, PROTOCOL_VERSION,
     SUPPORTED_CAPS,
 };
-use crate::proto::{self, Hello, PublishOk, PublishRequest, StatsReply, TelemetryReply};
+use crate::proto::{
+    self, ContentRequest, Hello, PublishOk, PublishRequest, ResumeRequest, StatsReply,
+    TelemetryReply,
+};
 use parking_lot::{Condvar, Mutex};
 use recoil_core::{plan_chunks_into, ChunkPlan, EncoderConfig, RecoilError};
 use recoil_parallel::ThreadPool;
 use recoil_rans::append_words_le;
 use recoil_reactor::{DeadlineQueue, Event, Interest, Poller, Slab, SlabStats, Token, WakePipe};
-use recoil_server::{ContentServer, StoredContent, Transmission};
-use recoil_telemetry::{Stage, Telemetry};
+use recoil_server::{ContentServer, ServerStats, StoredContent, Transmission};
+use recoil_telemetry::{Stage, Telemetry, TelemetrySnapshot};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::mem;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::ops::Range;
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -101,6 +104,14 @@ const PARKED_BUFFER_CAP: usize = 64 * 1024;
 
 /// State shared between the event loop, the dispatch workers, and the
 /// owning handle.
+///
+/// This is also where the transport's five facts live, each in one atomic
+/// written at one site: `active` and `open_slots` (mirrored off the slab by
+/// [`EventLoop::mirror_slab`]), `rejected` ([`EventLoop::reject`]),
+/// `queue_len` (under the job lock), and evicted connections, which is the
+/// telemetry handle's `evictions` counter ([`EventLoop::note_eviction`]; a
+/// cold path, so it records at every level). [`Shared::stats_reply`] reads
+/// them for STATS, TELEMETRY and the in-process handle alike.
 struct Shared {
     content: Arc<ContentServer>,
     config: NetConfig,
@@ -118,21 +129,27 @@ struct Shared {
     jobs_cv: Condvar,
     completions: Mutex<Vec<Completion>>,
     waker: recoil_reactor::Waker,
-    active: AtomicUsize,
+    active: AtomicU64,
+    open_slots: AtomicU64,
+    rejected: AtomicU64,
     slab_allocations: AtomicU64,
     slab_reuses: AtomicU64,
     /// Pipeline telemetry (level fixed at bind; `Off` reduces every
     /// instrument to one branch).
     telemetry: Arc<Telemetry>,
-    /// Mirror of the locked job queue's length, written under the job lock
-    /// on every push/pop, so the event loop publishes the queue-depth gauge
-    /// at its own consistent point without taking the job lock.
+    /// The locked job queue's length, written under the job lock on every
+    /// push/pop: the queue-depth fact, read lock-free by the shed check and
+    /// by every stats reply.
     queue_len: AtomicU64,
 }
 
 impl Shared {
-    fn push_job(&self, job: Job) {
-        let token = job.token();
+    fn push_job(&self, token: Token, work: Work) {
+        let job = Job {
+            token,
+            queued_at: Instant::now(),
+            work,
+        };
         let mut jobs = self.jobs.lock();
         jobs.push_back(job);
         let depth = jobs.len() as u64;
@@ -145,45 +162,96 @@ impl Shared {
             tel.trace(Stage::DispatchQueue, token.0, depth);
         }
     }
+
+    /// The STATS view: the store's six counters and item count plus this
+    /// transport's own five facts.
+    fn stats_reply(&self) -> StatsReply {
+        StatsReply {
+            stats: ServerStats {
+                active_connections: self.active.load(Ordering::Relaxed),
+                rejected_connections: self.rejected.load(Ordering::Relaxed),
+                evicted_connections: self.telemetry.counters.evictions.get(),
+                queue_depth: self.queue_len.load(Ordering::Relaxed),
+                open_slots: self.open_slots.load(Ordering::Relaxed),
+                ..self.content.stats()
+            },
+            items: self.content.len() as u64,
+        }
+    }
+
+    /// The TELEMETRY view: the handle's instruments plus everything
+    /// [`Shared::stats_reply`] reports, read at the same point — so
+    /// TELEMETRY ⊇ STATS and the two frames cannot disagree. Exact at every
+    /// level: the appended values are views, not gated instruments.
+    /// (`evicted_connections` is already there as the `evictions` counter.)
+    fn telemetry_snapshot(&self) -> TelemetrySnapshot {
+        let StatsReply { stats: s, items } = self.stats_reply();
+        let named = |entries: &[(&str, u64)]| -> Vec<(String, u64)> {
+            entries.iter().map(|&(n, v)| (n.to_string(), v)).collect()
+        };
+        let mut snapshot = self.telemetry.snapshot();
+        snapshot.counters.extend(named(&[
+            ("server_requests", s.requests),
+            ("server_cache_hits", s.cache_hits),
+            ("server_cache_misses", s.cache_misses),
+            ("server_cache_evictions", s.cache_evictions),
+            ("server_bytes_served", s.bytes_served),
+            ("server_publishes", s.publishes),
+            ("rejected_connections", s.rejected_connections),
+        ]));
+        // The two gauges this frame has always carried keep their place in
+        // front of the handle's own.
+        snapshot.gauges.splice(
+            0..0,
+            named(&[("queue_depth", s.queue_depth), ("open_slots", s.open_slots)]),
+        );
+        snapshot.gauges.extend(named(&[
+            ("active_connections", s.active_connections),
+            ("server_items", items),
+        ]));
+        snapshot
+    }
+}
+
+/// Records what a served transmission says about the tier cache: the hit's
+/// width, or the miss's width and the combine it paid for. The store hands
+/// these facts back with every response; the transport is the recorder.
+fn record_tier(tel: &Telemetry, tx: &Transmission) {
+    if tx.cache_hit {
+        tel.hists.tier_hit_segments.record(tx.tier.segments);
+    } else {
+        tel.hists.tier_miss_segments.record(tx.tier.segments);
+        tel.hists
+            .combine_ns
+            .record(u64::try_from(tx.combine_nanos).unwrap_or(u64::MAX));
+    }
 }
 
 /// CPU-bound work shipped to a dispatch worker.
-enum Job {
+struct Job {
+    token: Token,
+    queued_at: Instant,
+    work: Work,
+}
+
+enum Work {
     /// The whole read buffer is *lent* to the worker (the payload can be
     /// tens of MiB; slicing it out would copy): `payload` locates the
     /// publish body, `consumed` is dropped when the buffer comes back so
     /// pipelined bytes behind the frame survive.
     Publish {
-        token: Token,
         buf: Vec<u8>,
         payload: Range<usize>,
         consumed: usize,
-        queued_at: Instant,
     },
     /// A request whose tier missed the cache: the combine runs off-loop.
     Fetch {
-        token: Token,
         name: String,
         parallel_segments: u64,
         /// Complete words the peer already holds (RESUME); zero for a
         /// fresh REQUEST.
         from_word: u64,
-        queued_at: Instant,
     },
-}
-
-impl Job {
-    fn token(&self) -> Token {
-        match self {
-            Job::Publish { token, .. } | Job::Fetch { token, .. } => *token,
-        }
-    }
-
-    fn queued_at(&self) -> Instant {
-        match self {
-            Job::Publish { queued_at, .. } | Job::Fetch { queued_at, .. } => *queued_at,
-        }
-    }
 }
 
 enum Reply {
@@ -340,56 +408,22 @@ impl Conn {
 }
 
 /// What one pump of a connection decided.
-struct Pumped {
-    fate: Fate,
-    /// Jobs handed to the dispatch pool during this pump (0 or 1).
-    dispatched: usize,
-}
-
 enum Fate {
     Keep,
+    /// Kept, and one job went to the dispatch pool during this pump.
+    Dispatched,
     Close,
-}
-
-impl Pumped {
-    fn keep(dispatched: usize) -> Self {
-        Self {
-            fate: Fate::Keep,
-            dispatched,
-        }
-    }
-    fn close(dispatched: usize) -> Self {
-        Self {
-            fate: Fate::Close,
-            dispatched,
-        }
-    }
 }
 
 /// Tries to parse one frame header + payload from the front of `buf`.
 /// `Ok(Some((ty, end)))` means a complete frame occupies `buf[..end]`
-/// (payload at `buf[5..end]`); `Ok(None)` means more bytes are needed.
-/// The type byte and length are validated as soon as they arrive, before
-/// any payload accumulates.
+/// (payload after the header); `Ok(None)` means more bytes are needed.
+/// The header is judged by [`parse_header`] as soon as its bytes arrive,
+/// before any payload accumulates.
 fn parse_frame(buf: &[u8]) -> Result<Option<(FrameType, usize)>, RecoilError> {
-    if buf.is_empty() {
-        return Ok(None);
-    }
-    let ty = FrameType::from_u8(buf[0])?;
-    if buf.len() < 5 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[1..5].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_LEN {
-        return Err(RecoilError::net(format!(
-            "oversized frame: {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"
-        )));
-    }
-    let end = 5 + len as usize;
-    if buf.len() < end {
-        return Ok(None);
-    }
-    Ok(Some((ty, end)))
+    Ok(parse_header(buf)?
+        .map(|(ty, len)| (ty, FRAME_HEADER_LEN + len))
+        .filter(|&(_, end)| buf.len() >= end))
 }
 
 /// Frames `payload` straight into the pending-write buffer and enters
@@ -455,7 +489,7 @@ fn stage_transmission(
     if end_frame(&mut conn.write_buf, at).is_err() {
         // A tier whose metadata outgrows the frame cap is unservable on
         // this wire; roll the header back and report instead.
-        conn.write_buf.truncate(at - 5);
+        conn.write_buf.truncate(at - FRAME_HEADER_LEN);
         stage_error(
             conn,
             &RecoilError::net("transmit header exceeds the frame cap"),
@@ -509,7 +543,7 @@ fn handle_hello(conn: &mut Conn, ty: FrameType, end: usize) {
         stage_error(conn, &e, true);
         return;
     }
-    let hello = match Hello::decode(&conn.read_buf[5..end]) {
+    let hello = match Hello::decode(&conn.read_buf[FRAME_HEADER_LEN..end]) {
         Ok(h) => h,
         Err(e) => {
             stage_error(conn, &e, true);
@@ -555,23 +589,26 @@ enum ReqAction {
     Fail(RecoilError, bool),
 }
 
-/// Parses a REQUEST (two fields) or RESUME (three fields) payload and
-/// resolves it against the tier cache.
-fn request_action(shared: &Shared, payload: &[u8], resume: bool) -> ReqAction {
-    let mut r = PayloadReader::new(payload);
-    let parsed = r
-        .name_str()
-        .and_then(|name| Ok((name, r.u64()?)))
-        .and_then(|(name, segs)| {
-            let from_word = if resume { r.u64()? } else { 0 };
-            r.finish()?;
-            Ok((name, segs, from_word))
-        });
+/// Decodes a REQUEST or RESUME payload and resolves it against the tier
+/// cache. A hit on a `sampled` frame records its width (the same 1-in-32
+/// phase at `Counters`, every frame at `Trace`, as the inline-serve span;
+/// exact hit counts are the store's).
+fn request_action(shared: &Shared, payload: &[u8], resume: bool, sampled: bool) -> ReqAction {
+    let parsed = if resume {
+        ResumeRequest::decode(payload).map(|r| (r.name, r.parallel_segments, r.from_word))
+    } else {
+        ContentRequest::decode(payload).map(|r| (r.name, r.parallel_segments, 0))
+    };
     match parsed {
         Err(e) => ReqAction::Fail(e, true),
         Ok((name, parallel_segments, from_word)) => {
             match shared.content.fetch_cached(name, parallel_segments) {
-                Ok(Some((tx, item))) => ReqAction::Stream(tx, item, from_word),
+                Ok(Some((tx, item))) => {
+                    if sampled {
+                        record_tier(&shared.telemetry, &tx);
+                    }
+                    ReqAction::Stream(tx, item, from_word)
+                }
                 Ok(None) => ReqAction::Offload(name.to_owned(), parallel_segments, from_word),
                 Err(e) => ReqAction::Fail(e, false),
             }
@@ -600,13 +637,15 @@ fn stage_busy(conn: &mut Conn, shared: &Shared) {
     );
 }
 
-/// Handles one complete request frame at the front of `read_buf`.
+/// Handles one complete request frame at the front of `read_buf`;
+/// `sampled` says whether this frame's spans are being recorded.
 fn handle_frame(
     conn: &mut Conn,
     token: Token,
     shared: &Shared,
     ty: FrameType,
     end: usize,
+    sampled: bool,
 ) -> Handled {
     match ty {
         FrameType::Publish => {
@@ -619,13 +658,13 @@ fn handle_frame(
             // worker rather than copying a potentially huge payload out.
             let buf = mem::take(&mut conn.read_buf);
             conn.phase = Phase::Dispatching;
-            shared.push_job(Job::Publish {
-                token,
+            let payload = FRAME_HEADER_LEN..end;
+            let work = Work::Publish {
                 buf,
-                payload: 5..end,
+                payload,
                 consumed: end,
-                queued_at: Instant::now(),
-            });
+            };
+            shared.push_job(token, work);
             Handled::Dispatched
         }
         FrameType::Request | FrameType::Resume => {
@@ -636,7 +675,12 @@ fn handle_frame(
                     true,
                 )
             } else {
-                request_action(shared, &conn.read_buf[5..end], resume)
+                request_action(
+                    shared,
+                    &conn.read_buf[FRAME_HEADER_LEN..end],
+                    resume,
+                    sampled,
+                )
             };
             conn.read_buf.drain(..end);
             match action {
@@ -650,13 +694,12 @@ fn handle_frame(
                         return Handled::Continue;
                     }
                     conn.phase = Phase::Dispatching;
-                    shared.push_job(Job::Fetch {
-                        token,
+                    let work = Work::Fetch {
                         name,
                         parallel_segments,
                         from_word,
-                        queued_at: Instant::now(),
-                    });
+                    };
+                    shared.push_job(token, work);
                     Handled::Dispatched
                 }
                 ReqAction::Fail(e, close) => {
@@ -667,15 +710,12 @@ fn handle_frame(
         }
         FrameType::Stats => {
             conn.read_buf.drain(..end);
-            let reply = StatsReply {
-                stats: shared.content.stats(),
-                items: shared.content.len() as u64,
-            };
-            stage_payload(conn, FrameType::StatsReply, &reply.encode(), false);
+            let reply = shared.stats_reply().encode();
+            stage_payload(conn, FrameType::StatsReply, &reply, false);
             Handled::Continue
         }
         FrameType::Telemetry => {
-            let well_formed = end == 5;
+            let well_formed = end == FRAME_HEADER_LEN;
             conn.read_buf.drain(..end);
             if conn.caps & CAP_TELEMETRY == 0 {
                 let e = RecoilError::net("telemetry capability was not negotiated");
@@ -696,7 +736,7 @@ fn handle_frame(
                 Vec::new()
             };
             let reply = TelemetryReply {
-                snapshot: tel.snapshot(),
+                snapshot: shared.telemetry_snapshot(),
                 trace,
             };
             stage_payload(conn, FrameType::TelemetryReply, &reply.encode(), false);
@@ -726,7 +766,7 @@ struct PumpTally {
 /// frame, read until `WouldBlock`, flush and refill until `WouldBlock`.
 /// This *must* exhaust the socket in both directions before returning —
 /// under edge-triggered polling an unconsumed edge never fires again.
-fn pump(conn: &mut Conn, token: Token, shared: &Shared) -> Pumped {
+fn pump(conn: &mut Conn, token: Token, shared: &Shared) -> Fate {
     let mut tally = PumpTally::default();
     let out = pump_inner(conn, token, shared, &mut tally);
     let tel = &shared.telemetry;
@@ -748,9 +788,8 @@ fn pump(conn: &mut Conn, token: Token, shared: &Shared) -> Pumped {
     out
 }
 
-fn pump_inner(conn: &mut Conn, token: Token, shared: &Shared, tally: &mut PumpTally) -> Pumped {
+fn pump_inner(conn: &mut Conn, token: Token, shared: &Shared, tally: &mut PumpTally) -> Fate {
     let mut scratch = [0u8; READ_CHUNK];
-    let mut dispatched = 0;
     // Armed fault schedule, if any (chaos testing only; a faultless server
     // pays one `Option` check per pump). The write delay sleeps on the
     // event-loop thread — faulted nodes are slow for *everyone*, which is
@@ -780,9 +819,9 @@ fn pump_inner(conn: &mut Conn, token: Token, shared: &Shared, tally: &mut PumpTa
                         let sampled = tel.counters_enabled()
                             && (tel.trace_enabled() || tally.frames & 31 == 1);
                         let started = sampled.then(Instant::now);
-                        if let Handled::Dispatched = handle_frame(conn, token, shared, ty, end) {
-                            dispatched += 1;
-                            return Pumped::keep(dispatched);
+                        let handled = handle_frame(conn, token, shared, ty, end, sampled);
+                        if let Handled::Dispatched = handled {
+                            return Fate::Dispatched;
                         }
                         // Anything that went straight from a parsed frame to
                         // staged response bytes was served inline on the
@@ -812,21 +851,19 @@ fn pump_inner(conn: &mut Conn, token: Token, shared: &Shared, tally: &mut PumpTa
                 Ok(None) => {
                     let mut s = conn.stream.as_ref().expect("live conn has a stream");
                     match s.read(&mut scratch) {
-                        Ok(0) => return Pumped::close(dispatched),
+                        Ok(0) => return Fate::Close,
                         Ok(n) => {
                             conn.read_buf.extend_from_slice(&scratch[..n]);
                             conn.last_progress = Instant::now();
                             tally.bytes_read += n as u64;
                         }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            return Pumped::keep(dispatched)
-                        }
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => return Fate::Keep,
                         Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(_) => return Pumped::close(dispatched),
+                        Err(_) => return Fate::Close,
                     }
                 }
             },
-            Phase::Dispatching => return Pumped::keep(dispatched),
+            Phase::Dispatching => return Fate::Keep,
             Phase::Write => {
                 if conn.write_started.is_none() {
                     let tel = &shared.telemetry;
@@ -851,7 +888,7 @@ fn pump_inner(conn: &mut Conn, token: Token, shared: &Shared, tally: &mut PumpTa
                         }
                         let mut s = conn.stream.as_ref().expect("live conn has a stream");
                         match s.write(&conn.write_buf[conn.write_pos..slice_end]) {
-                            Ok(0) => return Pumped::close(dispatched),
+                            Ok(0) => return Fate::Close,
                             Ok(n) => {
                                 conn.write_pos += n;
                                 conn.written_total += n as u64;
@@ -859,14 +896,12 @@ fn pump_inner(conn: &mut Conn, token: Token, shared: &Shared, tally: &mut PumpTa
                                 tally.bytes_written += n as u64;
                                 if kill_after.is_some_and(|at| conn.written_total >= at) {
                                     // Fault: die abruptly mid-frame, no drain.
-                                    return Pumped::close(dispatched);
+                                    return Fate::Close;
                                 }
                             }
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                                return Pumped::keep(dispatched)
-                            }
+                            Err(e) if e.kind() == ErrorKind::WouldBlock => return Fate::Keep,
                             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                            Err(_) => return Pumped::close(dispatched),
+                            Err(_) => return Fate::Close,
                         }
                     }
                     conn.write_buf.clear();
@@ -905,7 +940,7 @@ fn pump_inner(conn: &mut Conn, token: Token, shared: &Shared, tally: &mut PumpTa
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
                     // The in-flight response above was fully written.
-                    return Pumped::close(dispatched);
+                    return Fate::Close;
                 }
                 conn.phase = Phase::ReadFrame;
             }
@@ -913,13 +948,11 @@ fn pump_inner(conn: &mut Conn, token: Token, shared: &Shared, tally: &mut PumpTa
                 let mut s = conn.stream.as_ref().expect("live conn has a stream");
                 loop {
                     match s.read(&mut scratch) {
-                        Ok(0) => return Pumped::close(dispatched),
+                        Ok(0) => return Fate::Close,
                         Ok(_) => {}
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            return Pumped::keep(dispatched)
-                        }
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => return Fate::Keep,
                         Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(_) => return Pumped::close(dispatched),
+                        Err(_) => return Fate::Close,
                     }
                 }
             }
@@ -1015,25 +1048,8 @@ impl EventLoop {
                 }
             }
             self.events = events;
-            self.publish_gauges();
             self.drive_morgue();
             self.check_deadlines();
-        }
-    }
-
-    /// Publishes `queue_depth` and `open_slots` from one consistent point
-    /// per loop iteration, to both the legacy STATS gauges on
-    /// [`ContentServer`] and the telemetry gauges — so a STATS and a
-    /// TELEMETRY request served in the same burst always agree.
-    fn publish_gauges(&self) {
-        let depth = self.shared.queue_len.load(Ordering::Relaxed);
-        let open = self.conns.open_slots() as u64;
-        self.shared.content.set_queue_depth(depth);
-        self.shared.content.set_open_slots(open);
-        let tel = &self.shared.telemetry;
-        if tel.counters_enabled() {
-            tel.gauges.queue_depth.set(depth);
-            tel.gauges.open_slots.set(open);
         }
     }
 
@@ -1126,9 +1142,7 @@ impl EventLoop {
         if let Some(conn) = self.conns.get_mut(token) {
             conn.interest = interest;
         }
-        self.shared.content.connection_opened();
-        self.shared.active.fetch_add(1, Ordering::Relaxed);
-        self.publish_slab_stats();
+        self.mirror_slab();
         self.pump_token(token);
     }
 
@@ -1137,18 +1151,15 @@ impl EventLoop {
     /// parks it in the morgue until the frame flushes and the peer hangs
     /// up.
     fn reject(&mut self, stream: TcpStream, now: Instant) {
-        self.shared.content.connection_rejected();
+        self.shared.rejected.fetch_add(1, Ordering::Relaxed);
         let tel = &self.shared.telemetry;
         if tel.counters_enabled() {
             tel.counters.busy_rejections.bump();
         }
         let e = RecoilError::busy(self.shared.config.busy_retry_after_ms);
-        let mut bytes = Vec::new();
-        append_frame(&mut bytes, FrameType::Error, &encode_error(&e))
-            .expect("busy errors are far below the frame cap");
         let mut doomed = Doomed {
             stream,
-            bytes,
+            bytes: framed(FrameType::Error, &encode_error(&e)),
             written: 0,
             half_closed: false,
             deadline: now + DRAIN_BUDGET,
@@ -1167,10 +1178,12 @@ impl EventLoop {
         let Some(conn) = conns.get_mut(token) else {
             return;
         };
-        let pumped = pump(conn, token, shared);
-        self.in_flight += pumped.dispatched;
-        match pumped.fate {
+        match pump(conn, token, shared) {
             Fate::Keep => self.after_pump(token),
+            Fate::Dispatched => {
+                self.in_flight += 1;
+                self.after_pump(token)
+            }
             Fate::Close => self.close_conn(token),
         }
     }
@@ -1245,9 +1258,7 @@ impl EventLoop {
             Some(conn)
         });
         self.deadlines.clear(token);
-        self.shared.content.connection_closed();
-        self.shared.active.fetch_sub(1, Ordering::Relaxed);
-        self.publish_slab_stats();
+        self.mirror_slab();
     }
 
     fn process_completions(&mut self) {
@@ -1353,7 +1364,6 @@ impl EventLoop {
                     // Slow loris: the peer started a frame (or the
                     // handshake) and stopped feeding it. Tell it why,
                     // then drain out.
-                    self.shared.content.connection_evicted();
                     self.note_eviction(token);
                     if let Some(conn) = self.conns.get_mut(token) {
                         stage_error(conn, &RecoilError::net("peer stalled mid-frame"), true);
@@ -1364,7 +1374,6 @@ impl EventLoop {
             Action::EvictWrite => {
                 // The peer stopped consuming its response; nothing more
                 // can be said on a jammed pipe.
-                self.shared.content.connection_evicted();
                 self.note_eviction(token);
                 self.close_conn(token);
             }
@@ -1372,12 +1381,12 @@ impl EventLoop {
         }
     }
 
+    /// Counts an eviction — the `evicted_connections` fact. A cold path, so
+    /// the counter records at every telemetry level.
     fn note_eviction(&self, token: Token) {
         let tel = &self.shared.telemetry;
-        if tel.counters_enabled() {
-            tel.counters.evictions.bump();
-            tel.trace(Stage::Evict, token.0, 0);
-        }
+        tel.counters.evictions.bump();
+        tel.trace(Stage::Evict, token.0, 0);
     }
 
     /// Abrupt death ([`super::NetServerHandle::kill`]): drop the listener
@@ -1416,18 +1425,16 @@ impl EventLoop {
         }
     }
 
-    /// Mirrors the slab's allocation/reuse tallies into `Shared` for the
-    /// handle. The `open_slots` gauge is *not* published here — that
-    /// happens once per loop iteration in [`Self::publish_gauges`] so the
-    /// STATS and TELEMETRY views stay consistent.
-    fn publish_slab_stats(&self) {
-        let stats = self.conns.stats();
-        self.shared
-            .slab_allocations
-            .store(stats.allocations, Ordering::Relaxed);
-        self.shared
-            .slab_reuses
-            .store(stats.reuses, Ordering::Relaxed);
+    /// Mirrors what the slab knows into `Shared` after every insert and
+    /// remove: open connections and free slots for the stats replies, the
+    /// allocation/reuse tallies for the handle.
+    fn mirror_slab(&self) {
+        let (shared, stats) = (&self.shared, self.conns.stats());
+        let set = |slot: &AtomicU64, v: u64| slot.store(v, Ordering::Relaxed);
+        set(&shared.active, self.conns.len() as u64);
+        set(&shared.open_slots, self.conns.open_slots() as u64);
+        set(&shared.slab_allocations, stats.allocations);
+        set(&shared.slab_reuses, stats.reuses);
     }
 }
 
@@ -1442,11 +1449,11 @@ fn dispatch_worker(shared: &Shared) {
             drop(jobs);
             let tel = &shared.telemetry;
             if tel.counters_enabled() {
-                let wait = elapsed_ns(job.queued_at());
+                let wait = elapsed_ns(job.queued_at);
                 tel.hists.dispatch_wait_ns.record(wait);
-                tel.trace(Stage::DispatchRun, job.token().0, wait);
+                tel.trace(Stage::DispatchRun, job.token.0, wait);
             }
-            let completion = run_job(shared, job);
+            let completion = run_job(shared, job.token, job.work);
             shared.completions.lock().push(completion);
             shared.waker.wake();
             jobs = shared.jobs.lock();
@@ -1463,97 +1470,91 @@ fn elapsed_ns(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-fn error_frame(e: &RecoilError) -> Vec<u8> {
+/// One complete frame as owned bytes, for a completion to carry home.
+fn framed(ty: FrameType, payload: &[u8]) -> Vec<u8> {
     let mut bytes = Vec::new();
-    append_frame(&mut bytes, FrameType::Error, &encode_error(e))
-        .expect("error frames are far below the frame cap");
+    append_frame(&mut bytes, ty, payload).expect("control frames are far below the frame cap");
     bytes
 }
 
-fn run_job(shared: &Shared, job: Job) -> Completion {
-    match job {
-        Job::Publish {
-            token,
+fn run_job(shared: &Shared, token: Token, work: Work) -> Completion {
+    let tel = &shared.telemetry;
+    match work {
+        Work::Publish {
             buf,
             payload,
             consumed,
-            queued_at: _,
         } => {
-            let started = shared.telemetry.counters_enabled().then(Instant::now);
-            let (reply, close_after) = publish_reply(shared, &buf[payload]);
-            // The encode_ns histogram is recorded by ContentServer::publish
-            // (successful encodes only); this trace covers the whole job.
+            let started = tel.counters_enabled().then(Instant::now);
+            let outcome = publish(shared, &buf[payload]);
             if let Some(t0) = started {
-                shared
-                    .telemetry
-                    .trace(Stage::Encode, token.0, elapsed_ns(t0));
+                // The histogram holds successful encodes only; the trace
+                // covers every publish job.
+                let ns = elapsed_ns(t0);
+                if outcome.is_ok() {
+                    tel.hists.encode_ns.record(ns);
+                }
+                tel.trace(Stage::Encode, token.0, ns);
             }
+            let (reply, close_after) = match outcome {
+                Ok(ok) => (framed(FrameType::PublishOk, &ok.encode()), false),
+                Err((e, close)) => (framed(FrameType::Error, &encode_error(&e)), close),
+            };
             Completion {
                 token,
                 buf: Some((buf, consumed)),
-                reply,
+                reply: Reply::Framed(reply),
                 close_after,
             }
         }
-        Job::Fetch {
-            token,
+        Work::Fetch {
             name,
             parallel_segments,
             from_word,
-            queued_at: _,
-        } => match shared.content.fetch(&name, parallel_segments) {
-            Ok((tx, item)) => {
-                // The combine-vs-hit histograms live in ContentServer (which
-                // times the combine itself); here we only leave the trace
-                // breadcrumb with the measured cost.
-                if shared.telemetry.counters_enabled() {
-                    let ns = u64::try_from(tx.combine_nanos).unwrap_or(u64::MAX);
-                    shared.telemetry.trace(Stage::Combine, token.0, ns);
+        } => {
+            let reply = match shared.content.fetch(&name, parallel_segments) {
+                Ok((tx, item)) => {
+                    // Usually the miss this job was queued for; a hit when a
+                    // racing request cached the tier first.
+                    if tel.counters_enabled() {
+                        record_tier(tel, &tx);
+                        let ns = u64::try_from(tx.combine_nanos).unwrap_or(u64::MAX);
+                        tel.trace(Stage::Combine, token.0, ns);
+                    }
+                    Reply::Stream(tx, item, from_word)
                 }
-                Completion {
-                    token,
-                    buf: None,
-                    reply: Reply::Stream(tx, item, from_word),
-                    close_after: false,
-                }
-            }
-            Err(e) => Completion {
+                Err(e) => Reply::Framed(framed(FrameType::Error, &encode_error(&e))),
+            };
+            Completion {
                 token,
                 buf: None,
-                reply: Reply::Framed(error_frame(&e)),
+                reply,
                 close_after: false,
-            },
-        },
+            }
+        }
     }
 }
 
-/// PUBLISH off the loop: decode, encode-and-store, frame the verdict.
-/// Application failures (duplicate name, bad config) are in-band and keep
-/// the connection; a malformed frame is a protocol violation and closes it.
-fn publish_reply(shared: &Shared, payload: &[u8]) -> (Reply, bool) {
-    let msg = match PublishRequest::decode(payload) {
-        Ok(m) => m,
-        Err(e) => return (Reply::Framed(error_frame(&e)), true),
-    };
+/// PUBLISH off the loop: decode in place, encode-and-store. Application
+/// failures (duplicate name, bad config) are in-band and keep the
+/// connection; a malformed frame is a protocol violation and closes it
+/// (the `bool`).
+fn publish(shared: &Shared, payload: &[u8]) -> Result<PublishOk, (RecoilError, bool)> {
+    let msg = PublishRequest::decode(payload).map_err(|e| (e, true))?;
     let config = EncoderConfig {
         ways: msg.ways,
         max_segments: msg.max_segments,
         quant_bits: msg.quant_bits,
         ..EncoderConfig::default()
     };
-    match shared.content.publish(&msg.name, &msg.data, &config) {
-        Ok(item) => {
-            let ok = PublishOk {
-                segments: item.metadata.num_segments(),
-                stream_bytes: item.stream.payload_bytes(),
-            };
-            let mut bytes = Vec::new();
-            append_frame(&mut bytes, FrameType::PublishOk, &ok.encode())
-                .expect("publish-ok frames are far below the frame cap");
-            (Reply::Framed(bytes), false)
-        }
-        Err(e) => (Reply::Framed(error_frame(&e)), false),
-    }
+    let item = shared
+        .content
+        .publish(msg.name, msg.data, &config)
+        .map_err(|e| (e, false))?;
+    Ok(PublishOk {
+        segments: item.metadata.num_segments(),
+        stream_bytes: item.stream.payload_bytes(),
+    })
 }
 
 /// Starts the reactor backend on an already-bound listener.
@@ -1583,9 +1584,6 @@ pub(super) fn bind(
     let workers = config.workers.max(1);
     let max_connections = config.max_connections;
     let telemetry = Arc::new(Telemetry::new(config.telemetry));
-    // Hand the same instruments to the content layer so tier-cache and
-    // combine metrics land in the snapshot this server exports.
-    content.attach_telemetry(Arc::clone(&telemetry));
     let shared = Arc::new(Shared {
         content,
         config,
@@ -1598,12 +1596,13 @@ pub(super) fn bind(
         jobs_cv: Condvar::new(),
         completions: Mutex::new(Vec::new()),
         waker: wake.waker(),
-        active: AtomicUsize::new(0),
+        active: AtomicU64::new(0),
+        open_slots: AtomicU64::new(max_connections as u64),
+        rejected: AtomicU64::new(0),
         queue_len: AtomicU64::new(0),
         slab_allocations: AtomicU64::new(0),
         slab_reuses: AtomicU64::new(0),
     });
-    shared.content.set_open_slots(max_connections as u64);
 
     let mut event_loop = EventLoop {
         shared: Arc::clone(&shared),
@@ -1653,7 +1652,7 @@ impl ReactorHandle {
     }
 
     pub(super) fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::Relaxed)
+        self.shared.active.load(Ordering::Relaxed) as usize
     }
 
     pub(super) fn slab_stats(&self) -> SlabStats {
@@ -1663,21 +1662,14 @@ impl ReactorHandle {
         }
     }
 
-    pub(super) fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.shared.telemetry
+    pub(super) fn telemetry(&self) -> TelemetrySnapshot {
+        self.shared.telemetry_snapshot()
     }
 
-    pub(super) fn shutdown_impl(&mut self) {
-        self.stop(false);
-    }
-
-    /// Abrupt death: like [`Self::shutdown_impl`], except the event loop
-    /// severs every connection instead of draining in-flight responses.
-    pub(super) fn kill_impl(&mut self) {
-        self.stop(true);
-    }
-
-    fn stop(&mut self, kill: bool) {
+    /// Stops the backend and joins its threads; idempotent. With `kill` the
+    /// event loop severs every connection instead of draining in-flight
+    /// responses (abrupt death).
+    pub(super) fn stop(&mut self, kill: bool) {
         if kill {
             self.shared.killed.store(true, Ordering::Release);
         }
@@ -1704,7 +1696,7 @@ impl ReactorHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::write_frame;
+    use crate::frame::{write_frame, MAX_FRAME_LEN};
 
     #[test]
     fn parse_frame_handles_partial_and_hostile_input() {

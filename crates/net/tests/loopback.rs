@@ -8,6 +8,7 @@ use recoil_net::raw::{read_frame, write_frame, ReadOutcome};
 use recoil_net::{FrameType, Hello, NetClient, NetConfig, NetServer, NetServerHandle};
 use recoil_rans::EncodedStream;
 use recoil_server::ContentServer;
+use recoil_telemetry::TelemetryLevel;
 use std::net::TcpStream;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -278,6 +279,78 @@ fn connection_cap_rejects_with_typed_busy_error() {
     }
     drop(first);
     server.shutdown();
+}
+
+/// Regression test: two transports, one store. `NetServer::bind` accepts a
+/// shared `Arc<ContentServer>`, but the transports used to keep their gauges
+/// *in the store* (each overwrote the other's: the 8-slot server answered
+/// STATS with 99 open slots, the 100-slot one with 7, both with two active
+/// connections) and the store kept the first transport's telemetry handle
+/// (so the second one's TELEMETRY never saw a tier hit or a combine). Each
+/// transport now owns its facts and records what it serves.
+#[test]
+fn two_transports_over_one_store_report_their_own_facts() {
+    let content = Arc::new(ContentServer::new());
+    let bind = |max_connections, telemetry| {
+        let net = NetConfig {
+            max_connections,
+            telemetry,
+            ..small_net_config()
+        };
+        NetServer::bind(Arc::clone(&content), "127.0.0.1:0", net).unwrap()
+    };
+    let small = bind(8, TelemetryLevel::Off);
+    let large = bind(100, TelemetryLevel::Counters);
+    let via_small = NetClient::connect(small.addr()).unwrap();
+    let via_large = NetClient::connect(large.addr()).unwrap();
+
+    // Published through one transport, served by both: the large one pays
+    // the combine and then hits twice, the small one hits once.
+    let data = sample(80_000, 5);
+    via_small.publish("movie", &data, &config(16)).unwrap();
+    for expect_hit in [false, true, true] {
+        assert_eq!(via_large.request("movie", 4).unwrap().cache_hit, expect_hit);
+    }
+    assert!(via_small.request("movie", 4).unwrap().cache_hit);
+
+    let small_stats = via_small.stats().unwrap().stats;
+    let large_stats = via_large.stats().unwrap().stats;
+    for (stats, open_slots) in [(small_stats, 7), (large_stats, 99)] {
+        assert_eq!(
+            (
+                stats.open_slots,
+                stats.active_connections,
+                stats.queue_depth
+            ),
+            (open_slots, 1, 0)
+        );
+        // The store's counters are the store's: one truth through either.
+        assert_eq!((stats.publishes, stats.requests), (1, 4));
+        assert_eq!((stats.cache_hits, stats.cache_misses), (3, 1));
+    }
+
+    // The `Counters` transport recorded what *it* served. Inline hits are
+    // sampled (the first frame of a read burst always is): the second hit
+    // is recorded unless it was read in the same burst as the first.
+    let seen = via_large.remote_telemetry().unwrap().snapshot;
+    let count = |name: &str| seen.hist(name).map(|h| h.count);
+    assert_eq!(count("tier_miss_segments"), Some(1));
+    assert_eq!(count("combine_ns"), Some(1));
+    let hits = seen.hist("tier_hit_segments").unwrap();
+    assert!((1..=2).contains(&hits.count), "{hits:?}");
+    assert_eq!(hits.max, 4, "the width it served");
+    assert_eq!(count("encode_ns"), Some(0), "the other transport's publish");
+    assert_eq!(seen.counter("server_cache_hits"), Some(3));
+    assert_eq!(seen.gauge("open_slots"), Some(99));
+    // The `Off` transport records no distributions, and still reports the
+    // exact counts and its own gauges.
+    let quiet = via_small.remote_telemetry().unwrap().snapshot;
+    assert_eq!(quiet.hist("tier_hit_segments").map(|h| h.count), Some(0));
+    assert_eq!(quiet.counter("server_cache_hits"), Some(3));
+    assert_eq!(quiet.gauge("open_slots"), Some(7));
+
+    small.shutdown();
+    large.shutdown();
 }
 
 #[test]

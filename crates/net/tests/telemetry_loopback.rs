@@ -134,7 +134,7 @@ fn telemetry_round_trip_matches_server_side_snapshot() {
     // The server-side handle renders the same story. Counters that the
     // TELEMETRY exchange itself advances (frames, bytes, flushes) may only
     // grow; the request-mix counters must match exactly.
-    let local = server.telemetry().snapshot();
+    let local = server.telemetry();
     for name in ["dispatched_jobs", "evictions"] {
         assert_eq!(local.counter(name), remote.counter(name), "{name}");
     }
@@ -180,14 +180,27 @@ fn telemetry_round_trip_matches_server_side_snapshot() {
     server.shutdown();
 }
 
-/// Regression test: `queue_depth` and `open_slots` are published at one
-/// consistent point in the event loop, so a STATS and a TELEMETRY request
-/// pipelined in one write see the same values. (They used to be written
-/// from dispatch workers and slab events independently, so the two views
-/// could disagree.)
+/// TELEMETRY ⊇ STATS: both replies are assembled from the same atomics at
+/// reply time, so a STATS and a TELEMETRY request pipelined in one write
+/// report the same value for every STATS field. (The gauges used to be
+/// copied into two places once per loop iteration, and before that from
+/// dispatch workers and slab events independently, so the two views could
+/// disagree.)
 #[test]
 fn stats_and_telemetry_report_the_same_gauges() {
     let server = start_server(TelemetryLevel::Counters);
+    // Traffic first, so the store's counters are not all zero: a publish, a
+    // miss, two hits and a request that fails.
+    let client = NetClient::connect(server.addr()).unwrap();
+    let data = sample(60_000, 3);
+    client
+        .publish("movie", &data, &EncoderConfig::default())
+        .unwrap();
+    for _ in 0..3 {
+        client.request("movie", 4).unwrap();
+    }
+    assert!(client.request("nope", 4).is_err());
+
     let (mut conn, caps) = raw_hello_with_caps(server.addr(), CAP_CHUNKED | CAP_TELEMETRY);
     assert_eq!(caps & CAP_TELEMETRY, CAP_TELEMETRY);
 
@@ -200,25 +213,89 @@ fn stats_and_telemetry_report_the_same_gauges() {
 
     let (ty, payload) = await_reply(&mut conn);
     assert_eq!(ty, FrameType::StatsReply);
-    let stats = StatsReply::decode(&payload).unwrap();
+    let StatsReply { stats, items } = StatsReply::decode(&payload).unwrap();
     let (ty, payload) = await_reply(&mut conn);
     assert_eq!(ty, FrameType::TelemetryReply);
-    let reply = TelemetryReply::decode(&payload).unwrap();
+    let remote = TelemetryReply::decode(&payload).unwrap().snapshot;
 
+    // Every STATS field, next to the TELEMETRY entry that carries it.
+    for (name, stat, telemetry) in [
+        (
+            "requests",
+            stats.requests,
+            remote.counter("server_requests"),
+        ),
+        (
+            "cache_hits",
+            stats.cache_hits,
+            remote.counter("server_cache_hits"),
+        ),
+        (
+            "cache_misses",
+            stats.cache_misses,
+            remote.counter("server_cache_misses"),
+        ),
+        (
+            "cache_evictions",
+            stats.cache_evictions,
+            remote.counter("server_cache_evictions"),
+        ),
+        (
+            "bytes_served",
+            stats.bytes_served,
+            remote.counter("server_bytes_served"),
+        ),
+        (
+            "publishes",
+            stats.publishes,
+            remote.counter("server_publishes"),
+        ),
+        (
+            "rejected_connections",
+            stats.rejected_connections,
+            remote.counter("rejected_connections"),
+        ),
+        (
+            "evicted_connections",
+            stats.evicted_connections,
+            remote.counter("evictions"),
+        ),
+        (
+            "active_connections",
+            stats.active_connections,
+            remote.gauge("active_connections"),
+        ),
+        (
+            "queue_depth",
+            stats.queue_depth,
+            remote.gauge("queue_depth"),
+        ),
+        ("open_slots", stats.open_slots, remote.gauge("open_slots")),
+        ("items", items, remote.gauge("server_items")),
+    ] {
+        assert_eq!(Some(stat), telemetry, "{name}");
+    }
+    // And they are the facts: the traffic above, two open connections (the
+    // client's pooled one and ours), nothing queued.
     assert_eq!(
-        Some(stats.stats.queue_depth),
-        reply.snapshot.gauge("queue_depth")
+        (
+            stats.publishes,
+            stats.requests,
+            stats.cache_hits,
+            stats.cache_misses,
+            items
+        ),
+        (1, 4, 2, 1, 1)
     );
+    assert_eq!((stats.active_connections, stats.queue_depth), (2, 0));
     assert_eq!(
-        Some(stats.stats.open_slots),
-        reply.snapshot.gauge("open_slots")
+        stats.open_slots,
+        NetConfig::default().max_connections as u64 - 2
     );
-    // One connection (ours) is holding a slot, and nothing is queued.
-    assert_eq!(stats.stats.queue_depth, 0);
-    assert_eq!(
-        stats.stats.open_slots,
-        NetConfig::default().max_connections as u64 - 1
-    );
+    // The in-process handle is the same assembly.
+    let local = server.telemetry();
+    assert_eq!(local.counter("server_requests"), Some(4));
+    assert_eq!(local.gauge("open_slots"), Some(stats.open_slots));
 
     server.shutdown();
 }

@@ -280,7 +280,7 @@ mod tests {
     fn encode(data: &[u8], n: u32, ways: u32) -> (crate::EncodedStream, StaticModelProvider) {
         let p = provider(data, n);
         let mut enc = InterleavedEncoder::new(&p, ways);
-        enc.encode_all(data, &mut NullSink);
+        enc.encode_all_fast(data, &mut NullSink).unwrap();
         (enc.finish(), p)
     }
 

@@ -65,9 +65,7 @@ pub use crate::fast::GROUP;
 /// [`RenormSink::on_renorm`] requires, batched once per group.
 ///
 /// Output words, final lane states, and the event sequence are bit-identical
-/// to [`encode_span_careful`] (and therefore to
-/// [`crate::InterleavedEncoder::encode`] symbol by symbol); the differential
-/// suites enforce it.
+/// to [`encode_span_careful`]; the differential suites enforce it.
 ///
 /// # Errors
 ///
@@ -189,8 +187,9 @@ pub fn encode_span<S: Symbol, P: ModelProvider + ?Sized>(
 }
 
 /// The retained careful reference loop: one bounds-checked, branchy encode
-/// step per symbol with `pos % ways` lane selection — exactly the
-/// [`crate::InterleavedEncoder::encode`] arithmetic, span-shaped.
+/// step per symbol with `pos % ways` lane selection — Eq. 1–4 per lane,
+/// span-shaped ([`crate::SingleEncoder`] is the independent transcription
+/// it agrees with at one lane).
 ///
 /// [`encode_span`] must be bit-identical to this function (same words, same
 /// final `states`, same events, same errors); it is kept public as the tail
@@ -254,9 +253,9 @@ mod tests {
             .collect()
     }
 
-    /// Fast engine vs the per-symbol `InterleavedEncoder`: identical words,
-    /// final states, and events, across lane widths and lengths straddling
-    /// every group-boundary shape.
+    /// The engine, through `InterleavedEncoder`, vs the careful reference:
+    /// identical words, final states, and events, across lane widths and
+    /// lengths straddling every group-boundary shape.
     #[test]
     fn fast_matches_interleaved_encoder_across_ways_and_lengths() {
         for ways in [1u32, 2, 3, 7, 32, 33] {
@@ -264,31 +263,28 @@ mod tests {
                 let data = sample(len, ways * 31 + len as u32);
                 let p = provider(if data.is_empty() { b"x" } else { &data }, 10);
 
-                let mut fast_states = vec![INITIAL_STATE; ways as usize];
-                let mut fast_words = Vec::new();
+                let mut fast = InterleavedEncoder::new(&p, ways);
                 let mut fast_sink = VecSink::new();
-                let written = encode_span(
+                fast.encode_all_fast(&data, &mut fast_sink).unwrap();
+                let fast = fast.finish();
+
+                let mut ref_states = vec![INITIAL_STATE; ways as usize];
+                let mut ref_words = Vec::new();
+                let mut ref_sink = VecSink::new();
+                let written = encode_span_careful(
                     &p,
                     &data,
                     0,
-                    &mut fast_states,
-                    &mut fast_words,
+                    &mut ref_states,
+                    &mut ref_words,
                     0,
-                    &mut fast_sink,
+                    &mut ref_sink,
                 )
                 .unwrap();
-                assert_eq!(written as usize, fast_words.len());
+                assert_eq!(written as usize, ref_words.len());
 
-                let mut reference = InterleavedEncoder::new(&p, ways);
-                let mut ref_sink = VecSink::new();
-                reference.encode_all(&data, &mut ref_sink);
-                let ref_stream = reference.finish();
-
-                assert_eq!(fast_words, ref_stream.words, "ways={ways} len={len}");
-                assert_eq!(
-                    fast_states, ref_stream.final_states,
-                    "ways={ways} len={len}"
-                );
+                assert_eq!(fast.words, ref_words, "ways={ways} len={len}");
+                assert_eq!(fast.final_states, ref_states, "ways={ways} len={len}");
                 assert_eq!(fast_sink.events, ref_sink.events, "ways={ways} len={len}");
             }
         }

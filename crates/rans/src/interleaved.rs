@@ -10,7 +10,7 @@
 //! what Recoil's Sync Phase relies on).
 
 use crate::params::{self, INITIAL_STATE};
-use crate::sink::{RenormEvent, RenormSink, NO_SYMBOL};
+use crate::sink::RenormSink;
 use crate::{EncodedStream, RansError};
 use recoil_bitio::WordStream;
 use recoil_models::{ModelProvider, Symbol};
@@ -18,7 +18,6 @@ use recoil_models::{ModelProvider, Symbol};
 /// Group-of-interleaved-lanes rANS encoder.
 pub struct InterleavedEncoder<'p, P: ModelProvider> {
     provider: &'p P,
-    n: u32,
     ways: u64,
     states: Vec<u32>,
     stream: WordStream,
@@ -29,11 +28,9 @@ impl<'p, P: ModelProvider> InterleavedEncoder<'p, P> {
     /// New encoder with `ways` lanes (Table 3 recommends 32).
     pub fn new(provider: &'p P, ways: u32) -> Self {
         assert!(ways >= 1, "need at least one lane");
-        let n = provider.quant_bits();
-        assert!(n <= params::MAX_QUANT_BITS);
+        assert!(provider.quant_bits() <= params::MAX_QUANT_BITS);
         Self {
             provider,
-            n,
             ways: ways as u64,
             states: vec![INITIAL_STATE; ways as usize],
             stream: WordStream::new(),
@@ -51,47 +48,16 @@ impl<'p, P: ModelProvider> InterleavedEncoder<'p, P> {
         self.next_pos
     }
 
-    /// Encodes one symbol on its round-robin lane.
-    #[inline]
-    pub fn encode<S: Symbol>(&mut self, sym: S, sink: &mut impl RenormSink) {
-        let pos = self.next_pos;
-        let lane = (pos % self.ways) as usize;
-        let (f, c) = self.provider.stats(pos, sym.to_u16());
-        debug_assert!(f > 0, "encoding a zero-frequency symbol at position {pos}");
-        let mut x = self.states[lane];
-        if (x as u64) >= params::renorm_threshold(f, self.n) {
-            let offset = self.stream.push((x & 0xFFFF) as u16);
-            x >>= params::RENORM_BITS;
-            debug_assert!(x < params::LOWER_BOUND, "one-step renorm violated");
-            let last = pos.checked_sub(self.ways).unwrap_or(NO_SYMBOL);
-            sink.on_renorm(RenormEvent {
-                lane: lane as u32,
-                pos: last,
-                state: x as u16,
-                offset,
-            });
-        }
-        self.states[lane] = ((x / f) << self.n) + c + (x % f);
-        self.next_pos = pos + 1;
-    }
-
-    /// Encodes a whole slice.
-    pub fn encode_all<S: Symbol>(&mut self, data: &[S], sink: &mut impl RenormSink) {
-        for &s in data {
-            self.encode(s, sink);
-        }
-    }
-
-    /// Encodes a whole slice through the branchless fast engine
-    /// ([`crate::fast_encode::encode_span`]) — bit-identical words, states,
-    /// and events to [`InterleavedEncoder::encode_all`], substantially
-    /// faster on bulk input.
+    /// Encodes a whole slice through the one bulk encode engine
+    /// ([`crate::fast_encode::encode_span`]; its retained reference is
+    /// [`crate::fast_encode::encode_span_careful`]). Calls chain: each
+    /// continues at [`InterleavedEncoder::position`], and the concatenation
+    /// is bit-identical to one call over the whole input.
     ///
     /// # Errors
     ///
     /// [`RansError::ZeroFrequency`] at the first symbol the model gives no
-    /// probability mass (where [`InterleavedEncoder::encode`] would hit a
-    /// divide-by-zero). On error the encoder is left mid-span and must be
+    /// probability mass. On error the encoder is left mid-span and must be
     /// discarded.
     pub fn encode_all_fast<S: Symbol>(
         &mut self,
@@ -159,7 +125,7 @@ pub fn decode_interleaved_into<S: Symbol, P: ModelProvider>(
 mod tests {
     use super::*;
     use crate::single::SingleEncoder;
-    use crate::sink::{NullSink, VecSink};
+    use crate::sink::{NullSink, VecSink, NO_SYMBOL};
     use recoil_models::{CdfTable, StaticModelProvider};
 
     fn provider(data: &[u8], n: u32) -> StaticModelProvider {
@@ -177,7 +143,7 @@ mod tests {
         let data = sample(100_000);
         let p = provider(&data, 11);
         let mut enc = InterleavedEncoder::new_default(&p);
-        enc.encode_all(&data, &mut NullSink);
+        enc.encode_all_fast(&data, &mut NullSink).unwrap();
         let stream = enc.finish();
         assert_eq!(stream.ways, 32);
         let back: Vec<u8> = decode_interleaved(&stream, &p).unwrap();
@@ -199,7 +165,7 @@ mod tests {
                 }
                 let p = provider(&data, 10);
                 let mut enc = InterleavedEncoder::new(&p, ways);
-                enc.encode_all(&data, &mut NullSink);
+                enc.encode_all_fast(&data, &mut NullSink).unwrap();
                 let stream = enc.finish();
                 let back: Vec<u8> = decode_interleaved(&stream, &p).unwrap();
                 assert_eq!(back, data, "ways={ways} len={len}");
@@ -212,7 +178,7 @@ mod tests {
         let data = sample(30_000);
         let p = provider(&data, 12);
         let mut a = InterleavedEncoder::new(&p, 1);
-        a.encode_all(&data, &mut NullSink);
+        a.encode_all_fast(&data, &mut NullSink).unwrap();
         let sa = a.finish();
         let mut b = SingleEncoder::new(&p);
         b.encode_all(&data, &mut NullSink);
@@ -227,7 +193,7 @@ mod tests {
         let p = provider(&data, 11);
         let mut enc = InterleavedEncoder::new(&p, 32);
         let mut sink = VecSink::new();
-        enc.encode_all(&data, &mut sink);
+        enc.encode_all_fast(&data, &mut sink).unwrap();
         let stream = enc.finish();
         assert_eq!(sink.events.len(), stream.words.len());
         for (k, e) in sink.events.iter().enumerate() {
@@ -246,10 +212,10 @@ mod tests {
         let data = sample(200_000);
         let p = provider(&data, 11);
         let mut one = InterleavedEncoder::new(&p, 1);
-        one.encode_all(&data, &mut NullSink);
+        one.encode_all_fast(&data, &mut NullSink).unwrap();
         let s1 = one.finish();
         let mut many = InterleavedEncoder::new(&p, 32);
-        many.encode_all(&data, &mut NullSink);
+        many.encode_all_fast(&data, &mut NullSink).unwrap();
         let s32 = many.finish();
         let d = s32.payload_bytes() as i64 - s1.payload_bytes() as i64;
         assert!(
@@ -263,7 +229,7 @@ mod tests {
         let data = sample(100);
         let p = provider(&data, 8);
         let mut enc = InterleavedEncoder::new(&p, 4);
-        enc.encode_all(&data, &mut NullSink);
+        enc.encode_all_fast(&data, &mut NullSink).unwrap();
         let stream = enc.finish();
         let mut small = vec![0u8; 99];
         assert!(decode_interleaved_into(&stream, &p, &mut small).is_err());
@@ -290,7 +256,7 @@ mod tests {
             })
             .collect();
         let mut enc = InterleavedEncoder::new(&p, 32);
-        enc.encode_all(&data, &mut NullSink);
+        enc.encode_all_fast(&data, &mut NullSink).unwrap();
         let stream = enc.finish();
         let back: Vec<u16> = decode_interleaved(&stream, &p).unwrap();
         assert_eq!(back, data);
@@ -305,7 +271,7 @@ mod tests {
         let p = provider(&data, 16);
         let mut enc = InterleavedEncoder::new(&p, 32);
         let mut sink = VecSink::new();
-        enc.encode_all(&data, &mut sink);
+        enc.encode_all_fast(&data, &mut sink).unwrap();
         let stream = enc.finish();
         let back: Vec<u8> = decode_interleaved(&stream, &p).unwrap();
         assert_eq!(back, data);
@@ -329,7 +295,7 @@ mod invariant_tests {
             .collect();
         let p = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
         let mut enc = InterleavedEncoder::new(&p, 32);
-        enc.encode_all(&data, &mut NullSink);
+        enc.encode_all_fast(&data, &mut NullSink).unwrap();
         let stream = enc.finish();
 
         let n = p.quant_bits();
@@ -363,8 +329,9 @@ mod invariant_tests {
             .collect();
         let p = StaticModelProvider::new(CdfTable::of_bytes(&data, 12));
         let mut enc = InterleavedEncoder::new(&p, 8);
-        for &b in &data {
-            enc.encode(b, &mut NullSink);
+        // In uneven pieces, so states are checked across chained calls too.
+        for piece in data.chunks(777) {
+            enc.encode_all_fast(piece, &mut NullSink).unwrap();
         }
         let stream = enc.finish();
         assert!(stream

@@ -182,7 +182,7 @@ mod tests {
         for ways in [4u32, 32, 40] {
             let p = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
             let mut enc = InterleavedEncoder::new(&p, ways);
-            enc.encode_all(&data, &mut NullSink);
+            enc.encode_all_fast(&data, &mut NullSink).unwrap();
             let stream = enc.finish();
 
             let mut ref_states = stream.final_states.clone();

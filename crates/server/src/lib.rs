@@ -21,10 +21,14 @@
 //!   Requests take a shard read lock for the duration of one `HashMap`
 //!   lookup; publishing encodes **outside** any lock and write-locks only
 //!   the owning shard for the final insert, so a slow publish never stalls
-//!   reads — not even of other names on the same shard;
-//! * [`ContentServer::request_batch`] resolves many `(name, capacity)`
-//!   pairs over one persistent [`recoil_parallel::ThreadPool`] created with
-//!   the server and reused for every batch.
+//!   reads — not even of other names on the same shard.
+//!
+//! It is *only* a store: it owns no thread, no connection count and no
+//! telemetry handle, so any number of transports can front one instance
+//! without sharing anything but the content. A transport that wants
+//! distributions times its own `publish` call and reads `cache_hit`,
+//! `tier.segments` and `combine_nanos` off the [`Transmission`] it is
+//! handed (`recoil-net`'s reactor does exactly that).
 //!
 //! ## Shrunk-metadata caching and capacity tiers
 //!
@@ -40,8 +44,11 @@
 //! the same entry. A hit costs two atomic counter bumps and an `Arc` clone;
 //! only a miss pays the real-time combine + serialize, and its
 //! [`Transmission::combine_nanos`] records exactly that cost (hits report
-//! zero). Hit/miss/eviction counters are exposed as a [`ServerStats`]
-//! snapshot via [`ContentServer::stats`].
+//! zero). The store's six counters — requests, hits, misses, evictions,
+//! bytes served, publishes — are exact with or without a transport and are
+//! exposed as a [`ServerStats`] snapshot via [`ContentServer::stats`]; the
+//! snapshot's transport fields are zero there and are filled by whichever
+//! transport reports it.
 //!
 //! [`RecoilMetadata`]: recoil_core::RecoilMetadata
 

@@ -12,16 +12,6 @@ pub(crate) struct StatsCounters {
     pub cache_misses: AtomicU64,
     pub cache_evictions: AtomicU64,
     pub bytes_served: AtomicU64,
-    /// Gauge, not a counter: transports increment on accept and decrement
-    /// on close, so the snapshot shows currently open connections.
-    pub active_connections: AtomicU64,
-    pub rejected_connections: AtomicU64,
-    pub evicted_connections: AtomicU64,
-    /// Gauge: requests queued for dispatch workers, published by the
-    /// transport's event loop.
-    pub queue_depth: AtomicU64,
-    /// Gauge: connection slots still available in the transport's slab.
-    pub open_slots: AtomicU64,
 }
 
 impl StatsCounters {
@@ -40,19 +30,10 @@ impl StatsCounters {
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
             bytes_served: self.bytes_served.load(Ordering::Relaxed),
-            active_connections: self.active_connections.load(Ordering::Relaxed),
-            rejected_connections: self.rejected_connections.load(Ordering::Relaxed),
-            evicted_connections: self.evicted_connections.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            open_slots: self.open_slots.load(Ordering::Relaxed),
+            // The store has no transport; see the field docs.
+            ..ServerStats::default()
         }
     }
-}
-
-/// Stores a gauge's current value (gauges go up *and* down, unlike the
-/// monotone counters).
-pub(crate) fn set(gauge: &AtomicU64, value: u64) {
-    gauge.store(value, Ordering::Relaxed);
 }
 
 /// Bumps one counter by one.
@@ -65,8 +46,13 @@ pub(crate) fn add(counter: &AtomicU64, n: u64) {
     counter.fetch_add(n, Ordering::Relaxed);
 }
 
-/// A snapshot of the server's serving counters
-/// (see [`crate::ContentServer::stats`]).
+/// A snapshot of the serving counters.
+///
+/// The first six fields are the store's own and are what
+/// [`crate::ContentServer::stats`] fills. The last five describe a
+/// transport: a store has none, so it reports them as zero, and
+/// `recoil-net`'s server fills them from its own atomics when it answers a
+/// STATS frame (two transports over one store each report their own).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
     /// Successful content publications.
@@ -82,20 +68,17 @@ pub struct ServerStats {
     /// Total response bytes served (bitstream payload + shrunk metadata)
     /// across every successful request, in-process or over a transport.
     pub bytes_served: u64,
-    /// Currently open transport connections (zero for a purely in-process
-    /// server); maintained by `recoil-net`'s connection handlers.
+    /// Transport: currently open connections.
     pub active_connections: u64,
-    /// Connections turned away at accept because the transport was at its
-    /// connection capacity.
+    /// Transport: connections turned away at accept because the transport
+    /// was at its connection capacity.
     pub rejected_connections: u64,
-    /// Connections evicted by the transport for missing a progress
-    /// deadline (slow-loris peers, stalled writes).
+    /// Transport: connections evicted for missing a progress deadline
+    /// (slow-loris peers, stalled writes).
     pub evicted_connections: u64,
-    /// Gauge: requests currently queued for the transport's dispatch
-    /// workers (zero for a purely in-process server).
+    /// Transport gauge: requests currently queued for the dispatch workers.
     pub queue_depth: u64,
-    /// Gauge: connection slots still open in the transport's slab (zero
-    /// for a purely in-process server, which has no slab).
+    /// Transport gauge: connection slots still open in the slab.
     pub open_slots: u64,
 }
 

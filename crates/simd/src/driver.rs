@@ -286,7 +286,7 @@ mod tests {
     fn encode(data: &[u8], n: u32) -> (EncodedStream, StaticModelProvider) {
         let p = StaticModelProvider::new(CdfTable::of_bytes(data, n));
         let mut enc = InterleavedEncoder::new(&p, 32);
-        enc.encode_all(data, &mut NullSink);
+        enc.encode_all_fast(data, &mut NullSink).unwrap();
         (enc.finish(), p)
     }
 
@@ -321,7 +321,7 @@ mod tests {
         let data: Vec<u16> = bytes.iter().map(|&b| (b as u16) * 17).collect();
         let p = StaticModelProvider::new(CdfTable::of_u16(&data, 1 << 13, 14));
         let mut enc = InterleavedEncoder::new(&p, 32);
-        enc.encode_all(&data, &mut NullSink);
+        enc.encode_all_fast(&data, &mut NullSink).unwrap();
         let stream = enc.finish();
         for kernel in Kernel::all_available() {
             let mut out = vec![0u16; data.len()];
@@ -377,7 +377,7 @@ mod tests {
         let data = sample(1000, 6, 24);
         let p = StaticModelProvider::new(CdfTable::of_bytes(&data, 10));
         let mut enc = InterleavedEncoder::new(&p, 8);
-        enc.encode_all(&data, &mut NullSink);
+        enc.encode_all_fast(&data, &mut NullSink).unwrap();
         let stream = enc.finish();
         let mut out = vec![0u8; 1000];
         assert!(decode_interleaved_simd(Kernel::Scalar, &stream, &p, &mut out).is_err());
@@ -400,7 +400,7 @@ mod segment_tests {
             .collect();
         let p = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
         let mut enc = InterleavedEncoder::new(&p, 32);
-        enc.encode_all(&data, &mut NullSink);
+        enc.encode_all_fast(&data, &mut NullSink).unwrap();
         let stream = enc.finish();
         for kernel in Kernel::all_available() {
             for cut in [1usize, 31, 32, 4097, 50_000, 99_999] {

@@ -43,7 +43,7 @@ fn bytes(len: usize, seed: u32) -> Vec<u8> {
 fn corpus<S: Symbol>(data: Vec<S>, table: CdfTable) -> Corpus<S> {
     let provider = StaticModelProvider::new(table);
     let mut enc = InterleavedEncoder::new(&provider, 32);
-    enc.encode_all(&data, &mut NullSink);
+    enc.encode_all_fast(&data, &mut NullSink).unwrap();
     Corpus {
         stream: enc.finish(),
         provider,
@@ -329,7 +329,7 @@ fn non_32_way_spans_fall_back_to_scalar() {
     let data = bytes(20_000, 9);
     let provider = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
     let mut enc = InterleavedEncoder::new(&provider, 8);
-    enc.encode_all(&data, &mut NullSink);
+    enc.encode_all_fast(&data, &mut NullSink).unwrap();
     let stream = enc.finish();
     for kernel in Kernel::all_available() {
         let mut out = vec![0u8; data.len()];

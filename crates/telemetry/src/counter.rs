@@ -63,8 +63,8 @@ impl Counter {
     }
 }
 
-/// A value that goes up *and* down, written by one publisher at a
-/// consistent point (the reactor loop) and read by snapshots.
+/// A value that goes up *and* down, written by one publisher (the fabric
+/// router's health tracker) and read by snapshots.
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 

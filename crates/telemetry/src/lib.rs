@@ -32,6 +32,13 @@
 //! [`TelemetrySnapshot::render_text`] — the same data the TELEMETRY wire
 //! frame ships, so a client-side dump and a server-side dump line up.
 //!
+//! A handle holds only what its owner *records into it*. Facts that already
+//! have a home elsewhere are not copied in: a net server appends its own
+//! atomics (queue depth, open slots, active and rejected connections) and
+//! its store's counters (`server_*`) to the snapshot when it serves one, so
+//! a server's TELEMETRY reply is a superset of its STATS reply. Who records
+//! which instrument is listed in `recoil-net`'s crate docs.
+//!
 //! Decode-engine metrics (fast-loop groups vs careful-tail symbols, words
 //! consumed) are process-global by necessity — the rANS kernels know
 //! nothing about servers — and live in [`decode_metrics`]; constructing any
@@ -110,7 +117,9 @@ pub struct PipelineCounters {
     pub write_flushes: Counter,
     /// Bytes pushed onto sockets.
     pub bytes_written: Counter,
-    /// Connections evicted for missing a progress deadline.
+    /// Connections evicted for missing a progress deadline. The one home of
+    /// that fact (STATS reports it as `evicted_connections`), so the
+    /// reactor bumps it at every level — evicting is a cold path.
     pub evictions: Counter,
     /// Requests shed with a typed busy error (connection cap or a full
     /// dispatch queue) instead of being served.
@@ -126,13 +135,11 @@ pub struct PipelineCounters {
     pub replica_promotions: Counter,
 }
 
-/// Point-in-time values published from one place in the reactor loop.
+/// Point-in-time values a handle's owner publishes into it. A net server's
+/// own gauges (queue depth, open slots, active connections) are *not* here:
+/// they live in the transport, which appends them to the snapshot it serves.
 #[derive(Debug, Default)]
 pub struct PipelineGauges {
-    /// Jobs waiting in the dispatch queue, sampled once per loop iteration.
-    pub queue_depth: Gauge,
-    /// Free connection slots, sampled at the same point.
-    pub open_slots: Gauge,
     /// Router side: fabric nodes currently considered healthy (equals the
     /// node count when no failures have been observed).
     pub healthy_nodes: Gauge,
@@ -146,16 +153,19 @@ pub struct PipelineHistograms {
     pub inline_serve_ns: Histogram,
     /// ns a job waited in the dispatch queue before a worker picked it up.
     pub dispatch_wait_ns: Histogram,
-    /// ns a successful publish encode took (recorded by the content
-    /// server's publish path, whichever transport drove it).
+    /// ns a successful PUBLISH took on a dispatch worker, decode of the
+    /// message to stored item (recorded by the reactor, which times the
+    /// store's `publish` call).
     pub encode_ns: Histogram,
-    /// ns a tier combine took on a dispatch worker.
+    /// ns a tier combine took on a dispatch worker (the store reports it
+    /// with the transmission; the reactor records it).
     pub combine_ns: Histogram,
     /// ns from a write becoming pending to the buffer fully flushing.
     pub write_flush_ns: Histogram,
-    /// Segment count of requests that hit the tier cache (sampled 1-in-32
-    /// at [`TelemetryLevel::Counters`]; every hit at `Trace` — exact hit
-    /// counts always live in the server's own stats).
+    /// Segment count of requests that hit the tier cache (inline hits are
+    /// sampled with their `inline_serve_ns` span: 1-in-32 at
+    /// [`TelemetryLevel::Counters`], every hit at `Trace` — exact hit
+    /// counts are the store's, `server_cache_hits` in a server's snapshot).
     pub tier_hit_segments: Histogram,
     /// Segment count of requests that missed and forced a combine.
     pub tier_miss_segments: Histogram,
@@ -314,11 +324,7 @@ impl Telemetry {
         .into_iter()
         .map(|(name, v)| (name.to_string(), v))
         .collect();
-        let gauges = vec![
-            ("queue_depth".to_string(), self.gauges.queue_depth.get()),
-            ("open_slots".to_string(), self.gauges.open_slots.get()),
-            ("healthy_nodes".to_string(), self.gauges.healthy_nodes.get()),
-        ];
+        let gauges = vec![("healthy_nodes".to_string(), self.gauges.healthy_nodes.get())];
         let h = &self.hists;
         let hists = vec![
             ("inline_serve_ns", h.inline_serve_ns.snapshot()),
@@ -475,12 +481,16 @@ mod tests {
     fn snapshot_names_are_stable_and_lookups_work() {
         let t = Telemetry::new(TelemetryLevel::Counters);
         t.counters.frames_read.add(5);
-        t.gauges.queue_depth.set(3);
+        t.gauges.healthy_nodes.set(3);
         t.hists.inline_serve_ns.record(1500);
         let s = t.snapshot();
         assert_eq!(s.counter("frames_read"), Some(5));
-        assert_eq!(s.gauge("queue_depth"), Some(3));
-        assert_eq!(s.gauge("healthy_nodes"), Some(0));
+        assert_eq!(s.gauge("healthy_nodes"), Some(3));
+        assert_eq!(
+            s.gauge("queue_depth"),
+            None,
+            "a transport's, not the handle's"
+        );
         assert_eq!(s.hist("inline_serve_ns").unwrap().count, 1);
         assert_eq!(s.counter("no_such_counter"), None);
         // Every name a downstream consumer keys on must be present.

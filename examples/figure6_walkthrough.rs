@@ -20,7 +20,8 @@ fn main() {
 
     let mut enc = InterleavedEncoder::new(&model, 4);
     let mut events = VecSink::new();
-    enc.encode_all(&data, &mut events);
+    enc.encode_all_fast(&data, &mut events)
+        .expect("the model was built from this data");
     let stream = enc.finish();
 
     println!(

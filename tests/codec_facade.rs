@@ -81,7 +81,6 @@ fn invalid_configs_are_typed_errors() {
         (Codec::builder().max_segments(0).build(), "max_segments"),
         (Codec::builder().quant_bits(17).build(), "quant_bits"),
         (Codec::builder().quant_bits(0).build(), "quant_bits"),
-        (Codec::builder().max_candidates(0).build(), "max_candidates"),
     ] {
         match build {
             Err(RecoilError::InvalidConfig { field: got, .. }) => {

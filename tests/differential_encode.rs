@@ -2,16 +2,16 @@
 //! `differential_decode.rs`.
 //!
 //! Two encoders must produce **byte-identical containers** for every
-//! input: the retained per-symbol careful encoder
-//! (`InterleavedEncoder::encode_all`) and the branchless fast engine behind
-//! `Codec::encode*` (`recoil_rans::fast_encode`). One seeded corpus covers
+//! input: the retained per-symbol careful reference
+//! (`recoil_rans::encode_span_careful`) and the branchless fast engine behind
+//! `Codec::encode*` (`recoil_rans::encode_span`). One seeded corpus covers
 //! empty and one-symbol inputs, heavily skewed streams, alphabets from
 //! binary to the full byte range, lane counts 1 and 32, and planner
 //! segment budgets 1/2/7/64 — and every container must round-trip through
 //! every decode backend this host can run.
 
 use recoil::prelude::*;
-use recoil::rans::InterleavedEncoder;
+use recoil::rans::{encode_span_careful, EncodedStream};
 
 /// SplitMix-style deterministic generator — the corpus is fully seeded.
 fn next_u64(state: &mut u64) -> u64 {
@@ -45,9 +45,24 @@ fn careful_container<S: Symbol>(
     planner_config: PlannerConfig,
 ) -> RecoilContainer {
     let mut planner = SplitPlanner::new(ways, data.len() as u64, planner_config);
-    let mut enc = InterleavedEncoder::new(model, ways);
-    enc.encode_all(data, &mut planner);
-    let stream = enc.finish();
+    let mut final_states = vec![recoil::rans::params::INITIAL_STATE; ways as usize];
+    let mut words = Vec::new();
+    encode_span_careful(
+        model,
+        data,
+        0,
+        &mut final_states,
+        &mut words,
+        0,
+        &mut planner,
+    )
+    .unwrap();
+    let stream = EncodedStream {
+        words,
+        final_states,
+        num_symbols: data.len() as u64,
+        ways,
+    };
     let metadata = planner.finish(stream.words.len() as u64, model.quant_bits());
     RecoilContainer { stream, metadata }
 }

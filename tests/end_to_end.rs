@@ -131,15 +131,10 @@ fn server_scales_per_client_and_all_clients_agree() {
     // Transfer size is monotone in requested parallelism.
     assert!(sizes.windows(2).all(|w| w[0] <= w[1]), "{sizes:?}");
 
-    // The same capacities again: every tier is now cached, and batched
-    // resolution agrees with the serial responses.
-    let batch: Vec<(String, u64)> = [1u64, 2, 8, 24]
-        .iter()
-        .map(|&c| ("item".to_string(), c))
-        .collect();
-    let results = server.request_batch(&batch);
-    for (r, expect) in results.iter().zip(&sizes) {
-        let t = r.as_ref().unwrap();
+    // The same capacities again: every tier is now cached and serves the
+    // same bytes.
+    for (capacity, expect) in [1u64, 2, 8, 24].into_iter().zip(&sizes) {
+        let t = server.request("item", capacity).unwrap();
         assert!(t.cache_hit);
         assert_eq!(t.total_bytes(), *expect);
     }

@@ -24,7 +24,7 @@ fn encode_with_events(
     let p = StaticModelProvider::new(CdfTable::of_bytes(data, n));
     let mut enc = InterleavedEncoder::new(&p, ways);
     let mut sink = VecSink::new();
-    enc.encode_all(data, &mut sink);
+    enc.encode_all_fast(data, &mut sink).unwrap();
     (enc.finish(), sink.events, p)
 }
 
