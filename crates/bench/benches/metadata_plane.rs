@@ -4,8 +4,15 @@
 //! client's parse of the same tier, and the split planner over the item's
 //! recorded renormalization events — each at 16, 64 and 256 segments. The
 //! two `encode` rows are the facade with and without that planning.
+//!
+//! `crc32/{table,clmul}/{64B,4KiB,64KiB,4MiB}` puts the checksum's two
+//! paths side by side — metadata footers live at the small sizes, chunk
+//! bodies at 64 KiB, a whole payload at 4 MiB. `clmul` is the dispatching
+//! `update_crc32`, so on a host without carry-less multiply both rows read
+//! the table rate.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use recoil::core::{update_crc32, update_crc32_table};
 use recoil::prelude::*;
 
 const SEGMENTS: [u64; 3] = [16, 64, 256];
@@ -57,5 +64,27 @@ fn bench_metadata_plane(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_metadata_plane);
+fn bench_crc32(c: &mut Criterion) {
+    let data = recoil::data::text_like_bytes(4 << 20, 5.1, 5);
+    let mut group = c.benchmark_group("crc32");
+    for (label, len) in [
+        ("64B", 64),
+        ("4KiB", 4 << 10),
+        ("64KiB", 64 << 10),
+        ("4MiB", 4 << 20),
+    ] {
+        let bytes = &data[..len];
+        group.throughput(Throughput::Bytes(len as u64));
+        group.sample_size(if len > 1 << 20 { 50 } else { 2000 });
+        group.bench_with_input(BenchmarkId::new("table", label), &bytes, |b, bytes| {
+            b.iter(|| update_crc32_table(0xFFFF_FFFF, bytes));
+        });
+        group.bench_with_input(BenchmarkId::new("clmul", label), &bytes, |b, bytes| {
+            b.iter(|| update_crc32(0xFFFF_FFFF, bytes));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_metadata_plane, bench_crc32);
 criterion_main!(benches);

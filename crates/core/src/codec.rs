@@ -176,6 +176,12 @@ pub trait DecodeBackend: Send + Sync {
         true
     }
 
+    /// Independent spans one decode call keeps in flight on this host: its
+    /// threads times the interleave depth of its kernel (a thread reaches
+    /// the kernel's full rate only on a batch of that many). Callers read
+    /// it through [`preferred_segments`].
+    fn parallel_spans(&self) -> usize;
+
     /// Decodes `segments` of a byte stream.
     fn decode_u8(
         &self,
@@ -215,6 +221,16 @@ pub fn ensure_available(backend: &dyn DecodeBackend) -> Result<(), RecoilError> 
     Err(RecoilError::BackendUnavailable {
         backend: backend.name(),
     })
+}
+
+/// The decoder's capability — the segment count it should ask a server
+/// for, and the batch a streaming receiver should let accumulate before it
+/// dispatches: [`DecodeBackend::parallel_spans`], never below one. Fewer
+/// segments leave threads or kernel lanes idle; more are metadata bytes
+/// that buy nothing (the paper's decoder-adaptive point, with the number
+/// being threads × kernel depth rather than threads).
+pub fn preferred_segments(backend: &dyn DecodeBackend) -> u64 {
+    backend.parallel_spans().max(1) as u64
 }
 
 /// The segment engine with the scalar span kernel ([`ScalarKernel`])
@@ -260,6 +276,10 @@ pub struct ScalarBackend;
 impl DecodeBackend for ScalarBackend {
     fn name(&self) -> &'static str {
         "scalar"
+    }
+
+    fn parallel_spans(&self) -> usize {
+        1
     }
 
     fn decode_u8(
@@ -328,6 +348,10 @@ impl PooledBackend {
 impl DecodeBackend for PooledBackend {
     fn name(&self) -> &'static str {
         "pooled"
+    }
+
+    fn parallel_spans(&self) -> usize {
+        self.pool.threads()
     }
 
     fn decode_u8(

@@ -7,10 +7,30 @@
 //! before any of it is structurally interpreted — never decoded into
 //! garbage symbols.
 //!
+//! # Two paths, one register
+//!
+//! Every bitstream byte a client receives passes through here once, on the
+//! receive thread, beside a decoder that now costs well under a nanosecond
+//! per byte. At table speed (2.0–2.1 GB/s on the bench box) that was 1.3 ms
+//! of a 2.75 MB fetch — a sixth of the whole operation — so
+//! [`update_crc32`] selects, per call and from what the host reports:
+//!
+//! * on `x86_64` with PCLMULQDQ and SSE4.1, every whole 64-byte block at
+//!   the front of the input is folded with carry-less multiplies
+//!   (`clmul.rs`, 15–16 GB/s on the same box) and the tail shorter than a
+//!   block goes through the tables;
+//! * everywhere else — other architectures, older CPUs, inputs under 64
+//!   bytes, and Miri, which has no shim for the instruction — the tables
+//!   take all of it ([`update_crc32_table`]).
+//!
+//! The register value is the same number on both paths for every input and
+//! every way of cutting it into calls; the tests below hold the folding
+//! path to the table path at every length and alignment, and the table
+//! path to the byte-at-a-time loop.
+//!
 //! # Table layout
 //!
-//! The checksum runs on the transport's receive thread beside a decoder
-//! that costs about a nanosecond per byte, so it is sliced: sixteen
+//! The portable path is sliced: sixteen
 //! 256-entry tables ([`TABLES`], 16 KiB, built at compile time) let one
 //! step fold sixteen input bytes. `TABLES[0]` is the classic byte table —
 //! the register contribution of one byte that is the *last* one fed;
@@ -22,22 +42,16 @@
 //! new register. The lookups are independent, so they overlap in the
 //! pipeline where the byte loop is one serial dependency per byte. The
 //! tail shorter than a block goes through `TABLES[0]` a byte at a time.
-//! Register values are identical to the byte loop's for every input and
-//! every way of cutting it into [`update_crc32`] calls.
-//!
-//! One implementation in safe Rust, on purpose: table indices are bytes
-//! into 256-entry arrays and blocks come from `chunks_exact`, so there is
-//! no bounds check left to remove with `unsafe`, and no CPU-feature fork
-//! (a carry-less-multiply path) to keep bit-identical and test twice while
-//! the checksum is a small share of a fetch. The crate stays
-//! `#![forbid(unsafe_code)]`.
 //!
 //! [`Wire`]: crate::RecoilError::Wire
+
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+mod clmul;
 
 /// The reflected IEEE polynomial, the same one Ethernet, gzip and PNG use.
 const POLY: u32 = 0xEDB8_8320;
 
-/// Input bytes folded per step of [`update_crc32`].
+/// Input bytes folded per step of [`update_crc32_table`].
 const BLOCK: usize = 16;
 
 /// The slice-by-16 tables (see the module docs), built at compile time.
@@ -84,6 +98,16 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// transport uses this to checksum a chunked payload without buffering it
 /// twice.
 pub fn update_crc32(state: u32, bytes: &[u8]) -> u32 {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    let (state, bytes) = clmul::fold(state, bytes);
+    update_crc32_table(state, bytes)
+}
+
+/// [`update_crc32`] on the slice-by-16 tables alone: the path of hosts
+/// without carry-less multiply and of every tail, and the reference the
+/// folding path is tested (and benchmarked) against.
+#[doc(hidden)]
+pub fn update_crc32_table(state: u32, bytes: &[u8]) -> u32 {
     let mut crc = state;
     let mut blocks = bytes.chunks_exact(BLOCK);
     for block in &mut blocks {
@@ -107,8 +131,9 @@ pub fn update_crc32(state: u32, bytes: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
-    /// The byte-at-a-time table loop `update_crc32` used to be — kept as
-    /// the reference the sliced version is tested against.
+    /// The byte-at-a-time table loop `update_crc32` first was — the
+    /// reference the sliced tables are tested against, as they in turn are
+    /// the reference for the folding path.
     fn bytewise_update(state: u32, bytes: &[u8]) -> u32 {
         let mut crc = state;
         for &b in bytes {
@@ -116,6 +141,10 @@ mod tests {
         }
         crc
     }
+
+    /// Register states a call can start from: fresh, mid-stream, and the
+    /// one whose xor into the first bytes is a no-op.
+    const SEEDS: [u32; 3] = [0xFFFF_FFFF, 0x1234_5678, 0];
 
     fn pseudo_random(len: usize) -> Vec<u8> {
         let mut s = 0x9E37_79B9_7F4A_7C15u64;
@@ -131,11 +160,12 @@ mod tests {
 
     #[test]
     fn known_vectors() {
+        // Through the dispatching entry point, whatever it selects here.
         // The canonical check value of CRC-32/ISO-HDLC.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
-        // Longer than one block, so the sliced step is pinned to a
+        // Longer than one table step, so the sliced step is pinned to a
         // published value too, not only to the reference loop.
         assert_eq!(
             crc32(b"The quick brown fox jumps over the lazy dog"),
@@ -150,10 +180,37 @@ mod tests {
             for len in 0..=257 {
                 let bytes = &backing[start..start + len];
                 assert_eq!(
-                    update_crc32(0xFFFF_FFFF, bytes),
+                    update_crc32_table(0xFFFF_FFFF, bytes),
                     bytewise_update(0xFFFF_FFFF, bytes),
                     "start {start}, len {len}"
                 );
+            }
+        }
+    }
+
+    /// The differential that holds the two production paths together: on a
+    /// host that folds, `update_crc32` is the folding path for every input
+    /// of a block or more. 0..=320 covers zero to five blocks with every
+    /// tail length, 16 start offsets every alignment of the vector loads.
+    #[test]
+    fn dispatch_matches_the_tables_at_every_length_offset_and_seed() {
+        let backing = pseudo_random(16 + 320);
+        for seed in SEEDS {
+            for start in 0..16 {
+                for len in 0..=320 {
+                    let bytes = &backing[start..start + len];
+                    let reference = update_crc32_table(seed, bytes);
+                    assert_eq!(
+                        update_crc32(seed, bytes),
+                        reference,
+                        "seed {seed:#x}, start {start}, len {len}"
+                    );
+                    // And from an allocation of exactly `len` bytes, where a
+                    // vector load past the last whole block is a heap
+                    // overflow for the sanitizer job to see.
+                    let exact = bytes.to_vec();
+                    assert_eq!(update_crc32(seed, &exact), reference);
+                }
             }
         }
     }
@@ -162,40 +219,68 @@ mod tests {
     fn sliced_matches_bytewise_on_a_large_buffer() {
         // Miri interprets every table lookup; 1 MiB there is minutes.
         let data = pseudo_random(if cfg!(miri) { 8 << 10 } else { 1 << 20 });
-        assert_eq!(
-            update_crc32(0xFFFF_FFFF, &data),
-            bytewise_update(0xFFFF_FFFF, &data)
-        );
-        // A non-initial register goes through the same fold.
-        assert_eq!(
-            update_crc32(0x1234_5678, &data),
-            bytewise_update(0x1234_5678, &data)
-        );
+        for seed in SEEDS {
+            let reference = bytewise_update(seed, &data);
+            assert_eq!(update_crc32_table(seed, &data), reference);
+            assert_eq!(update_crc32(seed, &data), reference);
+        }
     }
 
     #[test]
     fn streaming_matches_one_shot() {
-        // 300 bytes: every table lane and every tail length is, for some
-        // cut, the last thing consumed before the register is handed over.
+        // 300 bytes: every table lane, every tail length and — for the
+        // folding path — every split of four blocks and a tail between the
+        // two calls is, for some cut, what the register is handed across.
         let data = pseudo_random(300);
         let whole = bytewise_update(0xFFFF_FFFF, &data);
         for cut in 0..=data.len() {
             let (head, tail) = data.split_at(cut);
             let state = update_crc32(update_crc32(0xFFFF_FFFF, head), tail);
             assert_eq!(state, whole, "cut {cut}");
+            let state = update_crc32_table(update_crc32_table(0xFFFF_FFFF, head), tail);
+            assert_eq!(state, whole, "table, cut {cut}");
         }
         let mut state = 0xFFFF_FFFF;
         for chunk in data.chunks(17) {
             state = update_crc32(state, chunk);
         }
         assert_eq!(state ^ 0xFFFF_FFFF, crc32(&data));
+        assert_eq!(state, whole);
+    }
+
+    /// Which path the differential tests above exercised on this host.
+    #[test]
+    fn the_folding_path_is_selected_only_where_it_can_run() {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            let folds = clmul::available();
+            // An input under one block is left whole for the tables.
+            let short = pseudo_random(63);
+            assert_eq!(clmul::fold(7, &short), (7, &short[..]));
+            let long = pseudo_random(64 + 5);
+            let (state, tail) = clmul::fold(7, &long);
+            if folds {
+                assert_eq!(state, update_crc32_table(7, &long[..64]));
+                assert_eq!(tail, &long[64..]);
+            } else {
+                assert_eq!((state, tail), (7, &long[..]));
+            }
+        }
+        // Miri and other architectures compile the tables alone: there is
+        // no second path for `update_crc32` to take.
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        assert_eq!(
+            update_crc32(7, &pseudo_random(256)),
+            update_crc32_table(7, &pseudo_random(256))
+        );
     }
 
     #[test]
     fn detects_single_bit_flips() {
         // One flip at each of the first 48 positions of a 64-byte block:
-        // each position is served by one table lane, and a wrong table in
-        // one lane would miss exactly one residue class mod 16.
+        // each position is served by one table lane (and one half of one
+        // folding lane), and a wrong constant in one of them would miss
+        // exactly one residue class.
         let data = pseudo_random(64);
         let reference = crc32(&data);
         for at in 0..48 {

@@ -29,8 +29,9 @@
 //!                       three-phase parallel decoder (thread pool)
 //! ```
 
-// Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
-#![forbid(unsafe_code)]
+// Audited crate: `unsafe` lives in `crc/clmul.rs` alone (the carry-less
+// multiply kernel; `cargo xtask check` holds the allowlist).
+#![deny(unsafe_op_in_unsafe_fn)]
 
 mod bounds;
 pub mod codec;
@@ -52,7 +53,7 @@ pub use codec::{
 };
 pub use combine::{combine_splits, try_combine_splits};
 pub use container::RecoilContainer;
-pub use crc::{crc32, update_crc32};
+pub use crc::{crc32, update_crc32, update_crc32_table};
 pub use decoder::{
     decode_segments, decode_split_count, validate_segment_decode, ScalarKernel, SpanKernel,
 };

@@ -4,8 +4,8 @@
 
 use crate::fault::splitmix64;
 use crate::frame::{
-    decode_error, io_err, read_frame, write_frame, FrameType, ReadOutcome, CAP_CHUNKED, CAP_RESUME,
-    CAP_TELEMETRY, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    decode_error, io_err, read_header, read_payload, write_frame, FrameType, HeaderOutcome,
+    CAP_CHUNKED, CAP_RESUME, CAP_TELEMETRY, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use crate::integrity::{validate_transmit_header, PayloadCheck};
 use crate::proto::{
@@ -13,7 +13,9 @@ use crate::proto::{
     TransmitHeader,
 };
 use parking_lot::Mutex;
-use recoil_core::codec::{ensure_available, DecodeBackend, DecodeRequest, EncoderConfig};
+use recoil_core::codec::{
+    ensure_available, preferred_segments, DecodeBackend, DecodeRequest, EncoderConfig,
+};
 use recoil_core::{IncrementalDecoder, RecoilError, RecoilMetadata, MAX_RESERVED_WORDS};
 use recoil_models::StaticModelProvider;
 use recoil_rans::{extend_words_from_le, EncodedStream};
@@ -27,10 +29,20 @@ use std::time::{Duration, Instant};
 
 /// Idle connections kept for reuse; overflow is closed on check-in.
 const MAX_POOL: usize = 4;
-/// In-flight budget of the streaming pipeline: received-but-not-yet-decoded
-/// chunks buffered before the receive loop blocks (backpressure), so memory
-/// beyond the output and the word store stays at `budget × chunk size`.
+/// In-flight budget of the streaming pipeline: checked bodies waiting for
+/// the decoder thread before the receive loop blocks (backpressure), so
+/// memory beyond the output and the word store stays at `budget × chunk
+/// size`. Deeper buys nothing now that the decoder ingests until a whole
+/// batch is resident — it is at `recv` unless a batch is decoding — and
+/// measurably delays first symbols: where client and server share cores, a
+/// receive loop that never parks keeps the decoder thread off them (depth 64
+/// read 1.2 ms to first symbols at width 16 against 0.7 at depth 4, totals
+/// equal).
 const STREAMING_INFLIGHT_CHUNKS: usize = 4;
+/// The longest ERROR payload read in place of a CHUNK. What a node says
+/// mid-transfer (shutting down, busy, an internal failure) is a code and a
+/// sentence; a header that announces more is refused like an oversized CHUNK.
+const MAX_MIDSTREAM_ERROR_LEN: usize = 4096;
 /// Retry backoff growth cap.
 const RETRY_MAX_BACKOFF: Duration = Duration::from_millis(250);
 /// Seed of the backoff jitter sequence (splitmix64): schedules replay.
@@ -158,12 +170,16 @@ pub struct StreamedFetch {
     pub total_bytes: u64,
     /// CHUNK frames the transfer arrived in (split-aligned server plan).
     pub chunk_count: u32,
-    /// Decode dispatches the pipeline issued (each covering one or more
-    /// newly resident segments).
+    /// Batches the pipeline dispatched to the backend: one whenever
+    /// [`preferred_segments`] undecoded segments are resident, one for
+    /// whatever is left when the stream completes, and — when the stream
+    /// holds more than a batch beyond them — one for the first segments to
+    /// arrive. A stream of at most `preferred` segments is one batch; a
+    /// backend whose capability is 1 gets one per newly resident run.
     pub decode_batches: u64,
-    /// Nanoseconds from request start until the **first** segment's symbols
-    /// were fully decoded — the streaming win: this lands well before the
-    /// transfer itself finishes.
+    /// Nanoseconds from request start until the **first** batch's symbols
+    /// were fully decoded — the streaming win: with more segments than one
+    /// batch this lands well before the transfer itself finishes.
     pub first_segment_nanos: u64,
     /// Nanoseconds from request start until the last chunk was received and
     /// the payload CRC verified.
@@ -585,6 +601,7 @@ impl NetClient {
             model,
             metadata,
             check,
+            frame: Vec::new(),
         })
     }
 
@@ -636,6 +653,8 @@ pub struct FetchSession<C = TcpStream> {
     /// Parsed shrunk metadata for the requested capacity.
     pub metadata: RecoilMetadata,
     check: PayloadCheck,
+    /// The one buffer every CHUNK frame is received into.
+    frame: Vec<u8>,
 }
 
 impl FetchSession {
@@ -688,19 +707,52 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
     /// Receives the next CHUNK body (4-byte sequence prefix stripped),
     /// checked against the transfer so far; the body that completes the
     /// stream is returned only if the whole stream verifies. Call until
-    /// [`FetchSession::remaining_chunks`] is zero.
+    /// [`FetchSession::remaining_chunks`] is zero. The body is a copy the
+    /// caller keeps: the session's own drains ([`NetClient::request`],
+    /// [`FetchSession::decode_streaming`]) consume it in place instead.
     pub fn next_chunk(&mut self) -> Result<Vec<u8>, RecoilError> {
-        let payload = self.recv_chunk()?;
-        self.check.accept(payload)
+        self.next_body().map(<[u8]>::to_vec)
     }
 
-    /// Reads the next CHUNK frame off the wire. This fails with the
-    /// *connection*, never with the stream: nothing has been accepted yet.
-    fn recv_chunk(&mut self) -> Result<Vec<u8>, RecoilError> {
-        match await_frame_on(self.conn.borrow_mut(), self.response_timeout) {
-            Ok((FrameType::Chunk, payload)) => Ok(payload),
-            Ok((ty, _)) => Err(RecoilError::net(format!("expected CHUNK, got {ty:?}"))),
-            Err(e) => Err(e.into_inner()),
+    /// [`FetchSession::next_chunk`] without the copy: the body where it was
+    /// received, in the session's one recycled buffer, good until the next
+    /// call.
+    fn next_body(&mut self) -> Result<&[u8], RecoilError> {
+        self.recv_chunk()?;
+        self.check.accept(&self.frame)
+    }
+
+    /// Reads the next CHUNK frame off the wire into the session's recycled
+    /// buffer. This fails with the *connection*, never with the stream:
+    /// nothing has been accepted yet. The frame's header is held to a bound
+    /// before the buffer grows for it — a CHUNK to what the transfer still
+    /// owes, an ERROR to [`MAX_MIDSTREAM_ERROR_LEN`] — so a header alone
+    /// cannot make the client reserve more than the stream it was promised;
+    /// a header that claims more leaves the connection desynchronized, like
+    /// any other failure here.
+    fn recv_chunk(&mut self) -> Result<(), RecoilError> {
+        let conn = self.conn.borrow_mut();
+        match await_header_on(conn, self.response_timeout).map_err(OpError::into_inner)? {
+            (FrameType::Chunk, len) => {
+                let owed = self.check.max_frame_len();
+                if len > owed {
+                    return Err(RecoilError::net(format!(
+                        "chunk frame of {len} bytes announced where the transfer owes at most {owed}"
+                    )));
+                }
+                read_payload(conn, len, &mut self.frame)
+            }
+            (FrameType::Error, len) => {
+                if len > MAX_MIDSTREAM_ERROR_LEN {
+                    return Err(RecoilError::net(format!(
+                        "error frame of {len} bytes announced mid-transfer, where at most \
+                         {MAX_MIDSTREAM_ERROR_LEN} are read"
+                    )));
+                }
+                read_payload(conn, len, &mut self.frame)?;
+                Err(decode_error(&self.frame))
+            }
+            (ty, _) => Err(RecoilError::net(format!("expected CHUNK, got {ty:?}"))),
         }
     }
 
@@ -714,7 +766,7 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
         // A chunk body may end mid-word; its last byte waits here.
         let mut carry = None;
         while self.remaining_chunks() > 0 {
-            carry = extend_words_from_le(&mut words, carry, &self.next_chunk()?);
+            carry = extend_words_from_le(&mut words, carry, self.next_body()?);
         }
         let header = self.header;
         let stream = EncodedStream {
@@ -744,12 +796,29 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
     /// the decode **overlapped** — the one place an
     /// [`IncrementalDecoder`] is fed from the network.
     ///
-    /// Two stages under a bounded in-flight budget: the calling thread
-    /// receives chunks and runs the payload check, a scoped decoder thread
-    /// dispatches every segment that became resident to `backend` (whose
-    /// thread pool, if any, decodes the batch in parallel) while later
-    /// chunks are still on the wire. A decoder that falls behind blocks the
-    /// receive loop on the full channel: backpressure, not buffering.
+    /// Two stages. The calling thread receives each CHUNK into the
+    /// session's one recycled buffer and runs the payload check on it where
+    /// it lies; a scoped decoder thread takes a copy of every checked body
+    /// into the word store and dispatches **whole batches** to `backend`:
+    /// it keeps ingesting until [`preferred_segments`] undecoded segments
+    /// are resident (threads × kernel depth — the spans the backend decodes
+    /// side by side) or the stream is complete. Not decoding a lone segment
+    /// at the single-span rate is what keeps the decoder ingesting and the
+    /// wire moving. One exception, for time to first symbols: a stream with
+    /// more than a batch still to come has its first resident segments
+    /// dispatched at once.
+    ///
+    /// The rule is tuned for a link at or above the decode rate, where the
+    /// whole stream is resident about when the first segment would have
+    /// finished alone. On a slower link a stream of at most one batch
+    /// starts decoding only when its last byte arrives, and its tail is the
+    /// whole batch rather than the last segment alone.
+    ///
+    /// Who owns which bytes: the frame buffer is the receive loop's and
+    /// never leaves it; a body is copied out only after it passed the
+    /// check, and that copy belongs to the channel and then the decoder. At
+    /// most [`STREAMING_INFLIGHT_CHUNKS`] checked bodies wait in the channel
+    /// — past that the receive loop blocks.
     ///
     /// `recover` is called when the *connection* fails mid-stream: return
     /// `Ok` after [`FetchSession::resume_on`] moved the session to another
@@ -770,6 +839,7 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
             self.header.final_states.clone(),
             self.model.clone(),
         )?;
+        let batch = preferred_segments(backend);
         let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(STREAMING_INFLIGHT_CHUNKS);
         let (received, decoded) = std::thread::scope(|s| {
             let decoder = s.spawn(move || -> Result<(Vec<u8>, u64, u64, u64), RecoilError> {
@@ -780,13 +850,16 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
                 let mut first: Option<u64> = None;
                 let mut batches = 0u64;
                 loop {
-                    let need = incr.ready_symbols();
-                    if need > out.len() {
-                        out.resize(need, 0);
-                    }
-                    let before = incr.decoded_segments();
-                    incr.decode_ready_segments(backend, &mut out)?;
-                    if incr.decoded_segments() > before {
+                    let (decoded, ready) = (incr.decoded_segments(), incr.ready_segments());
+                    let waiting = ready - decoded;
+                    // A whole batch, or the end of the stream — or the
+                    // first segments to arrive, when a whole batch is still
+                    // to come after them: first symbols early, at the cost
+                    // of one short dispatch and never of the tail's batch.
+                    let first_of_many = decoded == 0 && incr.num_segments() - ready >= batch;
+                    if waiting >= batch || (waiting > 0 && (incr.is_complete() || first_of_many)) {
+                        out.resize(incr.ready_symbols(), 0);
+                        incr.decode_ready_segments(backend, &mut out)?;
                         batches += 1;
                         first.get_or_insert_with(since);
                     }
@@ -808,14 +881,12 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
             // `None`: the decoder hung up mid-transfer.
             let received = (|| -> Result<Option<u64>, RecoilError> {
                 while self.remaining_chunks() > 0 {
-                    let payload = match self.recv_chunk() {
-                        Ok(payload) => payload,
-                        Err(err) => {
-                            recover(&mut self, err)?;
-                            continue;
-                        }
-                    };
-                    if tx.send(self.check.accept(payload)?).is_err() {
+                    if let Err(err) = self.recv_chunk() {
+                        recover(&mut self, err)?;
+                        continue;
+                    }
+                    let body = self.check.accept(&self.frame)?.to_vec();
+                    if tx.send(body).is_err() {
                         return Ok(None);
                     }
                 }
@@ -868,27 +939,22 @@ impl<C> std::fmt::Debug for FetchSession<C> {
     }
 }
 
-/// Blocks until a non-idle frame arrives (bounded by `response_timeout`);
-/// `Error` frames come back as [`OpError::Remote`] carrying the decoded
-/// [`RecoilError`], anything that breaks the transport as
-/// [`OpError::Transport`].
-fn await_frame_on(
+/// Blocks until a frame header arrives (bounded by `response_timeout`); the
+/// payload is still on the wire, for the caller to bound and place.
+fn await_header_on(
     conn: &mut TcpStream,
     response_timeout: Duration,
-) -> Result<(FrameType, Vec<u8>), OpError> {
+) -> Result<(FrameType, usize), OpError> {
     let start = Instant::now();
     loop {
-        match read_frame(conn).map_err(OpError::Transport)? {
-            ReadOutcome::Frame(FrameType::Error, payload) => {
-                return Err(OpError::Remote(decode_error(&payload)))
-            }
-            ReadOutcome::Frame(ty, payload) => return Ok((ty, payload)),
-            ReadOutcome::Eof => {
+        match read_header(conn).map_err(OpError::Transport)? {
+            HeaderOutcome::Header(ty, len) => return Ok((ty, len)),
+            HeaderOutcome::Eof => {
                 return Err(OpError::Transport(RecoilError::net(
                     "server closed the connection",
                 )))
             }
-            ReadOutcome::Idle => {
+            HeaderOutcome::Idle => {
                 if start.elapsed() > response_timeout {
                     return Err(OpError::Transport(RecoilError::net(
                         "timed out waiting for server response",
@@ -897,6 +963,22 @@ fn await_frame_on(
             }
         }
     }
+}
+
+/// Blocks until a non-idle frame arrives and reads it whole; `Error` frames
+/// come back as [`OpError::Remote`] carrying the decoded [`RecoilError`],
+/// anything that breaks the transport as [`OpError::Transport`].
+fn await_frame_on(
+    conn: &mut TcpStream,
+    response_timeout: Duration,
+) -> Result<(FrameType, Vec<u8>), OpError> {
+    let (ty, len) = await_header_on(conn, response_timeout)?;
+    let mut payload = Vec::new();
+    read_payload(conn, len, &mut payload).map_err(OpError::Transport)?;
+    if ty == FrameType::Error {
+        return Err(OpError::Remote(decode_error(&payload)));
+    }
+    Ok((ty, payload))
 }
 
 impl std::fmt::Debug for NetClient {

@@ -126,6 +126,17 @@ pub enum ReadOutcome {
     Idle,
 }
 
+/// What [`read_header`] found where a frame should start.
+#[derive(Debug)]
+pub(crate) enum HeaderOutcome {
+    /// A valid header; the payload length is still on the wire.
+    Header(FrameType, usize),
+    /// See [`ReadOutcome::Eof`].
+    Eof,
+    /// See [`ReadOutcome::Idle`].
+    Idle,
+}
+
 /// True for the error kinds a socket read timeout produces.
 fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
@@ -187,31 +198,57 @@ pub(crate) fn parse_header(header: &[u8]) -> Result<Option<(FrameType, usize)>, 
     Ok(Some((ty, len)))
 }
 
-/// Reads one frame, distinguishing idle timeouts and clean EOF from data.
-///
-/// The header is validated by `parse_header` before the payload
-/// allocation: unknown types and oversized lengths fail without reading
-/// further.
-pub fn read_frame(r: &mut impl Read) -> Result<ReadOutcome, RecoilError> {
+/// Reads one frame header, distinguishing idle timeouts and clean EOF from
+/// data. All five bytes are asked for at once — a frame that has fully
+/// arrived costs one `read` — and whatever part came back is judged by
+/// `parse_header` before the rest is waited for: a garbage type byte fails
+/// on its own, an oversized length before anyone allocates for it.
+pub(crate) fn read_header(r: &mut impl Read) -> Result<HeaderOutcome, RecoilError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
-    let (ty, len) = header.split_at_mut(1);
-    loop {
-        match r.read(ty) {
-            Ok(0) => return Ok(ReadOutcome::Eof),
-            Ok(_) => break,
+    let arrived = loop {
+        match r.read(&mut header) {
+            Ok(0) => return Ok(HeaderOutcome::Eof),
+            Ok(n) => break n.min(FRAME_HEADER_LEN),
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => return Ok(ReadOutcome::Idle),
+            Err(e) if is_timeout(&e) => return Ok(HeaderOutcome::Idle),
             Err(e) => return Err(io_err("frame header read", e)),
         }
-    }
-    // The type byte is judged before the length is waited for.
-    parse_header(ty)?;
-    read_exact_patient(r, len)?;
+    };
+    let (have, owed) = header.split_at_mut(arrived);
+    parse_header(have)?;
+    read_exact_patient(r, owed)?;
     let (ty, len) =
         parse_header(&header)?.ok_or_else(|| RecoilError::net("incomplete frame header"))?;
-    let mut payload = vec![0u8; len];
-    read_exact_patient(r, &mut payload)?;
-    Ok(ReadOutcome::Frame(ty, payload))
+    Ok(HeaderOutcome::Header(ty, len))
+}
+
+/// Reads a `len`-byte payload into `buf`, replacing its contents. `buf` is
+/// the caller's to recycle: a frame shorter than the last one truncates it,
+/// a longer one zero-fills only the growth, and every byte of `buf` is then
+/// overwritten from the wire — nothing of an earlier frame survives. `len`
+/// must come from a header `parse_header` (and the caller's own bound, if it
+/// has a tighter one) accepted.
+pub(crate) fn read_payload(
+    r: &mut impl Read,
+    len: usize,
+    buf: &mut Vec<u8>,
+) -> Result<(), RecoilError> {
+    buf.resize(len, 0);
+    read_exact_patient(r, buf)
+}
+
+/// Reads one frame into a buffer of its own: [`read_header`], then
+/// `read_payload`.
+pub fn read_frame(r: &mut impl Read) -> Result<ReadOutcome, RecoilError> {
+    Ok(match read_header(r)? {
+        HeaderOutcome::Header(ty, len) => {
+            let mut payload = Vec::new();
+            read_payload(r, len, &mut payload)?;
+            ReadOutcome::Frame(ty, payload)
+        }
+        HeaderOutcome::Eof => ReadOutcome::Eof,
+        HeaderOutcome::Idle => ReadOutcome::Idle,
+    })
 }
 
 /// Starts a frame directly inside an in-memory write buffer: appends the
@@ -550,6 +587,108 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("oversized frame"));
+    }
+
+    /// A scripted peer: hands out at most `step` bytes per `read`, counts
+    /// the calls, and fails any read past the end of its script — a reader
+    /// that is asked for bytes nobody owes is a bug in the caller.
+    struct Scripted<'a> {
+        bytes: &'a [u8],
+        step: usize,
+        reads: usize,
+    }
+
+    impl Read for Scripted<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            if self.bytes.is_empty() {
+                return Err(std::io::Error::other("read past the script"));
+            }
+            let n = self.step.min(buf.len()).min(self.bytes.len());
+            let (now, later) = self.bytes.split_at(n);
+            buf[..n].copy_from_slice(now);
+            self.bytes = later;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_frame_costs_two_reads_when_it_has_arrived_and_survives_a_trickle() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, FrameType::Chunk, b"hello world").unwrap();
+        // Everything there at once: one read for the header, one for the
+        // payload.
+        let mut whole = Scripted {
+            bytes: &wire,
+            step: usize::MAX,
+            reads: 0,
+        };
+        assert!(matches!(
+            read_frame(&mut whole).unwrap(),
+            ReadOutcome::Frame(FrameType::Chunk, p) if p == b"hello world"
+        ));
+        assert_eq!(whole.reads, 2);
+        // One byte per call: the same frame, a read per byte.
+        let mut trickle = Scripted {
+            bytes: &wire,
+            step: 1,
+            reads: 0,
+        };
+        assert!(matches!(
+            read_frame(&mut trickle).unwrap(),
+            ReadOutcome::Frame(FrameType::Chunk, p) if p == b"hello world"
+        ));
+        assert_eq!(trickle.reads, wire.len());
+    }
+
+    #[test]
+    fn a_bad_header_fails_on_the_bytes_that_make_it_bad() {
+        // A garbage type byte is judged alone: the script holds nothing
+        // else, so waiting for a length would be a read past it.
+        let mut garbage = Scripted {
+            bytes: &[0xAB],
+            step: 1,
+            reads: 0,
+        };
+        let err = read_frame(&mut garbage).unwrap_err().to_string();
+        assert!(err.contains("unknown frame type"), "{err}");
+        assert_eq!(garbage.reads, 1);
+        // The same byte arriving with a whole header behind it.
+        let mut garbage = Scripted {
+            bytes: &[0xAB, 1, 0, 0, 0, 0],
+            step: usize::MAX,
+            reads: 0,
+        };
+        let err = read_frame(&mut garbage).unwrap_err().to_string();
+        assert!(err.contains("unknown frame type"), "{err}");
+
+        // An oversized length fails on the header: no payload byte is asked
+        // for, so nothing was allocated to put one in.
+        let mut huge = vec![FrameType::Chunk.byte()];
+        huge.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
+        for step in [1, usize::MAX] {
+            let mut r = Scripted {
+                bytes: &huge,
+                step,
+                reads: 0,
+            };
+            let err = read_frame(&mut r).unwrap_err().to_string();
+            assert!(err.contains("oversized frame"), "{err}");
+            assert_eq!(r.reads, if step == 1 { huge.len() } else { 1 });
+        }
+    }
+
+    #[test]
+    fn a_recycled_payload_buffer_is_exactly_the_frame() {
+        let mut buf = vec![0xEE; 100];
+        read_payload(&mut &b"0123456789"[..], 10, &mut buf).unwrap();
+        assert_eq!(buf, b"0123456789");
+        read_payload(&mut &[7u8; 300][..], 300, &mut buf).unwrap();
+        assert_eq!(buf, [7u8; 300]);
+        read_payload(&mut &[][..], 0, &mut buf).unwrap();
+        assert!(buf.is_empty());
+        // A payload that never fully arrives is the connection's failure.
+        assert!(read_payload(&mut &[1u8, 2][..], 3, &mut buf).is_err());
     }
 
     #[test]

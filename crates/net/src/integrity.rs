@@ -21,6 +21,9 @@ use recoil_core::{
 };
 use recoil_models::StaticModelProvider;
 
+/// Bytes of the sequence number in front of every CHUNK body.
+const CHUNK_SEQ_BYTES: usize = 4;
+
 /// Running state of the integrity rule for one transfer.
 #[derive(Debug)]
 pub(crate) struct PayloadCheck {
@@ -66,31 +69,45 @@ impl PayloadCheck {
         self.verify_if_drained()
     }
 
-    /// Takes one CHUNK frame payload (`[seq: u32 LE][body]`) and returns
-    /// the body with the prefix stripped in place. A frame out of sequence
-    /// or over the declared size is rejected with the state untouched; the
-    /// frame that drains the chunk plan also has to close the stream.
-    pub(crate) fn accept(&mut self, mut payload: Vec<u8>) -> Result<Vec<u8>, RecoilError> {
-        let Some(seq) = payload.first_chunk::<4>().map(|b| u32::from_le_bytes(*b)) else {
+    /// Takes one CHUNK frame payload (`[seq: u32 LE][body]`), borrowed from
+    /// whatever buffer the frame was received into, and returns the body —
+    /// the same bytes, past the prefix. A frame out of sequence or over the
+    /// declared size is rejected, and the frame that drains the chunk plan
+    /// also has to close the stream; a rejection leaves the state untouched.
+    pub(crate) fn accept<'a>(&mut self, payload: &'a [u8]) -> Result<&'a [u8], RecoilError> {
+        let Some((seq, body)) = payload.split_first_chunk::<CHUNK_SEQ_BYTES>() else {
             return Err(RecoilError::net("chunk frame too short"));
         };
+        let seq = u32::from_le_bytes(*seq);
         if self.next_seq >= self.chunk_count || seq != self.next_seq {
             return Err(RecoilError::net(format!(
                 "chunk sequence mismatch: expected {} of {}, got {seq}",
                 self.next_seq, self.chunk_count
             )));
         }
-        // In place: the frame's own buffer, shifted down over the prefix.
-        payload.drain(..4);
-        let received = self.received + payload.len() as u64;
+        let received = self.received + body.len() as u64;
         if received > self.word_bytes {
             return Err(RecoilError::net("chunked payload overruns declared size"));
         }
-        self.received = received;
-        self.crc_state = update_crc32(self.crc_state, &payload);
-        self.next_seq += 1;
-        self.verify_if_drained()?;
-        Ok(payload)
+        let accepted = Self {
+            received,
+            crc_state: update_crc32(self.crc_state, body),
+            next_seq: self.next_seq + 1,
+            ..*self
+        };
+        accepted.verify_if_drained()?;
+        *self = accepted;
+        Ok(body)
+    }
+
+    /// The longest CHUNK payload the rule could still accept: the sequence
+    /// prefix plus every declared byte not yet received. A receiver checks
+    /// a frame *header* against this before it makes room for the payload,
+    /// so a node cannot make it reserve more than the stream it announced.
+    pub(crate) fn max_frame_len(&self) -> usize {
+        usize::try_from(self.word_bytes - self.received)
+            .unwrap_or(usize::MAX)
+            .saturating_add(CHUNK_SEQ_BYTES)
     }
 
     /// Once the current chunk plan is exhausted the stream must be whole.
@@ -231,17 +248,35 @@ mod tests {
     }
 
     /// Feeds `bodies` as frames 0.. of the current plan, collecting words.
+    /// Every frame lands in the same buffer, as a receiver recycles one.
     fn feed(
         check: &mut PayloadCheck,
         bodies: &[Vec<u8>],
         words: &mut Vec<u16>,
         carry: &mut Option<u8>,
     ) -> Result<(), RecoilError> {
+        let mut recycled = Vec::new();
         for (seq, body) in bodies.iter().enumerate() {
-            let body = check.accept(frame(seq as u32, body))?;
-            *carry = extend_words_from_le(words, *carry, &body);
+            recycled.clear();
+            recycled.extend_from_slice(&frame(seq as u32, body));
+            let accepted = check.accept(&recycled)?;
+            assert_eq!(accepted, &body[..], "the body is the frame past its prefix");
+            *carry = extend_words_from_le(words, *carry, accepted);
         }
         Ok(())
+    }
+
+    /// Offers a frame the rule must refuse and returns the refusal, having
+    /// checked that the refusal changed nothing.
+    fn refused(check: &mut PayloadCheck, payload: &[u8]) -> String {
+        let before = format!("{check:?}");
+        let err = check.accept(payload).unwrap_err();
+        assert_eq!(
+            format!("{check:?}"),
+            before,
+            "a rejection touched the state"
+        );
+        detail(err)
     }
 
     fn detail(err: RecoilError) -> String {
@@ -311,29 +346,29 @@ mod tests {
 
         // A skipped sequence number — and the state is untouched by it.
         let mut check = PayloadCheck::begin(&cut.header).unwrap();
-        let err = check.accept(frame(1, &cut.bodies[1])).unwrap_err();
-        assert!(detail(err).contains("sequence"));
-        assert!(detail(check.accept(vec![0, 0]).unwrap_err()).contains("too short"));
+        assert!(refused(&mut check, &frame(1, &cut.bodies[1])).contains("sequence"));
+        assert!(refused(&mut check, &[0, 0]).contains("too short"));
         feed(&mut check, &cut.bodies, &mut words, &mut carry).unwrap();
         assert_eq!(words, cut.words);
         // Nothing is accepted past the announced plan.
-        let err = check.accept(frame(n as u32, &[])).unwrap_err();
-        assert!(detail(err).contains("sequence"));
+        assert!(refused(&mut check, &frame(n as u32, &[])).contains("sequence"));
 
         // One byte over: the last body grew.
         let mut check = PayloadCheck::begin(&cut.header).unwrap();
         feed(&mut check, &cut.bodies[..n - 1], &mut words, &mut carry).unwrap();
         let mut over = cut.bodies[n - 1].clone();
         over.push(0);
-        let err = check.accept(frame(n as u32 - 1, &over)).unwrap_err();
-        assert!(detail(err).contains("overruns"));
+        assert!(refused(&mut check, &frame(n as u32 - 1, &over)).contains("overruns"));
 
         // One byte short: the last body shrank.
         let mut check = PayloadCheck::begin(&cut.header).unwrap();
         feed(&mut check, &cut.bodies[..n - 1], &mut words, &mut carry).unwrap();
         let short = &cut.bodies[n - 1][..cut.bodies[n - 1].len() - 1];
-        let err = check.accept(frame(n as u32 - 1, short)).unwrap_err();
-        assert!(detail(err).contains("short"));
+        assert!(refused(&mut check, &frame(n as u32 - 1, short)).contains("short"));
+        // Refused, not consumed: the honest last body still closes the stream.
+        let last = frame(n as u32 - 1, &cut.bodies[n - 1]);
+        assert_eq!(check.accept(&last).unwrap(), &cut.bodies[n - 1][..]);
+        assert_eq!(check.remaining_chunks(), 0);
     }
 
     #[test]
@@ -348,10 +383,12 @@ mod tests {
             // Every frame but the last is accepted; the last one closes
             // the stream and carries the verdict.
             feed(&mut check, &bodies[..n - 1], &mut words, &mut carry).unwrap();
-            let err = check
-                .accept(frame(n as u32 - 1, &bodies[n - 1]))
-                .unwrap_err();
-            assert!(detail(err).contains("checksum"), "body {which}");
+            let verdict = refused(&mut check, &frame(n as u32 - 1, &bodies[n - 1]));
+            assert!(verdict.contains("checksum"), "body {which}");
+            assert!(
+                check.remaining_chunks() > 0,
+                "an unverified stream is not done"
+            );
         }
     }
 
@@ -377,22 +414,21 @@ mod tests {
         // A resume from mid-word re-sends the split word's first byte
         // (offsets are whole words): the checksum catches the splice.
         let mut check = PayloadCheck::begin(&header).unwrap();
-        check.accept(frame(0, &bodies[0])).unwrap();
+        check.accept(&frame(0, &bodies[0])).unwrap();
         assert_eq!(check.words_received(), 50);
         let resumed = TransmitHeader {
             chunk_count: 1,
             ..header.clone()
         };
         check.resume(&resumed).unwrap();
-        let err = check.accept(frame(0, &payload[100..])).unwrap_err();
-        assert!(detail(err).contains("overruns"));
+        assert!(refused(&mut check, &frame(0, &payload[100..])).contains("overruns"));
     }
 
     #[test]
     fn a_second_header_that_disagrees_is_refused() {
         let cut = cut();
         let mut check = PayloadCheck::begin(&cut.header).unwrap();
-        check.accept(frame(0, &cut.bodies[0])).unwrap();
+        check.accept(&frame(0, &cut.bodies[0])).unwrap();
         let held = check.words_received();
         for evil in [
             TransmitHeader {
@@ -416,5 +452,83 @@ mod tests {
         let (mut words, mut carry) = (Vec::new(), None);
         feed(&mut check, &cut.bodies[1..], &mut words, &mut carry).unwrap();
         assert_eq!(held + words.len() as u64, cut.words.len() as u64);
+    }
+
+    /// The receive path end to end without a socket: three CHUNK frames
+    /// read off one byte stream into one recycled buffer, each checked
+    /// where it lies. The short middle frame follows a 64 KiB one, so any
+    /// byte of the earlier frame left in the buffer would reach the body
+    /// (caught by the comparison) and the whole-stream CRC (caught by the
+    /// last `accept`).
+    #[test]
+    fn one_recycled_buffer_carries_long_short_long_frames() {
+        use crate::frame::{read_header, read_payload, write_frame, FrameType, HeaderOutcome};
+        let bodies: Vec<Vec<u8>> = [(64 << 10) - 4, 10 - 4, (64 << 10) - 4]
+            .iter()
+            .enumerate()
+            .map(|(k, &len)| (0..len).map(|i| (i * 7 + k * 31 + 1) as u8).collect())
+            .collect();
+        let header = TransmitHeader {
+            word_bytes: bodies.iter().map(|b| b.len() as u64).sum(),
+            payload_crc: crc32(&bodies.concat()),
+            chunk_count: 3,
+            ..cut().header
+        };
+        let mut wire = Vec::new();
+        for (seq, body) in bodies.iter().enumerate() {
+            write_frame(&mut wire, FrameType::Chunk, &frame(seq as u32, body)).unwrap();
+        }
+
+        let mut check = PayloadCheck::begin(&header).unwrap();
+        let mut reader = &wire[..];
+        let mut recycled = Vec::new();
+        let mut high_water = 0;
+        for body in &bodies {
+            let HeaderOutcome::Header(FrameType::Chunk, len) = read_header(&mut reader).unwrap()
+            else {
+                panic!("expected a CHUNK header");
+            };
+            assert!(
+                len <= check.max_frame_len(),
+                "an honest frame fits what is owed"
+            );
+            read_payload(&mut reader, len, &mut recycled).unwrap();
+            assert_eq!(recycled.len(), len, "the buffer is exactly the frame");
+            assert_eq!(check.accept(&recycled).unwrap(), &body[..]);
+            high_water = recycled.capacity().max(high_water);
+        }
+        assert_eq!(check.remaining_chunks(), 0, "verified");
+        assert_eq!(
+            recycled.capacity(),
+            high_water,
+            "the third frame reused the first one's room"
+        );
+        assert!(matches!(
+            read_header(&mut reader).unwrap(),
+            HeaderOutcome::Eof
+        ));
+    }
+
+    #[test]
+    fn the_frame_bound_is_what_the_transfer_still_owes() {
+        let cut = cut();
+        let mut check = PayloadCheck::begin(&cut.header).unwrap();
+        let total = cut.header.word_bytes as usize;
+        assert_eq!(check.max_frame_len(), CHUNK_SEQ_BYTES + total);
+        check.accept(&frame(0, &cut.bodies[0])).unwrap();
+        assert_eq!(
+            check.max_frame_len(),
+            CHUNK_SEQ_BYTES + total - cut.bodies[0].len()
+        );
+        // A resume renumbers the chunks but owes the same bytes.
+        let resumed = TransmitHeader {
+            chunk_count: cut.header.chunk_count - 1,
+            ..cut.header.clone()
+        };
+        check.resume(&resumed).unwrap();
+        assert_eq!(
+            check.max_frame_len(),
+            CHUNK_SEQ_BYTES + total - cut.bodies[0].len()
+        );
     }
 }

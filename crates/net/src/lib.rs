@@ -76,12 +76,13 @@
 //! Chunk boundaries are not arbitrary: the server cuts the bitstream with
 //! the **split-aligned chunk plan** ([`recoil_core::plan_chunks`]) for the
 //! served metadata tier, so each chunk completes whole decode segments.
-//! [`FetchSession::decode_streaming`] exploits that: arriving chunks feed
-//! a [`recoil_core::IncrementalDecoder`] and every newly resident segment
-//! is decoded — through the given backend and its thread pool — while
-//! later chunks are still on the wire, under a bounded in-flight chunk
-//! budget (backpressure instead of unbounded buffering). It is the one
-//! place the network drives a decoder:
+//! [`FetchSession::decode_streaming`] exploits that: arriving chunks are
+//! received into one recycled buffer, checked where they lie, and fed to a
+//! [`recoil_core::IncrementalDecoder`], which hands the given backend
+//! **whole batches** — [`recoil_core::codec::preferred_segments`] newly
+//! resident segments at a time, threads × kernel depth — while later
+//! chunks are still on the wire, under a bounded in-flight chunk budget.
+//! It is the one place the network drives a decoder:
 //! [`NetClient::fetch_and_decode_streaming`] runs it on a pooled
 //! connection under the retry policy, the fabric router with a failover
 //! hook. The decoded bytes are byte-identical to the buffered

@@ -405,6 +405,81 @@ fn crc_corrupted_chunk_stream_is_a_typed_error_on_both_paths() {
     }
 }
 
+/// A CHUNK *header* is a claim about bytes that may never come. Inside a
+/// transfer the client knows what is still owed, and holds the header to
+/// it before it makes room: a node that announces a small stream and then
+/// a 64 MiB chunk is refused on the header — and so is a 64 MiB ERROR in a
+/// chunk's place, which an honest node fills with a sentence. The script
+/// ends there — not one payload byte behind it — so a client that sized a
+/// buffer from the header and went on to read would report the hangup, not
+/// the overrun.
+#[test]
+fn an_oversized_chunk_header_is_refused_before_its_payload() {
+    let data = sample(600, 5);
+    let good = capture_transmission("movie", &data, 8 * 1024);
+    // The TRANSMIT frame alone, then the lie.
+    let transmit_len = 5 + u32::from_le_bytes(good[1..5].try_into().unwrap()) as usize;
+    assert_eq!(good[0], FrameType::Transmit as u8);
+    let header = recoil_net::TransmitHeader::decode(&good[5..transmit_len]).unwrap();
+    assert!(
+        header.word_bytes < 1024,
+        "a small stream: {}",
+        header.word_bytes
+    );
+    for (lie, refusal) in [
+        (FrameType::Chunk, "owes at most"),
+        (FrameType::Error, "announced mid-transfer"),
+    ] {
+        let mut evil = good[..transmit_len].to_vec();
+        evil.push(lie as u8);
+        evil.extend_from_slice(&MAX_FRAME_LEN.to_le_bytes());
+
+        for streaming in [false, true] {
+            // The failure is the connection's, so the client spends its
+            // retry budget on it: the probe, the first attempt, the free
+            // redial and two retries.
+            let (addr, handle) = hostile_server(evil.clone(), 6);
+            let client = NetClient::connect(addr).unwrap();
+            let started = std::time::Instant::now();
+            let got = if streaming {
+                client
+                    .fetch_and_decode_streaming("movie", 16)
+                    .map(|s| s.data)
+            } else {
+                client.fetch_and_decode("movie", 16)
+            };
+            match got {
+                Err(RecoilError::Net { detail }) => assert!(
+                    detail.contains(refusal) && detail.contains(&MAX_FRAME_LEN.to_string()),
+                    "{lie:?}, streaming={streaming}: {detail}"
+                ),
+                other => {
+                    panic!("{lie:?}, streaming={streaming}: expected a refusal, got {other:?}")
+                }
+            }
+            // Nobody waited for 64 MiB to arrive.
+            assert!(started.elapsed() < Duration::from_secs(5));
+            drop(client);
+            finish_hostile(addr, handle);
+        }
+    }
+
+    // The same header one byte inside what is owed is a frame like any
+    // other: the session reads on and fails on the missing payload instead.
+    let mut honest = good[..transmit_len].to_vec();
+    honest.push(FrameType::Chunk as u8);
+    honest.extend_from_slice(&(header.word_bytes as u32 + 4).to_le_bytes());
+    let (addr, handle) = hostile_server(honest, 1);
+    let client = NetClient::connect_lazy(addr, NetClientConfig::default()).unwrap();
+    let mut session = client.start_fetch("movie", 16, 0).unwrap();
+    match session.next_chunk() {
+        Err(RecoilError::Net { detail }) => assert!(detail.contains("mid-frame"), "{detail}"),
+        other => panic!("expected a hangup mid-frame, got {other:?}"),
+    }
+    drop((session, client));
+    finish_hostile(addr, handle);
+}
+
 #[test]
 fn mid_stream_disconnect_is_a_typed_error_not_a_hang() {
     let data = sample(150_000, 3);

@@ -1,13 +1,16 @@
 //! Loopback integration tests for the framed TCP transport: real sockets,
 //! real threads, byte-identical decodes.
 
-use recoil_core::codec::{DecodeBackend, DecodeRequest, EncoderConfig, ScalarBackend};
-use recoil_core::{RecoilError, RecoilMetadata};
+use recoil_core::codec::{
+    preferred_segments, DecodeBackend, DecodeRequest, EncoderConfig, ScalarBackend,
+};
+use recoil_core::{plan_chunks, ChunkPlan, RecoilError, RecoilMetadata};
 use recoil_models::ModelProvider;
 use recoil_net::raw::{read_frame, write_frame, ReadOutcome};
 use recoil_net::{FrameType, Hello, NetClient, NetConfig, NetServer, NetServerHandle};
 use recoil_rans::EncodedStream;
 use recoil_server::ContentServer;
+use recoil_simd::AutoBackend;
 use recoil_telemetry::TelemetryLevel;
 use std::net::TcpStream;
 use std::ops::Range;
@@ -423,7 +426,11 @@ fn streaming_fetch_is_byte_identical_and_pipelined() {
         ..NetConfig::default()
     });
     let data = sample(400_000, 21);
-    let client = NetClient::connect(server.addr()).unwrap();
+    // Two threads whatever the host has: a batch is then at most eight
+    // segments, so tiers of 16 and up dispatch before the transfer ends.
+    let client = NetClient::connect(server.addr())
+        .unwrap()
+        .with_backend(AutoBackend::with_threads(2));
     client.publish("movie", &data, &config(64)).unwrap();
 
     for tier in [1u64, 2, 16, 64, 100_000] {
@@ -438,8 +445,11 @@ fn streaming_fetch_is_byte_identical_and_pipelined() {
             streamed.first_segment_nanos <= streamed.total_nanos,
             "tier {tier}"
         );
-        // The pipeline's point: with several segments, the first one is
-        // decoded before the whole payload has even arrived.
+        // The pipeline's point: with more segments than one batch, the
+        // first ones are decoded before the whole payload has even arrived.
+        // No race in that: dozens of chunks follow the first segment's, the
+        // receive loop may run only a few ahead of the decoder thread, and
+        // that thread stamps its first batch before it takes another.
         if tier >= 16 {
             assert!(
                 streamed.first_segment_nanos < streamed.transfer_nanos,
@@ -454,6 +464,95 @@ fn streaming_fetch_is_byte_identical_and_pipelined() {
     client.publish("empty", &[], &config(4)).unwrap();
     let empty = client.fetch_and_decode_streaming("empty", 4).unwrap();
     assert!(empty.data.is_empty());
+    server.shutdown();
+}
+
+/// `decode_batches` the documented dispatch rule yields over `plan`, the
+/// server's own schedule for the tier: after each chunk, a whole batch goes
+/// out, or whatever is left at the end of the stream, or — once — the first
+/// resident segments of a stream with a whole batch still to come.
+fn batches_by_the_rule(plan: &ChunkPlan, capability: u64) -> u64 {
+    let total = plan.chunks.last().map_or(0, |c| c.segments.end);
+    let (mut decoded, mut batches) = (0, 0);
+    for chunk in &plan.chunks {
+        let ready = chunk.segments.end;
+        let waiting = ready - decoded;
+        let first_of_many = decoded == 0 && total - ready >= capability;
+        if waiting >= capability || (waiting > 0 && (ready == total || first_of_many)) {
+            batches += 1;
+            decoded = ready;
+        }
+    }
+    batches
+}
+
+/// The dispatch rule, counted: which chunk makes which segment resident is
+/// the chunk plan's to say, not the clock's, so the count is exact. A
+/// stream of at most one batch is one dispatch however many chunks carry
+/// it; a capability of 1 dispatches every newly resident run, which is what
+/// every backend used to get.
+#[test]
+fn streaming_dispatches_whole_batches() {
+    const CHUNK_BYTES: usize = 2048;
+    let server = start_server(NetConfig {
+        workers: 3,
+        chunk_bytes: CHUNK_BYTES,
+        read_timeout: Duration::from_millis(50),
+        ..NetConfig::default()
+    });
+    let data = sample(1_600_000, 23);
+    let publisher = NetClient::connect(server.addr()).unwrap();
+    publisher.publish("movie", &data, &config(256)).unwrap();
+
+    let auto = AutoBackend::with_threads(2);
+    let capability = preferred_segments(&auto);
+    assert!(capability >= 2, "two threads are worth at least two spans");
+    assert_eq!(preferred_segments(&ScalarBackend), 1);
+    let clients = [
+        (capability, publisher.with_backend(auto)),
+        (
+            1,
+            NetClient::connect(server.addr())
+                .unwrap()
+                .with_backend(ScalarBackend),
+        ),
+    ];
+    for (capability, client) in &clients {
+        let capability = *capability;
+        for width in [1, 2, capability - 1, capability, capability + 1, 256] {
+            let width = width.max(1);
+            let tier = client.request("movie", width).unwrap();
+            let plan = plan_chunks(&tier.metadata, CHUNK_BYTES);
+            let streamed = client.fetch_and_decode_streaming("movie", width).unwrap();
+            assert_eq!(streamed.data, data, "width {width}");
+            assert_eq!(streamed.segments, width, "the item holds 256 segments");
+            assert_eq!(streamed.chunk_count as usize, plan.len());
+            assert!(plan.len() > 256, "segments arrive in several chunks each");
+
+            let what = format!(
+                "width {width} on {} (capability {capability})",
+                client.backend().name()
+            );
+            assert_eq!(
+                streamed.decode_batches,
+                batches_by_the_rule(&plan, capability),
+                "{what}"
+            );
+            // What the rule comes to: one dispatch for a stream of at most
+            // one batch; beyond it, the first segment ahead and then whole
+            // batches (one fewer where a chunk completed two segments).
+            let in_batches = 1 + (width - 1).div_ceil(capability);
+            match width {
+                w if w <= capability => assert_eq!(streamed.decode_batches, 1, "{what}"),
+                w if w == capability + 1 => assert_eq!(streamed.decode_batches, 2, "{what}"),
+                _ => assert!(
+                    (in_batches - 1..=in_batches).contains(&streamed.decode_batches),
+                    "{what}: {} batches",
+                    streamed.decode_batches
+                ),
+            }
+        }
+    }
     server.shutdown();
 }
 
@@ -581,6 +680,9 @@ impl DecodeBackend for Unavailable {
     }
     fn is_available(&self) -> bool {
         false
+    }
+    fn parallel_spans(&self) -> usize {
+        1
     }
     fn decode_u8(
         &self,

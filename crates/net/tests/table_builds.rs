@@ -10,6 +10,7 @@ use recoil_core::codec::EncoderConfig;
 use recoil_models::decode_table_builds;
 use recoil_net::{NetClient, NetConfig, NetServer};
 use recoil_server::ContentServer;
+use recoil_simd::AutoBackend;
 use std::sync::Arc;
 
 #[test]
@@ -28,7 +29,9 @@ fn one_table_build_per_remote_fetch() {
     let data: Vec<u8> = (0..300_000u32)
         .map(|i| ((i.wrapping_mul(747796405)) >> 22) as u8)
         .collect();
-    let client = NetClient::connect(server.addr()).unwrap();
+    let client = NetClient::connect(server.addr())
+        .unwrap()
+        .with_backend(AutoBackend::with_threads(2));
     let config = EncoderConfig {
         max_segments: 64,
         ..EncoderConfig::default()
@@ -44,8 +47,10 @@ fn one_table_build_per_remote_fetch() {
         "a buffered fetch builds the transmitted model's tables exactly once"
     );
 
+    // 64 segments on two threads: at least eight whole batches (a batch is
+    // threads × kernel depth segments, and no kernel is deeper than four).
     let before = decode_table_builds();
-    let streamed = client.fetch_and_decode_streaming("movie", 8).unwrap();
+    let streamed = client.fetch_and_decode_streaming("movie", 64).unwrap();
     assert_eq!(streamed.data, data);
     assert!(
         streamed.decode_batches > 1,

@@ -1,7 +1,7 @@
 //! The decoding client: a machine with a given parallel capacity.
 
 use crate::server::{ContentServer, Transmission};
-use recoil_core::codec::{DecodeBackend, DecodeRequest};
+use recoil_core::codec::{preferred_segments, DecodeBackend, DecodeRequest};
 use recoil_core::{metadata_from_bytes, RecoilError};
 use recoil_models::StaticModelProvider;
 use recoil_rans::EncodedStream;
@@ -12,7 +12,10 @@ use recoil_simd::AutoBackend;
 /// segment count the client asked for.
 pub struct Client {
     backend: Box<dyn DecodeBackend>,
-    /// Parallel segments this client requests from servers.
+    /// Parallel segments this client requests from servers: what its
+    /// backend can keep in flight ([`preferred_segments`] — threads × the
+    /// kernel's interleave depth, not threads alone: a thread handed one
+    /// span runs the vector kernels at about half their rate).
     pub parallel_segments: u64,
 }
 
@@ -20,9 +23,10 @@ impl Client {
     /// Client with `threads` decode threads and runtime kernel dispatch
     /// (AVX-512 → AVX2 → scalar).
     pub fn new(threads: usize) -> Self {
+        let backend = AutoBackend::with_threads(threads);
         Self {
-            backend: Box::new(AutoBackend::with_threads(threads)),
-            parallel_segments: threads.max(1) as u64,
+            parallel_segments: preferred_segments(&backend),
+            backend: Box::new(backend),
         }
     }
 
@@ -96,6 +100,32 @@ mod tests {
         for threads in [1usize, 2, 8] {
             let client = Client::new(threads);
             let decoded = client.fetch_and_decode(&server, "video").unwrap();
+            assert_eq!(decoded, data, "threads={threads}");
+        }
+
+        // What a client asks for is what its backend keeps in flight, and
+        // the tier it receives has that many segments — or all the item has.
+        let depth = preferred_segments(&AutoBackend::new());
+        for (threads, max_segments) in [(1usize, 256u64), (2, 256), (3, 256), (64, 256), (2, 3)] {
+            let name = format!("video-{max_segments}");
+            if server.get(&name).is_none() {
+                let config = EncoderConfig {
+                    max_segments,
+                    ..EncoderConfig::default()
+                };
+                server.publish(&name, &data, &config).unwrap();
+            }
+            let client = Client::new(threads);
+            assert_eq!(client.parallel_segments, threads as u64 * depth);
+            let (transmission, item) = server.fetch(&name, client.parallel_segments).unwrap();
+            assert_eq!(
+                transmission.metadata().num_segments(),
+                client.parallel_segments.min(item.max_segments()),
+                "threads={threads}, max_segments={max_segments}"
+            );
+            let decoded = client
+                .decode(&item.stream, &transmission, &item.model)
+                .unwrap();
             assert_eq!(decoded, data, "threads={threads}");
         }
 

@@ -56,6 +56,14 @@ impl Select {
         }
     }
 
+    /// Interleave depth of the kernel a 32-way stream decodes with here.
+    fn depth(self) -> usize {
+        match self {
+            Select::Fixed(kernel) => kernel.interleave_depth(),
+            Select::Auto => Kernel::best().interleave_depth(),
+        }
+    }
+
     /// The kernel a `ways`-way stream decodes with.
     fn kernel(self, name: &'static str, ways: u32) -> Result<Kernel, RecoilError> {
         match self {
@@ -151,6 +159,10 @@ macro_rules! simd_backend {
 
             fn is_available(&self) -> bool {
                 $select.is_available()
+            }
+
+            fn parallel_spans(&self) -> usize {
+                self.pool.as_ref().map_or(1, ThreadPool::threads) * $select.depth()
             }
 
             fn decode_u8(

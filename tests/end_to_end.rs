@@ -119,8 +119,10 @@ fn server_scales_per_client_and_all_clients_agree() {
     server.publish("item", &data, &config).unwrap();
 
     let mut sizes = Vec::new();
+    let mut capacities = Vec::new();
     for threads in [1usize, 2, 8, 24] {
         let client = Client::new(threads);
+        capacities.push(client.parallel_segments);
         // One atomic lookup: the transmission and the content it decodes
         // against come from the same store resolution.
         let (t, item) = server.fetch("item", client.parallel_segments).unwrap();
@@ -133,7 +135,7 @@ fn server_scales_per_client_and_all_clients_agree() {
 
     // The same capacities again: every tier is now cached and serves the
     // same bytes.
-    for (capacity, expect) in [1u64, 2, 8, 24].into_iter().zip(&sizes) {
+    for (capacity, expect) in capacities.into_iter().zip(&sizes) {
         let t = server.request("item", capacity).unwrap();
         assert!(t.cache_hit);
         assert_eq!(t.total_bytes(), *expect);
