@@ -5,6 +5,15 @@
 //! recorded renormalization events — each at 16, 64 and 256 segments. The
 //! two `encode` rows are the facade with and without that planning.
 //!
+//! `plan/{event-scan,record-scan}/{256KiB@256,8MiB@64}` replays an encode's
+//! recorded renorm groups into a fresh planner — the ring pushes plus the
+//! planning, nothing of the encode — scoring candidates from a backward
+//! scan event by event (what the planner did before, and still does for
+//! lane counts other than 32) or a record at a time.
+//! `publish/{256KiB@256,4MiB@256,8MiB@64}` is `ContentServer::publish` whole
+//! (model, encode, plan, store), and `histogram/{1-table,8-table}/8MiB` the
+//! model's counting pass by `Histogram::add` and by `Histogram::of_bytes`.
+//!
 //! `crc32/{table,clmul}/{64B,4KiB,64KiB,4MiB}` puts the checksum's two
 //! paths side by side — metadata footers live at the small sizes, chunk
 //! bodies at 64 KiB, a whole payload at 4 MiB. `clmul` is the dispatching
@@ -13,7 +22,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use recoil::core::{update_crc32, update_crc32_table};
+use recoil::models::Histogram;
 use recoil::prelude::*;
+use recoil::rans::{RenormGroup, RenormSink};
+use recoil::server::ContentServer;
 
 const SEGMENTS: [u64; 3] = [16, 64, 256];
 
@@ -64,6 +76,105 @@ fn bench_metadata_plane(c: &mut Criterion) {
     group.finish();
 }
 
+/// An encode's renorm groups, kept to be replayed.
+#[derive(Default)]
+struct Recorded {
+    /// `(first_pos, mask, offset, renormed)` per group.
+    groups: Vec<(u64, u32, u64, [u32; 32])>,
+}
+
+impl RenormSink for Recorded {
+    fn on_group(&mut self, g: RenormGroup<'_>) {
+        self.groups
+            .push((g.first_pos, g.mask, g.offset, *g.renormed));
+    }
+}
+
+impl Recorded {
+    fn replay(&self, sink: &mut impl RenormSink) {
+        for (first_pos, mask, offset, renormed) in &self.groups {
+            sink.on_group(RenormGroup {
+                first_pos: *first_pos,
+                ways: 32,
+                mask: *mask,
+                offset: *offset,
+                renormed,
+            });
+        }
+    }
+}
+
+fn bench_publish(c: &mut Criterion) {
+    let data = recoil::data::text_like_bytes(8 << 20, 5.1, 5);
+
+    let mut group = c.benchmark_group("plan");
+    for (label, len, segments) in [("256KiB@256", 256 << 10, 256), ("8MiB@64", 8 << 20, 64)] {
+        let data = &data[..len];
+        let model = StaticModelProvider::new(CdfTable::of_bytes(data, 11));
+        let mut enc = InterleavedEncoder::new(&model, 32);
+        let mut recorded = Recorded::default();
+        enc.encode_all_fast(data, &mut recorded).unwrap();
+        let words = enc.finish().words.len() as u64;
+        let plan = |by_records: bool| {
+            let config = PlannerConfig::with_segments(segments);
+            let mut planner = SplitPlanner::new(32, len as u64, config);
+            if !by_records {
+                planner = planner.scanning_event_by_event();
+            }
+            recorded.replay(&mut planner);
+            planner.finish(words, 11)
+        };
+        assert_eq!(plan(true), plan(false), "same splits either way");
+        group.sample_size(if len > 1 << 20 { 20 } else { 300 });
+        for (name, by_records) in [("event-scan", false), ("record-scan", true)] {
+            group.bench_function(BenchmarkId::new(name, label), |b| {
+                b.iter(|| plan(by_records))
+            });
+        }
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("publish");
+    for (label, len, segments) in [
+        ("256KiB@256", 256 << 10, 256),
+        ("4MiB@256", 4 << 20, 256),
+        ("8MiB@64", 8 << 20, 64),
+    ] {
+        let server = ContentServer::new();
+        let config = EncoderConfig {
+            max_segments: segments,
+            ..EncoderConfig::default()
+        };
+        group.throughput(Throughput::Bytes(len as u64));
+        group.sample_size(if len > 1 << 20 { 15 } else { 200 });
+        let data = &data[..len];
+        group.bench_function(BenchmarkId::from_parameter(label), |b| {
+            b.iter(|| {
+                server.unpublish("item");
+                server.publish("item", data, &config).unwrap()
+            });
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("histogram");
+    group.throughput(Throughput::Bytes(data.len() as u64));
+    group.sample_size(20);
+    group.bench_with_input(BenchmarkId::new("1-table", "8MiB"), &data, |b, data| {
+        b.iter(|| {
+            let mut hist = Histogram::new(256);
+            for &s in data.iter() {
+                hist.add(usize::from(s));
+            }
+            hist
+        });
+    });
+    group.bench_with_input(BenchmarkId::new("8-table", "8MiB"), &data, |b, data| {
+        b.iter(|| Histogram::of_bytes(data));
+    });
+    group.finish();
+}
+
 fn bench_crc32(c: &mut Criterion) {
     let data = recoil::data::text_like_bytes(4 << 20, 5.1, 5);
     let mut group = c.benchmark_group("crc32");
@@ -86,5 +197,5 @@ fn bench_crc32(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_metadata_plane, bench_crc32);
+criterion_group!(benches, bench_metadata_plane, bench_publish, bench_crc32);
 criterion_main!(benches);

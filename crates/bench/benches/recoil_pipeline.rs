@@ -1,11 +1,20 @@
 //! Criterion microbenchmarks of the Recoil pipeline pieces: encode+plan
 //! and parallel decode vs the conventional baseline. (The metadata wire
 //! codec and split combining have their own bench, `metadata_plane`.)
+//!
+//! `encode/{scalar,avx512}[+planner]/{256KiB,8MiB}` is the span engine's two
+//! group loops side by side on text-like bytes, 32 lanes, `n = 11`: alone
+//! (`NullSink`) and with the split planner listening (256 segments at
+//! 256 KiB, 64 at 8 MiB — the ladder's `serve_churn` and `codec_bulk`
+//! shapes). `avx512` is the dispatching `encode_span`, so on a host without
+//! AVX-512F both rows read the scalar rate.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use recoil::conventional::encode_conventional;
 use recoil::core::codec::decode_pooled;
 use recoil::prelude::*;
+use recoil::rans::fast_encode::{encode_span, encode_span_scalar, takes_vector_path};
+use recoil::rans::RenormSink;
 
 fn bench_pipeline(c: &mut Criterion) {
     let data = recoil::data::exponential_bytes(2_000_000, 100.0, 42);
@@ -54,5 +63,57 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pipeline);
+/// One span over all of `data` from fresh lane states, on the group loop
+/// asked for.
+fn encode_once(
+    vector: bool,
+    model: &StaticModelProvider,
+    data: &[u8],
+    sink: &mut impl RenormSink,
+) -> Vec<u16> {
+    let mut states = [recoil::rans::params::INITIAL_STATE; 32];
+    let mut words = Vec::new();
+    let encode = if vector {
+        encode_span(model, data, 0, &mut states, &mut words, 0, sink)
+    } else {
+        encode_span_scalar(model, data, 0, &mut states, &mut words, 0, sink)
+    };
+    encode.unwrap();
+    words
+}
+
+fn bench_encode_loops(c: &mut Criterion) {
+    let mut group = c.benchmark_group("encode");
+    for (label, len, segments) in [("256KiB", 256 << 10, 256), ("8MiB", 8 << 20, 64)] {
+        let data = recoil::data::text_like_bytes(len, 5.1, 5);
+        let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
+        println!(
+            "encode/{label}: encode_span takes the {} loop here",
+            if takes_vector_path(&model, &data[..], 32) {
+                "avx512"
+            } else {
+                "scalar"
+            }
+        );
+        group.throughput(Throughput::Bytes(len as u64));
+        group.sample_size(if len > 1 << 20 { 15 } else { 300 });
+        for (path, vector) in [("scalar", false), ("avx512", true)] {
+            group.bench_with_input(BenchmarkId::new(path, label), &data, |b, data| {
+                b.iter(|| encode_once(vector, &model, data, &mut NullSink));
+            });
+            let id = BenchmarkId::new(format!("{path}+planner"), label);
+            group.bench_with_input(id, &data, |b, data| {
+                b.iter(|| {
+                    let config = PlannerConfig::with_segments(segments);
+                    let mut planner = SplitPlanner::new(32, data.len() as u64, config);
+                    let words = encode_once(vector, &model, data, &mut planner);
+                    planner.finish(words.len() as u64, 11)
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_pipeline, bench_encode_loops);
 criterion_main!(benches);

@@ -32,6 +32,10 @@ impl<P: ModelProvider> ModelProvider for OffsetProvider<'_, P> {
     fn lookup(&self, pos: u64, slot: u32) -> (u16, u32, u32) {
         self.inner.lookup(self.base + pos, slot)
     }
+    #[inline]
+    fn static_alphabet(&self) -> Option<usize> {
+        self.inner.static_alphabet()
+    }
 }
 
 /// Splits `data` into `partitions` near-equal contiguous sub-sequences and

@@ -575,10 +575,16 @@ impl Codec {
             // invariant at any level n >= 1.
             vec![1 << (n - 1); 2]
         } else {
-            let mut hist = Histogram::new(alphabet);
-            for &s in data {
-                hist.add(usize::from(s.to_u16()));
-            }
+            let hist = match S::as_bytes(data) {
+                Some(bytes) if alphabet == 256 => Histogram::of_bytes(bytes),
+                _ => {
+                    let mut hist = Histogram::new(alphabet);
+                    for &s in data {
+                        hist.add(usize::from(s.to_u16()));
+                    }
+                    hist
+                }
+            };
             let support = hist.counts().iter().filter(|&&c| c > 0).count();
             if support as u64 > 1u64 << n {
                 return Err(RecoilError::config(

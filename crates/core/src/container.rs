@@ -39,9 +39,10 @@ impl RecoilContainer {
 }
 
 /// The one encode path behind every `Codec::encode*`: one pass of the
-/// branchless span engine (`recoil_rans::encode_span`) over the whole input
-/// with the split planner listening to its renorm events. Byte-identical to
-/// the retained per-symbol reference encoder.
+/// span engine (`recoil_rans::encode_span`, on its vector loop where the
+/// host, the model and the symbols allow) over the whole input with the
+/// split planner listening to its renorm groups. Byte-identical to the
+/// retained per-symbol reference encoder.
 pub(crate) fn encode_container<S: Symbol, P: ModelProvider>(
     data: &[S],
     provider: &P,
@@ -52,6 +53,9 @@ pub(crate) fn encode_container<S: Symbol, P: ModelProvider>(
     let mut states = vec![INITIAL_STATE; ways as usize];
     let mut words = Vec::new();
     encode_span(provider, data, 0, &mut states, &mut words, 0, &mut planner)?;
+    // The engine grows `words` by doubling; a stored item keeps this vector
+    // for as long as it is published.
+    words.shrink_to_fit();
     let metadata = planner.finish(words.len() as u64, provider.quant_bits());
     let stream = EncodedStream {
         words,

@@ -16,6 +16,14 @@ pub trait Symbol: Copy + Eq + std::fmt::Debug + Send + Sync + 'static {
     fn from_u16(v: u16) -> Self;
     /// Bits per symbol (for byte accounting).
     const BITS: u32;
+    /// `symbols` as bytes when `Self` is `u8`: the byte-specialised paths
+    /// (the vector encode kernel, the word-at-a-time histogram) take this in
+    /// place of a cast.
+    #[inline]
+    fn as_bytes(symbols: &[Self]) -> Option<&[u8]> {
+        let _ = symbols;
+        None
+    }
 }
 
 impl Symbol for u8 {
@@ -29,6 +37,10 @@ impl Symbol for u8 {
         v as u8
     }
     const BITS: u32 = 8;
+    #[inline]
+    fn as_bytes(symbols: &[Self]) -> Option<&[u8]> {
+        Some(symbols)
+    }
 }
 
 impl Symbol for u16 {
@@ -57,6 +69,14 @@ pub trait ModelProvider: Sync {
     /// Decode-side lookup: the `(symbol, freq, cdf)` whose CDF interval
     /// contains `slot` at position `pos` (Eq. 2).
     fn lookup(&self, pos: u64, slot: u32) -> (u16, u32, u32);
+
+    /// `Some(a)` when [`ModelProvider::stats`] ignores `pos` and accepts
+    /// every `sym < a`: an encoder may then tabulate the model once per call
+    /// instead of asking per symbol. Adaptive models keep the default.
+    #[inline]
+    fn static_alphabet(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// Position-independent model backed by a [`CdfTable`] plus decode LUTs.
@@ -99,6 +119,11 @@ impl ModelProvider for StaticModelProvider {
     #[inline]
     fn lookup(&self, _pos: u64, slot: u32) -> (u16, u32, u32) {
         self.decode.lookup(slot)
+    }
+
+    #[inline]
+    fn static_alphabet(&self) -> Option<usize> {
+        Some(self.table.alphabet_size())
     }
 }
 

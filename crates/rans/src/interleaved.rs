@@ -79,10 +79,13 @@ impl<'p, P: ModelProvider> InterleavedEncoder<'p, P> {
         Ok(())
     }
 
-    /// Finishes, returning the stream container.
+    /// Finishes, returning the stream container (its words shrunk to fit:
+    /// the engine grows them by doubling).
     pub fn finish(self) -> EncodedStream {
+        let mut words = self.stream.into_words();
+        words.shrink_to_fit();
         EncodedStream {
-            words: self.stream.into_words(),
+            words,
             final_states: self.states,
             num_symbols: self.next_pos,
             ways: self.ways as u32,

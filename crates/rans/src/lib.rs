@@ -12,8 +12,9 @@
 //! round-trips are identity. Because `b >= n`, **every renormalization moves
 //! exactly one u16 word** — Lemma 3.1's precondition — and every renorm
 //! event leaves the encoder state below `L`, representable in 16 bits.
-//! Encoders report these events through [`RenormSink`]; Recoil's split
-//! planner listens to them to place split points.
+//! Encoders report these events through [`RenormSink`], a group of up to
+//! 32 symbols at a time ([`RenormGroup`]); Recoil's split planner listens to
+//! them to place split points.
 //!
 //! Decode discipline (load-bearing for Recoil): per symbol slot, descending
 //! position, the owning lane *renormalizes first (if its state is below `L`)
@@ -26,8 +27,9 @@
 //! Both directions have a branchless fast-loop engine over whole 32-symbol
 //! groups with a retained careful reference: [`fast`] for decode (fast loop
 //! while both the symbol and word budgets allow it), [`fast_encode`] for
-//! encode (no underflow hazard, so the fast loop covers every whole group,
-//! with zero-frequency symbols detected branchlessly and reported as
+//! encode (no underflow hazard, so the group loop — AVX-512 where the host
+//! and the input allow, scalar otherwise — covers every whole group, with
+//! zero-frequency symbols detected branchlessly and reported as
 //! [`RansError::ZeroFrequency`] at the first offending position).
 
 // Audited unsafe crate: every unsafe operation sits in an explicit block.
@@ -51,7 +53,7 @@ pub use fast::{
 pub use fast_encode::{encode_span, encode_span_careful};
 pub use interleaved::{decode_interleaved, decode_interleaved_into, InterleavedEncoder};
 pub use single::{decode_single, SingleEncoder};
-pub use sink::{NullSink, RenormEvent, RenormSink, VecSink, NO_SYMBOL};
+pub use sink::{NullSink, RenormEvent, RenormGroup, RenormSink, VecSink, NO_SYMBOL};
 pub use span::{LaneStates, Span};
 pub use step::{decode_transform, renorm_read, LaneDecoder};
 pub use stream::{append_words_le, extend_words_from_le, EncodedStream};

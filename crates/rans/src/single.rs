@@ -4,7 +4,7 @@
 //! (`W = 1` interleaved must match it word-for-word).
 
 use crate::params::{self, INITIAL_STATE};
-use crate::sink::{RenormEvent, RenormSink, NO_SYMBOL};
+use crate::sink::{RenormGroup, RenormSink};
 use crate::step::{decode_transform, renorm_read};
 use crate::{EncodedStream, RansError};
 use recoil_bitio::{BackwardWordReader, WordStream};
@@ -41,15 +41,17 @@ impl<'p, P: ModelProvider> SingleEncoder<'p, P> {
         debug_assert!(f > 0, "encoding a zero-frequency symbol at position {pos}");
         let mut x = self.state;
         if (x as u64) >= params::renorm_threshold(f, self.n) {
+            let mut renormed = [0; crate::fast::GROUP];
+            renormed[0] = x;
             let offset = self.stream.push((x & 0xFFFF) as u16);
             x >>= params::RENORM_BITS;
             debug_assert!(x < params::LOWER_BOUND, "one-step renorm violated");
-            let last = pos.checked_sub(1).unwrap_or(NO_SYMBOL);
-            sink.on_renorm(RenormEvent {
-                lane: 0,
-                pos: last,
-                state: x as u16,
+            sink.on_group(RenormGroup {
+                first_pos: pos,
+                ways: 1,
+                mask: 1,
                 offset,
+                renormed: &renormed,
             });
         }
         self.state = ((x / f) << self.n) + c + (x % f);
@@ -104,7 +106,7 @@ pub fn decode_single<S: Symbol, P: ModelProvider>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{NullSink, VecSink};
+    use crate::sink::{NullSink, VecSink, NO_SYMBOL};
     use recoil_models::{CdfTable, StaticModelProvider};
 
     fn provider(data: &[u8], n: u32) -> StaticModelProvider {

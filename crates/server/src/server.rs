@@ -612,6 +612,24 @@ mod tests {
     }
 
     #[test]
+    fn a_stored_stream_pins_no_more_than_its_words() {
+        // The encoder reserves output a block of groups at a time and the
+        // vector grows by doubling; what a publish stores for the item's
+        // lifetime must not keep that slack.
+        let data = sample(300_000);
+        let server = small_server();
+        let stored = server.publish("x", &data, &config(16)).unwrap();
+        let words = &stored.stream.words;
+        let block = recoil_rans::fast_encode::BLOCK_GROUPS * recoil_rans::FAST_GROUP;
+        assert!(
+            words.capacity() <= words.len() + block,
+            "{} words stored in a capacity of {}",
+            words.len(),
+            words.capacity()
+        );
+    }
+
+    #[test]
     fn bytes_served_is_tracked() {
         let data = sample(90_000);
         let server = small_server();

@@ -13,6 +13,7 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/parallel/src/pool.rs",
     "crates/rans/src/fast.rs",
     "crates/rans/src/fast_encode.rs",
+    "crates/rans/src/fast_encode_avx512.rs",
     "crates/reactor/src/poller.rs",
     "crates/reactor/src/sys.rs",
     "crates/reactor/src/wake.rs",
