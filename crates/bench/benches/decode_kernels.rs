@@ -6,14 +6,13 @@
 use criterion::{
     criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
 };
-use recoil::core::{decode_segments, SpanKernel};
+use recoil::core::decode_segments;
 use recoil::prelude::*;
-use recoil::rans::fast::{decode_span, decode_span_careful};
-use recoil::rans::{Span, SpanStats};
+use recoil::rans::fast::decode_span_careful;
 use recoil::simd::decode_spans_at_depth;
 
-/// The scalar fast loop vs the careful `LaneDecoder::step` reference on
-/// the same whole stream.
+/// The scalar fast loop (`Span::advance_scalar`) vs the careful reference
+/// on the same whole stream.
 fn bench_fast_vs_reference(c: &mut Criterion) {
     let data = recoil::data::text_like_bytes(2_000_000, 5.1, 99);
     let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
@@ -28,8 +27,11 @@ fn bench_fast_vs_reference(c: &mut Criterion) {
     group.bench_function("fast", |b| {
         let mut out = vec![0u8; data.len()];
         b.iter(|| {
-            let mut states = stream.final_states.clone();
-            decode_span(&model, &stream.words, next, &mut states, 0, &mut out).unwrap();
+            let len = out.len();
+            stream
+                .tail_span(0, &mut out)
+                .advance_scalar(&model, len)
+                .unwrap();
             std::hint::black_box(&out);
         });
     });
@@ -74,38 +76,22 @@ fn bench_kernels(c: &mut Criterion) {
 
 /// The vector span kernel at interleave depth `K` as the segment engine's
 /// kernel: what a backend would run if its kernel's depth were `K`.
-struct AtDepth<'a, const K: usize> {
-    kernel: Kernel,
-    model: &'a StaticModelProvider,
-}
-
-impl<const K: usize> SpanKernel<u8> for AtDepth<'_, K> {
-    fn depth(&self) -> usize {
-        K
-    }
-
-    fn decode_batch(&self, spans: &mut [Span<'_, u8>]) -> Result<SpanStats, RansError> {
-        decode_spans_at_depth::<K, u8>(self.kernel, self.model, spans)
-    }
-}
-
 fn bench_depth<const K: usize>(
     group: &mut BenchmarkGroup<'_>,
     kernel: Kernel,
     enc: &Encoded,
     out: &mut [u8],
 ) {
-    let (stream, meta) = (&enc.container.stream, &enc.container.metadata);
-    let at_depth = AtDepth::<K> {
-        kernel,
-        model: &enc.model,
-    };
+    let (stream, meta, model) = (&enc.container.stream, &enc.container.metadata, &enc.model);
     group.bench_function(
         BenchmarkId::new(format!("{kernel:?}"), format!("K{K}")),
         |b| {
             b.iter(|| {
                 let all = 0..meta.num_segments();
-                decode_segments(stream, meta, &enc.model, None, all, out, &at_depth).unwrap();
+                decode_segments(stream, meta, model, None, all, out, K, |spans| {
+                    decode_spans_at_depth::<K, u8>(kernel, model, spans)
+                })
+                .unwrap();
                 std::hint::black_box(&out);
             });
         },

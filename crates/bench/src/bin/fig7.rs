@@ -12,23 +12,13 @@
 //! cargo run -p recoil-bench --release --bin fig7 -- --full --runs 10
 //! ```
 
-use recoil::core::codec::{decode_pooled, DecodeRequest};
+use recoil::core::codec::decode_pooled;
 use recoil::data::ALL_DATASETS;
 use recoil::prelude::*;
 use recoil_bench::report::print_table;
 use recoil_bench::variations::{ByteVariations, LARGE};
 use recoil_bench::{measure_gbps, BenchConfig};
 use std::sync::Arc;
-
-/// The decode backend matching one of the paper's kernel configurations,
-/// sized to `threads` total decode threads.
-fn backend_for(kernel: Kernel, threads: usize) -> Box<dyn DecodeBackend> {
-    match kernel {
-        Kernel::Scalar => Box::new(PooledBackend::new(threads)),
-        Kernel::Avx2 => Box::new(Avx2Backend::with_threads(threads)),
-        Kernel::Avx512 => Box::new(Avx512Backend::with_threads(threads)),
-    }
-}
 
 /// Paper Figure 7 values in GB/s: (dataset, n) → per-configuration numbers.
 /// Order: [multians, ConvCUDA, RecoilCUDA, ST-512, Conv-512, Recoil-512,
@@ -72,14 +62,14 @@ fn fmt(v: f64, paper: f64) -> String {
 
 fn byte_dataset_fig7(cfg: &BenchConfig, cpu_pool: &ThreadPool, gpu_pool: &ThreadPool) {
     let gpu_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let gpu_backend = backend_for(Kernel::best(), gpu_threads);
+    let gpu_backend = AutoBackend::fixed(Kernel::best(), gpu_threads);
     let kernels: Vec<Kernel> = [Kernel::Avx512, Kernel::Avx2]
         .into_iter()
         .filter(|k| k.is_available())
         .collect();
-    let cpu_backends: Vec<(Kernel, Box<dyn DecodeBackend>)> = kernels
+    let cpu_backends: Vec<(Kernel, AutoBackend)> = kernels
         .iter()
-        .map(|&k| (k, backend_for(k, cfg.threads)))
+        .map(|&k| (k, AutoBackend::fixed(k, cfg.threads)))
         .collect();
 
     for &n in &[11u32, 16] {
@@ -105,12 +95,10 @@ fn byte_dataset_fig7(cfg: &BenchConfig, cpu_pool: &ThreadPool, gpu_pool: &Thread
                     .unwrap();
             });
             let g_rec = measure_gbps(cfg.runs, bytes, || {
-                let req = DecodeRequest {
-                    stream: &v.recoil_large.stream,
-                    metadata: &v.recoil_large.metadata,
-                    model: &v.model,
-                };
-                req.decode_into(gpu_backend.as_ref(), &mut out).unwrap();
+                let large = &v.recoil_large;
+                let model = DecodeModel::Static(&v.model);
+                let req = DecodeRequest::whole(&large.stream, &large.metadata, model, &mut out);
+                gpu_backend.decode(req.unwrap()).unwrap();
             });
             gpu_rows.push(vec![
                 d.name.into(),
@@ -139,12 +127,10 @@ fn byte_dataset_fig7(cfg: &BenchConfig, cpu_pool: &ThreadPool, gpu_pool: &Thread
                     .unwrap();
                 });
                 let c_rec = measure_gbps(cfg.runs, bytes, || {
-                    let req = DecodeRequest {
-                        stream: &v.recoil_large.stream,
-                        metadata: &v.recoil_small,
-                        model: &v.model,
-                    };
-                    req.decode_into(cpu_backend.as_ref(), &mut out).unwrap();
+                    let stream = &v.recoil_large.stream;
+                    let model = DecodeModel::Static(&v.model);
+                    let req = DecodeRequest::whole(stream, &v.recoil_small, model, &mut out);
+                    cpu_backend.decode(req.unwrap()).unwrap();
                 });
                 row.push(fmt(c_single, paper[pbase]));
                 row.push(fmt(c_conv, paper[pbase + 1]));

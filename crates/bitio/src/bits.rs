@@ -63,12 +63,6 @@ impl BitWriter {
         self.used = total - 64;
     }
 
-    /// Writes a single bit.
-    #[inline]
-    pub fn write_bit(&mut self, bit: bool) {
-        self.write(bit as u64, 1);
-    }
-
     /// Total bits written so far.
     pub fn bit_len(&self) -> u64 {
         self.bytes.len() as u64 * 8 + u64::from(self.used)
@@ -160,25 +154,9 @@ impl<'a> BitReader<'a> {
         Some(out)
     }
 
-    /// Reads one bit.
-    #[inline]
-    pub fn read_bit(&mut self) -> Option<bool> {
-        self.read(1).map(|b| b != 0)
-    }
-
     /// Current bit position.
     pub fn bit_pos(&self) -> u64 {
         self.pos
-    }
-
-    /// Bits remaining.
-    pub fn remaining_bits(&self) -> u64 {
-        self.bytes.len() as u64 * 8 - self.pos
-    }
-
-    /// Skips to the next byte boundary (no-op if already aligned).
-    pub fn align_byte(&mut self) {
-        self.pos = self.pos.div_ceil(8) * 8;
     }
 
     /// Jumps to an absolute bit position (multians decoder threads start at
@@ -325,7 +303,7 @@ mod tests {
     fn bit_len_counts_partial_bytes() {
         let mut w = BitWriter::new();
         assert_eq!(w.bit_len(), 0);
-        w.write_bit(true);
+        w.write(1, 1);
         assert_eq!(w.bit_len(), 1);
         w.write(0, 7);
         assert_eq!(w.bit_len(), 8);
@@ -359,28 +337,16 @@ mod tests {
     }
 
     #[test]
-    fn align_byte_skips_padding() {
-        let mut w = BitWriter::new();
-        w.write(0b1, 1);
-        // Writer pads the remainder of the byte with zeros on flush.
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read(1), Some(1));
-        r.align_byte();
-        assert_eq!(r.bit_pos(), 8);
-    }
-
-    #[test]
     fn many_single_bits_round_trip() {
         let pattern: Vec<bool> = (0..1000).map(|i| (i * 7) % 3 == 0).collect();
         let mut w = BitWriter::new();
         for &b in &pattern {
-            w.write_bit(b);
+            w.write(b as u64, 1);
         }
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         for &b in &pattern {
-            assert_eq!(r.read_bit(), Some(b));
+            assert_eq!(r.read(1), Some(b as u64));
         }
     }
 }

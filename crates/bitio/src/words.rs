@@ -66,11 +66,6 @@ impl WordStream {
     pub fn into_words(self) -> Vec<u16> {
         self.words
     }
-
-    /// Total size in bytes (2 bytes per word), as reported in the tables.
-    pub fn byte_len(&self) -> u64 {
-        self.words.len() as u64 * 2
-    }
 }
 
 impl From<Vec<u16>> for WordStream {
@@ -172,7 +167,6 @@ mod tests {
         assert_eq!(s.push(0xBBBB), 1);
         assert_eq!(s.push(0xCCCC), 2);
         assert_eq!(s.len(), 3);
-        assert_eq!(s.byte_len(), 6);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 
 use crate::container::ConventionalContainer;
 use crate::encode::OffsetProvider;
-use recoil_models::{ModelProvider, Symbol};
+use recoil_models::{ModelProvider, StaticModelProvider, Symbol};
 use recoil_parallel::{batch_bounds, for_each_disjoint, ThreadPool};
 use recoil_rans::{RansError, Span};
+use recoil_simd::{decode_spans, require_32_ways, Kernel};
 
 /// Decodes all partitions, optionally on a pool, into a fresh buffer.
 pub fn decode_conventional<S: Symbol, P: ModelProvider>(
@@ -33,6 +34,27 @@ pub fn decode_conventional_into<S: Symbol, P: ModelProvider>(
             base += len as u64;
         }
         Ok(())
+    })
+}
+
+/// Baseline (B) with SIMD: per-partition vector decode, in the same
+/// batches the Recoil segment engine gets (static models only — a chunk's
+/// positions restart at zero, which only a position-independent model
+/// tolerates).
+pub fn decode_conventional_simd<S: Symbol>(
+    kernel: Kernel,
+    container: &ConventionalContainer,
+    provider: &StaticModelProvider,
+    pool: Option<&ThreadPool>,
+    out: &mut [S],
+) -> Result<(), RansError> {
+    require_32_ways(container.ways)?;
+    for chunk in &container.chunks {
+        require_32_ways(chunk.ways)?;
+    }
+    let depth = kernel.interleave_depth();
+    decode_partitions(container, pool, out, depth, |_base, spans| {
+        decode_spans(kernel, provider, spans).map(drop)
     })
 }
 
@@ -76,7 +98,7 @@ pub fn decode_partitions<S: Symbol>(
 mod tests {
     use super::*;
     use crate::encode::encode_conventional;
-    use recoil_models::{CdfTable, StaticModelProvider};
+    use recoil_models::CdfTable;
 
     fn sample(len: usize, seed: u32) -> Vec<u8> {
         (0..len as u32)
@@ -94,6 +116,18 @@ mod tests {
         let pool = ThreadPool::new(7);
         let parallel: Vec<u8> = decode_conventional(&c, &p, Some(&pool)).unwrap();
         assert_eq!(parallel, data);
+    }
+
+    #[test]
+    fn conventional_simd_matches() {
+        let data = sample(200_000, 4);
+        let p = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
+        let c = encode_conventional(&data, &p, 32, 16);
+        for kernel in Kernel::all_available() {
+            let mut out = vec![0u8; data.len()];
+            decode_conventional_simd(kernel, &c, &p, None, &mut out).unwrap();
+            assert_eq!(out, data, "kernel {kernel:?}");
+        }
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! with less parallelism still downloads every chunk's fixed overhead
 //! (final states + table entry), which is exactly the inflexibility Recoil
 //! removes.
+//!
+//! A baseline may build on the product, never the reverse: this crate uses
+//! `recoil-simd`'s span kernels ([`decode_conventional_simd`] hands
+//! [`decode_partitions`] the same batches the Recoil segment engine gives
+//! them, so the two layouts are compared like for like) and nothing the
+//! delivery stack ships depends on it.
 
 // Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
 #![forbid(unsafe_code)]
@@ -18,5 +24,7 @@ mod decode;
 mod encode;
 
 pub use container::ConventionalContainer;
-pub use decode::{decode_conventional, decode_conventional_into, decode_partitions};
+pub use decode::{
+    decode_conventional, decode_conventional_into, decode_conventional_simd, decode_partitions,
+};
 pub use encode::{encode_conventional, OffsetProvider};

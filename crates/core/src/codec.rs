@@ -6,14 +6,15 @@
 //! a reusable [`Codec`] once,
 //!
 //! ```
-//! use recoil_core::codec::{Codec, PooledBackend};
+//! use recoil_core::backend::AutoBackend;
+//! use recoil_core::codec::Codec;
 //!
 //! let data: Vec<u8> = (0..50_000u32).map(|i| (i % 200) as u8).collect();
 //! let codec = Codec::builder()
 //!     .ways(32)
 //!     .max_segments(64)
 //!     .quant_bits(11)
-//!     .backend(PooledBackend::new(4))
+//!     .backend(AutoBackend::with_threads(4))
 //!     .build()
 //!     .unwrap();
 //! let encoded = codec.encode(&data).unwrap();
@@ -21,19 +22,18 @@
 //! assert_eq!(decoded, data);
 //! ```
 //!
-//! Decoding goes through the object-safe [`DecodeBackend`] trait:
-//! [`ScalarBackend`] and [`PooledBackend`] live here; the SIMD crate adds
-//! `Avx2Backend`, `Avx512Backend`, and a runtime-dispatching `AutoBackend`.
-//! All of them are the one segment engine ([`crate::decode_segments`]) with
-//! a different span kernel and thread pool plugged in, and a backend method
-//! always takes a segment range; the whole-stream contract (exact output
-//! length, all segments) is added once, in [`DecodeRequest::decode_into`].
-//! Every error on this surface is a typed [`RecoilError`] — configuration
-//! mistakes are rejected at [`CodecBuilder::build`], not deep inside a
-//! decode loop.
+//! Decoding goes through the object-safe [`DecodeBackend`] trait of
+//! [`crate::backend`] — one decode method over one [`DecodeRequest`] — and
+//! every `decode*` method here is a whole-stream request
+//! ([`DecodeRequest::whole`]) handed to it. Every error on this surface is
+//! a typed [`RecoilError`] — configuration mistakes are rejected at
+//! [`CodecBuilder::build`], not deep inside a decode loop.
 
+use crate::backend::{
+    ensure_available, CodecSymbol, DecodeBackend, DecodeModel, DecodeRequest, ScalarBackend,
+};
 use crate::container::{encode_container, RecoilContainer};
-use crate::decoder::{decode_segments, ScalarKernel};
+use crate::decoder::{decode_segments, decode_spans_scalar};
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
 use crate::planner::{Heuristic, PlannerConfig};
@@ -43,10 +43,9 @@ use recoil_models::{
 };
 use recoil_parallel::ThreadPool;
 use recoil_rans::EncodedStream;
-use std::ops::Range;
 
 /// Validated encoder configuration: everything the encode side of a
-/// [`Codec`] needs, and what [`crate::…`] server publications accept.
+/// [`Codec`] needs, and what the content server's publications accept.
 ///
 /// Lane width, split budget and quantization level are *codec
 /// configuration*, not call-site trivia — construct once, reuse everywhere.
@@ -117,146 +116,14 @@ impl EncoderConfig {
     }
 }
 
-/// Everything a backend needs to decode one static-model stream.
-#[derive(Clone, Copy)]
-pub struct DecodeRequest<'a> {
-    /// The interleaved rANS bitstream.
-    pub stream: &'a EncodedStream,
-    /// Split metadata (possibly combined down from the encoded maximum).
-    pub metadata: &'a RecoilMetadata,
-    /// The static model the stream was encoded with.
-    pub model: &'a StaticModelProvider,
-}
-
-impl DecodeRequest<'_> {
-    /// Decodes the whole stream through `backend` into `out`, which must
-    /// hold exactly `stream.num_symbols` symbols.
-    ///
-    /// This is the one place the whole-stream contract lives: the backend
-    /// must be available, the buffer length exact, and every metadata
-    /// segment is requested. [`Codec`] and the server/net clients all decode
-    /// through it, so every backend reports the same errors.
-    pub fn decode_into<S: CodecSymbol>(
-        &self,
-        backend: &dyn DecodeBackend,
-        out: &mut [S],
-    ) -> Result<(), RecoilError> {
-        ensure_available(backend)?;
-        self.stream.check_output_len(out.len())?;
-        S::run_backend(backend, self, 0..self.metadata.num_segments(), out)
-    }
-}
-
-/// An object-safe decode strategy.
-///
-/// Implementations decide *how* the segment engine runs (serial, thread
-/// pool, AVX2/AVX-512 kernels, runtime dispatch); the bitstream and metadata
-/// are identical across all of them — that is the paper's decoder-adaptive
-/// scalability. Backends must produce bit-exact output; equivalence tests
-/// in `tests/` enforce it.
-///
-/// Every decode method takes a contiguous range of metadata segments and
-/// writes each segment's **absolutely indexed** region of `out`
-/// (`bounds[m]..bounds[m+1]`), leaving the rest untouched. `out` must cover
-/// at least the requested segments' symbols; it may be shorter than the
-/// full stream. The stream's `words` may be an incomplete prefix, as long
-/// as it covers every word the requested segments read (interior segment
-/// `m` needs `splits[m].offset + 1` words; the final segment needs the
-/// complete stream) — see [`crate::validate_segment_decode`] for the exact
-/// contract. Output must be bit-identical to the matching region of a full
-/// decode. For a whole-stream decode use [`DecodeRequest::decode_into`].
-pub trait DecodeBackend: Send + Sync {
-    /// Stable, lowercase backend name (used in errors and logs).
-    fn name(&self) -> &'static str;
-
-    /// True when this backend can run on the current host. Calling a
-    /// `decode_*` method on an unavailable backend returns
-    /// [`RecoilError::BackendUnavailable`] instead of panicking.
-    fn is_available(&self) -> bool {
-        true
-    }
-
-    /// Independent spans one decode call keeps in flight on this host: its
-    /// threads times the interleave depth of its kernel (a thread reaches
-    /// the kernel's full rate only on a batch of that many). Callers read
-    /// it through [`preferred_segments`].
-    fn parallel_spans(&self) -> usize;
-
-    /// Decodes `segments` of a byte stream.
-    fn decode_u8(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u8],
-    ) -> Result<(), RecoilError>;
-
-    /// Decodes `segments` of a 16-bit-symbol stream.
-    fn decode_u16(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError>;
-
-    /// Decodes `segments` of a stream whose model varies per symbol
-    /// position (the hyperprior/latents path). Per-symbol model indirection
-    /// defeats flat gathers, so every backend runs the scalar span kernel
-    /// here — on its own thread pool, if it has one.
-    fn decode_adaptive(
-        &self,
-        stream: &EncodedStream,
-        metadata: &RecoilMetadata,
-        provider: &dyn ModelProvider,
-        segments: Range<u64>,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError>;
-}
-
-/// [`DecodeBackend::is_available`] as a typed result, for call sites that
-/// refuse an unavailable backend up front.
-pub fn ensure_available(backend: &dyn DecodeBackend) -> Result<(), RecoilError> {
-    if backend.is_available() {
-        return Ok(());
-    }
-    Err(RecoilError::BackendUnavailable {
-        backend: backend.name(),
-    })
-}
-
-/// The decoder's capability — the segment count it should ask a server
-/// for, and the batch a streaming receiver should let accumulate before it
-/// dispatches: [`DecodeBackend::parallel_spans`], never below one. Fewer
-/// segments leave threads or kernel lanes idle; more are metadata bytes
-/// that buy nothing (the paper's decoder-adaptive point, with the number
-/// being threads × kernel depth rather than threads).
-pub fn preferred_segments(backend: &dyn DecodeBackend) -> u64 {
-    backend.parallel_spans().max(1) as u64
-}
-
-/// The segment engine with the scalar span kernel ([`ScalarKernel`])
-/// plugged in: what the scalar and
-/// pooled backends run, and what every backend runs for adaptive models.
-///
-/// Generic over the provider on purpose: backends that hold a concrete
-/// [`StaticModelProvider`] get a monomorphized decode loop whose LUT
-/// lookup inlines into the fast loop (`recoil_rans::fast`), while the
-/// adaptive path can still pass `&dyn ModelProvider`.
-pub fn decode_segments_pooled<S: Symbol, P: ModelProvider + ?Sized>(
-    stream: &EncodedStream,
-    metadata: &RecoilMetadata,
-    provider: &P,
-    pool: Option<&ThreadPool>,
-    segments: Range<u64>,
-    out: &mut [S],
-) -> Result<(), RecoilError> {
-    let kernel = ScalarKernel(provider);
-    decode_segments(stream, metadata, provider, pool, segments, out, &kernel)
-        .map_err(RecoilError::from)
-}
-
-/// Whole-stream [`decode_segments_pooled`] for callers that hold a stream,
-/// metadata and an arbitrary model provider rather than an [`Encoded`]:
+/// Whole-stream scalar decode for callers that hold a stream, metadata and
+/// an arbitrary model provider (any symbol type) rather than an
+/// [`Encoded`]: the segment engine with the scalar span kernel on `pool`.
 /// `out` must hold exactly `stream.num_symbols` symbols.
+///
+/// Generic over the provider on purpose: a concrete provider gets a
+/// monomorphized decode loop whose lookup inlines into the fast loop
+/// (`recoil_rans::fast`).
 pub fn decode_pooled<S: Symbol, P: ModelProvider + ?Sized>(
     stream: &EncodedStream,
     metadata: &RecoilMetadata,
@@ -266,166 +133,10 @@ pub fn decode_pooled<S: Symbol, P: ModelProvider + ?Sized>(
 ) -> Result<(), RecoilError> {
     stream.check_output_len(out.len())?;
     let all = 0..metadata.num_segments();
-    decode_segments_pooled(stream, metadata, provider, pool, all, out)
-}
-
-/// Serial reference backend: always available, no threads, no SIMD.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ScalarBackend;
-
-impl DecodeBackend for ScalarBackend {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
-    fn parallel_spans(&self) -> usize {
-        1
-    }
-
-    fn decode_u8(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u8],
-    ) -> Result<(), RecoilError> {
-        decode_segments_pooled(req.stream, req.metadata, req.model, None, segments, out)
-    }
-
-    fn decode_u16(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        decode_segments_pooled(req.stream, req.metadata, req.model, None, segments, out)
-    }
-
-    fn decode_adaptive(
-        &self,
-        stream: &EncodedStream,
-        metadata: &RecoilMetadata,
-        provider: &dyn ModelProvider,
-        segments: Range<u64>,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        decode_segments_pooled(stream, metadata, provider, None, segments, out)
-    }
-}
-
-/// Thread-pool backend: one decode task per metadata segment, dynamically
-/// balanced over a persistent [`ThreadPool`].
-pub struct PooledBackend {
-    pool: ThreadPool,
-}
-
-impl PooledBackend {
-    /// Backend decoding on `threads` threads (`threads - 1` workers plus
-    /// the calling thread).
-    pub fn new(threads: usize) -> Self {
-        Self {
-            pool: ThreadPool::new(threads.saturating_sub(1)),
-        }
-    }
-
-    /// Backend sized to the machine's logical CPU count.
-    pub fn with_default_parallelism() -> Self {
-        Self {
-            pool: ThreadPool::with_default_parallelism(),
-        }
-    }
-
-    /// Wraps an existing pool.
-    pub fn from_pool(pool: ThreadPool) -> Self {
-        Self { pool }
-    }
-
-    /// The underlying pool.
-    pub fn pool(&self) -> &ThreadPool {
-        &self.pool
-    }
-}
-
-impl DecodeBackend for PooledBackend {
-    fn name(&self) -> &'static str {
-        "pooled"
-    }
-
-    fn parallel_spans(&self) -> usize {
-        self.pool.threads()
-    }
-
-    fn decode_u8(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u8],
-    ) -> Result<(), RecoilError> {
-        let pool = Some(&self.pool);
-        decode_segments_pooled(req.stream, req.metadata, req.model, pool, segments, out)
-    }
-
-    fn decode_u16(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        let pool = Some(&self.pool);
-        decode_segments_pooled(req.stream, req.metadata, req.model, pool, segments, out)
-    }
-
-    fn decode_adaptive(
-        &self,
-        stream: &EncodedStream,
-        metadata: &RecoilMetadata,
-        provider: &dyn ModelProvider,
-        segments: Range<u64>,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        decode_segments_pooled(stream, metadata, provider, Some(&self.pool), segments, out)
-    }
-}
-
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for u8 {}
-    impl Sealed for u16 {}
-}
-
-/// Symbol types the [`Codec`] facade can route through a boxed
-/// [`DecodeBackend`] (the backend trait is object-safe, so dispatch by
-/// symbol width happens here instead of via generic trait methods).
-pub trait CodecSymbol: Symbol + sealed::Sealed {
-    /// Routes a segment-range decode to the width-matching backend entry
-    /// point.
-    fn run_backend(
-        backend: &dyn DecodeBackend,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [Self],
-    ) -> Result<(), RecoilError>;
-}
-
-impl CodecSymbol for u8 {
-    fn run_backend(
-        backend: &dyn DecodeBackend,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [Self],
-    ) -> Result<(), RecoilError> {
-        backend.decode_u8(req, segments, out)
-    }
-}
-
-impl CodecSymbol for u16 {
-    fn run_backend(
-        backend: &dyn DecodeBackend,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [Self],
-    ) -> Result<(), RecoilError> {
-        backend.decode_u16(req, segments, out)
-    }
+    decode_segments(stream, metadata, provider, pool, all, out, 1, |spans| {
+        decode_spans_scalar(provider, spans)
+    })
+    .map_err(RecoilError::from)
 }
 
 /// One encoded payload: the container (bitstream + split metadata) bundled
@@ -485,13 +196,6 @@ impl CodecBuilder {
     /// Sets the quantization level `n` (default 11).
     pub fn quant_bits(mut self, quant_bits: u32) -> Self {
         self.config.quant_bits = quant_bits;
-        self
-    }
-
-    /// Sets the split-candidate scoring strategy (default
-    /// [`Heuristic::SyncAware`]).
-    pub fn heuristic(mut self, heuristic: Heuristic) -> Self {
-        self.config.heuristic = heuristic;
         self
     }
 
@@ -706,16 +410,18 @@ impl Codec {
                 ),
             ));
         }
-        let req = DecodeRequest {
-            stream: &encoded.container.stream,
-            metadata: &encoded.container.metadata,
-            model: &encoded.model,
-        };
-        req.decode_into(backend, out)
+        let container = &encoded.container;
+        let model = DecodeModel::Static(&encoded.model);
+        backend.decode(DecodeRequest::whole(
+            &container.stream,
+            &container.metadata,
+            model,
+            out,
+        )?)
     }
 
     /// Decodes an adaptively modelled stream (per-position models) through
-    /// the configured backend's adaptive path.
+    /// the configured backend.
     pub fn decode_adaptive(
         &self,
         stream: &EncodedStream,
@@ -723,9 +429,9 @@ impl Codec {
         provider: &dyn ModelProvider,
     ) -> Result<Vec<u16>, RecoilError> {
         let mut out = vec![0u16; stream.num_symbols as usize];
-        let all = 0..metadata.num_segments();
+        let model = DecodeModel::Adaptive(provider);
         self.backend
-            .decode_adaptive(stream, metadata, provider, all, &mut out)?;
+            .decode(DecodeRequest::whole(stream, metadata, model, &mut out)?)?;
         Ok(out)
     }
 }
@@ -742,6 +448,8 @@ impl std::fmt::Debug for Codec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::AutoBackend;
+    use recoil_simd::Kernel;
 
     fn sample(len: usize, seed: u32) -> Vec<u8> {
         (0..len as u32)
@@ -757,7 +465,9 @@ mod tests {
         assert_eq!(enc.container.metadata.num_segments(), 16);
         let scalar: Vec<u8> = codec.decode(&enc).unwrap();
         assert_eq!(scalar, data);
-        let pooled: Vec<u8> = codec.decode_with(&PooledBackend::new(4), &enc).unwrap();
+        let pooled: Vec<u8> = codec
+            .decode_with(&AutoBackend::fixed(Kernel::Scalar, 4), &enc)
+            .unwrap();
         assert_eq!(pooled, data);
     }
 

@@ -20,17 +20,18 @@
 //! why the output buffer can be handed out as non-overlapping sub-slices.
 //!
 //! [`decode_segments`] is the one driver for all of it. What varies between
-//! decoders is only the [`SpanKernel`] that runs phases 2–3 — the scalar
-//! fast loop ([`ScalarKernel`]) or the SIMD crate's AVX2/AVX-512 span loops
-//! — and whether a thread pool is attached, so "scalar", "pooled", "SIMD"
-//! and "streaming over a word prefix" are arguments to this function, not
-//! separate drivers.
+//! decoders is only the span kernel that runs phases 2–3 — a closure over a
+//! batch of spans: the scalar fast loop (`Span::advance_scalar`) or
+//! `recoil_simd::decode_spans` on an AVX2/AVX-512 loop — and whether a
+//! thread pool is attached, so "scalar", "pooled", "SIMD" and "streaming
+//! over a word prefix" are arguments to this function, not separate
+//! drivers. [`crate::backend`] is where those arguments are chosen.
 //!
 //! Splits are independent entry points into one bitstream, and that is
 //! worth as much *inside* a thread as across threads: a kernel that can
-//! decode `K` spans interleaved (its [`SpanKernel::depth`]) is handed
-//! batches of up to `K` adjacent segments, so a decoder's capability is
-//! `threads × K` splits, not `threads`.
+//! decode `K` spans interleaved (the `depth` argument) is handed batches of
+//! up to `K` adjacent segments, so a decoder's capability is `threads × K`
+//! splits, not `threads`.
 
 use crate::metadata::{RecoilMetadata, SplitPoint};
 use recoil_bitio::BackwardWordReader;
@@ -40,11 +41,6 @@ use recoil_rans::{
     decode_transform, renorm_read, EncodedStream, LaneStates, RansError, Span, SpanStats,
 };
 use std::ops::Range;
-
-/// Number of parallel decode tasks this metadata yields.
-pub fn decode_split_count(meta: &RecoilMetadata) -> usize {
-    meta.splits.len() + 1
-}
 
 /// Checks the invariants of a segment-range decode where `stream.words` may
 /// be an incomplete **prefix** of the stream `meta` describes.
@@ -122,70 +118,58 @@ pub fn validate_segment_decode(
     Ok(())
 }
 
-/// What the segment engine runs over the positions of each segment
-/// (Decoding + Cross-Boundary Phases): the one thing decoders differ in.
-pub trait SpanKernel<S: Symbol>: Sync {
-    /// How many independent spans one [`Self::decode_batch`] call decodes
-    /// interleaved — the engine hands out batches of up to this many
-    /// adjacent segments. 1 for a kernel that decodes spans one by one.
-    fn depth(&self) -> usize;
-
-    /// Decodes every span of the batch to completion (each `out` empty,
-    /// `cursor` and `states` where its decode stopped) and returns how the
-    /// batch decoded, summed. Must be bit-identical, span by span, to
-    /// `recoil_rans::decode_span_careful`, for any batch length.
-    fn decode_batch(&self, spans: &mut [Span<'_, S>]) -> Result<SpanStats, RansError>;
-}
-
-/// The scalar span kernel: `recoil_rans::decode_span_with_stats` over each
-/// span in turn. Its fast loop already carries `ways` independent chains,
-/// so its depth is 1.
-pub struct ScalarKernel<'a, P: ?Sized>(pub &'a P);
-
-impl<S: Symbol, P: ModelProvider + ?Sized> SpanKernel<S> for ScalarKernel<'_, P> {
-    fn depth(&self) -> usize {
-        1
+/// The scalar span kernel: `Span::advance_scalar` over each span in turn
+/// (its fast loop already carries `ways` independent chains, so its depth
+/// is 1) — what every decoder runs for adaptive models, and for static
+/// ones when no vector kernel applies.
+pub(crate) fn decode_spans_scalar<S: Symbol, P: ModelProvider + ?Sized>(
+    provider: &P,
+    spans: &mut [Span<'_, S>],
+) -> Result<SpanStats, RansError> {
+    let mut stats = SpanStats::default();
+    for span in spans {
+        stats.merge(&span.advance_scalar(provider, span.out.len())?);
     }
-
-    fn decode_batch(&self, spans: &mut [Span<'_, S>]) -> Result<SpanStats, RansError> {
-        let mut stats = SpanStats::default();
-        for span in spans {
-            stats.merge(&span.advance_scalar(self.0, span.out.len())?);
-        }
-        Ok(stats)
-    }
+    Ok(stats)
 }
 
 /// The segment decode engine: for every metadata segment in `segments`,
 /// recover the lane states (scalar Synchronization Phase, or the
-/// transmitted final states for the last segment), run `kernel` over the
-/// segment's positions, and write that segment's disjoint region of `out`
+/// transmitted final states for the last segment), run `decode_batch` over
+/// the segment's positions, and write that segment's disjoint region of `out`
 /// (indexed absolutely: segment `m` owns `bounds[m]..bounds[m+1]`).
 /// `stream.words` may be a prefix — see [`validate_segment_decode`], which
 /// runs first, so every backend rejects the same inputs with the same
 /// errors.
 ///
-/// Each task is a batch of `min(kernel.depth(), ceil(segments / threads))`
-/// adjacent segments, handed to the kernel as one `&mut [Span]`. With a
-/// `pool` the batches run concurrently; the first error wins.
-pub fn decode_segments<S, P, K>(
+/// Each task is a batch of `min(depth, ceil(segments / threads))` adjacent
+/// segments — `depth` being how many independent spans the kernel decodes
+/// interleaved, 1 for one that takes them one by one — handed to
+/// `decode_batch` as one `&mut [Span]`. It must decode every span to
+/// completion (each `out` empty, `cursor` and `states` where its decode
+/// stopped), bit-identically, span by span, to
+/// `recoil_rans::decode_span_careful` for any batch length, and return how
+/// the batch decoded, summed. With a `pool` the batches run concurrently;
+/// the first error wins.
+#[allow(clippy::too_many_arguments)]
+pub fn decode_segments<S, P>(
     stream: &EncodedStream,
     meta: &RecoilMetadata,
     provider: &P,
     pool: Option<&ThreadPool>,
     segments: Range<u64>,
     out: &mut [S],
-    kernel: &K,
+    depth: usize,
+    decode_batch: impl Fn(&mut [Span<'_, S>]) -> Result<SpanStats, RansError> + Sync,
 ) -> Result<(), RansError>
 where
     S: Symbol,
     P: ModelProvider + ?Sized,
-    K: SpanKernel<S> + ?Sized,
 {
     validate_segment_decode(stream, meta, &segments, out.len())?;
     let (a, b) = (segments.start as usize, segments.end as usize);
     let bounds = meta.segment_bounds();
-    let (batch, batches) = batch_bounds(pool, &bounds[a..=b], kernel.depth());
+    let (batch, batches) = batch_bounds(pool, &bounds[a..=b], depth);
     for_each_disjoint(pool, out, &batches, |t, mut region| {
         let first = a + t * batch;
         let mut spans = Vec::with_capacity(batch);
@@ -202,7 +186,7 @@ where
         // Decoding Phase + Cross-Boundary Phase: each span's positions
         // bounds[m] .. bounds[m+1], stopping at the previous split's sync
         // completion point.
-        let stats = kernel.decode_batch(&mut spans)?;
+        let stats = decode_batch(&mut spans)?;
 
         // Fold the batch's stats into the process-global decode metrics
         // when some Telemetry handle armed them — one enabled-check per

@@ -12,7 +12,7 @@
 //! full-stream output buffer.
 //!
 //! ```
-//! use recoil_core::codec::{Codec, ScalarBackend};
+//! use recoil_core::{Codec, ScalarBackend};
 //! use recoil_core::IncrementalDecoder;
 //!
 //! let data: Vec<u8> = (0..80_000u32).map(|i| (i % 199) as u8).collect();
@@ -37,8 +37,8 @@
 //! assert_eq!(out, data);
 //! ```
 
+use crate::backend::{CodecSymbol, DecodeBackend, DecodeModel, DecodeRequest};
 use crate::bounds::{symbols_fit, MAX_RESERVED_WORDS};
-use crate::codec::{ensure_available, CodecSymbol, DecodeBackend, DecodeRequest};
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
 use crate::planner::ChunkPlan;
@@ -195,11 +195,6 @@ impl IncrementalDecoder {
         self.metadata.splits.partition_point(|s| s.offset < have) as u64
     }
 
-    /// Output symbol range `bounds[m] .. bounds[m+1]` of segment `m`.
-    pub fn segment_symbols(&self, m: u64) -> Range<usize> {
-        self.bounds[m as usize] as usize..self.bounds[m as usize + 1] as usize
-    }
-
     /// Symbols covered by the currently ready segments — the minimum
     /// output-buffer length the next [`IncrementalDecoder::decode_ready_segments`]
     /// call needs. Receivers size their output from this (which grows only
@@ -231,26 +226,25 @@ impl IncrementalDecoder {
     /// readiness instead. Returns the symbol range newly written — empty
     /// when nothing new is ready.
     ///
-    /// The backend's segment-range entry point receives the current word
-    /// prefix; outputs are bit-identical to a buffered full decode of the
-    /// complete stream.
+    /// The backend receives the current word prefix; outputs are
+    /// bit-identical to a buffered full decode of the complete stream.
     pub fn decode_ready_segments<S: CodecSymbol>(
         &mut self,
         backend: &dyn DecodeBackend,
         out: &mut [S],
     ) -> Result<Range<usize>, RecoilError> {
-        ensure_available(backend)?;
         let ready = self.ready_segments();
         if ready <= self.decoded {
             let at = self.bounds[self.decoded as usize] as usize;
             return Ok(at..at);
         }
-        let req = DecodeRequest {
+        backend.decode(DecodeRequest {
             stream: &self.stream,
             metadata: &self.metadata,
-            model: &self.model,
-        };
-        S::run_backend(backend, &req, self.decoded..ready, out)?;
+            model: DecodeModel::Static(&self.model),
+            segments: self.decoded..ready,
+            out: S::output(out),
+        })?;
         let range =
             self.bounds[self.decoded as usize] as usize..self.bounds[ready as usize] as usize;
         self.decoded = ready;
@@ -261,9 +255,11 @@ impl IncrementalDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{Codec, Encoded, PooledBackend, ScalarBackend};
+    use crate::backend::{AutoBackend, ScalarBackend};
+    use crate::codec::{Codec, Encoded};
     use crate::combine::try_combine_splits;
     use crate::planner::{plan_chunks, ChunkPlan, PlannedChunk};
+    use recoil_simd::Kernel;
 
     fn sample(len: usize, seed: u32) -> Vec<u8> {
         (0..len as u32)
@@ -371,7 +367,7 @@ mod tests {
         let mut out = vec![0u8; data.len()];
         for chunk in bytes.chunks(4096) {
             incr.push_bytes(chunk).unwrap();
-            incr.decode_ready_segments(&PooledBackend::new(3), &mut out)
+            incr.decode_ready_segments(&AutoBackend::fixed(Kernel::Scalar, 3), &mut out)
                 .unwrap();
         }
         assert!(incr.is_finished());

@@ -33,6 +33,7 @@
 // multiply kernel; `cargo xtask check` holds the allowlist).
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod backend;
 mod bounds;
 pub mod codec;
 mod combine;
@@ -46,17 +47,16 @@ mod metadata;
 mod planner;
 mod wire;
 
-pub use bounds::{checked_cdf_table, symbols_fit, MAX_RESERVED_WORDS};
-pub use codec::{
-    Codec, CodecBuilder, CodecSymbol, DecodeBackend, DecodeRequest, Encoded, EncoderConfig,
-    PooledBackend, ScalarBackend,
+pub use backend::{
+    AutoBackend, CodecSymbol, DecodeBackend, DecodeModel, DecodeOutput, DecodeRequest,
+    ScalarBackend,
 };
+pub use bounds::{checked_cdf_table, symbols_fit, MAX_RESERVED_WORDS};
+pub use codec::{Codec, CodecBuilder, Encoded, EncoderConfig};
 pub use combine::{combine_splits, try_combine_splits};
 pub use container::RecoilContainer;
 pub use crc::{crc32, update_crc32, update_crc32_table};
-pub use decoder::{
-    decode_segments, decode_split_count, validate_segment_decode, ScalarKernel, SpanKernel,
-};
+pub use decoder::{decode_segments, validate_segment_decode};
 pub use error::RecoilError;
 pub use file::{container_from_bytes, container_to_bytes};
 pub use incremental::IncrementalDecoder;

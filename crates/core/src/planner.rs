@@ -91,14 +91,6 @@ impl PlannerConfig {
             heuristic: Heuristic::SyncAware,
         }
     }
-
-    /// Same, with the naive scoring strategy (ablation).
-    pub fn with_segments_naive(segments: u64) -> Self {
-        Self {
-            heuristic: Heuristic::NearestOnly,
-            ..Self::with_segments(segments)
-        }
-    }
 }
 
 /// The bits of `mask` at and below bit `k`.
@@ -1165,7 +1157,10 @@ mod tests {
     ) -> [RecoilMetadata; 2] {
         [
             PlannerConfig::with_segments(segments),
-            PlannerConfig::with_segments_naive(segments),
+            PlannerConfig {
+                segments,
+                heuristic: Heuristic::NearestOnly,
+            },
         ]
         .map(|config| {
             let planner = || SplitPlanner::new(ways, num_symbols, config.clone());

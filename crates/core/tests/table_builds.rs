@@ -8,7 +8,8 @@
 //! process-wide build counter — it lives in its own test binary so no
 //! concurrent test can bump the counter mid-measurement.
 
-use recoil_core::codec::{Codec, PooledBackend, ScalarBackend};
+use recoil_core::backend::{AutoBackend, DecodeBackend, Kernel, ScalarBackend};
+use recoil_core::Codec;
 use recoil_core::IncrementalDecoder;
 use recoil_models::decode_table_builds;
 
@@ -30,8 +31,8 @@ fn streaming_decode_reuses_the_tables_across_batches() {
     // trigger a single further `DecodeTables::build`.
     let before = decode_table_builds();
     for backend in [
-        &ScalarBackend as &dyn recoil_core::codec::DecodeBackend,
-        &PooledBackend::new(3),
+        &ScalarBackend as &dyn DecodeBackend,
+        &AutoBackend::fixed(Kernel::Scalar, 3),
     ] {
         let mut incr = IncrementalDecoder::new(
             enc.container.metadata.clone(),

@@ -75,11 +75,6 @@ impl Fabric {
         self.nodes[i].as_ref()
     }
 
-    /// True while node `i` is serving.
-    pub fn is_alive(&self, i: usize) -> bool {
-        self.nodes[i].is_some()
-    }
-
     /// Kills node `i` **abruptly**: open connections are severed without
     /// draining (in-flight transfers die mid-frame) and the port stops
     /// accepting. Idempotent. This is the failover trigger.

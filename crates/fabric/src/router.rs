@@ -15,10 +15,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use recoil_core::codec::{ensure_available, DecodeBackend};
+use recoil_core::backend::{ensure_available, AutoBackend, DecodeBackend};
 use recoil_core::{EncoderConfig, RecoilError};
 use recoil_net::{splitmix64, NetClient, NetClientConfig, PublishOk, StatsReply};
-use recoil_simd::AutoBackend;
 use recoil_telemetry::{Telemetry, TelemetryLevel};
 
 /// Construction knobs for [`FabricRouter`].
@@ -52,7 +51,6 @@ impl Default for RouterConfig {
 }
 
 struct RouterNode {
-    addr: SocketAddr,
     client: NetClient,
     healthy: AtomicBool,
 }
@@ -145,7 +143,6 @@ impl FabricRouter {
             // on the node's first real use.
             let healthy = std::net::TcpStream::connect(addr).is_ok();
             nodes.push(RouterNode {
-                addr,
                 client,
                 healthy: AtomicBool::new(healthy),
             });
@@ -173,16 +170,6 @@ impl FabricRouter {
             fetches: AtomicU64::new(0),
             rebalancing: AtomicBool::new(false),
         })
-    }
-
-    /// Node count (fixed for the router's lifetime).
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The address node `i` is dialed at.
-    pub fn node_addr(&self, i: usize) -> SocketAddr {
-        self.nodes[i].addr
     }
 
     /// Nodes currently believed healthy. Health is observational: a node
@@ -245,11 +232,6 @@ impl FabricRouter {
             }
         }
         holders
-    }
-
-    /// Router-observed fetch count for `name`.
-    pub fn hit_count(&self, name: &str) -> u64 {
-        self.hits.lock().get(name).copied().unwrap_or(0)
     }
 
     fn mark_health(&self, node: usize, healthy: bool) {

@@ -13,13 +13,14 @@ use crate::proto::{
     TransmitHeader,
 };
 use parking_lot::Mutex;
-use recoil_core::codec::{
-    ensure_available, preferred_segments, DecodeBackend, DecodeRequest, EncoderConfig,
+use recoil_core::backend::{
+    ensure_available, preferred_segments, AutoBackend, DecodeBackend, DecodeModel, DecodeRequest,
 };
-use recoil_core::{IncrementalDecoder, RecoilError, RecoilMetadata, MAX_RESERVED_WORDS};
+use recoil_core::{
+    EncoderConfig, IncrementalDecoder, RecoilError, RecoilMetadata, MAX_RESERVED_WORDS,
+};
 use recoil_models::StaticModelProvider;
 use recoil_rans::{extend_words_from_le, EncodedStream};
-use recoil_simd::AutoBackend;
 use recoil_telemetry::{Stage, Telemetry, TelemetryLevel};
 use std::borrow::BorrowMut;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -141,12 +142,13 @@ impl RemoteContent {
     /// Decodes through an explicit backend.
     pub fn decode_with(&self, backend: &dyn DecodeBackend) -> Result<Vec<u8>, RecoilError> {
         let mut out = vec![0u8; self.stream.num_symbols as usize];
-        let req = DecodeRequest {
-            stream: &self.stream,
-            metadata: &self.metadata,
-            model: &self.model,
-        };
-        req.decode_into(backend, &mut out)?;
+        let model = DecodeModel::Static(&self.model);
+        backend.decode(DecodeRequest::whole(
+            &self.stream,
+            &self.metadata,
+            model,
+            &mut out,
+        )?)?;
         Ok(out)
     }
 }

@@ -79,7 +79,7 @@
 //! [`FetchSession::decode_streaming`] exploits that: arriving chunks are
 //! received into one recycled buffer, checked where they lie, and fed to a
 //! [`recoil_core::IncrementalDecoder`], which hands the given backend
-//! **whole batches** — [`recoil_core::codec::preferred_segments`] newly
+//! **whole batches** — [`recoil_core::backend::preferred_segments`] newly
 //! resident segments at a time, threads × kernel depth — while later
 //! chunks are still on the wire, under a bounded in-flight chunk budget.
 //! It is the one place the network drives a decoder:
@@ -108,10 +108,9 @@
 //! peers cost one slab slot each. HELLO negotiation, stats snapshots, and
 //! cache-hit requests are served inline on the loop with zero per-request
 //! allocation; CPU-bound work — the rANS encode behind a `PUBLISH`, the
-//! real-time metadata combine behind a tier-cache miss — runs on a small
-//! dispatch pool ([`recoil_parallel::ThreadPool`], sized by
-//! [`NetConfig::workers`]) and completes back to the loop through a wake
-//! pipe.
+//! real-time metadata combine behind a tier-cache miss — runs on
+//! [`NetConfig::workers`] dispatch threads blocked on the reactor's job
+//! queue and completes back to the loop through a wake pipe.
 //!
 //! `max_connections` caps open connections (excess accepts get a typed
 //! busy error). Timeouts are *progress* deadlines managed by the reactor:
@@ -195,7 +194,7 @@
 //! [`RecoilError::Busy`]: recoil_core::RecoilError::Busy
 //! [`RecoilError`]: recoil_core::RecoilError
 //! [`RecoilError::Net`]: recoil_core::RecoilError::Net
-//! [`DecodeBackend`]: recoil_core::codec::DecodeBackend
+//! [`DecodeBackend`]: recoil_core::backend::DecodeBackend
 
 // Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
 #![forbid(unsafe_code)]

@@ -64,7 +64,6 @@ use crate::proto::{
 };
 use parking_lot::{Condvar, Mutex};
 use recoil_core::{plan_chunks_into, ChunkPlan, EncoderConfig, RecoilError};
-use recoil_parallel::ThreadPool;
 use recoil_rans::append_words_le;
 use recoil_reactor::{DeadlineQueue, Event, Interest, Poller, Slab, SlabStats, Token, WakePipe};
 use recoil_server::{ContentServer, ServerStats, StoredContent, Transmission};
@@ -1621,29 +1620,34 @@ pub(super) fn bind(
         .spawn(move || event_loop.run())
         .map_err(|e| io_err("spawn event loop", e))?;
 
-    let dispatch_shared = Arc::clone(&shared);
-    let dispatch_thread = std::thread::Builder::new()
-        .name("recoil-net-dispatch".into())
-        .spawn(move || {
-            // The pool host participates as a worker itself, so `workers`
-            // total workers serve the queue.
-            let pool = ThreadPool::new(workers - 1);
-            pool.run(workers, |_| dispatch_worker(&dispatch_shared));
-        })
-        .map_err(|e| io_err("spawn dispatch pool", e))?;
-
-    Ok(ReactorHandle {
+    let mut handle = ReactorHandle {
         shared,
         loop_thread: Some(loop_thread),
-        dispatch_thread: Some(dispatch_thread),
-    })
+        dispatch_threads: Vec::with_capacity(workers),
+    };
+    for i in 0..workers {
+        let shared = Arc::clone(&handle.shared);
+        let spawned = std::thread::Builder::new()
+            .name(format!("recoil-net-dispatch-{i}"))
+            .spawn(move || dispatch_worker(&shared));
+        match spawned {
+            Ok(t) => handle.dispatch_threads.push(t),
+            Err(e) => {
+                // Stop what already runs: a dropped handle joins nothing.
+                handle.stop(true);
+                return Err(io_err("spawn dispatch worker", e));
+            }
+        }
+    }
+    Ok(handle)
 }
 
 /// Owner of a running reactor backend.
 pub(super) struct ReactorHandle {
     shared: Arc<Shared>,
     loop_thread: Option<std::thread::JoinHandle<()>>,
-    dispatch_thread: Option<std::thread::JoinHandle<()>>,
+    /// The `workers` threads blocked on the job queue.
+    dispatch_threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ReactorHandle {
@@ -1687,7 +1691,7 @@ impl ReactorHandle {
             let _guard = self.shared.jobs.lock();
         }
         self.shared.jobs_cv.notify_all();
-        if let Some(t) = self.dispatch_thread.take() {
+        for t in self.dispatch_threads.drain(..) {
             let _ = t.join();
         }
     }

@@ -1,19 +1,15 @@
 //! Loopback integration tests for the framed TCP transport: real sockets,
 //! real threads, byte-identical decodes.
 
-use recoil_core::codec::{
-    preferred_segments, DecodeBackend, DecodeRequest, EncoderConfig, ScalarBackend,
+use recoil_core::backend::{
+    preferred_segments, AutoBackend, DecodeBackend, DecodeRequest, ScalarBackend,
 };
-use recoil_core::{plan_chunks, ChunkPlan, RecoilError, RecoilMetadata};
-use recoil_models::ModelProvider;
+use recoil_core::{plan_chunks, ChunkPlan, EncoderConfig, RecoilError};
 use recoil_net::raw::{read_frame, write_frame, ReadOutcome};
 use recoil_net::{FrameType, Hello, NetClient, NetConfig, NetServer, NetServerHandle};
-use recoil_rans::EncodedStream;
 use recoil_server::ContentServer;
-use recoil_simd::AutoBackend;
 use recoil_telemetry::TelemetryLevel;
 use std::net::TcpStream;
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -684,30 +680,7 @@ impl DecodeBackend for Unavailable {
     fn parallel_spans(&self) -> usize {
         1
     }
-    fn decode_u8(
-        &self,
-        _: &DecodeRequest<'_>,
-        _: Range<u64>,
-        _: &mut [u8],
-    ) -> Result<(), RecoilError> {
-        unreachable!("an unavailable backend is never dispatched to")
-    }
-    fn decode_u16(
-        &self,
-        _: &DecodeRequest<'_>,
-        _: Range<u64>,
-        _: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        unreachable!("an unavailable backend is never dispatched to")
-    }
-    fn decode_adaptive(
-        &self,
-        _: &EncodedStream,
-        _: &RecoilMetadata,
-        _: &dyn ModelProvider,
-        _: Range<u64>,
-        _: &mut [u16],
-    ) -> Result<(), RecoilError> {
+    fn decode(&self, _: DecodeRequest<'_>) -> Result<(), RecoilError> {
         unreachable!("an unavailable backend is never dispatched to")
     }
 }

@@ -3,8 +3,8 @@
 //! reuse across connection churn, graceful shutdown under load, and the
 //! poll-fallback backend's round trips.
 
-use recoil_core::codec::{EncoderConfig, ScalarBackend};
 use recoil_core::RecoilError;
+use recoil_core::{EncoderConfig, ScalarBackend};
 use recoil_net::raw::{decode_error, read_frame, write_frame, ReadOutcome};
 use recoil_net::{FrameType, Hello, NetClient, NetConfig, NetServer, NetServerHandle};
 use recoil_server::ContentServer;

@@ -6,11 +6,10 @@
 //! streaming pipeline. This lives in its own test binary so the
 //! process-wide build counter is not disturbed by concurrent tests.
 
-use recoil_core::codec::EncoderConfig;
+use recoil_core::{AutoBackend, EncoderConfig};
 use recoil_models::decode_table_builds;
 use recoil_net::{NetClient, NetConfig, NetServer};
 use recoil_server::ContentServer;
-use recoil_simd::AutoBackend;
 use std::sync::Arc;
 
 #[test]

@@ -2,7 +2,7 @@
 //! it: a real server, a real client, and assertions that the numbers the
 //! wire reports match the numbers the server-side handle sees.
 
-use recoil_core::codec::{EncoderConfig, ScalarBackend};
+use recoil_core::{EncoderConfig, ScalarBackend};
 use recoil_net::raw::{read_frame, write_frame, ReadOutcome};
 use recoil_net::{
     FrameType, Hello, NetClient, NetClientConfig, NetConfig, NetServer, NetServerHandle,

@@ -89,59 +89,9 @@ pub fn batch_bounds(pool: Option<&ThreadPool>, bounds: &[u64], depth: usize) -> 
     (batch, table)
 }
 
-/// Runs `f(0..tasks)` on a freshly scoped set of `threads` OS threads using
-/// dynamic index claiming — the no-pool fallback, also used to cross-check
-/// the pool in tests.
-pub fn scoped_parallel_for<F: Fn(usize) + Sync>(threads: usize, tasks: usize, f: F) {
-    if threads <= 1 || tasks <= 1 {
-        for i in 0..tasks {
-            f(i);
-        }
-        return;
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let f = &f;
-    let next = &next;
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(tasks) {
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= tasks {
-                    break;
-                }
-                f(i);
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn scoped_for_visits_every_index_once() {
-        let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
-        scoped_parallel_for(8, 1000, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn scoped_for_serial_fallback() {
-        let hits: Vec<AtomicUsize> = (0..10).map(|_| AtomicUsize::new(0)).collect();
-        scoped_parallel_for(1, 10, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn scoped_for_zero_tasks() {
-        scoped_parallel_for(4, 0, |_| panic!("must not run"));
-    }
 
     /// Both ways of running `for_each_disjoint`: inline and on a pool.
     fn with_and_without_pool(check: impl Fn(Option<&ThreadPool>)) {

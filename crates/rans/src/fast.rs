@@ -16,7 +16,7 @@
 //!
 //! # Structure
 //!
-//! [`decode_span`] is the engine: an outer loop runs while
+//! [`Span::advance_scalar`] is the engine: an outer loop runs while
 //! `remaining_symbols >= GROUP && words_left >= GROUP`; the inner
 //! `GROUP`-symbol loop is branchless (the renorm is a speculative in-bounds
 //! load plus a conditional move), uses `get_unchecked` word reads justified
@@ -24,8 +24,8 @@
 //! instead of `pos % ways`, hoists `n`/`mask`, and writes output through a
 //! per-group chunk so the write bounds check happens once per `GROUP`
 //! symbols. Once either budget runs out, the remaining symbols go through
-//! [`decode_span_careful`] — the original [`LaneDecoder::step`] loop, which
-//! stays both the **careful tail** (it reports
+//! [`decode_span_careful`] — one checked renormalize-then-transform step per
+//! symbol, which stays both the **careful tail** (it reports
 //! [`RansError::BitstreamUnderflow`] on truncated streams) and the
 //! **bit-exactness reference** the fast loop is tested against.
 //!
@@ -45,7 +45,8 @@
 //!   group; the inner loop walks it with an exact-length iterator.
 
 use crate::params::{LOWER_BOUND, RENORM_BITS};
-use crate::step::LaneDecoder;
+use crate::span::Span;
+use crate::step::{decode_transform, renorm_read};
 use crate::RansError;
 use recoil_bitio::BackwardWordReader;
 use recoil_models::{ModelProvider, Symbol};
@@ -57,14 +58,13 @@ use recoil_models::{ModelProvider, Symbol};
 pub const GROUP: usize = 32;
 
 /// Per-span decode-engine statistics, filled by
-/// [`decode_span_with_stats`]: how much work the branchless fast loop did
+/// [`Span::advance_scalar`]: how much work the branchless fast loop did
 /// versus the careful tail, and how many compressed words the span ate.
 ///
 /// Plain data by design — `recoil-rans` is leaf code and knows nothing
 /// about telemetry handles; callers fold these into whatever counters they
 /// keep. The cost of collecting them is one add per *group* (not per
-/// symbol) plus arithmetic on the already-tracked cursor, so the stats
-/// variant is the implementation and [`decode_span`] is a thin wrapper.
+/// symbol) plus arithmetic on the already-tracked cursor.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SpanStats {
     /// Full `GROUP`-symbol iterations the branchless fast loop ran.
@@ -93,149 +93,141 @@ impl SpanStats {
     }
 }
 
-/// Decodes positions `lo .. lo + out.len()` (descending) of a
-/// `states.len()`-way interleaved stream, starting from the backward word
-/// cursor `next_read` (`None` = exhausted). Returns the cursor after the
-/// span so callers can chain spans.
-///
-/// This is the engine behind [`crate::decode_interleaved_into`], the scalar
-/// span kernel of the segment decoder in `recoil-core`, and the fallback of
-/// the SIMD crate's vector kernel at stream and segment edges. Output, lane states and
-/// the returned cursor are bit-identical to [`decode_span_careful`]; the
-/// differential suites enforce it.
-///
-/// # Errors
-///
-/// [`RansError::BitstreamUnderflow`] when a renormalization needs a word
-/// the stream does not have (always detected in the careful tail — the
-/// fast loop only runs while the word budget makes underflow impossible).
-///
-/// # Panics
-///
-/// If `states` is empty or `next_read` is `Some(o)` with
-/// `o >= words.len()` — caller bugs, not data errors (both are checked
-/// once per call; the unchecked inner loop relies on them).
-pub fn decode_span<S: Symbol, P: ModelProvider + ?Sized>(
-    provider: &P,
-    words: &[u16],
-    next_read: Option<u64>,
-    states: &mut [u32],
-    lo: u64,
-    out: &mut [S],
-) -> Result<Option<u64>, RansError> {
-    decode_span_with_stats(provider, words, next_read, states, lo, out).map(|(cursor, _)| cursor)
-}
+impl<S: Symbol> Span<'_, S> {
+    /// Decodes the span's top `count` positions (descending) and shrinks
+    /// the span to the rest, leaving `cursor` and `states` where that rest
+    /// starts — the scalar engine behind [`crate::decode_interleaved_into`],
+    /// the scalar span kernel of the segment decoder in `recoil-core`, and
+    /// the fallback of the SIMD crate's vector kernel at stream and segment
+    /// edges. Output, lane states and cursor are bit-identical to
+    /// [`decode_span_careful`]; the differential suites enforce it.
+    ///
+    /// # Errors
+    ///
+    /// [`RansError::BitstreamUnderflow`] when a renormalization needs a word
+    /// the stream does not have (always detected in the careful tail — the
+    /// fast loop only runs while the word budget makes underflow
+    /// impossible). The stats are lost along with the (partial) output:
+    /// underflow already means the whole span is unusable.
+    ///
+    /// # Panics
+    ///
+    /// If `count > out.len()`, if the span has no lane states, or if
+    /// `cursor` is `Some(o)` with `o >= words.len()` — caller bugs, not data
+    /// errors (checked once per call; the unchecked inner loop relies on
+    /// them).
+    pub fn advance_scalar<P: ModelProvider + ?Sized>(
+        &mut self,
+        provider: &P,
+        count: usize,
+    ) -> Result<SpanStats, RansError> {
+        let out = self.take_top(count);
+        let lo = self.end();
+        let (words, states) = (self.words, &mut self.states[..]);
+        assert!(!states.is_empty(), "need at least one lane state");
+        let ways = states.len();
+        let n = provider.quant_bits();
+        let mask = (1u32 << n) - 1;
 
-/// [`decode_span`] plus [`SpanStats`] describing how the span decoded. On
-/// error the stats are lost along with the (partial) output — underflow
-/// already means the whole span is unusable.
-pub fn decode_span_with_stats<S: Symbol, P: ModelProvider + ?Sized>(
-    provider: &P,
-    words: &[u16],
-    next_read: Option<u64>,
-    states: &mut [u32],
-    lo: u64,
-    out: &mut [S],
-) -> Result<(Option<u64>, SpanStats), RansError> {
-    assert!(!states.is_empty(), "need at least one lane state");
-    let ways = states.len();
-    let n = provider.quant_bits();
-    let mask = (1u32 << n) - 1;
+        // Backward cursor as a raw index: offset of the next unread word, -1
+        // once exhausted. The assertion (not a debug assertion: the unchecked
+        // reads below rely on it) pins `p < words.len()`, and `p` only ever
+        // decreases.
+        let mut p: isize = match self.cursor {
+            Some(o) => {
+                assert!(
+                    (o as usize) < words.len(),
+                    "cursor {o} out of range for {} words",
+                    words.len()
+                );
+                o as isize
+            }
+            None => -1,
+        };
 
-    // Backward cursor as a raw index: offset of the next unread word, -1
-    // once exhausted. The assertion (not a debug assertion: the unchecked
-    // reads below rely on it) pins `p < words.len()`, and `p` only ever
-    // decreases.
-    let mut p: isize = match next_read {
-        Some(o) => {
-            assert!(
-                (o as usize) < words.len(),
-                "cursor {o} out of range for {} words",
-                words.len()
-            );
-            o as isize
+        let entry_p = p;
+        let mut fast_groups = 0u64;
+
+        let mut remaining = out.len();
+        // Lane owning the highest (first-decoded) position, then maintained by
+        // rotation — the one `% ways` of the whole span.
+        let mut lane = if remaining == 0 {
+            0
+        } else {
+            ((lo + remaining as u64 - 1) % ways as u64) as usize
+        };
+
+        // Fast loop: GROUP symbols per iteration, no underflow Result, no
+        // bounds checks, branchless renorm.
+        while remaining >= GROUP && p >= GROUP as isize - 1 {
+            fast_groups += 1;
+            let base = remaining - GROUP;
+            let mut pos = lo + remaining as u64;
+            // One checked slice per group; the iterator below is exact-length.
+            let chunk = &mut out[base..remaining];
+            for slot_out in chunk.iter_mut().rev() {
+                pos -= 1;
+                debug_assert!(lane < ways);
+                // SAFETY: `lane` starts `< ways == states.len()` and the
+                // rotation below keeps it there.
+                let x = unsafe { *states.get_unchecked(lane) };
+                debug_assert!(p >= 0 && (p as usize) < words.len());
+                // SAFETY: the loop guard established `p >= GROUP - 1` at group
+                // entry, each symbol decrements `p` at most once, and the
+                // entry assertion pinned `p < words.len()`; so `0 <= p` holds
+                // for every one of the GROUP speculative loads here.
+                let w = unsafe { *words.get_unchecked(p as usize) } as u32;
+                let renorm = x < LOWER_BOUND;
+                // Both arms are side-effect free: LLVM lowers this to cmov.
+                let x = if renorm { (x << RENORM_BITS) | w } else { x };
+                p -= renorm as isize;
+                debug_assert!(x >= LOWER_BOUND, "state must recover in one step");
+                let slot = x & mask;
+                let (sym, f, c) = provider.lookup(pos, slot);
+                debug_assert!(f > 0, "decoded a zero-frequency slot");
+                // SAFETY: same `lane < states.len()` invariant as the read.
+                unsafe { *states.get_unchecked_mut(lane) = f * (x >> n) + slot - c };
+                *slot_out = S::from_u16(sym);
+                lane = if lane == 0 { ways - 1 } else { lane - 1 };
+            }
+            remaining = base;
         }
-        None => -1,
-    };
 
-    let entry_p = p;
-    let mut fast_groups = 0u64;
+        // Careful tail: either fewer than GROUP symbols remain, or the word
+        // stream is nearly drained (underflow is now possible and must be
+        // reported). `decode_span_careful` re-derives the lane by modulo; the
+        // states and cursor hand over exactly.
+        let cursor = decode_span_careful(
+            provider,
+            words,
+            (p >= 0).then_some(p as u64),
+            states,
+            lo,
+            &mut out[..remaining],
+        )?;
 
-    let mut remaining = out.len();
-    // Lane owning the highest (first-decoded) position, then maintained by
-    // rotation — the one `% ways` of the whole span.
-    let mut lane = if remaining == 0 {
-        0
-    } else {
-        ((lo + remaining as u64 - 1) % ways as u64) as usize
-    };
-
-    // Fast loop: GROUP symbols per iteration, no underflow Result, no
-    // bounds checks, branchless renorm.
-    while remaining >= GROUP && p >= GROUP as isize - 1 {
-        fast_groups += 1;
-        let base = remaining - GROUP;
-        let mut pos = lo + remaining as u64;
-        // One checked slice per group; the iterator below is exact-length.
-        let chunk = &mut out[base..remaining];
-        for slot_out in chunk.iter_mut().rev() {
-            pos -= 1;
-            debug_assert!(lane < ways);
-            // SAFETY: `lane` starts `< ways == states.len()` and the
-            // rotation below keeps it there.
-            let x = unsafe { *states.get_unchecked(lane) };
-            debug_assert!(p >= 0 && (p as usize) < words.len());
-            // SAFETY: the loop guard established `p >= GROUP - 1` at group
-            // entry, each symbol decrements `p` at most once, and the
-            // entry assertion pinned `p < words.len()`; so `0 <= p` holds
-            // for every one of the GROUP speculative loads here.
-            let w = unsafe { *words.get_unchecked(p as usize) } as u32;
-            let renorm = x < LOWER_BOUND;
-            // Both arms are side-effect free: LLVM lowers this to cmov.
-            let x = if renorm { (x << RENORM_BITS) | w } else { x };
-            p -= renorm as isize;
-            debug_assert!(x >= LOWER_BOUND, "state must recover in one step");
-            let slot = x & mask;
-            let (sym, f, c) = provider.lookup(pos, slot);
-            debug_assert!(f > 0, "decoded a zero-frequency slot");
-            // SAFETY: same `lane < states.len()` invariant as the read.
-            unsafe { *states.get_unchecked_mut(lane) = f * (x >> n) + slot - c };
-            *slot_out = S::from_u16(sym);
-            lane = if lane == 0 { ways - 1 } else { lane - 1 };
-        }
-        remaining = base;
+        let final_p = cursor.map_or(-1, |o| o as isize);
+        self.cursor = cursor;
+        Ok(SpanStats {
+            fast_groups,
+            fast_symbols: (out.len() - remaining) as u64,
+            careful_symbols: remaining as u64,
+            words_consumed: (entry_p - final_p) as u64,
+        })
     }
-
-    // Careful tail: either fewer than GROUP symbols remain, or the word
-    // stream is nearly drained (underflow is now possible and must be
-    // reported). `decode_span_careful` re-derives the lane by modulo; the
-    // states and cursor hand over exactly.
-    let cursor = decode_span_careful(
-        provider,
-        words,
-        (p >= 0).then_some(p as u64),
-        states,
-        lo,
-        &mut out[..remaining],
-    )?;
-
-    let final_p = cursor.map_or(-1, |o| o as isize);
-    let stats = SpanStats {
-        fast_groups,
-        fast_symbols: (out.len() - remaining) as u64,
-        careful_symbols: remaining as u64,
-        words_consumed: (entry_p - final_p) as u64,
-    };
-    Ok((cursor, stats))
 }
 
-/// The retained careful reference loop: one [`LaneDecoder::step`] per
-/// symbol with `pos % ways` lane selection and `Result`-checked reads —
-/// exactly the loop every decoder ran before the fast engine existed.
+/// The retained careful reference loop: one checked renormalize-then-transform
+/// step per symbol with `pos % ways` lane selection — exactly the loop every
+/// decoder ran before the fast engine existed. Decodes positions
+/// `lo .. lo + out.len()` (descending) of a `states.len()`-way stream from
+/// the backward word cursor `next_read` (`None` = exhausted) and returns the
+/// cursor after them.
 ///
-/// [`decode_span`] must be bit-identical to this function (same output,
-/// same final `states`, same returned cursor, same errors); it is kept
-/// public as the tail path and as the reference for differential tests.
+/// [`Span::advance_scalar`] must be bit-identical to this function (same
+/// output, same final `states`, same cursor, same errors); it is public as
+/// the reference for the differential tests, not as API.
+#[doc(hidden)]
 pub fn decode_span_careful<S: Symbol, P: ModelProvider + ?Sized>(
     provider: &P,
     words: &[u16],
@@ -252,9 +244,9 @@ pub fn decode_span_careful<S: Symbol, P: ModelProvider + ?Sized>(
     for rel in (0..out.len()).rev() {
         let pos = lo + rel as u64;
         let lane = (pos % ways) as usize;
-        let mut ld = LaneDecoder { x: states[lane] };
-        let sym = ld.step(pos, provider, n, mask, &mut reader)?;
-        states[lane] = ld.x;
+        let x = renorm_read(states[lane], &mut reader, pos)?;
+        let (x, sym) = decode_transform(x, pos, provider, n, mask);
+        states[lane] = x;
         out[rel] = S::from_u16(sym);
     }
     Ok(reader.offset())
@@ -264,8 +256,41 @@ pub fn decode_span_careful<S: Symbol, P: ModelProvider + ?Sized>(
 mod tests {
     use super::*;
     use crate::sink::NullSink;
+    use crate::span::LaneStates;
     use crate::InterleavedEncoder;
     use recoil_models::{CdfTable, StaticModelProvider};
+
+    /// The engine in the argument shape of [`decode_span_careful`].
+    fn decode_span_with_stats<S: Symbol>(
+        provider: &StaticModelProvider,
+        words: &[u16],
+        next_read: Option<u64>,
+        states: &mut [u32],
+        lo: u64,
+        out: &mut [S],
+    ) -> Result<(Option<u64>, SpanStats), RansError> {
+        let mut span = Span {
+            words,
+            cursor: next_read,
+            states: LaneStates::from(&states[..]),
+            lo,
+            out,
+        };
+        let stats = span.advance_scalar(provider, span.out.len())?;
+        states.copy_from_slice(&span.states);
+        Ok((span.cursor, stats))
+    }
+
+    fn decode_span<S: Symbol>(
+        provider: &StaticModelProvider,
+        words: &[u16],
+        next_read: Option<u64>,
+        states: &mut [u32],
+        lo: u64,
+        out: &mut [S],
+    ) -> Result<Option<u64>, RansError> {
+        decode_span_with_stats(provider, words, next_read, states, lo, out).map(|(c, _)| c)
+    }
 
     fn provider(data: &[u8], n: u32) -> StaticModelProvider {
         StaticModelProvider::new(CdfTable::of_bytes(data, n))

@@ -343,6 +343,7 @@ pub fn encode_span_scalar<S: Symbol, P: ModelProvider + ?Sized>(
 /// [`encode_span`] must be bit-identical to this function (same words, same
 /// final `states`, same events, same errors); it is kept public as the tail
 /// path and as the reference for differential tests.
+#[doc(hidden)]
 pub fn encode_span_careful<S: Symbol, P: ModelProvider + ?Sized>(
     provider: &P,
     data: &[S],
@@ -553,9 +554,15 @@ mod tests {
             let mut words = Vec::new();
             encode_span(&p, &data, 0, &mut states, &mut words, 0, &mut NullSink).unwrap();
 
-            let next = (!words.is_empty()).then(|| words.len() as u64 - 1);
             let mut out = vec![0u8; data.len()];
-            crate::fast::decode_span(&p, &words, next, &mut states, 0, &mut out).unwrap();
+            let mut span = crate::Span {
+                cursor: (!words.is_empty()).then(|| words.len() as u64 - 1),
+                words: &words,
+                states: crate::LaneStates::from(&states[..]),
+                lo: 0,
+                out: &mut out,
+            };
+            span.advance_scalar(&p, data.len()).unwrap();
             assert_eq!(out, data, "ways={ways}");
         }
     }

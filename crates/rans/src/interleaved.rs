@@ -38,11 +38,6 @@ impl<'p, P: ModelProvider> InterleavedEncoder<'p, P> {
         }
     }
 
-    /// Encoder with the recommended 32 lanes.
-    pub fn new_default(provider: &'p P) -> Self {
-        Self::new(provider, params::DEFAULT_WAYS)
-    }
-
     /// Number of symbols encoded so far.
     pub fn position(&self) -> u64 {
         self.next_pos
@@ -112,15 +107,8 @@ pub fn decode_interleaved_into<S: Symbol, P: ModelProvider>(
 ) -> Result<(), RansError> {
     stream.validate()?;
     stream.check_output_len(out.len())?;
-    let mut states = stream.final_states.clone();
-    crate::fast::decode_span(
-        provider,
-        &stream.words,
-        stream.end_cursor(),
-        &mut states,
-        0,
-        out,
-    )?;
+    let len = out.len();
+    stream.tail_span(0, out).advance_scalar(provider, len)?;
     Ok(())
 }
 
@@ -145,7 +133,7 @@ mod tests {
     fn round_trip_default_ways() {
         let data = sample(100_000);
         let p = provider(&data, 11);
-        let mut enc = InterleavedEncoder::new_default(&p);
+        let mut enc = InterleavedEncoder::new(&p, params::DEFAULT_WAYS);
         enc.encode_all_fast(&data, &mut NullSink).unwrap();
         let stream = enc.finish();
         assert_eq!(stream.ways, 32);

@@ -25,12 +25,22 @@
 //! it reads the bitstream" (paper §4.1.1).
 //!
 //! Both directions have a branchless fast-loop engine over whole 32-symbol
-//! groups with a retained careful reference: [`fast`] for decode (fast loop
-//! while both the symbol and word budgets allow it), [`fast_encode`] for
+//! groups with a retained careful reference: [`fast`] for decode
+//! ([`Span::advance_scalar`], fast loop while both the symbol and word
+//! budgets allow it), [`fast_encode`] for
 //! encode (no underflow hazard, so the group loop — AVX-512 where the host
 //! and the input allow, scalar otherwise — covers every whole group, with
 //! zero-frequency symbols detected branchlessly and reported as
 //! [`RansError::ZeroFrequency`] at the first offending position).
+//!
+//! The API is small on purpose. Encode: [`InterleavedEncoder`] (one bulk
+//! body, [`encode_span`]) reporting to a [`RenormSink`]. Decode: a [`Span`]
+//! — [`EncodedStream::tail_span`] makes the whole-stream one — consumed by
+//! [`Span::advance_scalar`]; [`decode_interleaved`] and
+//! [`decode_interleaved_into`] are exactly that pair, and the primitive
+//! steps [`renorm_read`] / [`decode_transform`] are what a Synchronization
+//! Phase is written in. The careful loops and the single-state codec the
+//! tests compare against stay exported but hidden from these docs.
 
 // Audited unsafe crate: every unsafe operation sits in an explicit block.
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -47,13 +57,11 @@ mod step;
 mod stream;
 
 pub use error::RansError;
-pub use fast::{
-    decode_span, decode_span_careful, decode_span_with_stats, SpanStats, GROUP as FAST_GROUP,
-};
+pub use fast::{decode_span_careful, SpanStats, GROUP as FAST_GROUP};
 pub use fast_encode::{encode_span, encode_span_careful};
 pub use interleaved::{decode_interleaved, decode_interleaved_into, InterleavedEncoder};
 pub use single::{decode_single, SingleEncoder};
 pub use sink::{NullSink, RenormEvent, RenormGroup, RenormSink, VecSink, NO_SYMBOL};
 pub use span::{LaneStates, Span};
-pub use step::{decode_transform, renorm_read, LaneDecoder};
+pub use step::{decode_transform, renorm_read};
 pub use stream::{append_words_le, extend_words_from_le, EncodedStream};

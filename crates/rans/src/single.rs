@@ -11,6 +11,7 @@ use recoil_bitio::{BackwardWordReader, WordStream};
 use recoil_models::{ModelProvider, Symbol};
 
 /// Single-state rANS encoder.
+#[doc(hidden)]
 pub struct SingleEncoder<'p, P: ModelProvider> {
     provider: &'p P,
     n: u32,
@@ -77,6 +78,7 @@ impl<'p, P: ModelProvider> SingleEncoder<'p, P> {
 }
 
 /// Decodes a single-state stream produced by [`SingleEncoder`].
+#[doc(hidden)]
 pub fn decode_single<S: Symbol, P: ModelProvider>(
     stream: &EncodedStream,
     provider: &P,

@@ -10,9 +10,6 @@
 //! The segment engine (`recoil_core::decode_segments`) builds one per
 //! metadata segment, the conventional baseline one per partition.
 
-use crate::fast::{decode_span_with_stats, SpanStats};
-use crate::RansError;
-use recoil_models::{ModelProvider, Symbol};
 use std::ops::{Deref, DerefMut};
 
 /// Lanes held inline: every width the vector kernels take (and the
@@ -81,7 +78,8 @@ impl DerefMut for LaneStates {
 /// Positions `lo .. lo + out.len()` of one interleaved stream, still to be
 /// decoded (descending) from `cursor` and `states` into `out`.
 ///
-/// A span is *consumed* as it decodes: every step takes positions off the
+/// A span is *consumed* as it decodes: every step (the scalar engine is
+/// [`Span::advance_scalar`], in [`crate::fast`]) takes positions off the
 /// top, shrinks `out` to what remains and leaves `cursor` and `states`
 /// where the next step starts, so a kernel can mix scalar and vector
 /// steps freely. A finished span has an empty `out`, the final lane
@@ -123,37 +121,10 @@ impl<'a, S> Span<'a, S> {
     }
 }
 
-impl<S: Symbol> Span<'_, S> {
-    /// Decodes the top `count` positions through the scalar span engine
-    /// ([`decode_span_with_stats`]) and shrinks the span to the rest.
-    ///
-    /// # Panics
-    ///
-    /// If `count > out.len()`, and as [`decode_span_with_stats`] does.
-    pub fn advance_scalar<P: ModelProvider + ?Sized>(
-        &mut self,
-        provider: &P,
-        count: usize,
-    ) -> Result<SpanStats, RansError> {
-        let top = self.take_top(count);
-        let from = self.end();
-        let (cursor, stats) = decode_span_with_stats(
-            provider,
-            self.words,
-            self.cursor,
-            &mut self.states,
-            from,
-            top,
-        )?;
-        self.cursor = cursor;
-        Ok(stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fast::decode_span_careful;
+    use crate::fast::{decode_span_careful, SpanStats};
     use crate::{InterleavedEncoder, NullSink};
     use recoil_models::{CdfTable, StaticModelProvider};
 

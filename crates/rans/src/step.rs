@@ -43,48 +43,6 @@ pub fn decode_transform<P: ModelProvider + ?Sized>(
     (x, sym)
 }
 
-/// One decoding lane: its state plus the renorm-then-transform step.
-///
-/// Recoil's Sync Phase constructs these from 16-bit metadata states (which
-/// are below `L`, so the first step reads exactly one word — the lane is
-/// "initialized immediately before the first time it reads the bitstream").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneDecoder {
-    /// Current state; below `L` exactly when a renorm word is pending.
-    pub x: u32,
-}
-
-impl LaneDecoder {
-    /// Lane starting from a full (>= L) final state.
-    #[inline]
-    pub fn from_final_state(x: u32) -> Self {
-        debug_assert!(x >= LOWER_BOUND);
-        Self { x }
-    }
-
-    /// Lane starting from a 16-bit intermediate metadata state (< L).
-    #[inline]
-    pub fn from_metadata_state(state: u16) -> Self {
-        Self { x: state as u32 }
-    }
-
-    /// Renormalizes (reading if needed) then decodes the symbol at `pos`.
-    #[inline(always)]
-    pub fn step<P: ModelProvider + ?Sized>(
-        &mut self,
-        pos: u64,
-        provider: &P,
-        n: u32,
-        mask: u32,
-        reader: &mut BackwardWordReader<'_>,
-    ) -> Result<u16, RansError> {
-        let x = renorm_read(self.x, reader, pos)?;
-        let (x, sym) = decode_transform(x, pos, provider, n, mask);
-        self.x = x;
-        Ok(sym)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,14 +23,8 @@ pub struct EncodedStream {
 }
 
 impl EncodedStream {
-    /// Lane (0-based) that owns the symbol at 0-based position `pos`.
-    #[inline(always)]
-    pub fn lane_of(&self, pos: u64) -> u32 {
-        (pos % self.ways as u64) as u32
-    }
-
     /// Backward read cursor positioned at the end of the word stream —
-    /// the `next_read` a whole-stream [`crate::decode_span`] starts from
+    /// the cursor a whole-stream [`Span`] starts from
     /// (`None` when the stream carries no words).
     #[inline]
     pub fn end_cursor(&self) -> Option<u64> {
@@ -153,15 +147,6 @@ mod tests {
             num_symbols: 10,
             ways,
         }
-    }
-
-    #[test]
-    fn lane_mapping_is_round_robin() {
-        let s = stream(4, 4);
-        assert_eq!(s.lane_of(0), 0);
-        assert_eq!(s.lane_of(3), 3);
-        assert_eq!(s.lane_of(4), 0);
-        assert_eq!(s.lane_of(9), 1);
     }
 
     #[test]

@@ -63,20 +63,29 @@
 //!
 //! ## Backend selection semantics
 //!
-//! Every backend is the same segment engine (`core::decode_segments`:
-//! validate → synchronize → span kernel → disjoint output slice) with a
-//! span kernel and an optional thread pool plugged in. A kernel is handed
-//! batches of up to `K` adjacent segments (its interleave depth: 4 for
-//! AVX-512, 2 for AVX2, 1 for the scalar loop) and decodes them
-//! interleaved in one thread, so a decoder's capability is `threads × K`
-//! splits — request a tier at least that wide:
+//! A decoder is a kernel and a pool. There is one segment engine
+//! (`core::decode_segments`: validate → synchronize → span kernel →
+//! disjoint output slice) and one backend struct, [`AutoBackend`]
+//! (`core::backend`): a kernel selection plus an optional thread pool,
+//! behind a [`DecodeBackend`] trait with exactly one decode method. A
+//! kernel is handed batches of up to `K` adjacent segments (its interleave
+//! depth: 4 for AVX-512, 2 for AVX2, 1 for the scalar loop) and decodes
+//! them interleaved in one thread, so a decoder's capability is
+//! `threads × K` splits — request a tier at least that wide
+//! (`core::backend::preferred_segments`). One row per selection:
 //!
-//! | Backend | Span kernel | Threads | Behaviour |
+//! | Selection | Span kernel | Threads | Behaviour |
 //! |---|---|---|---|
-//! | [`ScalarBackend`] | scalar fast loop | caller | portable serial reference; always available |
-//! | [`PooledBackend`] | scalar fast loop | pool | one task per metadata segment on a persistent thread pool |
-//! | [`Avx2Backend`] / [`Avx512Backend`] | that vector kernel | caller or pool | decoding errors with [`RecoilError::BackendUnavailable`] on hosts without the CPU feature |
-//! | [`AutoBackend`] | best of **AVX-512 → AVX2 → scalar** | caller or pool | never unavailable, falls back to scalar for non-32-way streams |
+//! | [`ScalarBackend`] | scalar fast loop | caller | portable serial reference; always available; equals `AutoBackend::fixed(Kernel::Scalar, 1)` |
+//! | [`AutoBackend::new`] / [`AutoBackend::with_threads`] | best of **AVX-512 → AVX2 → scalar** | caller / pool | never unavailable; scalar for non-32-way streams and adaptive models |
+//! | [`AutoBackend::fixed`]`(kernel, threads)` | that [`Kernel`] | caller / pool | decoding errors with [`RecoilError::BackendUnavailable`] on hosts without the CPU feature; a vector kernel reports a non-32-way stream as malformed |
+//!
+//! [`AutoBackend`]: prelude::AutoBackend
+//! [`AutoBackend::new`]: prelude::AutoBackend::new
+//! [`AutoBackend::with_threads`]: prelude::AutoBackend::with_threads
+//! [`AutoBackend::fixed`]: prelude::AutoBackend::fixed
+//! [`ScalarBackend`]: prelude::ScalarBackend
+//! [`Kernel`]: prelude::Kernel
 //!
 //! Invalid configurations (`ways = 0`, `quant_bits > 16`,
 //! `max_segments = 0`) are rejected at [`Codec::builder`]'s `build()` with
@@ -87,10 +96,10 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`rans`] | single & W-way interleaved rANS codec (Table 3 parameters) |
-//! | [`core`] | `Codec` facade, split planner, metadata wire format, combining, the segment decode engine |
+//! | [`core`] | `Codec` facade, split planner, metadata wire format, combining, the segment decode engine and the decode backends |
 //! | [`models`] | histograms, quantization, decode LUTs, hyperprior models |
-//! | [`simd`] | AVX2 / AVX-512 span kernels, SIMD decode backends |
-//! | [`conventional`] | baseline (B): partitioning-symbols codec |
+//! | [`simd`] | AVX2 / AVX-512 span kernels (below `core`: depends on `rans` + `models` only) |
+//! | [`conventional`] | baseline (B): partitioning-symbols codec, scalar and on the `simd` kernels |
 //! | [`tans`] | baseline (C): tANS + multians self-sync parallel decoder |
 //! | [`parallel`] | persistent thread pool (also the "GPU-sim" substrate), the disjoint-slice thread split |
 //! | [`data`] | Table 4 dataset generators |
@@ -116,17 +125,20 @@ pub use recoil_tans as tans;
 pub use recoil_telemetry as telemetry;
 
 #[doc(no_inline)]
-pub use recoil_core::codec::{Codec, DecodeBackend, Encoded, EncoderConfig};
-#[doc(no_inline)]
 pub use recoil_core::RecoilError;
+#[doc(no_inline)]
+pub use recoil_core::{Codec, DecodeBackend, Encoded, EncoderConfig};
 
 /// The commonly used names in one import.
 pub mod prelude {
-    pub use recoil_conventional::{decode_conventional, encode_conventional};
-    pub use recoil_core::codec::{
-        Codec, CodecBuilder, CodecSymbol, DecodeBackend, DecodeRequest, Encoded, EncoderConfig,
-        PooledBackend, ScalarBackend,
+    pub use recoil_conventional::{
+        decode_conventional, decode_conventional_simd, encode_conventional,
     };
+    pub use recoil_core::backend::{
+        AutoBackend, CodecSymbol, DecodeBackend, DecodeModel, DecodeOutput, DecodeRequest,
+        ScalarBackend,
+    };
+    pub use recoil_core::codec::{Codec, CodecBuilder, Encoded, EncoderConfig};
     pub use recoil_core::{
         combine_splits, metadata_from_bytes, metadata_to_bytes, plan_chunks, try_combine_splits,
         ChunkPlan, Heuristic, IncrementalDecoder, PlannedChunk, PlannerConfig, RecoilContainer,
@@ -143,9 +155,6 @@ pub mod prelude {
     pub use recoil_rans::{
         decode_interleaved, EncodedStream, InterleavedEncoder, NullSink, RansError, VecSink,
     };
-    pub use recoil_simd::{
-        decode_conventional_simd, decode_interleaved_simd, AutoBackend, Avx2Backend, Avx512Backend,
-        Kernel, SimdModel,
-    };
+    pub use recoil_simd::{decode_interleaved_simd, Kernel, SimdModel};
     pub use recoil_tans::{decode_multians, decode_tans_serial, encode_tans, TansTable};
 }

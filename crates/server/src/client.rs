@@ -1,11 +1,17 @@
 //! The decoding client: a machine with a given parallel capacity.
+//!
+//! A client is a [`DecodeBackend`] (by default `recoil_core`'s
+//! [`AutoBackend`]: the best kernel the CPU offers on `threads` threads)
+//! and the segment count that backend can keep in flight, which is all it
+//! ever tells a server. Replacing the backend replaces the count.
 
 use crate::server::{ContentServer, Transmission};
-use recoil_core::codec::{preferred_segments, DecodeBackend, DecodeRequest};
+use recoil_core::backend::{
+    preferred_segments, AutoBackend, DecodeBackend, DecodeModel, DecodeRequest,
+};
 use recoil_core::{metadata_from_bytes, RecoilError};
 use recoil_models::StaticModelProvider;
 use recoil_rans::EncodedStream;
-use recoil_simd::AutoBackend;
 
 /// A client decodes with however many threads it has and the best SIMD
 /// kernel its CPU offers — the server never needs to know more than the
@@ -30,8 +36,12 @@ impl Client {
         }
     }
 
-    /// Forces a specific decode backend (tests / measurements).
+    /// Replaces the decode backend (tests / measurements) and, with it,
+    /// the width this client asks for: a capability belongs to a backend,
+    /// and segments the new one cannot use are metadata bytes for nothing.
+    /// Write [`Client::parallel_segments`] afterwards to ask for another.
     pub fn with_backend(mut self, backend: impl DecodeBackend + 'static) -> Self {
+        self.parallel_segments = preferred_segments(&backend);
         self.backend = Box::new(backend);
         self
     }
@@ -67,12 +77,9 @@ impl Client {
     ) -> Result<Vec<u8>, RecoilError> {
         let metadata = metadata_from_bytes(transmission.metadata_bytes())?;
         let mut out = vec![0u8; stream.num_symbols as usize];
-        let req = DecodeRequest {
-            stream,
-            metadata: &metadata,
-            model,
-        };
-        req.decode_into(self.backend.as_ref(), &mut out)?;
+        let model = DecodeModel::Static(model);
+        self.backend
+            .decode(DecodeRequest::whole(stream, &metadata, model, &mut out)?)?;
         Ok(out)
     }
 }
@@ -81,7 +88,7 @@ impl Client {
 mod tests {
     use super::*;
     use crate::server::ContentServer;
-    use recoil_core::codec::{EncoderConfig, ScalarBackend};
+    use recoil_core::{EncoderConfig, ScalarBackend};
 
     #[test]
     fn end_to_end_content_delivery() {
@@ -129,8 +136,12 @@ mod tests {
             assert_eq!(decoded, data, "threads={threads}");
         }
 
-        // A forced-scalar client agrees bit for bit.
-        let scalar = Client::new(1).with_backend(ScalarBackend);
+        // A forced-scalar client agrees bit for bit — and asks for what a
+        // scalar backend can use, not for the width of the one it replaced.
+        let scalar = Client::new(4).with_backend(ScalarBackend);
+        assert_eq!(scalar.parallel_segments, 1);
+        let (one, _) = server.fetch("video", scalar.parallel_segments).unwrap();
+        assert_eq!(one.metadata().num_segments(), 1);
         assert_eq!(scalar.fetch_and_decode(&server, "video").unwrap(), data);
 
         // The budget client transferred fewer bytes than the beefy one.

@@ -1,5 +1,4 @@
-//! The vector span kernel and the whole-stream / conventional compositions
-//! built on it.
+//! The vector span kernel and the whole-stream composition built on it.
 //!
 //! The vector loops run only on aligned 32-symbol groups away from the
 //! stream edges (memory guards); everything else — group-unaligned span
@@ -10,9 +9,9 @@
 //! model indirection defeats flat gathers).
 //!
 //! There is no segment driver here: [`decode_spans`] is a *span kernel*
-//! handed to `recoil_core::decode_segments` (see [`crate::backend`]), and
-//! the conventional baseline hands it to
-//! `recoil_conventional::decode_partitions`. Both give it batches of up to
+//! the engines above this crate call — `recoil_core::decode_segments` (from
+//! `recoil_core::backend`) and the conventional baseline's
+//! `decode_partitions`. Both give it batches of up to
 //! [`Kernel::interleave_depth`] spans, which it decodes interleaved.
 
 // Off x86_64 there is no vector loop and what only they use is dead.
@@ -20,9 +19,7 @@
 
 use crate::kernel::{Kernel, AVX2_DEPTH, AVX512_DEPTH};
 use crate::model::SimdModel;
-use recoil_conventional::{decode_partitions, ConventionalContainer};
 use recoil_models::{StaticModelProvider, Symbol};
-use recoil_parallel::ThreadPool;
 use recoil_rans::{EncodedStream, RansError, Span, SpanStats};
 use std::any::TypeId;
 
@@ -225,8 +222,10 @@ fn lead_in<S: Symbol>(
     Ok(())
 }
 
-pub(crate) fn require_32_ways(ways: u32) -> Result<(), RansError> {
-    if ways != 32 {
+/// The vector loops are built for the paper's 32-way interleave; anything
+/// else is reported as a malformed stream.
+pub fn require_32_ways(ways: u32) -> Result<(), RansError> {
+    if ways != crate::SIMD_WAYS {
         return Err(RansError::MalformedStream(format!(
             "SIMD kernels require the 32-way interleave, stream has {ways}"
         )));
@@ -248,32 +247,9 @@ pub fn decode_interleaved_simd<S: Symbol>(
     Ok(())
 }
 
-/// Baseline (B) with SIMD: per-partition vector decode, in the same
-/// batches the Recoil segment engine gets (static models only — a chunk's
-/// positions restart at zero, which only a position-independent model
-/// tolerates).
-pub fn decode_conventional_simd<S: Symbol>(
-    kernel: Kernel,
-    container: &ConventionalContainer,
-    provider: &StaticModelProvider,
-    pool: Option<&ThreadPool>,
-    out: &mut [S],
-) -> Result<(), RansError> {
-    require_32_ways(container.ways)?;
-    for chunk in &container.chunks {
-        require_32_ways(chunk.ways)?;
-    }
-    let depth = kernel.interleave_depth();
-    decode_partitions(container, pool, out, depth, |_base, spans| {
-        decode_spans(kernel, provider, spans).map(drop)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{AutoBackend, Avx2Backend, Avx512Backend};
-    use recoil_core::codec::{Codec, DecodeBackend, ScalarBackend};
     use recoil_models::{CdfTable, DecodeTables};
     use recoil_rans::{decode_interleaved, InterleavedEncoder, NullSink};
 
@@ -326,35 +302,6 @@ mod tests {
         for kernel in Kernel::all_available() {
             let mut out = vec![0u16; data.len()];
             decode_interleaved_simd(kernel, &stream, &p, &mut out).unwrap();
-            assert_eq!(out, data, "kernel {kernel:?}");
-        }
-    }
-
-    #[test]
-    fn recoil_simd_matches_scalar_recoil() {
-        let data = sample(300_000, 3, 23);
-        let codec = Codec::builder().max_segments(16).build().unwrap();
-        let enc = codec.encode(&data).unwrap();
-        let backends: [Box<dyn DecodeBackend>; 4] = [
-            Box::new(ScalarBackend),
-            Box::new(Avx2Backend::with_threads(8)),
-            Box::new(Avx512Backend::with_threads(8)),
-            Box::new(AutoBackend::with_threads(8)),
-        ];
-        for backend in backends.iter().filter(|b| b.is_available()) {
-            let out: Vec<u8> = codec.decode_with(backend.as_ref(), &enc).unwrap();
-            assert_eq!(out, data, "backend {}", backend.name());
-        }
-    }
-
-    #[test]
-    fn conventional_simd_matches() {
-        let data = sample(200_000, 4, 23);
-        let p = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
-        let c = recoil_conventional::encode_conventional(&data, &p, 32, 16);
-        for kernel in Kernel::all_available() {
-            let mut out = vec![0u8; data.len()];
-            decode_conventional_simd(kernel, &c, &p, None, &mut out).unwrap();
             assert_eq!(out, data, "kernel {kernel:?}");
         }
     }

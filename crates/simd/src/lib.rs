@@ -42,10 +42,12 @@
 //!
 //! All kernels are bit-exact mirrors of the scalar decoder — property tests
 //! in this crate and `tests/` enforce equality on arbitrary streams, batch
-//! by batch — and they plug into the Recoil segment engine
-//! (`recoil_core::decode_segments`) and the Conventional baseline as a span
-//! kernel ([`decode_spans`]), falling back to the scalar span engine at
-//! stream and span edges.
+//! by batch. This crate is kernels only: it sits *below* the engines,
+//! depending on nothing but the rANS substrate and the model tables. The
+//! Recoil segment engine (`recoil_core::decode_segments`, driven by
+//! `recoil_core::backend::AutoBackend`) and the Conventional baseline call
+//! the span kernel ([`decode_spans`]) on their batches; it falls back to the
+//! scalar span engine at stream and span edges and for [`Kernel::Scalar`].
 
 // Audited unsafe crate: every unsafe operation sits in an explicit block.
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -54,15 +56,11 @@
 mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod avx512;
-pub mod backend;
 mod driver;
 mod kernel;
 mod model;
 
-pub use backend::{AutoBackend, Avx2Backend, Avx512Backend};
-pub use driver::{
-    decode_conventional_simd, decode_interleaved_simd, decode_spans, decode_spans_at_depth,
-};
+pub use driver::{decode_interleaved_simd, decode_spans, decode_spans_at_depth, require_32_ways};
 pub use kernel::Kernel;
 pub use model::SimdModel;
 

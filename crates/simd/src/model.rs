@@ -1,6 +1,6 @@
 //! The static-model view the kernels gather from.
 
-use recoil_models::{DecodeTables, PackedLut, StaticModelProvider, WideLut};
+use recoil_models::{DecodeTables, StaticModelProvider};
 
 /// Borrowed decode tables in kernel-friendly form.
 #[derive(Debug, Clone, Copy)]
@@ -33,49 +33,15 @@ impl<'a> SimdModel<'a> {
     /// Kernel view of raw decode tables.
     pub fn from_tables(tables: &'a DecodeTables) -> Self {
         match tables {
-            DecodeTables::Packed(p) => Self::from_packed(p),
-            DecodeTables::Wide(w) => Self::from_wide(w),
-        }
-    }
-
-    /// View of a packed LUT.
-    pub fn from_packed(p: &'a PackedLut) -> Self {
-        SimdModel::Packed {
-            lut: p.entries(),
-            n: p.quant_bits(),
-        }
-    }
-
-    /// View of a wide LUT.
-    pub fn from_wide(w: &'a WideLut) -> Self {
-        SimdModel::Wide {
-            inv: w.inv(),
-            ff: w.ff(),
-            n: w.quant_bits(),
-        }
-    }
-
-    /// Quantization level `n`.
-    #[inline(always)]
-    pub fn quant_bits(&self) -> u32 {
-        match self {
-            SimdModel::Packed { n, .. } | SimdModel::Wide { n, .. } => *n,
-        }
-    }
-
-    /// Scalar lookup `(sym, freq, cdf)` — the reference the kernels mirror.
-    #[inline(always)]
-    pub fn lookup(&self, slot: u32) -> (u16, u32, u32) {
-        match *self {
-            SimdModel::Packed { lut, .. } => {
-                let e = lut[slot as usize];
-                ((e >> 24) as u16, (e >> 12) & 0xFFF, e & 0xFFF)
-            }
-            SimdModel::Wide { inv, ff, .. } => {
-                let s = inv[slot as usize];
-                let e = ff[s as usize];
-                (s, e >> 16, e & 0xFFFF)
-            }
+            DecodeTables::Packed(p) => SimdModel::Packed {
+                lut: p.entries(),
+                n: p.quant_bits(),
+            },
+            DecodeTables::Wide(w) => SimdModel::Wide {
+                inv: w.inv(),
+                ff: w.ff(),
+                n: w.quant_bits(),
+            },
         }
     }
 }
@@ -89,12 +55,15 @@ mod tests {
     fn views_match_underlying_tables() {
         let data: Vec<u8> = (0..10_000u32).map(|i| (i % 97) as u8).collect();
         for n in [11u32, 14] {
-            let t = CdfTable::of_bytes(&data, n);
-            let tables = DecodeTables::build(&t);
-            let m = SimdModel::from_tables(&tables);
-            assert_eq!(m.quant_bits(), n);
-            for slot in (0..(1u32 << n)).step_by(13) {
-                assert_eq!(m.lookup(slot), tables.lookup(slot));
+            let tables = DecodeTables::build(&CdfTable::of_bytes(&data, n));
+            match (SimdModel::from_tables(&tables), &tables) {
+                (SimdModel::Packed { lut, n: level }, DecodeTables::Packed(p)) => {
+                    assert_eq!((lut, level), (p.entries(), n));
+                }
+                (SimdModel::Wide { inv, ff, n: level }, DecodeTables::Wide(w)) => {
+                    assert_eq!((inv, ff, level), (w.inv(), w.ff(), n));
+                }
+                (view, _) => panic!("n={n}: {view:?} is not a view of its tables"),
             }
         }
     }

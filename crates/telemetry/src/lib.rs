@@ -293,11 +293,6 @@ impl Telemetry {
         self.trace.drain()
     }
 
-    /// Total trace events ever recorded (including overwritten ones).
-    pub fn trace_recorded(&self) -> u64 {
-        self.trace.recorded()
-    }
-
     /// Snapshots every instrument (plus the global decode metrics) into
     /// stable-ordered name/value lists.
     pub fn snapshot(&self) -> TelemetrySnapshot {
@@ -459,7 +454,6 @@ mod tests {
         assert!(!t.trace_enabled());
         t.trace(Stage::FrameRead, 1, 2);
         assert!(t.drain_trace().is_empty());
-        assert_eq!(t.trace_recorded(), 0);
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn main() -> Result<(), RecoilError> {
     let codec = Codec::builder()
         .quant_bits(16)
         .max_segments(256)
-        .backend(PooledBackend::new(threads))
+        .backend(AutoBackend::fixed(Kernel::Scalar, threads))
         .build()?;
 
     // Encode with the caller-owned adaptive provider.

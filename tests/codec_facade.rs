@@ -20,9 +20,9 @@ fn datasets() -> Vec<(&'static str, Vec<u8>)> {
 fn all_backends() -> Vec<Box<dyn DecodeBackend>> {
     vec![
         Box::new(ScalarBackend),
-        Box::new(PooledBackend::new(8)),
-        Box::new(Avx2Backend::with_threads(8)),
-        Box::new(Avx512Backend::with_threads(8)),
+        Box::new(AutoBackend::fixed(Kernel::Scalar, 8)),
+        Box::new(AutoBackend::fixed(Kernel::Avx2, 8)),
+        Box::new(AutoBackend::fixed(Kernel::Avx512, 8)),
         Box::new(AutoBackend::with_threads(8)),
     ]
 }
@@ -175,8 +175,11 @@ fn heuristic_choice_flows_through_the_builder() {
     let data = text_like_bytes(300_000, 5.0, 46);
     let sync = Codec::builder().max_segments(64).build().unwrap();
     let naive = Codec::builder()
-        .max_segments(64)
-        .heuristic(Heuristic::NearestOnly)
+        .encoder_config(EncoderConfig {
+            max_segments: 64,
+            heuristic: Heuristic::NearestOnly,
+            ..EncoderConfig::default()
+        })
         .build()
         .unwrap();
     let a = sync.encode(&data).unwrap();

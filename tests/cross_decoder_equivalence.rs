@@ -24,9 +24,9 @@ fn check_byte_dataset(d: &Dataset, n: u32) {
     // Recoil: every available backend must agree bit for bit.
     let backends: Vec<Box<dyn DecodeBackend>> = vec![
         Box::new(ScalarBackend),
-        Box::new(PooledBackend::new(8)),
-        Box::new(Avx2Backend::with_threads(8)),
-        Box::new(Avx512Backend::with_threads(8)),
+        Box::new(AutoBackend::fixed(Kernel::Scalar, 8)),
+        Box::new(AutoBackend::fixed(Kernel::Avx2, 8)),
+        Box::new(AutoBackend::fixed(Kernel::Avx512, 8)),
         Box::new(AutoBackend::with_threads(8)),
     ];
     for backend in backends.iter().filter(|b| b.is_available()) {

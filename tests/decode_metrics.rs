@@ -15,11 +15,11 @@ fn a_decode_adds_exactly_its_segments_symbols_and_words() {
     let data = recoil::data::text_like_bytes(300_000, 5.0, 19);
     let backends: Vec<Box<dyn DecodeBackend>> = vec![
         Box::new(ScalarBackend),
-        Box::new(PooledBackend::new(3)),
+        Box::new(AutoBackend::fixed(Kernel::Scalar, 3)),
         Box::new(AutoBackend::new()),
         Box::new(AutoBackend::with_threads(3)),
-        Box::new(Avx2Backend::new()),
-        Box::new(Avx512Backend::with_threads(2)),
+        Box::new(AutoBackend::fixed(Kernel::Avx2, 1)),
+        Box::new(AutoBackend::fixed(Kernel::Avx512, 2)),
     ];
     for max_segments in [1u64, 2, 7, 64] {
         let codec = Codec::builder().max_segments(max_segments).build().unwrap();

@@ -1,7 +1,8 @@
 //! Cross-backend differential decode harness.
 //!
-//! Drives every available [`DecodeBackend`] (Scalar, Pooled, Auto, plus the
-//! explicit AVX2/AVX-512 backends on hosts that have them) and both the
+//! Drives every available [`DecodeBackend`] selection (scalar, scalar on a
+//! pool, auto, plus the fixed AVX2/AVX-512 kernels on hosts that have them,
+//! with and without a pool) and both the
 //! buffered and streaming decode paths over one seeded corpus — varied
 //! alphabet sizes, segment counts including 1 and clamp-edge values, empty
 //! and one-symbol inputs — asserting **byte-identity everywhere**. The
@@ -9,7 +10,9 @@
 //! capability; this harness is the executable form of that claim.
 
 use recoil::prelude::*;
+use recoil::rans::{LaneStates, Span};
 use recoil_core::{plan_chunks, IncrementalDecoder};
+use std::ops::Range;
 
 /// SplitMix-style deterministic generator — the corpus is fully seeded.
 fn next_u64(state: &mut u64) -> u64 {
@@ -38,21 +41,21 @@ fn corpus_entry(len: usize, alphabet: u16, seed: u64) -> Vec<u8> {
 fn backends() -> Vec<(&'static str, Box<dyn DecodeBackend>)> {
     let mut b: Vec<(&'static str, Box<dyn DecodeBackend>)> = vec![
         ("scalar", Box::new(ScalarBackend)),
-        ("pooled", Box::new(PooledBackend::new(4))),
+        ("pooled", Box::new(AutoBackend::fixed(Kernel::Scalar, 4))),
         ("auto", Box::new(AutoBackend::with_threads(2))),
     ];
     // The vector kernels unpooled (every batch is a full interleave depth
     // until the range runs out) and pooled (batches shrink so that no
     // thread idles).
-    let avx2 = Avx2Backend::new();
+    let avx2 = AutoBackend::fixed(Kernel::Avx2, 1);
     if avx2.is_available() {
         b.push(("avx2", Box::new(avx2)));
-        b.push(("avx2 x3", Box::new(Avx2Backend::with_threads(3))));
+        b.push(("avx2 x3", Box::new(AutoBackend::fixed(Kernel::Avx2, 3))));
     }
-    let avx512 = Avx512Backend::new();
+    let avx512 = AutoBackend::fixed(Kernel::Avx512, 1);
     if avx512.is_available() {
         b.push(("avx512", Box::new(avx512)));
-        b.push(("avx512 x3", Box::new(Avx512Backend::with_threads(3))));
+        b.push(("avx512 x3", Box::new(AutoBackend::fixed(Kernel::Avx512, 3))));
     }
     b
 }
@@ -190,7 +193,7 @@ fn every_backend_and_path_is_byte_identical() {
 }
 
 /// Shapes targeting the fast-loop/careful-tail seam of
-/// `recoil_rans::fast::decode_span`: streams whose word count exhausts
+/// `recoil_rans::Span::advance_scalar`: streams whose word count exhausts
 /// exactly at a group boundary, one word short of a group (the budget
 /// check fails with `GROUP - 1` words still unread), one word past it, and
 /// symbol counts that end mid-group on the final lane. Each shape is
@@ -199,7 +202,7 @@ fn every_backend_and_path_is_byte_identical() {
 /// the streaming path at a fine granularity.
 #[test]
 fn fast_tail_seam_word_exhaustion_shapes() {
-    use recoil::rans::fast::{decode_span, decode_span_careful, GROUP};
+    use recoil::rans::fast::{decode_span_careful, GROUP};
 
     // Scan seeded corpus lengths until every target (word-count residue,
     // symbol-count residue) pair is represented; the encoder is fast
@@ -245,17 +248,16 @@ fn fast_tail_seam_word_exhaustion_shapes() {
 
         // Fast engine vs careful reference: identical output, identical
         // final lane states, identical leftover cursor.
-        let mut fast_states = stream.final_states.clone();
         let mut fast_out = vec![0u8; data.len()];
-        let fast_cursor = decode_span(
-            &enc.model,
-            &stream.words,
-            next,
-            &mut fast_states,
-            0,
-            &mut fast_out,
-        )
-        .unwrap();
+        let mut span = Span {
+            words: &stream.words,
+            cursor: next,
+            states: LaneStates::from(&stream.final_states[..]),
+            lo: 0,
+            out: &mut fast_out,
+        };
+        span.advance_scalar(&enc.model, data.len()).unwrap();
+        let (fast_states, fast_cursor) = (span.states.to_vec(), span.cursor);
         let mut ref_states = stream.final_states.clone();
         let mut ref_out = vec![0u8; data.len()];
         let ref_cursor = decode_span_careful(
@@ -299,6 +301,24 @@ fn sixteen_bit_streams_are_differentially_identical() {
     }
 }
 
+/// `segments` of `enc` — its words as far as `stream` has them — through
+/// `backend`'s one decode method into `out`.
+fn decode_range(
+    backend: &dyn DecodeBackend,
+    stream: &EncodedStream,
+    enc: &Encoded,
+    segments: Range<u64>,
+    out: &mut [u8],
+) -> Result<(), RecoilError> {
+    backend.decode(DecodeRequest {
+        stream,
+        metadata: &enc.container.metadata,
+        model: DecodeModel::Static(&enc.model),
+        segments,
+        out: DecodeOutput::U8(out),
+    })
+}
+
 /// Every segment range `a..b` of an 11-segment stream — lengths that are
 /// and are not a multiple of any kernel's interleave depth, single
 /// segments, ranges with and without the first and the final segment — on
@@ -314,17 +334,12 @@ fn every_segment_range_decodes_its_region_and_nothing_else() {
     let nseg = meta.num_segments();
     assert_eq!(nseg, 11);
     let bounds = meta.segment_bounds();
-    let req = DecodeRequest {
-        stream: &enc.container.stream,
-        metadata: meta,
-        model: &enc.model,
-    };
+    let stream = &enc.container.stream;
     for (name, backend) in &backends() {
         for a in 0..=nseg {
             for b in a..=nseg {
                 let mut out = vec![0xA5u8; data.len()];
-                backend
-                    .decode_u8(&req, a..b, &mut out)
+                decode_range(backend.as_ref(), stream, &enc, a..b, &mut out)
                     .unwrap_or_else(|e| panic!("{name} {a}..{b}: {e}"));
                 let (lo, hi) = (bounds[a as usize] as usize, bounds[b as usize] as usize);
                 assert_eq!(&out[lo..hi], &data[lo..hi], "{name} {a}..{b}");
@@ -339,7 +354,7 @@ fn every_segment_range_decodes_its_region_and_nothing_else() {
 
 #[test]
 fn pooled_and_scalar_segment_ranges_agree_mid_stream() {
-    // The segment-range entry point itself, against a word *prefix*: decode
+    // A segment-range request against a word *prefix*: decode
     // the first half of the segments before the rest of the stream exists.
     let mut seed = 77u64;
     let data = corpus_entry(80_000, 256, next_u64(&mut seed));
@@ -351,42 +366,34 @@ fn pooled_and_scalar_segment_ranges_agree_mid_stream() {
     let half = nseg / 2;
     let need = meta.splits[half as usize - 1].offset as usize + 1;
 
-    let mut prefix_stream = enc.container.stream.clone();
-    prefix_stream.words.truncate(need);
-    let req = DecodeRequest {
-        stream: &prefix_stream,
-        metadata: meta,
-        model: &enc.model,
-    };
+    let mut prefix = enc.container.stream.clone();
+    prefix.words.truncate(need);
     let bounds = meta.segment_bounds();
     let cut = bounds[half as usize] as usize;
-    let mut short_stream = prefix_stream.clone();
-    short_stream.words.truncate(need - 1);
-    let short_req = DecodeRequest {
-        stream: &short_stream,
-        ..req
-    };
-    // (request, range) pairs every backend must reject with a typed error —
+    let mut short = prefix.clone();
+    short.words.truncate(need - 1);
+    let (prefix, short) = (&prefix, &short);
+    // (stream prefix, range) pairs every backend must reject with a typed error —
     // the same one, since they share one validator, which runs before any
     // batch arithmetic on the range: the final segment on a prefix, a
     // prefix one word short, reversed ranges (by one, and by as much as a
     // `u64` allows), ranges past the last segment.
     #[allow(clippy::reversed_empty_ranges)]
     let rejected = [
-        (&req, 0..nseg),
-        (&short_req, 0..half),
-        (&req, 3..1),
-        (&req, u64::MAX..0),
-        (&req, nseg..nseg - 1),
-        (&req, 0..nseg + 1),
-        (&req, 0..u64::MAX),
-        (&req, u64::MAX - 1..u64::MAX),
+        (prefix, 0..nseg),
+        (short, 0..half),
+        (prefix, 3..1),
+        (prefix, u64::MAX..0),
+        (prefix, nseg..nseg - 1),
+        (prefix, 0..nseg + 1),
+        (prefix, 0..u64::MAX),
+        (prefix, u64::MAX - 1..u64::MAX),
     ];
     let mut expected: Vec<String> = Vec::new();
     for (name, backend) in &backends() {
+        let backend = backend.as_ref();
         let mut out = vec![0u8; data.len()];
-        backend
-            .decode_u8(&req, 0..half, &mut out)
+        decode_range(backend, prefix, &enc, 0..half, &mut out)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(&out[..cut], &data[..cut], "prefix decode {name}");
         assert!(
@@ -397,8 +404,7 @@ fn pooled_and_scalar_segment_ranges_agree_mid_stream() {
         // An empty range the prefix covers is valid and writes nothing.
         let mut untouched = vec![0xAAu8; data.len()];
         for at in [0, half] {
-            backend
-                .decode_u8(&req, at..at, &mut untouched)
+            decode_range(backend, prefix, &enc, at..at, &mut untouched)
                 .unwrap_or_else(|e| panic!("{name} empty range at {at}: {e}"));
         }
         assert!(
@@ -409,7 +415,7 @@ fn pooled_and_scalar_segment_ranges_agree_mid_stream() {
         let errors: Vec<String> = rejected
             .iter()
             .map(
-                |(r, range)| match backend.decode_u8(r, range.clone(), &mut out) {
+                |(r, range)| match decode_range(backend, r, &enc, range.clone(), &mut out) {
                     Err(RecoilError::Decode(e)) => e.to_string(),
                     other => panic!("{name} {range:?}: expected a decode error, got {other:?}"),
                 },

@@ -72,15 +72,15 @@ fn careful_container<S: Symbol>(
 fn backends(ways: u32) -> Vec<(&'static str, Box<dyn DecodeBackend>)> {
     let mut b: Vec<(&'static str, Box<dyn DecodeBackend>)> = vec![
         ("scalar", Box::new(ScalarBackend)),
-        ("pooled", Box::new(PooledBackend::new(4))),
+        ("pooled", Box::new(AutoBackend::fixed(Kernel::Scalar, 4))),
     ];
     if ways == 32 {
         b.push(("auto", Box::new(AutoBackend::with_threads(2))));
-        let avx2 = Avx2Backend::new();
+        let avx2 = AutoBackend::fixed(Kernel::Avx2, 1);
         if avx2.is_available() {
             b.push(("avx2", Box::new(avx2)));
         }
-        let avx512 = Avx512Backend::new();
+        let avx512 = AutoBackend::fixed(Kernel::Avx512, 1);
         if avx512.is_available() {
             b.push(("avx512", Box::new(avx512)));
         }

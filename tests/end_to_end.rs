@@ -27,7 +27,7 @@ fn text_dataset_full_pipeline() {
     assert_eq!(meta, encoded.container.metadata);
 
     // Decode at several parallelism levels; all must be identical.
-    let pooled = PooledBackend::new(8);
+    let pool = ThreadPool::new(7);
     for segments in [1u64, 2, 16, 128] {
         let m = combine_splits(&meta, segments);
         let mut got = vec![0u8; data.len()];
@@ -35,7 +35,7 @@ fn text_dataset_full_pipeline() {
             &encoded.container.stream,
             &m,
             &encoded.model,
-            Some(pooled.pool()),
+            Some(&pool),
             &mut got,
         )
         .unwrap();
@@ -87,7 +87,7 @@ fn conventional_and_recoil_decode_identically() {
     let codec = Codec::builder()
         .max_segments(64)
         .quant_bits(12)
-        .backend(PooledBackend::new(8))
+        .backend(AutoBackend::fixed(Kernel::Scalar, 8))
         .build()
         .unwrap();
     let encoded = codec.encode(&data).unwrap();
@@ -153,8 +153,8 @@ fn simd_and_scalar_recoil_decoders_agree_on_all_variations() {
         let encoded = codec.encode(&data).unwrap();
         let scalar: Vec<u8> = codec.decode_with(&ScalarBackend, &encoded).unwrap();
         for backend in [
-            &Avx2Backend::new() as &dyn DecodeBackend,
-            &Avx512Backend::new(),
+            &AutoBackend::fixed(Kernel::Avx2, 1) as &dyn DecodeBackend,
+            &AutoBackend::fixed(Kernel::Avx512, 1),
             &AutoBackend::new(),
         ] {
             if !backend.is_available() {
@@ -175,7 +175,9 @@ fn mutual_compatibility_one_bitstream_every_decoder() {
     let encoded = codec.encode(&data).unwrap();
 
     let serial: Vec<u8> = decode_interleaved(&encoded.container.stream, &encoded.model).unwrap();
-    let recoil_scalar: Vec<u8> = codec.decode_with(&PooledBackend::new(8), &encoded).unwrap();
+    let recoil_scalar: Vec<u8> = codec
+        .decode_with(&AutoBackend::fixed(Kernel::Scalar, 8), &encoded)
+        .unwrap();
     assert_eq!(serial, recoil_scalar);
     for kernel in Kernel::all_available() {
         let mut out = vec![0u8; data.len()];
@@ -184,8 +186,8 @@ fn mutual_compatibility_one_bitstream_every_decoder() {
         assert_eq!(out, serial, "single-thread {kernel:?}");
     }
     for backend in [
-        &Avx2Backend::with_threads(8) as &dyn DecodeBackend,
-        &Avx512Backend::with_threads(8),
+        &AutoBackend::fixed(Kernel::Avx2, 8) as &dyn DecodeBackend,
+        &AutoBackend::fixed(Kernel::Avx512, 8),
         &AutoBackend::with_threads(8),
     ] {
         if !backend.is_available() {

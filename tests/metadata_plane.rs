@@ -88,11 +88,12 @@ fn sparse(len: usize) -> Vec<u8> {
 /// robustness and wire tests already encode.
 fn observed_plans() -> Vec<u32> {
     let plan = |data: &[u8], segments: u64, heuristic: Heuristic| {
-        let codec = Codec::builder()
-            .max_segments(segments)
-            .heuristic(heuristic)
-            .build()
-            .unwrap();
+        let codec = Codec::from_config(EncoderConfig {
+            max_segments: segments,
+            heuristic,
+            ..EncoderConfig::default()
+        })
+        .unwrap();
         pin(&metadata_to_bytes(
             &codec.encode(data).unwrap().container.metadata,
         ))

@@ -128,11 +128,12 @@ fn pathological_inputs_round_trip() {
 #[test]
 fn naive_heuristic_still_decodes_correctly() {
     let data = recoil::data::text_like_bytes(300_000, 5.0, 77);
-    let codec = Codec::builder()
-        .max_segments(64)
-        .heuristic(Heuristic::NearestOnly)
-        .build()
-        .unwrap();
+    let codec = Codec::from_config(EncoderConfig {
+        max_segments: 64,
+        heuristic: Heuristic::NearestOnly,
+        ..EncoderConfig::default()
+    })
+    .unwrap();
     let enc = codec.encode(&data).unwrap();
     enc.container
         .metadata
