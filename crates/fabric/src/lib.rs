@@ -39,20 +39,18 @@
 //!
 //! ## Chaos
 //!
-//! Failures are injected deterministically from both sides of the wire:
-//! server-side via [`recoil_net::FaultPlan`] (seeded node-kill offsets,
-//! accept-RST, delayed and torn writes) and client-side via the
-//! [`ChaosProxy`] — a faulty TCP relay that can kill, stall, or shred a
-//! stream at exact byte counts. The same plans drive the chaos test
-//! suite and the ladder's `fabric_failover` workload, so failover cost is
-//! a tracked number, not an anecdote.
+//! Failures are injected deterministically by the faulted node itself,
+//! through its [`recoil_net::FaultPlan`]: seeded byte-exact kill offsets,
+//! accept-RST, and delayed and torn writes. That one injector covers
+//! every fault a client can observe — a torn, stalled, killed or reset
+//! connection — so the chaos test suite and the ladder's
+//! `fabric_failover` workload replay the same failures, and failover cost
+//! is a tracked number, not an anecdote.
 
 #![forbid(unsafe_code)]
 
-mod chaos;
 mod cluster;
 mod router;
 
-pub use chaos::{ChaosProxy, ProxyFault};
 pub use cluster::Fabric;
 pub use router::{FabricFetch, FabricRouter, FetchAttempt, RouterConfig};

@@ -1,9 +1,10 @@
 //! Seeded chaos suite: node deaths at exact byte offsets, resume
-//! correctness down to wire-level byte accounting, and client-side
-//! faults through the chaos proxy.
+//! correctness down to wire-level byte accounting, and what a client sees
+//! of a torn, stalled, killed or resetting node — every fault injected by
+//! the node's own `FaultPlan`.
 
 use recoil_core::{EncoderConfig, RecoilError};
-use recoil_fabric::{ChaosProxy, FabricRouter, ProxyFault, RouterConfig};
+use recoil_fabric::{FabricRouter, RouterConfig};
 use recoil_net::raw::{read_frame, write_frame, ReadOutcome};
 use recoil_net::{
     ContentRequest, FaultPlan, FrameType, Hello, NetClient, NetClientConfig, NetConfig, NetServer,
@@ -285,52 +286,73 @@ fn dribbled_writes_decode_byte_identical() {
     server.shutdown();
 }
 
-/// Client-side faults through the chaos proxy: kills surface as typed
-/// transport errors, tears and stalls are survived transparently.
-#[test]
-fn chaos_proxy_faults_behave_as_typed() {
-    let server = start(None);
+/// Publishes the client-fault cases' item on `server` over a connection of
+/// its own (a plan's byte counts are per connection).
+fn publish_client_item(server: &NetServerHandle) -> Vec<u8> {
     let data = sample(30_000, 29);
     NetClient::connect(server.addr())
         .unwrap()
-        .publish("proxied", &data, &enc())
+        .publish("item", &data, &enc())
         .unwrap();
+    data
+}
 
-    // Torn relay: tiny fragmented writes, identical decode.
-    let torn = ChaosProxy::launch(server.addr(), ProxyFault::Torn(9)).unwrap();
-    let client = NetClient::connect(torn.addr()).unwrap();
-    assert_eq!(client.fetch_and_decode("proxied", 4).unwrap(), data);
-    torn.shutdown();
+/// A node that tears every write at 9 bytes: frame headers arrive split
+/// across reads, and the decode is byte-identical.
+#[test]
+fn torn_writes_decode_byte_identical() {
+    let server = start(Some(FaultPlan {
+        torn_write_bytes: Some(9),
+        ..FaultPlan::default()
+    }));
+    let data = publish_client_item(&server);
+    let client = NetClient::connect(server.addr()).unwrap();
+    assert_eq!(client.fetch_and_decode("item", 4).unwrap(), data);
+    server.shutdown();
+}
 
-    // Stalled relay: a pause mid-stream, still completes.
-    let stall = ChaosProxy::launch(
-        server.addr(),
-        ProxyFault::StallAfter(2_000, Duration::from_millis(120)),
-    )
-    .unwrap();
-    let client = NetClient::connect(stall.addr()).unwrap();
-    assert_eq!(client.fetch_and_decode("proxied", 4).unwrap(), data);
-    stall.shutdown();
+/// A node that pauses longer than the client's read timeout between torn
+/// writes still completes: the 8 KiB tears land inside the 16 KiB CHUNK
+/// frames, so the client's socket read times out mid-frame and its
+/// mid-frame retry runs on a real socket.
+#[test]
+fn writes_stalled_past_the_read_timeout_mid_chunk_still_complete() {
+    let read_timeout = NetClientConfig::default().read_timeout;
+    let pause = read_timeout + Duration::from_millis(50);
+    let server = start(Some(FaultPlan::dribble(8 * 1024, pause)));
+    let data = publish_client_item(&server);
+    let client = NetClient::connect(server.addr()).unwrap();
+    let started = std::time::Instant::now();
+    assert_eq!(client.fetch_and_decode("item", 4).unwrap(), data);
+    assert!(started.elapsed() > read_timeout);
+    server.shutdown();
+}
 
-    // Killed relay: a no-retry client sees a transport error.
-    let kill = ChaosProxy::launch(server.addr(), ProxyFault::KillAfter(2_000)).unwrap();
+/// A node that dies 2 000 bytes into a connection's responses surfaces as
+/// a typed transport error to a client that may not retry.
+#[test]
+fn killed_node_surfaces_a_transport_error_without_retry() {
+    let server = start(Some(FaultPlan::kill_at(2_000)));
+    publish_client_item(&server);
     let client = NetClient::connect_with(
-        kill.addr(),
+        server.addr(),
         NetClientConfig {
             retry_budget: 0,
             ..NetClientConfig::default()
         },
     )
     .unwrap();
-    match client.fetch_and_decode("proxied", 4) {
+    match client.fetch_and_decode("item", 4) {
         Err(RecoilError::Net { .. }) => {}
-        other => panic!("expected a transport error through the killed proxy, got {other:?}"),
+        other => panic!("expected a transport error from the killed node, got {other:?}"),
     }
-    kill.shutdown();
+    server.shutdown();
+}
 
-    // Reset-on-accept relay: the dial itself fails.
-    let rst = ChaosProxy::launch(server.addr(), ProxyFault::AcceptRst).unwrap();
-    assert!(NetClient::connect(rst.addr()).is_err());
-    rst.shutdown();
+/// A node that resets every accept fails the dial itself.
+#[test]
+fn accept_rst_node_fails_the_dial() {
+    let server = start(Some(FaultPlan::accept_rst()));
+    assert!(NetClient::connect(server.addr()).is_err());
     server.shutdown();
 }

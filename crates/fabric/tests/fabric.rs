@@ -3,7 +3,9 @@
 
 use recoil_core::{EncoderConfig, RecoilError};
 use recoil_fabric::{Fabric, FabricRouter, RouterConfig};
-use recoil_net::{FaultPlan, NetClient, NetClientConfig, NetConfig, NetServer};
+use recoil_net::{
+    FaultPlan, NetClient, NetClientConfig, NetConfig, NetServer, BUSY_RETRY_AFTER_MS,
+};
 use recoil_server::ContentServer;
 use recoil_telemetry::TelemetryLevel;
 use std::sync::Arc;
@@ -175,7 +177,7 @@ fn telemetry_frame_agrees_with_stats_on_busy_rejections() {
     );
     match shed {
         Err(RecoilError::Busy { retry_after_ms }) => {
-            assert_eq!(retry_after_ms, NetConfig::default().busy_retry_after_ms)
+            assert_eq!(retry_after_ms, BUSY_RETRY_AFTER_MS)
         }
         other => panic!("expected a typed busy shed, got {other:?}"),
     }

@@ -7,10 +7,11 @@
 //! derive their offsets from a caller-supplied seed with splitmix64, so
 //! a chaos suite can sweep fault points reproducibly.
 //!
-//! Client-observed faults (accept-then-RST relays, stalled proxies) live
-//! in the fabric crate's chaos proxy; this type covers what only the
-//! serving node itself can do: die mid-stream, dribble its writes, and
-//! tear frames across arbitrary syscall boundaries.
+//! It is the transport's one fault injector: reset every accept, die
+//! mid-stream at an exact byte, dribble writes, and tear frames across
+//! arbitrary syscall boundaries. The write arithmetic lives here too
+//! (`FaultPlan::clamp_write`), so it is tested without a socket and the
+//! reactor only sleeps, writes and closes as told.
 
 use std::time::Duration;
 
@@ -71,9 +72,23 @@ impl FaultPlan {
         }
     }
 
-    /// Whether any fault is armed (a default plan costs nothing per write).
-    pub fn is_active(&self) -> bool {
-        *self != Self::default()
+    /// One write syscall's share of `pending` bytes on a connection that
+    /// has already written `written`: how many it may take (tear first,
+    /// then never past the kill offset, so the cut is byte-exact and seeded
+    /// runs reproduce down to the torn frame), and whether the connection
+    /// dies once all of them are written. A kill offset already reached
+    /// allows no bytes.
+    pub(crate) fn clamp_write(&self, written: u64, pending: usize) -> (usize, bool) {
+        let take = self
+            .torn_write_bytes
+            .map_or(pending, |cap| pending.min(cap.max(1)));
+        let room = self
+            .kill_after_write_bytes
+            .map(|at| at.saturating_sub(written));
+        match room {
+            Some(room) if room <= take as u64 => (room as usize, true),
+            _ => (take, false),
+        }
     }
 }
 
@@ -110,11 +125,58 @@ mod tests {
         assert!(offsets.len() > 32, "seeds collapse to too few offsets");
     }
 
+    /// Drives `pending` bytes through `clamp_write` as a socket that takes
+    /// everything offered would: the syscall sizes, and the byte the
+    /// connection died at (if it did).
+    fn drive(plan: &FaultPlan, pending: usize) -> (Vec<usize>, Option<u64>) {
+        let (mut written, mut writes) = (0u64, Vec::new());
+        while (written as usize) < pending {
+            let (take, dies) = plan.clamp_write(written, pending - written as usize);
+            writes.push(take);
+            written += take as u64;
+            if dies {
+                return (writes, Some(written));
+            }
+        }
+        (writes, None)
+    }
+
     #[test]
-    fn default_plan_is_inactive() {
-        assert!(!FaultPlan::default().is_active());
-        assert!(FaultPlan::kill_at(1).is_active());
-        assert!(FaultPlan::accept_rst().is_active());
-        assert!(FaultPlan::dribble(3, Duration::from_millis(1)).is_active());
+    fn kill_lands_on_its_exact_byte_around_a_tear_boundary() {
+        // Tears at 10: the boundary under test is byte 20.
+        for at in [19, 20, 21] {
+            let plan = FaultPlan {
+                torn_write_bytes: Some(10),
+                ..FaultPlan::kill_at(at)
+            };
+            let (writes, died) = drive(&plan, 100);
+            assert_eq!(died, Some(at), "kill at {at}");
+            assert_eq!(writes.iter().sum::<usize>() as u64, at);
+            assert!(writes.iter().all(|&w| w <= 10), "kill at {at}: {writes:?}");
+        }
+        // Untorn, the kill is the first write's whole budget.
+        assert_eq!(FaultPlan::kill_at(7).clamp_write(0, 100), (7, true));
+        // A kill past the response never fires.
+        assert_eq!(drive(&FaultPlan::kill_at(500), 100), (vec![100], None));
+        assert_eq!(FaultPlan::default().clamp_write(3, 100), (100, false));
+    }
+
+    #[test]
+    fn a_zero_tear_tears_as_one() {
+        let plan = FaultPlan {
+            torn_write_bytes: Some(0),
+            ..FaultPlan::default()
+        };
+        assert_eq!(plan.clamp_write(0, 5), (1, false));
+        assert_eq!(drive(&plan, 3), (vec![1, 1, 1], None));
+        let dribble = FaultPlan::dribble(0, Duration::from_millis(1));
+        assert_eq!(dribble.clamp_write(9, 5), (1, false));
+    }
+
+    #[test]
+    fn a_passed_kill_offset_allows_no_bytes() {
+        let plan = FaultPlan::kill_at(10);
+        assert_eq!(plan.clamp_write(10, 5), (0, true));
+        assert_eq!(plan.clamp_write(12, 5), (0, true));
     }
 }

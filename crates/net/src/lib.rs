@@ -69,7 +69,8 @@
 //! connections at a fixed response-byte offset (a mid-stream crash). Plans
 //! are plain data with seeded constructors, so the chaos suite and the
 //! ladder's `fabric_failover` workload replay the same failures on every
-//! run.
+//! run. It is the only fault injector: every fault a client can observe
+//! (a torn, stalled, killed or reset connection) is one of these.
 //!
 //! ## Streaming pipelined decode
 //!
@@ -100,8 +101,8 @@
 //!
 //! [`NetServer::bind`] starts one **reactor thread** that multiplexes
 //! every connection through `recoil-reactor`'s readiness plumbing:
-//! edge-triggered epoll (with a portable `poll(2)` fallback behind
-//! [`NetConfig::poll_fallback`]), per-connection state in a
+//! edge-triggered epoll (each socket registered once for both directions
+//! and pumped until `WouldBlock` on every edge), per-connection state in a
 //! generation-checked slab whose buffers are parked on close and recycled
 //! on the next accept, and a deadline queue for progress timeouts.
 //! Connections are **not** pinned to threads: thousands of mostly-idle
@@ -113,8 +114,10 @@
 //! queue and completes back to the loop through a wake pipe.
 //!
 //! `max_connections` caps open connections (excess accepts get a typed
-//! busy error). Timeouts are *progress* deadlines managed by the reactor:
-//! a peer that starts a frame must keep bytes flowing within
+//! busy error carrying [`BUSY_RETRY_AFTER_MS`]; a connection holds at most
+//! one dispatched job, so the job queue is bounded by it too). Timeouts
+//! are *progress* deadlines managed by the reactor: a peer that starts a
+//! frame must keep bytes flowing within
 //! [`NetConfig::read_timeout`] or it is evicted with a typed `ERROR`
 //! frame (slow-loris defense, counted in the `evicted_connections`
 //! stat); a peer that stops consuming its response is dropped after
@@ -125,9 +128,7 @@
 //!
 //! Cache-hit requests resolve through [`ContentServer::fetch_cached`]
 //! without leaving the loop; misses go through [`ContentServer::fetch`],
-//! the atomic name→(transmission, content) lookup, on a worker. The
-//! original thread-per-connection backend completed its deprecation
-//! cycle and has been removed.
+//! the atomic name→(transmission, content) lookup, on a worker.
 //!
 //! ## One stats plane
 //!
@@ -218,7 +219,7 @@ pub use proto::{
     TransmitHeader,
 };
 pub use recoil_reactor::SlabStats;
-pub use server::{NetConfig, NetServer, NetServerHandle};
+pub use server::{NetConfig, NetServer, NetServerHandle, BUSY_RETRY_AFTER_MS};
 
 // Framing internals the integration tests poke at (sending deliberately
 // malformed frames requires the raw read/write entry points).

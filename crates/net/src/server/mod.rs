@@ -8,12 +8,10 @@
 //! combines on a tier-cache miss — to a small dispatch pool. Connections
 //! are *not* pinned to threads, so thousands of mostly-idle peers cost
 //! one slab slot each, not a worker.
-//!
-//! The original thread-per-connection backend finished its deprecation
-//! cycle and has been removed; the reactor passes the same integration
-//! suites it did.
 
 mod reactor;
+
+pub use reactor::BUSY_RETRY_AFTER_MS;
 
 use crate::fault::FaultPlan;
 use crate::frame::{io_err, MAX_FRAME_LEN};
@@ -37,7 +35,7 @@ pub struct NetConfig {
     /// not connection concurrency.
     pub workers: usize,
     /// Hard cap on concurrently open connections; excess accepts are
-    /// rejected with a typed busy error.
+    /// rejected with a typed busy error carrying [`BUSY_RETRY_AFTER_MS`].
     pub max_connections: usize,
     /// Progress deadline while a frame is partially received: a peer that
     /// starts a frame must keep bytes flowing at least this often or be
@@ -48,9 +46,6 @@ pub struct NetConfig {
     pub write_timeout: Duration,
     /// Bitstream bytes per [`crate::FrameType::Chunk`] frame.
     pub chunk_bytes: usize,
-    /// Force the reactor's portable level-triggered `poll(2)` backend
-    /// instead of edge-triggered epoll (tests, exotic targets).
-    pub poll_fallback: bool,
     /// How much the pipeline observes itself. `Off` (the default) reduces
     /// every instrument to one branch on the hot path; `Counters` adds
     /// counters, gauges, and latency histograms; `Trace` additionally keeps
@@ -58,14 +53,6 @@ pub struct NetConfig {
     /// over the wire via the negotiated TELEMETRY capability and locally
     /// via [`NetServerHandle::telemetry`].
     pub telemetry: TelemetryLevel,
-    /// Dispatch-queue depth at which PUBLISH/REQUEST offloads are shed with
-    /// a typed busy error instead of queueing unboundedly behind a slow
-    /// worker pool.
-    pub max_queue_depth: usize,
-    /// Retry-after hint (milliseconds) carried in the typed busy error the
-    /// server sheds load with; a well-behaved client backs off at least
-    /// this long before retrying.
-    pub busy_retry_after_ms: u32,
     /// Deterministic fault schedule for chaos testing ([`FaultPlan`]). A
     /// `None` (the default) serves faithfully; a plan makes this node
     /// reset accepts, tear/delay writes, or die mid-stream at a fixed
@@ -82,10 +69,7 @@ impl Default for NetConfig {
             read_timeout: Duration::from_millis(250),
             write_timeout: Duration::from_secs(10),
             chunk_bytes: 256 * 1024,
-            poll_fallback: false,
             telemetry: TelemetryLevel::Off,
-            max_queue_depth: 1024,
-            busy_retry_after_ms: 25,
             fault_plan: None,
         }
     }
@@ -183,7 +167,6 @@ impl std::fmt::Debug for NetServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetServerHandle")
             .field("addr", &self.addr)
-            .field("backend", &"reactor")
             .field("active", &self.active_connections())
             .finish()
     }

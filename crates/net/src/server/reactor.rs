@@ -3,8 +3,8 @@
 //!
 //! Built from `recoil-reactor`'s primitives:
 //!
-//! - [`Poller`] — edge-triggered epoll (or the portable `poll(2)`
-//!   fallback) tells the loop which sockets are ready.
+//! - [`Poller`] — edge-triggered epoll tells the loop which sockets are
+//!   ready.
 //! - [`Slab`] — per-connection state lives in generation-checked slots
 //!   whose buffers are *parked* on close and recycled on the next accept,
 //!   so the steady-state accept → serve → close cycle allocates nothing.
@@ -46,11 +46,10 @@
 //! reuse the connection's `ChunkPlan`); only publishes (rANS encode) and
 //! cache-miss requests (real-time metadata combine) touch a worker.
 //!
-//! Edge-triggered discipline: sockets are registered once with
-//! `READ | WRITE` interest and never modified — an event is only a hint,
-//! and [`pump`] always reads/writes until `WouldBlock` before returning,
-//! so no edge is ever left unconsumed. Under the level-triggered fallback
-//! the loop instead keeps the registered interest matched to the phase.
+//! Edge-triggered discipline: sockets are registered once for both
+//! directions and never modified — an event is only a hint, and [`pump`]
+//! always reads/writes until `WouldBlock` before returning, so no edge is
+//! ever left unconsumed.
 
 use super::NetConfig;
 use crate::frame::{
@@ -65,7 +64,7 @@ use crate::proto::{
 use parking_lot::{Condvar, Mutex};
 use recoil_core::{plan_chunks_into, ChunkPlan, EncoderConfig, RecoilError};
 use recoil_rans::append_words_le;
-use recoil_reactor::{DeadlineQueue, Event, Interest, Poller, Slab, SlabStats, Token, WakePipe};
+use recoil_reactor::{DeadlineQueue, Poller, Slab, SlabStats, Token, WakePipe};
 use recoil_server::{ContentServer, ServerStats, StoredContent, Transmission};
 use recoil_telemetry::{Stage, Telemetry, TelemetrySnapshot};
 use std::collections::VecDeque;
@@ -100,6 +99,16 @@ const SHUTDOWN_TICK: Duration = Duration::from_millis(50);
 /// Parked buffers larger than this are shrunk before reuse, so one huge
 /// publish does not pin its buffer forever.
 const PARKED_BUFFER_CAP: usize = 64 * 1024;
+/// Dispatch-queue depth at which PUBLISH/REQUEST offloads are shed with a
+/// typed busy error. A connection holds at most one job (nothing more is
+/// parsed from it in `Phase::Dispatching`), so the queue is never deeper
+/// than the open connections: this sheds only when `max_connections`
+/// exceeds it.
+const MAX_QUEUE_DEPTH: u64 = 1024;
+/// Retry-after hint (milliseconds) in every typed busy error the server
+/// sheds load with — over-cap accepts and a full dispatch queue alike; a
+/// well-behaved client backs off at least this long before retrying.
+pub const BUSY_RETRY_AFTER_MS: u32 = 25;
 
 /// State shared between the event loop, the dispatch workers, and the
 /// owning handle.
@@ -293,9 +302,6 @@ struct Conn {
     read_buf: Vec<u8>,
     write_buf: Vec<u8>,
     write_pos: usize,
-    /// Interest currently registered (level-triggered fallback only; the
-    /// edge-triggered path registers `READ_WRITE` once and never modifies).
-    interest: Interest,
     close_after_write: bool,
     /// The content being chunk-streamed, if any.
     item: Option<Arc<StoredContent>>,
@@ -328,7 +334,6 @@ impl Conn {
             read_buf: Vec::new(),
             write_buf: Vec::new(),
             write_pos: 0,
-            interest: Interest::NONE,
             close_after_write: false,
             item: None,
             plan: ChunkPlan { chunks: Vec::new() },
@@ -350,7 +355,6 @@ impl Conn {
         self.read_buf.clear();
         self.write_buf.clear();
         self.write_pos = 0;
-        self.interest = Interest::NONE;
         self.close_after_write = false;
         self.item = None;
         self.next_chunk = 0;
@@ -393,15 +397,6 @@ impl Conn {
             Phase::Handshake | Phase::ReadFrame | Phase::Dispatching => None,
             Phase::Write => Some(self.last_progress + write_timeout),
             Phase::Drain => Some(self.drain_deadline),
-        }
-    }
-
-    /// The poller interest this phase wants (level-triggered fallback).
-    fn desired_interest(&self) -> Interest {
-        match self.phase {
-            Phase::Handshake | Phase::ReadFrame | Phase::Drain => Interest::READ,
-            Phase::Write => Interest::WRITE,
-            Phase::Dispatching => Interest::NONE,
         }
     }
 }
@@ -535,7 +530,7 @@ fn fill_chunks(conn: &mut Conn) {
 }
 
 /// Validates the client's HELLO and stages the negotiated reply (or a
-/// typed rejection). Exact error texts match the legacy backend.
+/// typed rejection).
 fn handle_hello(conn: &mut Conn, ty: FrameType, end: usize) {
     if ty != FrameType::Hello {
         let e = RecoilError::net(format!("expected HELLO, got {ty:?}"));
@@ -618,7 +613,7 @@ fn request_action(shared: &Shared, payload: &[u8], resume: bool, sampled: bool) 
 /// Whether the dispatch queue is at its depth cap — offloads are shed with
 /// a typed busy error rather than queueing unboundedly behind a slow pool.
 fn queue_full(shared: &Shared) -> bool {
-    shared.queue_len.load(Ordering::Relaxed) >= shared.config.max_queue_depth as u64
+    shared.queue_len.load(Ordering::Relaxed) >= MAX_QUEUE_DEPTH
 }
 
 /// Stages the typed busy error (retry-after hint included) and counts the
@@ -629,11 +624,7 @@ fn stage_busy(conn: &mut Conn, shared: &Shared) {
     if tel.counters_enabled() {
         tel.counters.busy_rejections.bump();
     }
-    stage_error(
-        conn,
-        &RecoilError::busy(shared.config.busy_retry_after_ms),
-        false,
-    );
+    stage_error(conn, &RecoilError::busy(BUSY_RETRY_AFTER_MS), false);
 }
 
 /// Handles one complete request frame at the front of `read_buf`;
@@ -790,13 +781,10 @@ fn pump(conn: &mut Conn, token: Token, shared: &Shared) -> Fate {
 fn pump_inner(conn: &mut Conn, token: Token, shared: &Shared, tally: &mut PumpTally) -> Fate {
     let mut scratch = [0u8; READ_CHUNK];
     // Armed fault schedule, if any (chaos testing only; a faultless server
-    // pays one `Option` check per pump). The write delay sleeps on the
+    // pays one `Option` check per write). The write delay sleeps on the
     // event-loop thread — faulted nodes are slow for *everyone*, which is
     // exactly the failure shape being simulated.
     let fault = shared.config.fault_plan.as_ref();
-    let kill_after = fault.and_then(|f| f.kill_after_write_bytes);
-    let write_delay = fault.and_then(|f| f.write_delay);
-    let torn_bytes = fault.and_then(|f| f.torn_write_bytes);
     loop {
         match conn.phase {
             Phase::Handshake | Phase::ReadFrame => match parse_frame(&conn.read_buf) {
@@ -872,28 +860,25 @@ fn pump_inner(conn: &mut Conn, token: Token, shared: &Shared, tally: &mut PumpTa
                 }
                 loop {
                     while conn.write_pos < conn.write_buf.len() {
-                        if let Some(d) = write_delay {
-                            std::thread::sleep(d);
-                        }
-                        let mut slice_end = torn_bytes.map_or(conn.write_buf.len(), |cap| {
-                            (conn.write_pos + cap.max(1)).min(conn.write_buf.len())
-                        });
-                        if let Some(at) = kill_after {
-                            // Never write past the kill offset: the cut is
-                            // byte-exact, so seeded chaos runs are
-                            // reproducible down to the torn frame.
-                            let room = at.saturating_sub(conn.written_total) as usize;
-                            slice_end = slice_end.min(conn.write_pos + room);
-                        }
+                        let pending = conn.write_buf.len() - conn.write_pos;
+                        let (take, dies) = match fault {
+                            None => (pending, false),
+                            Some(f) => {
+                                if let Some(d) = f.write_delay {
+                                    std::thread::sleep(d);
+                                }
+                                f.clamp_write(conn.written_total, pending)
+                            }
+                        };
                         let mut s = conn.stream.as_ref().expect("live conn has a stream");
-                        match s.write(&conn.write_buf[conn.write_pos..slice_end]) {
+                        match s.write(&conn.write_buf[conn.write_pos..][..take]) {
                             Ok(0) => return Fate::Close,
                             Ok(n) => {
                                 conn.write_pos += n;
                                 conn.written_total += n as u64;
                                 conn.last_progress = Instant::now();
                                 tally.bytes_written += n as u64;
-                                if kill_after.is_some_and(|at| conn.written_total >= at) {
+                                if dies && n == take {
                                     // Fault: die abruptly mid-frame, no drain.
                                     return Fate::Close;
                                 }
@@ -1011,7 +996,7 @@ struct EventLoop {
     conns: Slab<Conn>,
     deadlines: DeadlineQueue,
     morgue: Vec<Doomed>,
-    events: Vec<Event>,
+    ready: Vec<Token>,
     expired: Vec<Token>,
     /// Jobs dispatched whose completions have not come back yet.
     in_flight: usize,
@@ -1032,21 +1017,19 @@ impl EventLoop {
                 }
             }
             let timeout = self.poll_timeout();
-            let mut events = mem::take(&mut self.events);
-            if self.poller.wait(&mut events, timeout).is_err() {
-                events.clear();
+            let mut ready = mem::take(&mut self.ready);
+            if self.poller.wait(&mut ready, timeout).is_err() {
+                ready.clear();
                 std::thread::sleep(Duration::from_millis(5));
             }
-            self.events = events;
-            let events = mem::take(&mut self.events);
-            for ev in &events {
-                match ev.token {
+            for &token in &ready {
+                match token {
                     LISTENER => self.accept_ready(),
                     WAKE => self.process_completions(),
                     token => self.pump_token(token),
                 }
             }
-            self.events = events;
+            self.ready = ready;
             self.drive_morgue();
             self.check_deadlines();
         }
@@ -1123,23 +1106,14 @@ impl EventLoop {
             }
             return;
         };
-        // Edge-triggered: register both directions once, never modify —
-        // zero epoll_ctl calls on the steady path. Level-triggered: track
-        // the phase's interest precisely to avoid busy-wakeups.
-        let interest = if self.poller.is_edge_triggered() {
-            Interest::READ_WRITE
-        } else {
-            Interest::READ
-        };
-        if self.poller.register(fd, token, interest).is_err() {
+        // Registered once for both directions, never modified — zero
+        // epoll_ctl calls on the steady path.
+        if self.poller.register(fd, token).is_err() {
             self.conns.remove_with(token, |mut conn| {
                 conn.park();
                 Some(conn)
             });
             return;
-        }
-        if let Some(conn) = self.conns.get_mut(token) {
-            conn.interest = interest;
         }
         self.mirror_slab();
         self.pump_token(token);
@@ -1155,7 +1129,7 @@ impl EventLoop {
         if tel.counters_enabled() {
             tel.counters.busy_rejections.bump();
         }
-        let e = RecoilError::busy(self.shared.config.busy_retry_after_ms);
+        let e = RecoilError::busy(BUSY_RETRY_AFTER_MS);
         let mut doomed = Doomed {
             stream,
             bytes: framed(FrameType::Error, &encode_error(&e)),
@@ -1187,61 +1161,26 @@ impl EventLoop {
         }
     }
 
-    /// Post-pump bookkeeping: lazily arm the phase's deadline and (on the
-    /// level-triggered fallback) sync the registered interest.
+    /// Post-pump bookkeeping: lazily arm the phase's deadline — set once at
+    /// phase entry, re-validated against `last_progress` on expiry instead
+    /// of being re-pushed on every pump.
     fn after_pump(&mut self, token: Token) {
-        let read_timeout = self.shared.config.read_timeout;
-        let write_timeout = self.shared.config.write_timeout;
-        let edge = self.poller.is_edge_triggered();
-        enum Arm {
-            Keep,
-            Clear,
-            Set(Instant),
-        }
-        let (arm, modify) = {
-            let Some(conn) = self.conns.get_mut(token) else {
-                return;
-            };
-            let arm = match conn.desired_deadline(read_timeout, write_timeout) {
-                None => {
-                    if conn.armed.take().is_some() {
-                        Arm::Clear
-                    } else {
-                        Arm::Keep
-                    }
-                }
-                // Armed lazily: set once at phase entry, re-validated
-                // against `last_progress` on expiry instead of being
-                // re-pushed on every pump.
-                Some(d) => {
-                    if conn.armed.is_none() {
-                        conn.armed = Some(d);
-                        Arm::Set(d)
-                    } else {
-                        Arm::Keep
-                    }
-                }
-            };
-            let modify = if edge {
-                None
-            } else {
-                let want = conn.desired_interest();
-                if want != conn.interest {
-                    conn.interest = want;
-                    conn.stream.as_ref().map(|s| (s.as_raw_fd(), want))
-                } else {
-                    None
-                }
-            };
-            (arm, modify)
+        let config = &self.shared.config;
+        let Some(conn) = self.conns.get_mut(token) else {
+            return;
         };
-        match arm {
-            Arm::Keep => {}
-            Arm::Clear => self.deadlines.clear(token),
-            Arm::Set(d) => self.deadlines.set(token, d),
-        }
-        if let Some((fd, want)) = modify {
-            let _ = self.poller.modify(fd, token, want);
+        match conn.desired_deadline(config.read_timeout, config.write_timeout) {
+            None => {
+                if conn.armed.take().is_some() {
+                    self.deadlines.clear(token);
+                }
+            }
+            Some(d) => {
+                if conn.armed.is_none() {
+                    conn.armed = Some(d);
+                    self.deadlines.set(token, d);
+                }
+            }
         }
     }
 
@@ -1565,18 +1504,13 @@ pub(super) fn bind(
     listener
         .set_nonblocking(true)
         .map_err(|e| io_err("set_nonblocking", e))?;
-    let mut poller = if config.poll_fallback {
-        Poller::with_poll_fallback()
-    } else {
-        Poller::new()
-    }
-    .map_err(|e| io_err("create poller", e))?;
+    let mut poller = Poller::new().map_err(|e| io_err("create poller", e))?;
     let wake = WakePipe::new().map_err(|e| io_err("create wake pipe", e))?;
     poller
-        .register(listener.as_raw_fd(), LISTENER, Interest::READ)
+        .register(listener.as_raw_fd(), LISTENER)
         .map_err(|e| io_err("register listener", e))?;
     poller
-        .register(wake.read_fd(), WAKE, Interest::READ)
+        .register(wake.read_fd(), WAKE)
         .map_err(|e| io_err("register wake pipe", e))?;
 
     let chunk_words = config.effective_chunk_words().max(1);
@@ -1611,7 +1545,7 @@ pub(super) fn bind(
         conns: Slab::with_capacity(max_connections),
         deadlines: DeadlineQueue::new(),
         morgue: Vec::new(),
-        events: Vec::new(),
+        ready: Vec::new(),
         expired: Vec::new(),
         in_flight: 0,
     };

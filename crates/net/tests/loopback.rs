@@ -6,7 +6,9 @@ use recoil_core::backend::{
 };
 use recoil_core::{plan_chunks, ChunkPlan, EncoderConfig, RecoilError};
 use recoil_net::raw::{read_frame, write_frame, ReadOutcome};
-use recoil_net::{FrameType, Hello, NetClient, NetConfig, NetServer, NetServerHandle};
+use recoil_net::{
+    FrameType, Hello, NetClient, NetConfig, NetServer, NetServerHandle, BUSY_RETRY_AFTER_MS,
+};
 use recoil_server::ContentServer;
 use recoil_telemetry::TelemetryLevel;
 use std::net::TcpStream;
@@ -269,9 +271,8 @@ fn connection_cap_rejects_with_typed_busy_error() {
     match NetClient::connect(server.addr()) {
         Err(RecoilError::Busy { retry_after_ms }) => {
             assert_eq!(
-                retry_after_ms,
-                NetConfig::default().busy_retry_after_ms,
-                "the shed must carry the configured retry-after hint"
+                retry_after_ms, BUSY_RETRY_AFTER_MS,
+                "the shed must carry the server's retry-after hint"
             )
         }
         other => panic!("expected busy rejection, got {other:?}"),

@@ -1,7 +1,6 @@
 //! Scale and lifecycle tests for the event-driven server backend: a
 //! thousand-plus mostly-idle connections, slow-loris eviction, slab slot
-//! reuse across connection churn, graceful shutdown under load, and the
-//! poll-fallback backend's round trips.
+//! reuse across connection churn, and graceful shutdown under load.
 
 use recoil_core::RecoilError;
 use recoil_core::{EncoderConfig, ScalarBackend};
@@ -233,9 +232,7 @@ fn graceful_shutdown_with_hundreds_of_connections_mid_stream() {
 
 #[test]
 fn reactor_backend_round_trips_with_few_workers() {
-    // This round trip previously exercised the deleted thread-per-connection
-    // backend; it now pins the reactor against the same workload shape — a
-    // small worker pool and an aggressive progress deadline.
+    // A small worker pool and an aggressive progress deadline.
     let server = start_server(NetConfig {
         workers: 3,
         read_timeout: Duration::from_millis(50),
@@ -247,37 +244,5 @@ fn reactor_backend_round_trips_with_few_workers() {
     assert_eq!(client.fetch_and_decode("movie", 16).unwrap(), data);
     // The reactor's slab served the connection: a slot was allocated.
     assert!(server.slab_stats().allocations > 0);
-    server.shutdown();
-}
-
-#[test]
-fn poll_fallback_backend_round_trips() {
-    let server = start_server(NetConfig {
-        workers: 2,
-        poll_fallback: true,
-        chunk_bytes: 4 * 1024,
-        read_timeout: Duration::from_millis(50),
-        ..NetConfig::default()
-    });
-    let addr = server.addr();
-    let data = sample(150_000, 9);
-    let client = NetClient::connect(addr)
-        .unwrap()
-        .with_backend(ScalarBackend);
-    client.publish("movie", &data, &config(32)).unwrap();
-    assert_eq!(client.fetch_and_decode("movie", 32).unwrap(), data);
-    assert_eq!(
-        client.fetch_and_decode_streaming("movie", 8).unwrap().data,
-        data
-    );
-    // Level-triggered wakeups still evict a stalled peer.
-    let mut loris = raw_handshake(addr);
-    loris.write_all(&[FrameType::Stats as u8, 4, 0]).unwrap();
-    match read_frame(&mut loris).unwrap() {
-        ReadOutcome::Frame(FrameType::Error, payload) => {
-            assert!(decode_error(&payload).to_string().contains("stalled"));
-        }
-        other => panic!("expected a typed ERROR, got {other:?}"),
-    }
     server.shutdown();
 }

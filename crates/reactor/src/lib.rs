@@ -2,20 +2,18 @@
 //!
 //! A dependency-free readiness loop toolkit: everything `recoil-net`
 //! needs to serve thousands of concurrent connections from one thread,
-//! built directly on the platform's syscalls (no `mio`, no `tokio`).
+//! built directly on Linux's syscalls (no `mio`, no `tokio`).
 //!
 //! The crate provides four orthogonal pieces; the server loop composes
 //! them:
 //!
-//! - [`poller::Poller`] — readiness notification. Edge-triggered `epoll`
-//!   on Linux via a thin libc FFI ([`sys`]), with a portable
-//!   level-triggered `poll(2)` fallback that is also constructible
-//!   explicitly ([`poller::Poller::with_poll_fallback`]) so tests
-//!   exercise both on Linux. One contract covers both backends: after an
-//!   event, drain the fd until `WouldBlock`, and keep registered interest
-//!   precise (read while reading, write only while a write is blocked).
+//! - [`poller::Poller`] — readiness notification: edge-triggered `epoll`
+//!   through a thin libc FFI ([`sys`]), the one backend. Every fd is
+//!   registered once for read, write and peer hangup and never modified,
+//!   and `wait` yields tokens. An edge fires once, so after an event the
+//!   caller *must* drain the fd until `WouldBlock`.
 //! - [`slab::Slab`] — pooled per-connection state. Dense slots addressed
-//!   by generation-checked [`slab::Token`]s (stale readiness events can't
+//!   by generation-checked [`Token`]s (stale readiness events can't
 //!   alias a recycled slot), with slot *parking*: a removed connection's
 //!   buffers stay in the vacant slot and are handed to the next insert,
 //!   so accepting a connection on a warm slab allocates nothing.
@@ -30,12 +28,12 @@
 //! `recoil-net`'s server does):
 //!
 //! ```text
-//! register(listener, LISTENER_TOKEN, READ);
-//! register(wake_pipe.read_fd(), WAKE_TOKEN, READ);
+//! register(listener, LISTENER_TOKEN);
+//! register(wake_pipe.read_fd(), WAKE_TOKEN);
 //! loop {
-//!     poller.wait(&mut events, deadlines.next_deadline() - now);
-//!     for event in &events {
-//!         match event.token {
+//!     poller.wait(&mut tokens, deadlines.next_deadline() - now);
+//!     for token in &tokens {
+//!         match token {
 //!             LISTENER_TOKEN => accept until WouldBlock, slab.insert_with(..),
 //!             WAKE_TOKEN     => wake_pipe.drain(); collect completions,
 //!             token          => if let Some(conn) = slab.get_mut(token) {
@@ -53,6 +51,9 @@
 // Audited unsafe crate: every unsafe operation sits in an explicit block.
 #![deny(unsafe_op_in_unsafe_fn)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("recoil-reactor is Linux-only: it is built on epoll and pipe2");
+
 pub mod deadline;
 pub mod poller;
 pub mod slab;
@@ -62,7 +63,7 @@ pub mod token;
 pub mod wake;
 
 pub use deadline::DeadlineQueue;
-pub use poller::{Event, Interest, Poller};
+pub use poller::Poller;
 pub use slab::{Slab, SlabStats};
 pub use token::Token;
 pub use wake::{WakePipe, Waker};

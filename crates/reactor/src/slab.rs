@@ -95,14 +95,11 @@ impl<T> Slab<T> {
         Some(Token::pack(index, entry.generation))
     }
 
-    fn entry(&self, token: Token) -> Option<&Entry<T>> {
+    pub fn get(&self, token: Token) -> Option<&T> {
         self.entries
             .get(token.index() as usize)
             .filter(|e| e.occupied && e.generation == token.generation())
-    }
-
-    pub fn get(&self, token: Token) -> Option<&T> {
-        self.entry(token).and_then(|e| e.value.as_ref())
+            .and_then(|e| e.value.as_ref())
     }
 
     pub fn get_mut(&mut self, token: Token) -> Option<&mut T> {
@@ -111,10 +108,6 @@ impl<T> Slab<T> {
             .get_mut(token.index() as usize)
             .filter(|e| e.occupied && e.generation == generation)
             .and_then(|e| e.value.as_mut())
-    }
-
-    pub fn contains(&self, token: Token) -> bool {
-        self.entry(token).is_some()
     }
 
     /// Vacates `token`'s slot. The removed value goes through `reset`,
@@ -154,11 +147,6 @@ impl<T> Slab<T> {
 
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The capacity cap this slab was created with.
-    pub fn max_slots(&self) -> usize {
-        self.max_slots as usize
     }
 
     /// Slots still available before hitting the cap.

@@ -1,46 +1,29 @@
-//! Thin libc FFI for the poller backends.
+//! Thin libc FFI for the poller and the wake pipe.
 //!
-//! `std` already links the platform libc, so declaring the handful of
-//! syscall wrappers we need keeps this crate dependency-free: `epoll` for
-//! the edge-triggered Linux backend, `poll` for the portable fallback, and
+//! `std` already links libc, so declaring the handful of syscall wrappers
+//! we need keeps this crate dependency-free: `epoll` for the poller and
 //! `pipe2` for the cross-thread wake channel. Everything here is `unsafe`
 //! raw-fd plumbing; the safe wrappers live in [`crate::poller`] and
 //! [`crate::wake`].
 
 #![allow(non_camel_case_types)]
 
-use std::os::raw::{c_int, c_uint, c_ulong, c_void};
+use std::os::raw::{c_int, c_void};
 
-pub type nfds_t = c_ulong;
+// --- epoll -----------------------------------------------------------------
 
-// --- epoll (Linux only) ----------------------------------------------------
-
-#[cfg(target_os = "linux")]
 pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-#[cfg(target_os = "linux")]
 pub const EPOLL_CTL_ADD: c_int = 1;
-#[cfg(target_os = "linux")]
 pub const EPOLL_CTL_DEL: c_int = 2;
-#[cfg(target_os = "linux")]
-pub const EPOLL_CTL_MOD: c_int = 3;
 
-#[cfg(target_os = "linux")]
 pub const EPOLLIN: u32 = 0x001;
-#[cfg(target_os = "linux")]
 pub const EPOLLOUT: u32 = 0x004;
-#[cfg(target_os = "linux")]
-pub const EPOLLERR: u32 = 0x008;
-#[cfg(target_os = "linux")]
-pub const EPOLLHUP: u32 = 0x010;
-#[cfg(target_os = "linux")]
 pub const EPOLLRDHUP: u32 = 0x2000;
-#[cfg(target_os = "linux")]
 pub const EPOLLET: u32 = 1 << 31;
 
 /// The kernel's `epoll_event`. On x86 the kernel declares it packed (the
 /// 64-bit data field sits at offset 4); other architectures use natural
 /// alignment.
-#[cfg(target_os = "linux")]
 #[repr(C)]
 #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(packed))]
 #[derive(Clone, Copy)]
@@ -49,7 +32,6 @@ pub struct epoll_event {
     pub data: u64,
 }
 
-#[cfg(target_os = "linux")]
 extern "C" {
     pub fn epoll_create1(flags: c_int) -> c_int;
     pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut epoll_event) -> c_int;
@@ -61,22 +43,6 @@ extern "C" {
     ) -> c_int;
 }
 
-// --- poll(2), the portable fallback ----------------------------------------
-
-pub const POLLIN: i16 = 0x001;
-pub const POLLOUT: i16 = 0x004;
-pub const POLLERR: i16 = 0x008;
-pub const POLLHUP: i16 = 0x010;
-pub const POLLNVAL: i16 = 0x020;
-
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub struct pollfd {
-    pub fd: c_int,
-    pub events: i16,
-    pub revents: i16,
-}
-
 // --- pipes and fd bookkeeping ----------------------------------------------
 
 /// `O_NONBLOCK` / `O_CLOEXEC` as on every architecture this workspace
@@ -85,7 +51,6 @@ pub const O_NONBLOCK: c_int = 0o4000;
 pub const O_CLOEXEC: c_int = 0o2000000;
 
 extern "C" {
-    pub fn poll(fds: *mut pollfd, nfds: nfds_t, timeout: c_int) -> c_int;
     pub fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
     pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
@@ -106,7 +71,7 @@ pub fn cvt_retry(mut f: impl FnMut() -> c_int) -> std::io::Result<c_int> {
     }
 }
 
-/// Milliseconds for a poll/epoll timeout: `None` blocks forever, zero-ish
+/// Milliseconds for an epoll timeout: `None` blocks forever, zero-ish
 /// durations round **up** so a pending deadline is never spun on.
 pub fn timeout_ms(timeout: Option<std::time::Duration>) -> c_int {
     match timeout {
@@ -121,7 +86,3 @@ pub fn timeout_ms(timeout: Option<std::time::Duration>) -> c_int {
         }
     }
 }
-
-// Silence "unused" on non-Linux builds where only the poll backend exists.
-#[allow(unused)]
-pub const _UNUSED: c_uint = 0;

@@ -100,41 +100,33 @@ impl Waker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::poller::{Event, Interest, Poller};
+    use crate::poller::Poller;
     use crate::token::Token;
     use std::time::Duration;
 
     #[test]
     fn wake_unblocks_wait_on_both_backends() {
-        for mut poller in [
-            Poller::new().unwrap(),
-            Poller::with_poll_fallback().unwrap(),
-        ] {
-            let pipe = WakePipe::new().unwrap();
-            poller
-                .register(pipe.read_fd(), Token(u64::MAX), Interest::READ)
-                .unwrap();
-            let waker = pipe.waker();
-            let handle = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                waker.wake();
-            });
-            let mut events: Vec<Event> = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(events
-                .iter()
-                .any(|e| e.token == Token(u64::MAX) && e.readable));
-            pipe.drain();
-            // Drained: no residual readiness.
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.iter().all(|e| e.token != Token(u64::MAX)));
-            handle.join().unwrap();
-            poller.deregister(pipe.read_fd()).unwrap();
-        }
+        let mut poller = Poller::new().unwrap();
+        let pipe = WakePipe::new().unwrap();
+        poller.register(pipe.read_fd(), Token(u64::MAX)).unwrap();
+        let waker = pipe.waker();
+        let handle = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            waker.wake();
+        });
+        let mut tokens = Vec::new();
+        poller
+            .wait(&mut tokens, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(tokens, [Token(u64::MAX)]);
+        pipe.drain();
+        // Drained: no residual readiness.
+        poller
+            .wait(&mut tokens, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(tokens.is_empty());
+        handle.join().unwrap();
+        poller.deregister(pipe.read_fd()).unwrap();
     }
 
     #[test]

@@ -105,7 +105,7 @@
 //! | [`data`] | Table 4 dataset generators |
 //! | [`server`] | encode-once / combine-per-request content delivery |
 //! | [`net`] | framed TCP transport: `NetServer` / pooling `NetClient` |
-//! | [`fabric`] | multi-node routing, replication, failover, chaos proxy |
+//! | [`fabric`] | multi-node routing, replication, failover with segment resume |
 
 // Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
 #![forbid(unsafe_code)]
