@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks of the ANS baselines: single rANS vs
-//! interleaved rANS (the ILP win of §2.2) and tANS/multians.
+//! interleaved rANS (the ILP win of §2.2).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use recoil::prelude::*;
@@ -17,10 +17,6 @@ fn bench_baselines(c: &mut Criterion) {
     inter.encode_all_fast(&data, &mut NullSink).unwrap();
     let inter_stream = inter.finish();
 
-    let table = TansTable::from_cdf(&CdfTable::of_bytes(&data, 11));
-    let tans_stream = encode_tans(&data, &table);
-    let pool = ThreadPool::with_default_parallelism();
-
     let mut group = c.benchmark_group("ans_baselines");
     group.sample_size(10);
     group.throughput(Throughput::Bytes(data.len() as u64));
@@ -30,16 +26,6 @@ fn bench_baselines(c: &mut Criterion) {
     group.bench_function("rans_interleaved_32", |b| {
         b.iter(|| {
             std::hint::black_box(decode_interleaved::<u8, _>(&inter_stream, &model).unwrap())
-        });
-    });
-    group.bench_function("tans_serial", |b| {
-        b.iter(|| std::hint::black_box(decode_tans_serial::<u8>(&tans_stream, &table).unwrap()));
-    });
-    group.bench_function("multians_parallel_256", |b| {
-        b.iter(|| {
-            std::hint::black_box(
-                decode_multians::<u8>(&tans_stream, &table, 256, Some(&pool)).unwrap(),
-            )
         });
     });
     group.finish();

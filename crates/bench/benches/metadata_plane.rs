@@ -62,9 +62,8 @@ fn bench_metadata_plane(c: &mut Criterion) {
     group.sample_size(50);
     for segments in SEGMENTS {
         group.bench_with_input(BenchmarkId::new("planner", segments), &segments, |b, &s| {
-            let config = || PlannerConfig::with_segments(s);
             let n = data.len() as u64;
-            b.iter(|| recoil::core::plan_from_events(&events.events, 32, n, words, 11, config()));
+            b.iter(|| recoil::core::plan_from_events(&events.events, 32, n, words, 11, s));
         });
     }
     for segments in [1, 256] {
@@ -116,8 +115,7 @@ fn bench_publish(c: &mut Criterion) {
         enc.encode_all_fast(data, &mut recorded).unwrap();
         let words = enc.finish().words.len() as u64;
         let plan = |by_records: bool| {
-            let config = PlannerConfig::with_segments(segments);
-            let mut planner = SplitPlanner::new(32, len as u64, config);
+            let mut planner = SplitPlanner::new(32, len as u64, segments);
             if !by_records {
                 planner = planner.scanning_event_by_event();
             }

@@ -11,7 +11,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use recoil::conventional::encode_conventional;
-use recoil::core::codec::decode_pooled;
 use recoil::prelude::*;
 use recoil::rans::fast_encode::{encode_span, encode_span_scalar, takes_vector_path};
 use recoil::rans::RenormSink;
@@ -23,6 +22,9 @@ fn bench_pipeline(c: &mut Criterion) {
     let container = codec.encode_with_provider(&data, &model).unwrap();
     let conv = encode_conventional(&data, &model, 32, 256);
     let pool = ThreadPool::with_default_parallelism();
+    // The scalar kernel on as many threads, so that Recoil and the baseline
+    // run the same loop.
+    let backend = AutoBackend::fixed(Kernel::Scalar, pool.threads());
 
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(10);
@@ -41,14 +43,10 @@ fn bench_pipeline(c: &mut Criterion) {
     group.bench_function("decode_recoil_parallel", |b| {
         let mut out = vec![0u8; data.len()];
         b.iter(|| {
-            decode_pooled(
-                &container.stream,
-                &container.metadata,
-                &model,
-                Some(&pool),
-                &mut out,
-            )
-            .unwrap();
+            let (stream, metadata) = (&container.stream, &container.metadata);
+            let model = DecodeModel::Static(&model);
+            let req = DecodeRequest::whole(stream, metadata, model, &mut out);
+            backend.decode(req.unwrap()).unwrap();
             std::hint::black_box(&out);
         });
     });
@@ -104,8 +102,7 @@ fn bench_encode_loops(c: &mut Criterion) {
             let id = BenchmarkId::new(format!("{path}+planner"), label);
             group.bench_with_input(id, &data, |b, data| {
                 b.iter(|| {
-                    let config = PlannerConfig::with_segments(segments);
-                    let mut planner = SplitPlanner::new(32, data.len() as u64, config);
+                    let mut planner = SplitPlanner::new(32, data.len() as u64, segments);
                     let words = encode_once(vector, &model, data, &mut planner);
                     planner.finish(words.len() as u64, 11)
                 });

@@ -1,5 +1,5 @@
 //! Tables 4, 5 and 6: baseline compressed sizes and the size deltas of the
-//! six variations, for every dataset and both quantization levels.
+//! five variations, for every dataset and both quantization levels.
 //!
 //! ```sh
 //! cargo run -p recoil-bench --release --bin tables            # scaled sizes
@@ -16,31 +16,31 @@ use std::sync::Arc;
 /// Paper deltas for Tables 5/6: (dataset, n, variation) → percent.
 /// Used for the side-by-side "paper" column.
 fn paper_pct(dataset: &str, n: u32, variation: &str) -> Option<f64> {
-    let t5: &[(&str, [f64; 5])] = &[
-        // (b) ConvL, (c) RecL, (d) ConvS, (e) RecS, (f) multians — n=11
-        ("rand_10", [2.70, 2.09, 0.02, 0.01, 0.98]),
-        ("rand_50", [3.95, 3.18, 0.03, 0.02, -3.32]),
-        ("rand_100", [5.08, 4.16, 0.03, 0.03, -4.29]),
-        ("rand_200", [6.94, 5.89, 0.04, 0.04, -11.68]),
-        ("rand_500", [14.57, 13.59, 0.09, 0.08, -9.51]),
-        ("dickens", [3.38, 2.63, 0.02, 0.02, -1.56]),
-        ("webster", [0.77, 0.60, 0.01, 0.00, -0.44]),
-        ("enwik8", [0.32, 0.25, 0.00, 0.00, 0.77]),
-        ("enwik9", [0.03, 0.02, 0.00, 0.00, 0.50]),
+    let t5: &[(&str, [f64; 4])] = &[
+        // (b) ConvL, (c) RecL, (d) ConvS, (e) RecS — n=11
+        ("rand_10", [2.70, 2.09, 0.02, 0.01]),
+        ("rand_50", [3.95, 3.18, 0.03, 0.02]),
+        ("rand_100", [5.08, 4.16, 0.03, 0.03]),
+        ("rand_200", [6.94, 5.89, 0.04, 0.04]),
+        ("rand_500", [14.57, 13.59, 0.09, 0.08]),
+        ("dickens", [3.38, 2.63, 0.02, 0.02]),
+        ("webster", [0.77, 0.60, 0.01, 0.00]),
+        ("enwik8", [0.32, 0.25, 0.00, 0.00]),
+        ("enwik9", [0.03, 0.02, 0.00, 0.00]),
     ];
-    let t6: &[(&str, [f64; 5])] = &[
-        ("rand_10", [2.76, 2.14, 0.02, 0.01, 2.62]),
-        ("rand_50", [4.41, 3.59, 0.03, 0.02, 7.06]),
-        ("rand_100", [5.97, 4.87, 0.04, 0.03, 10.15]),
-        ("rand_200", [9.02, 7.81, 0.06, 0.05, 16.07]),
-        ("rand_500", [23.54, 21.53, 0.14, 0.13, 42.54]),
-        ("dickens", [3.65, 2.84, 0.03, 0.02, 5.39]),
-        ("webster", [0.82, 0.64, 0.01, 0.00, 4.67]),
-        ("enwik8", [0.33, 0.26, 0.00, 0.00, 3.94]),
-        ("enwik9", [0.03, 0.03, 0.00, 0.00, 3.98]),
-        ("div2k801", [10.31, 8.28, 0.07, 0.06, f64::NAN]),
-        ("div2k803", [6.99, 5.37, 0.05, 0.04, f64::NAN]),
-        ("div2k805", [14.20, 11.80, 0.10, 0.08, f64::NAN]),
+    let t6: &[(&str, [f64; 4])] = &[
+        ("rand_10", [2.76, 2.14, 0.02, 0.01]),
+        ("rand_50", [4.41, 3.59, 0.03, 0.02]),
+        ("rand_100", [5.97, 4.87, 0.04, 0.03]),
+        ("rand_200", [9.02, 7.81, 0.06, 0.05]),
+        ("rand_500", [23.54, 21.53, 0.14, 0.13]),
+        ("dickens", [3.65, 2.84, 0.03, 0.02]),
+        ("webster", [0.82, 0.64, 0.01, 0.00]),
+        ("enwik8", [0.33, 0.26, 0.00, 0.00]),
+        ("enwik9", [0.03, 0.03, 0.00, 0.00]),
+        ("div2k801", [10.31, 8.28, 0.07, 0.06]),
+        ("div2k803", [6.99, 5.37, 0.05, 0.04]),
+        ("div2k805", [14.20, 11.80, 0.10, 0.08]),
     ];
     let table = if n == 11 { t5 } else { t6 };
     let idx = match variation {
@@ -48,14 +48,12 @@ fn paper_pct(dataset: &str, n: u32, variation: &str) -> Option<f64> {
         "(c)" => 1,
         "(d)" => 2,
         "(e)" => 3,
-        "(f)" => 4,
         _ => return None,
     };
     table
         .iter()
         .find(|(d, _)| *d == dataset)
         .map(|(_, v)| v[idx])
-        .filter(|v| !v.is_nan())
 }
 
 fn byte_dataset_tables(cfg: &BenchConfig) {
@@ -66,7 +64,7 @@ fn byte_dataset_tables(cfg: &BenchConfig) {
             let bytes = cfg.dataset_bytes(d);
             let scale = bytes as f64 / d.full_bytes() as f64;
             eprintln!(
-                "[{} n={n}: generating {bytes} bytes + building 6 variations]",
+                "[{} n={n}: generating {bytes} bytes + building 5 variations]",
                 d.name
             );
             let data = d.generate_bytes(bytes);
@@ -119,7 +117,6 @@ fn byte_dataset_tables(cfg: &BenchConfig) {
                 "(c) RecoilLarge",
                 "(d) ConvSmall",
                 "(e) RecoilSmall",
-                "(f) multians",
             ],
             &delta_rows,
         );

@@ -1,15 +1,14 @@
-//! Shared harness for regenerating every table and figure of the paper's
-//! evaluation (§5). The binaries in `src/bin/` each reproduce one artifact:
+//! Shared harness for the binaries that print the paper's evaluation (§5)
+//! at full dataset sizes:
 //!
 //! | binary | artifact |
 //! |---|---|
-//! | `fig3` | Figure 3 — file size vs. partition count (conventional) |
 //! | `tables` | Tables 4, 5, 6 — baseline sizes and per-variation deltas |
-//! | `fig7` | Figure 7 — decode throughput, CPU kernels + GPU-sim |
-//! | `ablation` | our extra studies: heuristic quality, metadata scaling |
+//! | `fig7` | Figure 7 — CPU decode throughput per kernel |
 //!
-//! Performance is measured by the delivery ladder (`src/bin/ladder/`, run by
-//! `BENCHMARK.json`), not by these binaries.
+//! The paper's size and scaling claims are asserted at tier-1 sizes in
+//! `tests/paper_claims.rs`; performance is measured by the delivery ladder
+//! (`src/bin/ladder/`, run by `BENCHMARK.json`), not by these binaries.
 //!
 //! Results are printed as aligned tables with the paper's reference values
 //! side by side.

@@ -1,11 +1,10 @@
-//! The six bitstream variations of §5.2, built once per dataset/n:
+//! The bitstream variations of §5.2, built once per dataset/n:
 //!
 //! * (a) standard rANS bitstream (Single-Thread baseline, Table 4 sizes)
 //! * (b) Conventional Large — 2176 partitions (massively parallel GPU)
 //! * (c) Recoil Large — 2176 splits (same bitstream as (a) + metadata)
 //! * (d) Conventional Small — 16 partitions (parallel CPU), re-encoded
 //! * (e) Recoil Small — converted from (c) by combining splits
-//! * (f) tANS bitstream for multians
 //!
 //! Recoil's bitstream **is** the baseline bitstream — variation (c) costs
 //! exactly the metadata bytes, and (e) is derived without re-encoding.
@@ -29,8 +28,6 @@ pub struct ByteVariations {
     pub conv_large: ConventionalContainer,
     /// (d) Conventional Small.
     pub conv_small: ConventionalContainer,
-    /// (f) tANS stream + its tables.
-    pub tans: (recoil::tans::TansStream, TansTable),
 }
 
 impl ByteVariations {
@@ -49,15 +46,12 @@ impl ByteVariations {
         let recoil_small = combine_splits(&recoil_large.metadata, SMALL as u64);
         let conv_large = encode_conventional(data, &model, 32, LARGE);
         let conv_small = encode_conventional(data, &model, 32, SMALL);
-        let table = TansTable::from_cdf(&CdfTable::of_bytes(data, n));
-        let tans_stream = encode_tans(data, &table);
         Self {
             model,
             recoil_large,
             recoil_small,
             conv_large,
             conv_small,
-            tans: (tans_stream, table),
         }
     }
 
@@ -66,8 +60,8 @@ impl ByteVariations {
         self.recoil_large.stream_bytes()
     }
 
-    /// `(label, total_bytes)` for variations (b)–(f), paper order.
-    pub fn sizes(&self) -> [(&'static str, u64); 5] {
+    /// `(label, total_bytes)` for variations (b)–(e), paper order.
+    pub fn sizes(&self) -> [(&'static str, u64); 4] {
         let a = self.baseline_bytes();
         [
             ("(b) Conventional Large", self.conv_large.payload_bytes()),
@@ -77,7 +71,6 @@ impl ByteVariations {
                 "(e) Recoil Small",
                 a + metadata_to_bytes(&self.recoil_small).len() as u64,
             ),
-            ("(f) multians", self.tans.0.payload_bytes(&self.tans.1)),
         ]
     }
 }
@@ -85,7 +78,6 @@ impl ByteVariations {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recoil::core::codec::decode_pooled;
 
     #[test]
     fn variations_have_paper_size_ordering() {
@@ -106,35 +98,20 @@ mod tests {
         let data = recoil::data::text_like_bytes(500_000, 5.0, 2);
         let v = ByteVariations::build(&data, 11);
         let pool = ThreadPool::new(3);
+        let backend = AutoBackend::with_threads(3);
+        let recoil = |metadata: &RecoilMetadata| {
+            let mut out = vec![0u8; data.len()];
+            let model = DecodeModel::Static(&v.model);
+            let req = DecodeRequest::whole(&v.recoil_large.stream, metadata, model, &mut out);
+            backend.decode(req.unwrap()).unwrap();
+            out
+        };
         let a: Vec<u8> = decode_interleaved(&v.recoil_large.stream, &v.model).unwrap();
         let b: Vec<u8> = decode_conventional(&v.conv_large, &v.model, Some(&pool)).unwrap();
-        let c: Vec<u8> = {
-            let mut out = vec![0u8; data.len()];
-            decode_pooled(
-                &v.recoil_large.stream,
-                &v.recoil_large.metadata,
-                &v.model,
-                Some(&pool),
-                &mut out,
-            )
-            .unwrap();
-            out
-        };
+        let c = recoil(&v.recoil_large.metadata);
         let d: Vec<u8> = decode_conventional(&v.conv_small, &v.model, Some(&pool)).unwrap();
-        let e: Vec<u8> = {
-            let mut out = vec![0u8; data.len()];
-            decode_pooled(
-                &v.recoil_large.stream,
-                &v.recoil_small,
-                &v.model,
-                Some(&pool),
-                &mut out,
-            )
-            .unwrap();
-            out
-        };
-        let (f, _) = decode_multians::<u8>(&v.tans.0, &v.tans.1, LARGE, Some(&pool)).unwrap();
-        for (label, got) in [("a", a), ("b", b), ("c", c), ("d", d), ("e", e), ("f", f)] {
+        let e = recoil(&v.recoil_small);
+        for (label, got) in [("a", a), ("b", b), ("c", c), ("d", d), ("e", e)] {
             assert_eq!(got, data, "variation ({label})");
         }
     }

@@ -1,5 +1,4 @@
-//! Bit-granular writer/reader used by the §4.3 metadata format and the tANS
-//! bitstream.
+//! Bit-granular writer/reader used by the §4.3 metadata format.
 //!
 //! Bits are packed LSB-first within each byte: the first bit written lands in
 //! bit 0 of byte 0. `write(v, n)` stores the low `n` bits of `v`; `read(n)`
@@ -96,7 +95,7 @@ impl<'a> BitReader<'a> {
     pub fn read(&mut self, n: u32) -> Option<u64> {
         debug_assert!(n <= 64);
         // Fast path: one unaligned u64 load covers any `n <= 57` plus the
-        // sub-byte offset. This is the hot call of the tANS decoders.
+        // sub-byte offset.
         let byte = (self.pos / 8) as usize;
         if n <= 57 && byte + 8 <= self.bytes.len() {
             let word = u64::from_le_bytes(self.bytes[byte..byte + 8].try_into().expect("8 bytes"));
@@ -159,8 +158,7 @@ impl<'a> BitReader<'a> {
         self.pos
     }
 
-    /// Jumps to an absolute bit position (multians decoder threads start at
-    /// arbitrary chunk-boundary offsets).
+    /// Jumps to an absolute bit position.
     pub fn set_pos(&mut self, bit: u64) {
         debug_assert!(bit <= self.bytes.len() as u64 * 8);
         self.pos = bit;

@@ -5,8 +5,8 @@
 //! * **u16 word streams** (renormalization output, `b = 16` in Table 3).
 //!   The encoder appends words at the back; the decoder consumes them from
 //!   the back toward the front ([`WordStream`], [`BackwardWordReader`]).
-//! * **Bit-packed metadata series** (§4.3) and tANS bitstreams, which need
-//!   bit-granular writers/readers ([`BitWriter`], [`BitReader`]).
+//! * **Bit-packed metadata series** (§4.3), which need bit-granular
+//!   writers/readers ([`BitWriter`], [`BitReader`]).
 
 // Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
 #![forbid(unsafe_code)]

@@ -33,15 +33,12 @@ use crate::backend::{
     ensure_available, CodecSymbol, DecodeBackend, DecodeModel, DecodeRequest, ScalarBackend,
 };
 use crate::container::{encode_container, RecoilContainer};
-use crate::decoder::{decode_segments, decode_spans_scalar};
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
-use crate::planner::{Heuristic, PlannerConfig};
 use recoil_models::{
     quantize_counts, CdfTable, Histogram, ModelProvider, StaticModelProvider, Symbol,
     MAX_QUANT_BITS,
 };
-use recoil_parallel::ThreadPool;
 use recoil_rans::EncodedStream;
 
 /// Validated encoder configuration: everything the encode side of a
@@ -59,8 +56,6 @@ pub struct EncoderConfig {
     pub max_segments: u64,
     /// Quantization level `n` (frequencies sum to `2^n`, `1..=16`).
     pub quant_bits: u32,
-    /// Split-candidate scoring strategy (Definition 4.1 by default).
-    pub heuristic: Heuristic,
 }
 
 impl Default for EncoderConfig {
@@ -69,7 +64,6 @@ impl Default for EncoderConfig {
             ways: 32,
             max_segments: 64,
             quant_bits: 11,
-            heuristic: Heuristic::default(),
         }
     }
 }
@@ -106,37 +100,6 @@ impl EncoderConfig {
         }
         Ok(())
     }
-
-    /// The planner configuration this encoder config induces.
-    pub fn planner_config(&self) -> PlannerConfig {
-        PlannerConfig {
-            segments: self.max_segments,
-            heuristic: self.heuristic,
-        }
-    }
-}
-
-/// Whole-stream scalar decode for callers that hold a stream, metadata and
-/// an arbitrary model provider (any symbol type) rather than an
-/// [`Encoded`]: the segment engine with the scalar span kernel on `pool`.
-/// `out` must hold exactly `stream.num_symbols` symbols.
-///
-/// Generic over the provider on purpose: a concrete provider gets a
-/// monomorphized decode loop whose lookup inlines into the fast loop
-/// (`recoil_rans::fast`).
-pub fn decode_pooled<S: Symbol, P: ModelProvider + ?Sized>(
-    stream: &EncodedStream,
-    metadata: &RecoilMetadata,
-    provider: &P,
-    pool: Option<&ThreadPool>,
-    out: &mut [S],
-) -> Result<(), RecoilError> {
-    stream.check_output_len(out.len())?;
-    let all = 0..metadata.num_segments();
-    decode_segments(stream, metadata, provider, pool, all, out, 1, |spans| {
-        decode_spans_scalar(provider, spans)
-    })
-    .map_err(RecoilError::from)
 }
 
 /// One encoded payload: the container (bitstream + split metadata) bundled
@@ -236,8 +199,8 @@ pub struct Codec {
 
 impl Codec {
     /// Starts a builder with the default configuration
-    /// (`ways = 32`, `max_segments = 64`, `quant_bits = 11`,
-    /// sync-aware heuristic, scalar backend).
+    /// (`ways = 32`, `max_segments = 64`, `quant_bits = 11`, scalar
+    /// backend).
     pub fn builder() -> CodecBuilder {
         CodecBuilder {
             config: EncoderConfig::default(),
@@ -343,13 +306,8 @@ impl Codec {
         provider: &P,
     ) -> Result<RecoilContainer, RecoilError> {
         self.check_provider(provider)?;
-        encode_container(
-            data,
-            provider,
-            self.config.ways,
-            self.config.planner_config(),
-        )
-        .map_err(RecoilError::from)
+        encode_container(data, provider, self.config.ways, self.config.max_segments)
+            .map_err(RecoilError::from)
     }
 
     fn check_provider<P: ModelProvider>(&self, provider: &P) -> Result<(), RecoilError> {

@@ -256,8 +256,10 @@ fn sync_phase<'a, S, P: ModelProvider + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::decode_pooled;
-    use crate::planner::{plan_from_events, PlannerConfig};
+    use crate::backend::{
+        AutoBackend, CodecSymbol, DecodeBackend, DecodeModel, DecodeRequest, Kernel,
+    };
+    use crate::planner::plan_from_events;
     use crate::RecoilError;
     use recoil_models::{CdfTable, StaticModelProvider};
     use recoil_rans::{decode_interleaved, InterleavedEncoder, VecSink};
@@ -285,20 +287,22 @@ mod tests {
             stream.num_symbols,
             stream.words.len() as u64,
             n,
-            PlannerConfig::with_segments(segments),
+            segments,
         );
         (stream, meta, p)
     }
 
-    /// Whole-stream decode through the engine's scalar composition.
-    fn decode_all<S: Symbol, P: ModelProvider>(
+    /// Whole-stream decode through the engine's scalar composition on
+    /// `threads` threads.
+    fn decode_all<S: CodecSymbol>(
         stream: &EncodedStream,
         meta: &RecoilMetadata,
-        provider: &P,
-        pool: Option<&ThreadPool>,
+        model: DecodeModel<'_>,
+        threads: usize,
     ) -> Result<Vec<S>, RecoilError> {
         let mut out = vec![S::from_u16(0); stream.num_symbols as usize];
-        decode_pooled(stream, meta, provider, pool, &mut out)?;
+        let backend = AutoBackend::fixed(Kernel::Scalar, threads);
+        backend.decode(DecodeRequest::whole(stream, meta, model, &mut out)?)?;
         Ok(out)
     }
 
@@ -308,7 +312,7 @@ mod tests {
         let (stream, meta, p) = setup(&data, 11, 32, 16);
         assert_eq!(meta.num_segments(), 16);
         let serial: Vec<u8> = decode_interleaved(&stream, &p).unwrap();
-        let recoil: Vec<u8> = decode_all(&stream, &meta, &p, None).unwrap();
+        let recoil: Vec<u8> = decode_all(&stream, &meta, DecodeModel::Static(&p), 1).unwrap();
         assert_eq!(serial, data);
         assert_eq!(recoil, data);
     }
@@ -317,8 +321,7 @@ mod tests {
     fn parallel_pool_decode_matches() {
         let data = sample(300_000, 2);
         let (stream, meta, p) = setup(&data, 11, 32, 64);
-        let pool = ThreadPool::new(7);
-        let got: Vec<u8> = decode_all(&stream, &meta, &p, Some(&pool)).unwrap();
+        let got: Vec<u8> = decode_all(&stream, &meta, DecodeModel::Static(&p), 8).unwrap();
         assert_eq!(got, data);
     }
 
@@ -327,7 +330,7 @@ mod tests {
         let data = sample(50_000, 3);
         let (stream, meta, p) = setup(&data, 11, 32, 1);
         assert!(meta.splits.is_empty());
-        let got: Vec<u8> = decode_all(&stream, &meta, &p, None).unwrap();
+        let got: Vec<u8> = decode_all(&stream, &meta, DecodeModel::Static(&p), 1).unwrap();
         assert_eq!(got, data);
     }
 
@@ -337,7 +340,7 @@ mod tests {
             for segments in [2u64, 3, 8] {
                 let data = sample(60_000, ways + segments as u32);
                 let (stream, meta, p) = setup(&data, 10, ways, segments);
-                let got: Vec<u8> = decode_all(&stream, &meta, &p, None).unwrap();
+                let got: Vec<u8> = decode_all(&stream, &meta, DecodeModel::Static(&p), 1).unwrap();
                 assert_eq!(got, data, "ways={ways} segments={segments}");
             }
         }
@@ -348,8 +351,7 @@ mod tests {
         let data = sample(400_000, 9);
         let (stream, meta, p) = setup(&data, 11, 32, 512);
         assert!(meta.num_segments() > 400, "got {}", meta.num_segments());
-        let pool = ThreadPool::new(7);
-        let got: Vec<u8> = decode_all(&stream, &meta, &p, Some(&pool)).unwrap();
+        let got: Vec<u8> = decode_all(&stream, &meta, DecodeModel::Static(&p), 8).unwrap();
         assert_eq!(got, data);
     }
 
@@ -368,9 +370,9 @@ mod tests {
             stream.num_symbols,
             stream.words.len() as u64,
             16,
-            PlannerConfig::with_segments(16),
+            16,
         );
-        let got: Vec<u16> = decode_all(&stream, &meta, &p, None).unwrap();
+        let got: Vec<u16> = decode_all(&stream, &meta, DecodeModel::Static(&p), 1).unwrap();
         assert_eq!(got, data);
     }
 
@@ -403,10 +405,10 @@ mod tests {
             stream.num_symbols,
             stream.words.len() as u64,
             12,
-            PlannerConfig::with_segments(8),
+            8,
         );
         assert!(meta.num_segments() >= 2);
-        let got: Vec<u16> = decode_all(&stream, &meta, &p, None).unwrap();
+        let got: Vec<u16> = decode_all(&stream, &meta, DecodeModel::Adaptive(&p), 1).unwrap();
         assert_eq!(got, data);
     }
 
@@ -415,7 +417,7 @@ mod tests {
         let data = sample(100_000, 5);
         let (stream, mut meta, p) = setup(&data, 11, 32, 8);
         meta.num_symbols += 1;
-        assert!(decode_all::<u8, _>(&stream, &meta, &p, None).is_err());
+        assert!(decode_all::<u8>(&stream, &meta, DecodeModel::Static(&p), 1).is_err());
     }
 
     #[test]
@@ -423,6 +425,6 @@ mod tests {
         let data = sample(10_000, 6);
         let (stream, meta, p) = setup(&data, 11, 32, 4);
         let mut out = vec![0u8; 9_999];
-        assert!(decode_pooled(&stream, &meta, &p, None, &mut out).is_err());
+        assert!(DecodeRequest::whole(&stream, &meta, DecodeModel::Static(&p), &mut out).is_err());
     }
 }

@@ -210,7 +210,8 @@ pub fn container_from_bytes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_pooled, Codec};
+    use crate::backend::{DecodeBackend, DecodeModel, DecodeRequest, ScalarBackend};
+    use crate::codec::Codec;
     use recoil_models::ModelProvider;
 
     fn sample(len: usize) -> Vec<u8> {
@@ -248,7 +249,9 @@ mod tests {
         assert_eq!(back.stream, container.stream);
         assert_eq!(back.metadata, container.metadata);
         let mut decoded = vec![0u8; data.len()];
-        decode_pooled(&back.stream, &back.metadata, &model2, None, &mut decoded).unwrap();
+        let model2 = DecodeModel::Static(&model2);
+        let req = DecodeRequest::whole(&back.stream, &back.metadata, model2, &mut decoded);
+        ScalarBackend.decode(req.unwrap()).unwrap();
         assert_eq!(decoded, data);
     }
 

@@ -62,7 +62,6 @@ pub use file::{container_from_bytes, container_to_bytes};
 pub use incremental::IncrementalDecoder;
 pub use metadata::{LaneInit, RecoilMetadata, SplitLanes, SplitPoint};
 pub use planner::{
-    plan_chunks, plan_chunks_into, plan_from_events, ChunkPlan, Heuristic, PlannedChunk,
-    PlannerConfig, SplitPlanner,
+    plan_chunks, plan_chunks_into, plan_from_events, ChunkPlan, PlannedChunk, SplitPlanner,
 };
 pub use wire::{metadata_from_bytes, metadata_to_bytes, metadata_wire_len};

@@ -50,18 +50,6 @@ use recoil_rans::{
 use std::collections::VecDeque;
 use std::ops::Range;
 
-/// Candidate-scoring strategy (for the ablation study).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Heuristic {
-    /// Definition 4.1: `H(t, t_s) = |t - T| + |t - t_s - T|` — balances the
-    /// workload both including and excluding the Synchronization Section.
-    #[default]
-    SyncAware,
-    /// Naive: nearest renorm point to the target, ignoring sync length
-    /// (`H = |t - T|`). Used to quantify what Def. 4.1 buys.
-    NearestOnly,
-}
-
 /// Renorm events kept for candidate search and backward scans; bounds
 /// planner memory whatever the stream length. Never set to anything else
 /// while it was a config field.
@@ -69,29 +57,9 @@ const RING_CAPACITY: u64 = 1 << 16;
 
 /// Split candidates scored per workload target. 24 keeps planning under
 /// ~15% of encode time at 2176 splits while matching the workload balance
-/// of denser search (the ablation harness compared them). A constant, not
-/// a config field: it is not in the PUBLISH message, so no remote
-/// publisher could ever have set it.
+/// of denser search. A constant, not a config field: it is not in the
+/// PUBLISH message, so no remote publisher could ever have set it.
 const MAX_CANDIDATES: u64 = 24;
-
-/// What a caller chooses about the plan.
-#[derive(Debug, Clone)]
-pub struct PlannerConfig {
-    /// Desired number of parallel segments `M` (the paper's split count).
-    pub segments: u64,
-    /// Scoring strategy.
-    pub heuristic: Heuristic,
-}
-
-impl PlannerConfig {
-    /// Config for `segments` parallel segments with the paper's heuristic.
-    pub fn with_segments(segments: u64) -> Self {
-        Self {
-            segments,
-            heuristic: Heuristic::SyncAware,
-        }
-    }
-}
 
 /// The bits of `mask` at and below bit `k`.
 fn through_bit(mask: u32, k: u32) -> u32 {
@@ -408,7 +376,6 @@ pub struct SplitPlanner {
     window: u64,
     max_interior: u64,
     ring: Ring,
-    heuristic: Heuristic,
     /// Position of the last committed split (`-1` before the first).
     prev_p: i64,
     /// Next workload target position.
@@ -423,11 +390,12 @@ pub struct SplitPlanner {
 }
 
 impl SplitPlanner {
-    /// Planner for a stream of `num_symbols` symbols over `ways` lanes.
-    pub fn new(ways: u32, num_symbols: u64, config: PlannerConfig) -> Self {
+    /// Planner for a stream of `num_symbols` symbols over `ways` lanes, for
+    /// up to `segments` parallel segments (the paper's split count `M`).
+    pub fn new(ways: u32, num_symbols: u64, segments: u64) -> Self {
         assert!(ways >= 1);
-        assert!(config.segments >= 1);
-        let segments = config.segments.min(num_symbols.max(1));
+        assert!(segments >= 1);
+        let segments = segments.min(num_symbols.max(1));
         let target = num_symbols.div_ceil(segments).max(1);
         Self {
             ways,
@@ -436,7 +404,6 @@ impl SplitPlanner {
             window: (target / 8).max(4 * ways as u64).max(16),
             max_interior: segments - 1,
             ring: Ring::new(ways, num_symbols),
-            heuristic: config.heuristic,
             prev_p: -1,
             next_target: target,
             chosen: Vec::new(),
@@ -478,19 +445,14 @@ impl SplitPlanner {
             && (self.ring.group_of(p) - self.ring.group_of(q)) >> GROUP_DIFF_BITS == 0
     }
 
-    /// Definition 4.1: `H(t, t_s) = |t - T| + |t - t_s - T|` (or the naive
-    /// `|t - T|` under [`Heuristic::NearestOnly`]) for a candidate whose
-    /// scan spans `q ..= p`, `t_s = p - q + 1`.
+    /// Definition 4.1: `H(t, t_s) = |t - T| + |t - t_s - T|` for a candidate
+    /// whose scan spans `q ..= p`, `t_s = p - q + 1` — the workload balanced
+    /// both including and excluding the Synchronization Section.
     fn score(&self, Extent { lo: q, hi: p, .. }: Extent) -> u64 {
         let t = p as i64 - self.prev_p;
         let target = self.target as i64;
-        match self.heuristic {
-            Heuristic::SyncAware => {
-                let ts = (p - q + 1) as i64;
-                (t - target).unsigned_abs() + (t - ts - target).unsigned_abs()
-            }
-            Heuristic::NearestOnly => (t - target).unsigned_abs(),
-        }
+        let ts = (p - q + 1) as i64;
+        (t - target).unsigned_abs() + (t - ts - target).unsigned_abs()
     }
 
     /// The best candidate among events `start..end`: the lowest (score,
@@ -841,17 +803,18 @@ pub fn plan_chunks_into(meta: &RecoilMetadata, target_chunk_bytes: usize, plan: 
     );
 }
 
-/// Offline planning over a recorded event log (tests, small inputs). The
-/// events must be an encoder's: in write order, each lane's own.
+/// Offline planning for up to `segments` segments over a recorded event log
+/// (tests, small inputs). The events must be an encoder's: in write order,
+/// each lane's own.
 pub fn plan_from_events(
     events: &[RenormEvent],
     ways: u32,
     num_symbols: u64,
     num_words: u64,
     quant_bits: u32,
-    config: PlannerConfig,
+    segments: u64,
 ) -> RecoilMetadata {
-    let planner = SplitPlanner::new(ways, num_symbols, config);
+    let planner = SplitPlanner::new(ways, num_symbols, segments);
     // Grouped as the bulk encoder reports a span that starts at 0.
     feed_events(planner, events, |sym| sym - sym % GROUP as u64).finish(num_words, quant_bits)
 }
@@ -927,7 +890,7 @@ mod tests {
                 stream.num_symbols,
                 stream.words.len() as u64,
                 11,
-                PlannerConfig::with_segments(segments),
+                segments,
             );
             assert_eq!(
                 meta.splits.len() as u64,
@@ -949,7 +912,7 @@ mod tests {
             stream.num_symbols,
             stream.words.len() as u64,
             11,
-            PlannerConfig::with_segments(segments),
+            segments,
         );
         let t = stream.num_symbols / segments;
         let mut prev = -1i64;
@@ -975,7 +938,7 @@ mod tests {
             stream.num_symbols,
             stream.words.len() as u64,
             11,
-            PlannerConfig::with_segments(32),
+            32,
         );
         for s in &meta.splits {
             assert!(
@@ -996,7 +959,7 @@ mod tests {
             stream.num_symbols,
             stream.words.len() as u64,
             11,
-            PlannerConfig::with_segments(8),
+            8,
         );
         // Every recorded lane state must be an actual event with matching
         // lane, position and state.
@@ -1026,7 +989,7 @@ mod tests {
             stream.num_symbols,
             stream.words.len() as u64,
             8,
-            PlannerConfig::with_segments(1000),
+            1000,
         );
         meta.validate().unwrap();
         assert!(meta.num_segments() <= 300);
@@ -1042,7 +1005,7 @@ mod tests {
             stream.num_symbols,
             stream.words.len() as u64,
             11,
-            PlannerConfig::with_segments(1),
+            1,
         );
         assert!(meta.splits.is_empty());
     }
@@ -1062,7 +1025,7 @@ mod tests {
             stream.num_symbols,
             stream.words.len() as u64,
             11,
-            PlannerConfig::with_segments(16),
+            16,
         );
         meta.validate().unwrap();
         assert!(meta.num_segments() >= 2, "should find at least one split");
@@ -1074,8 +1037,7 @@ mod tests {
         let (stream, events) = encode_with_events(&data, 11, 32);
         let p = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
         let mut enc = InterleavedEncoder::new(&p, 32);
-        let mut planner =
-            SplitPlanner::new(32, data.len() as u64, PlannerConfig::with_segments(16));
+        let mut planner = SplitPlanner::new(32, data.len() as u64, 16);
         enc.encode_all_fast(&data, &mut planner).unwrap();
         let streamed = planner.finish(stream.words.len() as u64, 11);
         let offline = plan_from_events(
@@ -1084,7 +1046,7 @@ mod tests {
             stream.num_symbols,
             stream.words.len() as u64,
             11,
-            PlannerConfig::with_segments(16),
+            16,
         );
         assert_eq!(streamed, offline);
     }
@@ -1119,7 +1081,7 @@ mod tests {
                 offset: events.len() as u64,
             });
         }
-        let [meta, _] = plan_every_way(&events, 2, 600_000, 3);
+        let meta = plan_every_way(&events, 2, 600_000, 3);
         // The widened search settles for a far-from-target candidate that
         // the format can carry; the second target plans normally.
         meta.validate().unwrap();
@@ -1145,50 +1107,40 @@ mod tests {
             .collect()
     }
 
-    /// Plans `events` under both heuristics, scanning event by event — the
-    /// reference — and a record at a time, over one record per event and
-    /// over 32-symbol groups at two alignments; returns the plans once all
-    /// agree.
+    /// Plans `events` scanning event by event — the reference — and a
+    /// record at a time, over one record per event and over 32-symbol
+    /// groups at two alignments; returns the plan once all agree.
     fn plan_every_way(
         events: &[RenormEvent],
         ways: u32,
         num_symbols: u64,
         segments: u64,
-    ) -> [RecoilMetadata; 2] {
-        [
-            PlannerConfig::with_segments(segments),
-            PlannerConfig {
-                segments,
-                heuristic: Heuristic::NearestOnly,
-            },
-        ]
-        .map(|config| {
-            let planner = || SplitPlanner::new(ways, num_symbols, config.clone());
-            let finish = |planner: SplitPlanner| planner.finish(events.len() as u64, 11);
-            let singly = |sym: u64| sym;
-            let reference = finish(feed_events(
-                planner().scanning_event_by_event(),
-                events,
-                singly,
-            ));
-            let label = format!("ways {ways}, {segments} segments");
+    ) -> RecoilMetadata {
+        let planner = || SplitPlanner::new(ways, num_symbols, segments);
+        let finish = |planner: SplitPlanner| planner.finish(events.len() as u64, 11);
+        let singly = |sym: u64| sym;
+        let reference = finish(feed_events(
+            planner().scanning_event_by_event(),
+            events,
+            singly,
+        ));
+        let label = format!("ways {ways}, {segments} segments");
+        assert_eq!(
+            finish(feed_events(planner(), events, singly)),
+            reference,
+            "{label}"
+        );
+        // Groups of the 32 symbols from each `phase + 32 j`, as an encoder
+        // whose spans start there would report them.
+        for phase in [0, 13] {
+            let from = |sym: u64| ((sym + 32 - phase) / 32 * 32).saturating_sub(32 - phase);
             assert_eq!(
-                finish(feed_events(planner(), events, singly)),
+                finish(feed_events(planner(), events, from)),
                 reference,
-                "{label}"
+                "{label}, groups from {phase}"
             );
-            // Groups of the 32 symbols from each `phase + 32 j`, as an
-            // encoder whose spans start there would report them.
-            for phase in [0, 13] {
-                let from = |sym: u64| ((sym + 32 - phase) / 32 * 32).saturating_sub(32 - phase);
-                assert_eq!(
-                    finish(feed_events(planner(), events, from)),
-                    reference,
-                    "{label}, groups from {phase}"
-                );
-            }
-            reference
-        })
+        }
+        reference
     }
 
     #[test]
@@ -1199,7 +1151,7 @@ mod tests {
             // From a window of tens of thousands of events thinned to
             // MAX_CANDIDATES down to windows holding fewer than that.
             for segments in [2u64, 16, 256, 2176, 40_000] {
-                let [plan, _] = plan_every_way(&events, ways, stream.num_symbols, segments);
+                let plan = plan_every_way(&events, ways, stream.num_symbols, segments);
                 assert!(!plan.splits.is_empty() && (plan.splits.len() as u64) < segments);
             }
         }
@@ -1241,7 +1193,7 @@ mod tests {
             }
         }
         for segments in [2u64, 5, 48] {
-            let [plan, _] = plan_every_way(&events, ways as u32, num_symbols, segments);
+            let plan = plan_every_way(&events, ways as u32, num_symbols, segments);
             assert!(!plan.splits.is_empty(), "{segments} segments");
         }
     }
@@ -1269,11 +1221,10 @@ mod tests {
             let (stream, events) = encode_with_events(&data, 11, ways);
             let p = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
             let mut enc = InterleavedEncoder::new(&p, ways);
-            let mut planner =
-                SplitPlanner::new(ways, len as u64, PlannerConfig::with_segments(segments));
+            let mut planner = SplitPlanner::new(ways, len as u64, segments);
             enc.encode_all_fast(&data, &mut planner).unwrap();
             let streamed = planner.finish(stream.words.len() as u64, 11);
-            let [offline, _] = plan_every_way(&events, ways, len as u64, segments);
+            let offline = plan_every_way(&events, ways, len as u64, segments);
             assert_eq!(streamed, offline, "ways {ways}");
         }
     }

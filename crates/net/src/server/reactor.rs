@@ -1483,7 +1483,6 @@ fn publish(shared: &Shared, payload: &[u8]) -> Result<PublishOk, (RecoilError, b
         ways: msg.ways,
         max_segments: msg.max_segments,
         quant_bits: msg.quant_bits,
-        ..EncoderConfig::default()
     };
     let item = shared
         .content

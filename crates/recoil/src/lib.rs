@@ -3,9 +3,8 @@
 //! A from-scratch Rust implementation of *Recoil* (Lin, Arunruangsirilert,
 //! Sun, Katto — ICPP 2023) and everything it is evaluated against: the
 //! interleaved rANS substrate, the conventional "partitioning symbols"
-//! baseline, a multians-style tANS baseline, AVX2/AVX-512 decode kernels,
-//! and a content-delivery server that scales parallelism metadata to each
-//! client in real time.
+//! baseline, AVX2/AVX-512 decode kernels, and a content-delivery server
+//! that scales parallelism metadata to each client in real time.
 //!
 //! ## The idea in one paragraph
 //!
@@ -100,8 +99,7 @@
 //! | [`models`] | histograms, quantization, decode LUTs, hyperprior models |
 //! | [`simd`] | AVX2 / AVX-512 span kernels (below `core`: depends on `rans` + `models` only) |
 //! | [`conventional`] | baseline (B): partitioning-symbols codec, scalar and on the `simd` kernels |
-//! | [`tans`] | baseline (C): tANS + multians self-sync parallel decoder |
-//! | [`parallel`] | persistent thread pool (also the "GPU-sim" substrate), the disjoint-slice thread split |
+//! | [`parallel`] | persistent thread pool, the disjoint-slice thread split |
 //! | [`data`] | Table 4 dataset generators |
 //! | [`server`] | encode-once / combine-per-request content delivery |
 //! | [`net`] | framed TCP transport: `NetServer` / pooling `NetClient` |
@@ -121,7 +119,6 @@ pub use recoil_parallel as parallel;
 pub use recoil_rans as rans;
 pub use recoil_server as server;
 pub use recoil_simd as simd;
-pub use recoil_tans as tans;
 pub use recoil_telemetry as telemetry;
 
 #[doc(no_inline)]
@@ -141,8 +138,8 @@ pub mod prelude {
     pub use recoil_core::codec::{Codec, CodecBuilder, Encoded, EncoderConfig};
     pub use recoil_core::{
         combine_splits, metadata_from_bytes, metadata_to_bytes, plan_chunks, try_combine_splits,
-        ChunkPlan, Heuristic, IncrementalDecoder, PlannedChunk, PlannerConfig, RecoilContainer,
-        RecoilError, RecoilMetadata, SplitPlanner,
+        ChunkPlan, IncrementalDecoder, PlannedChunk, RecoilContainer, RecoilError, RecoilMetadata,
+        SplitPlanner,
     };
     pub use recoil_models::{
         CdfTable, GaussianScaleBank, Histogram, LatentModelProvider, LatentSpec, ModelProvider,
@@ -156,5 +153,4 @@ pub mod prelude {
         decode_interleaved, EncodedStream, InterleavedEncoder, NullSink, RansError, VecSink,
     };
     pub use recoil_simd::{decode_interleaved_simd, Kernel, SimdModel};
-    pub use recoil_tans::{decode_multians, decode_tans_serial, encode_tans, TansTable};
 }

@@ -9,8 +9,8 @@ pub(crate) const AVX2_DEPTH: usize = 2;
 /// `zmm` registers, each a serial chain of about 60 cycles a group.
 pub(crate) const AVX512_DEPTH: usize = 4;
 
-/// Which decode kernel to run. The paper's implementations (2)–(4) map to
-/// `Avx2`, `Avx512`, and (via the thread pool at 2176 splits) the GPU-sim.
+/// Which decode kernel to run. The paper's implementations (2) and (3) map
+/// to `Avx2` and `Avx512`; its CUDA implementation (4) has no counterpart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// Portable scalar reference (paper implementation (1)).

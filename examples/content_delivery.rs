@@ -26,7 +26,6 @@ fn main() -> Result<(), RecoilError> {
         ways: 32,
         max_segments: 2176,
         quant_bits: 11,
-        ..EncoderConfig::default()
     };
     let server = ContentServer::new();
     server.publish("rand_500", &data, &config)?;

@@ -6,8 +6,7 @@
 //! cargo run --example figure6_walkthrough
 //! ```
 
-use recoil::core::codec::decode_pooled;
-use recoil::core::{metadata_to_bytes, plan_from_events, PlannerConfig};
+use recoil::core::{metadata_to_bytes, plan_from_events};
 use recoil::prelude::*;
 
 fn main() {
@@ -53,7 +52,7 @@ fn main() {
         stream.num_symbols,
         stream.words.len() as u64,
         8,
-        PlannerConfig::with_segments(2),
+        2,
     );
     let split = &meta.splits[0];
     println!(
@@ -95,7 +94,8 @@ fn main() {
     );
 
     let mut decoded = vec![0u8; data.len()];
-    decode_pooled(&stream, &meta, &model, None, &mut decoded).unwrap();
+    let request = DecodeRequest::whole(&stream, &meta, DecodeModel::Static(&model), &mut decoded);
+    ScalarBackend.decode(request.unwrap()).unwrap();
     assert_eq!(decoded, data);
     println!("parallel 3-phase decode matches the input — done.");
 }

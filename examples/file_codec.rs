@@ -8,7 +8,6 @@
 //!
 //! With no arguments, runs a self-demo on generated data in a temp dir.
 
-use recoil::core::codec::decode_pooled;
 use recoil::core::{container_from_bytes, container_to_bytes};
 use recoil::prelude::*;
 
@@ -32,15 +31,17 @@ fn compress(input: &[u8]) -> Result<Vec<u8>, RecoilError> {
 
 fn decompress(bytes: &[u8]) -> Result<Vec<u8>, RecoilError> {
     let (container, model) = container_from_bytes(bytes)?;
-    let pool = ThreadPool::with_default_parallelism();
+    // Every core, each on the best vector kernel this host has.
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let backend = AutoBackend::with_threads(threads);
     let mut out = vec![0u8; container.stream.num_symbols as usize];
-    decode_pooled(
+    let model = DecodeModel::Static(&model);
+    backend.decode(DecodeRequest::whole(
         &container.stream,
         &container.metadata,
-        &model,
-        Some(&pool),
+        model,
         &mut out,
-    )?;
+    )?)?;
     Ok(out)
 }
 

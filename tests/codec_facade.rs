@@ -169,26 +169,3 @@ fn decode_metrics_move_on_every_backend() {
         assert!(symbols - before.2 >= data.len() as u64, "{name} symbols");
     }
 }
-
-#[test]
-fn heuristic_choice_flows_through_the_builder() {
-    let data = text_like_bytes(300_000, 5.0, 46);
-    let sync = Codec::builder().max_segments(64).build().unwrap();
-    let naive = Codec::builder()
-        .encoder_config(EncoderConfig {
-            max_segments: 64,
-            heuristic: Heuristic::NearestOnly,
-            ..EncoderConfig::default()
-        })
-        .build()
-        .unwrap();
-    let a = sync.encode(&data).unwrap();
-    let b = naive.encode(&data).unwrap();
-    // Same bitstream (encoding is heuristic-independent)…
-    assert_eq!(a.container.stream, b.container.stream);
-    // …and both plans decode correctly.
-    let da: Vec<u8> = sync.decode(&a).unwrap();
-    let db: Vec<u8> = naive.decode(&b).unwrap();
-    assert_eq!(da, data);
-    assert_eq!(db, data);
-}

@@ -43,12 +43,6 @@ fn check_byte_dataset(d: &Dataset, n: u32) {
         decode_conventional_simd(kernel, &conv, &encoded.model, Some(&pool), &mut out).unwrap();
         assert_eq!(out, data, "{} conventional {:?}", d.name, kernel);
     }
-
-    // tANS / multians.
-    let table = TansTable::from_cdf(&CdfTable::of_bytes(&data, n));
-    let tstream = encode_tans(&data, &table);
-    let (tpar, _) = decode_multians::<u8>(&tstream, &table, 64, Some(&pool)).unwrap();
-    assert_eq!(tpar, data, "{} multians", d.name);
 }
 
 #[test]

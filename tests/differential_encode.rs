@@ -42,9 +42,9 @@ fn careful_container<S: Symbol>(
     data: &[S],
     model: &StaticModelProvider,
     ways: u32,
-    planner_config: PlannerConfig,
+    segments: u64,
 ) -> RecoilContainer {
-    let mut planner = SplitPlanner::new(ways, data.len() as u64, planner_config);
+    let mut planner = SplitPlanner::new(ways, data.len() as u64, segments);
     let mut final_states = vec![recoil::rans::params::INITIAL_STATE; ways as usize];
     let mut words = Vec::new();
     encode_span_careful(
@@ -129,8 +129,7 @@ fn fast_encode_matches_careful_serial_everywhere() {
                      segments={segments}"
                 );
 
-                let reference =
-                    careful_container(&data, &model, ways, codec.config().planner_config());
+                let reference = careful_container(&data, &model, ways, codec.config().max_segments);
                 let fast = codec.encode_with_provider(&data, &model).unwrap();
                 assert_eq!(fast.stream, reference.stream, "fast stream: {ctx}");
                 assert_eq!(fast.metadata, reference.metadata, "fast metadata: {ctx}");
@@ -161,7 +160,7 @@ fn u16_fast_encode_matches_careful_and_round_trips() {
         .build()
         .unwrap();
     let fast = codec.encode_u16(&data).unwrap();
-    let reference = careful_container(&data, &fast.model, 32, codec.config().planner_config());
+    let reference = careful_container(&data, &fast.model, 32, codec.config().max_segments);
     assert_eq!(fast.container.stream, reference.stream);
     assert_eq!(fast.container.metadata, reference.metadata);
     for (name, backend) in &backends(32) {

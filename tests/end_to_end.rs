@@ -2,7 +2,6 @@
 //! encode → plan → serialize → combine → parallel-decode pipeline, all via
 //! the `Codec` facade.
 
-use recoil::core::codec::decode_pooled;
 use recoil::data::{exponential_bytes, text_like_bytes};
 use recoil::prelude::*;
 use recoil::server::{Client, ContentServer};
@@ -27,35 +26,15 @@ fn text_dataset_full_pipeline() {
     assert_eq!(meta, encoded.container.metadata);
 
     // Decode at several parallelism levels; all must be identical.
-    let pool = ThreadPool::new(7);
+    let backend = AutoBackend::with_threads(8);
     for segments in [1u64, 2, 16, 128] {
         let m = combine_splits(&meta, segments);
         let mut got = vec![0u8; data.len()];
-        decode_pooled(
-            &encoded.container.stream,
-            &m,
-            &encoded.model,
-            Some(&pool),
-            &mut got,
-        )
-        .unwrap();
+        let model = DecodeModel::Static(&encoded.model);
+        let req = DecodeRequest::whole(&encoded.container.stream, &m, model, &mut got);
+        backend.decode(req.unwrap()).unwrap();
         assert_eq!(got, data, "segments={segments}");
     }
-}
-
-#[test]
-fn compressed_size_is_near_entropy_plus_metadata() {
-    let data = exponential_bytes(2_000_000, 100.0, 2);
-    let encoded = codec(64, 11).encode(&data).unwrap();
-    let entropy_bytes = Histogram::of_bytes(&data).entropy_bits() * data.len() as f64 / 8.0;
-    let payload = encoded.stream_bytes() as f64;
-    assert!(
-        payload < entropy_bytes * 1.08,
-        "payload {payload} vs entropy {entropy_bytes}"
-    );
-    assert!(payload > entropy_bytes * 0.95);
-    // Metadata is a rounding error next to the payload at 64 segments.
-    assert!((encoded.metadata_bytes() as f64) < payload * 0.01);
 }
 
 #[test]
@@ -94,18 +73,6 @@ fn conventional_and_recoil_decode_identically() {
     let b: Vec<u8> = codec.decode(&encoded).unwrap();
     assert_eq!(a, data);
     assert_eq!(b, data);
-}
-
-#[test]
-fn tans_multians_agrees_with_rans_content() {
-    let data = text_like_bytes(400_000, 5.0, 5);
-    let table = TansTable::from_cdf(&CdfTable::of_bytes(&data, 11));
-    let stream = encode_tans(&data, &table);
-    let pool = ThreadPool::new(7);
-    let (got, stats) = decode_multians::<u8>(&stream, &table, 128, Some(&pool)).unwrap();
-    assert_eq!(got, data);
-    // Self-sync must mostly work at n=11 (multians' premise).
-    assert!(stats.chunks_rerun < 16, "{stats:?}");
 }
 
 #[test]

@@ -5,8 +5,7 @@
 //! run over deterministic seeded cases; every assertion message carries the
 //! seed for replay.
 
-use recoil::core::codec::decode_pooled;
-use recoil::core::{plan_from_events, PlannerConfig};
+use recoil::core::plan_from_events;
 use recoil::prelude::*;
 
 mod common;
@@ -34,7 +33,8 @@ fn scalar_decode(
     p: &StaticModelProvider,
 ) -> Vec<u8> {
     let mut out = vec![0u8; stream.num_symbols as usize];
-    decode_pooled(stream, meta, p, None, &mut out).unwrap();
+    let req = DecodeRequest::whole(stream, meta, DecodeModel::Static(p), &mut out);
+    ScalarBackend.decode(req.unwrap()).unwrap();
     out
 }
 
@@ -93,7 +93,7 @@ fn recoil_decode_equals_serial() {
             stream.num_symbols,
             stream.words.len() as u64,
             n,
-            PlannerConfig::with_segments(segments),
+            segments,
         );
         let serial: Vec<u8> = decode_interleaved(&stream, &p).unwrap();
         let recoil = scalar_decode(&stream, &meta, &p);
@@ -118,7 +118,7 @@ fn any_combine_target_decodes_identically() {
             stream.num_symbols,
             stream.words.len() as u64,
             11,
-            PlannerConfig::with_segments(24),
+            24,
         );
         let combined = combine_splits(&meta, target);
         assert!(combined.num_segments() <= target.max(1), "seed {seed}");
@@ -142,7 +142,7 @@ fn metadata_wire_round_trip() {
             stream.num_symbols,
             stream.words.len() as u64,
             11,
-            PlannerConfig::with_segments(segments),
+            segments,
         );
         let bytes = metadata_to_bytes(&meta);
         let back = metadata_from_bytes(&bytes).unwrap();
@@ -166,23 +166,6 @@ fn simd_kernels_bit_exact() {
             decode_interleaved_simd(kernel, &stream, &p, &mut out).unwrap();
             assert_eq!(&out, &serial, "seed {seed} kernel {kernel:?}");
         }
-    }
-}
-
-/// tANS multians decode equals serial tANS decode for any chunk count.
-#[test]
-fn multians_equals_serial() {
-    for seed in 0..32u64 {
-        let mut rng = Cases::new(0x7041 ^ seed);
-        let len = rng.range(500, 8000) as usize;
-        let data = rng.data(len);
-        let chunks = rng.range(1, 64) as usize;
-        let table = TansTable::from_cdf(&CdfTable::of_bytes(&data, 11));
-        let stream = encode_tans(&data, &table);
-        let serial: Vec<u8> = decode_tans_serial(&stream, &table).unwrap();
-        let (par, _) = decode_multians::<u8>(&stream, &table, chunks, None).unwrap();
-        assert_eq!(&serial, &data, "seed {seed}");
-        assert_eq!(par, serial, "seed {seed} chunks {chunks}");
     }
 }
 

@@ -118,27 +118,10 @@ fn pathological_inputs_round_trip() {
             let bytes = container_to_bytes(&enc.container, enc.model.table());
             let (back, m2) = container_from_bytes(&bytes).unwrap();
             let mut got2 = vec![0u8; back.stream.num_symbols as usize];
-            recoil::core::codec::decode_pooled(&back.stream, &back.metadata, &m2, None, &mut got2)
-                .unwrap();
+            let model = DecodeModel::Static(&m2);
+            let req = DecodeRequest::whole(&back.stream, &back.metadata, model, &mut got2);
+            ScalarBackend.decode(req.unwrap()).unwrap();
             assert_eq!(&got2, data, "file case {i} n={n}");
         }
     }
-}
-
-#[test]
-fn naive_heuristic_still_decodes_correctly() {
-    let data = recoil::data::text_like_bytes(300_000, 5.0, 77);
-    let codec = Codec::from_config(EncoderConfig {
-        max_segments: 64,
-        heuristic: Heuristic::NearestOnly,
-        ..EncoderConfig::default()
-    })
-    .unwrap();
-    let enc = codec.encode(&data).unwrap();
-    enc.container
-        .metadata
-        .validate_against(&enc.container.stream)
-        .unwrap();
-    let got: Vec<u8> = codec.decode(&enc).unwrap();
-    assert_eq!(got, data);
 }
