@@ -1,9 +1,13 @@
 //! Criterion microbenchmarks of the metadata plane on the ladder's
-//! `serve_churn` item (256 KiB, W = 32): what one tier-cache miss runs
-//! (`build` = combine + validate + serialise), its two halves, the
-//! client's parse of the same tier, and the split planner over the item's
-//! recorded renormalization events — each at 16, 64 and 256 segments. The
-//! two `encode` rows are the facade with and without that planning.
+//! `serve_churn` item (256 KiB, W = 32), each at 16, 64 and 256 segments:
+//! `tier` is what one tier-cache miss runs — a selection from the item's
+//! `WireSplits`, whose split bodies were written once at publish — and
+//! `build` the same tier from bare metadata (combine + validate +
+//! serialise, where serialising builds the table and selects every
+//! split); then `build`'s two halves, the client's parse of the same tier,
+//! and the split planner over the item's recorded renormalization events.
+//! `wire-table` is the one-off table build a publish adds. The two
+//! `encode` rows are the facade with and without that planning.
 //!
 //! `plan/{event-scan,record-scan}/{256KiB@256,8MiB@64}` replays an encode's
 //! recorded renorm groups into a fresh planner — the ring pushes plus the
@@ -21,7 +25,7 @@
 //! the table rate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use recoil::core::{update_crc32, update_crc32_table};
+use recoil::core::{update_crc32, update_crc32_table, WireSplits};
 use recoil::models::Histogram;
 use recoil::prelude::*;
 use recoil::rans::{RenormGroup, RenormSink};
@@ -35,8 +39,13 @@ fn bench_metadata_plane(c: &mut Criterion) {
     let stored = codec(256).encode(&data).unwrap().container.metadata;
     println!("stored metadata: {} segments", stored.num_segments());
 
+    let wire = WireSplits::of(&stored).unwrap();
+
     let mut group = c.benchmark_group("metadata_plane");
     group.sample_size(2000);
+    group.bench_function("wire-table", |b| {
+        b.iter(|| WireSplits::of(&stored).unwrap())
+    });
     for segments in SEGMENTS {
         let tier = try_combine_splits(&stored, segments).unwrap();
         let bytes = metadata_to_bytes(&tier);
@@ -45,6 +54,9 @@ fn bench_metadata_plane(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("serialise", segments), &tier, |b, tier| {
             b.iter(|| metadata_to_bytes(tier));
+        });
+        group.bench_with_input(BenchmarkId::new("tier", segments), &segments, |b, &s| {
+            b.iter(|| wire.tier(s).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("build", segments), &segments, |b, &s| {
             b.iter(|| metadata_to_bytes(&try_combine_splits(&stored, s).unwrap()));

@@ -62,6 +62,46 @@ impl BitWriter {
         self.used = total - 64;
     }
 
+    /// Appends the first `bits` bits of `words`, a bit sequence in the
+    /// layout [`BitWriter::into_words`] returns, at whatever alignment this
+    /// writer is at: per whole word one funnel shift and one store.
+    ///
+    /// # Panics
+    ///
+    /// If `words` holds fewer than `bits` bits.
+    #[inline]
+    pub fn append(&mut self, words: &[u64], bits: u64) {
+        let (whole, rest) = words.split_at((bits / 64) as usize);
+        let used = self.used;
+        let at = self.bytes.len();
+        self.bytes.resize(at + 8 * whole.len(), 0);
+        let mut acc = self.acc;
+        for (out, &word) in self.bytes[at..].chunks_exact_mut(8).zip(whole) {
+            out.copy_from_slice(&(acc | word << used).to_le_bytes());
+            // The word's top `used` bits, which did not fit (none at 0).
+            acc = word >> 1 >> (63 - used);
+        }
+        self.acc = acc;
+        let tail = (bits % 64) as u32;
+        if tail > 0 {
+            self.write(rest[0] & ((1u64 << tail) - 1), tail);
+        }
+    }
+
+    /// Zero-fills to the next 64-bit boundary, so that what is written next
+    /// starts word [`BitWriter::word_len`] of [`BitWriter::into_words`].
+    pub fn align_to_word(&mut self) {
+        if self.used > 0 {
+            self.bytes.extend_from_slice(&self.acc.to_le_bytes());
+            (self.acc, self.used) = (0, 0);
+        }
+    }
+
+    /// Whole 64-bit words written so far.
+    pub fn word_len(&self) -> usize {
+        self.bytes.len() / 8
+    }
+
     /// Total bits written so far.
     pub fn bit_len(&self) -> u64 {
         self.bytes.len() as u64 * 8 + u64::from(self.used)
@@ -73,6 +113,17 @@ impl BitWriter {
         self.bytes
             .extend_from_slice(&self.acc.to_le_bytes()[..tail]);
         self.bytes
+    }
+
+    /// Finish and return the packed bits as 64-bit words, the first-written
+    /// bit in bit 0 of word 0 (final partial word zero-padded): the form
+    /// [`BitWriter::append`] copies from.
+    pub fn into_words(mut self) -> Vec<u64> {
+        self.align_to_word();
+        self.bytes
+            .chunks_exact(8)
+            .map(|word| u64::from_le_bytes(word.try_into().expect("8 bytes")))
+            .collect()
     }
 }
 
@@ -256,6 +307,63 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn appended_words_match_writing_their_bits() {
+        // Stored sequences of every length around a word edge, padded to
+        // words, appended at every alignment: the same bytes as writing the
+        // fields one by one.
+        let mut rng = 0x5DEE_CE66_D1CE_4E5Bu64;
+        for start in 0..64u32 {
+            for len in [0u64, 1, 5, 63, 64, 65, 127, 128, 200] {
+                let mut stored = BitWriter::new();
+                let mut fields = Vec::new();
+                let mut left = len;
+                while left > 0 {
+                    let n = (next(&mut rng) % 64 + 1).min(left) as u32;
+                    let v = fit(next(&mut rng), n);
+                    stored.write(v, n);
+                    fields.push((v, n));
+                    left -= u64::from(n);
+                }
+                assert_eq!(stored.bit_len(), len);
+                let words = stored.into_words();
+                assert_eq!(words.len() as u64, len.div_ceil(64));
+                let lead = fit(next(&mut rng), start);
+                let (mut by_append, mut by_write) = (BitWriter::new(), BitWriter::new());
+                for w in [&mut by_append, &mut by_write] {
+                    w.write(lead, start);
+                }
+                by_append.append(&words, len);
+                for &(v, n) in &fields {
+                    by_write.write(v, n);
+                }
+                by_append.write(0b101, 3);
+                by_write.write(0b101, 3);
+                assert_eq!(by_append.bit_len(), by_write.bit_len());
+                assert_eq!(
+                    by_append.into_bytes(),
+                    by_write.into_bytes(),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn aligning_pads_to_the_next_word() {
+        let mut w = BitWriter::new();
+        w.align_to_word();
+        assert_eq!((w.bit_len(), w.word_len()), (0, 0));
+        w.write(0b11, 2);
+        w.align_to_word();
+        assert_eq!((w.bit_len(), w.word_len()), (64, 1));
+        w.write(u64::MAX, 64);
+        w.align_to_word();
+        assert_eq!((w.bit_len(), w.word_len()), (128, 2));
+        w.write(1, 1);
+        assert_eq!(w.into_words(), [0b11, u64::MAX, 1]);
     }
 
     #[test]

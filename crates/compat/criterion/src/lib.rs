@@ -4,15 +4,23 @@
 //! subset the workspace benches use — `Criterion::benchmark_group`,
 //! `BenchmarkGroup::{sample_size, throughput, bench_function,
 //! bench_with_input, finish}`, `Bencher::iter`, `BenchmarkId`, `Throughput`,
-//! and the `criterion_group!`/`criterion_main!` macros. Measurements are a
-//! plain mean over `sample_size` timed runs after one warm-up, printed as
-//! `group/name  time  [throughput]`. No statistics, no HTML reports — just
-//! enough to keep the bench targets building and producing usable numbers.
+//! and the `criterion_group!`/`criterion_main!` macros. After one warm-up
+//! call, the `sample_size` calls are timed in ten batches, and the
+//! median and the minimum of the per-batch means are printed as
+//! `group/name  median  (min …)  [throughput at the median]`: on a shared
+//! host a neighbour's burst moves a plain mean, while the median batch
+//! stays put and the minimum says what the code costs when undisturbed. No
+//! HTML reports — just enough to keep the bench targets building and
+//! producing usable numbers.
 
 // Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
 #![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
+
+/// Batches each benchmark's samples are timed in (the sample count is
+/// rounded up to a multiple of it).
+const BATCHES: usize = 10;
 
 /// Declared throughput of a benchmark, used to derive rate output.
 #[derive(Debug, Clone, Copy)]
@@ -95,11 +103,7 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher),
     {
-        let mut b = Bencher {
-            samples: self.samples,
-            elapsed: Duration::ZERO,
-            iters: 0,
-        };
+        let mut b = Bencher::new(self.samples);
         f(&mut b);
         self.report(&id.to_string(), &b);
         self
@@ -115,11 +119,7 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
-        let mut b = Bencher {
-            samples: self.samples,
-            elapsed: Duration::ZERO,
-            iters: 0,
-        };
+        let mut b = Bencher::new(self.samples);
         f(&mut b, input);
         self.report(&id.to_string(), &b);
         self
@@ -129,41 +129,70 @@ impl BenchmarkGroup<'_> {
     pub fn finish(&mut self) {}
 
     fn report(&self, id: &str, b: &Bencher) {
-        let mean = if b.iters == 0 {
-            Duration::ZERO
-        } else {
-            b.elapsed / b.iters as u32
-        };
+        println!("{}", self.line(id, b));
+    }
+
+    /// The printed result of one benchmark.
+    fn line(&self, id: &str, b: &Bencher) -> String {
+        let (median, min) = b.summary().unwrap_or_default();
         let rate = match self.throughput {
-            Some(Throughput::Bytes(n)) if mean > Duration::ZERO => {
-                format!("  {:8.3} GB/s", n as f64 / mean.as_secs_f64() / 1e9)
+            Some(Throughput::Bytes(n)) if median > Duration::ZERO => {
+                format!("  {:8.3} GB/s", n as f64 / median.as_secs_f64() / 1e9)
             }
-            Some(Throughput::Elements(n)) if mean > Duration::ZERO => {
-                format!("  {:8.3} Melem/s", n as f64 / mean.as_secs_f64() / 1e6)
+            Some(Throughput::Elements(n)) if median > Duration::ZERO => {
+                format!("  {:8.3} Melem/s", n as f64 / median.as_secs_f64() / 1e6)
             }
             _ => String::new(),
         };
-        println!("{}/{id:<32} {mean:>12.3?}{rate}", self.name);
+        format!(
+            "{}/{id:<32} {median:>12.3?}  (min {min:.3?}){rate}",
+            self.name
+        )
     }
 }
 
 /// Timing harness handed to each benchmark closure.
 pub struct Bencher {
     samples: usize,
-    elapsed: Duration,
-    iters: u64,
+    /// Mean time per call of each timed batch.
+    batch_means: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Times `routine`: one warm-up call, then `sample_size` measured calls.
+    fn new(samples: usize) -> Self {
+        Self {
+            samples,
+            batch_means: Vec::new(),
+        }
+    }
+
+    /// Times `routine`: one warm-up call, then ten timed batches of
+    /// `ceil(sample_size / 10)` calls each.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         std::hint::black_box(routine());
-        let t0 = Instant::now();
-        for _ in 0..self.samples {
-            std::hint::black_box(routine());
+        let per_batch = self.samples.div_ceil(BATCHES).max(1);
+        for _ in 0..BATCHES {
+            let t0 = Instant::now();
+            for _ in 0..per_batch {
+                std::hint::black_box(routine());
+            }
+            self.batch_means
+                .push(t0.elapsed().div_f64(per_batch as f64));
         }
-        self.elapsed += t0.elapsed();
-        self.iters += self.samples as u64;
+    }
+
+    /// The median and the minimum of the per-batch means, once timed.
+    fn summary(&self) -> Option<(Duration, Duration)> {
+        let mut means = self.batch_means.clone();
+        means.sort_unstable();
+        let min = *means.first()?;
+        let mid = means.len() / 2;
+        let median = if means.len().is_multiple_of(2) {
+            (means[mid - 1] + means[mid]) / 2
+        } else {
+            means[mid]
+        };
+        Some((median, min))
     }
 }
 
@@ -203,7 +232,29 @@ mod tests {
                 runs += 1;
             })
         });
+        assert_eq!(
+            runs, 11,
+            "1 warm-up + 3 samples rounded up to 10 batches of 1"
+        );
+
+        let mut b = Bencher::new(25);
+        let mut runs = 0u32;
+        b.iter(|| {
+            runs += 1;
+            std::thread::sleep(Duration::from_micros(u64::from(runs % 3) * 50));
+        });
+        assert_eq!(runs, 31, "1 warm-up + 25 samples in 10 batches of 3");
+        assert_eq!(b.batch_means.len(), BATCHES);
+        let (median, min) = b.summary().unwrap();
+        assert!(
+            min > Duration::ZERO && min <= median,
+            "{min:?} / {median:?}"
+        );
+        let line = g.line("sleep", &b);
+        assert!(line.starts_with("shim/sleep "), "{line}");
+        assert!(line.contains("(min ") && line.contains("GB/s"), "{line}");
         g.finish();
-        assert_eq!(runs, 4, "1 warm-up + 3 samples");
+
+        assert_eq!(Bencher::new(5).summary(), None, "nothing timed yet");
     }
 }

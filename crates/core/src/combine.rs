@@ -12,10 +12,42 @@
 //! arrays by reference count and carry what those arrays were measured for
 //! when built, so the result costs one `Vec` of `M - 1` split handles and
 //! `M - 1` refcount bumps, and validating it compares the kept splits'
-//! recorded facts — no lane of the stored metadata is copied or read.
+//! recorded facts — no lane of the stored metadata is copied or read. The
+//! server does not even validate: it selects from a [`crate::WireSplits`],
+//! whose splits were validated once when it was built, and checks only the
+//! two series the selection changes. [`kept`] is the one selection rule
+//! both paths use.
 
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
+
+/// The entries of `splits` a combine down to `segments` keeps, in order:
+/// all of them when `segments` exceeds their count `K`, else, for each
+/// `i` in `1..segments`, the cut nearest the `i/segments` fraction of the
+/// original `K + 1` segments — the one after original segment
+/// `⌊i (K + 1) / segments⌋`. (With `segments <= K` those quotients lie in
+/// `1..=K` and grow by at least `⌊(K + 1) / segments⌋ >= 1` per step, so
+/// no cut is picked twice.)
+///
+/// `segments == 0` is reported as [`RecoilError::InvalidConfig`].
+pub(crate) fn kept<T>(
+    splits: &[T],
+    segments: u64,
+) -> Result<impl Iterator<Item = &T>, RecoilError> {
+    if segments == 0 {
+        return Err(RecoilError::config(
+            "segments",
+            "cannot combine splits down to zero segments",
+        ));
+    }
+    let k = splits.len() as u64;
+    let all = segments > k;
+    let count = if all { k } else { segments - 1 };
+    Ok((1..=count).map(move |i| {
+        let cut = if all { i } else { i * (k + 1) / segments };
+        &splits[(cut - 1) as usize]
+    }))
+}
 
 /// Returns metadata scaled down to at most `segments` parallel segments,
 /// rejecting malformed requests instead of panicking.
@@ -24,7 +56,7 @@ use crate::metadata::RecoilMetadata;
 /// invariants are preserved; requesting more segments than available returns
 /// the metadata unchanged. Every kept [`crate::SplitPoint`] shares its lane
 /// array with `meta`'s. This is the entry point for request-reachable
-/// paths (the content server calls it with client-supplied capacities):
+/// paths that hold bare metadata:
 ///
 /// * `segments == 0` is reported as [`RecoilError::InvalidConfig`];
 /// * the combined metadata is re-validated **in every build profile**, so
@@ -34,35 +66,12 @@ pub fn try_combine_splits(
     meta: &RecoilMetadata,
     segments: u64,
 ) -> Result<RecoilMetadata, RecoilError> {
-    if segments == 0 {
-        return Err(RecoilError::config(
-            "segments",
-            "cannot combine splits down to zero segments",
-        ));
-    }
-    let k = meta.splits.len() as u64;
-    let splits = if segments > k {
-        meta.splits.clone()
-    } else {
-        let mut kept = Vec::with_capacity((segments - 1) as usize);
-        let mut last: Option<u64> = None;
-        for i in 1..segments {
-            // Original cut index nearest the i/segments fraction: cut j sits
-            // after original segment j, so cut indices run 0..K.
-            let j = ((i * (k + 1)) / segments).clamp(1, k) - 1;
-            if last != Some(j) {
-                kept.push(meta.splits[j as usize].clone());
-                last = Some(j);
-            }
-        }
-        kept
-    };
     let combined = RecoilMetadata {
         ways: meta.ways,
         quant_bits: meta.quant_bits,
         num_symbols: meta.num_symbols,
         num_words: meta.num_words,
-        splits,
+        splits: kept(&meta.splits, segments)?.cloned().collect(),
     };
     combined.validate()?;
     Ok(combined)
@@ -215,6 +224,26 @@ mod tests {
             try_combine_splits(&meta, 10_000),
             Err(RecoilError::Decode(_))
         ));
+        // The server's path validates once, when the item's wire table is
+        // built, and refuses the same metadata there.
+        assert!(matches!(
+            crate::WireSplits::of(&meta),
+            Err(RecoilError::Decode(_))
+        ));
+    }
+
+    #[test]
+    fn kept_cuts_ascend_strictly_at_every_width() {
+        // No cut falls outside 1..=K or repeats, so the selection is exactly
+        // `min(segments, K + 1) - 1` distinct, ascending cuts.
+        for k in 0..300usize {
+            let splits: Vec<usize> = (0..k).collect();
+            for segments in 1..=k as u64 + 3 {
+                let cuts: Vec<usize> = kept(&splits, segments).unwrap().copied().collect();
+                assert_eq!(cuts.len() as u64, segments.min(k as u64 + 1) - 1);
+                assert!(cuts.windows(2).all(|w| w[0] < w[1]), "{k} / {segments}");
+            }
+        }
     }
 
     #[test]

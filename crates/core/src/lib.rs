@@ -64,4 +64,4 @@ pub use metadata::{LaneInit, RecoilMetadata, SplitLanes, SplitPoint};
 pub use planner::{
     plan_chunks, plan_chunks_into, plan_from_events, ChunkPlan, PlannedChunk, SplitPlanner,
 };
-pub use wire::{metadata_from_bytes, metadata_to_bytes, metadata_wire_len};
+pub use wire::{metadata_from_bytes, metadata_to_bytes, metadata_wire_len, WireSplits};

@@ -23,24 +23,32 @@
 //! reconstructing garbage split points. Version 1 bytes (no footer) still
 //! parse.
 //!
-//! Cost model: both directions run at what the tier's size implies. The
-//! serializer first fixes every series width from what each split's lanes
-//! were measured for when built — no lane is read, one small scratch vector
-//! is filled, and [`metadata_wire_len`] is that step alone — then allocates
-//! the output once at its exact length and makes its one pass over the
-//! lanes: states four to a 64-bit field, group differences as many as fit.
-//! The parser reads the same way, straight into the one allocation all the
-//! returned splits share, measuring each split as it goes. Neither
-//! allocates per split or divides per lane: positions and groups are
-//! related through [`LaneGroups`].
+//! Cost model: a split's body — its raw states, its difference width and
+//! its lane differences below its own anchor — reads the same in every
+//! tier that keeps the split; only the header's split count, the two signed
+//! series and the bit each body lands on depend on the selection. So
+//! [`WireSplits::of`] validates the metadata once and writes every split's
+//! body once, into one word vector (states four to a 64-bit field, group
+//! differences as many as fit), and [`WireSplits::tier`] is a selection:
+//! the header, the two series against the tier's own expectations, a
+//! bit-aligned copy of each kept body (a funnel shift per word; no lane is
+//! read) and the CRC, in one allocation of the exact length.
+//! [`metadata_to_bytes`] and [`metadata_wire_len`] are that table built and
+//! every split selected — there is one writer. The parser reads straight
+//! into the one allocation all the returned splits share, measuring each
+//! split as it goes. Neither direction allocates per split or divides per
+//! lane: positions and groups are related through [`LaneGroups`].
 
+use crate::combine::kept;
 use crate::crc::crc32;
 use crate::error::RecoilError;
 use crate::metadata::{
-    bits_for, pack_splits, Expected, Extent, LaneGroups, LaneInit, RecoilMetadata, GROUP_DIFF_BITS,
-    SERIES_DIFF_BITS,
+    bits_for, pack_splits, Expected, Extent, LaneGroups, LaneInit, RecoilMetadata, SplitPoint,
+    SplitShape, GROUP_DIFF_BITS, SERIES_DIFF_BITS,
 };
 use recoil_bitio::{BitReader, BitWriter};
+use recoil_rans::RansError;
+use std::ops::Range;
 use std::sync::Arc;
 
 const MAGIC: u64 = 0x5243_4C31; // "RCL1"
@@ -60,104 +68,183 @@ const _: () = assert!(SERIES_DIFF_BITS == 1 << SIGNED_WIDTH_FIELD);
 const _: () = assert!(GROUP_DIFF_BITS == 1 << UNSIGNED_WIDTH_FIELD);
 
 #[cold]
-fn unrepresentable(split: usize) -> ! {
-    panic!("metadata split {split} is not representable in the wire format; validate() it")
+fn unrepresentable(e: RecoilError) -> ! {
+    panic!("metadata is not representable in the wire format ({e}); validate() it")
 }
 
-/// One split's part of a [`Layout`].
-struct SplitLayout {
-    offset_diff: i64,
-    anchor_diff: i64,
+/// A tier whose selection puts a kept split too far from its expectation.
+#[cold]
+fn far_from_expected(split: usize, splits: usize) -> RecoilError {
+    RansError::MalformedMetadata(format!(
+        "split {split} of a {}-segment tier: offset or anchor group is 2^{SERIES_DIFF_BITS} \
+         or more from its expected place, beyond the wire format",
+        splits + 1
+    ))
+    .into()
+}
+
+/// One split of a [`WireSplits`].
+#[derive(Debug)]
+struct StoredSplit {
+    /// The split itself, cloned into every tier that keeps it.
+    split: SplitPoint,
+    /// Its symbol group ("Max Symbol Group ID").
     anchor: u64,
-    /// Width of this split's group-difference series.
-    diff_bits: u32,
+    /// Its body's words in [`WireSplits`]' word vector.
+    words: Range<usize>,
+    /// Its body's length in bits; the rest of its last word is padding.
+    bits: u64,
 }
 
-/// Everything about a metadata's serialized form that must be known before
-/// its first byte is written: the series widths and the total length.
-struct Layout {
-    splits: Vec<SplitLayout>,
-    /// Magnitude widths of the offset and anchor series.
-    offset_bits: u32,
-    anchor_bits: u32,
-    body_bits: u64,
+/// A metadata's §4.3 wire form with the selection factored out: every
+/// split's body written once, so that serving a decoder of any width is a
+/// selection of stored bits — §3.3's "combined simply by eliminating extra
+/// metadata entries", down to the bytes.
+///
+/// Build one per stored item ([`WireSplits::of`]) and ask it for tiers
+/// ([`WireSplits::tier`]). It holds a clone of every split (the lane arrays
+/// stay shared) and one word vector about as long as the full-width tier's
+/// bytes.
+#[derive(Debug)]
+pub struct WireSplits {
+    ways: u32,
+    quant_bits: u32,
+    num_symbols: u64,
+    num_words: u64,
+    splits: Vec<StoredSplit>,
+    /// Every split's body, LSB-first, each starting a word of its own.
+    words: Vec<u64>,
 }
 
-impl Layout {
-    /// # Panics
-    ///
-    /// If the format cannot represent `meta` — which
-    /// [`RecoilMetadata::validate`] rejects, so callers holding validated
-    /// metadata never see it. Writing a masked width and a correct CRC over
-    /// wrong bytes, as a `debug_assert!` here once allowed, is the one
-    /// thing a serializer must not do.
-    fn of(meta: &RecoilMetadata) -> Self {
-        assert!(
-            meta.quant_bits <= u32::from(u8::MAX) && u32::try_from(meta.splits.len()).is_ok(),
-            "metadata header field exceeds its wire width; validate() it"
-        );
+impl WireSplits {
+    /// Validates `meta` in full ([`RecoilMetadata::validate`]; a failure is
+    /// [`RecoilError::Decode`]) and writes every split's body: its raw
+    /// states, then its per-lane group differences below its anchor behind
+    /// their width field.
+    pub fn of(meta: &RecoilMetadata) -> Result<Self, RecoilError> {
+        meta.validate()?;
         let groups = LaneGroups::new(meta.ways);
-        let ways = u64::from(meta.ways);
-        let expected = Expected::new(
-            meta.ways,
-            meta.num_symbols,
-            meta.num_words,
-            meta.splits.len(),
-        );
-        let (mut offsets, mut anchors) = (0u64, 0u64);
-        let mut body_bits = HEADER_BITS;
-        let splits: Vec<SplitLayout> = meta
+        let mut w = BitWriter::new();
+        let splits = meta
             .splits
             .iter()
             .enumerate()
-            .map(|(i, s)| {
-                let Some(shape) = groups.shape(&s.lanes) else {
-                    unrepresentable(i)
-                };
-                let Some((offset_diff, anchor_diff)) = expected.diffs(i, s.offset, shape.anchor)
-                else {
-                    unrepresentable(i)
-                };
-                offsets |= offset_diff.unsigned_abs();
-                anchors |= anchor_diff.unsigned_abs();
-                body_bits +=
-                    ways * (16 + u64::from(shape.diff_bits)) + u64::from(UNSIGNED_WIDTH_FIELD);
-                SplitLayout {
-                    offset_diff,
-                    anchor_diff,
+            .map(|(i, split)| {
+                let shape = groups.shape(&split.lanes).ok_or_else(|| {
+                    RansError::MalformedMetadata(format!("split {i}: lanes beyond the wire format"))
+                })?;
+                let (first_word, first_bit) = (w.word_len(), w.bit_len());
+                write_body(&mut w, groups, &split.lanes, shape);
+                let bits = w.bit_len() - first_bit;
+                w.align_to_word();
+                Ok(StoredSplit {
+                    split: split.clone(),
                     anchor: shape.anchor,
-                    diff_bits: shape.diff_bits,
-                }
+                    words: first_word..w.word_len(),
+                    bits,
+                })
             })
-            .collect();
-        let (offset_bits, anchor_bits) = (bits_for(offsets), bits_for(anchors));
-        if !splits.is_empty() {
-            // Two signed series: width field, then magnitude + sign each.
-            body_bits += 2 * u64::from(SIGNED_WIDTH_FIELD)
-                + splits.len() as u64 * u64::from(offset_bits + anchor_bits + 2);
-        }
-        Self {
+            .collect::<Result<Vec<_>, RecoilError>>()?;
+        Ok(Self {
+            ways: meta.ways,
+            quant_bits: meta.quant_bits,
+            num_symbols: meta.num_symbols,
+            num_words: meta.num_words,
             splits,
-            offset_bits,
-            anchor_bits,
-            body_bits,
-        }
+            words: w.into_words(),
+        })
     }
 
-    /// Serialized length in bytes at the current version (footer included).
-    fn wire_len(&self) -> usize {
-        usize::try_from(self.body_bits.div_ceil(8)).map_or(usize::MAX, |body| body + FOOTER_BYTES)
+    /// The tier for a decoder of `segments` parallel segments: the metadata
+    /// [`crate::try_combine_splits`] returns — the same kept splits, cloned,
+    /// sharing their lane arrays — and the bytes [`metadata_to_bytes`]
+    /// writes for it.
+    ///
+    /// Validation is moved, not dropped: the splits were validated when the
+    /// table was built, and any subset of them is still ascending and
+    /// non-crossing. What a selection changes is where each kept split is
+    /// expected, so that is what is checked — each offset and anchor
+    /// difference must fit the format's 32 bits, else
+    /// [`RecoilError::Decode`]. Debug builds validate the whole tier again.
+    /// `segments == 0` is [`RecoilError::InvalidConfig`].
+    pub fn tier(&self, segments: u64) -> Result<(RecoilMetadata, Vec<u8>), RecoilError> {
+        let kept: Vec<&StoredSplit> = kept(&self.splits, segments)?.collect();
+        let bytes = self.bytes(&kept, VERSION)?;
+        let metadata = RecoilMetadata {
+            ways: self.ways,
+            quant_bits: self.quant_bits,
+            num_symbols: self.num_symbols,
+            num_words: self.num_words,
+            splits: kept.iter().map(|s| s.split.clone()).collect(),
+        };
+        debug_assert!(metadata.validate().is_ok());
+        Ok((metadata, bytes))
+    }
+
+    /// Writes the tier of the `kept` splits at format `version`: the
+    /// header, the offset and anchor series against this tier's
+    /// expectations, each kept body, and (from version 2) the CRC-32.
+    fn bytes(&self, kept: &[&StoredSplit], version: u64) -> Result<Vec<u8>, RecoilError> {
+        let expected = Expected::new(self.ways, self.num_symbols, self.num_words, kept.len());
+        let diffs = kept
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                expected
+                    .diffs(i, s.split.offset, s.anchor)
+                    .ok_or_else(|| far_from_expected(i, kept.len()))
+            })
+            .collect::<Result<Vec<(i64, i64)>, _>>()?;
+        let widest = |series: fn(&(i64, i64)) -> i64| {
+            bits_for(
+                diffs
+                    .iter()
+                    .fold(0, |all, d| all | series(d).unsigned_abs()),
+            )
+        };
+        let (offset_bits, anchor_bits) = (widest(|d| d.0), widest(|d| d.1));
+        let mut body_bits = HEADER_BITS + kept.iter().map(|s| s.bits).sum::<u64>();
+        if !kept.is_empty() {
+            // Two signed series: width field, then magnitude + sign each.
+            body_bits += 2 * u64::from(SIGNED_WIDTH_FIELD)
+                + kept.len() as u64 * u64::from(offset_bits + anchor_bits + 2);
+        }
+        let len =
+            usize::try_from(body_bits.div_ceil(8)).map_or(usize::MAX, |body| body + FOOTER_BYTES);
+        // xtask: allow(wire-capacity): sized from the stored table, not from wire input.
+        let mut w = BitWriter::with_capacity(len);
+        w.write(MAGIC, 32);
+        w.write(version, 8);
+        w.write(u64::from(self.ways), 16);
+        w.write(u64::from(self.quant_bits), 8);
+        w.write(self.num_symbols, 64);
+        w.write(self.num_words, 64);
+        w.write(kept.len() as u64, 32);
+        if !kept.is_empty() {
+            write_signed_series(&mut w, diffs.iter().map(|d| d.0), offset_bits);
+            write_signed_series(&mut w, diffs.iter().map(|d| d.1), anchor_bits);
+            for s in kept {
+                // xtask: allow(wire-index): a range `of` recorded over its own words.
+                w.append(&self.words[s.words.clone()], s.bits);
+            }
+        }
+        debug_assert_eq!(w.bit_len(), body_bits);
+        let mut bytes = w.into_bytes();
+        if version >= VERSION {
+            let footer = crc32(&bytes);
+            bytes.extend_from_slice(&footer.to_le_bytes());
+        }
+        Ok(bytes)
     }
 }
 
-/// Exact length of [`metadata_to_bytes`]`(meta)` without producing it: the
-/// width scan alone.
+/// Exact length of [`metadata_to_bytes`]`(meta)`, which it writes.
 ///
 /// # Panics
 ///
-/// If `meta` fails [`RecoilMetadata::validate`]'s wire-format bounds.
+/// If `meta` fails [`RecoilMetadata::validate`].
 pub fn metadata_wire_len(meta: &RecoilMetadata) -> usize {
-    Layout::of(meta).wire_len()
+    metadata_to_bytes(meta).len()
 }
 
 /// Writes a signed series: `width-1` in 5 bits, then `magnitude, sign` per
@@ -279,12 +366,38 @@ fn read_positions(
     Ok(extent)
 }
 
+/// Writes one split's body: its raw states, then the per-lane group
+/// differences below `shape.anchor` behind their width field, as many to a
+/// write as fit in 64 bits.
+fn write_body(w: &mut BitWriter, groups: LaneGroups, lanes: &[LaneInit], shape: SplitShape) {
+    write_states(w, lanes);
+    let width = shape.diff_bits;
+    w.write(u64::from(width - 1), UNSIGNED_WIDTH_FIELD);
+    let start = groups.group_start(shape.anchor);
+    // (At most 64 values to a write, so the count conversions cannot fail.)
+    let per_write = usize::try_from(64 / width).unwrap_or(1);
+    let mut lane = 0u64;
+    for chunk in lanes.chunks(per_write) {
+        // Each difference enters at the top and shifts down as the next
+        // arrives, so the first ends up lowest. (Accumulating by a growing
+        // shift instead gets auto-vectorized two wide, which is slower than
+        // this scalar chain.)
+        let mut packed = 0u64;
+        for li in chunk {
+            packed = packed >> width | groups.diff_below(start, lane, li.pos) << (64 - width);
+            lane += 1;
+        }
+        let bits = width * u32::try_from(chunk.len()).unwrap_or(1);
+        w.write(packed >> (64 - bits), bits);
+    }
+}
+
 /// Serializes metadata to its compact byte form (current version, with the
-/// CRC-32 integrity footer).
+/// CRC-32 integrity footer): [`WireSplits::of`] with every split selected.
 ///
 /// # Panics
 ///
-/// If `meta` fails [`RecoilMetadata::validate`]'s wire-format bounds.
+/// If `meta` fails [`RecoilMetadata::validate`].
 pub fn metadata_to_bytes(meta: &RecoilMetadata) -> Vec<u8> {
     metadata_to_bytes_versioned(meta, VERSION)
 }
@@ -292,60 +405,10 @@ pub fn metadata_to_bytes(meta: &RecoilMetadata) -> Vec<u8> {
 /// Serializes at an explicit format version — `LEGACY_VERSION` exists only
 /// so tests can prove old bytes still parse.
 fn metadata_to_bytes_versioned(meta: &RecoilMetadata, version: u64) -> Vec<u8> {
-    debug_assert!(meta.validate().is_ok());
-    let layout = Layout::of(meta);
-    // xtask: allow(wire-capacity): sized from in-memory metadata by the width scan, not from wire input.
-    let mut w = BitWriter::with_capacity(layout.wire_len());
-    w.write(MAGIC, 32);
-    w.write(version, 8);
-    w.write(u64::from(meta.ways), 16);
-    w.write(u64::from(meta.quant_bits), 8);
-    w.write(meta.num_symbols, 64);
-    w.write(meta.num_words, 64);
-    w.write(meta.splits.len() as u64, 32);
-
-    if !layout.splits.is_empty() {
-        let groups = LaneGroups::new(meta.ways);
-        // Series 1 and 2: offset and anchor differences across all splits.
-        let offsets = layout.splits.iter().map(|l| l.offset_diff);
-        write_signed_series(&mut w, offsets, layout.offset_bits);
-        let anchors = layout.splits.iter().map(|l| l.anchor_diff);
-        write_signed_series(&mut w, anchors, layout.anchor_bits);
-
-        // Per split: raw states, then the per-lane group differences, as
-        // many to a write as fit in 64 bits.
-        for (s, l) in meta.splits.iter().zip(&layout.splits) {
-            write_states(&mut w, &s.lanes);
-            let width = l.diff_bits;
-            w.write(u64::from(width - 1), UNSIGNED_WIDTH_FIELD);
-            let start = groups.group_start(l.anchor);
-            // (At most 64 values to a write, so the count conversions
-            // cannot fail.)
-            let per_write = usize::try_from(64 / width).unwrap_or(1);
-            let mut lane = 0u64;
-            for chunk in s.lanes.chunks(per_write) {
-                // Each difference enters at the top and shifts down as the
-                // next arrives, so the first ends up lowest. (Accumulating
-                // by a growing shift instead gets auto-vectorized two wide,
-                // which is slower than this scalar chain.)
-                let mut packed = 0u64;
-                for li in chunk {
-                    packed =
-                        packed >> width | groups.diff_below(start, lane, li.pos) << (64 - width);
-                    lane += 1;
-                }
-                let bits = width * u32::try_from(chunk.len()).unwrap_or(1);
-                w.write(packed >> (64 - bits), bits);
-            }
-        }
-    }
-    debug_assert_eq!(w.bit_len(), layout.body_bits);
-    let mut bytes = w.into_bytes();
-    if version >= VERSION {
-        let footer = crc32(&bytes);
-        bytes.extend_from_slice(&footer.to_le_bytes());
-    }
-    bytes
+    let wire = WireSplits::of(meta).unwrap_or_else(|e| unrepresentable(e));
+    let all: Vec<&StoredSplit> = wire.splits.iter().collect();
+    wire.bytes(&all, version)
+        .unwrap_or_else(|e| unrepresentable(e))
 }
 
 /// Parses metadata back from its byte form (version 1 or 2).
@@ -732,12 +795,42 @@ mod tests {
     }
 
     #[test]
+    fn a_tier_too_far_from_its_expectations_is_an_error() {
+        // Two one-lane splits exactly where a 3-segment stream expects
+        // them (words and groups 2^34 and 2^35 of 3·2^34). Keeping only the
+        // first for 2 segments puts it 2^33 from its new expectation, past
+        // the series' 32 bits: the table, which validated the full list,
+        // refuses that tier with an error, as the combine's validation does.
+        let at = |i: u64| SplitPoint {
+            offset: i << 34,
+            lanes: vec![LaneInit {
+                state: 7,
+                pos: i << 34,
+            }]
+            .into(),
+        };
+        let meta = meta_with(vec![at(1), at(2)], 1, 3 << 34, 3 << 34);
+        let wire = WireSplits::of(&meta).unwrap();
+        let err = wire.tier(2).expect_err("a 2^33 difference was written");
+        assert!(matches!(err, RecoilError::Decode(_)), "{err}");
+        assert!(err.to_string().contains("beyond the wire format"), "{err}");
+        assert!(crate::try_combine_splits(&meta, 2).is_err());
+        for segments in [1, 3, 4] {
+            let (tier, bytes) = wire.tier(segments).unwrap();
+            assert_eq!(tier, crate::combine_splits(&meta, segments));
+            assert_eq!(bytes, metadata_to_bytes(&tier));
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "not representable")]
     fn unrepresentable_split_is_refused_not_mis_serialized() {
         // At 2^16 groups the difference width no longer fits its 4-bit
         // field. This used to serialize (in release) with the width masked
         // to 1, a correct CRC over the wrong bytes, and parse back to
         // different positions.
-        let _ = Layout::of(&spanning_meta(1 << GROUP_DIFF_BITS));
+        let meta = spanning_meta(1 << GROUP_DIFF_BITS);
+        assert!(matches!(WireSplits::of(&meta), Err(RecoilError::Decode(_))));
+        let _ = metadata_to_bytes(&meta);
     }
 }

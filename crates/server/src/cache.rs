@@ -1,15 +1,19 @@
 //! Per-content LRU cache of shrunk metadata tiers.
 //!
 //! The server's real-time combine (§3.3) is lightweight but not free: a
-//! miss selects the kept split points — sharing their lane arrays with the
-//! stored metadata by reference count, copying none — validates the
-//! selection, and serializes its wire bytes. That is a constant number of
-//! allocations whatever the width (the split list, the serializer's width
-//! scratch, the wire bytes, the tier itself) and time proportional to the
-//! tier's size. Client capacities are heavily clustered in practice (a
-//! handful of device classes), so each published item carries a small LRU
-//! cache of the tiers it has actually served; evicting one is a refcount
-//! decrement per kept split, done after the cache lock is released.
+//! miss selects the kept split points from the item's wire table
+//! (`recoil_core::WireSplits`, written once at publish) — sharing their
+//! lane arrays with the stored metadata by reference count, copying none —
+//! checks the two difference series the selection changes, and copies the
+//! kept splits' stored wire bodies into the tier's bytes. That is a
+//! constant number of allocations whatever the width (the selection and
+//! its series scratch, the split list, the wire bytes, the tier itself)
+//! and time proportional to the tier's size: a refcount bump and a
+//! word-by-word copy per kept split, no lane read. Client capacities are
+//! heavily clustered in practice (a handful of device classes), so each
+//! published item carries a small LRU cache of the tiers it has actually
+//! served; evicting one is a refcount decrement per kept split, done after
+//! the cache lock is released.
 //!
 //! The cache key is the **post-clamp** segment count — the tier actually
 //! served, not the capacity the client asked for. A request for 10 000

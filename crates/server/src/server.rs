@@ -4,10 +4,7 @@ use crate::cache::{ShrunkTier, TierCache};
 use crate::stats::{add, bump, ServerStats, StatsCounters};
 use parking_lot::{Mutex, RwLock};
 use recoil_core::codec::{Codec, EncoderConfig};
-use recoil_core::{
-    metadata_to_bytes, try_combine_splits, update_crc32, RecoilContainer, RecoilError,
-    RecoilMetadata,
-};
+use recoil_core::{update_crc32, RecoilContainer, RecoilError, RecoilMetadata, WireSplits};
 use recoil_models::StaticModelProvider;
 use recoil_rans::{append_words_le, EncodedStream};
 use std::collections::hash_map::{DefaultHasher, Entry};
@@ -17,6 +14,12 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// One published content item: the Large-variation artifact.
+///
+/// Besides the stream and its full metadata, an item keeps one table built
+/// at publish: every split's wire body, written once ([`WireSplits`]),
+/// about the size of the full-width metadata's bytes. Encode once, serve
+/// many: a tier-cache miss is then a selection of stored bits, and no
+/// request pays for the table.
 #[derive(Debug)]
 pub struct StoredContent {
     /// The single encoded bitstream (shared by every response).
@@ -27,6 +30,9 @@ pub struct StoredContent {
     /// size is identical across variations so the paper's size tables
     /// exclude it).
     pub model: Arc<StaticModelProvider>,
+    /// `metadata`'s split bodies, written once; every tier is selected
+    /// from it.
+    wire: WireSplits,
     /// Shrunk-metadata tiers this item has served (LRU).
     cache: TierCache<ShrunkTier>,
     /// Memoized CRC-32 of the wire payload (every word's LE bytes); see
@@ -73,8 +79,9 @@ pub struct Transmission {
     /// The served metadata tier, shared with the item's cache (and with
     /// every other response for the same tier).
     pub tier: Arc<ShrunkTier>,
-    /// Wall-clock nanoseconds the real-time combine + serialize took
-    /// (zero when the tier came out of the cache).
+    /// Wall-clock nanoseconds the real-time combine took — selecting the
+    /// tier's splits and their stored wire bits (zero when the tier came
+    /// out of the cache).
     pub combine_nanos: u128,
     /// Whether this response was served from the tier cache.
     pub cache_hit: bool,
@@ -215,10 +222,12 @@ impl ContentServer {
         };
         let encoded = Codec::from_config(config.clone())?.encode(data)?;
         let RecoilContainer { stream, metadata } = encoded.container;
+        let wire = WireSplits::of(&metadata)?;
         let content = Arc::new(StoredContent {
             stream: Arc::new(stream),
             metadata,
             model: Arc::new(encoded.model),
+            wire,
             cache: TierCache::new(self.tier_cache_capacity),
             payload_crc: OnceLock::new(),
         });
@@ -354,15 +363,15 @@ impl ContentServer {
         Some(self.transmit(item, tier, 0, true))
     }
 
-    /// The miss path: the real-time combine + serialize, timed, then cached.
+    /// The miss path: the real-time combine — a selection from the item's
+    /// stored wire table — timed, then cached.
     fn serve_combined(
         &self,
         item: &StoredContent,
         segments: u64,
     ) -> Result<Transmission, RecoilError> {
         let t0 = Instant::now();
-        let metadata = try_combine_splits(&item.metadata, segments)?;
-        let metadata_bytes = metadata_to_bytes(&metadata);
+        let (metadata, metadata_bytes) = item.wire.tier(segments)?;
         let combine_nanos = t0.elapsed().as_nanos();
         // Counted only after the combine succeeds, keeping
         // `cache_hits + cache_misses` equal to successfully served requests
@@ -482,6 +491,29 @@ mod tests {
         assert_eq!(s.cache_misses, 1);
         assert_eq!(s.requests, 2);
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_miss_and_its_hit_serve_the_combined_bytes_at_every_width() {
+        use recoil_core::{metadata_to_bytes, try_combine_splits};
+        let data = sample(120_000);
+        let server = small_server();
+        let item = server.publish("x", &data, &config(48)).unwrap();
+        // (Every tier is a distinct cache key: past the maximum a request
+        // would hit the maximum's entry.)
+        for width in 1..=item.max_segments() {
+            let miss = server.request("x", width).unwrap();
+            let hit = server.request("x", width).unwrap();
+            assert!(!miss.cache_hit && hit.cache_hit, "width {width}");
+            assert_eq!(miss.metadata_bytes(), hit.metadata_bytes(), "width {width}");
+            let combined = try_combine_splits(&item.metadata, width).unwrap();
+            assert_eq!(miss.metadata(), &combined, "width {width}");
+            assert_eq!(
+                miss.metadata_bytes(),
+                metadata_to_bytes(&combined),
+                "width {width}"
+            );
+        }
     }
 
     #[test]

@@ -5,9 +5,13 @@
 //! else.
 //!
 //! The same file holds the plane's cost-model contract: a combined tier
-//! *shares* the stored lane arrays rather than copying them.
+//! *shares* the stored lane arrays rather than copying them, and a server's
+//! tier — a selection of split bodies written once ([`WireSplits`]) — is
+//! the same metadata and the same bytes as combining and serializing. The
+//! pins were recorded against the serializer that wrote every tier afresh,
+//! so they hold the selection to that serializer's bytes too.
 
-use recoil::core::{crc32, metadata_wire_len};
+use recoil::core::{crc32, metadata_wire_len, WireSplits};
 use recoil::prelude::*;
 
 const SEEDS: [u64; 2] = [3, 11];
@@ -231,6 +235,32 @@ fn every_width_round_trips_and_shares_the_stored_splits() {
         }
         for width in 1..lens.len() / 2 {
             assert!(lens[width] < lens[2 * width], "width {width} vs its double");
+        }
+    }
+}
+
+/// A tier selected from the stored table is what combining and serializing
+/// give, at every width from one segment to one past the encoded maximum,
+/// and keeps the very splits the table stores.
+#[test]
+fn selected_tiers_are_the_combined_tiers_at_every_width() {
+    for (ways, wide) in [(32, false), (4, true)] {
+        let meta = encode(ways, wide, SEEDS[0]);
+        let wire = WireSplits::of(&meta).unwrap();
+        for width in 1..=meta.num_segments() + 1 {
+            let combined = try_combine_splits(&meta, width).unwrap();
+            let (tier, bytes) = wire.tier(width).unwrap();
+            assert_eq!(bytes, metadata_to_bytes(&combined), "width {width}");
+            assert_eq!(tier, combined, "width {width}");
+            assert_eq!(metadata_from_bytes(&bytes).unwrap(), tier, "width {width}");
+            for (kept, via_combine) in tier.splits.iter().zip(&combined.splits) {
+                let shared = meta
+                    .splits
+                    .iter()
+                    .any(|s| s.lanes.shares_storage(&kept.lanes));
+                assert!(shared, "width {width}: a kept split is a copy");
+                assert!(kept.lanes.shares_storage(&via_combine.lanes));
+            }
         }
     }
 }
