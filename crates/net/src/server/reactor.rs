@@ -1489,7 +1489,7 @@ fn publish(shared: &Shared, payload: &[u8]) -> Result<PublishOk, (RecoilError, b
         .publish(msg.name, msg.data, &config)
         .map_err(|e| (e, false))?;
     Ok(PublishOk {
-        segments: item.metadata.num_segments(),
+        segments: item.max_segments(),
         stream_bytes: item.stream.payload_bytes(),
     })
 }

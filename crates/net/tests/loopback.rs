@@ -353,6 +353,40 @@ fn two_transports_over_one_store_report_their_own_facts() {
     large.shutdown();
 }
 
+/// A request at or past the encoded maximum is served the item's own full
+/// tier: a hit the reactor answers inline, even on the item's first
+/// request — nothing is dispatched and nothing is combined.
+#[test]
+fn a_full_width_request_is_served_inline_without_a_combine() {
+    let server = start_server(NetConfig {
+        telemetry: TelemetryLevel::Counters,
+        ..small_net_config()
+    });
+    let client = NetClient::connect(server.addr()).unwrap();
+    let data = sample(80_000, 9);
+    client.publish("movie", &data, &config(16)).unwrap();
+    let dispatched = client
+        .remote_telemetry()
+        .unwrap()
+        .snapshot
+        .counter("dispatched_jobs");
+    assert_eq!(dispatched, Some(1), "the publish");
+
+    for width in [16, 17, u64::MAX] {
+        let reply = client.request("movie", width).unwrap();
+        assert_eq!(reply.segments, 16);
+        assert!(reply.cache_hit, "width {width}");
+        assert_eq!(reply.combine_nanos, 0, "width {width}");
+    }
+    let seen = client.remote_telemetry().unwrap().snapshot;
+    assert_eq!(seen.counter("dispatched_jobs"), dispatched);
+    assert_eq!(seen.hist("tier_miss_segments").map(|h| h.count), Some(0));
+    assert_eq!(seen.hist("combine_ns").map(|h| h.count), Some(0));
+    assert_eq!(seen.counter("server_cache_misses"), Some(0));
+    assert_eq!(seen.counter("server_cache_hits"), Some(3));
+    server.shutdown();
+}
+
 #[test]
 fn graceful_shutdown_finishes_inflight_requests() {
     // One publisher + three hammering clients, each holding a keep-alive

@@ -1,4 +1,10 @@
-//! Per-content LRU cache of shrunk metadata tiers.
+//! Per-content LRU cache of combined metadata tiers.
+//!
+//! Only combined tiers live here. The full tier — the published metadata
+//! at the item's encoded maximum, which §3.3 serves with nothing
+//! eliminated — is built once at publish and held by the item itself for
+//! its lifetime, so it never takes a slot, never evicts a combined tier,
+//! and is never rebuilt.
 //!
 //! The server's real-time combine (§3.3) is lightweight but not free: a
 //! miss selects the kept split points from the item's wire table
@@ -16,23 +22,26 @@
 //! the cache lock is released.
 //!
 //! The cache key is the **post-clamp** segment count — the tier actually
-//! served, not the capacity the client asked for. A request for 10 000
-//! segments against content encoded with 128 serves the 128-segment tier,
-//! and therefore shares a cache entry with an explicit 128-segment request.
+//! served, not the capacity the client asked for. Every such count below
+//! the item's maximum is a combined tier and a key of its own; a request
+//! at or past the maximum (10 000 segments against content encoded with
+//! 128) is the full tier's, and never reaches this cache.
 
 use crate::stats::{bump, StatsCounters};
 use parking_lot::Mutex;
 use recoil_core::RecoilMetadata;
 use std::sync::Arc;
 
-/// One shrunk, ready-to-serve metadata tier: the combined metadata and its
-/// serialized wire bytes, shared by every response for this tier.
+/// One ready-to-serve metadata tier — an item's full tier or a combined
+/// one: the metadata and its serialized wire bytes, shared by every
+/// response for this tier.
 #[derive(Debug)]
 pub struct ShrunkTier {
     /// The tier's segment count (post-clamp: `min(requested, available)`).
     pub segments: u64,
-    /// Combined metadata (parsed form, for in-process clients); its split
-    /// points share their lane arrays with the published item's.
+    /// The tier's metadata (parsed form, for in-process clients): the
+    /// published metadata itself in a full tier; in a combined tier, split
+    /// points that share their lane arrays with the published item's.
     pub metadata: RecoilMetadata,
     /// Serialized metadata, what goes on the wire.
     pub metadata_bytes: Vec<u8>,

@@ -32,23 +32,30 @@
 //!
 //! ## Shrunk-metadata caching and capacity tiers
 //!
-//! Real-world capacities cluster into a handful of device classes, so each
-//! published item carries a small LRU cache (default 8 entries) of the
-//! metadata tiers it has actually served: the combined [`RecoilMetadata`]
-//! **and** its serialized wire bytes, behind one `Arc` shared by every
-//! response.
+//! A tier is the [`RecoilMetadata`] served to decoders of one width **and**
+//! its serialized wire bytes, behind one `Arc` shared by every response.
+//! Its width is the **post-clamp segment count** — the tier actually
+//! served, not the capacity the client asked for. There are two kinds:
 //!
-//! The cache key is the **post-clamp segment count** — the tier actually
-//! served, not the capacity the client asked for. Content encoded with 128
-//! segments serves a 10 000-segment request and a 128-segment request from
-//! the same entry. A hit costs two atomic counter bumps and an `Arc` clone;
-//! only a miss pays the real-time combine + serialize, and its
-//! [`Transmission::combine_nanos`] records exactly that cost (hits report
-//! zero). The store's six counters — requests, hits, misses, evictions,
-//! bytes served, publishes — are exact with or without a transport and are
-//! exposed as a [`ServerStats`] snapshot via [`ContentServer::stats`]; the
-//! snapshot's transport fields are zero there and are filled by whichever
-//! transport reports it.
+//! * the **full tier**, at the item's encoded maximum, needs nothing
+//!   eliminated: it *is* the published metadata. Each item builds it once,
+//!   at publish, and holds it for its lifetime outside any cache. Content
+//!   encoded with 128 segments serves a 10 000-segment request and a
+//!   128-segment request from it, and even the first such request is a
+//!   hit;
+//! * every narrower tier is **combined**. Real-world capacities cluster
+//!   into a handful of device classes, so each item carries a small LRU
+//!   cache (default 8 entries) of the combined tiers it has actually
+//!   served, keyed by their segment count.
+//!
+//! A hit — the full tier, or a cached combined one — costs two atomic
+//! counter bumps and an `Arc` clone; only a miss pays the real-time
+//! combine + serialize, and its [`Transmission::combine_nanos`] records
+//! exactly that cost (hits report zero). The store's six counters —
+//! requests, hits, misses, evictions, bytes served, publishes — are exact
+//! with or without a transport and are exposed as a [`ServerStats`]
+//! snapshot via [`ContentServer::stats`]; the snapshot's transport fields
+//! are zero there and are filled by whichever transport reports it.
 //!
 //! [`RecoilMetadata`]: recoil_core::RecoilMetadata
 

@@ -15,25 +15,29 @@ use std::time::Instant;
 
 /// One published content item: the Large-variation artifact.
 ///
-/// Besides the stream and its full metadata, an item keeps one table built
-/// at publish: every split's wire body, written once ([`WireSplits`]),
-/// about the size of the full-width metadata's bytes. Encode once, serve
-/// many: a tier-cache miss is then a selection of stored bits, and no
-/// request pays for the table.
+/// Besides the stream, an item keeps two things built at publish, each
+/// about the size of the full-width metadata's bytes: its full tier — the
+/// published metadata and its wire bytes, which is what a decoder at or
+/// beyond the encoded maximum is served — and a table of every split's
+/// wire body, written once ([`WireSplits`]), from which every narrower
+/// tier is selected. Encode once, serve many: a full-width request is a
+/// hit, a tier-cache miss is a selection of stored bits, and no request
+/// pays for either.
 #[derive(Debug)]
 pub struct StoredContent {
     /// The single encoded bitstream (shared by every response).
     pub stream: Arc<EncodedStream>,
-    /// Full metadata at maximum supported parallelism.
-    pub metadata: RecoilMetadata,
     /// The static model clients decode with (transmitted out of band; its
     /// size is identical across variations so the paper's size tables
     /// exclude it).
     pub model: Arc<StaticModelProvider>,
-    /// `metadata`'s split bodies, written once; every tier is selected
-    /// from it.
+    /// The published metadata at maximum supported parallelism and its
+    /// wire bytes, held for the item's lifetime outside the LRU.
+    full: Arc<ShrunkTier>,
+    /// The full tier's split bodies, written once; every combined tier is
+    /// selected from it.
     wire: WireSplits,
-    /// Shrunk-metadata tiers this item has served (LRU).
+    /// Combined tiers this item has served (LRU).
     cache: TierCache<ShrunkTier>,
     /// Memoized CRC-32 of the wire payload (every word's LE bytes); see
     /// [`StoredContent::payload_crc32`].
@@ -41,10 +45,15 @@ pub struct StoredContent {
 }
 
 impl StoredContent {
+    /// Full metadata at maximum supported parallelism, as published.
+    pub fn metadata(&self) -> &RecoilMetadata {
+        &self.full.metadata
+    }
+
     /// The maximum parallelism this item was encoded for; requests beyond
     /// it are clamped to this tier.
     pub fn max_segments(&self) -> u64 {
-        self.metadata.num_segments()
+        self.full.segments
     }
 
     /// CRC-32 over the item's whole wire payload: every bitstream word's
@@ -76,14 +85,16 @@ impl StoredContent {
 pub struct Transmission {
     /// Shared bitstream payload bytes.
     pub stream_bytes: u64,
-    /// The served metadata tier, shared with the item's cache (and with
-    /// every other response for the same tier).
+    /// The served metadata tier, shared with the item (its full tier or a
+    /// cached combined one) and with every other response for the same
+    /// tier.
     pub tier: Arc<ShrunkTier>,
     /// Wall-clock nanoseconds the real-time combine took — selecting the
-    /// tier's splits and their stored wire bits (zero when the tier came
-    /// out of the cache).
+    /// tier's splits and their stored wire bits (zero on a hit: the item's
+    /// full tier, or a combined tier out of the cache).
     pub combine_nanos: u128,
-    /// Whether this response was served from the tier cache.
+    /// Whether this response was served without a combine: the item's
+    /// full tier at the encoded maximum, or a combined tier from its LRU.
     pub cache_hit: bool,
 }
 
@@ -124,7 +135,8 @@ pub struct ServerConfig {
     /// Store shards (each an independent `RwLock<HashMap>`); publishes only
     /// write-lock one shard, so reads elsewhere never block. Minimum 1.
     pub shards: usize,
-    /// Shrunk-metadata tiers cached per published item (LRU). Minimum 1.
+    /// Combined metadata tiers cached per published item (LRU), beside
+    /// the full tier every item holds outside it. Minimum 1.
     pub tier_cache_capacity: usize,
 }
 
@@ -164,7 +176,7 @@ impl Default for ContentServer {
 
 impl ContentServer {
     /// Empty server with the default configuration (16 shards, 8 cached
-    /// tiers per item).
+    /// combined tiers per item).
     pub fn new() -> Self {
         Self::with_config(ServerConfig::default())
     }
@@ -223,10 +235,19 @@ impl ContentServer {
         let encoded = Codec::from_config(config.clone())?.encode(data)?;
         let RecoilContainer { stream, metadata } = encoded.container;
         let wire = WireSplits::of(&metadata)?;
+        // Every split selected: `metadata_to_bytes(&metadata)`, written
+        // from the table just built. The published metadata itself, not the
+        // selection's copy of it, goes into the tier.
+        let segments = metadata.num_segments();
+        let (_, metadata_bytes) = wire.tier(segments)?;
         let content = Arc::new(StoredContent {
             stream: Arc::new(stream),
-            metadata,
             model: Arc::new(encoded.model),
+            full: Arc::new(ShrunkTier {
+                segments,
+                metadata,
+                metadata_bytes,
+            }),
             wire,
             cache: TierCache::new(self.tier_cache_capacity),
             payload_crc: OnceLock::new(),
@@ -272,7 +293,8 @@ impl ContentServer {
 
     /// Serves `name` for a client that can decode `parallel_segments`
     /// segments in parallel: resolves the capacity to a tier (clamped to
-    /// the item's encoded maximum) and serves it from the item's LRU cache,
+    /// the item's encoded maximum) and serves it — the maximum from the
+    /// item's own full tier, anything narrower from the item's LRU cache,
     /// combining splits in real time only on a miss — never touching the
     /// bitstream either way.
     ///
@@ -336,7 +358,7 @@ impl ContentServer {
     /// Validates a request and resolves it to its item and the tier it will
     /// be served: the post-clamp segment count, which is also the cache
     /// key — a request beyond capacity and an exact maximum-capacity
-    /// request share one entry.
+    /// request are both served the item's full tier.
     fn resolve(
         &self,
         name: &str,
@@ -355,10 +377,15 @@ impl ContentServer {
         Ok((item, segments))
     }
 
-    /// The tier-cache hit path, counted: the one place a cached tier
-    /// becomes a [`Transmission`].
+    /// The hit path, counted: the one place a stored tier becomes a
+    /// [`Transmission`] — the item's own full tier at the encoded maximum,
+    /// else a combined tier from its LRU.
     fn serve_cached(&self, item: &StoredContent, segments: u64) -> Option<Transmission> {
-        let tier = item.cache.get(segments)?;
+        let tier = if segments == item.max_segments() {
+            Arc::clone(&item.full)
+        } else {
+            item.cache.get(segments)?
+        };
         bump(&self.stats.cache_hits);
         Some(self.transmit(item, tier, 0, true))
     }
@@ -462,16 +489,54 @@ mod tests {
         server.publish("x", &data, &config(16)).unwrap();
         let t = server.request("x", 10_000).unwrap();
         assert_eq!(t.metadata().num_segments(), 16);
-        assert!(!t.cache_hit);
-        // The cache key is the post-clamp tier: an exact 16-segment request
-        // (and another absurd one) hit the same entry, no re-shrink.
+        // The post-clamp tier is the item's own full tier: even the first
+        // request past capacity is a hit, and an exact 16-segment request
+        // (and another absurd one) share it.
+        assert!(t.cache_hit);
+        assert_eq!(t.combine_nanos, 0);
         let exact = server.request("x", 16).unwrap();
         let huge = server.request("x", u64::MAX).unwrap();
         assert!(exact.cache_hit && huge.cache_hit);
         assert!(Arc::ptr_eq(&t.tier, &exact.tier));
         assert!(Arc::ptr_eq(&t.tier, &huge.tier));
         let s = server.stats();
-        assert_eq!((s.cache_hits, s.cache_misses), (2, 1));
+        assert_eq!((s.cache_hits, s.cache_misses), (3, 0));
+    }
+
+    #[test]
+    fn the_full_tier_never_takes_an_lru_slot() {
+        let data = sample(100_000);
+        let server = ContentServer::with_config(ServerConfig {
+            shards: 1,
+            tier_cache_capacity: 1,
+        });
+        let item = server.publish("x", &data, &config(16)).unwrap();
+        for _ in 0..4 {
+            server.request("x", item.max_segments()).unwrap();
+            server.request("x", 4).unwrap();
+        }
+        let s = server.stats();
+        assert_eq!((s.cache_hits, s.cache_misses), (7, 1));
+        assert_eq!(s.cache_evictions, 0, "the full tier evicted width 4");
+    }
+
+    #[test]
+    fn republishing_builds_a_fresh_full_tier() {
+        use recoil_core::metadata_to_bytes;
+        let server = small_server();
+        server.publish("x", &sample(60_000), &config(16)).unwrap();
+        let old = server.request("x", 16).unwrap();
+        let old_bytes = old.metadata_bytes().to_vec();
+        assert!(server.unpublish("x"));
+        let item = server.publish("x", &sample(90_000), &config(32)).unwrap();
+        let new = server.request("x", u64::MAX).unwrap();
+        assert!(new.cache_hit);
+        assert!(!Arc::ptr_eq(&old.tier, &new.tier));
+        assert_eq!(new.metadata().num_segments(), 32);
+        assert_eq!(new.metadata_bytes(), metadata_to_bytes(item.metadata()));
+        // A transmission taken before the unpublish keeps the old tier.
+        assert_eq!(old.metadata().num_segments(), 16);
+        assert_eq!(old.metadata_bytes(), old_bytes);
     }
 
     #[test]
@@ -499,14 +564,15 @@ mod tests {
         let data = sample(120_000);
         let server = small_server();
         let item = server.publish("x", &data, &config(48)).unwrap();
-        // (Every tier is a distinct cache key: past the maximum a request
-        // would hit the maximum's entry.)
-        for width in 1..=item.max_segments() {
+        let max = item.max_segments();
+        // (Every combined tier is a distinct cache key; the maximum is the
+        // item's own full tier.)
+        for width in 1..max {
             let miss = server.request("x", width).unwrap();
             let hit = server.request("x", width).unwrap();
             assert!(!miss.cache_hit && hit.cache_hit, "width {width}");
             assert_eq!(miss.metadata_bytes(), hit.metadata_bytes(), "width {width}");
-            let combined = try_combine_splits(&item.metadata, width).unwrap();
+            let combined = try_combine_splits(item.metadata(), width).unwrap();
             assert_eq!(miss.metadata(), &combined, "width {width}");
             assert_eq!(
                 miss.metadata_bytes(),
@@ -514,6 +580,14 @@ mod tests {
                 "width {width}"
             );
         }
+        let full = server.request("x", max).unwrap();
+        assert!(
+            full.cache_hit,
+            "the full tier is a hit on its first request"
+        );
+        assert_eq!(full.combine_nanos, 0);
+        assert_eq!(full.metadata(), item.metadata());
+        assert_eq!(full.metadata_bytes(), metadata_to_bytes(item.metadata()));
     }
 
     #[test]
@@ -540,13 +614,13 @@ mod tests {
         let data = sample(50_000);
         let server = small_server();
         server.publish("x", &data, &config(16)).unwrap();
-        let before = server.get("x").unwrap().metadata.num_segments();
+        let before = server.get("x").unwrap().metadata().num_segments();
         let err = match server.publish("x", &data, &config(4)) {
             Err(e) => e,
             Ok(_) => panic!("duplicate publish must be rejected"),
         };
         assert!(matches!(err, RecoilError::AlreadyPublished { ref name } if name == "x"));
-        assert_eq!(server.get("x").unwrap().metadata.num_segments(), before);
+        assert_eq!(server.get("x").unwrap().metadata().num_segments(), before);
         assert_eq!(server.stats().publishes, 1, "failed publish not counted");
         // After unpublishing, the name is free again.
         assert!(server.unpublish("x"));

@@ -59,11 +59,12 @@ pub struct ServerStats {
     pub publishes: u64,
     /// Total `request` calls, including ones that returned an error.
     pub requests: u64,
-    /// Requests served straight from a content item's tier cache.
+    /// Requests served without a combine: from a content item's own full
+    /// tier (at its encoded maximum) or from its cache of combined tiers.
     pub cache_hits: u64,
     /// Requests that had to combine (and serialize) metadata on demand.
     pub cache_misses: u64,
-    /// Cached tiers dropped to make room for newly served ones.
+    /// Cached combined tiers dropped to make room for newly served ones.
     pub cache_evictions: u64,
     /// Total response bytes served (bitstream payload + shrunk metadata)
     /// across every successful request, in-process or over a transport.
@@ -83,7 +84,7 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Fraction of served requests answered from the tier cache
+    /// Fraction of served requests answered without a combine
     /// (`0.0` when nothing has been served yet).
     pub fn hit_rate(&self) -> f64 {
         let served = self.cache_hits + self.cache_misses;
