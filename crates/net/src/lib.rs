@@ -106,16 +106,20 @@
 //! generation-checked slab whose buffers are parked on close and recycled
 //! on the next accept, and a deadline queue for progress timeouts.
 //! Connections are **not** pinned to threads: thousands of mostly-idle
-//! peers cost one slab slot each. HELLO negotiation, stats snapshots, and
-//! cache-hit requests are served inline on the loop with zero per-request
-//! allocation; CPU-bound work — the rANS encode behind a `PUBLISH`, the
-//! real-time metadata combine behind a tier-cache miss — runs on
-//! [`NetConfig::workers`] dispatch threads blocked on the reactor's job
-//! queue and completes back to the loop through a wake pipe.
+//! peers cost one slab slot each. HELLO negotiation, stats snapshots and
+//! every `REQUEST`/`RESUME` are served inline on the loop: a request goes
+//! through [`ContentServer::fetch`], the atomic name→(transmission,
+//! content) lookup, whether its tier is cached or not — the real-time
+//! combine behind a tier-cache miss is a selection of the item's stored
+//! split bits, cheaper than a trip to another thread, and misses serialized
+//! on one loop can never build one tier twice. Only the rANS encode behind
+//! a `PUBLISH` runs on [`NetConfig::workers`] dispatch threads blocked on
+//! the reactor's job queue, and completes back to the loop through a wake
+//! pipe.
 //!
 //! `max_connections` caps open connections (excess accepts get a typed
 //! busy error carrying [`BUSY_RETRY_AFTER_MS`]; a connection holds at most
-//! one dispatched job, so the job queue is bounded by it too). Timeouts
+//! one dispatched publish, so the job queue is bounded by it too). Timeouts
 //! are *progress* deadlines managed by the reactor: a peer that starts a
 //! frame must keep bytes flowing within
 //! [`NetConfig::read_timeout`] or it is evicted with a typed `ERROR`
@@ -125,10 +129,6 @@
 //! never timed. Shutdown is graceful: the loop stops accepting, closes
 //! idle connections, and lets every in-flight response finish before the
 //! threads join.
-//!
-//! Cache-hit requests resolve through [`ContentServer::fetch_cached`]
-//! without leaving the loop; misses go through [`ContentServer::fetch`],
-//! the atomic name→(transmission, content) lookup, on a worker.
 //!
 //! ## One stats plane
 //!
@@ -159,14 +159,14 @@
 //!
 //! Who records which instrument: the reactor loop records `frames_read`,
 //! `bytes_read`, `inline_serves`, `write_flushes`, `bytes_written`,
-//! `busy_rejections`, `evictions`, `inline_serve_ns`, `write_flush_ns` and
-//! — for the inline hits it samples — `tier_hit_segments`; `push_job`
-//! records `dispatched_jobs`; a dispatch worker records
-//! `dispatch_wait_ns`, `encode_ns` (it times the store's `publish`) and,
-//! from the [`Transmission`](recoil_server::Transmission) the store hands
-//! back, `tier_miss_segments` + `combine_ns` (or a hit, when a racing
-//! request cached the tier first). The store records nothing: it has no
-//! handle. Clients record `retries` and the `stream_*_ns` breakdown; the
+//! `busy_rejections`, `evictions`, `inline_serve_ns`, `write_flush_ns`
+//! and, from the [`Transmission`](recoil_server::Transmission) the store
+//! hands back with each request it serves, `tier_miss_segments` +
+//! `combine_ns` for every miss and `tier_hit_segments` for the hits it
+//! samples; `push_job` records `dispatched_jobs`; a dispatch worker records
+//! `dispatch_wait_ns` and `encode_ns` (it times the store's `publish`) —
+//! so those three count publishes only. The store records nothing: it has
+//! no handle. Clients record `retries` and the `stream_*_ns` breakdown; the
 //! fabric router `failovers`, `replica_promotions` and `healthy_nodes`.
 //!
 //! ## Client
@@ -190,7 +190,6 @@
 //!
 //! [`ContentServer`]: recoil_server::ContentServer
 //! [`ContentServer::fetch`]: recoil_server::ContentServer::fetch
-//! [`ContentServer::fetch_cached`]: recoil_server::ContentServer::fetch_cached
 //! [`ContentServer::stats`]: recoil_server::ContentServer::stats
 //! [`RecoilError::Busy`]: recoil_core::RecoilError::Busy
 //! [`RecoilError`]: recoil_core::RecoilError

@@ -4,10 +4,10 @@
 //! The backend ([`reactor`]) multiplexes every connection on one
 //! event-driven thread built from `recoil-reactor`'s readiness plumbing
 //! (edge-triggered epoll, slab-pooled connection state, reactor-managed
-//! deadlines) and offloads CPU-bound work — encodes on publish, metadata
-//! combines on a tier-cache miss — to a small dispatch pool. Connections
-//! are *not* pinned to threads, so thousands of mostly-idle peers cost
-//! one slab slot each, not a worker.
+//! deadlines). That thread serves every request itself, tier-cache misses
+//! included; only the rANS encode behind a publish goes to a small dispatch
+//! pool. Connections are *not* pinned to threads, so thousands of
+//! mostly-idle peers cost one slab slot each, not a worker.
 
 mod reactor;
 
@@ -26,13 +26,13 @@ use std::time::Duration;
 /// Construction knobs for [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Dispatch workers for CPU-bound request work (encoding a publish,
-    /// combining metadata on a tier-cache miss).
+    /// Dispatch workers for the one CPU-bound request: encoding a publish.
     ///
     /// Connections are **not** pinned to workers: the reactor backend
-    /// serves every connection from one event loop and touches a worker
-    /// only for compute-heavy requests, so this sizes compute concurrency,
-    /// not connection concurrency.
+    /// serves every connection — every request, tier-cache misses
+    /// included — from one event loop and touches a worker only for a
+    /// PUBLISH, so this sizes encode concurrency, not connection
+    /// concurrency.
     pub workers: usize,
     /// Hard cap on concurrently open connections; excess accepts are
     /// rejected with a typed busy error carrying [`BUSY_RETRY_AFTER_MS`].

@@ -1,5 +1,6 @@
 //! The event-driven `NetServer` backend: every connection multiplexed on
-//! one reactor thread, CPU-bound work offloaded to a dispatch pool.
+//! one reactor thread, which serves every request itself; only a publish's
+//! rANS encode is offloaded to a dispatch pool.
 //!
 //! Built from `recoil-reactor`'s primitives:
 //!
@@ -12,8 +13,8 @@
 //!   out, post-error drain) are armed lazily and re-validated on expiry
 //!   against the connection's `last_progress`, so a busy peer is never
 //!   evicted and an idle-between-frames peer is never timed.
-//! - [`WakePipe`] — dispatch workers finish a job, push a [`Completion`],
-//!   and wake the loop through the pipe.
+//! - [`WakePipe`] — a dispatch worker finishes a publish, pushes a
+//!   [`Completion`], and wakes the loop through the pipe.
 //!
 //! Each connection is a small state machine:
 //!
@@ -24,27 +25,28 @@
 //!         Handshake ──HELLO ok──▶ Write(HELLO) ─┐
 //!              │                                │
 //!              ▼                                ▼
-//!   (violation) ERROR          ┌──────────▶ ReadFrame ◀───────────┐
-//!              │               │               │                  │
-//!              ▼               │     ┌─────────┼─────────┐        │
-//!            Write             │   STATS     REQUEST  PUBLISH     │
-//!              │               │  (inline)  cache-hit? │          │
-//!              ▼               │     │      yes│  no│  │          │
-//!            Drain             │     │         │    ▼  ▼          │
-//!              │               │     │         │  Dispatching     │
-//!              ▼               │     │         │  (worker runs    │
-//!            close             │     ▼         ▼   encode/combine)│
-//!                              │   Write ◀── Write ◀──completion  │
-//!                              │     │ (chunks stream in 64 KiB   │
-//!                              │     │  coalesced refills)        │
-//!                              └─────┴────────────────────────────┘
+//!   (violation) ERROR          ┌──────────▶ ReadFrame ◀────────────┐
+//!              │               │               │                   │
+//!              ▼               │     ┌─────────┼───────────┐       │
+//!            Write             │   STATS    REQUEST/    PUBLISH    │
+//!              │               │     │      RESUME         │       │
+//!              ▼               │     │   (hit, or miss     ▼       │
+//!            Drain             │     │    and combine) Dispatching │
+//!              │               │     │        │       (worker runs │
+//!              ▼               │     │        │        the encode) │
+//!            close             │     ▼        ▼            │       │
+//!                              │   Write ◀── Write ◀── completion  │
+//!                              │     │ (chunks stream in 64 KiB    │
+//!                              │     │  coalesced refills)         │
+//!                              └─────┴─────────────────────────────┘
 //! ```
 //!
-//! HELLO negotiation, stats snapshots, and cache-hit requests are served
-//! inline on the loop with zero per-request allocation (responses are
-//! framed straight into the connection's pending-write buffer, chunk plans
-//! reuse the connection's `ChunkPlan`); only publishes (rANS encode) and
-//! cache-miss requests (real-time metadata combine) touch a worker.
+//! HELLO negotiation, stats snapshots and every REQUEST/RESUME — a tier
+//! cache hit, or a miss whose combine is a selection of stored split bits —
+//! are served inline on the loop with zero per-request allocation beyond a
+//! miss's new tier (responses are framed straight into the connection's
+//! pending-write buffer, chunk plans reuse the connection's `ChunkPlan`);
+//! only a PUBLISH (the rANS encode) touches a worker.
 //!
 //! Edge-triggered discipline: sockets are registered once for both
 //! directions and never modified — an event is only a hint, and [`pump`]
@@ -71,7 +73,6 @@ use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::mem;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::ops::Range;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -99,11 +100,10 @@ const SHUTDOWN_TICK: Duration = Duration::from_millis(50);
 /// Parked buffers larger than this are shrunk before reuse, so one huge
 /// publish does not pin its buffer forever.
 const PARKED_BUFFER_CAP: usize = 64 * 1024;
-/// Dispatch-queue depth at which PUBLISH/REQUEST offloads are shed with a
-/// typed busy error. A connection holds at most one job (nothing more is
-/// parsed from it in `Phase::Dispatching`), so the queue is never deeper
-/// than the open connections: this sheds only when `max_connections`
-/// exceeds it.
+/// Dispatch-queue depth at which PUBLISH frames are shed with a typed busy
+/// error. A connection holds at most one job (nothing more is parsed from
+/// it in `Phase::Dispatching`), so the queue is never deeper than the open
+/// connections: this sheds only when `max_connections` exceeds it.
 const MAX_QUEUE_DEPTH: u64 = 1024;
 /// Retry-after hint (milliseconds) in every typed busy error the server
 /// sheds load with — over-cap accepts and a full dispatch queue alike; a
@@ -152,11 +152,12 @@ struct Shared {
 }
 
 impl Shared {
-    fn push_job(&self, token: Token, work: Work) {
+    fn push_job(&self, token: Token, buf: Vec<u8>, end: usize) {
         let job = Job {
             token,
             queued_at: Instant::now(),
-            work,
+            buf,
+            end,
         };
         let mut jobs = self.jobs.lock();
         jobs.push_back(job);
@@ -221,60 +222,42 @@ impl Shared {
     }
 }
 
-/// Records what a served transmission says about the tier cache: the hit's
-/// width, or the miss's width and the combine it paid for. The store hands
-/// these facts back with every response; the transport is the recorder.
-fn record_tier(tel: &Telemetry, tx: &Transmission) {
+/// Records what a served transmission says about the tier cache. The store
+/// hands these facts back with every response; the transport is the
+/// recorder. A miss is the cold path, so at `Counters` every one records
+/// its width and the combine it paid for (and traces `Combine`); a hit
+/// records its width only on a `sampled` frame (exact hit counts are the
+/// store's).
+fn record_tier(tel: &Telemetry, token: Token, tx: &Transmission, sampled: bool) {
     if tx.cache_hit {
-        tel.hists.tier_hit_segments.record(tx.tier.segments);
-    } else {
+        if sampled {
+            tel.hists.tier_hit_segments.record(tx.tier.segments);
+        }
+    } else if tel.counters_enabled() {
+        let ns = u64::try_from(tx.combine_nanos).unwrap_or(u64::MAX);
         tel.hists.tier_miss_segments.record(tx.tier.segments);
-        tel.hists
-            .combine_ns
-            .record(u64::try_from(tx.combine_nanos).unwrap_or(u64::MAX));
+        tel.hists.combine_ns.record(ns);
+        tel.trace(Stage::Combine, token.0, ns);
     }
 }
 
-/// CPU-bound work shipped to a dispatch worker.
+/// A PUBLISH shipped to a dispatch worker. The whole read buffer is *lent*
+/// (the payload can be tens of MiB; slicing it out would copy): the frame
+/// occupies `buf[..end]`, and pipelined bytes behind it survive the trip.
 struct Job {
     token: Token,
     queued_at: Instant,
-    work: Work,
+    buf: Vec<u8>,
+    end: usize,
 }
 
-enum Work {
-    /// The whole read buffer is *lent* to the worker (the payload can be
-    /// tens of MiB; slicing it out would copy): `payload` locates the
-    /// publish body, `consumed` is dropped when the buffer comes back so
-    /// pipelined bytes behind the frame survive.
-    Publish {
-        buf: Vec<u8>,
-        payload: Range<usize>,
-        consumed: usize,
-    },
-    /// A request whose tier missed the cache: the combine runs off-loop.
-    Fetch {
-        name: String,
-        parallel_segments: u64,
-        /// Complete words the peer already holds (RESUME); zero for a
-        /// fresh REQUEST.
-        from_word: u64,
-    },
-}
-
-enum Reply {
-    /// Pre-framed response bytes, appended to the write buffer verbatim.
-    Framed(Vec<u8>),
-    /// A served transmission to stage as TRANSMIT + chunked stream,
-    /// skipping the first `from_word` words the peer already holds.
-    Stream(Transmission, Arc<StoredContent>, u64),
-}
-
+/// A finished publish: its framed reply (PUBLISH_OK or ERROR) and the lent
+/// read buffer coming home.
 struct Completion {
     token: Token,
-    /// The lent read buffer coming home (publish jobs only).
-    buf: Option<(Vec<u8>, usize)>,
-    reply: Reply,
+    buf: Vec<u8>,
+    end: usize,
+    reply: Vec<u8>,
     close_after: bool,
 }
 
@@ -284,8 +267,8 @@ enum Phase {
     Handshake,
     /// Between or inside a request frame.
     ReadFrame,
-    /// A worker owns the request; the loop ignores the socket until the
-    /// completion arrives.
+    /// A worker is encoding this connection's PUBLISH; the loop ignores the
+    /// socket until the completion arrives.
     Dispatching,
     /// Flushing `write_buf` (and refilling it from the chunk plan).
     Write,
@@ -570,65 +553,36 @@ fn handle_hello(conn: &mut Conn, ty: FrameType, end: usize) {
     stage_payload(conn, FrameType::Hello, &negotiated.encode(), false);
 }
 
-enum Handled {
-    Continue,
-    Dispatched,
-}
-
-/// What an inline REQUEST/RESUME parse decided. The trailing `u64` on the
-/// serve variants is `from_word` (zero for a fresh REQUEST).
-enum ReqAction {
-    Stream(Transmission, Arc<StoredContent>, u64),
-    Offload(String, u64, u64),
-    Fail(RecoilError, bool),
-}
-
-/// Decodes a REQUEST or RESUME payload and resolves it against the tier
-/// cache. A hit on a `sampled` frame records its width (the same 1-in-32
-/// phase at `Counters`, every frame at `Trace`, as the inline-serve span;
-/// exact hit counts are the store's).
-fn request_action(shared: &Shared, payload: &[u8], resume: bool, sampled: bool) -> ReqAction {
-    let parsed = if resume {
+/// Decodes a REQUEST or RESUME payload and serves it through the store,
+/// tier-cache hit or miss alike: a miss's combine is a selection of the
+/// item's stored split bits, cheaper than a trip through the dispatch pool.
+/// Returns the transmission, its item and `from_word` (zero for a fresh
+/// REQUEST), or the error to stage and whether it closes the connection.
+fn request_action(
+    shared: &Shared,
+    token: Token,
+    payload: &[u8],
+    resume: bool,
+    sampled: bool,
+) -> Result<(Transmission, Arc<StoredContent>, u64), (RecoilError, bool)> {
+    let (name, parallel_segments, from_word) = if resume {
         ResumeRequest::decode(payload).map(|r| (r.name, r.parallel_segments, r.from_word))
     } else {
         ContentRequest::decode(payload).map(|r| (r.name, r.parallel_segments, 0))
-    };
-    match parsed {
-        Err(e) => ReqAction::Fail(e, true),
-        Ok((name, parallel_segments, from_word)) => {
-            match shared.content.fetch_cached(name, parallel_segments) {
-                Ok(Some((tx, item))) => {
-                    if sampled {
-                        record_tier(&shared.telemetry, &tx);
-                    }
-                    ReqAction::Stream(tx, item, from_word)
-                }
-                Ok(None) => ReqAction::Offload(name.to_owned(), parallel_segments, from_word),
-                Err(e) => ReqAction::Fail(e, false),
-            }
-        }
     }
-}
-
-/// Whether the dispatch queue is at its depth cap — offloads are shed with
-/// a typed busy error rather than queueing unboundedly behind a slow pool.
-fn queue_full(shared: &Shared) -> bool {
-    shared.queue_len.load(Ordering::Relaxed) >= MAX_QUEUE_DEPTH
-}
-
-/// Stages the typed busy error (retry-after hint included) and counts the
-/// shed. The connection stays open: the request was never started, so the
-/// peer may retry on this socket after the hint.
-fn stage_busy(conn: &mut Conn, shared: &Shared) {
-    let tel = &shared.telemetry;
-    if tel.counters_enabled() {
-        tel.counters.busy_rejections.bump();
-    }
-    stage_error(conn, &RecoilError::busy(BUSY_RETRY_AFTER_MS), false);
+    .map_err(|e| (e, true))?;
+    let (tx, item) = shared
+        .content
+        .fetch(name, parallel_segments)
+        .map_err(|e| (e, false))?;
+    record_tier(&shared.telemetry, token, &tx, sampled);
+    Ok((tx, item, from_word))
 }
 
 /// Handles one complete request frame at the front of `read_buf`;
-/// `sampled` says whether this frame's spans are being recorded.
+/// `sampled` says whether this frame's spans are being recorded. A PUBLISH
+/// leaves the connection in `Dispatching`; everything else is answered
+/// here.
 fn handle_frame(
     conn: &mut Conn,
     token: Token,
@@ -636,73 +590,47 @@ fn handle_frame(
     ty: FrameType,
     end: usize,
     sampled: bool,
-) -> Handled {
+) {
     match ty {
         FrameType::Publish => {
-            if queue_full(shared) {
+            if shared.queue_len.load(Ordering::Relaxed) >= MAX_QUEUE_DEPTH {
+                // Shed with the typed busy error rather than queueing
+                // unboundedly behind a slow pool. The connection stays
+                // open: the publish never started, so the peer may retry
+                // on this socket after the hint.
                 conn.read_buf.drain(..end);
-                stage_busy(conn, shared);
-                return Handled::Continue;
+                let tel = &shared.telemetry;
+                if tel.counters_enabled() {
+                    tel.counters.busy_rejections.bump();
+                }
+                stage_error(conn, &RecoilError::busy(BUSY_RETRY_AFTER_MS), false);
+                return;
             }
             // The encode is CPU-bound: lend the whole read buffer to a
             // worker rather than copying a potentially huge payload out.
             let buf = mem::take(&mut conn.read_buf);
             conn.phase = Phase::Dispatching;
-            let payload = FRAME_HEADER_LEN..end;
-            let work = Work::Publish {
-                buf,
-                payload,
-                consumed: end,
-            };
-            shared.push_job(token, work);
-            Handled::Dispatched
+            shared.push_job(token, buf, end);
         }
         FrameType::Request | FrameType::Resume => {
             let resume = ty == FrameType::Resume;
-            let action = if resume && conn.caps & CAP_RESUME == 0 {
-                ReqAction::Fail(
-                    RecoilError::net("resume capability was not negotiated"),
-                    true,
-                )
+            let served = if resume && conn.caps & CAP_RESUME == 0 {
+                let e = RecoilError::net("resume capability was not negotiated");
+                Err((e, true))
             } else {
-                request_action(
-                    shared,
-                    &conn.read_buf[FRAME_HEADER_LEN..end],
-                    resume,
-                    sampled,
-                )
+                let payload = &conn.read_buf[FRAME_HEADER_LEN..end];
+                request_action(shared, token, payload, resume, sampled)
             };
             conn.read_buf.drain(..end);
-            match action {
-                ReqAction::Stream(tx, item, from_word) => {
-                    stage_transmission(conn, shared, tx, item, from_word);
-                    Handled::Continue
-                }
-                ReqAction::Offload(name, parallel_segments, from_word) => {
-                    if queue_full(shared) {
-                        stage_busy(conn, shared);
-                        return Handled::Continue;
-                    }
-                    conn.phase = Phase::Dispatching;
-                    let work = Work::Fetch {
-                        name,
-                        parallel_segments,
-                        from_word,
-                    };
-                    shared.push_job(token, work);
-                    Handled::Dispatched
-                }
-                ReqAction::Fail(e, close) => {
-                    stage_error(conn, &e, close);
-                    Handled::Continue
-                }
+            match served {
+                Ok((tx, item, from_word)) => stage_transmission(conn, shared, tx, item, from_word),
+                Err((e, close)) => stage_error(conn, &e, close),
             }
         }
         FrameType::Stats => {
             conn.read_buf.drain(..end);
             let reply = shared.stats_reply().encode();
             stage_payload(conn, FrameType::StatsReply, &reply, false);
-            Handled::Continue
         }
         FrameType::Telemetry => {
             let well_formed = end == FRAME_HEADER_LEN;
@@ -710,12 +638,12 @@ fn handle_frame(
             if conn.caps & CAP_TELEMETRY == 0 {
                 let e = RecoilError::net("telemetry capability was not negotiated");
                 stage_error(conn, &e, true);
-                return Handled::Continue;
+                return;
             }
             if !well_formed {
                 let e = RecoilError::net("telemetry request carries an unexpected payload");
                 stage_error(conn, &e, true);
-                return Handled::Continue;
+                return;
             }
             let tel = &shared.telemetry;
             // Draining is consuming: each buffered trace event is delivered
@@ -730,12 +658,10 @@ fn handle_frame(
                 trace,
             };
             stage_payload(conn, FrameType::TelemetryReply, &reply.encode(), false);
-            Handled::Continue
         }
         other => {
             let e = RecoilError::net(format!("unexpected {other:?} frame from client"));
             stage_error(conn, &e, true);
-            Handled::Continue
         }
     }
 }
@@ -806,8 +732,8 @@ fn pump_inner(conn: &mut Conn, token: Token, shared: &Shared, tally: &mut PumpTa
                         let sampled = tel.counters_enabled()
                             && (tel.trace_enabled() || tally.frames & 31 == 1);
                         let started = sampled.then(Instant::now);
-                        let handled = handle_frame(conn, token, shared, ty, end, sampled);
-                        if let Handled::Dispatched = handled {
+                        handle_frame(conn, token, shared, ty, end, sampled);
+                        if conn.phase == Phase::Dispatching {
                             return Fate::Dispatched;
                         }
                         // Anything that went straight from a parsed frame to
@@ -1212,31 +1138,25 @@ impl EventLoop {
     }
 
     fn apply_completion(&mut self, completion: Completion) {
-        let token = completion.token;
-        {
-            let Self { conns, shared, .. } = self;
-            // Generation-checked: a completion for a connection that died
-            // while its job ran resolves to nothing.
-            let Some(conn) = conns.get_mut(token) else {
-                return;
-            };
-            if let Some((mut buf, consumed)) = completion.buf {
-                // The lent read buffer comes home; drop the handled frame
-                // but keep any pipelined bytes queued behind it.
-                buf.drain(..consumed);
-                conn.read_buf = buf;
-            }
-            conn.close_after_write |= completion.close_after;
-            match completion.reply {
-                Reply::Framed(bytes) => {
-                    conn.write_buf.extend_from_slice(&bytes);
-                    conn.phase = Phase::Write;
-                }
-                Reply::Stream(tx, item, from_word) => {
-                    stage_transmission(conn, shared, tx, item, from_word)
-                }
-            }
-        }
+        let Completion {
+            token,
+            mut buf,
+            end,
+            reply,
+            close_after,
+        } = completion;
+        // Generation-checked: a completion for a connection that died while
+        // its job ran resolves to nothing.
+        let Some(conn) = self.conns.get_mut(token) else {
+            return;
+        };
+        // The lent read buffer comes home; drop the handled frame but keep
+        // any pipelined bytes queued behind it.
+        buf.drain(..end);
+        conn.read_buf = buf;
+        conn.write_buf.extend_from_slice(&reply);
+        conn.close_after_write |= close_after;
+        conn.phase = Phase::Write;
         self.pump_token(token);
     }
 
@@ -1391,7 +1311,7 @@ fn dispatch_worker(shared: &Shared) {
                 tel.hists.dispatch_wait_ns.record(wait);
                 tel.trace(Stage::DispatchRun, job.token.0, wait);
             }
-            let completion = run_job(shared, job.token, job.work);
+            let completion = run_job(shared, job);
             shared.completions.lock().push(completion);
             shared.waker.wake();
             jobs = shared.jobs.lock();
@@ -1415,61 +1335,32 @@ fn framed(ty: FrameType, payload: &[u8]) -> Vec<u8> {
     bytes
 }
 
-fn run_job(shared: &Shared, token: Token, work: Work) -> Completion {
+fn run_job(shared: &Shared, job: Job) -> Completion {
+    let Job {
+        token, buf, end, ..
+    } = job;
     let tel = &shared.telemetry;
-    match work {
-        Work::Publish {
-            buf,
-            payload,
-            consumed,
-        } => {
-            let started = tel.counters_enabled().then(Instant::now);
-            let outcome = publish(shared, &buf[payload]);
-            if let Some(t0) = started {
-                // The histogram holds successful encodes only; the trace
-                // covers every publish job.
-                let ns = elapsed_ns(t0);
-                if outcome.is_ok() {
-                    tel.hists.encode_ns.record(ns);
-                }
-                tel.trace(Stage::Encode, token.0, ns);
-            }
-            let (reply, close_after) = match outcome {
-                Ok(ok) => (framed(FrameType::PublishOk, &ok.encode()), false),
-                Err((e, close)) => (framed(FrameType::Error, &encode_error(&e)), close),
-            };
-            Completion {
-                token,
-                buf: Some((buf, consumed)),
-                reply: Reply::Framed(reply),
-                close_after,
-            }
+    let started = tel.counters_enabled().then(Instant::now);
+    let outcome = publish(shared, &buf[FRAME_HEADER_LEN..end]);
+    if let Some(t0) = started {
+        // The histogram holds successful encodes only; the trace covers
+        // every publish job.
+        let ns = elapsed_ns(t0);
+        if outcome.is_ok() {
+            tel.hists.encode_ns.record(ns);
         }
-        Work::Fetch {
-            name,
-            parallel_segments,
-            from_word,
-        } => {
-            let reply = match shared.content.fetch(&name, parallel_segments) {
-                Ok((tx, item)) => {
-                    // Usually the miss this job was queued for; a hit when a
-                    // racing request cached the tier first.
-                    if tel.counters_enabled() {
-                        record_tier(tel, &tx);
-                        let ns = u64::try_from(tx.combine_nanos).unwrap_or(u64::MAX);
-                        tel.trace(Stage::Combine, token.0, ns);
-                    }
-                    Reply::Stream(tx, item, from_word)
-                }
-                Err(e) => Reply::Framed(framed(FrameType::Error, &encode_error(&e))),
-            };
-            Completion {
-                token,
-                buf: None,
-                reply,
-                close_after: false,
-            }
-        }
+        tel.trace(Stage::Encode, token.0, ns);
+    }
+    let (reply, close_after) = match outcome {
+        Ok(ok) => (framed(FrameType::PublishOk, &ok.encode()), false),
+        Err((e, close)) => (framed(FrameType::Error, &encode_error(&e)), close),
+    };
+    Completion {
+        token,
+        buf,
+        end,
+        reply,
+        close_after,
     }
 }
 
@@ -1616,7 +1507,7 @@ impl ReactorHandle {
             let _ = t.join();
         }
         // Only after the loop is gone can the job queue close: a worker
-        // exiting while the loop still dispatches would strand a request.
+        // exiting while the loop still dispatches would strand a publish.
         self.shared.jobs_closed.store(true, Ordering::Release);
         {
             // Lock-then-notify: a worker between its queue check and its

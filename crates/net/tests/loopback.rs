@@ -4,10 +4,13 @@
 use recoil_core::backend::{
     preferred_segments, AutoBackend, DecodeBackend, DecodeRequest, ScalarBackend,
 };
-use recoil_core::{plan_chunks, ChunkPlan, EncoderConfig, RecoilError};
+use recoil_core::{
+    metadata_to_bytes, plan_chunks, try_combine_splits, ChunkPlan, EncoderConfig, RecoilError,
+};
 use recoil_net::raw::{read_frame, write_frame, ReadOutcome};
 use recoil_net::{
-    FrameType, Hello, NetClient, NetConfig, NetServer, NetServerHandle, BUSY_RETRY_AFTER_MS,
+    ContentRequest, FrameType, Hello, NetClient, NetConfig, NetServer, NetServerHandle,
+    ResumeRequest, TransmitHeader, BUSY_RETRY_AFTER_MS,
 };
 use recoil_server::ContentServer;
 use recoil_telemetry::TelemetryLevel;
@@ -384,6 +387,81 @@ fn a_full_width_request_is_served_inline_without_a_combine() {
     assert_eq!(seen.hist("combine_ns").map(|h| h.count), Some(0));
     assert_eq!(seen.counter("server_cache_misses"), Some(0));
     assert_eq!(seen.counter("server_cache_hits"), Some(3));
+    server.shutdown();
+}
+
+/// A tier-cache miss is served on the reactor like a hit: a pipelined
+/// burst of fourteen REQUEST misses and a mid-stream RESUME miss comes back
+/// in order, each TRANSMIT carrying the combined tier's bytes, and only the
+/// publish ever reached the dispatch pool. Every miss is recorded.
+#[test]
+fn a_tier_cache_miss_is_served_inline() {
+    let server = start_server(NetConfig {
+        telemetry: TelemetryLevel::Counters,
+        ..small_net_config()
+    });
+    let client = NetClient::connect(server.addr()).unwrap();
+    client
+        .publish("movie", &sample(80_000, 13), &config(16))
+        .unwrap();
+    // Read off the store directly: `get` moves none of its counters.
+    let item = server.content().get("movie").unwrap();
+    assert_eq!(item.max_segments(), 16);
+    let total_words = item.stream.words.len() as u64;
+    let from_word = total_words / 2;
+
+    let mut conn = raw_hello(server.addr());
+    let mut burst = Vec::new();
+    for w in 1..=14u64 {
+        let req = ContentRequest {
+            name: "movie",
+            parallel_segments: w,
+        };
+        write_frame(&mut burst, FrameType::Request, &req.encode()).unwrap();
+    }
+    let resume = ResumeRequest {
+        name: "movie",
+        parallel_segments: 15,
+        from_word,
+    };
+    write_frame(&mut burst, FrameType::Resume, &resume.encode()).unwrap();
+    use std::io::Write;
+    conn.write_all(&burst).unwrap();
+
+    let mut next_frame = || loop {
+        match read_frame(&mut conn).unwrap() {
+            ReadOutcome::Frame(ty, payload) => return (ty, payload),
+            ReadOutcome::Idle => {}
+            ReadOutcome::Eof => panic!("server closed mid-burst"),
+        }
+    };
+    for w in 1..=15u64 {
+        let (ty, payload) = next_frame();
+        assert_eq!(ty, FrameType::Transmit, "width {w}");
+        let header = TransmitHeader::decode(&payload).unwrap();
+        assert_eq!((header.segments, header.cache_hit), (w, false));
+        let combined = try_combine_splits(item.metadata(), w).unwrap();
+        assert_eq!(header.metadata, metadata_to_bytes(&combined), "width {w}");
+        // The chunks follow in sequence and carry the words the peer is
+        // missing: all of them, or the resumed tail.
+        let skipped = if w == 15 { from_word } else { 0 };
+        let mut word_bytes = 0;
+        for seq in 0..header.chunk_count {
+            let (ty, chunk) = next_frame();
+            assert_eq!(ty, FrameType::Chunk, "width {w}");
+            assert_eq!(chunk[..4], seq.to_le_bytes(), "width {w}");
+            word_bytes += chunk.len() as u64 - 4;
+        }
+        assert_eq!(word_bytes, 2 * (total_words - skipped), "width {w}");
+    }
+
+    let seen = client.remote_telemetry().unwrap().snapshot;
+    assert_eq!(seen.counter("dispatched_jobs"), Some(1), "the publish");
+    assert_eq!(seen.hist("dispatch_wait_ns").map(|h| h.count), Some(1));
+    assert_eq!(seen.hist("tier_miss_segments").map(|h| h.count), Some(15));
+    assert_eq!(seen.hist("combine_ns").map(|h| h.count), Some(15));
+    assert_eq!(seen.counter("server_cache_misses"), Some(15));
+    assert_eq!(seen.counter("server_cache_hits"), Some(0));
     server.shutdown();
 }
 

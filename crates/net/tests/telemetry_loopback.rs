@@ -77,7 +77,7 @@ fn telemetry_round_trip_matches_server_side_snapshot() {
         .unwrap()
         .with_backend(ScalarBackend);
 
-    // Mix: 1 publish (dispatch + encode), 1 cache-miss request (dispatch +
+    // Mix: 1 publish (dispatch + encode), 1 cache-miss request (inline
     // combine), 2 cache-hit requests (inline), 1 streaming fetch (hit).
     client
         .publish("movie", &data, &EncoderConfig::default())
@@ -93,7 +93,7 @@ fn telemetry_round_trip_matches_server_side_snapshot() {
     assert_eq!(remote.level, TelemetryLevel::Trace);
 
     // The mix, as the wire reports it.
-    assert_eq!(remote.counter("dispatched_jobs"), Some(2), "publish + miss");
+    assert_eq!(remote.counter("dispatched_jobs"), Some(1), "publish");
     assert_eq!(remote.hist("encode_ns").map(|h| h.count), Some(1));
     assert_eq!(remote.hist("combine_ns").map(|h| h.count), Some(1));
     assert_eq!(remote.hist("tier_miss_segments").map(|h| h.count), Some(1));
@@ -108,7 +108,7 @@ fn telemetry_round_trip_matches_server_side_snapshot() {
     assert!(remote.counter("bytes_written").unwrap() > 0);
     assert!(remote.counter("write_flushes").unwrap() >= 5);
     assert_eq!(remote.counter("evictions"), Some(0));
-    assert!(remote.hist("dispatch_wait_ns").map(|h| h.count) == Some(2));
+    assert!(remote.hist("dispatch_wait_ns").map(|h| h.count) == Some(1));
     let inline = remote.hist("inline_serve_ns").unwrap();
     assert!(inline.count >= 3);
     assert!(inline.p50() <= inline.p99());
@@ -154,7 +154,7 @@ fn telemetry_round_trip_matches_server_side_snapshot() {
     let local_text = local.render_text();
     let remote_text = remote.render_text();
     for line in [
-        "recoil_dispatched_jobs 2",
+        "recoil_dispatched_jobs 1",
         "# TYPE recoil_inline_serve_ns histogram",
     ] {
         assert!(local_text.contains(line), "local exposition missing {line}");

@@ -329,32 +329,6 @@ impl ContentServer {
         Ok((transmission, item))
     }
 
-    /// The cache-hit-only half of [`ContentServer::fetch`], for callers
-    /// that must not block: `Ok(Some(..))` is a fully served response,
-    /// `Ok(None)` means the tier is not cached and serving it would run a
-    /// real-time combine — the caller should then run [`ContentServer::fetch`]
-    /// somewhere it may take its time (e.g. a dispatch worker).
-    ///
-    /// Counters stay exact across the two-call flow: this method bumps
-    /// `requests` (and `cache_hits`/`bytes_served`) only on terminal paths
-    /// (hit or error). On `Ok(None)` nothing is counted — the follow-up
-    /// `fetch` then counts the request and its miss, so
-    /// `cache_hits + cache_misses` still equals successfully served
-    /// requests.
-    pub fn fetch_cached(
-        &self,
-        name: &str,
-        parallel_segments: u64,
-    ) -> Result<Option<(Transmission, Arc<StoredContent>)>, RecoilError> {
-        let hit = self
-            .resolve(name, parallel_segments)
-            .map(|(item, segments)| Some((self.serve_cached(&item, segments)?, item)));
-        if !matches!(hit, Ok(None)) {
-            bump(&self.stats.requests);
-        }
-        hit
-    }
-
     /// Validates a request and resolves it to its item and the tier it will
     /// be served: the post-clamp segment count, which is also the cache
     /// key — a request beyond capacity and an exact maximum-capacity
@@ -671,6 +645,9 @@ mod tests {
                 ..
             })
         ));
+        // A rejected request is still a request, counted exactly once.
+        let s = server.stats();
+        assert_eq!((s.requests, s.cache_hits, s.cache_misses), (1, 0, 0));
     }
 
     #[test]
@@ -753,38 +730,6 @@ mod tests {
         let before = server.stats().bytes_served;
         assert!(server.request("missing", 2).is_err());
         assert_eq!(server.stats().bytes_served, before);
-    }
-
-    #[test]
-    fn fetch_cached_hits_only_and_keeps_counters_exact() {
-        let data = sample(80_000);
-        let server = small_server();
-        server.publish("x", &data, &config(16)).unwrap();
-        // Cold tier: fetch_cached declines without touching any counter.
-        assert!(server.fetch_cached("x", 4).unwrap().is_none());
-        let s = server.stats();
-        assert_eq!((s.requests, s.cache_hits, s.cache_misses), (0, 0, 0));
-        // The blocking path serves (and counts) the miss...
-        let (via_fetch, _) = server.fetch("x", 4).unwrap();
-        // ...after which fetch_cached serves the warm tier.
-        let (t, item) = server.fetch_cached("x", 4).unwrap().unwrap();
-        assert!(t.cache_hit);
-        assert!(Arc::ptr_eq(&t.tier, &via_fetch.tier));
-        assert_eq!(item.max_segments(), 16);
-        let s = server.stats();
-        assert_eq!((s.requests, s.cache_hits, s.cache_misses), (2, 1, 1));
-        assert_eq!(
-            s.bytes_served,
-            via_fetch.total_bytes() + t.total_bytes(),
-            "both paths count served bytes"
-        );
-        // Error paths count the request exactly once.
-        assert!(server.fetch_cached("missing", 4).is_err());
-        assert!(matches!(
-            server.fetch_cached("x", 0),
-            Err(RecoilError::InvalidConfig { .. })
-        ));
-        assert_eq!(server.stats().requests, 4);
     }
 
     #[test]

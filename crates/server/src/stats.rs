@@ -77,7 +77,8 @@ pub struct ServerStats {
     /// Transport: connections evicted for missing a progress deadline
     /// (slow-loris peers, stalled writes).
     pub evicted_connections: u64,
-    /// Transport gauge: requests currently queued for the dispatch workers.
+    /// Transport gauge: publishes currently queued for the dispatch workers
+    /// (a request never queues: the reactor serves it inline).
     pub queue_depth: u64,
     /// Transport gauge: connection slots still open in the slab.
     pub open_slots: u64,

@@ -111,7 +111,7 @@ pub struct PipelineCounters {
     pub bytes_read: Counter,
     /// Requests answered on the reactor thread without dispatch.
     pub inline_serves: Counter,
-    /// Jobs handed to the dispatch pool.
+    /// Jobs handed to the dispatch pool: one per PUBLISH encode.
     pub dispatched_jobs: Counter,
     /// Times a connection's pending write buffer fully drained.
     pub write_flushes: Counter,
@@ -151,14 +151,16 @@ pub struct PipelineHistograms {
     /// ns to serve a request inline on the reactor thread (sampled 1-in-32
     /// at [`TelemetryLevel::Counters`]; every request at `Trace`).
     pub inline_serve_ns: Histogram,
-    /// ns a job waited in the dispatch queue before a worker picked it up.
+    /// ns a PUBLISH waited in the dispatch queue before a worker picked it
+    /// up (publishes are the only dispatched work).
     pub dispatch_wait_ns: Histogram,
     /// ns a successful PUBLISH took on a dispatch worker, decode of the
     /// message to stored item (recorded by the reactor, which times the
     /// store's `publish` call).
     pub encode_ns: Histogram,
-    /// ns a tier combine took on a dispatch worker (the store reports it
-    /// with the transmission; the reactor records it).
+    /// ns a tier-cache miss's combine took, inline on the reactor thread
+    /// (the store reports it with the transmission; the reactor records
+    /// every miss at [`TelemetryLevel::Counters`]).
     pub combine_ns: Histogram,
     /// ns from a write becoming pending to the buffer fully flushing.
     pub write_flush_ns: Histogram,

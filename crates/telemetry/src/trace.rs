@@ -16,7 +16,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Pipeline stages a [`TraceEvent`] can tag. One byte on the wire.
+/// Pipeline stages a [`TraceEvent`] can tag. One byte on the wire; bytes
+/// 7–9 are retired (stages nothing recorded) and parse as unknown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Stage {
@@ -25,20 +26,16 @@ pub enum Stage {
     /// A request was served inline on the reactor loop (detail: serve ns;
     /// sampled 1-in-32 at `Counters`, every frame at `Trace`).
     InlineServe = 2,
-    /// A job was queued for the dispatch pool (detail: queue depth after push).
+    /// A publish was queued for the dispatch pool (detail: queue depth
+    /// after push).
     DispatchQueue = 3,
-    /// A dispatch worker picked a job up (detail: queue wait in ns).
+    /// A dispatch worker picked a publish up (detail: queue wait in ns).
     DispatchRun = 4,
     /// A publish encode finished on a worker (detail: encode ns).
     Encode = 5,
-    /// A tier-combine finished on a worker (detail: combine ns).
+    /// A tier-cache miss's combine finished on the reactor (detail:
+    /// combine ns).
     Combine = 6,
-    /// One fast-loop/careful-tail decode span completed (detail: symbols).
-    DecodeSpan = 7,
-    /// A request hit the shrunk-metadata tier cache (detail: tier segments).
-    CacheHit = 8,
-    /// A request missed the tier cache (detail: tier segments).
-    CacheMiss = 9,
     /// A connection's pending write burst fully flushed (detail: ns from
     /// entering the write phase to the last byte leaving the socket).
     WriteFlush = 10,
@@ -58,9 +55,6 @@ impl Stage {
             4 => Self::DispatchRun,
             5 => Self::Encode,
             6 => Self::Combine,
-            7 => Self::DecodeSpan,
-            8 => Self::CacheHit,
-            9 => Self::CacheMiss,
             10 => Self::WriteFlush,
             11 => Self::Evict,
             12 => Self::StreamFirstSegment,
@@ -77,9 +71,6 @@ impl Stage {
             Self::DispatchRun => "dispatch_run",
             Self::Encode => "encode",
             Self::Combine => "combine",
-            Self::DecodeSpan => "decode_span",
-            Self::CacheHit => "cache_hit",
-            Self::CacheMiss => "cache_miss",
             Self::WriteFlush => "write_flush",
             Self::Evict => "evict",
             Self::StreamFirstSegment => "stream_first_segment",
@@ -91,7 +82,7 @@ impl Stage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// The connection's generation-checked slab token (0 when the event is
-    /// not tied to a connection, e.g. decode spans on a client).
+    /// not tied to a connection, e.g. a client's first streamed segment).
     pub conn_gen: u64,
     /// Which pipeline stage fired.
     pub stage: Stage,
@@ -239,10 +230,16 @@ impl TraceRing {
 mod tests {
     use super::*;
 
+    /// Every stage, in byte order.
+    fn stages() -> Vec<Stage> {
+        (0..=u8::MAX).filter_map(Stage::from_u8).collect()
+    }
+
     fn ev(i: u64) -> TraceEvent {
+        let stages = stages();
         TraceEvent {
             conn_gen: i * 31,
-            stage: Stage::from_u8((i % 12 + 1) as u8).unwrap(),
+            stage: stages[i as usize % stages.len()],
             t_ns: i * 1000,
             detail: i,
         }
@@ -287,7 +284,7 @@ mod tests {
                         let id = t * 64 + i;
                         ring.record(TraceEvent {
                             conn_gen: id,
-                            stage: Stage::DecodeSpan,
+                            stage: Stage::Combine,
                             t_ns: id.wrapping_mul(7),
                             detail: id.wrapping_mul(13),
                         });
@@ -343,12 +340,13 @@ mod tests {
 
     #[test]
     fn stage_bytes_round_trip() {
-        for b in 1..=12u8 {
-            let stage = Stage::from_u8(b).unwrap();
-            assert_eq!(stage as u8, b);
+        let stages = stages();
+        let bytes: Vec<u8> = stages.iter().map(|&s| s as u8).collect();
+        // Every stage keeps its byte; the retired 7–9 parse as unknown.
+        assert_eq!(bytes, [1, 2, 3, 4, 5, 6, 10, 11, 12]);
+        for stage in stages {
+            assert_eq!(Stage::from_u8(stage as u8), Some(stage));
             assert!(!stage.name().is_empty());
         }
-        assert_eq!(Stage::from_u8(0), None);
-        assert_eq!(Stage::from_u8(13), None);
     }
 }

@@ -41,9 +41,9 @@ fn main() -> Result<(), RecoilError> {
         ..EncoderConfig::default()
     };
     client.publish("report", &data, &config)?; // dispatch pool: encode
-    client.request("report", 64)?; // tier-cache miss: combine
-    client.request("report", 64)?; // warm hit, served inline
-    client.request("report", 8)?; // second tier, another miss
+    client.request("report", 64)?; // tier-cache miss: combine, inline
+    client.request("report", 64)?; // warm hit, inline
+    client.request("report", 8)?; // second tier, another inline miss
     let streamed = client.fetch_and_decode_streaming("report", 64)?;
     assert_eq!(streamed.data, data);
 
