@@ -1,26 +1,65 @@
-//! Bit-granular writer/reader used by the §4.3 metadata format.
+//! Bit-granular writers/reader used by the §4.3 metadata format.
 //!
 //! Bits are packed LSB-first within each byte: the first bit written lands in
 //! bit 0 of byte 0. `write(v, n)` stores the low `n` bits of `v`; `read(n)`
 //! returns them in the same order. This matches how the metadata series are
 //! specified (a width field followed by fixed-width values) and keeps the
 //! reader branch-light.
+//!
+//! Two writers share one accumulator: [`BitWriter`] grows a vector, for
+//! output of unknown length; [`BitSliceWriter`] fills a slice the caller
+//! sized, for output whose length is known before the first bit.
+
+/// Pending bits, first-written in bit 0, that leave a writer eight bytes at
+/// a time.
+#[derive(Debug, Default, Clone, Copy)]
+struct Pending {
+    acc: u64,
+    /// Bits pending in `acc` (0..64).
+    used: u32,
+}
+
+impl Pending {
+    /// Adds the low `n` bits of `v` (`n <= 64`); returns the accumulator
+    /// when it fills, with the bits that did not fit pending in its place.
+    #[inline]
+    fn push(&mut self, v: u64, n: u32) -> Option<u64> {
+        debug_assert!(n <= 64);
+        debug_assert!(
+            n == 64 || v < (1u64 << n),
+            "value {v} does not fit in {n} bits"
+        );
+        let v = if n == 64 { v } else { v & ((1u64 << n) - 1) };
+        let full = self.acc | v << self.used;
+        let total = self.used + n;
+        if total < 64 {
+            (self.acc, self.used) = (full, total);
+            return None;
+        }
+        // The high bits of `v` that did not fit; none when `acc` was empty.
+        let fitted = 64 - self.used;
+        self.acc = if fitted == 64 { 0 } else { v >> fitted };
+        self.used = total - 64;
+        Some(full)
+    }
+
+    /// The pending bits' bytes, the last zero-padded.
+    fn tail(&self) -> ([u8; 8], usize) {
+        (self.acc.to_le_bytes(), self.used.div_ceil(8) as usize)
+    }
+}
 
 /// LSB-first bit writer backed by a byte vector.
 ///
 /// Bits collect in a 64-bit accumulator and reach the vector eight bytes at
 /// a time, so a `write` is a shift, an OR and (every 64 bits) one
 /// `extend_from_slice` — whatever the field width or the alignment it
-/// lands on. [`BitWriter::with_capacity`] sizes the vector once for
-/// callers that know their output length.
+/// lands on.
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     /// Whole flushed accumulators, 8 bytes each.
     bytes: Vec<u8>,
-    /// Pending bits, first-written in bit 0.
-    acc: u64,
-    /// Bits pending in `acc` (0..64).
-    used: u32,
+    pending: Pending,
 }
 
 impl BitWriter {
@@ -29,37 +68,87 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Creates an empty writer whose [`BitWriter::into_bytes`] result can
-    /// hold `bytes` bytes without reallocating (the writer itself never
-    /// writes past the final length, so an exact count suffices).
-    pub fn with_capacity(bytes: usize) -> Self {
+    /// Writes the low `n` bits of `v` (`n <= 64`).
+    #[inline]
+    pub fn write(&mut self, v: u64, n: u32) {
+        if let Some(full) = self.pending.push(v, n) {
+            self.bytes.extend_from_slice(&full.to_le_bytes());
+        }
+    }
+
+    /// Zero-fills to the next 64-bit boundary, so that what is written next
+    /// starts word [`BitWriter::word_len`] of [`BitWriter::into_words`].
+    pub fn align_to_word(&mut self) {
+        if self.pending.used > 0 {
+            self.bytes
+                .extend_from_slice(&self.pending.acc.to_le_bytes());
+            self.pending = Pending::default();
+        }
+    }
+
+    /// Whole 64-bit words written so far.
+    pub fn word_len(&self) -> usize {
+        self.bytes.len() / 8
+    }
+
+    /// Total bits written so far.
+    pub fn bit_len(&self) -> u64 {
+        self.bytes.len() as u64 * 8 + u64::from(self.pending.used)
+    }
+
+    /// Finish and return the packed bytes (final partial byte zero-padded).
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        let (tail, len) = self.pending.tail();
+        self.bytes.extend_from_slice(&tail[..len]);
+        self.bytes
+    }
+
+    /// Finish and return the packed bits as 64-bit words, the first-written
+    /// bit in bit 0 of word 0 (final partial word zero-padded): the form
+    /// [`BitSliceWriter::append`] copies from.
+    pub fn into_words(mut self) -> Vec<u64> {
+        self.align_to_word();
+        self.bytes
+            .chunks_exact(8)
+            .map(|word| u64::from_le_bytes(word.try_into().expect("8 bytes")))
+            .collect()
+    }
+}
+
+/// LSB-first bit writer over a slice the caller sized: the same bytes as a
+/// [`BitWriter`] given the same writes, written in place, so output whose
+/// length is known up front takes one allocation and no capacity check per
+/// word.
+///
+/// # Panics
+///
+/// A write or [`BitSliceWriter::finish`] panics if the bits written so far
+/// need more bytes than the slice holds.
+#[derive(Debug)]
+pub struct BitSliceWriter<'a> {
+    out: &'a mut [u8],
+    /// Bytes of `out` written: whole flushed accumulators, 8 bytes each.
+    at: usize,
+    pending: Pending,
+}
+
+impl<'a> BitSliceWriter<'a> {
+    /// A writer whose first bit lands in bit 0 of `out[0]`.
+    pub fn new(out: &'a mut [u8]) -> Self {
         Self {
-            bytes: Vec::with_capacity(bytes),
-            acc: 0,
-            used: 0,
+            out,
+            at: 0,
+            pending: Pending::default(),
         }
     }
 
     /// Writes the low `n` bits of `v` (`n <= 64`).
     #[inline]
     pub fn write(&mut self, v: u64, n: u32) {
-        debug_assert!(n <= 64);
-        debug_assert!(
-            n == 64 || v < (1u64 << n),
-            "value {v} does not fit in {n} bits"
-        );
-        let v = if n == 64 { v } else { v & ((1u64 << n) - 1) };
-        self.acc |= v << self.used;
-        let total = self.used + n;
-        if total < 64 {
-            self.used = total;
-            return;
+        if let Some(full) = self.pending.push(v, n) {
+            self.out[self.at..self.at + 8].copy_from_slice(&full.to_le_bytes());
+            self.at += 8;
         }
-        self.bytes.extend_from_slice(&self.acc.to_le_bytes());
-        // The high bits of `v` that did not fit; none when `acc` was empty.
-        let fitted = 64 - self.used;
-        self.acc = if fitted == 64 { 0 } else { v >> fitted };
-        self.used = total - 64;
     }
 
     /// Appends the first `bits` bits of `words`, a bit sequence in the
@@ -72,58 +161,32 @@ impl BitWriter {
     #[inline]
     pub fn append(&mut self, words: &[u64], bits: u64) {
         let (whole, rest) = words.split_at((bits / 64) as usize);
-        let used = self.used;
-        let at = self.bytes.len();
-        self.bytes.resize(at + 8 * whole.len(), 0);
-        let mut acc = self.acc;
-        for (out, &word) in self.bytes[at..].chunks_exact_mut(8).zip(whole) {
+        let used = self.pending.used;
+        let end = self.at + 8 * whole.len();
+        let mut acc = self.pending.acc;
+        for (out, &word) in self.out[self.at..end].chunks_exact_mut(8).zip(whole) {
             out.copy_from_slice(&(acc | word << used).to_le_bytes());
             // The word's top `used` bits, which did not fit (none at 0).
             acc = word >> 1 >> (63 - used);
         }
-        self.acc = acc;
+        (self.at, self.pending.acc) = (end, acc);
         let tail = (bits % 64) as u32;
         if tail > 0 {
             self.write(rest[0] & ((1u64 << tail) - 1), tail);
         }
     }
 
-    /// Zero-fills to the next 64-bit boundary, so that what is written next
-    /// starts word [`BitWriter::word_len`] of [`BitWriter::into_words`].
-    pub fn align_to_word(&mut self) {
-        if self.used > 0 {
-            self.bytes.extend_from_slice(&self.acc.to_le_bytes());
-            (self.acc, self.used) = (0, 0);
-        }
-    }
-
-    /// Whole 64-bit words written so far.
-    pub fn word_len(&self) -> usize {
-        self.bytes.len() / 8
-    }
-
     /// Total bits written so far.
     pub fn bit_len(&self) -> u64 {
-        self.bytes.len() as u64 * 8 + u64::from(self.used)
+        self.at as u64 * 8 + u64::from(self.pending.used)
     }
 
-    /// Finish and return the packed bytes (final partial byte zero-padded).
-    pub fn into_bytes(mut self) -> Vec<u8> {
-        let tail = self.used.div_ceil(8) as usize;
-        self.bytes
-            .extend_from_slice(&self.acc.to_le_bytes()[..tail]);
-        self.bytes
-    }
-
-    /// Finish and return the packed bits as 64-bit words, the first-written
-    /// bit in bit 0 of word 0 (final partial word zero-padded): the form
-    /// [`BitWriter::append`] copies from.
-    pub fn into_words(mut self) -> Vec<u64> {
-        self.align_to_word();
-        self.bytes
-            .chunks_exact(8)
-            .map(|word| u64::from_le_bytes(word.try_into().expect("8 bytes")))
-            .collect()
+    /// Writes the pending bits (the last byte zero-padded) and returns how
+    /// many bytes of the slice hold the output.
+    pub fn finish(self) -> usize {
+        let (tail, len) = self.pending.tail();
+        self.out[self.at..self.at + len].copy_from_slice(&tail[..len]);
+        self.at + len
     }
 }
 
@@ -286,7 +349,7 @@ mod tests {
                     };
                     fields.push((fit(next(&mut rng), n), n));
                 }
-                let mut new = BitWriter::with_capacity(if seed % 2 == 0 { 1024 } else { 0 });
+                let mut new = BitWriter::new();
                 let mut old = ByteAtATimeWriter::default();
                 for &(v, n) in &fields {
                     new.write(v, n);
@@ -305,6 +368,16 @@ mod tests {
                 for &(v, n) in &fields {
                     assert_eq!(r.read(n), Some(v), "start {start} seed {seed}");
                 }
+                // The slice writer, over a slice of exactly that length
+                // whose every byte it must overwrite.
+                let mut in_place = vec![0xFF; bytes.len()];
+                let mut w = BitSliceWriter::new(&mut in_place);
+                for &(v, n) in &fields {
+                    w.write(v, n);
+                }
+                assert_eq!(w.bit_len(), bits);
+                assert_eq!(w.finish(), bytes.len());
+                assert_eq!(in_place, bytes, "start {start} seed {seed}");
             }
         }
     }
@@ -331,22 +404,20 @@ mod tests {
                 let words = stored.into_words();
                 assert_eq!(words.len() as u64, len.div_ceil(64));
                 let lead = fit(next(&mut rng), start);
-                let (mut by_append, mut by_write) = (BitWriter::new(), BitWriter::new());
-                for w in [&mut by_append, &mut by_write] {
-                    w.write(lead, start);
-                }
-                by_append.append(&words, len);
+                let mut by_write = BitWriter::new();
+                by_write.write(lead, start);
                 for &(v, n) in &fields {
                     by_write.write(v, n);
                 }
-                by_append.write(0b101, 3);
                 by_write.write(0b101, 3);
+                let mut out = vec![0xFF; (u64::from(start) + len + 3).div_ceil(8) as usize];
+                let mut by_append = BitSliceWriter::new(&mut out);
+                by_append.write(lead, start);
+                by_append.append(&words, len);
+                by_append.write(0b101, 3);
                 assert_eq!(by_append.bit_len(), by_write.bit_len());
-                assert_eq!(
-                    by_append.into_bytes(),
-                    by_write.into_bytes(),
-                    "start {start} len {len}"
-                );
+                assert_eq!(by_append.finish(), out.len());
+                assert_eq!(out, by_write.into_bytes(), "start {start} len {len}");
             }
         }
     }

@@ -6,7 +6,7 @@
 //!   The encoder appends words at the back; the decoder consumes them from
 //!   the back toward the front ([`WordStream`], [`BackwardWordReader`]).
 //! * **Bit-packed metadata series** (§4.3), which need bit-granular
-//!   writers/readers ([`BitWriter`], [`BitReader`]).
+//!   writers/readers ([`BitWriter`], [`BitSliceWriter`], [`BitReader`]).
 
 // Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
 #![forbid(unsafe_code)]
@@ -14,5 +14,5 @@
 mod bits;
 mod words;
 
-pub use bits::{BitReader, BitWriter};
+pub use bits::{BitReader, BitSliceWriter, BitWriter};
 pub use words::{BackwardWordReader, WordStream};

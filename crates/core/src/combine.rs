@@ -13,10 +13,11 @@
 //! when built, so the result costs one `Vec` of `M - 1` split handles and
 //! `M - 1` refcount bumps, and validating it compares the kept splits'
 //! recorded facts — no lane of the stored metadata is copied or read. The
-//! server does not even validate: it selects from a [`crate::WireSplits`],
-//! whose splits were validated once when it was built, and checks only the
-//! two series the selection changes. [`kept`] is the one selection rule
-//! both paths use.
+//! server builds no metadata at all: it writes a tier's bytes from a
+//! [`crate::WireSplits`], a dense table of the splits validated once when
+//! it was built, and checks only the two series the selection changes.
+//! [`kept`] is the one selection rule both paths use, and walks it without
+//! a division per kept split.
 
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
@@ -29,22 +30,33 @@ use crate::metadata::RecoilMetadata;
 /// `1..=K` and grow by at least `⌊(K + 1) / segments⌋ >= 1` per step, so
 /// no cut is picked twice.)
 ///
+/// Both cases are `⌊i (K + 1) / d⌋` with `d = min(segments, K + 1)`, and
+/// the iterator walks it as a running quotient and remainder: one division
+/// per selection, none per kept split.
+///
 /// `segments == 0` is reported as [`RecoilError::InvalidConfig`].
 pub(crate) fn kept<T>(
     splits: &[T],
     segments: u64,
-) -> Result<impl Iterator<Item = &T>, RecoilError> {
+) -> Result<impl ExactSizeIterator<Item = &T> + Clone, RecoilError> {
     if segments == 0 {
         return Err(RecoilError::config(
             "segments",
             "cannot combine splits down to zero segments",
         ));
     }
-    let k = splits.len() as u64;
-    let all = segments > k;
-    let count = if all { k } else { segments - 1 };
-    Ok((1..=count).map(move |i| {
-        let cut = if all { i } else { i * (k + 1) / segments };
+    let whole = splits.len() as u64 + 1;
+    let d = segments.min(whole);
+    let (step, carry) = (whole / d, whole % d);
+    let (mut cut, mut rem) = (0u64, 0u64);
+    // (`d - 1 <= K`, so the count fits `usize`.)
+    Ok((0..(d - 1) as usize).map(move |_| {
+        cut += step;
+        rem += carry;
+        if rem >= d {
+            cut += 1;
+            rem -= d;
+        }
         &splits[(cut - 1) as usize]
     }))
 }
@@ -242,6 +254,29 @@ mod tests {
                 let cuts: Vec<usize> = kept(&splits, segments).unwrap().copied().collect();
                 assert_eq!(cuts.len() as u64, segments.min(k as u64 + 1) - 1);
                 assert!(cuts.windows(2).all(|w| w[0] < w[1]), "{k} / {segments}");
+            }
+        }
+    }
+
+    #[test]
+    fn kept_walks_the_closed_form_selection() {
+        // The running quotient and remainder pick exactly the cuts the
+        // closed form names: `i` when every split is kept, else
+        // `⌊i (K + 1) / segments⌋`.
+        for k in 0..=600u64 {
+            let splits: Vec<u64> = (1..=k).collect();
+            for segments in 1..=k + 2 {
+                let walked = kept(&splits, segments).unwrap();
+                let count = segments.min(k + 1) - 1;
+                assert_eq!(walked.len() as u64, count, "{k} / {segments}");
+                let closed = (1..=count).map(|i| {
+                    if segments > k {
+                        i
+                    } else {
+                        i * (k + 1) / segments
+                    }
+                });
+                assert!(walked.copied().eq(closed), "{k} / {segments}");
             }
         }
     }

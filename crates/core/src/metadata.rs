@@ -11,10 +11,12 @@
 //! shared by reference count — many splits' arrays lie back to back in one
 //! allocation — and carrying its smallest and largest position and whether
 //! every lane owns the position it records, all fixed when it was built.
-//! Cloning a split, which is all the server's real-time combine does to the
-//! ones it keeps, is a refcount bump; dropping a served tier is a decrement
-//! per split; and validating a selection of splits compares those recorded
-//! facts without reading a single lane.
+//! Cloning a split, which is all [`crate::try_combine_splits`] does to the
+//! ones it keeps, is a refcount bump; dropping the combined metadata is a
+//! decrement per split; and validating a selection of splits compares
+//! those recorded facts without reading a single lane. (The server's
+//! real-time combine clones no split at all: it writes the tier's bytes
+//! from [`crate::WireSplits`].)
 
 use recoil_rans::{EncodedStream, RansError};
 use std::hint::select_unpredictable;

@@ -747,29 +747,41 @@ impl ChunkPlan {
 /// degrades to plain fixed-size chunking, and an empty stream yields one
 /// empty chunk so the receiver still observes completion.
 pub fn plan_chunks(meta: &RecoilMetadata, target_chunk_bytes: usize) -> ChunkPlan {
+    let offsets: Vec<u64> = meta.splits.iter().map(|s| s.offset).collect();
     let mut plan = ChunkPlan { chunks: Vec::new() };
-    plan_chunks_into(meta, target_chunk_bytes, &mut plan);
+    plan_chunks_into(&offsets, meta.num_words, target_chunk_bytes, &mut plan);
+    debug_assert!(
+        plan.validate_against(meta).is_ok(),
+        "planner produced an invalid chunk plan"
+    );
     plan
 }
 
-/// In-place variant of [`plan_chunks`]: clears and refills `plan`, reusing
-/// its chunk storage so a steady-state server can plan every response
-/// without allocating.
-pub fn plan_chunks_into(meta: &RecoilMetadata, target_chunk_bytes: usize, plan: &mut ChunkPlan) {
+/// [`plan_chunks`] from what it reads of the metadata — the interior
+/// splits' word offsets, ascending, and the stream's word count — into
+/// `plan`: clears and refills it, reusing its chunk storage, so a server
+/// plans every response from a tier's offsets without allocating and
+/// without a parsed tier.
+pub fn plan_chunks_into(
+    split_offsets: &[u64],
+    num_words: u64,
+    target_chunk_bytes: usize,
+    plan: &mut ChunkPlan,
+) {
     let target = (target_chunk_bytes as u64 / 2).max(1);
-    let nseg = meta.num_segments();
+    let nseg = split_offsets.len() as u64 + 1;
     let seg_end = |m: u64| {
         if m + 1 == nseg {
-            meta.num_words
+            num_words
         } else {
-            meta.splits[m as usize].offset + 1
+            split_offsets[m as usize] + 1
         }
     };
     let chunks = &mut plan.chunks;
     chunks.clear();
     let mut word = 0u64;
     let mut seg = 0u64;
-    while word < meta.num_words {
+    while word < num_words {
         let limit = word + target;
         // Furthest segment completion within the target, if any.
         let mut cut = word;
@@ -780,7 +792,7 @@ pub fn plan_chunks_into(meta: &RecoilMetadata, target_chunk_bytes: usize, plan: 
         }
         if done == seg {
             // The next segment overshoots the target: cut mid-segment.
-            cut = limit.min(meta.num_words);
+            cut = limit.min(num_words);
         }
         chunks.push(PlannedChunk {
             words: word..cut,
@@ -797,10 +809,6 @@ pub fn plan_chunks_into(meta: &RecoilMetadata, target_chunk_bytes: usize, plan: 
             segments: seg..nseg,
         });
     }
-    debug_assert!(
-        plan.validate_against(meta).is_ok(),
-        "planner produced an invalid chunk plan"
-    );
 }
 
 /// Offline planning for up to `segments` segments over a recorded event log

@@ -29,10 +29,15 @@
 //! series and the bit each body lands on depend on the selection. So
 //! [`WireSplits::of`] validates the metadata once and writes every split's
 //! body once, into one word vector (states four to a 64-bit field, group
-//! differences as many as fit), and [`WireSplits::tier`] is a selection:
-//! the header, the two series against the tier's own expectations, a
-//! bit-aligned copy of each kept body (a funnel shift per word; no lane is
-//! read) and the CRC, in one allocation of the exact length.
+//! differences as many as fit), beside a dense table of four integers per
+//! split: offset, anchor, first body word, body bits. [`WireSplits::tier`]
+//! is a selection from that table and nothing else: the kept entries'
+//! differences and the series widths first, then the header, the two
+//! series against the tier's own expectations, a bit-aligned copy of each
+//! kept body (a funnel shift per word; no lane is read) and the CRC,
+//! written in place into one allocation of the exact length. It returns
+//! those bytes and the kept splits' offsets — no parsed metadata, no
+//! reference count touched.
 //! [`metadata_to_bytes`] and [`metadata_wire_len`] are that table built and
 //! every split selected — there is one writer. The parser reads straight
 //! into the one allocation all the returned splits share, measuring each
@@ -43,12 +48,11 @@ use crate::combine::kept;
 use crate::crc::crc32;
 use crate::error::RecoilError;
 use crate::metadata::{
-    bits_for, pack_splits, Expected, Extent, LaneGroups, LaneInit, RecoilMetadata, SplitPoint,
-    SplitShape, GROUP_DIFF_BITS, SERIES_DIFF_BITS,
+    bits_for, pack_splits, Expected, Extent, LaneGroups, LaneInit, RecoilMetadata, SplitShape,
+    GROUP_DIFF_BITS, SERIES_DIFF_BITS,
 };
-use recoil_bitio::{BitReader, BitWriter};
+use recoil_bitio::{BitReader, BitSliceWriter, BitWriter};
 use recoil_rans::RansError;
-use std::ops::Range;
 use std::sync::Arc;
 
 const MAGIC: u64 = 0x5243_4C31; // "RCL1"
@@ -83,15 +87,15 @@ fn far_from_expected(split: usize, splits: usize) -> RecoilError {
     .into()
 }
 
-/// One split of a [`WireSplits`].
+/// One split of a [`WireSplits`]: what a tier reads of it.
 #[derive(Debug)]
 struct StoredSplit {
-    /// The split itself, cloned into every tier that keeps it.
-    split: SplitPoint,
+    /// Its word offset in the stream.
+    offset: u64,
     /// Its symbol group ("Max Symbol Group ID").
     anchor: u64,
-    /// Its body's words in [`WireSplits`]' word vector.
-    words: Range<usize>,
+    /// Its body's first word in [`WireSplits`]' word vector.
+    word: usize,
     /// Its body's length in bits; the rest of its last word is padding.
     bits: u64,
 }
@@ -102,9 +106,9 @@ struct StoredSplit {
 /// metadata entries", down to the bytes.
 ///
 /// Build one per stored item ([`WireSplits::of`]) and ask it for tiers
-/// ([`WireSplits::tier`]). It holds a clone of every split (the lane arrays
-/// stay shared) and one word vector about as long as the full-width tier's
-/// bytes.
+/// ([`WireSplits::tier`]). It holds a dense table of four integers per
+/// split — no handle on the metadata it was built from — and one word
+/// vector about as long as the full-width tier's bytes.
 #[derive(Debug)]
 pub struct WireSplits {
     ways: u32,
@@ -133,14 +137,14 @@ impl WireSplits {
                 let shape = groups.shape(&split.lanes).ok_or_else(|| {
                     RansError::MalformedMetadata(format!("split {i}: lanes beyond the wire format"))
                 })?;
-                let (first_word, first_bit) = (w.word_len(), w.bit_len());
+                let (word, first_bit) = (w.word_len(), w.bit_len());
                 write_body(&mut w, groups, &split.lanes, shape);
                 let bits = w.bit_len() - first_bit;
                 w.align_to_word();
                 Ok(StoredSplit {
-                    split: split.clone(),
+                    offset: split.offset,
                     anchor: shape.anchor,
-                    words: first_word..w.word_len(),
+                    word,
                     bits,
                 })
             })
@@ -155,86 +159,83 @@ impl WireSplits {
         })
     }
 
-    /// The tier for a decoder of `segments` parallel segments: the metadata
-    /// [`crate::try_combine_splits`] returns — the same kept splits, cloned,
-    /// sharing their lane arrays — and the bytes [`metadata_to_bytes`]
-    /// writes for it.
+    /// The tier for a decoder of `segments` parallel segments: the bytes
+    /// [`metadata_to_bytes`] writes for [`crate::try_combine_splits`]`(..,
+    /// segments)`, and the word offsets of the splits it keeps — all a
+    /// server needs to plan the tier's chunks ([`crate::plan_chunks_into`]).
+    /// A caller that wants the parsed tier parses the bytes, as a remote
+    /// decoder does.
     ///
     /// Validation is moved, not dropped: the splits were validated when the
     /// table was built, and any subset of them is still ascending and
     /// non-crossing. What a selection changes is where each kept split is
     /// expected, so that is what is checked — each offset and anchor
     /// difference must fit the format's 32 bits, else
-    /// [`RecoilError::Decode`]. Debug builds validate the whole tier again.
-    /// `segments == 0` is [`RecoilError::InvalidConfig`].
-    pub fn tier(&self, segments: u64) -> Result<(RecoilMetadata, Vec<u8>), RecoilError> {
-        let kept: Vec<&StoredSplit> = kept(&self.splits, segments)?.collect();
-        let bytes = self.bytes(&kept, VERSION)?;
-        let metadata = RecoilMetadata {
-            ways: self.ways,
-            quant_bits: self.quant_bits,
-            num_symbols: self.num_symbols,
-            num_words: self.num_words,
-            splits: kept.iter().map(|s| s.split.clone()).collect(),
-        };
-        debug_assert!(metadata.validate().is_ok());
-        Ok((metadata, bytes))
+    /// [`RecoilError::Decode`]. Debug builds parse the bytes back, which
+    /// validates the whole tier again. `segments == 0` is
+    /// [`RecoilError::InvalidConfig`].
+    pub fn tier(&self, segments: u64) -> Result<(Vec<u8>, Vec<u64>), RecoilError> {
+        let tier = self.write(segments, VERSION)?;
+        debug_assert!(metadata_from_bytes(&tier.0).is_ok());
+        Ok(tier)
     }
 
-    /// Writes the tier of the `kept` splits at format `version`: the
-    /// header, the offset and anchor series against this tier's
-    /// expectations, each kept body, and (from version 2) the CRC-32.
-    fn bytes(&self, kept: &[&StoredSplit], version: u64) -> Result<Vec<u8>, RecoilError> {
-        let expected = Expected::new(self.ways, self.num_symbols, self.num_words, kept.len());
-        let diffs = kept
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                expected
-                    .diffs(i, s.split.offset, s.anchor)
-                    .ok_or_else(|| far_from_expected(i, kept.len()))
-            })
-            .collect::<Result<Vec<(i64, i64)>, _>>()?;
-        let widest = |series: fn(&(i64, i64)) -> i64| {
-            bits_for(
-                diffs
-                    .iter()
-                    .fold(0, |all, d| all | series(d).unsigned_abs()),
-            )
-        };
-        let (offset_bits, anchor_bits) = (widest(|d| d.0), widest(|d| d.1));
-        let mut body_bits = HEADER_BITS + kept.iter().map(|s| s.bits).sum::<u64>();
-        if !kept.is_empty() {
+    /// Writes the tier of `segments` at format `version`, in one pass into
+    /// one allocation of the exact length: first the kept splits, their
+    /// two differences and the two series' widths, then the header, the
+    /// offset and anchor series against this tier's expectations, each
+    /// kept body, and (from version 2) the CRC-32.
+    fn write(&self, segments: u64, version: u64) -> Result<(Vec<u8>, Vec<u64>), RecoilError> {
+        let kept = kept(&self.splits, segments)?;
+        let count = kept.len();
+        let expected = Expected::new(self.ways, self.num_symbols, self.num_words, count);
+        let (mut offset_mags, mut anchor_mags, mut bodies) = (0u64, 0u64, 0u64);
+        // xtask: allow(wire-capacity): one entry per kept split of the stored table.
+        let mut entries = Vec::with_capacity(count);
+        for (i, s) in kept.enumerate() {
+            let (offset_diff, anchor_diff) = expected
+                .diffs(i, s.offset, s.anchor)
+                .ok_or_else(|| far_from_expected(i, count))?;
+            offset_mags |= offset_diff.unsigned_abs();
+            anchor_mags |= anchor_diff.unsigned_abs();
+            bodies += s.bits;
+            entries.push((s, offset_diff, anchor_diff));
+        }
+        let (offset_bits, anchor_bits) = (bits_for(offset_mags), bits_for(anchor_mags));
+        let mut body_bits = HEADER_BITS + bodies;
+        if count > 0 {
             // Two signed series: width field, then magnitude + sign each.
             body_bits += 2 * u64::from(SIGNED_WIDTH_FIELD)
-                + kept.len() as u64 * u64::from(offset_bits + anchor_bits + 2);
+                + count as u64 * u64::from(offset_bits + anchor_bits + 2);
         }
-        let len =
-            usize::try_from(body_bits.div_ceil(8)).map_or(usize::MAX, |body| body + FOOTER_BYTES);
-        // xtask: allow(wire-capacity): sized from the stored table, not from wire input.
-        let mut w = BitWriter::with_capacity(len);
+        let footer = if version >= VERSION { FOOTER_BYTES } else { 0 };
+        let body_len = usize::try_from(body_bits.div_ceil(8)).unwrap_or(usize::MAX);
+        let mut bytes = vec![0u8; body_len.saturating_add(footer)];
+        let (body, tail) = bytes.split_at_mut(body_len);
+        let mut w = BitSliceWriter::new(body);
         w.write(MAGIC, 32);
         w.write(version, 8);
         w.write(u64::from(self.ways), 16);
         w.write(u64::from(self.quant_bits), 8);
         w.write(self.num_symbols, 64);
         w.write(self.num_words, 64);
-        w.write(kept.len() as u64, 32);
-        if !kept.is_empty() {
-            write_signed_series(&mut w, diffs.iter().map(|d| d.0), offset_bits);
-            write_signed_series(&mut w, diffs.iter().map(|d| d.1), anchor_bits);
-            for s in kept {
-                // xtask: allow(wire-index): a range `of` recorded over its own words.
-                w.append(&self.words[s.words.clone()], s.bits);
+        w.write(count as u64, 32);
+        if count > 0 {
+            write_signed_series(&mut w, entries.iter().map(|e| e.1), offset_bits);
+            write_signed_series(&mut w, entries.iter().map(|e| e.2), anchor_bits);
+            for (s, ..) in &entries {
+                // xtask: allow(wire-index): a word `of` recorded in its own vector.
+                w.append(&self.words[s.word..], s.bits);
             }
         }
         debug_assert_eq!(w.bit_len(), body_bits);
-        let mut bytes = w.into_bytes();
-        if version >= VERSION {
-            let footer = crc32(&bytes);
-            bytes.extend_from_slice(&footer.to_le_bytes());
+        let written = w.finish();
+        debug_assert_eq!(written, body_len);
+        if footer > 0 {
+            tail.copy_from_slice(&crc32(body).to_le_bytes());
         }
-        Ok(bytes)
+        let offsets = entries.iter().map(|(s, ..)| s.offset).collect();
+        Ok((bytes, offsets))
     }
 }
 
@@ -249,7 +250,7 @@ pub fn metadata_wire_len(meta: &RecoilMetadata) -> usize {
 
 /// Writes a signed series: `width-1` in 5 bits, then `magnitude, sign` per
 /// value (one `width + 1`-bit field: the sign lands above the magnitude).
-fn write_signed_series(w: &mut BitWriter, vals: impl Iterator<Item = i64>, width: u32) {
+fn write_signed_series(w: &mut BitSliceWriter<'_>, vals: impl Iterator<Item = i64>, width: u32) {
     w.write(u64::from(width - 1), SIGNED_WIDTH_FIELD);
     for v in vals {
         w.write(v.unsigned_abs() | u64::from(v < 0) << width, width + 1);
@@ -405,10 +406,10 @@ pub fn metadata_to_bytes(meta: &RecoilMetadata) -> Vec<u8> {
 /// Serializes at an explicit format version — `LEGACY_VERSION` exists only
 /// so tests can prove old bytes still parse.
 fn metadata_to_bytes_versioned(meta: &RecoilMetadata, version: u64) -> Vec<u8> {
-    let wire = WireSplits::of(meta).unwrap_or_else(|e| unrepresentable(e));
-    let all: Vec<&StoredSplit> = wire.splits.iter().collect();
-    wire.bytes(&all, version)
+    WireSplits::of(meta)
+        .and_then(|wire| wire.write(u64::MAX, version))
         .unwrap_or_else(|e| unrepresentable(e))
+        .0
 }
 
 /// Parses metadata back from its byte form (version 1 or 2).
@@ -816,9 +817,10 @@ mod tests {
         assert!(err.to_string().contains("beyond the wire format"), "{err}");
         assert!(crate::try_combine_splits(&meta, 2).is_err());
         for segments in [1, 3, 4] {
-            let (tier, bytes) = wire.tier(segments).unwrap();
-            assert_eq!(tier, crate::combine_splits(&meta, segments));
+            let tier = crate::combine_splits(&meta, segments);
+            let (bytes, offsets) = wire.tier(segments).unwrap();
             assert_eq!(bytes, metadata_to_bytes(&tier));
+            assert!(offsets.iter().eq(tier.splits.iter().map(|s| &s.offset)));
         }
     }
 

@@ -110,9 +110,11 @@
 //! every `REQUEST`/`RESUME` are served inline on the loop: a request goes
 //! through [`ContentServer::fetch`], the atomic name→(transmission,
 //! content) lookup, whether its tier is cached or not — the real-time
-//! combine behind a tier-cache miss is a selection of the item's stored
-//! split bits, cheaper than a trip to another thread, and misses serialized
-//! on one loop can never build one tier twice. Only the rANS encode behind
+//! combine behind a tier-cache miss writes the tier's bytes from the item's
+//! stored split bits, cheaper than a trip to another thread, and misses
+//! serialized on one loop can never build one tier twice. The chunk plan
+//! comes from the tier's kept split offsets; no request builds parsed
+//! metadata. Only the rANS encode behind
 //! a `PUBLISH` runs on [`NetConfig::workers`] dispatch threads blocked on
 //! the reactor's job queue, and completes back to the loop through a wake
 //! pipe.

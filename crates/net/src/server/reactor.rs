@@ -435,13 +435,14 @@ fn stage_transmission(
     item: Arc<StoredContent>,
     from_word: u64,
 ) {
+    let total = item.stream.words.len() as u64;
     plan_chunks_into(
-        transmission.metadata(),
+        &transmission.tier.split_offsets,
+        total,
         shared.chunk_words * 2,
         &mut conn.plan,
     );
     if from_word > 0 {
-        let total = item.stream.words.len() as u64;
         if from_word > total {
             stage_error(
                 conn,

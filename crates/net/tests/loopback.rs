@@ -391,8 +391,9 @@ fn a_full_width_request_is_served_inline_without_a_combine() {
 }
 
 /// A tier-cache miss is served on the reactor like a hit: a pipelined
-/// burst of fourteen REQUEST misses and a mid-stream RESUME miss comes back
-/// in order, each TRANSMIT carrying the combined tier's bytes, and only the
+/// burst of fourteen REQUESTs — thirteen misses and the one-segment tier
+/// the item holds, a hit — and a mid-stream RESUME miss comes back in
+/// order, each TRANSMIT carrying the combined tier's bytes, and only the
 /// publish ever reached the dispatch pool. Every miss is recorded.
 #[test]
 fn a_tier_cache_miss_is_served_inline() {
@@ -439,7 +440,7 @@ fn a_tier_cache_miss_is_served_inline() {
         let (ty, payload) = next_frame();
         assert_eq!(ty, FrameType::Transmit, "width {w}");
         let header = TransmitHeader::decode(&payload).unwrap();
-        assert_eq!((header.segments, header.cache_hit), (w, false));
+        assert_eq!((header.segments, header.cache_hit), (w, w == 1));
         let combined = try_combine_splits(item.metadata(), w).unwrap();
         assert_eq!(header.metadata, metadata_to_bytes(&combined), "width {w}");
         // The chunks follow in sequence and carry the words the peer is
@@ -458,10 +459,10 @@ fn a_tier_cache_miss_is_served_inline() {
     let seen = client.remote_telemetry().unwrap().snapshot;
     assert_eq!(seen.counter("dispatched_jobs"), Some(1), "the publish");
     assert_eq!(seen.hist("dispatch_wait_ns").map(|h| h.count), Some(1));
-    assert_eq!(seen.hist("tier_miss_segments").map(|h| h.count), Some(15));
-    assert_eq!(seen.hist("combine_ns").map(|h| h.count), Some(15));
-    assert_eq!(seen.counter("server_cache_misses"), Some(15));
-    assert_eq!(seen.counter("server_cache_hits"), Some(0));
+    assert_eq!(seen.hist("tier_miss_segments").map(|h| h.count), Some(14));
+    assert_eq!(seen.hist("combine_ns").map(|h| h.count), Some(14));
+    assert_eq!(seen.counter("server_cache_misses"), Some(14));
+    assert_eq!(seen.counter("server_cache_hits"), Some(1));
     server.shutdown();
 }
 

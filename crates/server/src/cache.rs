@@ -1,50 +1,87 @@
 //! Per-content LRU cache of combined metadata tiers.
 //!
-//! Only combined tiers live here. The full tier — the published metadata
-//! at the item's encoded maximum, which §3.3 serves with nothing
-//! eliminated — is built once at publish and held by the item itself for
-//! its lifetime, so it never takes a slot, never evicts a combined tier,
-//! and is never rebuilt.
+//! Only combined tiers live here: keys `2..max` for an item encoded with
+//! `max` segments. The two tiers that select nothing — the full tier (the
+//! published metadata, which §3.3 serves with nothing eliminated) and the
+//! one-segment tier (no split kept) — are built once at publish and held by
+//! the item itself for its lifetime, so they never take a slot, never evict
+//! a combined tier, and are never rebuilt.
 //!
 //! The server's real-time combine (§3.3) is lightweight but not free: a
-//! miss selects the kept split points from the item's wire table
-//! (`recoil_core::WireSplits`, written once at publish) — sharing their
-//! lane arrays with the stored metadata by reference count, copying none —
-//! checks the two difference series the selection changes, and copies the
-//! kept splits' stored wire bodies into the tier's bytes. That is a
-//! constant number of allocations whatever the width (the selection and
-//! its series scratch, the split list, the wire bytes, the tier itself)
-//! and time proportional to the tier's size: a refcount bump and a
-//! word-by-word copy per kept split, no lane read. Client capacities are
-//! heavily clustered in practice (a handful of device classes), so each
-//! published item carries a small LRU cache of the tiers it has actually
-//! served; evicting one is a refcount decrement per kept split, done after
-//! the cache lock is released.
+//! miss walks the kept entries of the item's dense split table
+//! (`recoil_core::WireSplits`, written once at publish), checks the two
+//! difference series the selection changes, and writes the tier's wire
+//! bytes — header, the two series, a copy of each kept split's stored body,
+//! the CRC — into one allocation of the exact length. It reads no lane and
+//! touches no reference count, and what it builds is plain data: the
+//! bytes and the kept splits' word offsets. Client capacities are heavily
+//! clustered in practice (a handful of device classes), so each published
+//! item carries a small LRU cache of the tiers it has actually served;
+//! evicting one is two frees, done after the cache lock is released.
 //!
 //! The cache key is the **post-clamp** segment count — the tier actually
-//! served, not the capacity the client asked for. Every such count below
-//! the item's maximum is a combined tier and a key of its own; a request
-//! at or past the maximum (10 000 segments against content encoded with
-//! 128) is the full tier's, and never reaches this cache.
+//! served, not the capacity the client asked for. A request at or past the
+//! maximum (10 000 segments against content encoded with 128) is the full
+//! tier's, a request for one segment the one-segment tier's, and neither
+//! reaches this cache.
 
 use crate::stats::{bump, StatsCounters};
 use parking_lot::Mutex;
-use recoil_core::RecoilMetadata;
-use std::sync::Arc;
+use recoil_core::{metadata_from_bytes, RecoilMetadata};
+use std::sync::{Arc, OnceLock};
 
-/// One ready-to-serve metadata tier — an item's full tier or a combined
-/// one: the metadata and its serialized wire bytes, shared by every
-/// response for this tier.
+/// One ready-to-serve metadata tier — one an item holds or a combined one
+/// from its cache: the wire bytes, shared by every response for this tier,
+/// and the word offsets of the splits they keep, which is all a transport
+/// plans the tier's chunks from.
 #[derive(Debug)]
 pub struct ShrunkTier {
     /// The tier's segment count (post-clamp: `min(requested, available)`).
     pub segments: u64,
-    /// The tier's metadata (parsed form, for in-process clients): the
-    /// published metadata itself in a full tier; in a combined tier, split
-    /// points that share their lane arrays with the published item's.
-    pub metadata: RecoilMetadata,
     /// Serialized metadata, what goes on the wire.
     pub metadata_bytes: Vec<u8>,
+    /// The kept splits' word offsets, ascending (`segments - 1` of them).
+    pub split_offsets: Vec<u64>,
+    /// The parsed tier, for in-process clients: the published metadata in
+    /// a full tier, else parsed from `metadata_bytes` on first ask.
+    metadata: OnceLock<RecoilMetadata>,
+}
+
+impl ShrunkTier {
+    /// The tier of `segments` from its bytes and kept offsets, as
+    /// `recoil_core::WireSplits::tier` returns them.
+    pub(crate) fn new(segments: u64, (metadata_bytes, split_offsets): (Vec<u8>, Vec<u64>)) -> Self {
+        Self {
+            segments,
+            metadata_bytes,
+            split_offsets,
+            metadata: OnceLock::new(),
+        }
+    }
+
+    /// An item's full tier: the published `metadata`, held parsed, and the
+    /// bytes and offsets written for it.
+    pub(crate) fn full(metadata: RecoilMetadata, wire: (Vec<u8>, Vec<u64>)) -> Self {
+        let tier = Self::new(metadata.num_segments(), wire);
+        Self {
+            metadata: OnceLock::from(metadata),
+            ..tier
+        }
+    }
+
+    /// The tier's parsed metadata. A combined or one-segment tier parses
+    /// its own bytes on the first call — what every remote decoder does —
+    /// and keeps the result; serving it never does.
+    ///
+    /// # Panics
+    ///
+    /// If the bytes do not parse, which a tier written from a validated
+    /// table cannot do.
+    pub fn metadata(&self) -> &RecoilMetadata {
+        self.metadata.get_or_init(|| {
+            metadata_from_bytes(&self.metadata_bytes).expect("a served tier's bytes parse")
+        })
+    }
 }
 
 /// What a [`TierCache`] keys its entries by.
@@ -101,8 +138,8 @@ impl<T: Tier> TierCache<T> {
     /// ends up sharing one allocation. Returns the entry to serve.
     ///
     /// The evicted entry leaves the critical section alive and is dropped
-    /// here after the unlock: tearing a wide tier down (a refcount decrement
-    /// per split, two frees) must not stall the item's cache hits.
+    /// here after the unlock: tearing a tier down (its frees) must not
+    /// stall the item's cache hits.
     pub fn insert(&self, tier: Arc<T>, stats: &StatsCounters) -> Arc<T> {
         let segments = tier.segments();
         let evicted = {

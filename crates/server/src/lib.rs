@@ -32,26 +32,31 @@
 //!
 //! ## Shrunk-metadata caching and capacity tiers
 //!
-//! A tier is the [`RecoilMetadata`] served to decoders of one width **and**
-//! its serialized wire bytes, behind one `Arc` shared by every response.
-//! Its width is the **post-clamp segment count** — the tier actually
-//! served, not the capacity the client asked for. There are two kinds:
+//! A tier is what decoders of one width are served: its wire bytes and the
+//! word offsets of the splits they keep, behind one `Arc` shared by every
+//! response (its parsed [`RecoilMetadata`] is built from the bytes only if
+//! an in-process caller asks). Its width is the **post-clamp segment
+//! count** — the tier actually served, not the capacity the client asked
+//! for. There are three kinds:
 //!
 //! * the **full tier**, at the item's encoded maximum, needs nothing
-//!   eliminated: it *is* the published metadata. Each item builds it once,
-//!   at publish, and holds it for its lifetime outside any cache. Content
-//!   encoded with 128 segments serves a 10 000-segment request and a
-//!   128-segment request from it, and even the first such request is a
-//!   hit;
-//! * every narrower tier is **combined**. Real-world capacities cluster
+//!   eliminated: it *is* the published metadata. Content encoded with 128
+//!   segments serves a 10 000-segment request and a 128-segment request
+//!   from it;
+//! * the **one-segment tier** eliminates everything: the header and the
+//!   CRC, 32 bytes. Each item builds both trivial tiers once, at publish,
+//!   and holds them for its lifetime outside any cache, so even the first
+//!   request for either is a hit;
+//! * every tier in between is **combined**. Real-world capacities cluster
 //!   into a handful of device classes, so each item carries a small LRU
 //!   cache (default 8 entries) of the combined tiers it has actually
 //!   served, keyed by their segment count.
 //!
-//! A hit — the full tier, or a cached combined one — costs two atomic
-//! counter bumps and an `Arc` clone; only a miss pays the real-time
-//! combine + serialize, and its [`Transmission::combine_nanos`] records
-//! exactly that cost (hits report zero). The store's six counters —
+//! A hit — a tier the item holds, or a cached combined one — costs two
+//! atomic counter bumps and an `Arc` clone; only a miss pays the real-time
+//! combine, which writes the tier's bytes from split bodies stored at
+//! publish, and its [`Transmission::combine_nanos`] records exactly that
+//! cost (hits report zero). The store's six counters —
 //! requests, hits, misses, evictions, bytes served, publishes — are exact
 //! with or without a transport and are exposed as a [`ServerStats`]
 //! snapshot via [`ContentServer::stats`]; the snapshot's transport fields

@@ -15,14 +15,15 @@ use std::time::Instant;
 
 /// One published content item: the Large-variation artifact.
 ///
-/// Besides the stream, an item keeps two things built at publish, each
-/// about the size of the full-width metadata's bytes: its full tier — the
-/// published metadata and its wire bytes, which is what a decoder at or
-/// beyond the encoded maximum is served — and a table of every split's
-/// wire body, written once ([`WireSplits`]), from which every narrower
-/// tier is selected. Encode once, serve many: a full-width request is a
-/// hit, a tier-cache miss is a selection of stored bits, and no request
-/// pays for either.
+/// Besides the stream, an item keeps what it built at publish: the two
+/// tiers that select nothing — its full tier (every split kept: the
+/// published metadata and its wire bytes, served to a decoder at or beyond
+/// the encoded maximum) and its one-segment tier (no split kept: the
+/// header and the CRC, 32 bytes) — and a table of every split's wire body,
+/// written once ([`WireSplits`]), from which every tier in between is
+/// written. Encode once, serve many: both trivial tiers are hits from the
+/// first request, a tier-cache miss writes only its own bytes, and no
+/// request pays for what the item holds.
 #[derive(Debug)]
 pub struct StoredContent {
     /// The single encoded bitstream (shared by every response).
@@ -34,8 +35,10 @@ pub struct StoredContent {
     /// The published metadata at maximum supported parallelism and its
     /// wire bytes, held for the item's lifetime outside the LRU.
     full: Arc<ShrunkTier>,
+    /// The tier of one segment, held beside the full one.
+    one: Arc<ShrunkTier>,
     /// The full tier's split bodies, written once; every combined tier is
-    /// selected from it.
+    /// written from it.
     wire: WireSplits,
     /// Combined tiers this item has served (LRU).
     cache: TierCache<ShrunkTier>,
@@ -47,7 +50,7 @@ pub struct StoredContent {
 impl StoredContent {
     /// Full metadata at maximum supported parallelism, as published.
     pub fn metadata(&self) -> &RecoilMetadata {
-        &self.full.metadata
+        self.full.metadata()
     }
 
     /// The maximum parallelism this item was encoded for; requests beyond
@@ -85,23 +88,26 @@ impl StoredContent {
 pub struct Transmission {
     /// Shared bitstream payload bytes.
     pub stream_bytes: u64,
-    /// The served metadata tier, shared with the item (its full tier or a
-    /// cached combined one) and with every other response for the same
-    /// tier.
+    /// The served metadata tier, shared with the item (its full or
+    /// one-segment tier, or a cached combined one) and with every other
+    /// response for the same tier.
     pub tier: Arc<ShrunkTier>,
-    /// Wall-clock nanoseconds the real-time combine took — selecting the
-    /// tier's splits and their stored wire bits (zero on a hit: the item's
-    /// full tier, or a combined tier out of the cache).
+    /// Wall-clock nanoseconds the real-time combine took — writing the
+    /// tier's bytes from its kept splits' stored wire bits (zero on a hit:
+    /// a tier the item holds, or a combined tier out of the cache).
     pub combine_nanos: u128,
-    /// Whether this response was served without a combine: the item's
-    /// full tier at the encoded maximum, or a combined tier from its LRU.
+    /// Whether this response was served without a combine: one of the
+    /// item's own tiers (the full tier at the encoded maximum, the
+    /// one-segment tier), or a combined tier from its LRU.
     pub cache_hit: bool,
 }
 
 impl Transmission {
-    /// Parsed metadata for the client's capability (for in-process clients).
+    /// Parsed metadata for the client's capability (for in-process
+    /// clients): parsed from the tier's bytes on the first call for a
+    /// combined or one-segment tier ([`ShrunkTier::metadata`]).
     pub fn metadata(&self) -> &RecoilMetadata {
-        &self.tier.metadata
+        self.tier.metadata()
     }
 
     /// Serialized metadata bytes, what a remote client would wire-parse.
@@ -235,19 +241,16 @@ impl ContentServer {
         let encoded = Codec::from_config(config.clone())?.encode(data)?;
         let RecoilContainer { stream, metadata } = encoded.container;
         let wire = WireSplits::of(&metadata)?;
-        // Every split selected: `metadata_to_bytes(&metadata)`, written
-        // from the table just built. The published metadata itself, not the
-        // selection's copy of it, goes into the tier.
-        let segments = metadata.num_segments();
-        let (_, metadata_bytes) = wire.tier(segments)?;
+        // Every split selected (`metadata_to_bytes(&metadata)`) and none,
+        // written from the table just built. The full tier holds the
+        // published metadata itself, parsed.
+        let full = wire.tier(metadata.num_segments())?;
+        let one = ShrunkTier::new(1, wire.tier(1)?);
         let content = Arc::new(StoredContent {
             stream: Arc::new(stream),
             model: Arc::new(encoded.model),
-            full: Arc::new(ShrunkTier {
-                segments,
-                metadata,
-                metadata_bytes,
-            }),
+            full: Arc::new(ShrunkTier::full(metadata, full)),
+            one: Arc::new(one),
             wire,
             cache: TierCache::new(self.tier_cache_capacity),
             payload_crc: OnceLock::new(),
@@ -293,10 +296,10 @@ impl ContentServer {
 
     /// Serves `name` for a client that can decode `parallel_segments`
     /// segments in parallel: resolves the capacity to a tier (clamped to
-    /// the item's encoded maximum) and serves it — the maximum from the
-    /// item's own full tier, anything narrower from the item's LRU cache,
-    /// combining splits in real time only on a miss — never touching the
-    /// bitstream either way.
+    /// the item's encoded maximum) and serves it — the maximum and one
+    /// segment from the item's own tiers, anything in between from the
+    /// item's LRU cache, combining splits in real time only on a miss —
+    /// never touching the bitstream either way.
     ///
     /// `parallel_segments` is validated at this API boundary: a request for
     /// zero segments is a malformed client header, reported as
@@ -352,11 +355,13 @@ impl ContentServer {
     }
 
     /// The hit path, counted: the one place a stored tier becomes a
-    /// [`Transmission`] — the item's own full tier at the encoded maximum,
-    /// else a combined tier from its LRU.
+    /// [`Transmission`] — the item's own full tier at the encoded maximum
+    /// or its one-segment tier, else a combined tier from its LRU.
     fn serve_cached(&self, item: &StoredContent, segments: u64) -> Option<Transmission> {
         let tier = if segments == item.max_segments() {
             Arc::clone(&item.full)
+        } else if segments == 1 {
+            Arc::clone(&item.one)
         } else {
             item.cache.get(segments)?
         };
@@ -364,28 +369,23 @@ impl ContentServer {
         Some(self.transmit(item, tier, 0, true))
     }
 
-    /// The miss path: the real-time combine — a selection from the item's
-    /// stored wire table — timed, then cached.
+    /// The miss path: the real-time combine — the tier's bytes written
+    /// from the item's stored wire table — timed, then cached.
     fn serve_combined(
         &self,
         item: &StoredContent,
         segments: u64,
     ) -> Result<Transmission, RecoilError> {
         let t0 = Instant::now();
-        let (metadata, metadata_bytes) = item.wire.tier(segments)?;
+        let wire = item.wire.tier(segments)?;
         let combine_nanos = t0.elapsed().as_nanos();
         // Counted only after the combine succeeds, keeping
         // `cache_hits + cache_misses` equal to successfully served requests
         // even if stored metadata ever fails validation.
         bump(&self.stats.cache_misses);
-        let tier = item.cache.insert(
-            Arc::new(ShrunkTier {
-                segments,
-                metadata,
-                metadata_bytes,
-            }),
-            &self.stats,
-        );
+        let tier = item
+            .cache
+            .insert(Arc::new(ShrunkTier::new(segments, wire)), &self.stats);
         Ok(self.transmit(item, tier, combine_nanos, false))
     }
 
@@ -539,9 +539,9 @@ mod tests {
         let server = small_server();
         let item = server.publish("x", &data, &config(48)).unwrap();
         let max = item.max_segments();
-        // (Every combined tier is a distinct cache key; the maximum is the
-        // item's own full tier.)
-        for width in 1..max {
+        // (Every combined tier is a distinct cache key; the maximum and one
+        // segment are the item's own tiers.)
+        for width in 2..max {
             let miss = server.request("x", width).unwrap();
             let hit = server.request("x", width).unwrap();
             assert!(!miss.cache_hit && hit.cache_hit, "width {width}");
@@ -554,14 +554,40 @@ mod tests {
                 "width {width}"
             );
         }
-        let full = server.request("x", max).unwrap();
-        assert!(
-            full.cache_hit,
-            "the full tier is a hit on its first request"
+        for width in [1, max] {
+            let held = server.request("x", width).unwrap();
+            assert!(
+                held.cache_hit,
+                "width {width} is a hit on its first request"
+            );
+            assert_eq!(held.combine_nanos, 0);
+            let combined = try_combine_splits(item.metadata(), width).unwrap();
+            assert_eq!(held.metadata(), &combined, "width {width}");
+            assert_eq!(held.metadata_bytes(), metadata_to_bytes(&combined));
+        }
+        assert_eq!(
+            server.request("x", max).unwrap().metadata(),
+            item.metadata()
         );
-        assert_eq!(full.combine_nanos, 0);
-        assert_eq!(full.metadata(), item.metadata());
-        assert_eq!(full.metadata_bytes(), metadata_to_bytes(item.metadata()));
+    }
+
+    #[test]
+    fn the_trivial_tiers_never_take_an_lru_slot() {
+        let data = sample(100_000);
+        let server = ContentServer::with_config(ServerConfig {
+            shards: 1,
+            tier_cache_capacity: 1,
+        });
+        let item = server.publish("x", &data, &config(16)).unwrap();
+        let max = item.max_segments();
+        let served: Vec<bool> = [1, max, 2, 3, 1, max, 3]
+            .into_iter()
+            .map(|width| server.request("x", width).unwrap().cache_hit)
+            .collect();
+        assert_eq!(served, [true, true, false, false, true, true, true]);
+        let s = server.stats();
+        assert_eq!((s.cache_hits, s.cache_misses), (5, 2));
+        assert_eq!(s.cache_evictions, 1, "only width 3 evicted width 2");
     }
 
     #[test]

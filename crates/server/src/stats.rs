@@ -59,10 +59,11 @@ pub struct ServerStats {
     pub publishes: u64,
     /// Total `request` calls, including ones that returned an error.
     pub requests: u64,
-    /// Requests served without a combine: from a content item's own full
-    /// tier (at its encoded maximum) or from its cache of combined tiers.
+    /// Requests served without a combine: from one of a content item's own
+    /// tiers (the full tier at its encoded maximum, the one-segment tier)
+    /// or from its cache of combined tiers.
     pub cache_hits: u64,
-    /// Requests that had to combine (and serialize) metadata on demand.
+    /// Requests that had to write a combined tier's bytes on demand.
     pub cache_misses: u64,
     /// Cached combined tiers dropped to make room for newly served ones.
     pub cache_evictions: u64,
