@@ -13,12 +13,16 @@
 //! ways × u32       final states
 //! num_words × u16  bitstream words
 //! u32 metadata_len | metadata bytes (§4.3 format)
-//! u32 crc32        little-endian CRC-32 of every preceding byte (v2+)
+//! u32 crc32        little-endian CRC-32 of every preceding byte
 //! ```
 //!
-//! Version 2 appends the CRC-32 footer; the parser checks it before
+//! The version is 2. The parser checks the CRC-32 footer before
 //! interpreting any field, so corrupt files fail as [`RecoilError::Wire`]
-//! instead of decoding garbage. Version 1 files (no footer) still parse.
+//! instead of decoding garbage. Any other version is rejected, the
+//! footerless version 1 included: a sender cannot choose to skip the check.
+//!
+//! This is also what a server stores and what PUBLISH carries: the
+//! container as its publisher encoded it.
 
 use crate::bounds::{checked_cdf_table, symbols_fit};
 use crate::crc::crc32;
@@ -30,10 +34,8 @@ use recoil_models::{CdfTable, StaticModelProvider};
 use recoil_rans::{append_words_le, extend_words_from_le, EncodedStream};
 
 const MAGIC: &[u8; 4] = b"RCLF";
-/// Current format: CRC-32 footer after the metadata section.
+/// The format: CRC-32 footer after the metadata section.
 const VERSION: u8 = 2;
-/// First format: identical layout, no integrity footer.
-const LEGACY_VERSION: u8 = 1;
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -124,25 +126,20 @@ pub fn container_from_bytes(
     if c.take(4)? != MAGIC {
         return Err(RecoilError::wire("bad magic"));
     }
-    let bytes = match c.u8()? {
-        LEGACY_VERSION => bytes,
-        VERSION => {
-            // Verify the integrity footer before interpreting any field.
-            if bytes.len() < 5 + 4 {
-                return Err(RecoilError::wire("truncated file"));
-            }
-            let (body, footer) = bytes.split_at(bytes.len() - 4);
-            let footer: [u8; 4] = footer
-                .try_into()
-                .map_err(|_| RecoilError::wire("truncated file"))?;
-            let expected = u32::from_le_bytes(footer);
-            if crc32(body) != expected {
-                return Err(RecoilError::wire("file checksum mismatch"));
-            }
-            body
-        }
-        _ => return Err(RecoilError::wire("unsupported version")),
-    };
+    if c.u8()? != VERSION {
+        return Err(RecoilError::wire("unsupported version"));
+    }
+    // Verify the integrity footer before interpreting any field.
+    if bytes.len() < 5 + 4 {
+        return Err(RecoilError::wire("truncated file"));
+    }
+    let (bytes, footer) = bytes.split_at(bytes.len() - 4);
+    let footer: [u8; 4] = footer
+        .try_into()
+        .map_err(|_| RecoilError::wire("truncated file"))?;
+    if crc32(bytes) != u32::from_le_bytes(footer) {
+        return Err(RecoilError::wire("file checksum mismatch"));
+    }
     let mut c = Cursor { bytes, at: 5 };
     let n = u32::from(c.u8()?);
     let ways = u32::from(c.u16()?);
@@ -313,16 +310,24 @@ mod tests {
     }
 
     #[test]
-    fn legacy_version1_files_still_parse() {
+    fn version1_files_are_rejected() {
         let data = sample(20_000);
         let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
         let container = encode(&data, &model, 8);
         let mut bytes = container_to_bytes(&container, model.table());
-        // A v1 file is the same layout minus the footer, tagged version 1.
-        bytes.truncate(bytes.len() - 4);
+        // A v1 file was the same layout minus the footer, tagged version 1.
+        // Neither it nor the current bytes retagged v1 (with a valid CRC)
+        // may be read: v1 would let the sender skip the checksum.
         bytes[4] = 1;
-        let (back, _) = container_from_bytes(&bytes).unwrap();
-        assert_eq!(back.stream, container.stream);
-        assert_eq!(back.metadata, container.metadata);
+        let footerless = bytes[..bytes.len() - 4].to_vec();
+        patch_crc(&mut bytes);
+        for v1 in [&bytes[..], &footerless[..]] {
+            let err = match container_from_bytes(v1) {
+                Err(e) => e,
+                Ok(_) => panic!("v1 file accepted"),
+            };
+            assert!(matches!(err, RecoilError::Wire { .. }), "{err:?}");
+            assert!(err.to_string().contains("version"), "{err}");
+        }
     }
 }

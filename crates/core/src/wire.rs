@@ -17,11 +17,11 @@
 //! 4 bits for the unsigned 16-bit-max series and 5 bits for the signed
 //! 32-bit-max series; signed values carry an extra sign bit each.
 //!
-//! Version 2 of the format appends a little-endian CRC-32 footer over all
+//! The format (version 2) ends in a little-endian CRC-32 footer over all
 //! preceding bytes; the parser verifies it before interpreting anything
 //! else, so corrupt frames are rejected as [`RecoilError::Wire`] instead of
-//! reconstructing garbage split points. Version 1 bytes (no footer) still
-//! parse.
+//! reconstructing garbage split points. Any other version — the footerless
+//! version 1 included — is rejected: a peer cannot choose to skip the check.
 //!
 //! Cost model: a split's body — its raw states, its difference width and
 //! its lane differences below its own anchor — reads the same in every
@@ -56,10 +56,8 @@ use recoil_rans::RansError;
 use std::sync::Arc;
 
 const MAGIC: u64 = 0x5243_4C31; // "RCL1"
-/// Current format: CRC-32 footer after the bit-packed body.
+/// The format: CRC-32 footer after the bit-packed body.
 const VERSION: u64 = 2;
-/// First format: identical body, no integrity footer.
-const LEGACY_VERSION: u64 = 1;
 /// Magic, version, ways, quantization level, symbols, words, split count.
 const HEADER_BITS: u64 = 32 + 8 + 16 + 8 + 64 + 64 + 32;
 /// Width-field sizes of the signed (offset, anchor) and unsigned (group
@@ -175,17 +173,17 @@ impl WireSplits {
     /// validates the whole tier again. `segments == 0` is
     /// [`RecoilError::InvalidConfig`].
     pub fn tier(&self, segments: u64) -> Result<(Vec<u8>, Vec<u64>), RecoilError> {
-        let tier = self.write(segments, VERSION)?;
+        let tier = self.write(segments)?;
         debug_assert!(metadata_from_bytes(&tier.0).is_ok());
         Ok(tier)
     }
 
-    /// Writes the tier of `segments` at format `version`, in one pass into
-    /// one allocation of the exact length: first the kept splits, their
-    /// two differences and the two series' widths, then the header, the
-    /// offset and anchor series against this tier's expectations, each
-    /// kept body, and (from version 2) the CRC-32.
-    fn write(&self, segments: u64, version: u64) -> Result<(Vec<u8>, Vec<u64>), RecoilError> {
+    /// Writes the tier of `segments`, in one pass into one allocation of
+    /// the exact length: first the kept splits, their two differences and
+    /// the two series' widths, then the header, the offset and anchor
+    /// series against this tier's expectations, each kept body, and the
+    /// CRC-32.
+    fn write(&self, segments: u64) -> Result<(Vec<u8>, Vec<u64>), RecoilError> {
         let kept = kept(&self.splits, segments)?;
         let count = kept.len();
         let expected = Expected::new(self.ways, self.num_symbols, self.num_words, count);
@@ -208,13 +206,12 @@ impl WireSplits {
             body_bits += 2 * u64::from(SIGNED_WIDTH_FIELD)
                 + count as u64 * u64::from(offset_bits + anchor_bits + 2);
         }
-        let footer = if version >= VERSION { FOOTER_BYTES } else { 0 };
         let body_len = usize::try_from(body_bits.div_ceil(8)).unwrap_or(usize::MAX);
-        let mut bytes = vec![0u8; body_len.saturating_add(footer)];
+        let mut bytes = vec![0u8; body_len.saturating_add(FOOTER_BYTES)];
         let (body, tail) = bytes.split_at_mut(body_len);
         let mut w = BitSliceWriter::new(body);
         w.write(MAGIC, 32);
-        w.write(version, 8);
+        w.write(VERSION, 8);
         w.write(u64::from(self.ways), 16);
         w.write(u64::from(self.quant_bits), 8);
         w.write(self.num_symbols, 64);
@@ -231,9 +228,7 @@ impl WireSplits {
         debug_assert_eq!(w.bit_len(), body_bits);
         let written = w.finish();
         debug_assert_eq!(written, body_len);
-        if footer > 0 {
-            tail.copy_from_slice(&crc32(body).to_le_bytes());
-        }
+        tail.copy_from_slice(&crc32(body).to_le_bytes());
         let offsets = entries.iter().map(|(s, ..)| s.offset).collect();
         Ok((bytes, offsets))
     }
@@ -400,42 +395,32 @@ fn write_body(w: &mut BitWriter, groups: LaneGroups, lanes: &[LaneInit], shape: 
 ///
 /// If `meta` fails [`RecoilMetadata::validate`].
 pub fn metadata_to_bytes(meta: &RecoilMetadata) -> Vec<u8> {
-    metadata_to_bytes_versioned(meta, VERSION)
-}
-
-/// Serializes at an explicit format version — `LEGACY_VERSION` exists only
-/// so tests can prove old bytes still parse.
-fn metadata_to_bytes_versioned(meta: &RecoilMetadata, version: u64) -> Vec<u8> {
     WireSplits::of(meta)
-        .and_then(|wire| wire.write(u64::MAX, version))
+        .and_then(|wire| wire.write(u64::MAX))
         .unwrap_or_else(|e| unrepresentable(e))
         .0
 }
 
-/// Parses metadata back from its byte form (version 1 or 2).
+/// Parses metadata back from its byte form. Only the current version is
+/// read; its CRC-32 footer is checked before anything else.
 pub fn metadata_from_bytes(bytes: &[u8]) -> Result<RecoilMetadata, RecoilError> {
     let bad = |msg: &str| RecoilError::wire(msg);
     let mut peek = BitReader::new(bytes);
     if peek.read(32) != Some(MAGIC) {
         return Err(bad("bad magic"));
     }
-    let body = match peek.read(8) {
-        Some(LEGACY_VERSION) => bytes,
-        Some(VERSION) => {
-            // Verify the integrity footer before interpreting anything: a
-            // corrupt frame must never reconstruct garbage split points.
-            let (body, footer) = bytes.split_at(bytes.len() - FOOTER_BYTES);
-            let footer: [u8; FOOTER_BYTES] =
-                footer.try_into().map_err(|_| bad("truncated footer"))?;
-            let expected = u32::from_le_bytes(footer);
-            if crc32(body) != expected {
-                return Err(bad("metadata checksum mismatch"));
-            }
-            body
-        }
+    match peek.read(8) {
+        Some(VERSION) => {}
         Some(_) => return Err(bad("unsupported version")),
         None => return Err(bad("truncated header")),
-    };
+    }
+    // Verify the integrity footer before interpreting anything: a corrupt
+    // frame must never reconstruct garbage split points.
+    let (body, footer) = bytes.split_at(bytes.len() - FOOTER_BYTES);
+    let footer: [u8; FOOTER_BYTES] = footer.try_into().map_err(|_| bad("truncated footer"))?;
+    if crc32(body) != u32::from_le_bytes(footer) {
+        return Err(bad("metadata checksum mismatch"));
+    }
     let mut r = BitReader::new(body);
     r.read(32).ok_or_else(|| bad("truncated header"))?;
     r.read(8).ok_or_else(|| bad("truncated header"))?;
@@ -666,13 +651,19 @@ mod tests {
     }
 
     #[test]
-    fn legacy_version1_bytes_still_parse() {
+    fn version1_bytes_are_rejected() {
+        // A v1 header skipped the CRC; a peer that tags its bytes v1 must
+        // not get them read unchecked. Both the footerless v1 layout and
+        // the current bytes retagged as v1 are refused.
         let meta = figure6_meta();
-        let v1 = metadata_to_bytes_versioned(&meta, LEGACY_VERSION);
-        let v2 = metadata_to_bytes(&meta);
-        assert_eq!(v1.len() + 4, v2.len(), "v2 adds exactly the CRC footer");
-        assert_eq!(metadata_from_bytes(&v1).unwrap(), meta);
-        assert_eq!(metadata_from_bytes(&v2).unwrap(), meta);
+        let mut v1 = metadata_to_bytes(&meta);
+        v1[4] = 1;
+        let footerless = &v1[..v1.len() - 4];
+        for bytes in [&v1[..], footerless] {
+            let err = metadata_from_bytes(bytes).expect_err("v1 bytes accepted");
+            assert!(matches!(err, RecoilError::Wire { .. }), "{err:?}");
+            assert!(err.to_string().contains("version"), "{err}");
+        }
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //! additionally tracks per-name hit counts; under zipf-like demand (the
 //! realistic case for content delivery) the hot head of the distribution
 //! is **promoted** onto extra replicas ([`RouterConfig::replicas`] total
-//! holders) by re-encoding on the target node. The encoder is
-//! deterministic, so every replica serves a byte-identical stream — which
-//! is what makes cross-node resume sound.
+//! holders) by copying bytes: the router fetches the holder's stream,
+//! model and full metadata at full width (CRC-checked, not decoded) and
+//! publishes that container on the target, which stores it as it is.
+//! Nothing is re-encoded, so every replica serves its holder's stream by
+//! construction — which is what makes cross-node resume sound — and any
+//! name a node holds can be promoted, however it was published.
 //!
 //! ## Failover
 //!

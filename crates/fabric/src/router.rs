@@ -3,10 +3,11 @@
 //! The router is the fabric's brain and it lives entirely on the client:
 //! nodes never talk to each other and hold no cluster state, so a "node"
 //! is just a stock [`recoil_net::NetServer`]. Placement is rendezvous
-//! hashing (stable under membership change), replication is re-publish
-//! (the encoder is deterministic, so replicas are byte-identical), and
-//! failover is RESUME at the exact word offset already received — split
-//! metadata makes that offset the complete resume state.
+//! hashing (stable under membership change), replication is a byte copy
+//! (the holder's container, published on the target as it is, so a replica
+//! is its holder's bytes by construction), and failover is RESUME at the
+//! exact word offset already received — split metadata makes that offset
+//! the complete resume state.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -16,7 +17,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use recoil_core::backend::{ensure_available, AutoBackend, DecodeBackend};
-use recoil_core::{EncoderConfig, RecoilError};
+use recoil_core::{container_to_bytes, Codec, EncoderConfig, RecoilContainer, RecoilError};
 use recoil_net::{splitmix64, NetClient, NetClientConfig, PublishOk, StatsReply};
 use recoil_telemetry::{Telemetry, TelemetryLevel};
 
@@ -109,16 +110,13 @@ pub struct FabricRouter {
     /// `failovers` / `replica_promotions` counters and `healthy_nodes`
     /// gauge.
     telemetry: Arc<Telemetry>,
-    /// Encoder knobs recorded at publish time — what replication
-    /// re-publishes with so replicas are byte-identical.
-    published: Mutex<HashMap<String, EncoderConfig>>,
     /// Extra holders per name, appended by promotion (primary excluded).
     promoted: Mutex<HashMap<String, Vec<usize>>>,
     /// Router-observed per-name fetch counts driving promotion.
     hits: Mutex<HashMap<String, u64>>,
     fetches: AtomicU64,
-    /// Re-entrancy guard: replication fetches must not trigger another
-    /// rebalance pass.
+    /// Set while a promotion pass runs, so concurrent callers run one pass
+    /// rather than racing to place the same replicas.
     rebalancing: AtomicBool,
 }
 
@@ -164,7 +162,6 @@ impl FabricRouter {
                 std::thread::available_parallelism().map_or(1, |p| p.get()),
             )),
             telemetry,
-            published: Mutex::new(HashMap::new()),
             promoted: Mutex::new(HashMap::new()),
             hits: Mutex::new(HashMap::new()),
             fetches: AtomicU64::new(0),
@@ -244,28 +241,30 @@ impl FabricRouter {
         }
     }
 
-    /// Publishes `data` under `name` on the best healthy rendezvous
-    /// candidate (normally the primary) and records the encoder config
-    /// for later replication. A candidate that fails at the transport
-    /// level is marked unhealthy and the next one is tried; typed
-    /// refusals (e.g. [`RecoilError::AlreadyPublished`]) propagate.
+    /// Encodes `data` under `config` once, here, and publishes the
+    /// container on the best healthy rendezvous candidate (normally the
+    /// primary). A candidate that fails at the transport level is marked
+    /// unhealthy and the same bytes go to the next one; typed refusals
+    /// (e.g. [`RecoilError::AlreadyPublished`]) propagate.
     pub fn publish(
         &self,
         name: &str,
         data: &[u8],
         config: &EncoderConfig,
     ) -> Result<PublishOk, RecoilError> {
+        let encoded = Codec::from_config(config.clone())?.encode(data)?;
+        let container = container_to_bytes(&encoded.container, encoded.model.table());
         let mut last_err = RecoilError::net("no healthy fabric node to publish to");
         for target in self.candidates(name) {
             if !self.nodes[target].healthy.load(Ordering::Relaxed) {
                 continue;
             }
-            match self.nodes[target].client.publish(name, data, config) {
+            match self.nodes[target]
+                .client
+                .publish_container(name, &container)
+            {
                 Ok(ok) => {
                     self.mark_health(target, true);
-                    self.published
-                        .lock()
-                        .insert(name.to_string(), config.clone());
                     if target != self.primary(name) {
                         // Degraded-primary publish: remember where the
                         // bytes really live so fetches route there.
@@ -287,6 +286,16 @@ impl FabricRouter {
         Err(last_err)
     }
 
+    /// The attempt of a node that could not start (or resume) a stream.
+    /// Transport-level failures mark it down; typed refusals (NotFound,
+    /// Busy) leave health alone.
+    fn declined(&self, node: usize, from_word: u64, err: &RecoilError) -> FetchAttempt {
+        if matches!(err, RecoilError::Net { .. }) {
+            self.mark_health(node, false);
+        }
+        FetchAttempt::of(node, from_word..from_word, false)
+    }
+
     /// Fetches and decodes `name` at `parallel_segments`: one
     /// [`recoil_net::FetchSession`], opened on the best holder and driven
     /// through the streaming decode pipeline. If the serving node dies
@@ -301,20 +310,6 @@ impl FabricRouter {
         if self.config.rebalance_interval > 0 && n.is_multiple_of(self.config.rebalance_interval) {
             self.rebalance();
         }
-        self.fetch_inner(name, parallel_segments)
-    }
-
-    /// The attempt of a node that could not start (or resume) a stream.
-    /// Transport-level failures mark it down; typed refusals (NotFound,
-    /// Busy) leave health alone.
-    fn declined(&self, node: usize, from_word: u64, err: &RecoilError) -> FetchAttempt {
-        if matches!(err, RecoilError::Net { .. }) {
-            self.mark_health(node, false);
-        }
-        FetchAttempt::of(node, from_word..from_word, false)
-    }
-
-    fn fetch_inner(&self, name: &str, parallel_segments: u64) -> Result<FabricFetch, RecoilError> {
         let backend = self.backend.as_ref();
         // Nothing any node sends could be decoded: refuse before asking.
         ensure_available(backend)?;
@@ -395,15 +390,15 @@ impl FabricRouter {
     }
 
     /// One promotion pass: every name the router has seen at least
-    /// [`RouterConfig::promote_min_hits`] fetches of is replicated onto
-    /// its next-best healthy rendezvous candidates until it has
-    /// [`RouterConfig::replicas`] holders. Returns the number of
+    /// [`RouterConfig::promote_min_hits`] fetches of is copied onto its
+    /// next-best healthy rendezvous candidates until it has
+    /// [`RouterConfig::replicas`] holders — whoever published it, through
+    /// this router or straight to a node. Returns the number of
     /// (name, node) promotions performed. Runs automatically every
     /// [`RouterConfig::rebalance_interval`] fetches; call directly for
     /// deterministic tests.
     pub fn rebalance(&self) -> usize {
-        // Replication fetches content through this same router; the
-        // guard stops that inner fetch from recursing into another pass.
+        // One pass at a time (see the field).
         if self.rebalancing.swap(true, Ordering::Acquire) {
             return 0;
         }
@@ -421,19 +416,18 @@ impl FabricRouter {
         };
         let mut promotions = 0;
         for name in hot {
-            // Only router-published names carry a recorded encoder
-            // config; anything else cannot be re-encoded identically.
-            let Some(config) = self.published.lock().get(&name).cloned() else {
-                continue;
-            };
             while self.holders(&name).len() < self.config.replicas.max(1) {
                 let holders = self.holders(&name);
-                let target = self.candidates(&name).into_iter().find(|i| {
-                    !holders.contains(i) && self.nodes[*i].healthy.load(Ordering::Relaxed)
-                });
-                let Some(target) = target else { break };
-                if self.replicate(&name, &config, target).is_err() {
-                    break; // node refused; retry on a later pass
+                let healthy = |i: &usize| self.nodes[*i].healthy.load(Ordering::Relaxed);
+                let Some(&holder) = holders.iter().find(|i| healthy(i)) else {
+                    break;
+                };
+                let mut candidates = self.candidates(&name).into_iter();
+                let Some(target) = candidates.find(|i| !holders.contains(i) && healthy(i)) else {
+                    break;
+                };
+                if self.replicate(&name, holder, target).is_err() {
+                    break; // the holder or the target failed; retry on a later pass
                 }
                 self.promoted
                     .lock()
@@ -450,18 +444,20 @@ impl FabricRouter {
         promotions
     }
 
-    /// Copies `name` onto `target` by fetching the raw content from a
-    /// current holder and re-publishing it with the recorded encoder
-    /// config — deterministic encoding makes the replica's bitstream
-    /// byte-identical, which keeps cross-node resume valid.
-    fn replicate(
-        &self,
-        name: &str,
-        config: &EncoderConfig,
-        target: usize,
-    ) -> Result<(), RecoilError> {
-        let data = self.fetch_inner(name, u64::MAX)?.data;
-        match self.nodes[target].client.publish(name, &data, config) {
+    /// Copies `name` from `holder` onto `target` as bytes: a buffered
+    /// full-width fetch (CRC-checked on receipt, never decoded) is the
+    /// holder's stream, model and full metadata, which go back into the
+    /// container format and are published on the target as they are. The
+    /// replica is the holder's bytes by construction, which is what keeps
+    /// cross-node resume valid.
+    fn replicate(&self, name: &str, holder: usize, target: usize) -> Result<(), RecoilError> {
+        let held = self.nodes[holder].client.request(name, u64::MAX)?;
+        let container = RecoilContainer {
+            stream: held.stream,
+            metadata: held.metadata,
+        };
+        let bytes = container_to_bytes(&container, held.model.table());
+        match self.nodes[target].client.publish_container(name, &bytes) {
             Ok(_) | Err(RecoilError::AlreadyPublished { .. }) => Ok(()),
             Err(err) => Err(err),
         }

@@ -3,7 +3,7 @@
 //! of a torn, stalled, killed or resetting node — every fault injected by
 //! the node's own `FaultPlan`.
 
-use recoil_core::{EncoderConfig, RecoilError};
+use recoil_core::{container_to_bytes, Codec, EncoderConfig, RecoilError};
 use recoil_fabric::{FabricRouter, RouterConfig};
 use recoil_net::raw::{read_frame, write_frame, ReadOutcome};
 use recoil_net::{
@@ -149,11 +149,13 @@ fn fetch_with_kill_at(data: &[u8], cut: u64) -> recoil_fabric::FabricFetch {
         .map(|k| format!("cut-{k}"))
         .find(|n| router.primary(n) == 0)
         .expect("some name lands on node 0");
-    // Publish byte-identical copies directly (the deterministic encoder
-    // guarantees both nodes serve the same stream).
+    // Encode once and publish the same container to both nodes: they
+    // store, and serve, the same bytes by construction.
+    let encoded = Codec::from_config(enc()).unwrap().encode(data).unwrap();
+    let container = container_to_bytes(&encoded.container, encoded.model.table());
     for handle in [&killer, &clean] {
         let publisher = NetClient::connect(handle.addr()).unwrap();
-        publisher.publish(&name, data, &enc()).unwrap();
+        publisher.publish_container(&name, &container).unwrap();
     }
     let fetched = router.fetch(&name, SEGMENTS).unwrap();
     killer.shutdown();

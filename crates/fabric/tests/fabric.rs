@@ -117,6 +117,69 @@ fn hot_content_promotes_and_survives_a_node_kill() {
     fabric.shutdown();
 }
 
+/// The replica on `replica` stores exactly what `holder` stores for
+/// `name`: the stream, the model's frequencies, the full metadata and the
+/// full tier's wire bytes.
+fn assert_replica_is_its_holder(fabric: &Fabric, name: &str, holder: usize, replica: usize) {
+    let stores = [holder, replica].map(|i| Arc::clone(fabric.node(i).unwrap().content()));
+    let [held, copy] = stores.each_ref().map(|store| store.get(name).unwrap());
+    // Words, final states and geometry.
+    assert_eq!(copy.stream, held.stream);
+    assert_eq!(copy.model.table(), held.model.table());
+    assert_eq!(copy.metadata(), held.metadata());
+    let [held_full, copy_full] = stores.map(|store| store.request(name, u64::MAX).unwrap());
+    assert!(!held_full.metadata_bytes().is_empty());
+    assert_eq!(copy_full.metadata_bytes(), held_full.metadata_bytes());
+}
+
+/// A replica is a byte copy of its holder: promotion fetches the holder's
+/// container and publishes it as it is, so the replica's stream, model and
+/// full tier are the holder's bytes.
+#[test]
+fn a_replica_stores_its_holders_bytes() {
+    let fabric = Fabric::launch(3, node_config()).unwrap();
+    let router = FabricRouter::connect(&fabric.addrs(), router_config()).unwrap();
+    let data = sample(90_000, 5);
+    router.publish("copied", &data, &enc(16)).unwrap();
+    for _ in 0..3 {
+        router.fetch("copied", 4).unwrap();
+    }
+    assert_eq!(router.rebalance(), 1);
+    let holders = router.holders("copied");
+    assert_eq!(holders.len(), 2);
+    assert_replica_is_its_holder(&fabric, "copied", holders[0], holders[1]);
+    fabric.shutdown();
+}
+
+/// A name published straight to a node — not through the router, so the
+/// router never saw how it was encoded — is promoted like any other: the
+/// replica is copied from the holder's bytes and serves after the holder
+/// dies.
+#[test]
+fn a_name_published_straight_to_a_node_is_promoted() {
+    let mut fabric = Fabric::launch(3, node_config()).unwrap();
+    let router = FabricRouter::connect(&fabric.addrs(), router_config()).unwrap();
+    let data = sample(70_000, 9);
+    let primary = router.primary("direct");
+    NetClient::connect(fabric.addr(primary))
+        .unwrap()
+        .publish("direct", &data, &enc(8))
+        .unwrap();
+    for _ in 0..3 {
+        assert_eq!(router.fetch("direct", 8).unwrap().data, data);
+    }
+    assert_eq!(router.rebalance(), 1);
+    let holders = router.holders("direct");
+    assert_eq!(holders.len(), 2);
+    assert_replica_is_its_holder(&fabric, "direct", primary, holders[1]);
+
+    fabric.kill(primary);
+    let fetched = router.fetch("direct", 8).unwrap();
+    assert_eq!(fetched.data, data);
+    assert_eq!(fetched.attempts.last().unwrap().node, holders[1]);
+    fabric.shutdown();
+}
+
 #[test]
 fn publish_routes_around_a_dead_primary() {
     let mut fabric = Fabric::launch(3, node_config()).unwrap();

@@ -17,7 +17,8 @@ use recoil_core::backend::{
     ensure_available, preferred_segments, AutoBackend, DecodeBackend, DecodeModel, DecodeRequest,
 };
 use recoil_core::{
-    EncoderConfig, IncrementalDecoder, RecoilError, RecoilMetadata, MAX_RESERVED_WORDS,
+    container_to_bytes, Codec, EncoderConfig, IncrementalDecoder, RecoilError, RecoilMetadata,
+    MAX_RESERVED_WORDS,
 };
 use recoil_models::StaticModelProvider;
 use recoil_rans::{extend_words_from_le, EncodedStream};
@@ -54,8 +55,9 @@ const RETRY_JITTER_SEED: u64 = 0x005E_EDCA_B1E5;
 pub struct NetClientConfig {
     /// Socket read timeout per attempt (idle poll granularity).
     pub read_timeout: Duration,
-    /// Total time to wait for a response to one request — covers the
-    /// server's encode on a PUBLISH, so it is generous.
+    /// Total time to wait for a response to one request — on a PUBLISH
+    /// that includes the server parsing, validating and storing the
+    /// container (the encode runs here, before the request is sent).
     pub response_timeout: Duration,
     /// Socket write timeout.
     pub write_timeout: Duration,
@@ -477,8 +479,11 @@ impl NetClient {
         Ok(())
     }
 
-    /// Publishes `data` under `name` on the remote server (the server
-    /// encodes). Not retried: a publish is not idempotent.
+    /// Encodes `data` under `config` here, on the caller, and publishes the
+    /// result under `name` on the remote server: its
+    /// [`container_to_bytes`] form, through
+    /// [`NetClient::publish_container`]. Not retried: a publish is not
+    /// idempotent.
     pub fn publish(
         &self,
         name: &str,
@@ -486,18 +491,28 @@ impl NetClient {
         config: &EncoderConfig,
     ) -> Result<PublishOk, RecoilError> {
         Self::check_name(name)?;
+        let encoded = Codec::from_config(config.clone())?.encode(data)?;
+        let container = container_to_bytes(&encoded.container, encoded.model.table());
+        self.publish_container(name, &container)
+    }
+
+    /// Publishes an already-encoded container — [`container_to_bytes`]
+    /// output, such as a file `examples/file_codec.rs` wrote — under
+    /// `name`. The server checks its CRC-32 and validates it, then stores
+    /// it as it is: nothing is encoded there. A container that fails to
+    /// parse is refused in-band as [`RecoilError::Wire`]. Not retried: a
+    /// publish is not idempotent.
+    pub fn publish_container(
+        &self,
+        name: &str,
+        container: &[u8],
+    ) -> Result<PublishOk, RecoilError> {
+        Self::check_name(name)?;
         // One payload buffer, encoded straight from the borrowed slices.
-        let payload = PublishRequest {
-            name,
-            ways: config.ways,
-            max_segments: config.max_segments,
-            quant_bits: config.quant_bits,
-            data,
-        }
-        .encode();
+        let payload = PublishRequest { name, container }.encode();
         if payload.len() as u64 > MAX_FRAME_LEN as u64 {
             return Err(RecoilError::config(
-                "data",
+                "container",
                 format!(
                     "publish payload is {} bytes; one frame carries at most {MAX_FRAME_LEN}",
                     payload.len()

@@ -14,7 +14,9 @@ use recoil_core::RecoilError;
 use std::io::{ErrorKind, Read, Write};
 
 /// Protocol version spoken by this build; [`crate::Hello`] frames negotiate it.
-pub const PROTOCOL_VERSION: u16 = 1;
+/// Version 2: a PUBLISH carries an encoded container, not raw data and
+/// encoder parameters.
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Magic opening every [`crate::Hello`] payload: `"RNET"`.
 pub const HELLO_MAGIC: u32 = 0x524E_4554;
@@ -53,7 +55,7 @@ const MID_FRAME_TIMEOUT_RETRIES: u32 = 120;
 pub enum FrameType {
     /// Version + capability negotiation; first frame in each direction.
     Hello = 0x01,
-    /// Client → server: encode-and-publish a payload under a name.
+    /// Client → server: store an encoded container under a name.
     Publish = 0x02,
     /// Server → client: the publish succeeded.
     PublishOk = 0x03,

@@ -20,7 +20,7 @@
 //! | Frame | Dir | Payload | Encoder → decoder |
 //! |---|---|---|---|
 //! | `HELLO` (0x01) | both | magic, protocol version, capability bits | [`Hello::encode`] → [`Hello::decode`] |
-//! | `PUBLISH` (0x02) | C→S | name, encoder knobs, raw data to encode | [`PublishRequest::encode`] → [`PublishRequest::decode`] (both borrowed views) |
+//! | `PUBLISH` (0x02) | C→S | name, an encoded container (the [`recoil_core::container_to_bytes`] format) | [`PublishRequest::encode`] → [`PublishRequest::decode`] (both borrowed views) |
 //! | `PUBLISH_OK` (0x03) | S→C | planned segments, bitstream bytes | [`PublishOk::encode`] → [`PublishOk::decode`] |
 //! | `REQUEST` (0x04) | C→S | name, client's `parallel_segments` | [`ContentRequest::encode`] → `ContentRequest::<&str>::decode` |
 //! | `TRANSMIT` (0x05) | S→C | shrunk metadata, model, stream geometry, payload CRC-32, chunk count | `proto::write_transmit_header` (in place, from the stored item) → [`TransmitHeader::decode`] |
@@ -114,10 +114,17 @@
 //! stored split bits, cheaper than a trip to another thread, and misses
 //! serialized on one loop can never build one tier twice. The chunk plan
 //! comes from the tier's kept split offsets; no request builds parsed
-//! metadata. Only the rANS encode behind
-//! a `PUBLISH` runs on [`NetConfig::workers`] dispatch threads blocked on
-//! the reactor's job queue, and completes back to the loop through a wake
-//! pipe.
+//! metadata. Only a `PUBLISH` runs on [`NetConfig::workers`] dispatch
+//! threads blocked on the reactor's job queue, and completes back to the
+//! loop through a wake pipe. Nothing is encoded there: the publisher
+//! encoded ([`NetClient::publish`] runs the encoder on the caller, or
+//! [`NetClient::publish_container`] sends a container as it is), and a
+//! worker checks the container's CRC-32, parses and validates it
+//! ([`recoil_core::container_from_bytes`]) and stores it as it is
+//! ([`ContentServer::insert`]) — work linear in a payload of up to 64 MiB,
+//! which is why it stays off the loop. A container that fails any check is
+//! refused in-band with a typed [`RecoilError::Wire`] and the connection
+//! stays open; a payload that is not a PUBLISH message closes it.
 //!
 //! `max_connections` caps open connections (excess accepts get a typed
 //! busy error carrying [`BUSY_RETRY_AFTER_MS`]; a connection holds at most
@@ -165,9 +172,10 @@
 //! and, from the [`Transmission`](recoil_server::Transmission) the store
 //! hands back with each request it serves, `tier_miss_segments` +
 //! `combine_ns` for every miss and `tier_hit_segments` for the hits it
-//! samples; `push_job` records `dispatched_jobs`; a dispatch worker records
-//! `dispatch_wait_ns` and `encode_ns` (it times the store's `publish`) —
-//! so those three count publishes only. The store records nothing: it has
+//! samples (the first request of every read burst, and 1 in 32 after it);
+//! `push_job` records `dispatched_jobs`; a dispatch worker records
+//! `dispatch_wait_ns` and `publish_ns` (it times the container's parse and
+//! the store's `insert`) — so those three count publishes only. The store records nothing: it has
 //! no handle. Clients record `retries` and the `stream_*_ns` breakdown; the
 //! fabric router `failovers`, `replica_promotions` and `healthy_nodes`.
 //!
@@ -192,6 +200,8 @@
 //!
 //! [`ContentServer`]: recoil_server::ContentServer
 //! [`ContentServer::fetch`]: recoil_server::ContentServer::fetch
+//! [`ContentServer::insert`]: recoil_server::ContentServer::insert
+//! [`RecoilError::Wire`]: recoil_core::RecoilError::Wire
 //! [`ContentServer::stats`]: recoil_server::ContentServer::stats
 //! [`RecoilError::Busy`]: recoil_core::RecoilError::Busy
 //! [`RecoilError`]: recoil_core::RecoilError

@@ -5,8 +5,9 @@
 //! on opposite ends of the connection (the crate docs' wire table names
 //! each pair). `decode` consumes the whole payload — trailing bytes are
 //! protocol violations. Messages a client sends carry their name (and a
-//! PUBLISH its data) as borrowed views on the decode side: the server
-//! looks a name up and encodes a body straight out of its read buffer.
+//! PUBLISH its container) as borrowed views on the decode side: the server
+//! looks a name up, or parses a published container, straight out of its
+//! read buffer.
 
 use crate::frame::{PayloadReader, PayloadWriter, HELLO_MAGIC, PROTOCOL_VERSION, SUPPORTED_CAPS};
 use recoil_core::RecoilError;
@@ -59,28 +60,25 @@ impl Hello {
     }
 }
 
-/// Client → server: encode `data` under `name` with the given knobs.
+/// Client → server: store `container` under `name`.
 ///
-/// A borrowed view on both ends: the body can be tens of MiB, so the client
-/// encodes it from the caller's slice into the one payload buffer and the
-/// server decodes it in place in the read buffer it lent to the worker.
+/// The container is [`recoil_core::container_to_bytes`]' format — stream,
+/// final states, model, full metadata and CRC-32 footer — as its publisher
+/// encoded it; the server parses and validates it and never encodes.
+/// A borrowed view on both ends: the container can be tens of MiB, so the
+/// client writes it from the caller's slice into the one payload buffer and
+/// the server decodes it in place in the read buffer it lent to the worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PublishRequest<'a> {
     pub name: &'a str,
-    pub ways: u32,
-    pub max_segments: u64,
-    pub quant_bits: u32,
-    pub data: &'a [u8],
+    pub container: &'a [u8],
 }
 
 impl<'a> PublishRequest<'a> {
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::preallocated(self.data.len() + self.name.len() + 32);
+        let mut w = PayloadWriter::preallocated(self.container.len() + self.name.len() + 6);
         w.name(self.name);
-        w.u32(self.ways);
-        w.u64(self.max_segments);
-        w.u32(self.quant_bits);
-        w.bytes(self.data);
+        w.bytes(self.container);
         w.0
     }
 
@@ -88,10 +86,7 @@ impl<'a> PublishRequest<'a> {
         let mut r = PayloadReader::new(payload);
         let msg = Self {
             name: r.name_str()?,
-            ways: r.u32()?,
-            max_segments: r.u64()?,
-            quant_bits: r.u32()?,
-            data: r.bytes()?,
+            container: r.bytes()?,
         };
         r.finish()?;
         Ok(msg)
@@ -582,13 +577,10 @@ mod tests {
         let hello = Hello::ours();
         assert_eq!(Hello::decode(&hello.encode()).unwrap(), hello);
 
-        let data: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
+        let container: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
         let publish = PublishRequest {
             name: "movie",
-            ways: 32,
-            max_segments: 256,
-            quant_bits: 11,
-            data: &data,
+            container: &container,
         };
         assert_eq!(PublishRequest::decode(&publish.encode()).unwrap(), publish);
 

@@ -5,8 +5,8 @@
 //! event-driven thread built from `recoil-reactor`'s readiness plumbing
 //! (edge-triggered epoll, slab-pooled connection state, reactor-managed
 //! deadlines). That thread serves every request itself, tier-cache misses
-//! included; only the rANS encode behind a publish goes to a small dispatch
-//! pool. Connections are *not* pinned to threads, so thousands of
+//! included; only a publish — validating and storing the container it
+//! carries — goes to a small dispatch pool. Connections are *not* pinned to threads, so thousands of
 //! mostly-idle peers cost one slab slot each, not a worker.
 
 mod reactor;
@@ -26,12 +26,15 @@ use std::time::Duration;
 /// Construction knobs for [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Dispatch workers for the one CPU-bound request: encoding a publish.
+    /// Dispatch workers for the one request whose cost grows with its
+    /// payload: a worker validates and stores a published container (its
+    /// CRC-32, model and metadata, then the item's tier table), in time
+    /// linear in the container. It never encodes; the publisher did.
     ///
     /// Connections are **not** pinned to workers: the reactor backend
     /// serves every connection — every request, tier-cache misses
     /// included — from one event loop and touches a worker only for a
-    /// PUBLISH, so this sizes encode concurrency, not connection
+    /// PUBLISH, so this sizes publish concurrency, not connection
     /// concurrency.
     pub workers: usize,
     /// Hard cap on concurrently open connections; excess accepts are

@@ -1,6 +1,7 @@
 //! The event-driven `NetServer` backend: every connection multiplexed on
-//! one reactor thread, which serves every request itself; only a publish's
-//! rANS encode is offloaded to a dispatch pool.
+//! one reactor thread, which serves every request itself; only a publish —
+//! parsing, validating and storing the container it carries, which is
+//! linear in its size — is offloaded to a dispatch pool.
 //!
 //! Built from `recoil-reactor`'s primitives:
 //!
@@ -32,8 +33,8 @@
 //!              │               │     │      RESUME         │       │
 //!              ▼               │     │   (hit, or miss     ▼       │
 //!            Drain             │     │    and combine) Dispatching │
-//!              │               │     │        │       (worker runs │
-//!              ▼               │     │        │        the encode) │
+//!              │               │     │        │       (worker      │
+//!              ▼               │     │        │        validates)  │
 //!            close             │     ▼        ▼            │       │
 //!                              │   Write ◀── Write ◀── completion  │
 //!                              │     │ (chunks stream in 64 KiB    │
@@ -46,7 +47,8 @@
 //! are served inline on the loop with zero per-request allocation beyond a
 //! miss's new tier (responses are framed straight into the connection's
 //! pending-write buffer, chunk plans reuse the connection's `ChunkPlan`);
-//! only a PUBLISH (the rANS encode) touches a worker.
+//! only a PUBLISH (the container's parse, validation and store; nothing is
+//! encoded server-side) touches a worker.
 //!
 //! Edge-triggered discipline: sockets are registered once for both
 //! directions and never modified — an event is only a hint, and [`pump`]
@@ -64,7 +66,7 @@ use crate::proto::{
     TelemetryReply,
 };
 use parking_lot::{Condvar, Mutex};
-use recoil_core::{plan_chunks_into, ChunkPlan, EncoderConfig, RecoilError};
+use recoil_core::{container_from_bytes, plan_chunks_into, ChunkPlan, RecoilError};
 use recoil_rans::append_words_le;
 use recoil_reactor::{DeadlineQueue, Poller, Slab, SlabStats, Token, WakePipe};
 use recoil_server::{ContentServer, ServerStats, StoredContent, Transmission};
@@ -267,7 +269,7 @@ enum Phase {
     Handshake,
     /// Between or inside a request frame.
     ReadFrame,
-    /// A worker is encoding this connection's PUBLISH; the loop ignores the
+    /// A worker is storing this connection's PUBLISH; the loop ignores the
     /// socket until the completion arrives.
     Dispatching,
     /// Flushing `write_buf` (and refilling it from the chunk plan).
@@ -607,8 +609,8 @@ fn handle_frame(
                 stage_error(conn, &RecoilError::busy(BUSY_RETRY_AFTER_MS), false);
                 return;
             }
-            // The encode is CPU-bound: lend the whole read buffer to a
-            // worker rather than copying a potentially huge payload out.
+            // Validation is linear in a payload of up to 64 MiB: lend the
+            // whole read buffer to a worker rather than copying it out.
             let buf = mem::take(&mut conn.read_buf);
             conn.phase = Phase::Dispatching;
             shared.push_job(token, buf, end);
@@ -674,6 +676,9 @@ fn handle_frame(
 #[derive(Default)]
 struct PumpTally {
     frames: u64,
+    /// Request frames parsed since the last successful socket read: the
+    /// sample phase, so the first request of every read burst is sampled.
+    since_read: u64,
     inline: u64,
     bytes_read: u64,
     bytes_written: u64,
@@ -726,12 +731,14 @@ fn pump_inner(conn: &mut Conn, token: Token, shared: &Shared, tally: &mut PumpTa
                         handle_hello(conn, ty, end);
                     } else {
                         // Span timing needs two clock reads, which are not
-                        // cheap on every host (~40 ns each here): `Counters`
-                        // samples 1 frame in 32 (the histogram stays
+                        // cheap on every host (~40 ns each): `Counters`
+                        // samples the first request of each read burst and
+                        // 1 in 32 after it (the histogram stays
                         // statistically sound at serving rates), `Trace`
                         // times every frame.
                         let sampled = tel.counters_enabled()
-                            && (tel.trace_enabled() || tally.frames & 31 == 1);
+                            && (tel.trace_enabled() || tally.since_read & 31 == 0);
+                        tally.since_read += 1;
                         let started = sampled.then(Instant::now);
                         handle_frame(conn, token, shared, ty, end, sampled);
                         if conn.phase == Phase::Dispatching {
@@ -770,6 +777,7 @@ fn pump_inner(conn: &mut Conn, token: Token, shared: &Shared, tally: &mut PumpTa
                             conn.read_buf.extend_from_slice(&scratch[..n]);
                             conn.last_progress = Instant::now();
                             tally.bytes_read += n as u64;
+                            tally.since_read = 0;
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => return Fate::Keep,
                         Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -1344,13 +1352,13 @@ fn run_job(shared: &Shared, job: Job) -> Completion {
     let started = tel.counters_enabled().then(Instant::now);
     let outcome = publish(shared, &buf[FRAME_HEADER_LEN..end]);
     if let Some(t0) = started {
-        // The histogram holds successful encodes only; the trace covers
+        // The histogram holds successful publishes only; the trace covers
         // every publish job.
         let ns = elapsed_ns(t0);
         if outcome.is_ok() {
-            tel.hists.encode_ns.record(ns);
+            tel.hists.publish_ns.record(ns);
         }
-        tel.trace(Stage::Encode, token.0, ns);
+        tel.trace(Stage::Publish, token.0, ns);
     }
     let (reply, close_after) = match outcome {
         Ok(ok) => (framed(FrameType::PublishOk, &ok.encode()), false),
@@ -1365,20 +1373,18 @@ fn run_job(shared: &Shared, job: Job) -> Completion {
     }
 }
 
-/// PUBLISH off the loop: decode in place, encode-and-store. Application
-/// failures (duplicate name, bad config) are in-band and keep the
-/// connection; a malformed frame is a protocol violation and closes it
-/// (the `bool`).
+/// PUBLISH off the loop: decode the message in place, parse the container
+/// (CRC-32 first, then every structural check) and store it as it is.
+/// Application failures (a container that does not parse or validate, a
+/// duplicate name) are in-band and keep the connection; a payload that is
+/// not a PUBLISH message is a protocol violation and closes it (the
+/// `bool`).
 fn publish(shared: &Shared, payload: &[u8]) -> Result<PublishOk, (RecoilError, bool)> {
     let msg = PublishRequest::decode(payload).map_err(|e| (e, true))?;
-    let config = EncoderConfig {
-        ways: msg.ways,
-        max_segments: msg.max_segments,
-        quant_bits: msg.quant_bits,
-    };
+    let (container, model) = container_from_bytes(msg.container).map_err(|e| (e, false))?;
     let item = shared
         .content
-        .publish(msg.name, msg.data, &config)
+        .insert(msg.name, container, model)
         .map_err(|e| (e, false))?;
     Ok(PublishOk {
         segments: item.max_segments(),

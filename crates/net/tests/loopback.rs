@@ -5,12 +5,13 @@ use recoil_core::backend::{
     preferred_segments, AutoBackend, DecodeBackend, DecodeRequest, ScalarBackend,
 };
 use recoil_core::{
-    metadata_to_bytes, plan_chunks, try_combine_splits, ChunkPlan, EncoderConfig, RecoilError,
+    container_to_bytes, metadata_to_bytes, plan_chunks, try_combine_splits, ChunkPlan, Codec,
+    EncoderConfig, RecoilError,
 };
-use recoil_net::raw::{read_frame, write_frame, ReadOutcome};
+use recoil_net::raw::{decode_error, read_frame, write_frame, ReadOutcome};
 use recoil_net::{
     ContentRequest, FrameType, Hello, NetClient, NetConfig, NetServer, NetServerHandle,
-    ResumeRequest, TransmitHeader, BUSY_RETRY_AFTER_MS,
+    PublishRequest, ResumeRequest, TransmitHeader, BUSY_RETRY_AFTER_MS,
 };
 use recoil_server::ContentServer;
 use recoil_telemetry::TelemetryLevel;
@@ -333,16 +334,21 @@ fn two_transports_over_one_store_report_their_own_facts() {
     }
 
     // The `Counters` transport recorded what *it* served. Inline hits are
-    // sampled (the first frame of a read burst always is): the second hit
-    // is recorded unless it was read in the same burst as the first.
+    // sampled, and the first request of every read burst always is: each
+    // of its two hits arrived in a read of its own (the client waits for
+    // each response), so both are recorded.
     let seen = via_large.remote_telemetry().unwrap().snapshot;
     let count = |name: &str| seen.hist(name).map(|h| h.count);
     assert_eq!(count("tier_miss_segments"), Some(1));
     assert_eq!(count("combine_ns"), Some(1));
     let hits = seen.hist("tier_hit_segments").unwrap();
-    assert!((1..=2).contains(&hits.count), "{hits:?}");
+    assert_eq!(hits.count, 2, "{hits:?}");
     assert_eq!(hits.max, 4, "the width it served");
-    assert_eq!(count("encode_ns"), Some(0), "the other transport's publish");
+    assert_eq!(
+        count("publish_ns"),
+        Some(0),
+        "the other transport's publish"
+    );
     assert_eq!(seen.counter("server_cache_hits"), Some(3));
     assert_eq!(seen.gauge("open_slots"), Some(99));
     // The `Off` transport records no distributions, and still reports the
@@ -841,5 +847,129 @@ fn a_fetch_session_cannot_start_mid_stream() {
         other => panic!("expected a typed refusal, got {other:?}"),
     }
     assert_eq!(client.stats().unwrap().stats.requests, 0);
+    server.shutdown();
+}
+
+/// The next whole frame off a raw connection, waiting out idle ticks.
+fn next_frame(conn: &mut TcpStream) -> (FrameType, Vec<u8>) {
+    loop {
+        match read_frame(conn).unwrap() {
+            ReadOutcome::Frame(ty, payload) => return (ty, payload),
+            ReadOutcome::Idle => {}
+            ReadOutcome::Eof => panic!("server closed the connection"),
+        }
+    }
+}
+
+/// REQUESTs `name` at `width` on a raw connection and returns the response
+/// as it crossed the wire: the TRANSMIT payload, then every CHUNK payload.
+fn raw_response(conn: &mut TcpStream, name: &str, width: u64) -> Vec<Vec<u8>> {
+    let req = ContentRequest {
+        name,
+        parallel_segments: width,
+    };
+    write_frame(conn, FrameType::Request, &req.encode()).unwrap();
+    let (ty, header) = next_frame(conn);
+    assert_eq!(ty, FrameType::Transmit, "{name} at width {width}");
+    let chunks = TransmitHeader::decode(&header).unwrap().chunk_count;
+    let mut frames = vec![header];
+    for _ in 0..chunks {
+        let (ty, chunk) = next_frame(conn);
+        assert_eq!(ty, FrameType::Chunk, "{name} at width {width}");
+        frames.push(chunk);
+    }
+    frames
+}
+
+/// A server for raw-socket exchanges. `write_frame` sends a frame's header
+/// and payload in two writes; a read timeout as short as
+/// `small_net_config`'s could evict the peer between them on a loaded host.
+fn patient_server() -> NetServerHandle {
+    start_server(NetConfig {
+        read_timeout: Duration::from_secs(5),
+        ..small_net_config()
+    })
+}
+
+/// The container `NetClient::publish` sends for `data` under `config`.
+fn container_of(data: &[u8], config: &EncoderConfig) -> Vec<u8> {
+    let encoded = Codec::from_config(config.clone())
+        .unwrap()
+        .encode(data)
+        .unwrap();
+    container_to_bytes(&encoded.container, encoded.model.table())
+}
+
+/// A PUBLISH whose container fails its checks — one flipped byte (the CRC
+/// no longer matches), a version-1 tag (which would skip the CRC), a
+/// truncation — is refused in-band with a typed `Wire` error. Nothing is
+/// stored, and the same connection goes on to serve a REQUEST.
+#[test]
+fn a_container_that_fails_its_checks_is_refused_in_band() {
+    let server = patient_server();
+    let data = sample(40_000, 6);
+    let client = NetClient::connect(server.addr()).unwrap();
+    client.publish("good", &data, &config(8)).unwrap();
+
+    let bytes = container_of(&data, &config(8));
+    let mut flipped = bytes.clone();
+    flipped[bytes.len() / 2] ^= 0x10;
+    let mut v1 = bytes.clone();
+    v1[4] = 1;
+    let truncated = bytes[..bytes.len() - 1].to_vec();
+
+    let mut conn = raw_hello(server.addr());
+    for (what, container) in [("flipped", flipped), ("v1", v1), ("truncated", truncated)] {
+        let publish = PublishRequest {
+            name: "bad",
+            container: &container,
+        };
+        write_frame(&mut conn, FrameType::Publish, &publish.encode()).unwrap();
+        match next_frame(&mut conn) {
+            (FrameType::Error, payload) => match decode_error(&payload) {
+                RecoilError::Wire { .. } => {}
+                other => panic!("{what}: expected a Wire error, got {other:?}"),
+            },
+            (ty, _) => panic!("{what}: expected ERROR, got {ty:?}"),
+        }
+        let served = raw_response(&mut conn, "good", 4);
+        assert!(served.len() > 1, "{what}: the connection still serves");
+    }
+    assert!(server.content().get("bad").is_none());
+    assert_eq!(server.content().stats().publishes, 1);
+    // The same bytes, intact, are accepted under that name.
+    client.publish_container("bad", &bytes).unwrap();
+    assert_eq!(client.fetch_and_decode("bad", 8).unwrap(), data);
+    server.shutdown();
+}
+
+/// A container published as it is serves what the same data published
+/// through `NetClient::publish` serves, frame for frame: the client encodes
+/// either way and the server stores the container without re-encoding.
+#[test]
+fn a_published_container_serves_what_publish_serves() {
+    let server = patient_server();
+    let data = sample(120_000, 8);
+    let client = NetClient::connect(server.addr()).unwrap();
+    let by_data = client.publish("by-data", &data, &config(16)).unwrap();
+    let by_bytes = client
+        .publish_container("by-bytes", &container_of(&data, &config(16)))
+        .unwrap();
+    assert_eq!(by_data, by_bytes);
+
+    let mut conn = raw_hello(server.addr());
+    // A first request at a combined width is a miss whose TRANSMIT carries
+    // its combine time; compare the hits that follow. The full and the
+    // one-segment tiers are hits from the start.
+    for name in ["by-data", "by-bytes"] {
+        raw_response(&mut conn, name, 4);
+    }
+    for width in [4, 16, u64::MAX, 1] {
+        assert_eq!(
+            raw_response(&mut conn, "by-data", width),
+            raw_response(&mut conn, "by-bytes", width),
+            "width {width}"
+        );
+    }
     server.shutdown();
 }

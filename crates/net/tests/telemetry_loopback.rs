@@ -77,7 +77,7 @@ fn telemetry_round_trip_matches_server_side_snapshot() {
         .unwrap()
         .with_backend(ScalarBackend);
 
-    // Mix: 1 publish (dispatch + encode), 1 cache-miss request (inline
+    // Mix: 1 publish (dispatch + validate), 1 cache-miss request (inline
     // combine), 2 cache-hit requests (inline), 1 streaming fetch (hit).
     client
         .publish("movie", &data, &EncoderConfig::default())
@@ -94,7 +94,7 @@ fn telemetry_round_trip_matches_server_side_snapshot() {
 
     // The mix, as the wire reports it.
     assert_eq!(remote.counter("dispatched_jobs"), Some(1), "publish");
-    assert_eq!(remote.hist("encode_ns").map(|h| h.count), Some(1));
+    assert_eq!(remote.hist("publish_ns").map(|h| h.count), Some(1));
     assert_eq!(remote.hist("combine_ns").map(|h| h.count), Some(1));
     assert_eq!(remote.hist("tier_miss_segments").map(|h| h.count), Some(1));
     assert_eq!(
@@ -122,7 +122,7 @@ fn telemetry_round_trip_matches_server_side_snapshot() {
         Stage::InlineServe,
         Stage::DispatchQueue,
         Stage::DispatchRun,
-        Stage::Encode,
+        Stage::Publish,
         Stage::Combine,
         Stage::WriteFlush,
     ] {
@@ -139,7 +139,7 @@ fn telemetry_round_trip_matches_server_side_snapshot() {
         assert_eq!(local.counter(name), remote.counter(name), "{name}");
     }
     for name in [
-        "encode_ns",
+        "publish_ns",
         "combine_ns",
         "tier_hit_segments",
         "tier_miss_segments",

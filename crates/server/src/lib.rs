@@ -6,10 +6,13 @@
 //! the bitstream and the shrunk metadata to the decoder. No compression
 //! rate is wasted to provide unnecessary parallelism."
 //!
-//! The server encodes each item **once**, at the maximum parallelism it
-//! intends to support (the Large variation). Every client request is served
-//! from that single artifact: the bitstream bytes never change, only the
-//! metadata is filtered.
+//! Each item is encoded **once**, at the maximum parallelism it is meant to
+//! support (the Large variation). Every client request is served from that
+//! single artifact: the bitstream bytes never change, only the metadata is
+//! filtered. The store keeps what was encoded: an in-process caller either
+//! hands it raw data ([`ContentServer::publish`], which encodes) or an
+//! already-encoded container ([`ContentServer::insert`], which is how a
+//! remote publish or a replica lands — nothing is re-encoded).
 //!
 //! ## Concurrency model
 //!
@@ -19,14 +22,15 @@
 //! * the item store is split over `N` shards (default 16), each an
 //!   independent `RwLock<HashMap>` keyed by a hash of the content name.
 //!   Requests take a shard read lock for the duration of one `HashMap`
-//!   lookup; publishing encodes **outside** any lock and write-locks only
-//!   the owning shard for the final insert, so a slow publish never stalls
-//!   reads — not even of other names on the same shard.
+//!   lookup; publishing encodes and builds the item **outside** any lock
+//!   and write-locks only the owning shard for the final insert, so a slow
+//!   publish never stalls reads — not even of other names on the same
+//!   shard.
 //!
 //! It is *only* a store: it owns no thread, no connection count and no
 //! telemetry handle, so any number of transports can front one instance
 //! without sharing anything but the content. A transport that wants
-//! distributions times its own `publish` call and reads `cache_hit`,
+//! distributions times its own `publish` or `insert` call and reads `cache_hit`,
 //! `tier.segments` and `combine_nanos` off the [`Transmission`] it is
 //! handed (`recoil-net`'s reactor does exactly that).
 //!

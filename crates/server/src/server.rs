@@ -123,7 +123,7 @@ impl Transmission {
 
 /// RAII claim on a name in [`ContentServer`]'s in-flight publish set; the
 /// drop releases the name on every exit path, so a failed publish (bad
-/// config, unsupported symbol) frees it for retry.
+/// config, unsupported symbol, invalid metadata) frees it for retry.
 struct InflightGuard<'a> {
     set: &'a Mutex<HashSet<String>>,
     name: &'a str,
@@ -166,9 +166,9 @@ impl Default for ServerConfig {
 /// `combine_nanos`).
 pub struct ContentServer {
     shards: Vec<RwLock<HashMap<String, Arc<StoredContent>>>>,
-    /// Names with a publish currently encoding. Claimed before the encode
-    /// starts, so a racing duplicate publish fails fast instead of running
-    /// the whole (expensive) encode and losing at the store insert.
+    /// Names with a publish or an insert in flight. Claimed before the
+    /// encode (or the tier table) starts, so a racing duplicate fails fast
+    /// instead of doing the whole work and losing at the store insert.
     publishing: Mutex<HashSet<String>>,
     stats: StatsCounters,
     tier_cache_capacity: usize,
@@ -206,7 +206,10 @@ impl ContentServer {
     }
 
     /// Encodes `data` once under `config` (lane width, split budget,
-    /// quantization) and publishes it as `name`.
+    /// quantization) and stores the result as `name`: the in-process
+    /// publisher, for callers that hold raw data rather than a container.
+    /// It is [`ContentServer::insert`] with the encode in front, under the
+    /// same name claim; nothing goes through bytes.
     ///
     /// Encoding happens outside any store lock — a slow publish never stalls
     /// requests, not even for other names on the same shard.
@@ -224,6 +227,38 @@ impl ContentServer {
         data: &[u8],
         config: &EncoderConfig,
     ) -> Result<Arc<StoredContent>, RecoilError> {
+        self.store(name, || {
+            let encoded = Codec::from_config(config.clone())?.encode(data)?;
+            Ok((encoded.container, encoded.model))
+        })
+    }
+
+    /// Stores an already-encoded container as `name`, exactly as its
+    /// publisher encoded it: the stream, the model and the full metadata
+    /// are kept as given, and only the item's tier table is built from
+    /// them. This is how a remote publish lands (the transport parses the
+    /// container's bytes first) and why a replica is its holder's bytes.
+    ///
+    /// The metadata is validated when the tier table is built; its
+    /// geometry describing `container.stream` is the caller's to ensure,
+    /// as a parsed or freshly encoded container always does. Names are
+    /// claimed and refused as in [`ContentServer::publish`].
+    pub fn insert(
+        &self,
+        name: &str,
+        container: RecoilContainer,
+        model: StaticModelProvider,
+    ) -> Result<Arc<StoredContent>, RecoilError> {
+        self.store(name, || Ok((container, model)))
+    }
+
+    /// Claims `name`, builds its item from what `encoded` returns — outside
+    /// any store lock — and inserts it.
+    fn store(
+        &self,
+        name: &str,
+        encoded: impl FnOnce() -> Result<(RecoilContainer, StaticModelProvider), RecoilError>,
+    ) -> Result<Arc<StoredContent>, RecoilError> {
         let taken = || RecoilError::AlreadyPublished {
             name: name.to_string(),
         };
@@ -238,8 +273,7 @@ impl ContentServer {
                 name,
             }
         };
-        let encoded = Codec::from_config(config.clone())?.encode(data)?;
-        let RecoilContainer { stream, metadata } = encoded.container;
+        let (RecoilContainer { stream, metadata }, model) = encoded()?;
         let wire = WireSplits::of(&metadata)?;
         // Every split selected (`metadata_to_bytes(&metadata)`) and none,
         // written from the table just built. The full tier holds the
@@ -248,7 +282,7 @@ impl ContentServer {
         let one = ShrunkTier::new(1, wire.tier(1)?);
         let content = Arc::new(StoredContent {
             stream: Arc::new(stream),
-            model: Arc::new(encoded.model),
+            model: Arc::new(model),
             full: Arc::new(ShrunkTier::full(metadata, full)),
             one: Arc::new(one),
             wire,
@@ -626,6 +660,31 @@ mod tests {
         assert!(server.unpublish("x"));
         server.publish("x", &data, &config(4)).unwrap();
         assert_eq!(server.len(), 1);
+    }
+
+    #[test]
+    fn an_inserted_container_is_stored_as_encoded_under_the_same_claim() {
+        let data = sample(60_000);
+        let encoded = Codec::from_config(config(16))
+            .unwrap()
+            .encode(&data)
+            .unwrap();
+        let server = small_server();
+        let item = server
+            .insert("x", encoded.container.clone(), encoded.model.clone())
+            .unwrap();
+        assert_eq!(*item.stream, encoded.container.stream);
+        assert_eq!(item.metadata(), &encoded.container.metadata);
+        assert_eq!(item.model.table(), encoded.model.table());
+        // One name space for both paths, either way round.
+        let taken = |r: Result<Arc<StoredContent>, RecoilError>, want: &str| matches!(r, Err(RecoilError::AlreadyPublished { ref name }) if name == want);
+        assert!(taken(server.publish("x", &data, &config(16)), "x"));
+        server.publish("y", &data, &config(16)).unwrap();
+        assert!(taken(
+            server.insert("y", encoded.container, encoded.model),
+            "y"
+        ));
+        assert_eq!(server.stats().publishes, 2);
     }
 
     #[test]

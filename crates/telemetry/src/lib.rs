@@ -154,10 +154,11 @@ pub struct PipelineHistograms {
     /// ns a PUBLISH waited in the dispatch queue before a worker picked it
     /// up (publishes are the only dispatched work).
     pub dispatch_wait_ns: Histogram,
-    /// ns a successful PUBLISH took on a dispatch worker, decode of the
-    /// message to stored item (recorded by the reactor, which times the
-    /// store's `publish` call).
-    pub encode_ns: Histogram,
+    /// ns a successful PUBLISH took on a dispatch worker: decoding the
+    /// message, parsing and validating the container (the publisher
+    /// encoded it) and storing the item (recorded by the worker, which
+    /// times the parse and the store's `insert`).
+    pub publish_ns: Histogram,
     /// ns a tier-cache miss's combine took, inline on the reactor thread
     /// (the store reports it with the transmission; the reactor records
     /// every miss at [`TelemetryLevel::Counters`]).
@@ -326,7 +327,7 @@ impl Telemetry {
         let hists = vec![
             ("inline_serve_ns", h.inline_serve_ns.snapshot()),
             ("dispatch_wait_ns", h.dispatch_wait_ns.snapshot()),
-            ("encode_ns", h.encode_ns.snapshot()),
+            ("publish_ns", h.publish_ns.snapshot()),
             ("combine_ns", h.combine_ns.snapshot()),
             ("write_flush_ns", h.write_flush_ns.snapshot()),
             ("tier_hit_segments", h.tier_hit_segments.snapshot()),
@@ -513,7 +514,7 @@ mod tests {
         for name in [
             "inline_serve_ns",
             "dispatch_wait_ns",
-            "encode_ns",
+            "publish_ns",
             "combine_ns",
             "write_flush_ns",
             "tier_hit_segments",

@@ -31,8 +31,9 @@ pub enum Stage {
     DispatchQueue = 3,
     /// A dispatch worker picked a publish up (detail: queue wait in ns).
     DispatchRun = 4,
-    /// A publish encode finished on a worker (detail: encode ns).
-    Encode = 5,
+    /// A published container was validated and stored on a worker
+    /// (detail: ns from decoding the message to the stored item).
+    Publish = 5,
     /// A tier-cache miss's combine finished on the reactor (detail:
     /// combine ns).
     Combine = 6,
@@ -53,7 +54,7 @@ impl Stage {
             2 => Self::InlineServe,
             3 => Self::DispatchQueue,
             4 => Self::DispatchRun,
-            5 => Self::Encode,
+            5 => Self::Publish,
             6 => Self::Combine,
             10 => Self::WriteFlush,
             11 => Self::Evict,
@@ -69,7 +70,7 @@ impl Stage {
             Self::InlineServe => "inline_serve",
             Self::DispatchQueue => "dispatch_queue",
             Self::DispatchRun => "dispatch_run",
-            Self::Encode => "encode",
+            Self::Publish => "publish",
             Self::Combine => "combine",
             Self::WriteFlush => "write_flush",
             Self::Evict => "evict",

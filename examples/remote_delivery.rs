@@ -1,7 +1,8 @@
 //! The paper's §3.3 scenario over a real TCP socket: a content server on
 //! one side, clients with different parallel capacities on the other.
 //!
-//! Everything crosses the wire — the publish (server encodes once), each
+//! Everything crosses the wire — the publish (encoded once, by the
+//! publisher; the server stores the container it is sent), each
 //! request with the client's capacity in the header, and the chunked
 //! TRANSMIT response carrying the shrunk metadata, model, and bitstream.
 //! Every decode is verified byte-identical to the published input.
@@ -31,8 +32,9 @@ fn main() -> Result<(), RecoilError> {
     )?;
     println!("content server listening on {}\n", server.addr());
 
-    // --- Publish over the wire: the server encodes ONCE at max
-    //     parallelism; only metadata will shrink per client. ---
+    // --- Publish over the wire: encoded ONCE, here, at max parallelism;
+    //     the server stores that container and only shrinks metadata
+    //     per client. ---
     let publisher = NetClient::connect(server.addr())?;
     let config = EncoderConfig {
         max_segments: 1024,

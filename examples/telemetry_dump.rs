@@ -40,7 +40,7 @@ fn main() -> Result<(), RecoilError> {
         max_segments: 256,
         ..EncoderConfig::default()
     };
-    client.publish("report", &data, &config)?; // dispatch pool: encode
+    client.publish("report", &data, &config)?; // dispatch pool: validate + store
     client.request("report", 64)?; // tier-cache miss: combine, inline
     client.request("report", 64)?; // warm hit, inline
     client.request("report", 8)?; // second tier, another inline miss
