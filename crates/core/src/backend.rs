@@ -14,8 +14,9 @@
 //! [`DecodeBackend`] has one decode method over one [`DecodeRequest`]:
 //! stream, metadata, model, segment range, output slice. The model is
 //! [`DecodeModel::Static`] or [`DecodeModel::Adaptive`], the output `u8` or
-//! `u16` symbols ([`DecodeOutput`]). This is the one place a kernel is
-//! chosen for a request:
+//! `u16` symbols ([`DecodeOutput`]); it returns what the decode did
+//! ([`DecodeStats`]) for the caller to record. This is the one place a
+//! kernel is chosen for a request:
 //!
 //! | Selection | Static model, 32-way stream | anything else |
 //! |---|---|---|
@@ -29,7 +30,7 @@
 //! take the scalar kernel — per-symbol model indirection defeats flat
 //! gathers — on the backend's pool, if it has one.
 
-use crate::decoder::{decode_segments, decode_spans_scalar};
+use crate::decoder::{decode_segments, decode_spans_scalar, DecodeStats};
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
 use recoil_models::{ModelProvider, StaticModelProvider, Symbol};
@@ -155,8 +156,9 @@ pub trait DecodeBackend: Send + Sync {
     /// it through [`preferred_segments`].
     fn parallel_spans(&self) -> usize;
 
-    /// Runs one request — the only decode entry point.
-    fn decode(&self, req: DecodeRequest<'_>) -> Result<(), RecoilError>;
+    /// Runs one request — the only decode entry point — and returns what
+    /// the decode did, for the caller to record.
+    fn decode(&self, req: DecodeRequest<'_>) -> Result<DecodeStats, RecoilError>;
 }
 
 /// [`DecodeBackend::is_available`] as a typed result, for call sites that
@@ -198,7 +200,7 @@ fn run(
     name: &'static str,
     pool: Option<&ThreadPool>,
     req: DecodeRequest<'_>,
-) -> Result<(), RecoilError> {
+) -> Result<DecodeStats, RecoilError> {
     let kernel = kernel_for(select, req.stream.ways);
     if !kernel.is_available() {
         return Err(RecoilError::BackendUnavailable { backend: name });
@@ -225,7 +227,7 @@ fn engine<S: Symbol>(
     model: DecodeModel<'_>,
     segments: Range<u64>,
     out: &mut [S],
-) -> Result<(), RecoilError> {
+) -> Result<DecodeStats, RecoilError> {
     match model {
         DecodeModel::Static(model) => {
             if kernel != Kernel::Scalar {
@@ -271,7 +273,7 @@ impl DecodeBackend for ScalarBackend {
         1
     }
 
-    fn decode(&self, req: DecodeRequest<'_>) -> Result<(), RecoilError> {
+    fn decode(&self, req: DecodeRequest<'_>) -> Result<DecodeStats, RecoilError> {
         run(Some(Kernel::Scalar), self.name(), None, req)
     }
 }
@@ -340,7 +342,7 @@ impl DecodeBackend for AutoBackend {
         threads * self.selected_kernel(SIMD_WAYS).interleave_depth()
     }
 
-    fn decode(&self, req: DecodeRequest<'_>) -> Result<(), RecoilError> {
+    fn decode(&self, req: DecodeRequest<'_>) -> Result<DecodeStats, RecoilError> {
         run(self.kernel, self.name(), self.pool.as_ref(), req)
     }
 }
@@ -457,7 +459,10 @@ mod tests {
 
     /// The matrix, for one case and one symbol width: on every backend the
     /// whole stream, and a segment sub-range over a word *prefix*, equal
-    /// the careful reference — and the sub-range writes nothing else.
+    /// the careful reference — and the sub-range writes nothing else. Each
+    /// decode returns exactly what it did: its segments as spans, its
+    /// symbols as fast plus careful ones, and (for the whole stream, where
+    /// every word is consumed by exactly one span) its words.
     fn matrix_at_width<S: CodecSymbol + std::fmt::Debug>(case: &Case, what: &str) {
         let want: Vec<S> = case.reference();
         let (stream, metadata) = (&case.stream, &case.metadata);
@@ -484,11 +489,14 @@ mod tests {
             );
             let mut got = vec![S::from_u16(0); want.len()];
             let whole = DecodeRequest::whole(stream, metadata, case.model(), &mut got).unwrap();
-            backend.decode(whole).unwrap();
+            let stats = backend.decode(whole).unwrap();
             assert_eq!(got, want, "whole stream: {ctx}");
+            let counts = |s: DecodeStats| (s.spans, s.fast_symbols + s.careful_symbols);
+            assert_eq!(counts(stats), (8, want.len() as u64), "whole stats: {ctx}");
+            assert_eq!(stats.words_consumed, stream.words.len() as u64, "{ctx}");
 
             let mut got = vec![untouched; want.len()];
-            backend
+            let stats = backend
                 .decode(DecodeRequest {
                     stream: &prefix,
                     metadata,
@@ -497,6 +505,11 @@ mod tests {
                     out: S::output(&mut got),
                 })
                 .unwrap();
+            assert_eq!(
+                counts(stats),
+                (4, region.len() as u64),
+                "range stats: {ctx}"
+            );
             assert_eq!(
                 got[region.clone()],
                 want[region.clone()],

@@ -351,7 +351,10 @@ impl Codec {
         Ok(out)
     }
 
-    /// [`Codec::decode_with`] into a caller-provided buffer.
+    /// [`Codec::decode_with`] into a caller-provided buffer. Like every
+    /// `Codec` decode it discards the decode's [`crate::DecodeStats`]: a
+    /// codec has no handle to record them in, so a caller that counts
+    /// decodes calls [`DecodeBackend::decode`] itself.
     pub fn decode_with_into<S: CodecSymbol>(
         &self,
         backend: &dyn DecodeBackend,
@@ -375,7 +378,8 @@ impl Codec {
             &container.metadata,
             model,
             out,
-        )?)
+        )?)?;
+        Ok(())
     }
 
     /// Decodes an adaptively modelled stream (per-position models) through

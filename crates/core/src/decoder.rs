@@ -41,6 +41,33 @@ use recoil_rans::{
     decode_transform, renorm_read, EncodedStream, LaneStates, RansError, Span, SpanStats,
 };
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
+
+/// What one decode did, summed over its spans. [`decode_segments`] returns
+/// it and every [`crate::DecodeBackend`] passes it on, so a decode's facts
+/// belong to whoever asked for it: a client records its own decodes, and
+/// nothing is kept per process.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct DecodeStats {
+    /// Spans decoded: one per metadata segment.
+    pub spans: u64,
+    /// Symbols decoded by a kernel's fast loop.
+    pub fast_symbols: u64,
+    /// Symbols decoded by the bounds-checked careful tail.
+    pub careful_symbols: u64,
+    /// Compressed u16 words consumed (each word by exactly one span).
+    pub words_consumed: u64,
+}
+
+impl DecodeStats {
+    /// Adds `other` to this total.
+    pub fn merge(&mut self, other: DecodeStats) {
+        self.spans = self.spans.wrapping_add(other.spans);
+        self.fast_symbols = self.fast_symbols.wrapping_add(other.fast_symbols);
+        self.careful_symbols = self.careful_symbols.wrapping_add(other.careful_symbols);
+        self.words_consumed = self.words_consumed.wrapping_add(other.words_consumed);
+    }
+}
 
 /// Checks the invariants of a segment-range decode where `stream.words` may
 /// be an incomplete **prefix** of the stream `meta` describes.
@@ -150,7 +177,7 @@ pub(crate) fn decode_spans_scalar<S: Symbol, P: ModelProvider + ?Sized>(
 /// stopped), bit-identically, span by span, to
 /// `recoil_rans::decode_span_careful` for any batch length, and return how
 /// the batch decoded, summed. With a `pool` the batches run concurrently;
-/// the first error wins.
+/// the first error wins. Returns the batches' stats, summed.
 #[allow(clippy::too_many_arguments)]
 pub fn decode_segments<S, P>(
     stream: &EncodedStream,
@@ -161,7 +188,7 @@ pub fn decode_segments<S, P>(
     out: &mut [S],
     depth: usize,
     decode_batch: impl Fn(&mut [Span<'_, S>]) -> Result<SpanStats, RansError> + Sync,
-) -> Result<(), RansError>
+) -> Result<DecodeStats, RansError>
 where
     S: Symbol,
     P: ModelProvider + ?Sized,
@@ -170,6 +197,7 @@ where
     let (a, b) = (segments.start as usize, segments.end as usize);
     let bounds = meta.segment_bounds();
     let (batch, batches) = batch_bounds(pool, &bounds[a..=b], depth);
+    let total = Mutex::new(DecodeStats::default());
     for_each_disjoint(pool, out, &batches, |t, mut region| {
         let first = a + t * batch;
         let mut spans = Vec::with_capacity(batch);
@@ -187,20 +215,19 @@ where
         // bounds[m] .. bounds[m+1], stopping at the previous split's sync
         // completion point.
         let stats = decode_batch(&mut spans)?;
-
-        // Fold the batch's stats into the process-global decode metrics
-        // when some Telemetry handle armed them — one enabled-check per
-        // *batch*, so the disabled cost is a single relaxed load.
-        let metrics = recoil_telemetry::decode_metrics();
-        if metrics.enabled() {
-            metrics.spans.add(spans.len() as u64);
-            metrics.fast_groups.add(stats.fast_groups);
-            metrics.fast_symbols.add(stats.fast_symbols);
-            metrics.careful_symbols.add(stats.careful_symbols);
-            metrics.words_consumed.add(stats.words_consumed);
-        }
+        // One uncontended lock per batch: batches are disjoint work.
+        total
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .merge(DecodeStats {
+                spans: spans.len() as u64,
+                fast_symbols: stats.fast_symbols,
+                careful_symbols: stats.careful_symbols,
+                words_consumed: stats.words_consumed,
+            });
         Ok(())
-    })
+    })?;
+    Ok(total.into_inner().unwrap_or_else(PoisonError::into_inner))
 }
 
 /// Synchronization Phase (§4.1.1): recover full decoder states from the

@@ -39,6 +39,7 @@
 
 use crate::backend::{CodecSymbol, DecodeBackend, DecodeModel, DecodeRequest};
 use crate::bounds::{symbols_fit, MAX_RESERVED_WORDS};
+use crate::decoder::DecodeStats;
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
 use crate::planner::ChunkPlan;
@@ -65,6 +66,8 @@ pub struct IncrementalDecoder {
     carry: Option<u8>,
     /// Segments already decoded (a prefix of `0..num_segments`).
     decoded: u64,
+    /// What the backend reported for those segments, summed.
+    stats: DecodeStats,
 }
 
 impl IncrementalDecoder {
@@ -124,6 +127,7 @@ impl IncrementalDecoder {
             bounds,
             carry: None,
             decoded: 0,
+            stats: DecodeStats::default(),
         })
     }
 
@@ -177,6 +181,11 @@ impl IncrementalDecoder {
     /// Segments already decoded by [`IncrementalDecoder::decode_ready_segments`].
     pub fn decoded_segments(&self) -> u64 {
         self.decoded
+    }
+
+    /// What the backend's decodes of those segments did, summed.
+    pub fn decode_stats(&self) -> DecodeStats {
+        self.stats
     }
 
     /// True once every segment has been decoded.
@@ -238,13 +247,14 @@ impl IncrementalDecoder {
             let at = self.bounds[self.decoded as usize] as usize;
             return Ok(at..at);
         }
-        backend.decode(DecodeRequest {
+        let stats = backend.decode(DecodeRequest {
             stream: &self.stream,
             metadata: &self.metadata,
             model: DecodeModel::Static(&self.model),
             segments: self.decoded..ready,
             out: S::output(out),
         })?;
+        self.stats.merge(stats);
         let range =
             self.bounds[self.decoded as usize] as usize..self.bounds[ready as usize] as usize;
         self.decoded = ready;

@@ -56,7 +56,7 @@ pub use codec::{Codec, CodecBuilder, Encoded, EncoderConfig};
 pub use combine::{combine_splits, try_combine_splits};
 pub use container::RecoilContainer;
 pub use crc::{crc32, update_crc32, update_crc32_table};
-pub use decoder::{decode_segments, validate_segment_decode};
+pub use decoder::{decode_segments, validate_segment_decode, DecodeStats};
 pub use error::RecoilError;
 pub use file::{container_from_bytes, container_to_bytes};
 pub use incremental::IncrementalDecoder;

@@ -306,7 +306,6 @@ impl FabricRouter {
     /// byte-identical to an undisturbed fetch, or a typed error.
     pub fn fetch(&self, name: &str, parallel_segments: u64) -> Result<FabricFetch, RecoilError> {
         let n = self.fetches.fetch_add(1, Ordering::Relaxed) + 1;
-        *self.hits.lock().entry(name.to_string()).or_insert(0) += 1;
         if self.config.rebalance_interval > 0 && n.is_multiple_of(self.config.rebalance_interval) {
             self.rebalance();
         }
@@ -378,6 +377,9 @@ impl FabricRouter {
             },
         )?;
         self.mark_health(serving, true);
+        // Only a delivered fetch heats its name: one no node could serve
+        // must not be promoted, nor grow `hits`.
+        *self.hits.lock().entry(name.to_string()).or_insert(0) += 1;
         attempts.push(FetchAttempt::of(serving, from_word..total_words, true));
         Ok(FabricFetch {
             data: streamed.data,

@@ -180,6 +180,34 @@ fn a_name_published_straight_to_a_node_is_promoted() {
     fabric.shutdown();
 }
 
+/// A fetch heats its name only once it delivered: asking for a name no
+/// node holds, however often, promotes nothing, and the pass after it sends
+/// no node a request.
+#[test]
+fn fetches_of_a_missing_name_do_not_promote_it() {
+    let fabric = Fabric::launch(3, node_config()).unwrap();
+    let router = FabricRouter::connect(&fabric.addrs(), router_config()).unwrap();
+    for _ in 0..router_config().promote_min_hits {
+        assert!(matches!(
+            router.fetch("nowhere", 8),
+            Err(RecoilError::NotFound { .. })
+        ));
+    }
+    let requests = || -> Vec<u64> {
+        let stats = |addr| NetClient::connect(addr).unwrap().stats().unwrap();
+        fabric
+            .addrs()
+            .into_iter()
+            .map(|a| stats(a).stats.requests)
+            .collect()
+    };
+    let before = requests();
+    assert_eq!(router.rebalance(), 0);
+    assert_eq!(requests(), before, "the pass asked a node for the name");
+    assert_eq!(router.holders("nowhere").len(), 1);
+    fabric.shutdown();
+}
+
 #[test]
 fn publish_routes_around_a_dead_primary() {
     let mut fabric = Fabric::launch(3, node_config()).unwrap();

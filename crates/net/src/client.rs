@@ -5,7 +5,7 @@
 use crate::fault::splitmix64;
 use crate::frame::{
     decode_error, io_err, read_header, read_payload, write_frame, FrameType, HeaderOutcome,
-    CAP_CHUNKED, CAP_RESUME, CAP_TELEMETRY, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    MAX_FRAME_LEN,
 };
 use crate::integrity::{validate_transmit_header, PayloadCheck};
 use crate::proto::{
@@ -17,15 +17,15 @@ use recoil_core::backend::{
     ensure_available, preferred_segments, AutoBackend, DecodeBackend, DecodeModel, DecodeRequest,
 };
 use recoil_core::{
-    container_to_bytes, Codec, EncoderConfig, IncrementalDecoder, RecoilError, RecoilMetadata,
-    MAX_RESERVED_WORDS,
+    container_to_bytes, Codec, DecodeStats, EncoderConfig, IncrementalDecoder, RecoilError,
+    RecoilMetadata, MAX_RESERVED_WORDS,
 };
 use recoil_models::StaticModelProvider;
 use recoil_rans::{extend_words_from_le, EncodedStream};
 use recoil_telemetry::{Stage, Telemetry, TelemetryLevel};
 use std::borrow::BorrowMut;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -143,15 +143,36 @@ impl RemoteContent {
 
     /// Decodes through an explicit backend.
     pub fn decode_with(&self, backend: &dyn DecodeBackend) -> Result<Vec<u8>, RecoilError> {
+        self.decode_counted(backend).map(|(out, _)| out)
+    }
+
+    /// [`RemoteContent::decode_with`], with what the decode did.
+    fn decode_counted(
+        &self,
+        backend: &dyn DecodeBackend,
+    ) -> Result<(Vec<u8>, DecodeStats), RecoilError> {
         let mut out = vec![0u8; self.stream.num_symbols as usize];
         let model = DecodeModel::Static(&self.model);
-        backend.decode(DecodeRequest::whole(
+        let stats = backend.decode(DecodeRequest::whole(
             &self.stream,
             &self.metadata,
             model,
             &mut out,
         )?)?;
-        Ok(out)
+        Ok((out, stats))
+    }
+}
+
+/// Adds one decode's stats to a client-side handle's `decode_*` counters —
+/// the only place they are recorded: a decode's facts belong to the client
+/// (or router) that asked for it.
+fn record_decode(telemetry: &Telemetry, stats: DecodeStats) {
+    if telemetry.counters_enabled() {
+        let c = &telemetry.counters;
+        c.decode_spans.add(stats.spans);
+        c.decode_fast_symbols.add(stats.fast_symbols);
+        c.decode_careful_symbols.add(stats.careful_symbols);
+        c.decode_words_consumed.add(stats.words_consumed);
     }
 }
 
@@ -199,11 +220,9 @@ pub struct NetClient {
     config: NetClientConfig,
     pool: Mutex<Vec<TcpStream>>,
     backend: Box<dyn DecodeBackend>,
-    /// Client-side instruments (streaming latency breakdown lands here).
+    /// Client-side instruments (streaming latency breakdown and this
+    /// client's decodes land here).
     telemetry: Arc<Telemetry>,
-    /// Capability bits the server granted in the most recent HELLO
-    /// exchange; gates [`NetClient::remote_telemetry`].
-    server_caps: AtomicU32,
     /// Backoff-jitter sequence state (one splitmix64 draw per retry keeps
     /// schedules deterministic).
     jitter_state: AtomicU64,
@@ -211,8 +230,8 @@ pub struct NetClient {
 
 impl NetClient {
     /// Connects to `addr` with default config: dials one connection and
-    /// completes the HELLO negotiation to fail fast on a bad address or an
-    /// incompatible server.
+    /// exchanges HELLOs to fail fast on a bad address or a server of
+    /// another protocol version.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, RecoilError> {
         Self::connect_with(addr, NetClientConfig::default())
     }
@@ -251,7 +270,6 @@ impl NetClient {
                 std::thread::available_parallelism().map_or(1, |p| p.get()),
             )),
             telemetry,
-            server_caps: AtomicU32::new(0),
             jitter_state: AtomicU64::new(RETRY_JITTER_SEED),
         })
     }
@@ -282,7 +300,8 @@ impl NetClient {
         self.backend.as_ref()
     }
 
-    /// Dials and HELLO-negotiates a fresh connection.
+    /// Dials a fresh connection and exchanges HELLOs ([`Hello::decode`]
+    /// judges the server's).
     fn dial(&self) -> Result<TcpStream, RecoilError> {
         let mut conn = TcpStream::connect(self.addr).map_err(|e| io_err("connect", e))?;
         let _ = conn.set_nodelay(true);
@@ -294,26 +313,14 @@ impl NetClient {
         let reply = self
             .exchange(&mut conn, FrameType::Hello, &ours, FrameType::Hello)
             .map_err(OpError::into_inner)?;
-        let hello = Hello::decode(&reply)?;
-        if hello.version != PROTOCOL_VERSION {
-            return Err(RecoilError::net(format!(
-                "server speaks protocol version {}, this client speaks {PROTOCOL_VERSION}",
-                hello.version
-            )));
-        }
-        if hello.capabilities & CAP_CHUNKED == 0 {
-            return Err(RecoilError::net(
-                "server did not negotiate the chunked-streaming capability",
-            ));
-        }
-        self.server_caps
-            .store(hello.capabilities, Ordering::Relaxed);
+        Hello::decode(&reply)?;
         Ok(conn)
     }
 
     /// This client's own instruments — streaming fetch latency breakdowns
     /// land in `stream_first_segment_ns` / `stream_transfer_ns` /
-    /// `stream_total_ns` when [`NetClientConfig::telemetry`] is at least
+    /// `stream_total_ns`, and every decode this client ran in its
+    /// `decode_*` counters, when [`NetClientConfig::telemetry`] is at least
     /// `Counters`.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
@@ -321,15 +328,10 @@ impl NetClient {
 
     /// Fetches the **server's** telemetry snapshot over the wire (counters,
     /// gauges, histograms, and — at `Trace` level — the drained stage-event
-    /// ring). Requires the server to have negotiated the TELEMETRY
-    /// capability; servers predating it yield a typed error without
-    /// touching the wire.
+    /// ring). A server answers at every level: an `Off` one with an `off`
+    /// snapshot. The server decodes nothing, so its `decode_*` counters are
+    /// zero; this client's own are in [`NetClient::telemetry`].
     pub fn remote_telemetry(&self) -> Result<TelemetryReply, RecoilError> {
-        if self.server_caps.load(Ordering::Relaxed) & CAP_TELEMETRY == 0 {
-            return Err(RecoilError::net(
-                "server did not negotiate the telemetry capability",
-            ));
-        }
         self.with_conn(true, |client, conn| {
             let reply =
                 client.exchange(conn, FrameType::Telemetry, &[], FrameType::TelemetryReply)?;
@@ -545,14 +547,17 @@ impl NetClient {
     }
 
     /// One call from name to decoded bytes: remote request, integrity
-    /// check, then a local parallel decode through the configured backend.
+    /// check, then a local parallel decode through the configured backend,
+    /// recorded in this client's `decode_*` counters.
     pub fn fetch_and_decode(
         &self,
         name: &str,
         parallel_segments: u64,
     ) -> Result<Vec<u8>, RecoilError> {
-        self.request(name, parallel_segments)?
-            .decode_with(self.backend.as_ref())
+        let content = self.request(name, parallel_segments)?;
+        let (out, stats) = content.decode_counted(self.backend.as_ref())?;
+        record_decode(&self.telemetry, stats);
+        Ok(out)
     }
 
     /// Remote serving counters.
@@ -682,11 +687,6 @@ impl FetchSession {
     /// On an error the session is unchanged, so the next node can be tried.
     pub fn resume_on(&mut self, client: &NetClient) -> Result<(), RecoilError> {
         let mut conn = client.dial()?;
-        if client.server_caps.load(Ordering::Relaxed) & CAP_RESUME == 0 {
-            return Err(RecoilError::net(
-                "server did not negotiate the resume capability",
-            ));
-        }
         let resume = ResumeRequest {
             name: self.request.name.as_str(),
             parallel_segments: self.request.parallel_segments,
@@ -842,7 +842,8 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
     /// node and the pipeline carries on, or the error to give up. A stream
     /// that fails the payload check is never recoverable. Latencies count
     /// from `t0` (the caller's request start) and land in `telemetry`'s
-    /// `stream_*_ns` histograms on success.
+    /// `stream_*_ns` histograms on success, and the decode's stats in its
+    /// `decode_*` counters.
     pub fn decode_streaming(
         mut self,
         backend: &dyn DecodeBackend,
@@ -859,6 +860,8 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
         let batch = preferred_segments(backend);
         let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(STREAMING_INFLIGHT_CHUNKS);
         let (received, decoded) = std::thread::scope(|s| {
+            // Borrowed, not moved: its stats are read after the join.
+            let incr = &mut incr;
             let decoder = s.spawn(move || -> Result<(Vec<u8>, u64, u64, u64), RecoilError> {
                 // Grown with readiness, never from the declared header: a
                 // hostile server must actually send bytes to make this
@@ -932,6 +935,7 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
             h.stream_total_ns.record(total_nanos);
             telemetry.trace(Stage::StreamFirstSegment, 0, first_segment_nanos);
         }
+        record_decode(telemetry, incr.decode_stats());
         Ok(StreamedFetch {
             data,
             segments: self.header.segments,

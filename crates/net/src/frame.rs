@@ -13,31 +13,15 @@
 use recoil_core::RecoilError;
 use std::io::{ErrorKind, Read, Write};
 
-/// Protocol version spoken by this build; [`crate::Hello`] frames negotiate it.
+/// Protocol version spoken by this build: the whole of a [`crate::Hello`],
+/// and the version of every frame, so peers speak it exactly or not at all.
 /// Version 2: a PUBLISH carries an encoded container, not raw data and
-/// encoder parameters.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// encoder parameters. Version 3: a HELLO carries no capability bits and a
+/// TELEMETRY_REPLY no version byte of its own.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Magic opening every [`crate::Hello`] payload: `"RNET"`.
 pub const HELLO_MAGIC: u32 = 0x524E_4554;
-
-/// Capability bit: the peer streams large bitstreams as [`FrameType::Chunk`]
-/// frames after a [`FrameType::Transmit`] header.
-pub const CAP_CHUNKED: u32 = 1;
-
-/// Capability bit: the peer answers [`FrameType::Telemetry`] requests with
-/// a [`FrameType::TelemetryReply`] snapshot. Negotiated, not assumed — an
-/// old peer that never learned these frame bytes still handshakes cleanly.
-pub const CAP_TELEMETRY: u32 = 2;
-
-/// Capability bit: the peer accepts [`FrameType::Resume`] requests that
-/// restart a chunked transfer from a mid-stream word offset. Negotiated,
-/// not assumed — a router only attempts segment-resume failover against
-/// replicas that advertised it.
-pub const CAP_RESUME: u32 = 4;
-
-/// Every capability this build implements.
-pub const SUPPORTED_CAPS: u32 = CAP_CHUNKED | CAP_TELEMETRY | CAP_RESUME;
 
 /// Hard ceiling on one frame's payload (64 MiB): bigger payloads must be
 /// chunked. Checked before allocating.
@@ -53,7 +37,7 @@ const MID_FRAME_TIMEOUT_RETRIES: u32 = 120;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameType {
-    /// Version + capability negotiation; first frame in each direction.
+    /// The protocol version; first frame in each direction.
     Hello = 0x01,
     /// Client → server: store an encoded container under a name.
     Publish = 0x02,
@@ -70,16 +54,14 @@ pub enum FrameType {
     Stats = 0x07,
     /// Server → client: the counter snapshot.
     StatsReply = 0x08,
-    /// Client → server: ask for the full telemetry snapshot (requires the
-    /// negotiated [`CAP_TELEMETRY`] capability).
+    /// Client → server: ask for the full telemetry snapshot.
     Telemetry = 0x09,
-    /// Server → client: versioned telemetry snapshot — named counters,
+    /// Server → client: the telemetry snapshot — level, named counters,
     /// gauges, histograms, and (at trace level) the drained event ring.
     TelemetryReply = 0x0A,
     /// Client → server: like `Request`, but resuming a transfer that died
     /// mid-stream — carries the word offset already received, so the
-    /// server streams only the remaining chunk-plan suffix (requires the
-    /// negotiated [`CAP_RESUME`] capability).
+    /// server streams only the remaining chunk-plan suffix.
     Resume = 0x0B,
     /// Either direction: a typed error (maps onto [`RecoilError`]).
     Error = 0x0E,

@@ -14,12 +14,15 @@
 //!
 //! Every frame is `[type: u8][len: u32 LE][payload]`; unknown types and
 //! payloads over 64 MiB are rejected before allocation. A connection opens
-//! with a HELLO exchange (version + capability negotiation), then carries
-//! any number of requests:
+//! with a HELLO exchange, then carries any number of requests. A HELLO is
+//! its [`PROTOCOL_VERSION`] and nothing else: both ends speak one version
+//! exactly ([`Hello::decode`] refuses any other with a typed error, which
+//! the server sends back before it closes), so every frame below is
+//! available on every connection:
 //!
 //! | Frame | Dir | Payload | Encoder → decoder |
 //! |---|---|---|---|
-//! | `HELLO` (0x01) | both | magic, protocol version, capability bits | [`Hello::encode`] → [`Hello::decode`] |
+//! | `HELLO` (0x01) | both | magic, protocol version | [`Hello::encode`] → [`Hello::decode`] |
 //! | `PUBLISH` (0x02) | C→S | name, an encoded container (the [`recoil_core::container_to_bytes`] format) | [`PublishRequest::encode`] → [`PublishRequest::decode`] (both borrowed views) |
 //! | `PUBLISH_OK` (0x03) | S→C | planned segments, bitstream bytes | [`PublishOk::encode`] → [`PublishOk::decode`] |
 //! | `REQUEST` (0x04) | C→S | name, client's `parallel_segments` | [`ContentRequest::encode`] → `ContentRequest::<&str>::decode` |
@@ -27,9 +30,9 @@
 //! | `CHUNK` (0x06) | S→C | sequence number + one bitstream slice | the reactor's `fill_chunks` → `integrity.rs` (`PayloadCheck::accept`) |
 //! | `STATS` (0x07) | C→S | *(empty)* | — |
 //! | `STATS_REPLY` (0x08) | S→C | twelve `u64`s: the store's six counters, the transport's five facts, the item count | [`StatsReply::encode`] → [`StatsReply::decode`] |
-//! | `TELEMETRY` (0x09) | C→S | *(empty)*; requires the negotiated `CAP_TELEMETRY` bit | — |
-//! | `TELEMETRY_REPLY` (0x0A) | S→C | named counters, gauges and stage histograms (every `STATS_REPLY` value among them) + drained stage-trace events | [`TelemetryReply::encode`] → [`TelemetryReply::decode`] |
-//! | `RESUME` (0x0B) | C→S | name, `parallel_segments`, `from_word`; requires the negotiated `CAP_RESUME` bit | [`ResumeRequest::encode`] → `ResumeRequest::<&str>::decode` |
+//! | `TELEMETRY` (0x09) | C→S | *(empty)* | — |
+//! | `TELEMETRY_REPLY` (0x0A) | S→C | level byte, named counters, gauges and stage histograms (every `STATS_REPLY` value among them) + drained stage-trace events | [`TelemetryReply::encode`] → [`TelemetryReply::decode`] |
+//! | `RESUME` (0x0B) | C→S | name, `parallel_segments`, `from_word` | [`ResumeRequest::encode`] → `ResumeRequest::<&str>::decode` |
 //! | `ERROR` (0x0E) | both | error code + detail, maps onto [`RecoilError`] | `encode_error` → `decode_error` |
 //!
 //! Each message has that one encoder and that one decoder, and production
@@ -106,7 +109,7 @@
 //! generation-checked slab whose buffers are parked on close and recycled
 //! on the next accept, and a deadline queue for progress timeouts.
 //! Connections are **not** pinned to threads: thousands of mostly-idle
-//! peers cost one slab slot each. HELLO negotiation, stats snapshots and
+//! peers cost one slab slot each. The HELLO exchange, stats snapshots and
 //! every `REQUEST`/`RESUME` are served inline on the loop: a request goes
 //! through [`ContentServer::fetch`], the atomic name→(transmission,
 //! content) lookup, whether its tier is cached or not — the real-time
@@ -161,10 +164,14 @@
 //! reactor: `Off` (default, near-zero cost), `Counters` (pipeline counters,
 //! gauges, and stage histograms; hot-path spans are sampled), or `Trace`
 //! (adds a lock-free stage-event ring and times every span). Either side of
-//! the wire can hold the instruments: servers expose theirs through the
-//! `TELEMETRY` frame ([`NetClient::remote_telemetry`]) when both ends
-//! negotiated [`CAP_TELEMETRY`], and clients keep their own handle
-//! ([`NetClient::telemetry`]) recording streaming-fetch latencies.
+//! the wire can hold the instruments, and each holds only its own facts:
+//! servers expose theirs through the `TELEMETRY` frame
+//! ([`NetClient::remote_telemetry`]; answered at every level, an `Off`
+//! server's snapshot reading `off`), and clients keep their own handle
+//! ([`NetClient::telemetry`]) recording streaming-fetch latencies and the
+//! decodes they ran. A decode returns its stats
+//! ([`recoil_core::DecodeStats`]) to its caller; nothing about decoding is
+//! kept per process.
 //!
 //! Who records which instrument: the reactor loop records `frames_read`,
 //! `bytes_read`, `inline_serves`, `write_flushes`, `bytes_written`,
@@ -175,13 +182,19 @@
 //! samples (the first request of every read burst, and 1 in 32 after it);
 //! `push_job` records `dispatched_jobs`; a dispatch worker records
 //! `dispatch_wait_ns` and `publish_ns` (it times the container's parse and
-//! the store's `insert`) — so those three count publishes only. The store records nothing: it has
-//! no handle. Clients record `retries` and the `stream_*_ns` breakdown; the
-//! fabric router `failovers`, `replica_promotions` and `healthy_nodes`.
+//! the store's `insert`) — so those three count publishes only. The store
+//! records nothing: it has no handle. Clients record `retries`, the
+//! `stream_*_ns` breakdown and, from the stats each decode returns,
+//! `decode_spans`, `decode_fast_symbols`, `decode_careful_symbols` and
+//! `decode_words_consumed` ([`NetClient::fetch_and_decode`] into the
+//! client's handle, [`FetchSession::decode_streaming`] into the handle it
+//! is given: the client's, or the fabric router's shared one). A server
+//! never decodes, so its `decode_*` counters read zero. The fabric router
+//! records `failovers`, `replica_promotions` and `healthy_nodes`.
 //!
 //! ## Client
 //!
-//! [`NetClient`] keeps a small pool of negotiated connections and retries
+//! [`NetClient`] keeps a small pool of connections past their HELLO and retries
 //! failed calls under a real policy: only idempotent operations (fetch,
 //! stats — never PUBLISH over a live connection), a per-call retry budget
 //! ([`NetClientConfig::retry_budget`]), jittered exponential backoff, and
@@ -220,10 +233,7 @@ mod server;
 
 pub use client::{FetchSession, NetClient, NetClientConfig, RemoteContent, StreamedFetch};
 pub use fault::{splitmix64, FaultPlan};
-pub use frame::{
-    FrameType, CAP_CHUNKED, CAP_RESUME, CAP_TELEMETRY, HELLO_MAGIC, MAX_FRAME_LEN,
-    PROTOCOL_VERSION, SUPPORTED_CAPS,
-};
+pub use frame::{FrameType, HELLO_MAGIC, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use integrity::validate_transmit_header;
 pub use proto::{
     ContentRequest, Hello, PublishOk, PublishRequest, ResumeRequest, StatsReply, TelemetryReply,

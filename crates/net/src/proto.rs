@@ -9,24 +9,22 @@
 //! looks a name up, or parses a published container, straight out of its
 //! read buffer.
 
-use crate::frame::{PayloadReader, PayloadWriter, HELLO_MAGIC, PROTOCOL_VERSION, SUPPORTED_CAPS};
+use crate::frame::{PayloadReader, PayloadWriter, HELLO_MAGIC, PROTOCOL_VERSION};
 use recoil_core::RecoilError;
 use recoil_server::{ServerStats, StoredContent, Transmission};
 use recoil_telemetry::{
     HistogramSnapshot, Stage, TelemetryLevel, TelemetrySnapshot, TraceEvent, BUCKETS,
 };
 
-/// Version + capability negotiation, first frame in each direction.
+/// The first frame in each direction: magic and [`PROTOCOL_VERSION`].
 ///
-/// The connection initiator sends its version and capability bits; the
-/// acceptor answers with its own version and the **intersection** of
-/// capabilities. A version mismatch is rejected with a typed error frame.
+/// The initiator sends its version and the acceptor answers with its own.
+/// Peers speak one version exactly, so the version is all there is to say:
+/// what a peer can do follows from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hello {
     /// Protocol version the sender speaks.
     pub version: u16,
-    /// Capability bitset ([`crate::frame::CAP_CHUNKED`], …).
-    pub capabilities: u32,
 }
 
 impl Hello {
@@ -34,29 +32,32 @@ impl Hello {
     pub fn ours() -> Self {
         Self {
             version: PROTOCOL_VERSION,
-            capabilities: SUPPORTED_CAPS,
         }
     }
 
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::preallocated(10);
+        let mut w = PayloadWriter::preallocated(6);
         w.u32(HELLO_MAGIC);
         w.u16(self.version);
-        w.u32(self.capabilities);
         w.0
     }
 
+    /// The one place either end judges a peer's HELLO: the magic, then the
+    /// version. Any version but ours is refused as unsupported whatever
+    /// follows it, so an older peer's longer HELLO is told why.
     pub fn decode(payload: &[u8]) -> Result<Self, RecoilError> {
         let mut r = PayloadReader::new(payload);
         if r.u32()? != HELLO_MAGIC {
             return Err(RecoilError::net("bad hello magic"));
         }
-        let hello = Self {
-            version: r.u16()?,
-            capabilities: r.u32()?,
-        };
+        let version = r.u16()?;
+        if version != PROTOCOL_VERSION {
+            return Err(RecoilError::net(format!(
+                "unsupported protocol version {version} (this end speaks {PROTOCOL_VERSION})"
+            )));
+        }
         r.finish()?;
-        Ok(hello)
+        Ok(Self { version })
     }
 }
 
@@ -340,22 +341,19 @@ impl StatsReply {
     }
 }
 
-/// Wire version of the TELEMETRY reply payload. Instruments are *named* on
-/// the wire, so new counters or histograms can appear without a version
-/// bump; the version only changes if the framing itself does.
-pub const TELEMETRY_REPLY_VERSION: u8 = 1;
-
 /// Most named instruments (counters + gauges + histograms each) a reply
 /// may carry — a hostile count cannot drive a large allocation.
 const TELEMETRY_MAX_SERIES: u16 = 1024;
 
 /// Most trace events a reply may carry (the server ring holds 1024; the
-/// cap leaves headroom for bigger rings without a version bump).
+/// cap leaves headroom for bigger rings without a protocol version bump).
 const TELEMETRY_MAX_TRACE: u32 = 65_536;
 
-/// Server → client: a full telemetry snapshot — named counters, gauges,
-/// histograms (sparse non-zero buckets), and, when the server runs at
-/// [`TelemetryLevel::Trace`], the drained event ring.
+/// Server → client: a full telemetry snapshot — its level byte first, then
+/// named counters, gauges, histograms (sparse non-zero buckets), and, when
+/// the server runs at [`TelemetryLevel::Trace`], the drained event ring.
+/// Instruments are *named* on the wire, so new ones can appear without a
+/// [`PROTOCOL_VERSION`] bump.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryReply {
     pub snapshot: TelemetrySnapshot,
@@ -367,7 +365,6 @@ impl TelemetryReply {
     pub fn encode(&self) -> Vec<u8> {
         let s = &self.snapshot;
         let mut w = PayloadWriter::new();
-        w.u8(TELEMETRY_REPLY_VERSION);
         w.u8(s.level.byte());
         debug_assert!(
             s.counters.len().max(s.gauges.len()).max(s.hists.len())
@@ -423,12 +420,6 @@ impl TelemetryReply {
 
     pub fn decode(payload: &[u8]) -> Result<Self, RecoilError> {
         let mut r = PayloadReader::new(payload);
-        let version = r.u8()?;
-        if version != TELEMETRY_REPLY_VERSION {
-            return Err(RecoilError::net(format!(
-                "unsupported telemetry reply version {version}"
-            )));
-        }
         let level = TelemetryLevel::from_u8(r.u8()?)
             .ok_or_else(|| RecoilError::net("bad telemetry level byte"))?;
         let n_counters = Self::series_count(r.u16()?)?;
@@ -699,17 +690,13 @@ mod tests {
     #[test]
     fn hostile_telemetry_replies_are_rejected() {
         let good = TelemetryReply::default().encode();
-        // Unknown version.
+        // Bad level byte (the reply starts with it).
         let mut bad = good.clone();
-        bad[0] = 99;
+        bad[0] = 7;
         assert!(TelemetryReply::decode(&bad).is_err());
-        // Bad level byte.
+        // Hostile series count (offset 1 is the counter count).
         let mut bad = good.clone();
-        bad[1] = 7;
-        assert!(TelemetryReply::decode(&bad).is_err());
-        // Hostile series count (offset 2 is the counter count).
-        let mut bad = good.clone();
-        bad[2..4].copy_from_slice(&u16::MAX.to_le_bytes());
+        bad[1..3].copy_from_slice(&u16::MAX.to_le_bytes());
         assert!(TelemetryReply::decode(&bad).is_err());
         // Trailing garbage.
         let mut bad = good;
@@ -728,6 +715,16 @@ mod tests {
         let mut long = Hello::ours().encode();
         long.push(0);
         assert!(Hello::decode(&long).is_err());
+        // Any other version is refused as one, whatever follows it: a
+        // version-2 HELLO (magic, version, four capability bytes) included.
+        let unsupported = |payload: &[u8]| {
+            let err = Hello::decode(payload).unwrap_err().to_string();
+            assert!(err.contains("unsupported protocol version"), "{err}");
+        };
+        unsupported(&Hello { version: 99 }.encode());
+        let mut v2 = Hello { version: 2 }.encode();
+        v2.extend_from_slice(&7u32.to_le_bytes());
+        unsupported(&v2);
         // A name that is not UTF-8 is refused by the borrowed decoders too.
         let mut req = ContentRequest {
             name: "movie",

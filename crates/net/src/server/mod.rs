@@ -53,8 +53,8 @@ pub struct NetConfig {
     /// every instrument to one branch on the hot path; `Counters` adds
     /// counters, gauges, and latency histograms; `Trace` additionally keeps
     /// the last N stage events in a lock-free ring. Snapshots are served
-    /// over the wire via the negotiated TELEMETRY capability and locally
-    /// via [`NetServerHandle::telemetry`].
+    /// over the wire in reply to a TELEMETRY frame (at every level, `Off`
+    /// included) and locally via [`NetServerHandle::telemetry`].
     pub telemetry: TelemetryLevel,
     /// Deterministic fault schedule for chaos testing ([`FaultPlan`]). A
     /// `None` (the default) serves faithfully; a plan makes this node

@@ -42,7 +42,7 @@
 //!                              └─────┴─────────────────────────────┘
 //! ```
 //!
-//! HELLO negotiation, stats snapshots and every REQUEST/RESUME — a tier
+//! The HELLO exchange, stats snapshots and every REQUEST/RESUME — a tier
 //! cache hit, or a miss whose combine is a selection of stored split bits —
 //! are served inline on the loop with zero per-request allocation beyond a
 //! miss's new tier (responses are framed straight into the connection's
@@ -58,8 +58,7 @@
 use super::NetConfig;
 use crate::frame::{
     append_frame, begin_frame, encode_error, end_frame, io_err, parse_header, FrameType,
-    PayloadWriter, CAP_CHUNKED, CAP_RESUME, CAP_TELEMETRY, FRAME_HEADER_LEN, PROTOCOL_VERSION,
-    SUPPORTED_CAPS,
+    PayloadWriter, FRAME_HEADER_LEN,
 };
 use crate::proto::{
     self, ContentRequest, Hello, PublishOk, PublishRequest, ResumeRequest, StatsReply,
@@ -296,9 +295,6 @@ struct Conn {
     /// The deadline currently armed in the queue, if any.
     armed: Option<Instant>,
     drain_deadline: Instant,
-    /// Capabilities negotiated in this connection's HELLO (zero until the
-    /// handshake completes). Gates capability-bound frames like TELEMETRY.
-    caps: u32,
     /// When the current pending write first hit the socket phase — the
     /// write-flush histogram measures from here to the buffer draining.
     write_started: Option<Instant>,
@@ -326,7 +322,6 @@ impl Conn {
             last_progress: now,
             armed: None,
             drain_deadline: now,
-            caps: 0,
             write_started: None,
             flushes: 0,
             written_total: 0,
@@ -346,7 +341,6 @@ impl Conn {
         self.last_progress = now;
         self.armed = None;
         self.drain_deadline = now;
-        self.caps = 0;
         self.write_started = None;
         self.written_total = 0;
     }
@@ -366,7 +360,6 @@ impl Conn {
         self.next_chunk = 0;
         self.close_after_write = false;
         self.armed = None;
-        self.caps = 0;
         self.write_started = None;
     }
 
@@ -515,45 +508,21 @@ fn fill_chunks(conn: &mut Conn) {
     }
 }
 
-/// Validates the client's HELLO and stages the negotiated reply (or a
-/// typed rejection).
+/// Judges the client's HELLO ([`Hello::decode`]) and stages ours in reply,
+/// or a typed rejection that closes the connection.
 fn handle_hello(conn: &mut Conn, ty: FrameType, end: usize) {
     if ty != FrameType::Hello {
         let e = RecoilError::net(format!("expected HELLO, got {ty:?}"));
         stage_error(conn, &e, true);
         return;
     }
-    let hello = match Hello::decode(&conn.read_buf[FRAME_HEADER_LEN..end]) {
-        Ok(h) => h,
-        Err(e) => {
-            stage_error(conn, &e, true);
-            return;
-        }
-    };
-    conn.read_buf.drain(..end);
-    if hello.version != PROTOCOL_VERSION {
-        let e = RecoilError::net(format!(
-            "unsupported protocol version {} (server speaks {PROTOCOL_VERSION})",
-            hello.version
-        ));
+    if let Err(e) = Hello::decode(&conn.read_buf[FRAME_HEADER_LEN..end]) {
         stage_error(conn, &e, true);
         return;
     }
-    let negotiated = Hello {
-        version: PROTOCOL_VERSION,
-        capabilities: hello.capabilities & SUPPORTED_CAPS,
-    };
-    if negotiated.capabilities & CAP_CHUNKED == 0 {
-        stage_error(
-            conn,
-            &RecoilError::net("peer lacks the chunked-streaming capability"),
-            true,
-        );
-        return;
-    }
-    conn.caps = negotiated.capabilities;
+    conn.read_buf.drain(..end);
     conn.phase = Phase::ReadFrame;
-    stage_payload(conn, FrameType::Hello, &negotiated.encode(), false);
+    stage_payload(conn, FrameType::Hello, &Hello::ours().encode(), false);
 }
 
 /// Decodes a REQUEST or RESUME payload and serves it through the store,
@@ -617,13 +586,8 @@ fn handle_frame(
         }
         FrameType::Request | FrameType::Resume => {
             let resume = ty == FrameType::Resume;
-            let served = if resume && conn.caps & CAP_RESUME == 0 {
-                let e = RecoilError::net("resume capability was not negotiated");
-                Err((e, true))
-            } else {
-                let payload = &conn.read_buf[FRAME_HEADER_LEN..end];
-                request_action(shared, token, payload, resume, sampled)
-            };
+            let payload = &conn.read_buf[FRAME_HEADER_LEN..end];
+            let served = request_action(shared, token, payload, resume, sampled);
             conn.read_buf.drain(..end);
             match served {
                 Ok((tx, item, from_word)) => stage_transmission(conn, shared, tx, item, from_word),
@@ -638,11 +602,6 @@ fn handle_frame(
         FrameType::Telemetry => {
             let well_formed = end == FRAME_HEADER_LEN;
             conn.read_buf.drain(..end);
-            if conn.caps & CAP_TELEMETRY == 0 {
-                let e = RecoilError::net("telemetry capability was not negotiated");
-                stage_error(conn, &e, true);
-                return;
-            }
             if !well_formed {
                 let e = RecoilError::net("telemetry request carries an unexpected payload");
                 stage_error(conn, &e, true);

@@ -6,7 +6,7 @@ use recoil_core::backend::{
 };
 use recoil_core::{
     container_to_bytes, metadata_to_bytes, plan_chunks, try_combine_splits, ChunkPlan, Codec,
-    EncoderConfig, RecoilError,
+    DecodeStats, EncoderConfig, RecoilError,
 };
 use recoil_net::raw::{decode_error, read_frame, write_frame, ReadOutcome};
 use recoil_net::{
@@ -196,18 +196,23 @@ fn malformed_frames_are_rejected_and_server_survives() {
         "unexpected CHUNK must earn an ERROR"
     );
 
-    // HELLO with an unsupported version is rejected with an ERROR frame.
-    let mut conn = TcpStream::connect(server.addr()).unwrap();
-    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let future = Hello {
-        version: 99,
-        capabilities: recoil_net::SUPPORTED_CAPS,
-    };
-    write_frame(&mut conn, FrameType::Hello, &future.encode()).unwrap();
-    assert!(
-        drain_to_eof(&mut conn),
-        "version mismatch must earn an ERROR"
-    );
+    // A HELLO of any other version earns an ERROR that names it, and then
+    // the close: a future one, and a version-2 peer's, whose four trailing
+    // capability bytes must not turn it into a framing complaint.
+    let mut v2 = Hello { version: 2 }.encode();
+    v2.extend_from_slice(&7u32.to_le_bytes());
+    for (version, payload) in [(99, Hello { version: 99 }.encode()), (2, v2)] {
+        let mut conn = TcpStream::connect(server.addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        write_frame(&mut conn, FrameType::Hello, &payload).unwrap();
+        let err = match read_frame(&mut conn).unwrap() {
+            ReadOutcome::Frame(FrameType::Error, payload) => decode_error(&payload).to_string(),
+            other => panic!("version {version}: expected an ERROR, got {other:?}"),
+        };
+        let named = format!("unsupported protocol version {version} ");
+        assert!(err.contains(&named), "version {version}: {err}");
+        assert!(!drain_to_eof(&mut conn), "one ERROR, then the close");
+    }
 
     // After all that abuse, a well-behaved client still gets served.
     assert_eq!(client.fetch_and_decode("x", 4).unwrap(), data);
@@ -800,7 +805,7 @@ impl DecodeBackend for Unavailable {
     fn parallel_spans(&self) -> usize {
         1
     }
-    fn decode(&self, _: DecodeRequest<'_>) -> Result<(), RecoilError> {
+    fn decode(&self, _: DecodeRequest<'_>) -> Result<DecodeStats, RecoilError> {
         unreachable!("an unavailable backend is never dispatched to")
     }
 }
@@ -971,5 +976,57 @@ fn a_published_container_serves_what_publish_serves() {
             "width {width}"
         );
     }
+    server.shutdown();
+}
+
+/// A decode's stats belong to the client that ran it. Two `Counters`
+/// clients share a server: the one that streams (and once buffers) fetches
+/// counts exactly the segments, symbols and words it decoded; the one that
+/// only publishes and receives counts nothing; and the server, which never
+/// decodes, reports zero for every `decode_*` counter.
+#[test]
+fn decode_counters_belong_to_the_client_that_decoded() {
+    let server = start_server(NetConfig {
+        telemetry: TelemetryLevel::Counters,
+        ..small_net_config()
+    });
+    let data = sample(200_000, 29);
+    let idle = NetClient::connect(server.addr()).unwrap();
+    idle.publish("movie", &data, &config(16)).unwrap();
+    let received = idle.request("movie", 4).unwrap(); // never decoded
+    let decoder = NetClient::connect(server.addr()).unwrap();
+
+    let mut segments = 0;
+    let widths = [1u64, 2, 16];
+    for width in widths {
+        let fetched = decoder.fetch_and_decode_streaming("movie", width).unwrap();
+        assert_eq!(fetched.data, data);
+        segments += fetched.segments;
+    }
+    assert_eq!(decoder.fetch_and_decode("movie", 4).unwrap(), data);
+    segments += received.segments;
+    let decodes = widths.len() as u64 + 1;
+
+    let decode_counters = |snapshot: &recoil_telemetry::TelemetrySnapshot| {
+        [
+            "decode_spans",
+            "decode_fast_symbols",
+            "decode_careful_symbols",
+            "decode_words_consumed",
+        ]
+        .map(|name| snapshot.counter(name).unwrap())
+    };
+    let [spans, fast, careful, words] = decode_counters(&decoder.telemetry().snapshot());
+    assert_eq!(spans, segments);
+    assert_eq!(fast + careful, decodes * data.len() as u64);
+    assert_eq!(words, decodes * received.stream.words.len() as u64);
+    assert_eq!(decode_counters(&idle.telemetry().snapshot()), [0; 4]);
+    let remote = idle.remote_telemetry().unwrap().snapshot;
+    assert_eq!(remote.level, TelemetryLevel::Counters);
+    assert_eq!(
+        decode_counters(&remote),
+        [0; 4],
+        "the server decoded nothing"
+    );
     server.shutdown();
 }

@@ -6,7 +6,7 @@ use recoil_core::{EncoderConfig, ScalarBackend};
 use recoil_net::raw::{read_frame, write_frame, ReadOutcome};
 use recoil_net::{
     FrameType, Hello, NetClient, NetClientConfig, NetConfig, NetServer, NetServerHandle,
-    StatsReply, TelemetryReply, CAP_CHUNKED, CAP_TELEMETRY, PROTOCOL_VERSION,
+    StatsReply, TelemetryReply,
 };
 use recoil_server::ContentServer;
 use recoil_telemetry::{Stage, TelemetryLevel};
@@ -35,20 +35,15 @@ fn start_server(telemetry: TelemetryLevel) -> NetServerHandle {
     .unwrap()
 }
 
-/// Raw-socket HELLO exchange with an explicit capability set; returns the
-/// connection and the capabilities the server granted.
-fn raw_hello_with_caps(addr: std::net::SocketAddr, caps: u32) -> (TcpStream, u32) {
+/// Raw-socket HELLO exchange; returns the connection past it.
+fn raw_hello(addr: std::net::SocketAddr) -> TcpStream {
     let mut conn = TcpStream::connect(addr).unwrap();
     conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let ours = Hello {
-        version: PROTOCOL_VERSION,
-        capabilities: caps,
-    };
-    write_frame(&mut conn, FrameType::Hello, &ours.encode()).unwrap();
+    write_frame(&mut conn, FrameType::Hello, &Hello::ours().encode()).unwrap();
     match read_frame(&mut conn).unwrap() {
         ReadOutcome::Frame(FrameType::Hello, payload) => {
-            let theirs = Hello::decode(&payload).unwrap();
-            (conn, theirs.capabilities)
+            assert_eq!(Hello::decode(&payload).unwrap(), Hello::ours());
+            conn
         }
         other => panic!("expected HELLO reply, got {other:?}"),
     }
@@ -201,8 +196,7 @@ fn stats_and_telemetry_report_the_same_gauges() {
     }
     assert!(client.request("nope", 4).is_err());
 
-    let (mut conn, caps) = raw_hello_with_caps(server.addr(), CAP_CHUNKED | CAP_TELEMETRY);
-    assert_eq!(caps & CAP_TELEMETRY, CAP_TELEMETRY);
+    let mut conn = raw_hello(server.addr());
 
     // Both requests in one write: the server parses them back to back off
     // one read burst.
@@ -300,35 +294,10 @@ fn stats_and_telemetry_report_the_same_gauges() {
     server.shutdown();
 }
 
-/// Capability gating: a peer that did not negotiate CAP_TELEMETRY gets a
-/// typed error (and loses the connection), old clients keep their STATS
-/// path, and an `Off`-level server still answers the frame — with an `off`
-/// snapshot — because the capability is about protocol support, not level.
+/// The TELEMETRY frame is part of the protocol, not of a level: an
+/// `Off`-level server still answers it — with an `off` snapshot.
 #[test]
-fn telemetry_capability_is_negotiated_not_assumed() {
-    let server = start_server(TelemetryLevel::Counters);
-    let (mut conn, caps) = raw_hello_with_caps(server.addr(), CAP_CHUNKED);
-    assert_eq!(
-        caps & CAP_TELEMETRY,
-        0,
-        "server must not grant what we lack"
-    );
-
-    // The legacy surface still works on this connection.
-    write_frame(&mut conn, FrameType::Stats, &[]).unwrap();
-    let (ty, _) = await_reply(&mut conn);
-    assert_eq!(ty, FrameType::StatsReply);
-
-    // TELEMETRY without the capability: typed error, then close.
-    write_frame(&mut conn, FrameType::Telemetry, &[]).unwrap();
-    let (ty, _) = await_reply(&mut conn);
-    assert_eq!(ty, FrameType::Error);
-
-    // A client that skipped the capability fails locally, before the wire.
-    let plain = NetClient::connect(server.addr()).unwrap();
-    assert!(plain.remote_telemetry().is_ok());
-
-    // An Off-level server still speaks the frame.
+fn an_off_server_answers_telemetry_with_an_off_snapshot() {
     let quiet = start_server(TelemetryLevel::Off);
     let client = NetClient::connect_with(
         quiet.addr(),
@@ -341,7 +310,5 @@ fn telemetry_capability_is_negotiated_not_assumed() {
     let reply = client.remote_telemetry().unwrap();
     assert_eq!(reply.snapshot.level, TelemetryLevel::Off);
     assert!(reply.trace.is_empty());
-
     quiet.shutdown();
-    server.shutdown();
 }

@@ -39,11 +39,11 @@
 //! a server's TELEMETRY reply is a superset of its STATS reply. Who records
 //! which instrument is listed in `recoil-net`'s crate docs.
 //!
-//! Decode-engine metrics (fast-loop groups vs careful-tail symbols, words
-//! consumed) are process-global by necessity — the rANS kernels know
-//! nothing about servers — and live in [`decode_metrics`]; constructing any
-//! `Telemetry` handle at `Counters` or above arms them, and snapshots fold
-//! them in under `decode_*` names.
+//! Decode-engine counts (spans, fast-loop vs careful-tail symbols, words
+//! consumed) are no exception: a decode returns them to its caller, and the
+//! client that asked for the decode adds them to its own handle's
+//! `decode_*` counters. A server never decodes, so its `decode_*` counters
+//! stay zero.
 
 #![forbid(unsafe_code)]
 
@@ -55,8 +55,6 @@ pub use counter::{Counter, Gauge};
 pub use hist::{bucket_index, bucket_upper_bound, Histogram, HistogramSnapshot, BUCKETS};
 pub use trace::{Stage, TraceEvent, TraceRing};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// How much the pipeline records. Ordered: each level includes the ones
@@ -111,7 +109,8 @@ pub struct PipelineCounters {
     pub bytes_read: Counter,
     /// Requests answered on the reactor thread without dispatch.
     pub inline_serves: Counter,
-    /// Jobs handed to the dispatch pool: one per PUBLISH encode.
+    /// Jobs handed to the dispatch pool: one per PUBLISH (the worker
+    /// parses, validates and stores the container; nothing is encoded).
     pub dispatched_jobs: Counter,
     /// Times a connection's pending write buffer fully drained.
     pub write_flushes: Counter,
@@ -133,6 +132,14 @@ pub struct PipelineCounters {
     /// Router side: content names promoted onto additional replicas by
     /// hot-key tracking.
     pub replica_promotions: Counter,
+    /// Client side: spans decoded (one per metadata segment).
+    pub decode_spans: Counter,
+    /// Client side: symbols decoded by a kernel's fast loop.
+    pub decode_fast_symbols: Counter,
+    /// Client side: symbols decoded by the bounds-checked careful tail.
+    pub decode_careful_symbols: Counter,
+    /// Client side: compressed u16 words the decodes consumed.
+    pub decode_words_consumed: Counter,
 }
 
 /// Point-in-time values a handle's owner publishes into it. A net server's
@@ -180,44 +187,6 @@ pub struct PipelineHistograms {
     pub stream_total_ns: Histogram,
 }
 
-/// Process-global decode-engine counters. The rANS kernels are leaf code
-/// with no handle to thread through, so these are armed once (by the first
-/// `Telemetry::new` at `Counters` or above) and folded into every snapshot.
-#[derive(Debug, Default)]
-pub struct DecodeMetrics {
-    enabled: AtomicBool,
-    /// Spans decoded (one per decode task, i.e. per metadata segment).
-    pub spans: Counter,
-    /// Full GROUP-sized fast-loop iterations.
-    pub fast_groups: Counter,
-    /// Symbols decoded by the branchless fast loop.
-    pub fast_symbols: Counter,
-    /// Symbols decoded by the careful bounds-checked tail.
-    pub careful_symbols: Counter,
-    /// Compressed u16 words consumed across all spans.
-    pub words_consumed: Counter,
-}
-
-impl DecodeMetrics {
-    /// Cheap hot-path gate: one relaxed load.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Arms recording process-wide (never disarmed: spans from overlapping
-    /// servers must not silently stop counting).
-    pub fn enable(&self) {
-        self.enabled.store(true, Ordering::Relaxed);
-    }
-}
-
-/// The process-global [`DecodeMetrics`] instance.
-pub fn decode_metrics() -> &'static DecodeMetrics {
-    static METRICS: OnceLock<DecodeMetrics> = OnceLock::new();
-    METRICS.get_or_init(DecodeMetrics::default)
-}
-
 /// Default trace-ring capacity: big enough to hold the full event history
 /// of a burst, small enough to bound the TELEMETRY reply payload.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
@@ -236,9 +205,6 @@ pub struct Telemetry {
 
 impl Telemetry {
     pub fn new(level: TelemetryLevel) -> Self {
-        if level >= TelemetryLevel::Counters {
-            decode_metrics().enable();
-        }
         Self {
             level,
             start: Instant::now(),
@@ -296,11 +262,9 @@ impl Telemetry {
         self.trace.drain()
     }
 
-    /// Snapshots every instrument (plus the global decode metrics) into
-    /// stable-ordered name/value lists.
+    /// Snapshots every instrument into stable-ordered name/value lists.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let c = &self.counters;
-        let d = decode_metrics();
         let counters = vec![
             ("frames_read", c.frames_read.get()),
             ("bytes_read", c.bytes_read.get()),
@@ -313,11 +277,10 @@ impl Telemetry {
             ("failovers", c.failovers.get()),
             ("retries", c.retries.get()),
             ("replica_promotions", c.replica_promotions.get()),
-            ("decode_spans", d.spans.get()),
-            ("decode_fast_groups", d.fast_groups.get()),
-            ("decode_fast_symbols", d.fast_symbols.get()),
-            ("decode_careful_symbols", d.careful_symbols.get()),
-            ("decode_words_consumed", d.words_consumed.get()),
+            ("decode_spans", c.decode_spans.get()),
+            ("decode_fast_symbols", c.decode_fast_symbols.get()),
+            ("decode_careful_symbols", c.decode_careful_symbols.get()),
+            ("decode_words_consumed", c.decode_words_consumed.get()),
         ]
         .into_iter()
         .map(|(name, v)| (name.to_string(), v))
@@ -504,7 +467,6 @@ mod tests {
             "retries",
             "replica_promotions",
             "decode_spans",
-            "decode_fast_groups",
             "decode_fast_symbols",
             "decode_careful_symbols",
             "decode_words_consumed",
@@ -546,11 +508,25 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore)] // Instant::now is unsupported under isolation
-    fn counters_level_arms_global_decode_metrics() {
-        let _t = Telemetry::new(TelemetryLevel::Counters);
-        assert!(decode_metrics().enabled());
-        decode_metrics().spans.bump();
-        let s = _t.snapshot();
-        assert!(s.counter("decode_spans").unwrap() >= 1);
+    fn decode_counters_belong_to_the_handle_that_records_them() {
+        let client = Telemetry::new(TelemetryLevel::Counters);
+        let server = Telemetry::new(TelemetryLevel::Counters);
+        client.counters.decode_spans.add(3);
+        client.counters.decode_words_consumed.add(40);
+        let (c, s) = (client.snapshot(), server.snapshot());
+        assert_eq!(c.counter("decode_spans"), Some(3));
+        assert_eq!(c.counter("decode_words_consumed"), Some(40));
+        for name in [
+            "decode_spans",
+            "decode_fast_symbols",
+            "decode_careful_symbols",
+            "decode_words_consumed",
+        ] {
+            assert_eq!(
+                s.counter(name),
+                Some(0),
+                "{name} leaked into another handle"
+            );
+        }
     }
 }

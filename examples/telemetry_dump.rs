@@ -47,7 +47,7 @@ fn main() -> Result<(), RecoilError> {
     let streamed = client.fetch_and_decode_streaming("report", 64)?;
     assert_eq!(streamed.data, data);
 
-    // --- Scrape 1: the TELEMETRY frame (negotiated in HELLO). ---
+    // --- Scrape 1: the TELEMETRY frame. ---
     let reply = client.remote_telemetry()?;
     println!("=== server text exposition ===");
     print!("{}", reply.snapshot.render_text());
@@ -63,7 +63,9 @@ fn main() -> Result<(), RecoilError> {
         );
     }
 
-    // --- The client keeps its own histograms (streaming latencies). ---
+    // --- The client keeps its own histograms (streaming latencies) and
+    // counts the decodes it ran; the server's `decode_*` counters are zero.
+    // ---
     println!("\n=== client-side streaming histograms ===");
     let local = client.telemetry().snapshot();
     for name in [
@@ -80,6 +82,9 @@ fn main() -> Result<(), RecoilError> {
                 h.max
             );
         }
+    }
+    for name in ["decode_spans", "decode_words_consumed"] {
+        println!("{name}: {}", local.counter(name).unwrap_or(0));
     }
 
     // --- Scrape 2: counters persist, but the trace ring was drained. ---

@@ -11,7 +11,7 @@
 
 use recoil::prelude::*;
 use recoil::rans::{LaneStates, Span};
-use recoil_core::{plan_chunks, IncrementalDecoder};
+use recoil_core::{plan_chunks, DecodeStats, IncrementalDecoder};
 use std::ops::Range;
 
 /// SplitMix-style deterministic generator — the corpus is fully seeded.
@@ -309,7 +309,7 @@ fn decode_range(
     enc: &Encoded,
     segments: Range<u64>,
     out: &mut [u8],
-) -> Result<(), RecoilError> {
+) -> Result<DecodeStats, RecoilError> {
     backend.decode(DecodeRequest {
         stream,
         metadata: &enc.container.metadata,
@@ -339,9 +339,14 @@ fn every_segment_range_decodes_its_region_and_nothing_else() {
         for a in 0..=nseg {
             for b in a..=nseg {
                 let mut out = vec![0xA5u8; data.len()];
-                decode_range(backend.as_ref(), stream, &enc, a..b, &mut out)
+                let stats = decode_range(backend.as_ref(), stream, &enc, a..b, &mut out)
                     .unwrap_or_else(|e| panic!("{name} {a}..{b}: {e}"));
                 let (lo, hi) = (bounds[a as usize] as usize, bounds[b as usize] as usize);
+                assert_eq!(
+                    (stats.spans, stats.fast_symbols + stats.careful_symbols),
+                    (b - a, (hi - lo) as u64),
+                    "{name} {a}..{b} stats"
+                );
                 assert_eq!(&out[lo..hi], &data[lo..hi], "{name} {a}..{b}");
                 assert!(
                     out[..lo].iter().chain(&out[hi..]).all(|&s| s == 0xA5),
