@@ -1,6 +1,6 @@
 //! The checks every parser of a hostile stream header runs before it sizes
-//! anything from the declared geometry — shared by the container file
-//! reader, the net client's TRANSMIT validation and the incremental
+//! anything from the declared geometry — shared by the item-section parser
+//! (`file.rs`: files, PUBLISH and TRANSMIT alike) and the incremental
 //! decoder, so a header is judged by one rule everywhere.
 
 use recoil_models::CdfTable;
@@ -21,7 +21,7 @@ pub const MAX_RESERVED_WORDS: usize = 1 << 19;
 /// of a stream, whose lane states are mid-flight. Rejecting a header that
 /// exceeds this keeps every decode-side allocation proportional to the
 /// bytes actually received.
-pub fn symbols_fit(quant_bits: u32, ways: u32, num_symbols: u64, num_words: u64) -> bool {
+pub(crate) fn symbols_fit(quant_bits: u32, ways: u32, num_symbols: u64, num_words: u64) -> bool {
     let scale = (1u64 << quant_bits.min(63)) as f64;
     let min_bits_per_symbol = scale.log2() - (scale - 1.0).log2();
     let capacity_bits = 16.0 * num_words as f64 + 48.0 * f64::from(ways) + 64.0;
@@ -32,7 +32,7 @@ pub fn symbols_fit(quant_bits: u32, ways: u32, num_symbols: u64, num_words: u64)
 /// quantizer's invariants: a level in `1..=16`, a non-empty alphabet,
 /// frequencies that sum to exactly `2^n`, none reaching `2^n`. The error is
 /// the reason, for the caller to wrap in its own error kind.
-pub fn checked_cdf_table(freqs: Vec<u32>, quant_bits: u32) -> Result<CdfTable, String> {
+pub(crate) fn checked_cdf_table(freqs: Vec<u32>, quant_bits: u32) -> Result<CdfTable, String> {
     if !(1..=16).contains(&quant_bits) {
         return Err(format!("bad quantization level {quant_bits}"));
     }

@@ -1,31 +1,27 @@
-//! A complete self-describing file format: bitstream + final states +
-//! quantized model + Recoil metadata in one byte buffer.
-//!
-//! The paper transmits the model out of band (it is identical across all
-//! variations, so the size tables exclude it); real deployments need it on
-//! disk. Layout (little-endian):
+//! An item's one byte layout — an `.rcl` file, a PUBLISH's container and,
+//! without its words, a TRANSMIT — and the one parser that checks it.
+//! Everything a decoder needs to plan its parallel work comes before the
+//! first word (Said et al., PAPERS.md). Layout (little-endian):
 //!
 //! ```text
-//! magic "RCLF" | u8 version | u8 n | u16 ways | u32 alphabet
-//! u64 num_symbols | u64 num_words
-//! alphabet × u16   quantized frequencies (sum 2^n; n = 16 stores f - 1
-//!                  never occurs because f <= 2^n - 1 always fits)
-//! ways × u32       final states
-//! num_words × u16  bitstream words
-//! u32 metadata_len | metadata bytes (§4.3 format)
-//! u32 crc32        little-endian CRC-32 of every preceding byte
+//! magic "RCLF" | u8 version (3)
+//! item section:  u32 metadata_len | metadata (§4.3, own CRC-32 footer; the
+//!                  one place n, W, N and the word count B are written)
+//!                model block: u32 alphabet | alphabet × u16 frequencies
+//!                  (each < 2^n) | W × u32 final states | u32 CRC-32 of them
+//!                u32 CRC-32 of the words' little-endian bytes
+//! B × u16 words
 //! ```
 //!
-//! The version is 2. The parser checks the CRC-32 footer before
-//! interpreting any field, so corrupt files fail as [`RecoilError::Wire`]
-//! instead of decoding garbage. Any other version is rejected, the
-//! footerless version 1 included: a sender cannot choose to skip the check.
-//!
-//! This is also what a server stores and what PUBLISH carries: the
-//! container as its publisher encoded it.
+//! [`item_from_bytes`] checks a section before reading it: CRCs first, then
+//! the capacity bound (`symbols_fit`) before anything is sized, then the
+//! quantizer's invariants (`checked_cdf_table`), then the final states
+//! ([`EncodedStream::validate`]); [`check_words_crc`] judges the words, of a
+//! file here and of a fetch in the client. Any other version is rejected.
 
 use crate::bounds::{checked_cdf_table, symbols_fit};
-use crate::crc::crc32;
+use crate::codec::Encoded;
+use crate::crc::{crc32, update_crc32};
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
 use crate::wire::{metadata_from_bytes, metadata_to_bytes};
@@ -34,16 +30,10 @@ use recoil_models::{CdfTable, StaticModelProvider};
 use recoil_rans::{append_words_le, extend_words_from_le, EncodedStream};
 
 const MAGIC: &[u8; 4] = b"RCLF";
-/// The format: CRC-32 footer after the metadata section.
-const VERSION: u8 = 2;
+/// The format: one item section, then the words.
+const VERSION: u8 = 3;
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
 fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -53,12 +43,15 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes, at: 0 }
+    }
     fn take(&mut self, n: usize) -> Result<&'a [u8], RecoilError> {
         let s = self
             .at
             .checked_add(n)
             .and_then(|end| self.bytes.get(self.at..end))
-            .ok_or_else(|| RecoilError::wire("truncated file"))?;
+            .ok_or_else(|| RecoilError::wire("truncated item"))?;
         self.at += n;
         Ok(s)
     }
@@ -67,54 +60,208 @@ impl<'a> Cursor<'a> {
         a.copy_from_slice(self.take(N)?);
         Ok(a)
     }
-    fn u8(&mut self) -> Result<u8, RecoilError> {
-        let [b] = self.array()?;
-        Ok(b)
-    }
     fn u16(&mut self) -> Result<u16, RecoilError> {
         Ok(u16::from_le_bytes(self.array()?))
     }
     fn u32(&mut self) -> Result<u32, RecoilError> {
         Ok(u32::from_le_bytes(self.array()?))
     }
-    fn u64(&mut self) -> Result<u64, RecoilError> {
-        Ok(u64::from_le_bytes(self.array()?))
+}
+
+/// An item section, parsed and checked: everything a decoder needs before
+/// the first word.
+#[derive(Debug)]
+pub struct ItemSection {
+    /// The metadata: n, W, N and the word count, and the splits.
+    pub metadata: RecoilMetadata,
+    /// Bytes the metadata took: the §4.3 size transfer sizes count.
+    pub metadata_len: usize,
+    /// The model, rebuilt from the block's frequencies at the metadata's n.
+    pub model: StaticModelProvider,
+    /// Per-lane final states.
+    pub final_states: Vec<u32>,
+    /// CRC-32 of the words' little-endian bytes.
+    pub words_crc: u32,
+}
+
+/// The model block for `model` and a stream's `final_states`: what a stored
+/// item keeps as bytes and writes into every item section it serves.
+pub fn model_block(model: &CdfTable, final_states: &[u32]) -> Vec<u8> {
+    let mut out = Vec::new();
+    // xtask: allow(wire-cast): encode path — CdfTable caps the alphabet at 2^16 symbols.
+    put_u32(&mut out, model.alphabet_size() as u32);
+    for &f in model.freqs() {
+        // xtask: allow(wire-cast): encode path — every frequency is below 2^n <= 2^16 (quantizer invariant).
+        out.extend_from_slice(&(f as u16).to_le_bytes());
     }
+    for &state in final_states {
+        put_u32(&mut out, state);
+    }
+    let crc = crc32(&out);
+    put_u32(&mut out, crc);
+    out
+}
+
+/// Appends an item section to `out`, from bytes: a server writes one per
+/// request from the tier's metadata and what its item holds.
+pub fn write_item_section(out: &mut Vec<u8>, metadata: &[u8], model_block: &[u8], words_crc: u32) {
+    debug_assert!(u32::try_from(metadata.len()).is_ok());
+    // xtask: allow(wire-cast): encode path — metadata is built in-process and far below 4 GiB.
+    put_u32(out, metadata.len() as u32);
+    out.extend_from_slice(metadata);
+    out.extend_from_slice(model_block);
+    put_u32(out, words_crc);
+}
+
+/// CRC-32 of `words`' little-endian bytes: an item section's words CRC.
+/// Staged through a cache-resident scratch image, so the words are read
+/// from memory once.
+pub fn words_crc32(words: &[u16]) -> u32 {
+    const SCRATCH_WORDS: usize = 2048;
+    let mut state = 0xFFFF_FFFFu32;
+    let mut scratch = Vec::new();
+    for block in words.chunks(SCRATCH_WORDS) {
+        scratch.clear();
+        append_words_le(&mut scratch, block);
+        state = update_crc32(state, &scratch);
+    }
+    state ^ 0xFFFF_FFFF
+}
+
+/// The one verdict on received words: the CRC-32 of their bytes against the
+/// CRC their item section carried.
+pub fn check_words_crc(computed: u32, carried: u32) -> Result<(), RecoilError> {
+    if computed != carried {
+        return Err(RecoilError::wire("words checksum mismatch"));
+    }
+    Ok(())
 }
 
 /// Serializes a container plus its static model into one byte buffer.
 pub fn container_to_bytes(container: &RecoilContainer, model: &CdfTable) -> Vec<u8> {
     let stream = &container.stream;
-    // xtask: allow(wire-capacity): encode path — sized from the in-memory stream, not the wire.
-    let mut out = Vec::with_capacity(stream.words.len() * 2 + 1024);
+    let mut item = Vec::new();
+    write_item_section(
+        &mut item,
+        &metadata_to_bytes(&container.metadata),
+        &model_block(model, &stream.final_states),
+        words_crc32(&stream.words),
+    );
+    container_of_item(&item, &stream.words)
+}
+
+/// A container from an item section and the words it describes (a fetch's
+/// make the container of its tier).
+pub fn container_of_item(item: &[u8], words: &[u16]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.reserve_exact(MAGIC.len() + 1 + item.len() + words.len() * 2);
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
-    debug_assert!(model.quant_bits() <= 16 && stream.ways <= u32::from(u16::MAX));
-    // xtask: allow(wire-cast): encode path — the quantizer caps n at 16.
-    out.push(model.quant_bits() as u8);
-    // xtask: allow(wire-cast): encode path — lane counts are configuration, far below u16::MAX.
-    put_u16(&mut out, stream.ways as u16);
-    // xtask: allow(wire-cast): encode path — CdfTable caps the alphabet at 2^16 symbols.
-    put_u32(&mut out, model.alphabet_size() as u32);
-    put_u64(&mut out, stream.num_symbols);
-    put_u64(&mut out, stream.words.len() as u64);
-    for s in 0..model.alphabet_size() {
-        // f <= 2^n - 1 <= 65535 always fits a u16 (quantizer invariant).
-        // xtask: allow(wire-cast): see the quantizer invariant above.
-        put_u16(&mut out, model.freq(s) as u16);
-    }
-    for &st in &stream.final_states {
-        put_u32(&mut out, st);
-    }
-    append_words_le(&mut out, &stream.words);
-    let meta = metadata_to_bytes(&container.metadata);
-    debug_assert!(u32::try_from(meta.len()).is_ok());
-    // xtask: allow(wire-cast): encode path — metadata is built in-process and is tiny.
-    put_u32(&mut out, meta.len() as u32);
-    out.extend_from_slice(&meta);
-    let footer = crc32(&out);
-    put_u32(&mut out, footer);
+    out.extend_from_slice(item);
+    append_words_le(&mut out, words);
     out
+}
+
+impl Encoded {
+    /// This encode's container ([`container_to_bytes`]): an `.rcl` file's
+    /// bytes and what a PUBLISH carries.
+    pub fn container_bytes(&self) -> Vec<u8> {
+        container_to_bytes(&self.container, self.model.table())
+    }
+}
+
+/// Parses and checks the item section at the front of `bytes` (a
+/// container's past its magic and version, a TRANSMIT's past its serving
+/// fields) and returns it with the number of bytes it took.
+pub fn item_from_bytes(bytes: &[u8]) -> Result<(ItemSection, usize), RecoilError> {
+    let mut c = Cursor::new(bytes);
+    let metadata_len = usize::try_from(c.u32()?)
+        .map_err(|_| RecoilError::wire("metadata length exceeds the address space"))?;
+    let metadata = metadata_from_bytes(c.take(metadata_len)?)?;
+    let (n, ways) = (metadata.quant_bits, metadata.ways);
+    let (symbols, words) = (metadata.num_symbols, metadata.num_words);
+
+    // The alphabet is read ahead of the block's CRC only to find its end.
+    let block_at = c.at;
+    let alphabet = usize::try_from(c.u32()?)
+        .map_err(|_| RecoilError::wire("alphabet size exceeds the address space"))?;
+    if alphabet == 0 || alphabet > 1 << 16 {
+        return Err(RecoilError::wire(format!("bad alphabet size {alphabet}")));
+    }
+    let lanes = usize::try_from(ways)
+        .map_err(|_| RecoilError::wire("lane count exceeds the address space"))?;
+    // At most 2^17 + 2^18 bytes: the metadata caps W at u16::MAX.
+    c.take(2 * alphabet + 4 * lanes)?;
+    let block = bytes.get(block_at..c.at).unwrap_or_default();
+    if crc32(block) != c.u32()? {
+        return Err(RecoilError::wire("model block checksum mismatch"));
+    }
+
+    // Reject an impossible symbol count before anything is sized from it.
+    if !symbols_fit(n, ways, symbols, words) {
+        return Err(RecoilError::wire(format!(
+            "symbol count {symbols} impossible for {words} words over {ways} lanes"
+        )));
+    }
+    let mut b = Cursor::new(block);
+    b.take(4)?;
+    let freqs = (0..alphabet)
+        .map(|_| b.u16().map(u32::from))
+        .collect::<Result<_, _>>()?;
+    let table = checked_cdf_table(freqs, n).map_err(RecoilError::wire)?;
+    let head = EncodedStream {
+        words: Vec::new(),
+        final_states: (0..lanes).map(|_| b.u32()).collect::<Result<_, _>>()?,
+        num_symbols: symbols,
+        ways,
+    };
+    head.validate()
+        .map_err(|e| RecoilError::wire(format!("parsed stream is inconsistent: {e}")))?;
+    let words_crc = c.u32()?;
+    let item = ItemSection {
+        metadata,
+        metadata_len,
+        model: StaticModelProvider::new(table),
+        final_states: head.final_states,
+        words_crc,
+    };
+    Ok((item, c.at))
+}
+
+/// [`container_from_bytes`] plus the words CRC the container carried (and
+/// its words were checked against), for a store that keeps it.
+pub fn read_container(
+    bytes: &[u8],
+) -> Result<(RecoilContainer, StaticModelProvider, u32), RecoilError> {
+    let mut c = Cursor::new(bytes);
+    if c.take(MAGIC.len())? != MAGIC {
+        return Err(RecoilError::wire("bad magic"));
+    }
+    if c.take(1)? != [VERSION] {
+        return Err(RecoilError::wire("unsupported version"));
+    }
+    let body = bytes.get(c.at..).unwrap_or_default();
+    let (item, len) = item_from_bytes(body)?;
+    let metadata = item.metadata;
+    let word_bytes = body.get(len..).unwrap_or_default();
+    if word_bytes.len() as u64 != metadata.num_words.saturating_mul(2) {
+        return Err(RecoilError::wire("word bytes disagree with the word count"));
+    }
+    check_words_crc(crc32(word_bytes), item.words_crc)?;
+    let mut words = Vec::new();
+    let dangling = extend_words_from_le(&mut words, None, word_bytes);
+    debug_assert!(dangling.is_none(), "an even byte count was checked");
+    let stream = EncodedStream {
+        words,
+        final_states: item.final_states,
+        num_symbols: metadata.num_symbols,
+        ways: metadata.ways,
+    };
+    Ok((
+        RecoilContainer { stream, metadata },
+        item.model,
+        item.words_crc,
+    ))
 }
 
 /// Parses a file produced by [`container_to_bytes`], rebuilding the decode
@@ -122,86 +269,7 @@ pub fn container_to_bytes(container: &RecoilContainer, model: &CdfTable) -> Vec<
 pub fn container_from_bytes(
     bytes: &[u8],
 ) -> Result<(RecoilContainer, StaticModelProvider), RecoilError> {
-    let mut c = Cursor { bytes, at: 0 };
-    if c.take(4)? != MAGIC {
-        return Err(RecoilError::wire("bad magic"));
-    }
-    if c.u8()? != VERSION {
-        return Err(RecoilError::wire("unsupported version"));
-    }
-    // Verify the integrity footer before interpreting any field.
-    if bytes.len() < 5 + 4 {
-        return Err(RecoilError::wire("truncated file"));
-    }
-    let (bytes, footer) = bytes.split_at(bytes.len() - 4);
-    let footer: [u8; 4] = footer
-        .try_into()
-        .map_err(|_| RecoilError::wire("truncated file"))?;
-    if crc32(bytes) != u32::from_le_bytes(footer) {
-        return Err(RecoilError::wire("file checksum mismatch"));
-    }
-    let mut c = Cursor { bytes, at: 5 };
-    let n = u32::from(c.u8()?);
-    let ways = u32::from(c.u16()?);
-    let alphabet = usize::try_from(c.u32()?)
-        .map_err(|_| RecoilError::wire("alphabet size exceeds the address space"))?;
-    if alphabet == 0 || alphabet > 1 << 16 {
-        return Err(RecoilError::wire(format!("bad alphabet size {alphabet}")));
-    }
-    let num_symbols = c.u64()?;
-    let num_words = usize::try_from(c.u64()?)
-        .map_err(|_| RecoilError::wire("word count exceeds the address space"))?;
-
-    // Reject an impossible symbol count before anything is sized from it.
-    if !symbols_fit(n, ways, num_symbols, num_words as u64) {
-        return Err(RecoilError::wire(format!(
-            "symbol count {num_symbols} impossible for {num_words} words over {ways} lanes"
-        )));
-    }
-
-    // xtask: allow(wire-capacity): bounded to 2^16 entries (256 KiB) by the check above.
-    let mut freqs = Vec::with_capacity(alphabet);
-    for _ in 0..alphabet {
-        freqs.push(u32::from(c.u16()?));
-    }
-    let table = checked_cdf_table(freqs, n).map_err(RecoilError::wire)?;
-
-    let lanes = usize::try_from(ways)
-        .map_err(|_| RecoilError::wire("lane count exceeds the address space"))?;
-    // xtask: allow(wire-capacity): `ways` was read as a u16 above, so this caps at 256 KiB.
-    let mut final_states = Vec::with_capacity(lanes);
-    for _ in 0..ways {
-        final_states.push(c.u32()?);
-    }
-    let word_bytes = c.take(
-        num_words
-            .checked_mul(2)
-            .ok_or_else(|| RecoilError::wire("word count overflows"))?,
-    )?;
-    let mut words = Vec::new();
-    let dangling = extend_words_from_le(&mut words, None, word_bytes);
-    debug_assert!(dangling.is_none(), "an even byte count was taken");
-
-    let meta_len = usize::try_from(c.u32()?)
-        .map_err(|_| RecoilError::wire("metadata length exceeds the address space"))?;
-    let metadata: RecoilMetadata = metadata_from_bytes(c.take(meta_len)?)?;
-
-    let stream = EncodedStream {
-        words,
-        final_states,
-        num_symbols,
-        ways,
-    };
-    stream
-        .validate()
-        .map_err(|e| RecoilError::wire(format!("parsed stream is inconsistent: {e}")))?;
-    metadata
-        .validate_against(&stream)
-        .map_err(|e| RecoilError::wire(format!("parsed metadata is inconsistent: {e}")))?;
-    Ok((
-        RecoilContainer { stream, metadata },
-        StaticModelProvider::new(table),
-    ))
+    read_container(bytes).map(|(container, model, _)| (container, model))
 }
 
 #[cfg(test)]
@@ -210,6 +278,7 @@ mod tests {
     use crate::backend::{DecodeBackend, DecodeModel, DecodeRequest, ScalarBackend};
     use crate::codec::Codec;
     use recoil_models::ModelProvider;
+    use std::ops::Range;
 
     fn sample(len: usize) -> Vec<u8> {
         (0..len as u32)
@@ -228,12 +297,26 @@ mod tests {
             .unwrap()
     }
 
-    /// Recomputes the v2 CRC footer after a test deliberately corrupts the
-    /// body — so the structural check under test fires, not the checksum.
+    /// Where a container's two CRC'd header sections lie: the metadata
+    /// (footer included) and the model block (its CRC excluded).
+    fn sections(bytes: &[u8]) -> (Range<usize>, Range<usize>) {
+        let meta_len = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
+        let meta = 9..9 + meta_len;
+        let alphabet = u32::from_le_bytes(bytes[meta.end..meta.end + 4].try_into().unwrap());
+        let ways = u16::from_le_bytes(bytes[meta.start + 5..meta.start + 7].try_into().unwrap());
+        let block = meta.end..meta.end + 4 + 2 * alphabet as usize + 4 * ways as usize;
+        (meta, block)
+    }
+
+    /// Recomputes the metadata footer and the model block's CRC after a
+    /// test deliberately corrupts either — so the structural check under
+    /// test fires, not the checksum.
     fn patch_crc(bytes: &mut [u8]) {
-        let at = bytes.len() - 4;
-        let footer = crc32(&bytes[..at]);
-        bytes[at..].copy_from_slice(&footer.to_le_bytes());
+        let (meta, block) = sections(bytes);
+        let footer = crc32(&bytes[meta.start..meta.end - 4]);
+        bytes[meta.end - 4..meta.end].copy_from_slice(&footer.to_le_bytes());
+        let crc = crc32(&bytes[block.clone()]);
+        bytes[block.end..block.end + 4].copy_from_slice(&crc.to_le_bytes());
     }
 
     #[test]
@@ -266,10 +349,14 @@ mod tests {
     fn hostile_symbol_count_rejected_without_allocation() {
         let data = sample(10_000);
         let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
-        let container = encode(&data, &model, 4);
+        // One segment: no split is placed relative to N, so the capacity
+        // bound is the check that meets the absurd count.
+        let container = encode(&data, &model, 1);
         let mut bytes = container_to_bytes(&container, model.table());
-        // num_symbols lives at offset 12..20 of the header.
-        bytes[12..20].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        // num_symbols is bytes 8..16 of the metadata header.
+        let (meta, _) = sections(&bytes);
+        let at = meta.start + 8;
+        bytes[at..at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
         patch_crc(&mut bytes);
         let err = match container_from_bytes(&bytes) {
             Err(e) => e,
@@ -299,8 +386,9 @@ mod tests {
         assert!(container_from_bytes(&bytes).is_err());
         bytes[0] ^= 1;
         // Break a model frequency without fixing the CRC: the checksum
-        // rejects the file before the model is even read.
-        bytes[28] ^= 0xFF;
+        // rejects the block before the model is even read.
+        let (_, block) = sections(&bytes);
+        bytes[block.start + 4] ^= 0xFF;
         let err = container_from_bytes(&bytes).expect_err("corruption undetected");
         assert!(err.to_string().contains("checksum"), "{err}");
         // With a freshly patched CRC the structural sum check fires instead.
@@ -315,16 +403,18 @@ mod tests {
         let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
         let container = encode(&data, &model, 8);
         let mut bytes = container_to_bytes(&container, model.table());
-        // A v1 file was the same layout minus the footer, tagged version 1.
-        // Neither it nor the current bytes retagged v1 (with a valid CRC)
-        // may be read: v1 would let the sender skip the checksum.
+        // A v1 file was the v2 layout minus the footer, tagged version 1.
+        // Neither it, nor the current bytes retagged v1 or v2, may be read:
+        // v1 would let the sender skip the checksum, and no older layout is
+        // read at all.
+        let mut v2 = bytes.clone();
+        v2[4] = 2;
         bytes[4] = 1;
         let footerless = bytes[..bytes.len() - 4].to_vec();
-        patch_crc(&mut bytes);
-        for v1 in [&bytes[..], &footerless[..]] {
-            let err = match container_from_bytes(v1) {
+        for old in [&bytes[..], &footerless[..], &v2[..]] {
+            let err = match container_from_bytes(old) {
                 Err(e) => e,
-                Ok(_) => panic!("v1 file accepted"),
+                Ok(_) => panic!("old-version file accepted"),
             };
             assert!(matches!(err, RecoilError::Wire { .. }), "{err:?}");
             assert!(err.to_string().contains("version"), "{err}");

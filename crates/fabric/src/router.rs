@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use recoil_core::backend::{ensure_available, AutoBackend, DecodeBackend};
-use recoil_core::{container_to_bytes, Codec, EncoderConfig, RecoilContainer, RecoilError};
+use recoil_core::{Codec, EncoderConfig, RecoilError};
 use recoil_net::{splitmix64, NetClient, NetClientConfig, PublishOk, StatsReply};
 use recoil_telemetry::{Telemetry, TelemetryLevel};
 
@@ -252,8 +252,9 @@ impl FabricRouter {
         data: &[u8],
         config: &EncoderConfig,
     ) -> Result<PublishOk, RecoilError> {
-        let encoded = Codec::from_config(config.clone())?.encode(data)?;
-        let container = container_to_bytes(&encoded.container, encoded.model.table());
+        let container = Codec::from_config(config.clone())?
+            .encode(data)?
+            .container_bytes();
         let mut last_err = RecoilError::net("no healthy fabric node to publish to");
         for target in self.candidates(name) {
             if !self.nodes[target].healthy.load(Ordering::Relaxed) {
@@ -447,18 +448,14 @@ impl FabricRouter {
     }
 
     /// Copies `name` from `holder` onto `target` as bytes: a buffered
-    /// full-width fetch (CRC-checked on receipt, never decoded) is the
-    /// holder's stream, model and full metadata, which go back into the
-    /// container format and are published on the target as they are. The
-    /// replica is the holder's bytes by construction, which is what keeps
-    /// cross-node resume valid.
+    /// full-width fetch (checked on receipt, never decoded) is the holder's
+    /// item section and words, which behind a container's magic and version
+    /// are the holder's container, and are published on the target as they
+    /// are. The replica is the holder's bytes by construction, which is
+    /// what keeps cross-node resume valid.
     fn replicate(&self, name: &str, holder: usize, target: usize) -> Result<(), RecoilError> {
         let held = self.nodes[holder].client.request(name, u64::MAX)?;
-        let container = RecoilContainer {
-            stream: held.stream,
-            metadata: held.metadata,
-        };
-        let bytes = container_to_bytes(&container, held.model.table());
+        let bytes = held.container_bytes();
         match self.nodes[target].client.publish_container(name, &bytes) {
             Ok(_) | Err(RecoilError::AlreadyPublished { .. }) => Ok(()),
             Err(err) => Err(err),

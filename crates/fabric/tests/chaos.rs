@@ -97,7 +97,7 @@ impl Geometry {
         };
         let hello_len = next(FrameType::Hello).len() as u64;
         let transmit = next(FrameType::Transmit);
-        let header = TransmitHeader::decode(&transmit).unwrap();
+        let (header, ..) = TransmitHeader::decode(&transmit).unwrap();
         let bodies: Vec<u64> = (0..header.chunk_count)
             .map(|_| next(FrameType::Chunk).len() as u64 - CHUNK_SEQ)
             .collect();

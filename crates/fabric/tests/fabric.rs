@@ -130,6 +130,16 @@ fn assert_replica_is_its_holder(fabric: &Fabric, name: &str, holder: usize, repl
     let [held_full, copy_full] = stores.map(|store| store.request(name, u64::MAX).unwrap());
     assert!(!held_full.metadata_bytes().is_empty());
     assert_eq!(copy_full.metadata_bytes(), held_full.metadata_bytes());
+    // And over the wire: the replica's full-width fetch is the holder's,
+    // byte for byte — item section and words, as a container.
+    let [held_bytes, copy_bytes] = [holder, replica].map(|i| {
+        NetClient::connect(fabric.node(i).unwrap().addr())
+            .unwrap()
+            .request(name, u64::MAX)
+            .unwrap()
+            .container_bytes()
+    });
+    assert_eq!(copy_bytes, held_bytes);
 }
 
 /// A replica is a byte copy of its holder: promotion fetches the holder's

@@ -7,7 +7,7 @@ use crate::frame::{
     decode_error, io_err, read_header, read_payload, write_frame, FrameType, HeaderOutcome,
     MAX_FRAME_LEN,
 };
-use crate::integrity::{validate_transmit_header, PayloadCheck};
+use crate::integrity::PayloadCheck;
 use crate::proto::{
     ContentRequest, Hello, PublishOk, PublishRequest, ResumeRequest, StatsReply, TelemetryReply,
     TransmitHeader,
@@ -17,7 +17,7 @@ use recoil_core::backend::{
     ensure_available, preferred_segments, AutoBackend, DecodeBackend, DecodeModel, DecodeRequest,
 };
 use recoil_core::{
-    container_to_bytes, Codec, DecodeStats, EncoderConfig, IncrementalDecoder, RecoilError,
+    container_of_item, Codec, DecodeStats, EncoderConfig, IncrementalDecoder, RecoilError,
     RecoilMetadata, MAX_RESERVED_WORDS,
 };
 use recoil_models::StaticModelProvider;
@@ -122,8 +122,10 @@ pub struct RemoteContent {
     pub stream: EncodedStream,
     /// Parsed shrunk metadata for this client's capacity.
     pub metadata: RecoilMetadata,
-    /// The raw metadata bytes as they crossed the wire.
-    pub metadata_bytes: Vec<u8>,
+    /// The served tier's item section as it crossed the wire.
+    pub item: Vec<u8>,
+    /// Bytes of the section's metadata.
+    pub metadata_len: u64,
     /// The static model rebuilt from the transmitted frequencies.
     pub model: StaticModelProvider,
     /// Post-clamp segment count the server actually served.
@@ -138,7 +140,13 @@ impl RemoteContent {
     /// Transfer size: bitstream payload plus metadata, as the paper counts
     /// it (the model is excluded, §5.2).
     pub fn total_bytes(&self) -> u64 {
-        self.stream.payload_bytes() + self.metadata_bytes.len() as u64
+        self.stream.payload_bytes() + self.metadata_len
+    }
+
+    /// This fetch as a container of its tier; at full width, the published
+    /// container byte for byte.
+    pub fn container_bytes(&self) -> Vec<u8> {
+        container_of_item(&self.item, &self.stream.words)
     }
 
     /// Decodes through an explicit backend.
@@ -482,8 +490,8 @@ impl NetClient {
     }
 
     /// Encodes `data` under `config` here, on the caller, and publishes the
-    /// result under `name` on the remote server: its
-    /// [`container_to_bytes`] form, through
+    /// result under `name` on the remote server: its container
+    /// ([`recoil_core::Encoded::container_bytes`]), through
     /// [`NetClient::publish_container`]. Not retried: a publish is not
     /// idempotent.
     pub fn publish(
@@ -493,17 +501,19 @@ impl NetClient {
         config: &EncoderConfig,
     ) -> Result<PublishOk, RecoilError> {
         Self::check_name(name)?;
-        let encoded = Codec::from_config(config.clone())?.encode(data)?;
-        let container = container_to_bytes(&encoded.container, encoded.model.table());
+        let container = Codec::from_config(config.clone())?
+            .encode(data)?
+            .container_bytes();
         self.publish_container(name, &container)
     }
 
-    /// Publishes an already-encoded container — [`container_to_bytes`]
-    /// output, such as a file `examples/file_codec.rs` wrote — under
-    /// `name`. The server checks its CRC-32 and validates it, then stores
-    /// it as it is: nothing is encoded there. A container that fails to
-    /// parse is refused in-band as [`RecoilError::Wire`]. Not retried: a
-    /// publish is not idempotent.
+    /// Publishes an already-encoded container — an `.rcl` file's bytes,
+    /// such as `examples/file_codec.rs` writes, or a fetch's
+    /// [`RemoteContent::container_bytes`] — under `name`. The server checks
+    /// every section's CRC and validates it, then stores it as it is:
+    /// nothing is encoded there. A container that fails to parse is refused
+    /// in-band as [`RecoilError::Wire`]. Not retried: a publish is not
+    /// idempotent.
     pub fn publish_container(
         &self,
         name: &str,
@@ -612,8 +622,8 @@ impl NetClient {
             &body,
             FrameType::Transmit,
         )?;
-        let header = TransmitHeader::decode(&reply).map_err(OpError::Transport)?;
-        let (model, metadata) = validate_transmit_header(&header).map_err(OpError::Transport)?;
+        let (header, metadata, model) =
+            TransmitHeader::decode(&reply).map_err(OpError::Transport)?;
         let check = PayloadCheck::begin(&header).map_err(OpError::Transport)?;
         Ok(FetchSession {
             conn,
@@ -668,11 +678,11 @@ pub struct FetchSession<C = TcpStream> {
     conn: C,
     response_timeout: Duration,
     request: ContentRequest,
-    /// The validated TRANSMIT header the transfer began with.
+    /// The checked TRANSMIT header the transfer began with.
     pub header: TransmitHeader,
-    /// The static model rebuilt from the transmitted frequencies.
+    /// The static model rebuilt from the item section's frequencies.
     pub model: StaticModelProvider,
-    /// Parsed shrunk metadata for the requested capacity.
+    /// The item section's metadata, for the requested capacity.
     pub metadata: RecoilMetadata,
     check: PayloadCheck,
     /// The one buffer every CHUNK frame is received into.
@@ -700,7 +710,7 @@ impl FetchSession {
                 FrameType::Transmit,
             )
             .map_err(OpError::into_inner)?;
-        let header = TransmitHeader::decode(&reply)?;
+        let (header, ..) = TransmitHeader::decode(&reply)?;
         self.check.resume(&header)?;
         self.conn = conn;
         self.response_timeout = client.config.response_timeout;
@@ -773,8 +783,8 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
         }
     }
 
-    /// Drains the session into a word store and rebuilds validated decode
-    /// inputs: the buffered fetch.
+    /// Drains the session into a word store: the buffered fetch (its item
+    /// section was checked at open, its words by the payload check).
     fn into_content(mut self) -> Result<RemoteContent, RecoilError> {
         // Beyond the cap the store grows only with real chunk bytes,
         // whatever `word_bytes` claims.
@@ -789,19 +799,14 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
         let stream = EncodedStream {
             words,
             final_states: header.final_states,
-            num_symbols: header.num_symbols,
-            ways: header.ways,
+            num_symbols: self.metadata.num_symbols,
+            ways: self.metadata.ways,
         };
-        stream
-            .validate()
-            .map_err(|e| RecoilError::net(format!("received stream is inconsistent: {e}")))?;
-        self.metadata
-            .validate_against(&stream)
-            .map_err(|e| RecoilError::net(format!("received metadata is inconsistent: {e}")))?;
         Ok(RemoteContent {
             stream,
             metadata: self.metadata,
-            metadata_bytes: header.metadata,
+            item: header.item,
+            metadata_len: header.metadata_len,
             model: self.model,
             segments: header.segments,
             cache_hit: header.cache_hit,
@@ -941,7 +946,7 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
             segments: self.header.segments,
             cache_hit: self.header.cache_hit,
             combine_nanos: self.header.combine_nanos,
-            total_bytes: payload_bytes + self.header.metadata.len() as u64,
+            total_bytes: payload_bytes + self.header.metadata_len,
             chunk_count: self.header.chunk_count,
             decode_batches,
             first_segment_nanos,

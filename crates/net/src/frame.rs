@@ -17,8 +17,10 @@ use std::io::{ErrorKind, Read, Write};
 /// and the version of every frame, so peers speak it exactly or not at all.
 /// Version 2: a PUBLISH carries an encoded container, not raw data and
 /// encoder parameters. Version 3: a HELLO carries no capability bits and a
-/// TELEMETRY_REPLY no version byte of its own.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// TELEMETRY_REPLY no version byte of its own. Version 4: the container is
+/// version 3 (one item section, then the words), and a TRANSMIT is its
+/// serving fields around the served tier's item section.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Magic opening every [`crate::Hello`] payload: `"RNET"`.
 pub const HELLO_MAGIC: u32 = 0x524E_4554;
@@ -45,8 +47,8 @@ pub enum FrameType {
     PublishOk = 0x03,
     /// Client → server: content name + the client's parallel capacity.
     Request = 0x04,
-    /// Server → client: shrunk metadata, model, stream geometry; the
-    /// bitstream words follow as `Chunk` frames.
+    /// Server → client: the serving fields and the served tier's item
+    /// section; the bitstream words follow as `Chunk` frames.
     Transmit = 0x05,
     /// One slice of a chunked bitstream payload.
     Chunk = 0x06,
@@ -412,6 +414,13 @@ impl<'a> PayloadReader<'a> {
         let len = usize::try_from(self.u32()?)
             .map_err(|_| RecoilError::net("blob length exceeds the address space"))?;
         self.take(len)
+    }
+
+    /// Everything not read yet, for a parser of its own to take from.
+    pub fn rest(&mut self) -> &'a [u8] {
+        let rest = self.bytes.get(self.at..).unwrap_or_default();
+        self.at = self.bytes.len();
+        rest
     }
 
     /// Length-prefixed (u16) UTF-8 string.

@@ -1,13 +1,15 @@
 //! The payload integrity rule: what a receiver must check before it may
 //! call a chunked transfer complete.
 //!
-//! A TRANSMIT header declares the word stream (`word_bytes`, whole-stream
-//! `payload_crc`) and how many CHUNK frames carry it on this connection;
-//! the rule is that those frames arrive in sequence, never carry more than
-//! was declared, end exactly at the declared size, and reassemble to the
-//! declared CRC-32 — and that when a transfer continues on another node
-//! (RESUME at the word offset already held), the new node's header
-//! declares the same stream, or the two are not spliced.
+//! A TRANSMIT header declares the word stream (`word_bytes` from its
+//! metadata, `payload_crc` from its item section's words CRC) and how many
+//! CHUNK frames carry it on this connection; the rule is that those frames
+//! arrive in sequence, never carry more than was declared, end exactly at
+//! the declared size, and reassemble to the declared CRC-32 (judged by
+//! [`recoil_core::check_words_crc`], as a container's words are) — and that
+//! when a transfer continues on another node (RESUME at the word offset
+//! already held), the new node's header declares the same stream, or the
+//! two are not spliced.
 //!
 //! [`PayloadCheck`] is that rule and nothing else: no socket, no clock, no
 //! decoder. CHUNK payloads and TRANSMIT headers go in; verified bodies and
@@ -16,10 +18,7 @@
 //! buffered, streaming, or failed over — passes the same check.
 
 use crate::proto::TransmitHeader;
-use recoil_core::{
-    checked_cdf_table, metadata_from_bytes, symbols_fit, update_crc32, RecoilError, RecoilMetadata,
-};
-use recoil_models::StaticModelProvider;
+use recoil_core::{check_words_crc, update_crc32, RecoilError};
 
 /// Bytes of the sequence number in front of every CHUNK body.
 const CHUNK_SEQ_BYTES: usize = 4;
@@ -121,10 +120,7 @@ impl PayloadCheck {
                 self.received, self.word_bytes
             )));
         }
-        if self.crc_state ^ 0xFFFF_FFFF != self.payload_crc {
-            return Err(RecoilError::net("bitstream payload checksum mismatch"));
-        }
-        Ok(())
+        check_words_crc(self.crc_state ^ 0xFFFF_FFFF, self.payload_crc)
     }
 
     /// CHUNK frames the current connection still owes. Zero means complete
@@ -140,48 +136,12 @@ impl PayloadCheck {
     }
 }
 
-/// Validates a TRANSMIT header before any chunk bytes arrive and returns
-/// the rebuilt model plus the parsed shrunk metadata.
-///
-/// The checks are the container file parser's: the information-capacity
-/// bound ([`recoil_core::symbols_fit`]) so a hostile header cannot drive
-/// the decode-side allocation, the quantizer invariants on the transmitted
-/// frequencies ([`recoil_core::checked_cdf_table`]), the metadata's own CRC
-/// footer, and the metadata's geometry against the header's.
-pub fn validate_transmit_header(
-    header: &TransmitHeader,
-) -> Result<(StaticModelProvider, RecoilMetadata), RecoilError> {
-    if !header.word_bytes.is_multiple_of(2) {
-        return Err(RecoilError::net("odd bitstream byte count"));
-    }
-    let num_words = header.word_bytes / 2;
-    let (n, ways, symbols) = (header.quant_bits, header.ways, header.num_symbols);
-    if !symbols_fit(n, ways, symbols, num_words) {
-        return Err(RecoilError::net(format!(
-            "symbol count {symbols} impossible for {} bitstream bytes",
-            header.word_bytes
-        )));
-    }
-    let freqs = header.freqs.iter().map(|&f| u32::from(f)).collect();
-    let table = checked_cdf_table(freqs, n).map_err(RecoilError::net)?;
-
-    // Metadata bytes carry their own CRC footer; this parses + checks.
-    let metadata = metadata_from_bytes(&header.metadata)?;
-    if (metadata.ways, metadata.num_symbols, metadata.num_words) != (ways, symbols, num_words) {
-        return Err(RecoilError::net(format!(
-            "metadata (W={}, N={}, B={}) does not match the transmit header \
-             (W={ways}, N={symbols}, B={num_words})",
-            metadata.ways, metadata.num_symbols, metadata.num_words,
-        )));
-    }
-    Ok((StaticModelProvider::new(table), metadata))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::PayloadWriter;
     use recoil_core::codec::Codec;
-    use recoil_core::{crc32, metadata_to_bytes, plan_chunks};
+    use recoil_core::{crc32, metadata_to_bytes, model_block, plan_chunks, write_item_section};
     use recoil_rans::{append_words_le, extend_words_from_le};
 
     /// A real encode cut the way the server cuts it: the TRANSMIT header
@@ -216,24 +176,21 @@ mod tests {
             })
             .collect();
         assert!(bodies.len() >= 8, "{} chunks", bodies.len());
-        let table = enc.model.table();
-        let header = TransmitHeader {
-            segments: enc.container.metadata.num_segments(),
-            cache_hit: false,
-            combine_nanos: 0,
-            metadata: metadata_to_bytes(&enc.container.metadata),
-            quant_bits: table.quant_bits(),
-            freqs: (0..table.alphabet_size())
-                .map(|s| table.freq(s) as u16)
-                .collect(),
-            ways: stream.ways,
-            num_symbols: stream.num_symbols,
-            final_states: stream.final_states.clone(),
-            word_bytes: stream.words.len() as u64 * 2,
-            payload_crc: crc32(&bodies.concat()),
-            chunk_count: bodies.len() as u32,
-        };
-        validate_transmit_header(&header).unwrap();
+        // The TRANSMIT payload as the server writes it, parsed as the
+        // client parses it.
+        let mut w = PayloadWriter::new();
+        w.u64(enc.container.metadata.num_segments());
+        w.u8(0);
+        w.u64(0);
+        write_item_section(
+            &mut w.0,
+            &metadata_to_bytes(&enc.container.metadata),
+            &model_block(enc.model.table(), &stream.final_states),
+            crc32(&bodies.concat()),
+        );
+        w.u32(bodies.len() as u32);
+        let (header, ..) = TransmitHeader::decode(&w.0).unwrap();
+        assert_eq!(header.word_bytes, stream.words.len() as u64 * 2);
         Cut {
             header,
             bodies,
@@ -279,10 +236,13 @@ mod tests {
         detail(err)
     }
 
+    /// A typed refusal's detail: `Net` for the transfer's shape, `Wire` for
+    /// the words' checksum, whose verdict is a container's too.
     fn detail(err: RecoilError) -> String {
         match err {
             RecoilError::Net { detail } => detail,
-            other => panic!("expected a typed Net error, got {other:?}"),
+            RecoilError::Wire { detail } if detail.contains("checksum") => detail,
+            other => panic!("expected a typed Net or checksum error, got {other:?}"),
         }
     }
 

@@ -23,10 +23,10 @@
 //! | Frame | Dir | Payload | Encoder → decoder |
 //! |---|---|---|---|
 //! | `HELLO` (0x01) | both | magic, protocol version | [`Hello::encode`] → [`Hello::decode`] |
-//! | `PUBLISH` (0x02) | C→S | name, an encoded container (the [`recoil_core::container_to_bytes`] format) | [`PublishRequest::encode`] → [`PublishRequest::decode`] (both borrowed views) |
+//! | `PUBLISH` (0x02) | C→S | name, an encoded container: magic, version, the full-width item section (metadata, model block, words CRC), the words — an `.rcl` file's bytes | [`PublishRequest::encode`] → [`PublishRequest::decode`] (both borrowed views) |
 //! | `PUBLISH_OK` (0x03) | S→C | planned segments, bitstream bytes | [`PublishOk::encode`] → [`PublishOk::decode`] |
 //! | `REQUEST` (0x04) | C→S | name, client's `parallel_segments` | [`ContentRequest::encode`] → `ContentRequest::<&str>::decode` |
-//! | `TRANSMIT` (0x05) | S→C | shrunk metadata, model, stream geometry, payload CRC-32, chunk count | `proto::write_transmit_header` (in place, from the stored item) → [`TransmitHeader::decode`] |
+//! | `TRANSMIT` (0x05) | S→C | segments, cache hit, combine time, the served tier's item section, chunk count | `proto::write_transmit_header` (in place, from bytes the stored item holds) → [`TransmitHeader::decode`] ([`recoil_core::item_from_bytes`]) |
 //! | `CHUNK` (0x06) | S→C | sequence number + one bitstream slice | the reactor's `fill_chunks` → `integrity.rs` (`PayloadCheck::accept`) |
 //! | `STATS` (0x07) | C→S | *(empty)* | — |
 //! | `STATS_REPLY` (0x08) | S→C | twelve `u64`s: the store's six counters, the transport's five facts, the item count | [`StatsReply::encode`] → [`StatsReply::decode`] |
@@ -41,12 +41,20 @@
 //! blocking reader and the reactor's buffer parser.
 //!
 //! Large bitstreams are **chunked**: `TRANSMIT` carries everything except
-//! the words, which follow as ordered `CHUNK` frames; the client verifies a
-//! CRC-32 over the reassembled payload (metadata bytes carry their own
-//! footer from the core wire format). Typed `ERROR` frames round-trip
-//! [`RecoilError`]: `NotFound`/`AlreadyPublished`/`Busy` reconstruct
-//! exactly, the rest degrade to [`RecoilError::Net`] with the remote
-//! display text.
+//! the words, which follow as ordered `CHUNK` frames. An item is one byte
+//! layout at rest and in flight: a TRANSMIT's item section is a
+//! container's, checked by the one parser a container goes through
+//! ([`recoil_core::item_from_bytes`]: metadata and model block each behind
+//! their own CRC-32, n, W, N and the word count written only in the
+//! metadata), and the client holds the reassembled words to the section's
+//! words CRC with the verdict a container's words get
+//! ([`recoil_core::check_words_crc`]). A full-width fetch's section and
+//! chunk bodies behind a container's magic and version are the published
+//! container, byte for byte ([`RemoteContent::container_bytes`]).
+//!
+//! Typed `ERROR` frames round-trip [`RecoilError`]:
+//! `NotFound`/`AlreadyPublished`/`Busy` reconstruct exactly, the rest
+//! degrade to [`RecoilError::Net`] with the remote display text.
 //!
 //! ## Segment resume
 //!
@@ -122,9 +130,9 @@
 //! loop through a wake pipe. Nothing is encoded there: the publisher
 //! encoded ([`NetClient::publish`] runs the encoder on the caller, or
 //! [`NetClient::publish_container`] sends a container as it is), and a
-//! worker checks the container's CRC-32, parses and validates it
-//! ([`recoil_core::container_from_bytes`]) and stores it as it is
-//! ([`ContentServer::insert`]) — work linear in a payload of up to 64 MiB,
+//! worker checks each section's CRC-32, parses and validates it
+//! ([`recoil_core::read_container`]) and stores it as it is, with the words
+//! CRC it carried ([`ContentServer::insert`]) — work linear in a payload of up to 64 MiB,
 //! which is why it stays off the loop. A container that fails any check is
 //! refused in-band with a typed [`RecoilError::Wire`] and the connection
 //! stays open; a payload that is not a PUBLISH message closes it.
@@ -234,7 +242,6 @@ mod server;
 pub use client::{FetchSession, NetClient, NetClientConfig, RemoteContent, StreamedFetch};
 pub use fault::{splitmix64, FaultPlan};
 pub use frame::{FrameType, HELLO_MAGIC, MAX_FRAME_LEN, PROTOCOL_VERSION};
-pub use integrity::validate_transmit_header;
 pub use proto::{
     ContentRequest, Hello, PublishOk, PublishRequest, ResumeRequest, StatsReply, TelemetryReply,
     TransmitHeader,

@@ -10,7 +10,8 @@
 //! read buffer.
 
 use crate::frame::{PayloadReader, PayloadWriter, HELLO_MAGIC, PROTOCOL_VERSION};
-use recoil_core::RecoilError;
+use recoil_core::{item_from_bytes, write_item_section, RecoilError, RecoilMetadata};
+use recoil_models::StaticModelProvider;
 use recoil_server::{ServerStats, StoredContent, Transmission};
 use recoil_telemetry::{
     HistogramSnapshot, Stage, TelemetryLevel, TelemetrySnapshot, TraceEvent, BUCKETS,
@@ -63,9 +64,10 @@ impl Hello {
 
 /// Client → server: store `container` under `name`.
 ///
-/// The container is [`recoil_core::container_to_bytes`]' format — stream,
-/// final states, model, full metadata and CRC-32 footer — as its publisher
-/// encoded it; the server parses and validates it and never encodes.
+/// The container is an `.rcl` file's bytes (`recoil_core`'s `file.rs`
+/// layout: magic, version, the full-width item section — metadata, model
+/// block, words CRC — then the words) as its publisher encoded it; the
+/// server checks it with [`recoil_core::read_container`] and never encodes.
 /// A borrowed view on both ends: the container can be tens of MiB, so the
 /// client writes it from the caller's slice into the one payload buffer and
 /// the server decodes it in place in the read buffer it lent to the worker.
@@ -200,16 +202,19 @@ impl<'a> ResumeRequest<&'a str> {
     }
 }
 
-/// Server → client: everything a remote decoder needs except the bitstream
-/// words, which follow as `chunk_count` ordered `Chunk` frames.
+/// Server → client: the serving fields around the served tier's item
+/// section — `segments: u64`, `cache_hit: u8`, `combine_nanos: u64`, the
+/// section (`recoil_core`'s `file.rs` layout: metadata, model block, words
+/// CRC), `chunk_count: u32` — then the words as `chunk_count` ordered
+/// `Chunk` frames. Behind a container's magic and version, a full-width
+/// TRANSMIT's section and its chunk bodies are the published container.
 ///
-/// The words' little-endian byte image is protected by `payload_crc`
-/// (CRC-32), checked client-side after reassembly; metadata bytes carry
-/// their own CRC footer from the core wire format.
-///
-/// This owned struct is the message's **decode side** only: the server
-/// writes a TRANSMIT payload with `write_transmit_header`, straight from
-/// the stored content into the connection's write buffer.
+/// [`TransmitHeader::decode`] checks the section with
+/// [`recoil_core::item_from_bytes`], the parser a container goes through,
+/// and keeps what the transfer is checked and written back with; the
+/// section's metadata and model come back beside it. This owned struct is
+/// the message's **decode side** only: the server writes a TRANSMIT with
+/// `write_transmit_header`, from bytes the stored item holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransmitHeader {
     /// Post-clamp segment count actually served.
@@ -218,72 +223,49 @@ pub struct TransmitHeader {
     pub cache_hit: bool,
     /// Server-side real-time combine cost (zero on a cache hit).
     pub combine_nanos: u64,
-    /// Serialized shrunk metadata (§4.3 wire format, CRC-footered).
-    pub metadata: Vec<u8>,
-    /// Model quantization level `n`.
-    pub quant_bits: u32,
-    /// Quantized model frequencies (alphabet size is the length).
-    pub freqs: Vec<u16>,
-    /// Interleave width `W`.
-    pub ways: u32,
-    /// Symbol count `N`.
-    pub num_symbols: u64,
+    /// The served tier's item section, as it crossed the wire.
+    pub item: Vec<u8>,
+    /// Bytes of the section's metadata: what transfer sizes count.
+    pub metadata_len: u64,
     /// Per-lane final states (read first when decoding).
     pub final_states: Vec<u32>,
     /// Total bitstream bytes that will arrive chunked (2 × word count).
     pub word_bytes: u64,
-    /// CRC-32 of the reassembled word bytes.
+    /// The section's words CRC-32: what the reassembled bodies must match.
     pub payload_crc: u32,
     /// Number of `Chunk` frames that follow.
     pub chunk_count: u32,
 }
 
 impl TransmitHeader {
-    pub fn decode(payload: &[u8]) -> Result<Self, RecoilError> {
+    /// Reads the serving fields, has [`recoil_core::item_from_bytes`] parse
+    /// and check the item section between them, and returns the header with
+    /// the section's metadata and model.
+    pub fn decode(
+        payload: &[u8],
+    ) -> Result<(Self, RecoilMetadata, StaticModelProvider), RecoilError> {
         let mut r = PayloadReader::new(payload);
         let segments = r.u64()?;
         let cache_hit = r.u8()? != 0;
         let combine_nanos = r.u64()?;
-        let metadata = r.bytes()?.to_vec();
-        let quant_bits = r.u32()?;
-        let alphabet = usize::try_from(r.u32()?)
-            .map_err(|_| RecoilError::net("alphabet size exceeds the address space"))?;
-        if alphabet > 1 << 16 {
-            return Err(RecoilError::net(format!("bad alphabet size {alphabet}")));
-        }
-        // xtask: allow(wire-capacity): bounded to 2^16 entries (128 KiB) by the check above.
-        let mut freqs = Vec::with_capacity(alphabet);
-        for _ in 0..alphabet {
-            freqs.push(r.u16()?);
-        }
-        let ways = r.u32()?;
-        if ways == 0 || ways > u32::from(u16::MAX) {
-            return Err(RecoilError::net(format!("bad lane count {ways}")));
-        }
-        let num_symbols = r.u64()?;
-        let lanes = usize::try_from(ways)
-            .map_err(|_| RecoilError::net("lane count exceeds the address space"))?;
-        // xtask: allow(wire-capacity): bounded to u16::MAX lanes (256 KiB) by the check above.
-        let mut final_states = Vec::with_capacity(lanes);
-        for _ in 0..ways {
-            final_states.push(r.u32()?);
-        }
-        let msg = Self {
+        let rest = r.rest();
+        let (section, len) = item_from_bytes(rest)?;
+        let (item, tail) = rest.split_at_checked(len).unwrap_or_default();
+        let mut r = PayloadReader::new(tail);
+        let chunk_count = r.u32()?;
+        r.finish()?;
+        let header = Self {
             segments,
             cache_hit,
             combine_nanos,
-            metadata,
-            quant_bits,
-            freqs,
-            ways,
-            num_symbols,
-            final_states,
-            word_bytes: r.u64()?,
-            payload_crc: r.u32()?,
-            chunk_count: r.u32()?,
+            item: item.to_vec(),
+            metadata_len: section.metadata_len as u64,
+            final_states: section.final_states,
+            word_bytes: section.metadata.num_words.saturating_mul(2),
+            payload_crc: section.words_crc,
+            chunk_count,
         };
-        r.finish()?;
-        Ok(msg)
+        Ok((header, section.metadata, section.model))
     }
 }
 
@@ -502,38 +484,25 @@ impl TelemetryReply {
 }
 
 /// Encodes the TRANSMIT payload for `(transmission, item)` straight into
-/// `w` — the image [`TransmitHeader::decode`] parses, built from the stored
-/// content without an owned struct (no metadata copy, no freqs or
-/// final-states clones), on the reactor's per-request hot path. The
-/// payload CRC is the item's memoized whole-stream CRC-32, valid because
-/// chunk plans tile the word stream exactly.
+/// `w` — the image [`TransmitHeader::decode`] parses, on the reactor's
+/// per-request hot path. The item section is copied from bytes the item
+/// holds: the tier's metadata, the item's model block and its words CRC,
+/// valid for every tier because chunk plans tile the word stream exactly.
 pub(crate) fn write_transmit_header(
     w: &mut PayloadWriter,
     transmission: &Transmission,
     item: &StoredContent,
     chunk_count: u32,
 ) {
-    let stream = &item.stream;
-    let table = item.model.table();
     w.u64(transmission.tier.segments);
     w.u8(u8::from(transmission.cache_hit));
     w.u64(u64::try_from(transmission.combine_nanos).unwrap_or(u64::MAX));
-    w.bytes(transmission.metadata_bytes());
-    w.u32(table.quant_bits());
-    // xtask: allow(wire-cast): encode path — CdfTable caps the alphabet at 2^16 symbols.
-    w.u32(table.alphabet_size() as u32);
-    for s in 0..table.alphabet_size() {
-        // Quantizer invariant: every frequency is < 2^16, so u16 is exact.
-        // xtask: allow(wire-cast): see the quantizer invariant above.
-        w.u16(table.freq(s) as u16);
-    }
-    w.u32(stream.ways);
-    w.u64(stream.num_symbols);
-    for &s in &stream.final_states {
-        w.u32(s);
-    }
-    w.u64(stream.words.len() as u64 * 2);
-    w.u32(item.payload_crc32());
+    write_item_section(
+        &mut w.0,
+        transmission.metadata_bytes(),
+        item.model_block(),
+        item.payload_crc32(),
+    );
     w.u32(chunk_count);
 }
 
@@ -608,25 +577,31 @@ mod tests {
         assert!(ResumeRequest::decode(&req.encode()).is_err());
 
         let (transmission, item, payload) = served_transmit(7);
-        let table = item.model.table();
-        let transmit = TransmitHeader::decode(&payload).unwrap();
+        let (transmit, metadata, model) = TransmitHeader::decode(&payload).unwrap();
+        let mut section = Vec::new();
+        write_item_section(
+            &mut section,
+            transmission.metadata_bytes(),
+            item.model_block(),
+            item.payload_crc32(),
+        );
         assert_eq!(
             transmit,
             TransmitHeader {
                 segments: 4,
                 cache_hit: false,
                 combine_nanos: transmission.combine_nanos as u64,
-                metadata: transmission.metadata_bytes().to_vec(),
-                quant_bits: table.quant_bits(),
-                freqs: table.freqs().iter().map(|&f| f as u16).collect(),
-                ways: item.stream.ways,
-                num_symbols: 30_000,
+                item: section,
+                metadata_len: transmission.metadata_bytes().len() as u64,
                 final_states: item.stream.final_states.clone(),
                 word_bytes: item.stream.words.len() as u64 * 2,
                 payload_crc: item.payload_crc32(),
                 chunk_count: 7,
             }
         );
+        assert_eq!(&metadata, transmission.metadata());
+        assert_eq!(metadata.num_symbols, 30_000);
+        assert_eq!(model.table(), item.model.table());
 
         let stats = StatsReply {
             stats: ServerStats {
@@ -735,16 +710,15 @@ mod tests {
         assert!(ContentRequest::decode(&req).is_err());
         // Hostile lane count would otherwise drive a huge allocation.
         let (transmission, item, mut bytes) = served_transmit(0);
-        // `ways` sits right after segments(8) + hit(1) + nanos(8) +
-        // metadata(4 + len) + quant(4) + alphabet(4 + 2 per symbol).
-        let at = 8
-            + 1
-            + 8
-            + (4 + transmission.metadata_bytes().len())
-            + 4
-            + (4 + 2 * item.model.table().alphabet_size());
-        assert_eq!(bytes[at..at + 4], item.stream.ways.to_le_bytes());
-        bytes[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+        // `ways` is bytes 5..7 of the metadata header, which starts after
+        // segments(8) + hit(1) + nanos(8) + the metadata length(4); the
+        // footer is re-signed so that the count itself is judged.
+        let meta = 21..21 + transmission.metadata_bytes().len();
+        let at = meta.start + 5;
+        assert_eq!(bytes[at..at + 2], (item.stream.ways as u16).to_le_bytes());
+        bytes[at..at + 2].copy_from_slice(&0u16.to_le_bytes());
+        let footer = recoil_core::crc32(&bytes[meta.start..meta.end - 4]);
+        bytes[meta.end - 4..meta.end].copy_from_slice(&footer.to_le_bytes());
         assert!(TransmitHeader::decode(&bytes).is_err());
     }
 }

@@ -65,7 +65,7 @@ use crate::proto::{
     TelemetryReply,
 };
 use parking_lot::{Condvar, Mutex};
-use recoil_core::{container_from_bytes, plan_chunks_into, ChunkPlan, RecoilError};
+use recoil_core::{plan_chunks_into, read_container, ChunkPlan, RecoilError};
 use recoil_rans::append_words_le;
 use recoil_reactor::{DeadlineQueue, Poller, Slab, SlabStats, Token, WakePipe};
 use recoil_server::{ContentServer, ServerStats, StoredContent, Transmission};
@@ -1333,17 +1333,18 @@ fn run_job(shared: &Shared, job: Job) -> Completion {
 }
 
 /// PUBLISH off the loop: decode the message in place, parse the container
-/// (CRC-32 first, then every structural check) and store it as it is.
+/// (each section's CRC first, then every structural check) and store it as
+/// it is, with the words CRC it carried.
 /// Application failures (a container that does not parse or validate, a
 /// duplicate name) are in-band and keep the connection; a payload that is
 /// not a PUBLISH message is a protocol violation and closes it (the
 /// `bool`).
 fn publish(shared: &Shared, payload: &[u8]) -> Result<PublishOk, (RecoilError, bool)> {
     let msg = PublishRequest::decode(payload).map_err(|e| (e, true))?;
-    let (container, model) = container_from_bytes(msg.container).map_err(|e| (e, false))?;
+    let (container, model, words_crc) = read_container(msg.container).map_err(|e| (e, false))?;
     let item = shared
         .content
-        .insert(msg.name, container, model)
+        .insert(msg.name, container, model, words_crc)
         .map_err(|e| (e, false))?;
     Ok(PublishOk {
         segments: item.max_segments(),

@@ -223,7 +223,7 @@ fn capture_transmission(name: &str, data: &[u8], chunk_bytes: usize) -> Vec<u8> 
     loop {
         match read_frame(&mut conn).unwrap() {
             ReadOutcome::Frame(FrameType::Transmit, payload) => {
-                let header = recoil_net::TransmitHeader::decode(&payload).unwrap();
+                let (header, ..) = recoil_net::TransmitHeader::decode(&payload).unwrap();
                 chunks_left = Some(header.chunk_count);
                 write_frame(&mut raw, FrameType::Transmit, &payload).unwrap();
             }
@@ -341,8 +341,9 @@ fn crc_corrupted_chunk_stream_is_a_typed_error_on_both_paths() {
                 client.fetch_and_decode("movie", 16)
             };
             match got {
-                // The reassembled-payload CRC catches the flip…
-                Err(RecoilError::Net { detail }) => {
+                // The reassembled-payload CRC catches the flip, with the
+                // verdict a container's words get…
+                Err(RecoilError::Wire { detail }) => {
                     assert!(
                         detail.contains("checksum"),
                         "streaming={streaming}: {detail}"
@@ -381,7 +382,7 @@ fn crc_corrupted_chunk_stream_is_a_typed_error_on_both_paths() {
             }
             if flipped {
                 match failure {
-                    Some(RecoilError::Net { detail }) => {
+                    Some(RecoilError::Wire { detail }) => {
                         assert!(detail.contains("checksum"), "{detail}")
                     }
                     other => panic!("expected the session's checksum error, got {other:?}"),
@@ -420,7 +421,7 @@ fn an_oversized_chunk_header_is_refused_before_its_payload() {
     // The TRANSMIT frame alone, then the lie.
     let transmit_len = 5 + u32::from_le_bytes(good[1..5].try_into().unwrap()) as usize;
     assert_eq!(good[0], FrameType::Transmit as u8);
-    let header = recoil_net::TransmitHeader::decode(&good[5..transmit_len]).unwrap();
+    let (header, ..) = recoil_net::TransmitHeader::decode(&good[5..transmit_len]).unwrap();
     assert!(
         header.word_bytes < 1024,
         "a small stream: {}",

@@ -5,8 +5,8 @@ use recoil_core::backend::{
     preferred_segments, AutoBackend, DecodeBackend, DecodeRequest, ScalarBackend,
 };
 use recoil_core::{
-    container_to_bytes, metadata_to_bytes, plan_chunks, try_combine_splits, ChunkPlan, Codec,
-    DecodeStats, EncoderConfig, RecoilError,
+    container_from_bytes, container_to_bytes, metadata_to_bytes, plan_chunks, try_combine_splits,
+    write_item_section, ChunkPlan, Codec, DecodeModel, DecodeStats, EncoderConfig, RecoilError,
 };
 use recoil_net::raw::{decode_error, read_frame, write_frame, ReadOutcome};
 use recoil_net::{
@@ -450,10 +450,18 @@ fn a_tier_cache_miss_is_served_inline() {
     for w in 1..=15u64 {
         let (ty, payload) = next_frame();
         assert_eq!(ty, FrameType::Transmit, "width {w}");
-        let header = TransmitHeader::decode(&payload).unwrap();
+        let (header, metadata, _) = TransmitHeader::decode(&payload).unwrap();
         assert_eq!((header.segments, header.cache_hit), (w, w == 1));
         let combined = try_combine_splits(item.metadata(), w).unwrap();
-        assert_eq!(header.metadata, metadata_to_bytes(&combined), "width {w}");
+        let mut section = Vec::new();
+        write_item_section(
+            &mut section,
+            &metadata_to_bytes(&combined),
+            item.model_block(),
+            item.payload_crc32(),
+        );
+        assert_eq!(header.item, section, "width {w}");
+        assert_eq!(metadata, combined, "width {w}");
         // The chunks follow in sequence and carry the words the peer is
         // missing: all of them, or the resumed tail.
         let skipped = if w == 15 { from_word } else { 0 };
@@ -876,7 +884,7 @@ fn raw_response(conn: &mut TcpStream, name: &str, width: u64) -> Vec<Vec<u8>> {
     write_frame(conn, FrameType::Request, &req.encode()).unwrap();
     let (ty, header) = next_frame(conn);
     assert_eq!(ty, FrameType::Transmit, "{name} at width {width}");
-    let chunks = TransmitHeader::decode(&header).unwrap().chunk_count;
+    let chunks = TransmitHeader::decode(&header).unwrap().0.chunk_count;
     let mut frames = vec![header];
     for _ in 0..chunks {
         let (ty, chunk) = next_frame(conn);
@@ -976,6 +984,24 @@ fn a_published_container_serves_what_publish_serves() {
             "width {width}"
         );
     }
+
+    // A fetch is the container: at full width, its item section and words
+    // behind magic and version are the published bytes; at any width, a
+    // container of its tier that parses and decodes to the data.
+    let full = client.request("by-data", u64::MAX).unwrap();
+    assert_eq!(full.container_bytes(), container_of(&data, &config(16)));
+    let narrow = client.request("by-bytes", 4).unwrap().container_bytes();
+    let (container, model) = container_from_bytes(&narrow).unwrap();
+    assert_eq!(container.metadata.num_segments(), 4);
+    let mut decoded = vec![0u8; data.len()];
+    let request = DecodeRequest::whole(
+        &container.stream,
+        &container.metadata,
+        DecodeModel::Static(&model),
+        &mut decoded,
+    );
+    ScalarBackend.decode(request.unwrap()).unwrap();
+    assert_eq!(decoded, data);
     server.shutdown();
 }
 

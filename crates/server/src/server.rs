@@ -4,13 +4,15 @@ use crate::cache::{ShrunkTier, TierCache};
 use crate::stats::{add, bump, ServerStats, StatsCounters};
 use parking_lot::{Mutex, RwLock};
 use recoil_core::codec::{Codec, EncoderConfig};
-use recoil_core::{update_crc32, RecoilContainer, RecoilError, RecoilMetadata, WireSplits};
+use recoil_core::{
+    model_block, words_crc32, RecoilContainer, RecoilError, RecoilMetadata, WireSplits,
+};
 use recoil_models::StaticModelProvider;
-use recoil_rans::{append_words_le, EncodedStream};
+use recoil_rans::EncodedStream;
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One published content item: the Large-variation artifact.
@@ -19,11 +21,12 @@ use std::time::Instant;
 /// tiers that select nothing — its full tier (every split kept: the
 /// published metadata and its wire bytes, served to a decoder at or beyond
 /// the encoded maximum) and its one-segment tier (no split kept: the
-/// header and the CRC, 32 bytes) — and a table of every split's wire body,
+/// header and the CRC, 32 bytes) — a table of every split's wire body,
 /// written once ([`WireSplits`]), from which every tier in between is
-/// written. Encode once, serve many: both trivial tiers are hits from the
-/// first request, a tier-cache miss writes only its own bytes, and no
-/// request pays for what the item holds.
+/// written, and the rest of an item section as bytes: the model block and
+/// the words' CRC. Encode once, serve many: both trivial tiers are hits
+/// from the first request, a tier-cache miss writes only its own bytes, and
+/// no request pays for what the item holds.
 #[derive(Debug)]
 pub struct StoredContent {
     /// The single encoded bitstream (shared by every response).
@@ -42,9 +45,10 @@ pub struct StoredContent {
     wire: WireSplits,
     /// Combined tiers this item has served (LRU).
     cache: TierCache<ShrunkTier>,
-    /// Memoized CRC-32 of the wire payload (every word's LE bytes); see
-    /// [`StoredContent::payload_crc32`].
-    payload_crc: OnceLock<u32>,
+    /// Its item sections' model block ([`recoil_core::model_block`]).
+    model_block: Vec<u8>,
+    /// See [`StoredContent::payload_crc32`].
+    payload_crc: u32,
 }
 
 impl StoredContent {
@@ -59,27 +63,17 @@ impl StoredContent {
         self.full.segments
     }
 
-    /// CRC-32 over the item's whole wire payload: every bitstream word's
-    /// little-endian bytes, in stream order.
-    ///
-    /// The word stream is shared by every metadata tier, so this value is
-    /// identical for every response of the item — it is computed once on
-    /// first use and memoized, taking a full-stream checksum off every
-    /// transport request's critical path.
+    /// CRC-32 of every bitstream word's little-endian bytes, in stream
+    /// order (the same for every tier), set when the item was stored: the
+    /// CRC its container carried, or computed once by an in-process publish.
     pub fn payload_crc32(&self) -> u32 {
-        *self.payload_crc.get_or_init(|| {
-            // A cache-resident scratch image, so the stream is read from
-            // memory once rather than staged whole and read again.
-            const SCRATCH_WORDS: usize = 2048;
-            let mut state = 0xFFFF_FFFFu32;
-            let mut scratch = Vec::with_capacity(SCRATCH_WORDS * 2);
-            for block in self.stream.words.chunks(SCRATCH_WORDS) {
-                scratch.clear();
-                append_words_le(&mut scratch, block);
-                state = update_crc32(state, &scratch);
-            }
-            state ^ 0xFFFF_FFFF
-        })
+        self.payload_crc
+    }
+
+    /// The model block of every item section this item serves: alphabet,
+    /// frequencies, final states and the block's CRC.
+    pub fn model_block(&self) -> &[u8] {
+        &self.model_block
     }
 }
 
@@ -208,8 +202,8 @@ impl ContentServer {
     /// Encodes `data` once under `config` (lane width, split budget,
     /// quantization) and stores the result as `name`: the in-process
     /// publisher, for callers that hold raw data rather than a container.
-    /// It is [`ContentServer::insert`] with the encode in front, under the
-    /// same name claim; nothing goes through bytes.
+    /// It is [`ContentServer::insert`] with the encode (and the words' CRC)
+    /// in front, under the same name claim; nothing goes through bytes.
     ///
     /// Encoding happens outside any store lock — a slow publish never stalls
     /// requests, not even for other names on the same shard.
@@ -229,27 +223,31 @@ impl ContentServer {
     ) -> Result<Arc<StoredContent>, RecoilError> {
         self.store(name, || {
             let encoded = Codec::from_config(config.clone())?.encode(data)?;
-            Ok((encoded.container, encoded.model))
+            let words_crc = words_crc32(&encoded.container.stream.words);
+            Ok((encoded.container, encoded.model, words_crc))
         })
     }
 
     /// Stores an already-encoded container as `name`, exactly as its
-    /// publisher encoded it: the stream, the model and the full metadata
-    /// are kept as given, and only the item's tier table is built from
-    /// them. This is how a remote publish lands (the transport parses the
-    /// container's bytes first) and why a replica is its holder's bytes.
+    /// publisher encoded it: the stream, the model, the full metadata and
+    /// `words_crc` (the CRC-32 of the words' little-endian bytes) are kept
+    /// as given, and only the item's tier table and model block are built
+    /// from them. This is how a remote publish lands (the transport parses
+    /// the container's bytes first, [`recoil_core::read_container`]) and
+    /// why a replica is its holder's bytes.
     ///
     /// The metadata is validated when the tier table is built; its
-    /// geometry describing `container.stream` is the caller's to ensure,
-    /// as a parsed or freshly encoded container always does. Names are
-    /// claimed and refused as in [`ContentServer::publish`].
+    /// geometry describing `container.stream`, and `words_crc` being its
+    /// words', are the caller's to ensure, as a parsed container always
+    /// does. Names are claimed and refused as in [`ContentServer::publish`].
     pub fn insert(
         &self,
         name: &str,
         container: RecoilContainer,
         model: StaticModelProvider,
+        words_crc: u32,
     ) -> Result<Arc<StoredContent>, RecoilError> {
-        self.store(name, || Ok((container, model)))
+        self.store(name, || Ok((container, model, words_crc)))
     }
 
     /// Claims `name`, builds its item from what `encoded` returns — outside
@@ -257,7 +255,7 @@ impl ContentServer {
     fn store(
         &self,
         name: &str,
-        encoded: impl FnOnce() -> Result<(RecoilContainer, StaticModelProvider), RecoilError>,
+        encoded: impl FnOnce() -> Result<(RecoilContainer, StaticModelProvider, u32), RecoilError>,
     ) -> Result<Arc<StoredContent>, RecoilError> {
         let taken = || RecoilError::AlreadyPublished {
             name: name.to_string(),
@@ -273,7 +271,7 @@ impl ContentServer {
                 name,
             }
         };
-        let (RecoilContainer { stream, metadata }, model) = encoded()?;
+        let (RecoilContainer { stream, metadata }, model, payload_crc) = encoded()?;
         let wire = WireSplits::of(&metadata)?;
         // Every split selected (`metadata_to_bytes(&metadata)`) and none,
         // written from the table just built. The full tier holds the
@@ -281,13 +279,14 @@ impl ContentServer {
         let full = wire.tier(metadata.num_segments())?;
         let one = ShrunkTier::new(1, wire.tier(1)?);
         let content = Arc::new(StoredContent {
+            model_block: model_block(model.table(), &stream.final_states),
             stream: Arc::new(stream),
             model: Arc::new(model),
             full: Arc::new(ShrunkTier::full(metadata, full)),
             one: Arc::new(one),
             wire,
             cache: TierCache::new(self.tier_cache_capacity),
-            payload_crc: OnceLock::new(),
+            payload_crc,
         });
         match self.shard(name).write().entry(name.to_string()) {
             // Unreachable while every insert goes through the in-flight
@@ -670,9 +669,16 @@ mod tests {
             .encode(&data)
             .unwrap();
         let server = small_server();
+        let words_crc = words_crc32(&encoded.container.stream.words);
         let item = server
-            .insert("x", encoded.container.clone(), encoded.model.clone())
+            .insert(
+                "x",
+                encoded.container.clone(),
+                encoded.model.clone(),
+                words_crc,
+            )
             .unwrap();
+        assert_eq!(item.payload_crc32(), words_crc);
         assert_eq!(*item.stream, encoded.container.stream);
         assert_eq!(item.metadata(), &encoded.container.metadata);
         assert_eq!(item.model.table(), encoded.model.table());
@@ -681,7 +687,7 @@ mod tests {
         assert!(taken(server.publish("x", &data, &config(16)), "x"));
         server.publish("y", &data, &config(16)).unwrap();
         assert!(taken(
-            server.insert("y", encoded.container, encoded.model),
+            server.insert("y", encoded.container, encoded.model, words_crc),
             "y"
         ));
         assert_eq!(server.stats().publishes, 2);
