@@ -99,16 +99,17 @@ fn bench_depth<const K: usize>(
 }
 
 /// The interleave-depth sweep behind `Kernel::interleave_depth`: one thread
-/// decoding 1, 4 and 64 segments with K = 1, 2, 4, 6, 8 spans in flight,
-/// per ISA, packed (n = 11) and wide (n = 16) tables. At one segment every
-/// depth runs the K = 1 loop; past the chosen depth the loop's lane states
-/// no longer fit the register file (check the generated loop for spills
-/// before raising a constant).
+/// decoding 1, 2, 3, 4 and 64 segments with K = 1, 2, 4, 6, 8 spans in
+/// flight, per ISA, packed (n = 11) and wide (n = 16) tables. At one
+/// segment every depth runs the K = 1 loop; two and three segments are the
+/// descent's cases (a K > 2 kernel runs them through its K = 2 loop); past
+/// the chosen depth the loop's lane states no longer fit the register file
+/// (check the generated loop for spills before raising a constant).
 fn bench_interleave_depth(c: &mut Criterion) {
     let data = recoil::data::text_like_bytes(2_000_000, 5.1, 99);
     let mut out = vec![0u8; data.len()];
     for (tables, n) in [("packed", 11u32), ("wide", 16)] {
-        for segments in [1u64, 4, 64] {
+        for segments in [1u64, 2, 3, 4, 64] {
             let codec = Codec::builder()
                 .quant_bits(n)
                 .max_segments(segments)

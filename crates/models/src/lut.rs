@@ -5,6 +5,11 @@
 //! symbol, its quantized probability and quantized CDF into a single 32-bit
 //! integer." — [`PackedLut`] is that optimization (one gather per symbol in
 //! the SIMD kernels); [`WideLut`] is the general fallback (two gathers).
+//!
+//! The packed entry stores `slot - cdf` rather than `cdf`, so the decode
+//! step `x' = f * (x >> n) + (slot - cdf)` reads its addend straight out of
+//! the entry: `(slot - cdf) | sym << 12 | freq << 20`, with `freq` in the
+//! top bits (one shift) and the addend in the bottom ones (one mask).
 
 use crate::CdfTable;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,14 +33,17 @@ pub fn decode_table_builds() -> u64 {
     DECODE_TABLE_BUILDS.load(Ordering::Relaxed)
 }
 
-/// Bit position of the freq field in a [`PackedLut`] entry
-/// (`cdf | freq << 12 | sym << 24`).
-pub const PACKED_FREQ_SHIFT: u32 = 12;
-pub const PACKED_SYM_SHIFT: u32 = 24;
+/// Bit position of the symbol field in a [`PackedLut`] entry
+/// (`(slot - cdf) | sym << 12 | freq << 20`).
+pub const PACKED_SYM_SHIFT: u32 = 12;
+/// Bit position of the freq field: the top 12 bits, so one shift reads it.
+pub const PACKED_FREQ_SHIFT: u32 = 20;
+/// Mask of the `slot - cdf` field (and width of the freq field).
 pub const PACKED_FIELD_MASK: u32 = (1 << 12) - 1;
 
 /// One-gather decode LUT: `2^n` packed entries, valid for 8-bit symbols and
-/// `n <= 12`.
+/// `n <= 12`. The entry for `slot` is `(slot - cdf) | sym << 12 | freq << 20`
+/// (`slot - cdf < freq <= 2^n - 1` fits 12 bits, as does `freq`).
 #[derive(Debug, Clone)]
 pub struct PackedLut {
     n: u32,
@@ -57,10 +65,13 @@ impl PackedLut {
                 continue;
             }
             let base = table.cdf(s);
-            debug_assert!(f <= PACKED_FIELD_MASK && base <= PACKED_FIELD_MASK);
-            let packed = base | (f << PACKED_FREQ_SHIFT) | ((s as u32) << PACKED_SYM_SHIFT);
-            for slot in base..base + f {
-                entries[slot as usize] = packed;
+            debug_assert!(f <= PACKED_FIELD_MASK);
+            let packed = ((s as u32) << PACKED_SYM_SHIFT) | (f << PACKED_FREQ_SHIFT);
+            for (d, entry) in entries[base as usize..][..f as usize]
+                .iter_mut()
+                .enumerate()
+            {
+                *entry = packed | d as u32;
             }
         }
         Some(Self { n, entries })
@@ -72,7 +83,7 @@ impl PackedLut {
         self.n
     }
 
-    /// Raw entries (for SIMD gathers).
+    /// Raw entries (for SIMD gathers): `(slot - cdf) | sym << 12 | freq << 20`.
     #[inline]
     pub fn entries(&self) -> &[u32] {
         &self.entries
@@ -83,9 +94,9 @@ impl PackedLut {
     pub fn lookup(&self, slot: u32) -> (u16, u32, u32) {
         let e = self.entries[slot as usize];
         (
-            (e >> PACKED_SYM_SHIFT) as u16,
-            (e >> PACKED_FREQ_SHIFT) & PACKED_FIELD_MASK,
-            e & PACKED_FIELD_MASK,
+            (e >> PACKED_SYM_SHIFT) as u8 as u16,
+            e >> PACKED_FREQ_SHIFT,
+            slot - (e & PACKED_FIELD_MASK),
         )
     }
 }
@@ -211,6 +222,39 @@ mod tests {
             assert_eq!(s, t.symbol_of_slot(slot));
             assert_eq!(f, t.freq(s as usize));
             assert_eq!(c, t.cdf(s as usize));
+        }
+    }
+
+    /// Every level the packed layout takes, with the extremes of both
+    /// fields: a symbol of freq `2^n - 1` (the largest freq field, and at
+    /// the top slots the largest `slot - cdf`), the top symbol and the last
+    /// slot, in either order, and (from `n = 8`) a table spread over the
+    /// byte alphabet.
+    #[test]
+    fn packed_entries_hold_slot_minus_cdf_at_every_level() {
+        for n in 1..=12u32 {
+            let big = (1u32 << n) - 1;
+            let mut high = vec![0u32; 256];
+            (high[0], high[255]) = (1, big);
+            let mut low = vec![0u32; 256];
+            (low[0], low[255]) = (big, 1);
+            let mut tables = vec![CdfTable::from_freqs(high, n), CdfTable::from_freqs(low, n)];
+            // The sample's ~250 symbols need 256 slots.
+            if n >= 8 {
+                tables.push(sample_table(n));
+            }
+            for t in tables {
+                let p = PackedLut::build(&t).expect("qualifies");
+                assert_eq!(p.entries().len(), 1 << n);
+                for slot in 0..(1u32 << n) {
+                    let s = t.symbol_of_slot(slot);
+                    let (f, c) = (t.freq(s as usize), t.cdf(s as usize));
+                    assert_eq!(p.lookup(slot), (s, f, c), "n={n} slot {slot}");
+                    let e = p.entries()[slot as usize];
+                    assert_eq!(e & PACKED_FIELD_MASK, slot - c, "n={n} slot {slot}");
+                    assert_eq!(e >> PACKED_FREQ_SHIFT, f, "n={n} slot {slot}");
+                }
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! AVX2 span loop: 8 lanes per register, four registers per span (paper
 //! §4.4, implementation (2)), `K` spans interleaved.
 
-use crate::driver::{popcount16, signed_cursor, SpanLoop, MIN_WORDS_BELOW, OVERREAD_WORDS};
+use crate::driver::{outside_guards, signed_cursor, SpanLoop, OVERREAD_WORDS};
 use recoil_rans::Span;
 use std::arch::x86_64::*;
 
@@ -40,13 +40,13 @@ impl SpanLoop for Avx2 {
     /// `ymm` registers leave room for.
     ///
     /// # Safety
-    /// As [`SpanLoop::span_loop`], and AVX2 must be available.
-    #[target_feature(enable = "avx2")]
+    /// As [`SpanLoop::span_loop`], and AVX2 and POPCNT must be available.
+    #[target_feature(enable = "avx2,popcnt")]
     unsafe fn span_loop<const K: usize, const WIDE: bool, S>(
         t0: *const i32,
         t1: *const i32,
         n: u32,
-        spans: &mut [Span<'_, S>; K],
+        mut spans: [&mut Span<'_, S>; K],
     ) -> usize {
         let zero = _mm256_setzero_si256();
         let maskv = _mm256_set1_epi32(((1u32 << n) - 1) as i32);
@@ -76,7 +76,7 @@ impl SpanLoop for Avx2 {
             // kept most lane states on the stack.
             let mut outside = 0;
             for i in 0..K {
-                outside |= (p[i] - MIN_WORDS_BELOW) | (top[i] - p[i]);
+                outside |= outside_guards(p[i], top[i]);
             }
             if outside < 0 {
                 break;
@@ -92,7 +92,7 @@ impl SpanLoop for Avx2 {
                     // half zero) take the `k` words under the cursor, ascending.
                     let small = _mm256_cmpeq_epi32(_mm256_srli_epi32::<16>(xr), zero);
                     let m = _mm256_movemask_ps(_mm256_castsi256_ps(small)) as u8;
-                    let k = popcount16(m as u16);
+                    let k = m.count_ones() as isize;
                     // SAFETY: the guards held at group entry and the group has
                     // consumed at most 24 words since, so `p - k + 1 >= 33`;
                     // and `p <= len - OVERREAD_WORDS` keeps the 8-word load at
@@ -107,28 +107,32 @@ impl SpanLoop for Avx2 {
 
                     // Transform (Eq. 2).
                     let slot = _mm256_and_si256(xr, maskv);
+                    // `d` is `slot - cdf`; a packed entry holds it as is.
                     // SAFETY: `slot < 2^n` indexes the model's tables (the
                     // wide `inv` carries a padding entry for the 32-bit
                     // gather), and `inv`'s symbols index `ff`.
-                    let (f, c, s) = unsafe {
+                    let (f, d, s) = unsafe {
                         if WIDE {
                             let half = _mm256_set1_epi32(0xFFFF);
                             let s = _mm256_and_si256(_mm256_i32gather_epi32::<2>(t0, slot), half);
                             let e = _mm256_i32gather_epi32::<4>(t1, s);
-                            (_mm256_srli_epi32::<16>(e), _mm256_and_si256(e, half), s)
+                            let d = _mm256_sub_epi32(slot, _mm256_and_si256(e, half));
+                            (_mm256_srli_epi32::<16>(e), d, s)
                         } else {
-                            let field = _mm256_set1_epi32(0xFFF);
+                            // `(slot - cdf) | sym << 12 | freq << 20`; the
+                            // saturating packs below need the symbol masked.
                             let e = _mm256_i32gather_epi32::<4>(t0, slot);
-                            (
-                                _mm256_and_si256(_mm256_srli_epi32::<12>(e), field),
-                                _mm256_and_si256(e, field),
-                                _mm256_srli_epi32::<24>(e),
-                            )
+                            let s = _mm256_and_si256(
+                                _mm256_srli_epi32::<12>(e),
+                                _mm256_set1_epi32(0xFF),
+                            );
+                            // `slot - cdf < f < 2^n`: the slot mask reads it.
+                            let d = _mm256_and_si256(e, maskv);
+                            (_mm256_srli_epi32::<20>(e), d, s)
                         }
                     };
                     let xsh = _mm256_srlv_epi32(xr, nv);
-                    x[i][r] =
-                        _mm256_add_epi32(_mm256_mullo_epi32(f, xsh), _mm256_sub_epi32(slot, c));
+                    x[i][r] = _mm256_add_epi32(_mm256_mullo_epi32(f, xsh), d);
                     sym[r] = s;
                 }
 

@@ -2,7 +2,7 @@
 //! (paper §4.4, implementation (3)), `K` spans interleaved. Mask registers
 //! make the renormalization gather a single `vpexpandd`.
 
-use crate::driver::{popcount16, signed_cursor, SpanLoop, MIN_WORDS_BELOW, OVERREAD_WORDS};
+use crate::driver::{outside_guards, signed_cursor, SpanLoop, OVERREAD_WORDS};
 use recoil_rans::Span;
 use std::arch::x86_64::*;
 
@@ -13,18 +13,20 @@ impl SpanLoop for Avx512 {
     /// The one AVX-512 decode loop (see [`SpanLoop::span_loop`]).
     ///
     /// The `K` spans are independent dependency chains. One span's chain —
-    /// compare → popcount → word load → `vpexpandd` → `vpgatherdd` →
-    /// `vpmulld` — is about 60 cycles a group and only two registers wide, so
-    /// alone it leaves the pipeline mostly empty; interleaving fills it.
+    /// compare → `popcnt` → word load → `vpexpandd` → `vpgatherdd` →
+    /// `vpmulld` → add — is some 50 cycles a group and only two registers
+    /// wide, so alone it leaves the pipeline mostly empty; interleaving
+    /// fills it.
     ///
     /// # Safety
-    /// As [`SpanLoop::span_loop`], and AVX-512F must be available.
-    #[target_feature(enable = "avx512f")]
+    /// As [`SpanLoop::span_loop`], and AVX-512F and POPCNT must be
+    /// available.
+    #[target_feature(enable = "avx512f,popcnt")]
     unsafe fn span_loop<const K: usize, const WIDE: bool, S>(
         t0: *const i32,
         t1: *const i32,
         n: u32,
-        spans: &mut [Span<'_, S>; K],
+        mut spans: [&mut Span<'_, S>; K],
     ) -> usize {
         let lbound = _mm512_set1_epi32(1 << 16);
         let maskv = _mm512_set1_epi32(((1u32 << n) - 1) as i32);
@@ -58,7 +60,7 @@ impl SpanLoop for Avx512 {
             // K = 4 (`codec_bulk` +10 %).
             let mut outside = 0;
             for i in 0..K {
-                outside |= (p[i] - MIN_WORDS_BELOW) | (top[i] - p[i]);
+                outside |= outside_guards(p[i], top[i]);
             }
             if outside < 0 {
                 break;
@@ -76,7 +78,7 @@ impl SpanLoop for Avx512 {
                     // Renormalization, branchless: the lanes below `L` take the
                     // `k` words under the cursor, ascending (`vpexpandd`).
                     let m: __mmask16 = _mm512_cmplt_epu32_mask(xr, lbound);
-                    let k = popcount16(m);
+                    let k = m.count_ones() as isize;
                     // SAFETY: the guards held at group entry and the group has
                     // consumed at most 16 words since, so `p - k + 1 >= 33`;
                     // and `p <= len - OVERREAD_WORDS` keeps the 16-word load
@@ -88,28 +90,33 @@ impl SpanLoop for Avx512 {
 
                     // Transform (Eq. 2).
                     let slot = _mm512_and_si512(xr, maskv);
+                    // `d` is `slot - cdf`; a packed entry holds it as is.
                     // SAFETY: `slot < 2^n` indexes the model's tables (the
                     // wide `inv` carries a padding entry for the 32-bit
                     // gather), and `inv`'s symbols index `ff`.
-                    let (f, c, sym) = unsafe {
+                    let (f, d, sym) = unsafe {
                         if WIDE {
                             let half = _mm512_set1_epi32(0xFFFF);
                             let sym = _mm512_and_si512(_mm512_i32gather_epi32::<2>(slot, t0), half);
                             let e = _mm512_i32gather_epi32::<4>(sym, t1);
-                            (_mm512_srli_epi32::<16>(e), _mm512_and_si512(e, half), sym)
+                            let d = _mm512_sub_epi32(slot, _mm512_and_si512(e, half));
+                            (_mm512_srli_epi32::<16>(e), d, sym)
                         } else {
-                            let field = _mm512_set1_epi32(0xFFF);
+                            // `(slot - cdf) | sym << 12 | freq << 20`. The
+                            // byte store's narrowing drops the freq bits above
+                            // the symbol; the 16-bit one needs them masked.
                             let e = _mm512_i32gather_epi32::<4>(slot, t0);
-                            (
-                                _mm512_and_si512(_mm512_srli_epi32::<12>(e), field),
-                                _mm512_and_si512(e, field),
-                                _mm512_srli_epi32::<24>(e),
-                            )
+                            let mut sym = _mm512_srli_epi32::<12>(e);
+                            if size_of::<S>() != 1 {
+                                sym = _mm512_and_si512(sym, _mm512_set1_epi32(0xFF));
+                            }
+                            // `slot - cdf < f < 2^n`: the slot mask reads it.
+                            let d = _mm512_and_si512(e, maskv);
+                            (_mm512_srli_epi32::<20>(e), d, sym)
                         }
                     };
                     let xsh = _mm512_srlv_epi32(xr, nv);
-                    x[i][r] =
-                        _mm512_add_epi32(_mm512_mullo_epi32(f, xsh), _mm512_sub_epi32(slot, c));
+                    x[i][r] = _mm512_add_epi32(_mm512_mullo_epi32(f, xsh), d);
 
                     // Narrow the 16 symbols straight into the output slice.
                     // SAFETY: `out[i]` points at this group's 32 symbols, and

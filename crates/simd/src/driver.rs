@@ -12,7 +12,10 @@
 //! the engines above this crate call — `recoil_core::decode_segments` (from
 //! `recoil_core::backend`) and the conventional baseline's
 //! `decode_partitions`. Both give it batches of up to
-//! [`Kernel::interleave_depth`] spans, which it decodes interleaved.
+//! [`Kernel::interleave_depth`] spans, which it decodes interleaved: `K`
+//! at a time while `K` spans still have groups, then two at a time, then
+//! one (`decode_groups`), so a batch of two or three spans and the spans a
+//! `K` run leaves unfinished still run interleaved.
 
 // Off x86_64 there is no vector loop and what only they use is dead.
 #![cfg_attr(not(target_arch = "x86_64"), allow(dead_code, unused_imports))]
@@ -38,34 +41,33 @@ pub(crate) fn signed_cursor(cursor: Option<u64>) -> isize {
     cursor.map_or(-1, |o| isize::try_from(o).unwrap_or(-1))
 }
 
-/// Set bits of a renormalization mask, by table: the kernels may assume no
-/// CPU feature beyond their vector extension, and without `popcnt` a
-/// `count_ones` is a dozen dependent operations on every cursor update.
+/// Negative iff `cursor` is outside the region where a group may run
+/// (`MIN_WORDS_BELOW <= cursor <= top`, `top` = word count −
+/// [`OVERREAD_WORDS`]). The loops OR this over their spans into one branch;
+/// [`decode_groups`] asks it of one span to pick the next run.
 #[inline(always)]
-pub(crate) fn popcount16(m: u16) -> isize {
-    static BITS: [u8; 256] = {
-        let mut t = [0u8; 256];
-        let mut i = 1;
-        while i < 256 {
-            t[i] = t[i / 2] + (i & 1) as u8;
-            i += 1;
-        }
-        t
-    };
-    let m = m as usize;
-    BITS[m & 0xFF] as isize + BITS[m >> 8] as isize
+pub(crate) fn outside_guards(cursor: isize, top: isize) -> isize {
+    (cursor - MIN_WORDS_BELOW) | (top - cursor)
+}
+
+/// True if a vector loop given `span` would decode a group of it: it has
+/// a whole group left and its cursor is inside the guards.
+#[cfg(target_arch = "x86_64")]
+fn takes_a_group<S>(span: &Span<'_, S>) -> bool {
+    let top = span.words.len() as isize - OVERREAD_WORDS;
+    span.out.len() >= 32 && outside_guards(signed_cursor(span.cursor), top) >= 0
 }
 
 /// One ISA's decode loop, instantiated by [`decode_groups`] at the kernel's
-/// interleave depth and at 1.
+/// interleave depth, at 2 and at 1.
 #[cfg(target_arch = "x86_64")]
 pub(crate) trait SpanLoop {
     /// Takes whole 32-symbol groups off the top of `K` spans in lockstep —
     /// lane states, cursors and output pointers in registers throughout —
     /// until the shortest span has none left or some span's cursor leaves
-    /// the guarded region (`MIN_WORDS_BELOW <= cursor <= len -
-    /// OVERREAD_WORDS`, checked every group). Returns the groups decoded
-    /// per span and leaves every span consumed that far.
+    /// the guarded region ([`outside_guards`], checked every group).
+    /// Returns the groups decoded per span and leaves every span consumed
+    /// that far.
     ///
     /// # Safety
     /// The ISA must be available, `S` must be `u8` or `u16`, every span
@@ -78,15 +80,46 @@ pub(crate) trait SpanLoop {
         t0: *const i32,
         t1: *const i32,
         n: u32,
-        spans: &mut [Span<'_, S>; K],
+        spans: [&mut Span<'_, S>; K],
     ) -> usize;
 }
 
-/// Decodes whole groups off the top of every span: chunks of `K` spans
-/// jointly, then each span on its own through the `K = 1` instantiation of
-/// the same loop (the spans of a batch shorter than `K`, and the groups a
-/// span has beyond its chunk's common count). Returns the total number of
-/// groups decoded.
+/// A model's tables as the loops take them: `t0`, `t1`, `n`, and whether
+/// they are the wide pair.
+#[cfg(target_arch = "x86_64")]
+type Tables = (*const i32, *const i32, u32, bool);
+
+/// One run of `L`'s loop over the next `K` spans of `spans`; returns the
+/// groups it decoded, over all of them.
+///
+/// # Safety
+/// As [`SpanLoop::span_loop`], with `wide` naming the variant the table
+/// pointers came from. `spans` must have `K` spans left.
+#[cfg(target_arch = "x86_64")]
+unsafe fn run<'a, 'b: 'a, L: SpanLoop, const K: usize, S: 'b>(
+    (t0, t1, n, wide): Tables,
+    spans: &mut impl Iterator<Item = &'a mut Span<'b, S>>,
+) -> u64 {
+    let batch = std::array::from_fn(|_| spans.next().expect("K spans left"));
+    // SAFETY: the caller's contract.
+    let groups = unsafe {
+        match wide {
+            false => L::span_loop::<K, false, S>(t0, t1, n, batch),
+            true => L::span_loop::<K, true, S>(t0, t1, n, batch),
+        }
+    };
+    (K * groups) as u64
+}
+
+/// Decodes whole groups off the top of every span, as many spans
+/// interleaved as can still take a group — `K` while at least `K` can,
+/// then 2, then 1 — and returns the total number of groups decoded.
+///
+/// A run ends when one of its spans cannot take another group (it has
+/// none left, or its cursor left the guards), so every run retires at
+/// least one span and the next run refills from the rest: a batch of two
+/// or three spans, and the groups the spans of a `K` run have beyond its
+/// common count, decode two at a time instead of one after the other.
 ///
 /// # Safety
 /// As [`SpanLoop::span_loop`], except that the tables come from `model`.
@@ -96,43 +129,35 @@ unsafe fn decode_groups<L: SpanLoop, const K: usize, S>(
     spans: &mut [Span<'_, S>],
 ) -> u64 {
     // The model match is hoisted out of the loops into `WIDE`.
-    let (t0, t1, n, wide) = match *model {
+    let tables: Tables = match *model {
         SimdModel::Packed { lut, n } => (lut.as_ptr().cast(), std::ptr::null(), n, false),
         SimdModel::Wide { inv, ff, n } => (inv.as_ptr().cast(), ff.as_ptr().cast(), n, true),
     };
     let mut groups = 0;
-    for chunk in spans.chunks_mut(K) {
-        if let Ok(batch) = <&mut [Span<'_, S>; K]>::try_from(&mut *chunk) {
-            // SAFETY: the caller's contract, and `wide` names the variant
-            // the table pointers came from.
-            groups += K * unsafe {
-                match wide {
-                    false => L::span_loop::<K, false, S>(t0, t1, n, batch),
-                    true => L::span_loop::<K, true, S>(t0, t1, n, batch),
-                }
-            };
-        }
-        if K == 1 {
-            continue;
-        }
-        for span in chunk {
-            let single = std::array::from_mut(span);
-            // SAFETY: as above.
-            groups += unsafe {
-                match wide {
-                    false => L::span_loop::<1, false, S>(t0, t1, n, single),
-                    true => L::span_loop::<1, true, S>(t0, t1, n, single),
-                }
-            };
-        }
+    loop {
+        let live = spans.iter().filter(|s| takes_a_group(s)).count();
+        let next = &mut spans.iter_mut().filter(|s| takes_a_group(s));
+        // SAFETY: the caller's contract, `tables` came from `model`, and
+        // `live` spans are left in `next`.
+        groups += unsafe {
+            if live >= K {
+                run::<L, K, S>(tables, next)
+            } else if live >= 2 {
+                run::<L, 2, S>(tables, next)
+            } else if live == 1 {
+                run::<L, 1, S>(tables, next)
+            } else {
+                return groups;
+            }
+        };
     }
-    groups as u64
 }
 
 /// The vector span kernel: decodes every span of the batch to completion
-/// — chunks of [`Kernel::interleave_depth`] spans interleaved, leftovers
-/// one at a time through the same loop — and returns how the batch
-/// decoded, summed (vector groups count as fast groups).
+/// — [`Kernel::interleave_depth`] spans interleaved at a time, then the
+/// spans still left two and one at a time through the same loop — and
+/// returns how the batch decoded, summed (vector groups count as fast
+/// groups).
 ///
 /// Spans need not be group-aligned, and their words may be a prefix of
 /// the stream: the guards keep every vector load inside them. A `kernel`
@@ -319,6 +344,41 @@ mod tests {
         }
     }
 
+    /// The packed entry's extremes through every kernel's packed branch:
+    /// at every level a symbol of freq `2^n - 1` beside one of freq 1, the
+    /// top byte symbol on either side, so the largest `slot - cdf`, freq
+    /// and symbol fields and the last slot all decode.
+    #[test]
+    fn packed_extremes_at_every_level() {
+        for n in 1..=12u32 {
+            for (common, rare) in [(255u8, 0u8), (0, 255)] {
+                let mut freqs = vec![0u32; 256];
+                freqs[common as usize] = (1 << n) - 1;
+                freqs[rare as usize] = 1;
+                let p = StaticModelProvider::new(CdfTable::from_freqs(freqs, n));
+                assert!(matches!(p.decode_tables(), DecodeTables::Packed(_)));
+                let data: Vec<u8> = sample(20_000, n, 29)
+                    .iter()
+                    .map(|&b| if b % 64 == 0 { rare } else { common })
+                    .collect();
+                let mut enc = InterleavedEncoder::new(&p, 32);
+                enc.encode_all_fast(&data, &mut NullSink).unwrap();
+                let stream = enc.finish();
+                for kernel in Kernel::all_available() {
+                    let mut out = vec![0u8; data.len()];
+                    decode_interleaved_simd(kernel, &stream, &p, &mut out).unwrap();
+                    assert_eq!(out, data, "kernel {kernel:?} n={n} common {common}");
+                    let mut wide = vec![0u16; data.len()];
+                    decode_interleaved_simd(kernel, &stream, &p, &mut wide).unwrap();
+                    assert!(
+                        wide.iter().zip(&data).all(|(&w, &b)| w == b as u16),
+                        "kernel {kernel:?} n={n} common {common}, 16-bit symbols"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn non_32_way_streams_rejected() {
         let data = sample(1000, 6, 24);
@@ -386,5 +446,84 @@ mod segment_tests {
                 );
             }
         }
+    }
+}
+
+/// The descent of [`decode_groups`], against a loop that records the width
+/// of every run and takes the batch's common group count off each span
+/// (no decoding: only the schedule is under test).
+#[cfg(all(test, target_arch = "x86_64"))]
+mod descent_tests {
+    use super::*;
+    use recoil_rans::LaneStates;
+    use std::cell::RefCell;
+
+    thread_local! {
+        static RUNS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    }
+
+    struct Recorder;
+
+    impl SpanLoop for Recorder {
+        /// # Safety
+        /// None beyond the trait's: it reads no table and no word.
+        unsafe fn span_loop<const K: usize, const WIDE: bool, S>(
+            _: *const i32,
+            _: *const i32,
+            _: u32,
+            spans: [&mut Span<'_, S>; K],
+        ) -> usize {
+            RUNS.with(|r| r.borrow_mut().push(K));
+            let common = spans.iter().map(|s| s.out.len() / 32).min().unwrap();
+            for span in spans {
+                span.take_top(common * 32);
+            }
+            common
+        }
+    }
+
+    /// The widths of the runs `decode_groups::<Recorder, K, _>` makes over
+    /// spans of `groups[i]` whole groups each (plus `extra` symbols on the
+    /// first, fewer than a group), and the total it reports.
+    fn runs<const K: usize>(groups: &[usize], extra: usize) -> (Vec<usize>, u64) {
+        let words = vec![0u16; 1_000];
+        let mut outs: Vec<Vec<u8>> = groups.iter().map(|&g| vec![0; g * 32]).collect();
+        outs[0].extend(std::iter::repeat_n(0, extra));
+        let mut spans: Vec<Span<'_, u8>> = outs
+            .iter_mut()
+            .map(|out| Span {
+                words: &words,
+                cursor: Some(500),
+                states: LaneStates::from(&[0u32; 32][..]),
+                lo: 0,
+                out,
+            })
+            .collect();
+        let lut = [0u32; 2];
+        let model = SimdModel::Packed { lut: &lut, n: 1 };
+        RUNS.with(|r| r.borrow_mut().clear());
+        // SAFETY: the recorder touches neither the tables nor the words.
+        let total = unsafe { decode_groups::<Recorder, K, u8>(&model, &mut spans) };
+        for (span, &g) in spans.iter().zip(groups) {
+            assert!(span.out.len() < 32, "a span of {g} groups kept a group");
+        }
+        (RUNS.with(|r| r.take()), total)
+    }
+
+    #[test]
+    fn k_then_two_then_one() {
+        // [5, 3, 8, 1] → common 1 → [4, 2, 7, 0]: three left, so K = 2
+        // on [4, 2] → [2, 0, 7], then [2, 7] → [0, 5], then 5 alone.
+        assert_eq!(runs::<4>(&[5, 3, 8, 1], 0), (vec![4, 2, 2, 1], 17));
+        // Refill: after the first run four spans still take a group.
+        assert_eq!(runs::<4>(&[5, 3, 8, 1, 2], 31), (vec![4, 4, 2, 1], 19));
+        // Two or three spans run interleaved at K = 4 too.
+        assert_eq!(runs::<4>(&[6, 6], 0), (vec![2], 12));
+        assert_eq!(runs::<4>(&[6, 2, 6], 0), (vec![2, 2, 1], 14));
+        assert_eq!(runs::<2>(&[3, 1, 2], 0), (vec![2, 2], 6));
+        assert_eq!(runs::<1>(&[3, 1], 0), (vec![1, 1], 4));
+        // Spans shorter than a group, and a batch of them, run nothing.
+        assert_eq!(runs::<4>(&[0, 4, 0], 5), (vec![1], 4));
+        assert_eq!(runs::<4>(&[0, 0], 7), (vec![], 0));
     }
 }

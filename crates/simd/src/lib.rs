@@ -16,12 +16,14 @@
 //! 2. **Transform** (Eq. 2): slot mask, one `vpgatherdd` into the packed
 //!    LUT (8-bit symbols, `n <= 12`) or two gathers into the wide LUT
 //!    (everything else), then `x = f * (x >> n) + slot - F`; the symbols
-//!    are narrowed straight into the output slice.
+//!    are narrowed straight into the output slice. A packed entry already
+//!    holds `slot - F` (`recoil_models::PackedLut`), so there the addend is
+//!    one mask and `f` one shift.
 //!
 //! ## Batches: splits are instruction-level parallelism too
 //!
 //! That per-group sequence is one serial chain per register — compare →
-//! popcount → word load → expand → gather → multiply, about 60 cycles —
+//! `popcnt` → word load → expand → gather → multiply → add, some 50 cycles —
 //! and a 32-way stream is only two `zmm` (four `ymm`) registers wide, so a
 //! thread decoding one span leaves the pipeline mostly empty: the rung is
 //! latency-bound, not work-bound. The answer is Giesen's ("Interleaved
@@ -33,12 +35,13 @@
 //! 32 chains), and there is one span loop per ISA, generic over the number
 //! of spans in flight: lane states, cursors and output pointers stay in
 //! registers for the whole run, each span's cursor guards are checked
-//! every group, the joint loop runs the batch's common group count and
-//! each span finishes through the `K = 1` instantiation of the same loop.
-//! A decoder's capability is therefore `threads × K` splits: a
-//! single-thread client reaches the kernel's full rate only on a tier of
-//! at least `K` segments (at one or two it decodes at the `K = 1` rate,
-//! roughly half).
+//! every group. The joint loop runs until one span of the batch cannot take
+//! another group; the spans left then descend through the `K = 2` and
+//! `K = 1` instantiations of the same loop, so two spans always run
+//! interleaved. A decoder's capability is therefore `threads × K` splits:
+//! a single-thread client reaches the kernel's full rate only on a tier of
+//! at least `K` segments (two segments run at the `K = 2` rate; only a
+//! one-segment tier decodes at the `K = 1` rate, roughly half).
 //!
 //! All kernels are bit-exact mirrors of the scalar decoder — property tests
 //! in this crate and `tests/` enforce equality on arbitrary streams, batch

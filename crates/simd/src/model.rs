@@ -6,7 +6,8 @@ use recoil_models::{DecodeTables, StaticModelProvider};
 #[derive(Debug, Clone, Copy)]
 pub enum SimdModel<'a> {
     /// One-gather packed LUT (8-bit symbols, `n <= 12`):
-    /// `cdf | freq << 12 | sym << 24` per slot.
+    /// `(slot - cdf) | sym << 12 | freq << 20` per slot, so a lane update
+    /// is `freq * (x >> n) + (entry & (2^n - 1))` with no subtraction.
     Packed {
         /// `2^n` packed entries.
         lut: &'a [u32],
@@ -54,11 +55,17 @@ mod tests {
     #[test]
     fn views_match_underlying_tables() {
         let data: Vec<u8> = (0..10_000u32).map(|i| (i % 97) as u8).collect();
-        for n in [11u32, 14] {
-            let tables = DecodeTables::build(&CdfTable::of_bytes(&data, n));
+        for n in [7u32, 11, 12, 13, 14] {
+            let table = CdfTable::of_bytes(&data, n);
+            let tables = DecodeTables::build(&table);
             match (SimdModel::from_tables(&tables), &tables) {
                 (SimdModel::Packed { lut, n: level }, DecodeTables::Packed(p)) => {
                     assert_eq!((lut, level), (p.entries(), n));
+                    // The kernels' addend is the entry under the slot mask.
+                    for (slot, &e) in (0u32..).zip(lut) {
+                        let cdf = table.cdf(table.symbol_of_slot(slot) as usize);
+                        assert_eq!(e & ((1 << n) - 1), slot - cdf, "n={n} slot {slot}");
+                    }
                 }
                 (SimdModel::Wide { inv, ff, n: level }, DecodeTables::Wide(w)) => {
                     assert_eq!((inv, ff, level), (w.inv(), w.ff(), n));

@@ -1,10 +1,13 @@
 //! The span kernels against the careful reference, batch by batch.
 //!
-//! For every kernel this host can run and every batch size `1..=K + 1`
-//! (`K` the kernel's interleave depth; one more exercises the chunking),
-//! a batch of spans decoded by [`decode_spans`] must leave, span by span,
-//! exactly what `decode_span_careful` leaves: output, final lane states
-//! and cursor — and stats that account for every symbol and word.
+//! For every kernel this host can run and every batch size `1..=2K + 1`
+//! (`K` the kernel's interleave depth), a batch of spans decoded by
+//! [`decode_spans`] must leave, span by span, exactly what
+//! `decode_span_careful` leaves: output, final lane states and cursor — and
+//! stats that account for every symbol and word. The spans are of unequal
+//! lengths, some shorter than a group and some starting inside the upper
+//! guard region, so the kernel's descent runs every rung: `K` spans
+//! interleaved, then the spans left two at a time, then one.
 
 use recoil_models::{CdfTable, DecodeTables, StaticModelProvider, Symbol};
 use recoil_rans::fast::decode_span_careful;
@@ -143,11 +146,11 @@ impl<S: Symbol> Corpus<S> {
         stats
     }
 
-    /// [`Self::check`] for every kernel and every batch size `1..=K + 1`
+    /// [`Self::check`] for every kernel and every batch size `1..=2K + 1`
     /// taken from the front of `cases`.
     fn check_all_kernels(&self, ctx: &str, cases: &[Case]) {
         for kernel in Kernel::all_available() {
-            for size in 1..=(kernel.interleave_depth() + 1).min(cases.len()) {
+            for size in 1..=(2 * kernel.interleave_depth() + 1).min(cases.len()) {
                 let ctx = format!("{ctx} {kernel:?} batch {size}");
                 self.check(&ctx, &cases[..size], |spans| {
                     decode_spans(kernel, &self.provider, spans)
@@ -183,13 +186,23 @@ fn wide_u16() -> Corpus<u16> {
     corpus(data, table)
 }
 
-/// Five adjacent spans tiling the stream, cut off the group grid: the first
-/// segment (cursor runs out below the underread guard) leads the batch and
-/// the final one (overread guard closed at entry) is in the larger ones.
+/// Ten adjacent spans of unequal lengths tiling the stream, cut off the
+/// group grid: the first segment (cursor runs out below the underread
+/// guard, and shorter than a group) leads the batch, another is shorter
+/// than a group, one sees only its words up to just above its cursor, as a
+/// streaming decoder's newest segment does, and the final one is last.
+/// Those two start inside the upper guard region (overread guard closed at
+/// entry).
 fn tiling<S: Symbol>(c: &Corpus<S>) -> Vec<Case> {
     let n = c.data.len() as u64;
-    let cuts = [0, 13_901, 28_003, 41_984, 56_001, n];
-    cuts.windows(2).map(|w| c.case(w[0], w[1])).collect()
+    let cuts = [
+        0, 20, 9_000, 9_031, 21_500, 33_333, 34_000, 47_777, 52_100, 61_000, n,
+    ];
+    let mut cases: Vec<Case> = cuts.windows(2).map(|w| c.case(w[0], w[1])).collect();
+    let newest = &mut cases[4];
+    let top = newest.cursor.unwrap() as usize + 9;
+    newest.words = newest.words[..top].into();
+    cases
 }
 
 #[test]
@@ -205,6 +218,9 @@ fn every_model_and_symbol_width_matches_the_careful_reference() {
         // The final segment first, so it is in every batch size.
         cases.reverse();
         c.check_all_kernels(&format!("{name} reversed"), &cases);
+        // The short spans and the truncated one in the middle of a batch.
+        cases.rotate_left(3);
+        c.check_all_kernels(&format!("{name} rotated"), &cases);
     }
     run("packed u8", packed_u8(), false);
     run("wide u8", wide_u8(), true);
@@ -217,9 +233,20 @@ fn span_bounds_at_every_residue_and_very_unequal_lengths() {
     let c = packed_u8();
     for r in 0..32u64 {
         // One long span, one that exhausts early, one shorter than a
-        // group, one of a group and a bit, one empty — top and bottom
-        // edges walking through every residue mod 32.
-        let lens = [9_000 + 3 * r, 700 + r, 20, 33 + r, 0];
+        // group, one of a group and a bit, one empty, then four more of
+        // other lengths (two under a group) — top and bottom edges walking
+        // through every residue mod 32.
+        let lens = [
+            9_000 + 3 * r,
+            700 + r,
+            20,
+            33 + r,
+            0,
+            2_500 + 7 * r,
+            64 + r,
+            31,
+            5_000 + r,
+        ];
         let mut cases = Vec::new();
         let mut hi = 60_000 + r;
         for (j, len) in lens.into_iter().enumerate() {
