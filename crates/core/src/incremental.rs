@@ -83,6 +83,22 @@ impl IncrementalDecoder {
         final_states: Vec<u32>,
         model: StaticModelProvider,
     ) -> Result<Self, RecoilError> {
+        Self::with_words(metadata, final_states, model, Vec::new())
+    }
+
+    /// [`IncrementalDecoder::new`], receiving into `words`: a store kept
+    /// from an earlier stream (its contents are cleared) and handed back by
+    /// [`IncrementalDecoder::into_words`], so a receiver that fetches again
+    /// and again grows one store rather than a fresh one per stream. The
+    /// header alone reserves no more than [`MAX_RESERVED_WORDS`], and
+    /// nothing at all in a store that already holds that much or the whole
+    /// declared stream; past that the store grows only with received bytes.
+    pub fn with_words(
+        metadata: RecoilMetadata,
+        final_states: Vec<u32>,
+        model: StaticModelProvider,
+        mut words: Vec<u16>,
+    ) -> Result<Self, RecoilError> {
         metadata.validate()?;
         if model.quant_bits() != metadata.quant_bits {
             return Err(RecoilError::Decode(RansError::MalformedMetadata(format!(
@@ -112,8 +128,16 @@ impl IncrementalDecoder {
                 ))));
             }
         }
+        words.clear();
+        // Exact, so a header never grows a store past the bound by
+        // Vec's doubling either.
+        words.reserve_exact(
+            usize::try_from(metadata.num_words)
+                .unwrap_or(usize::MAX)
+                .min(MAX_RESERVED_WORDS),
+        );
         let stream = EncodedStream {
-            words: Vec::with_capacity((metadata.num_words as usize).min(MAX_RESERVED_WORDS)),
+            words,
             final_states,
             num_symbols: metadata.num_symbols,
             ways: metadata.ways,
@@ -145,6 +169,13 @@ impl IncrementalDecoder {
     ) -> Result<Self, RecoilError> {
         plan.validate_against(&metadata)?;
         Self::new(metadata, final_states, model)
+    }
+
+    /// The word store, handed back for the next stream's
+    /// [`IncrementalDecoder::with_words`]. Read what the stream came to
+    /// ([`IncrementalDecoder::payload_bytes`], the stats) first.
+    pub fn into_words(self) -> Vec<u16> {
+        self.stream.words
     }
 
     /// The metadata this decoder streams against.
@@ -586,6 +617,38 @@ mod tests {
             "capacity {} for {words} received words",
             incr.stream.words.capacity()
         );
+
+        // A store handed in keeps the bound: the header reserves nothing
+        // in one that already holds a larger stream, and grows a small one
+        // to the bound at most. Either way it arrives empty, and pushes
+        // past it grow it with the bytes alone.
+        let kept = incr.into_words();
+        let kept_capacity = kept.capacity();
+        assert!(kept_capacity > MAX_RESERVED_WORDS);
+        let incr = IncrementalDecoder::with_words(
+            declared.clone(),
+            enc.container.stream.final_states.clone(),
+            enc.model.clone(),
+            kept,
+        )
+        .unwrap();
+        assert_eq!(incr.bytes_received(), 0, "a handed-in store is cleared");
+        assert_eq!(incr.stream.words.capacity(), kept_capacity);
+        let small = Vec::with_capacity(1000);
+        let mut incr = IncrementalDecoder::with_words(
+            declared,
+            enc.container.stream.final_states.clone(),
+            enc.model.clone(),
+            small,
+        )
+        .unwrap();
+        assert!(incr.stream.words.capacity() <= MAX_RESERVED_WORDS);
+        let mut pushed = 0usize;
+        while pushed < 3 * MAX_RESERVED_WORDS {
+            incr.push_bytes(&piece).unwrap();
+            pushed += piece.len();
+        }
+        assert!(incr.stream.words.capacity() <= 4 * (pushed / 2));
     }
 
     #[test]

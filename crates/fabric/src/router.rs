@@ -18,7 +18,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 use recoil_core::backend::{ensure_available, AutoBackend, DecodeBackend};
 use recoil_core::{Codec, EncoderConfig, RecoilError};
-use recoil_net::{splitmix64, NetClient, NetClientConfig, PublishOk, StatsReply};
+use recoil_net::{splitmix64, NetClient, NetClientConfig, PublishOk, StatsReply, WordStore};
 use recoil_telemetry::{Telemetry, TelemetryLevel};
 
 /// Construction knobs for [`FabricRouter`].
@@ -104,7 +104,11 @@ pub struct FabricFetch {
 pub struct FabricRouter {
     nodes: Vec<RouterNode>,
     config: RouterConfig,
+    /// The router's one decode pool: its per-node clients only receive, so
+    /// they never build one of their own.
     backend: Box<dyn DecodeBackend>,
+    /// The word store every fetch receives into, kept between fetches.
+    words: WordStore,
     /// Shared instruments: injected into every per-node client so
     /// `retries` aggregates fleet-wide next to the router's own
     /// `failovers` / `replica_promotions` counters and `healthy_nodes`
@@ -161,6 +165,7 @@ impl FabricRouter {
             backend: Box::new(AutoBackend::with_threads(
                 std::thread::available_parallelism().map_or(1, |p| p.get()),
             )),
+            words: WordStore::default(),
             telemetry,
             promoted: Mutex::new(HashMap::new()),
             hits: Mutex::new(HashMap::new()),
@@ -184,6 +189,13 @@ impl FabricRouter {
     /// `healthy_nodes` gauge.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
+    }
+
+    /// The backend every fetch decodes with: its
+    /// [`recoil_core::backend::preferred_segments`] is the widest stream a
+    /// fetch decodes in one batch.
+    pub fn backend(&self) -> &dyn DecodeBackend {
+        self.backend.as_ref()
     }
 
     /// STATS snapshot from node `i`.
@@ -299,7 +311,8 @@ impl FabricRouter {
 
     /// Fetches and decodes `name` at `parallel_segments`: one
     /// [`recoil_net::FetchSession`], opened on the best holder and driven
-    /// through the streaming decode pipeline. If the serving node dies
+    /// through [`recoil_net::FetchSession::decode_streaming`] on this
+    /// thread, into the router's [`WordStore`]. If the serving node dies
     /// mid-stream the *same session* is resumed on the next holder at the
     /// exact word offset it already holds — decoded segments are never
     /// re-sent — and the session's payload check (whole-stream CRC, every
@@ -351,6 +364,7 @@ impl FabricRouter {
         let streamed = session.decode_streaming(
             backend,
             &self.telemetry,
+            &self.words,
             start,
             |session, mut last_err| {
                 // Mid-stream death: the failover the fabric exists for.

@@ -3,6 +3,7 @@
 //! of a torn, stalled, killed or resetting node — every fault injected by
 //! the node's own `FaultPlan`.
 
+use recoil_core::backend::preferred_segments;
 use recoil_core::{container_to_bytes, Codec, EncoderConfig, RecoilError};
 use recoil_fabric::{FabricRouter, RouterConfig};
 use recoil_net::raw::{read_frame, write_frame, ReadOutcome};
@@ -28,8 +29,12 @@ fn sample(len: usize, seed: u32) -> Vec<u8> {
 }
 
 fn enc() -> EncoderConfig {
+    enc_at(SEGMENTS)
+}
+
+fn enc_at(max_segments: u64) -> EncoderConfig {
     EncoderConfig {
-        max_segments: SEGMENTS,
+        max_segments,
         ..EncoderConfig::default()
     }
 }
@@ -75,20 +80,24 @@ struct Geometry {
     bodies: Vec<u64>,
     /// Total bitstream bytes (Σ bodies, cross-checked with the header).
     word_bytes: u64,
+    /// Segments the served tier holds.
+    segments: u64,
 }
 
 impl Geometry {
-    fn measure(data: &[u8]) -> Self {
+    /// The geometry of `data` published at `width` segments and fetched at
+    /// that width.
+    fn measure(data: &[u8], width: u64) -> Self {
         let server = start(None);
         let client = NetClient::connect(server.addr()).unwrap();
-        client.publish("probe", data, &enc()).unwrap();
+        client.publish("probe", data, &enc_at(width)).unwrap();
         // A raw fetch: every response frame's size is read off the wire.
         let mut conn = TcpStream::connect(server.addr()).unwrap();
         let mut send = |ty, payload: &[u8]| write_frame(&mut conn, ty, payload).unwrap();
         send(FrameType::Hello, &Hello::ours().encode());
         let request = ContentRequest {
             name: "probe".to_string(),
-            parallel_segments: SEGMENTS,
+            parallel_segments: width,
         };
         send(FrameType::Request, &request.encode());
         let mut next = |want| match read_frame(&mut conn).unwrap() {
@@ -108,6 +117,7 @@ impl Geometry {
             prefix: (FRAME_HDR + hello_len) + (FRAME_HDR + transmit.len() as u64),
             bodies,
             word_bytes: header.word_bytes,
+            segments: header.segments,
         }
     }
 
@@ -135,11 +145,22 @@ impl Geometry {
     }
 }
 
+/// The router's decode batch (`preferred_segments` of its backend): the
+/// widest stream a fetch decodes in one batch.
+fn router_batch() -> u64 {
+    let node = start(None);
+    let router = FabricRouter::connect(&[node.addr()], router_config()).unwrap();
+    let batch = preferred_segments(router.backend());
+    node.shutdown();
+    batch
+}
+
 /// Runs one kill-at-`cut` failover scenario: node 0 (the rendezvous
 /// primary for the chosen name) severs every connection after exactly
-/// `cut` response bytes; node 1 is clean and holds an identical copy.
-/// Returns the completed fetch for assertions.
-fn fetch_with_kill_at(data: &[u8], cut: u64) -> recoil_fabric::FabricFetch {
+/// `cut` response bytes; node 1 is clean and holds an identical copy of
+/// `data` published at `width` segments. Returns the completed fetch (at
+/// `width`) for assertions.
+fn fetch_with_kill_at(data: &[u8], cut: u64, width: u64) -> recoil_fabric::FabricFetch {
     let killer = start(Some(FaultPlan::kill_at(cut)));
     let clean = start(None);
     let router = FabricRouter::connect(&[killer.addr(), clean.addr()], router_config()).unwrap();
@@ -151,27 +172,48 @@ fn fetch_with_kill_at(data: &[u8], cut: u64) -> recoil_fabric::FabricFetch {
         .expect("some name lands on node 0");
     // Encode once and publish the same container to both nodes: they
     // store, and serve, the same bytes by construction.
-    let encoded = Codec::from_config(enc()).unwrap().encode(data).unwrap();
+    let encoded = Codec::from_config(enc_at(width))
+        .unwrap()
+        .encode(data)
+        .unwrap();
     let container = container_to_bytes(&encoded.container, encoded.model.table());
     for handle in [&killer, &clean] {
         let publisher = NetClient::connect(handle.addr()).unwrap();
         publisher.publish_container(&name, &container).unwrap();
     }
-    let fetched = router.fetch(&name, SEGMENTS).unwrap();
+    let fetched = router.fetch(&name, width).unwrap();
     killer.shutdown();
     clean.shutdown();
     fetched
 }
 
-/// The satellite corpus test: kill the serving node at every chunk
-/// (= segment-group) boundary, mid-chunk, inside the TRANSMIT header,
-/// inside a CHUNK frame header, and past the end — the resumed decode
-/// must be byte-identical every time, and the wire-level byte accounting
-/// must show no word was ever served twice.
+/// The corpus test: kill the serving node at every chunk (= segment-group)
+/// boundary, mid-chunk, inside the TRANSMIT header, inside a CHUNK frame
+/// header, and past the end — the resumed decode must be byte-identical
+/// every time, and the wire-level byte accounting must show no word was
+/// ever served twice. It runs at two widths, so that both dispatch
+/// regimes are swept on every host: one batch of the router's backend (the
+/// stream is decoded once, after the failover) and twice that (batches are
+/// decoded between chunks, before and after it).
 #[test]
 fn kill_sweep_resumes_byte_identical_with_no_resends() {
-    let data = sample(DATA_LEN, 42);
-    let geo = Geometry::measure(&data);
+    let batch = router_batch();
+    for (width, one_batch) in [(batch.min(SEGMENTS), true), (2 * batch, false)] {
+        // Where a batch is wide (many cores), enough symbols for the
+        // planner to cut the item into more segments than one batch.
+        let data = sample(DATA_LEN.max(2_000 * width as usize), 42);
+        let geo = Geometry::measure(&data, width);
+        assert_eq!(
+            geo.segments <= batch,
+            one_batch,
+            "{} segments served at width {width}, a batch of {batch}",
+            geo.segments
+        );
+        kill_sweep(&data, width, &geo);
+    }
+}
+
+fn kill_sweep(data: &[u8], width: u64, geo: &Geometry) {
     let boundaries = geo.boundaries();
 
     let mut cuts = vec![
@@ -187,43 +229,46 @@ fn kill_sweep_resumes_byte_identical_with_no_resends() {
     }
 
     for &cut in &cuts {
-        let fetched = fetch_with_kill_at(&data, cut);
-        assert_eq!(fetched.data, data, "cut at byte {cut}");
-        assert_eq!(fetched.segments, SEGMENTS);
+        let fetched = fetch_with_kill_at(data, cut, width);
+        assert_eq!(fetched.data, data, "width {width}, cut at byte {cut}");
+        assert_eq!(fetched.segments, geo.segments);
 
         // Wire-level accounting: every word arrived exactly once, each
         // resume continued at precisely the words already held, and
         // every resume offset is a segment-aligned chunk boundary.
         let delivered: u64 = fetched.attempts.iter().map(|a| a.chunk_bytes).sum();
-        assert_eq!(delivered, geo.word_bytes, "cut at byte {cut}");
+        assert_eq!(
+            delivered, geo.word_bytes,
+            "width {width}, cut at byte {cut}"
+        );
         for w in fetched.attempts.windows(2) {
             assert_eq!(
                 w[1].from_word,
                 w[0].from_word + w[0].chunk_bytes / 2,
-                "cut at byte {cut}: resume must skip exactly the delivered words"
+                "width {width}, cut at byte {cut}: resume must skip exactly the delivered words"
             );
         }
         for resume in &fetched.attempts[1..] {
             assert!(
                 boundaries.contains(&(resume.from_word * 2)),
-                "cut at byte {cut}: resume offset {} is not a segment boundary",
+                "width {width}, cut at byte {cut}: resume offset {} is not a segment boundary",
                 resume.from_word * 2
             );
         }
 
         if cut >= geo.total() {
             // The kill threshold sits past the response: undisturbed.
-            assert_eq!(fetched.failovers, 0, "cut at byte {cut}");
+            assert_eq!(fetched.failovers, 0, "width {width}, cut at byte {cut}");
             assert_eq!(fetched.attempts.len(), 1);
             assert!(fetched.attempts[0].completed);
         } else if cut < geo.prefix {
             // Died before the stream started: a refetch, not a resume.
-            assert_eq!(fetched.failovers, 0, "cut at byte {cut}");
+            assert_eq!(fetched.failovers, 0, "width {width}, cut at byte {cut}");
             assert_eq!(fetched.attempts.len(), 2);
             assert_eq!(fetched.attempts[1].from_word, 0);
         } else {
             // Mid-stream death: exactly one failover, resumed partway.
-            assert_eq!(fetched.failovers, 1, "cut at byte {cut}");
+            assert_eq!(fetched.failovers, 1, "width {width}, cut at byte {cut}");
             assert_eq!(fetched.attempts.len(), 2);
             assert!(!fetched.attempts[0].completed);
             assert!(fetched.attempts[1].completed);
@@ -236,14 +281,14 @@ fn kill_sweep_resumes_byte_identical_with_no_resends() {
 #[test]
 fn seeded_kill_replays_identically() {
     let data = sample(DATA_LEN, 9);
-    let geo = Geometry::measure(&data);
+    let geo = Geometry::measure(&data, SEGMENTS);
     let plan = FaultPlan::seeded_kill(0xC0FFEE, geo.prefix, geo.total());
     let cut = match plan.kill_after_write_bytes {
         Some(cut) => cut,
         None => unreachable!("seeded_kill always arms a cut"),
     };
-    let first = fetch_with_kill_at(&data, cut);
-    let second = fetch_with_kill_at(&data, cut);
+    let first = fetch_with_kill_at(&data, cut, SEGMENTS);
+    let second = fetch_with_kill_at(&data, cut, SEGMENTS);
     assert_eq!(first.attempts, second.attempts);
     assert_eq!(first.data, data);
     assert_eq!(second.data, data);

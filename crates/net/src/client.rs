@@ -26,21 +26,11 @@ use recoil_telemetry::{Stage, Telemetry, TelemetryLevel};
 use std::borrow::BorrowMut;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Idle connections kept for reuse; overflow is closed on check-in.
 const MAX_POOL: usize = 4;
-/// In-flight budget of the streaming pipeline: checked bodies waiting for
-/// the decoder thread before the receive loop blocks (backpressure), so
-/// memory beyond the output and the word store stays at `budget × chunk
-/// size`. Deeper buys nothing now that the decoder ingests until a whole
-/// batch is resident — it is at `recv` unless a batch is decoding — and
-/// measurably delays first symbols: where client and server share cores, a
-/// receive loop that never parks keeps the decoder thread off them (depth 64
-/// read 1.2 ms to first symbols at width 16 against 0.7 at depth 4, totals
-/// equal).
-const STREAMING_INFLIGHT_CHUNKS: usize = 4;
 /// The longest ERROR payload read in place of a CHUNK. What a node says
 /// mid-transfer (shutting down, busy, an internal failure) is a code and a
 /// sentence; a header that announces more is refused like an oversized CHUNK.
@@ -185,7 +175,7 @@ fn record_decode(telemetry: &Telemetry, stats: DecodeStats) {
 }
 
 /// Result of one [`NetClient::fetch_and_decode_streaming`] call: the decoded
-/// bytes plus the pipeline's latency breakdown, so callers can see how much
+/// bytes plus the fetch's latency breakdown, so callers can see how much
 /// decode time the network transfer hid.
 #[derive(Debug, Clone)]
 pub struct StreamedFetch {
@@ -203,12 +193,13 @@ pub struct StreamedFetch {
     pub total_bytes: u64,
     /// CHUNK frames the transfer arrived in (split-aligned server plan).
     pub chunk_count: u32,
-    /// Batches the pipeline dispatched to the backend: one whenever
-    /// [`preferred_segments`] undecoded segments are resident, one for
+    /// Batches dispatched to the backend: one whenever `preferred`
+    /// ([`preferred_segments`]) undecoded segments are resident, one for
     /// whatever is left when the stream completes, and — when the stream
     /// holds more than a batch beyond them — one for the first segments to
-    /// arrive. A stream of at most `preferred` segments is one batch; a
-    /// backend whose capability is 1 gets one per newly resident run.
+    /// arrive. So a stream of at most `preferred` segments is one batch,
+    /// decoded once its last word arrived, and a backend whose capability
+    /// is 1 gets one per newly resident run.
     pub decode_batches: u64,
     /// Nanoseconds from request start until the **first** batch's symbols
     /// were fully decoded — the streaming win: with more segments than one
@@ -221,13 +212,61 @@ pub struct StreamedFetch {
     pub total_nanos: u64,
 }
 
+/// The bitstream word store a fetcher keeps between streaming fetches, so
+/// each fetch receives into memory that is already there instead of a
+/// fresh allocation growing page by page. A fetch takes the store and puts
+/// it back after its decode; a fetch running while another holds it
+/// receives into a store of its own, and of the two the larger is kept.
+/// What it holds is the largest stream a fetch received into it — trimmed
+/// to that on the way back, so the `Vec`'s doubling pins nothing more — or
+/// the [`MAX_RESERVED_WORDS`] a header reserved.
+#[derive(Debug, Default)]
+pub struct WordStore(Mutex<Kept>);
+
+/// A [`WordStore`]'s contents.
+#[derive(Debug, Default)]
+struct Kept {
+    words: Vec<u16>,
+    /// The most words a fetch has received into the store.
+    largest: usize,
+}
+
+impl WordStore {
+    /// Words the store can hold without growing.
+    pub fn capacity(&self) -> usize {
+        self.0.lock().words.capacity()
+    }
+
+    /// The store, leaving an empty one behind for a concurrent fetch.
+    fn take(&self) -> Vec<u16> {
+        std::mem::take(&mut self.0.lock().words)
+    }
+
+    /// Trims `words` to the largest stream received so far, and keeps it
+    /// if it is larger than what the store holds now.
+    fn put_back(&self, mut words: Vec<u16>) {
+        let mut kept = self.0.lock();
+        kept.largest = kept.largest.max(words.len());
+        words.shrink_to(kept.largest);
+        if words.capacity() > kept.words.capacity() {
+            kept.words = words;
+        }
+    }
+}
+
 /// A client for one [`crate::NetServer`] address, holding a small pool of
-/// reusable connections and a decode backend for one-call remote decodes.
+/// reusable connections, a decode backend for one-call remote decodes and
+/// the [`WordStore`] its streaming fetches receive into — after a fetch,
+/// a client keeps the word store of the largest stream it fetched.
 pub struct NetClient {
     addr: SocketAddr,
     config: NetClientConfig,
     pool: Mutex<Vec<TcpStream>>,
-    backend: Box<dyn DecodeBackend>,
+    /// Built on first use ([`NetClient::backend`]): a client whose fetches
+    /// decode elsewhere — the fabric router's per-node clients — never
+    /// starts a thread pool.
+    backend: OnceLock<Box<dyn DecodeBackend>>,
+    words: WordStore,
     /// Client-side instruments (streaming latency breakdown and this
     /// client's decodes land here).
     telemetry: Arc<Telemetry>,
@@ -274,18 +313,18 @@ impl NetClient {
             addr,
             config,
             pool: Mutex::new(Vec::new()),
-            backend: Box::new(AutoBackend::with_threads(
-                std::thread::available_parallelism().map_or(1, |p| p.get()),
-            )),
+            backend: OnceLock::new(),
+            words: WordStore::default(),
             telemetry,
             jitter_state: AtomicU64::new(RETRY_JITTER_SEED),
         })
     }
 
     /// Replaces the decode backend used by
-    /// [`NetClient::fetch_and_decode`].
+    /// [`NetClient::fetch_and_decode`]. The default one is built on first
+    /// use, so this replaces nothing that ran.
     pub fn with_backend(mut self, backend: impl DecodeBackend + 'static) -> Self {
-        self.backend = Box::new(backend);
+        self.backend = OnceLock::from(Box::new(backend) as Box<dyn DecodeBackend>);
         self
     }
 
@@ -303,9 +342,17 @@ impl NetClient {
         self.addr
     }
 
-    /// The backend remote fetches decode with.
+    /// The backend remote fetches decode with: the one given to
+    /// [`NetClient::with_backend`], or else an [`AutoBackend`] over every
+    /// available core, built by the first call.
     pub fn backend(&self) -> &dyn DecodeBackend {
-        self.backend.as_ref()
+        self.backend
+            .get_or_init(|| {
+                Box::new(AutoBackend::with_threads(
+                    std::thread::available_parallelism().map_or(1, |p| p.get()),
+                ))
+            })
+            .as_ref()
     }
 
     /// Dials a fresh connection and exchanges HELLOs ([`Hello::decode`]
@@ -565,7 +612,7 @@ impl NetClient {
         parallel_segments: u64,
     ) -> Result<Vec<u8>, RecoilError> {
         let content = self.request(name, parallel_segments)?;
-        let (out, stats) = content.decode_counted(self.backend.as_ref())?;
+        let (out, stats) = content.decode_counted(self.backend())?;
         record_decode(&self.telemetry, stats);
         Ok(out)
     }
@@ -578,26 +625,30 @@ impl NetClient {
         })
     }
 
-    /// One call from name to decoded bytes with the network transfer and
-    /// the decode **overlapped**: one [`FetchSession`] on a pooled
-    /// connection, driven through [`FetchSession::decode_streaming`] with
-    /// the configured backend, under this client's retry policy. The
-    /// result is byte-identical to [`NetClient::fetch_and_decode`]. An
-    /// unavailable backend is refused before anything is sent — no retry
-    /// could change it.
+    /// One call from name to decoded bytes, with the network transfer and
+    /// the decode **overlapped** wherever there is something to overlap:
+    /// one [`FetchSession`] on a pooled connection, driven through
+    /// [`FetchSession::decode_streaming`] on the calling thread with the
+    /// configured backend into this client's [`WordStore`], under this
+    /// client's retry policy. A stream of at most one batch is decoded once,
+    /// after its last word arrived. The result is byte-identical to
+    /// [`NetClient::fetch_and_decode`]. An unavailable backend is refused
+    /// before anything is sent — no retry could change it.
     pub fn fetch_and_decode_streaming(
         &self,
         name: &str,
         parallel_segments: u64,
     ) -> Result<StreamedFetch, RecoilError> {
         Self::check_name(name)?;
-        let backend = self.backend.as_ref();
+        let backend = self.backend();
         ensure_available(backend)?;
         self.with_conn(true, |client, conn| {
             let t0 = Instant::now();
             client
                 .open(conn, name, parallel_segments)?
-                .decode_streaming(backend, &client.telemetry, t0, |_, err| Err(err))
+                .decode_streaming(backend, &client.telemetry, &client.words, t0, |_, err| {
+                    Err(err)
+                })
                 // Mid-stream failures leave unread chunks on the wire.
                 .map_err(OpError::Transport)
         })
@@ -738,15 +789,8 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
     /// caller keeps: the session's own drains ([`NetClient::request`],
     /// [`FetchSession::decode_streaming`]) consume it in place instead.
     pub fn next_chunk(&mut self) -> Result<Vec<u8>, RecoilError> {
-        self.next_body().map(<[u8]>::to_vec)
-    }
-
-    /// [`FetchSession::next_chunk`] without the copy: the body where it was
-    /// received, in the session's one recycled buffer, good until the next
-    /// call.
-    fn next_body(&mut self) -> Result<&[u8], RecoilError> {
         self.recv_chunk()?;
-        self.check.accept(&self.frame)
+        self.check.accept(&self.frame).map(<[u8]>::to_vec)
     }
 
     /// Reads the next CHUNK frame off the wire into the session's recycled
@@ -783,6 +827,27 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
         }
     }
 
+    /// Receives every CHUNK the transfer still owes and hands each checked
+    /// body to `sink` where it lies, in the session's recycled buffer: the
+    /// one receive loop every drain runs. A failed *connection* goes to
+    /// `recover` (see [`FetchSession::decode_streaming`]); a body that fails
+    /// the payload check ends the loop with the check's error, and so does
+    /// an error of `sink`'s.
+    fn receive(
+        &mut self,
+        recover: &mut impl FnMut(&mut Self, RecoilError) -> Result<(), RecoilError>,
+        mut sink: impl FnMut(&[u8]) -> Result<(), RecoilError>,
+    ) -> Result<(), RecoilError> {
+        while self.remaining_chunks() > 0 {
+            if let Err(err) = self.recv_chunk() {
+                recover(self, err)?;
+                continue;
+            }
+            sink(self.check.accept(&self.frame)?)?;
+        }
+        Ok(())
+    }
+
     /// Drains the session into a word store: the buffered fetch (its item
     /// section was checked at open, its words by the payload check).
     fn into_content(mut self) -> Result<RemoteContent, RecoilError> {
@@ -792,9 +857,10 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
         let mut words = Vec::with_capacity(reserve.min(MAX_RESERVED_WORDS));
         // A chunk body may end mid-word; its last byte waits here.
         let mut carry = None;
-        while self.remaining_chunks() > 0 {
-            carry = extend_words_from_le(&mut words, carry, self.next_body()?);
-        }
+        self.receive(&mut |_, err| Err(err), |body| {
+            carry = extend_words_from_le(&mut words, carry, body);
+            Ok(())
+        })?;
         let header = self.header;
         let stream = EncodedStream {
             words,
@@ -814,21 +880,27 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
         })
     }
 
-    /// Drives the session to the end of the stream with the transfer and
-    /// the decode **overlapped** — the one place an
-    /// [`IncrementalDecoder`] is fed from the network.
+    /// Drives the session to the end of the stream into an
+    /// [`IncrementalDecoder`] — the one place one is fed from the network —
+    /// decoding batches while later chunks are still on the wire. The words
+    /// are received into the store taken from `words` (the caller's
+    /// [`WordStore`]), which is put back after the decode, whether or not
+    /// it succeeded.
     ///
-    /// Two stages. The calling thread receives each CHUNK into the
-    /// session's one recycled buffer and runs the payload check on it where
-    /// it lies; a scoped decoder thread takes a copy of every checked body
-    /// into the word store and dispatches **whole batches** to `backend`:
-    /// it keeps ingesting until [`preferred_segments`] undecoded segments
-    /// are resident (threads × kernel depth — the spans the backend decodes
-    /// side by side) or the stream is complete. Not decoding a lone segment
-    /// at the single-span rate is what keeps the decoder ingesting and the
+    /// One thread does it all, the caller's: it receives each CHUNK into
+    /// the session's one recycled buffer, runs the payload check on it
+    /// where it lies, appends it to the word store, and then applies the
+    /// dispatch rule. While a batch decodes on the backend's pool, the
+    /// socket's receive buffer holds what the server goes on sending.
+    ///
+    /// The backend takes **whole batches**: [`preferred_segments`]
+    /// undecoded segments (threads × kernel depth — the spans it decodes
+    /// side by side) or what is left when the stream is complete. Not
+    /// decoding a lone segment at the single-span rate is what keeps the
     /// wire moving. One exception, for time to first symbols: a stream with
     /// more than a batch still to come has its first resident segments
-    /// dispatched at once.
+    /// dispatched at once. So a stream of at most one batch (the paper's
+    /// adaptive case) is decoded once, after its last word arrived.
     ///
     /// The rule is tuned for a link at or above the decode rate, where the
     /// whole stream is resident about when the first segment would have
@@ -836,15 +908,9 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
     /// starts decoding only when its last byte arrives, and its tail is the
     /// whole batch rather than the last segment alone.
     ///
-    /// Who owns which bytes: the frame buffer is the receive loop's and
-    /// never leaves it; a body is copied out only after it passed the
-    /// check, and that copy belongs to the channel and then the decoder. At
-    /// most [`STREAMING_INFLIGHT_CHUNKS`] checked bodies wait in the channel
-    /// — past that the receive loop blocks.
-    ///
     /// `recover` is called when the *connection* fails mid-stream: return
     /// `Ok` after [`FetchSession::resume_on`] moved the session to another
-    /// node and the pipeline carries on, or the error to give up. A stream
+    /// node and the transfer carries on, or the error to give up. A stream
     /// that fails the payload check is never recoverable. Latencies count
     /// from `t0` (the caller's request start) and land in `telemetry`'s
     /// `stream_*_ns` histograms on success, and the decode's stats in its
@@ -853,105 +919,93 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
         mut self,
         backend: &dyn DecodeBackend,
         telemetry: &Telemetry,
+        words: &WordStore,
         t0: Instant,
         mut recover: impl FnMut(&mut Self, RecoilError) -> Result<(), RecoilError>,
     ) -> Result<StreamedFetch, RecoilError> {
-        let since = move || t0.elapsed().as_nanos() as u64;
-        let mut incr = IncrementalDecoder::new(
+        let mut incr = IncrementalDecoder::with_words(
             self.metadata.clone(),
             self.header.final_states.clone(),
             self.model.clone(),
+            words.take(),
         )?;
-        let batch = preferred_segments(backend);
-        let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(STREAMING_INFLIGHT_CHUNKS);
-        let (received, decoded) = std::thread::scope(|s| {
-            // Borrowed, not moved: its stats are read after the join.
-            let incr = &mut incr;
-            let decoder = s.spawn(move || -> Result<(Vec<u8>, u64, u64, u64), RecoilError> {
-                // Grown with readiness, never from the declared header: a
-                // hostile server must actually send bytes to make this
-                // allocation happen (the buffered path's invariant).
-                let mut out: Vec<u8> = Vec::new();
-                let mut first: Option<u64> = None;
-                let mut batches = 0u64;
-                loop {
-                    let (decoded, ready) = (incr.decoded_segments(), incr.ready_segments());
-                    let waiting = ready - decoded;
-                    // A whole batch, or the end of the stream — or the
-                    // first segments to arrive, when a whole batch is still
-                    // to come after them: first symbols early, at the cost
-                    // of one short dispatch and never of the tail's batch.
-                    let first_of_many = decoded == 0 && incr.num_segments() - ready >= batch;
-                    if waiting >= batch || (waiting > 0 && (incr.is_complete() || first_of_many)) {
-                        out.resize(incr.ready_symbols(), 0);
-                        incr.decode_ready_segments(backend, &mut out)?;
-                        batches += 1;
-                        first.get_or_insert_with(since);
-                    }
-                    // Sender dropped: the transfer finished (possibly with
-                    // zero chunks for an empty stream) or the receive loop
-                    // failed.
-                    let Ok(body) = rx.recv() else { break };
-                    incr.push_bytes(&body)?;
-                }
-                if !incr.is_finished() {
-                    return Err(RecoilError::net(
-                        "bitstream transfer ended before every segment arrived",
-                    ));
-                }
-                let first = first.unwrap_or_else(since);
-                Ok((out, first, batches, incr.payload_bytes()))
-            });
-
-            // `None`: the decoder hung up mid-transfer.
-            let received = (|| -> Result<Option<u64>, RecoilError> {
-                while self.remaining_chunks() > 0 {
-                    if let Err(err) = self.recv_chunk() {
-                        recover(&mut self, err)?;
-                        continue;
-                    }
-                    let body = self.check.accept(&self.frame)?.to_vec();
-                    if tx.send(body).is_err() {
-                        return Ok(None);
-                    }
-                }
-                Ok(Some(since()))
-            })();
-            drop(tx); // unblock the decoder's recv loop
-            let decoded = decoder
-                .join()
-                .unwrap_or_else(|_| Err(RecoilError::net("streaming decoder thread panicked")));
-            (received, decoded)
-        });
-
-        // Precedence: a real transport or integrity failure outranks the
-        // decoder's secondary "transfer ended early" complaint; if the
-        // receive loop stopped because the decoder failed, that error is
-        // the root cause.
-        let received = received?;
-        let (data, first_segment_nanos, decode_batches, payload_bytes) = decoded?;
-        let transfer_nanos = received
-            .ok_or_else(|| RecoilError::net("decoder hung up without reporting an error"))?;
-        let total_nanos = since();
+        let fetched = self.drain(&mut incr, backend, &mut recover, t0);
+        let stats = incr.decode_stats();
+        words.put_back(incr.into_words());
+        let fetched = fetched?;
         if telemetry.counters_enabled() {
             let h = &telemetry.hists;
-            h.stream_first_segment_ns.record(first_segment_nanos);
-            h.stream_transfer_ns.record(transfer_nanos);
-            h.stream_total_ns.record(total_nanos);
-            telemetry.trace(Stage::StreamFirstSegment, 0, first_segment_nanos);
+            h.stream_first_segment_ns
+                .record(fetched.first_segment_nanos);
+            h.stream_transfer_ns.record(fetched.transfer_nanos);
+            h.stream_total_ns.record(fetched.total_nanos);
+            telemetry.trace(Stage::StreamFirstSegment, 0, fetched.first_segment_nanos);
         }
-        record_decode(telemetry, incr.decode_stats());
+        record_decode(telemetry, stats);
+        Ok(fetched)
+    }
+
+    /// [`FetchSession::decode_streaming`]'s receive loop and dispatch rule,
+    /// into `incr`.
+    fn drain(
+        &mut self,
+        incr: &mut IncrementalDecoder,
+        backend: &dyn DecodeBackend,
+        recover: &mut impl FnMut(&mut Self, RecoilError) -> Result<(), RecoilError>,
+        t0: Instant,
+    ) -> Result<StreamedFetch, RecoilError> {
+        let since = || t0.elapsed().as_nanos() as u64;
+        let batch = preferred_segments(backend);
+        // Grown with readiness, never from the declared header: a hostile
+        // server must actually send bytes to make this allocation happen
+        // (the buffered path's invariant).
+        let mut data: Vec<u8> = Vec::new();
+        let mut first: Option<u64> = None;
+        let mut batches = 0u64;
+        let mut dispatch = |incr: &mut IncrementalDecoder, data: &mut Vec<u8>| {
+            let (decoded, ready) = (incr.decoded_segments(), incr.ready_segments());
+            let waiting = ready - decoded;
+            // A whole batch, or the end of the stream — or the first
+            // segments to arrive, when a whole batch is still to come after
+            // them: first symbols early, at the cost of one short dispatch
+            // and never of the tail's batch.
+            let first_of_many = decoded == 0 && incr.num_segments() - ready >= batch;
+            if waiting >= batch || (waiting > 0 && (incr.is_complete() || first_of_many)) {
+                data.resize(incr.ready_symbols(), 0);
+                incr.decode_ready_segments(backend, data)?;
+                batches += 1;
+                first.get_or_insert_with(since);
+            }
+            Ok::<(), RecoilError>(())
+        };
+        self.receive(recover, |body| {
+            incr.push_bytes(body)?;
+            // The last body's batch goes out after the transfer's time.
+            if incr.is_complete() {
+                return Ok(());
+            }
+            dispatch(incr, &mut data)
+        })?;
+        let transfer_nanos = since();
+        // The rest, an empty stream's one segment included.
+        dispatch(incr, &mut data)?;
+        if !incr.is_finished() {
+            return Err(RecoilError::net(
+                "bitstream transfer ended before every segment arrived",
+            ));
+        }
+        let first_segment_nanos = first.unwrap_or_else(since);
         Ok(StreamedFetch {
             data,
             segments: self.header.segments,
             cache_hit: self.header.cache_hit,
             combine_nanos: self.header.combine_nanos,
-            total_bytes: payload_bytes + self.header.metadata_len,
+            total_bytes: incr.payload_bytes() + self.header.metadata_len,
             chunk_count: self.header.chunk_count,
-            decode_batches,
+            decode_batches: batches,
             first_segment_nanos,
             transfer_nanos,
-            total_nanos,
+            total_nanos: since(),
         })
     }
 }
@@ -1012,7 +1066,8 @@ impl std::fmt::Debug for NetClient {
         f.debug_struct("NetClient")
             .field("addr", &self.addr)
             .field("pooled", &self.pooled_connections())
-            .field("backend", &self.backend.name())
+            .field("backend", &self.backend.get().map(|b| b.name()))
+            .field("word_store", &self.words.capacity())
             .finish()
     }
 }

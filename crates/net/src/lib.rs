@@ -83,7 +83,7 @@
 //! run. It is the only fault injector: every fault a client can observe
 //! (a torn, stalled, killed or reset connection) is one of these.
 //!
-//! ## Streaming pipelined decode
+//! ## Streaming decode
 //!
 //! Chunk boundaries are not arbitrary: the server cuts the bitstream with
 //! the **split-aligned chunk plan** ([`recoil_core::plan_chunks`]) for the
@@ -93,8 +93,14 @@
 //! [`recoil_core::IncrementalDecoder`], which hands the given backend
 //! **whole batches** — [`recoil_core::backend::preferred_segments`] newly
 //! resident segments at a time, threads × kernel depth — while later
-//! chunks are still on the wire, under a bounded in-flight chunk budget.
-//! It is the one place the network drives a decoder:
+//! chunks are still on the wire. One thread does it, the caller's: it
+//! applies the dispatch rule after every chunk, and while a batch decodes
+//! on the backend's pool the socket buffers what the server goes on
+//! sending. A stream of at most one batch (the paper's adaptive width) has
+//! nothing to decode before its last word, so it is decoded once. The
+//! words land in a [`WordStore`] the fetcher keeps between fetches (the
+//! client, or the fabric router), so a fetch does not grow a fresh one. It
+//! is the one place the network drives a decoder:
 //! [`NetClient::fetch_and_decode_streaming`] runs it on a pooled
 //! connection under the retry policy, the fabric router with a failover
 //! hook. The decoded bytes are byte-identical to the buffered
@@ -210,7 +216,9 @@
 //! retry-after hint. A dead pooled connection still gets one immediate
 //! free redial (staleness is bookkeeping, not server failure). Decode goes
 //! through any [`DecodeBackend`] — AVX-512 → AVX2 → scalar auto-dispatch
-//! by default, so a remote fetch-and-decode is:
+//! by default, its thread pool started by the first decode — and the
+//! client keeps the word store of the largest stream it fetched, so a
+//! remote fetch-and-decode is:
 //!
 //! ```no_run
 //! use recoil_net::NetClient;
@@ -239,7 +247,9 @@ mod integrity;
 mod proto;
 mod server;
 
-pub use client::{FetchSession, NetClient, NetClientConfig, RemoteContent, StreamedFetch};
+pub use client::{
+    FetchSession, NetClient, NetClientConfig, RemoteContent, StreamedFetch, WordStore,
+};
 pub use fault::{splitmix64, FaultPlan};
 pub use frame::{FrameType, HELLO_MAGIC, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use proto::{

@@ -14,20 +14,24 @@
 //!    TRANSMIT/CHUNK exchanges with a corrupted chunk byte, a truncated
 //!    chunk stream, or a mid-stream disconnect; both the buffered and the
 //!    streaming client paths must fail with a typed [`RecoilError`], never
-//!    hang or misdecode.
+//!    hang or misdecode — nor reserve more than a header may make them.
 
+use recoil_core::backend::{preferred_segments, AutoBackend};
 use recoil_core::codec::EncoderConfig;
-use recoil_core::RecoilError;
-use recoil_net::raw::{read_frame, write_frame, ReadOutcome};
+use recoil_core::{
+    metadata_to_bytes, model_block, try_combine_splits, write_item_section, Codec, RecoilError,
+    RecoilMetadata, MAX_RESERVED_WORDS,
+};
+use recoil_net::raw::{read_frame, write_frame, PayloadWriter, ReadOutcome};
 use recoil_net::{
     FrameType, Hello, NetClient, NetClientConfig, NetConfig, NetServer, NetServerHandle,
-    MAX_FRAME_LEN,
+    TransmitHeader, WordStore, MAX_FRAME_LEN,
 };
 use recoil_server::ContentServer;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn sample(len: usize, seed: u32) -> Vec<u8> {
     (0..len as u32)
@@ -526,4 +530,132 @@ fn tampered_transmit_headers_are_rejected() {
     assert!(got.is_err(), "corrupted header must not decode: {got:?}");
     drop(client);
     finish_hostile(addr, handle);
+}
+
+/// A TRANSMIT is a claim about a stream that may never come. One that
+/// declares 2^30 words (2 GiB) and then closes the connection costs a
+/// client a typed error and at most the header's bounded reservation: for
+/// a stream of one decode batch and one wider than a batch, in a fresh word
+/// store and in one kept from a real 5 MiB fetch, which the header must not
+/// grow.
+#[test]
+fn a_huge_declared_stream_reserves_no_more_than_the_bound() {
+    const DECLARED_WORDS: u64 = 1 << 30;
+    let backend = AutoBackend::with_threads(2);
+    let batch = preferred_segments(&backend);
+    // An honest item's metadata, combined to a width and inflated to
+    // 2^30 words; everything else in the section is the item's own.
+    let enc = Codec::builder()
+        .max_segments(64)
+        .build()
+        .unwrap()
+        .encode(&sample(200_000, 6))
+        .unwrap();
+    assert!(batch < 64, "the item is wider than one batch");
+    let hostile = |segments: u64| -> Vec<u8> {
+        let metadata = RecoilMetadata {
+            num_words: DECLARED_WORDS,
+            ..try_combine_splits(&enc.container.metadata, segments).unwrap()
+        };
+        assert_eq!(metadata.num_segments(), segments);
+        let mut w = PayloadWriter::new();
+        w.u64(segments);
+        w.u8(0);
+        w.u64(0);
+        write_item_section(
+            &mut w.0,
+            &metadata_to_bytes(&metadata),
+            &model_block(enc.model.table(), &enc.container.stream.final_states),
+            0,
+        );
+        w.u32(1 << 20);
+        let (header, ..) = TransmitHeader::decode(&w.0).expect("a well-formed lie");
+        assert_eq!(header.word_bytes, 2 * DECLARED_WORDS);
+        let mut script = Vec::new();
+        write_frame(&mut script, FrameType::Transmit, &w.0).unwrap();
+        script
+    };
+
+    // A store kept from a real 5 MiB fetch: 2.5 Mi words, so the doubling
+    // that received them went past the stream's size.
+    let kept = WordStore::default();
+    let received_words = {
+        let server = NetServer::bind(
+            Arc::new(ContentServer::new()),
+            "127.0.0.1:0",
+            NetConfig {
+                workers: 2,
+                chunk_bytes: 64 * 1024,
+                ..NetConfig::default()
+            },
+        )
+        .unwrap();
+        let data = sample(5 << 20, 7);
+        let client = NetClient::connect(server.addr()).unwrap();
+        client
+            .publish("movie", &data, &EncoderConfig::default())
+            .unwrap();
+        let session = client.start_fetch("movie", 2, 0).unwrap();
+        let words = session.header.word_bytes / 2;
+        let fetched = session
+            .decode_streaming(
+                &backend,
+                client.telemetry(),
+                &kept,
+                Instant::now(),
+                |_, e| Err(e),
+            )
+            .unwrap();
+        assert_eq!(fetched.data, data);
+        server.shutdown();
+        words
+    };
+    // Kept at the stream's size: what the fetch received, not the
+    // doubling that received it.
+    let kept_capacity = kept.capacity();
+    assert!(kept_capacity > MAX_RESERVED_WORDS);
+    assert_eq!(kept_capacity as u64, received_words);
+
+    for segments in [1, batch + 1] {
+        let what = format!("{segments} segments, a batch of {batch}");
+        let (addr, handle) = hostile_server(hostile(segments), 16);
+        // Through the client, under its retry policy, on both paths.
+        let client = NetClient::connect(addr)
+            .unwrap()
+            .with_backend(AutoBackend::with_threads(2));
+        let got = client.fetch_and_decode_streaming("movie", segments);
+        assert!(
+            matches!(got, Err(RecoilError::Net { .. })),
+            "{what}: expected a typed Net error, got {got:?}"
+        );
+        let got = client.fetch_and_decode("movie", segments);
+        assert!(
+            matches!(got, Err(RecoilError::Net { .. })),
+            "{what}: {got:?}"
+        );
+
+        // Into a fresh store, which the header grows to the bound at most,
+        // and into the kept one, where it reserves nothing.
+        let fresh = WordStore::default();
+        for store in [&fresh, &kept] {
+            let got = client
+                .start_fetch("movie", segments, 0)
+                .unwrap()
+                .decode_streaming(
+                    &backend,
+                    client.telemetry(),
+                    store,
+                    Instant::now(),
+                    |_, e| Err(e),
+                );
+            assert!(
+                matches!(got, Err(RecoilError::Net { .. })),
+                "{what}: expected a typed Net error, got {got:?}"
+            );
+        }
+        assert!(fresh.capacity() <= MAX_RESERVED_WORDS, "{what}: {fresh:?}");
+        assert_eq!(kept.capacity(), kept_capacity, "{what}");
+        drop(client);
+        finish_hostile(addr, handle);
+    }
 }

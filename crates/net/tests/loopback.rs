@@ -564,11 +564,25 @@ fn streaming_fetch_is_byte_identical_and_pipelined() {
 
     for tier in [1u64, 2, 16, 64, 100_000] {
         let buffered = client.fetch_and_decode("movie", tier).unwrap();
+        let request = client.request("movie", tier).unwrap();
         let streamed = client.fetch_and_decode_streaming("movie", tier).unwrap();
         assert_eq!(streamed.data, buffered, "tier {tier}");
         assert_eq!(streamed.data, data, "tier {tier}");
         assert_eq!(streamed.segments, tier.min(64), "tier {tier}");
+        // The sizes are the buffered fetch's at every tier: 1 and 2 are
+        // one batch, 16 and up are decoded while chunks arrive.
+        assert_eq!(streamed.total_bytes, request.total_bytes(), "tier {tier}");
+        assert_eq!(streamed.segments, request.segments, "tier {tier}");
+        assert_eq!(
+            streamed.chunk_count as usize,
+            plan_chunks(&request.metadata, 4 * 1024).len(),
+            "tier {tier}"
+        );
         assert!(streamed.chunk_count > 1, "tier {tier}: single chunk");
+        assert!(
+            streamed.transfer_nanos <= streamed.total_nanos,
+            "tier {tier}"
+        );
         assert!(streamed.decode_batches >= 1, "tier {tier}");
         assert!(
             streamed.first_segment_nanos <= streamed.total_nanos,
@@ -576,9 +590,9 @@ fn streaming_fetch_is_byte_identical_and_pipelined() {
         );
         // The pipeline's point: with more segments than one batch, the
         // first ones are decoded before the whole payload has even arrived.
-        // No race in that: dozens of chunks follow the first segment's, the
-        // receive loop may run only a few ahead of the decoder thread, and
-        // that thread stamps its first batch before it takes another.
+        // No race in that: dozens of chunks follow the first segment's, and
+        // the receive loop decodes and stamps the first batch before it
+        // reads the next one.
         if tier >= 16 {
             assert!(
                 streamed.first_segment_nanos < streamed.transfer_nanos,
@@ -589,10 +603,19 @@ fn streaming_fetch_is_byte_identical_and_pipelined() {
         }
     }
 
-    // The empty edge case streams too.
+    // The empty edge case streams too, as one (empty) batch.
     client.publish("empty", &[], &config(4)).unwrap();
+    let request = client.request("empty", 4).unwrap();
     let empty = client.fetch_and_decode_streaming("empty", 4).unwrap();
     assert!(empty.data.is_empty());
+    assert_eq!(
+        (empty.segments, empty.chunk_count, empty.decode_batches),
+        (1, 1, 1)
+    );
+    assert_eq!(empty.segments, request.segments);
+    assert_eq!(empty.total_bytes, request.total_bytes());
+    assert!(empty.first_segment_nanos <= empty.total_nanos);
+    assert!(empty.transfer_nanos <= empty.total_nanos);
     server.shutdown();
 }
 
