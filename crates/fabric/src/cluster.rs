@@ -70,9 +70,10 @@ impl Fabric {
         self.addrs.clone()
     }
 
-    /// The live handle for node `i`, if it has not been killed.
+    /// The live handle for node `i`, if the fabric has one and it has not
+    /// been killed.
     pub fn node(&self, i: usize) -> Option<&NetServerHandle> {
-        self.nodes[i].as_ref()
+        self.nodes.get(i)?.as_ref()
     }
 
     /// Kills node `i` **abruptly**: open connections are severed without

@@ -198,9 +198,15 @@ impl FabricRouter {
         self.backend.as_ref()
     }
 
-    /// STATS snapshot from node `i`.
+    /// Node `i`'s serving counters ([`NetClient::stats`]: a TELEMETRY
+    /// exchange, so on a `Trace`-level node it consumes the buffered trace
+    /// events). A node the router does not have is
+    /// [`RecoilError::InvalidConfig`].
     pub fn node_stats(&self, i: usize) -> Result<StatsReply, RecoilError> {
-        self.nodes[i].client.stats()
+        let node = self.nodes.get(i).ok_or_else(|| {
+            RecoilError::config("node", format!("no node {i} among {}", self.nodes.len()))
+        })?;
+        node.client.stats()
     }
 
     /// Rendezvous (highest-random-weight) score of `node` for `name`:

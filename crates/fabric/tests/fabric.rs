@@ -1,5 +1,5 @@
 //! Fabric integration tests: real loopback clusters, rendezvous routing,
-//! zipf promotion, node kills, and telemetry/STATS consistency.
+//! zipf promotion, node kills, and the telemetry a node's stats are read from.
 
 use recoil_core::{EncoderConfig, RecoilError};
 use recoil_fabric::{Fabric, FabricRouter, RouterConfig};
@@ -250,8 +250,8 @@ fn router_survives_a_node_that_is_down_at_connect_time() {
     fabric.shutdown();
 }
 
-/// Satellite regression: the new counters flow over the TELEMETRY wire
-/// frame, and its busy/rejection accounting agrees with STATS.
+/// The new counters flow over the TELEMETRY wire frame, and its busy count
+/// agrees with the rejections `NetClient::stats` reads out of it.
 #[test]
 fn telemetry_frame_agrees_with_stats_on_busy_rejections() {
     let fabric = Fabric::launch(
@@ -304,6 +304,25 @@ fn telemetry_frame_agrees_with_stats_on_busy_rejections() {
         assert_eq!(telemetry.snapshot.counter(name), Some(0), "{name}");
     }
     assert_eq!(telemetry.snapshot.gauge("healthy_nodes"), Some(0));
+    fabric.shutdown();
+}
+
+/// A node index the fabric does not have is an answer, not a panic:
+/// `node_stats` refuses it as a typed config error naming `node`, and
+/// `Fabric::node` has no handle for it.
+#[test]
+fn an_out_of_range_node_is_refused_not_a_panic() {
+    let fabric = Fabric::launch(2, node_config()).unwrap();
+    let router = FabricRouter::connect(&fabric.addrs(), router_config()).unwrap();
+    for i in [2, usize::MAX] {
+        match router.node_stats(i) {
+            Err(RecoilError::InvalidConfig { field, .. }) => assert_eq!(field, "node"),
+            other => panic!("node {i}: {other:?}"),
+        }
+        assert!(fabric.node(i).is_none(), "node {i}");
+    }
+    assert!(fabric.node(1).is_some());
+    assert_eq!(router.node_stats(1).unwrap().items, 0);
     fabric.shutdown();
 }
 

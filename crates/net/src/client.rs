@@ -617,12 +617,12 @@ impl NetClient {
         Ok(out)
     }
 
-    /// Remote serving counters.
+    /// Remote serving counters: [`NetClient::remote_telemetry`], read as a
+    /// [`StatsReply`] through [`StatsReply::from_snapshot`]. Being a
+    /// TELEMETRY exchange, on a `Trace`-level server it also consumes the
+    /// buffered trace events.
     pub fn stats(&self) -> Result<StatsReply, RecoilError> {
-        self.with_conn(true, |client, conn| {
-            let reply = client.exchange(conn, FrameType::Stats, &[], FrameType::StatsReply)?;
-            StatsReply::decode(&reply).map_err(OpError::Transport)
-        })
+        StatsReply::from_snapshot(&self.remote_telemetry()?.snapshot)
     }
 
     /// One call from name to decoded bytes, with the network transfer and

@@ -19,8 +19,10 @@ use std::io::{ErrorKind, Read, Write};
 /// encoder parameters. Version 3: a HELLO carries no capability bits and a
 /// TELEMETRY_REPLY no version byte of its own. Version 4: the container is
 /// version 3 (one item section, then the words), and a TRANSMIT is its
-/// serving fields around the served tier's item section.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// serving fields around the served tier's item section. Version 5: the
+/// STATS/STATS_REPLY pair (0x07/0x08) is gone; a node's counters cross the
+/// wire in its TELEMETRY_REPLY only.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Magic opening every [`crate::Hello`] payload: `"RNET"`.
 pub const HELLO_MAGIC: u32 = 0x524E_4554;
@@ -52,10 +54,6 @@ pub enum FrameType {
     Transmit = 0x05,
     /// One slice of a chunked bitstream payload.
     Chunk = 0x06,
-    /// Client → server: ask for the serving counters.
-    Stats = 0x07,
-    /// Server → client: the counter snapshot.
-    StatsReply = 0x08,
     /// Client → server: ask for the full telemetry snapshot.
     Telemetry = 0x09,
     /// Server → client: the telemetry snapshot — level, named counters,
@@ -79,8 +77,6 @@ impl FrameType {
             0x04 => Self::Request,
             0x05 => Self::Transmit,
             0x06 => Self::Chunk,
-            0x07 => Self::Stats,
-            0x08 => Self::StatsReply,
             0x09 => Self::Telemetry,
             0x0A => Self::TelemetryReply,
             0x0B => Self::Resume,
@@ -510,11 +506,11 @@ mod tests {
     #[test]
     fn frame_round_trips_through_a_buffer() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, FrameType::Stats, b"").unwrap();
+        write_frame(&mut buf, FrameType::Telemetry, b"").unwrap();
         write_frame(&mut buf, FrameType::Chunk, b"hello world").unwrap();
         let mut r = &buf[..];
         match read_frame(&mut r).unwrap() {
-            ReadOutcome::Frame(FrameType::Stats, p) => assert!(p.is_empty()),
+            ReadOutcome::Frame(FrameType::Telemetry, p) => assert!(p.is_empty()),
             other => panic!("{other:?}"),
         }
         match read_frame(&mut r).unwrap() {
@@ -540,7 +536,7 @@ mod tests {
         assert_eq!(appended, via_writer);
 
         // Frames stack in one buffer.
-        let at = begin_frame(&mut via_buf, FrameType::Stats);
+        let at = begin_frame(&mut via_buf, FrameType::Telemetry);
         end_frame(&mut via_buf, at).unwrap();
         let mut r = &via_buf[..];
         assert!(matches!(
@@ -549,7 +545,7 @@ mod tests {
         ));
         assert!(matches!(
             read_frame(&mut r).unwrap(),
-            ReadOutcome::Frame(FrameType::Stats, p) if p.is_empty()
+            ReadOutcome::Frame(FrameType::Telemetry, p) if p.is_empty()
         ));
     }
 
@@ -567,11 +563,14 @@ mod tests {
 
     #[test]
     fn unknown_type_and_oversized_length_are_rejected() {
-        let mut garbage: &[u8] = &[0xAB, 1, 0, 0, 0, 0];
-        assert!(read_frame(&mut garbage)
-            .unwrap_err()
-            .to_string()
-            .contains("unknown frame type"));
+        // 0xAB was never a frame; 0x07 and 0x08 were STATS and STATS_REPLY.
+        for ty in [0xAB, 0x07, 0x08] {
+            let mut garbage: &[u8] = &[ty, 1, 0, 0, 0, 0];
+            assert!(read_frame(&mut garbage)
+                .unwrap_err()
+                .to_string()
+                .contains("unknown frame type"));
+        }
 
         let mut huge = vec![FrameType::Publish as u8];
         huge.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());

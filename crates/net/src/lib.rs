@@ -28,10 +28,8 @@
 //! | `REQUEST` (0x04) | C→S | name, client's `parallel_segments` | [`ContentRequest::encode`] → `ContentRequest::<&str>::decode` |
 //! | `TRANSMIT` (0x05) | S→C | segments, cache hit, combine time, the served tier's item section, chunk count | `proto::write_transmit_header` (in place, from bytes the stored item holds) → [`TransmitHeader::decode`] ([`recoil_core::item_from_bytes`]) |
 //! | `CHUNK` (0x06) | S→C | sequence number + one bitstream slice | the reactor's `fill_chunks` → `integrity.rs` (`PayloadCheck::accept`) |
-//! | `STATS` (0x07) | C→S | *(empty)* | — |
-//! | `STATS_REPLY` (0x08) | S→C | twelve `u64`s: the store's six counters, the transport's five facts, the item count | [`StatsReply::encode`] → [`StatsReply::decode`] |
 //! | `TELEMETRY` (0x09) | C→S | *(empty)* | — |
-//! | `TELEMETRY_REPLY` (0x0A) | S→C | level byte, named counters, gauges and stage histograms (every `STATS_REPLY` value among them) + drained stage-trace events | [`TelemetryReply::encode`] → [`TelemetryReply::decode`] |
+//! | `TELEMETRY_REPLY` (0x0A) | S→C | level byte, named counters, gauges and stage histograms (every [`StatsReply`] value among them) + drained stage-trace events | [`TelemetryReply::encode`] → [`TelemetryReply::decode`] |
 //! | `RESUME` (0x0B) | C→S | name, `parallel_segments`, `from_word` | [`ResumeRequest::encode`] → `ResumeRequest::<&str>::decode` |
 //! | `ERROR` (0x0E) | both | error code + detail, maps onto [`RecoilError`] | `encode_error` → `decode_error` |
 //!
@@ -161,16 +159,20 @@
 //! Every operational fact has one home. The store counts requests, tier
 //! hits/misses/evictions, bytes served and publishes
 //! ([`ContentServer::stats`] — exact with no transport at all). The
-//! transport owns its five facts, each one atomic written at one site in
-//! the reactor: active connections and open slots (mirrored off the slab
-//! on accept/close), rejected connections (at the over-cap accept), the
-//! dispatch-queue depth (under the job lock) and evicted connections (the
-//! telemetry handle's `evictions` counter — evicting is a cold path, so it
-//! counts at every level; nothing per-request records ungated). `STATS`,
-//! `TELEMETRY` and [`NetServerHandle::telemetry`] are all assembled from
-//! those atomics plus `content.stats()` at reply time, so the frames
-//! cannot disagree, `TELEMETRY` ⊇ `STATS`, and two servers bound over one
-//! `Arc<ContentServer>` each report their own transport.
+//! transport owns its facts, each one atomic written at one site in the
+//! reactor: active connections (mirrored off the slab on accept/close),
+//! rejected connections (at the over-cap accept), the dispatch-queue depth
+//! (under the job lock) and evicted connections (the telemetry handle's
+//! `evictions` counter — evicting is a cold path, so it counts at every
+//! level; nothing per-request records ungated); open slots are
+//! `max_connections` minus the active ones, worked out when read. A node's
+//! counters cross the wire once: `TELEMETRY` and
+//! [`NetServerHandle::telemetry`] are assembled from those atomics plus
+//! `content.stats()` at reply time, written through the one table in
+//! `proto.rs` that [`StatsReply::from_snapshot`] reads back, and
+//! [`NetClient::stats`] is that typed view of a `TELEMETRY` exchange. Two
+//! servers bound over one `Arc<ContentServer>` each report their own
+//! transport.
 //!
 //! ## Observability
 //!

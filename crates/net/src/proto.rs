@@ -269,7 +269,11 @@ impl TransmitHeader {
     }
 }
 
-/// Server → client: counter snapshot plus the published item count.
+/// A node's serving counters: the store's six and its item count, plus the
+/// transport's five facts. Not a message of its own but a typed view of the
+/// node's TELEMETRY snapshot: the server writes it in and
+/// [`StatsReply::from_snapshot`] reads it back, both through one table of
+/// snapshot names (`StatsReply::entries`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsReply {
     pub stats: ServerStats,
@@ -277,49 +281,66 @@ pub struct StatsReply {
     pub items: u64,
 }
 
+/// Which list of a [`TelemetrySnapshot`] an entry lives in.
+#[derive(Debug, Clone, Copy)]
+enum Series {
+    Counter,
+    Gauge,
+}
+use Series::{Counter, Gauge};
+
 impl StatsReply {
-    pub fn encode(&self) -> Vec<u8> {
-        let s = &self.stats;
-        let mut w = PayloadWriter::preallocated(96);
-        for v in [
-            s.publishes,
-            s.requests,
-            s.cache_hits,
-            s.cache_misses,
-            s.cache_evictions,
-            s.bytes_served,
-            s.active_connections,
-            s.rejected_connections,
-            s.evicted_connections,
-            s.queue_depth,
-            s.open_slots,
-            self.items,
-        ] {
-            w.u64(v);
-        }
-        w.0
+    /// The one table between the fields and the snapshot names that carry
+    /// them, in the order the server appends them. `evictions` is the
+    /// telemetry handle's own counter, so writing it overwrites that entry.
+    fn entries(&mut self) -> [(&'static str, Series, &mut u64); 12] {
+        let s = &mut self.stats;
+        [
+            ("server_requests", Counter, &mut s.requests),
+            ("server_cache_hits", Counter, &mut s.cache_hits),
+            ("server_cache_misses", Counter, &mut s.cache_misses),
+            ("server_cache_evictions", Counter, &mut s.cache_evictions),
+            ("server_bytes_served", Counter, &mut s.bytes_served),
+            ("server_publishes", Counter, &mut s.publishes),
+            ("rejected_connections", Counter, &mut s.rejected_connections),
+            ("evictions", Counter, &mut s.evicted_connections),
+            ("queue_depth", Gauge, &mut s.queue_depth),
+            ("open_slots", Gauge, &mut s.open_slots),
+            ("active_connections", Gauge, &mut s.active_connections),
+            ("server_items", Gauge, &mut self.items),
+        ]
     }
 
-    pub fn decode(payload: &[u8]) -> Result<Self, RecoilError> {
-        let mut r = PayloadReader::new(payload);
-        let msg = Self {
-            stats: ServerStats {
-                publishes: r.u64()?,
-                requests: r.u64()?,
-                cache_hits: r.u64()?,
-                cache_misses: r.u64()?,
-                cache_evictions: r.u64()?,
-                bytes_served: r.u64()?,
-                active_connections: r.u64()?,
-                rejected_connections: r.u64()?,
-                evicted_connections: r.u64()?,
-                queue_depth: r.u64()?,
-                open_slots: r.u64()?,
-            },
-            items: r.u64()?,
-        };
-        r.finish()?;
-        Ok(msg)
+    /// Writes every entry into `snapshot`: one the snapshot already holds
+    /// takes this value in place, any other is appended behind the
+    /// handle's own.
+    pub(crate) fn write_into(mut self, snapshot: &mut TelemetrySnapshot) {
+        for (name, kind, &mut value) in self.entries() {
+            let list = match kind {
+                Counter => &mut snapshot.counters,
+                Gauge => &mut snapshot.gauges,
+            };
+            match list.iter_mut().find(|(n, _)| n == name) {
+                Some((_, slot)) => *slot = value,
+                None => list.push((name.to_string(), value)),
+            }
+        }
+    }
+
+    /// Reads the view back out of a node's snapshot. A snapshot that lacks
+    /// any entry is refused as [`RecoilError::Net`].
+    pub fn from_snapshot(snapshot: &TelemetrySnapshot) -> Result<Self, RecoilError> {
+        let mut reply = Self::default();
+        for (name, kind, field) in reply.entries() {
+            let value = match kind {
+                Counter => snapshot.counter(name),
+                Gauge => snapshot.gauge(name),
+            };
+            *field = value.ok_or_else(|| {
+                RecoilError::net(format!("telemetry snapshot lacks the {kind:?} `{name}`"))
+            })?;
+        }
+        Ok(reply)
     }
 }
 
@@ -603,24 +624,6 @@ mod tests {
         assert_eq!(metadata.num_symbols, 30_000);
         assert_eq!(model.table(), item.model.table());
 
-        let stats = StatsReply {
-            stats: ServerStats {
-                publishes: 1,
-                requests: 2,
-                cache_hits: 3,
-                cache_misses: 4,
-                cache_evictions: 5,
-                bytes_served: 6,
-                active_connections: 7,
-                rejected_connections: 8,
-                evicted_connections: 9,
-                queue_depth: 10,
-                open_slots: 11,
-            },
-            items: 12,
-        };
-        assert_eq!(StatsReply::decode(&stats.encode()).unwrap(), stats);
-
         let mut hist = HistogramSnapshot::default();
         hist.buckets[0] = 2;
         hist.buckets[11] = 5;
@@ -662,6 +665,53 @@ mod tests {
         );
     }
 
+    /// A node's counters travel in its TELEMETRY snapshot: written through
+    /// the one table and read back exactly, across the wire too, while a
+    /// snapshot that lacks any one entry is a typed error.
+    #[test]
+    fn stats_view_round_trips_through_a_snapshot() {
+        let reply = StatsReply {
+            stats: ServerStats {
+                publishes: 1,
+                requests: 2,
+                cache_hits: 3,
+                cache_misses: 4,
+                cache_evictions: 5,
+                bytes_served: 6,
+                active_connections: 7,
+                rejected_connections: 8,
+                evicted_connections: 9,
+                queue_depth: 10,
+                open_slots: 11,
+            },
+            items: 12,
+        };
+        let handle = recoil_telemetry::Telemetry::new(TelemetryLevel::Counters).snapshot();
+        let mut snapshot = handle.clone();
+        reply.write_into(&mut snapshot);
+        assert_eq!(StatsReply::from_snapshot(&snapshot).unwrap(), reply);
+        // The handle's entries stay in front; `evictions` is written in place.
+        assert_eq!(snapshot.counters.len(), handle.counters.len() + 7);
+        assert_eq!(snapshot.gauges[..handle.gauges.len()], handle.gauges[..]);
+        assert_eq!(snapshot.counter("evictions"), Some(9));
+        let wire = TelemetryReply {
+            snapshot: snapshot.clone(),
+            trace: Vec::new(),
+        };
+        let back = TelemetryReply::decode(&wire.encode()).unwrap().snapshot;
+        assert_eq!(StatsReply::from_snapshot(&back).unwrap(), reply);
+
+        for (name, _, _) in StatsReply::default().entries() {
+            let mut lacking = snapshot.clone();
+            lacking.counters.retain(|(n, _)| n != name);
+            lacking.gauges.retain(|(n, _)| n != name);
+            match StatsReply::from_snapshot(&lacking) {
+                Err(RecoilError::Net { detail }) => assert!(detail.contains(name), "{detail}"),
+                other => panic!("a snapshot without {name} gave {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn hostile_telemetry_replies_are_rejected() {
         let good = TelemetryReply::default().encode();
@@ -697,6 +747,16 @@ mod tests {
             assert!(err.contains("unsupported protocol version"), "{err}");
         };
         unsupported(&Hello { version: 99 }.encode());
+        // The previous version is refused as a typed error that names it.
+        match Hello::decode(&Hello { version: 4 }.encode()) {
+            Err(RecoilError::Net { detail }) => {
+                assert!(
+                    detail.contains("unsupported protocol version 4 "),
+                    "{detail}"
+                )
+            }
+            other => panic!("a version-4 HELLO gave {other:?}"),
+        }
         let mut v2 = Hello { version: 2 }.encode();
         v2.extend_from_slice(&7u32.to_le_bytes());
         unsupported(&v2);

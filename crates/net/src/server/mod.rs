@@ -136,7 +136,7 @@ impl NetServerHandle {
     }
 
     /// The snapshot a TELEMETRY frame would carry right now — this
-    /// server's instruments plus everything STATS reports, assembled at the
+    /// server's instruments plus every serving counter, assembled at the
     /// same point the wire replies are — for in-process consumers (benches,
     /// tests). Unlike the frame it leaves the trace ring undrained.
     pub fn telemetry(&self) -> TelemetrySnapshot {

@@ -29,7 +29,7 @@
 //!   (violation) ERROR          ┌──────────▶ ReadFrame ◀────────────┐
 //!              │               │               │                   │
 //!              ▼               │     ┌─────────┼───────────┐       │
-//!            Write             │   STATS    REQUEST/    PUBLISH    │
+//!            Write             │ TELEMETRY  REQUEST/    PUBLISH    │
 //!              │               │     │      RESUME         │       │
 //!              ▼               │     │   (hit, or miss     ▼       │
 //!            Drain             │     │    and combine) Dispatching │
@@ -42,7 +42,7 @@
 //!                              └─────┴─────────────────────────────┘
 //! ```
 //!
-//! The HELLO exchange, stats snapshots and every REQUEST/RESUME — a tier
+//! The HELLO exchange, telemetry snapshots and every REQUEST/RESUME — a tier
 //! cache hit, or a miss whose combine is a selection of stored split bits —
 //! are served inline on the loop with zero per-request allocation beyond a
 //! miss's new tier (responses are framed straight into the connection's
@@ -114,13 +114,15 @@ pub const BUSY_RETRY_AFTER_MS: u32 = 25;
 /// State shared between the event loop, the dispatch workers, and the
 /// owning handle.
 ///
-/// This is also where the transport's five facts live, each in one atomic
-/// written at one site: `active` and `open_slots` (mirrored off the slab by
+/// This is also where the transport's facts live, each in one atomic
+/// written at one site: `active` (mirrored off the slab by
 /// [`EventLoop::mirror_slab`]), `rejected` ([`EventLoop::reject`]),
 /// `queue_len` (under the job lock), and evicted connections, which is the
 /// telemetry handle's `evictions` counter ([`EventLoop::note_eviction`]; a
-/// cold path, so it records at every level). [`Shared::stats_reply`] reads
-/// them for STATS, TELEMETRY and the in-process handle alike.
+/// cold path, so it records at every level). Open slots are
+/// `max_connections − active`, worked out when read.
+/// [`Shared::telemetry_snapshot`] reads them for TELEMETRY and the
+/// in-process handle alike.
 struct Shared {
     content: Arc<ContentServer>,
     config: NetConfig,
@@ -139,7 +141,6 @@ struct Shared {
     completions: Mutex<Vec<Completion>>,
     waker: recoil_reactor::Waker,
     active: AtomicU64,
-    open_slots: AtomicU64,
     rejected: AtomicU64,
     slab_allocations: AtomicU64,
     slab_reuses: AtomicU64,
@@ -173,52 +174,27 @@ impl Shared {
         }
     }
 
-    /// The STATS view: the store's six counters and item count plus this
-    /// transport's own five facts.
-    fn stats_reply(&self) -> StatsReply {
-        StatsReply {
+    /// The TELEMETRY view: the handle's instruments, then the node's
+    /// [`StatsReply`] — the store's six counters and item count plus this
+    /// transport's facts — written through its one table. Exact at every
+    /// level: the written values are views, not gated instruments.
+    fn telemetry_snapshot(&self) -> TelemetrySnapshot {
+        let active = self.active.load(Ordering::Relaxed);
+        // The slab holds at most `u32::MAX` connections, whatever the config.
+        let slots = u32::try_from(self.config.max_connections).unwrap_or(u32::MAX);
+        let reply = StatsReply {
             stats: ServerStats {
-                active_connections: self.active.load(Ordering::Relaxed),
+                active_connections: active,
                 rejected_connections: self.rejected.load(Ordering::Relaxed),
                 evicted_connections: self.telemetry.counters.evictions.get(),
                 queue_depth: self.queue_len.load(Ordering::Relaxed),
-                open_slots: self.open_slots.load(Ordering::Relaxed),
+                open_slots: u64::from(slots).saturating_sub(active),
                 ..self.content.stats()
             },
             items: self.content.len() as u64,
-        }
-    }
-
-    /// The TELEMETRY view: the handle's instruments plus everything
-    /// [`Shared::stats_reply`] reports, read at the same point — so
-    /// TELEMETRY ⊇ STATS and the two frames cannot disagree. Exact at every
-    /// level: the appended values are views, not gated instruments.
-    /// (`evicted_connections` is already there as the `evictions` counter.)
-    fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let StatsReply { stats: s, items } = self.stats_reply();
-        let named = |entries: &[(&str, u64)]| -> Vec<(String, u64)> {
-            entries.iter().map(|&(n, v)| (n.to_string(), v)).collect()
         };
         let mut snapshot = self.telemetry.snapshot();
-        snapshot.counters.extend(named(&[
-            ("server_requests", s.requests),
-            ("server_cache_hits", s.cache_hits),
-            ("server_cache_misses", s.cache_misses),
-            ("server_cache_evictions", s.cache_evictions),
-            ("server_bytes_served", s.bytes_served),
-            ("server_publishes", s.publishes),
-            ("rejected_connections", s.rejected_connections),
-        ]));
-        // The two gauges this frame has always carried keep their place in
-        // front of the handle's own.
-        snapshot.gauges.splice(
-            0..0,
-            named(&[("queue_depth", s.queue_depth), ("open_slots", s.open_slots)]),
-        );
-        snapshot.gauges.extend(named(&[
-            ("active_connections", s.active_connections),
-            ("server_items", items),
-        ]));
+        reply.write_into(&mut snapshot);
         snapshot
     }
 }
@@ -399,8 +375,8 @@ fn parse_frame(buf: &[u8]) -> Result<Option<(FrameType, usize)>, RecoilError> {
 }
 
 /// Frames `payload` straight into the pending-write buffer and enters
-/// `Write`. Control payloads staged here (HELLO, STATS, ERROR) are far
-/// below the frame cap.
+/// `Write`. Control payloads staged here (HELLO, TELEMETRY_REPLY, ERROR)
+/// are far below the frame cap.
 fn stage_payload(conn: &mut Conn, ty: FrameType, payload: &[u8], close_after: bool) {
     append_frame(&mut conn.write_buf, ty, payload)
         .expect("staged control frames are far below the frame cap");
@@ -593,11 +569,6 @@ fn handle_frame(
                 Ok((tx, item, from_word)) => stage_transmission(conn, shared, tx, item, from_word),
                 Err((e, close)) => stage_error(conn, &e, close),
             }
-        }
-        FrameType::Stats => {
-            conn.read_buf.drain(..end);
-            let reply = shared.stats_reply().encode();
-            stage_payload(conn, FrameType::StatsReply, &reply, false);
         }
         FrameType::Telemetry => {
             let well_formed = end == FRAME_HEADER_LEN;
@@ -1252,13 +1223,12 @@ impl EventLoop {
     }
 
     /// Mirrors what the slab knows into `Shared` after every insert and
-    /// remove: open connections and free slots for the stats replies, the
+    /// remove: open connections for the telemetry snapshot, the
     /// allocation/reuse tallies for the handle.
     fn mirror_slab(&self) {
         let (shared, stats) = (&self.shared, self.conns.stats());
         let set = |slot: &AtomicU64, v: u64| slot.store(v, Ordering::Relaxed);
         set(&shared.active, self.conns.len() as u64);
-        set(&shared.open_slots, self.conns.open_slots() as u64);
         set(&shared.slab_allocations, stats.allocations);
         set(&shared.slab_reuses, stats.reuses);
     }
@@ -1387,7 +1357,6 @@ pub(super) fn bind(
         completions: Mutex::new(Vec::new()),
         waker: wake.waker(),
         active: AtomicU64::new(0),
-        open_slots: AtomicU64::new(max_connections as u64),
         rejected: AtomicU64::new(0),
         queue_len: AtomicU64::new(0),
         slab_allocations: AtomicU64::new(0),
@@ -1496,7 +1465,7 @@ mod tests {
     #[test]
     fn parse_frame_handles_partial_and_hostile_input() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, FrameType::Stats, b"xyz").unwrap();
+        write_frame(&mut buf, FrameType::Telemetry, b"xyz").unwrap();
         for cut in 0..buf.len() {
             assert!(
                 parse_frame(&buf[..cut]).unwrap().is_none(),
@@ -1505,13 +1474,13 @@ mod tests {
         }
         assert_eq!(
             parse_frame(&buf).unwrap(),
-            Some((FrameType::Stats, buf.len()))
+            Some((FrameType::Telemetry, buf.len()))
         );
         // Pipelined trailing bytes do not confuse the parse.
         buf.push(0xFF);
         assert_eq!(
             parse_frame(&buf).unwrap(),
-            Some((FrameType::Stats, buf.len() - 1))
+            Some((FrameType::Telemetry, buf.len() - 1))
         );
 
         assert!(parse_frame(&[0xABu8])

@@ -52,6 +52,13 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
         entries.push(("unknown type", b));
     }
 
+    // The retired STATS (0x07) and STATS_REPLY (0x08) bytes are unknown now.
+    for ty in [0x07u8, 0x08] {
+        let mut b = vec![ty];
+        b.extend_from_slice(&0u32.to_le_bytes());
+        entries.push(("retired stats type", b));
+    }
+
     // A TELEMETRY request must carry an empty payload.
     let mut fat_telemetry = Vec::new();
     write_frame(&mut fat_telemetry, FrameType::Telemetry, &[1, 2, 3, 4]).unwrap();
@@ -80,7 +87,6 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
         FrameType::PublishOk,
         FrameType::Transmit,
         FrameType::Chunk,
-        FrameType::StatsReply,
         FrameType::TelemetryReply,
         FrameType::Error,
     ] {

@@ -136,7 +136,8 @@ fn wire_bytes_of_every_message_are_pinned() {
         ..EncoderConfig::default()
     };
 
-    // Connection 0 (pooled): HELLO, PUBLISH, a miss, a hit, STATS, TELEMETRY.
+    // Connection 0 (pooled): HELLO, PUBLISH, a miss, a hit, then two
+    // TELEMETRY exchanges (the first is `stats()`, read as a view).
     let client = NetClient::connect(relay).unwrap();
     client.publish("golden", &data, &config).unwrap();
     let miss = client.request("golden", 4).unwrap();
@@ -174,19 +175,17 @@ fn wire_bytes_of_every_message_are_pinned() {
         // The second TRANSMIT is the cache hit: no combine time in it.
         ("TRANSMIT", crc32(nth(&down0, FrameType::Transmit, 1))),
         ("CHUNK", crc32(nth(&down0, FrameType::Chunk, 0))),
-        ("STATS_REPLY", crc32(nth(&down0, FrameType::StatsReply, 0))),
         ("TELEMETRY_REPLY prefix", crc32(&telemetry)),
         ("RESUME", crc32(nth(&up2, FrameType::Resume, 0))),
     ];
-    let want: [(&str, u32); 10] = [
-        ("HELLO c>s", 0xD084_9367),
-        ("HELLO s>c", 0xD084_9367),
+    let want: [(&str, u32); 9] = [
+        ("HELLO c>s", 0xC99F_A226),
+        ("HELLO s>c", 0xC99F_A226),
         ("PUBLISH", 0x5286_01D0),
         ("PUBLISH_OK", 0xF0FA_7AD8),
         ("REQUEST", 0xCA49_76B8),
         ("TRANSMIT", 0x8DAC_06EC),
         ("CHUNK", 0x9143_246F),
-        ("STATS_REPLY", 0xB558_F912),
         ("TELEMETRY_REPLY prefix", 0xBD85_CC19),
         ("RESUME", 0x0AB1_9F95),
     ];

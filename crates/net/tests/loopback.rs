@@ -197,11 +197,16 @@ fn malformed_frames_are_rejected_and_server_survives() {
     );
 
     // A HELLO of any other version earns an ERROR that names it, and then
-    // the close: a future one, and a version-2 peer's, whose four trailing
-    // capability bytes must not turn it into a framing complaint.
+    // the close: a future one, the previous one (version 4 still spoke
+    // STATS), and a version-2 peer's, whose four trailing capability bytes
+    // must not turn it into a framing complaint.
     let mut v2 = Hello { version: 2 }.encode();
     v2.extend_from_slice(&7u32.to_le_bytes());
-    for (version, payload) in [(99, Hello { version: 99 }.encode()), (2, v2)] {
+    for (version, payload) in [
+        (99, Hello { version: 99 }.encode()),
+        (4, Hello { version: 4 }.encode()),
+        (2, v2),
+    ] {
         let mut conn = TcpStream::connect(server.addr()).unwrap();
         conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         write_frame(&mut conn, FrameType::Hello, &payload).unwrap();

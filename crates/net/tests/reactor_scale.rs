@@ -130,8 +130,8 @@ fn slow_loris_peers_are_evicted_with_a_typed_error() {
         assert!(matches!(read_frame(&mut stream).unwrap(), ReadOutcome::Eof));
     }
 
-    // Evicted slots are free again, the server still serves, and STATS (the
-    // transport's own count, not the store's) has both evictions.
+    // Evicted slots are free again, the server still serves, and its stats
+    // (the transport's own count, not the store's) hold both evictions.
     let client = NetClient::connect(addr).unwrap();
     wait_until("evictions to be counted", || {
         client.stats().unwrap().stats.evicted_connections >= 2

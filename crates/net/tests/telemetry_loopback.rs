@@ -5,12 +5,10 @@
 use recoil_core::{EncoderConfig, ScalarBackend};
 use recoil_net::raw::{read_frame, write_frame, ReadOutcome};
 use recoil_net::{
-    FrameType, Hello, NetClient, NetClientConfig, NetConfig, NetServer, NetServerHandle,
-    StatsReply, TelemetryReply,
+    FrameType, Hello, NetClient, NetClientConfig, NetConfig, NetServer, NetServerHandle, StatsReply,
 };
 use recoil_server::ContentServer;
 use recoil_telemetry::{Stage, TelemetryLevel};
-use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,16 +44,6 @@ fn raw_hello(addr: std::net::SocketAddr) -> TcpStream {
             conn
         }
         other => panic!("expected HELLO reply, got {other:?}"),
-    }
-}
-
-fn await_reply(conn: &mut TcpStream) -> (FrameType, Vec<u8>) {
-    loop {
-        match read_frame(conn).unwrap() {
-            ReadOutcome::Frame(ty, payload) => return (ty, payload),
-            ReadOutcome::Idle => {}
-            ReadOutcome::Eof => panic!("server closed before replying"),
-        }
     }
 }
 
@@ -175,123 +163,77 @@ fn telemetry_round_trip_matches_server_side_snapshot() {
     server.shutdown();
 }
 
-/// TELEMETRY ⊇ STATS: both replies are assembled from the same atomics at
-/// reply time, so a STATS and a TELEMETRY request pipelined in one write
-/// report the same value for every STATS field. (The gauges used to be
-/// copied into two places once per loop iteration, and before that from
-/// dispatch workers and slab events independently, so the two views could
-/// disagree.)
+/// `NetClient::stats` is a view of the node's TELEMETRY snapshot, at every
+/// level (the ladder's nodes run at `Off` and read the rejected and evicted
+/// connections there): it equals `StatsReply::from_snapshot` of a TELEMETRY
+/// exchange taken right after it and of the in-process handle's snapshot,
+/// and both are the facts of a known mix of traffic — a publish, a miss,
+/// two hits and a request that fails — with two connections open and
+/// nothing queued. Being a TELEMETRY exchange, at `Trace` it consumes the
+/// buffered events: the drain after it holds none of that traffic.
 #[test]
 fn stats_and_telemetry_report_the_same_gauges() {
-    let server = start_server(TelemetryLevel::Counters);
-    // Traffic first, so the store's counters are not all zero: a publish, a
-    // miss, two hits and a request that fails.
-    let client = NetClient::connect(server.addr()).unwrap();
-    let data = sample(60_000, 3);
-    client
-        .publish("movie", &data, &EncoderConfig::default())
-        .unwrap();
-    for _ in 0..3 {
-        client.request("movie", 4).unwrap();
-    }
-    assert!(client.request("nope", 4).is_err());
-
-    let mut conn = raw_hello(server.addr());
-
-    // Both requests in one write: the server parses them back to back off
-    // one read burst.
-    let mut burst = Vec::new();
-    write_frame(&mut burst, FrameType::Stats, &[]).unwrap();
-    write_frame(&mut burst, FrameType::Telemetry, &[]).unwrap();
-    conn.write_all(&burst).unwrap();
-
-    let (ty, payload) = await_reply(&mut conn);
-    assert_eq!(ty, FrameType::StatsReply);
-    let StatsReply { stats, items } = StatsReply::decode(&payload).unwrap();
-    let (ty, payload) = await_reply(&mut conn);
-    assert_eq!(ty, FrameType::TelemetryReply);
-    let remote = TelemetryReply::decode(&payload).unwrap().snapshot;
-
-    // Every STATS field, next to the TELEMETRY entry that carries it.
-    for (name, stat, telemetry) in [
-        (
-            "requests",
-            stats.requests,
-            remote.counter("server_requests"),
-        ),
-        (
-            "cache_hits",
-            stats.cache_hits,
-            remote.counter("server_cache_hits"),
-        ),
-        (
-            "cache_misses",
-            stats.cache_misses,
-            remote.counter("server_cache_misses"),
-        ),
-        (
-            "cache_evictions",
-            stats.cache_evictions,
-            remote.counter("server_cache_evictions"),
-        ),
-        (
-            "bytes_served",
-            stats.bytes_served,
-            remote.counter("server_bytes_served"),
-        ),
-        (
-            "publishes",
-            stats.publishes,
-            remote.counter("server_publishes"),
-        ),
-        (
-            "rejected_connections",
-            stats.rejected_connections,
-            remote.counter("rejected_connections"),
-        ),
-        (
-            "evicted_connections",
-            stats.evicted_connections,
-            remote.counter("evictions"),
-        ),
-        (
-            "active_connections",
-            stats.active_connections,
-            remote.gauge("active_connections"),
-        ),
-        (
-            "queue_depth",
-            stats.queue_depth,
-            remote.gauge("queue_depth"),
-        ),
-        ("open_slots", stats.open_slots, remote.gauge("open_slots")),
-        ("items", items, remote.gauge("server_items")),
+    for level in [
+        TelemetryLevel::Off,
+        TelemetryLevel::Counters,
+        TelemetryLevel::Trace,
     ] {
-        assert_eq!(Some(stat), telemetry, "{name}");
-    }
-    // And they are the facts: the traffic above, two open connections (the
-    // client's pooled one and ours), nothing queued.
-    assert_eq!(
-        (
-            stats.publishes,
-            stats.requests,
-            stats.cache_hits,
-            stats.cache_misses,
-            items
-        ),
-        (1, 4, 2, 1, 1)
-    );
-    assert_eq!((stats.active_connections, stats.queue_depth), (2, 0));
-    assert_eq!(
-        stats.open_slots,
-        NetConfig::default().max_connections as u64 - 2
-    );
-    // The in-process handle is the same assembly.
-    let local = server.telemetry();
-    assert_eq!(local.counter("server_requests"), Some(4));
-    assert_eq!(local.gauge("open_slots"), Some(stats.open_slots));
+        let server = start_server(level);
+        let client = NetClient::connect(server.addr()).unwrap();
+        let data = sample(60_000, 3);
+        client
+            .publish("movie", &data, &EncoderConfig::default())
+            .unwrap();
+        for _ in 0..3 {
+            client.request("movie", 4).unwrap();
+        }
+        assert!(client.request("nope", 4).is_err());
+        // A second open connection beside the client's pooled one.
+        let _second = raw_hello(server.addr());
 
-    server.shutdown();
+        let reply = client.stats().unwrap();
+        let remote = client.remote_telemetry().unwrap();
+        let view = StatsReply::from_snapshot(&remote.snapshot).unwrap();
+        assert_eq!(view, reply, "{level:?}");
+        let local = StatsReply::from_snapshot(&server.telemetry()).unwrap();
+        assert_eq!(local, reply, "{level:?}");
+
+        let StatsReply { stats, items } = reply;
+        assert_eq!(
+            (
+                stats.publishes,
+                stats.requests,
+                stats.cache_hits,
+                stats.cache_misses,
+                items
+            ),
+            (1, 4, 2, 1, 1),
+            "{level:?}"
+        );
+        let open = NetConfig::default().max_connections as u64 - 2;
+        assert_eq!(
+            (
+                stats.active_connections,
+                stats.queue_depth,
+                stats.open_slots
+            ),
+            (2, 0, open),
+            "{level:?}"
+        );
+        assert_eq!(
+            (stats.rejected_connections, stats.evicted_connections),
+            (0, 0),
+            "{level:?}"
+        );
+
+        let stages: Vec<Stage> = remote.trace.iter().map(|(_, ev)| ev.stage).collect();
+        for gone in [Stage::Publish, Stage::DispatchRun, Stage::Combine] {
+            assert!(!stages.contains(&gone), "{level:?}: {stages:?}");
+        }
+        let traced = level == TelemetryLevel::Trace;
+        assert_eq!(stages.contains(&Stage::FrameRead), traced, "{stages:?}");
+        server.shutdown();
+    }
 }
 
 /// The TELEMETRY frame is part of the protocol, not of a level: an

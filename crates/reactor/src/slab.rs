@@ -149,11 +149,6 @@ impl<T> Slab<T> {
         self.len == 0
     }
 
-    /// Slots still available before hitting the cap.
-    pub fn open_slots(&self) -> usize {
-        self.max_slots as usize - self.len
-    }
-
     pub fn stats(&self) -> SlabStats {
         self.stats
     }
@@ -169,11 +164,9 @@ mod tests {
         let t = slab.insert_with(|_| "hello".to_string()).unwrap();
         assert_eq!(slab.get(t).unwrap(), "hello");
         assert_eq!(slab.len(), 1);
-        assert_eq!(slab.open_slots(), 3);
         assert!(slab.remove_with(t, |_| None));
         assert!(slab.get(t).is_none());
         assert!(slab.is_empty());
-        assert_eq!(slab.open_slots(), 4);
     }
 
     #[test]

@@ -64,7 +64,8 @@
 //! requests, hits, misses, evictions, bytes served, publishes — are exact
 //! with or without a transport and are exposed as a [`ServerStats`]
 //! snapshot via [`ContentServer::stats`]; the snapshot's transport fields
-//! are zero there and are filled by whichever transport reports it.
+//! are zero there and are filled by whichever transport reports it
+//! (`recoil-net` writes the whole snapshot into its TELEMETRY reply).
 //!
 //! [`RecoilMetadata`]: recoil_core::RecoilMetadata
 

@@ -52,7 +52,7 @@ pub(crate) fn add(counter: &AtomicU64, n: u64) {
 /// [`crate::ContentServer::stats`] fills. The last five describe a
 /// transport: a store has none, so it reports them as zero, and
 /// `recoil-net`'s server fills them from its own atomics when it answers a
-/// STATS frame (two transports over one store each report their own).
+/// TELEMETRY frame (two transports over one store each report their own).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
     /// Successful content publications.

@@ -4,7 +4,7 @@
 //! padded shards indexed by a per-thread ticket, so concurrent bumps from
 //! the reactor loop, the dispatch workers, and decode threads do not
 //! bounce one cache line between cores. Reads sum the shards — counters
-//! are write-hot and read-cold (a read happens once per STATS/TELEMETRY
+//! are write-hot and read-cold (a read happens once per TELEMETRY
 //! snapshot).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -36,8 +36,8 @@
 //! have a home elsewhere are not copied in: a net server appends its own
 //! atomics (queue depth, open slots, active and rejected connections) and
 //! its store's counters (`server_*`) to the snapshot when it serves one, so
-//! a server's TELEMETRY reply is a superset of its STATS reply. Who records
-//! which instrument is listed in `recoil-net`'s crate docs.
+//! a server's TELEMETRY reply carries every serving counter it has. Who
+//! records which instrument is listed in `recoil-net`'s crate docs.
 //!
 //! Decode-engine counts (spans, fast-loop vs careful-tail symbols, words
 //! consumed) are no exception: a decode returns them to its caller, and the
@@ -117,8 +117,9 @@ pub struct PipelineCounters {
     /// Bytes pushed onto sockets.
     pub bytes_written: Counter,
     /// Connections evicted for missing a progress deadline. The one home of
-    /// that fact (STATS reports it as `evicted_connections`), so the
-    /// reactor bumps it at every level — evicting is a cold path.
+    /// that fact (a net client's `stats()` reads it back as
+    /// `evicted_connections`), so the reactor bumps it at every level —
+    /// evicting is a cold path.
     pub evictions: Counter,
     /// Requests shed with a typed busy error (connection cap or a full
     /// dispatch queue) instead of being served.

@@ -99,7 +99,7 @@ fn main() -> Result<(), RecoilError> {
         std::time::Duration::from_nanos(streamed.total_nanos)
     );
 
-    // --- The serving counters, fetched through the STATS frame. ---
+    // --- The serving counters, read out of the node's TELEMETRY reply. ---
     let reply = publisher.stats()?;
     let s = reply.stats;
     println!(
