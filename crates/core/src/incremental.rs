@@ -42,7 +42,6 @@ use crate::bounds::{symbols_fit, MAX_RESERVED_WORDS};
 use crate::decoder::DecodeStats;
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
-use crate::planner::ChunkPlan;
 use recoil_models::{ModelProvider, StaticModelProvider};
 use recoil_rans::{extend_words_from_le, EncodedStream, RansError};
 use std::ops::Range;
@@ -153,22 +152,6 @@ impl IncrementalDecoder {
             decoded: 0,
             stats: DecodeStats::default(),
         })
-    }
-
-    /// [`IncrementalDecoder::new`], additionally checking that `plan` is a
-    /// faithful transmission schedule for the metadata (contiguous word
-    /// ranges, segment ranges without overlap or gaps, completions reported
-    /// in the right chunk). A sender and receiver agreeing on a malformed
-    /// plan would decode segments whose words have not arrived; the plan is
-    /// rejected here with [`RecoilError::Decode`].
-    pub fn with_plan(
-        metadata: RecoilMetadata,
-        final_states: Vec<u32>,
-        model: StaticModelProvider,
-        plan: &ChunkPlan,
-    ) -> Result<Self, RecoilError> {
-        plan.validate_against(&metadata)?;
-        Self::new(metadata, final_states, model)
     }
 
     /// The word store, handed back for the next stream's
@@ -299,7 +282,6 @@ mod tests {
     use crate::backend::{AutoBackend, ScalarBackend};
     use crate::codec::{Codec, Encoded};
     use crate::combine::try_combine_splits;
-    use crate::planner::{plan_chunks, ChunkPlan, PlannedChunk};
     use recoil_simd::Kernel;
 
     fn sample(len: usize, seed: u32) -> Vec<u8> {
@@ -377,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn readiness_follows_split_offsets() {
+    fn readiness_follows_each_split_offset() {
         let data = sample(200_000, 2);
         let enc = encode(&data, 8);
         let meta = &enc.container.metadata;
@@ -439,102 +421,6 @@ mod tests {
         let mut incr = incr_for(&enc, &enc.container.metadata);
         incr.push_bytes(&bytes).unwrap();
         assert!(matches!(incr.push_bytes(&[0]), Err(RecoilError::Decode(_))));
-    }
-
-    #[test]
-    fn malformed_chunk_plans_are_rejected() {
-        let data = sample(100_000, 6);
-        let enc = encode(&data, 8);
-        let meta = &enc.container.metadata;
-        let good = plan_chunks(meta, 4096);
-        assert!(good.validate_against(meta).is_ok());
-        IncrementalDecoder::with_plan(
-            meta.clone(),
-            enc.container.stream.final_states.clone(),
-            enc.model.clone(),
-            &good,
-        )
-        .unwrap();
-
-        let reject = |plan: &ChunkPlan, what: &str| {
-            let got = IncrementalDecoder::with_plan(
-                meta.clone(),
-                enc.container.stream.final_states.clone(),
-                enc.model.clone(),
-                plan,
-            );
-            assert!(
-                matches!(got, Err(RecoilError::Decode(_))),
-                "{what}: expected RecoilError::Decode, got {got:?}"
-            );
-        };
-
-        // Overlapping segment ranges.
-        let mut overlap = good.clone();
-        overlap.chunks.last_mut().unwrap().segments.start = 0;
-        reject(&overlap, "overlapping segments");
-
-        // A gap in the segment coverage.
-        let mut gap = good.clone();
-        let last = gap.chunks.last_mut().unwrap();
-        last.segments.end -= 1;
-        reject(&gap, "segment gap");
-
-        // Word ranges that skip bytes.
-        let mut skip = good.clone();
-        skip.chunks.first_mut().unwrap().words.end -= 1;
-        reject(&skip, "word gap");
-
-        // A segment reported complete before its words arrived.
-        let mut early = good.clone();
-        let (head, tail) = (early.chunks[0].clone(), early.chunks.len());
-        if tail > 1 {
-            early.chunks[0] = PlannedChunk {
-                words: head.words.clone(),
-                segments: head.segments.start..meta.num_segments(),
-            };
-            early.chunks.truncate(1);
-            early.chunks.push(PlannedChunk {
-                words: head.words.end..meta.num_words,
-                segments: meta.num_segments()..meta.num_segments(),
-            });
-            reject(&early, "premature completion");
-        }
-
-        // An empty plan.
-        reject(&ChunkPlan { chunks: Vec::new() }, "empty plan");
-    }
-
-    #[test]
-    fn plan_chunks_aligns_to_split_boundaries() {
-        let data = sample(300_000, 7);
-        let enc = encode(&data, 32);
-        let meta = &enc.container.metadata;
-        let plan = plan_chunks(meta, 8 * 1024);
-        plan.validate_against(meta).unwrap();
-        assert!(
-            plan.len() > 4,
-            "expected several chunks, got {}",
-            plan.len()
-        );
-        // Most chunks end exactly at a segment-completion boundary.
-        let aligned = plan
-            .chunks
-            .iter()
-            .filter(|c| !c.segments.is_empty())
-            .count();
-        assert!(
-            aligned * 2 > plan.len(),
-            "{aligned} of {} aligned",
-            plan.len()
-        );
-        // Tiny targets and huge targets stay valid.
-        plan_chunks(meta, 1).validate_against(meta).unwrap();
-        plan_chunks(meta, usize::MAX / 4)
-            .validate_against(meta)
-            .unwrap();
-        // Huge target ⇒ single chunk completing everything.
-        assert_eq!(plan_chunks(meta, usize::MAX / 4).len(), 1);
     }
 
     #[test]

@@ -64,7 +64,5 @@ pub use file::{
 };
 pub use incremental::IncrementalDecoder;
 pub use metadata::{LaneInit, RecoilMetadata, SplitLanes, SplitPoint};
-pub use planner::{
-    plan_chunks, plan_chunks_into, plan_from_events, ChunkPlan, PlannedChunk, SplitPlanner,
-};
+pub use planner::{plan_from_events, SplitPlanner};
 pub use wire::{metadata_from_bytes, metadata_to_bytes, metadata_wire_len, WireSplits};

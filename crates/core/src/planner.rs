@@ -42,13 +42,9 @@
 //!
 //! [`SplitPoint`]: crate::SplitPoint
 
-use crate::error::RecoilError;
 use crate::metadata::{pack_splits, Extent, LaneInit, RecoilMetadata, GROUP_DIFF_BITS};
-use recoil_rans::{
-    RansError, RenormEvent, RenormGroup, RenormSink, FAST_GROUP as GROUP, NO_SYMBOL,
-};
+use recoil_rans::{RenormEvent, RenormGroup, RenormSink, FAST_GROUP as GROUP, NO_SYMBOL};
 use std::collections::VecDeque;
-use std::ops::Range;
 
 /// Renorm events kept for candidate search and backward scans; bounds
 /// planner memory whatever the stream length. Never set to anything else
@@ -622,192 +618,6 @@ impl RenormSink for SplitPlanner {
     fn on_group(&mut self, group: RenormGroup<'_>) {
         debug_assert_eq!(group.ways, self.ways);
         self.take(group.first_pos, group.mask, group.offset, group.renormed);
-    }
-}
-
-/// One transmission chunk of a [`ChunkPlan`]: a word range of the bitstream
-/// plus the metadata segments that become fully resident once every chunk
-/// up to and including this one has arrived.
-///
-/// Interior segment `m` reads only words at offsets `<= splits[m].offset`,
-/// so it completes with the chunk containing word `splits[m].offset`; the
-/// final segment completes with the last chunk. A chunk cutting through a
-/// large segment completes no segments (`segments` is empty).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlannedChunk {
-    /// Bitstream word range `[start, end)` this chunk carries.
-    pub words: Range<u64>,
-    /// Segments newly decodable after this chunk arrived (may be empty).
-    pub segments: Range<u64>,
-}
-
-/// A transmission schedule whose chunk boundaries are aligned to split
-/// boundaries, so a streaming receiver can start decoding whole segments
-/// the moment a chunk lands instead of waiting for the full bitstream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkPlan {
-    /// Chunks in wire order; word ranges tile `0..meta.num_words` and
-    /// segment ranges tile `0..meta.num_segments()`.
-    pub chunks: Vec<PlannedChunk>,
-}
-
-impl ChunkPlan {
-    /// Number of chunks on the wire.
-    pub fn len(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// True when the plan carries no chunks (never produced by
-    /// [`plan_chunks`]; even an empty stream gets one empty chunk so the
-    /// receiver observes completion).
-    pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
-    }
-
-    /// Checks that this plan is a faithful transmission schedule for
-    /// `meta`: word ranges must tile the stream, segment ranges must tile
-    /// `0..num_segments` **without overlap or gaps**, and each segment must
-    /// be reported complete in exactly the chunk that delivers its last
-    /// word. Malformed plans are rejected with [`RecoilError::Decode`] —
-    /// a decoder driving `decode_ready_segments` off a bad plan would
-    /// otherwise read words that have not arrived.
-    pub fn validate_against(&self, meta: &RecoilMetadata) -> Result<(), RecoilError> {
-        let fail = |msg: String| Err(RecoilError::Decode(RansError::MalformedMetadata(msg)));
-        if self.chunks.is_empty() {
-            return fail("chunk plan is empty".into());
-        }
-        let nseg = meta.num_segments();
-        // Words an interior/final segment needs before it is decodable.
-        let seg_end = |m: u64| {
-            if m + 1 == nseg {
-                meta.num_words
-            } else {
-                meta.splits[m as usize].offset + 1
-            }
-        };
-        let mut word = 0u64;
-        let mut seg = 0u64;
-        for (k, c) in self.chunks.iter().enumerate() {
-            if c.words.start != word || c.words.end < c.words.start {
-                return fail(format!(
-                    "chunk {k}: word range {}..{} breaks contiguity at word {word}",
-                    c.words.start, c.words.end
-                ));
-            }
-            if c.segments.start != seg || c.segments.end < c.segments.start {
-                return fail(format!(
-                    "chunk {k}: segment range {}..{} overlaps or leaves a gap at segment {seg}",
-                    c.segments.start, c.segments.end
-                ));
-            }
-            if c.segments.end > nseg {
-                return fail(format!(
-                    "chunk {k}: segment range ends at {} but the metadata has {nseg} segments",
-                    c.segments.end
-                ));
-            }
-            for m in c.segments.clone() {
-                if seg_end(m) > c.words.end {
-                    return fail(format!(
-                        "chunk {k}: claims segment {m} complete before word {} arrived",
-                        seg_end(m)
-                    ));
-                }
-            }
-            if c.segments.end < nseg && seg_end(c.segments.end) <= c.words.end {
-                return fail(format!(
-                    "chunk {k}: segment {} is resident but not reported complete",
-                    c.segments.end
-                ));
-            }
-            word = c.words.end;
-            seg = c.segments.end;
-        }
-        if word != meta.num_words {
-            return fail(format!(
-                "chunk plan covers {word} of {} words",
-                meta.num_words
-            ));
-        }
-        if seg != nseg {
-            return fail(format!("chunk plan completes {seg} of {nseg} segments"));
-        }
-        Ok(())
-    }
-}
-
-/// Plans split-aligned transmission chunks for `meta`, aiming at
-/// `target_chunk_bytes` of bitstream per chunk (2 bytes per word).
-///
-/// Boundary placement prefers the furthest segment-completion point within
-/// the target, so nearly every chunk finishes whole segments; a segment
-/// larger than the target is cut at raw target boundaries (those interior
-/// chunks complete nothing) and finishes in the chunk carrying its last
-/// word. The degenerate cases stay well-formed: a single-segment stream
-/// degrades to plain fixed-size chunking, and an empty stream yields one
-/// empty chunk so the receiver still observes completion.
-pub fn plan_chunks(meta: &RecoilMetadata, target_chunk_bytes: usize) -> ChunkPlan {
-    let offsets: Vec<u64> = meta.splits.iter().map(|s| s.offset).collect();
-    let mut plan = ChunkPlan { chunks: Vec::new() };
-    plan_chunks_into(&offsets, meta.num_words, target_chunk_bytes, &mut plan);
-    debug_assert!(
-        plan.validate_against(meta).is_ok(),
-        "planner produced an invalid chunk plan"
-    );
-    plan
-}
-
-/// [`plan_chunks`] from what it reads of the metadata — the interior
-/// splits' word offsets, ascending, and the stream's word count — into
-/// `plan`: clears and refills it, reusing its chunk storage, so a server
-/// plans every response from a tier's offsets without allocating and
-/// without a parsed tier.
-pub fn plan_chunks_into(
-    split_offsets: &[u64],
-    num_words: u64,
-    target_chunk_bytes: usize,
-    plan: &mut ChunkPlan,
-) {
-    let target = (target_chunk_bytes as u64 / 2).max(1);
-    let nseg = split_offsets.len() as u64 + 1;
-    let seg_end = |m: u64| {
-        if m + 1 == nseg {
-            num_words
-        } else {
-            split_offsets[m as usize] + 1
-        }
-    };
-    let chunks = &mut plan.chunks;
-    chunks.clear();
-    let mut word = 0u64;
-    let mut seg = 0u64;
-    while word < num_words {
-        let limit = word + target;
-        // Furthest segment completion within the target, if any.
-        let mut cut = word;
-        let mut done = seg;
-        while done < nseg && seg_end(done) <= limit {
-            cut = seg_end(done);
-            done += 1;
-        }
-        if done == seg {
-            // The next segment overshoots the target: cut mid-segment.
-            cut = limit.min(num_words);
-        }
-        chunks.push(PlannedChunk {
-            words: word..cut,
-            segments: seg..done,
-        });
-        word = cut;
-        seg = done;
-    }
-    // Trailing zero-word segments (and the empty-stream case) complete in
-    // one final empty chunk so the schedule always reports every segment.
-    if seg < nseg {
-        chunks.push(PlannedChunk {
-            words: word..word,
-            segments: seg..nseg,
-        });
     }
 }
 

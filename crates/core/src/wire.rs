@@ -36,8 +36,7 @@
 //! series against the tier's own expectations, a bit-aligned copy of each
 //! kept body (a funnel shift per word; no lane is read) and the CRC,
 //! written in place into one allocation of the exact length. It returns
-//! those bytes and the kept splits' offsets — no parsed metadata, no
-//! reference count touched.
+//! those bytes — no parsed metadata, no reference count touched.
 //! [`metadata_to_bytes`] and [`metadata_wire_len`] are that table built and
 //! every split selected — there is one writer. The parser reads straight
 //! into the one allocation all the returned splits share, measuring each
@@ -159,9 +158,7 @@ impl WireSplits {
 
     /// The tier for a decoder of `segments` parallel segments: the bytes
     /// [`metadata_to_bytes`] writes for [`crate::try_combine_splits`]`(..,
-    /// segments)`, and the word offsets of the splits it keeps — all a
-    /// server needs to plan the tier's chunks ([`crate::plan_chunks_into`]).
-    /// A caller that wants the parsed tier parses the bytes, as a remote
+    /// segments)`. A caller that wants the parsed tier parses the bytes, as a remote
     /// decoder does.
     ///
     /// Validation is moved, not dropped: the splits were validated when the
@@ -172,9 +169,9 @@ impl WireSplits {
     /// [`RecoilError::Decode`]. Debug builds parse the bytes back, which
     /// validates the whole tier again. `segments == 0` is
     /// [`RecoilError::InvalidConfig`].
-    pub fn tier(&self, segments: u64) -> Result<(Vec<u8>, Vec<u64>), RecoilError> {
+    pub fn tier(&self, segments: u64) -> Result<Vec<u8>, RecoilError> {
         let tier = self.write(segments)?;
-        debug_assert!(metadata_from_bytes(&tier.0).is_ok());
+        debug_assert!(metadata_from_bytes(&tier).is_ok());
         Ok(tier)
     }
 
@@ -183,7 +180,7 @@ impl WireSplits {
     /// the two series' widths, then the header, the offset and anchor
     /// series against this tier's expectations, each kept body, and the
     /// CRC-32.
-    fn write(&self, segments: u64) -> Result<(Vec<u8>, Vec<u64>), RecoilError> {
+    fn write(&self, segments: u64) -> Result<Vec<u8>, RecoilError> {
         let kept = kept(&self.splits, segments)?;
         let count = kept.len();
         let expected = Expected::new(self.ways, self.num_symbols, self.num_words, count);
@@ -229,8 +226,7 @@ impl WireSplits {
         let written = w.finish();
         debug_assert_eq!(written, body_len);
         tail.copy_from_slice(&crc32(body).to_le_bytes());
-        let offsets = entries.iter().map(|(s, ..)| s.offset).collect();
-        Ok((bytes, offsets))
+        Ok(bytes)
     }
 }
 
@@ -398,7 +394,6 @@ pub fn metadata_to_bytes(meta: &RecoilMetadata) -> Vec<u8> {
     WireSplits::of(meta)
         .and_then(|wire| wire.write(u64::MAX))
         .unwrap_or_else(|e| unrepresentable(e))
-        .0
 }
 
 /// Parses metadata back from its byte form. Only the current version is
@@ -809,9 +804,7 @@ mod tests {
         assert!(crate::try_combine_splits(&meta, 2).is_err());
         for segments in [1, 3, 4] {
             let tier = crate::combine_splits(&meta, segments);
-            let (bytes, offsets) = wire.tier(segments).unwrap();
-            assert_eq!(bytes, metadata_to_bytes(&tier));
-            assert!(offsets.iter().eq(tier.splits.iter().map(|s| &s.offset)));
+            assert_eq!(wire.tier(segments).unwrap(), metadata_to_bytes(&tier));
         }
     }
 

@@ -5,7 +5,7 @@
 
 use recoil_core::backend::preferred_segments;
 use recoil_core::{container_to_bytes, Codec, EncoderConfig, RecoilError};
-use recoil_fabric::{FabricRouter, RouterConfig};
+use recoil_fabric::{FabricRouter, FetchAttempt, RouterConfig};
 use recoil_net::raw::{read_frame, write_frame, ReadOutcome};
 use recoil_net::{
     ContentRequest, FaultPlan, FrameType, Hello, NetClient, NetClientConfig, NetConfig, NetServer,
@@ -132,8 +132,8 @@ impl Geometry {
     }
 
     /// Cumulative body-byte prefix sums — every legal resume offset (in
-    /// bitstream bytes) is one of these, because chunks complete whole
-    /// segments.
+    /// bitstream bytes) is one of these, because a client keeps only whole
+    /// chunks.
     fn boundaries(&self) -> Vec<u64> {
         let mut acc = 0;
         let mut out = vec![0];
@@ -161,8 +161,21 @@ fn router_batch() -> u64 {
 /// `data` published at `width` segments. Returns the completed fetch (at
 /// `width`) for assertions.
 fn fetch_with_kill_at(data: &[u8], cut: u64, width: u64) -> recoil_fabric::FabricFetch {
-    let killer = start(Some(FaultPlan::kill_at(cut)));
-    let clean = start(None);
+    let primary = node_config(Some(FaultPlan::kill_at(cut)));
+    fetch_failing_over(data, primary, node_config(None), width)
+}
+
+/// [`fetch_with_kill_at`] with each node's config given: node 0 serves
+/// with `primary` (whose fault plan kills it), node 1 with `standby`.
+fn fetch_failing_over(
+    data: &[u8],
+    primary: NetConfig,
+    standby: NetConfig,
+    width: u64,
+) -> recoil_fabric::FabricFetch {
+    let bind =
+        |config| NetServer::bind(Arc::new(ContentServer::new()), "127.0.0.1:0", config).unwrap();
+    let (killer, clean) = (bind(primary), bind(standby));
     let router = FabricRouter::connect(&[killer.addr(), clean.addr()], router_config()).unwrap();
     // Pick a name whose rendezvous primary is the faulty node, so the
     // fetch must start there.
@@ -187,8 +200,8 @@ fn fetch_with_kill_at(data: &[u8], cut: u64, width: u64) -> recoil_fabric::Fabri
     fetched
 }
 
-/// The corpus test: kill the serving node at every chunk (= segment-group)
-/// boundary, mid-chunk, inside the TRANSMIT header, inside a CHUNK frame
+/// The corpus test: kill the serving node at every chunk boundary,
+/// mid-chunk, inside the TRANSMIT header, inside a CHUNK frame
 /// header, and past the end — the resumed decode must be byte-identical
 /// every time, and the wire-level byte accounting must show no word was
 /// ever served twice. It runs at two widths, so that both dispatch
@@ -225,7 +238,7 @@ fn kill_sweep(data: &[u8], width: u64, geo: &Geometry) {
     for body in &geo.bodies {
         cuts.push(acc + FRAME_HDR + CHUNK_SEQ + body / 2); // mid-chunk
         acc += FRAME_HDR + CHUNK_SEQ + body;
-        cuts.push(acc); // chunk boundary == segment boundary
+        cuts.push(acc); // chunk boundary
     }
 
     for &cut in &cuts {
@@ -235,7 +248,7 @@ fn kill_sweep(data: &[u8], width: u64, geo: &Geometry) {
 
         // Wire-level accounting: every word arrived exactly once, each
         // resume continued at precisely the words already held, and
-        // every resume offset is a segment-aligned chunk boundary.
+        // every resume offset is a chunk boundary.
         let delivered: u64 = fetched.attempts.iter().map(|a| a.chunk_bytes).sum();
         assert_eq!(
             delivered, geo.word_bytes,
@@ -251,7 +264,7 @@ fn kill_sweep(data: &[u8], width: u64, geo: &Geometry) {
         for resume in &fetched.attempts[1..] {
             assert!(
                 boundaries.contains(&(resume.from_word * 2)),
-                "width {width}, cut at byte {cut}: resume offset {} is not a segment boundary",
+                "width {width}, cut at byte {cut}: resume offset {} is not a chunk boundary",
                 resume.from_word * 2
             );
         }
@@ -274,6 +287,50 @@ fn kill_sweep(data: &[u8], width: u64, geo: &Geometry) {
             assert!(fetched.attempts[1].completed);
         }
     }
+}
+
+/// A resume served on another chunk size: node 0 cuts 16 KiB chunks and
+/// dies two and a half chunks in; node 1 cuts 5 KiB ones, so its response
+/// starts at an offset off its own grid. A chunk is the next words from
+/// wherever the response starts, so the two nodes' words still tile the
+/// stream: byte-identical, none delivered twice, every attempt accounted.
+#[test]
+fn a_resume_on_another_chunk_size_delivers_every_word_once() {
+    let data = sample(DATA_LEN, 17);
+    let geo = Geometry::measure(&data, SEGMENTS);
+    assert_eq!(geo.bodies[0], 16 * 1024, "node 0's chunk size");
+    let frame = |body: u64| FRAME_HDR + CHUNK_SEQ + body;
+    let cut = geo.prefix + frame(geo.bodies[0]) + frame(geo.bodies[1]) + frame(geo.bodies[2] / 2);
+    let standby = NetConfig {
+        chunk_bytes: 5 * 1024,
+        ..node_config(None)
+    };
+    let primary = node_config(Some(FaultPlan::kill_at(cut)));
+    let fetched = fetch_failing_over(&data, primary, standby, SEGMENTS);
+    assert_eq!(fetched.data, data);
+    assert_eq!(fetched.segments, geo.segments);
+    assert_eq!(fetched.failovers, 1);
+    // Node 0 delivered its two whole chunks (the torn third is dropped),
+    // node 1 every word after them.
+    let held = geo.bodies[0] + geo.bodies[1];
+    assert_ne!(
+        (held / 2) % (5 * 1024 / 2),
+        0,
+        "node 1 resumes off its grid"
+    );
+    let attempt = |node, from_word, chunk_bytes, completed| FetchAttempt {
+        node,
+        from_word,
+        chunk_bytes,
+        completed,
+    };
+    assert_eq!(
+        fetched.attempts,
+        [
+            attempt(0, 0, held, false),
+            attempt(1, held / 2, geo.word_bytes - held, true)
+        ]
+    );
 }
 
 /// Seeded kills are reproducible end to end: the same seed produces the

@@ -191,7 +191,8 @@ pub struct StreamedFetch {
     /// Transfer size: bitstream payload plus metadata, as the paper counts
     /// it (the model is excluded, §5.2).
     pub total_bytes: u64,
-    /// CHUNK frames the transfer arrived in (split-aligned server plan).
+    /// CHUNK frames the first node announced, `ceil(word bytes /`
+    /// [`crate::NetConfig::chunk_bytes`]`)`; a failover does not change it.
     pub chunk_count: u32,
     /// Batches dispatched to the backend: one whenever `preferred`
     /// ([`preferred_segments`]) undecoded segments are resident, one for

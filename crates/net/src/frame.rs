@@ -61,7 +61,7 @@ pub enum FrameType {
     TelemetryReply = 0x0A,
     /// Client → server: like `Request`, but resuming a transfer that died
     /// mid-stream — carries the word offset already received, so the
-    /// server streams only the remaining chunk-plan suffix.
+    /// server streams only the words from that offset on.
     Resume = 0x0B,
     /// Either direction: a typed error (maps onto [`RecoilError`]).
     Error = 0x0E,

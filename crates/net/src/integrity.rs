@@ -52,8 +52,8 @@ impl PayloadCheck {
         Ok(check)
     }
 
-    /// Continues the transfer under another node's header, whose chunk
-    /// plan covers the words past [`PayloadCheck::words_received`] and
+    /// Continues the transfer under another node's header, whose chunks
+    /// cover the words past [`PayloadCheck::words_received`] and
     /// which must declare the stream the first one did: a node that
     /// disagrees serves different content, and would splice two streams.
     pub(crate) fn resume(&mut self, header: &TransmitHeader) -> Result<(), RecoilError> {
@@ -71,7 +71,7 @@ impl PayloadCheck {
     /// Takes one CHUNK frame payload (`[seq: u32 LE][body]`), borrowed from
     /// whatever buffer the frame was received into, and returns the body —
     /// the same bytes, past the prefix. A frame out of sequence or over the
-    /// declared size is rejected, and the frame that drains the chunk plan
+    /// declared size is rejected, and the last frame the header announced
     /// also has to close the stream; a rejection leaves the state untouched.
     pub(crate) fn accept<'a>(&mut self, payload: &'a [u8]) -> Result<&'a [u8], RecoilError> {
         let Some((seq, body)) = payload.split_first_chunk::<CHUNK_SEQ_BYTES>() else {
@@ -109,7 +109,7 @@ impl PayloadCheck {
             .saturating_add(CHUNK_SEQ_BYTES)
     }
 
-    /// Once the current chunk plan is exhausted the stream must be whole.
+    /// Once the current header's chunks are in, the stream must be whole.
     fn verify_if_drained(&self) -> Result<(), RecoilError> {
         if self.next_seq < self.chunk_count {
             return Ok(());
@@ -141,11 +141,11 @@ mod tests {
     use super::*;
     use crate::frame::PayloadWriter;
     use recoil_core::codec::Codec;
-    use recoil_core::{crc32, metadata_to_bytes, model_block, plan_chunks, write_item_section};
+    use recoil_core::{crc32, metadata_to_bytes, model_block, write_item_section};
     use recoil_rans::{append_words_le, extend_words_from_le};
 
     /// A real encode cut the way the server cuts it: the TRANSMIT header
-    /// and the CHUNK bodies of an 8-segment, ~1 KiB-chunk transmission.
+    /// and the CHUNK bodies of an 8-segment, 1 KiB-chunk transmission.
     struct Cut {
         header: TransmitHeader,
         bodies: Vec<Vec<u8>>,
@@ -163,15 +163,12 @@ mod tests {
             .encode(&data)
             .unwrap();
         let stream = &enc.container.stream;
-        let bodies: Vec<Vec<u8>> = plan_chunks(&enc.container.metadata, 1024)
-            .chunks
-            .iter()
+        let bodies: Vec<Vec<u8>> = stream
+            .words
+            .chunks(512)
             .map(|c| {
                 let mut body = Vec::new();
-                append_words_le(
-                    &mut body,
-                    &stream.words[c.words.start as usize..c.words.end as usize],
-                );
+                append_words_le(&mut body, c);
                 body
             })
             .collect();
@@ -204,7 +201,7 @@ mod tests {
         payload
     }
 
-    /// Feeds `bodies` as frames 0.. of the current plan, collecting words.
+    /// Feeds `bodies` as frames 0.. of the current response, collecting words.
     /// Every frame lands in the same buffer, as a receiver recycles one.
     fn feed(
         check: &mut PayloadCheck,

@@ -60,8 +60,8 @@
 //! parallelism, but I already hold the first `from_word` complete words."
 //! The server replies with the same `TRANSMIT` header an original fetch
 //! gets (whole-stream geometry and payload CRC, so the client can
-//! cross-check against the header it saw before the failure) whose chunk
-//! plan is trimmed to the missing words. Recoil's split metadata is what
+//! cross-check against the header it saw before the failure), whose chunks
+//! carry only the missing words. Recoil's split metadata is what
 //! makes this cheap: segment *m* is decodable once `splits[m].offset + 1`
 //! words arrived, so readiness is a strict prefix of the word stream and a
 //! byte offset *is* a resume point — no per-segment state to rebuild, no
@@ -83,9 +83,10 @@
 //!
 //! ## Streaming decode
 //!
-//! Chunk boundaries are not arbitrary: the server cuts the bitstream with
-//! the **split-aligned chunk plan** ([`recoil_core::plan_chunks`]) for the
-//! served metadata tier, so each chunk completes whole decode segments.
+//! A CHUNK is the next [`NetConfig::chunk_bytes`] of the bitstream, cut
+//! without regard to segments: the served metadata says when segment *m* is
+//! resident — once the words up to `splits[m].offset` arrived, whatever
+//! carried them ([`recoil_core::IncrementalDecoder::ready_segments`]).
 //! [`FetchSession::decode_streaming`] exploits that: arriving chunks are
 //! received into one recycled buffer, checked where they lie, and fed to a
 //! [`recoil_core::IncrementalDecoder`], which hands the given backend
@@ -127,8 +128,8 @@
 //! content) lookup, whether its tier is cached or not — the real-time
 //! combine behind a tier-cache miss writes the tier's bytes from the item's
 //! stored split bits, cheaper than a trip to another thread, and misses
-//! serialized on one loop can never build one tier twice. The chunk plan
-//! comes from the tier's kept split offsets; no request builds parsed
+//! serialized on one loop can never build one tier twice. A response's
+//! chunks are arithmetic on the word count; no request builds parsed
 //! metadata. Only a `PUBLISH` runs on [`NetConfig::workers`] dispatch
 //! threads blocked on the reactor's job queue, and completes back to the
 //! loop through a wake pipe. Nothing is encoded there: the publisher

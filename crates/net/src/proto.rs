@@ -508,7 +508,8 @@ impl TelemetryReply {
 /// `w` — the image [`TransmitHeader::decode`] parses, on the reactor's
 /// per-request hot path. The item section is copied from bytes the item
 /// holds: the tier's metadata, the item's model block and its words CRC,
-/// valid for every tier because chunk plans tile the word stream exactly.
+/// valid for every tier because every tier streams the same words, in
+/// `chunk_count` frames from the response's first word on.
 pub(crate) fn write_transmit_header(
     w: &mut PayloadWriter,
     transmission: &Transmission,

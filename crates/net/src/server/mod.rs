@@ -47,7 +47,8 @@ pub struct NetConfig {
     pub read_timeout: Duration,
     /// Progress deadline while a response is being written.
     pub write_timeout: Duration,
-    /// Bitstream bytes per [`crate::FrameType::Chunk`] frame.
+    /// Bitstream bytes per [`crate::FrameType::Chunk`] frame, exactly (in
+    /// whole words, within one frame); only a response's last is shorter.
     pub chunk_bytes: usize,
     /// How much the pipeline observes itself. `Off` (the default) reduces
     /// every instrument to one branch on the hot path; `Counters` adds

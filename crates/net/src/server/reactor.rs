@@ -46,9 +46,10 @@
 //! cache hit, or a miss whose combine is a selection of stored split bits —
 //! are served inline on the loop with zero per-request allocation beyond a
 //! miss's new tier (responses are framed straight into the connection's
-//! pending-write buffer, chunk plans reuse the connection's `ChunkPlan`);
-//! only a PUBLISH (the container's parse, validation and store; nothing is
-//! encoded server-side) touches a worker.
+//! pending-write buffer; a CHUNK is the next `chunk_words` words, so a
+//! response's chunks are a cursor, not a list); only a PUBLISH (the
+//! container's parse, validation and store; nothing is encoded server-side)
+//! touches a worker.
 //!
 //! Edge-triggered discipline: sockets are registered once for both
 //! directions and never modified — an event is only a hint, and [`pump`]
@@ -65,7 +66,7 @@ use crate::proto::{
     TelemetryReply,
 };
 use parking_lot::{Condvar, Mutex};
-use recoil_core::{plan_chunks_into, read_container, ChunkPlan, RecoilError};
+use recoil_core::{read_container, RecoilError};
 use recoil_rans::append_words_le;
 use recoil_reactor::{DeadlineQueue, Poller, Slab, SlabStats, Token, WakePipe};
 use recoil_server::{ContentServer, ServerStats, StoredContent, Transmission};
@@ -247,15 +248,15 @@ enum Phase {
     /// A worker is storing this connection's PUBLISH; the loop ignores the
     /// socket until the completion arrives.
     Dispatching,
-    /// Flushing `write_buf` (and refilling it from the chunk plan).
+    /// Flushing `write_buf` (and refilling it with the next chunks).
     Write,
     /// Half-closed after a fatal error; reading to EOF so the final frame
     /// lands.
     Drain,
 }
 
-/// Per-connection state. Slab-parked on close: buffers and the chunk plan
-/// keep their capacity for the next accept, only the socket is dropped.
+/// Per-connection state. Slab-parked on close: buffers keep their capacity
+/// for the next accept, only the socket is dropped.
 struct Conn {
     stream: Option<TcpStream>,
     phase: Phase,
@@ -263,10 +264,11 @@ struct Conn {
     write_buf: Vec<u8>,
     write_pos: usize,
     close_after_write: bool,
-    /// The content being chunk-streamed, if any.
+    /// The content being chunk-streamed while chunks remain.
     item: Option<Arc<StoredContent>>,
-    plan: ChunkPlan,
-    next_chunk: usize,
+    /// Where the streamed item's CHUNK frames stand; read only while
+    /// `item` is set, which staging does after setting it.
+    cursor: ChunkCursor,
     last_progress: Instant,
     /// The deadline currently armed in the queue, if any.
     armed: Option<Instant>,
@@ -293,8 +295,7 @@ impl Conn {
             write_pos: 0,
             close_after_write: false,
             item: None,
-            plan: ChunkPlan { chunks: Vec::new() },
-            next_chunk: 0,
+            cursor: ChunkCursor::default(),
             last_progress: now,
             armed: None,
             drain_deadline: now,
@@ -313,7 +314,6 @@ impl Conn {
         self.write_pos = 0;
         self.close_after_write = false;
         self.item = None;
-        self.next_chunk = 0;
         self.last_progress = now;
         self.armed = None;
         self.drain_deadline = now;
@@ -331,12 +331,22 @@ impl Conn {
         self.read_buf.shrink_to(PARKED_BUFFER_CAP);
         self.write_buf.clear();
         self.write_buf.shrink_to(PARKED_BUFFER_CAP);
-        self.plan.chunks.clear();
         self.write_pos = 0;
-        self.next_chunk = 0;
         self.close_after_write = false;
         self.armed = None;
         self.write_started = None;
+    }
+
+    /// Appends the streamed item's next CHUNK frames to the write buffer
+    /// ([`fill_chunks`]), and lets the item go after its last.
+    fn stream_chunks(&mut self, chunk_words: usize) {
+        if let Some(item) = &self.item {
+            let words = &item.stream.words;
+            fill_chunks(&mut self.write_buf, words, &mut self.cursor, chunk_words);
+            if self.cursor.word == words.len() {
+                self.item = None;
+            }
+        }
     }
 
     /// The progress deadline this phase wants, if any. Idle connections
@@ -389,51 +399,30 @@ fn stage_error(conn: &mut Conn, e: &RecoilError, close_after: bool) {
 }
 
 /// Stages a served transmission: TRANSMIT header framed in place (no
-/// owned header struct, no metadata/freqs/final-states copies), then the
-/// chunk plan queued for coalesced streaming from the `Write` phase.
+/// owned header struct, no metadata/freqs/final-states copies), then its
+/// CHUNK frames streamed, coalesced, from the `Write` phase.
 ///
-/// A non-zero `from_word` (RESUME) trims the plan to the words the peer is
-/// missing: split metadata makes word-stream readiness a strict prefix, so
-/// a resuming client continues exactly where the dead node stopped. The
-/// header keeps whole-stream geometry and CRC (the client cross-checks
-/// them against the header it saw before the failure); only `chunk_count`
-/// reflects the trim, and chunk sequence numbers restart at zero over the
-/// trimmed plan.
+/// A non-zero `from_word` (RESUME) starts the chunks at the first word the
+/// peer is missing: split metadata makes word-stream readiness a strict
+/// prefix, so a resuming client continues exactly where the dead node
+/// stopped. The header keeps whole-stream geometry and CRC (the client
+/// cross-checks them against the header it saw before the failure); only
+/// `chunk_count` counts from `from_word`, and sequence numbers restart at
+/// zero.
 fn stage_transmission(
     conn: &mut Conn,
-    shared: &Shared,
+    chunk_words: usize,
     transmission: Transmission,
     item: Arc<StoredContent>,
     from_word: u64,
 ) {
-    let total = item.stream.words.len() as u64;
-    plan_chunks_into(
-        &transmission.tier.split_offsets,
-        total,
-        shared.chunk_words * 2,
-        &mut conn.plan,
-    );
-    if from_word > 0 {
-        if from_word > total {
-            stage_error(
-                conn,
-                &RecoilError::net(format!(
-                    "resume offset {from_word} is beyond the stream ({total} words)"
-                )),
-                true,
-            );
-            return;
-        }
-        conn.plan.chunks.retain(|c| c.words.end > from_word);
-        if let Some(first) = conn.plan.chunks.first_mut() {
-            if first.words.start < from_word {
-                first.words.start = from_word;
-            }
-        }
-    }
+    let chunk_count = match chunk_count(from_word, item.stream.words.len(), chunk_words) {
+        Ok(count) => count,
+        Err(e) => return stage_error(conn, &e, true),
+    };
     let at = begin_frame(&mut conn.write_buf, FrameType::Transmit);
     let mut w = PayloadWriter(mem::take(&mut conn.write_buf));
-    proto::write_transmit_header(&mut w, &transmission, &item, conn.plan.len() as u32);
+    proto::write_transmit_header(&mut w, &transmission, &item, chunk_count);
     conn.write_buf = w.0;
     if end_frame(&mut conn.write_buf, at).is_err() {
         // A tier whose metadata outgrows the frame cap is unservable on
@@ -446,41 +435,53 @@ fn stage_transmission(
         );
         return;
     }
+    // `chunk_count` checked `from_word <= words.len()`, so it is an index.
+    conn.cursor = ChunkCursor::default();
+    conn.cursor.word = from_word as usize;
     conn.item = Some(item);
-    conn.next_chunk = 0;
     conn.phase = Phase::Write;
     // Eager first fill: small streams land whole in the buffer (clearing
     // `item` so pipelined follow-up requests can batch behind them); big
     // streams stop at the high-water mark and refill from `Write`.
-    fill_chunks(conn);
-    if conn.next_chunk == conn.plan.chunks.len() {
-        conn.item = None;
-    }
+    conn.stream_chunks(chunk_words);
 }
 
-/// Refills the drained write buffer with the next chunk frames, up to the
-/// high-water mark. Chunk frame sizes are pre-clamped by
-/// `NetConfig::effective_chunk_words`.
-fn fill_chunks(conn: &mut Conn) {
-    let Conn {
-        item,
-        plan,
-        write_buf,
-        next_chunk,
-        ..
-    } = conn;
-    let item = item.as_ref().expect("chunks only stream with a live item");
-    let words = &item.stream.words;
-    while *next_chunk < plan.chunks.len() && write_buf.len() < WRITE_HIGH_WATER {
-        let chunk = &plan.chunks[*next_chunk];
-        let at = begin_frame(write_buf, FrameType::Chunk);
-        write_buf.extend_from_slice(&(*next_chunk as u32).to_le_bytes());
-        append_words_le(
-            write_buf,
-            &words[chunk.words.start as usize..chunk.words.end as usize],
-        );
-        end_frame(write_buf, at).expect("chunk frames are pre-clamped to the frame cap");
-        *next_chunk += 1;
+/// Where a response's CHUNK frames stand: the next word to send and the
+/// next frame's sequence number.
+#[derive(Default)]
+struct ChunkCursor {
+    word: usize,
+    seq: u32,
+}
+
+/// How many CHUNK frames a response from word `from` of a `total`-word
+/// stream carries: `ceil((total − from) / chunk_words)`, none for an empty
+/// remainder. A RESUME offset beyond the stream is refused.
+fn chunk_count(from: u64, total: usize, chunk_words: usize) -> Result<u32, RecoilError> {
+    let total = total as u64;
+    if from > total {
+        return Err(RecoilError::net(format!(
+            "resume offset {from} is beyond the stream ({total} words)"
+        )));
+    }
+    u32::try_from((total - from).div_ceil(chunk_words as u64))
+        .map_err(|_| RecoilError::net("stream needs more than 2^32 chunk frames"))
+}
+
+/// Appends the next CHUNK frames of `words` to `buf`, up to the high-water
+/// mark or the stream's end. Chunk `k` of a response from word `from` holds
+/// words `[from + k·c, min(from + (k+1)·c, words.len()))` for `c =
+/// chunk_words`, which `NetConfig::effective_chunk_words` pre-clamps to the
+/// frame cap.
+fn fill_chunks(buf: &mut Vec<u8>, words: &[u16], cursor: &mut ChunkCursor, chunk_words: usize) {
+    while cursor.word < words.len() && buf.len() < WRITE_HIGH_WATER {
+        let end = words.len().min(cursor.word + chunk_words);
+        let at = begin_frame(buf, FrameType::Chunk);
+        buf.extend_from_slice(&cursor.seq.to_le_bytes());
+        append_words_le(buf, &words[cursor.word..end]);
+        end_frame(buf, at).expect("chunk frames are pre-clamped to the frame cap");
+        cursor.word = end;
+        cursor.seq += 1;
     }
 }
 
@@ -566,7 +567,9 @@ fn handle_frame(
             let served = request_action(shared, token, payload, resume, sampled);
             conn.read_buf.drain(..end);
             match served {
-                Ok((tx, item, from_word)) => stage_transmission(conn, shared, tx, item, from_word),
+                Ok((tx, item, from_word)) => {
+                    stage_transmission(conn, shared.chunk_words, tx, item, from_word)
+                }
                 Err((e, close)) => stage_error(conn, &e, close),
             }
         }
@@ -755,11 +758,10 @@ fn pump_inner(conn: &mut Conn, token: Token, shared: &Shared, tally: &mut PumpTa
                     }
                     conn.write_buf.clear();
                     conn.write_pos = 0;
-                    if conn.item.is_some() && conn.next_chunk < conn.plan.chunks.len() {
-                        fill_chunks(conn);
-                        continue;
+                    if conn.item.is_none() {
+                        break;
                     }
-                    break;
+                    conn.stream_chunks(shared.chunk_words);
                 }
                 // The staged response (header + every chunk) is fully on the
                 // wire: count the burst, and close out the flush span when
@@ -778,7 +780,6 @@ fn pump_inner(conn: &mut Conn, token: Token, shared: &Shared, tally: &mut PumpTa
                         conn.write_started = None;
                     }
                 }
-                conn.item = None;
                 if conn.close_after_write {
                     conn.close_after_write = false;
                     let s = conn.stream.as_ref().expect("live conn has a stream");
@@ -1493,5 +1494,52 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("oversized frame"));
+    }
+
+    /// Every response a stream of `total` words can get, at every chunk
+    /// size: the CHUNK frames tile `[from, total)` in order, each holds at
+    /// most `chunk_words` words and only the last is short, and there are
+    /// exactly as many as the TRANSMIT header announces.
+    #[test]
+    fn chunks_tile_the_rest_of_the_stream_from_every_offset() {
+        for c in [1usize, 3, 2048] {
+            for total in [0, 1, c - 1, c, c + 1, 5 * c + 3] {
+                let words: Vec<u16> = (0..total).map(|i| i as u16 ^ 0xA5C3).collect();
+                let mut buf = Vec::new();
+                for from in 0..=total {
+                    let count = chunk_count(from as u64, total, c).unwrap();
+                    let mut cursor = ChunkCursor { word: from, seq: 0 };
+                    let (mut next, mut seen) = (from, 0u32);
+                    while cursor.word < total {
+                        buf.clear();
+                        fill_chunks(&mut buf, &words, &mut cursor, c);
+                        let mut rest = &buf[..];
+                        while let Some((ty, end)) = parse_frame(rest).unwrap() {
+                            assert_eq!(ty, FrameType::Chunk);
+                            let (seq, body) = rest[FRAME_HEADER_LEN..end].split_at(4);
+                            assert_eq!(seq, seen.to_le_bytes(), "c {c} B {total} from {from}");
+                            let len = body.len() / 2;
+                            assert!(len > 0 && len <= c, "c {c} B {total} from {from}");
+                            assert!(len == c || next + len == total, "only the last is short");
+                            // Its first and last words are the stream's.
+                            let word =
+                                |i: usize| u16::from_le_bytes([body[2 * i], body[2 * i + 1]]);
+                            assert_eq!(
+                                (word(0), word(len - 1)),
+                                (words[next], words[next + len - 1]),
+                                "c {c} B {total} from {from}"
+                            );
+                            (next, seen) = (next + len, seen + 1);
+                            rest = &rest[end..];
+                        }
+                        assert!(rest.is_empty());
+                    }
+                    assert_eq!(next, total, "no gap at the end");
+                    assert_eq!(seen, count, "c {c} B {total} from {from}");
+                }
+                let beyond = chunk_count(total as u64 + 1, total, c).unwrap_err();
+                assert!(beyond.to_string().contains("beyond the stream"), "{beyond}");
+            }
+        }
     }
 }

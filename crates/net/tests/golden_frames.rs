@@ -185,9 +185,9 @@ fn wire_bytes_of_every_message_are_pinned() {
         ("PUBLISH_OK", 0xF0FA_7AD8),
         ("REQUEST", 0xCA49_76B8),
         ("TRANSMIT", 0x8DAC_06EC),
-        ("CHUNK", 0x9143_246F),
+        ("CHUNK", 0x6EF6_6137),
         ("TELEMETRY_REPLY prefix", 0xBD85_CC19),
-        ("RESUME", 0x0AB1_9F95),
+        ("RESUME", 0x0681_3624),
     ];
     assert_eq!(got, want, "wire bytes changed: {got:#010X?}");
     server.shutdown();

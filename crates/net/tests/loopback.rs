@@ -5,8 +5,9 @@ use recoil_core::backend::{
     preferred_segments, AutoBackend, DecodeBackend, DecodeRequest, ScalarBackend,
 };
 use recoil_core::{
-    container_from_bytes, container_to_bytes, metadata_to_bytes, plan_chunks, try_combine_splits,
-    write_item_section, ChunkPlan, Codec, DecodeModel, DecodeStats, EncoderConfig, RecoilError,
+    container_from_bytes, container_to_bytes, metadata_to_bytes, try_combine_splits,
+    write_item_section, Codec, DecodeModel, DecodeStats, EncoderConfig, RecoilError,
+    RecoilMetadata,
 };
 use recoil_net::raw::{decode_error, read_frame, write_frame, ReadOutcome};
 use recoil_net::{
@@ -578,9 +579,11 @@ fn streaming_fetch_is_byte_identical_and_pipelined() {
         // one batch, 16 and up are decoded while chunks arrive.
         assert_eq!(streamed.total_bytes, request.total_bytes(), "tier {tier}");
         assert_eq!(streamed.segments, request.segments, "tier {tier}");
+        // A chunk is the next 4 KiB of the stream, whatever the tier.
+        let word_bytes = request.stream.words.len() as u64 * 2;
         assert_eq!(
-            streamed.chunk_count as usize,
-            plan_chunks(&request.metadata, 4 * 1024).len(),
+            u64::from(streamed.chunk_count),
+            word_bytes.div_ceil(4 * 1024),
             "tier {tier}"
         );
         assert!(streamed.chunk_count > 1, "tier {tier}: single chunk");
@@ -608,14 +611,14 @@ fn streaming_fetch_is_byte_identical_and_pipelined() {
         }
     }
 
-    // The empty edge case streams too, as one (empty) batch.
+    // The empty edge case streams too, in no chunk, as one (empty) batch.
     client.publish("empty", &[], &config(4)).unwrap();
     let request = client.request("empty", 4).unwrap();
     let empty = client.fetch_and_decode_streaming("empty", 4).unwrap();
     assert!(empty.data.is_empty());
     assert_eq!(
         (empty.segments, empty.chunk_count, empty.decode_batches),
-        (1, 1, 1)
+        (1, 0, 1)
     );
     assert_eq!(empty.segments, request.segments);
     assert_eq!(empty.total_bytes, request.total_bytes());
@@ -624,15 +627,23 @@ fn streaming_fetch_is_byte_identical_and_pipelined() {
     server.shutdown();
 }
 
-/// `decode_batches` the documented dispatch rule yields over `plan`, the
-/// server's own schedule for the tier: after each chunk, a whole batch goes
+/// `decode_batches` the documented dispatch rule yields for `tier` served
+/// in chunks of `chunk_words` words: after each chunk, a whole batch goes
 /// out, or whatever is left at the end of the stream, or — once — the first
-/// resident segments of a stream with a whole batch still to come.
-fn batches_by_the_rule(plan: &ChunkPlan, capability: u64) -> u64 {
-    let total = plan.chunks.last().map_or(0, |c| c.segments.end);
+/// resident segments of a stream with a whole batch still to come. What a
+/// chunk makes resident is read off the tier's split offsets: every
+/// interior segment whose split offset lies below the words received, and
+/// the final one with the last word.
+fn batches_by_the_rule(tier: &RecoilMetadata, chunk_words: u64, capability: u64) -> u64 {
+    let total = tier.num_segments();
     let (mut decoded, mut batches) = (0, 0);
-    for chunk in &plan.chunks {
-        let ready = chunk.segments.end;
+    for k in 1..=tier.num_words.div_ceil(chunk_words) {
+        let have = tier.num_words.min(k * chunk_words);
+        let ready = if have == tier.num_words {
+            total
+        } else {
+            tier.splits.iter().filter(|s| s.offset < have).count() as u64
+        };
         let waiting = ready - decoded;
         let first_of_many = decoded == 0 && total - ready >= capability;
         if waiting >= capability || (waiting > 0 && (ready == total || first_of_many)) {
@@ -644,16 +655,16 @@ fn batches_by_the_rule(plan: &ChunkPlan, capability: u64) -> u64 {
 }
 
 /// The dispatch rule, counted: which chunk makes which segment resident is
-/// the chunk plan's to say, not the clock's, so the count is exact. A
-/// stream of at most one batch is one dispatch however many chunks carry
-/// it; a capability of 1 dispatches every newly resident run, which is what
-/// every backend used to get.
+/// for the fixed chunk grid and the tier's split offsets to say, not the
+/// clock, so the count is exact. A stream of at most one batch is one
+/// dispatch however many chunks carry it; a capability of 1 dispatches
+/// every newly resident run, which is what every backend used to get.
 #[test]
 fn streaming_dispatches_whole_batches() {
-    const CHUNK_BYTES: usize = 2048;
+    const CHUNK_WORDS: u64 = 1024;
     let server = start_server(NetConfig {
         workers: 3,
-        chunk_bytes: CHUNK_BYTES,
+        chunk_bytes: CHUNK_WORDS as usize * 2,
         read_timeout: Duration::from_millis(50),
         ..NetConfig::default()
     });
@@ -679,12 +690,12 @@ fn streaming_dispatches_whole_batches() {
         for width in [1, 2, capability - 1, capability, capability + 1, 256] {
             let width = width.max(1);
             let tier = client.request("movie", width).unwrap();
-            let plan = plan_chunks(&tier.metadata, CHUNK_BYTES);
+            let chunks = tier.metadata.num_words.div_ceil(CHUNK_WORDS);
             let streamed = client.fetch_and_decode_streaming("movie", width).unwrap();
             assert_eq!(streamed.data, data, "width {width}");
             assert_eq!(streamed.segments, width, "the item holds 256 segments");
-            assert_eq!(streamed.chunk_count as usize, plan.len());
-            assert!(plan.len() > 256, "segments arrive in several chunks each");
+            assert_eq!(u64::from(streamed.chunk_count), chunks);
+            assert!(chunks > 256, "segments arrive in several chunks each");
 
             let what = format!(
                 "width {width} on {} (capability {capability})",
@@ -692,7 +703,7 @@ fn streaming_dispatches_whole_batches() {
             );
             assert_eq!(
                 streamed.decode_batches,
-                batches_by_the_rule(&plan, capability),
+                batches_by_the_rule(&tier.metadata, CHUNK_WORDS, capability),
                 "{what}"
             );
             // What the rule comes to: one dispatch for a stream of at most

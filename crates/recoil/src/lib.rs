@@ -137,9 +137,8 @@ pub mod prelude {
     };
     pub use recoil_core::codec::{Codec, CodecBuilder, Encoded, EncoderConfig};
     pub use recoil_core::{
-        combine_splits, metadata_from_bytes, metadata_to_bytes, plan_chunks, try_combine_splits,
-        ChunkPlan, IncrementalDecoder, PlannedChunk, RecoilContainer, RecoilError, RecoilMetadata,
-        SplitPlanner,
+        combine_splits, metadata_from_bytes, metadata_to_bytes, try_combine_splits,
+        IncrementalDecoder, RecoilContainer, RecoilError, RecoilMetadata, SplitPlanner,
     };
     pub use recoil_models::{
         CdfTable, GaussianScaleBank, Histogram, LatentModelProvider, LatentSpec, ModelProvider,

@@ -14,10 +14,10 @@
 //! bytes — header, the two series, a copy of each kept split's stored body,
 //! the CRC — into one allocation of the exact length. It reads no lane and
 //! touches no reference count, and what it builds is plain data: the
-//! bytes and the kept splits' word offsets. Client capacities are heavily
+//! bytes. Client capacities are heavily
 //! clustered in practice (a handful of device classes), so each published
 //! item carries a small LRU cache of the tiers it has actually served;
-//! evicting one is two frees, done after the cache lock is released.
+//! evicting one frees its bytes after the cache lock is released.
 //!
 //! The cache key is the **post-clamp** segment count — the tier actually
 //! served, not the capacity the client asked for. A request at or past the
@@ -31,37 +31,32 @@ use recoil_core::{metadata_from_bytes, RecoilMetadata};
 use std::sync::{Arc, OnceLock};
 
 /// One ready-to-serve metadata tier — one an item holds or a combined one
-/// from its cache: the wire bytes, shared by every response for this tier,
-/// and the word offsets of the splits they keep, which is all a transport
-/// plans the tier's chunks from.
+/// from its cache: the wire bytes, shared by every response for this tier.
 #[derive(Debug)]
 pub struct ShrunkTier {
     /// The tier's segment count (post-clamp: `min(requested, available)`).
     pub segments: u64,
     /// Serialized metadata, what goes on the wire.
     pub metadata_bytes: Vec<u8>,
-    /// The kept splits' word offsets, ascending (`segments - 1` of them).
-    pub split_offsets: Vec<u64>,
     /// The parsed tier, for in-process clients: the published metadata in
     /// a full tier, else parsed from `metadata_bytes` on first ask.
     metadata: OnceLock<RecoilMetadata>,
 }
 
 impl ShrunkTier {
-    /// The tier of `segments` from its bytes and kept offsets, as
+    /// The tier of `segments` from its bytes, as
     /// `recoil_core::WireSplits::tier` returns them.
-    pub(crate) fn new(segments: u64, (metadata_bytes, split_offsets): (Vec<u8>, Vec<u64>)) -> Self {
+    pub(crate) fn new(segments: u64, metadata_bytes: Vec<u8>) -> Self {
         Self {
             segments,
             metadata_bytes,
-            split_offsets,
             metadata: OnceLock::new(),
         }
     }
 
     /// An item's full tier: the published `metadata`, held parsed, and the
-    /// bytes and offsets written for it.
-    pub(crate) fn full(metadata: RecoilMetadata, wire: (Vec<u8>, Vec<u64>)) -> Self {
+    /// bytes written for it.
+    pub(crate) fn full(metadata: RecoilMetadata, wire: Vec<u8>) -> Self {
         let tier = Self::new(metadata.num_segments(), wire);
         Self {
             metadata: OnceLock::from(metadata),

@@ -36,12 +36,11 @@
 //!
 //! ## Shrunk-metadata caching and capacity tiers
 //!
-//! A tier is what decoders of one width are served: its wire bytes and the
-//! word offsets of the splits they keep, behind one `Arc` shared by every
-//! response (its parsed [`RecoilMetadata`] is built from the bytes only if
-//! an in-process caller asks). Its width is the **post-clamp segment
-//! count** — the tier actually served, not the capacity the client asked
-//! for. There are three kinds:
+//! A tier is what decoders of one width are served: its wire bytes, behind
+//! one `Arc` shared by every response (its parsed [`RecoilMetadata`] is
+//! built from the bytes only if an in-process caller asks). Its width is the
+//! **post-clamp segment count** — the tier actually served, not the
+//! capacity the client asked for. There are three kinds:
 //!
 //! * the **full tier**, at the item's encoded maximum, needs nothing
 //!   eliminated: it *is* the published metadata. Content encoded with 128

@@ -19,9 +19,10 @@ use std::sync::Arc;
 fn main() -> Result<(), RecoilError> {
     let data = recoil::data::exponential_bytes(4_000_000, 500.0, 7);
 
-    // --- Server side: bind an ephemeral loopback port. Chunks are cut at
-    //     split-aligned boundaries (64 KiB target), which is what lets the
-    //     streaming client below decode during the transfer. ---
+    // --- Server side: bind an ephemeral loopback port. Chunks are the
+    //     next 64 KiB of the bitstream each; the streaming client below
+    //     decodes during the transfer because the metadata says which word
+    //     each segment needs last, whatever chunk carries it. ---
     let server = NetServer::bind(
         Arc::new(ContentServer::new()),
         "127.0.0.1:0",

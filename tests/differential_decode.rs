@@ -11,7 +11,7 @@
 
 use recoil::prelude::*;
 use recoil::rans::{LaneStates, Span};
-use recoil_core::{plan_chunks, DecodeStats, IncrementalDecoder};
+use recoil_core::{DecodeStats, IncrementalDecoder};
 use std::ops::Range;
 
 /// SplitMix-style deterministic generator — the corpus is fully seeded.
@@ -156,37 +156,42 @@ fn every_backend_and_path_is_byte_identical() {
                 }
             }
 
-            // Streaming at the server's split-aligned chunk plan exactly.
-            let plan = plan_chunks(&meta, 8 * 1024);
-            plan.validate_against(&meta).unwrap();
+            // Streaming in the server's 8 KiB chunks exactly.
+            let mut bytes = Vec::new();
+            for w in &enc.container.stream.words {
+                bytes.extend_from_slice(&w.to_le_bytes());
+            }
             for (name, backend) in &backends {
-                let mut bytes = Vec::new();
-                for w in &enc.container.stream.words {
-                    bytes.extend_from_slice(&w.to_le_bytes());
-                }
-                let mut incr = IncrementalDecoder::with_plan(
+                let mut incr = IncrementalDecoder::new(
                     meta.clone(),
                     enc.container.stream.final_states.clone(),
                     enc.model.clone(),
-                    &plan,
                 )
                 .unwrap();
                 let mut out = vec![0u8; data.len()];
-                for c in &plan.chunks {
-                    incr.push_bytes(&bytes[c.words.start as usize * 2..c.words.end as usize * 2])
-                        .unwrap();
+                let mut have = 0u64;
+                for chunk in bytes.chunks(8 * 1024) {
+                    incr.push_bytes(chunk).unwrap();
+                    have += chunk.len() as u64 / 2;
                     incr.decode_ready_segments(backend.as_ref(), &mut out)
                         .unwrap();
-                    // The plan's promise: after chunk k, exactly its
-                    // cumulative segment count is decoded.
-                    assert_eq!(
-                        incr.decoded_segments(),
-                        c.segments.end,
-                        "plan-aligned {name}: {ctx}"
-                    );
+                    // The metadata's promise: after a chunk, exactly the
+                    // segments whose last word has arrived are decoded —
+                    // every interior one whose split offset lies below
+                    // `have`, and the final one with the last word.
+                    let ready = if have == meta.num_words {
+                        meta.num_segments()
+                    } else {
+                        meta.splits.iter().filter(|s| s.offset < have).count() as u64
+                    };
+                    assert_eq!(incr.decoded_segments(), ready, "chunked {name}: {ctx}");
                 }
-                assert!(incr.is_finished(), "plan-aligned {name}: {ctx}");
-                assert_eq!(out, data, "plan-aligned {name}: {ctx}");
+                // An empty stream arrives in no chunk: its one segment is
+                // decoded at the end of the transfer, as a client does.
+                incr.decode_ready_segments(backend.as_ref(), &mut out)
+                    .unwrap();
+                assert!(incr.is_finished(), "chunked {name}: {ctx}");
+                assert_eq!(out, data, "chunked {name}: {ctx}");
             }
         }
     }

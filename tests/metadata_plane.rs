@@ -6,13 +6,12 @@
 //!
 //! The same file holds the plane's cost-model contract: a combined tier
 //! *shares* the stored lane arrays rather than copying them, and a server's
-//! tier — bytes written from split bodies stored once ([`WireSplits`]),
-//! plus the kept offsets it plans chunks from — is the same bytes and the
-//! same chunk plan as combining, serializing and planning. The pins were
+//! tier — bytes written from split bodies stored once ([`WireSplits`]) — is
+//! the same bytes as combining and serializing. The pins were
 //! recorded against the serializer that wrote every tier afresh, so they
 //! hold the selection to that serializer's bytes too.
 
-use recoil::core::{crc32, metadata_wire_len, plan_chunks_into, WireSplits};
+use recoil::core::{crc32, metadata_wire_len, WireSplits};
 use recoil::prelude::*;
 
 const SEEDS: [u64; 2] = [3, 11];
@@ -242,31 +241,22 @@ fn every_width_round_trips_and_shares_the_stored_splits() {
 
 /// A tier written from the stored table is what combining and serializing
 /// give, at every width from one segment to one past the encoded maximum:
-/// the same bytes, parsing back to the combined metadata, and the kept
-/// splits' offsets, from which the server plans the chunks a client plans
-/// from the combined metadata. (That a combine shares the stored lane
-/// arrays is the test above.)
+/// the same bytes, parsing back to the combined metadata. (That a combine
+/// shares the stored lane arrays is the test above.)
 #[test]
 fn selected_tiers_are_the_combined_tiers_at_every_width() {
     for (ways, wide) in [(32, false), (4, true)] {
         let meta = encode(ways, wide, SEEDS[0]);
         let wire = WireSplits::of(&meta).unwrap();
-        let mut plan = plan_chunks(&meta, 1);
         for width in 1..=meta.num_segments() + 1 {
             let combined = try_combine_splits(&meta, width).unwrap();
-            let (bytes, offsets) = wire.tier(width).unwrap();
+            let bytes = wire.tier(width).unwrap();
             assert_eq!(bytes, metadata_to_bytes(&combined), "width {width}");
             assert_eq!(
                 metadata_from_bytes(&bytes).unwrap(),
                 combined,
                 "width {width}"
             );
-            let combined_offsets: Vec<u64> = combined.splits.iter().map(|s| s.offset).collect();
-            assert_eq!(offsets, combined_offsets, "width {width}");
-            for chunk_bytes in [1 << 10, 16 << 10] {
-                plan_chunks_into(&offsets, meta.num_words, chunk_bytes, &mut plan);
-                assert_eq!(plan, plan_chunks(&combined, chunk_bytes), "width {width}");
-            }
         }
     }
 }
