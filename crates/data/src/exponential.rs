@@ -6,19 +6,18 @@
 //! incompressible (≈ 6.3 bits/byte), λ = 500 concentrates almost all mass
 //! at zero (≈ 0.7 bits/byte) — matching Table 4's baseline sizes.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::Rng;
 
 /// Generates `len` exponentially distributed bytes for rate parameter
 /// `lambda`, deterministic in `seed`.
 pub fn exponential_bytes(len: usize, lambda: f64, seed: u64) -> Vec<u8> {
     assert!(lambda > 0.0);
     let mean = 256.0 / lambda;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     (0..len)
         .map(|_| {
             // Inverse-CDF sampling: -mean * ln(U), U in (0, 1].
-            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..=1.0);
+            let u = rng.range(f64::MIN_POSITIVE, 1.0);
             let v = -mean * u.ln();
             if v >= 255.0 {
                 255

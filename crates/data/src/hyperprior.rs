@@ -9,8 +9,7 @@
 //! decoder uses the identical per-position models — exactly the adaptive
 //! path that forces Recoil to store symbol indices in its metadata.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::Rng;
 use recoil_models::{GaussianScaleBank, LatentModelProvider, LatentSpec};
 use std::sync::Arc;
 
@@ -32,7 +31,7 @@ pub fn latent_dataset(
     sigma_typ: f64,
     seed: u64,
 ) -> LatentDataset {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mean_lo = bank.min_mean() as f64;
     let mean_hi = bank.max_mean() as f64;
     let mid = 0.5 * (mean_lo + mean_hi);
@@ -45,9 +44,9 @@ pub fn latent_dataset(
     let mut symbols = Vec::with_capacity(count);
 
     for _ in 0..count {
-        mean += rng.gen_range(-3.0..3.0);
+        mean += rng.range(-3.0, 3.0);
         mean = mean.clamp(mean_lo, mean_hi);
-        log_sigma += rng.gen_range(-0.05..0.05);
+        log_sigma += rng.range(-0.05, 0.05);
         // Keep scales within the bank's representable range.
         log_sigma = log_sigma.clamp((sigma_typ * 0.25).ln(), (sigma_typ * 4.0).ln());
         let sigma = log_sigma.exp();
@@ -57,7 +56,7 @@ pub fn latent_dataset(
         };
         specs.push(spec);
         // Box–Muller sample of N(mean, sigma).
-        let (u1, u2): (f64, f64) = (rng.gen_range(f64::MIN_POSITIVE..1.0), rng.gen());
+        let (u1, u2) = (rng.range(f64::MIN_POSITIVE, 1.0), rng.unit());
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         let raw = (spec.mean as f64 + z * sigma).round() as i64;
         symbols.push(raw);

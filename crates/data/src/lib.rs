@@ -7,6 +7,9 @@
 //! are generated exactly as described ("random exponentially distributed
 //! bytes"), and the div2k image latents are modelled as hyperprior-style
 //! Gaussian mixtures over 16-bit symbols.
+//!
+//! Every generator draws from one source, `rng::Rng`: xoshiro256++ seeded
+//! through splitmix64, so each dataset is a fixed function of its seed.
 
 // Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
 #![forbid(unsafe_code)]
@@ -14,6 +17,7 @@
 mod exponential;
 mod hyperprior;
 mod registry;
+mod rng;
 mod textlike;
 
 pub use exponential::exponential_bytes;

@@ -7,8 +7,7 @@
 //! over a ranked "English text + markup" alphabet whose exponent is solved
 //! numerically to hit the target entropy.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::Rng;
 
 /// Ranked alphabet approximating English prose + wiki markup: most frequent
 /// first. 96 symbols keeps the support realistic for byte text.
@@ -58,10 +57,10 @@ pub fn text_like_bytes(len: usize, target_bits: f64, seed: u64) -> Vec<u8> {
         acc += p;
         cdf.push(acc);
     }
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     (0..len)
         .map(|_| {
-            let u: f64 = rng.gen();
+            let u = rng.unit();
             let idx = cdf.partition_point(|&c| c < u).min(RANKED.len() - 1);
             RANKED[idx]
         })

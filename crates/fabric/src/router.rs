@@ -12,10 +12,9 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use recoil_core::backend::{ensure_available, AutoBackend, DecodeBackend};
 use recoil_core::{Codec, EncoderConfig, RecoilError};
 use recoil_net::{splitmix64, NetClient, NetClientConfig, PublishOk, StatsReply, WordStore};
@@ -239,7 +238,8 @@ impl FabricRouter {
     /// Current holders of `name`: the primary, then promoted replicas.
     pub fn holders(&self, name: &str) -> Vec<usize> {
         let mut holders = vec![self.primary(name)];
-        if let Some(extra) = self.promoted.lock().get(name) {
+        let promoted = self.promoted.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(extra) = promoted.get(name) {
             for &i in extra {
                 if !holders.contains(&i) {
                     holders.push(i);
@@ -289,6 +289,7 @@ impl FabricRouter {
                         // bytes really live so fetches route there.
                         self.promoted
                             .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
                             .entry(name.to_string())
                             .or_default()
                             .push(target);
@@ -400,7 +401,12 @@ impl FabricRouter {
         self.mark_health(serving, true);
         // Only a delivered fetch heats its name: one no node could serve
         // must not be promoted, nor grow `hits`.
-        *self.hits.lock().entry(name.to_string()).or_insert(0) += 1;
+        *self
+            .hits
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(name.to_string())
+            .or_insert(0) += 1;
         attempts.push(FetchAttempt::of(serving, from_word..total_words, true));
         Ok(FabricFetch {
             data: streamed.data,
@@ -426,7 +432,7 @@ impl FabricRouter {
             return 0;
         }
         let hot: Vec<String> = {
-            let hits = self.hits.lock();
+            let hits = self.hits.lock().unwrap_or_else(PoisonError::into_inner);
             let mut by_heat: Vec<(&String, u64)> = hits
                 .iter()
                 .filter(|&(_, &count)| count >= self.config.promote_min_hits)
@@ -454,6 +460,7 @@ impl FabricRouter {
                 }
                 self.promoted
                     .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
                     .entry(name.clone())
                     .or_default()
                     .push(target);

@@ -12,7 +12,7 @@ use crate::proto::{
     ContentRequest, Hello, PublishOk, PublishRequest, ResumeRequest, StatsReply, TelemetryReply,
     TransmitHeader,
 };
-use parking_lot::Mutex;
+use crate::unpoisoned;
 use recoil_core::backend::{
     ensure_available, preferred_segments, AutoBackend, DecodeBackend, DecodeModel, DecodeRequest,
 };
@@ -26,7 +26,7 @@ use recoil_telemetry::{Stage, Telemetry, TelemetryLevel};
 use std::borrow::BorrowMut;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Idle connections kept for reuse; overflow is closed on check-in.
@@ -235,18 +235,18 @@ struct Kept {
 impl WordStore {
     /// Words the store can hold without growing.
     pub fn capacity(&self) -> usize {
-        self.0.lock().words.capacity()
+        unpoisoned(self.0.lock()).words.capacity()
     }
 
     /// The store, leaving an empty one behind for a concurrent fetch.
     fn take(&self) -> Vec<u16> {
-        std::mem::take(&mut self.0.lock().words)
+        std::mem::take(&mut unpoisoned(self.0.lock()).words)
     }
 
     /// Trims `words` to the largest stream received so far, and keeps it
     /// if it is larger than what the store holds now.
     fn put_back(&self, mut words: Vec<u16>) {
-        let mut kept = self.0.lock();
+        let mut kept = unpoisoned(self.0.lock());
         kept.largest = kept.largest.max(words.len());
         words.shrink_to(kept.largest);
         if words.capacity() > kept.words.capacity() {
@@ -396,14 +396,14 @@ impl NetClient {
     }
 
     fn checkout(&self) -> Result<(TcpStream, bool), RecoilError> {
-        if let Some(conn) = self.pool.lock().pop() {
+        if let Some(conn) = unpoisoned(self.pool.lock()).pop() {
             return Ok((conn, true));
         }
         Ok((self.dial()?, false))
     }
 
     fn checkin(&self, conn: TcpStream) {
-        let mut pool = self.pool.lock();
+        let mut pool = unpoisoned(self.pool.lock());
         if pool.len() < MAX_POOL {
             pool.push(conn);
         }
@@ -411,7 +411,7 @@ impl NetClient {
 
     /// Idle connections currently pooled.
     pub fn pooled_connections(&self) -> usize {
-        self.pool.lock().len()
+        unpoisoned(self.pool.lock()).len()
     }
 
     /// Runs `op` on a pooled (or fresh) connection under the retry policy.

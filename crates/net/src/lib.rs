@@ -243,6 +243,8 @@
 // Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
 #![forbid(unsafe_code)]
 
+use std::sync::{LockResult, PoisonError};
+
 mod client;
 mod fault;
 mod frame;
@@ -261,6 +263,13 @@ pub use proto::{
 };
 pub use recoil_reactor::SlabStats;
 pub use server::{NetConfig, NetServer, NetServerHandle, BUSY_RETRY_AFTER_MS};
+
+/// The guard or value of a lock, whether or not a panic poisoned it: every
+/// critical section in this crate leaves its data valid at each point it
+/// can unwind, so one panicking caller does not fail every later one.
+fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
 
 // Framing internals the integration tests poke at (sending deliberately
 // malformed frames requires the raw read/write entry points).

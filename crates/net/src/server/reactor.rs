@@ -65,7 +65,7 @@ use crate::proto::{
     self, ContentRequest, Hello, PublishOk, PublishRequest, ResumeRequest, StatsReply,
     TelemetryReply,
 };
-use parking_lot::{Condvar, Mutex};
+use crate::unpoisoned;
 use recoil_core::{read_container, RecoilError};
 use recoil_rans::append_words_le;
 use recoil_reactor::{DeadlineQueue, Poller, Slab, SlabStats, Token, WakePipe};
@@ -77,7 +77,7 @@ use std::mem;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Reserved token for the listening socket.
@@ -162,7 +162,7 @@ impl Shared {
             buf,
             end,
         };
-        let mut jobs = self.jobs.lock();
+        let mut jobs = unpoisoned(self.jobs.lock());
         jobs.push_back(job);
         let depth = jobs.len() as u64;
         self.queue_len.store(depth, Ordering::Relaxed);
@@ -1070,7 +1070,7 @@ impl EventLoop {
         // after the take but before the drain still leaves a byte behind,
         // whereas the reverse order would lose its wakeup.
         self.wake.drain();
-        let completions = mem::take(&mut *self.shared.completions.lock());
+        let completions = mem::take(&mut *unpoisoned(self.shared.completions.lock()));
         for completion in completions {
             self.in_flight -= 1;
             self.apply_completion(completion);
@@ -1239,7 +1239,7 @@ impl EventLoop {
 /// loop. Exits only when the handle closes the queue *after* joining the
 /// event loop, so no job is ever stranded.
 fn dispatch_worker(shared: &Shared) {
-    let mut jobs = shared.jobs.lock();
+    let mut jobs = unpoisoned(shared.jobs.lock());
     loop {
         if let Some(job) = jobs.pop_front() {
             shared.queue_len.store(jobs.len() as u64, Ordering::Relaxed);
@@ -1251,13 +1251,13 @@ fn dispatch_worker(shared: &Shared) {
                 tel.trace(Stage::DispatchRun, job.token.0, wait);
             }
             let completion = run_job(shared, job);
-            shared.completions.lock().push(completion);
+            unpoisoned(shared.completions.lock()).push(completion);
             shared.waker.wake();
-            jobs = shared.jobs.lock();
+            jobs = unpoisoned(shared.jobs.lock());
         } else if shared.jobs_closed.load(Ordering::Acquire) {
             return;
         } else {
-            shared.jobs_cv.wait(&mut jobs);
+            jobs = unpoisoned(shared.jobs_cv.wait(jobs));
         }
     }
 }
@@ -1449,7 +1449,7 @@ impl ReactorHandle {
         {
             // Lock-then-notify: a worker between its queue check and its
             // wait would otherwise sleep through the notification.
-            let _guard = self.shared.jobs.lock();
+            let _guard = unpoisoned(self.shared.jobs.lock());
         }
         self.shared.jobs_cv.notify_all();
         for t in self.dispatch_threads.drain(..) {

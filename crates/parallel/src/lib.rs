@@ -20,7 +20,7 @@ mod pool;
 
 pub use pool::ThreadPool;
 
-use parking_lot::Mutex;
+use std::sync::{LockResult, Mutex, PoisonError};
 
 /// The thread split every segment/partition decoder shares: runs
 /// `f(t, &mut out[bounds[t]..bounds[t + 1]])` for each of the
@@ -65,11 +65,18 @@ where
     let first_error: Mutex<Option<E>> = Mutex::new(None);
     pool.run(tasks, |t| {
         // Uncontended: task `t` is the only one that ever locks slot `t`.
-        if let Err(e) = f(t, &mut slices[t].lock()) {
-            first_error.lock().get_or_insert(e);
+        if let Err(e) = f(t, &mut unpoisoned(slices[t].lock())) {
+            unpoisoned(first_error.lock()).get_or_insert(e);
         }
     });
-    first_error.into_inner().map_or(Ok(()), Err)
+    unpoisoned(first_error.into_inner()).map_or(Ok(()), Err)
+}
+
+/// The guard or value of a lock, whether or not a panic poisoned it: every
+/// critical section in this crate leaves its data valid at each point it
+/// can unwind, so a panic that reaches a caller does not wedge the pool.
+fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Groups the `bounds.len() - 1` tasks of a [`for_each_disjoint`] table
@@ -152,6 +159,35 @@ mod tests {
                 }
             });
         }
+    }
+
+    #[test]
+    fn a_panicking_task_reaches_the_caller_and_the_next_split_writes_every_slot() {
+        let pool = ThreadPool::new(3);
+        let bounds: Vec<u64> = (0..=8).map(|t| t * 2).collect();
+        let mut out = [0u8; 16];
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {})); // silence the backtrace spam
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // The panic unwinds out of task 5 while it holds slot 5's lock,
+            // and out of `run` while the caller holds the pool's run lock.
+            for_each_disjoint(Some(&pool), &mut out, &bounds, |t, _| -> Result<(), ()> {
+                assert_ne!(t, 5, "task failed");
+                Ok(())
+            })
+        }));
+        std::panic::set_hook(prev);
+        let payload = caught.expect_err("the task's panic reaches the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(msg.contains("task failed"), "{msg}");
+        let res: Result<(), ()> = for_each_disjoint(Some(&pool), &mut out, &bounds, |t, seg| {
+            seg.fill(t as u8 + 1);
+            Ok(())
+        });
+        assert_eq!(res, Ok(()));
+        assert_eq!(out, [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The persistent worker pool.
 
-use parking_lot::{Condvar, Mutex};
+use crate::unpoisoned;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 /// A captured panic payload from a job closure.
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
@@ -123,7 +123,7 @@ impl ThreadPool {
             }
             return;
         }
-        let _serialize = self.run_lock.lock();
+        let _serialize = unpoisoned(self.run_lock.lock());
         let f_ref: &(dyn Fn(usize) + Sync) = &f;
         // SAFETY: the job pointer is only used by workers between this
         // publication and the `active == 0` handshake below, which `run`
@@ -138,7 +138,7 @@ impl ThreadPool {
         };
         let job = Job { f: f_static, tasks };
         {
-            let mut st = self.shared.state.lock();
+            let mut st = unpoisoned(self.shared.state.lock());
             debug_assert!(st.job.is_none() && st.active == 0);
             debug_assert!(st.panic.is_none());
             self.shared.next.store(0, Ordering::Relaxed);
@@ -150,10 +150,8 @@ impl ThreadPool {
         // The caller claims indices like any worker.
         drive(&self.shared, f_ref, tasks);
         // Wait for every worker to leave the epoch before dropping `f`.
-        let mut st = self.shared.state.lock();
-        while st.active > 0 {
-            self.shared.done_cv.wait(&mut st);
-        }
+        let st = unpoisoned(self.shared.state.lock());
+        let mut st = unpoisoned(self.shared.done_cv.wait_while(st, |st| st.active > 0));
         st.job = None;
         let panic = st.panic.take();
         drop(st);
@@ -178,7 +176,7 @@ fn drive(shared: &Shared, f: &(dyn Fn(usize) + Sync), tasks: usize) {
         }
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i))) {
             shared.next.store(tasks, Ordering::Relaxed);
-            let mut st = shared.state.lock();
+            let mut st = unpoisoned(shared.state.lock());
             if st.panic.is_none() {
                 st.panic = Some(payload);
             }
@@ -190,7 +188,7 @@ fn drive(shared: &Shared, f: &(dyn Fn(usize) + Sync), tasks: usize) {
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         {
-            let mut st = self.shared.state.lock();
+            let mut st = unpoisoned(self.shared.state.lock());
             st.shutdown = true;
             self.shared.work_cv.notify_all();
         }
@@ -204,17 +202,14 @@ fn worker_loop(shared: Arc<Shared>) {
     let mut seen_epoch = 0u64;
     loop {
         let job = {
-            let mut st = shared.state.lock();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.epoch != seen_epoch {
-                    seen_epoch = st.epoch;
-                    break st.job.expect("epoch advanced without a job");
-                }
-                shared.work_cv.wait(&mut st);
+            let idle = |st: &mut State| !st.shutdown && st.epoch == seen_epoch;
+            let st = unpoisoned(shared.state.lock());
+            let st = unpoisoned(shared.work_cv.wait_while(st, idle));
+            if st.shutdown {
+                return;
             }
+            seen_epoch = st.epoch;
+            st.job.expect("epoch advanced without a job")
         };
         // SAFETY: see `ThreadPool::run` — the closure outlives this epoch.
         let f = unsafe { &*job.f };
@@ -222,7 +217,7 @@ fn worker_loop(shared: Arc<Shared>) {
         // worker unwinding past it would leave `active` stuck above zero
         // and `run` waiting on `done_cv` forever.
         drive(&shared, f, job.tasks);
-        let mut st = shared.state.lock();
+        let mut st = unpoisoned(shared.state.lock());
         st.active -= 1;
         if st.active == 0 {
             shared.done_cv.notify_all();

@@ -26,9 +26,9 @@
 //! reaches this cache.
 
 use crate::stats::{bump, StatsCounters};
-use parking_lot::Mutex;
+use crate::unpoisoned;
 use recoil_core::{metadata_from_bytes, RecoilMetadata};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// One ready-to-serve metadata tier — one an item holds or a combined one
 /// from its cache: the wire bytes, shared by every response for this tier.
@@ -116,7 +116,7 @@ impl<T: Tier> TierCache<T> {
 
     /// Looks up `segments`, promoting the entry to most-recently-used.
     pub fn get(&self, segments: u64) -> Option<Arc<T>> {
-        let mut tiers = self.tiers.lock();
+        let mut tiers = unpoisoned(self.tiers.lock());
         let idx = tiers.iter().position(|(t, _)| *t == segments)?;
         // Promote: rotate the hit to the front, preserving relative order
         // of everything in between.
@@ -138,7 +138,7 @@ impl<T: Tier> TierCache<T> {
     pub fn insert(&self, tier: Arc<T>, stats: &StatsCounters) -> Arc<T> {
         let segments = tier.segments();
         let evicted = {
-            let mut tiers = self.tiers.lock();
+            let mut tiers = unpoisoned(self.tiers.lock());
             if let Some(idx) = tiers.iter().position(|(t, _)| *t == segments) {
                 tiers[..=idx].rotate_right(1);
                 return Arc::clone(&tiers[0].1);
@@ -159,7 +159,7 @@ impl<T: Tier> TierCache<T> {
     /// Number of currently cached tiers.
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        self.tiers.lock().len()
+        unpoisoned(self.tiers.lock()).len()
     }
 }
 
@@ -234,7 +234,7 @@ mod tests {
         fn drop(&mut self) {
             // (`None` only for the entry the cache itself drops last.)
             if let Some(cache) = self.cache.upgrade() {
-                if cache.tiers.try_lock().is_some() {
+                if cache.tiers.try_lock().is_ok() {
                     self.dropped_unlocked.fetch_add(1, Ordering::Relaxed);
                 }
             }

@@ -71,6 +71,8 @@
 // Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
 #![forbid(unsafe_code)]
 
+use std::sync::{LockResult, PoisonError};
+
 mod cache;
 mod client;
 mod server;
@@ -80,3 +82,10 @@ pub use cache::ShrunkTier;
 pub use client::Client;
 pub use server::{ContentServer, ServerConfig, StoredContent, Transmission};
 pub use stats::ServerStats;
+
+/// The guard or value of a lock, whether or not a panic poisoned it: every
+/// critical section in this crate leaves its data valid at each point it
+/// can unwind, so one panicking caller does not fail every later one.
+fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}

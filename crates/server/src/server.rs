@@ -2,7 +2,7 @@
 
 use crate::cache::{ShrunkTier, TierCache};
 use crate::stats::{add, bump, ServerStats, StatsCounters};
-use parking_lot::{Mutex, RwLock};
+use crate::unpoisoned;
 use recoil_core::codec::{Codec, EncoderConfig};
 use recoil_core::{
     model_block, words_crc32, RecoilContainer, RecoilError, RecoilMetadata, WireSplits,
@@ -12,7 +12,7 @@ use recoil_rans::EncodedStream;
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// One published content item: the Large-variation artifact.
@@ -125,7 +125,7 @@ struct InflightGuard<'a> {
 
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
-        self.set.lock().remove(self.name);
+        unpoisoned(self.set.lock()).remove(self.name);
     }
 }
 
@@ -261,8 +261,8 @@ impl ContentServer {
             name: name.to_string(),
         };
         let _inflight = {
-            let mut publishing = self.publishing.lock();
-            if self.shard(name).read().contains_key(name) || publishing.contains(name) {
+            let mut publishing = unpoisoned(self.publishing.lock());
+            if unpoisoned(self.shard(name).read()).contains_key(name) || publishing.contains(name) {
                 return Err(taken());
             }
             publishing.insert(name.to_string());
@@ -288,7 +288,7 @@ impl ContentServer {
             cache: TierCache::new(self.tier_cache_capacity),
             payload_crc,
         });
-        match self.shard(name).write().entry(name.to_string()) {
+        match unpoisoned(self.shard(name).write()).entry(name.to_string()) {
             // Unreachable while every insert goes through the in-flight
             // claim above; kept as a cheap belt-and-braces re-check.
             Entry::Occupied(_) => Err(taken()),
@@ -303,22 +303,22 @@ impl ContentServer {
     /// Removes published content, returning whether it existed. In-flight
     /// responses keep their `Arc`s; the bitstream outlives the unpublish.
     pub fn unpublish(&self, name: &str) -> bool {
-        self.shard(name).write().remove(name).is_some()
+        unpoisoned(self.shard(name).write()).remove(name).is_some()
     }
 
     /// Published item lookup.
     pub fn get(&self, name: &str) -> Option<Arc<StoredContent>> {
-        self.shard(name).read().get(name).cloned()
+        unpoisoned(self.shard(name).read()).get(name).cloned()
     }
 
     /// Number of published items across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| unpoisoned(s.read()).len()).sum()
     }
 
     /// Whether nothing is published.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
+        self.shards.iter().all(|s| unpoisoned(s.read()).is_empty())
     }
 
     /// Snapshot of the serving counters (cache hits/misses/evictions,
@@ -706,6 +706,30 @@ mod tests {
         assert!(server.publish("x", &data, &bad).is_err());
         server.publish("x", &data, &config(8)).unwrap();
         assert!(server.get("x").is_some());
+    }
+
+    #[test]
+    fn a_panic_under_a_store_lock_fails_no_later_call() {
+        let data = sample(20_000);
+        let server = small_server();
+        server.publish("x", &data, &config(8)).unwrap();
+        // Poison x's shard and the in-flight set, as a panic inside either
+        // critical section would.
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _shard = server.shard("x").write();
+                let _claims = server.publishing.lock();
+                panic!("poison the store's locks");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(server.shard("x").is_poisoned() && server.publishing.is_poisoned());
+        assert_eq!(server.request("x", 4).unwrap().metadata().num_segments(), 4);
+        assert!(server.publish("x", &data, &config(8)).is_err());
+        server.publish("y", &data, &config(8)).unwrap();
+        assert_eq!(server.len(), 2);
+        assert!(server.unpublish("x"));
+        assert!(server.get("x").is_none() && server.get("y").is_some());
     }
 
     #[test]
