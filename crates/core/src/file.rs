@@ -27,7 +27,7 @@ use crate::metadata::RecoilMetadata;
 use crate::wire::{metadata_from_bytes, metadata_to_bytes};
 use crate::RecoilContainer;
 use recoil_models::{CdfTable, StaticModelProvider};
-use recoil_rans::{append_words_le, extend_words_from_le, EncodedStream};
+use recoil_rans::{append_words_le, land_words_le, EncodedStream};
 
 const MAGIC: &[u8; 4] = b"RCLF";
 /// The format: one item section, then the words.
@@ -247,10 +247,11 @@ pub fn read_container(
     if word_bytes.len() as u64 != metadata.num_words.saturating_mul(2) {
         return Err(RecoilError::wire("word bytes disagree with the word count"));
     }
-    check_words_crc(crc32(word_bytes), item.words_crc)?;
     let mut words = Vec::new();
-    let dangling = extend_words_from_le(&mut words, None, word_bytes);
-    debug_assert!(dangling.is_none(), "an even byte count was checked");
+    land_words_le(&mut words, word_bytes.len() / 2, |dst| {
+        dst.copy_from_slice(word_bytes);
+        check_words_crc(crc32(dst), item.words_crc)
+    })?;
     let stream = EncodedStream {
         words,
         final_states: item.final_states,

@@ -19,7 +19,7 @@
 //! let codec = Codec::builder().max_segments(16).build().unwrap();
 //! let enc = codec.encode(&data).unwrap();
 //!
-//! // Stream the bitstream bytes in arbitrary slices.
+//! // Stream the bitstream bytes in slices of whole words.
 //! let mut bytes = Vec::new();
 //! recoil_rans::append_words_le(&mut bytes, &enc.container.stream.words);
 //! let mut incr = IncrementalDecoder::new(
@@ -29,7 +29,7 @@
 //! )
 //! .unwrap();
 //! let mut out = vec![0u8; data.len()];
-//! for piece in bytes.chunks(4097) {
+//! for piece in bytes.chunks(4096) {
 //!     incr.push_bytes(piece).unwrap();
 //!     incr.decode_ready_segments(&ScalarBackend, &mut out).unwrap();
 //! }
@@ -43,14 +43,14 @@ use crate::decoder::DecodeStats;
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
 use recoil_models::{ModelProvider, StaticModelProvider};
-use recoil_rans::{extend_words_from_le, EncodedStream, RansError};
+use recoil_rans::{land_words_le, EncodedStream, RansError};
 use std::ops::Range;
 
 /// Streaming segment decoder over split metadata (see the module docs).
 ///
 /// The decoder owns a growing word buffer shaped like the final
-/// [`EncodedStream`]; [`IncrementalDecoder::push_bytes`] appends arriving
-/// bytes (handling odd-length slices), and
+/// [`EncodedStream`]; arriving words land in it
+/// ([`IncrementalDecoder::land_words`]), and
 /// [`IncrementalDecoder::decode_ready_segments`] decodes every
 /// newly-resident segment through a [`DecodeBackend`]. Segments become
 /// ready strictly in order, so the decoded region of the output buffer is
@@ -61,8 +61,6 @@ pub struct IncrementalDecoder {
     metadata: RecoilMetadata,
     model: StaticModelProvider,
     bounds: Vec<u64>,
-    /// Odd trailing byte of the previous push, waiting for its partner.
-    carry: Option<u8>,
     /// Segments already decoded (a prefix of `0..num_segments`).
     decoded: u64,
     /// What the backend reported for those segments, summed.
@@ -148,7 +146,6 @@ impl IncrementalDecoder {
             metadata,
             model,
             bounds,
-            carry: None,
             decoded: 0,
             stats: DecodeStats::default(),
         })
@@ -166,14 +163,9 @@ impl IncrementalDecoder {
         &self.metadata
     }
 
-    /// Total bitstream bytes the stream declares (2 per word).
-    pub fn bytes_expected(&self) -> u64 {
-        self.metadata.num_words * 2
-    }
-
     /// Bitstream bytes received so far.
     pub fn bytes_received(&self) -> u64 {
-        self.stream.words.len() as u64 * 2 + self.carry.is_some() as u64
+        self.stream.words.len() as u64 * 2
     }
 
     /// Payload size of the stream as received so far, counted the way
@@ -184,7 +176,7 @@ impl IncrementalDecoder {
 
     /// True once the complete bitstream has arrived.
     pub fn is_complete(&self) -> bool {
-        self.stream.words.len() as u64 == self.metadata.num_words && self.carry.is_none()
+        self.stream.words.len() as u64 == self.metadata.num_words
     }
 
     /// Total number of segments in the metadata.
@@ -226,19 +218,37 @@ impl IncrementalDecoder {
         self.bounds[self.ready_segments() as usize] as usize
     }
 
-    /// Appends arriving bitstream bytes (any length, including odd slices;
-    /// the dangling byte is held until its partner arrives). Bytes beyond
-    /// the declared stream size are rejected with [`RecoilError::Decode`].
+    /// Appends arriving bitstream bytes, two little-endian bytes a word
+    /// ([`IncrementalDecoder::land_words`]). An odd-length slice ends
+    /// mid-word and is rejected with [`RecoilError::Decode`].
     pub fn push_bytes(&mut self, bytes: &[u8]) -> Result<(), RecoilError> {
-        if self.bytes_received() + bytes.len() as u64 > self.bytes_expected() {
-            return Err(RecoilError::Decode(RansError::MalformedStream(format!(
-                "stream overrun: {} bytes pushed into a {}-byte bitstream",
-                self.bytes_received() + bytes.len() as u64,
-                self.bytes_expected()
-            ))));
+        if !bytes.len().is_multiple_of(2) {
+            let odd = format!("a {}-byte slice ends mid-word", bytes.len());
+            return Err(RecoilError::Decode(RansError::MalformedStream(odd)));
         }
-        self.carry = extend_words_from_le(&mut self.stream.words, self.carry, bytes);
-        Ok(())
+        self.land_words(bytes.len() / 2, |dst| {
+            dst.copy_from_slice(bytes);
+            Ok(())
+        })
+    }
+
+    /// Lands `n` received words whose bytes `fill` writes in place
+    /// ([`land_words_le`]). Words past the declared stream are rejected with
+    /// [`RecoilError::Decode`] before `fill` runs.
+    pub fn land_words<E: From<RecoilError>>(
+        &mut self,
+        n: usize,
+        fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let words = self.stream.words.len() as u64 + n as u64;
+        if words > self.metadata.num_words {
+            return Err(RecoilError::Decode(RansError::MalformedStream(format!(
+                "stream overrun: {words} words pushed into a {}-word bitstream",
+                self.metadata.num_words
+            )))
+            .into());
+        }
+        land_words_le(&mut self.stream.words, n, fill)
     }
 
     /// Decodes every segment that became resident since the last call,
@@ -319,10 +329,9 @@ mod tests {
         let data = sample(120_000, 1);
         let enc = encode(&data, 16);
         let bytes = stream_bytes(&enc);
-        // Each pattern is a cycle of slice lengths. `[1, 65_535]` parks the
-        // carry byte in front of every bulk copy and leaves a fresh one
-        // behind it; `[2]` and `[65_536]` never carry.
-        let whole = [bytes.len().max(1)];
+        // Each pattern is a cycle of slice lengths in words. `[1, 65_535]`
+        // puts a lone word in front of every bulk copy.
+        let whole = [(bytes.len() / 2).max(1)];
         let patterns: [&[usize]; 8] = [
             &[1],
             &[2],
@@ -342,7 +351,7 @@ mod tests {
                 if rest.is_empty() {
                     break;
                 }
-                let (chunk, tail) = rest.split_at(piece.min(rest.len()));
+                let (chunk, tail) = rest.split_at((2 * piece).min(rest.len()));
                 rest = tail;
                 incr.push_bytes(chunk).unwrap();
                 let r = incr
@@ -356,6 +365,17 @@ mod tests {
             assert!(incr.is_complete() && incr.is_finished());
             assert_eq!(out, data, "pieces {pattern:?}");
         }
+
+        // A slice that ends mid-word is refused and lands nothing.
+        let mut incr = incr_for(&enc, &enc.container.metadata);
+        incr.push_bytes(&bytes[..4]).unwrap();
+        assert!(matches!(
+            incr.push_bytes(&bytes[4..7]),
+            Err(RecoilError::Decode(_))
+        ));
+        assert_eq!(incr.bytes_received(), 4);
+        incr.push_bytes(&bytes[4..]).unwrap();
+        assert!(incr.is_complete());
     }
 
     #[test]
@@ -366,17 +386,17 @@ mod tests {
         let mut incr = incr_for(&enc, meta);
         assert_eq!(incr.ready_segments(), 0);
         let bytes = stream_bytes(&enc);
-        // One byte short of the first split's words: nothing ready.
+        // One word short of the first split's words: nothing ready.
         let first_need = (meta.splits[0].offset as usize + 1) * 2;
-        incr.push_bytes(&bytes[..first_need - 1]).unwrap();
+        incr.push_bytes(&bytes[..first_need - 2]).unwrap();
         assert_eq!(incr.ready_segments(), 0);
-        incr.push_bytes(&bytes[first_need - 1..first_need]).unwrap();
+        incr.push_bytes(&bytes[first_need - 2..first_need]).unwrap();
         assert_eq!(incr.ready_segments(), 1);
-        // Everything but the last byte: all interior segments, not the final.
-        incr.push_bytes(&bytes[first_need..bytes.len() - 1])
+        // Everything but the last word: all interior segments, not the final.
+        incr.push_bytes(&bytes[first_need..bytes.len() - 2])
             .unwrap();
         assert_eq!(incr.ready_segments(), meta.num_segments() - 1);
-        incr.push_bytes(&bytes[bytes.len() - 1..]).unwrap();
+        incr.push_bytes(&bytes[bytes.len() - 2..]).unwrap();
         assert_eq!(incr.ready_segments(), meta.num_segments());
     }
 
@@ -420,7 +440,10 @@ mod tests {
         let bytes = stream_bytes(&enc);
         let mut incr = incr_for(&enc, &enc.container.metadata);
         incr.push_bytes(&bytes).unwrap();
-        assert!(matches!(incr.push_bytes(&[0]), Err(RecoilError::Decode(_))));
+        assert!(matches!(
+            incr.push_bytes(&[0, 0]),
+            Err(RecoilError::Decode(_))
+        ));
     }
 
     #[test]
@@ -487,9 +510,9 @@ mod tests {
         };
         let mut incr = incr_for(&enc, &declared);
         assert!(incr.stream.words.capacity() <= MAX_RESERVED_WORDS);
-        // Well past the up-front reservation, in odd slices so the carry
-        // path grows the store too.
-        let piece = vec![0x5Au8; 65_535];
+        // Well past the up-front reservation, in slices of an odd number
+        // of words, so the store never grows by a power of two.
+        let piece = vec![0x5Au8; 65_534];
         let mut pushed = 0usize;
         while pushed < 6 * MAX_RESERVED_WORDS {
             incr.push_bytes(&piece).unwrap();

@@ -4,10 +4,10 @@
 
 use crate::fault::splitmix64;
 use crate::frame::{
-    decode_error, io_err, read_header, read_payload, write_frame, FrameType, HeaderOutcome,
-    MAX_FRAME_LEN,
+    decode_error, io_err, read_exact_patient, read_header, read_payload, write_frame, FrameType,
+    HeaderOutcome, MAX_FRAME_LEN,
 };
-use crate::integrity::PayloadCheck;
+use crate::integrity::{PayloadCheck, CHUNK_SEQ_BYTES};
 use crate::proto::{
     ContentRequest, Hello, PublishOk, PublishRequest, ResumeRequest, StatsReply, TelemetryReply,
     TransmitHeader,
@@ -21,7 +21,7 @@ use recoil_core::{
     RecoilMetadata, MAX_RESERVED_WORDS,
 };
 use recoil_models::StaticModelProvider;
-use recoil_rans::{extend_words_from_le, EncodedStream};
+use recoil_rans::{land_words_le, EncodedStream};
 use recoil_telemetry::{Stage, Telemetry, TelemetryLevel};
 use std::borrow::BorrowMut;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -191,8 +191,10 @@ pub struct StreamedFetch {
     /// Transfer size: bitstream payload plus metadata, as the paper counts
     /// it (the model is excluded, §5.2).
     pub total_bytes: u64,
-    /// CHUNK frames the first node announced, `ceil(word bytes /`
-    /// [`crate::NetConfig::chunk_bytes`]`)`; a failover does not change it.
+    /// CHUNK frames the first node announced: `ceil(word bytes / body
+    /// bytes)`, where a body is [`crate::NetConfig::chunk_bytes`] clamped
+    /// and rounded down to whole words (so `5` counts 4-byte bodies). A
+    /// failover does not change it.
     pub chunk_count: u32,
     /// Batches dispatched to the backend: one whenever `preferred`
     /// ([`preferred_segments`]) undecoded segments are resident, one for
@@ -685,7 +687,6 @@ impl NetClient {
             model,
             metadata,
             check,
-            frame: Vec::new(),
         })
     }
 
@@ -737,8 +738,6 @@ pub struct FetchSession<C = TcpStream> {
     /// The item section's metadata, for the requested capacity.
     pub metadata: RecoilMetadata,
     check: PayloadCheck,
-    /// The one buffer every CHUNK frame is received into.
-    frame: Vec<u8>,
 }
 
 impl FetchSession {
@@ -786,65 +785,79 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
     /// Receives the next CHUNK body (4-byte sequence prefix stripped),
     /// checked against the transfer so far; the body that completes the
     /// stream is returned only if the whole stream verifies. Call until
-    /// [`FetchSession::remaining_chunks`] is zero. The body is a copy the
-    /// caller keeps: the session's own drains ([`NetClient::request`],
-    /// [`FetchSession::decode_streaming`]) consume it in place instead.
+    /// [`FetchSession::remaining_chunks`] is zero. The body is a buffer the
+    /// caller keeps: the session's own drains read bodies straight into
+    /// their word store instead.
     pub fn next_chunk(&mut self) -> Result<Vec<u8>, RecoilError> {
-        self.recv_chunk()?;
-        self.check.accept(&self.frame).map(<[u8]>::to_vec)
+        let words = self.admit_chunk().map_err(Miss::into_inner)?;
+        let mut body = vec![0; 2 * words];
+        self.fill_body(&mut body).map_err(Miss::into_inner)?;
+        Ok(body)
     }
 
-    /// Reads the next CHUNK frame off the wire into the session's recycled
-    /// buffer. This fails with the *connection*, never with the stream:
-    /// nothing has been accepted yet. The frame's header is held to a bound
-    /// before the buffer grows for it — a CHUNK to what the transfer still
-    /// owes, an ERROR to [`MAX_MIDSTREAM_ERROR_LEN`] — so a header alone
-    /// cannot make the client reserve more than the stream it was promised;
-    /// a header that claims more leaves the connection desynchronized, like
-    /// any other failure here.
-    fn recv_chunk(&mut self) -> Result<(), RecoilError> {
+    /// Reads the next CHUNK's header and sequence prefix, and returns the
+    /// words of the body (still on the wire) the payload check admitted.
+    /// The header is held to a bound before anything grows for it — a CHUNK
+    /// to what the transfer still owes, an ERROR to
+    /// [`MAX_MIDSTREAM_ERROR_LEN`] — so a header alone cannot make the
+    /// client reserve more than the stream it was promised.
+    fn admit_chunk(&mut self) -> Result<usize, Miss> {
         let conn = self.conn.borrow_mut();
-        match await_header_on(conn, self.response_timeout).map_err(OpError::into_inner)? {
-            (FrameType::Chunk, len) => {
+        let (ty, len) = await_header_on(conn, self.response_timeout).map_err(Miss::Connection)?;
+        let refuse = |detail: String| Miss::Connection(RecoilError::net(detail));
+        match ty {
+            FrameType::Chunk => {
                 let owed = self.check.max_frame_len();
-                if len > owed {
-                    return Err(RecoilError::net(format!(
-                        "chunk frame of {len} bytes announced where the transfer owes at most {owed}"
+                if !(CHUNK_SEQ_BYTES..=owed).contains(&len) {
+                    return Err(refuse(format!(
+                        "chunk frame of {len} bytes announced where the transfer owes at most \
+                         {owed} (a {CHUNK_SEQ_BYTES}-byte sequence number first)"
                     )));
                 }
-                read_payload(conn, len, &mut self.frame)
+                let mut seq = [0; CHUNK_SEQ_BYTES];
+                read_exact_patient(conn, &mut seq).map_err(Miss::Connection)?;
+                Ok(self
+                    .check
+                    .admit(u32::from_le_bytes(seq), len - CHUNK_SEQ_BYTES)?)
             }
-            (FrameType::Error, len) => {
-                if len > MAX_MIDSTREAM_ERROR_LEN {
-                    return Err(RecoilError::net(format!(
-                        "error frame of {len} bytes announced mid-transfer, where at most \
-                         {MAX_MIDSTREAM_ERROR_LEN} are read"
-                    )));
-                }
-                read_payload(conn, len, &mut self.frame)?;
-                Err(decode_error(&self.frame))
+            FrameType::Error if len > MAX_MIDSTREAM_ERROR_LEN => Err(refuse(format!(
+                "error frame of {len} bytes announced mid-transfer, where at most \
+                 {MAX_MIDSTREAM_ERROR_LEN} are read"
+            ))),
+            FrameType::Error => {
+                let payload = read_payload(conn, len).map_err(Miss::Connection)?;
+                Err(Miss::Connection(decode_error(&payload)))
             }
-            (ty, _) => Err(RecoilError::net(format!("expected CHUNK, got {ty:?}"))),
+            ty => Err(refuse(format!("expected CHUNK, got {ty:?}"))),
         }
     }
 
-    /// Receives every CHUNK the transfer still owes and hands each checked
-    /// body to `sink` where it lies, in the session's recycled buffer: the
-    /// one receive loop every drain runs. A failed *connection* goes to
-    /// `recover` (see [`FetchSession::decode_streaming`]); a body that fails
-    /// the payload check ends the loop with the check's error, and so does
-    /// an error of `sink`'s.
+    /// Reads the admitted body into `body`, where it lands, and commits it.
+    fn fill_body(&mut self, body: &mut [u8]) -> Result<(), Miss> {
+        read_exact_patient(self.conn.borrow_mut(), body).map_err(Miss::Connection)?;
+        Ok(self.check.commit(body)?)
+    }
+
+    /// Receives every CHUNK the transfer still owes: the one receive loop
+    /// every drain runs. `land` gets each admitted body's word count and
+    /// the fill to land them with ([`land_words_le`]), and may act on them.
+    /// A failed *connection* goes to `recover` (see
+    /// [`FetchSession::decode_streaming`]); a body that fails the payload
+    /// check ends the loop with the check's error, and so does `land`'s.
     fn receive(
         &mut self,
         recover: &mut impl FnMut(&mut Self, RecoilError) -> Result<(), RecoilError>,
-        mut sink: impl FnMut(&[u8]) -> Result<(), RecoilError>,
+        mut land: impl FnMut(usize, &mut dyn FnMut(&mut [u8]) -> Result<(), Miss>) -> Result<(), Miss>,
     ) -> Result<(), RecoilError> {
         while self.remaining_chunks() > 0 {
-            if let Err(err) = self.recv_chunk() {
-                recover(self, err)?;
-                continue;
+            let landed = self
+                .admit_chunk()
+                .and_then(|words| land(words, &mut |body| self.fill_body(body)));
+            match landed {
+                Ok(()) => {}
+                Err(Miss::Connection(err)) => recover(self, err)?,
+                Err(Miss::Stream(err)) => return Err(err),
             }
-            sink(self.check.accept(&self.frame)?)?;
         }
         Ok(())
     }
@@ -856,11 +869,8 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
         // whatever `word_bytes` claims.
         let reserve = usize::try_from(self.header.word_bytes / 2).unwrap_or(usize::MAX);
         let mut words = Vec::with_capacity(reserve.min(MAX_RESERVED_WORDS));
-        // A chunk body may end mid-word; its last byte waits here.
-        let mut carry = None;
-        self.receive(&mut |_, err| Err(err), |body| {
-            carry = extend_words_from_le(&mut words, carry, body);
-            Ok(())
+        self.receive(&mut |_, err| Err(err), |n, fill| {
+            land_words_le(&mut words, n, fill)
         })?;
         let header = self.header;
         let stream = EncodedStream {
@@ -888,11 +898,11 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
     /// [`WordStore`]), which is put back after the decode, whether or not
     /// it succeeded.
     ///
-    /// One thread does it all, the caller's: it receives each CHUNK into
-    /// the session's one recycled buffer, runs the payload check on it
-    /// where it lies, appends it to the word store, and then applies the
-    /// dispatch rule. While a batch decodes on the backend's pool, the
-    /// socket's receive buffer holds what the server goes on sending.
+    /// One thread does it all, the caller's: it reads each CHUNK body
+    /// straight into the word store, checks it where it landed, and then
+    /// applies the dispatch rule. While a batch decodes on the backend's
+    /// pool, the socket's receive buffer holds what the server goes on
+    /// sending.
     ///
     /// The backend takes **whole batches**: [`preferred_segments`]
     /// undecoded segments (threads × kernel depth — the spans it decodes
@@ -979,13 +989,13 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
             }
             Ok::<(), RecoilError>(())
         };
-        self.receive(recover, |body| {
-            incr.push_bytes(body)?;
+        self.receive(recover, |n, fill| {
+            incr.land_words(n, fill)?;
             // The last body's batch goes out after the transfer's time.
             if incr.is_complete() {
                 return Ok(());
             }
-            dispatch(incr, &mut data)
+            Ok(dispatch(incr, &mut data)?)
         })?;
         let transfer_nanos = since();
         // The rest, an empty stream's one segment included.
@@ -1020,28 +1030,42 @@ impl<C> std::fmt::Debug for FetchSession<C> {
     }
 }
 
+/// Why a CHUNK did not land.
+enum Miss {
+    /// The connection failed: the transfer may resume on another node.
+    Connection(RecoilError),
+    /// The stream failed (the payload check, or the receiver): final.
+    Stream(RecoilError),
+}
+
+impl Miss {
+    fn into_inner(self) -> RecoilError {
+        let (Self::Connection(e) | Self::Stream(e)) = self;
+        e
+    }
+}
+
+impl From<RecoilError> for Miss {
+    fn from(e: RecoilError) -> Self {
+        Self::Stream(e)
+    }
+}
+
 /// Blocks until a frame header arrives (bounded by `response_timeout`); the
 /// payload is still on the wire, for the caller to bound and place.
 fn await_header_on(
     conn: &mut TcpStream,
     response_timeout: Duration,
-) -> Result<(FrameType, usize), OpError> {
+) -> Result<(FrameType, usize), RecoilError> {
     let start = Instant::now();
     loop {
-        match read_header(conn).map_err(OpError::Transport)? {
+        match read_header(conn)? {
             HeaderOutcome::Header(ty, len) => return Ok((ty, len)),
-            HeaderOutcome::Eof => {
-                return Err(OpError::Transport(RecoilError::net(
-                    "server closed the connection",
-                )))
+            HeaderOutcome::Eof => return Err(RecoilError::net("server closed the connection")),
+            HeaderOutcome::Idle if start.elapsed() > response_timeout => {
+                return Err(RecoilError::net("timed out waiting for server response"))
             }
-            HeaderOutcome::Idle => {
-                if start.elapsed() > response_timeout {
-                    return Err(OpError::Transport(RecoilError::net(
-                        "timed out waiting for server response",
-                    )));
-                }
-            }
+            HeaderOutcome::Idle => {}
         }
     }
 }
@@ -1053,9 +1077,8 @@ fn await_frame_on(
     conn: &mut TcpStream,
     response_timeout: Duration,
 ) -> Result<(FrameType, Vec<u8>), OpError> {
-    let (ty, len) = await_header_on(conn, response_timeout)?;
-    let mut payload = Vec::new();
-    read_payload(conn, len, &mut payload).map_err(OpError::Transport)?;
+    let (ty, len) = await_header_on(conn, response_timeout).map_err(OpError::Transport)?;
+    let payload = read_payload(conn, len).map_err(OpError::Transport)?;
     if ty == FrameType::Error {
         return Err(OpError::Remote(decode_error(&payload)));
     }

@@ -131,7 +131,7 @@ pub fn io_err(context: &str, e: std::io::Error) -> RecoilError {
 
 /// Fills `buf`, retrying bounded-many read timeouts (the frame has started,
 /// so the bytes are owed; a peer that stalls forever is an error).
-fn read_exact_patient(r: &mut impl Read, buf: &mut [u8]) -> Result<(), RecoilError> {
+pub(crate) fn read_exact_patient(r: &mut impl Read, buf: &mut [u8]) -> Result<(), RecoilError> {
     let mut filled = 0;
     let mut stalls = 0;
     while let Some(rest) = buf.get_mut(filled..).filter(|rest| !rest.is_empty()) {
@@ -204,30 +204,20 @@ pub(crate) fn read_header(r: &mut impl Read) -> Result<HeaderOutcome, RecoilErro
     Ok(HeaderOutcome::Header(ty, len))
 }
 
-/// Reads a `len`-byte payload into `buf`, replacing its contents. `buf` is
-/// the caller's to recycle: a frame shorter than the last one truncates it,
-/// a longer one zero-fills only the growth, and every byte of `buf` is then
-/// overwritten from the wire — nothing of an earlier frame survives. `len`
-/// must come from a header `parse_header` (and the caller's own bound, if it
-/// has a tighter one) accepted.
-pub(crate) fn read_payload(
-    r: &mut impl Read,
-    len: usize,
-    buf: &mut Vec<u8>,
-) -> Result<(), RecoilError> {
-    buf.resize(len, 0);
-    read_exact_patient(r, buf)
+/// Reads a `len`-byte payload into a buffer of its own. `len` must come
+/// from a header `parse_header` (and the caller's own bound, if it has a
+/// tighter one) accepted.
+pub(crate) fn read_payload(r: &mut impl Read, len: usize) -> Result<Vec<u8>, RecoilError> {
+    let mut payload = vec![0; len];
+    read_exact_patient(r, &mut payload)?;
+    Ok(payload)
 }
 
 /// Reads one frame into a buffer of its own: [`read_header`], then
 /// `read_payload`.
 pub fn read_frame(r: &mut impl Read) -> Result<ReadOutcome, RecoilError> {
     Ok(match read_header(r)? {
-        HeaderOutcome::Header(ty, len) => {
-            let mut payload = Vec::new();
-            read_payload(r, len, &mut payload)?;
-            ReadOutcome::Frame(ty, payload)
-        }
+        HeaderOutcome::Header(ty, len) => ReadOutcome::Frame(ty, read_payload(r, len)?),
         HeaderOutcome::Eof => ReadOutcome::Eof,
         HeaderOutcome::Idle => ReadOutcome::Idle,
     })
@@ -671,16 +661,13 @@ mod tests {
     }
 
     #[test]
-    fn a_recycled_payload_buffer_is_exactly_the_frame() {
-        let mut buf = vec![0xEE; 100];
-        read_payload(&mut &b"0123456789"[..], 10, &mut buf).unwrap();
-        assert_eq!(buf, b"0123456789");
-        read_payload(&mut &[7u8; 300][..], 300, &mut buf).unwrap();
-        assert_eq!(buf, [7u8; 300]);
-        read_payload(&mut &[][..], 0, &mut buf).unwrap();
-        assert!(buf.is_empty());
+    fn a_payload_is_exactly_the_frame() {
+        let payload = read_payload(&mut &b"0123456789 and the next frame"[..], 10).unwrap();
+        assert_eq!(payload, b"0123456789");
+        assert_eq!(read_payload(&mut &[7u8; 300][..], 300).unwrap(), [7u8; 300]);
+        assert!(read_payload(&mut &[][..], 0).unwrap().is_empty());
         // A payload that never fully arrives is the connection's failure.
-        assert!(read_payload(&mut &[1u8, 2][..], 3, &mut buf).is_err());
+        assert!(read_payload(&mut &[1u8, 2][..], 3).is_err());
     }
 
     #[test]

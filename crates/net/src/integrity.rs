@@ -4,24 +4,25 @@
 //! A TRANSMIT header declares the word stream (`word_bytes` from its
 //! metadata, `payload_crc` from its item section's words CRC) and how many
 //! CHUNK frames carry it on this connection; the rule is that those frames
-//! arrive in sequence, never carry more than was declared, end exactly at
-//! the declared size, and reassemble to the declared CRC-32 (judged by
-//! [`recoil_core::check_words_crc`], as a container's words are) — and that
-//! when a transfer continues on another node (RESUME at the word offset
-//! already held), the new node's header declares the same stream, or the
-//! two are not spliced.
+//! arrive in sequence in whole words, never carry more than was declared,
+//! end exactly at the declared size, and reassemble to the declared CRC-32
+//! (judged by [`recoil_core::check_words_crc`], as a container's words are)
+//! — and that when a transfer continues on another node (RESUME at the word
+//! offset already held), the new node's header declares the same stream, or
+//! the two are not spliced.
 //!
 //! [`PayloadCheck`] is that rule and nothing else: no socket, no clock, no
-//! decoder. CHUNK payloads and TRANSMIT headers go in; verified bodies and
-//! the resume offset come out. [`crate::FetchSession`] owns one for the
-//! life of a transfer, across every connection it uses, so every fetch —
-//! buffered, streaming, or failed over — passes the same check.
+//! decoder. CHUNK sequence numbers and lengths go in before a body is read,
+//! the bodies where they landed after, and TRANSMIT headers; the resume
+//! offset comes out. [`crate::FetchSession`] owns one for the life of a
+//! transfer, across every connection it uses, so every fetch — buffered,
+//! streaming, or failed over — passes the same check.
 
 use crate::proto::TransmitHeader;
 use recoil_core::{check_words_crc, update_crc32, RecoilError};
 
 /// Bytes of the sequence number in front of every CHUNK body.
-const CHUNK_SEQ_BYTES: usize = 4;
+pub(crate) const CHUNK_SEQ_BYTES: usize = 4;
 
 /// Running state of the integrity rule for one transfer.
 #[derive(Debug)]
@@ -68,35 +69,40 @@ impl PayloadCheck {
         self.verify_if_drained()
     }
 
-    /// Takes one CHUNK frame payload (`[seq: u32 LE][body]`), borrowed from
-    /// whatever buffer the frame was received into, and returns the body —
-    /// the same bytes, past the prefix. A frame out of sequence or over the
-    /// declared size is rejected, and the last frame the header announced
-    /// also has to close the stream; a rejection leaves the state untouched.
-    pub(crate) fn accept<'a>(&mut self, payload: &'a [u8]) -> Result<&'a [u8], RecoilError> {
-        let Some((seq, body)) = payload.split_first_chunk::<CHUNK_SEQ_BYTES>() else {
-            return Err(RecoilError::net("chunk frame too short"));
-        };
-        let seq = u32::from_le_bytes(*seq);
+    /// Judges a CHUNK on its sequence number and body length, before the
+    /// body is read, and returns its words. Out of sequence, mid-word (every
+    /// CHUNK is whole words) and over the declared size are refused.
+    pub(crate) fn admit(&self, seq: u32, body_len: usize) -> Result<usize, RecoilError> {
         if self.next_seq >= self.chunk_count || seq != self.next_seq {
             return Err(RecoilError::net(format!(
                 "chunk sequence mismatch: expected {} of {}, got {seq}",
                 self.next_seq, self.chunk_count
             )));
         }
-        let received = self.received + body.len() as u64;
-        if received > self.word_bytes {
+        if !body_len.is_multiple_of(2) {
+            return Err(RecoilError::net(format!(
+                "chunk body of {body_len} bytes ends mid-word"
+            )));
+        }
+        if self.received + body_len as u64 > self.word_bytes {
             return Err(RecoilError::net("chunked payload overruns declared size"));
         }
+        Ok(body_len / 2)
+    }
+
+    /// Takes the body [`PayloadCheck::admit`] just judged, where it landed;
+    /// the header's last frame must close the stream at the declared size
+    /// and CRC. A refusal leaves the state untouched.
+    pub(crate) fn commit(&mut self, body: &[u8]) -> Result<(), RecoilError> {
         let accepted = Self {
-            received,
+            received: self.received + body.len() as u64,
             crc_state: update_crc32(self.crc_state, body),
             next_seq: self.next_seq + 1,
             ..*self
         };
         accepted.verify_if_drained()?;
         *self = accepted;
-        Ok(body)
+        Ok(())
     }
 
     /// The longest CHUNK payload the rule could still accept: the sequence
@@ -142,7 +148,7 @@ mod tests {
     use crate::frame::PayloadWriter;
     use recoil_core::codec::Codec;
     use recoil_core::{crc32, metadata_to_bytes, model_block, write_item_section};
-    use recoil_rans::{append_words_le, extend_words_from_le};
+    use recoil_rans::{append_words_le, land_words_le};
 
     /// A real encode cut the way the server cuts it: the TRANSMIT header
     /// and the CHUNK bodies of an 8-segment, 1 KiB-chunk transmission.
@@ -201,21 +207,31 @@ mod tests {
         payload
     }
 
-    /// Feeds `bodies` as frames 0.. of the current response, collecting words.
-    /// Every frame lands in the same buffer, as a receiver recycles one.
+    /// The rule over one CHUNK frame payload (`[seq: u32 LE][body]`), in a
+    /// receiver's order: admitted on its prefix and length, then committed
+    /// on its body.
+    fn accept(check: &mut PayloadCheck, payload: &[u8]) -> Result<(), RecoilError> {
+        let (seq, body) = payload
+            .split_first_chunk::<CHUNK_SEQ_BYTES>()
+            .expect("a test frame holds its prefix");
+        check.admit(u32::from_le_bytes(*seq), body.len())?;
+        check.commit(body)
+    }
+
+    /// Feeds `bodies` as frames 0.. of the current response, landing each
+    /// in `words` as a receiver does: admitted, read into the store, and
+    /// committed where it landed.
     fn feed(
         check: &mut PayloadCheck,
         bodies: &[Vec<u8>],
         words: &mut Vec<u16>,
-        carry: &mut Option<u8>,
     ) -> Result<(), RecoilError> {
-        let mut recycled = Vec::new();
         for (seq, body) in bodies.iter().enumerate() {
-            recycled.clear();
-            recycled.extend_from_slice(&frame(seq as u32, body));
-            let accepted = check.accept(&recycled)?;
-            assert_eq!(accepted, &body[..], "the body is the frame past its prefix");
-            *carry = extend_words_from_le(words, *carry, accepted);
+            let n = check.admit(seq as u32, body.len())?;
+            land_words_le(words, n, |dst| {
+                dst.copy_from_slice(body);
+                check.commit(dst)
+            })?;
         }
         Ok(())
     }
@@ -224,7 +240,7 @@ mod tests {
     /// checked that the refusal changed nothing.
     fn refused(check: &mut PayloadCheck, payload: &[u8]) -> String {
         let before = format!("{check:?}");
-        let err = check.accept(payload).unwrap_err();
+        let err = accept(check, payload).unwrap_err();
         assert_eq!(
             format!("{check:?}"),
             before,
@@ -247,10 +263,10 @@ mod tests {
     fn resume_at_every_chunk_boundary_reaches_the_same_verified_words() {
         let cut = cut();
         for at in 0..=cut.bodies.len() {
-            let (mut words, mut carry) = (Vec::new(), None);
+            let mut words = Vec::new();
             let mut check = PayloadCheck::begin(&cut.header).unwrap();
             // The first "node" dies after `at` chunks…
-            feed(&mut check, &cut.bodies[..at], &mut words, &mut carry).unwrap();
+            feed(&mut check, &cut.bodies[..at], &mut words).unwrap();
             if at < cut.bodies.len() {
                 assert!(check.remaining_chunks() > 0, "cut {at}: not complete yet");
                 // …and the second serves the rest, renumbered from zero.
@@ -260,10 +276,10 @@ mod tests {
                     ..cut.header.clone()
                 };
                 check.resume(&resumed).unwrap();
-                feed(&mut check, &cut.bodies[at..], &mut words, &mut carry).unwrap();
+                feed(&mut check, &cut.bodies[at..], &mut words).unwrap();
             }
             assert_eq!(check.remaining_chunks(), 0, "cut {at}");
-            assert_eq!((words, carry), (cut.words.clone(), None), "cut {at}");
+            assert_eq!(words, cut.words, "cut {at}");
         }
     }
 
@@ -272,8 +288,7 @@ mod tests {
         let cut = cut();
         let mut check = PayloadCheck::begin(&cut.header).unwrap();
         let last = cut.bodies.len() - 1;
-        let (mut words, mut carry) = (Vec::new(), None);
-        feed(&mut check, &cut.bodies[..last], &mut words, &mut carry).unwrap();
+        feed(&mut check, &cut.bodies[..last], &mut Vec::new()).unwrap();
         // A node that claims there is nothing left to send is caught short.
         let empty = TransmitHeader {
             chunk_count: 0,
@@ -299,32 +314,30 @@ mod tests {
     fn sequence_and_size_violations_are_typed_errors() {
         let cut = cut();
         let n = cut.bodies.len();
-        let (mut words, mut carry) = (Vec::new(), None);
+        let mut words = Vec::new();
 
         // A skipped sequence number — and the state is untouched by it.
         let mut check = PayloadCheck::begin(&cut.header).unwrap();
         assert!(refused(&mut check, &frame(1, &cut.bodies[1])).contains("sequence"));
-        assert!(refused(&mut check, &[0, 0]).contains("too short"));
-        feed(&mut check, &cut.bodies, &mut words, &mut carry).unwrap();
+        feed(&mut check, &cut.bodies, &mut words).unwrap();
         assert_eq!(words, cut.words);
         // Nothing is accepted past the announced plan.
         assert!(refused(&mut check, &frame(n as u32, &[])).contains("sequence"));
 
-        // One byte over: the last body grew.
+        // One word over: the last body grew.
         let mut check = PayloadCheck::begin(&cut.header).unwrap();
-        feed(&mut check, &cut.bodies[..n - 1], &mut words, &mut carry).unwrap();
+        feed(&mut check, &cut.bodies[..n - 1], &mut words).unwrap();
         let mut over = cut.bodies[n - 1].clone();
-        over.push(0);
+        over.extend_from_slice(&[0, 0]);
         assert!(refused(&mut check, &frame(n as u32 - 1, &over)).contains("overruns"));
 
-        // One byte short: the last body shrank.
+        // One word short: the last body shrank.
         let mut check = PayloadCheck::begin(&cut.header).unwrap();
-        feed(&mut check, &cut.bodies[..n - 1], &mut words, &mut carry).unwrap();
-        let short = &cut.bodies[n - 1][..cut.bodies[n - 1].len() - 1];
+        feed(&mut check, &cut.bodies[..n - 1], &mut words).unwrap();
+        let short = &cut.bodies[n - 1][..cut.bodies[n - 1].len() - 2];
         assert!(refused(&mut check, &frame(n as u32 - 1, short)).contains("short"));
         // Refused, not consumed: the honest last body still closes the stream.
-        let last = frame(n as u32 - 1, &cut.bodies[n - 1]);
-        assert_eq!(check.accept(&last).unwrap(), &cut.bodies[n - 1][..]);
+        accept(&mut check, &frame(n as u32 - 1, &cut.bodies[n - 1])).unwrap();
         assert_eq!(check.remaining_chunks(), 0);
     }
 
@@ -336,56 +349,64 @@ mod tests {
             let mut bodies = cut.bodies.clone();
             bodies[which][byte] ^= 0x40;
             let mut check = PayloadCheck::begin(&cut.header).unwrap();
-            let (mut words, mut carry) = (Vec::new(), None);
+            let mut words = Vec::new();
             // Every frame but the last is accepted; the last one closes
             // the stream and carries the verdict.
-            feed(&mut check, &bodies[..n - 1], &mut words, &mut carry).unwrap();
-            let verdict = refused(&mut check, &frame(n as u32 - 1, &bodies[n - 1]));
-            assert!(verdict.contains("checksum"), "body {which}");
+            feed(&mut check, &bodies[..n - 1], &mut words).unwrap();
+            let (held, last) = (words.len(), &bodies[n - 1]);
+            let owed = check.admit(n as u32 - 1, last.len()).unwrap();
+            let verdict = land_words_le(&mut words, owed, |dst| {
+                dst.copy_from_slice(last);
+                check.commit(dst)
+            });
+            assert!(
+                detail(verdict.unwrap_err()).contains("checksum"),
+                "body {which}"
+            );
+            assert_eq!(words.len(), held, "the refused body left the store");
+            assert_eq!(check.words_received(), held as u64);
             assert!(
                 check.remaining_chunks() > 0,
                 "an unverified stream is not done"
             );
+            let verdict = refused(&mut check, &frame(n as u32 - 1, &bodies[n - 1]));
+            assert!(verdict.contains("checksum"), "body {which}");
         }
     }
 
     #[test]
-    fn odd_length_bodies_reassemble_through_the_carry() {
+    fn a_body_that_ends_mid_word_is_refused() {
         let cut = cut();
         let payload = cut.bodies.concat();
-        // Same bytes, cut mid-word twice.
-        let bodies = vec![
-            payload[..101].to_vec(),
-            payload[101..158].to_vec(),
-            payload[158..].to_vec(),
-        ];
         let header = TransmitHeader {
             chunk_count: 3,
             ..cut.header.clone()
         };
+        // The same bytes cut mid-word: refused on the length alone, first
+        // or later in the stream, and the state is untouched.
         let mut check = PayloadCheck::begin(&header).unwrap();
-        let (mut words, mut carry) = (Vec::new(), None);
-        feed(&mut check, &bodies, &mut words, &mut carry).unwrap();
-        assert_eq!((words, carry), (cut.words.clone(), None));
-
-        // A resume from mid-word re-sends the split word's first byte
-        // (offsets are whole words): the checksum catches the splice.
-        let mut check = PayloadCheck::begin(&header).unwrap();
-        check.accept(&frame(0, &bodies[0])).unwrap();
+        assert!(refused(&mut check, &frame(0, &payload[..101])).contains("mid-word"));
+        accept(&mut check, &frame(0, &payload[..100])).unwrap();
+        assert!(refused(&mut check, &frame(1, &payload[100..157])).contains("mid-word"));
         assert_eq!(check.words_received(), 50);
+        // Cut at whole words, the rest reassembles and verifies.
+        let mut words = cut.words[..50].to_vec();
+        let rest = [payload[100..158].to_vec(), payload[158..].to_vec()];
         let resumed = TransmitHeader {
-            chunk_count: 1,
-            ..header.clone()
+            chunk_count: 2,
+            ..header
         };
         check.resume(&resumed).unwrap();
-        assert!(refused(&mut check, &frame(0, &payload[100..])).contains("overruns"));
+        feed(&mut check, &rest, &mut words).unwrap();
+        assert_eq!(check.remaining_chunks(), 0);
+        assert_eq!(words, cut.words);
     }
 
     #[test]
     fn a_second_header_that_disagrees_is_refused() {
         let cut = cut();
         let mut check = PayloadCheck::begin(&cut.header).unwrap();
-        check.accept(&frame(0, &cut.bodies[0])).unwrap();
+        accept(&mut check, &frame(0, &cut.bodies[0])).unwrap();
         let held = check.words_received();
         for evil in [
             TransmitHeader {
@@ -406,20 +427,21 @@ mod tests {
             ..cut.header.clone()
         };
         check.resume(&agreeing).unwrap();
-        let (mut words, mut carry) = (Vec::new(), None);
-        feed(&mut check, &cut.bodies[1..], &mut words, &mut carry).unwrap();
+        let mut words = Vec::new();
+        feed(&mut check, &cut.bodies[1..], &mut words).unwrap();
         assert_eq!(held + words.len() as u64, cut.words.len() as u64);
     }
 
-    /// The receive path end to end without a socket: three CHUNK frames
-    /// read off one byte stream into one recycled buffer, each checked
-    /// where it lies. The short middle frame follows a 64 KiB one, so any
-    /// byte of the earlier frame left in the buffer would reach the body
-    /// (caught by the comparison) and the whole-stream CRC (caught by the
-    /// last `accept`).
+    /// The receive path end to end without a socket: CHUNK frames read off
+    /// one byte stream, each body judged on its prefix and length, read
+    /// straight into one word store and committed where it landed. A short
+    /// frame follows a 64 KiB one; the stream is then cut mid-body, and the
+    /// torn body leaves the store at the words received.
     #[test]
-    fn one_recycled_buffer_carries_long_short_long_frames() {
-        use crate::frame::{read_header, read_payload, write_frame, FrameType, HeaderOutcome};
+    fn bodies_land_in_the_word_store_off_one_byte_stream() {
+        use crate::frame::{
+            read_exact_patient, read_header, write_frame, FrameType, HeaderOutcome,
+        };
         let bodies: Vec<Vec<u8>> = [(64 << 10) - 4, 10 - 4, (64 << 10) - 4]
             .iter()
             .enumerate()
@@ -436,34 +458,49 @@ mod tests {
             write_frame(&mut wire, FrameType::Chunk, &frame(seq as u32, body)).unwrap();
         }
 
-        let mut check = PayloadCheck::begin(&header).unwrap();
-        let mut reader = &wire[..];
-        let mut recycled = Vec::new();
-        let mut high_water = 0;
-        for body in &bodies {
-            let HeaderOutcome::Header(FrameType::Chunk, len) = read_header(&mut reader).unwrap()
-            else {
-                panic!("expected a CHUNK header");
-            };
-            assert!(
-                len <= check.max_frame_len(),
-                "an honest frame fits what is owed"
-            );
-            read_payload(&mut reader, len, &mut recycled).unwrap();
-            assert_eq!(recycled.len(), len, "the buffer is exactly the frame");
-            assert_eq!(check.accept(&recycled).unwrap(), &body[..]);
-            high_water = recycled.capacity().max(high_water);
+        for torn in [false, true] {
+            let mut check = PayloadCheck::begin(&header).unwrap();
+            let mut reader = &wire[..wire.len() - if torn { 1000 } else { 0 }];
+            let mut words = Vec::new();
+            let mut landed = Vec::new();
+            for body in &bodies {
+                let HeaderOutcome::Header(FrameType::Chunk, len) =
+                    read_header(&mut reader).unwrap()
+                else {
+                    panic!("expected a CHUNK header");
+                };
+                assert!(
+                    len <= check.max_frame_len(),
+                    "an honest frame fits what is owed"
+                );
+                let mut seq = [0; CHUNK_SEQ_BYTES];
+                read_exact_patient(&mut reader, &mut seq).unwrap();
+                let n = check
+                    .admit(u32::from_le_bytes(seq), len - CHUNK_SEQ_BYTES)
+                    .unwrap();
+                let got = land_words_le(&mut words, n, |dst| {
+                    read_exact_patient(&mut reader, dst)?;
+                    check.commit(dst)
+                });
+                if got.is_err() {
+                    assert!(torn, "{got:?}");
+                    break;
+                }
+                landed.clear();
+                append_words_le(&mut landed, &words[words.len() - n..]);
+                assert_eq!(landed, *body, "the store holds the body's words");
+            }
+            assert_eq!(words.len() as u64, check.words_received(), "torn={torn}");
+            if torn {
+                assert_eq!(check.remaining_chunks(), 1);
+            } else {
+                assert_eq!(check.remaining_chunks(), 0, "verified");
+                assert!(matches!(
+                    read_header(&mut reader).unwrap(),
+                    HeaderOutcome::Eof
+                ));
+            }
         }
-        assert_eq!(check.remaining_chunks(), 0, "verified");
-        assert_eq!(
-            recycled.capacity(),
-            high_water,
-            "the third frame reused the first one's room"
-        );
-        assert!(matches!(
-            read_header(&mut reader).unwrap(),
-            HeaderOutcome::Eof
-        ));
     }
 
     #[test]
@@ -472,7 +509,7 @@ mod tests {
         let mut check = PayloadCheck::begin(&cut.header).unwrap();
         let total = cut.header.word_bytes as usize;
         assert_eq!(check.max_frame_len(), CHUNK_SEQ_BYTES + total);
-        check.accept(&frame(0, &cut.bodies[0])).unwrap();
+        accept(&mut check, &frame(0, &cut.bodies[0])).unwrap();
         assert_eq!(
             check.max_frame_len(),
             CHUNK_SEQ_BYTES + total - cut.bodies[0].len()

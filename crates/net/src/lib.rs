@@ -27,7 +27,7 @@
 //! | `PUBLISH_OK` (0x03) | S→C | planned segments, bitstream bytes | [`PublishOk::encode`] → [`PublishOk::decode`] |
 //! | `REQUEST` (0x04) | C→S | name, client's `parallel_segments` | [`ContentRequest::encode`] → `ContentRequest::<&str>::decode` |
 //! | `TRANSMIT` (0x05) | S→C | segments, cache hit, combine time, the served tier's item section, chunk count | `proto::write_transmit_header` (in place, from bytes the stored item holds) → [`TransmitHeader::decode`] ([`recoil_core::item_from_bytes`]) |
-//! | `CHUNK` (0x06) | S→C | sequence number + one bitstream slice | the reactor's `fill_chunks` → `integrity.rs` (`PayloadCheck::accept`) |
+//! | `CHUNK` (0x06) | S→C | sequence number + the next whole words of the bitstream | the reactor's `fill_chunks` → `integrity.rs` (`PayloadCheck::admit`, then `commit` on the landed body) |
 //! | `TELEMETRY` (0x09) | C→S | *(empty)* | — |
 //! | `TELEMETRY_REPLY` (0x0A) | S→C | level byte, named counters, gauges and stage histograms (every [`StatsReply`] value among them) + drained stage-trace events | [`TelemetryReply::encode`] → [`TelemetryReply::decode`] |
 //! | `RESUME` (0x0B) | C→S | name, `parallel_segments`, `from_word` | [`ResumeRequest::encode`] → `ResumeRequest::<&str>::decode` |
@@ -83,13 +83,14 @@
 //!
 //! ## Streaming decode
 //!
-//! A CHUNK is the next [`NetConfig::chunk_bytes`] of the bitstream, cut
-//! without regard to segments: the served metadata says when segment *m* is
+//! A CHUNK is the next [`NetConfig::chunk_bytes`] of the bitstream, rounded
+//! down to whole words and cut without regard to segments: the served metadata says when segment *m* is
 //! resident — once the words up to `splits[m].offset` arrived, whatever
 //! carried them ([`recoil_core::IncrementalDecoder::ready_segments`]).
-//! [`FetchSession::decode_streaming`] exploits that: arriving chunks are
-//! received into one recycled buffer, checked where they lie, and fed to a
-//! [`recoil_core::IncrementalDecoder`], which hands the given backend
+//! [`FetchSession::decode_streaming`] exploits that: each arriving body is
+//! read straight into the word store of a
+//! [`recoil_core::IncrementalDecoder`] and checked where it landed, and the
+//! decoder hands the given backend
 //! **whole batches** — [`recoil_core::backend::preferred_segments`] newly
 //! resident segments at a time, threads × kernel depth — while later
 //! chunks are still on the wire. One thread does it, the caller's: it

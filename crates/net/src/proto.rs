@@ -173,8 +173,8 @@ pub struct ResumeRequest<N = String> {
     /// The client's parallel capacity — must match the original request so
     /// the replica serves the identical metadata tier.
     pub parallel_segments: u64,
-    /// Complete words already received (a dangling carry byte is dropped by
-    /// the client and re-sent by the replica).
+    /// Words already received: every CHUNK body is whole words, so the
+    /// replica continues at a word.
     pub from_word: u64,
 }
 

@@ -47,8 +47,10 @@ pub struct NetConfig {
     pub read_timeout: Duration,
     /// Progress deadline while a response is being written.
     pub write_timeout: Duration,
-    /// Bitstream bytes per [`crate::FrameType::Chunk`] frame, exactly (in
-    /// whole words, within one frame); only a response's last is shorter.
+    /// Bitstream bytes per [`crate::FrameType::Chunk`] body: clamped to
+    /// `[2, MAX_FRAME_LEN − 4]` (one word, and what one frame carries past
+    /// its sequence number) and rounded down to whole words, so `5` sends
+    /// 4-byte bodies. Every body but a response's last is that long.
     pub chunk_bytes: usize,
     /// How much the pipeline observes itself. `Off` (the default) reduces
     /// every instrument to one branch on the hot path; `Counters` adds

@@ -491,6 +491,59 @@ fn an_oversized_chunk_header_is_refused_before_its_payload() {
     finish_hostile(addr, handle);
 }
 
+/// Every CHUNK body is whole words, and a RESUME offset is a word offset:
+/// a body that ends mid-word is a protocol violation, refused on its length
+/// before a byte of it lands, and so is a frame too short to hold its
+/// sequence number. Each lie is the one CHUNK after an honest TRANSMIT, and
+/// each is a typed `Net` error on the buffered, the streaming and the
+/// driven path alike.
+#[test]
+fn a_chunk_body_that_ends_mid_word_is_refused_on_every_path() {
+    let data = sample(60_000, 8);
+    let good = capture_transmission("movie", &data, 8 * 1024);
+    let transmit_len = 5 + u32::from_le_bytes(good[1..5].try_into().unwrap()) as usize;
+    assert_eq!(good[0], FrameType::Transmit as u8);
+    // The first CHUNK's sequence number and its body less one byte.
+    let first = chunk_bodies(&good)[0].clone();
+    let mut odd = Vec::new();
+    write_frame(
+        &mut odd,
+        FrameType::Chunk,
+        &good[first.start - 4..first.end - 1],
+    )
+    .unwrap();
+    let mut short = Vec::new();
+    write_frame(&mut short, FrameType::Chunk, &[0, 0]).unwrap();
+
+    for (lie, refusal) in [(odd, "mid-word"), (short, "frame of 2 bytes")] {
+        let mut evil = good[..transmit_len].to_vec();
+        evil.extend_from_slice(&lie);
+        for path in ["request", "fetch_and_decode_streaming", "next_chunk"] {
+            // Enough replays for the retry budget the first two spend.
+            let (addr, handle) = hostile_server(evil.clone(), 6);
+            let client = NetClient::connect_lazy(addr, NetClientConfig::default()).unwrap();
+            let got = match path {
+                "request" => client.request("movie", 16).map(drop),
+                "fetch_and_decode_streaming" => {
+                    client.fetch_and_decode_streaming("movie", 16).map(drop)
+                }
+                _ => client
+                    .start_fetch("movie", 16, 0)
+                    .and_then(|mut session| session.next_chunk())
+                    .map(drop),
+            };
+            match got {
+                Err(RecoilError::Net { detail }) => {
+                    assert!(detail.contains(refusal), "{path}: {detail}")
+                }
+                other => panic!("{path}: expected a typed Net refusal, got {other:?}"),
+            }
+            drop(client);
+            finish_hostile(addr, handle);
+        }
+    }
+}
+
 #[test]
 fn mid_stream_disconnect_is_a_typed_error_not_a_hang() {
     let data = sample(150_000, 3);

@@ -625,6 +625,22 @@ fn streaming_fetch_is_byte_identical_and_pipelined() {
     assert!(empty.first_segment_nanos <= empty.total_nanos);
     assert!(empty.transfer_nanos <= empty.total_nanos);
     server.shutdown();
+
+    // An odd chunk size is rounded down to whole words: 5 sends 4-byte
+    // bodies, and the count follows the body size, not the knob.
+    let server = start_server(NetConfig {
+        chunk_bytes: 5,
+        ..small_net_config()
+    });
+    let client = NetClient::connect(server.addr()).unwrap();
+    let data = sample(20_000, 22);
+    client.publish("odd", &data, &config(16)).unwrap();
+    let word_bytes = client.request("odd", 16).unwrap().stream.words.len() as u64 * 2;
+    let streamed = client.fetch_and_decode_streaming("odd", 16).unwrap();
+    assert_eq!(streamed.data, data);
+    assert_eq!(u64::from(streamed.chunk_count), word_bytes.div_ceil(4));
+    assert_ne!(word_bytes.div_ceil(4), word_bytes.div_ceil(5));
+    server.shutdown();
 }
 
 /// `decode_batches` the documented dispatch rule yields for `tier` served

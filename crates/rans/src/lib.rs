@@ -64,4 +64,4 @@ pub use single::{decode_single, SingleEncoder};
 pub use sink::{NullSink, RenormEvent, RenormGroup, RenormSink, VecSink, NO_SYMBOL};
 pub use span::{LaneStates, Span};
 pub use step::{decode_transform, renorm_read};
-pub use stream::{append_words_le, extend_words_from_le, EncodedStream};
+pub use stream::{append_words_le, land_words_le, EncodedStream};

@@ -95,10 +95,9 @@ impl EncodedStream {
 /// little-endian bytes, in stream order.
 ///
 /// Every byte format that carries the bitstream (chunk frames, the
-/// container file, the payload CRC) uses this image, and
-/// [`extend_words_from_le`] is its inverse — the byte order is decided
-/// here and nowhere else. The loop has no per-word capacity check, so on a
-/// little-endian target it compiles to a block copy.
+/// container file, the payload CRC) uses this image, and [`land_words_le`]
+/// is its inverse: the byte order is decided in these two. On a
+/// little-endian target this is a block copy, and landing copies nothing.
 pub fn append_words_le(dst: &mut Vec<u8>, words: &[u16]) {
     let start = dst.len();
     dst.resize(start + words.len() * 2, 0);
@@ -107,33 +106,33 @@ pub fn append_words_le(dst: &mut Vec<u8>, words: &[u16]) {
     }
 }
 
-/// Extends `words` from little-endian wire bytes (the inverse of
-/// [`append_words_le`]) and returns the dangling last byte when the input
-/// ends mid-word.
-///
-/// `carry` is that dangling byte from the previous call, if any: it is the
-/// low half of the first word here. A receiver fed arbitrary slices
-/// threads the return value back in; a caller holding a whole even-length
-/// image passes `None` and gets `None`. `words` grows by the words
-/// actually converted (amortized, like `Vec::extend`), never from a
-/// declared total.
-#[must_use = "an odd-length input leaves its last byte to the caller"]
-pub fn extend_words_from_le(
+/// Grows `words` by `n` zeroed words and hands their bytes to `fill`, then
+/// reads what it wrote as the wire image (the inverse of
+/// [`append_words_le`]): received bytes land where the words stay. A failed
+/// fill truncates `words` back, so a torn or refused body leaves nothing.
+pub fn land_words_le<E>(
     words: &mut Vec<u16>,
-    carry: Option<u8>,
-    mut bytes: &[u8],
-) -> Option<u8> {
-    if let Some(lo) = carry {
-        let Some((&hi, rest)) = bytes.split_first() else {
-            return carry;
-        };
-        words.push(u16::from_le_bytes([lo, hi]));
-        bytes = rest;
+    n: usize,
+    fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+) -> Result<(), E> {
+    let start = words.len();
+    words.resize(start + n, 0);
+    if let Err(e) = fill(bytes_of_mut(&mut words[start..])) {
+        words.truncate(start);
+        return Err(e);
     }
-    let pairs = bytes.chunks_exact(2);
-    let dangling = pairs.remainder().first().copied();
-    words.extend(pairs.map(|pair| u16::from_le_bytes([pair[0], pair[1]])));
-    dangling
+    for w in &mut words[start..] {
+        *w = u16::from_le(*w);
+    }
+    Ok(())
+}
+
+/// The memory of `words` as bytes, for as long as the words are borrowed.
+fn bytes_of_mut(words: &mut [u16]) -> &mut [u8] {
+    // SAFETY: the view is exactly the memory of `words` (initialized, and
+    // `2 * len` bytes of one allocation) and holds its unique borrow for
+    // its whole life. `u8` has alignment 1, and any bytes are a valid `u16`.
+    unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), 2 * words.len()) }
 }
 
 #[cfg(test)]
@@ -174,6 +173,15 @@ mod tests {
             .collect()
     }
 
+    /// Lands `bytes` (a whole-word image) onto `words` through the routine.
+    fn land(words: &mut Vec<u16>, bytes: &[u8]) {
+        land_words_le(words, bytes.len() / 2, |dst| {
+            dst.copy_from_slice(bytes);
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+    }
+
     #[test]
     fn wire_image_round_trips_at_block_copy_edges() {
         for n in [0usize, 1, 2, 31, 32, 33, 65_537] {
@@ -186,59 +194,44 @@ mod tests {
                 assert_eq!(pair, w.to_le_bytes());
             }
             let mut back = Vec::new();
-            assert_eq!(extend_words_from_le(&mut back, None, &bytes), None);
+            land(&mut back, &bytes);
             assert_eq!(back, words, "{n} words");
         }
     }
 
     #[test]
     fn appending_preserves_the_destination() {
-        let words = ramp(33);
-        let mut bytes = vec![0xAA, 0xBB, 0xCC];
-        append_words_le(&mut bytes, &words);
-        assert_eq!(&bytes[..3], [0xAA, 0xBB, 0xCC]);
-        let mut back = vec![7u16, 8];
-        assert_eq!(extend_words_from_le(&mut back, None, &bytes[3..]), None);
-        assert_eq!(&back[..2], [7, 8]);
-        assert_eq!(&back[2..], words);
+        for n in 0..=64 {
+            let words = ramp(n);
+            let mut bytes = vec![0xAA, 0xBB, 0xCC];
+            append_words_le(&mut bytes, &words);
+            assert_eq!(&bytes[..3], [0xAA, 0xBB, 0xCC], "{n} words");
+            let mut back = vec![7u16, 8];
+            land(&mut back, &bytes[3..]);
+            assert_eq!(back[..2], [7, 8], "{n} words");
+            assert_eq!(back[2..], words, "{n} words");
+        }
     }
 
     #[test]
-    fn odd_byte_counts_leave_the_trailing_byte_to_the_caller() {
+    fn a_failed_fill_truncates_back() {
         let words = ramp(40);
+        let mut got = words[..3].to_vec();
+        let capacity = got.capacity();
+        let err = land_words_le(&mut got, 37, |dst| {
+            assert_eq!(dst.len(), 74, "the fill sees the new words' bytes");
+            assert!(dst.iter().all(|&b| b == 0), "zeroed, never uninitialized");
+            // A torn fill: half the bytes arrive, then the source fails.
+            dst[..37].fill(0xEE);
+            Err("torn")
+        });
+        assert_eq!(err, Err("torn"));
+        assert_eq!(got, words[..3], "nothing of the torn fill is left");
+        assert!(got.capacity() >= capacity);
+        // The store lands the next fill where the failed one began.
         let mut bytes = Vec::new();
-        append_words_le(&mut bytes, &words);
-
-        // One odd slice: every whole word converts, the last byte comes back.
-        let mut got = Vec::new();
-        let carry = extend_words_from_le(&mut got, None, &bytes[..41]);
-        assert_eq!(carry, Some(bytes[40]));
-        assert_eq!(got, words[..20]);
-        // Handed back in, it is the low half of the next word.
-        assert_eq!(extend_words_from_le(&mut got, carry, &bytes[41..]), None);
+        append_words_le(&mut bytes, &words[3..]);
+        land(&mut got, &bytes);
         assert_eq!(got, words);
-
-        // A carry meeting an empty slice is still owed; meeting one byte it
-        // completes a word and nothing dangles.
-        let mut got = Vec::new();
-        assert_eq!(
-            extend_words_from_le(&mut got, Some(bytes[0]), &[]),
-            Some(bytes[0])
-        );
-        assert!(got.is_empty());
-        assert_eq!(
-            extend_words_from_le(&mut got, Some(bytes[0]), &bytes[1..2]),
-            None
-        );
-        assert_eq!(got, words[..1]);
-
-        // Any cut sequence reassembles the same words.
-        for piece in [1usize, 3, 7, 64] {
-            let (mut got, mut carry) = (Vec::new(), None);
-            for slice in bytes.chunks(piece) {
-                carry = extend_words_from_le(&mut got, carry, slice);
-            }
-            assert_eq!((got, carry), (words.clone(), None), "piece {piece}");
-        }
     }
 }

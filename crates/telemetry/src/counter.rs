@@ -2,16 +2,19 @@
 //!
 //! A [`Counter`] spreads its increments over a small set of cache-line-
 //! padded shards indexed by a per-thread ticket, so concurrent bumps from
-//! the reactor loop, the dispatch workers, and decode threads do not
-//! bounce one cache line between cores. Reads sum the shards — counters
-//! are write-hot and read-cold (a read happens once per TELEMETRY
-//! snapshot).
+//! a server's reactor loop and dispatch workers, or from the threads that
+//! call one client handle, do not bounce one cache line between cores.
+//! Decode threads bump nothing: `recoil-core` does not depend on this
+//! crate, and a client records a decode's stats once, on the calling
+//! thread, after the decode returned. Reads sum the shards — counters are
+//! write-hot and read-cold (a read happens once per TELEMETRY snapshot).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Shard count. Eight padded lines cover the thread counts this workspace
-/// runs (one reactor loop + a handful of dispatch/decode workers) without
-/// bloating every counter to a page.
+/// runs (one reactor loop + a handful of dispatch workers, or a handful of
+/// threads fetching through one client) without bloating every counter to a
+/// page.
 const SHARDS: usize = 8;
 
 /// One cache line per shard so two shards never share a line.

@@ -60,8 +60,9 @@ fn backends() -> Vec<(&'static str, Box<dyn DecodeBackend>)> {
     b
 }
 
-/// The streaming byte-granularities a transfer is replayed at.
-const GRANULARITIES: [usize; 3] = [1, 1023, 64 * 1024];
+/// The streaming byte-granularities a transfer is replayed at: one word, an
+/// odd number of words, and a 64 KiB chunk.
+const GRANULARITIES: [usize; 3] = [2, 1022, 64 * 1024];
 
 /// Streams `enc` through an [`IncrementalDecoder`] against `meta`, pushing
 /// `piece`-byte slices, and returns the decoded bytes.
