@@ -1,4 +1,4 @@
-//! Criterion microbenchmarks of the metadata plane on the ladder's
+//! Microbenchmarks of the metadata plane on the ladder's
 //! `serve_churn` item (256 KiB, W = 32), each at 16, 64 and 256 segments:
 //! `tier` is what one tier-cache miss runs — a selection from the item's
 //! `WireSplits`, whose split bodies were written once at publish — and
@@ -24,16 +24,22 @@
 //! `update_crc32`, so on a host without carry-less multiply both rows read
 //! the table rate.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use recoil::core::{update_crc32, update_crc32_table, WireSplits};
 use recoil::models::Histogram;
 use recoil::prelude::*;
 use recoil::rans::{RenormGroup, RenormSink};
 use recoil::server::ContentServer;
+use recoil_bench::bench;
 
 const SEGMENTS: [u64; 3] = [16, 64, 256];
 
-fn bench_metadata_plane(c: &mut Criterion) {
+fn main() {
+    bench_metadata_plane();
+    bench_publish();
+    bench_crc32();
+}
+
+fn bench_metadata_plane() {
     let data = recoil::data::text_like_bytes(256 << 10, 5.1, 5);
     let codec = |segments| Codec::builder().max_segments(segments).build().unwrap();
     let stored = codec(256).encode(&data).unwrap().container.metadata;
@@ -41,28 +47,27 @@ fn bench_metadata_plane(c: &mut Criterion) {
 
     let wire = WireSplits::of(&stored).unwrap();
 
-    let mut group = c.benchmark_group("metadata_plane");
-    group.sample_size(2000);
-    group.bench_function("wire-table", |b| {
-        b.iter(|| WireSplits::of(&stored).unwrap())
+    let group = "metadata_plane";
+    bench(group, "wire-table", 2000, None, || {
+        WireSplits::of(&stored).unwrap()
     });
-    for segments in SEGMENTS {
-        let tier = try_combine_splits(&stored, segments).unwrap();
+    for s in SEGMENTS {
+        let tier = try_combine_splits(&stored, s).unwrap();
         let bytes = metadata_to_bytes(&tier);
-        group.bench_with_input(BenchmarkId::new("combine", segments), &segments, |b, &s| {
-            b.iter(|| try_combine_splits(&stored, s).unwrap());
+        bench(group, &format!("combine/{s}"), 2000, None, || {
+            try_combine_splits(&stored, s).unwrap()
         });
-        group.bench_with_input(BenchmarkId::new("serialise", segments), &tier, |b, tier| {
-            b.iter(|| metadata_to_bytes(tier));
+        bench(group, &format!("serialise/{s}"), 2000, None, || {
+            metadata_to_bytes(&tier)
         });
-        group.bench_with_input(BenchmarkId::new("tier", segments), &segments, |b, &s| {
-            b.iter(|| wire.tier(s).unwrap());
+        bench(group, &format!("tier/{s}"), 2000, None, || {
+            wire.tier(s).unwrap()
         });
-        group.bench_with_input(BenchmarkId::new("build", segments), &segments, |b, &s| {
-            b.iter(|| metadata_to_bytes(&try_combine_splits(&stored, s).unwrap()));
+        bench(group, &format!("build/{s}"), 2000, None, || {
+            metadata_to_bytes(&try_combine_splits(&stored, s).unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("parse", segments), &bytes, |b, bytes| {
-            b.iter(|| metadata_from_bytes(bytes).unwrap());
+        bench(group, &format!("parse/{s}"), 2000, None, || {
+            metadata_from_bytes(&bytes).unwrap()
         });
     }
 
@@ -71,20 +76,18 @@ fn bench_metadata_plane(c: &mut Criterion) {
     let mut events = recoil::rans::VecSink::new();
     enc.encode_all_fast(&data, &mut events).unwrap();
     let words = enc.finish().words.len() as u64;
-    group.sample_size(50);
-    for segments in SEGMENTS {
-        group.bench_with_input(BenchmarkId::new("planner", segments), &segments, |b, &s| {
-            let n = data.len() as u64;
-            b.iter(|| recoil::core::plan_from_events(&events.events, 32, n, words, 11, s));
+    let n = data.len() as u64;
+    for s in SEGMENTS {
+        bench(group, &format!("planner/{s}"), 50, None, || {
+            recoil::core::plan_from_events(&events.events, 32, n, words, 11, s)
         });
     }
-    for segments in [1, 256] {
-        let codec = codec(segments);
-        group.bench_with_input(BenchmarkId::new("encode", segments), &data, |b, data| {
-            b.iter(|| codec.encode(data).unwrap());
+    for s in [1, 256] {
+        let codec = codec(s);
+        bench(group, &format!("encode/{s}"), 50, None, || {
+            codec.encode(&data).unwrap()
         });
     }
-    group.finish();
 }
 
 /// An encode's renorm groups, kept to be replayed.
@@ -115,10 +118,9 @@ impl Recorded {
     }
 }
 
-fn bench_publish(c: &mut Criterion) {
+fn bench_publish() {
     let data = recoil::data::text_like_bytes(8 << 20, 5.1, 5);
 
-    let mut group = c.benchmark_group("plan");
     for (label, len, segments) in [("256KiB@256", 256 << 10, 256), ("8MiB@64", 8 << 20, 64)] {
         let data = &data[..len];
         let model = StaticModelProvider::new(CdfTable::of_bytes(data, 11));
@@ -135,16 +137,14 @@ fn bench_publish(c: &mut Criterion) {
             planner.finish(words, 11)
         };
         assert_eq!(plan(true), plan(false), "same splits either way");
-        group.sample_size(if len > 1 << 20 { 20 } else { 300 });
+        let samples = if len > 1 << 20 { 20 } else { 300 };
         for (name, by_records) in [("event-scan", false), ("record-scan", true)] {
-            group.bench_function(BenchmarkId::new(name, label), |b| {
-                b.iter(|| plan(by_records))
+            bench("plan", &format!("{name}/{label}"), samples, None, || {
+                plan(by_records)
             });
         }
     }
-    group.finish();
 
-    let mut group = c.benchmark_group("publish");
     for (label, len, segments) in [
         ("256KiB@256", 256 << 10, 256),
         ("4MiB@256", 4 << 20, 256),
@@ -155,39 +155,29 @@ fn bench_publish(c: &mut Criterion) {
             max_segments: segments,
             ..EncoderConfig::default()
         };
-        group.throughput(Throughput::Bytes(len as u64));
-        group.sample_size(if len > 1 << 20 { 15 } else { 200 });
+        let samples = if len > 1 << 20 { 15 } else { 200 };
         let data = &data[..len];
-        group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter(|| {
-                server.unpublish("item");
-                server.publish("item", data, &config).unwrap()
-            });
+        bench("publish", label, samples, Some(len), || {
+            server.unpublish("item");
+            server.publish("item", data, &config).unwrap()
         });
     }
-    group.finish();
 
-    let mut group = c.benchmark_group("histogram");
-    group.throughput(Throughput::Bytes(data.len() as u64));
-    group.sample_size(20);
-    group.bench_with_input(BenchmarkId::new("1-table", "8MiB"), &data, |b, data| {
-        b.iter(|| {
-            let mut hist = Histogram::new(256);
-            for &s in data.iter() {
-                hist.add(usize::from(s));
-            }
-            hist
-        });
+    let bytes = Some(data.len());
+    bench("histogram", "1-table/8MiB", 20, bytes, || {
+        let mut hist = Histogram::new(256);
+        for &s in data.iter() {
+            hist.add(usize::from(s));
+        }
+        hist
     });
-    group.bench_with_input(BenchmarkId::new("8-table", "8MiB"), &data, |b, data| {
-        b.iter(|| Histogram::of_bytes(data));
+    bench("histogram", "8-table/8MiB", 20, bytes, || {
+        Histogram::of_bytes(&data)
     });
-    group.finish();
 }
 
-fn bench_crc32(c: &mut Criterion) {
+fn bench_crc32() {
     let data = recoil::data::text_like_bytes(4 << 20, 5.1, 5);
-    let mut group = c.benchmark_group("crc32");
     for (label, len) in [
         ("64B", 64),
         ("4KiB", 4 << 10),
@@ -195,17 +185,20 @@ fn bench_crc32(c: &mut Criterion) {
         ("4MiB", 4 << 20),
     ] {
         let bytes = &data[..len];
-        group.throughput(Throughput::Bytes(len as u64));
-        group.sample_size(if len > 1 << 20 { 50 } else { 2000 });
-        group.bench_with_input(BenchmarkId::new("table", label), &bytes, |b, bytes| {
-            b.iter(|| update_crc32_table(0xFFFF_FFFF, bytes));
-        });
-        group.bench_with_input(BenchmarkId::new("clmul", label), &bytes, |b, bytes| {
-            b.iter(|| update_crc32(0xFFFF_FFFF, bytes));
-        });
+        let samples = if len > 1 << 20 { 50 } else { 2000 };
+        bench(
+            "crc32",
+            &format!("table/{label}"),
+            samples,
+            Some(len),
+            || update_crc32_table(0xFFFF_FFFF, bytes),
+        );
+        bench(
+            "crc32",
+            &format!("clmul/{label}"),
+            samples,
+            Some(len),
+            || update_crc32(0xFFFF_FFFF, bytes),
+        );
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_metadata_plane, bench_publish, bench_crc32);
-criterion_main!(benches);

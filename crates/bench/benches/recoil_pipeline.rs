@@ -1,4 +1,4 @@
-//! Criterion microbenchmarks of the Recoil pipeline pieces: encode+plan
+//! Microbenchmarks of the Recoil pipeline pieces: encode+plan
 //! and parallel decode vs the conventional baseline. (The metadata wire
 //! codec and split combining have their own bench, `metadata_plane`.)
 //!
@@ -9,13 +9,18 @@
 //! shapes). `avx512` is the dispatching `encode_span`, so on a host without
 //! AVX-512F both rows read the scalar rate.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use recoil::conventional::encode_conventional;
 use recoil::prelude::*;
 use recoil::rans::fast_encode::{encode_span, encode_span_scalar, takes_vector_path};
 use recoil::rans::RenormSink;
+use recoil_bench::bench;
 
-fn bench_pipeline(c: &mut Criterion) {
+fn main() {
+    bench_pipeline();
+    bench_encode_loops();
+}
+
+fn bench_pipeline() {
     let data = recoil::data::exponential_bytes(2_000_000, 100.0, 42);
     let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
     let codec = Codec::builder().max_segments(256).build().unwrap();
@@ -26,39 +31,28 @@ fn bench_pipeline(c: &mut Criterion) {
     // run the same loop.
     let backend = AutoBackend::fixed(Kernel::Scalar, pool.threads());
 
-    let mut group = c.benchmark_group("pipeline");
-    group.sample_size(10);
-    group.throughput(Throughput::Bytes(data.len() as u64));
-
-    group.bench_function("encode_with_split_planning", |b| {
-        b.iter(|| std::hint::black_box(codec.encode_with_provider(&data, &model).unwrap()));
+    let (group, bytes) = ("pipeline", Some(data.len()));
+    bench(group, "encode_with_split_planning", 10, bytes, || {
+        codec.encode_with_provider(&data, &model).unwrap()
     });
-    group.bench_function("encode_plain_interleaved", |b| {
-        b.iter(|| {
-            let mut enc = InterleavedEncoder::new(&model, 32);
-            enc.encode_all_fast(&data, &mut NullSink).unwrap();
-            std::hint::black_box(enc.finish())
-        });
+    bench(group, "encode_plain_interleaved", 10, bytes, || {
+        let mut enc = InterleavedEncoder::new(&model, 32);
+        enc.encode_all_fast(&data, &mut NullSink).unwrap();
+        enc.finish()
     });
-    group.bench_function("decode_recoil_parallel", |b| {
-        let mut out = vec![0u8; data.len()];
-        b.iter(|| {
-            let (stream, metadata) = (&container.stream, &container.metadata);
-            let model = DecodeModel::Static(&model);
-            let req = DecodeRequest::whole(stream, metadata, model, &mut out);
-            backend.decode(req.unwrap()).unwrap();
-            std::hint::black_box(&out);
-        });
+    let mut out = vec![0u8; data.len()];
+    bench(group, "decode_recoil_parallel", 10, bytes, || {
+        let (stream, metadata) = (&container.stream, &container.metadata);
+        let model = DecodeModel::Static(&model);
+        let req = DecodeRequest::whole(stream, metadata, model, &mut out);
+        backend.decode(req.unwrap()).unwrap();
+        std::hint::black_box(&out);
     });
-    group.bench_function("decode_conventional_parallel", |b| {
-        let mut out = vec![0u8; data.len()];
-        b.iter(|| {
-            recoil::conventional::decode_conventional_into(&conv, &model, Some(&pool), &mut out)
-                .unwrap();
-            std::hint::black_box(&out);
-        });
+    bench(group, "decode_conventional_parallel", 10, bytes, || {
+        recoil::conventional::decode_conventional_into(&conv, &model, Some(&pool), &mut out)
+            .unwrap();
+        std::hint::black_box(&out);
     });
-    group.finish();
 }
 
 /// One span over all of `data` from fresh lane states, on the group loop
@@ -80,8 +74,7 @@ fn encode_once(
     words
 }
 
-fn bench_encode_loops(c: &mut Criterion) {
-    let mut group = c.benchmark_group("encode");
+fn bench_encode_loops() {
     for (label, len, segments) in [("256KiB", 256 << 10, 256), ("8MiB", 8 << 20, 64)] {
         let data = recoil::data::text_like_bytes(len, 5.1, 5);
         let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
@@ -93,24 +86,21 @@ fn bench_encode_loops(c: &mut Criterion) {
                 "scalar"
             }
         );
-        group.throughput(Throughput::Bytes(len as u64));
-        group.sample_size(if len > 1 << 20 { 15 } else { 300 });
+        let samples = if len > 1 << 20 { 15 } else { 300 };
         for (path, vector) in [("scalar", false), ("avx512", true)] {
-            group.bench_with_input(BenchmarkId::new(path, label), &data, |b, data| {
-                b.iter(|| encode_once(vector, &model, data, &mut NullSink));
-            });
-            let id = BenchmarkId::new(format!("{path}+planner"), label);
-            group.bench_with_input(id, &data, |b, data| {
-                b.iter(|| {
-                    let mut planner = SplitPlanner::new(32, data.len() as u64, segments);
-                    let words = encode_once(vector, &model, data, &mut planner);
-                    planner.finish(words.len() as u64, 11)
-                });
+            bench(
+                "encode",
+                &format!("{path}/{label}"),
+                samples,
+                Some(len),
+                || encode_once(vector, &model, &data, &mut NullSink),
+            );
+            let name = format!("{path}+planner/{label}");
+            bench("encode", &name, samples, Some(len), || {
+                let mut planner = SplitPlanner::new(32, len as u64, segments);
+                let words = encode_once(vector, &model, &data, &mut planner);
+                planner.finish(words.len() as u64, 11)
             });
         }
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_pipeline, bench_encode_loops);
-criterion_main!(benches);

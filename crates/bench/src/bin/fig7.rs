@@ -16,9 +16,9 @@
 
 use recoil::data::ALL_DATASETS;
 use recoil::prelude::*;
-use recoil_bench::report::print_table;
+use recoil_bench::report::{gb_per_s, print_table};
 use recoil_bench::variations::{ByteVariations, LARGE, SMALL};
-use recoil_bench::{measure_gbps, BenchConfig};
+use recoil_bench::{time, BenchConfig};
 use std::sync::Arc;
 
 /// Paper Figure 7 CPU values in GB/s: (dataset, n) → per-configuration
@@ -84,11 +84,11 @@ fn byte_dataset_fig7(cfg: &BenchConfig, cpu_pool: &ThreadPool) {
             for (kernel, cpu_backend) in &cpu_backends {
                 let kernel = *kernel;
                 let pbase = if kernel == Kernel::Avx512 { 0 } else { 3 };
-                let c_single = measure_gbps(cfg.runs, bytes, || {
+                let single = time(cfg.runs, || {
                     decode_interleaved_simd(kernel, &v.recoil_large.stream, &v.model, &mut out)
                         .unwrap();
                 });
-                let c_conv = measure_gbps(cfg.runs, bytes, || {
+                let conv = time(cfg.runs, || {
                     decode_conventional_simd(
                         kernel,
                         &v.conv_small,
@@ -98,15 +98,15 @@ fn byte_dataset_fig7(cfg: &BenchConfig, cpu_pool: &ThreadPool) {
                     )
                     .unwrap();
                 });
-                let c_rec = measure_gbps(cfg.runs, bytes, || {
+                let rec = time(cfg.runs, || {
                     let stream = &v.recoil_large.stream;
                     let model = DecodeModel::Static(&v.model);
                     let req = DecodeRequest::whole(stream, &v.recoil_small, model, &mut out);
                     cpu_backend.decode(req.unwrap()).unwrap();
                 });
-                row.push(fmt(c_single, paper[pbase]));
-                row.push(fmt(c_conv, paper[pbase + 1]));
-                row.push(fmt(c_rec, paper[pbase + 2]));
+                for (i, t) in [single, conv, rec].iter().enumerate() {
+                    row.push(fmt(gb_per_s(bytes, t.mean), paper[pbase + i]));
+                }
             }
             cpu_rows.push(row);
         }
@@ -155,7 +155,7 @@ fn latent_fig7(cfg: &BenchConfig, cpu_pool: &ThreadPool) {
         let paper = paper_fig7(d.name, 16);
 
         let mut out = vec![0u16; ds.symbols.len()];
-        let c_conv = measure_gbps(cfg.runs, bytes, || {
+        let conv = time(cfg.runs, || {
             recoil::conventional::decode_conventional_into(
                 &conv_small,
                 &ds.provider,
@@ -164,7 +164,7 @@ fn latent_fig7(cfg: &BenchConfig, cpu_pool: &ThreadPool) {
             )
             .unwrap();
         });
-        let c_rec = measure_gbps(cfg.runs, bytes, || {
+        let rec = time(cfg.runs, || {
             let stream = &recoil_large.stream;
             let model = DecodeModel::Adaptive(&ds.provider);
             let req = DecodeRequest::whole(stream, &recoil_small, model, &mut out);
@@ -172,8 +172,8 @@ fn latent_fig7(cfg: &BenchConfig, cpu_pool: &ThreadPool) {
         });
         rows.push(vec![
             d.name.into(),
-            fmt(c_conv, paper[1]),
-            fmt(c_rec, paper[2]),
+            fmt(gb_per_s(bytes, conv.mean), paper[1]),
+            fmt(gb_per_s(bytes, rec.mean), paper[2]),
         ]);
     }
     print_table(

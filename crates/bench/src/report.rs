@@ -1,4 +1,7 @@
-//! Table printing for the paper-artifact binaries.
+//! Printing for the paper-artifact binaries and the microbenches.
+
+use crate::Timing;
+use std::time::Duration;
 
 /// Prints an aligned text table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -35,5 +38,23 @@ pub fn fmt_delta(delta_bytes: i64, baseline: u64) -> String {
         "{:+.2} KB {:+.2}%",
         delta_bytes as f64 / 1000.0,
         100.0 * delta_bytes as f64 / baseline as f64
+    )
+}
+
+/// GB/s of `bytes` processed per `per_call` (uncompressed bytes, as the
+/// paper counts them).
+pub fn gb_per_s(bytes: usize, per_call: Duration) -> f64 {
+    bytes as f64 / per_call.as_secs_f64() / 1e9
+}
+
+/// One microbench row: `group/name  median  (min …)`, then the rate of
+/// `bytes` per call at the median when given.
+pub fn bench_row(group: &str, name: &str, t: &Timing, bytes: Option<usize>) -> String {
+    let rate = bytes.map_or(String::new(), |n| {
+        format!("  {:8.3} GB/s", gb_per_s(n, t.median))
+    });
+    format!(
+        "{group}/{name:<32} {:>12.3?}  (min {:.3?}){rate}",
+        t.median, t.min
     )
 }

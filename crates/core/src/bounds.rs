@@ -7,9 +7,19 @@ use recoil_models::CdfTable;
 
 /// Most bitstream words a receiver reserves up front from a *declared* word
 /// count (1 MiB); beyond this a word store grows only as real bytes arrive,
-/// so a hostile header cannot drive the allocation. Shared by the
-/// incremental decoder and the net client's buffered fetch.
+/// so a hostile header cannot drive the allocation. Applied by
+/// [`reserve_declared_words`].
 pub const MAX_RESERVED_WORDS: usize = 1 << 19;
+
+/// Empties `words` to receive a stream whose header declares `declared`
+/// words, reserving exactly `min(declared, MAX_RESERVED_WORDS)`: exact, so
+/// a header never grows a store past the bound by `Vec`'s doubling either,
+/// and nothing at all in a store that already holds that many.
+pub fn reserve_declared_words(words: &mut Vec<u16>, declared: u64) {
+    words.clear();
+    let declared = usize::try_from(declared).unwrap_or(usize::MAX);
+    words.reserve_exact(declared.min(MAX_RESERVED_WORDS));
+}
 
 /// Information-capacity bound: can `num_symbols` symbols have been coded
 /// into `num_words` 16-bit words over `ways` lanes at level `quant_bits`?
@@ -54,6 +64,26 @@ pub(crate) fn checked_cdf_table(freqs: Vec<u32>, quant_bits: u32) -> Result<CdfT
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_declared_word_count_reserves_at_most_the_bound() {
+        let bound = MAX_RESERVED_WORDS as u64;
+        for declared in [0, 1000, bound, bound + 1, u64::MAX] {
+            let mut words = Vec::new();
+            reserve_declared_words(&mut words, declared);
+            assert!(words.capacity() <= MAX_RESERVED_WORDS, "{declared}");
+            assert!(words.capacity() as u64 >= declared.min(bound), "{declared}");
+        }
+        let mut kept = vec![7u16; MAX_RESERVED_WORDS];
+        let (capacity, at) = (kept.capacity(), kept.as_ptr());
+        reserve_declared_words(&mut kept, u64::MAX);
+        assert!(kept.is_empty());
+        assert_eq!(
+            (kept.capacity(), kept.as_ptr()),
+            (capacity, at),
+            "reserved nothing"
+        );
+    }
 
     #[test]
     fn capacity_bound_is_total_over_hostile_levels() {

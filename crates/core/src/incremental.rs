@@ -38,7 +38,7 @@
 //! ```
 
 use crate::backend::{CodecSymbol, DecodeBackend, DecodeModel, DecodeRequest};
-use crate::bounds::{symbols_fit, MAX_RESERVED_WORDS};
+use crate::bounds::{reserve_declared_words, symbols_fit};
 use crate::decoder::DecodeStats;
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
@@ -87,7 +87,7 @@ impl IncrementalDecoder {
     /// from an earlier stream (its contents are cleared) and handed back by
     /// [`IncrementalDecoder::into_words`], so a receiver that fetches again
     /// and again grows one store rather than a fresh one per stream. The
-    /// header alone reserves no more than [`MAX_RESERVED_WORDS`], and
+    /// header alone reserves no more than [`crate::MAX_RESERVED_WORDS`], and
     /// nothing at all in a store that already holds that much or the whole
     /// declared stream; past that the store grows only with received bytes.
     pub fn with_words(
@@ -125,14 +125,7 @@ impl IncrementalDecoder {
                 ))));
             }
         }
-        words.clear();
-        // Exact, so a header never grows a store past the bound by
-        // Vec's doubling either.
-        words.reserve_exact(
-            usize::try_from(metadata.num_words)
-                .unwrap_or(usize::MAX)
-                .min(MAX_RESERVED_WORDS),
-        );
+        reserve_declared_words(&mut words, metadata.num_words);
         let stream = EncodedStream {
             words,
             final_states,
@@ -292,6 +285,7 @@ mod tests {
     use crate::backend::{AutoBackend, ScalarBackend};
     use crate::codec::{Codec, Encoded};
     use crate::combine::try_combine_splits;
+    use crate::MAX_RESERVED_WORDS;
     use recoil_simd::Kernel;
 
     fn sample(len: usize, seed: u32) -> Vec<u8> {

@@ -51,7 +51,7 @@ pub use backend::{
     AutoBackend, CodecSymbol, DecodeBackend, DecodeModel, DecodeOutput, DecodeRequest,
     ScalarBackend,
 };
-pub use bounds::MAX_RESERVED_WORDS;
+pub use bounds::{reserve_declared_words, MAX_RESERVED_WORDS};
 pub use codec::{Codec, CodecBuilder, Encoded, EncoderConfig};
 pub use combine::{combine_splits, try_combine_splits};
 pub use container::RecoilContainer;

@@ -415,7 +415,8 @@ impl SplitPlanner {
     /// Scores every candidate from an event-by-event backward scan whatever
     /// the lane count — what every lane count but 32 gets anyway, and the
     /// reference the record-at-a-time scan must choose the same splits as
-    /// (and its "before" in `benches/metadata_plane.rs`).
+    /// (and its "before", `plan/event-scan/*` in `recoil-bench`'s
+    /// `metadata_plane` bench).
     #[doc(hidden)]
     pub fn scanning_event_by_event(mut self) -> Self {
         self.ring.scan_by_masks = false;

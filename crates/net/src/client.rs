@@ -17,8 +17,8 @@ use recoil_core::backend::{
     ensure_available, preferred_segments, AutoBackend, DecodeBackend, DecodeModel, DecodeRequest,
 };
 use recoil_core::{
-    container_of_item, Codec, DecodeStats, EncoderConfig, IncrementalDecoder, RecoilError,
-    RecoilMetadata, MAX_RESERVED_WORDS,
+    container_of_item, reserve_declared_words, Codec, DecodeStats, EncoderConfig,
+    IncrementalDecoder, RecoilError, RecoilMetadata,
 };
 use recoil_models::StaticModelProvider;
 use recoil_rans::{land_words_le, EncodedStream};
@@ -222,7 +222,7 @@ pub struct StreamedFetch {
 /// receives into a store of its own, and of the two the larger is kept.
 /// What it holds is the largest stream a fetch received into it — trimmed
 /// to that on the way back, so the `Vec`'s doubling pins nothing more — or
-/// the [`MAX_RESERVED_WORDS`] a header reserved.
+/// the [`recoil_core::MAX_RESERVED_WORDS`] a header reserved.
 #[derive(Debug, Default)]
 pub struct WordStore(Mutex<Kept>);
 
@@ -866,9 +866,9 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
     /// section was checked at open, its words by the payload check).
     fn into_content(mut self) -> Result<RemoteContent, RecoilError> {
         // Beyond the cap the store grows only with real chunk bytes,
-        // whatever `word_bytes` claims.
-        let reserve = usize::try_from(self.header.word_bytes / 2).unwrap_or(usize::MAX);
-        let mut words = Vec::with_capacity(reserve.min(MAX_RESERVED_WORDS));
+        // whatever the header declares.
+        let mut words = Vec::new();
+        reserve_declared_words(&mut words, self.metadata.num_words);
         self.receive(&mut |_, err| Err(err), |n, fill| {
             land_words_le(&mut words, n, fill)
         })?;

@@ -177,8 +177,8 @@ pub fn decode_spans<S: Symbol>(
 }
 
 /// [`decode_spans`] at an explicit interleave depth `K`. Decoders use the
-/// per-kernel constant; this entry exists for the depth sweep in
-/// `benches/decode_kernels.rs` that chose it.
+/// per-kernel constant; this entry exists for the depth sweep that chose
+/// it (`interleave_depth_*` in `recoil-bench`'s `decode_kernels` bench).
 #[doc(hidden)]
 pub fn decode_spans_at_depth<const K: usize, S: Symbol>(
     kernel: Kernel,

@@ -1,7 +1,8 @@
 //! Kernel selection with runtime CPU-feature detection.
 //!
-//! The interleave depths are chosen by the sweep `interleave_depth_*` in
-//! `crates/bench/benches/decode_kernels.rs`: one thread decoding 2 MB of
+//! The interleave depths are chosen by the sweep `interleave_depth_*` of
+//! `cargo bench -p recoil-bench --bench decode_kernels`
+//! (`crates/bench/benches/decode_kernels.rs`): one thread decoding 2 MB of
 //! text-like bytes (5.1 bits/symbol) cut into 1–64 segments, at depths
 //! 1–8. Milliseconds per decode, median of nine runs on a 2-vCPU Intel
 //! Xeon with AVX-512; packed tables (`n = 11`) unless marked wide (`n =

@@ -9,8 +9,8 @@
 //! stated invariant. This crate is the machine check:
 //!
 //! * [`scanner`] — a dependency-free, comment/string/char-literal-aware
-//!   source scanner (no `syn`; the build environment has no registry
-//!   access, the same discipline as `crates/compat`).
+//!   source scanner (no `syn`: the workspace builds without registry
+//!   crates).
 //! * [`policy`] — the safety policy as data: which files may say
 //!   `unsafe`, which crates are wire-facing, which casts are narrowing.
 //! * [`lints`] — the rules:
