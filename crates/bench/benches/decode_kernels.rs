@@ -101,7 +101,15 @@ fn bench_references(data: &[u8]) {
     let mut out = vec![0u8; data.len()];
     bench(group, "careful_reference", 10, Some(data.len()), || {
         let mut states = stream.final_states.clone();
-        decode_span_careful(&model, &stream.words, next, &mut states, 0, &mut out).unwrap();
+        decode_span_careful(
+            &model,
+            stream.words.as_bytes(),
+            next,
+            &mut states,
+            0,
+            &mut out,
+        )
+        .unwrap();
         std::hint::black_box(&out);
     });
     bench(group, "rans_single_state", 10, Some(data.len()), || {

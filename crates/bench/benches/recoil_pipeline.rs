@@ -12,7 +12,7 @@
 use recoil::conventional::encode_conventional;
 use recoil::prelude::*;
 use recoil::rans::fast_encode::{encode_span, encode_span_scalar, takes_vector_path};
-use recoil::rans::RenormSink;
+use recoil::rans::{RenormSink, WordStream};
 use recoil_bench::bench;
 
 fn main() {
@@ -62,9 +62,9 @@ fn encode_once(
     model: &StaticModelProvider,
     data: &[u8],
     sink: &mut impl RenormSink,
-) -> Vec<u16> {
+) -> WordStream {
     let mut states = [recoil::rans::params::INITIAL_STATE; 32];
-    let mut words = Vec::new();
+    let mut words = WordStream::new();
     let encode = if vector {
         encode_span(model, data, 0, &mut states, &mut words, 0, sink)
     } else {

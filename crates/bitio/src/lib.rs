@@ -2,9 +2,10 @@
 //!
 //! Two stream shapes appear throughout the paper:
 //!
-//! * **u16 word streams** (renormalization output, `b = 16` in Table 3).
-//!   The encoder appends words at the back; the decoder consumes them from
-//!   the back toward the front ([`WordStream`], [`BackwardWordReader`]).
+//! * **u16 word streams** (renormalization output, `b = 16` in Table 3),
+//!   held as their little-endian wire image. The encoder appends words at
+//!   the back; the decoder consumes them from the back toward the front
+//!   ([`WordStream`], [`BackwardWordReader`]).
 //! * **Bit-packed metadata series** (§4.3), which need bit-granular
 //!   writers/readers ([`BitWriter`], [`BitSliceWriter`], [`BitReader`]).
 
@@ -15,4 +16,4 @@ mod bits;
 mod words;
 
 pub use bits::{BitReader, BitSliceWriter, BitWriter};
-pub use words::{BackwardWordReader, WordStream};
+pub use words::{BackwardWordReader, OddLength, WordStream};

@@ -87,8 +87,8 @@ fn backward_reader_reverses() {
         let words: Vec<u16> = (0..len).map(|_| rng.next_u64() as u16).collect();
         let start = rng.below(words.len() as u64);
 
-        let stream: WordStream = words.clone().into();
-        let mut r = BackwardWordReader::new(stream.as_slice(), start);
+        let stream: WordStream = words.iter().copied().collect();
+        let mut r = BackwardWordReader::new(stream.as_bytes(), start);
         let got: Vec<u16> = std::iter::from_fn(|| r.next()).collect();
         let expect: Vec<u16> = words[..=start as usize].iter().rev().copied().collect();
         assert_eq!(got, expect, "seed {seed} start {start}");

@@ -57,7 +57,7 @@ mod tests {
 
     fn chunk(words: usize, symbols: u64, ways: u32) -> EncodedStream {
         EncodedStream {
-            words: vec![0; words],
+            words: std::iter::repeat_n(0, words).collect(),
             final_states: vec![INITIAL_STATE; ways as usize],
             num_symbols: symbols,
             ways,

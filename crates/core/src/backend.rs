@@ -437,7 +437,7 @@ mod tests {
             };
             let mut out = vec![S::from_u16(0); self.stream.num_symbols as usize];
             let mut states = self.stream.final_states.clone();
-            let (words, end) = (&self.stream.words, self.stream.end_cursor());
+            let (words, end) = (self.stream.words.as_bytes(), self.stream.end_cursor());
             decode_span_careful(provider, words, end, &mut states, 0, &mut out).unwrap();
             out
         }
@@ -472,7 +472,7 @@ mod tests {
         let segments = 1..5u64;
         let need = metadata.splits[segments.end as usize - 1].offset as usize + 1;
         let prefix = EncodedStream {
-            words: stream.words[..need].to_vec(),
+            words: stream.words.iter().take(need).collect(),
             ..stream.clone()
         };
         let bounds = metadata.segment_bounds();

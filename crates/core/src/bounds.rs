@@ -4,6 +4,7 @@
 //! decoder, so a header is judged by one rule everywhere.
 
 use recoil_models::CdfTable;
+use recoil_rans::WordStream;
 
 /// Most bitstream words a receiver reserves up front from a *declared* word
 /// count (1 MiB); beyond this a word store grows only as real bytes arrive,
@@ -13,10 +14,10 @@ pub const MAX_RESERVED_WORDS: usize = 1 << 19;
 
 /// Empties `words` to receive a stream whose header declares `declared`
 /// words, reserving exactly `min(declared, MAX_RESERVED_WORDS)`: exact, so
-/// a header never grows a store past the bound by `Vec`'s doubling either,
+/// a header never grows a store past the bound by doubling either,
 /// and nothing at all in a store that already holds that many.
-pub fn reserve_declared_words(words: &mut Vec<u16>, declared: u64) {
-    words.clear();
+pub fn reserve_declared_words(words: &mut WordStream, declared: u64) {
+    words.truncate(0);
     let declared = usize::try_from(declared).unwrap_or(usize::MAX);
     words.reserve_exact(declared.min(MAX_RESERVED_WORDS));
 }
@@ -69,17 +70,17 @@ mod tests {
     fn a_declared_word_count_reserves_at_most_the_bound() {
         let bound = MAX_RESERVED_WORDS as u64;
         for declared in [0, 1000, bound, bound + 1, u64::MAX] {
-            let mut words = Vec::new();
+            let mut words = WordStream::new();
             reserve_declared_words(&mut words, declared);
             assert!(words.capacity() <= MAX_RESERVED_WORDS, "{declared}");
             assert!(words.capacity() as u64 >= declared.min(bound), "{declared}");
         }
-        let mut kept = vec![7u16; MAX_RESERVED_WORDS];
-        let (capacity, at) = (kept.capacity(), kept.as_ptr());
+        let mut kept: WordStream = std::iter::repeat_n(7, MAX_RESERVED_WORDS).collect();
+        let (capacity, at) = (kept.capacity(), kept.as_bytes().as_ptr());
         reserve_declared_words(&mut kept, u64::MAX);
         assert!(kept.is_empty());
         assert_eq!(
-            (kept.capacity(), kept.as_ptr()),
+            (kept.capacity(), kept.as_bytes().as_ptr()),
             (capacity, at),
             "reserved nothing"
         );

@@ -5,7 +5,7 @@ use crate::planner::SplitPlanner;
 use crate::wire::metadata_wire_len;
 use recoil_models::{ModelProvider, Symbol};
 use recoil_rans::params::INITIAL_STATE;
-use recoil_rans::{encode_span, EncodedStream, RansError};
+use recoil_rans::{encode_span, EncodedStream, RansError, WordStream};
 
 /// An encoded bitstream together with its (independent) Recoil metadata.
 ///
@@ -51,11 +51,11 @@ pub(crate) fn encode_container<S: Symbol, P: ModelProvider>(
 ) -> Result<RecoilContainer, RansError> {
     let mut planner = SplitPlanner::new(ways, data.len() as u64, segments);
     let mut states = vec![INITIAL_STATE; ways as usize];
-    let mut words = Vec::new();
+    let mut words = WordStream::new();
     encode_span(provider, data, 0, &mut states, &mut words, 0, &mut planner)?;
-    // The engine grows `words` by doubling; a stored item keeps this vector
+    // The engine grows `words` by doubling; a stored item keeps this store
     // for as long as it is published.
-    words.shrink_to_fit();
+    words.shrink_to(words.len());
     let metadata = planner.finish(words.len() as u64, provider.quant_bits());
     let stream = EncodedStream {
         words,

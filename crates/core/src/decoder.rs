@@ -197,6 +197,7 @@ where
     let (a, b) = (segments.start as usize, segments.end as usize);
     let bounds = meta.segment_bounds();
     let (batch, batches) = batch_bounds(pool, &bounds[a..=b], depth);
+    let words = stream.words.as_bytes();
     let total = Mutex::new(DecodeStats::default());
     for_each_disjoint(pool, out, &batches, |t, mut region| {
         let first = a + t * batch;
@@ -205,7 +206,7 @@ where
             let (seg, rest) = region.split_at_mut((bounds[m + 1] - bounds[m]) as usize);
             region = rest;
             spans.push(match meta.splits.get(m) {
-                Some(split) => sync_phase(split, &stream.words, provider, bounds[m], seg)?,
+                Some(split) => sync_phase(split, words, provider, bounds[m], seg)?,
                 // The last segment starts from the exact, explicitly
                 // transmitted final states; no synchronization is needed.
                 None => stream.tail_span(bounds[m], seg),
@@ -237,7 +238,7 @@ where
 /// head was reached), over positions `lo .. lo + out.len()`.
 fn sync_phase<'a, S, P: ModelProvider + ?Sized>(
     split: &SplitPoint,
-    words: &'a [u16],
+    words: &'a [u8],
     provider: &P,
     lo: u64,
     out: &'a mut [S],

@@ -10,7 +10,7 @@
 //!                model block: u32 alphabet | alphabet × u16 frequencies
 //!                  (each < 2^n) | W × u32 final states | u32 CRC-32 of them
 //!                u32 CRC-32 of the words' little-endian bytes
-//! B × u16 words
+//! B × u16 words (the stream's wire image, `WordStream::as_bytes`)
 //! ```
 //!
 //! [`item_from_bytes`] checks a section before reading it: CRCs first, then
@@ -21,13 +21,13 @@
 
 use crate::bounds::{checked_cdf_table, symbols_fit};
 use crate::codec::Encoded;
-use crate::crc::{crc32, update_crc32};
+use crate::crc::crc32;
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
 use crate::wire::{metadata_from_bytes, metadata_to_bytes};
 use crate::RecoilContainer;
 use recoil_models::{CdfTable, StaticModelProvider};
-use recoil_rans::{append_words_le, land_words_le, EncodedStream};
+use recoil_rans::{EncodedStream, WordStream};
 
 const MAGIC: &[u8; 4] = b"RCLF";
 /// The format: one item section, then the words.
@@ -113,21 +113,6 @@ pub fn write_item_section(out: &mut Vec<u8>, metadata: &[u8], model_block: &[u8]
     put_u32(out, words_crc);
 }
 
-/// CRC-32 of `words`' little-endian bytes: an item section's words CRC.
-/// Staged through a cache-resident scratch image, so the words are read
-/// from memory once.
-pub fn words_crc32(words: &[u16]) -> u32 {
-    const SCRATCH_WORDS: usize = 2048;
-    let mut state = 0xFFFF_FFFFu32;
-    let mut scratch = Vec::new();
-    for block in words.chunks(SCRATCH_WORDS) {
-        scratch.clear();
-        append_words_le(&mut scratch, block);
-        state = update_crc32(state, &scratch);
-    }
-    state ^ 0xFFFF_FFFF
-}
-
 /// The one verdict on received words: the CRC-32 of their bytes against the
 /// CRC their item section carried.
 pub fn check_words_crc(computed: u32, carried: u32) -> Result<(), RecoilError> {
@@ -145,21 +130,15 @@ pub fn container_to_bytes(container: &RecoilContainer, model: &CdfTable) -> Vec<
         &mut item,
         &metadata_to_bytes(&container.metadata),
         &model_block(model, &stream.final_states),
-        words_crc32(&stream.words),
+        crc32(stream.words.as_bytes()),
     );
     container_of_item(&item, &stream.words)
 }
 
 /// A container from an item section and the words it describes (a fetch's
 /// make the container of its tier).
-pub fn container_of_item(item: &[u8], words: &[u16]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.reserve_exact(MAGIC.len() + 1 + item.len() + words.len() * 2);
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    out.extend_from_slice(item);
-    append_words_le(&mut out, words);
-    out
+pub fn container_of_item(item: &[u8], words: &WordStream) -> Vec<u8> {
+    [MAGIC.as_slice(), &[VERSION], item, words.as_bytes()].concat()
 }
 
 impl Encoded {
@@ -210,7 +189,7 @@ pub fn item_from_bytes(bytes: &[u8]) -> Result<(ItemSection, usize), RecoilError
         .collect::<Result<_, _>>()?;
     let table = checked_cdf_table(freqs, n).map_err(RecoilError::wire)?;
     let head = EncodedStream {
-        words: Vec::new(),
+        words: WordStream::new(),
         final_states: (0..lanes).map(|_| b.u32()).collect::<Result<_, _>>()?,
         num_symbols: symbols,
         ways,
@@ -247,11 +226,11 @@ pub fn read_container(
     if word_bytes.len() as u64 != metadata.num_words.saturating_mul(2) {
         return Err(RecoilError::wire("word bytes disagree with the word count"));
     }
-    let mut words = Vec::new();
-    land_words_le(&mut words, word_bytes.len() / 2, |dst| {
-        dst.copy_from_slice(word_bytes);
-        check_words_crc(crc32(dst), item.words_crc)
-    })?;
+    check_words_crc(crc32(word_bytes), item.words_crc)?;
+    let mut words = WordStream::new();
+    words
+        .extend_from_le_bytes(word_bytes)
+        .map_err(|odd| RecoilError::wire(odd.to_string()))?;
     let stream = EncodedStream {
         words,
         final_states: item.final_states,

@@ -20,8 +20,7 @@
 //! let enc = codec.encode(&data).unwrap();
 //!
 //! // Stream the bitstream bytes in slices of whole words.
-//! let mut bytes = Vec::new();
-//! recoil_rans::append_words_le(&mut bytes, &enc.container.stream.words);
+//! let bytes = enc.container.stream.words.as_bytes();
 //! let mut incr = IncrementalDecoder::new(
 //!     enc.container.metadata.clone(),
 //!     enc.container.stream.final_states.clone(),
@@ -43,7 +42,7 @@ use crate::decoder::DecodeStats;
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
 use recoil_models::{ModelProvider, StaticModelProvider};
-use recoil_rans::{land_words_le, EncodedStream, RansError};
+use recoil_rans::{EncodedStream, RansError, WordStream};
 use std::ops::Range;
 
 /// Streaming segment decoder over split metadata (see the module docs).
@@ -80,7 +79,7 @@ impl IncrementalDecoder {
         final_states: Vec<u32>,
         model: StaticModelProvider,
     ) -> Result<Self, RecoilError> {
-        Self::with_words(metadata, final_states, model, Vec::new())
+        Self::with_words(metadata, final_states, model, WordStream::new())
     }
 
     /// [`IncrementalDecoder::new`], receiving into `words`: a store kept
@@ -94,7 +93,7 @@ impl IncrementalDecoder {
         metadata: RecoilMetadata,
         final_states: Vec<u32>,
         model: StaticModelProvider,
-        mut words: Vec<u16>,
+        mut words: WordStream,
     ) -> Result<Self, RecoilError> {
         metadata.validate()?;
         if model.quant_bits() != metadata.quant_bits {
@@ -147,7 +146,7 @@ impl IncrementalDecoder {
     /// The word store, handed back for the next stream's
     /// [`IncrementalDecoder::with_words`]. Read what the stream came to
     /// ([`IncrementalDecoder::payload_bytes`], the stats) first.
-    pub fn into_words(self) -> Vec<u16> {
+    pub fn into_words(self) -> WordStream {
         self.stream.words
     }
 
@@ -211,37 +210,39 @@ impl IncrementalDecoder {
         self.bounds[self.ready_segments() as usize] as usize
     }
 
-    /// Appends arriving bitstream bytes, two little-endian bytes a word
-    /// ([`IncrementalDecoder::land_words`]). An odd-length slice ends
-    /// mid-word and is rejected with [`RecoilError::Decode`].
+    /// Appends arriving bitstream bytes, two little-endian bytes a word.
+    /// An odd-length slice ends mid-word, and it and words past the
+    /// declared stream are rejected with [`RecoilError::Decode`].
     pub fn push_bytes(&mut self, bytes: &[u8]) -> Result<(), RecoilError> {
-        if !bytes.len().is_multiple_of(2) {
-            let odd = format!("a {}-byte slice ends mid-word", bytes.len());
-            return Err(RecoilError::Decode(RansError::MalformedStream(odd)));
-        }
-        self.land_words(bytes.len() / 2, |dst| {
-            dst.copy_from_slice(bytes);
-            Ok(())
-        })
+        self.check_room(bytes.len() / 2)?;
+        self.stream
+            .words
+            .extend_from_le_bytes(bytes)
+            .map_err(|odd| RecoilError::Decode(RansError::MalformedStream(odd.to_string())))
     }
 
     /// Lands `n` received words whose bytes `fill` writes in place
-    /// ([`land_words_le`]). Words past the declared stream are rejected with
-    /// [`RecoilError::Decode`] before `fill` runs.
+    /// ([`WordStream::land`]). Words past the declared stream are rejected
+    /// with [`RecoilError::Decode`] before `fill` runs.
     pub fn land_words<E: From<RecoilError>>(
         &mut self,
         n: usize,
         fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
     ) -> Result<(), E> {
+        self.check_room(n)?;
+        self.stream.words.land(n, fill)
+    }
+
+    /// Refuses `n` more words if they overrun the declared stream.
+    fn check_room(&self, n: usize) -> Result<(), RecoilError> {
         let words = self.stream.words.len() as u64 + n as u64;
         if words > self.metadata.num_words {
             return Err(RecoilError::Decode(RansError::MalformedStream(format!(
                 "stream overrun: {words} words pushed into a {}-word bitstream",
                 self.metadata.num_words
-            )))
-            .into());
+            ))));
         }
-        land_words_le(&mut self.stream.words, n, fill)
+        Ok(())
     }
 
     /// Decodes every segment that became resident since the last call,
@@ -304,9 +305,7 @@ mod tests {
     }
 
     fn stream_bytes(enc: &Encoded) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        recoil_rans::append_words_le(&mut bytes, &enc.container.stream.words);
-        bytes
+        enc.container.stream.words.as_bytes().to_vec()
     }
 
     fn incr_for(enc: &Encoded, meta: &RecoilMetadata) -> IncrementalDecoder {
@@ -537,7 +536,8 @@ mod tests {
         .unwrap();
         assert_eq!(incr.bytes_received(), 0, "a handed-in store is cleared");
         assert_eq!(incr.stream.words.capacity(), kept_capacity);
-        let small = Vec::with_capacity(1000);
+        let mut small = WordStream::new();
+        small.reserve_exact(1000);
         let mut incr = IncrementalDecoder::with_words(
             declared,
             enc.container.stream.final_states.clone(),

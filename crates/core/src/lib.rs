@@ -60,7 +60,7 @@ pub use decoder::{decode_segments, validate_segment_decode, DecodeStats};
 pub use error::RecoilError;
 pub use file::{
     check_words_crc, container_from_bytes, container_of_item, container_to_bytes, item_from_bytes,
-    model_block, read_container, words_crc32, write_item_section, ItemSection,
+    model_block, read_container, write_item_section, ItemSection,
 };
 pub use incremental::IncrementalDecoder;
 pub use metadata::{LaneInit, RecoilMetadata, SplitLanes, SplitPoint};

@@ -632,7 +632,7 @@ pub(crate) mod tests {
     fn validate_against_checks_stream_shape() {
         let m = figure6_meta();
         let stream = EncodedStream {
-            words: vec![0; 9],
+            words: std::iter::repeat_n(0, 9).collect(),
             final_states: vec![recoil_rans::params::INITIAL_STATE; 4],
             num_symbols: 20,
             ways: 4,

@@ -21,7 +21,7 @@ fn streaming_decode_reuses_the_tables_across_batches() {
     let codec = Codec::builder().max_segments(64).build().unwrap();
     let enc = codec.encode(&data).unwrap();
     let mut bytes = Vec::with_capacity(enc.container.stream.words.len() * 2);
-    for w in &enc.container.stream.words {
+    for w in enc.container.stream.words.iter() {
         bytes.extend_from_slice(&w.to_le_bytes());
     }
 

@@ -21,7 +21,7 @@ use recoil_core::{
     IncrementalDecoder, RecoilError, RecoilMetadata,
 };
 use recoil_models::StaticModelProvider;
-use recoil_rans::{land_words_le, EncodedStream};
+use recoil_rans::{EncodedStream, WordStream};
 use recoil_telemetry::{Stage, Telemetry, TelemetryLevel};
 use std::borrow::BorrowMut;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -221,7 +221,7 @@ pub struct StreamedFetch {
 /// it back after its decode; a fetch running while another holds it
 /// receives into a store of its own, and of the two the larger is kept.
 /// What it holds is the largest stream a fetch received into it — trimmed
-/// to that on the way back, so the `Vec`'s doubling pins nothing more — or
+/// to that on the way back, so the store's doubling pins nothing more — or
 /// the [`recoil_core::MAX_RESERVED_WORDS`] a header reserved.
 #[derive(Debug, Default)]
 pub struct WordStore(Mutex<Kept>);
@@ -229,7 +229,7 @@ pub struct WordStore(Mutex<Kept>);
 /// A [`WordStore`]'s contents.
 #[derive(Debug, Default)]
 struct Kept {
-    words: Vec<u16>,
+    words: WordStream,
     /// The most words a fetch has received into the store.
     largest: usize,
 }
@@ -241,13 +241,13 @@ impl WordStore {
     }
 
     /// The store, leaving an empty one behind for a concurrent fetch.
-    fn take(&self) -> Vec<u16> {
+    fn take(&self) -> WordStream {
         std::mem::take(&mut unpoisoned(self.0.lock()).words)
     }
 
     /// Trims `words` to the largest stream received so far, and keeps it
     /// if it is larger than what the store holds now.
-    fn put_back(&self, mut words: Vec<u16>) {
+    fn put_back(&self, mut words: WordStream) {
         let mut kept = unpoisoned(self.0.lock());
         kept.largest = kept.largest.max(words.len());
         words.shrink_to(kept.largest);
@@ -840,7 +840,7 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
 
     /// Receives every CHUNK the transfer still owes: the one receive loop
     /// every drain runs. `land` gets each admitted body's word count and
-    /// the fill to land them with ([`land_words_le`]), and may act on them.
+    /// the fill to land them with ([`WordStream::land`]), and may act on them.
     /// A failed *connection* goes to `recover` (see
     /// [`FetchSession::decode_streaming`]); a body that fails the payload
     /// check ends the loop with the check's error, and so does `land`'s.
@@ -867,11 +867,9 @@ impl<C: BorrowMut<TcpStream>> FetchSession<C> {
     fn into_content(mut self) -> Result<RemoteContent, RecoilError> {
         // Beyond the cap the store grows only with real chunk bytes,
         // whatever the header declares.
-        let mut words = Vec::new();
+        let mut words = WordStream::new();
         reserve_declared_words(&mut words, self.metadata.num_words);
-        self.receive(&mut |_, err| Err(err), |n, fill| {
-            land_words_le(&mut words, n, fill)
-        })?;
+        self.receive(&mut |_, err| Err(err), |n, fill| words.land(n, fill))?;
         let header = self.header;
         let stream = EncodedStream {
             words,

@@ -148,14 +148,14 @@ mod tests {
     use crate::frame::PayloadWriter;
     use recoil_core::codec::Codec;
     use recoil_core::{crc32, metadata_to_bytes, model_block, write_item_section};
-    use recoil_rans::{append_words_le, land_words_le};
+    use recoil_rans::WordStream;
 
     /// A real encode cut the way the server cuts it: the TRANSMIT header
     /// and the CHUNK bodies of an 8-segment, 1 KiB-chunk transmission.
     struct Cut {
         header: TransmitHeader,
         bodies: Vec<Vec<u8>>,
-        words: Vec<u16>,
+        words: WordStream,
     }
 
     fn cut() -> Cut {
@@ -171,12 +171,9 @@ mod tests {
         let stream = &enc.container.stream;
         let bodies: Vec<Vec<u8>> = stream
             .words
-            .chunks(512)
-            .map(|c| {
-                let mut body = Vec::new();
-                append_words_le(&mut body, c);
-                body
-            })
+            .as_bytes()
+            .chunks(1024)
+            .map(<[u8]>::to_vec)
             .collect();
         assert!(bodies.len() >= 8, "{} chunks", bodies.len());
         // The TRANSMIT payload as the server writes it, parsed as the
@@ -224,11 +221,11 @@ mod tests {
     fn feed(
         check: &mut PayloadCheck,
         bodies: &[Vec<u8>],
-        words: &mut Vec<u16>,
+        words: &mut WordStream,
     ) -> Result<(), RecoilError> {
         for (seq, body) in bodies.iter().enumerate() {
             let n = check.admit(seq as u32, body.len())?;
-            land_words_le(words, n, |dst| {
+            words.land(n, |dst| {
                 dst.copy_from_slice(body);
                 check.commit(dst)
             })?;
@@ -263,7 +260,7 @@ mod tests {
     fn resume_at_every_chunk_boundary_reaches_the_same_verified_words() {
         let cut = cut();
         for at in 0..=cut.bodies.len() {
-            let mut words = Vec::new();
+            let mut words = WordStream::new();
             let mut check = PayloadCheck::begin(&cut.header).unwrap();
             // The first "node" dies after `at` chunks…
             feed(&mut check, &cut.bodies[..at], &mut words).unwrap();
@@ -288,7 +285,7 @@ mod tests {
         let cut = cut();
         let mut check = PayloadCheck::begin(&cut.header).unwrap();
         let last = cut.bodies.len() - 1;
-        feed(&mut check, &cut.bodies[..last], &mut Vec::new()).unwrap();
+        feed(&mut check, &cut.bodies[..last], &mut WordStream::new()).unwrap();
         // A node that claims there is nothing left to send is caught short.
         let empty = TransmitHeader {
             chunk_count: 0,
@@ -314,7 +311,7 @@ mod tests {
     fn sequence_and_size_violations_are_typed_errors() {
         let cut = cut();
         let n = cut.bodies.len();
-        let mut words = Vec::new();
+        let mut words = WordStream::new();
 
         // A skipped sequence number — and the state is untouched by it.
         let mut check = PayloadCheck::begin(&cut.header).unwrap();
@@ -349,13 +346,13 @@ mod tests {
             let mut bodies = cut.bodies.clone();
             bodies[which][byte] ^= 0x40;
             let mut check = PayloadCheck::begin(&cut.header).unwrap();
-            let mut words = Vec::new();
+            let mut words = WordStream::new();
             // Every frame but the last is accepted; the last one closes
             // the stream and carries the verdict.
             feed(&mut check, &bodies[..n - 1], &mut words).unwrap();
             let (held, last) = (words.len(), &bodies[n - 1]);
             let owed = check.admit(n as u32 - 1, last.len()).unwrap();
-            let verdict = land_words_le(&mut words, owed, |dst| {
+            let verdict = words.land(owed, |dst| {
                 dst.copy_from_slice(last);
                 check.commit(dst)
             });
@@ -390,7 +387,8 @@ mod tests {
         assert!(refused(&mut check, &frame(1, &payload[100..157])).contains("mid-word"));
         assert_eq!(check.words_received(), 50);
         // Cut at whole words, the rest reassembles and verifies.
-        let mut words = cut.words[..50].to_vec();
+        let mut words = cut.words.clone();
+        words.truncate(50);
         let rest = [payload[100..158].to_vec(), payload[158..].to_vec()];
         let resumed = TransmitHeader {
             chunk_count: 2,
@@ -427,7 +425,7 @@ mod tests {
             ..cut.header.clone()
         };
         check.resume(&agreeing).unwrap();
-        let mut words = Vec::new();
+        let mut words = WordStream::new();
         feed(&mut check, &cut.bodies[1..], &mut words).unwrap();
         assert_eq!(held + words.len() as u64, cut.words.len() as u64);
     }
@@ -461,8 +459,7 @@ mod tests {
         for torn in [false, true] {
             let mut check = PayloadCheck::begin(&header).unwrap();
             let mut reader = &wire[..wire.len() - if torn { 1000 } else { 0 }];
-            let mut words = Vec::new();
-            let mut landed = Vec::new();
+            let mut words = WordStream::new();
             for body in &bodies {
                 let HeaderOutcome::Header(FrameType::Chunk, len) =
                     read_header(&mut reader).unwrap()
@@ -478,7 +475,7 @@ mod tests {
                 let n = check
                     .admit(u32::from_le_bytes(seq), len - CHUNK_SEQ_BYTES)
                     .unwrap();
-                let got = land_words_le(&mut words, n, |dst| {
+                let got = words.land(n, |dst| {
                     read_exact_patient(&mut reader, dst)?;
                     check.commit(dst)
                 });
@@ -486,8 +483,7 @@ mod tests {
                     assert!(torn, "{got:?}");
                     break;
                 }
-                landed.clear();
-                append_words_le(&mut landed, &words[words.len() - n..]);
+                let landed = &words.as_bytes()[2 * (words.len() - n)..];
                 assert_eq!(landed, *body, "the store holds the body's words");
             }
             assert_eq!(words.len() as u64, check.words_received(), "torn={torn}");

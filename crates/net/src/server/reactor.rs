@@ -67,7 +67,6 @@ use crate::proto::{
 };
 use crate::unpoisoned;
 use recoil_core::{read_container, RecoilError};
-use recoil_rans::append_words_le;
 use recoil_reactor::{DeadlineQueue, Poller, Slab, SlabStats, Token, WakePipe};
 use recoil_server::{ContentServer, ServerStats, StoredContent, Transmission};
 use recoil_telemetry::{Stage, Telemetry, TelemetrySnapshot};
@@ -341,9 +340,9 @@ impl Conn {
     /// ([`fill_chunks`]), and lets the item go after its last.
     fn stream_chunks(&mut self, chunk_words: usize) {
         if let Some(item) = &self.item {
-            let words = &item.stream.words;
+            let words = item.stream.words.as_bytes();
             fill_chunks(&mut self.write_buf, words, &mut self.cursor, chunk_words);
-            if self.cursor.word == words.len() {
+            if 2 * self.cursor.word == words.len() {
                 self.item = None;
             }
         }
@@ -473,12 +472,13 @@ fn chunk_count(from: u64, total: usize, chunk_words: usize) -> Result<u32, Recoi
 /// words `[from + k·c, min(from + (k+1)·c, words.len()))` for `c =
 /// chunk_words`, which `NetConfig::effective_chunk_words` pre-clamps to the
 /// frame cap.
-fn fill_chunks(buf: &mut Vec<u8>, words: &[u16], cursor: &mut ChunkCursor, chunk_words: usize) {
-    while cursor.word < words.len() && buf.len() < WRITE_HIGH_WATER {
-        let end = words.len().min(cursor.word + chunk_words);
+fn fill_chunks(buf: &mut Vec<u8>, words: &[u8], cursor: &mut ChunkCursor, chunk_words: usize) {
+    let total = words.len() / 2;
+    while cursor.word < total && buf.len() < WRITE_HIGH_WATER {
+        let end = total.min(cursor.word + chunk_words);
         let at = begin_frame(buf, FrameType::Chunk);
         buf.extend_from_slice(&cursor.seq.to_le_bytes());
-        append_words_le(buf, &words[cursor.word..end]);
+        buf.extend_from_slice(&words[2 * cursor.word..2 * end]);
         end_frame(buf, at).expect("chunk frames are pre-clamped to the frame cap");
         cursor.word = end;
         cursor.seq += 1;
@@ -1504,7 +1504,8 @@ mod tests {
     fn chunks_tile_the_rest_of_the_stream_from_every_offset() {
         for c in [1usize, 3, 2048] {
             for total in [0, 1, c - 1, c, c + 1, 5 * c + 3] {
-                let words: Vec<u16> = (0..total).map(|i| i as u16 ^ 0xA5C3).collect();
+                let words: recoil_rans::WordStream =
+                    (0..total).map(|i| i as u16 ^ 0xA5C3).collect();
                 let mut buf = Vec::new();
                 for from in 0..=total {
                     let count = chunk_count(from as u64, total, c).unwrap();
@@ -1512,7 +1513,7 @@ mod tests {
                     let (mut next, mut seen) = (from, 0u32);
                     while cursor.word < total {
                         buf.clear();
-                        fill_chunks(&mut buf, &words, &mut cursor, c);
+                        fill_chunks(&mut buf, words.as_bytes(), &mut cursor, c);
                         let mut rest = &buf[..];
                         while let Some((ty, end)) = parse_frame(rest).unwrap() {
                             assert_eq!(ty, FrameType::Chunk);
@@ -1526,7 +1527,7 @@ mod tests {
                                 |i: usize| u16::from_le_bytes([body[2 * i], body[2 * i + 1]]);
                             assert_eq!(
                                 (word(0), word(len - 1)),
-                                (words[next], words[next + len - 1]),
+                                (words.word(next), words.word(next + len - 1)),
                                 "c {c} B {total} from {from}"
                             );
                             (next, seen) = (next + len, seen + 1);

@@ -6,7 +6,7 @@
 //! The per-symbol decode step is three cheap operations (renormalize,
 //! table lookup, state update — Eq. 2 / Eq. 4), but the straightforward
 //! loop pays for much more than that on every symbol: a `Result`-wrapped
-//! underflow check, a bounds-checked `words[p]` read through an
+//! underflow check, a bounds-checked word read through an
 //! `Option<u64>` cursor, a 64-bit `pos % ways` division to find the owning
 //! lane, and a bounds-checked output write. Giesen's interleaved entropy
 //! coders observation (PAPERS.md) removes all of it: because `b >= n`,
@@ -19,13 +19,13 @@
 //! [`Span::advance_scalar`] is the engine: an outer loop runs while
 //! `remaining_symbols >= GROUP && words_left >= GROUP`; the inner
 //! `GROUP`-symbol loop is branchless (the renorm is a speculative in-bounds
-//! load plus a conditional move), uses `get_unchecked` word reads justified
-//! by the word budget, tracks the owning lane with a rotating counter
-//! instead of `pos % ways`, hoists `n`/`mask`, and writes output through a
-//! per-group chunk so the write bounds check happens once per `GROUP`
-//! symbols. Once either budget runs out, the remaining symbols go through
-//! [`decode_span_careful`] — one checked renormalize-then-transform step per
-//! symbol, which stays both the **careful tail** (it reports
+//! load plus a conditional move), uses `get_unchecked` reads of each word's
+//! byte pair justified by the word budget, tracks the owning lane with a
+//! rotating counter instead of `pos % ways`, hoists `n`/`mask`, and writes
+//! output through a per-group chunk so the write bounds check happens once
+//! per `GROUP` symbols. Once either budget runs out, the remaining symbols
+//! go through [`decode_span_careful`] — one checked step per symbol, which
+//! stays both the **careful tail** (it reports
 //! [`RansError::BitstreamUnderflow`] on truncated streams) and the
 //! **bit-exactness reference** the fast loop is tested against.
 //!
@@ -35,9 +35,9 @@
 //! states, and the per-group output chunk. Each is justified by a loop
 //! invariant, restated at the call site and checked by debug assertions:
 //!
-//! * **words**: the entry assertion pins `p < words.len()`; the outer loop
-//!   guard establishes `p >= GROUP - 1`, and each of the `GROUP` inner
-//!   symbols decrements `p` at most once, so every read index stays in
+//! * **words**: the entry assertion pins `p` below the word count; the
+//!   outer loop guard establishes `p >= GROUP - 1`, and each of the `GROUP`
+//!   inner symbols decrements `p` at most once, so every read index stays in
 //!   `0 ..= p_entry`.
 //! * **states**: the rotating `lane` starts at `hi % ways` and wraps
 //!   modulo `states.len()`, so it is always `< states.len()`.
@@ -123,7 +123,7 @@ impl<S: Symbol> Span<'_, S> {
     ) -> Result<SpanStats, RansError> {
         let out = self.take_top(count);
         let lo = self.end();
-        let (words, states) = (self.words, &mut self.states[..]);
+        let (words, states) = (self.words.as_chunks::<2>().0, &mut self.states[..]);
         assert!(!states.is_empty(), "need at least one lane state");
         let ways = states.len();
         let n = provider.quant_bits();
@@ -176,7 +176,7 @@ impl<S: Symbol> Span<'_, S> {
                 // entry, each symbol decrements `p` at most once, and the
                 // entry assertion pinned `p < words.len()`; so `0 <= p` holds
                 // for every one of the GROUP speculative loads here.
-                let w = unsafe { *words.get_unchecked(p as usize) } as u32;
+                let w: u32 = u16::from_le_bytes(unsafe { *words.get_unchecked(p as usize) }).into();
                 let renorm = x < LOWER_BOUND;
                 // Both arms are side-effect free: LLVM lowers this to cmov.
                 let x = if renorm { (x << RENORM_BITS) | w } else { x };
@@ -199,7 +199,7 @@ impl<S: Symbol> Span<'_, S> {
         // states and cursor hand over exactly.
         let cursor = decode_span_careful(
             provider,
-            words,
+            self.words,
             (p >= 0).then_some(p as u64),
             states,
             lo,
@@ -220,9 +220,9 @@ impl<S: Symbol> Span<'_, S> {
 /// The retained careful reference loop: one checked renormalize-then-transform
 /// step per symbol with `pos % ways` lane selection — exactly the loop every
 /// decoder ran before the fast engine existed. Decodes positions
-/// `lo .. lo + out.len()` (descending) of a `states.len()`-way stream from
-/// the backward word cursor `next_read` (`None` = exhausted) and returns the
-/// cursor after them.
+/// `lo .. lo + out.len()` (descending) of a `states.len()`-way stream,
+/// whose wire image is `words`, from the backward word cursor `next_read`
+/// (`None` = exhausted) and returns the cursor after them.
 ///
 /// [`Span::advance_scalar`] must be bit-identical to this function (same
 /// output, same final `states`, same cursor, same errors); it is public as
@@ -230,7 +230,7 @@ impl<S: Symbol> Span<'_, S> {
 #[doc(hidden)]
 pub fn decode_span_careful<S: Symbol, P: ModelProvider + ?Sized>(
     provider: &P,
-    words: &[u16],
+    words: &[u8],
     next_read: Option<u64>,
     states: &mut [u32],
     lo: u64,
@@ -263,7 +263,7 @@ mod tests {
     /// The engine in the argument shape of [`decode_span_careful`].
     fn decode_span_with_stats<S: Symbol>(
         provider: &StaticModelProvider,
-        words: &[u16],
+        words: &[u8],
         next_read: Option<u64>,
         states: &mut [u32],
         lo: u64,
@@ -283,7 +283,7 @@ mod tests {
 
     fn decode_span<S: Symbol>(
         provider: &StaticModelProvider,
-        words: &[u16],
+        words: &[u8],
         next_read: Option<u64>,
         states: &mut [u32],
         lo: u64,
@@ -325,15 +325,27 @@ mod tests {
 
                 let mut fast_states = stream.final_states.clone();
                 let mut fast_out = vec![0u8; len];
-                let fast_cursor =
-                    decode_span(&p, &stream.words, next, &mut fast_states, 0, &mut fast_out)
-                        .unwrap();
+                let fast_cursor = decode_span(
+                    &p,
+                    stream.words.as_bytes(),
+                    next,
+                    &mut fast_states,
+                    0,
+                    &mut fast_out,
+                )
+                .unwrap();
 
                 let mut ref_states = stream.final_states.clone();
                 let mut ref_out = vec![0u8; len];
-                let ref_cursor =
-                    decode_span_careful(&p, &stream.words, next, &mut ref_states, 0, &mut ref_out)
-                        .unwrap();
+                let ref_cursor = decode_span_careful(
+                    &p,
+                    stream.words.as_bytes(),
+                    next,
+                    &mut ref_states,
+                    0,
+                    &mut ref_out,
+                )
+                .unwrap();
 
                 assert_eq!(fast_out, data, "ways={ways} len={len}");
                 assert_eq!(ref_out, data, "ways={ways} len={len}");
@@ -341,6 +353,33 @@ mod tests {
                 assert_eq!(fast_cursor, ref_cursor, "ways={ways} len={len}");
             }
         }
+    }
+
+    /// A stream's bytes need no alignment: both loops decode a span whose
+    /// wire image sits at an odd address exactly as from the stream itself.
+    #[test]
+    fn fast_and_careful_decode_from_an_odd_offset_view() {
+        let data = sample(10_000, 5);
+        let (stream, p) = encode(&data, 11, 32);
+        let mut shifted = vec![0xA5u8; stream.words.as_bytes().len() + 1];
+        shifted[1..].copy_from_slice(stream.words.as_bytes());
+        let odd = &shifted[1..];
+        assert_eq!(
+            odd.as_ptr() as usize % 2,
+            1,
+            "the view starts at an odd address"
+        );
+        let next = stream.end_cursor();
+        let mut fast_states = stream.final_states.clone();
+        let mut fast_out = vec![0u8; data.len()];
+        let fast_cursor = decode_span(&p, odd, next, &mut fast_states, 0, &mut fast_out).unwrap();
+        let mut ref_states = stream.final_states.clone();
+        let mut ref_out = vec![0u8; data.len()];
+        let ref_cursor =
+            decode_span_careful(&p, odd, next, &mut ref_states, 0, &mut ref_out).unwrap();
+        assert_eq!(fast_out, data);
+        assert_eq!(ref_out, data);
+        assert_eq!((fast_cursor, &fast_states), (ref_cursor, &ref_states));
     }
 
     /// Highly compressible data exhausts the word budget long before the
@@ -360,7 +399,7 @@ mod tests {
         let next = Some(stream.words.len() as u64 - 1);
         let mut states = stream.final_states.clone();
         let mut out = vec![0u8; data.len()];
-        decode_span(&p, &stream.words, next, &mut states, 0, &mut out).unwrap();
+        decode_span(&p, stream.words.as_bytes(), next, &mut states, 0, &mut out).unwrap();
         assert_eq!(out, data);
     }
 
@@ -374,10 +413,25 @@ mod tests {
             let next = Some(stream.words.len() as u64 - 1);
             let mut states = stream.final_states.clone();
             let mut hi = vec![0u8; data.len() - cut];
-            let mid =
-                decode_span(&p, &stream.words, next, &mut states, cut as u64, &mut hi).unwrap();
+            let mid = decode_span(
+                &p,
+                stream.words.as_bytes(),
+                next,
+                &mut states,
+                cut as u64,
+                &mut hi,
+            )
+            .unwrap();
             let mut lo_part = vec![0u8; cut];
-            decode_span(&p, &stream.words, mid, &mut states, 0, &mut lo_part).unwrap();
+            decode_span(
+                &p,
+                stream.words.as_bytes(),
+                mid,
+                &mut states,
+                0,
+                &mut lo_part,
+            )
+            .unwrap();
             assert_eq!(&hi[..], &data[cut..], "cut={cut}");
             assert_eq!(&lo_part[..], &data[..cut], "cut={cut}");
         }
@@ -395,11 +449,25 @@ mod tests {
 
         let mut fast_states = stream.final_states.clone();
         let mut out = vec![0u8; data.len()];
-        let fast = decode_span(&p, &truncated, next, &mut fast_states, 0, &mut out);
+        let fast = decode_span(
+            &p,
+            truncated.as_bytes(),
+            next,
+            &mut fast_states,
+            0,
+            &mut out,
+        );
 
         let mut ref_states = stream.final_states.clone();
         let mut ref_out = vec![0u8; data.len()];
-        let reference = decode_span_careful(&p, &truncated, next, &mut ref_states, 0, &mut ref_out);
+        let reference = decode_span_careful(
+            &p,
+            truncated.as_bytes(),
+            next,
+            &mut ref_states,
+            0,
+            &mut ref_out,
+        );
 
         match (fast, reference) {
             (Err(a), Err(b)) => assert_eq!(a, b),
@@ -418,7 +486,8 @@ mod tests {
             let mut states = stream.final_states.clone();
             let mut out = vec![0u8; len];
             let (cursor, stats) =
-                decode_span_with_stats(&p, &stream.words, next, &mut states, 0, &mut out).unwrap();
+                decode_span_with_stats(&p, stream.words.as_bytes(), next, &mut states, 0, &mut out)
+                    .unwrap();
             assert_eq!(out, data, "len={len} ways={ways}");
             assert_eq!(stats.symbols(), len as u64, "every symbol is accounted");
             assert_eq!(
@@ -459,7 +528,7 @@ mod tests {
         let mut out = vec![0u8; 100];
         let _ = decode_span(
             &p,
-            &stream.words,
+            stream.words.as_bytes(),
             Some(stream.words.len() as u64),
             &mut states,
             0,

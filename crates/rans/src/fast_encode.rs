@@ -76,14 +76,14 @@
 //!
 //! # Output reservation
 //!
-//! The vector loop stores 16 words at a time, unmasked, and advances by the
-//! number that were real. Before each block of [`BLOCK_GROUPS`] groups it
-//! reserves the block's word budget (`32 * BLOCK_GROUPS`, which by the
-//! at-most-one-word-per-symbol bound also covers the slack of the last
-//! store) — never `data.len()` words up front, which would be several times
-//! the stream. The `Vec` still grows by doubling; the callers that finish a
-//! stream ([`crate::InterleavedEncoder::finish`], `recoil_core`'s
-//! container) shrink it to fit.
+//! The vector loop stores 16 words (32 bytes) at a time, unmasked, and
+//! advances by the number that were real. Each block of [`BLOCK_GROUPS`]
+//! groups lands in the stream's block word budget (`32 * BLOCK_GROUPS`,
+//! which by the at-most-one-word-per-symbol bound also covers the slack of
+//! the last store; [`WordStream::land`] grows the stream by it and the
+//! words past those written are truncated away) — never `data.len()` words
+//! up front, which would be several times the stream. The store still grows
+//! by doubling; [`crate::InterleavedEncoder::finish`] shrinks it to fit.
 //!
 //! # Safety invariant
 //!
@@ -99,6 +99,7 @@
 use crate::params::{self, RENORM_BITS};
 use crate::sink::{RenormGroup, RenormSink};
 use crate::RansError;
+use recoil_bitio::WordStream;
 use recoil_models::{ModelProvider, Symbol};
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
@@ -181,7 +182,7 @@ pub fn encode_span<S: Symbol, P: ModelProvider + ?Sized>(
     data: &[S],
     lo: u64,
     states: &mut [u32],
-    out: &mut Vec<u16>,
+    out: &mut WordStream,
     word_base: u64,
     sink: &mut impl RenormSink,
 ) -> Result<u64, RansError> {
@@ -203,7 +204,7 @@ fn encode_span_vector<P: ModelProvider + ?Sized>(
     alphabet: usize,
     lo: u64,
     states: &mut [u32],
-    out: &mut Vec<u16>,
+    out: &mut WordStream,
     word_base: u64,
     sink: &mut impl RenormSink,
 ) -> Result<u64, RansError> {
@@ -251,7 +252,7 @@ pub fn encode_span_scalar<S: Symbol, P: ModelProvider + ?Sized>(
     data: &[S],
     lo: u64,
     states: &mut [u32],
-    out: &mut Vec<u16>,
+    out: &mut WordStream,
     word_base: u64,
     sink: &mut impl RenormSink,
 ) -> Result<u64, RansError> {
@@ -315,7 +316,9 @@ pub fn encode_span_scalar<S: Symbol, P: ModelProvider + ?Sized>(
             return Err(zero_frequency_in(provider, group, pos - GROUP as u64));
         }
 
-        out.extend(renormed[..wcur].iter().map(|&x| x as u16));
+        for &x in &renormed[..wcur] {
+            out.push(x as u16);
+        }
         // For `NullSink` this call (and the scratch feeding it) compiles
         // away.
         sink.on_group(RenormGroup {
@@ -349,7 +352,7 @@ pub fn encode_span_careful<S: Symbol, P: ModelProvider + ?Sized>(
     data: &[S],
     lo: u64,
     states: &mut [u32],
-    out: &mut Vec<u16>,
+    out: &mut WordStream,
     word_base: u64,
     sink: &mut impl RenormSink,
 ) -> Result<u64, RansError> {
@@ -421,7 +424,7 @@ mod tests {
                 let fast = fast.finish();
 
                 let mut ref_states = vec![INITIAL_STATE; ways as usize];
-                let mut ref_words = Vec::new();
+                let mut ref_words = WordStream::new();
                 let mut ref_sink = VecSink::new();
                 let written = encode_span_careful(
                     &p,
@@ -450,7 +453,7 @@ mod tests {
         let data = sample(50_000, 9);
         let p = provider(&data, 11);
         let mut whole_states = vec![INITIAL_STATE; 32];
-        let mut whole_words = Vec::new();
+        let mut whole_words = WordStream::new();
         let mut whole_sink = VecSink::new();
         encode_span(
             &p,
@@ -465,7 +468,7 @@ mod tests {
 
         for cut in [1usize, 31, 32, 33, 4096, 49_999] {
             let mut states = vec![INITIAL_STATE; 32];
-            let mut words = Vec::new();
+            let mut words = WordStream::new();
             let mut sink = VecSink::new();
             let first =
                 encode_span(&p, &data[..cut], 0, &mut states, &mut words, 0, &mut sink).unwrap();
@@ -492,7 +495,7 @@ mod tests {
         let p = provider(&data, 11);
         let run = |base: u64| {
             let mut states = vec![INITIAL_STATE; 32];
-            let mut words = Vec::new();
+            let mut words = WordStream::new();
             let mut sink = VecSink::new();
             encode_span(&p, &data, 0, &mut states, &mut words, base, &mut sink).unwrap();
             (words, states, sink.events)
@@ -527,14 +530,14 @@ mod tests {
                 sym: 200,
             };
             let mut states = vec![INITIAL_STATE; 32];
-            let mut words = Vec::new();
+            let mut words = WordStream::new();
             assert_eq!(
                 encode_span(&p, &poisoned, 0, &mut states, &mut words, 0, &mut NullSink),
                 Err(expect.clone()),
                 "fast, poison at {poison_at}"
             );
             let mut states = vec![INITIAL_STATE; 32];
-            let mut words = Vec::new();
+            let mut words = WordStream::new();
             assert_eq!(
                 encode_span_careful(&p, &poisoned, 0, &mut states, &mut words, 0, &mut NullSink),
                 Err(expect),
@@ -551,13 +554,13 @@ mod tests {
             let data = sample(30_000, 21);
             let p = provider(&data, 11);
             let mut states = vec![INITIAL_STATE; ways];
-            let mut words = Vec::new();
+            let mut words = WordStream::new();
             encode_span(&p, &data, 0, &mut states, &mut words, 0, &mut NullSink).unwrap();
 
             let mut out = vec![0u8; data.len()];
             let mut span = crate::Span {
                 cursor: (!words.is_empty()).then(|| words.len() as u64 - 1),
-                words: &words,
+                words: words.as_bytes(),
                 states: crate::LaneStates::from(&states[..]),
                 lo: 0,
                 out: &mut out,
@@ -626,7 +629,7 @@ mod tests {
     #[derive(Default)]
     struct GroupLog {
         events: VecSink,
-        words: Vec<u16>,
+        words: WordStream,
         next_offset: Option<u64>,
     }
 
@@ -636,7 +639,9 @@ mod tests {
                 assert_eq!(group.offset, expected, "offsets run on");
             }
             self.next_offset = Some(group.offset + group.count() as u64);
-            self.words.extend(group.words());
+            for w in group.words() {
+                self.words.push(w);
+            }
             self.events.on_group(group);
         }
     }
@@ -650,21 +655,21 @@ mod tests {
             &[u8],
             u64,
             &mut [u32],
-            &mut Vec<u16>,
+            &mut WordStream,
             u64,
             &mut GroupLog,
         ) -> Result<u64, RansError>,
         p: &StaticModelProvider,
         data: &[u8],
         lo: u64,
-    ) -> Result<(Vec<u16>, Vec<u32>, Vec<crate::RenormEvent>), RansError> {
+    ) -> Result<(WordStream, Vec<u32>, Vec<crate::RenormEvent>), RansError> {
         let data: Box<[u8]> = data.into();
         let mut states: Box<[u32]> = vec![INITIAL_STATE; 32].into();
         // Distinct states, as mid-stream.
         for (k, x) in states.iter_mut().enumerate() {
             *x += (k as u32).wrapping_mul(2_654_435_761) >> 17;
         }
-        let mut words = Vec::new();
+        let mut words = WordStream::new();
         let mut log = GroupLog::default();
         let written = encode(p, &data, lo, &mut states, &mut words, 7, &mut log)?;
         assert_eq!(written as usize, words.len());
@@ -709,7 +714,7 @@ mod tests {
         let data = sample(6_000, 13);
         let p = provider(&data, 11);
         let mut whole_states = vec![INITIAL_STATE; 32];
-        let mut whole_words = Vec::new();
+        let mut whole_words = WordStream::new();
         let mut whole_sink = VecSink::new();
         encode_span_scalar(
             &p,
@@ -723,7 +728,7 @@ mod tests {
         .unwrap();
         for cut in 2048..=2048 + GROUP {
             let mut states = vec![INITIAL_STATE; 32];
-            let mut words = Vec::new();
+            let mut words = WordStream::new();
             let mut sink = VecSink::new();
             let (a, b) = data.split_at(cut);
             let first = encode_span(&p, a, 0, &mut states, &mut words, 0, &mut sink).unwrap();
@@ -840,7 +845,7 @@ mod tests {
         }
         let p = provider(&data, 11);
         let mut states = vec![INITIAL_STATE; 32];
-        let mut words = Vec::new();
+        let mut words = WordStream::new();
         encode_span(&p, &data, 0, &mut states, &mut words, 0, &mut NullSink).unwrap();
         assert!(words.len() < data.len() / 64);
         assert!(

@@ -12,7 +12,8 @@
 //!    [`SymbolTable`] (8-byte entries, so both come from one cache line);
 //! 3. `vpcmpud` the states against `f << (32 - n)`: the renorm mask;
 //! 4. `vpcompressd` the renormalizing states to the front, narrow their low
-//!    halves to 16 words and store all 16 at the output cursor, unmasked —
+//!    halves to 16 words and store all 16 (32 little-endian bytes) at the
+//!    output cursor, unmasked —
 //!    the cursor advances by the mask's popcount, the next store overwrites
 //!    the rest — and store the compressed states themselves, the same way,
 //!    into the group's slot of the block's report;
@@ -41,6 +42,7 @@
 //! or scalar, and no call.
 
 use crate::sink::{RenormGroup, RenormSink};
+use recoil_bitio::WordStream;
 use std::arch::x86_64::*;
 
 use super::{reciprocal, BLOCK_GROUPS, GROUP};
@@ -97,7 +99,7 @@ impl SymbolTable {
         groups: &[[u8; GROUP]],
         first_pos: u64,
         lanes: &mut [u32; GROUP],
-        out: &mut Vec<u16>,
+        out: &mut WordStream,
         offset: u64,
         sink: &mut impl RenormSink,
     ) -> Result<u64, usize> {
@@ -109,18 +111,19 @@ impl SymbolTable {
         };
         let mut written = 0u64;
         for (b, block) in groups.chunks(BLOCK_GROUPS).enumerate() {
-            // At most one word per symbol (Lemma 3.1).
-            out.reserve(block.len() * GROUP);
-            let spare = out.spare_capacity_mut().as_mut_ptr().cast::<u16>();
             let done = b * BLOCK_GROUPS;
-            // SAFETY: `available()` holds, which is the features
-            // `encode_block` is compiled for, and `spare` is the
-            // `block.len() * GROUP` words of capacity just reserved.
-            let encoded = unsafe { self.encode_block(block, lanes, spare, &mut report) };
-            let words = encoded.map_err(|g| done + g)?;
-            // SAFETY: `encode_block` initialized `words` entries of the
-            // spare capacity, from its start.
-            unsafe { out.set_len(out.len() + words) };
+            let start = out.len();
+            let mut words = 0;
+            // At most one word per symbol (Lemma 3.1); the unwritten rest is cut.
+            out.land(block.len() * GROUP, |dst| {
+                // SAFETY: `available()` holds, which is the features
+                // `encode_block` is compiled for, and `dst` is the
+                // `block.len() * GROUP` words just grown.
+                unsafe { self.encode_block(block, lanes, dst.as_mut_ptr(), &mut report) }
+                    .map(|w| words = w)
+            })
+            .map_err(|g| done + g)?;
+            out.truncate(start + words);
             // SAFETY: `available()`, as above.
             unsafe {
                 report.deliver(
@@ -142,13 +145,14 @@ impl SymbolTable {
     /// # Safety
     ///
     /// AVX-512F and POPCNT must be available, and `dst` must be valid for
-    /// writes of `groups.len() * GROUP` words.
+    /// writes of `groups.len() * GROUP` words (twice as many bytes; no
+    /// alignment is needed).
     #[target_feature(enable = "avx512f,popcnt")]
     unsafe fn encode_block(
         &self,
         groups: &[[u8; GROUP]],
         lanes: &mut [u32; GROUP],
-        dst: *mut u16,
+        dst: *mut u8,
         report: &mut BlockReport,
     ) -> Result<usize, usize> {
         let table = self.entries.as_ptr().cast::<i32>();
@@ -165,9 +169,10 @@ impl SymbolTable {
             ]
         };
 
-        // Words stored so far. Each half-group stores 16 words at `cur` and
-        // advances by at most 16, so after `h` half-groups `cur <= 16 h` and
-        // every store ends inside the `32 * groups.len()` words at `dst`.
+        // Words stored so far. Each half-group stores 16 words at word `cur`
+        // (byte `2 cur`) and advances by at most 16, so after `h` half-groups
+        // `cur <= 16 h` and every store ends inside the `32 * groups.len()`
+        // words at `dst`.
         let mut cur = 0usize;
         let summaries = report.masks.iter_mut().zip(&mut report.renormed);
         for ((g, group), (mask, renormed)) in groups.iter().enumerate().zip(summaries) {
@@ -197,7 +202,7 @@ impl SymbolTable {
                 // `cur`), and `count <= 16` leaves 16 entries of `renormed`.
                 unsafe {
                     let words = _mm512_cvtepi32_epi16(leaving);
-                    _mm256_storeu_si256(dst.add(cur + count).cast(), words);
+                    _mm256_storeu_si256(dst.add(2 * (cur + count)).cast(), words);
                     _mm512_storeu_si512(renormed.as_mut_ptr().add(count).cast(), leaving);
                 }
                 count += m.count_ones() as usize;

@@ -60,13 +60,13 @@ impl<'p, P: ModelProvider> InterleavedEncoder<'p, P> {
         sink: &mut impl RenormSink,
     ) -> Result<(), RansError> {
         let lo = self.next_pos;
-        let word_base = self.stream.len();
+        let word_base = self.stream.len() as u64;
         crate::fast_encode::encode_span(
             self.provider,
             data,
             lo,
             &mut self.states,
-            self.stream.vec_mut(),
+            &mut self.stream,
             word_base,
             sink,
         )?;
@@ -77,8 +77,8 @@ impl<'p, P: ModelProvider> InterleavedEncoder<'p, P> {
     /// Finishes, returning the stream container (its words shrunk to fit:
     /// the engine grows them by doubling).
     pub fn finish(self) -> EncodedStream {
-        let mut words = self.stream.into_words();
-        words.shrink_to_fit();
+        let mut words = self.stream;
+        words.shrink_to(words.len());
         EncodedStream {
             words,
             final_states: self.states,
@@ -292,7 +292,7 @@ mod invariant_tests {
         let n = p.quant_bits();
         let mask = (1u32 << n) - 1;
         let mut states = stream.final_states.clone();
-        let mut reader = recoil_bitio::BackwardWordReader::from_end(&stream.words);
+        let mut reader = recoil_bitio::BackwardWordReader::from_end(stream.words.as_bytes());
         let mut read_offsets = Vec::new();
         for pos in (0..stream.num_symbols).rev() {
             let lane = (pos % 32) as usize;

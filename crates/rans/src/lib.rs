@@ -9,7 +9,8 @@
 //!
 //! Streams are encoded forward (`s_1 .. s_N`) and decoded backward
 //! (`s_N .. s_1`); the decoder writes each symbol to its known position, so
-//! round-trips are identity. Because `b >= n`, **every renormalization moves
+//! round-trips are identity. The words live in a [`WordStream`], their
+//! little-endian wire image, which encoders append to and decoders read. Because `b >= n`, **every renormalization moves
 //! exactly one u16 word** — Lemma 3.1's precondition — and every renorm
 //! event leaves the encoder state below `L`, representable in 16 bits.
 //! Encoders report these events through [`RenormSink`], a group of up to
@@ -60,8 +61,9 @@ pub use error::RansError;
 pub use fast::{decode_span_careful, SpanStats, GROUP as FAST_GROUP};
 pub use fast_encode::{encode_span, encode_span_careful};
 pub use interleaved::{decode_interleaved, decode_interleaved_into, InterleavedEncoder};
+pub use recoil_bitio::WordStream;
 pub use single::{decode_single, SingleEncoder};
 pub use sink::{NullSink, RenormEvent, RenormGroup, RenormSink, VecSink, NO_SYMBOL};
 pub use span::{LaneStates, Span};
 pub use step::{decode_transform, renorm_read};
-pub use stream::{append_words_le, land_words_le, EncodedStream};
+pub use stream::EncodedStream;

@@ -69,7 +69,7 @@ impl<'p, P: ModelProvider> SingleEncoder<'p, P> {
     /// Finishes, returning the stream container (a `ways = 1` stream).
     pub fn finish(self) -> EncodedStream {
         EncodedStream {
-            words: self.stream.into_words(),
+            words: self.stream,
             final_states: vec![self.state],
             num_symbols: self.next_pos,
             ways: 1,
@@ -93,7 +93,7 @@ pub fn decode_single<S: Symbol, P: ModelProvider>(
     let n = provider.quant_bits();
     let mask = (1u32 << n) - 1;
     let mut x = stream.final_states[0];
-    let mut reader = BackwardWordReader::from_end(&stream.words);
+    let mut reader = BackwardWordReader::from_end(stream.words.as_bytes());
     let count = stream.num_symbols as usize;
     let mut out = vec![S::from_u16(0); count];
     for pos in (0..count as u64).rev() {
@@ -208,7 +208,7 @@ mod tests {
         let n = p.quant_bits();
         let mask = (1u32 << n) - 1;
         let mut x = e.state as u32;
-        let mut reader = BackwardWordReader::new(&stream.words, e.offset);
+        let mut reader = BackwardWordReader::new(stream.words.as_bytes(), e.offset);
         let mut got = vec![0u8; (e.pos + 1) as usize];
         for pos in (0..=e.pos).rev() {
             x = renorm_read(x, &mut reader, pos).unwrap();

@@ -86,10 +86,10 @@ impl DerefMut for LaneStates {
 /// states and the cursor the decode stopped at.
 #[derive(Debug)]
 pub struct Span<'a, S> {
-    /// The word stream (possibly a prefix of it; a span never reads above
-    /// `cursor`). Each span carries its own: the partitions of the
-    /// conventional baseline are separate streams.
-    pub words: &'a [u16],
+    /// The word stream's little-endian bytes (possibly a prefix; a span
+    /// never reads above `cursor`). Each span carries its own: the
+    /// partitions of the conventional baseline are separate streams.
+    pub words: &'a [u8],
     /// Index of the next unread word, `None` once exhausted.
     pub cursor: Option<u64>,
     /// Lane states at position `lo + out.len()`.
@@ -160,7 +160,7 @@ mod tests {
             let mut ref_out = vec![0u8; data.len()];
             let ref_cursor = decode_span_careful(
                 &p,
-                &stream.words,
+                stream.words.as_bytes(),
                 stream.end_cursor(),
                 &mut ref_states,
                 0,

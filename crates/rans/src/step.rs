@@ -50,7 +50,7 @@ mod tests {
 
     #[test]
     fn renorm_reads_only_below_bound() {
-        let words = [0xBEEFu16];
+        let words = 0xBEEFu16.to_le_bytes();
         let mut r = BackwardWordReader::from_end(&words);
         let x = renorm_read(LOWER_BOUND, &mut r, 0).unwrap();
         assert_eq!(x, LOWER_BOUND); // no read
@@ -62,7 +62,7 @@ mod tests {
 
     #[test]
     fn renorm_underflow_is_reported() {
-        let words: [u16; 0] = [];
+        let words: [u8; 0] = [];
         let mut r = BackwardWordReader::from_end(&words);
         let err = renorm_read(5, &mut r, 42).unwrap_err();
         assert_eq!(err, RansError::BitstreamUnderflow { pos: 42 });

@@ -4,9 +4,7 @@ use crate::cache::{ShrunkTier, TierCache};
 use crate::stats::{add, bump, ServerStats, StatsCounters};
 use crate::unpoisoned;
 use recoil_core::codec::{Codec, EncoderConfig};
-use recoil_core::{
-    model_block, words_crc32, RecoilContainer, RecoilError, RecoilMetadata, WireSplits,
-};
+use recoil_core::{crc32, model_block, RecoilContainer, RecoilError, RecoilMetadata, WireSplits};
 use recoil_models::StaticModelProvider;
 use recoil_rans::EncodedStream;
 use std::collections::hash_map::{DefaultHasher, Entry};
@@ -223,7 +221,7 @@ impl ContentServer {
     ) -> Result<Arc<StoredContent>, RecoilError> {
         self.store(name, || {
             let encoded = Codec::from_config(config.clone())?.encode(data)?;
-            let words_crc = words_crc32(&encoded.container.stream.words);
+            let words_crc = crc32(encoded.container.stream.words.as_bytes());
             Ok((encoded.container, encoded.model, words_crc))
         })
     }
@@ -669,7 +667,7 @@ mod tests {
             .encode(&data)
             .unwrap();
         let server = small_server();
-        let words_crc = words_crc32(&encoded.container.stream.words);
+        let words_crc = crc32(encoded.container.stream.words.as_bytes());
         let item = server
             .insert(
                 "x",
@@ -812,7 +810,7 @@ mod tests {
     #[test]
     fn a_stored_stream_pins_no_more_than_its_words() {
         // The encoder reserves output a block of groups at a time and the
-        // vector grows by doubling; what a publish stores for the item's
+        // store grows by doubling; what a publish stores for the item's
         // lifetime must not keep that slack.
         let data = sample(300_000);
         let server = small_server();
@@ -858,7 +856,7 @@ mod tests {
             word_counts.push(item.stream.words.len());
             // Reference: one streaming pass over every word's LE bytes.
             let mut state = 0xFFFF_FFFFu32;
-            for &w in &item.stream.words {
+            for w in item.stream.words.iter() {
                 state = recoil_core::update_crc32(state, &w.to_le_bytes());
             }
             let expect = state ^ 0xFFFF_FFFF;

@@ -53,10 +53,10 @@ impl SpanLoop for Avx2 {
         let nv = _mm256_set1_epi32(n as i32);
 
         let common = spans.iter().map(|s| s.out.len() / 32).min().unwrap_or(0);
-        let words: [*const u16; K] = std::array::from_fn(|i| spans[i].words.as_ptr());
+        let words: [*const u8; K] = std::array::from_fn(|i| spans[i].words.as_ptr());
         // A group may run while `MIN_WORDS_BELOW <= p <= top`.
         let top: [isize; K] =
-            std::array::from_fn(|i| spans[i].words.len() as isize - OVERREAD_WORDS);
+            std::array::from_fn(|i| (spans[i].words.len() / 2) as isize - OVERREAD_WORDS);
         let mut p: [isize; K] = std::array::from_fn(|i| signed_cursor(spans[i].cursor));
         // One past the top of each span's output; a group steps it down.
         let mut out: [*mut S; K] = std::array::from_fn(|i| spans[i].out.as_mut_ptr_range().end);
@@ -97,7 +97,7 @@ impl SpanLoop for Avx2 {
                     // consumed at most 24 words since, so `p - k + 1 >= 33`;
                     // and `p <= len - OVERREAD_WORDS` keeps the 8-word load at
                     // `p - k + 1 <= p + 1` inside the span's words.
-                    let w = unsafe { _mm_loadu_si128(words[i].offset(p[i] - k + 1).cast()) };
+                    let w = unsafe { _mm_loadu_si128(words[i].offset(2 * (p[i] - k + 1)).cast()) };
                     // SAFETY: `PERM[m]` is eight `i32`s.
                     let perm = unsafe { _mm256_loadu_si256(PERM[m as usize].as_ptr().cast()) };
                     let wperm = _mm256_permutevar8x32_epi32(_mm256_cvtepu16_epi32(w), perm);

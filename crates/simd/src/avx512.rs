@@ -33,10 +33,10 @@ impl SpanLoop for Avx512 {
         let nv = _mm512_set1_epi32(n as i32);
 
         let common = spans.iter().map(|s| s.out.len() / 32).min().unwrap_or(0);
-        let words: [*const u16; K] = std::array::from_fn(|i| spans[i].words.as_ptr());
+        let words: [*const u8; K] = std::array::from_fn(|i| spans[i].words.as_ptr());
         // A group may run while `MIN_WORDS_BELOW <= p <= top`.
         let top: [isize; K] =
-            std::array::from_fn(|i| spans[i].words.len() as isize - OVERREAD_WORDS);
+            std::array::from_fn(|i| (spans[i].words.len() / 2) as isize - OVERREAD_WORDS);
         let mut p: [isize; K] = std::array::from_fn(|i| signed_cursor(spans[i].cursor));
         // One past the top of each span's output; a group steps it down.
         let mut out: [*mut S; K] = std::array::from_fn(|i| spans[i].out.as_mut_ptr_range().end);
@@ -79,11 +79,13 @@ impl SpanLoop for Avx512 {
                     // `k` words under the cursor, ascending (`vpexpandd`).
                     let m: __mmask16 = _mm512_cmplt_epu32_mask(xr, lbound);
                     let k = m.count_ones() as isize;
+                    let at = 2 * (p[i] - k + 1);
                     // SAFETY: the guards held at group entry and the group has
                     // consumed at most 16 words since, so `p - k + 1 >= 33`;
                     // and `p <= len - OVERREAD_WORDS` keeps the 16-word load
-                    // at `p - k + 1 <= p + 1` inside the span's words.
-                    let w = unsafe { _mm256_loadu_si256(words[i].offset(p[i] - k + 1).cast()) };
+                    // at word `p - k + 1 <= p + 1` (byte `at`) inside the
+                    // span's words.
+                    let w = unsafe { _mm256_loadu_si256(words[i].offset(at).cast()) };
                     let expanded = _mm512_maskz_expand_epi32(m, _mm512_cvtepu16_epi32(w));
                     xr = _mm512_mask_or_epi32(xr, m, _mm512_slli_epi32::<16>(xr), expanded);
                     p[i] -= k;

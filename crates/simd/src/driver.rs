@@ -54,7 +54,7 @@ pub(crate) fn outside_guards(cursor: isize, top: isize) -> isize {
 /// a whole group left and its cursor is inside the guards.
 #[cfg(target_arch = "x86_64")]
 fn takes_a_group<S>(span: &Span<'_, S>) -> bool {
-    let top = span.words.len() as isize - OVERREAD_WORDS;
+    let top = (span.words.len() / 2) as isize - OVERREAD_WORDS;
     span.out.len() >= 32 && outside_guards(signed_cursor(span.cursor), top) >= 0
 }
 
@@ -240,7 +240,7 @@ fn lead_in<S: Symbol>(
     stats.merge(&span.advance_scalar(provider, head)?);
     while span.out.len() >= 32 && {
         let p = signed_cursor(span.cursor);
-        p >= MIN_WORDS_BELOW && p > span.words.len() as isize - OVERREAD_WORDS
+        p >= MIN_WORDS_BELOW && p > (span.words.len() / 2) as isize - OVERREAD_WORDS
     } {
         stats.merge(&span.advance_scalar(provider, 32)?);
     }
@@ -420,7 +420,7 @@ mod segment_tests {
                 let [hi] = hi;
                 let mut lo_part = vec![0u8; cut];
                 let mut lo = [Span {
-                    words: &stream.words,
+                    words: stream.words.as_bytes(),
                     cursor: hi.cursor,
                     states: hi.states,
                     lo: 0,
@@ -486,7 +486,7 @@ mod descent_tests {
     /// spans of `groups[i]` whole groups each (plus `extra` symbols on the
     /// first, fewer than a group), and the total it reports.
     fn runs<const K: usize>(groups: &[usize], extra: usize) -> (Vec<usize>, u64) {
-        let words = vec![0u16; 1_000];
+        let words = vec![0u8; 2_000];
         let mut outs: Vec<Vec<u8>> = groups.iter().map(|&g| vec![0; g * 32]).collect();
         outs[0].extend(std::iter::repeat_n(0, extra));
         let mut spans: Vec<Span<'_, u8>> = outs

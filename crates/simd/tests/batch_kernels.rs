@@ -7,7 +7,9 @@
 //! stats that account for every symbol and word. The spans are of unequal
 //! lengths, some shorter than a group and some starting inside the upper
 //! guard region, so the kernel's descent runs every rung: `K` spans
-//! interleaved, then the spans left two at a time, then one.
+//! interleaved, then the spans left two at a time, then one. Every batch
+//! runs twice: over the words as allocated, and over a copy at an odd
+//! address, since a stream's bytes promise no alignment.
 
 use recoil_models::{CdfTable, DecodeTables, StaticModelProvider, Symbol};
 use recoil_rans::fast::decode_span_careful;
@@ -23,10 +25,39 @@ struct Case {
     states: Vec<u32>,
     lo: u64,
     len: usize,
-    /// The words visible to the span: a prefix of the stream in an exact
-    /// allocation of its own, so a read past it is a heap overflow the
-    /// sanitizer job sees.
-    words: Box<[u16]>,
+    /// The wire image of the words visible to the span: a prefix of the
+    /// stream in an exact allocation of its own, `shift` bytes into it, so
+    /// a read past either end is a heap overflow the sanitizer job sees.
+    words: Box<[u8]>,
+    shift: usize,
+}
+
+impl Case {
+    /// The span's words, two little-endian bytes each.
+    fn words(&self) -> &[u8] {
+        &self.words[self.shift..]
+    }
+
+    /// The span over only its first `words` words.
+    fn prefix(&self, words: usize) -> Case {
+        Case {
+            words: self.words()[..2 * words].into(),
+            shift: 0,
+            ..self.clone()
+        }
+    }
+
+    /// The same span over a copy of its words at a 1-byte offset inside
+    /// exactly `2·len + 1` bytes.
+    fn at_odd_address(&self) -> Case {
+        let mut words = vec![0xA5; self.words().len() + 1];
+        words[1..].copy_from_slice(self.words());
+        Case {
+            words: words.into(),
+            shift: 1,
+            ..self.clone()
+        }
+    }
 }
 
 /// One encoded stream plus the decoder's state at every position asked
@@ -60,7 +91,7 @@ fn spans_of<'a, S>(cases: &'a [Case], outs: &'a mut [Vec<S>]) -> Vec<Span<'a, S>
         .iter()
         .zip(outs)
         .map(|(c, out)| Span {
-            words: &c.words,
+            words: c.words(),
             cursor: c.cursor,
             states: LaneStates::from(&c.states[..]),
             lo: c.lo,
@@ -77,7 +108,7 @@ impl<S: Symbol> Corpus<S> {
         let mut sink = vec![S::from_u16(0); self.data.len() - hi as usize];
         let cursor = decode_span_careful(
             &self.provider,
-            &self.stream.words,
+            self.stream.words.as_bytes(),
             self.stream.end_cursor(),
             &mut states,
             hi,
@@ -89,13 +120,29 @@ impl<S: Symbol> Corpus<S> {
             states,
             lo,
             len: (hi - lo) as usize,
-            words: self.stream.words.clone().into_boxed_slice(),
+            words: self.stream.words.as_bytes().into(),
+            shift: 0,
         }
     }
 
     /// Decodes `cases` as one batch with `run` and checks every span
-    /// against the careful reference. Returns the batch's stats.
+    /// against the careful reference, then the same batch with every
+    /// span's words at an odd address. Returns the batch's stats.
     fn check(
+        &self,
+        ctx: &str,
+        cases: &[Case],
+        run: impl Fn(&mut [Span<'_, S>]) -> Result<SpanStats, RansError>,
+    ) -> SpanStats {
+        let stats = self.check_at(ctx, cases, &run);
+        let odd: Vec<Case> = cases.iter().map(Case::at_odd_address).collect();
+        let odd_stats = self.check_at(&format!("{ctx} odd address"), &odd, &run);
+        assert_eq!(odd_stats, stats, "{ctx}: stats at an odd address");
+        stats
+    }
+
+    /// [`Self::check`] over the words where `cases` hold them.
+    fn check_at(
         &self,
         ctx: &str,
         cases: &[Case],
@@ -122,7 +169,7 @@ impl<S: Symbol> Corpus<S> {
             let mut ref_out = vec![S::from_u16(0); c.len];
             let ref_cursor = decode_span_careful(
                 &self.provider,
-                &c.words,
+                c.words(),
                 c.cursor,
                 &mut ref_states,
                 c.lo,
@@ -199,9 +246,8 @@ fn tiling<S: Symbol>(c: &Corpus<S>) -> Vec<Case> {
         0, 20, 9_000, 9_031, 21_500, 33_333, 34_000, 47_777, 52_100, 61_000, n,
     ];
     let mut cases: Vec<Case> = cuts.windows(2).map(|w| c.case(w[0], w[1])).collect();
-    let newest = &mut cases[4];
-    let top = newest.cursor.unwrap() as usize + 9;
-    newest.words = newest.words[..top].into();
+    let top = cases[4].cursor.unwrap() as usize + 9;
+    cases[4] = cases[4].prefix(top);
     cases
 }
 
@@ -293,10 +339,7 @@ fn truncated_prefixes_and_stream_edges_take_the_guarded_path() {
     let at = mid.cursor.unwrap() as usize;
     let mut cases = Vec::new();
     for extra in [1usize, 2, 15, 16, 17, 18, 33, 64, 1000] {
-        cases.push(Case {
-            words: mid.words[..at + extra].into(),
-            ..mid.clone()
-        });
+        cases.push(mid.prefix(at + extra));
     }
     for chunk in cases.chunks(3) {
         c.check_all_kernels("prefix", chunk);
@@ -321,14 +364,13 @@ fn underflow_is_the_reference_error_in_any_batch_position() {
     // Same span, but the cursor claims far fewer words than it needs.
     let starved = Case {
         cursor: Some(200),
-        words: good.words[..201].into(),
-        ..good.clone()
+        ..good.prefix(201)
     };
     let mut ref_states = starved.states.clone();
     let mut ref_out = vec![0u8; starved.len];
     let reference = decode_span_careful(
         &c.provider,
-        &starved.words,
+        starved.words(),
         starved.cursor,
         &mut ref_states,
         starved.lo,
@@ -339,12 +381,17 @@ fn underflow_is_the_reference_error_in_any_batch_position() {
 
     for kernel in Kernel::all_available() {
         for at in 0..=kernel.interleave_depth() {
-            let mut cases = vec![good.clone(); kernel.interleave_depth() + 1];
-            cases[at] = starved.clone();
-            let mut outs: Vec<Vec<u8>> = cases.iter().map(|c| vec![0; c.len]).collect();
-            let mut spans = spans_of(&cases, &mut outs);
-            let got = decode_spans(kernel, &c.provider, &mut spans).unwrap_err();
-            assert_eq!(got, reference, "{kernel:?} starved span at {at}");
+            for odd in [false, true] {
+                let mut cases = vec![good.clone(); kernel.interleave_depth() + 1];
+                cases[at] = starved.clone();
+                if odd {
+                    cases = cases.iter().map(Case::at_odd_address).collect();
+                }
+                let mut outs: Vec<Vec<u8>> = cases.iter().map(|c| vec![0; c.len]).collect();
+                let mut spans = spans_of(&cases, &mut outs);
+                let got = decode_spans(kernel, &c.provider, &mut spans).unwrap_err();
+                assert_eq!(got, reference, "{kernel:?} starved span at {at}, odd {odd}");
+            }
         }
     }
 }

@@ -16,9 +16,6 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/rans/src/fast.rs",
     "crates/rans/src/fast_encode.rs",
     "crates/rans/src/fast_encode_avx512.rs",
-    // The word store's one `&mut [u16] -> &mut [u8]` view, through which a
-    // received body is read straight into its words (`land_words_le`).
-    "crates/rans/src/stream.rs",
     "crates/reactor/src/poller.rs",
     "crates/reactor/src/sys.rs",
     "crates/reactor/src/wake.rs",

@@ -73,7 +73,7 @@ fn stream_decode(
     piece: usize,
 ) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(enc.container.stream.words.len() * 2);
-    for w in &enc.container.stream.words {
+    for w in enc.container.stream.words.iter() {
         bytes.extend_from_slice(&w.to_le_bytes());
     }
     let mut incr = IncrementalDecoder::new(
@@ -159,7 +159,7 @@ fn every_backend_and_path_is_byte_identical() {
 
             // Streaming in the server's 8 KiB chunks exactly.
             let mut bytes = Vec::new();
-            for w in &enc.container.stream.words {
+            for w in enc.container.stream.words.iter() {
                 bytes.extend_from_slice(&w.to_le_bytes());
             }
             for (name, backend) in &backends {
@@ -256,7 +256,7 @@ fn fast_tail_seam_word_exhaustion_shapes() {
         // final lane states, identical leftover cursor.
         let mut fast_out = vec![0u8; data.len()];
         let mut span = Span {
-            words: &stream.words,
+            words: stream.words.as_bytes(),
             cursor: next,
             states: LaneStates::from(&stream.final_states[..]),
             lo: 0,
@@ -268,7 +268,7 @@ fn fast_tail_seam_word_exhaustion_shapes() {
         let mut ref_out = vec![0u8; data.len()];
         let ref_cursor = decode_span_careful(
             &enc.model,
-            &stream.words,
+            stream.words.as_bytes(),
             next,
             &mut ref_states,
             0,

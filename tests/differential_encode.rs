@@ -11,7 +11,7 @@
 //! every decode backend this host can run.
 
 use recoil::prelude::*;
-use recoil::rans::{encode_span_careful, EncodedStream};
+use recoil::rans::{encode_span_careful, EncodedStream, WordStream};
 
 /// SplitMix-style deterministic generator — the corpus is fully seeded.
 fn next_u64(state: &mut u64) -> u64 {
@@ -46,7 +46,7 @@ fn careful_container<S: Symbol>(
 ) -> RecoilContainer {
     let mut planner = SplitPlanner::new(ways, data.len() as u64, segments);
     let mut final_states = vec![recoil::rans::params::INITIAL_STATE; ways as usize];
-    let mut words = Vec::new();
+    let mut words = WordStream::new();
     encode_span_careful(
         model,
         data,
