@@ -13,7 +13,7 @@
 //! `tests/paper_claims.rs`; the binaries print the full-size numbers with
 //! the paper's reference values side by side, and assert nothing.
 
-// Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
+// Safe crate: `forbid` keeps any module from allowing `unsafe`.
 #![forbid(unsafe_code)]
 
 pub mod report;

@@ -9,7 +9,7 @@
 //! * **Bit-packed metadata series** (§4.3), which need bit-granular
 //!   writers/readers ([`BitWriter`], [`BitSliceWriter`], [`BitReader`]).
 
-// Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
+// Safe crate: `forbid` keeps any module from allowing `unsafe`.
 #![forbid(unsafe_code)]
 
 mod bits;

@@ -196,7 +196,7 @@ impl<'a> BackwardWordReader<'a> {
     /// but not an `Iterator` impl: the decode hot paths need the inherent
     /// method to inline without trait dispatch.
     #[inline]
-    #[allow(clippy::should_implement_trait)]
+    #[expect(clippy::should_implement_trait, reason = "inlines without dispatch")]
     pub fn next(&mut self) -> Option<u16> {
         let at = self.next?;
         let w = u16::from_le_bytes(self.words[at as usize]);

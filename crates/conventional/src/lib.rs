@@ -16,7 +16,7 @@
 //! them, so the two layouts are compared like for like) and nothing the
 //! delivery stack ships depends on it.
 
-// Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
+// Safe crate: `forbid` keeps any module from allowing `unsafe`.
 #![forbid(unsafe_code)]
 
 mod container;

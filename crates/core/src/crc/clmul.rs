@@ -22,6 +22,8 @@
 //! coefficient. A carry-less product of two reflected 64-bit values comes
 //! out one bit low, so every constant below is stored shifted left by one.
 
+#![allow(unsafe_code, reason = "loads read whole blocks; PCLMULQDQ is detected")]
+
 use std::arch::x86_64::{
     __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
     _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
@@ -111,6 +113,9 @@ fn lanes(block: &[u8; BLOCK]) -> [__m128i; 4] {
 
 /// `acc · x^T + next (mod P)`, with `keys` holding `x^(T+32)` low and
 /// `x^(T−32)` high.
+///
+/// # Safety
+/// PCLMULQDQ and SSE4.1 must be available.
 #[target_feature(enable = "pclmulqdq,sse4.1")]
 fn fold_lane(acc: __m128i, keys: __m128i, next: __m128i) -> __m128i {
     let low = _mm_clmulepi64_si128(acc, keys, 0x00);
@@ -118,6 +123,10 @@ fn fold_lane(acc: __m128i, keys: __m128i, next: __m128i) -> __m128i {
     _mm_xor_si128(_mm_xor_si128(low, high), next)
 }
 
+/// [`fold`] on a host with the instructions: the register after `blocks`.
+///
+/// # Safety
+/// PCLMULQDQ and SSE4.1 must be available.
 #[target_feature(enable = "pclmulqdq,sse4.1")]
 fn fold_blocks(state: u32, blocks: &[[u8; BLOCK]]) -> u32 {
     let Some((first, rest)) = blocks.split_first() else {

@@ -178,7 +178,7 @@ pub(crate) fn decode_spans_scalar<S: Symbol, P: ModelProvider + ?Sized>(
 /// `recoil_rans::decode_span_careful` for any batch length, and return how
 /// the batch decoded, summed. With a `pool` the batches run concurrently;
 /// the first error wins. Returns the batches' stats, summed.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one engine for every backend")]
 pub fn decode_segments<S, P>(
     stream: &EncodedStream,
     meta: &RecoilMetadata,

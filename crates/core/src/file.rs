@@ -19,6 +19,9 @@
 //! ([`EncodedStream::validate`]); [`check_words_crc`] judges the words, of a
 //! file here and of a fetch in the client. Any other version is rejected.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::as_conversions, clippy::disallowed_methods)]
+
 use crate::bounds::{checked_cdf_table, symbols_fit};
 use crate::codec::Encoded;
 use crate::crc::crc32;
@@ -88,10 +91,16 @@ pub struct ItemSection {
 /// item keeps as bytes and writes into every item section it serves.
 pub fn model_block(model: &CdfTable, final_states: &[u32]) -> Vec<u8> {
     let mut out = Vec::new();
-    // xtask: allow(wire-cast): encode path — CdfTable caps the alphabet at 2^16 symbols.
+    #[expect(
+        clippy::as_conversions,
+        reason = "encode path — CdfTable caps the alphabet at 2^16 symbols"
+    )]
     put_u32(&mut out, model.alphabet_size() as u32);
     for &f in model.freqs() {
-        // xtask: allow(wire-cast): encode path — every frequency is below 2^n <= 2^16 (quantizer invariant).
+        #[expect(
+            clippy::as_conversions,
+            reason = "encode path — every frequency is below 2^n <= 2^16 (quantizer invariant)"
+        )]
         out.extend_from_slice(&(f as u16).to_le_bytes());
     }
     for &state in final_states {
@@ -106,7 +115,10 @@ pub fn model_block(model: &CdfTable, final_states: &[u32]) -> Vec<u8> {
 /// request from the tier's metadata and what its item holds.
 pub fn write_item_section(out: &mut Vec<u8>, metadata: &[u8], model_block: &[u8], words_crc: u32) {
     debug_assert!(u32::try_from(metadata.len()).is_ok());
-    // xtask: allow(wire-cast): encode path — metadata is built in-process and far below 4 GiB.
+    #[expect(
+        clippy::as_conversions,
+        reason = "encode path — metadata is built in-process and far below 4 GiB"
+    )]
     put_u32(out, metadata.len() as u32);
     out.extend_from_slice(metadata);
     out.extend_from_slice(model_block);
@@ -223,7 +235,7 @@ pub fn read_container(
     let (item, len) = item_from_bytes(body)?;
     let metadata = item.metadata;
     let word_bytes = body.get(len..).unwrap_or_default();
-    if word_bytes.len() as u64 != metadata.num_words.saturating_mul(2) {
+    if u64::try_from(word_bytes.len()) != Ok(metadata.num_words.saturating_mul(2)) {
         return Err(RecoilError::wire("word bytes disagree with the word count"));
     }
     check_words_crc(crc32(word_bytes), item.words_crc)?;
@@ -253,6 +265,7 @@ pub fn container_from_bytes(
 }
 
 #[cfg(test)]
+#[allow(clippy::as_conversions, reason = "test inputs are built in-process")]
 mod tests {
     use super::*;
     use crate::backend::{DecodeBackend, DecodeModel, DecodeRequest, ScalarBackend};

@@ -43,6 +43,9 @@
 //! split as it goes. Neither direction allocates per split or divides per
 //! lane: positions and groups are related through [`LaneGroups`].
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::as_conversions, clippy::disallowed_methods)]
+
 use crate::combine::kept;
 use crate::crc::crc32;
 use crate::error::RecoilError;
@@ -183,9 +186,14 @@ impl WireSplits {
     fn write(&self, segments: u64) -> Result<Vec<u8>, RecoilError> {
         let kept = kept(&self.splits, segments)?;
         let count = kept.len();
+        let count_field =
+            u32::try_from(count).map_err(|_| RecoilError::wire("more than 2^32 splits"))?;
         let expected = Expected::new(self.ways, self.num_symbols, self.num_words, count);
         let (mut offset_mags, mut anchor_mags, mut bodies) = (0u64, 0u64, 0u64);
-        // xtask: allow(wire-capacity): one entry per kept split of the stored table.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one entry per kept split of the stored table"
+        )]
         let mut entries = Vec::with_capacity(count);
         for (i, s) in kept.enumerate() {
             let (offset_diff, anchor_diff) = expected
@@ -201,7 +209,7 @@ impl WireSplits {
         if count > 0 {
             // Two signed series: width field, then magnitude + sign each.
             body_bits += 2 * u64::from(SIGNED_WIDTH_FIELD)
-                + count as u64 * u64::from(offset_bits + anchor_bits + 2);
+                + u64::from(count_field) * u64::from(offset_bits + anchor_bits + 2);
         }
         let body_len = usize::try_from(body_bits.div_ceil(8)).unwrap_or(usize::MAX);
         let mut bytes = vec![0u8; body_len.saturating_add(FOOTER_BYTES)];
@@ -213,12 +221,15 @@ impl WireSplits {
         w.write(u64::from(self.quant_bits), 8);
         w.write(self.num_symbols, 64);
         w.write(self.num_words, 64);
-        w.write(count as u64, 32);
+        w.write(u64::from(count_field), 32);
         if count > 0 {
             write_signed_series(&mut w, entries.iter().map(|e| e.1), offset_bits);
             write_signed_series(&mut w, entries.iter().map(|e| e.2), anchor_bits);
             for (s, ..) in &entries {
-                // xtask: allow(wire-index): a word `of` recorded in its own vector.
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "a word `of` recorded in its own vector"
+                )]
                 w.append(&self.words[s.word..], s.bits);
             }
         }
@@ -248,11 +259,14 @@ fn write_signed_series(w: &mut BitSliceWriter<'_>, vals: impl Iterator<Item = i6
     }
 }
 
+#[expect(
+    clippy::as_conversions,
+    reason = "a `field_bits`-wide read (at most 5 bits) always fits u32"
+)]
 fn read_width(r: &mut BitReader<'_>, field_bits: u32) -> Result<u32, RecoilError> {
     let field = r
         .read(field_bits)
         .ok_or_else(|| RecoilError::wire("truncated series header"))?;
-    // xtask: allow(wire-cast): a `field_bits`-wide read (at most 5 bits) always fits u32.
     Ok(field as u32 + 1)
 }
 
@@ -263,7 +277,8 @@ fn read_signed_series(r: &mut BitReader<'_>, count: usize) -> Result<Vec<i64>, R
             let field = r
                 .read(width + 1)
                 .ok_or_else(|| RecoilError::wire("truncated series"))?;
-            let mag = (field & ((1u64 << width) - 1)) as i64;
+            let mag = i64::try_from(field & ((1u64 << width) - 1))
+                .map_err(|_| RecoilError::wire("series value exceeds 63 bits"))?;
             Ok(if field >> width == 1 { -mag } else { mag })
         })
         .collect()
@@ -324,7 +339,7 @@ fn read_positions(
     anchor: u64,
 ) -> Result<Extent, RecoilError> {
     let bad = |msg: &str| RecoilError::wire(msg);
-    let ways = lanes.len() as u64;
+    let ways = u64::try_from(lanes.len()).map_err(|_| bad("lane count exceeds 64 bits"))?;
     let width = read_width(r, UNSIGNED_WIDTH_FIELD)?;
     let start = anchor
         .checked_mul(ways)
@@ -419,18 +434,18 @@ pub fn metadata_from_bytes(bytes: &[u8]) -> Result<RecoilMetadata, RecoilError> 
     let mut r = BitReader::new(body);
     r.read(32).ok_or_else(|| bad("truncated header"))?;
     r.read(8).ok_or_else(|| bad("truncated header"))?;
-    // xtask: allow(wire-cast): a 16-bit read always fits u32.
+    #[expect(clippy::as_conversions, reason = "a 16-bit read always fits u32")]
     let ways = r.read(16).ok_or_else(|| bad("truncated header"))? as u32;
-    // xtask: allow(wire-cast): an 8-bit read always fits u32.
+    #[expect(clippy::as_conversions, reason = "an 8-bit read always fits u32")]
     let quant_bits = r.read(8).ok_or_else(|| bad("truncated header"))? as u32;
     let num_symbols = r.read(64).ok_or_else(|| bad("truncated header"))?;
     let num_words = r.read(64).ok_or_else(|| bad("truncated header"))?;
-    let k = usize::try_from(r.read(32).ok_or_else(|| bad("truncated header"))?)
-        .map_err(|_| bad("split count exceeds the address space"))?;
+    let k_field = r.read(32).ok_or_else(|| bad("truncated header"))?;
+    let k = usize::try_from(k_field).map_err(|_| bad("split count exceeds the address space"))?;
     if ways == 0 {
         return Err(bad("zero ways"));
     }
-    if k as u64 > num_symbols {
+    if k_field > num_symbols {
         return Err(bad("more splits than symbols"));
     }
     // Every split stores 16 bits of raw state per lane, so a body of
@@ -453,7 +468,10 @@ pub fn metadata_from_bytes(bytes: &[u8]) -> Result<RecoilMetadata, RecoilError> 
         // allocation the parsed splits will share.
         let blank = LaneInit { state: 0, pos: 0 };
         let mut all: Arc<[LaneInit]> = std::iter::repeat_n(blank, total_lanes).collect();
-        // xtask: allow(wire-capacity): `k` is bounded by the physical input length above.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "`k` is bounded by the physical input length above"
+        )]
         let mut measured = Vec::with_capacity(k);
         let series = off_diffs.iter().zip(&anchor_diffs).enumerate();
         // (`make_mut` on the sole owner hands out the slice; nothing is cloned.)
@@ -489,6 +507,7 @@ pub fn metadata_from_bytes(bytes: &[u8]) -> Result<RecoilMetadata, RecoilError> 
 }
 
 #[cfg(test)]
+#[allow(clippy::as_conversions, reason = "test inputs are built in-process")]
 mod tests {
     use super::*;
     use crate::metadata::tests::spanning_meta;

@@ -11,7 +11,7 @@
 //! Every generator draws from one source, `rng::Rng`: xoshiro256++ seeded
 //! through splitmix64, so each dataset is a fixed function of its seed.
 
-// Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
+// Safe crate: `forbid` keeps any module from allowing `unsafe`.
 #![forbid(unsafe_code)]
 
 mod exponential;

@@ -18,7 +18,7 @@
 //! * [`ModelProvider`]: the interface the codecs consume, keyed by symbol
 //!   index so adaptive coding works across Recoil's split boundaries.
 
-// Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
+// Safe crate: `forbid` keeps any module from allowing `unsafe`.
 #![forbid(unsafe_code)]
 
 mod counts;

@@ -10,6 +10,9 @@
 //! retries), while a timeout *mid-frame* is retried a bounded number of
 //! times and then reported as a stalled peer.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::as_conversions, clippy::disallowed_methods)]
+
 use recoil_core::RecoilError;
 use std::io::{ErrorKind, Read, Write};
 
@@ -90,8 +93,11 @@ impl FrameType {
     }
 
     /// The wire byte for this frame type.
+    #[expect(
+        clippy::as_conversions,
+        reason = "repr(u8) discriminant read of a fieldless enum, not a wire-derived value"
+    )]
     pub fn byte(self) -> u8 {
-        // xtask: allow(wire-cast): repr(u8) discriminant read of a fieldless enum, not a wire-derived value.
         self as u8
     }
 }
@@ -302,8 +308,11 @@ impl PayloadWriter {
     }
     /// Encode-side pre-allocation; `cap` is always a locally computed
     /// size, never a wire-derived length.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "encode path — the capacity comes from in-memory data the caller owns"
+    )]
     pub fn preallocated(cap: usize) -> Self {
-        // xtask: allow(wire-capacity): encode path — the capacity comes from in-memory data the caller owns.
         Self(Vec::with_capacity(cap))
     }
     pub fn u8(&mut self, v: u8) {
@@ -326,7 +335,10 @@ impl PayloadWriter {
             u32::try_from(v.len()).is_ok(),
             "blob length must fit the u32 prefix"
         );
-        // xtask: allow(wire-cast): encode path — oversized payloads are rejected by the MAX_FRAME_LEN check before hitting the wire.
+        #[expect(
+            clippy::as_conversions,
+            reason = "encode path — oversized payloads are rejected by the MAX_FRAME_LEN check before hitting the wire"
+        )]
         self.u32(v.len() as u32);
         self.0.extend_from_slice(v);
     }
@@ -338,7 +350,10 @@ impl PayloadWriter {
             v.len() <= usize::from(u16::MAX),
             "name length must be pre-validated"
         );
-        // xtask: allow(wire-cast): encode path — the debug_assert above pins the API contract that names fit u16.
+        #[expect(
+            clippy::as_conversions,
+            reason = "encode path — the debug_assert above pins the API contract that names fit u16"
+        )]
         self.u16(v.len() as u16);
         self.0.extend_from_slice(v.as_bytes());
     }
@@ -489,6 +504,7 @@ pub fn decode_error(payload: &[u8]) -> RecoilError {
 }
 
 #[cfg(test)]
+#[allow(clippy::as_conversions, reason = "test inputs are built in-process")]
 mod tests {
     use super::*;
     use recoil_rans::RansError;

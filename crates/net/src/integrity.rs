@@ -18,6 +18,9 @@
 //! transfer, across every connection it uses, so every fetch — buffered,
 //! streaming, or failed over — passes the same check.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::as_conversions, clippy::disallowed_methods)]
+
 use crate::proto::TransmitHeader;
 use recoil_core::{check_words_crc, update_crc32, RecoilError};
 
@@ -84,7 +87,8 @@ impl PayloadCheck {
                 "chunk body of {body_len} bytes ends mid-word"
             )));
         }
-        if self.received + body_len as u64 > self.word_bytes {
+        let fits = u64::try_from(body_len).is_ok_and(|len| self.received + len <= self.word_bytes);
+        if !fits {
             return Err(RecoilError::net("chunked payload overruns declared size"));
         }
         Ok(body_len / 2)
@@ -94,8 +98,10 @@ impl PayloadCheck {
     /// the header's last frame must close the stream at the declared size
     /// and CRC. A refusal leaves the state untouched.
     pub(crate) fn commit(&mut self, body: &[u8]) -> Result<(), RecoilError> {
+        let body_bytes = u64::try_from(body.len())
+            .map_err(|_| RecoilError::net("chunk body exceeds 64 bits"))?;
         let accepted = Self {
-            received: self.received + body.len() as u64,
+            received: self.received + body_bytes,
             crc_state: update_crc32(self.crc_state, body),
             next_seq: self.next_seq + 1,
             ..*self
@@ -143,6 +149,7 @@ impl PayloadCheck {
 }
 
 #[cfg(test)]
+#[allow(clippy::as_conversions, reason = "test inputs are built in-process")]
 mod tests {
     use super::*;
     use crate::frame::PayloadWriter;

@@ -241,7 +241,7 @@
 //! [`RecoilError::Net`]: recoil_core::RecoilError::Net
 //! [`DecodeBackend`]: recoil_core::backend::DecodeBackend
 
-// Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
+// Safe crate: `forbid` keeps any module from allowing `unsafe`.
 #![forbid(unsafe_code)]
 
 use std::sync::{LockResult, PoisonError};

@@ -9,6 +9,9 @@
 //! looks a name up, or parses a published container, straight out of its
 //! read buffer.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::as_conversions, clippy::disallowed_methods)]
+
 use crate::frame::{PayloadReader, PayloadWriter, HELLO_MAGIC, PROTOCOL_VERSION};
 use recoil_core::{item_from_bytes, write_item_section, RecoilError, RecoilMetadata};
 use recoil_models::StaticModelProvider;
@@ -259,7 +262,8 @@ impl TransmitHeader {
             cache_hit,
             combine_nanos,
             item: item.to_vec(),
-            metadata_len: section.metadata_len as u64,
+            metadata_len: u64::try_from(section.metadata_len)
+                .map_err(|_| RecoilError::wire("metadata length exceeds 64 bits"))?,
             final_states: section.final_states,
             word_bytes: section.metadata.num_words.saturating_mul(2),
             payload_crc: section.words_crc,
@@ -374,19 +378,28 @@ impl TelemetryReply {
                 <= usize::from(TELEMETRY_MAX_SERIES),
             "snapshot exceeds the wire series cap"
         );
-        // xtask: allow(wire-cast): encode path — snapshots carry a fixed small set of named instruments, asserted above.
+        #[expect(
+            clippy::as_conversions,
+            reason = "encode path — snapshots carry a fixed small set of named instruments, asserted above"
+        )]
         w.u16(s.counters.len() as u16);
         for (name, v) in &s.counters {
             w.name(name);
             w.u64(*v);
         }
-        // xtask: allow(wire-cast): encode path — see the series-cap assertion above.
+        #[expect(
+            clippy::as_conversions,
+            reason = "encode path — see the series-cap assertion above"
+        )]
         w.u16(s.gauges.len() as u16);
         for (name, v) in &s.gauges {
             w.name(name);
             w.u64(*v);
         }
-        // xtask: allow(wire-cast): encode path — see the series-cap assertion above.
+        #[expect(
+            clippy::as_conversions,
+            reason = "encode path — see the series-cap assertion above"
+        )]
         w.u16(s.hists.len() as u16);
         for (name, h) in &s.hists {
             w.name(name);
@@ -394,11 +407,17 @@ impl TelemetryReply {
             w.u64(h.sum);
             w.u64(h.max);
             let nonzero = h.buckets.iter().filter(|&&n| n != 0).count();
-            // xtask: allow(wire-cast): encode path — at most BUCKETS (64) buckets exist.
+            #[expect(
+                clippy::as_conversions,
+                reason = "encode path — at most BUCKETS (64) buckets exist"
+            )]
             w.u8(nonzero as u8);
             for (b, &n) in h.buckets.iter().enumerate() {
                 if n != 0 {
-                    // xtask: allow(wire-cast): encode path — bucket indices are < BUCKETS (64).
+                    #[expect(
+                        clippy::as_conversions,
+                        reason = "encode path — bucket indices are < BUCKETS (64)"
+                    )]
                     w.u8(b as u8);
                     w.u64(n);
                 }
@@ -408,12 +427,18 @@ impl TelemetryReply {
             u32::try_from(self.trace.len()).is_ok_and(|n| n <= TELEMETRY_MAX_TRACE),
             "trace exceeds the wire event cap"
         );
-        // xtask: allow(wire-cast): encode path — the server ring is far below the event cap, asserted above.
+        #[expect(
+            clippy::as_conversions,
+            reason = "encode path — the server ring is far below the event cap, asserted above"
+        )]
         w.u32(self.trace.len() as u32);
         for (ticket, ev) in &self.trace {
             w.u64(*ticket);
             w.u64(ev.conn_gen);
-            // xtask: allow(wire-cast): encode path — Stage is repr(u8), the cast is its byte value.
+            #[expect(
+                clippy::as_conversions,
+                reason = "encode path — Stage is repr(u8), the cast is its byte value"
+            )]
             w.u8(ev.stage as u8);
             w.u64(ev.t_ns);
             w.u64(ev.detail);
@@ -529,6 +554,7 @@ pub(crate) fn write_transmit_header(
 }
 
 #[cfg(test)]
+#[allow(clippy::as_conversions, reason = "test inputs are built in-process")]
 mod tests {
     use super::*;
     use recoil_core::EncoderConfig;

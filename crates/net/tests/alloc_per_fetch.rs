@@ -14,6 +14,8 @@
 //! only the measuring thread's: the server's reactor and the decode pool
 //! run on threads of their own.
 
+#![allow(unsafe_code, reason = "a counting allocator that calls `System`")]
+
 use recoil_core::backend::{preferred_segments, AutoBackend};
 use recoil_core::{EncoderConfig, MAX_RESERVED_WORDS};
 use recoil_fabric::{FabricRouter, RouterConfig};

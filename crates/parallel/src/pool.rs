@@ -1,5 +1,7 @@
 //! The persistent worker pool.
 
+#![allow(unsafe_code, reason = "a job's closure outlives every call to it")]
+
 use crate::unpoisoned;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -44,6 +44,8 @@
 //! * **output**: the group chunk is taken with a checked slice once per
 //!   group; the inner loop walks it with an exact-length iterator.
 
+#![allow(unsafe_code, reason = "b >= n: a symbol reads at most one word")]
+
 use crate::params::{LOWER_BOUND, RENORM_BITS};
 use crate::span::Span;
 use crate::step::{decode_transform, renorm_read};

@@ -96,6 +96,8 @@
 //! site), which makes the indices provably in bounds. The vector loop's raw
 //! loads and stores live in its own file.
 
+#![allow(unsafe_code, reason = "the lane index wraps at the lane count")]
+
 use crate::params::{self, RENORM_BITS};
 use crate::sink::{RenormGroup, RenormSink};
 use crate::RansError;
@@ -130,7 +132,13 @@ pub fn reciprocal(f: u32) -> u32 {
 
 /// The input of a call the vector loop takes: the symbols as bytes and the
 /// model's alphabet. `None` sends the call to [`encode_span_scalar`].
-#[allow(unused_variables)]
+#[cfg_attr(
+    not(all(target_arch = "x86_64", not(miri))),
+    expect(
+        unused_variables,
+        reason = "only the vector loop's host reads the arguments"
+    )
+)]
 fn vector_input<'d, S: Symbol, P: ModelProvider + ?Sized>(
     provider: &P,
     data: &'d [S],
@@ -197,7 +205,7 @@ pub fn encode_span<S: Symbol, P: ModelProvider + ?Sized>(
 /// up to the first position that is a multiple of 32 (where lane `k` owns
 /// the group's `k`-th symbol), the groups, a careful tail.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "encode_span's plus the alphabet")]
 fn encode_span_vector<P: ModelProvider + ?Sized>(
     provider: &P,
     data: &[u8],
@@ -648,7 +656,6 @@ mod tests {
 
     /// One span through `encode`, from exact-size allocations so that a load
     /// or store past either end is a heap overflow under ASan.
-    #[allow(clippy::type_complexity)]
     fn run_span(
         encode: impl Fn(
             &StaticModelProvider,

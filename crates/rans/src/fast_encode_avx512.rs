@@ -41,6 +41,8 @@
 //! the table pointers in registers throughout: no `(%rsp)` operand, vector
 //! or scalar, and no call.
 
+#![allow(unsafe_code, reason = "stores stay in the block's word reservation")]
+
 use crate::sink::{RenormGroup, RenormSink};
 use recoil_bitio::WordStream;
 use std::arch::x86_64::*;

@@ -48,8 +48,9 @@
 //! Nothing in this crate knows about frames, rANS, or the content server;
 //! it is plain readiness plumbing and is tested as such.
 
-// Audited unsafe crate: every unsafe operation sits in an explicit block.
-#![deny(unsafe_op_in_unsafe_fn)]
+// Audited crate: `unsafe` is allowed only in `poller.rs` and `wake.rs` (the
+// epoll and pipe syscalls), each stating its invariant; the workspace lints
+// deny it elsewhere.
 
 #[cfg(not(target_os = "linux"))]
 compile_error!("recoil-reactor is Linux-only: it is built on epoll and pipe2");

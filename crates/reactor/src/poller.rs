@@ -6,6 +6,8 @@
 //! event (or any state change of its own making) the caller **must** drain
 //! the fd until `WouldBlock`: an edge left unconsumed never fires again.
 
+#![allow(unsafe_code, reason = "epoll calls on the fd this poller owns")]
+
 use crate::sys;
 use crate::token::Token;
 use std::io;

@@ -6,8 +6,6 @@
 //! raw-fd plumbing; the safe wrappers live in [`crate::poller`] and
 //! [`crate::wake`].
 
-#![allow(non_camel_case_types)]
-
 use std::os::raw::{c_int, c_void};
 
 // --- epoll -----------------------------------------------------------------

@@ -6,6 +6,8 @@
 //! workers write one byte. Both ends are `O_NONBLOCK` — a full pipe means
 //! a wakeup is already pending, so `EAGAIN` on write is success.
 
+#![allow(unsafe_code, reason = "pipe calls on the two fds this pipe owns")]
+
 use crate::sys;
 use std::io;
 use std::os::fd::RawFd;

@@ -105,7 +105,7 @@
 //! | [`net`] | framed TCP transport: `NetServer` / pooling `NetClient` |
 //! | [`fabric`] | multi-node routing, replication, failover with segment resume |
 
-// Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
+// Safe crate: `forbid` keeps any module from allowing `unsafe`.
 #![forbid(unsafe_code)]
 
 pub use recoil_bitio as bitio;

@@ -68,7 +68,7 @@
 //!
 //! [`RecoilMetadata`]: recoil_core::RecoilMetadata
 
-// Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
+// Safe crate: `forbid` keeps any module from allowing `unsafe`.
 #![forbid(unsafe_code)]
 
 use std::sync::{LockResult, PoisonError};

@@ -1,6 +1,8 @@
 //! AVX2 span loop: 8 lanes per register, four registers per span (paper
 //! §4.4, implementation (2)), `K` spans interleaved.
 
+#![allow(unsafe_code, reason = "loads stay inside the group cursor guards")]
+
 use crate::driver::{outside_guards, signed_cursor, SpanLoop, OVERREAD_WORDS};
 use recoil_rans::Span;
 use std::arch::x86_64::*;

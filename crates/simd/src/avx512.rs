@@ -2,6 +2,8 @@
 //! (paper §4.4, implementation (3)), `K` spans interleaved. Mask registers
 //! make the renormalization gather a single `vpexpandd`.
 
+#![allow(unsafe_code, reason = "loads stay inside the group cursor guards")]
+
 use crate::driver::{outside_guards, signed_cursor, SpanLoop, OVERREAD_WORDS};
 use recoil_rans::Span;
 use std::arch::x86_64::*;

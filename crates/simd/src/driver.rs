@@ -17,8 +17,15 @@
 //! one (`decode_groups`), so a batch of two or three spans and the spans a
 //! `K` run leaves unfinished still run interleaved.
 
-// Off x86_64 there is no vector loop and what only they use is dead.
-#![cfg_attr(not(target_arch = "x86_64"), allow(dead_code, unused_imports))]
+#![allow(unsafe_code, reason = "runs a loop only on its detected ISA")]
+#![cfg_attr(
+    not(target_arch = "x86_64"),
+    allow(
+        dead_code,
+        unused_imports,
+        reason = "what only the vector loops use is dead without them"
+    )
+)]
 
 use crate::kernel::{Kernel, AVX2_DEPTH, AVX512_DEPTH};
 use crate::model::SimdModel;

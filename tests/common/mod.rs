@@ -8,7 +8,10 @@
 /// cases from seeds and carries the seed in assertion messages for replay.
 pub struct Cases(u64);
 
-#[allow(dead_code)] // each test file uses a different subset of helpers
+#[allow(
+    dead_code,
+    reason = "each test file uses a different subset of helpers"
+)]
 impl Cases {
     pub fn new(seed: u64) -> Self {
         Self(seed.max(1))

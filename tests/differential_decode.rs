@@ -389,7 +389,7 @@ fn pooled_and_scalar_segment_ranges_agree_mid_stream() {
     // batch arithmetic on the range: the final segment on a prefix, a
     // prefix one word short, reversed ranges (by one, and by as much as a
     // `u64` allows), ranges past the last segment.
-    #[allow(clippy::reversed_empty_ranges)]
+    #[expect(clippy::reversed_empty_ranges, reason = "the inputs under test")]
     let rejected = [
         (prefix, 0..nseg),
         (short, 0..half),
