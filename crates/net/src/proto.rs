@@ -222,7 +222,9 @@ impl<'a> ResumeRequest<&'a str> {
 pub struct TransmitHeader {
     /// Post-clamp segment count actually served.
     pub segments: u64,
-    /// Whether the shrunk tier came from the server's LRU cache.
+    /// Whether the shrunk tier was served without a combine: one the item
+    /// holds, or one from its tier cache (which evicts the tier cheapest
+    /// to rebuild).
     pub cache_hit: bool,
     /// Server-side real-time combine cost (zero on a cache hit).
     pub combine_nanos: u64,

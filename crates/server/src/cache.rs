@@ -1,4 +1,5 @@
-//! Per-content LRU cache of combined metadata tiers.
+//! Per-content cache of combined metadata tiers, evicting the tier that is
+//! cheapest to rebuild.
 //!
 //! Only combined tiers live here: keys `2..max` for an item encoded with
 //! `max` segments. The two tiers that select nothing — the full tier (the
@@ -16,8 +17,17 @@
 //! touches no reference count, and what it builds is plain data: the
 //! bytes. Client capacities are heavily
 //! clustered in practice (a handful of device classes), so each published
-//! item carries a small LRU cache of the tiers it has actually served;
+//! item carries a small cache of the tiers it has actually served;
 //! evicting one frees its bytes after the cache lock is released.
+//!
+//! What a miss pays is mostly that write, and it grows with the tier: ≈ 76
+//! bytes per kept split. When clients ask evenly for more widths than the
+//! cache holds, any rule misses about as often; what a miss costs depends on
+//! which tier it rebuilds. So a full cache evicts by GreedyDual (Young
+//! 1994) with each tier's byte length as its cost: the cheapest tier to
+//! rebuild goes first, and each eviction
+//! raises the bar every later one is measured against, so a costly tier
+//! nobody asks for any more ages out.
 //!
 //! The cache key is the **post-clamp** segment count — the tier actually
 //! served, not the capacity the client asked for. A request at or past the
@@ -79,30 +89,90 @@ impl ShrunkTier {
     }
 }
 
-/// What a [`TierCache`] keys its entries by.
+/// What a [`TierCache`] keys and weighs its entries by.
 pub(crate) trait Tier {
     /// The tier's post-clamp segment count.
     fn segments(&self) -> u64;
+    /// What rebuilding the tier would write: its wire byte length.
+    fn cost(&self) -> u64;
 }
 
 impl Tier for ShrunkTier {
     fn segments(&self) -> u64 {
         self.segments
     }
+
+    fn cost(&self) -> u64 {
+        self.metadata_bytes.len() as u64
+    }
 }
 
-/// A small LRU (most-recently-served first) of [`Tier`]s (the server's are
-/// [`ShrunkTier`]s) keyed by their segment count.
+/// A small GreedyDual cache (Young 1994; weighted caching, uniform sizes)
+/// of [`Tier`]s (the server's are [`ShrunkTier`]s) keyed by their segment
+/// count: a miss rebuilds the evicted tier's bytes, so a full cache evicts
+/// the tier that is cheapest to write again, aged by how long ago it was
+/// served.
+///
+/// Each entry carries a priority `H = L + cost`, set on insert and on every
+/// hit; a full cache evicts the lowest `H` (ties go to the least recently
+/// served entry) and raises the inflation `L` to it. A costly tier nobody
+/// asks for any more therefore goes once `L` has climbed past it. With
+/// equal costs the rule is exactly LRU. No clock is read.
 ///
 /// Capacities are tiny (default 8) and entries are `Arc`-shared, so the
 /// inner structure is a plain vector under a mutex: lookup is a short scan,
-/// promotion a rotate — cheaper than any linked-list bookkeeping at this
-/// size, and the lock is held only for the scan, never during a combine.
+/// promotion a rotate, eviction a scan for the lowest priority — cheaper
+/// than any heap or linked-list bookkeeping at this size, and the lock is
+/// held only for the scan, never during a combine.
 #[derive(Debug)]
 pub(crate) struct TierCache<T> {
     capacity: usize,
-    /// `(segments, tier)` pairs, most recently used first.
-    tiers: Mutex<Vec<(u64, Arc<T>)>>,
+    tiers: Mutex<Entries<T>>,
+}
+
+/// A [`TierCache`]'s state under its lock.
+#[derive(Debug)]
+struct Entries<T> {
+    /// GreedyDual's `L`: the priority of the last evicted entry.
+    inflation: u64,
+    /// Most recently served first.
+    served: Vec<Entry<T>>,
+}
+
+#[derive(Debug)]
+struct Entry<T> {
+    segments: u64,
+    /// `L + cost` when the tier was last served.
+    priority: u64,
+    tier: Arc<T>,
+}
+
+impl<T: Tier> Entries<T> {
+    /// Serves `segments` if held: refreshes its priority and moves it to
+    /// the front.
+    fn serve(&mut self, segments: u64) -> Option<Arc<T>> {
+        let idx = self.served.iter().position(|e| e.segments == segments)?;
+        // Rotate the hit to the front, preserving the relative order of
+        // everything in between.
+        self.served[..=idx].rotate_right(1);
+        let hit = &mut self.served[0];
+        hit.priority = self.inflation.saturating_add(hit.tier.cost());
+        Some(Arc::clone(&hit.tier))
+    }
+
+    /// Removes the lowest-priority entry, the least recently served of
+    /// equals, and raises the inflation to its priority.
+    fn evict(&mut self) -> Option<Arc<T>> {
+        let (idx, _) = self
+            .served
+            .iter()
+            .enumerate()
+            .rev()
+            .min_by_key(|(_, e)| e.priority)?;
+        let evicted = self.served.remove(idx);
+        self.inflation = evicted.priority;
+        Some(evicted.tier)
+    }
 }
 
 impl<T: Tier> TierCache<T> {
@@ -110,27 +180,26 @@ impl<T: Tier> TierCache<T> {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            tiers: Mutex::new(Vec::new()),
+            tiers: Mutex::new(Entries {
+                inflation: 0,
+                served: Vec::new(),
+            }),
         }
     }
 
-    /// Looks up `segments`, promoting the entry to most-recently-used.
+    /// Looks up `segments`, refreshing the entry's priority.
     pub fn get(&self, segments: u64) -> Option<Arc<T>> {
-        let mut tiers = unpoisoned(self.tiers.lock());
-        let idx = tiers.iter().position(|(t, _)| *t == segments)?;
-        // Promote: rotate the hit to the front, preserving relative order
-        // of everything in between.
-        tiers[..=idx].rotate_right(1);
-        Some(Arc::clone(&tiers[0].1))
+        unpoisoned(self.tiers.lock()).serve(segments)
     }
 
-    /// Inserts `tier` as most-recently-used, evicting the least recently
-    /// used entry when full (and bumping `stats.cache_evictions`).
+    /// Inserts `tier` at priority `L + cost`, evicting the lowest-priority
+    /// entry when full (and bumping `stats.cache_evictions`).
     ///
     /// Two threads can miss the same tier concurrently and both compute it
     /// (combining happens outside the cache lock on purpose); whichever
-    /// insert lands second adopts the already-cached entry, so every caller
-    /// ends up sharing one allocation. Returns the entry to serve.
+    /// insert lands second adopts the already-cached entry, as a hit, so
+    /// every caller ends up sharing one allocation. Returns the entry to
+    /// serve.
     ///
     /// The evicted entry leaves the critical section alive and is dropped
     /// here after the unlock: tearing a tier down (its frees) must not
@@ -138,18 +207,25 @@ impl<T: Tier> TierCache<T> {
     pub fn insert(&self, tier: Arc<T>, stats: &StatsCounters) -> Arc<T> {
         let segments = tier.segments();
         let evicted = {
-            let mut tiers = unpoisoned(self.tiers.lock());
-            if let Some(idx) = tiers.iter().position(|(t, _)| *t == segments) {
-                tiers[..=idx].rotate_right(1);
-                return Arc::clone(&tiers[0].1);
+            let mut entries = unpoisoned(self.tiers.lock());
+            if let Some(held) = entries.serve(segments) {
+                return held;
             }
-            let evicted = if tiers.len() == self.capacity {
+            let evicted = if entries.served.len() == self.capacity {
                 bump(&stats.cache_evictions);
-                tiers.pop()
+                entries.evict()
             } else {
                 None
             };
-            tiers.insert(0, (segments, Arc::clone(&tier)));
+            let priority = entries.inflation.saturating_add(tier.cost());
+            entries.served.insert(
+                0,
+                Entry {
+                    segments,
+                    priority,
+                    tier: Arc::clone(&tier),
+                },
+            );
             evicted
         };
         drop(evicted);
@@ -159,7 +235,7 @@ impl<T: Tier> TierCache<T> {
     /// Number of currently cached tiers.
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        unpoisoned(self.tiers.lock()).len()
+        unpoisoned(self.tiers.lock()).served.len()
     }
 }
 
@@ -169,10 +245,14 @@ mod tests {
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Weak;
 
-    /// The smallest tier: nothing but its key.
+    /// The smallest tier: nothing but its key, at unit cost.
     impl Tier for u64 {
         fn segments(&self) -> u64 {
             *self
+        }
+
+        fn cost(&self) -> u64 {
+            1
         }
     }
 
@@ -228,6 +308,10 @@ mod tests {
         fn segments(&self) -> u64 {
             self.segments
         }
+
+        fn cost(&self) -> u64 {
+            1
+        }
     }
 
     impl Drop for LockProbe {
@@ -260,5 +344,111 @@ mod tests {
             2,
             "an eviction tore its tier down inside the cache lock"
         );
+    }
+
+    /// A tier of a given rebuild cost.
+    struct Weighed {
+        segments: u64,
+        cost: u64,
+    }
+
+    impl Tier for Weighed {
+        fn segments(&self) -> u64 {
+            self.segments
+        }
+
+        fn cost(&self) -> u64 {
+            self.cost
+        }
+    }
+
+    /// Serves `segments` at `cost`, inserting it on a miss; whether it hit.
+    fn serve(cache: &TierCache<Weighed>, segments: u64, cost: u64, stats: &StatsCounters) -> bool {
+        if cache.get(segments).is_some() {
+            return true;
+        }
+        cache.insert(Arc::new(Weighed { segments, cost }), stats);
+        false
+    }
+
+    /// Misses and bytes rebuilt by a seeded uniform mix over the combined
+    /// widths 4–64 of a 256-split item (their tier byte lengths below) at
+    /// capacity 4, with the cache weighing each tier at `weigh(bytes)`.
+    fn uniform_mix(weigh: impl Fn(u64) -> u64) -> (u64, u64) {
+        const TIERS: [(u64, u64); 5] = [(4, 260), (8, 558), (16, 1165), (32, 2399), (64, 4855)];
+        let stats = StatsCounters::default();
+        let cache = TierCache::new(4);
+        let (mut misses, mut rebuilt) = (0, 0);
+        let mut state = 0x5e47e_u64;
+        for _ in 0..20_000 {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ z >> 30).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ z >> 27).wrapping_mul(0x94d0_49bb_1331_11eb);
+            let (segments, bytes) = TIERS[((z ^ z >> 31) % 5) as usize];
+            if !serve(&cache, segments, weigh(bytes), &stats) {
+                misses += 1;
+                rebuilt += bytes;
+            }
+        }
+        (misses, rebuilt)
+    }
+
+    #[test]
+    fn a_uniform_mix_rebuilds_the_cheap_tiers() {
+        // Five tiers share four slots, so every policy misses about one
+        // request in five; the costs decide which tier the miss rebuilds.
+        let (lru_misses, lru_rebuilt) = uniform_mix(|_| 1);
+        let (misses, rebuilt) = uniform_mix(|bytes| bytes);
+        assert!(
+            rebuilt * 2 <= lru_rebuilt,
+            "rebuilt {rebuilt} B against {lru_rebuilt} B at unit cost"
+        );
+        assert!(
+            misses.abs_diff(lru_misses) * 20 <= lru_misses,
+            "{misses} misses against {lru_misses} at unit cost"
+        );
+    }
+
+    /// At capacity 2: serves a `costly` tier, then three cheap tiers in
+    /// turn (each a miss), serving the costly one again after `hit_after`
+    /// cheap misses if given; returns the cheap miss that evicted it.
+    fn cheap_misses_to_evict(costly: u64, cheap: u64, hit_after: Option<u64>) -> u64 {
+        let stats = StatsCounters::default();
+        let cache = TierCache::new(2);
+        let held = Arc::downgrade(&cache.insert(
+            Arc::new(Weighed {
+                segments: 0,
+                cost: costly,
+            }),
+            &stats,
+        ));
+        for miss in 1..=1000 {
+            assert!(!serve(&cache, 1 + miss % 3, cheap, &stats));
+            if held.strong_count() == 0 {
+                return miss;
+            }
+            if hit_after == Some(miss) {
+                assert!(serve(&cache, 0, costly, &stats));
+            }
+        }
+        panic!("the costly tier was never evicted");
+    }
+
+    #[test]
+    fn an_unrequested_costly_tier_ages_out() {
+        // Each cheap miss raises the inflation by one cheap cost, so the
+        // costly tier goes once it has climbed past the costly one's
+        // priority: bounded, but far later than LRU's second miss.
+        assert_eq!(cheap_misses_to_evict(4855, 260, None), 4855 / 260 + 2);
+        assert_eq!(cheap_misses_to_evict(1000, 100, None), 1000 / 100 + 1);
+    }
+
+    #[test]
+    fn a_hit_refreshes_the_priority() {
+        // Served again at inflation 800, the costly tier's priority is
+        // 800 + 1000: it now outlives ten more cheap misses, not two.
+        assert_eq!(cheap_misses_to_evict(1000, 100, Some(9)), 9 + 1000 / 100);
     }
 }

@@ -51,9 +51,12 @@
 //!   and holds them for its lifetime outside any cache, so even the first
 //!   request for either is a hit;
 //! * every tier in between is **combined**. Real-world capacities cluster
-//!   into a handful of device classes, so each item carries a small LRU
-//!   cache (default 8 entries) of the combined tiers it has actually
-//!   served, keyed by their segment count.
+//!   into a handful of device classes, so each item carries a small cache
+//!   (default 8 entries) of the combined tiers it has actually served,
+//!   keyed by their segment count. A full cache evicts the tier cheapest to
+//!   rebuild — its byte length, aged GreedyDual-style by how long ago it
+//!   was served — because a miss rewrites those bytes; with equal lengths
+//!   that is LRU.
 //!
 //! A hit — a tier the item holds, or a cached combined one — costs two
 //! atomic counter bumps and an `Arc` clone; only a miss pays the real-time

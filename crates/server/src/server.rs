@@ -34,14 +34,16 @@ pub struct StoredContent {
     /// exclude it).
     pub model: Arc<StaticModelProvider>,
     /// The published metadata at maximum supported parallelism and its
-    /// wire bytes, held for the item's lifetime outside the LRU.
+    /// wire bytes, held for the item's lifetime outside the tier cache.
     full: Arc<ShrunkTier>,
     /// The tier of one segment, held beside the full one.
     one: Arc<ShrunkTier>,
     /// The full tier's split bodies, written once; every combined tier is
     /// written from it.
     wire: WireSplits,
-    /// Combined tiers this item has served (LRU).
+    /// Combined tiers this item has served; a full cache evicts the one
+    /// cheapest to rebuild, aged by how long ago it was served
+    /// ([`TierCache`]).
     cache: TierCache<ShrunkTier>,
     /// Its item sections' model block ([`recoil_core::model_block`]).
     model_block: Vec<u8>,
@@ -90,7 +92,7 @@ pub struct Transmission {
     pub combine_nanos: u128,
     /// Whether this response was served without a combine: one of the
     /// item's own tiers (the full tier at the encoded maximum, the
-    /// one-segment tier), or a combined tier from its LRU.
+    /// one-segment tier), or a combined tier from its tier cache.
     pub cache_hit: bool,
 }
 
@@ -133,8 +135,11 @@ pub struct ServerConfig {
     /// Store shards (each an independent `RwLock<HashMap>`); publishes only
     /// write-lock one shard, so reads elsewhere never block. Minimum 1.
     pub shards: usize,
-    /// Combined metadata tiers cached per published item (LRU), beside
-    /// the full tier every item holds outside it. Minimum 1.
+    /// Combined metadata tiers cached per published item, beside the full
+    /// and one-segment tiers every item holds outside it. A full cache
+    /// evicts the tier cheapest to rebuild (its byte length, aged by how
+    /// long ago it was served; equal lengths evict the least recently
+    /// served), since a miss rewrites exactly those bytes. Minimum 1.
     pub tier_cache_capacity: usize,
 }
 
@@ -329,8 +334,10 @@ impl ContentServer {
     /// segments in parallel: resolves the capacity to a tier (clamped to
     /// the item's encoded maximum) and serves it — the maximum and one
     /// segment from the item's own tiers, anything in between from the
-    /// item's LRU cache, combining splits in real time only on a miss —
-    /// never touching the bitstream either way.
+    /// item's tier cache, combining splits in real time only on a miss —
+    /// never touching the bitstream either way. A full cache makes room by
+    /// evicting the tier cheapest to rebuild, aged by how long ago it was
+    /// served.
     ///
     /// `parallel_segments` is validated at this API boundary: a request for
     /// zero segments is a malformed client header, reported as
@@ -387,7 +394,8 @@ impl ContentServer {
 
     /// The hit path, counted: the one place a stored tier becomes a
     /// [`Transmission`] — the item's own full tier at the encoded maximum
-    /// or its one-segment tier, else a combined tier from its LRU.
+    /// or its one-segment tier, else a combined tier from its cache, whose
+    /// priority the hit refreshes.
     fn serve_cached(&self, item: &StoredContent, segments: u64) -> Option<Transmission> {
         let tier = if segments == item.max_segments() {
             Arc::clone(&item.full)

@@ -5,11 +5,12 @@
 //! parallelism. Each client attaches its capacity to the request; the
 //! server resolves it to a capacity tier and serves the shrunk metadata —
 //! combined in real time on the first request for a tier, straight from the
-//! per-content LRU cache afterwards. A client at the encoded maximum needs
-//! nothing eliminated: its tier is the published metadata, which the item
-//! holds from publish on, so the 2176-way row (clamped to the segments the
-//! planner placed) reads "hit" with a 0 ns combine even on its first
-//! request. Compare with the conventional
+//! per-content tier cache afterwards (a full cache evicts the tier cheapest
+//! to rebuild, aged by how long ago it was served). A client at the
+//! encoded maximum needs nothing eliminated: its tier is the published
+//! metadata, which the item holds from publish on, so the 2176-way row
+//! (clamped to the segments the planner placed) reads "hit" with a 0 ns
+//! combine even on its first request. Compare with the conventional
 //! approach, where the server must either store one encoding per capacity
 //! tier or ship everyone the massively-parallel (largest) file.
 //!
