@@ -87,6 +87,20 @@ impl WordStream {
         fill(&mut self.bytes[start..]).inspect_err(|_| self.bytes.truncate(start))
     }
 
+    /// The bytes of words `at .. at + n`, to overwrite in place: the stream
+    /// grows by zeroed words only as far as that reaches past its end, and
+    /// the words already there keep their values until written. A writer
+    /// that stores ahead of what it keeps (the vector encoder) walks the
+    /// window forward and truncates once at the end, so only what it keeps
+    /// and one window are ever zeroed.
+    pub fn window_mut(&mut self, at: usize, n: usize) -> &mut [u8] {
+        let end = 2 * (at + n);
+        if self.bytes.len() < end {
+            self.bytes.resize(end, 0);
+        }
+        &mut self.bytes[2 * at..end]
+    }
+
     /// Appends words given as their wire image; bytes that end mid-word are
     /// refused, and nothing of them is stored.
     pub fn extend_from_le_bytes(&mut self, bytes: &[u8]) -> Result<(), OddLength> {
@@ -334,6 +348,27 @@ mod tests {
             let pushed: WordStream = [7, 8].into_iter().chain(words).collect();
             assert_eq!(pushed, back, "{n} words");
         }
+    }
+
+    #[test]
+    fn a_window_zeroes_only_its_growth() {
+        let words = ramp(10);
+        let mut got = stream(&words[..6]);
+        // Words 4 .. 8: two already there keep their values, two are new.
+        let window = got.window_mut(4, 4);
+        assert_eq!(window[..4], stream(&words[4..6]).as_bytes()[..]);
+        assert!(window[4..].iter().all(|&b| b == 0));
+        window.copy_from_slice(stream(&words[4..8]).as_bytes());
+        assert_eq!(got, stream(&words[..8]));
+        // A window inside the stream grows nothing; one past it zero-fills
+        // the gap.
+        assert_eq!(got.window_mut(0, 2).len(), 4);
+        assert_eq!(got.len(), 8);
+        got.window_mut(9, 1)
+            .copy_from_slice(&words[9].to_le_bytes());
+        assert_eq!(got.len(), 10);
+        assert_eq!(got.word(8), 0);
+        assert_eq!(got.word(9), words[9]);
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! per fetch would add the stream's size again, and a copy of every chunk
 //! body one allocation per chunk: each fails an assertion below.
 //!
+//! On the server's side, a warm tier-cache hit of
+//! [`ContentServer::request`] allocates nothing: it borrows the item under
+//! the shard's read guard and clones the served tier's handle. A miss
+//! allocates the tier it writes, a pinned number of times.
+//!
 //! The global allocator counts the bytes each thread asks for, and reports
 //! only the measuring thread's: the server's reactor and the decode pool
 //! run on threads of their own.
@@ -17,10 +22,10 @@
 #![allow(unsafe_code, reason = "a counting allocator that calls `System`")]
 
 use recoil_core::backend::{preferred_segments, AutoBackend};
-use recoil_core::{EncoderConfig, MAX_RESERVED_WORDS};
+use recoil_core::{metadata_from_bytes, EncoderConfig, MAX_RESERVED_WORDS};
 use recoil_fabric::{FabricRouter, RouterConfig};
 use recoil_net::{NetClient, NetConfig, NetServer, NetServerHandle};
-use recoil_server::ContentServer;
+use recoil_server::{ContentServer, ServerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -215,4 +220,49 @@ fn a_one_batch_router_fetch_allocates_its_output_and_a_bounded_rest() {
         assert_bounded(&allocated, data.len(), chunks, &format!("round {round}"));
     }
     server.shutdown();
+}
+
+/// What one tier-cache miss allocates: the tier's bytes, its shared handle
+/// and the selection of kept splits the bytes are written from.
+const MISS_ALLOCATIONS: u64 = 3;
+
+#[test]
+fn a_warm_request_hit_allocates_nothing_and_a_miss_a_pinned_count() {
+    let server = ContentServer::with_config(ServerConfig {
+        shards: 1,
+        tier_cache_capacity: 1,
+    });
+    let item = server
+        .publish("movie", &sample(256 << 10, 3), &config())
+        .unwrap();
+    // The two tiers the item holds, and a combined one from its cache.
+    for width in [1, item.max_segments(), 8] {
+        server.request("movie", width).unwrap();
+        let (tx, allocated) = allocated_by(|| server.request("movie", width).unwrap());
+        assert!(tx.cache_hit, "width {width}");
+        assert_eq!(
+            (allocated.bytes, allocated.calls),
+            (0, 0),
+            "a hit at width {width} allocated"
+        );
+    }
+    // One slot, two widths in turn: each request is a miss that evicts.
+    for width in [4, 8, 4, 8] {
+        let (tx, allocated) = allocated_by(|| server.request("movie", width).unwrap());
+        assert!(!tx.cache_hit, "width {width}");
+        // With debug assertions `WireSplits::tier` parses what it wrote:
+        // that is the check's, not the miss's.
+        let check = if cfg!(debug_assertions) {
+            allocated_by(|| metadata_from_bytes(tx.metadata_bytes()).unwrap())
+                .1
+                .calls
+        } else {
+            0
+        };
+        assert_eq!(
+            allocated.calls - check,
+            MISS_ALLOCATIONS,
+            "a miss at width {width}: {allocated:?}, {check} of them the check's"
+        );
+    }
 }

@@ -78,12 +78,14 @@
 //!
 //! The vector loop stores 16 words (32 bytes) at a time, unmasked, and
 //! advances by the number that were real. Each block of [`BLOCK_GROUPS`]
-//! groups lands in the stream's block word budget (`32 * BLOCK_GROUPS`,
+//! groups is stored into a window of its word budget (`32 * BLOCK_GROUPS`,
 //! which by the at-most-one-word-per-symbol bound also covers the slack of
-//! the last store; [`WordStream::land`] grows the stream by it and the
-//! words past those written are truncated away) — never `data.len()` words
-//! up front, which would be several times the stream. The store still grows
-//! by doubling; [`crate::InterleavedEncoder::finish`] shrinks it to fit.
+//! the last store) at the words kept so far ([`WordStream::window_mut`]):
+//! the stream grows only by what the window reaches past its end, and the
+//! words past those written are truncated away once, after the last block —
+//! never `data.len()` words up front, which would be several times the
+//! stream, nor a zeroed budget per block. The store still grows by
+//! doubling; [`crate::InterleavedEncoder::finish`] shrinks it to fit.
 //!
 //! # Safety invariant
 //!
@@ -110,7 +112,7 @@ mod avx512;
 
 pub use crate::fast::GROUP;
 
-/// Groups the vector loop encodes per output reservation and per round of
+/// Groups the vector loop encodes per output window and per round of
 /// reports to the sink (1024 symbols, at most 2 KiB of words).
 pub const BLOCK_GROUPS: usize = 32;
 

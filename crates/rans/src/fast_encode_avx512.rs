@@ -41,7 +41,7 @@
 //! the table pointers in registers throughout: no `(%rsp)` operand, vector
 //! or scalar, and no call.
 
-#![allow(unsafe_code, reason = "stores stay in the block's word reservation")]
+#![allow(unsafe_code, reason = "stores stay in the block's word window")]
 
 use crate::sink::{RenormGroup, RenormSink};
 use recoil_bitio::WordStream;
@@ -111,21 +111,21 @@ impl SymbolTable {
             masks: [0; BLOCK_GROUPS],
             renormed: [[0; GROUP]; BLOCK_GROUPS],
         };
+        // Each block is stored straight into the stream at the words kept
+        // so far, in a window of its whole budget (at most one word per
+        // symbol, Lemma 3.1), since the loop stores 16 words at a time past
+        // what it keeps. The stream is cut to what was kept once, at the
+        // end, so only each window's growth past the end is ever zeroed.
+        let start = out.len();
         let mut written = 0u64;
         for (b, block) in groups.chunks(BLOCK_GROUPS).enumerate() {
             let done = b * BLOCK_GROUPS;
-            let start = out.len();
-            let mut words = 0;
-            // At most one word per symbol (Lemma 3.1); the unwritten rest is cut.
-            out.land(block.len() * GROUP, |dst| {
-                // SAFETY: `available()` holds, which is the features
-                // `encode_block` is compiled for, and `dst` is the
-                // `block.len() * GROUP` words just grown.
-                unsafe { self.encode_block(block, lanes, dst.as_mut_ptr(), &mut report) }
-                    .map(|w| words = w)
-            })
-            .map_err(|g| done + g)?;
-            out.truncate(start + words);
+            let dst = out.window_mut(start + written as usize, block.len() * GROUP);
+            // SAFETY: `available()` holds, which is the features
+            // `encode_block` is compiled for, and `dst` is the
+            // `block.len() * GROUP` words of the window.
+            let words = unsafe { self.encode_block(block, lanes, dst.as_mut_ptr(), &mut report) }
+                .map_err(|g| done + g)?;
             // SAFETY: `available()`, as above.
             unsafe {
                 report.deliver(
@@ -137,6 +137,7 @@ impl SymbolTable {
             }
             written += words as u64;
         }
+        out.truncate(start + written as usize);
         Ok(written)
     }
 

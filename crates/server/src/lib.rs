@@ -58,11 +58,13 @@
 //!   was served — because a miss rewrites those bytes; with equal lengths
 //!   that is LRU.
 //!
-//! A hit — a tier the item holds, or a cached combined one — costs two
-//! atomic counter bumps and an `Arc` clone; only a miss pays the real-time
-//! combine, which writes the tier's bytes from split bodies stored at
-//! publish, and its [`Transmission::combine_nanos`] records exactly that
-//! cost (hits report zero). The store's six counters —
+//! A hit — a tier the item holds, or a cached combined one — is a borrow:
+//! name, item and tier are resolved under the shard's read guard, and it
+//! costs two atomic counter bumps and the served tier's `Arc` clone. Only a
+//! miss pays the real-time combine, after leaving the guard: it writes the
+//! tier's bytes from split bodies stored at publish, and its
+//! [`Transmission::combine_nanos`] records exactly that cost (hits report
+//! zero). The store's six counters —
 //! requests, hits, misses, evictions, bytes served, publishes — are exact
 //! with or without a transport and are exposed as a [`ServerStats`]
 //! snapshot via [`ContentServer::stats`]; the snapshot's transport fields

@@ -7,9 +7,8 @@ use recoil_core::codec::{Codec, EncoderConfig};
 use recoil_core::{crc32, model_block, RecoilContainer, RecoilError, RecoilMetadata, WireSplits};
 use recoil_models::StaticModelProvider;
 use recoil_rans::EncodedStream;
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
@@ -134,6 +133,11 @@ impl Drop for InflightGuard<'_> {
 pub struct ServerConfig {
     /// Store shards (each an independent `RwLock<HashMap>`); publishes only
     /// write-lock one shard, so reads elsewhere never block. Minimum 1.
+    ///
+    /// A name picks its shard by an unkeyed hash (FNV-1a), one cheap pass
+    /// per request. That is safe against chosen names because each shard's
+    /// map still hashes with std's keyed SipHash: names crafted to land on
+    /// one shard only share its lock, and cannot build a collision chain.
     pub shards: usize,
     /// Combined metadata tiers cached per published item, beside the full
     /// and one-segment tiers every item holds outside it. A full cache
@@ -195,11 +199,14 @@ impl ContentServer {
         }
     }
 
-    /// The shard owning `name`.
+    /// The shard owning `name`: FNV-1a over its bytes, reduced by the high
+    /// half of a multiply (FNV's low bits mix poorly). Unkeyed on purpose:
+    /// see [`ServerConfig::shards`].
     fn shard(&self, name: &str) -> &RwLock<HashMap<String, Arc<StoredContent>>> {
-        let mut h = DefaultHasher::new();
-        name.hash(&mut h);
-        &self.shards[h.finish() as usize % self.shards.len()]
+        let hash = name.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        &self.shards[((u128::from(hash) * self.shards.len() as u128) >> 64) as usize]
     }
 
     /// Encodes `data` once under `config` (lane width, split budget,
@@ -305,8 +312,13 @@ impl ContentServer {
 
     /// Removes published content, returning whether it existed. In-flight
     /// responses keep their `Arc`s; the bitstream outlives the unpublish.
+    ///
+    /// The item leaves the shard under its write guard and is dropped after
+    /// it: tearing down the last handle (the stream, the tier table, the
+    /// cached tiers) stalls no reader of the shard.
     pub fn unpublish(&self, name: &str) -> bool {
-        unpoisoned(self.shard(name).write()).remove(name).is_some()
+        let removed = unpoisoned(self.shard(name).write()).remove(name);
+        removed.is_some()
     }
 
     /// Published item lookup.
@@ -339,12 +351,18 @@ impl ContentServer {
     /// evicting the tier cheapest to rebuild, aged by how long ago it was
     /// served.
     ///
+    /// A hit is a borrow: the name, the item and the tier are resolved
+    /// under the shard's read guard, and the only handle taken is the
+    /// served tier's, which the [`Transmission`] returns. A miss takes the
+    /// item's handle and leaves the guard before it writes its tier, so no
+    /// combine ever runs under a store lock.
+    ///
     /// `parallel_segments` is validated at this API boundary: a request for
     /// zero segments is a malformed client header, reported as
     /// [`RecoilError::InvalidConfig`] rather than silently clamped deep in
     /// the combine path.
     pub fn request(&self, name: &str, parallel_segments: u64) -> Result<Transmission, RecoilError> {
-        self.fetch(name, parallel_segments).map(|(t, _)| t)
+        self.serve(name, parallel_segments, |_| ()).map(|(t, ())| t)
     }
 
     /// Like [`ContentServer::request`], but also returns the
@@ -354,48 +372,71 @@ impl ContentServer {
     /// `request` followed by a separate [`ContentServer::get`] is a TOCTOU
     /// hazard: a concurrent [`ContentServer::unpublish`] between the two
     /// calls hands the caller a `Transmission` with no content to decode
-    /// against. `fetch` resolves the name exactly once; the returned `Arc`s
-    /// stay valid however the store changes afterwards.
+    /// against. `fetch` resolves the name exactly once, through the same
+    /// routine as `request`, and clones the item's handle under the same
+    /// guard; the returned `Arc`s stay valid however the store changes
+    /// afterwards.
     pub fn fetch(
         &self,
         name: &str,
         parallel_segments: u64,
     ) -> Result<(Transmission, Arc<StoredContent>), RecoilError> {
-        bump(&self.stats.requests);
-        let (item, segments) = self.resolve(name, parallel_segments)?;
-        let transmission = match self.serve_cached(&item, segments) {
-            Some(hit) => hit,
-            None => self.serve_combined(&item, segments)?,
-        };
-        Ok((transmission, item))
+        self.serve(name, parallel_segments, Arc::clone)
     }
 
-    /// Validates a request and resolves it to its item and the tier it will
-    /// be served: the post-clamp segment count, which is also the cache
-    /// key — a request beyond capacity and an exact maximum-capacity
-    /// request are both served the item's full tier.
-    fn resolve(
+    /// The one resolution path of [`ContentServer::request`] and
+    /// [`ContentServer::fetch`]: validates the request, resolves name →
+    /// item → tier under the shard's read guard, hands the item to `hold`
+    /// for what the caller keeps of it, and serves a hit there. A miss
+    /// leaves the guard with the item's handle before its combine. Each
+    /// request is counted once: as its hit, its miss or its refusal.
+    ///
+    /// The tier is the post-clamp segment count, which is also the cache
+    /// key — a request beyond capacity and an exact maximum-capacity request
+    /// are both served the item's full tier.
+    fn serve<H>(
         &self,
         name: &str,
         parallel_segments: u64,
-    ) -> Result<(Arc<StoredContent>, u64), RecoilError> {
+        hold: impl FnOnce(&Arc<StoredContent>) -> H,
+    ) -> Result<(Transmission, H), RecoilError> {
+        let refused = |e: RecoilError| {
+            bump(&self.stats.refused);
+            e
+        };
         if parallel_segments == 0 {
-            return Err(RecoilError::config(
+            return Err(refused(RecoilError::config(
                 "parallel_segments",
                 "a client must request at least one decode segment",
-            ));
+            )));
         }
-        let item = self.get(name).ok_or_else(|| RecoilError::NotFound {
-            name: name.to_string(),
-        })?;
-        let segments = parallel_segments.min(item.max_segments());
-        Ok((item, segments))
+        let (item, segments, held) = {
+            // Lock order: this guard, then the item's tier-cache mutex
+            // (`serve_cached`). Nothing takes them the other way round: a
+            // miss's cache insert runs after the guard is gone.
+            let shard = unpoisoned(self.shard(name).read());
+            let Some(item) = shard.get(name) else {
+                return Err(refused(RecoilError::NotFound {
+                    name: name.to_string(),
+                }));
+            };
+            let segments = parallel_segments.min(item.max_segments());
+            let held = hold(item);
+            if let Some(hit) = self.serve_cached(item, segments) {
+                return Ok((hit, held));
+            }
+            (Arc::clone(item), segments, held)
+        };
+        self.serve_combined(&item, segments)
+            .map(|t| (t, held))
+            .map_err(refused)
     }
 
     /// The hit path, counted: the one place a stored tier becomes a
     /// [`Transmission`] — the item's own full tier at the encoded maximum
     /// or its one-segment tier, else a combined tier from its cache, whose
-    /// priority the hit refreshes.
+    /// priority the hit refreshes. It runs under the shard's read guard, on
+    /// the borrowed item, and clones only the tier it serves.
     fn serve_cached(&self, item: &StoredContent, segments: u64) -> Option<Transmission> {
         let tier = if segments == item.max_segments() {
             Arc::clone(&item.full)
@@ -420,7 +461,8 @@ impl ContentServer {
         let combine_nanos = t0.elapsed().as_nanos();
         // Counted only after the combine succeeds, keeping
         // `cache_hits + cache_misses` equal to successfully served requests
-        // even if stored metadata ever fails validation.
+        // even if stored metadata ever fails validation (the caller counts
+        // that request as refused).
         bump(&self.stats.cache_misses);
         let tier = item
             .cache
@@ -772,6 +814,21 @@ mod tests {
     }
 
     #[test]
+    fn requests_are_refusals_hits_and_misses() {
+        let server = small_server();
+        let item = server.publish("x", &sample(100_000), &config(16)).unwrap();
+        assert!(server.request("x", 0).is_err(), "zero segments");
+        assert!(server.request("nope", 4).is_err(), "an unknown name");
+        assert!(server.request("x", 1).unwrap().cache_hit, "a held tier");
+        assert!(server.fetch("x", item.max_segments()).unwrap().0.cache_hit);
+        assert!(!server.request("x", 4).unwrap().cache_hit, "a miss");
+        assert!(server.fetch("x", 4).unwrap().0.cache_hit, "a cached tier");
+        let s = server.stats();
+        assert_eq!((s.cache_hits, s.cache_misses), (3, 1));
+        assert_eq!(s.requests, 2 + s.cache_hits + s.cache_misses);
+    }
+
+    #[test]
     fn combine_is_real_time() {
         // §3.3: "this process is very lightweight ... can be done in real
         // time by the content delivery server before data transmission".
@@ -940,15 +997,105 @@ mod tests {
         });
         let s = server.stats();
         let ok = ok_count.load(Ordering::Relaxed);
-        assert_eq!(s.requests, issued.load(Ordering::Relaxed));
+        let issued = issued.load(Ordering::Relaxed);
+        assert_eq!(s.requests, issued);
         assert_eq!(
             s.cache_hits + s.cache_misses,
             ok,
             "every served request is exactly one hit or one miss"
         );
+        assert_eq!(
+            s.requests,
+            (issued - ok) + s.cache_hits + s.cache_misses,
+            "every request is one refusal, one hit or one miss"
+        );
         assert!(s.cache_hits > 0, "skewed mix must produce hits");
         // 3 seeds + 3 shared (single winner each) + 2×3 per-publisher names.
         assert_eq!(s.publishes, 12);
         assert_eq!(server.len(), 12);
+    }
+
+    /// Sends when dropped, so a watchdog hears of a thread that ended,
+    /// whether it returned or panicked.
+    struct Finished(std::sync::mpsc::Sender<()>);
+
+    impl Drop for Finished {
+        fn drop(&mut self) {
+            let _ = self.0.send(());
+        }
+    }
+
+    #[test]
+    fn one_shard_serves_publishes_and_unpublishes_without_deadlock() {
+        // Every call below takes the one shard's lock; a request also takes
+        // an item's tier-cache mutex under its read guard, and a miss takes
+        // it again after the guard. A lock taken in the other order
+        // anywhere would hang here, so the threads run under a watchdog
+        // (unscoped: a scope would wait for a stuck thread forever).
+        const READS: u64 = 150;
+        const CHURNS: u64 = 8;
+        let data = Arc::new(sample(40_000));
+        let server = Arc::new(ContentServer::with_config(ServerConfig {
+            shards: 1,
+            tier_cache_capacity: 2,
+        }));
+        for name in ["a", "b"] {
+            server.publish(name, &data, &config(16)).unwrap();
+        }
+        let (done, finished) = std::sync::mpsc::channel();
+        let readers: Vec<_> = (0..3u64)
+            .map(|r| {
+                let (server, done) = (Arc::clone(&server), Finished(done.clone()));
+                std::thread::spawn(move || {
+                    let _done = done;
+                    let mut served = 0u64;
+                    for i in 0..READS {
+                        let name = ["a", "b", "c"][((r + i) % 3) as usize];
+                        let width = [1u64, 2, 3, 4, 8, 16, 100][(i % 7) as usize];
+                        let reply = if (r + i) % 2 == 0 {
+                            server.fetch(name, width).map(|(t, item)| {
+                                assert_eq!(t.stream_bytes, item.stream.payload_bytes());
+                                t
+                            })
+                        } else {
+                            server.request(name, width)
+                        };
+                        match reply {
+                            Ok(t) => {
+                                assert_eq!(t.tier.segments, width.min(16), "{name} at {width}");
+                                served += 1;
+                            }
+                            Err(RecoilError::NotFound { .. }) => assert_eq!(name, "c"),
+                            Err(e) => panic!("unexpected error: {e}"),
+                        }
+                    }
+                    served
+                })
+            })
+            .collect();
+        let churner = {
+            let (server, data, done) = (Arc::clone(&server), Arc::clone(&data), Finished(done));
+            std::thread::spawn(move || {
+                let _done = done;
+                for _ in 0..CHURNS {
+                    server.publish("c", &data, &config(16)).unwrap();
+                    server.request("c", 4).unwrap();
+                    assert!(server.unpublish("c"));
+                }
+            })
+        };
+        for _ in 0..4 {
+            finished
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("a thread is stuck: the store's locks deadlocked");
+        }
+        churner.join().unwrap();
+        let served: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+        let s = server.stats();
+        assert_eq!(s.publishes, 2 + CHURNS);
+        assert_eq!(s.requests, 3 * READS + CHURNS);
+        assert_eq!(s.cache_hits + s.cache_misses, served + CHURNS);
+        assert_eq!(server.len(), 2);
+        assert!(server.get("c").is_none());
     }
 }

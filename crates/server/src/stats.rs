@@ -7,7 +7,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Default)]
 pub(crate) struct StatsCounters {
     pub publishes: AtomicU64,
-    pub requests: AtomicU64,
+    /// Requests that returned an error; a served request is counted once,
+    /// as its hit or its miss, so the request total is the sum.
+    pub refused: AtomicU64,
     pub cache_hits: AtomicU64,
     pub cache_misses: AtomicU64,
     pub cache_evictions: AtomicU64,
@@ -21,13 +23,16 @@ impl StatsCounters {
     /// snapshot is not a single global instant, but each value is exact and
     /// monotone, and once the server quiesces the arithmetic invariants
     /// hold exactly (`cache_hits + cache_misses` = successfully served
-    /// requests).
+    /// requests). `requests` is `refused + cache_hits + cache_misses`, so it
+    /// is exact and monotone too.
     pub fn snapshot(&self) -> ServerStats {
+        let cache_hits = self.cache_hits.load(Ordering::Relaxed);
+        let cache_misses = self.cache_misses.load(Ordering::Relaxed);
         ServerStats {
             publishes: self.publishes.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            requests: self.refused.load(Ordering::Relaxed) + cache_hits + cache_misses,
+            cache_hits,
+            cache_misses,
             cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
             bytes_served: self.bytes_served.load(Ordering::Relaxed),
             // The store has no transport; see the field docs.
@@ -57,7 +62,9 @@ pub(crate) fn add(counter: &AtomicU64, n: u64) {
 pub struct ServerStats {
     /// Successful content publications.
     pub publishes: u64,
-    /// Total `request` calls, including ones that returned an error.
+    /// Total `request` calls, including ones that returned an error: each
+    /// is counted once, when it returns (a served one as its hit or its
+    /// miss).
     pub requests: u64,
     /// Requests served without a combine: from one of a content item's own
     /// tiers (the full tier at its encoded maximum, the one-segment tier)
@@ -116,12 +123,12 @@ mod tests {
     #[test]
     fn snapshot_copies_counters() {
         let c = StatsCounters::default();
-        bump(&c.requests);
-        bump(&c.requests);
+        bump(&c.refused);
         bump(&c.cache_hits);
+        add(&c.cache_misses, 2);
         let s = c.snapshot();
-        assert_eq!(s.requests, 2);
-        assert_eq!(s.cache_hits, 1);
+        assert_eq!(s.requests, 4, "a refusal, a hit and two misses");
+        assert_eq!((s.cache_hits, s.cache_misses), (1, 2));
         assert_eq!(s.publishes, 0);
     }
 }
