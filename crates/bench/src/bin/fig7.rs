@@ -149,7 +149,8 @@ fn latent_fig7(cfg: &BenchConfig, cpu_pool: &ThreadPool) {
         let recoil_large = codec
             .encode_with_provider(&ds.symbols, &ds.provider)
             .unwrap();
-        let recoil_small = combine_splits(&recoil_large.metadata, SMALL as u64);
+        let recoil_small = try_combine_splits(&recoil_large.metadata, SMALL as u64)
+            .expect("a fresh encode combines");
         let conv_small =
             recoil::conventional::encode_conventional(&ds.symbols, &ds.provider, 32, SMALL);
         let paper = paper_fig7(d.name, 16);

@@ -139,7 +139,8 @@ fn latent_tables(cfg: &BenchConfig) {
         let recoil_large = codec
             .encode_with_provider(&ds.symbols, &ds.provider)
             .unwrap();
-        let recoil_small = combine_splits(&recoil_large.metadata, 16);
+        let recoil_small =
+            try_combine_splits(&recoil_large.metadata, 16).expect("a fresh encode combines");
         let conv_large =
             recoil::conventional::encode_conventional(&ds.symbols, &ds.provider, 32, 2176);
         let conv_small =

@@ -43,7 +43,8 @@ impl ByteVariations {
         let recoil_large = codec
             .encode_with_provider(data, &model)
             .expect("matching model");
-        let recoil_small = combine_splits(&recoil_large.metadata, SMALL as u64);
+        let recoil_small = try_combine_splits(&recoil_large.metadata, SMALL as u64)
+            .expect("a fresh encode combines");
         let conv_large = encode_conventional(data, &model, 32, LARGE);
         let conv_small = encode_conventional(data, &model, 32, SMALL);
         Self {

@@ -28,7 +28,9 @@
 //! decode returns [`RecoilError::BackendUnavailable`]; the automatic
 //! selection is never unavailable. Adaptive (per-position) models always
 //! take the scalar kernel — per-symbol model indirection defeats flat
-//! gathers — on the backend's pool, if it has one.
+//! gathers — on the backend's pool, if it has one. A static model of more
+//! than 256 symbols decoded into `u8` is refused here, on every path that
+//! decodes, with [`RecoilError::InvalidConfig`] (`field: "symbol_bits"`).
 
 use crate::decoder::{decode_segments, decode_spans_scalar, DecodeStats};
 use crate::error::RecoilError;
@@ -53,6 +55,11 @@ pub enum DecodeModel<'a> {
 /// Where decoded symbols go, tagged with their width (the backend trait is
 /// object-safe, so the width travels as a value; [`CodecSymbol::output`]
 /// makes one from a typed slice).
+///
+/// The width must hold every symbol of a static model: a
+/// [`DecodeModel::Static`] over more than 256 symbols decoded into
+/// [`DecodeOutput::U8`] is refused with [`RecoilError::InvalidConfig`]
+/// (`field: "symbol_bits"`) before any output is written.
 pub enum DecodeOutput<'a> {
     /// 8-bit symbols.
     U8(&'a mut [u8]),
@@ -94,7 +101,8 @@ impl CodecSymbol for u16 {
 /// incomplete prefix, as long as it covers every word the requested
 /// segments read (interior segment `m` needs `splits[m].offset + 1` words;
 /// the final segment needs the complete stream) — see
-/// [`crate::validate_segment_decode`] for the exact contract. Output is
+/// [`crate::validate_segment_decode`] for the exact contract. The output's
+/// width must hold the model's alphabet ([`DecodeOutput`]). Output is
 /// bit-identical to the matching region of a full decode.
 pub struct DecodeRequest<'a> {
     /// The interleaved rANS bitstream.
@@ -218,7 +226,8 @@ fn run(
     }
 }
 
-/// [`decode_segments`] with the span kernel `model` and `kernel` call for.
+/// [`decode_segments`] with the span kernel `model` and `kernel` call for,
+/// once the output width is known to hold every symbol of a static model.
 fn engine<S: Symbol>(
     kernel: Kernel,
     pool: Option<&ThreadPool>,
@@ -230,6 +239,16 @@ fn engine<S: Symbol>(
 ) -> Result<DecodeStats, RecoilError> {
     match model {
         DecodeModel::Static(model) => {
+            let alphabet = model.table().alphabet_size();
+            if alphabet > 1 << S::BITS {
+                return Err(RecoilError::config(
+                    "symbol_bits",
+                    format!(
+                        "model has {alphabet} symbols but a {}-bit decode was requested",
+                        S::BITS
+                    ),
+                ));
+            }
             if kernel != Kernel::Scalar {
                 require_32_ways(stream.ways)?;
             }
@@ -613,7 +632,6 @@ mod tests {
                 ensure_available(&backend),
                 Err(RecoilError::BackendUnavailable { .. })
             ));
-            assert!(Codec::builder().backend(backend).build().is_err());
         }
     }
 }

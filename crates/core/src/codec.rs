@@ -1,9 +1,11 @@
-//! The unified codec facade: builder-based encode configuration and
-//! pluggable decode backends.
+//! The unified codec facade: a builder-validated encoder and a decode that
+//! names its backend.
 //!
 //! The paper's whole point is that **one** encoded bitstream serves every
-//! decoder capability; this module makes the API match: callers configure
-//! a reusable [`Codec`] once,
+//! decoder capability, and the artifact knows nothing of its decoder; this
+//! module makes the API match. A [`Codec`] is an encoder configuration —
+//! configure it once, encode with it — and each decode names the
+//! [`DecodeBackend`] it runs on:
 //!
 //! ```
 //! use recoil_core::backend::AutoBackend;
@@ -14,32 +16,31 @@
 //!     .ways(32)
 //!     .max_segments(64)
 //!     .quant_bits(11)
-//!     .backend(AutoBackend::with_threads(4))
 //!     .build()
 //!     .unwrap();
 //! let encoded = codec.encode(&data).unwrap();
-//! let decoded: Vec<u8> = codec.decode(&encoded).unwrap();
+//! let decoded: Vec<u8> = codec
+//!     .decode_with(&AutoBackend::with_threads(4), &encoded)
+//!     .unwrap();
 //! assert_eq!(decoded, data);
 //! ```
 //!
 //! Decoding goes through the object-safe [`DecodeBackend`] trait of
 //! [`crate::backend`] — one decode method over one [`DecodeRequest`] — and
-//! every `decode*` method here is a whole-stream request
-//! ([`DecodeRequest::whole`]) handed to it. Every error on this surface is
-//! a typed [`RecoilError`] — configuration mistakes are rejected at
-//! [`CodecBuilder::build`], not deep inside a decode loop.
+//! [`Codec::decode_with`] and [`Codec::decode_with_into`] are a
+//! whole-stream request ([`DecodeRequest::whole`]) handed to it; an
+//! adaptively modelled stream is that request with
+//! [`DecodeModel::Adaptive`], made on the backend directly. Every error on
+//! this surface is a typed [`RecoilError`] — configuration mistakes are
+//! rejected at [`CodecBuilder::build`], not deep inside a decode loop.
 
-use crate::backend::{
-    ensure_available, CodecSymbol, DecodeBackend, DecodeModel, DecodeRequest, ScalarBackend,
-};
+use crate::backend::{CodecSymbol, DecodeBackend, DecodeModel, DecodeRequest};
 use crate::container::{encode_container, RecoilContainer};
 use crate::error::RecoilError;
-use crate::metadata::RecoilMetadata;
 use recoil_models::{
     quantize_counts, CdfTable, Histogram, ModelProvider, StaticModelProvider, Symbol,
     MAX_QUANT_BITS,
 };
-use recoil_rans::EncodedStream;
 
 /// Validated encoder configuration: everything the encode side of a
 /// [`Codec`] needs, and what the content server's publications accept.
@@ -120,16 +121,6 @@ pub struct Encoded {
 }
 
 impl Encoded {
-    /// Payload bytes of the bitstream alone (variation (a) baseline).
-    pub fn stream_bytes(&self) -> u64 {
-        self.container.stream_bytes()
-    }
-
-    /// Serialized metadata size in bytes.
-    pub fn metadata_bytes(&self) -> u64 {
-        self.container.metadata_bytes()
-    }
-
     /// Total transfer size: payload + metadata.
     pub fn total_bytes(&self) -> u64 {
         self.container.total_bytes()
@@ -139,7 +130,6 @@ impl Encoded {
 /// Builder for [`Codec`]; see the module docs for the shape of the API.
 pub struct CodecBuilder {
     config: EncoderConfig,
-    backend: Option<Box<dyn DecodeBackend>>,
 }
 
 impl CodecBuilder {
@@ -162,66 +152,39 @@ impl CodecBuilder {
         self
     }
 
-    /// Replaces the whole encoder configuration at once.
-    pub fn encoder_config(mut self, config: EncoderConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets the decode backend (default [`ScalarBackend`]).
-    pub fn backend(mut self, backend: impl DecodeBackend + 'static) -> Self {
-        self.backend = Some(Box::new(backend));
-        self
-    }
-
-    /// Validates the configuration and produces the codec.
-    ///
-    /// Invalid values (`ways == 0`, `quant_bits > 16`, `max_segments == 0`)
-    /// are rejected here with [`RecoilError::InvalidConfig`]; an explicitly
-    /// chosen backend that cannot run on this host is rejected with
-    /// [`RecoilError::BackendUnavailable`].
+    /// Validates the configuration and produces the codec
+    /// ([`Codec::from_config`]).
     pub fn build(self) -> Result<Codec, RecoilError> {
-        self.config.validate()?;
-        let backend = self.backend.unwrap_or_else(|| Box::new(ScalarBackend));
-        ensure_available(backend.as_ref())?;
-        Ok(Codec {
-            config: self.config,
-            backend,
-        })
+        Codec::from_config(self.config)
     }
 }
 
-/// A validated, reusable encode/decode pipeline.
+/// A validated, reusable encoder; each decode names its backend.
+#[derive(Debug)]
 pub struct Codec {
     config: EncoderConfig,
-    backend: Box<dyn DecodeBackend>,
 }
 
 impl Codec {
     /// Starts a builder with the default configuration
-    /// (`ways = 32`, `max_segments = 64`, `quant_bits = 11`, scalar
-    /// backend).
+    /// (`ways = 32`, `max_segments = 64`, `quant_bits = 11`).
     pub fn builder() -> CodecBuilder {
         CodecBuilder {
             config: EncoderConfig::default(),
-            backend: None,
         }
     }
 
-    /// Codec from a ready-made configuration and the default scalar
-    /// backend.
+    /// Codec from a ready-made configuration. Invalid values (`ways == 0`,
+    /// `quant_bits > 16`, `max_segments == 0`) are rejected here with
+    /// [`RecoilError::InvalidConfig`].
     pub fn from_config(config: EncoderConfig) -> Result<Self, RecoilError> {
-        Self::builder().encoder_config(config).build()
+        config.validate()?;
+        Ok(Self { config })
     }
 
     /// The validated encoder configuration.
     pub fn config(&self) -> &EncoderConfig {
         &self.config
-    }
-
-    /// The decode backend `decode`/`decode_into` dispatch to.
-    pub fn backend(&self) -> &dyn DecodeBackend {
-        self.backend.as_ref()
     }
 
     /// Builds the order-0 model over symbols `0..alphabet` that
@@ -324,23 +287,7 @@ impl Codec {
         Ok(())
     }
 
-    /// Decodes through the codec's configured backend.
-    pub fn decode<S: CodecSymbol>(&self, encoded: &Encoded) -> Result<Vec<S>, RecoilError> {
-        self.decode_with(self.backend.as_ref(), encoded)
-    }
-
-    /// Decodes into a caller-provided buffer through the configured
-    /// backend.
-    pub fn decode_into<S: CodecSymbol>(
-        &self,
-        encoded: &Encoded,
-        out: &mut [S],
-    ) -> Result<(), RecoilError> {
-        self.decode_with_into(self.backend.as_ref(), encoded, out)
-    }
-
-    /// Decodes through an explicit backend — the per-call escape hatch for
-    /// callers juggling several capabilities at once.
+    /// Decodes the whole payload on `backend`.
     pub fn decode_with<S: CodecSymbol>(
         &self,
         backend: &dyn DecodeBackend,
@@ -351,9 +298,9 @@ impl Codec {
         Ok(out)
     }
 
-    /// [`Codec::decode_with`] into a caller-provided buffer. Like every
-    /// `Codec` decode it discards the decode's [`crate::DecodeStats`]: a
-    /// codec has no handle to record them in, so a caller that counts
+    /// [`Codec::decode_with`] into a caller-provided buffer of exactly the
+    /// payload's length. Both discard the decode's [`crate::DecodeStats`]:
+    /// a codec has no handle to record them in, so a caller that counts
     /// decodes calls [`DecodeBackend::decode`] itself.
     pub fn decode_with_into<S: CodecSymbol>(
         &self,
@@ -381,36 +328,12 @@ impl Codec {
         )?)?;
         Ok(())
     }
-
-    /// Decodes an adaptively modelled stream (per-position models) through
-    /// the configured backend.
-    pub fn decode_adaptive(
-        &self,
-        stream: &EncodedStream,
-        metadata: &RecoilMetadata,
-        provider: &dyn ModelProvider,
-    ) -> Result<Vec<u16>, RecoilError> {
-        let mut out = vec![0u16; stream.num_symbols as usize];
-        let model = DecodeModel::Adaptive(provider);
-        self.backend
-            .decode(DecodeRequest::whole(stream, metadata, model, &mut out)?)?;
-        Ok(out)
-    }
-}
-
-impl std::fmt::Debug for Codec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Codec")
-            .field("config", &self.config)
-            .field("backend", &self.backend.name())
-            .finish()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::AutoBackend;
+    use crate::backend::{AutoBackend, ScalarBackend};
     use recoil_simd::Kernel;
 
     fn sample(len: usize, seed: u32) -> Vec<u8> {
@@ -425,7 +348,7 @@ mod tests {
         let codec = Codec::builder().max_segments(16).build().unwrap();
         let enc = codec.encode(&data).unwrap();
         assert_eq!(enc.container.metadata.num_segments(), 16);
-        let scalar: Vec<u8> = codec.decode(&enc).unwrap();
+        let scalar: Vec<u8> = codec.decode_with(&ScalarBackend, &enc).unwrap();
         assert_eq!(scalar, data);
         let pooled: Vec<u8> = codec
             .decode_with(&AutoBackend::fixed(Kernel::Scalar, 4), &enc)
@@ -477,9 +400,9 @@ mod tests {
             .build()
             .unwrap();
         let enc = codec.encode_u16(&data).unwrap();
-        let back: Vec<u16> = codec.decode(&enc).unwrap();
+        let back: Vec<u16> = codec.decode_with(&ScalarBackend, &enc).unwrap();
         assert_eq!(back, data);
-        let wrong: Result<Vec<u8>, _> = codec.decode(&enc);
+        let wrong: Result<Vec<u8>, _> = codec.decode_with(&ScalarBackend, &enc);
         assert!(matches!(
             wrong,
             Err(RecoilError::InvalidConfig {
@@ -518,7 +441,7 @@ mod tests {
         let codec = Codec::builder().build().unwrap();
         let enc = codec.encode(&[]).unwrap();
         assert_eq!(enc.container.stream.num_symbols, 0);
-        let back: Vec<u8> = codec.decode(&enc).unwrap();
+        let back: Vec<u8> = codec.decode_with(&ScalarBackend, &enc).unwrap();
         assert!(back.is_empty());
     }
 

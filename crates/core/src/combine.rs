@@ -62,13 +62,12 @@ pub(crate) fn kept<T>(
 }
 
 /// Returns metadata scaled down to at most `segments` parallel segments,
-/// rejecting malformed requests instead of panicking.
+/// rejecting malformed requests instead of panicking — the one combine.
 ///
 /// Dropping entries only merges neighbouring segments, so all decoder
 /// invariants are preserved; requesting more segments than available returns
 /// the metadata unchanged. Every kept [`crate::SplitPoint`] shares its lane
-/// array with `meta`'s. This is the entry point for request-reachable
-/// paths that hold bare metadata:
+/// array with `meta`'s.
 ///
 /// * `segments == 0` is reported as [`RecoilError::InvalidConfig`];
 /// * the combined metadata is re-validated **in every build profile**, so
@@ -87,22 +86,6 @@ pub fn try_combine_splits(
     };
     combined.validate()?;
     Ok(combined)
-}
-
-/// Returns metadata scaled down to at most `segments` parallel segments.
-///
-/// Thin wrapper over [`try_combine_splits`] for callers that control their
-/// inputs (benches, examples, tests).
-///
-/// # Panics
-///
-/// If `segments == 0` or `meta` violates a decoder invariant. Paths fed by
-/// untrusted requests should call [`try_combine_splits`] instead.
-pub fn combine_splits(meta: &RecoilMetadata, segments: u64) -> RecoilMetadata {
-    match try_combine_splits(meta, segments) {
-        Ok(combined) => combined,
-        Err(e) => panic!("combine_splits: {e}"),
-    }
 }
 
 #[cfg(test)]
@@ -141,7 +124,7 @@ mod tests {
     #[test]
     fn combine_to_fewer_segments_picks_even_subset() {
         let meta = synthetic_meta(135, 32); // 136 segments, like 2176/16
-        let small = combine_splits(&meta, 16);
+        let small = try_combine_splits(&meta, 16).unwrap();
         assert_eq!(small.num_segments(), 16);
         small.validate().unwrap();
         // Kept points must be original points, order preserved.
@@ -154,7 +137,7 @@ mod tests {
     #[test]
     fn combine_is_subset_selection_only() {
         let meta = synthetic_meta(63, 8);
-        let small = combine_splits(&meta, 4);
+        let small = try_combine_splits(&meta, 4).unwrap();
         for s in &small.splits {
             assert!(meta.splits.contains(s));
         }
@@ -166,14 +149,14 @@ mod tests {
     #[test]
     fn requesting_more_segments_is_identity() {
         let meta = synthetic_meta(7, 4);
-        let same = combine_splits(&meta, 100);
+        let same = try_combine_splits(&meta, 100).unwrap();
         assert_eq!(same, meta);
     }
 
     #[test]
     fn combine_to_one_drops_everything() {
         let meta = synthetic_meta(31, 4);
-        let one = combine_splits(&meta, 1);
+        let one = try_combine_splits(&meta, 1).unwrap();
         assert!(one.splits.is_empty());
         assert_eq!(one.num_segments(), 1);
     }
@@ -181,8 +164,8 @@ mod tests {
     #[test]
     fn combine_is_idempotent_per_target() {
         let meta = synthetic_meta(99, 8);
-        let a = combine_splits(&meta, 10);
-        let b = combine_splits(&a, 10);
+        let a = try_combine_splits(&meta, 10).unwrap();
+        let b = try_combine_splits(&a, 10).unwrap();
         assert_eq!(a, b);
     }
 
@@ -190,8 +173,8 @@ mod tests {
     fn nested_combine_matches_direct_when_divisible() {
         // 64 segments → 16 → 4 must equal 64 → 4 when counts divide evenly.
         let meta = synthetic_meta(63, 8);
-        let via16 = combine_splits(&combine_splits(&meta, 16), 4);
-        let direct = combine_splits(&meta, 4);
+        let via16 = try_combine_splits(&try_combine_splits(&meta, 16).unwrap(), 4).unwrap();
+        let direct = try_combine_splits(&meta, 4).unwrap();
         assert_eq!(via16, direct);
     }
 
@@ -220,8 +203,7 @@ mod tests {
 
     #[test]
     fn corrupt_metadata_is_decode_error_in_release_too() {
-        // The panicking wrapper only debug_assert!ed validity; the fallible
-        // path must reject corrupt input in every build profile.
+        // The combine rejects corrupt input in every build profile.
         let mut meta = synthetic_meta(15, 4);
         // Lane 0 of split 3 records a position lane 1 owns, far too early.
         let mut lanes = meta.splits[3].lanes.to_vec();
@@ -284,7 +266,7 @@ mod tests {
     #[test]
     fn non_divisible_targets_stay_close_to_even() {
         let meta = synthetic_meta(99, 8); // 100 segments → 7
-        let c = combine_splits(&meta, 7);
+        let c = try_combine_splits(&meta, 7).unwrap();
         assert_eq!(c.num_segments(), 7);
         let bounds = c.segment_bounds();
         let spans: Vec<u64> = bounds.windows(2).map(|w| w[1] - w[0]).collect();

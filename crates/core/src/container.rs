@@ -10,7 +10,7 @@ use recoil_rans::{encode_span, EncodedStream, RansError, WordStream};
 /// An encoded bitstream together with its (independent) Recoil metadata.
 ///
 /// The server keeps the Large-variation container and derives per-client
-/// metadata with [`crate::combine_splits`]; the bitstream bytes never change.
+/// metadata with [`crate::try_combine_splits`]; the bitstream bytes never change.
 #[derive(Debug, Clone)]
 pub struct RecoilContainer {
     /// The interleaved rANS bitstream (+ final states).
@@ -68,6 +68,7 @@ pub(crate) fn encode_container<S: Symbol, P: ModelProvider>(
 
 #[cfg(test)]
 mod tests {
+    use crate::backend::ScalarBackend;
     use crate::codec::Codec;
 
     #[test]
@@ -78,7 +79,7 @@ mod tests {
         let codec = Codec::builder().max_segments(16).build().unwrap();
         let enc = codec.encode(&data).unwrap();
         assert_eq!(enc.container.metadata.num_segments(), 16);
-        let got: Vec<u8> = codec.decode(&enc).unwrap();
+        let got: Vec<u8> = codec.decode_with(&ScalarBackend, &enc).unwrap();
         assert_eq!(got, data);
     }
 

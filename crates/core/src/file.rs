@@ -13,11 +13,13 @@
 //! B × u16 words (the stream's wire image, `WordStream::as_bytes`)
 //! ```
 //!
-//! [`item_from_bytes`] checks a section before reading it: CRCs first, then
-//! the capacity bound (`symbols_fit`) before anything is sized, then the
-//! quantizer's invariants (`checked_cdf_table`), then the final states
-//! ([`EncodedStream::validate`]); [`check_words_crc`] judges the words, of a
-//! file here and of a fetch in the client. Any other version is rejected.
+//! [`Encoded::container_bytes`] is the one writer of a whole container and
+//! [`read_container`] the one parser. [`item_from_bytes`] checks a section
+//! before reading it: CRCs first, then the capacity bound (`symbols_fit`)
+//! before anything is sized, then the quantizer's invariants
+//! (`checked_cdf_table`), then the final states ([`EncodedStream::validate`]);
+//! [`check_words_crc`] judges the words, of a file here and of a fetch in the
+//! client. Any other version is rejected.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 #![deny(clippy::as_conversions, clippy::disallowed_methods)]
@@ -134,19 +136,6 @@ pub fn check_words_crc(computed: u32, carried: u32) -> Result<(), RecoilError> {
     Ok(())
 }
 
-/// Serializes a container plus its static model into one byte buffer.
-pub fn container_to_bytes(container: &RecoilContainer, model: &CdfTable) -> Vec<u8> {
-    let stream = &container.stream;
-    let mut item = Vec::new();
-    write_item_section(
-        &mut item,
-        &metadata_to_bytes(&container.metadata),
-        &model_block(model, &stream.final_states),
-        crc32(stream.words.as_bytes()),
-    );
-    container_of_item(&item, &stream.words)
-}
-
 /// A container from an item section and the words it describes (a fetch's
 /// make the container of its tier).
 pub fn container_of_item(item: &[u8], words: &WordStream) -> Vec<u8> {
@@ -154,10 +143,18 @@ pub fn container_of_item(item: &[u8], words: &WordStream) -> Vec<u8> {
 }
 
 impl Encoded {
-    /// This encode's container ([`container_to_bytes`]): an `.rcl` file's
-    /// bytes and what a PUBLISH carries.
+    /// This encode's container — stream, metadata and static model in one
+    /// byte buffer: an `.rcl` file's bytes and what a PUBLISH carries.
     pub fn container_bytes(&self) -> Vec<u8> {
-        container_to_bytes(&self.container, self.model.table())
+        let stream = &self.container.stream;
+        let mut item = Vec::new();
+        write_item_section(
+            &mut item,
+            &metadata_to_bytes(&self.container.metadata),
+            &model_block(self.model.table(), &stream.final_states),
+            crc32(stream.words.as_bytes()),
+        );
+        container_of_item(&item, &stream.words)
     }
 }
 
@@ -219,8 +216,9 @@ pub fn item_from_bytes(bytes: &[u8]) -> Result<(ItemSection, usize), RecoilError
     Ok((item, c.at))
 }
 
-/// [`container_from_bytes`] plus the words CRC the container carried (and
-/// its words were checked against), for a store that keeps it.
+/// Parses and checks a container written by [`Encoded::container_bytes`],
+/// rebuilding the decode tables; returns it with the words CRC it carried
+/// (and its words were checked against), for a store that keeps it.
 pub fn read_container(
     bytes: &[u8],
 ) -> Result<(RecoilContainer, StaticModelProvider, u32), RecoilError> {
@@ -256,14 +254,6 @@ pub fn read_container(
     ))
 }
 
-/// Parses a file produced by [`container_to_bytes`], rebuilding the decode
-/// tables.
-pub fn container_from_bytes(
-    bytes: &[u8],
-) -> Result<(RecoilContainer, StaticModelProvider), RecoilError> {
-    read_container(bytes).map(|(container, model, _)| (container, model))
-}
-
 #[cfg(test)]
 #[allow(clippy::as_conversions, reason = "test inputs are built in-process")]
 mod tests {
@@ -280,14 +270,19 @@ mod tests {
     }
 
     /// 32-way container planned for `segments` decoders under `model`.
-    fn encode(data: &[u8], model: &StaticModelProvider, segments: u64) -> RecoilContainer {
-        Codec::builder()
+    fn encode(data: &[u8], model: &StaticModelProvider, segments: u64) -> Encoded {
+        let container = Codec::builder()
             .quant_bits(model.quant_bits())
             .max_segments(segments)
             .build()
             .unwrap()
             .encode_with_provider(data, model)
-            .unwrap()
+            .unwrap();
+        Encoded {
+            container,
+            model: model.clone(),
+            symbol_bits: 8,
+        }
     }
 
     /// Where a container's two CRC'd header sections lie: the metadata
@@ -316,11 +311,11 @@ mod tests {
     fn file_round_trip_and_decode() {
         let data = sample(120_000);
         let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
-        let container = encode(&data, &model, 24);
-        let bytes = container_to_bytes(&container, model.table());
-        let (back, model2) = container_from_bytes(&bytes).unwrap();
-        assert_eq!(back.stream, container.stream);
-        assert_eq!(back.metadata, container.metadata);
+        let encoded = encode(&data, &model, 24);
+        let bytes = encoded.container_bytes();
+        let (back, model2, _) = read_container(&bytes).unwrap();
+        assert_eq!(back.stream, encoded.container.stream);
+        assert_eq!(back.metadata, encoded.container.metadata);
         let mut decoded = vec![0u8; data.len()];
         let model2 = DecodeModel::Static(&model2);
         let req = DecodeRequest::whole(&back.stream, &back.metadata, model2, &mut decoded);
@@ -332,9 +327,8 @@ mod tests {
     fn n16_frequencies_fit_u16() {
         let data = sample(50_000);
         let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 16));
-        let container = encode(&data, &model, 8);
-        let bytes = container_to_bytes(&container, model.table());
-        let (_, model2) = container_from_bytes(&bytes).unwrap();
+        let bytes = encode(&data, &model, 8).container_bytes();
+        let (_, model2, _) = read_container(&bytes).unwrap();
         assert_eq!(model2.table(), model.table());
     }
 
@@ -344,14 +338,13 @@ mod tests {
         let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
         // One segment: no split is placed relative to N, so the capacity
         // bound is the check that meets the absurd count.
-        let container = encode(&data, &model, 1);
-        let mut bytes = container_to_bytes(&container, model.table());
+        let mut bytes = encode(&data, &model, 1).container_bytes();
         // num_symbols is bytes 8..16 of the metadata header.
         let (meta, _) = sections(&bytes);
         let at = meta.start + 8;
         bytes[at..at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
         patch_crc(&mut bytes);
-        let err = match container_from_bytes(&bytes) {
+        let err = match read_container(&bytes) {
             Err(e) => e,
             Ok(_) => panic!("absurd symbol count must be rejected"),
         };
@@ -362,10 +355,9 @@ mod tests {
     fn truncations_error_cleanly() {
         let data = sample(5_000);
         let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 10));
-        let container = encode(&data, &model, 4);
-        let bytes = container_to_bytes(&container, model.table());
+        let bytes = encode(&data, &model, 4).container_bytes();
         for cut in [0, 3, 7, 20, bytes.len() / 2, bytes.len() - 1] {
-            assert!(container_from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(read_container(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }
 
@@ -373,20 +365,19 @@ mod tests {
     fn corrupt_magic_and_model_rejected() {
         let data = sample(5_000);
         let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 10));
-        let container = encode(&data, &model, 4);
-        let mut bytes = container_to_bytes(&container, model.table());
+        let mut bytes = encode(&data, &model, 4).container_bytes();
         bytes[0] ^= 1;
-        assert!(container_from_bytes(&bytes).is_err());
+        assert!(read_container(&bytes).is_err());
         bytes[0] ^= 1;
         // Break a model frequency without fixing the CRC: the checksum
         // rejects the block before the model is even read.
         let (_, block) = sections(&bytes);
         bytes[block.start + 4] ^= 0xFF;
-        let err = container_from_bytes(&bytes).expect_err("corruption undetected");
+        let err = read_container(&bytes).expect_err("corruption undetected");
         assert!(err.to_string().contains("checksum"), "{err}");
         // With a freshly patched CRC the structural sum check fires instead.
         patch_crc(&mut bytes);
-        let err = container_from_bytes(&bytes).expect_err("bad model accepted");
+        let err = read_container(&bytes).expect_err("bad model accepted");
         assert!(err.to_string().contains("sum"), "{err}");
     }
 
@@ -394,8 +385,7 @@ mod tests {
     fn version1_files_are_rejected() {
         let data = sample(20_000);
         let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
-        let container = encode(&data, &model, 8);
-        let mut bytes = container_to_bytes(&container, model.table());
+        let mut bytes = encode(&data, &model, 8).container_bytes();
         // A v1 file was the v2 layout minus the footer, tagged version 1.
         // Neither it, nor the current bytes retagged v1 or v2, may be read:
         // v1 would let the sender skip the checksum, and no older layout is
@@ -405,7 +395,7 @@ mod tests {
         bytes[4] = 1;
         let footerless = bytes[..bytes.len() - 4].to_vec();
         for old in [&bytes[..], &footerless[..], &v2[..]] {
-            let err = match container_from_bytes(old) {
+            let err = match read_container(old) {
                 Err(e) => e,
                 Ok(_) => panic!("old-version file accepted"),
             };

@@ -53,14 +53,14 @@ pub use backend::{
 };
 pub use bounds::{reserve_declared_words, MAX_RESERVED_WORDS};
 pub use codec::{Codec, CodecBuilder, Encoded, EncoderConfig};
-pub use combine::{combine_splits, try_combine_splits};
+pub use combine::try_combine_splits;
 pub use container::RecoilContainer;
 pub use crc::{crc32, update_crc32, update_crc32_table};
 pub use decoder::{decode_segments, validate_segment_decode, DecodeStats};
 pub use error::RecoilError;
 pub use file::{
-    check_words_crc, container_from_bytes, container_of_item, container_to_bytes, item_from_bytes,
-    model_block, read_container, write_item_section, ItemSection,
+    check_words_crc, container_of_item, item_from_bytes, model_block, read_container,
+    write_item_section, ItemSection,
 };
 pub use incremental::IncrementalDecoder;
 pub use metadata::{LaneInit, RecoilMetadata, SplitLanes, SplitPoint};

@@ -822,7 +822,7 @@ mod tests {
         assert!(err.to_string().contains("beyond the wire format"), "{err}");
         assert!(crate::try_combine_splits(&meta, 2).is_err());
         for segments in [1, 3, 4] {
-            let tier = crate::combine_splits(&meta, segments);
+            let tier = crate::try_combine_splits(&meta, segments).unwrap();
             assert_eq!(wire.tier(segments).unwrap(), metadata_to_bytes(&tier));
         }
     }

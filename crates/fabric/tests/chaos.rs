@@ -4,7 +4,7 @@
 //! the node's own `FaultPlan`.
 
 use recoil_core::backend::preferred_segments;
-use recoil_core::{container_to_bytes, Codec, EncoderConfig, RecoilError};
+use recoil_core::{Codec, EncoderConfig, RecoilError};
 use recoil_fabric::{FabricRouter, FetchAttempt, RouterConfig};
 use recoil_net::raw::{read_frame, write_frame, ReadOutcome};
 use recoil_net::{
@@ -185,11 +185,11 @@ fn fetch_failing_over(
         .expect("some name lands on node 0");
     // Encode once and publish the same container to both nodes: they
     // store, and serve, the same bytes by construction.
-    let encoded = Codec::from_config(enc_at(width))
+    let container = Codec::from_config(enc_at(width))
         .unwrap()
         .encode(data)
-        .unwrap();
-    let container = container_to_bytes(&encoded.container, encoded.model.table());
+        .unwrap()
+        .container_bytes();
     for handle in [&killer, &clean] {
         let publisher = NetClient::connect(handle.addr()).unwrap();
         publisher.publish_container(&name, &container).unwrap();

@@ -5,9 +5,8 @@ use recoil_core::backend::{
     preferred_segments, AutoBackend, DecodeBackend, DecodeRequest, ScalarBackend,
 };
 use recoil_core::{
-    container_from_bytes, container_to_bytes, metadata_to_bytes, try_combine_splits,
-    write_item_section, Codec, DecodeModel, DecodeStats, EncoderConfig, RecoilError,
-    RecoilMetadata,
+    metadata_to_bytes, read_container, try_combine_splits, write_item_section, Codec, DecodeModel,
+    DecodeStats, EncoderConfig, RecoilError, RecoilMetadata,
 };
 use recoil_net::raw::{decode_error, read_frame, write_frame, ReadOutcome};
 use recoil_net::{
@@ -961,11 +960,11 @@ fn patient_server() -> NetServerHandle {
 
 /// The container `NetClient::publish` sends for `data` under `config`.
 fn container_of(data: &[u8], config: &EncoderConfig) -> Vec<u8> {
-    let encoded = Codec::from_config(config.clone())
+    Codec::from_config(config.clone())
         .unwrap()
         .encode(data)
-        .unwrap();
-    container_to_bytes(&encoded.container, encoded.model.table())
+        .unwrap()
+        .container_bytes()
 }
 
 /// A PUBLISH whose container fails its checks — one flipped byte (the CRC
@@ -1046,7 +1045,7 @@ fn a_published_container_serves_what_publish_serves() {
     let full = client.request("by-data", u64::MAX).unwrap();
     assert_eq!(full.container_bytes(), container_of(&data, &config(16)));
     let narrow = client.request("by-bytes", 4).unwrap().container_bytes();
-    let (container, model) = container_from_bytes(&narrow).unwrap();
+    let (container, model, _) = read_container(&narrow).unwrap();
     assert_eq!(container.metadata.num_segments(), 4);
     let mut decoded = vec![0u8; data.len()];
     let request = DecodeRequest::whole(
@@ -1057,6 +1056,62 @@ fn a_published_container_serves_what_publish_serves() {
     );
     ScalarBackend.decode(request.unwrap()).unwrap();
     assert_eq!(decoded, data);
+    server.shutdown();
+}
+
+/// A published stream of 700 `u16` symbols decodes into bytes on no path:
+/// the buffered and the streaming fetch both return the typed width error —
+/// not a panic, not wrong bytes — and the client goes on to serve a byte
+/// fetch. Its `u16` decode still round-trips.
+#[test]
+fn a_wide_alphabet_fetched_as_bytes_is_a_typed_error() {
+    let server = start_server(small_net_config());
+    let data: Vec<u16> = (0..60_000u32).map(|i| (i % 700) as u16).collect();
+    let encoded = Codec::builder()
+        .quant_bits(12)
+        .max_segments(16)
+        .build()
+        .unwrap()
+        .encode_u16(&data)
+        .unwrap();
+    let client = NetClient::connect(server.addr()).unwrap();
+    client
+        .publish_container("wide", &encoded.container_bytes())
+        .unwrap();
+    let is_width_error = |e: &RecoilError| {
+        matches!(
+            e,
+            RecoilError::InvalidConfig {
+                field: "symbol_bits",
+                ..
+            }
+        )
+    };
+    for width in [1, 16] {
+        let buffered = client.fetch_and_decode("wide", width).unwrap_err();
+        assert!(is_width_error(&buffered), "width {width}: {buffered:?}");
+        match client.fetch_and_decode_streaming("wide", width) {
+            Err(e) => assert!(is_width_error(&e), "width {width}: {e:?}"),
+            Ok(_) => panic!("width {width}: a streamed byte decode succeeded"),
+        }
+    }
+
+    let content = client.request("wide", 16).unwrap();
+    let mut wide = vec![0u16; data.len()];
+    let request = DecodeRequest::whole(
+        &content.stream,
+        &content.metadata,
+        DecodeModel::Static(&content.model),
+        &mut wide,
+    );
+    ScalarBackend.decode(request.unwrap()).unwrap();
+    assert_eq!(wide, data);
+
+    let bytes = sample(40_000, 31);
+    client.publish("bytes", &bytes, &config(8)).unwrap();
+    assert_eq!(client.fetch_and_decode("bytes", 8).unwrap(), bytes);
+    let streamed = client.fetch_and_decode_streaming("bytes", 8).unwrap();
+    assert_eq!(streamed.data, bytes);
     server.shutdown();
 }
 

@@ -22,8 +22,8 @@
 //! ## Quickstart
 //!
 //! The primary API is the [`core::codec::Codec`] facade: configure the
-//! encode side once with the builder, and plug in a [`DecodeBackend`] for
-//! the decode side.
+//! encoder once with the builder, and name a [`DecodeBackend`] in each
+//! decode — the encoded artifact knows nothing about its decoder.
 //!
 //! ```
 //! use recoil::prelude::*;
@@ -32,13 +32,11 @@
 //! let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
 //!
 //! // A reusable codec: 32 interleaved lanes, split metadata for up to 64
-//! // parallel decoders, an order-0 model quantized to 2^11, and a decode
-//! // backend that auto-selects AVX-512 → AVX2 → scalar at runtime.
+//! // parallel decoders and an order-0 model quantized to 2^11.
 //! let codec = Codec::builder()
 //!     .ways(32)
 //!     .max_segments(64)
 //!     .quant_bits(11)
-//!     .backend(AutoBackend::with_threads(4))
 //!     .build()?;
 //!
 //! // Encode once. The planner is best-effort: up to 64 segments.
@@ -47,14 +45,15 @@
 //!
 //! // A 4-thread client needs only 4 segments: combine in real time — the
 //! // bitstream bytes are untouched, only metadata entries are dropped.
-//! let small = combine_splits(&encoded.container.metadata, 4);
+//! let small = try_combine_splits(&encoded.container.metadata, 4)?;
 //! assert_eq!(small.num_segments(), 4);
 //!
-//! // Decode through the configured backend…
-//! let decoded: Vec<u8> = codec.decode(&encoded)?;
+//! // Decode on a backend that auto-selects AVX-512 → AVX2 → scalar at
+//! // runtime and runs on 4 threads…
+//! let decoded: Vec<u8> = codec.decode_with(&AutoBackend::with_threads(4), &encoded)?;
 //! assert_eq!(decoded, data);
 //!
-//! // …or through any other backend, per call.
+//! // …or on any other, per call.
 //! let scalar: Vec<u8> = codec.decode_with(&ScalarBackend, &encoded)?;
 //! assert_eq!(scalar, data);
 //! # Ok::<(), RecoilError>(())
@@ -62,7 +61,8 @@
 //!
 //! ## Backend selection semantics
 //!
-//! A decoder is a kernel and a pool. There is one segment engine
+//! A codec encodes; each decode names its decoder. A decoder is a kernel
+//! and a pool. There is one segment engine
 //! (`core::decode_segments`: validate → synchronize → span kernel →
 //! disjoint output slice) and one backend struct, [`AutoBackend`]
 //! (`core::backend`): a kernel selection plus an optional thread pool,
@@ -85,6 +85,12 @@
 //! [`AutoBackend::fixed`]: prelude::AutoBackend::fixed
 //! [`ScalarBackend`]: prelude::ScalarBackend
 //! [`Kernel`]: prelude::Kernel
+//!
+//! Every selection refuses to decode a static model of more than 256
+//! symbols into `u8` ([`RecoilError::InvalidConfig`], field
+//! `symbol_bits`), before writing any output. An adaptively modelled
+//! stream is one [`DecodeBackend::decode`] call over
+//! `DecodeRequest::whole(.., DecodeModel::Adaptive(provider), ..)`.
 //!
 //! Invalid configurations (`ways = 0`, `quant_bits > 16`,
 //! `max_segments = 0`) are rejected at [`Codec::builder`]'s `build()` with
@@ -137,8 +143,8 @@ pub mod prelude {
     };
     pub use recoil_core::codec::{Codec, CodecBuilder, Encoded, EncoderConfig};
     pub use recoil_core::{
-        combine_splits, metadata_from_bytes, metadata_to_bytes, try_combine_splits,
-        IncrementalDecoder, RecoilContainer, RecoilError, RecoilMetadata, SplitPlanner,
+        metadata_from_bytes, metadata_to_bytes, try_combine_splits, IncrementalDecoder,
+        RecoilContainer, RecoilError, RecoilMetadata, SplitPlanner,
     };
     pub use recoil_models::{
         CdfTable, GaussianScaleBank, Histogram, LatentModelProvider, LatentSpec, ModelProvider,

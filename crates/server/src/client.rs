@@ -54,8 +54,9 @@ impl Client {
     /// Requests `name` at this client's capacity and decodes the response,
     /// in one call.
     ///
-    /// Uses [`ContentServer::fetch`], which resolves the name **once** —
-    /// the old `request` + `get` two-step raced concurrent unpublishes.
+    /// Uses [`ContentServer::fetch`], which resolves the name **once**, so
+    /// the transmission and the content it decodes against are the same
+    /// item under concurrent unpublishes.
     pub fn fetch_and_decode(
         &self,
         server: &ContentServer,

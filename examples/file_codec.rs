@@ -8,7 +8,7 @@
 //!
 //! With no arguments, runs a self-demo on generated data in a temp dir.
 
-use recoil::core::{container_from_bytes, container_to_bytes};
+use recoil::core::read_container;
 use recoil::prelude::*;
 
 fn file_codec() -> Codec {
@@ -22,15 +22,11 @@ fn file_codec() -> Codec {
 }
 
 fn compress(input: &[u8]) -> Result<Vec<u8>, RecoilError> {
-    let encoded = file_codec().encode(input)?;
-    Ok(container_to_bytes(
-        &encoded.container,
-        encoded.model.table(),
-    ))
+    Ok(file_codec().encode(input)?.container_bytes())
 }
 
 fn decompress(bytes: &[u8]) -> Result<Vec<u8>, RecoilError> {
-    let (container, model) = container_from_bytes(bytes)?;
+    let (container, model, _) = read_container(bytes)?;
     // Every core, each on the best vector kernel this host has.
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     let backend = AutoBackend::with_threads(threads);

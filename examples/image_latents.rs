@@ -27,15 +27,12 @@ fn main() -> Result<(), RecoilError> {
     );
 
     // One codec for the whole pipeline: split metadata for 256 parallel
-    // decoders, adaptive decodes distributed over all cores. (The SIMD
+    // decoders. Adaptive decodes are distributed over all cores. (The SIMD
     // kernels need flat static LUTs, so adaptive content always takes the
     // scalar/pooled path — exactly as in the paper's div2k rows.)
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let codec = Codec::builder()
-        .quant_bits(16)
-        .max_segments(256)
-        .backend(AutoBackend::fixed(Kernel::Scalar, threads))
-        .build()?;
+    let codec = Codec::builder().quant_bits(16).max_segments(256).build()?;
+    let backend = AutoBackend::fixed(Kernel::Scalar, threads);
 
     // Encode with the caller-owned adaptive provider.
     let container = codec.encode_with_provider(&ds.symbols, &ds.provider)?;
@@ -47,10 +44,22 @@ fn main() -> Result<(), RecoilError> {
         container.metadata.num_segments()
     );
 
-    // Parallel adaptive decode: each thread's Sync Phase looks up models by
-    // absolute symbol index, so split boundaries are invisible to the model.
+    // An adaptive decode is one request on the backend: each thread's Sync
+    // Phase looks up models by absolute symbol index, so split boundaries
+    // are invisible to the model.
+    let decode = |metadata: &RecoilMetadata| -> Result<Vec<u16>, RecoilError> {
+        let mut out = vec![0u16; ds.symbols.len()];
+        let model = DecodeModel::Adaptive(&ds.provider);
+        backend.decode(DecodeRequest::whole(
+            &container.stream,
+            metadata,
+            model,
+            &mut out,
+        )?)?;
+        Ok(out)
+    };
     let t0 = std::time::Instant::now();
-    let decoded = codec.decode_adaptive(&container.stream, &container.metadata, &ds.provider)?;
+    let decoded = decode(&container.metadata)?;
     let dt = t0.elapsed();
     assert_eq!(decoded, ds.symbols);
     println!(
@@ -60,9 +69,8 @@ fn main() -> Result<(), RecoilError> {
     );
 
     // Scale down for a 4-thread tablet: same bitstream, less metadata.
-    let small = combine_splits(&container.metadata, 4);
-    let decoded4 = codec.decode_adaptive(&container.stream, &small, &ds.provider)?;
-    assert_eq!(decoded4, ds.symbols);
+    let small = try_combine_splits(&container.metadata, 4)?;
+    assert_eq!(decode(&small)?, ds.symbols);
     println!(
         "4-segment variant: metadata {} bytes (was {})",
         metadata_to_bytes(&small).len(),

@@ -61,15 +61,12 @@ fn every_dataset_through_every_available_backend() {
 
 #[test]
 fn codec_is_reusable_across_payloads() {
-    let codec = Codec::builder()
-        .max_segments(16)
-        .backend(AutoBackend::with_threads(4))
-        .build()
-        .unwrap();
+    let codec = Codec::builder().max_segments(16).build().unwrap();
+    let backend = AutoBackend::with_threads(4);
     for (name, data) in datasets() {
         let encoded = codec.encode(&data).unwrap();
         assert!(encoded.container.metadata.num_segments() <= 16);
-        let got: Vec<u8> = codec.decode(&encoded).unwrap();
+        let got: Vec<u8> = codec.decode_with(&backend, &encoded).unwrap();
         assert_eq!(got, data, "{name}");
     }
 }
@@ -108,8 +105,8 @@ fn decoding_wrong_width_is_an_error_not_a_panic() {
     let codec = Codec::builder().build().unwrap();
     let data: Vec<u16> = (0..20_000u32).map(|i| (i % 300) as u16).collect();
     let encoded = codec.encode_u16(&data).unwrap();
-    assert!(codec.decode::<u8>(&encoded).is_err());
-    let ok: Vec<u16> = codec.decode(&encoded).unwrap();
+    assert!(codec.decode_with::<u8>(&ScalarBackend, &encoded).is_err());
+    let ok: Vec<u16> = codec.decode_with(&ScalarBackend, &encoded).unwrap();
     assert_eq!(ok, data);
 }
 
@@ -119,7 +116,9 @@ fn mismatched_buffer_is_an_error_not_a_panic() {
     let data = exponential_bytes(10_000, 100.0, 45);
     let encoded = codec.encode(&data).unwrap();
     let mut short = vec![0u8; data.len() - 1];
-    assert!(codec.decode_into(&encoded, &mut short).is_err());
+    assert!(codec
+        .decode_with_into(&ScalarBackend, &encoded, &mut short)
+        .is_err());
     // One whole-stream check in the facade: every backend names both sizes,
     // in the same words, for short and long buffers alike.
     for len in [data.len() - 1, data.len() + 1] {
@@ -134,6 +133,85 @@ fn mismatched_buffer_is_an_error_not_a_panic() {
                 .unwrap_err();
             assert_eq!(err.to_string(), expected, "{}", backend.name());
         }
+    }
+}
+
+/// A 700-symbol `u16` stream: its model's alphabet does not fit a `u8`.
+fn wide_alphabet() -> (Vec<u16>, Encoded) {
+    let data: Vec<u16> = (0..60_000u32).map(|i| (i % 700) as u16).collect();
+    let codec = Codec::builder()
+        .quant_bits(12)
+        .max_segments(16)
+        .build()
+        .unwrap();
+    let encoded = codec.encode_u16(&data).unwrap();
+    assert_eq!(encoded.model.table().alphabet_size(), 700);
+    (data, encoded)
+}
+
+fn is_symbol_bits_error<T: std::fmt::Debug>(got: &Result<T, RecoilError>) -> bool {
+    matches!(
+        got,
+        Err(RecoilError::InvalidConfig {
+            field: "symbol_bits",
+            ..
+        })
+    )
+}
+
+/// Below the facade nothing carries the payload's symbol width, so the
+/// backend checks the output against the model: a static model of more
+/// than 256 symbols decoded into `u8` is a typed error on every backend,
+/// written before any output, and the same stream's `u16` decode still
+/// round-trips.
+#[test]
+fn u8_decode_of_a_wide_alphabet_is_refused_on_every_backend() {
+    let (data, encoded) = wide_alphabet();
+    let (stream, metadata) = (&encoded.container.stream, &encoded.container.metadata);
+    for backend in all_backends().iter().filter(|b| b.is_available()) {
+        let untouched = 0xA5u8;
+        let mut narrow = vec![untouched; data.len()];
+        let model = DecodeModel::Static(&encoded.model);
+        let request = DecodeRequest::whole(stream, metadata, model, &mut narrow).unwrap();
+        let got = backend.decode(request);
+        assert!(is_symbol_bits_error(&got), "{}: {got:?}", backend.name());
+        assert!(narrow.iter().all(|&b| b == untouched), "{}", backend.name());
+
+        let mut wide = vec![0u16; data.len()];
+        let model = DecodeModel::Static(&encoded.model);
+        let request = DecodeRequest::whole(stream, metadata, model, &mut wide).unwrap();
+        backend.decode(request).unwrap();
+        assert_eq!(wide, data, "{}", backend.name());
+    }
+}
+
+/// The streaming receiver decodes through the same backend call, so it
+/// refuses the same way.
+#[test]
+fn incremental_u8_decode_of_a_wide_alphabet_is_refused() {
+    let (data, encoded) = wide_alphabet();
+    let stream = &encoded.container.stream;
+    let incr = || {
+        let mut incr = IncrementalDecoder::new(
+            encoded.container.metadata.clone(),
+            stream.final_states.clone(),
+            encoded.model.clone(),
+        )
+        .unwrap();
+        incr.push_bytes(stream.words.as_bytes()).unwrap();
+        incr
+    };
+    for backend in all_backends().iter().filter(|b| b.is_available()) {
+        let mut narrow = vec![0u8; data.len()];
+        let got = incr().decode_ready_segments(backend.as_ref(), &mut narrow);
+        assert!(is_symbol_bits_error(&got), "{}: {got:?}", backend.name());
+
+        let mut wide = vec![0u16; data.len()];
+        let mut ok = incr();
+        ok.decode_ready_segments(backend.as_ref(), &mut wide)
+            .unwrap();
+        assert!(ok.is_finished());
+        assert_eq!(wide, data, "{}", backend.name());
     }
 }
 

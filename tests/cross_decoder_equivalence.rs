@@ -67,9 +67,9 @@ fn latent_datasets_adaptive_paths() {
     let codec = Codec::builder()
         .max_segments(48)
         .quant_bits(14)
-        .backend(AutoBackend::with_threads(8))
         .build()
         .unwrap();
+    let backend = AutoBackend::with_threads(8);
     for d in ALL_DATASETS.iter().filter(|d| d.is_latent()) {
         let ds = d.generate_latents(Arc::clone(&bank), SCALE_BYTES);
         let container = codec
@@ -77,9 +77,11 @@ fn latent_datasets_adaptive_paths() {
             .unwrap();
         let serial: Vec<u16> = decode_interleaved(&container.stream, &ds.provider).unwrap();
         assert_eq!(serial, ds.symbols, "{} serial", d.name);
-        let par = codec
-            .decode_adaptive(&container.stream, &container.metadata, &ds.provider)
-            .unwrap();
+        let mut par = vec![0u16; ds.symbols.len()];
+        let model = DecodeModel::Adaptive(&ds.provider);
+        let (stream, metadata) = (&container.stream, &container.metadata);
+        let request = DecodeRequest::whole(stream, metadata, model, &mut par).unwrap();
+        backend.decode(request).unwrap();
         assert_eq!(par, ds.symbols, "{} recoil", d.name);
 
         let conv = encode_conventional(&ds.symbols, &ds.provider, 32, 16);

@@ -28,7 +28,7 @@ fn text_dataset_full_pipeline() {
     // Decode at several parallelism levels; all must be identical.
     let backend = AutoBackend::with_threads(8);
     for segments in [1u64, 2, 16, 128] {
-        let m = combine_splits(&meta, segments);
+        let m = try_combine_splits(&meta, segments).unwrap();
         let mut got = vec![0u8; data.len()];
         let model = DecodeModel::Static(&encoded.model);
         let req = DecodeRequest::whole(&encoded.container.stream, &m, model, &mut got);
@@ -66,11 +66,11 @@ fn conventional_and_recoil_decode_identically() {
     let codec = Codec::builder()
         .max_segments(64)
         .quant_bits(12)
-        .backend(AutoBackend::fixed(Kernel::Scalar, 8))
         .build()
         .unwrap();
     let encoded = codec.encode(&data).unwrap();
-    let b: Vec<u8> = codec.decode(&encoded).unwrap();
+    let backend = AutoBackend::fixed(Kernel::Scalar, 8);
+    let b: Vec<u8> = codec.decode_with(&backend, &encoded).unwrap();
     assert_eq!(a, data);
     assert_eq!(b, data);
 }

@@ -63,7 +63,7 @@ fn observed_wire() -> Vec<(u32, usize)> {
             for wide in [false, true] {
                 let meta = encode(ways, wide, seed);
                 for width in WIDTHS {
-                    let tier = combine_splits(&meta, width);
+                    let tier = try_combine_splits(&meta, width).unwrap();
                     let bytes = metadata_to_bytes(&tier);
                     assert_eq!(metadata_wire_len(&tier), bytes.len());
                     out.push((pin(&bytes), bytes.len()));
@@ -217,7 +217,7 @@ fn every_width_round_trips_and_shares_the_stored_splits() {
         let meta = encode(ways, wide, SEEDS[0]);
         let mut lens = vec![0usize];
         for width in 1..=meta.num_segments() {
-            let tier = combine_splits(&meta, width);
+            let tier = try_combine_splits(&meta, width).unwrap();
             assert_eq!(tier.num_segments(), width);
             let bytes = metadata_to_bytes(&tier);
             assert_eq!(metadata_from_bytes(&bytes).unwrap(), tier, "width {width}");

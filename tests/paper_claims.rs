@@ -69,7 +69,7 @@ fn recoil_undercuts_conventional_at_equal_parallelism() {
                 .build()
                 .unwrap();
             let large = codec.encode_with_provider(data, &model).unwrap();
-            let small = combine_splits(&large.metadata, SMALL);
+            let small = try_combine_splits(&large.metadata, SMALL).unwrap();
             let a = large.stream_bytes();
             let b = conventional_bytes(data, &model, LARGE);
             let c = a + large.metadata_bytes();
@@ -94,7 +94,7 @@ fn a_split_costs_about_76_bytes_at_32_lanes() {
         let codec = Codec::builder().max_segments(LARGE).build().unwrap();
         let encoded = codec.encode(&data).unwrap();
         let splits = encoded.container.metadata.num_segments() - 1;
-        let per_split = encoded.metadata_bytes() as f64 / splits as f64;
+        let per_split = encoded.container.metadata_bytes() as f64 / splits as f64;
         let range = (2 * WAYS) as f64..=(2 * WAYS + 20) as f64;
         assert!(
             range.contains(&per_split),
@@ -136,7 +136,7 @@ fn one_encode_decodes_at_every_width() {
     let backends: [&dyn DecodeBackend; 2] = [&ScalarBackend, &AutoBackend::with_threads(2)];
     let mut out = vec![0u8; data.len()];
     for width in 1..=64 {
-        let tier = combine_splits(stored, width);
+        let tier = try_combine_splits(stored, width).unwrap();
         assert_eq!(tier.num_segments(), width);
         for backend in backends {
             out.fill(0);

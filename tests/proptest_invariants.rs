@@ -120,7 +120,7 @@ fn any_combine_target_decodes_identically() {
             11,
             24,
         );
-        let combined = combine_splits(&meta, target);
+        let combined = try_combine_splits(&meta, target).unwrap();
         assert!(combined.num_segments() <= target.max(1), "seed {seed}");
         let got = scalar_decode(&stream, &combined, &p);
         assert_eq!(got, data, "seed {seed} target {target}");

@@ -7,7 +7,7 @@
 //! The registry `proptest` crate is unavailable offline, so the properties
 //! run over deterministic seeded cases.
 
-use recoil::core::{container_from_bytes, container_to_bytes, metadata_from_bytes};
+use recoil::core::{metadata_from_bytes, read_container};
 use recoil::prelude::*;
 
 mod common;
@@ -41,7 +41,7 @@ fn file_parser_never_panics() {
         let mut rng = Cases::new(0xF11E ^ seed);
         let len = rng.below(512) as usize;
         let bytes = rng.bytes(len);
-        if let Ok((container, _model)) = container_from_bytes(&bytes) {
+        if let Ok((container, _model, _)) = read_container(&bytes) {
             assert!(container.stream.validate().is_ok(), "seed {seed}");
         }
     }
@@ -57,13 +57,13 @@ fn mutated_file_parses_or_errors() {
         let len = 500 + rng.below(2500) as usize;
         let seed_data = rng.bytes(len);
         let enc = codec(4, 10).encode(&seed_data).unwrap();
-        let mut bytes = container_to_bytes(&enc.container, enc.model.table());
+        let mut bytes = enc.container_bytes();
         let at = rng.below(bytes.len() as u64) as usize;
         let flip_bit = rng.below(8) as u8;
         bytes[at] ^= 1 << flip_bit;
-        match container_from_bytes(&bytes) {
+        match read_container(&bytes) {
             Err(_) => {}
-            Ok((c, _m)) => {
+            Ok((c, _m, _)) => {
                 assert!(c.stream.validate().is_ok(), "seed {seed} at {at}");
                 assert!(
                     c.metadata.validate_against(&c.stream).is_ok(),
@@ -112,11 +112,10 @@ fn pathological_inputs_round_trip() {
         for n in [8u32, 11, 16] {
             let codec = codec(16, n);
             let enc = codec.encode(data).unwrap();
-            let got: Vec<u8> = codec.decode(&enc).unwrap();
+            let got: Vec<u8> = codec.decode_with(&ScalarBackend, &enc).unwrap();
             assert_eq!(&got, data, "case {i} n={n}");
             // And through the file format.
-            let bytes = container_to_bytes(&enc.container, enc.model.table());
-            let (back, m2) = container_from_bytes(&bytes).unwrap();
+            let (back, m2, _) = read_container(&enc.container_bytes()).unwrap();
             let mut got2 = vec![0u8; back.stream.num_symbols as usize];
             let model = DecodeModel::Static(&m2);
             let req = DecodeRequest::whole(&back.stream, &back.metadata, model, &mut got2);

@@ -85,17 +85,13 @@ fn corrupted_bytes_return_wire_error_not_panic() {
 
 #[test]
 fn container_file_corruption_is_wire_error() {
-    use recoil::core::{container_from_bytes, container_to_bytes};
+    use recoil::core::read_container;
     let data = recoil::data::exponential_bytes(50_000, 200.0, 11);
-    let encoded = codec(8).encode(&data).unwrap();
-    let bytes = container_to_bytes(&encoded.container, encoded.model.table());
-    assert!(container_from_bytes(&bytes).is_ok());
+    let bytes = codec(8).encode(&data).unwrap().container_bytes();
+    assert!(read_container(&bytes).is_ok());
     for cut in [0, 3, 9, bytes.len() / 2, bytes.len() - 1] {
         assert!(
-            matches!(
-                container_from_bytes(&bytes[..cut]),
-                Err(RecoilError::Wire { .. })
-            ),
+            matches!(read_container(&bytes[..cut]), Err(RecoilError::Wire { .. })),
             "cut {cut}"
         );
     }
@@ -108,7 +104,7 @@ fn container_file_corruption_is_wire_error() {
 /// with the same error.
 #[test]
 fn an_item_is_refused_alike_at_rest_and_in_flight() {
-    use recoil::core::{check_words_crc, container_from_bytes, container_to_bytes, crc32};
+    use recoil::core::{check_words_crc, crc32, read_container};
     use recoil::net::TransmitHeader;
 
     // One segment: no split is placed relative to N, so an absurd N meets
@@ -116,7 +112,7 @@ fn an_item_is_refused_alike_at_rest_and_in_flight() {
     let data = recoil::data::text_like_bytes(40_000, 5.0, 12);
     let encoded = codec(1).encode(&data).unwrap();
     let n = encoded.model.quant_bits();
-    let container = container_to_bytes(&encoded.container, encoded.model.table());
+    let container = encoded.container_bytes();
     let item_end = container.len() - 2 * encoded.container.stream.words.len();
     // The item section's parts, as offsets into the container.
     let meta_len = u32::from_le_bytes(container[5..9].try_into().unwrap()) as usize;
@@ -134,7 +130,7 @@ fn an_item_is_refused_alike_at_rest_and_in_flight() {
         put(bytes, block.end, &crc.to_le_bytes());
     };
     let refusals = |bytes: &[u8]| {
-        let at_rest = container_from_bytes(bytes).map(|_| ());
+        let at_rest = read_container(bytes).map(|_| ());
         let mut transmit = vec![0u8; 17]; // segments, cache hit, combine time
         transmit.extend_from_slice(&bytes[5..item_end]);
         transmit.extend_from_slice(&1u32.to_le_bytes()); // chunk count
